@@ -38,7 +38,9 @@ use wishbone_core::{
 };
 use wishbone_dataflow::OperatorId;
 use wishbone_ilp::instances::chain_ilp;
-use wishbone_ilp::{Branching, IlpOptions, IlpStats, Problem, SolverBackend};
+use wishbone_ilp::{
+    solve_lp_in, Branching, IlpOptions, IlpStats, Problem, SimplexWorkspace, SolverBackend,
+};
 use wishbone_net::ChannelParams;
 use wishbone_profile::{profile, GraphProfile, Platform};
 use wishbone_runtime::{
@@ -1488,6 +1490,51 @@ fn smoke(backend: SolverBackend) {
         drifted.objective,
         dbase.objective
     );
+
+    // A host-independent count guard on the flagship root LP (sparse
+    // smoke only): the 22-channel EEG app on the mote → phone → server
+    // chain must take the dual-first start and finish well under the
+    // ~4450 pivots the two-phase primal needs on it — so a change that
+    // silently falls back to the primal fails here, on any machine.
+    if backend == SolverBackend::Sparse {
+        let (graph22, prof22) = eeg_app(22);
+        let chain = Deployment::chain(&bench_chain(3));
+        let prep = PreparedDeployment::new(&graph22, &prof22, &chain, &DeploymentConfig::default())
+            .expect("the 22ch chain prepares");
+        let p = prep.problem();
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(SolverBackend::Sparse);
+        let lp = solve_lp_in(
+            p,
+            p.lower_bounds(),
+            p.upper_bounds(),
+            1_000_000,
+            &mut ws,
+            false,
+        )
+        .expect("the 22ch chain root LP solves");
+        assert!(
+            ws.dual_iterations() > 0,
+            "[sparse] the 22ch chain root LP must start dual-first"
+        );
+        assert!(
+            lp.iterations <= 2600,
+            "[sparse] the 22ch chain root LP took {} iterations ({} dual + {} primal), \
+             budget 2600",
+            lp.iterations,
+            ws.dual_iterations(),
+            ws.primal_iterations()
+        );
+        println!(
+            "smoke[sparse] 22ch chain root LP: {} rows, {} iterations ({} dual + {} primal), \
+             {} factorizations",
+            p.num_constraints(),
+            lp.iterations,
+            ws.dual_iterations(),
+            ws.primal_iterations(),
+            ws.refactorizations()
+        );
+    }
 
     println!(
         "smoke[{label}] OK: {} nodes ({} warm) on 1ch EEG; chain_972 obj {:.1} \

@@ -158,6 +158,15 @@ pub struct FleetStats {
     /// the fleet: `encode_s` is stamped by the prepared pipeline
     /// (misses pay it, hits amortize it), the rest by branch-and-bound.
     pub phase_times: PhaseTimes,
+    /// Simplex work summed over every successful solve in the fleet:
+    /// dual iterations, primal iterations, and (sparse backend only) LU
+    /// factorizations — the counters of
+    /// [`IlpStats`](wishbone_ilp::IlpStats) of the same names.
+    pub dual_iterations: u64,
+    /// See [`dual_iterations`](Self::dual_iterations).
+    pub primal_iterations: u64,
+    /// See [`dual_iterations`](Self::dual_iterations).
+    pub refactorizations: u64,
     /// Per-request worker-side latencies, seconds, sorted ascending.
     latencies_s: Vec<f64>,
 }
@@ -201,6 +210,7 @@ fn add_phase_times(a: &mut PhaseTimes, b: &PhaseTimes) {
     a.presolve_s += b.presolve_s;
     a.warm_start_s += b.warm_start_s;
     a.nodes_s += b.nodes_s;
+    a.root_lp_s += b.root_lp_s;
 }
 
 /// One worker's shape-keyed cache of prepared instances.
@@ -278,6 +288,9 @@ struct WorkerReport {
     errors: u64,
     distinct_shapes: u64,
     phase_times: PhaseTimes,
+    dual_iterations: u64,
+    primal_iterations: u64,
+    refactorizations: u64,
 }
 
 fn worker_loop(
@@ -295,6 +308,9 @@ fn worker_loop(
         errors: 0,
         distinct_shapes: 0,
         phase_times: PhaseTimes::default(),
+        dual_iterations: 0,
+        primal_iterations: 0,
+        refactorizations: 0,
     };
     while let Ok(req) = rx.recv() {
         let t = Instant::now();
@@ -318,7 +334,13 @@ fn worker_loop(
             report.misses += 1;
         }
         match &result {
-            Ok(part) => add_phase_times(&mut report.phase_times, &part.ilp_stats.phase_times),
+            Ok(part) => {
+                let stats = &part.ilp_stats;
+                add_phase_times(&mut report.phase_times, &stats.phase_times);
+                report.dual_iterations += stats.dual_iterations;
+                report.primal_iterations += stats.primal_iterations;
+                report.refactorizations += stats.refactorizations;
+            }
             Err(_) => report.errors += 1,
         }
         let resp = FleetResponse {
@@ -489,6 +511,9 @@ impl FleetServer {
             stats.errors += report.errors;
             stats.per_worker_solves.push(report.solves);
             add_phase_times(&mut stats.phase_times, &report.phase_times);
+            stats.dual_iterations += report.dual_iterations;
+            stats.primal_iterations += report.primal_iterations;
+            stats.refactorizations += report.refactorizations;
         }
         stats.finalize();
         stats

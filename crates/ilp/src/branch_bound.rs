@@ -107,6 +107,10 @@ pub struct PhaseTimes {
     pub warm_start_s: f64,
     /// The node loop: every LP solve, branching, and heap bookkeeping.
     pub nodes_s: f64,
+    /// The root node's LP relaxation alone (a part of `nodes_s`): with
+    /// most solves closing in one to three nodes, this is the bucket the
+    /// wall clock usually sits in.
+    pub root_lp_s: f64,
 }
 
 /// Search statistics, including the discover-vs-prove timeline (Fig 6).
@@ -123,6 +127,17 @@ pub struct IlpStats {
     pub warm_starts: u64,
     /// Node LPs built from scratch (the root, plus any warm fallback).
     pub cold_starts: u64,
+    /// Dual-simplex iterations across all nodes: warm repairs of
+    /// re-bounded children and, on the sparse backend, the dual-first
+    /// cold start of the root. Counts abandoned attempts too, so with
+    /// `primal_iterations` it sums to at least `simplex_iterations`.
+    pub dual_iterations: u64,
+    /// Primal-simplex iterations across all nodes (both phases, bound
+    /// flips included).
+    pub primal_iterations: u64,
+    /// LU factorizations of the sparse backend's basis across all nodes
+    /// (loads and warm re-entries included); zero on the dense backend.
+    pub refactorizations: u64,
     /// Elapsed time at which each improving incumbent was found, with its
     /// objective value.
     pub incumbents: Vec<(Duration, f64)>,
@@ -342,14 +357,19 @@ pub fn solve_ilp_in(
 
         stats.nodes += 1;
         let incumbents_before = stats.incumbents.len();
-        let lp = match solve_lp_in(
+        let root_lp_t = (stats.nodes == 1).then(Instant::now);
+        let lp = solve_lp_in(
             problem,
             &node.lower,
             &node.upper,
             iter_limit,
             ws,
             opts.warm_lp,
-        ) {
+        );
+        if let Some(t) = root_lp_t {
+            stats.phase_times.root_lp_s = t.elapsed().as_secs_f64();
+        }
+        let lp = match lp {
             Ok(lp) => lp,
             Err(SolveError::Infeasible) => continue,
             Err(e) => {
@@ -457,6 +477,9 @@ pub fn solve_ilp_in(
     stats.phase_times.nodes_s = node_loop_t.elapsed().as_secs_f64();
     stats.warm_starts = ws.warm_starts();
     stats.cold_starts = ws.cold_starts();
+    stats.dual_iterations = ws.dual_iterations();
+    stats.primal_iterations = ws.primal_iterations();
+    stats.refactorizations = ws.refactorizations();
     stats.total_time = start.elapsed();
     stats.timed_out = hit_limit;
 

@@ -1,8 +1,8 @@
 //! # wishbone-ilp
 //!
 //! A self-contained linear-programming and integer-linear-programming
-//! solver: two-phase primal simplex with bounded variables, plus branch and
-//! bound. It plays the role of `lp_solve` in the Wishbone paper (§4.2.1):
+//! solver: bounded-variable simplex (a dense two-phase primal tableau and
+//! a sparse, dual-first revised method), plus branch and bound. It plays the role of `lp_solve` in the Wishbone paper (§4.2.1):
 //! "an off-the-shelf integer programming solver ... uses branch-and-bound to
 //! solve integer-constrained problems ... and the Simplex algorithm to solve
 //! linear programming problems."
@@ -21,7 +21,10 @@
 //!   ([`SolverBackend`]): the dense tableau (small problems, and the
 //!   oracle for the differential test suite) and a **sparse revised
 //!   simplex** over an LU-factored basis with eta updates (`sparse.rs`,
-//!   `lu.rs`, `revised.rs`) — `Auto` switches at
+//!   `lu.rs`, `revised.rs`) that starts cold solves **dual first** — from
+//!   the slack basis with every variable at its cost-preferred bound —
+//!   whenever the problem admits it, so cold and warm solves share one
+//!   dual-then-primal tail; `Auto` switches at
 //!   [`SPARSE_AUTO_THRESHOLD`] constraints, which on the fig6
 //!   972-constraint EEG instances is worth an order of magnitude;
 //! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes

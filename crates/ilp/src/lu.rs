@@ -2,7 +2,7 @@
 //!
 //! The revised simplex never forms `B⁻¹`; it answers two questions per
 //! iteration — `B·w = a` (**FTRAN**: the entering column in the basis
-//! frame) and `Bᵀ·y = c_B` (**BTRAN**: the duals, or a single tableau
+//! frame) and `Bᵀ·y = c` (**BTRAN**: the duals, or a single tableau
 //! row) — against a factorization `P·B = L·U` built by left-looking
 //! Gaussian elimination with partial pivoting. On Wishbone's ≈2-nonzero
 //! rows `L` and `U` stay nearly as sparse as `B` itself, so both solves
@@ -13,7 +13,27 @@
 //! `L·U` on FTRAN and before it (transposed, in reverse) on BTRAN. After
 //! [`REFACTOR_PERIOD`] etas the caller refactorizes from scratch, which
 //! both caps the eta file and discards accumulated roundoff — the drift
-//! bound the regression tests pin.
+//! bound the regression tests pin. The eta file is one flat arena
+//! ([`EtaFile`]: `u32` positions, `f64` values, a pointer per eta),
+//! reserved once per load from [`ETA_NNZ_FACTOR`] and reused across
+//! refactorizations, so a pivot allocates nothing.
+//!
+//! Two solves are **hypersparse** — their cost follows the nonzeros they
+//! produce, not `m`:
+//!
+//! * [`ftran_sparse`](LuFactors::ftran_sparse) of an entering column:
+//!   `L` and `U` are stored by column, which is already the push form an
+//!   FTRAN wants; only the *order* of the pending steps was `O(m)`;
+//! * [`btran_unit`](LuFactors::btran_unit) of `e_r`, the dual simplex's
+//!   pivot row: a BTRAN pushes along *rows* of `U` and `L`, so row-wise
+//!   copies of both factors are built (lazily, once per factorization,
+//!   `u32` indices) and the unit vector is propagated through them.
+//!
+//! Both keep their pending factor steps in a bitset and walk it with
+//! `trailing_zeros` / `leading_zeros`: steps come out in exactly the
+//! order the dense loops visit them (so `ftran_sparse` is bit-identical
+//! to the dense solve), and no scratch is zero-filled per call — every
+//! buffer is returned to all-zero by the walk that consumed it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,105 +58,194 @@ pub(crate) const ETA_NNZ_FACTOR: usize = 4;
 /// numerically singular and the caller must recover (cold restart).
 const SINGULAR_TOL: f64 = 1e-10;
 
+/// A pivot row prescribed by the singleton peel is accepted while it is
+/// at least this fraction of the column's largest candidate (threshold
+/// partial pivoting).
+const PEEL_PIVOT_THRESHOLD: f64 = 0.1;
+
+/// Rows with more basis entries than this (or than `m / 32`, if larger)
+/// are left out of the singleton peel: counting them would hide every
+/// singleton among the columns that cross them — on Wishbone's
+/// encodings all of the structural ones, each of which carries a
+/// coefficient in its site's budget rows — and leave hundreds of columns
+/// to general elimination, which fills `U` to several times the basis.
+/// Left out, they only collect `L` multipliers and whatever fill there
+/// is, and are pivoted last, by magnitude.
+const DENSE_ROW_MIN: usize = 16;
+
 /// Entries below this are dropped when harvesting an eta column.
 const ETA_DROP_TOL: f64 = 1e-13;
 
-/// One product-form update: the entering column `α = B⁻¹·a_e` at the
-/// moment of the pivot, split into the pivot element and the off-pivot
-/// nonzeros. Indices are *basis positions*.
-#[derive(Debug)]
-pub(crate) struct Eta {
-    r: usize,
-    pivot: f64,
-    entries: Vec<(usize, f64)>,
+/// The eta file: every product-form update since the last
+/// factorization, in one flat arena. Eta `k` is the entering column
+/// `α = B⁻¹·a_e` at the moment of its pivot, split into the pivot element
+/// `pivot[k]` at basis position `r[k]` and the off-pivot nonzeros
+/// `idx/val[ptr[k]..ptr[k + 1]]`. Indices are *basis positions*.
+#[derive(Debug, Default)]
+pub(crate) struct EtaFile {
+    r: Vec<u32>,
+    pivot: Vec<f64>,
+    ptr: Vec<u32>,
+    idx: Vec<u32>,
+    val: Vec<f64>,
 }
 
-impl Eta {
-    /// Harvest an eta from a dense entering column `alpha` (by basis
-    /// position) pivoting at position `r`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn from_column(r: usize, alpha: &[f64]) -> Eta {
-        let entries = alpha
-            .iter()
-            .enumerate()
-            .filter(|&(i, &a)| i != r && a.abs() > ETA_DROP_TOL)
-            .map(|(i, &a)| (i, a))
-            .collect();
-        Eta {
-            r,
-            pivot: alpha[r],
-            entries,
-        }
+impl EtaFile {
+    /// Empty the file and make room for a full refactorization period on
+    /// an `m`-row basis (a no-op once the arena has grown to that size).
+    /// The nonzero budget is checked *after* a push, so the arena can
+    /// overshoot it by one column.
+    fn reset(&mut self, m: usize) {
+        self.r.clear();
+        self.pivot.clear();
+        self.ptr.clear();
+        self.idx.clear();
+        self.val.clear();
+        self.r.reserve(REFACTOR_PERIOD);
+        self.pivot.reserve(REFACTOR_PERIOD);
+        self.ptr.reserve(REFACTOR_PERIOD + 1);
+        let budget = (ETA_NNZ_FACTOR + 1) * m.max(8);
+        self.idx.reserve(budget);
+        self.val.reserve(budget);
+        self.ptr.push(0);
     }
 
-    /// Harvest from a sparse column: only the positions listed in `nnz`
-    /// are live (the rest of `alpha` is stale storage).
-    pub(crate) fn from_sparse(r: usize, alpha: &[f64], nnz: &[usize]) -> Eta {
-        let entries = nnz
-            .iter()
-            .filter(|&&i| i != r && alpha[i].abs() > ETA_DROP_TOL)
-            .map(|&i| (i, alpha[i]))
-            .collect();
-        Eta {
-            r,
-            pivot: alpha[r],
-            entries,
-        }
+    /// Number of etas on file.
+    fn len(&self) -> usize {
+        self.r.len()
     }
 
-    /// Stored nonzeros (for the refactorization budget).
-    pub(crate) fn nnz(&self) -> usize {
-        self.entries.len() + 1
+    /// Stored nonzeros, pivots included (the refactorization budget).
+    fn nnz(&self) -> usize {
+        self.idx.len() + self.r.len()
     }
 
-    /// FTRAN update: replace `w` by `E⁻¹·w` (chronological order).
-    pub(crate) fn apply_ftran(&self, w: &mut [f64]) {
-        let wr = w[self.r] / self.pivot;
-        if !is_exact_zero(wr) {
-            for &(i, a) in &self.entries {
-                w[i] -= a * wr;
+    /// Off-pivot entries of eta `k`.
+    #[inline]
+    fn entries(&self, k: usize) -> (&[u32], &[f64]) {
+        let lo = self.ptr[k] as usize;
+        let hi = self.ptr[k + 1] as usize;
+        (&self.idx[lo..hi], &self.val[lo..hi])
+    }
+
+    /// Harvest an eta pivoting at position `r` from a sparse column: only
+    /// the positions listed in `live` are meaningful (the rest of `alpha`
+    /// is stale storage).
+    fn push(&mut self, r: usize, alpha: &[f64], live: &[usize]) {
+        for &i in live {
+            if i != r && alpha[i].abs() > ETA_DROP_TOL {
+                self.idx.push(i as u32);
+                self.val.push(alpha[i]);
             }
         }
-        w[self.r] = wr;
+        self.r.push(r as u32);
+        self.pivot.push(alpha[r]);
+        self.ptr.push(self.idx.len() as u32);
+    }
+
+    /// FTRAN update: replace the dense `w` by `E_k⁻¹·…·E_1⁻¹·w`.
+    fn apply_ftran(&self, w: &mut [f64]) {
+        for k in 0..self.len() {
+            let r = self.r[k] as usize;
+            let wr = w[r] / self.pivot[k];
+            if !is_exact_zero(wr) {
+                let (idx, val) = self.entries(k);
+                for (&i, &a) in idx.iter().zip(val) {
+                    w[i as usize] -= a * wr;
+                }
+            }
+            w[r] = wr;
+        }
     }
 
     /// FTRAN update on a stamped sparse column: positions outside the
     /// current-epoch stamp set are zero by contract (their storage is
-    /// stale); any position this eta touches joins the set.
-    pub(crate) fn apply_ftran_sparse(
+    /// stale); any position an eta touches joins the set.
+    fn apply_ftran_sparse(
         &self,
         w: &mut [f64],
         stamp: &mut [u64],
         epoch: u64,
         nnz: &mut Vec<usize>,
     ) {
-        let live_r = stamp[self.r] == epoch;
-        let wr = if live_r { w[self.r] / self.pivot } else { 0.0 };
-        if !is_exact_zero(wr) {
-            for &(i, a) in &self.entries {
-                if stamp[i] != epoch {
-                    stamp[i] = epoch;
-                    w[i] = 0.0;
-                    nnz.push(i);
+        for k in 0..self.len() {
+            let r = self.r[k] as usize;
+            let live_r = stamp[r] == epoch;
+            let wr = if live_r { w[r] / self.pivot[k] } else { 0.0 };
+            if !is_exact_zero(wr) {
+                let (idx, val) = self.entries(k);
+                for (&i, &a) in idx.iter().zip(val) {
+                    let i = i as usize;
+                    if stamp[i] != epoch {
+                        stamp[i] = epoch;
+                        w[i] = 0.0;
+                        nnz.push(i);
+                    }
+                    w[i] -= a * wr;
                 }
-                w[i] -= a * wr;
             }
+            if !live_r {
+                stamp[r] = epoch;
+                nnz.push(r);
+            }
+            w[r] = wr;
         }
-        if !live_r {
-            stamp[self.r] = epoch;
-            nnz.push(self.r);
-        }
-        w[self.r] = wr;
     }
 
-    /// BTRAN update: replace `c` by `E⁻ᵀ·c` (reverse chronological order,
-    /// applied before the base `LᵀUᵀ` solve).
-    pub(crate) fn apply_btran(&self, c: &mut [f64]) {
-        let mut v = c[self.r];
-        for &(i, a) in &self.entries {
-            v -= a * c[i];
+    /// BTRAN update: replace `c` by `E_1⁻ᵀ·…·E_k⁻ᵀ·c` (newest eta first,
+    /// applied before the base `LᵀUᵀ` solve). An eta only ever changes
+    /// its own pivot position; one that turns it from zero to nonzero is
+    /// appended to `live` when the caller tracks the pattern of `c`.
+    fn apply_btran(&self, c: &mut [f64], mut live: Option<&mut Vec<u32>>) {
+        for k in (0..self.len()).rev() {
+            let r = self.r[k] as usize;
+            let was = c[r];
+            let mut v = was;
+            let (idx, val) = self.entries(k);
+            for (&i, &a) in idx.iter().zip(val) {
+                v -= a * c[i as usize];
+            }
+            c[r] = v / self.pivot[k];
+            if let Some(live) = live.as_mut() {
+                if is_exact_zero(was) && !is_exact_zero(v) {
+                    live.push(self.r[k]);
+                }
+            }
         }
-        c[self.r] = v / self.pivot;
+    }
+}
+
+#[inline]
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i >> 6] |= 1u64 << (i & 63);
+}
+
+/// The lowest set bit at index `from` or above (the ascending walk:
+/// bits stay set, the caller moves `from` past each one it takes).
+#[inline]
+fn next_bit(bits: &[u64], from: usize) -> Option<usize> {
+    let mut wi = from >> 6;
+    let mut word = *bits.get(wi)? & (!0u64 << (from & 63));
+    while word == 0 {
+        wi += 1;
+        word = *bits.get(wi)?;
+    }
+    Some((wi << 6) + word.trailing_zeros() as usize)
+}
+
+/// Clear and return the highest set bit (the descending walk). `top` is
+/// the caller's cursor: no bit is set in any word above it, which holds
+/// while new bits are only ever set below the one just taken.
+#[inline]
+fn pop_top_bit(bits: &mut [u64], top: &mut usize) -> Option<usize> {
+    loop {
+        let word = bits[*top];
+        if word != 0 {
+            let b = 63 - word.leading_zeros() as usize;
+            bits[*top] = word & !(1u64 << b);
+            return Some((*top << 6) + b);
+        }
+        *top = top.checked_sub(1)?;
     }
 }
 
@@ -152,8 +261,10 @@ impl Eta {
 /// precedence chains). Peeling column singletons — repeatedly factoring
 /// any column with exactly one unpivoted row, the standard LP "crash
 /// triangularization" — reorders the basis so the peeled prefix factors
-/// with **zero fill**; only the residual bump (typically the one
-/// budget-row column) pays for general elimination.
+/// with **zero fill** in `U`; the few dense budget rows stay out of the
+/// peel's counts (see [`DENSE_ROW_MIN`]), so a peeled column's entries in
+/// them are its `L` multipliers, and only the residual bump (typically
+/// one column per tight budget row) pays for general elimination.
 #[derive(Debug, Default)]
 pub(crate) struct LuFactors {
     m: usize,
@@ -176,8 +287,32 @@ pub(crate) struct LuFactors {
     u_diag: Vec<f64>,
     /// Dense scratch indexed by original row, zeroed between uses.
     work: Vec<f64>,
-    /// Dense scratch indexed by factor step (BTRAN intermediate).
+    /// Dense scratch indexed by factor step (BTRAN intermediate). All
+    /// zero between solves.
     zwork: Vec<f64>,
+    /// The eta file of the basis changes since `factorize`.
+    etas: EtaFile,
+    /// Row-wise copies of `U` and `L` for the push-form BTRAN, built on
+    /// the first [`btran_unit`](LuFactors::btran_unit) after a
+    /// factorization (`rowwise_ready`). `ur_*`: row `t` of `U` as
+    /// `(later step, value)`; `lr_*`: the `L` multipliers sitting in the
+    /// pivot row of step `t`, as `(earlier step, value)`; `cstep[k]` =
+    /// factor step of basis position `k` (the inverse of `pcol`).
+    rowwise_ready: bool,
+    ur_ptr: Vec<u32>,
+    ur_steps: Vec<u32>,
+    ur_vals: Vec<f64>,
+    lr_ptr: Vec<u32>,
+    lr_steps: Vec<u32>,
+    lr_vals: Vec<f64>,
+    cstep: Vec<u32>,
+    /// Pending factor steps of the hypersparse solves, one bit per step.
+    /// All zero between solves.
+    bits: Vec<u64>,
+    /// `btran_unit`'s right-hand side by basis position, and the
+    /// positions of it that went nonzero. All zero / empty between solves.
+    cwork: Vec<f64>,
+    clive: Vec<u32>,
     /// Pending factor steps whose rows went nonzero during the current
     /// column's elimination (min-heap: elimination must run in factor
     /// order). Keeping it sparse is what makes factorization `O(flops)`
@@ -196,6 +331,10 @@ pub(crate) struct LuFactors {
     row_ptr: Vec<usize>,
     row_elems: Vec<usize>,
     peel_stack: Vec<usize>,
+    /// `pivot_hint[s]` = the sparse row the singleton peel prescribed as
+    /// the pivot of factor step `s` (`u32::MAX`: none, pivot by
+    /// magnitude).
+    pivot_hint: Vec<u32>,
 }
 
 impl LuFactors {
@@ -205,7 +344,14 @@ impl LuFactors {
     pub(crate) fn factorize(&mut self, matrix: &CscMatrix, basis: &[usize]) -> bool {
         let m = matrix.rows();
         debug_assert_eq!(basis.len(), m);
+        self.etas.reset(m);
         self.m = m;
+        self.rowwise_ready = false;
+        self.bits.clear();
+        self.bits.resize(m.div_ceil(64), 0);
+        self.cwork.clear();
+        self.cwork.resize(m, 0.0);
+        self.clive.clear();
         self.prow.clear();
         self.ppos.clear();
         self.ppos.resize(m, usize::MAX);
@@ -307,6 +453,17 @@ impl LuFactors {
                 }
                 return false;
             }
+            // The row the singleton peel prescribed wins over the largest
+            // candidate (a dense-row entry of the same column) while it
+            // is within the usual threshold of it, so multipliers stay
+            // ≤ 1/PEEL_PIVOT_THRESHOLD.
+            let hint = self.pivot_hint[s] as usize;
+            if hint < m
+                && self.ppos[hint] == usize::MAX
+                && self.work[hint].abs() >= PEEL_PIVOT_THRESHOLD * best
+            {
+                ipiv = hint;
+            }
             let piv = self.work[ipiv];
             self.work[ipiv] = 0.0;
             self.u_diag[s] = piv;
@@ -330,14 +487,19 @@ impl LuFactors {
 
     /// Compute the factor-order column permutation `pcol` by peeling
     /// column singletons: any basis column with exactly one entry in a
-    /// still-unpivoted row factors with an empty `L` column, so every
-    /// column it uncovers afterwards also factors fill-free. Leftover
-    /// "bump" columns (no singleton available — e.g. the column that
-    /// closes a dense budget row) are appended in basis order for the
-    /// general elimination above. `O(nnz)`.
+    /// still-unpivoted *sparse* row pivots there (`pivot_hint`), and every
+    /// column it uncovers afterwards is peeled the same way. Dense rows
+    /// (see [`DENSE_ROW_MIN`]) are not counted: a peeled column's entries
+    /// in them become `L` multipliers, and all the fill elimination can
+    /// then cause lands in those few rows. Leftover "bump" columns (no
+    /// singleton available — e.g. the columns that close the dense
+    /// budget rows) are appended in basis order for the general
+    /// elimination above. `O(nnz)`.
     fn peel_order(&mut self, matrix: &CscMatrix, basis: &[usize]) {
         let m = self.m;
         self.pcol.clear();
+        self.pivot_hint.clear();
+        self.pivot_hint.resize(m, u32::MAX);
         self.peel_count.clear();
         self.peel_done.clear();
         self.peel_done.resize(m, false);
@@ -356,7 +518,10 @@ impl LuFactors {
             }
             nnz += rows.len();
         }
+        let dense = DENSE_ROW_MIN.max(m / 32);
         for i in 0..m {
+            // A dense row sits the peel out, as if already pivoted.
+            self.row_used[i] = self.row_ptr[i + 1] > dense;
             let prev = self.row_ptr[i];
             self.row_ptr[i + 1] += prev;
         }
@@ -366,16 +531,14 @@ impl LuFactors {
         self.row_cursor.extend_from_slice(&self.row_ptr[..m]);
         for (k, &j) in basis.iter().enumerate() {
             let (rows, _) = matrix.col(j);
+            let mut sparse_rows = 0;
             for &i in rows {
                 self.row_elems[self.row_cursor[i]] = k;
                 self.row_cursor[i] += 1;
+                sparse_rows += usize::from(!self.row_used[i]);
             }
-        }
-
-        for (k, &j) in basis.iter().enumerate() {
-            let (rows, _) = matrix.col(j);
-            self.peel_count.push(rows.len());
-            if rows.len() == 1 {
+            self.peel_count.push(sparse_rows);
+            if sparse_rows == 1 {
                 self.peel_stack.push(k);
             }
         }
@@ -397,6 +560,7 @@ impl LuFactors {
             }
             self.peel_done[k] = true;
             self.row_used[row] = true;
+            self.pivot_hint[self.pcol.len()] = row as u32;
             self.pcol.push(k);
             for idx in self.row_ptr[row]..self.row_ptr[row + 1] {
                 let k2 = self.row_elems[idx];
@@ -415,11 +579,32 @@ impl LuFactors {
         }
     }
 
-    /// FTRAN: solve `B·x = w` where `w` arrives dense, indexed by
-    /// original row, and is consumed (zeroed). `out[k]` receives the
-    /// solution by basis position; every position is written (dense).
+    /// Append the update for a pivot at basis position `r` whose entering
+    /// column is `alpha` (live positions in `live`).
+    pub(crate) fn push_eta(&mut self, r: usize, alpha: &[f64], live: &[usize]) {
+        self.etas.push(r, alpha, live);
+    }
+
+    /// Time to refactorize? Either the eta count or the eta-file nonzero
+    /// budget (which self-tunes for dense entering columns) is exhausted.
+    pub(crate) fn due_for_refactor(&self) -> bool {
+        self.etas.len() >= REFACTOR_PERIOD || self.etas.nnz() > ETA_NNZ_FACTOR * self.m.max(8)
+    }
+
+    /// FTRAN: solve `B·x = w` for the current basis (factors, then the
+    /// eta file), where `w` arrives dense, indexed by original row, and
+    /// is consumed (zeroed). `out[k]` receives the solution by basis
+    /// position; every position is written (dense).
     pub(crate) fn ftran(&self, w: &mut [f64], out: &mut [f64]) {
-        self.ftran_forward(w);
+        // Forward: L·y = P_r·w.
+        for t in 0..self.m {
+            let v = w[self.prow[t]];
+            if !is_exact_zero(v) {
+                for idx in self.l_ptr[t]..self.l_ptr[t + 1] {
+                    w[self.l_rows[idx]] -= self.l_vals[idx] * v;
+                }
+            }
+        }
         // Backward: U·x' = y, consuming w; x'[s] is the value of the
         // basis position factored at step s.
         for s in (0..self.m).rev() {
@@ -435,46 +620,80 @@ impl LuFactors {
                 w[self.prow[self.u_steps[idx]]] -= self.u_vals[idx] * xk;
             }
         }
+        self.etas.apply_ftran(out);
     }
 
-    /// FTRAN writing only the nonzero result positions, each pushed onto
-    /// `nnz` — stale `out` entries at unlisted positions are the caller's
-    /// contract to never read. This keeps every consumer of a sparse
-    /// entering column `O(nnz(α))` instead of `O(m)`.
-    pub(crate) fn ftran_sparse(&self, w: &mut [f64], out: &mut [f64], nnz: &mut Vec<usize>) {
-        self.ftran_forward(w);
-        for s in (0..self.m).rev() {
+    /// Hypersparse FTRAN of a column whose nonzero rows are `seeds`
+    /// (duplicates allowed): the same forward and backward passes as
+    /// [`ftran`](LuFactors::ftran), visiting only the factor steps that
+    /// can be nonzero, in the same order, so the values are bit-identical
+    /// to the dense solve. Only the nonzero result positions are written,
+    /// each pushed onto `nnz` and stamped with `epoch` — stale `out`
+    /// entries at unstamped positions are the caller's contract to never
+    /// read. This keeps every consumer of a sparse entering column
+    /// `O(nnz(α))` instead of `O(m)`.
+    pub(crate) fn ftran_sparse(
+        &mut self,
+        w: &mut [f64],
+        seeds: &[usize],
+        out: &mut [f64],
+        stamp: &mut [u64],
+        epoch: u64,
+        nnz: &mut Vec<usize>,
+    ) {
+        for &i in seeds {
+            set_bit(&mut self.bits, self.ppos[i]);
+        }
+        if seeds.is_empty() {
+            return; // a zero column — the only kind a rowless problem has
+        }
+        if !self.l_rows.is_empty() {
+            // Forward, ascending; an `L` column only reaches rows pivoted
+            // later, so new bits land above the cursor. The bits stay set
+            // for the backward pass.
+            let mut from = 0;
+            while let Some(t) = next_bit(&self.bits, from) {
+                from = t + 1;
+                let v = w[self.prow[t]];
+                if is_exact_zero(v) {
+                    continue;
+                }
+                for idx in self.l_ptr[t]..self.l_ptr[t + 1] {
+                    let i = self.l_rows[idx];
+                    w[i] -= self.l_vals[idx] * v;
+                    set_bit(&mut self.bits, self.ppos[i]);
+                }
+            }
+        }
+        // Backward, descending, clearing the bits; a `U` column only
+        // reaches earlier steps.
+        let mut top = self.bits.len() - 1;
+        while let Some(s) = pop_top_bit(&mut self.bits, &mut top) {
             let num = w[self.prow[s]];
             if is_exact_zero(num) {
                 continue;
             }
             w[self.prow[s]] = 0.0;
             let xk = num / self.u_diag[s];
-            out[self.pcol[s]] = xk;
-            nnz.push(self.pcol[s]);
+            let k = self.pcol[s];
+            out[k] = xk;
+            stamp[k] = epoch;
+            nnz.push(k);
             for idx in self.u_ptr[s]..self.u_ptr[s + 1] {
-                w[self.prow[self.u_steps[idx]]] -= self.u_vals[idx] * xk;
+                let t = self.u_steps[idx];
+                w[self.prow[t]] -= self.u_vals[idx] * xk;
+                set_bit(&mut self.bits, t);
             }
         }
+        self.etas.apply_ftran_sparse(out, stamp, epoch, nnz);
     }
 
-    /// Forward pass `L·y = P_r·w` shared by both FTRAN variants.
-    #[inline]
-    fn ftran_forward(&self, w: &mut [f64]) {
-        for t in 0..self.m {
-            let v = w[self.prow[t]];
-            if !is_exact_zero(v) {
-                for idx in self.l_ptr[t]..self.l_ptr[t + 1] {
-                    w[self.l_rows[idx]] -= self.l_vals[idx] * v;
-                }
-            }
-        }
-    }
-
-    /// BTRAN: solve `Bᵀ·y = c` with `c` dense, indexed by basis
-    /// position (left unmodified). `y` receives the solution by original
-    /// row.
-    pub(crate) fn btran(&mut self, c: &[f64], y: &mut [f64]) {
+    /// BTRAN: solve `Bᵀ·y = c` for the current basis (eta file in
+    /// reverse, then the factors) with `c` dense, indexed by basis
+    /// position and consumed as scratch. `y` receives the solution by
+    /// original row.
+    pub(crate) fn btran(&mut self, c: &mut [f64], y: &mut [f64]) {
+        self.etas.apply_btran(c, None);
         // Uᵀ·z = P_c·c by forward substitution into the step-indexed
         // scratch.
         for s in 0..self.m {
@@ -491,11 +710,143 @@ impl LuFactors {
         // Lᵀ·(P_r·y) = z by backward substitution onto original rows.
         for s in (0..self.m).rev() {
             let mut v = self.zwork[s];
+            self.zwork[s] = 0.0;
             for idx in self.l_ptr[s]..self.l_ptr[s + 1] {
                 v -= self.l_vals[idx] * y[self.l_rows[idx]];
             }
             y[self.prow[s]] = v;
         }
+    }
+
+    /// Hypersparse BTRAN of the unit vector `e_r` (`r` a basis position):
+    /// row `r` of `B⁻¹`, the dual simplex's `ρ`. `y` is indexed by
+    /// original row and must be all zero on entry; its nonzeros are
+    /// written and their rows appended to `y_nnz`.
+    ///
+    /// The eta file still costs a dot product per eta (product form has
+    /// no cheaper transpose), but over the flat arena and against a
+    /// right-hand side that is zero almost everywhere. The factors are
+    /// solved in push form over their row-wise copies: `Uᵀ` ascending,
+    /// then `Lᵀ` descending over the same bitset of pending steps.
+    pub(crate) fn btran_unit(&mut self, r: usize, y: &mut [f64], y_nnz: &mut Vec<u32>) {
+        if !self.rowwise_ready {
+            self.build_rowwise();
+        }
+        self.cwork[r] = 1.0;
+        self.clive.push(r as u32);
+        self.etas
+            .apply_btran(&mut self.cwork, Some(&mut self.clive));
+        // `clive` may list a position twice (a value cancelled to zero
+        // and came back); the first visit consumes it.
+        for idx in 0..self.clive.len() {
+            let k = self.clive[idx] as usize;
+            let v = self.cwork[k];
+            if !is_exact_zero(v) {
+                self.cwork[k] = 0.0;
+                let s = self.cstep[k] as usize;
+                self.zwork[s] = v;
+                set_bit(&mut self.bits, s);
+            }
+        }
+        self.clive.clear();
+        // Uᵀ·z = P_c·c, ascending: row `s` of `U` pushes `z[s]` onto
+        // later steps only. The bits stay set for the second pass.
+        let mut from = 0;
+        while let Some(s) = next_bit(&self.bits, from) {
+            from = s + 1;
+            let v = self.zwork[s];
+            if is_exact_zero(v) {
+                continue;
+            }
+            let z = v / self.u_diag[s];
+            self.zwork[s] = z;
+            for idx in self.ur_ptr[s] as usize..self.ur_ptr[s + 1] as usize {
+                let t = self.ur_steps[idx] as usize;
+                self.zwork[t] -= self.ur_vals[idx] * z;
+                set_bit(&mut self.bits, t);
+            }
+        }
+        // Lᵀ·(P_r·y) = z, descending: the multipliers in the pivot row
+        // of step `s` push `y[s]` onto earlier steps only.
+        let mut top = self.bits.len() - 1;
+        while let Some(s) = pop_top_bit(&mut self.bits, &mut top) {
+            let v = self.zwork[s];
+            if is_exact_zero(v) {
+                continue;
+            }
+            self.zwork[s] = 0.0;
+            y[self.prow[s]] = v;
+            y_nnz.push(self.prow[s] as u32);
+            for idx in self.lr_ptr[s] as usize..self.lr_ptr[s + 1] as usize {
+                let t = self.lr_steps[idx] as usize;
+                self.zwork[t] -= self.lr_vals[idx] * v;
+                set_bit(&mut self.bits, t);
+            }
+        }
+    }
+
+    /// Transpose the column-wise factors into the row-wise copies
+    /// `btran_unit` pushes along (counting sort, `O(nnz(L) + nnz(U))`).
+    fn build_rowwise(&mut self) {
+        let m = self.m;
+        assert!(
+            u32::try_from(m.max(self.u_steps.len()).max(self.l_rows.len())).is_ok(),
+            "basis factors exceed the u32 index space"
+        );
+        self.cstep.clear();
+        self.cstep.resize(m, 0);
+        for (s, &k) in self.pcol.iter().enumerate() {
+            self.cstep[k] = s as u32;
+        }
+        // U: column `s` holds `(t, U[t][s])`; row `t` collects `(s, ·)`.
+        self.ur_ptr.clear();
+        self.ur_ptr.resize(m + 1, 0);
+        for &t in &self.u_steps {
+            self.ur_ptr[t + 1] += 1;
+        }
+        // L: column `s` holds `(row i, L[i][s])`; the row pivoted at step
+        // `t = ppos[i]` collects `(s, ·)`.
+        self.lr_ptr.clear();
+        self.lr_ptr.resize(m + 1, 0);
+        for &i in &self.l_rows {
+            self.lr_ptr[self.ppos[i] + 1] += 1;
+        }
+        for t in 0..m {
+            self.ur_ptr[t + 1] += self.ur_ptr[t];
+            self.lr_ptr[t + 1] += self.lr_ptr[t];
+        }
+        self.ur_steps.clear();
+        self.ur_steps.resize(self.u_steps.len(), 0);
+        self.ur_vals.clear();
+        self.ur_vals.resize(self.u_steps.len(), 0.0);
+        self.lr_steps.clear();
+        self.lr_steps.resize(self.l_rows.len(), 0);
+        self.lr_vals.clear();
+        self.lr_vals.resize(self.l_rows.len(), 0.0);
+        // Fill with the row pointers as cursors, then shift them back.
+        for s in 0..m {
+            for idx in self.u_ptr[s]..self.u_ptr[s + 1] {
+                let t = self.u_steps[idx];
+                let at = self.ur_ptr[t] as usize;
+                self.ur_steps[at] = s as u32;
+                self.ur_vals[at] = self.u_vals[idx];
+                self.ur_ptr[t] += 1;
+            }
+            for idx in self.l_ptr[s]..self.l_ptr[s + 1] {
+                let t = self.ppos[self.l_rows[idx]];
+                let at = self.lr_ptr[t] as usize;
+                self.lr_steps[at] = s as u32;
+                self.lr_vals[at] = self.l_vals[idx];
+                self.lr_ptr[t] += 1;
+            }
+        }
+        for t in (0..m).rev() {
+            self.ur_ptr[t + 1] = self.ur_ptr[t];
+            self.lr_ptr[t + 1] = self.lr_ptr[t];
+        }
+        self.ur_ptr[0] = 0;
+        self.lr_ptr[0] = 0;
+        self.rowwise_ready = true;
     }
 }
 
@@ -550,9 +901,9 @@ mod tests {
 
         // BTRAN: check Bᵀ·y = c against an explicit transpose-multiply.
         let c: Vec<f64> = (0..m).map(|i| 1.0 + i as f64 * 0.5).collect();
-        let cin = c.clone();
+        let mut cin = c.clone();
         let mut y = vec![0.0; m];
-        lu.btran(&cin, &mut y);
+        lu.btran(&mut cin, &mut y);
         for (k, &j) in basis.iter().enumerate() {
             let bty = a.col_dot(j, &y);
             assert!((bty - c[k]).abs() < 1e-9, "col {k}: {bty} vs {}", c[k]);
@@ -571,21 +922,29 @@ mod tests {
         assert!(lu.factorize(&a, &good));
     }
 
+    /// FTRAN column `j` of `a` through `lu` (factors and eta file) into a
+    /// dense vector by basis position.
+    fn ftran_col(lu: &LuFactors, a: &CscMatrix, j: usize) -> Vec<f64> {
+        let mut w = vec![0.0; a.rows()];
+        a.axpy_col(j, 1.0, &mut w);
+        let mut alpha = vec![0.0; a.rows()];
+        lu.ftran(&mut w, &mut alpha);
+        alpha
+    }
+
     #[test]
     fn eta_updates_track_a_basis_change() {
         let a = chain_matrix(5);
         let m = a.rows();
-        let basis: Vec<usize> = (0..m).map(|i| 5 + i).collect(); // slack cols of rows 0..3 + art? n=5: slacks 5..9
+        let basis: Vec<usize> = (0..m).map(|i| 5 + i).collect(); // the slack basis
         let mut lu = LuFactors::default();
         assert!(lu.factorize(&a, &basis));
 
         // Bring structural column 2 into basis position 1.
         let entering = 2usize;
-        let mut w = vec![0.0; m];
-        a.axpy_col(entering, 1.0, &mut w);
-        let mut alpha = vec![0.0; m];
-        lu.ftran(&mut w, &mut alpha);
-        let eta = Eta::from_column(1, &alpha);
+        let alpha = ftran_col(&lu, &a, entering);
+        let live: Vec<usize> = (0..m).collect();
+        lu.push_eta(1, &alpha, &live);
         let mut new_basis = basis.clone();
         new_basis[1] = entering;
 
@@ -594,7 +953,6 @@ mod tests {
         let mut w1 = rhs.clone();
         let mut x1 = vec![0.0; m];
         lu.ftran(&mut w1, &mut x1);
-        eta.apply_ftran(&mut x1);
 
         let mut lu2 = LuFactors::default();
         assert!(lu2.factorize(&a, &new_basis));
@@ -608,14 +966,126 @@ mod tests {
         // Same for BTRAN: eta first (reverse order), then base solve.
         let c: Vec<f64> = (0..m).map(|i| (i as f64) * 0.25 - 0.5).collect();
         let mut c1 = c.clone();
-        eta.apply_btran(&mut c1);
         let mut y1 = vec![0.0; m];
-        lu.btran(&c1, &mut y1);
-        let c2 = c.clone();
+        lu.btran(&mut c1, &mut y1);
+        let mut c2 = c.clone();
         let mut y2 = vec![0.0; m];
-        lu2.btran(&c2, &mut y2);
+        lu2.btran(&mut c2, &mut y2);
         for (u, v) in y1.iter().zip(&y2) {
             assert!((u - v).abs() < 1e-9, "eta btran {u} vs refactor {v}");
         }
+    }
+
+    /// `btran_unit(r)` against the dense BTRAN of `e_r`, every position,
+    /// to 1e-12 — and every scratch buffer back to all-zero afterwards.
+    fn assert_unit_rows_match_dense(lu: &mut LuFactors, what: &str) {
+        let m = lu.m;
+        let mut y = vec![0.0; m];
+        let mut y_nnz: Vec<u32> = Vec::new();
+        for r in 0..m {
+            let mut c = vec![0.0; m];
+            c[r] = 1.0;
+            let mut dense = vec![0.0; m];
+            lu.btran(&mut c, &mut dense);
+
+            lu.btran_unit(r, &mut y, &mut y_nnz);
+            for (i, (&got, &want)) in y.iter().zip(&dense).enumerate() {
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "{what}: row {r} of B⁻¹, entry {i}: sparse {got} vs dense {want}"
+                );
+            }
+            // The listed rows are exactly where `y` may be nonzero.
+            for &i in &y_nnz {
+                y[i as usize] = 0.0;
+            }
+            y_nnz.clear();
+            assert!(y.iter().all(|&v| v == 0.0), "{what}: unlisted nonzero");
+            assert!(lu.zwork.iter().all(|&v| v == 0.0), "{what}: zwork dirty");
+            assert!(lu.cwork.iter().all(|&v| v == 0.0), "{what}: cwork dirty");
+            assert!(lu.bits.iter().all(|&w| w == 0), "{what}: bits dirty");
+        }
+    }
+
+    #[test]
+    fn hypersparse_btran_row_matches_dense_through_etas_and_a_refactor() {
+        // A chain long enough that one refactorization period (64 etas)
+        // fits, a budget row so `U` has a dense column, and a basis that
+        // mixes structural and slack columns so `L` is not empty.
+        let n = 90;
+        let a = chain_matrix(n);
+        let m = a.rows();
+        let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
+        let mut lu = LuFactors::default();
+        assert!(lu.factorize(&a, &basis));
+        assert_unit_rows_match_dense(&mut lu, "slack basis");
+
+        // Pivot structural columns in one by one: the first replaces the
+        // budget row's slack (so the budget row joins the bump and `L`
+        // fills in at the refactor), the rest go where their FTRANed
+        // column is largest (never singular).
+        let mut alpha = vec![0.0; m];
+        let mut stamp = vec![0u64; m];
+        let mut live: Vec<usize> = Vec::new();
+        let mut w = vec![0.0; m];
+        let mut in_basis = vec![false; m];
+        for entering in 0..70usize {
+            let pivots = entering; // one structural column enters per pivot
+            let epoch = pivots as u64 + 1;
+            let (rows, _) = a.col(entering);
+            a.axpy_col(entering, 1.0, &mut w);
+            live.clear();
+            lu.ftran_sparse(&mut w, rows, &mut alpha, &mut stamp, epoch, &mut live);
+            assert!(w.iter().all(|&v| v == 0.0), "ftran_sparse must consume w");
+            // The hypersparse FTRAN is the dense one, bit for bit.
+            let dense = ftran_col(&lu, &a, entering);
+            for k in 0..m {
+                let sparse = if stamp[k] == epoch { alpha[k] } else { 0.0 };
+                assert_eq!(
+                    sparse.to_bits(),
+                    (dense[k] + 0.0).to_bits(),
+                    "ftran pos {k}"
+                );
+            }
+            let r = if pivots == 0 {
+                m - 1
+            } else {
+                live.iter()
+                    .copied()
+                    .filter(|&k| !in_basis[k])
+                    .max_by(|&x, &y| alpha[x].abs().total_cmp(&alpha[y].abs()))
+                    .expect("a structural column reaches some slack position")
+            };
+            lu.push_eta(r, &alpha, &live);
+            basis[r] = entering;
+            in_basis[r] = true;
+            if pivots % 9 == 0 || pivots == 63 {
+                assert_unit_rows_match_dense(&mut lu, &format!("after {} etas", pivots + 1));
+            }
+            if pivots + 1 == REFACTOR_PERIOD {
+                assert!(lu.due_for_refactor());
+            }
+        }
+        assert!(lu.etas.len() >= REFACTOR_PERIOD, "≥ 64 etas exercised");
+
+        // Refactorize the mixed basis: the eta file empties, the row-wise
+        // factors are rebuilt, and `L` now carries real multipliers.
+        assert!(lu.factorize(&a, &basis));
+        assert_eq!(lu.etas.len(), 0);
+        assert!(!lu.l_rows.is_empty(), "the instance must exercise `L`");
+        assert_unit_rows_match_dense(&mut lu, "after the refactor");
+        // And once more with a few etas on top of the non-trivial factors.
+        for entering in 70..75 {
+            let alpha = ftran_col(&lu, &a, entering);
+            let live: Vec<usize> = (0..m).collect();
+            let r = (0..m)
+                .filter(|&k| !in_basis[k])
+                .max_by(|&x, &y| alpha[x].abs().total_cmp(&alpha[y].abs()))
+                .expect("a free position remains");
+            lu.push_eta(r, &alpha, &live);
+            basis[r] = entering;
+            in_basis[r] = true;
+        }
+        assert_unit_rows_match_dense(&mut lu, "etas over a refactored basis");
     }
 }

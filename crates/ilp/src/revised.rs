@@ -1,51 +1,90 @@
-//! Sparse revised simplex over an LU-factored basis.
+//! Sparse revised simplex over an LU-factored basis, **dual first**.
 //!
-//! This is the scaling backend the ROADMAP called for: at 972 constraints
-//! a dense-tableau pivot streams ~13 MB, while Wishbone's constraint
-//! matrices carry ≈2 nonzeros per row (`f_u ≥ f_v` precedence rows plus
-//! one budget row) — exactly the shape where a revised method that only
-//! ever touches `O(nnz)` per iteration wins by orders of magnitude.
+//! This is the scaling backend: at 972 constraints a dense-tableau pivot
+//! streams ~13 MB, while Wishbone's constraint matrices carry ≈2 nonzeros
+//! per row (`f_u ≥ f_v` precedence rows plus a few budget rows) — exactly
+//! the shape where a revised method that only touches what changed per
+//! iteration wins by orders of magnitude. The tableau is never formed:
+//! entering columns come from an FTRAN (`Bα = a_e`), duals and pivot rows
+//! from a BTRAN, and each pivot appends an eta to the factorization
+//! (`lu.rs`), which refactorizes — and recomputes `x_B`, bounding drift —
+//! every [`REFACTOR_PERIOD`](crate::lu::REFACTOR_PERIOD) pivots or once
+//! the eta file outgrows its nonzero budget.
 //!
-//! The algorithm is the *same* bounded-variable two-phase simplex as
-//! `simplex.rs` — identical pricing rule (Dantzig with a Bland's-rule
-//! fallback after a degenerate run), identical bound-flip ratio test,
-//! identical dual-simplex warm repair — but the tableau is never formed:
+//! # One tail, two ways in
 //!
-//! * reduced costs come from one BTRAN (`Bᵀy = c_B`) plus a sparse dot
-//!   per column;
-//! * the entering column comes from one FTRAN (`Bα = a_e`);
-//! * the dual repair's pivot row comes from one BTRAN of a unit vector;
-//! * each pivot appends an eta to the factorization, refactorizing (and
-//!   recomputing `x_B`, which bounds drift) every
-//!   [`REFACTOR_PERIOD`](crate::lu::REFACTOR_PERIOD) pivots.
+//! Every solve that can ends in the same two steps: a bounded-variable
+//! **dual simplex** ([`dual_repair_sparse`]) drives a dual-feasible basis
+//! to primal feasibility — or proves the LP infeasible, which is final —
+//! and a **primal** pass ([`run_phase_sparse`]) certifies optimality,
+//! usually in a handful of iterations. What differs is where the basis
+//! comes from:
 //!
-//! Mirroring the dense code line for line is deliberate: the two
-//! backends must be interchangeable, and `tests/proptest_revised.rs`
-//! holds them to byte-equivalent verdicts differentially.
+//! * **warm** ([`solve_warm_sparse`]): the retained optimal basis of the
+//!   previous solve, under new bounds (a branch-and-bound child);
+//! * **cold, dual-first** ([`load_sparse`]): the slack basis with every
+//!   nonbasic structural parked at the bound its cost prefers (upper if
+//!   `c_j < 0`, else lower). With all duals zero the reduced costs are
+//!   the costs themselves, so this basis is dual feasible for free;
+//!   inequality slacks start basic even where that makes them negative,
+//!   and those are the rows the dual simplex repairs. The loader takes
+//!   this start whenever the `Problem` admits it: no equality row (which
+//!   would need an artificial) and a finite bound on the improving side
+//!   of every column. Wishbone's indicator variables are all boxed, so
+//!   its encodings always qualify — and the primal's long stall on the
+//!   all-zero vertex, where every precedence row is tight, never happens.
+//!
+//! Everything else — and any dual pass that ends in numerical doubt —
+//! takes the **two-phase primal** ([`two_phase_sparse`]) from the slack /
+//! artificial crash basis: Dantzig pricing over rotating sections with a
+//! Bland's-rule fallback after a degenerate run, the dense backend's
+//! bound-flipping ratio test. The dense tableau (`simplex.rs`) stays the
+//! differential oracle; `tests/proptest_revised.rs` holds this backend to
+//! its verdicts and objectives.
+//!
+//! # What one dual iteration costs
+//!
+//! Not `O(m + n + nnz(A))`: the pivot row `ρ = B⁻ᵀe_r` comes from a
+//! hypersparse BTRAN with its nonzero rows listed; `ρᵀA` is scattered
+//! from those rows of a row-major copy of `A` into a stamped accumulator,
+//! so the ratio test and the reduced-cost update walk only the columns
+//! the row touches; the entering column is a hypersparse FTRAN. Ties in
+//! the ratio test break by larger `|α|`, then lower column index, so the
+//! choice does not depend on the order columns were touched in. The
+//! leaving row is the largest entry of a maintained bound-violation
+//! vector — the one `O(m)` step left, a sequential pass over `m` floats.
+//!
+//! [`dual_repair_sparse`]: SimplexWorkspace::dual_repair_sparse
+//! [`run_phase_sparse`]: SimplexWorkspace::run_phase_sparse
+//! [`solve_warm_sparse`]: SimplexWorkspace::solve_warm_sparse
+//! [`load_sparse`]: SimplexWorkspace::load_sparse
+//! [`two_phase_sparse`]: SimplexWorkspace::two_phase_sparse
 
-use crate::lu::{Eta, LuFactors, ETA_NNZ_FACTOR, REFACTOR_PERIOD};
+use crate::lu::LuFactors;
 use crate::num::is_exact_zero;
-use crate::problem::{LpSolution, Problem, SolveError};
+use crate::problem::{LpSolution, Problem, Sense, SolveError};
 use crate::simplex::{DualOutcome, WarmOutcome, DEGENERATE_LIMIT, DUAL_FEAS_TOL, EPS, PIVOT_TOL};
-use crate::sparse::CscMatrix;
+use crate::sparse::{CscMatrix, CsrMatrix};
 use crate::workspace::{refill, SimplexWorkspace, SolverBackend, VarStatus};
 
 /// Everything the sparse backend owns beyond the shared workspace
 /// bookkeeping: the constraint matrix, the basis factorization, and the
-/// dense scratch vectors the solves consume. All buffers are reused
-/// across loads; a workspace that only ever runs dense never allocates
-/// any of this.
+/// scratch vectors the solves consume. All buffers are reused across
+/// loads and every one of them is reset by [`resize`](Self::resize), so
+/// nothing a previous solve left behind can reach the next. A workspace
+/// that only ever runs dense never allocates any of this.
 #[derive(Debug, Default)]
 pub(crate) struct SparseState {
     /// Structural + slack + signed-artificial columns, CSC.
     pub(crate) matrix: CscMatrix,
+    /// Row-major copy of the structural + slack columns (pivot rows).
+    rows: CsrMatrix,
     /// Raw right-hand sides (no row flipping — artificial signs carry
     /// the orientation instead).
     pub(crate) b: Vec<f64>,
     lu: LuFactors,
-    etas: Vec<Eta>,
-    /// Total nonzeros across the eta file (refactorization budget).
-    eta_nnz: usize,
+    /// LU factorizations since the counters were last reset.
+    pub(crate) refactorizations: u64,
     /// Scratch indexed by original row (FTRAN input, zeroed after use).
     worig: Vec<f64>,
     /// Scratch indexed by basis position (BTRAN input / FTRAN output).
@@ -61,20 +100,37 @@ pub(crate) struct SparseState {
     alpha_epoch: u64,
     /// Duals `y` (by original row) from the pricing BTRAN.
     y: Vec<f64>,
-    /// Pivot row `ρ = B⁻ᵀ e_r` (by original row) for the dual repair.
+    /// Pivot row `ρ = B⁻ᵀ e_r` (by original row) for the dual simplex:
+    /// zero outside the rows listed in `rho_nnz`.
     rho: Vec<f64>,
-    /// `Aᵀ·y` by column — reduced cost of column `j` is `cost[j] − acc_y[j]`.
-    acc_y: Vec<f64>,
-    /// `Aᵀ·ρ` by column — the dual repair's pivot row.
-    acc_rho: Vec<f64>,
-    /// Is `acc_y` current for the present basis and costs? Bound flips
+    rho_nnz: Vec<u32>,
+    /// `ρᵀA` by column — the dual simplex's pivot row `α_r`. Sparse: only
+    /// the columns in `row_cols` (stamped with `row_epoch`) are live.
+    row_acc: Vec<f64>,
+    row_cols: Vec<u32>,
+    row_stamp: Vec<u32>,
+    row_epoch: u32,
+    /// Admissible columns of the current dual ratio test.
+    ratio_cand: Vec<u32>,
+    /// Signed bound violation of the basic variable at each basis
+    /// position (`> 0`: above its upper bound, `< 0`: below its lower,
+    /// `0`: within tolerance), maintained by the dual simplex so the
+    /// leaving-row choice is one sequential pass.
+    viol: Vec<f64>,
+    /// Reduced costs `d = c − Aᵀy` by column, maintained by the dual
+    /// simplex from pivot to pivot (the primal re-prices from `y`).
+    dj: Vec<f64>,
+    /// Is `y` current for the present basis and costs? Bound flips
     /// leave the basis (and hence the duals) untouched, so flip-heavy
     /// stretches price without a single BTRAN.
     duals_fresh: bool,
 }
 
 impl SparseState {
-    fn resize(&mut self, m: usize, n: usize) {
+    /// Size every scratch buffer for an `m`-row problem whose structural
+    /// and slack columns number `n_priced`, and return it to its initial
+    /// state.
+    fn resize(&mut self, m: usize, n_priced: usize) {
         refill(&mut self.worig, m, 0.0);
         refill(&mut self.wpos, m, 0.0);
         refill(&mut self.alpha, m, 0.0);
@@ -83,61 +139,41 @@ impl SparseState {
         self.alpha_epoch = 0;
         refill(&mut self.y, m, 0.0);
         refill(&mut self.rho, m, 0.0);
-        refill(&mut self.acc_y, n, 0.0);
-        refill(&mut self.acc_rho, n, 0.0);
-        self.etas.clear();
-        self.eta_nnz = 0;
+        self.rho_nnz.clear();
+        refill(&mut self.row_acc, n_priced, 0.0);
+        refill(&mut self.row_stamp, n_priced, 0);
+        self.row_cols.clear();
+        self.row_epoch = 0;
+        self.ratio_cand.clear();
+        refill(&mut self.viol, m, 0.0);
+        refill(&mut self.dj, n_priced, 0.0);
         self.duals_fresh = false;
-    }
-
-    /// Refresh `acc_y[j] = aⱼ·y` over the first `limit` columns (one
-    /// sequential gather pass over the CSC; `y` sits in L1).
-    fn refresh_acc_y(&mut self, limit: usize) {
-        for j in 0..limit {
-            self.acc_y[j] = self.matrix.col_dot(j, &self.y);
-        }
-    }
-
-    /// Refresh `acc_rho[j] = aⱼ·ρ` over the first `limit` columns.
-    fn refresh_acc_rho(&mut self, limit: usize) {
-        for j in 0..limit {
-            self.acc_rho[j] = self.matrix.col_dot(j, &self.rho);
-        }
     }
 
     /// Refactorize from the given basis, clearing the eta file. `false`
     /// means the basis is numerically singular.
     fn refactor(&mut self, basis: &[usize]) -> bool {
-        self.etas.clear();
-        self.eta_nnz = 0;
+        self.refactorizations += 1;
         self.lu.factorize(&self.matrix, basis)
     }
 
     /// `α ← B⁻¹ a_j` (sparse, live positions in `self.alpha_nnz`).
     ///
-    /// `worig` is clean here by invariant: `ftran` consumes its input
+    /// `worig` is clean here by invariant: the FTRAN consumes its input
     /// back to zero, and every other writer restores it.
     fn ftran_col(&mut self, j: usize) {
         debug_assert!(self.worig.iter().all(|&v| is_exact_zero(v)));
         self.matrix.axpy_col(j, 1.0, &mut self.worig);
         self.alpha_epoch += 1;
         self.alpha_nnz.clear();
-        self.lu
-            .ftran_sparse(&mut self.worig, &mut self.alpha, &mut self.alpha_nnz);
-        let epoch = self.alpha_epoch;
-        for idx in 0..self.alpha_nnz.len() {
-            self.alpha_stamp[self.alpha_nnz[idx]] = epoch;
-        }
-        let SparseState {
-            ref etas,
-            ref mut alpha,
-            ref mut alpha_stamp,
-            ref mut alpha_nnz,
-            ..
-        } = *self;
-        for eta in etas.iter() {
-            eta.apply_ftran_sparse(alpha, alpha_stamp, epoch, alpha_nnz);
-        }
+        self.lu.ftran_sparse(
+            &mut self.worig,
+            self.matrix.col(j).0,
+            &mut self.alpha,
+            &mut self.alpha_stamp,
+            self.alpha_epoch,
+            &mut self.alpha_nnz,
+        );
     }
 
     /// The live value of `α` at position `i` (0 when unstamped).
@@ -154,67 +190,96 @@ impl SparseState {
     /// consumed). Applies the eta file, so it is valid mid-solve.
     fn ftran_rhs(&mut self) {
         self.lu.ftran(&mut self.worig, &mut self.wpos);
-        for eta in &self.etas {
-            eta.apply_ftran(&mut self.wpos);
-        }
     }
 
     /// Duals: `y ← B⁻ᵀ · wpos` (caller filled `wpos` with `c_B`; it is
     /// consumed as scratch).
     fn btran_duals(&mut self) {
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran(&mut self.wpos);
-        }
-        self.lu.btran(&self.wpos, &mut self.y);
+        self.lu.btran(&mut self.wpos, &mut self.y);
     }
 
-    /// Pivot row: `ρ ← B⁻ᵀ e_r` by original row.
-    fn btran_row(&mut self, r: usize) {
-        self.wpos.iter_mut().for_each(|v| *v = 0.0);
-        self.wpos[r] = 1.0;
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran(&mut self.wpos);
+    /// The dual simplex's pivot row for basis position `r`: `ρ ← B⁻ᵀe_r`
+    /// (hypersparse), then `α_r = ρᵀA` scattered from the nonzero rows of
+    /// `ρ` over the structural and slack columns into `row_acc`, with the
+    /// touched columns listed in `row_cols`.
+    fn pivot_row(&mut self, r: usize) {
+        for &i in &self.rho_nnz {
+            self.rho[i as usize] = 0.0;
         }
-        self.lu.btran(&self.wpos, &mut self.rho);
+        self.rho_nnz.clear();
+        self.lu.btran_unit(r, &mut self.rho, &mut self.rho_nnz);
+
+        if self.row_epoch == u32::MAX {
+            self.row_stamp.iter_mut().for_each(|s| *s = 0);
+            self.row_epoch = 0;
+        }
+        self.row_epoch += 1;
+        let epoch = self.row_epoch;
+        self.row_cols.clear();
+        for &i in &self.rho_nnz {
+            let rho_i = self.rho[i as usize];
+            let (cols, vals) = self.rows.row(i as usize);
+            for (&j, &a) in cols.iter().zip(vals) {
+                let ju = j as usize;
+                if self.row_stamp[ju] != epoch {
+                    self.row_stamp[ju] = epoch;
+                    self.row_acc[ju] = 0.0;
+                    self.row_cols.push(j);
+                }
+                self.row_acc[ju] += rho_i * a;
+            }
+        }
     }
 
     /// Append the update for a pivot at basis position `r` whose entering
     /// column is currently in `self.alpha`.
     fn push_eta(&mut self, r: usize) {
-        let eta = Eta::from_sparse(r, &self.alpha, &self.alpha_nnz);
-        self.eta_nnz += eta.nnz();
-        self.etas.push(eta);
-    }
-
-    /// Time to refactorize? Either the eta count or the eta-file nonzero
-    /// budget (which self-tunes for dense entering columns) is exhausted.
-    fn due_for_refactor(&self, m: usize) -> bool {
-        self.etas.len() >= REFACTOR_PERIOD || self.eta_nnz > ETA_NNZ_FACTOR * m.max(8)
+        self.lu.push_eta(r, &self.alpha, &self.alpha_nnz);
     }
 }
 
 impl SimplexWorkspace {
     /// Cold build for the sparse backend: same shared-array layout as the
     /// dense [`load`](SimplexWorkspace::load) (structural, slack,
-    /// artificial columns; artificial basis), but no tableau — the
-    /// constraint matrix goes to CSC and the all-artificial basis is
+    /// artificial columns), but no tableau — the constraint matrix goes
+    /// to CSC (plus its row-major copy) and the starting basis is
     /// LU-factorized (trivially: it is diagonal).
-    pub(crate) fn load_sparse(
+    ///
+    /// With `allow_dual_first`, and when the problem admits it (see the
+    /// module docs), the start is the dual-feasible one: slack basis,
+    /// structurals at their cost-preferred bounds, phase-2 costs loaded,
+    /// and no artificial columns at all (`n == first_artificial`) — and
+    /// `true` is returned. Otherwise it is the two-phase primal's crash
+    /// basis, one signed artificial per row.
+    fn load_sparse(
         &mut self,
         problem: &Problem,
         lower: &[f64],
         upper: &[f64],
         iteration_limit: u64,
-    ) {
+        allow_dual_first: bool,
+    ) -> bool {
         let n_structural = problem.num_vars();
         let m = problem.num_constraints();
         let n_slack = problem
             .constraints
             .iter()
-            .filter(|c| c.sense != crate::problem::Sense::Eq)
+            .filter(|c| c.sense != Sense::Eq)
             .count();
-        let n = n_structural + n_slack + m;
         let first_artificial = n_structural + n_slack;
+
+        // The dual-first gate, read off the problem as handed over: no
+        // row needs an artificial (no equalities — an inequality's slack
+        // may start basic at any sign) and every column has a finite
+        // bound to park at on the side its cost improves towards.
+        let dual_first = allow_dual_first
+            && n_slack == m
+            && (0..n_structural).all(|j| {
+                lower[j].is_finite() && (problem.objective[j] >= 0.0 || upper[j].is_finite())
+            });
+        // No row needs an artificial, so none is created: the column
+        // space ends at the slacks.
+        let n = first_artificial + if dual_first { 0 } else { m };
 
         self.m = m;
         self.n = n;
@@ -227,18 +292,25 @@ impl SimplexWorkspace {
         self.upper[..n_structural].copy_from_slice(upper);
 
         refill(&mut self.x, n, 0.0);
-        self.x[..n_structural].copy_from_slice(&self.lower[..n_structural]);
         refill(&mut self.status, n, VarStatus::AtLower);
+        for j in 0..n_structural {
+            if dual_first && problem.objective[j] < 0.0 {
+                self.x[j] = upper[j];
+                self.status[j] = VarStatus::AtUpper;
+            } else {
+                self.x[j] = lower[j];
+            }
+        }
         self.basis.clear();
 
         // Slack crash basis: an inequality row whose residual (with the
         // nonbasic variables at their starting bounds) has the sign its
         // slack can absorb starts with the *slack* basic — no artificial,
-        // no phase-1 work for that row. On Wishbone's encodings
-        // (`f_u − f_v ≥ 0` at f = lower, budget rows with positive
-        // right-hand sides) every row qualifies and phase 1 vanishes;
-        // only equality or wrong-signed rows fall back to an artificial
-        // (whose sign makes its starting value `|residual|`).
+        // no phase-1 work for that row. Under the dual-first start every
+        // slack is basic whatever its sign: a negative one is a primal
+        // infeasibility for the dual simplex to repair. Under the primal
+        // start only equality or wrong-signed rows fall back to an
+        // artificial (whose sign makes its starting value `|residual|`).
         self.sparse.b.clear();
         let mut art_sign = std::mem::take(&mut self.sparse.worig);
         art_sign.clear();
@@ -247,28 +319,31 @@ impl SimplexWorkspace {
             self.sparse.b.push(c.rhs);
             let lhs: f64 = c.terms.iter().map(|&(v, a)| a * self.x[v.0]).sum();
             let residual = c.rhs - lhs;
-            art_sign.push(if residual >= 0.0 { 1.0 } else { -1.0 });
-            let art = first_artificial + i;
             let slack_value = match c.sense {
-                crate::problem::Sense::Le => residual,
-                crate::problem::Sense::Ge => -residual,
-                crate::problem::Sense::Eq => -1.0,
+                Sense::Le => residual,
+                Sense::Ge => -residual,
+                Sense::Eq => -1.0,
             };
-            if slack_value >= 0.0 {
+            if !dual_first {
+                art_sign.push(if residual >= 0.0 { 1.0 } else { -1.0 });
+            }
+            if dual_first || slack_value >= 0.0 {
                 self.x[slack_col] = slack_value;
                 self.status[slack_col] = VarStatus::Basic;
                 self.basis.push(slack_col);
             } else {
+                let art = first_artificial + i;
                 self.x[art] = residual.abs();
                 self.status[art] = VarStatus::Basic;
                 self.basis.push(art);
             }
-            if c.sense != crate::problem::Sense::Eq {
+            if c.sense != Sense::Eq {
                 slack_col += 1;
             }
         }
         debug_assert_eq!(slack_col, first_artificial);
         self.sparse.matrix.load(problem, &art_sign);
+        self.sparse.rows.load(problem);
         self.sparse.worig = art_sign;
 
         self.loaded_rhs.clear();
@@ -282,18 +357,49 @@ impl SimplexWorkspace {
         self.scan_limit = n;
         self.price_cursor = 0;
         self.set_loaded_backend(SolverBackend::Sparse);
+        if dual_first {
+            // No phase 1: the real costs are in place from the start.
+            self.cost[..n_structural].copy_from_slice(&problem.objective);
+        }
 
-        self.sparse.resize(m, n);
+        self.sparse.resize(m, first_artificial);
         let ok = self.sparse.refactor(&self.basis);
-        debug_assert!(ok, "the artificial basis is diagonal");
+        debug_assert!(ok, "the starting basis is diagonal");
+        dual_first
     }
 
-    /// Two-phase cold solve on the sparse backend, mirroring
-    /// [`solve_cold`](SimplexWorkspace::solve_cold).
+    /// Cold solve on the sparse backend: the dual-first start when the
+    /// loader grants it, the two-phase primal otherwise — and as the
+    /// landing spot when the dual pass gives up (never after it proves
+    /// infeasibility: that verdict is final).
     pub(crate) fn solve_cold_sparse(
         &mut self,
         problem: &Problem,
+        lower: &[f64],
+        upper: &[f64],
+        iteration_limit: u64,
     ) -> Result<LpSolution, SolveError> {
+        let mut burned = 0;
+        if self.load_sparse(problem, lower, upper, iteration_limit, true) {
+            match self.dual_then_primal_sparse() {
+                WarmOutcome::Solved(s) => return Ok(s),
+                WarmOutcome::Infeasible => return Err(SolveError::Infeasible),
+                WarmOutcome::Retry => {
+                    burned = self.iterations;
+                    self.load_sparse(problem, lower, upper, iteration_limit, false);
+                }
+            }
+        }
+        self.two_phase_sparse(problem).map(|mut s| {
+            s.iterations += burned;
+            s
+        })
+    }
+
+    /// Two-phase primal from the crash basis of a primal-start
+    /// [`load_sparse`](SimplexWorkspace::load_sparse), mirroring the dense
+    /// [`solve_cold`](SimplexWorkspace::solve_cold).
+    fn two_phase_sparse(&mut self, problem: &Problem) -> Result<LpSolution, SolveError> {
         let needs_phase1 = (0..self.m).any(|i| self.x[self.first_artificial + i] > EPS);
         if needs_phase1 {
             for j in self.first_artificial..self.n {
@@ -322,18 +428,20 @@ impl SimplexWorkspace {
         self.degenerate_run = 0;
         self.sparse.duals_fresh = false; // costs changed between phases
         self.run_phase_sparse()?;
+        Ok(self.solution_sparse())
+    }
 
-        let values = self.x[..self.n_structural].to_vec();
-        Ok(LpSolution {
+    fn solution_sparse(&self) -> LpSolution {
+        LpSolution {
             objective: self.objective(),
-            values,
+            values: self.x[..self.n_structural].to_vec(),
             iterations: self.iterations,
-        })
+        }
     }
 
     /// Warm solve on the sparse backend: refactorize the retained basis,
-    /// snap nonbasic variables onto the new bounds, dual-repair, then a
-    /// primal phase-2 pass — the sparse twin of
+    /// snap nonbasic variables onto the new bounds, then the shared
+    /// dual-then-primal tail — the sparse twin of
     /// [`solve_warm`](SimplexWorkspace::solve_warm).
     pub(crate) fn solve_warm_sparse(
         &mut self,
@@ -345,7 +453,18 @@ impl SimplexWorkspace {
         if !self.warm_load_sparse(problem, lower, upper, iteration_limit) {
             return WarmOutcome::Retry;
         }
-        let dual_budget = (self.m as u64 * 2 + 64).min(iteration_limit);
+        self.dual_then_primal_sparse()
+    }
+
+    /// The tail every dual-feasible start shares, warm or cold: a bounded
+    /// dual-simplex pass to primal feasibility, then a primal pass that
+    /// certifies optimality. `Retry` (numerical doubt, or a budget ran
+    /// out) sends the caller to a fresh start; `Infeasible` is a proof.
+    fn dual_then_primal_sparse(&mut self) -> WarmOutcome {
+        // A healthy dual pass needs well under `2m` pivots; one that
+        // still flails beyond that is cheaper to redo from the crash
+        // basis than to grind out.
+        let dual_budget = (self.m as u64 * 2 + 64).min(self.iteration_limit);
         match self.dual_repair_sparse(dual_budget) {
             DualOutcome::Feasible => {}
             DualOutcome::Infeasible => return WarmOutcome::Infeasible,
@@ -353,15 +472,9 @@ impl SimplexWorkspace {
         }
         self.degenerate_run = 0;
         match self.run_phase_sparse() {
-            Ok(()) => {}
-            Err(_) => return WarmOutcome::Retry,
+            Ok(()) => WarmOutcome::Solved(self.solution_sparse()),
+            Err(_) => WarmOutcome::Retry,
         }
-        let values = self.x[..self.n_structural].to_vec();
-        WarmOutcome::Solved(LpSolution {
-            objective: self.objective(),
-            values,
-            iterations: self.iterations,
-        })
     }
 
     fn warm_load_sparse(
@@ -428,35 +541,13 @@ impl SimplexWorkspace {
         }
     }
 
-    /// `‖A·x − b‖∞` over the full column space — the factorization-drift
-    /// observable the regression tests bound across ≥100 pivots.
-    #[cfg(test)]
-    pub(crate) fn sparse_residual_inf(&mut self) -> f64 {
-        self.sparse.worig.iter_mut().for_each(|v| *v = 0.0);
-        for j in 0..self.n {
-            if self.x[j] != 0.0 {
-                self.sparse
-                    .matrix
-                    .axpy_col(j, self.x[j], &mut self.sparse.worig);
-            }
-        }
-        let r = self
-            .sparse
-            .worig
-            .iter()
-            .zip(&self.sparse.b)
-            .map(|(ax, b)| (ax - b).abs())
-            .fold(0.0f64, f64::max);
-        self.sparse.worig.iter_mut().for_each(|v| *v = 0.0);
-        r
-    }
-
     fn run_phase_sparse(&mut self) -> Result<(), SolveError> {
         loop {
             if self.iterations >= self.iteration_limit {
                 return Err(SolveError::IterationLimit);
             }
             self.iterations += 1;
+            self.primal_iterations += 1;
             if !self.step_sparse()? {
                 return Ok(());
             }
@@ -644,14 +735,14 @@ impl SimplexWorkspace {
     /// Move entering variable `e` by `t` along `dir`, updating the basic
     /// values through the live entries of the entering column `α`.
     fn apply_move_sparse(&mut self, e: usize, dir: f64, t: f64) {
-        if t == 0.0 {
+        if is_exact_zero(t) {
             return;
         }
         self.x[e] += dir * t;
         for idx in 0..self.sparse.alpha_nnz.len() {
             let i = self.sparse.alpha_nnz[idx];
             let coef = self.sparse.alpha[i];
-            if coef != 0.0 {
+            if !is_exact_zero(coef) {
                 let xb = self.basis[i];
                 self.x[xb] -= dir * t * coef;
             }
@@ -660,155 +751,243 @@ impl SimplexWorkspace {
 
     /// Record the basis change at position `r`: append an eta, and
     /// refactorize (recomputing `x_B` to shed drift) once the eta file
-    /// reaches [`REFACTOR_PERIOD`].
-    fn pivot_sparse(&mut self, r: usize) -> Result<(), SolveError> {
+    /// reaches [`REFACTOR_PERIOD`](crate::lu::REFACTOR_PERIOD) or its
+    /// nonzero budget. `Ok(true)` when it did, i.e. when every basic
+    /// value was rewritten.
+    fn pivot_sparse(&mut self, r: usize) -> Result<bool, SolveError> {
         self.sparse.duals_fresh = false;
         self.sparse.push_eta(r);
-        if self.sparse.due_for_refactor(self.m) {
+        if self.sparse.lu.due_for_refactor() {
             if !self.sparse.refactor(&self.basis) {
                 // A running basis only goes singular through roundoff;
-                // surface it as numerical trouble. Warm solves turn this
-                // into a cold retry, and the cold path in `solve_lp_in`
-                // re-derives the verdict on the dense oracle.
+                // surface it as numerical trouble. The dual pass turns
+                // this into a fresh primal start, and only when the
+                // two-phase primal itself hits it does `solve_lp_in`
+                // re-derive the verdict on the dense oracle.
                 return Err(SolveError::IterationLimit);
             }
             self.recompute_basic_x_sparse();
+            return Ok(true);
         }
-        Ok(())
+        Ok(false)
+    }
+
+    /// Ratio of nonbasic column `j` in the dual ratio test for a leaving
+    /// row violated `above` its upper bound (or below its lower), given
+    /// the pivot-row entry `alpha`: `None` when the column cannot move the
+    /// row the right way, else `(d_eff / |α|, |α|)` with the reduced cost
+    /// clamped dual-feasible against drift.
+    #[inline]
+    fn dual_ratio(&self, j: usize, alpha: f64, above: bool) -> Option<(f64, f64)> {
+        let (a_eff, d_eff) = match self.status[j] {
+            VarStatus::Basic => return None,
+            // At lower: the column can only increase; it reduces an
+            // above-violation when α > 0, a below-violation when α < 0.
+            VarStatus::AtLower => (
+                if above { alpha } else { -alpha },
+                self.sparse.dj[j].max(0.0),
+            ),
+            // At upper: mirrored signs; reduced cost ≤ 0.
+            VarStatus::AtUpper => (
+                if above { -alpha } else { alpha },
+                (-self.sparse.dj[j]).max(0.0),
+            ),
+        };
+        (a_eff > 0.0).then(|| (d_eff / alpha.abs(), alpha.abs()))
+    }
+
+    /// Signed violation of the basic variable at basis position `i`
+    /// (see `SparseState::viol`).
+    #[inline]
+    fn bound_violation(&self, i: usize) -> f64 {
+        let xb = self.basis[i];
+        let v = self.x[xb];
+        if v > self.upper[xb] + DUAL_FEAS_TOL {
+            v - self.upper[xb]
+        } else if v < self.lower[xb] - DUAL_FEAS_TOL {
+            v - self.lower[xb]
+        } else {
+            0.0
+        }
+    }
+
+    fn refresh_violations(&mut self) {
+        for i in 0..self.m {
+            self.sparse.viol[i] = self.bound_violation(i);
+        }
     }
 
     /// Bounded-variable dual simplex on the factorization — the sparse
-    /// twin of [`dual_repair`](SimplexWorkspace::dual_repair), with the
-    /// pivot row obtained by BTRAN of `e_r` and reduced costs from the
-    /// per-iteration duals instead of a maintained objective row.
+    /// twin of [`dual_repair`](SimplexWorkspace::dual_repair): while some
+    /// basic variable violates a bound, pivot it out onto that bound,
+    /// choosing the entering column by the dual ratio test so the reduced
+    /// costs stay dual feasible. "No admissible entering column" on a
+    /// violated row proves primal infeasibility (the row's reachable
+    /// range excludes the bound) whatever the reduced costs are.
+    ///
+    /// Reduced costs are computed once at entry and then maintained with
+    /// the standard rule `d ← d − θ·α_r` (θ = d_e/α_re) over the columns
+    /// the pivot row touches. The primal phase that follows re-prices
+    /// from scratch, so drift here can only affect pivot choice, never
+    /// the verdict.
     fn dual_repair_sparse(&mut self, budget: u64) -> DualOutcome {
-        // Reduced costs once at entry; each pivot then updates them with
-        // the standard dual-simplex rule `y' = y + θ·ρ` (θ = d_e/α_re),
-        // i.e. `acc_y += θ·acc_rho` — an O(n) pass instead of a second
-        // BTRAN + transpose per iteration. The primal phase that follows
-        // re-prices from scratch, so drift here can only affect pivot
-        // choice, never the verdict.
+        let budget = self.dual_giveup_after.map_or(budget, |cap| cap.min(budget));
         for k in 0..self.m {
             self.sparse.wpos[k] = self.cost[self.basis[k]];
         }
         self.sparse.btran_duals();
-        let limit = self.first_artificial;
-        self.sparse.refresh_acc_y(limit);
+        for j in 0..self.first_artificial {
+            self.sparse.dj[j] = self.cost[j] - self.sparse.matrix.col_dot(j, &self.sparse.y);
+        }
+        self.refresh_violations();
         loop {
             if self.iterations >= budget {
                 return DualOutcome::GiveUp;
             }
-            let mut leave: Option<(usize, bool, f64)> = None; // (row, above, viol)
-            for i in 0..self.m {
-                let xb = self.basis[i];
-                let v = self.x[xb];
-                let (viol, above) = if v > self.upper[xb] + DUAL_FEAS_TOL {
-                    (v - self.upper[xb], true)
-                } else if v < self.lower[xb] - DUAL_FEAS_TOL {
-                    (self.lower[xb] - v, false)
-                } else {
-                    continue;
-                };
-                if leave.is_none_or(|(_, _, w)| viol > w) {
-                    leave = Some((i, above, viol));
+            // Leaving row: the most violated basic variable (the first
+            // such position on ties).
+            let mut r = 0;
+            let mut worst = 0.0f64;
+            for (i, v) in self.sparse.viol.iter().enumerate() {
+                if v.abs() > worst {
+                    worst = v.abs();
+                    r = i;
                 }
             }
-            let Some((r, above, _)) = leave else {
+            if worst <= 0.0 {
                 return DualOutcome::Feasible;
-            };
+            }
+            let above = self.sparse.viol[r] > 0.0;
             self.iterations += 1;
+            self.dual_iterations += 1;
 
-            // Pivot row for the ratios (reduced costs are maintained).
-            self.sparse.btran_row(r);
-            self.sparse.refresh_acc_rho(limit);
+            self.sparse.pivot_row(r);
 
-            let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
+            // Dual ratio test over the touched, nonbasic, non-fixed
+            // columns, in two passes so the choice is a function of the
+            // candidate *set*: the smallest ratio first, then among the
+            // columns within `EPS` of it the largest `|α|`, then the
+            // lowest index.
+            let mut cand = std::mem::take(&mut self.sparse.ratio_cand);
+            cand.clear();
+            let mut min_ratio = f64::INFINITY;
             let mut dubious = false;
-            for j in 0..self.first_artificial {
-                if self.upper[j] - self.lower[j] <= 0.0 {
+            for &j in &self.sparse.row_cols {
+                let ju = j as usize;
+                let alpha = self.sparse.row_acc[ju];
+                if alpha.abs() < EPS || self.upper[ju] - self.lower[ju] <= 0.0 {
                     continue;
                 }
-                let alpha = self.sparse.acc_rho[j];
-                if alpha.abs() < EPS {
+                let Some((ratio, _)) = self.dual_ratio(ju, alpha, above) else {
                     continue;
-                }
-                let (admissible, d_eff) = match self.status[j] {
-                    VarStatus::Basic => continue,
-                    VarStatus::AtLower => {
-                        let a_eff = if above { alpha } else { -alpha };
-                        let d = self.cost[j] - self.sparse.acc_y[j];
-                        (a_eff > 0.0, d.max(0.0))
-                    }
-                    VarStatus::AtUpper => {
-                        let a_eff = if above { -alpha } else { alpha };
-                        let d = self.cost[j] - self.sparse.acc_y[j];
-                        (a_eff > 0.0, (-d).max(0.0))
-                    }
                 };
-                if !admissible {
-                    continue;
-                }
                 if alpha.abs() < PIVOT_TOL {
+                    // Right sign but numerically unusable: remember that
+                    // the infeasibility "proof" would be unsound.
                     dubious = true;
                     continue;
                 }
-                let ratio = d_eff / alpha.abs();
-                let take = match best {
-                    None => true,
-                    Some((_, br, ba)) => {
-                        ratio < br - EPS || (ratio <= br + EPS && alpha.abs() > ba)
-                    }
+                min_ratio = min_ratio.min(ratio);
+                cand.push(j);
+            }
+            let mut best: Option<(usize, f64)> = None; // (col, |alpha|)
+            for &j in &cand {
+                let ju = j as usize;
+                let Some((ratio, abs_alpha)) = self.dual_ratio(ju, self.sparse.row_acc[ju], above)
+                else {
+                    continue;
                 };
+                if ratio > min_ratio + EPS {
+                    continue;
+                }
+                let take =
+                    best.is_none_or(|(bj, ba)| abs_alpha > ba || (abs_alpha >= ba && ju < bj));
                 if take {
-                    best = Some((j, ratio, alpha.abs()));
+                    best = Some((ju, abs_alpha));
                 }
             }
+            self.sparse.ratio_cand = cand;
 
-            match best {
-                None => {
-                    return if dubious {
-                        DualOutcome::GiveUp
-                    } else {
-                        DualOutcome::Infeasible
-                    };
+            let Some((e, _)) = best else {
+                return if dubious {
+                    DualOutcome::GiveUp
+                } else {
+                    DualOutcome::Infeasible
+                };
+            };
+            self.sparse.ftran_col(e);
+            let alpha = self.sparse.alpha_at(r);
+            if alpha.abs() < PIVOT_TOL * 0.5 {
+                // FTRAN disagrees with the BTRANed row value: the
+                // factorization is too frayed to trust.
+                return DualOutcome::GiveUp;
+            }
+            // Maintain the reduced costs through the basis change: the
+            // entering column's drops to zero, the leaving one's (zero
+            // while basic, `α_r` = 1) becomes −θ.
+            let leaving = self.basis[r];
+            let theta = self.sparse.dj[e] / alpha;
+            if !is_exact_zero(theta) {
+                for &j in &self.sparse.row_cols {
+                    let ju = j as usize;
+                    self.sparse.dj[ju] -= theta * self.sparse.row_acc[ju];
                 }
-                Some((e, _, _)) => {
-                    self.sparse.ftran_col(e);
-                    let alpha = self.sparse.alpha_at(r);
-                    if alpha.abs() < PIVOT_TOL * 0.5 {
-                        // FTRAN disagrees with the BTRANed row value:
-                        // the factorization is too frayed to trust.
-                        return DualOutcome::GiveUp;
-                    }
-                    // Maintain the reduced costs through the basis change.
-                    let theta = (self.cost[e] - self.sparse.acc_y[e]) / alpha;
-                    if theta != 0.0 {
-                        for j in 0..self.first_artificial {
-                            self.sparse.acc_y[j] += theta * self.sparse.acc_rho[j];
-                        }
-                    }
-                    let leaving = self.basis[r];
-                    let target = if above {
-                        self.upper[leaving]
-                    } else {
-                        self.lower[leaving]
-                    };
-                    let delta = (self.x[leaving] - target) / alpha;
-                    self.apply_move_sparse(e, delta.signum(), delta.abs());
-                    self.x[leaving] = target;
-                    self.status[leaving] = if above {
-                        VarStatus::AtUpper
-                    } else {
-                        VarStatus::AtLower
-                    };
-                    self.status[e] = VarStatus::Basic;
-                    self.basis[r] = e;
-                    if self.pivot_sparse(r).is_err() {
-                        return DualOutcome::GiveUp;
+            }
+            self.sparse.dj[e] = 0.0;
+            if leaving < self.first_artificial {
+                self.sparse.dj[leaving] = -theta;
+            }
+            let target = if above {
+                self.upper[leaving]
+            } else {
+                self.lower[leaving]
+            };
+            let delta = (self.x[leaving] - target) / alpha;
+            self.apply_move_sparse(e, delta.signum(), delta.abs());
+            self.x[leaving] = target;
+            self.status[leaving] = if above {
+                VarStatus::AtUpper
+            } else {
+                VarStatus::AtLower
+            };
+            self.status[e] = VarStatus::Basic;
+            self.basis[r] = e;
+            // The move touched the basic values along `α` (position `r`,
+            // now the entering variable's, among them).
+            match self.pivot_sparse(r) {
+                Err(_) => return DualOutcome::GiveUp,
+                Ok(true) => self.refresh_violations(),
+                Ok(false) => {
+                    for idx in 0..self.sparse.alpha_nnz.len() {
+                        let i = self.sparse.alpha_nnz[idx];
+                        self.sparse.viol[i] = self.bound_violation(i);
                     }
                 }
             }
         }
+    }
+
+    /// `‖A·x − b‖∞` over the full column space — the factorization-drift
+    /// observable the regression tests bound across ≥100 pivots.
+    #[cfg(test)]
+    pub(crate) fn sparse_residual_inf(&mut self) -> f64 {
+        self.sparse.worig.iter_mut().for_each(|v| *v = 0.0);
+        for j in 0..self.n {
+            if !is_exact_zero(self.x[j]) {
+                self.sparse
+                    .matrix
+                    .axpy_col(j, self.x[j], &mut self.sparse.worig);
+            }
+        }
+        let r = self
+            .sparse
+            .worig
+            .iter()
+            .zip(&self.sparse.b)
+            .map(|(ax, b)| (ax - b).abs())
+            .fold(0.0f64, f64::max);
+        self.sparse.worig.iter_mut().for_each(|v| *v = 0.0);
+        r
     }
 }
 
@@ -886,6 +1065,135 @@ mod tests {
             let cold = solve_lp_with_bounds(&p, &p.lower, &upper, 100_000).unwrap();
             assert_close(warm.objective, cold.objective);
         }
+    }
+
+    fn sparse_ws() -> SimplexWorkspace {
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(SolverBackend::Sparse);
+        ws
+    }
+
+    #[test]
+    fn dual_giveup_lands_on_the_sparse_primal_never_the_dense_tableau() {
+        // The ladder is dual-first → sparse two-phase primal → dense. A
+        // dual pass that gives up mid-way (here: forced after 50 pivots,
+        // with etas on file and half the basis rewritten) must reload and
+        // finish on the sparse primal: a dense tableau of a kilo-row LP
+        // is hundreds of megabytes.
+        let p = long_chain(1200);
+        assert!(p.num_constraints() >= 1000);
+        let mut plain = sparse_ws();
+        let want = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut plain, false).unwrap();
+        assert!(
+            plain.dual_iterations() > 50,
+            "the reference must be a real dual solve"
+        );
+
+        let mut ws = sparse_ws();
+        ws.dual_giveup_after = Some(50);
+        let got = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap();
+        assert_close(got.objective, want.objective);
+        assert!(p.is_feasible(&got.values, 1e-6));
+        assert_eq!(
+            ws.dual_iterations(),
+            50,
+            "the dual pass ran up to the forced give-up"
+        );
+        assert!(
+            ws.primal_iterations() > 1,
+            "the two-phase primal finished the solve"
+        );
+        assert_eq!(
+            got.iterations,
+            ws.dual_iterations() + ws.primal_iterations(),
+            "the abandoned pass is counted"
+        );
+        assert!(ws.t.is_empty(), "the dense tableau was never loaded");
+        assert!(ws.sparse_residual_inf() < 1e-6);
+
+        // The same holds when the give-up strikes a warm re-entry.
+        let mut upper = p.upper.clone();
+        for u in upper.iter_mut().step_by(7) {
+            *u = 0.0;
+        }
+        let mut ref_ws = sparse_ws();
+        let want = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ref_ws, false).unwrap();
+        ws.dual_giveup_after = Some(5);
+        let got = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ws, true).unwrap();
+        assert_close(got.objective, want.objective);
+        assert!(ws.t.is_empty(), "the dense tableau was never loaded");
+    }
+
+    #[test]
+    fn answers_do_not_depend_on_what_the_workspace_solved_before() {
+        // The fleet's determinism contract: a long-lived workspace arena
+        // must answer exactly as a fresh one would. The stamped / touched
+        // scratch of the dual simplex (pivot-row accumulator, `ρ` pattern,
+        // bitsets, eta arena) is the state that could leak across loads.
+        let p = long_chain(300);
+        let bits = |ws: &mut SimplexWorkspace| -> Vec<u64> {
+            solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, ws, false)
+                .unwrap()
+                .values
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let fresh = bits(&mut sparse_ws());
+
+        // After a differently-shaped (larger, then smaller) LP.
+        let mut reused = sparse_ws();
+        for other in [long_chain(450), long_chain(70)] {
+            solve_lp_in(
+                &other,
+                &other.lower,
+                &other.upper,
+                1_000_000,
+                &mut reused,
+                false,
+            )
+            .unwrap();
+            assert_eq!(
+                bits(&mut reused),
+                fresh,
+                "after a {}-row LP",
+                other.num_constraints()
+            );
+        }
+
+        // After an infeasible LP (the dual pass stops mid-iteration).
+        let mut infeasible = long_chain(120);
+        infeasible.add_constraint(&[(crate::VarId(119), 1.0)], Sense::Ge, 2.0);
+        assert_eq!(
+            solve_lp_in(
+                &infeasible,
+                &infeasible.lower,
+                &infeasible.upper,
+                1_000_000,
+                &mut reused,
+                false
+            ),
+            Err(SolveError::Infeasible)
+        );
+        assert_eq!(bits(&mut reused), fresh, "after an infeasible LP");
+
+        // After a solve whose dual pass gave up half-way and fell back to
+        // the primal.
+        let mut gave_up = sparse_ws();
+        gave_up.dual_giveup_after = Some(40);
+        let other = long_chain(450);
+        solve_lp_in(
+            &other,
+            &other.lower,
+            &other.upper,
+            1_000_000,
+            &mut gave_up,
+            false,
+        )
+        .unwrap();
+        assert!(gave_up.primal_iterations() > 1);
+        gave_up.dual_giveup_after = None;
+        assert_eq!(bits(&mut gave_up), fresh, "after a GiveUp");
     }
 
     #[test]

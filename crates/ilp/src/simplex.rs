@@ -286,6 +286,7 @@ impl SimplexWorkspace {
                 return Err(SolveError::IterationLimit);
             }
             self.iterations += 1;
+            self.primal_iterations += 1;
             if self.iterations.is_multiple_of(REFRESH_PERIOD) {
                 self.recompute_obj_row();
             }
@@ -416,6 +417,7 @@ impl SimplexWorkspace {
                 return DualOutcome::Feasible;
             };
             self.iterations += 1;
+            self.dual_iterations += 1;
 
             // Dual ratio test over nonbasic, non-fixed columns.
             let row = &self.t[r * self.n..r * self.n + self.first_artificial];
@@ -579,14 +581,16 @@ pub fn solve_lp_in(
             ws.load(problem, lower, upper, iteration_limit);
             ws.solve_cold(problem)
         }
+        // The sparse ladder: dual-first start → sparse two-phase primal
+        // (both inside `solve_cold_sparse`; a dual pass that gives up
+        // never leaves the sparse backend) → dense.
         SolverBackend::Sparse => {
-            ws.load_sparse(problem, lower, upper, iteration_limit);
-            match ws.solve_cold_sparse(problem) {
+            match ws.solve_cold_sparse(problem, lower, upper, iteration_limit) {
                 // An `IterationLimit` with budget to spare is the sparse
-                // path reporting a numerically singular refactorization,
-                // not exhaustion; re-derive the verdict on the dense
-                // oracle so a roundoff-frayed factorization can never
-                // turn a solvable instance into an error.
+                // two-phase primal reporting a numerically singular
+                // refactorization, not exhaustion; re-derive the verdict
+                // on the dense oracle so a roundoff-frayed factorization
+                // can never turn a solvable instance into an error.
                 Err(SolveError::IterationLimit) if ws.iterations < ws.iteration_limit => {
                     ws.load(problem, lower, upper, iteration_limit);
                     ws.solve_cold(problem)

@@ -9,8 +9,14 @@
 //! a *column dot a dense vector* (to price reduced costs against the
 //! duals). CSC serves both in `O(nnz(column))`.
 //!
-//! The matrix is rebuilt on every cold load — `O(nnz)`, a rounding error
-//! next to a single simplex iteration — so it never goes stale against
+//! The dual simplex needs a third view: a *row* of the structural and
+//! slack columns, so the pivot row `ρᵀ·A` can be scattered from the few
+//! nonzero rows of `ρ` instead of dotted against every column.
+//! [`CsrMatrix`] is that row-major copy, with `u32` indices — it exists
+//! beside the CSC arrays for the whole solve, so its footprint counts.
+//!
+//! Both are rebuilt on every cold load — `O(nnz)`, a rounding error
+//! next to a single simplex iteration — so they never go stale against
 //! the `Problem` the way a retained factorization could.
 
 use crate::problem::{Problem, Sense};
@@ -18,7 +24,8 @@ use crate::problem::{Problem, Sense};
 /// A read-only CSC matrix over the simplex's full column space:
 /// structural variables, then one slack per inequality row, then one
 /// (signed) artificial per row — the same column layout the dense
-/// tableau uses, so basis/status bookkeeping is backend-agnostic.
+/// tableau uses, so basis/status bookkeeping is backend-agnostic. The
+/// dual-first start needs no artificials and loads none.
 #[derive(Debug, Default)]
 pub(crate) struct CscMatrix {
     m: usize,
@@ -71,7 +78,8 @@ impl CscMatrix {
 
     /// Rebuild from `problem`, with `art_sign[i]` the ±1 coefficient of
     /// row `i`'s artificial column (chosen by the loader so the
-    /// artificial's starting value is nonnegative). Reuses every buffer.
+    /// artificial's starting value is nonnegative) — or an empty slice
+    /// for no artificial columns at all. Reuses every buffer.
     pub(crate) fn load(&mut self, problem: &Problem, art_sign: &[f64]) {
         let m = problem.num_constraints();
         let n_structural = problem.num_vars();
@@ -130,6 +138,60 @@ impl CscMatrix {
     }
 }
 
+/// Row-major copy of the structural and slack columns (artificials are
+/// never priced by the dual simplex, so they are left out). Column
+/// indices are `u32` and follow the [`CscMatrix`] layout; duplicate terms
+/// of a constraint stay separate entries, which a scatter sums.
+#[derive(Debug, Default)]
+pub(crate) struct CsrMatrix {
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl CsrMatrix {
+    /// Row `i` as parallel `(columns, values)` slices.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let lo = self.row_ptr[i] as usize;
+        let hi = self.row_ptr[i + 1] as usize;
+        (&self.col_idx[lo..hi], &self.values[lo..hi])
+    }
+
+    /// Rebuild from `problem`. Reuses every buffer.
+    pub(crate) fn load(&mut self, problem: &Problem) {
+        let nnz: usize = problem.constraints.iter().map(|c| c.terms.len() + 1).sum();
+        assert!(
+            u32::try_from(nnz + problem.num_vars()).is_ok(),
+            "constraint matrix exceeds the u32 index space"
+        );
+        self.row_ptr.clear();
+        self.col_idx.clear();
+        self.values.clear();
+        self.col_idx.reserve(nnz);
+        self.values.reserve(nnz);
+        self.row_ptr.push(0);
+        let mut slack_col = problem.num_vars() as u32;
+        for c in &problem.constraints {
+            for &(v, a) in &c.terms {
+                self.col_idx.push(v.0 as u32);
+                self.values.push(a);
+            }
+            let coef = match c.sense {
+                Sense::Le => Some(1.0),
+                Sense::Ge => Some(-1.0),
+                Sense::Eq => None,
+            };
+            if let Some(coef) = coef {
+                self.col_idx.push(slack_col);
+                self.values.push(coef);
+                slack_col += 1;
+            }
+            self.row_ptr.push(self.col_idx.len() as u32);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +241,32 @@ mod tests {
         let mut out = [0.0; 3];
         a.axpy_col(1, 2.0, &mut out);
         assert_eq!(out, [4.0, -2.0, 2.0]);
+    }
+
+    #[test]
+    fn row_major_copy_matches_the_columns() {
+        let (p, signs) = sample();
+        let mut a = CscMatrix::default();
+        a.load(&p, &signs);
+        let mut r = CsrMatrix::default();
+        r.load(&p);
+        r.load(&p); // reload reuses buffers and must not accumulate
+                    // Every row entry is an entry of the matching column, and the
+                    // counts agree once the artificial columns are set aside.
+        let mut entries = 0;
+        for i in 0..a.rows() {
+            let (cols, vals) = r.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let (rows, cvals) = a.col(j as usize);
+                assert!(rows.iter().zip(cvals).any(|(&ri, &cv)| ri == i && cv == v));
+                entries += 1;
+            }
+        }
+        assert_eq!(entries, a.nnz() - a.rows());
+        // Row 1 is `x − y ≥ 1`: its slack is column 3 with coefficient −1.
+        assert_eq!(r.row(1), (&[0u32, 1, 3][..], &[1.0, -1.0, -1.0][..]));
+        // The equality row has no slack.
+        assert_eq!(r.row(2).0, &[0u32, 1]);
     }
 
     #[test]

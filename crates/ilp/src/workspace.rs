@@ -24,9 +24,11 @@ use crate::revised::SparseState;
 /// Both backends share the [`SimplexWorkspace`] bookkeeping (column
 /// layout, basis, statuses, warm-start retention) and produce the same
 /// answers — the differential proptests in `tests/proptest_revised.rs`
-/// hold them to that — but their per-iteration cost scales differently:
-/// the dense tableau streams `O(m·n)` floats per pivot, the sparse
-/// revised method `O(nnz)` per FTRAN/BTRAN against an LU-factored basis.
+/// hold them to that — but by different routes and at different costs:
+/// the dense tableau runs a two-phase primal and streams `O(m·n)` floats
+/// per pivot; the sparse revised method starts dual-first wherever the
+/// problem admits it and pays `O(nnz)` — for a dual iteration, only what
+/// the pivot touches — against an LU-factored basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
     /// Pick per problem: sparse revised at or above
@@ -36,7 +38,8 @@ pub enum SolverBackend {
     /// Dense-tableau simplex (PR 2's path; the oracle the differential
     /// tests compare the sparse backend against).
     Dense,
-    /// Sparse revised simplex over an LU-factored basis (`revised.rs`).
+    /// Sparse, dual-first revised simplex over an LU-factored basis
+    /// (`revised.rs`).
     Sparse,
 }
 
@@ -108,9 +111,12 @@ pub struct SimplexWorkspace {
     /// Rotating start column of the sparse backend's sectional pricing.
     pub(crate) price_cursor: usize,
     /// Sparse-backend state: CSC matrix, LU factors, eta file, raw
-    /// right-hand sides, and the dense scratch the revised method needs.
-    /// Empty (no allocation) while only the dense backend runs.
-    pub(crate) sparse: SparseState,
+    /// right-hand sides, and the scratch the revised method needs. Boxed
+    /// so that the workspace itself stays small — prepared instances embed
+    /// one each, and a fleet cache holds thousands of those by value —
+    /// and every buffer in it stays empty while only the dense backend
+    /// runs.
+    pub(crate) sparse: Box<SparseState>,
     /// Which backend the caller asked for (`Auto` resolves per problem).
     backend: SolverBackend,
     /// Backend that produced the currently loaded/retained state; a warm
@@ -120,6 +126,11 @@ pub struct SimplexWorkspace {
     /// iteration instead of after a degenerate run. The anti-cycling
     /// regression tests use it to pin the fallback path on both backends.
     pub(crate) force_bland: bool,
+    /// Test-only override: the sparse dual simplex gives up once the
+    /// solve has spent this many iterations, as if its budget had run
+    /// out mid-pass. The fallback-ladder and history-independence tests
+    /// use it to land on the two-phase primal with a dirty workspace.
+    pub(crate) dual_giveup_after: Option<u64>,
     /// True when the buffers hold a valid, phase-2-optimal (or at least
     /// dual-feasible) basis for the problem shape recorded above.
     warm_ready: bool,
@@ -132,6 +143,10 @@ pub struct SimplexWorkspace {
     pub(crate) loaded_rhs: Vec<f64>,
     warm_starts: u64,
     cold_starts: u64,
+    /// Dual / primal simplex iterations since the last `reset_counters`,
+    /// abandoned attempts included.
+    pub(crate) dual_iterations: u64,
+    pub(crate) primal_iterations: u64,
 }
 
 /// Reset a buffer to `len` copies of `val` without shrinking capacity (and
@@ -155,7 +170,7 @@ impl SimplexWorkspace {
         self.warm_starts
     }
 
-    /// LP solves built from the all-artificial basis since the last
+    /// LP solves built from scratch (no retained basis) since the last
     /// [`reset_counters`].
     ///
     /// [`reset_counters`]: SimplexWorkspace::reset_counters
@@ -163,11 +178,40 @@ impl SimplexWorkspace {
         self.cold_starts
     }
 
-    /// Zero the warm/cold counters (each ILP solve reports per-solve
-    /// deltas).
+    /// Dual-simplex iterations (warm repairs, and the sparse backend's
+    /// dual-first cold starts) since the last [`reset_counters`],
+    /// including those of attempts that were abandoned for a fresh start.
+    ///
+    /// [`reset_counters`]: SimplexWorkspace::reset_counters
+    pub fn dual_iterations(&self) -> u64 {
+        self.dual_iterations
+    }
+
+    /// Primal-simplex iterations (both phases, bound flips included)
+    /// since the last [`reset_counters`].
+    ///
+    /// [`reset_counters`]: SimplexWorkspace::reset_counters
+    pub fn primal_iterations(&self) -> u64 {
+        self.primal_iterations
+    }
+
+    /// LU factorizations of the sparse backend's basis since the last
+    /// [`reset_counters`]: one per load, one per warm re-entry, one each
+    /// time the eta file fills up. Always zero on the dense backend.
+    ///
+    /// [`reset_counters`]: SimplexWorkspace::reset_counters
+    pub fn refactorizations(&self) -> u64 {
+        self.sparse.refactorizations
+    }
+
+    /// Zero the warm/cold and iteration counters (each ILP solve reports
+    /// per-solve deltas).
     pub fn reset_counters(&mut self) {
         self.warm_starts = 0;
         self.cold_starts = 0;
+        self.dual_iterations = 0;
+        self.primal_iterations = 0;
+        self.sparse.refactorizations = 0;
     }
 
     /// Forget the retained basis: the next solve must be a cold start.

@@ -93,6 +93,48 @@ fn zero_step_pivot_cascade_terminates() {
 }
 
 #[test]
+fn all_zero_cost_chain_terminates_inside_the_budget() {
+    // Total dual degeneracy: with every cost zero every reduced cost is
+    // zero, every dual ratio ties at zero, and the sparse backend's
+    // dual-first start is nothing but a feasibility search steered by its
+    // tie-breaks — the setting in which a dual simplex can cycle. The
+    // lower bounds alternate so the start violates every other precedence
+    // row, and the budget row binds. Either the dual pass gets there or
+    // it gives up into the two-phase primal; both must happen inside the
+    // iteration budget, and any feasible point is optimal at 0.
+    let n = 400;
+    let mut p = Problem::new();
+    let vars: Vec<_> = (0..n)
+        .map(|i| p.add_var(if i % 2 == 0 { 0.0 } else { 0.5 }, 1.0, 0.0, false))
+        .collect();
+    for w in vars.windows(2) {
+        p.add_constraint(&[(w[0], 1.0), (w[1], -1.0)], Sense::Ge, 0.0);
+    }
+    let row: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+    p.add_constraint(&row, Sense::Le, 0.5 * n as f64);
+    let budget = 200 + 50 * (p.num_vars() + p.num_constraints()) as u64;
+    for backend in BACKENDS {
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(backend);
+        let s = solve_lp_in(
+            &p,
+            p.lower_bounds(),
+            p.upper_bounds(),
+            budget,
+            &mut ws,
+            false,
+        )
+        .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
+        assert_close(s.objective, 0.0, &format!("{backend:?}"));
+        assert!(p.is_feasible(&s.values, 1e-6), "{backend:?}");
+        assert!(s.iterations < budget, "{backend:?}: {}", s.iterations);
+        if backend == SolverBackend::Sparse {
+            assert!(ws.dual_iterations() > 0, "the chain is inside the gate");
+        }
+    }
+}
+
+#[test]
 fn degenerate_equality_block_with_redundant_rows() {
     // Equalities plus their implied redundant sum: the basis is
     // rank-deficient in the artificial space, leaving basic-at-zero

@@ -1,21 +1,26 @@
 //! Differential testing: the sparse revised simplex against the dense
 //! tableau, which stays alive precisely to serve as the oracle here.
 //!
-//! Both backends implement the same bounded-variable two-phase simplex,
-//! so on every random LP/ILP they must agree on the *status*
+//! The backends take different routes — the dense tableau a two-phase
+//! primal, the sparse one a dual-first start wherever the problem admits
+//! it — so on every random LP/ILP they must agree on the *status*
 //! (optimal/infeasible/unbounded) and, when optimal, on the objective
 //! within tolerance — including when the sparse solve re-enters **warm**
 //! from a retained basis after a bound change, the exact access pattern
 //! branch-and-bound children produce.
 //!
-//! Two generators: Wishbone-shaped sparse instances (precedence chain
+//! Three generators: Wishbone-shaped sparse instances (precedence chain
 //! rows `f_u − f_v ≥ 0` plus a knapsack budget row — ≈2 nonzeros per
-//! row), and unconstrained-shape small MILPs that exercise equality
-//! rows, negative bounds, and infeasible/unbounded corners.
+//! row); unconstrained-shape small MILPs that exercise equality rows,
+//! negative bounds, and infeasible/unbounded corners (all of which the
+//! dual-first gate must turn away); and boxed inequality-only LPs built
+//! to stress the dual-first start itself — negative lower bounds, fixed
+//! columns, duplicate terms, zero costs, and budgets tight enough that
+//! about a third of the cases are infeasible.
 
 use proptest::prelude::*;
 use wishbone_ilp::{
-    solve_lp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolverBackend, VarId,
+    solve_lp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError, SolverBackend, VarId,
 };
 
 /// Wishbone-shaped sparse LPs/ILPs: a precedence chain, a budget row,
@@ -89,6 +94,69 @@ fn milp_strategy() -> impl Strategy<Value = Problem> {
     })
 }
 
+/// Boxed, inequality-only LPs — everything the dual-first gate accepts,
+/// shaped to be hard on it: negative lower bounds, fixed (`lo == hi`)
+/// columns, duplicate terms within a row, zero costs (dual degeneracy),
+/// and each right-hand side placed at a random fraction of the row's
+/// activity range over the box, from just outside it (the row alone is
+/// infeasible) to well inside.
+fn boxed_ineq_strategy() -> impl Strategy<Value = Problem> {
+    let n_vars = 2usize..9;
+    n_vars.prop_flat_map(|n| {
+        // (lower, width, cost, zero the cost?)
+        let vars = prop::collection::vec((-3i32..=1, 0i32..=4, -6i32..=6, 0u8..=2), n);
+        let n_rows = 1usize..6;
+        let rows = n_rows.prop_flat_map(move |m| {
+            prop::collection::vec(
+                (
+                    // Terms drawn with replacement: duplicates happen.
+                    prop::collection::vec((0..n, -4i32..=4), 1..n + 3),
+                    prop::bool::ANY,
+                    -1i32..=26,
+                ),
+                m,
+            )
+        });
+        (vars, rows).prop_map(|(vars, rows)| {
+            let mut p = Problem::new();
+            let ids: Vec<VarId> = vars
+                .iter()
+                .map(|&(lo, width, cost, zero)| {
+                    let cost = if zero == 0 { 0 } else { cost };
+                    p.add_var(f64::from(lo), f64::from(lo + width), f64::from(cost), false)
+                })
+                .collect();
+            for (terms, is_le, frac) in rows {
+                let terms: Vec<(VarId, f64)> = terms
+                    .into_iter()
+                    .filter(|&(_, c)| c != 0)
+                    .map(|(j, c)| (ids[j], f64::from(c)))
+                    .collect();
+                if terms.is_empty() {
+                    continue;
+                }
+                // The row's activity range over the box.
+                let (mut min, mut max) = (0.0, 0.0);
+                for &(v, c) in &terms {
+                    let (lo, hi) = (p.lower_bounds()[v.0], p.upper_bounds()[v.0]);
+                    min += (c * lo).min(c * hi);
+                    max += (c * lo).max(c * hi);
+                }
+                // `frac` < 0 puts the bound outside the range; a `≤` row
+                // measures it up from the minimum, a `≥` row down from the
+                // maximum, so small fractions are tight either way.
+                let t = f64::from(frac) / 20.0;
+                if is_le {
+                    p.add_constraint(&terms, Sense::Le, min + t * (max - min));
+                } else {
+                    p.add_constraint(&terms, Sense::Ge, max - t * (max - min));
+                }
+            }
+            p
+        })
+    })
+}
+
 fn backend_opts(backend: SolverBackend) -> IlpOptions {
     IlpOptions {
         backend,
@@ -139,6 +207,36 @@ proptest! {
             ),
             (Err(a), Err(b)) => prop_assert_eq!(a, b, "statuses must match"),
             _ => prop_assert!(false, "dense {dense:?} vs sparse {sparse:?} diverge"),
+        }
+    }
+
+    #[test]
+    fn dual_first_start_agrees_with_the_dense_oracle(p in boxed_ineq_strategy()) {
+        let dense = lp_on(&p, SolverBackend::Dense);
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(SolverBackend::Sparse);
+        let sparse = solve_lp_in(&p, p.lower_bounds(), p.upper_bounds(), 50_000, &mut ws, false);
+        match (&dense, &sparse) {
+            (Ok(d), Ok(s)) => {
+                prop_assert!(
+                    (d - s.objective).abs() < 1e-6 * (1.0 + d.abs()),
+                    "dense {d} vs sparse {}", s.objective
+                );
+                prop_assert!(p.is_feasible(&s.values, 1e-6), "sparse point infeasible");
+            }
+            // Every `Infeasible` of the dual pass is a claim the oracle
+            // must confirm (and vice versa); nothing here is unbounded.
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(a, b, "statuses must match");
+                prop_assert_eq!(*a, SolveError::Infeasible);
+            }
+            _ => prop_assert!(false, "dense {dense:?} vs sparse {sparse:?} diverge"),
+        }
+        // The family is inside the gate, so an infeasibility verdict came
+        // from the dual pass alone — no primal pass runs after it.
+        if sparse.is_err() {
+            prop_assert!(ws.dual_iterations() > 0, "the dual-first start did not run");
+            prop_assert_eq!(ws.primal_iterations(), 0);
         }
     }
 
@@ -243,6 +341,108 @@ fn sparse_warm_start_is_exercised_and_counted() {
             sparse.stats
         );
     }
+}
+
+/// A boxed chain with a budget row: inside the dual-first gate.
+fn gate_chain() -> (Problem, Vec<VarId>) {
+    let mut p = Problem::new();
+    let vars: Vec<VarId> = (0..12)
+        .map(|i| p.add_var(0.0, 1.0, -1.0 - (i % 3) as f64, false))
+        .collect();
+    for w in vars.windows(2) {
+        p.add_constraint(&[(w[0], 1.0), (w[1], -1.0)], Sense::Ge, 0.0);
+    }
+    let row: Vec<_> = vars.iter().map(|&v| (v, 1.5)).collect();
+    p.add_constraint(&row, Sense::Le, 7.0);
+    (p, vars)
+}
+
+/// Cold-solve `p` on the sparse backend; `(objective, dual, primal)`.
+fn sparse_counts(p: &Problem) -> (Result<f64, SolveError>, u64, u64) {
+    let mut ws = SimplexWorkspace::new();
+    ws.set_backend(SolverBackend::Sparse);
+    let r = solve_lp_in(
+        p,
+        p.lower_bounds(),
+        p.upper_bounds(),
+        50_000,
+        &mut ws,
+        false,
+    );
+    (
+        r.map(|s| s.objective),
+        ws.dual_iterations(),
+        ws.primal_iterations(),
+    )
+}
+
+#[test]
+fn dual_first_gate_reads_the_problem_it_is_handed() {
+    // Inside the gate: the cold solve is dual-first.
+    let (p, vars) = gate_chain();
+    let dense = lp_on(&p, SolverBackend::Dense).unwrap();
+    let (obj, dual, _) = sparse_counts(&p);
+    assert!((obj.unwrap() - dense).abs() < 1e-6);
+    assert!(dual > 0, "a boxed inequality-only LP must start dual-first");
+
+    // One equality row needs an artificial: two-phase primal, no dual
+    // iteration at all.
+    let mut with_eq = p.clone();
+    with_eq.add_constraint(&[(vars[0], 1.0), (vars[11], 1.0)], Sense::Eq, 1.0);
+    let dense = lp_on(&with_eq, SolverBackend::Dense).unwrap();
+    let (obj, dual, primal) = sparse_counts(&with_eq);
+    assert!((obj.unwrap() - dense).abs() < 1e-6);
+    assert_eq!(dual, 0, "an Eq row must take the two-phase primal");
+    assert!(primal > 0);
+
+    // A column whose cost improves towards an infinite bound has no
+    // bound to park at: primal again — bounded by a row here …
+    let mut open = p.clone();
+    let z = open.add_var(0.0, f64::INFINITY, -1.0, false);
+    open.add_constraint(&[(z, 1.0), (vars[0], 1.0)], Sense::Le, 5.0);
+    let dense = lp_on(&open, SolverBackend::Dense).unwrap();
+    let (obj, dual, primal) = sparse_counts(&open);
+    assert!((obj.unwrap() - dense).abs() < 1e-6);
+    assert_eq!(dual, 0, "an improving infinite bound must take the primal");
+    assert!(primal > 0);
+
+    // … and genuinely unbounded there, which only the primal can say.
+    let mut unbounded = p.clone();
+    unbounded.add_var(0.0, f64::INFINITY, -1.0, false);
+    let (obj, dual, _) = sparse_counts(&unbounded);
+    assert_eq!(obj, Err(SolveError::Unbounded));
+    assert_eq!(dual, 0);
+
+    // An infinite bound on the side the cost does *not* improve towards
+    // is no obstacle: the column parks at its finite lower bound.
+    let mut harmless = p.clone();
+    let z = harmless.add_var(0.0, f64::INFINITY, 2.0, false);
+    harmless.add_constraint(&[(z, 1.0), (vars[0], 1.0)], Sense::Ge, 1.5);
+    let dense = lp_on(&harmless, SolverBackend::Dense).unwrap();
+    let (obj, dual, _) = sparse_counts(&harmless);
+    assert!((obj.unwrap() - dense).abs() < 1e-6);
+    assert!(dual > 0);
+
+    // The gate reads the bounds of *this* solve, not the problem's own:
+    // a branch-and-bound override that boxes the open column lets it in.
+    let mut ws = SimplexWorkspace::new();
+    ws.set_backend(SolverBackend::Sparse);
+    let mut upper = open.upper_bounds().to_vec();
+    upper[z.0] = 3.0;
+    let boxed = solve_lp_in(&open, open.lower_bounds(), &upper, 50_000, &mut ws, false).unwrap();
+    let mut dense_ws = SimplexWorkspace::new();
+    dense_ws.set_backend(SolverBackend::Dense);
+    let want = solve_lp_in(
+        &open,
+        open.lower_bounds(),
+        &upper,
+        50_000,
+        &mut dense_ws,
+        false,
+    )
+    .unwrap();
+    assert!((boxed.objective - want.objective).abs() < 1e-6);
+    assert!(ws.dual_iterations() > 0);
 }
 
 #[test]

@@ -105,23 +105,29 @@ pub mod prelude {
 
 /// One consistent solver-statistics line for the examples: which simplex
 /// backend ran, how many branch-and-bound nodes it took, the warm/cold
-/// node-LP split, and where the wall clock went phase by phase (the
-/// numbers a `BENCH_solver.json` regression should be explainable
-/// from). `encode` is stamped only by prepared pipelines — a direct
-/// `solve_ilp` call reports it as zero because the caller encoded
-/// separately.
+/// node-LP split, the simplex work behind them (dual and primal
+/// iterations, LU factorizations), and where the wall clock went phase
+/// by phase (the numbers a `BENCH_solver.json` regression should be
+/// explainable from). `encode` is stamped only by prepared pipelines — a
+/// direct `solve_ilp` call reports it as zero because the caller encoded
+/// separately; `root LP` is the part of `nodes` spent in the first LP.
 pub fn report_stats(stats: &ilp::IlpStats) -> String {
     format!(
-        "{:?} backend, {} B&B nodes ({} warm / {} cold LPs); \
-         phases: encode {:.1}ms, presolve {:.1}ms, warm-start {:.1}ms, nodes {:.1}ms",
+        "{:?} backend, {} B&B nodes ({} warm / {} cold LPs; {} dual + {} primal iterations, \
+         {} factorizations); phases: encode {:.1}ms, presolve {:.1}ms, warm-start {:.1}ms, \
+         nodes {:.1}ms (root LP {:.1}ms)",
         stats.backend,
         stats.nodes,
         stats.warm_starts,
         stats.cold_starts,
+        stats.dual_iterations,
+        stats.primal_iterations,
+        stats.refactorizations,
         stats.phase_times.encode_s * 1e3,
         stats.phase_times.presolve_s * 1e3,
         stats.phase_times.warm_start_s * 1e3,
         stats.phase_times.nodes_s * 1e3,
+        stats.phase_times.root_lp_s * 1e3,
     )
 }
 
@@ -135,7 +141,9 @@ pub fn report_fleet_stats(stats: &fleet::FleetStats) -> String {
         "{} requests over {} shapes: {} cache hits / {} misses ({} encodes avoided), {} errors\n\
          per-worker solves: {:?}\n\
          latency p50 {:.2}ms, p99 {:.2}ms\n\
-         phases (fleet-wide): encode {:.1}ms, presolve {:.1}ms, warm-start {:.1}ms, nodes {:.1}ms",
+         simplex (fleet-wide): {} dual + {} primal iterations, {} factorizations\n\
+         phases (fleet-wide): encode {:.1}ms, presolve {:.1}ms, warm-start {:.1}ms, \
+         nodes {:.1}ms (root LPs {:.1}ms)",
         stats.requests,
         stats.distinct_shapes,
         stats.cache_hits,
@@ -145,10 +153,14 @@ pub fn report_fleet_stats(stats: &fleet::FleetStats) -> String {
         stats.per_worker_solves,
         stats.p50_s() * 1e3,
         stats.p99_s() * 1e3,
+        stats.dual_iterations,
+        stats.primal_iterations,
+        stats.refactorizations,
         stats.phase_times.encode_s * 1e3,
         stats.phase_times.presolve_s * 1e3,
         stats.phase_times.warm_start_s * 1e3,
         stats.phase_times.nodes_s * 1e3,
+        stats.phase_times.root_lp_s * 1e3,
     )
 }
 

@@ -34,10 +34,11 @@ use std::process::ExitCode;
 /// branch-and-bound inner loops — or, for the fleet service, take a
 /// whole worker thread (and every shape sharded onto it) down with one
 /// bad request.
-const HOT_PATHS: [&str; 5] = [
+const HOT_PATHS: [&str; 6] = [
     "crates/ilp/src/simplex.rs",
     "crates/ilp/src/revised.rs",
     "crates/ilp/src/lu.rs",
+    "crates/ilp/src/sparse.rs",
     "crates/ilp/src/branch_bound.rs",
     "crates/fleet/src/lib.rs",
 ];
