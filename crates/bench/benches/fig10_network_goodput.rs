@@ -9,10 +9,12 @@
 //! single node." Also §7.3's Meraki result: its optimal cut is point 1.
 
 use wishbone_apps::{build_speech_app, SpeechParams};
-use wishbone_core::{partition, PartitionConfig};
+use wishbone_core::{partition_deployment, Deployment, DeploymentConfig, LinkSpec, Site};
 use wishbone_net::ChannelParams;
 use wishbone_profile::{profile, Platform};
-use wishbone_runtime::{simulate_deployment, SimulationConfig};
+use wishbone_runtime::{
+    simulate_deployment_tree, LeafRoute, SimulationConfig, SourceFeed, TreeTopology,
+};
 
 fn main() {
     let mut app = build_speech_app(SpeechParams::default());
@@ -37,10 +39,15 @@ fn main() {
                 rate_multiplier: 1.0,
                 ..SimulationConfig::motes(n_nodes, 29)
             };
-            simulate_deployment(
-                &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &cfg,
-            )
-            .goodput_ratio()
+            let topo =
+                TreeTopology::chain(&[mote.clone(), Platform::server()], &[channel], n_nodes);
+            let feeds = vec![SourceFeed {
+                source: app.source,
+                trace: elems.clone(),
+                rate_hz: 40.0,
+            }];
+            let route = LeafRoute::chain(&app.graph, std::slice::from_ref(&node_set), feeds);
+            simulate_deployment_tree(&app.graph, &topo, &[route], &cfg).leaves[0].goodput_ratio()
         };
         let g1 = run(1);
         let g20 = run(20);
@@ -85,14 +92,20 @@ fn main() {
     // with budget-normalized weights the energy proxy prefers the cheap
     // radio over the expensive CPU.
     let meraki = Platform::meraki_mini();
-    let mut cfg = PartitionConfig::for_platform(&meraki);
-    cfg.alpha = 1.0 / cfg.cpu_budget;
-    cfg.beta = 1.0 / cfg.net_budget;
-    let part = partition(&app.graph, &prof, &meraki, &cfg).expect("meraki fits at full rate");
+    let uplink = LinkSpec::for_platform(&meraki);
+    let dep = Deployment::star([(
+        Site::new("meraki", &meraki).with_alpha(1.0 / meraki.cpu_budget_fraction),
+        LinkSpec {
+            beta: 1.0 / uplink.net_budget,
+            ..uplink
+        },
+    )]);
+    let part = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("meraki fits at full rate");
+    let node_ops = part.leaves[0].site_ops[0].len();
     println!(
-        "\nMeraki Mini optimal partition: {} node op(s) -> cut point 1 (paper: 'send the \
-         raw data directly back to the server')",
-        part.node_op_count()
+        "\nMeraki Mini optimal partition: {node_ops} node op(s) -> cut point 1 (paper: 'send the \
+         raw data directly back to the server')"
     );
-    assert_eq!(part.node_op_count(), 1);
+    assert_eq!(node_ops, 1);
 }

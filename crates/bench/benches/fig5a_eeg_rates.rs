@@ -8,7 +8,9 @@
 //! Size knob: `WISHBONE_FIG5A_POINTS` (default 32 rate points).
 
 use wishbone_apps::{build_eeg_channel, EegApp};
-use wishbone_core::{partition, PartitionConfig, PartitionError};
+use wishbone_core::{
+    partition_deployment, Deployment, DeploymentConfig, LinkSpec, PartitionError, Site,
+};
 use wishbone_profile::{profile, GraphProfile, Platform};
 
 fn profiled() -> (EegApp, GraphProfile) {
@@ -37,12 +39,16 @@ fn main() {
     );
 
     let count = |p: &Platform, rate: f64| -> Option<usize> {
-        let mut cfg = PartitionConfig::for_platform(p).at_rate(rate);
         // Isolate the CPU effect like the paper: bandwidth is objective,
         // CPU is the binding budget.
-        cfg.net_budget = 1e12;
-        match partition(&app.graph, &prof, p, &cfg) {
-            Ok(part) => Some(part.node_op_count()),
+        let uplink = LinkSpec {
+            beta: 1.0,
+            net_budget: 1e12,
+        };
+        let dep = Deployment::star([(Site::new(p.name.clone(), p), uplink)]);
+        let cfg = DeploymentConfig::default().at_rate(rate);
+        match partition_deployment(&app.graph, &prof, &dep, &cfg) {
+            Ok(part) => Some(part.leaves[0].site_ops[0].len()),
             Err(PartitionError::Infeasible) => None,
             Err(e) => panic!("solver error: {e}"),
         }

@@ -4,7 +4,7 @@
 //! easily" to "nothing fits" (§7.1). The paper ran lp_solve 2100 times;
 //! the default here is 8 points for CI-scale runs — set
 //! `WISHBONE_FIG6_POINTS=2100` for the full sweep (same shape). The whole
-//! sweep shares one [`wishbone_core::PreparedPartition`]: the kilooperator
+//! sweep shares one [`wishbone_core::PreparedDeployment`]: the kilooperator
 //! graph is built, merged, and encoded once, and every rate point only
 //! rescales the prepared ILP.
 //!
@@ -22,7 +22,9 @@
 //! them infeasible before the first simplex iteration.
 
 use wishbone_apps::{build_eeg_app, EegParams};
-use wishbone_core::{PartitionConfig, PartitionError, PreparedPartition};
+use wishbone_core::{
+    Deployment, DeploymentConfig, LinkSpec, PartitionError, PreparedDeployment, Site,
+};
 use wishbone_profile::{profile, Platform};
 
 fn main() {
@@ -48,12 +50,18 @@ fn main() {
     // minutes. 2.5% sits just past that plateau, so every feasible point
     // provably terminates.
     let rel_gap = wishbone_bench::env_size("WISHBONE_FIG6_RELGAP_BP", 250) as f64 / 10_000.0;
-    let mut cfg = PartitionConfig::for_platform(&mote);
-    cfg.net_budget = 1e12; // paper: CPU capacity is the only bound here
+    let dep = Deployment::star([(
+        Site::new("mote", &mote),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: 1e12, // paper: CPU capacity is the only bound here
+        },
+    )]);
+    let mut cfg = DeploymentConfig::default();
     cfg.ilp.rel_gap = rel_gap;
     cfg.ilp.time_limit = Some(std::time::Duration::from_secs(time_limit));
     let mut prep =
-        PreparedPartition::new(&app.graph, &prof, &mote, &cfg).expect("pin analysis succeeds");
+        PreparedDeployment::new(&app.graph, &prof, &dep, &cfg).expect("pin analysis succeeds");
 
     // Gap-closure is asserted at CI scale; a full-scale (e.g. 2100-point)
     // sweep explores far more near-cliff points whose closure is

@@ -9,7 +9,9 @@
 use wishbone_apps::{build_speech_app, SpeechParams};
 use wishbone_net::ChannelParams;
 use wishbone_profile::{profile, Platform};
-use wishbone_runtime::{simulate_deployment, SimulationConfig};
+use wishbone_runtime::{
+    simulate_deployment_tree, LeafRoute, SimulationConfig, SourceFeed, TreeTopology,
+};
 
 fn main() {
     let mut app = build_speech_app(SpeechParams::default());
@@ -25,6 +27,7 @@ fn main() {
         &["cutpoint", "input %", "msgs %", "goodput %"],
     );
 
+    let topo = TreeTopology::chain(&[mote, Platform::server()], &[channel], 1);
     let mut series = Vec::new();
     for (name, node_set) in app.cutpoints() {
         let cfg = SimulationConfig {
@@ -32,12 +35,17 @@ fn main() {
             rate_multiplier: 1.0,
             ..SimulationConfig::motes(1, 17)
         };
-        let rep = simulate_deployment(
-            &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &cfg,
-        );
+        let feeds = vec![SourceFeed {
+            source: app.source,
+            trace: elems.clone(),
+            rate_hz: 40.0,
+        }];
+        let route = LeafRoute::chain(&app.graph, &[node_set], feeds);
+        let sim = simulate_deployment_tree(&app.graph, &topo, &[route], &cfg);
+        let rep = &sim.leaves[0];
         let (inp, msg, good) = (
             rep.input_processed_ratio(),
-            rep.element_delivery_ratio(),
+            rep.hop_delivery_ratio(0),
             rep.goodput_ratio(),
         );
         wishbone_bench::row(&[

@@ -32,9 +32,9 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use wishbone_apps::{build_eeg_app, EegParams};
 use wishbone_core::{
     build_partition_graph, build_tiered_graph, drift_to_deltas, encode, encode_multitier,
-    partition, preprocess, preprocess_tiered, Deployment, DeploymentConfig, DeploymentDelta,
-    Encoding, LinkSpec, Mode, MultiTierConfig, ObjectiveConfig, PartitionConfig, PartitionError,
-    PartitionGraph, PreparedDeployment, PreparedMultiTier, Site, SiteId, TierObjective,
+    max_sustainable_rate_deployment, partition_deployment, preprocess, preprocess_tiered,
+    Deployment, DeploymentConfig, DeploymentDelta, Encoding, LinkSpec, Mode, ObjectiveConfig,
+    PartitionError, PartitionGraph, PreparedDeployment, Site, SiteId, TierObjective,
 };
 use wishbone_dataflow::OperatorId;
 use wishbone_ilp::instances::chain_ilp;
@@ -450,20 +450,28 @@ fn eeg_app(channels: usize) -> (wishbone_dataflow::Graph, GraphProfile) {
     (app.graph, prof)
 }
 
+/// The binary node/server shape of the rate-search benches: one TMote
+/// leaf under the server.
+fn mote_star() -> Deployment {
+    let mote = Platform::tmote_sky();
+    Deployment::star([(Site::new("mote", &mote), LinkSpec::for_platform(&mote))])
+}
+
 /// §4.3 rate search the pre-workspace way: rebuild the partition graph,
-/// preprocessing, and encoding at every probe (what `partition()` per
-/// probe used to do). Kept as the comparison baseline for the prepared
-/// path; mirrors `max_sustainable_rate`'s search schedule.
+/// preprocessing, and encoding at every probe (a one-shot
+/// `partition_deployment` per probe). Kept as the comparison baseline
+/// for the prepared path; mirrors `max_sustainable_rate_deployment`'s
+/// search schedule.
 fn rate_search_rebuild(
     graph: &wishbone_dataflow::Graph,
     prof: &GraphProfile,
-    platform: &Platform,
-    cfg: &PartitionConfig,
+    dep: &Deployment,
+    cfg: &DeploymentConfig,
     hi_limit: f64,
     tol: f64,
 ) -> f64 {
     let try_rate = |rate: f64| -> Option<()> {
-        match partition(graph, prof, platform, &cfg.clone().at_rate(rate)) {
+        match partition_deployment(graph, prof, dep, &cfg.clone().at_rate(rate)) {
             Ok(_) => Some(()),
             Err(PartitionError::Infeasible) => None,
             Err(e) => panic!("solver error: {e}"),
@@ -500,28 +508,28 @@ fn rate_search_rebuild(
 
 fn rate_search(c: &mut Criterion) {
     let (graph, prof) = eeg_app(2);
-    let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote);
+    let dep = mote_star();
+    let cfg = DeploymentConfig::default();
     let mut group = c.benchmark_group("rate_search");
     group.sample_size(10);
     group.bench_function("prepared", |b| {
         b.iter(|| {
-            wishbone_core::max_sustainable_rate(&graph, &prof, &mote, &cfg, 64.0, 0.01)
+            max_sustainable_rate_deployment(&graph, &prof, &dep, &cfg, 64.0, 0.01)
                 .expect("no solver error")
                 .expect("feasible")
                 .rate
         })
     });
     group.bench_function("rebuild_per_probe", |b| {
-        b.iter(|| rate_search_rebuild(&graph, &prof, &mote, &cfg, 64.0, 0.01))
+        b.iter(|| rate_search_rebuild(&graph, &prof, &dep, &cfg, 64.0, 0.01))
     });
     group.finish();
     // Both searches must land on the same rate.
-    let a = wishbone_core::max_sustainable_rate(&graph, &prof, &mote, &cfg, 64.0, 0.01)
+    let a = max_sustainable_rate_deployment(&graph, &prof, &dep, &cfg, 64.0, 0.01)
         .unwrap()
         .unwrap()
         .rate;
-    let b = rate_search_rebuild(&graph, &prof, &mote, &cfg, 64.0, 0.01);
+    let b = rate_search_rebuild(&graph, &prof, &dep, &cfg, 64.0, 0.01);
     assert!(
         (a - b).abs() <= 0.02 * a,
         "prepared rate {a} vs rebuild rate {b}"
@@ -952,10 +960,11 @@ fn emit_json(reps: usize) {
     }
     {
         let (graph22, prof22) = eeg_app(22);
-        let mut cfg = MultiTierConfig::for_chain(&bench_chain(3));
+        let mut cfg = DeploymentConfig::default();
         cfg.ilp.rel_gap = 0.025;
+        let dep = Deployment::chain(&bench_chain(3));
         let mut prep =
-            PreparedMultiTier::new(&graph22, &prof22, &cfg).expect("pin analysis succeeds");
+            PreparedDeployment::new(&graph22, &prof22, &dep, &cfg).expect("pin analysis succeeds");
         assert_eq!(prep.solver_backend(), SolverBackend::Sparse);
         for rate in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
             // Overload rates return Infeasible; median_ns then measures
@@ -1104,10 +1113,10 @@ fn emit_json(reps: usize) {
     }
 
     let (graph, prof) = eeg_app(2);
-    let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote);
+    let dep = mote_star();
+    let cfg = DeploymentConfig::default();
     let (median_ns, nodes, warm_starts) = measure(reps, || {
-        let r = wishbone_core::max_sustainable_rate(&graph, &prof, &mote, &cfg, 64.0, 0.01)
+        let r = max_sustainable_rate_deployment(&graph, &prof, &dep, &cfg, 64.0, 0.01)
             .expect("no solver error")
             .expect("feasible");
         let stats = &r.partition.ilp_stats;
@@ -1120,7 +1129,7 @@ fn emit_json(reps: usize) {
         warm_starts,
     });
     let (median_ns, _, _) = measure(reps, || {
-        rate_search_rebuild(&graph, &prof, &mote, &cfg, 64.0, 0.01);
+        rate_search_rebuild(&graph, &prof, &dep, &cfg, 64.0, 0.01);
         (0, 0)
     });
     records.push(JsonRecord {
@@ -1319,10 +1328,9 @@ fn smoke(backend: SolverBackend) {
     );
 
     let (graph, prof) = eeg_app(1);
-    let mote = Platform::tmote_sky();
-    let mut cfg = PartitionConfig::for_platform(&mote);
-    cfg.ilp.backend = backend;
-    let r = wishbone_core::max_sustainable_rate(&graph, &prof, &mote, &cfg, 16.0, 0.05)
+    let mut dcfg = DeploymentConfig::default();
+    dcfg.ilp.backend = backend;
+    let r = max_sustainable_rate_deployment(&graph, &prof, &mote_star(), &dcfg, 16.0, 0.05)
         .expect("no solver error")
         .expect("feasible");
     assert_eq!(r.encodes, 1, "rate search must encode exactly once");
@@ -1330,8 +1338,6 @@ fn smoke(backend: SolverBackend) {
     // One churn instance per smoke: a delta'd prepared forest must
     // agree with a cold rebuild of the same delta'd deployment on this
     // backend, without re-encoding.
-    let mut dcfg = DeploymentConfig::default();
-    dcfg.ilp.backend = backend;
     let (count0, budget0) = churn_event(0);
     let (count1, budget1) = churn_event(1);
     let mut warm = PreparedDeployment::new(&graph, &prof, &churn_dep(count0, budget0), &dcfg)

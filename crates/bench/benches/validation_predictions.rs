@@ -10,14 +10,40 @@
 
 use std::collections::HashSet;
 
+use wishbone_apps::SpeechApp;
 use wishbone_apps::{build_speech_app, SpeechParams};
 use wishbone_core::{
-    build_partition_graph, evaluate, exhaustive, greedy, local_search, max_sustainable_rate,
-    partition, Mode, ObjectiveConfig, PartitionConfig,
+    build_partition_graph, evaluate, exhaustive, greedy, local_search,
+    max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig, LinkSpec,
+    Mode, ObjectiveConfig, Site,
 };
+use wishbone_dataflow::{OperatorId, Value};
 use wishbone_net::{profile_network, ChannelParams};
 use wishbone_profile::{profile, Platform};
-use wishbone_runtime::{simulate_deployment, SimulationConfig, TaskModel};
+use wishbone_runtime::{
+    simulate_deployment_tree, LeafRoute, SimulationConfig, SourceFeed, TaskModel,
+    TreeDeploymentReport, TreeTopology,
+};
+
+/// Simulate one `platform` node running `node_ops` under the server, fed
+/// `elems` at the 40 frames/s reference rate.
+fn simulate_cut(
+    app: &SpeechApp,
+    node_ops: &HashSet<OperatorId>,
+    elems: &[Value],
+    platform: &Platform,
+    channel: ChannelParams,
+    cfg: &SimulationConfig,
+) -> TreeDeploymentReport {
+    let topo = TreeTopology::chain(&[platform.clone(), Platform::server()], &[channel], 1);
+    let feeds = vec![SourceFeed {
+        source: app.source,
+        trace: elems.to_vec(),
+        rate_hz: 40.0,
+    }];
+    let route = LeafRoute::chain(&app.graph, std::slice::from_ref(node_ops), feeds);
+    simulate_deployment_tree(&app.graph, &topo, &[route], cfg)
+}
 
 fn main() {
     let mut app = build_speech_app(SpeechParams::default());
@@ -30,16 +56,23 @@ fn main() {
     let netprof = profile_network(channel, 1, 28, 0.90, 99);
     // Budget = network profile; CPU derated by the measured OS-overhead
     // factor (the paper's §7.3 proposal).
-    let mut cfg = PartitionConfig::for_platform(&mote).with_measured_overheads(&mote);
-    cfg.net_budget = netprof.max_aggregate_payload_rate;
-    let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 8.0, 0.01)
+    let dep = Deployment::star([(
+        Site::new("mote", &mote).with_measured_overheads(),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: netprof.max_aggregate_payload_rate,
+        },
+    )]);
+    let cfg = DeploymentConfig::default();
+    let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 8.0, 0.01)
         .expect("solver ok")
         .expect("feasible");
+    let recommended_ops = &r.partition.leaves[0].site_ops[0];
     let recommended: &str = app
         .stages
         .iter()
         .rev()
-        .find(|(_, id)| r.partition.node_ops.contains(id))
+        .find(|(_, id)| recommended_ops.contains(id))
         .map(|&(n, _)| n)
         .unwrap();
     println!(
@@ -58,11 +91,9 @@ fn main() {
             rate_multiplier: r.rate,
             ..SimulationConfig::motes(1, 77)
         };
-        let rep = simulate_deployment(
-            &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
-        );
-        let g = rep.goodput_ratio();
-        if node_set == r.partition.node_ops {
+        let rep = simulate_cut(&app, &node_set, &elems, &mote, channel, &dcfg);
+        let g = rep.leaves[0].goodput_ratio();
+        if node_set == *recommended_ops {
             rec_good = g;
         }
         if best.is_none_or(|(_, bg)| g > bg) {
@@ -84,31 +115,34 @@ fn main() {
 
     // ---- 2. Predicted vs measured CPU (Gumstix) --------------------------
     let gumstix = Platform::gumstix();
-    let gcfg = PartitionConfig::for_platform(&gumstix);
-    let gpart = partition(&app.graph, &prof, &gumstix, &gcfg).expect("gumstix fits");
+    let gdep = Deployment::star([(
+        Site::new("gumstix", &gumstix),
+        LinkSpec::for_platform(&gumstix),
+    )]);
+    let gpart = partition_deployment(&app.graph, &prof, &gdep, &cfg).expect("gumstix fits");
+    let gleaf = &gpart.leaves[0];
     let dcfg = SimulationConfig {
         duration_s: 20.0,
         task_model: TaskModel::threaded(),
         per_packet_cpu_s: 20e-6,
         ..SimulationConfig::motes(1, 3)
     };
-    let rep = simulate_deployment(
-        &app.graph,
-        &gpart.node_ops,
-        app.source,
+    let rep = simulate_cut(
+        &app,
+        &gleaf.site_ops[0],
         &elems,
-        40.0,
         &gumstix,
         ChannelParams::wifi(400_000.0),
         &dcfg,
     );
+    let (predicted, measured) = (gleaf.predicted_cpu[0], rep.site_cpu_utilization[1]);
     println!(
         "\nGumstix: predicted {:.1}% CPU, measured {:.1}% (paper: 11.5% vs 15%)",
-        gpart.predicted_cpu * 100.0,
-        rep.node_cpu_utilization * 100.0
+        predicted * 100.0,
+        measured * 100.0
     );
-    assert!(rep.node_cpu_utilization > gpart.predicted_cpu);
-    assert!(rep.node_cpu_utilization < gpart.predicted_cpu * 1.6);
+    assert!(measured > predicted);
+    assert!(measured < predicted * 1.6);
 
     // ---- 3. Baselines: ILP vs heuristics ---------------------------------
     wishbone_bench::header(

@@ -14,24 +14,22 @@
 //!    downstream, shrinking the ILP without losing optimality (§4.1);
 //! 4. [`encodings::encode`] — build the restricted (single-crossing) or
 //!    general ILP (§4.2.1);
-//! 5. [`partitioner::partition`] — solve with branch-and-bound and decode;
-//! 6. [`rate_search::max_sustainable_rate`] — §4.3's binary search when
-//!    nothing fits;
-//! 7. [`baselines`] — all-node / all-server / greedy / local-search /
+//! 5. [`topology`] — one [`topology::Deployment`] path from there on: a
+//!    tree of sites (motes, gateways, servers) is prepared once
+//!    ([`topology::PreparedDeployment`]), solved by branch-and-bound or
+//!    the [`multilevel`] heuristic ([`topology::partition_deployment`]),
+//!    and rate-searched per §4.3
+//!    ([`topology::max_sustainable_rate_deployment`]). The paper's binary
+//!    node/server cut and §9's mixed networks are
+//!    [`topology::Deployment::star`]; §9's hierarchies are
+//!    [`topology::Deployment::chain`] — constructors, not separate
+//!    partitioners;
+//! 6. [`baselines`] — all-node / all-server / greedy / local-search /
 //!    exhaustive comparators;
-//! 8. [`multitier`] — §9's hierarchies done properly: k-way monotone cuts
-//!    over mote → gateway → server chains, one joint ILP instead of one
-//!    binary cut per node class;
-//! 9. [`topology`] — the topology-first surface every entry point above
-//!    now delegates to: a [`topology::Deployment`] tree of sites (motes,
-//!    gateways, servers) whose path, star, and 2-site special cases are
-//!    the multi-tier, mixed, and binary partitioners — and whose genuine
-//!    trees (many motes per gateway, per-gateway uplink budgets) are new
-//!    capability;
-//! 10. [`audit`] — a static-analysis bridge: every encoder's output is
-//!     checked against its implied [`wishbone_audit::ModelSpec`] under
-//!     `debug_assertions`, so the whole test suite doubles as an audit
-//!     corpus.
+//! 7. [`audit`] — a static-analysis bridge: every encoder's output is
+//!    checked against its implied [`wishbone_audit::ModelSpec`] under
+//!    `debug_assertions`, so the whole test suite doubles as an audit
+//!    corpus.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +39,6 @@ pub mod baselines;
 pub mod cost_graph;
 pub mod drift;
 pub mod encodings;
-pub mod mixed;
 pub mod multilevel;
 pub mod multitier;
 pub mod partitioner;
@@ -65,16 +62,14 @@ pub use encodings::{
     encode, encode_deployment, encode_multitier, DeploymentObjective, EncodedDeployment,
     EncodedMultiTier, EncodedProblem, Encoding, LeafChain, ObjectiveConfig, TierObjective,
 };
-pub use mixed::{partition_mixed, ClassPartition, MixedPartition, NodeClass};
-pub use multilevel::{approx_cut, partition_approx, ApproxCut};
+pub use multilevel::{approx_cut, ApproxCut};
 pub use multitier::{
-    build_tiered_graph, max_sustainable_rate_multitier, partition_multitier, preprocess_tiered,
-    LinkSpec, MultiTierConfig, MultiTierPartition, MultiTierRateResult, PreparedMultiTier, TEdge,
-    TVertex, TierSpec, TieredGraph, TieredPreprocessResult,
+    build_tiered_graph, preprocess_tiered, LinkSpec, TEdge, TVertex, TieredGraph,
+    TieredPreprocessResult,
 };
-pub use partitioner::{partition, Partition, PartitionConfig, PartitionError, PreparedPartition};
+pub use partitioner::PartitionError;
 pub use preprocess::{preprocess, PreprocessResult};
-pub use rate_search::{max_sustainable_rate, RateSearchResult, UnprovenRate};
+pub use rate_search::UnprovenRate;
 pub use shape::{deltas_between, differing_sites, shape_key, ShapeKey};
 pub use topology::{
     max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,

@@ -42,13 +42,6 @@
 //! which certifies its placement against the root LP bound.
 
 use crate::encodings::{DeploymentObjective, LeafChain};
-use crate::topology::{
-    partition_deployment, Deployment, DeploymentConfig, DeploymentPartition, PlacementEngine,
-};
-use wishbone_dataflow::Graph;
-use wishbone_profile::GraphProfile;
-
-use crate::partitioner::PartitionError;
 
 /// Relative slack kept under every budget row when the heuristic tests a
 /// move: safely inside the solver's own `1e-6` integer-feasibility
@@ -739,28 +732,6 @@ pub fn approx_cut(
         levels: total_levels,
         tiers: st.tiers,
     })
-}
-
-/// One-shot approximate placement of `graph` over `dep` — the anytime
-/// sibling of [`partition_deployment`]: the multilevel heuristic
-/// computes the placement, the root LP relaxation certifies its
-/// optimality gap
-/// ([`DeploymentPartition::certified_gap`](crate::topology::DeploymentPartition::certified_gap)).
-///
-/// Equivalent to `partition_deployment` with
-/// [`DeploymentConfig::approx`](crate::topology::DeploymentConfig::approx);
-/// callers probing many rates should prepare a
-/// [`PreparedDeployment`](crate::topology::PreparedDeployment) with an
-/// approx config instead.
-pub fn partition_approx(
-    graph: &Graph,
-    profile: &GraphProfile,
-    dep: &Deployment,
-    cfg: &DeploymentConfig,
-) -> Result<DeploymentPartition, PartitionError> {
-    let mut cfg = cfg.clone();
-    cfg.engine = PlacementEngine::Approx;
-    partition_deployment(graph, profile, dep, &cfg)
 }
 
 #[cfg(test)]

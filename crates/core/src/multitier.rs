@@ -1,25 +1,26 @@
-//! Multi-tier partitioning: k-way monotone cuts over an ordered chain of
-//! platforms (mote → gateway → server).
+//! Tiered partitioning graphs: the per-leaf chain view behind k-way
+//! monotone cuts (mote → gateway → server).
 //!
 //! The paper's §9 sketches hierarchies beyond the single node/server cut
 //! ("the server would need to be engineered to deal with receiving results
-//! from the network at various stages of partial processing");
-//! [`crate::mixed`] approximates them by running the *binary* partitioner
-//! once per node class. This module solves the real thing: every operator
-//! is assigned a tier `t ∈ {0, …, k−1}` along a chain of platforms, jointly
-//! optimizing all `k − 1` cut frontiers in one ILP.
+//! from the network at various stages of partial processing"). Every leaf
+//! of a [`Deployment`](crate::topology::Deployment) sees its root path as
+//! such a chain: each operator is assigned a tier `t ∈ {0, …, k−1}`,
+//! jointly optimizing all `k − 1` cut frontiers in one ILP. This module
+//! builds that chain's weighted graph ([`build_tiered_graph`]) and runs
+//! the chain-sound §4.1 merge on it ([`preprocess_tiered`]).
 //!
-//! The encoding ([`crate::encodings::encode_multitier`]) uses monotone
-//! indicator variables `y_u^b = 1 ⇔ tier(u) ≤ b` with unit-coefficient
-//! precedence rows — the same ≈2-nonzeros-per-row shape the sparse revised
-//! simplex backend was built for, just `k − 1` times wider. Each tier gets
-//! a CPU budget on its own platform's cycle model, and each link (tier
-//! `b` → `b+1`) carries the bandwidth of every edge whose endpoints
-//! straddle it, priced with *that* hop's radio framing — relays
-//! store-and-forward traffic that merely passes through them.
+//! The encoding uses monotone indicator variables
+//! `y_u^b = 1 ⇔ tier(u) ≤ b` with unit-coefficient precedence rows — the
+//! same ≈2-nonzeros-per-row shape the sparse revised simplex backend was
+//! built for, just `k − 1` times wider. Each tier gets a CPU budget on
+//! its own platform's cycle model, and each link (tier `b` → `b+1`)
+//! carries the bandwidth of every edge whose endpoints straddle it, priced
+//! with *that* hop's radio framing — relays store-and-forward traffic
+//! that merely passes through them.
 //!
-//! For `k = 2` the subsystem is provably identical to the binary
-//! partitioner: same variables, same rows, same coefficients, in the same
+//! For `k = 2` the chain is provably identical to the binary restricted
+//! encoding: same variables, same rows, same coefficients, in the same
 //! order — the differential parity tests (`tests/end_to_end_tiered.rs`,
 //! `tests/proptest_multitier.rs`) pin that anchor on both simplex
 //! backends.
@@ -27,13 +28,12 @@
 use std::collections::{HashMap, HashSet};
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId};
-use wishbone_ilp::{is_exact_zero, IlpOptions, IlpStats, SolverBackend};
+use wishbone_ilp::is_exact_zero;
 use wishbone_net::ChannelParams;
 use wishbone_profile::{GraphProfile, Platform};
 
 use crate::cost_graph::{pin_analysis, Mode, PartitionGraph, Pin, PinError};
 use crate::encodings::TierObjective;
-use crate::partitioner::{PartitionConfig, PartitionError};
 use crate::preprocess::{combine_pins, find_cycle_scc, Dsu};
 
 /// A vertex of the tiered partitioning graph: one operator (or a merged
@@ -328,18 +328,6 @@ pub fn preprocess_tiered(
     }
 }
 
-/// One tier of a [`MultiTierConfig`] chain.
-#[derive(Debug, Clone)]
-pub struct TierSpec {
-    /// Platform model of this tier's devices.
-    pub platform: Platform,
-    /// CPU weight of this tier in the objective.
-    pub alpha: f64,
-    /// CPU budget as a fraction of this tier's CPU
-    /// (`f64::INFINITY` = unconstrained, e.g. the backend server).
-    pub cpu_budget: f64,
-}
-
 /// One link (the uplink from tier `b` towards tier `b+1`).
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {
@@ -351,6 +339,15 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
+    /// The paper's evaluation uplink for a site on `platform`: β = 1,
+    /// budgeted at the platform radio's goodput.
+    pub fn for_platform(platform: &Platform) -> LinkSpec {
+        LinkSpec {
+            beta: 1.0,
+            net_budget: platform.radio.goodput_bytes_per_sec,
+        }
+    }
+
     /// Derive a link budget from a [`ChannelParams`] radio model: budget
     /// the channel at `utilization` of its saturation capacity (the §7.3.1
     /// network profile keeps the budget below the congestion cliff).
@@ -363,354 +360,17 @@ impl LinkSpec {
     }
 }
 
-/// Full multi-tier partitioner configuration: an ordered chain of tiers
-/// (index 0 = the sensing mote, last = the server) and the `k − 1` links
-/// between consecutive tiers.
-#[derive(Debug, Clone)]
-pub struct MultiTierConfig {
-    /// Tier chain, innermost first (length `k ≥ 2`).
-    pub tiers: Vec<TierSpec>,
-    /// Links between consecutive tiers (length `k − 1`).
-    pub links: Vec<LinkSpec>,
-    /// Stateful-relocation mode (§2.1.1).
-    pub mode: Mode,
-    /// Apply the (tiered) §4.1 merge preprocessing.
-    pub preprocess: bool,
-    /// Input-rate multiplier relative to the profile's reference rate.
-    pub rate_multiplier: f64,
-    /// Branch-and-bound options (backend selection included).
-    pub ilp: IlpOptions,
-}
-
-impl MultiTierConfig {
-    /// The paper's evaluation setting generalized to a chain of platforms:
-    /// minimize the sum of all link bandwidths (α = 0, β = 1) subject to
-    /// each non-final platform's CPU budget and each uplink's radio
-    /// goodput budget. The final platform is the backend server with
-    /// "infinite computational power" (§4): no CPU row.
-    pub fn for_chain(platforms: &[Platform]) -> Self {
-        assert!(platforms.len() >= 2, "a chain needs at least two tiers");
-        let k = platforms.len();
-        let tiers = platforms
-            .iter()
-            .enumerate()
-            .map(|(t, p)| TierSpec {
-                platform: p.clone(),
-                alpha: 0.0,
-                cpu_budget: if t + 1 == k {
-                    f64::INFINITY
-                } else {
-                    p.cpu_budget_fraction
-                },
-            })
-            .collect();
-        let links = platforms[..k - 1]
-            .iter()
-            .map(|p| LinkSpec {
-                beta: 1.0,
-                net_budget: p.radio.goodput_bytes_per_sec,
-            })
-            .collect();
-        MultiTierConfig {
-            tiers,
-            links,
-            mode: Mode::Permissive,
-            preprocess: true,
-            rate_multiplier: 1.0,
-            ilp: IlpOptions::default(),
-        }
-    }
-
-    /// The exact 2-tier image of a binary [`PartitionConfig`] (restricted
-    /// encoding): partitioning with this configuration produces the same
-    /// ILP as [`crate::partitioner::partition`] on `node_platform`, row
-    /// for row — the differential parity anchor. `cfg.encoding` is
-    /// ignored (monotone cuts *are* the restricted formulation).
-    pub fn binary(cfg: &PartitionConfig, node_platform: &Platform) -> Self {
-        MultiTierConfig {
-            tiers: vec![
-                TierSpec {
-                    platform: node_platform.clone(),
-                    alpha: cfg.alpha,
-                    cpu_budget: cfg.cpu_budget,
-                },
-                TierSpec {
-                    platform: Platform::server(),
-                    alpha: 0.0,
-                    cpu_budget: f64::INFINITY,
-                },
-            ],
-            links: vec![LinkSpec {
-                beta: cfg.beta,
-                net_budget: cfg.net_budget,
-            }],
-            mode: cfg.mode,
-            preprocess: cfg.preprocess,
-            rate_multiplier: cfg.rate_multiplier,
-            ilp: cfg.ilp.clone(),
-        }
-    }
-
-    /// Number of tiers `k`.
-    pub fn k(&self) -> usize {
-        self.tiers.len()
-    }
-
-    /// Override the rate multiplier (builder style).
-    pub fn at_rate(mut self, rate_multiplier: f64) -> Self {
-        self.rate_multiplier = rate_multiplier;
-        self
-    }
-
-    fn validate(&self) {
-        assert!(self.tiers.len() >= 2, "a chain needs at least two tiers");
-        assert_eq!(
-            self.links.len(),
-            self.tiers.len() - 1,
-            "a k-tier chain has k − 1 links"
-        );
-    }
-
-    /// The chain's [`TierObjective`] view (what the tiered merge and the
-    /// standalone [`crate::encodings::encode_multitier`] oracle consume).
-    pub fn objective(&self) -> TierObjective {
-        TierObjective {
-            alpha: self.tiers.iter().map(|t| t.alpha).collect(),
-            cpu_budget: self.tiers.iter().map(|t| t.cpu_budget).collect(),
-            beta: self.links.iter().map(|l| l.beta).collect(),
-            net_budget: self.links.iter().map(|l| l.net_budget).collect(),
-        }
-    }
-}
-
-/// A computed k-tier partition.
-#[derive(Debug, Clone)]
-pub struct MultiTierPartition {
-    /// Operators assigned to each tier (length `k`).
-    pub tier_ops: Vec<HashSet<OperatorId>>,
-    /// Dataflow edges carried over each link (length `k − 1`). An edge
-    /// whose endpoints are more than one tier apart appears on every link
-    /// it crosses: relays store-and-forward it.
-    pub link_cut_edges: Vec<Vec<EdgeId>>,
-    /// Predicted CPU fraction per tier at the configured rate, on each
-    /// tier's own platform.
-    pub predicted_cpu: Vec<f64>,
-    /// Predicted on-air bytes/second per link at the configured rate.
-    pub predicted_net: Vec<f64>,
-    /// Objective value `Σ_t α_t·cpu_t + Σ_b β_b·net_b` over the merged
-    /// graph.
-    pub objective: f64,
-    /// Solver statistics.
-    pub ilp_stats: IlpStats,
-    /// ILP size actually solved: (variables, constraints).
-    pub problem_size: (usize, usize),
-    /// Tiered-graph vertices before and after preprocessing.
-    pub merge_stats: (usize, usize),
-}
-
-impl MultiTierPartition {
-    /// Number of tiers.
-    pub fn k(&self) -> usize {
-        self.tier_ops.len()
-    }
-
-    /// Operators on tier `t`.
-    pub fn tier_op_count(&self, t: usize) -> usize {
-        self.tier_ops[t].len()
-    }
-
-    /// Tier of `op`, if the operator exists in the partitioned graph.
-    pub fn tier_of(&self, op: OperatorId) -> Option<usize> {
-        self.tier_ops.iter().position(|s| s.contains(&op))
-    }
-}
-
-/// Compute the optimal k-tier partition of `graph` along `cfg`'s chain.
-///
-/// One-shot convenience over [`PreparedMultiTier`]; callers probing many
-/// rates should prepare once and call
-/// [`solve_at`](PreparedMultiTier::solve_at) per rate.
-///
-/// Prefer [`partition_deployment`](crate::topology::partition_deployment):
-/// a chain is the path special case of a [`Deployment`](crate::topology::Deployment)
-/// tree, and this function now delegates to that one code path (the
-/// encodings stay independently pinned by the differential parity tests).
-pub fn partition_multitier(
-    graph: &Graph,
-    profile: &GraphProfile,
-    cfg: &MultiTierConfig,
-) -> Result<MultiTierPartition, PartitionError> {
-    let mut prep = PreparedMultiTier::new(graph, profile, cfg)?;
-    prep.solve_at(cfg.rate_multiplier)
-}
-
-/// A k-tier partitioning instance prepared for repeated solves at varying
-/// input rates — the multi-tier sibling of
-/// [`PreparedPartition`](crate::partitioner::PreparedPartition), with the
-/// same rescaling contract: graph build, tiered merge, and encoding happen
-/// once; every probe rescales the prepared ILP in place (objective × rate,
-/// budget right-hand sides ÷ rate) on one reused
-/// [`wishbone_ilp::SimplexWorkspace`], seeding branch-and-bound with the
-/// previous incumbent.
-///
-/// Since the topology-first redesign this is a thin wrapper over
-/// [`PreparedDeployment`](crate::topology::PreparedDeployment) on the
-/// path image of the chain: a k-site path produces
-/// [`crate::encodings::encode_multitier`]'s encoding row for row (pinned by
-/// `tests/proptest_deployment.rs` against the independent chain encoder),
-/// so one quotient/merge/encode/rescale code path serves binary, chain,
-/// and tree partitioning alike.
-pub struct PreparedMultiTier<'a> {
-    inner: crate::topology::PreparedDeployment<'a>,
-}
-
-impl<'a> PreparedMultiTier<'a> {
-    /// Build the tiered graph, preprocess, and encode — once.
-    /// `cfg.rate_multiplier` is ignored here; pass the rate to
-    /// [`solve_at`](PreparedMultiTier::solve_at).
-    pub fn new(
-        graph: &'a Graph,
-        profile: &'a GraphProfile,
-        cfg: &MultiTierConfig,
-    ) -> Result<Self, PartitionError> {
-        cfg.validate();
-        let dep = crate::topology::Deployment::from_multitier(cfg);
-        let dcfg = crate::topology::DeploymentConfig {
-            mode: cfg.mode,
-            preprocess: cfg.preprocess,
-            rate_multiplier: 1.0,
-            robustness: crate::topology::RobustnessMode::Nominal,
-            ilp: cfg.ilp.clone(),
-            ..Default::default()
-        };
-        Ok(PreparedMultiTier {
-            inner: crate::topology::PreparedDeployment::new(graph, profile, &dep, &dcfg)?,
-        })
-    }
-
-    /// How many times the ILP has been encoded (always 1).
-    pub fn encodes(&self) -> u32 {
-        self.inner.encodes()
-    }
-
-    /// How many rate probes this instance has solved.
-    pub fn solves(&self) -> u32 {
-        self.inner.solves()
-    }
-
-    /// The simplex backend that will solve this prepared instance
-    /// (resolved against the encoded size — never `Auto`).
-    pub fn solver_backend(&self) -> SolverBackend {
-        self.inner.solver_backend()
-    }
-
-    /// ILP size: (variables, constraints).
-    pub fn problem_size(&self) -> (usize, usize) {
-        self.inner.problem_size()
-    }
-
-    /// Statically audit the encoded ILP (structure, conditioning,
-    /// infeasibility pre-certificates) without solving it.
-    pub fn audit(&self) -> wishbone_audit::AuditReport {
-        self.inner.audit()
-    }
-
-    /// Solve the prepared instance at `rate` (a multiplier on the
-    /// profile's reference input rate).
-    pub fn solve_at(&mut self, rate: f64) -> Result<MultiTierPartition, PartitionError> {
-        let dp = self.inner.solve_at(rate)?;
-        let leaf = dp
-            .leaves
-            .into_iter()
-            .next()
-            .expect("a chain deployment has exactly one leaf");
-        Ok(MultiTierPartition {
-            tier_ops: leaf.site_ops,
-            link_cut_edges: leaf.link_cut_edges,
-            predicted_cpu: leaf.predicted_cpu,
-            predicted_net: leaf.predicted_net,
-            objective: dp.objective,
-            ilp_stats: dp.ilp_stats,
-            problem_size: dp.problem_size,
-            merge_stats: dp.merge_stats,
-        })
-    }
-}
-
-/// Result of the tier-aware §4.3 rate search.
-#[derive(Debug, Clone)]
-pub struct MultiTierRateResult {
-    /// Highest feasible rate multiplier found.
-    pub rate: f64,
-    /// The optimal k-tier partition at that rate.
-    pub partition: MultiTierPartition,
-    /// ILP solves consumed.
-    pub evaluations: u32,
-    /// Encodings performed — always 1 (probes rescale in place).
-    pub encodes: u32,
-    /// The simplex backend every probe ran on (resolved, never `Auto`).
-    pub backend: SolverBackend,
-    /// The lowest probed rate whose solve timed out without proving
-    /// anything — when `Some`, [`MultiTierRateResult::rate`] is only a
-    /// proven lower bound on the sustainable rate (see
-    /// [`crate::rate_search::UnprovenRate`]).
-    pub unproven: Option<crate::rate_search::UnprovenRate>,
-}
-
-/// Binary-search the maximum sustainable rate multiplier of a k-tier
-/// chain in `(0, hi_limit]` to relative precision `tol` — §4.3 with every
-/// probe solving one prepared multi-tier ILP in place.
-///
-/// Returns `None` if the chain is infeasible even at vanishingly small
-/// rates; solver errors propagate.
-pub fn max_sustainable_rate_multitier(
-    graph: &Graph,
-    profile: &GraphProfile,
-    cfg: &MultiTierConfig,
-    hi_limit: f64,
-    tol: f64,
-) -> Result<Option<MultiTierRateResult>, PartitionError> {
-    use crate::rate_search::{ProbeOutcome, SearchOutcome};
-    let mut prep = PreparedMultiTier::new(graph, profile, cfg)?;
-    let outcome = crate::rate_search::search_max_rate(
-        |rate| match prep.solve_at(rate) {
-            Ok(p) => Ok(ProbeOutcome::Feasible(p)),
-            Err(PartitionError::Infeasible) => Ok(ProbeOutcome::Infeasible),
-            Err(PartitionError::Unproven { best_bound }) => {
-                Ok(ProbeOutcome::Unproven { best_bound })
-            }
-            Err(e) => Err(e),
-        },
-        hi_limit,
-        tol,
-    )?;
-    match outcome {
-        SearchOutcome::Found {
-            rate,
-            best,
-            evaluations,
-            unproven,
-        } => Ok(Some(MultiTierRateResult {
-            rate,
-            partition: best,
-            evaluations,
-            encodes: prep.encodes(),
-            backend: prep.solver_backend(),
-            unproven,
-        })),
-        SearchOutcome::Infeasible => Ok(None),
-        SearchOutcome::FloorUnproven(u) => Err(PartitionError::Unproven {
-            best_bound: u.best_bound,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encodings::encode_multitier;
-    use crate::partitioner::partition;
+    use crate::encodings::{encode, encode_multitier, Encoding, ObjectiveConfig};
+    use crate::partitioner::PartitionError;
+    use crate::topology::{
+        max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,
+        PreparedDeployment, Site,
+    };
     use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, Value};
+    use wishbone_ilp::{IlpOptions, SolveError, SolverBackend};
     use wishbone_profile::{profile as run_profile, SourceTrace};
 
     /// src -> heavy 4x reducer -> light 2x reducer -> sink.
@@ -758,35 +418,106 @@ mod tests {
         (g, prof)
     }
 
+    /// What [`binary_oracle`] computed.
+    #[derive(Debug)]
+    struct BinaryCut {
+        node_ops: HashSet<OperatorId>,
+        cut_edges: Vec<EdgeId>,
+        objective: f64,
+        problem_size: (usize, usize),
+        merge_stats: (usize, usize),
+    }
+
+    /// The binary pipeline spelled out on the standalone oracles: partition
+    /// graph → §4.1 merge → restricted encoding → branch-and-bound.
+    fn binary_oracle(
+        g: &Graph,
+        prof: &GraphProfile,
+        platform: &Platform,
+        rate: f64,
+        backend: SolverBackend,
+    ) -> Result<BinaryCut, PartitionError> {
+        let pg0 =
+            crate::cost_graph::build_partition_graph(g, prof, platform, Mode::Permissive, rate)?;
+        let merged = crate::preprocess::preprocess(&pg0)?;
+        let ep = encode(
+            &merged.graph,
+            Encoding::Restricted,
+            &ObjectiveConfig {
+                alpha: 0.0,
+                beta: 1.0,
+                cpu_budget: platform.cpu_budget_fraction,
+                net_budget: platform.radio.goodput_bytes_per_sec,
+            },
+        );
+        let opts = IlpOptions {
+            backend,
+            ..IlpOptions::default()
+        };
+        let sol = ep.problem.solve_ilp(&opts).map_err(|e| match e {
+            SolveError::Infeasible => PartitionError::Infeasible,
+            e => PartitionError::Solver(e),
+        })?;
+        let node_ops = merged.graph.expand(&ep.decode(&sol.values));
+        let cut_edges = g
+            .edge_ids()
+            .filter(|&eid| {
+                let e = g.edge(eid);
+                node_ops.contains(&e.src) && !node_ops.contains(&e.dst)
+            })
+            .collect();
+        Ok(BinaryCut {
+            node_ops,
+            cut_edges,
+            objective: sol.objective,
+            problem_size: (ep.problem.num_vars(), ep.problem.num_constraints()),
+            merge_stats: (pg0.vertices.len(), merged.vertices_after),
+        })
+    }
+
     #[test]
     fn two_tier_parity_with_binary_partitioner() {
         let (g, prof) = profiled();
         let mote = Platform::tmote_sky();
+        let dep = Deployment::star([(Site::new("mote", &mote), LinkSpec::for_platform(&mote))]);
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             for rate in [0.02, 0.1, 0.5] {
-                let mut cfg = PartitionConfig::for_platform(&mote).at_rate(rate);
+                let mut cfg = DeploymentConfig::default().at_rate(rate);
                 cfg.ilp.backend = backend;
-                let mt_cfg = MultiTierConfig::binary(&cfg, &mote);
-                let a = partition(&g, &prof, &mote, &cfg);
-                let b = partition_multitier(&g, &prof, &mt_cfg);
+                let a = binary_oracle(&g, &prof, &mote, rate, backend);
+                let b = partition_deployment(&g, &prof, &dep, &cfg);
                 match (a, b) {
                     (Ok(a), Ok(b)) => {
-                        assert_eq!(a.node_ops, b.tier_ops[0], "rate {rate} {backend:?}");
-                        assert_eq!(a.server_ops, b.tier_ops[1]);
-                        assert_eq!(a.cut_edges, b.link_cut_edges[0]);
+                        let leaf = &b.leaves[0];
+                        assert_eq!(a.node_ops, leaf.site_ops[0], "rate {rate} {backend:?}");
+                        assert_eq!(
+                            g.operator_count() - a.node_ops.len(),
+                            leaf.site_ops[1].len()
+                        );
+                        assert_eq!(a.cut_edges, leaf.link_cut_edges[0]);
                         assert!(
                             (a.objective - b.objective).abs() < 1e-9 * (1.0 + a.objective.abs()),
                             "objectives {} vs {}",
                             a.objective,
                             b.objective
                         );
-                        assert!((a.predicted_cpu - b.predicted_cpu[0]).abs() < 1e-12);
-                        assert!((a.predicted_net - b.predicted_net[0]).abs() < 1e-12);
+                        let cpu: f64 = g
+                            .operator_ids()
+                            .filter(|id| a.node_ops.contains(id))
+                            .map(|id| prof.cpu_fraction(id, &mote) * rate)
+                            .sum();
+                        let net: f64 = a
+                            .cut_edges
+                            .iter()
+                            .map(|&e| prof.edge_on_air_bandwidth(e, &mote) * rate)
+                            .sum();
+                        assert!((cpu - leaf.predicted_cpu[0]).abs() < 1e-12);
+                        assert!((net - leaf.predicted_net[0]).abs() < 1e-12);
                         assert_eq!(a.problem_size, b.problem_size, "identical ILP shape");
                         assert_eq!(a.merge_stats, b.merge_stats, "identical merge");
                     }
                     (Err(a), Err(b)) => assert_eq!(a, b, "rate {rate} {backend:?}"),
-                    (a, b) => panic!("rate {rate} {backend:?}: binary {a:?} vs multitier {b:?}"),
+                    (a, b) => panic!("rate {rate} {backend:?}: binary {a:?} vs star {b:?}"),
                 }
             }
         }
@@ -888,28 +619,29 @@ mod tests {
     #[test]
     fn monotone_rows_enforce_tier_order_along_edges() {
         let (g, prof) = profiled();
-        let chain = [
+        let dep = Deployment::chain(&[
             Platform::tmote_sky(),
             Platform::iphone(),
             Platform::server(),
-        ];
-        let cfg = MultiTierConfig::for_chain(&chain).at_rate(0.2);
-        let part = partition_multitier(&g, &prof, &cfg).expect("feasible");
-        assert_eq!(part.k(), 3);
+        ]);
+        let part = partition_deployment(&g, &prof, &dep, &DeploymentConfig::default().at_rate(0.2))
+            .expect("feasible");
+        let leaf = &part.leaves[0];
+        assert_eq!(leaf.path.len(), 3);
         for eid in g.edge_ids() {
             let e = g.edge(eid);
-            let ts = part.tier_of(e.src).unwrap();
-            let td = part.tier_of(e.dst).unwrap();
+            let ts = leaf.position_of(e.src).unwrap();
+            let td = leaf.position_of(e.dst).unwrap();
             assert!(ts <= td, "edge {eid:?} goes backwards: {ts} -> {td}");
         }
         // Budgets respected on every tier that has one.
-        for (t, spec) in cfg.tiers.iter().enumerate() {
-            if spec.cpu_budget.is_finite() {
+        for (t, &site) in leaf.path.iter().enumerate() {
+            let budget = dep.site(site).cpu_budget;
+            if budget.is_finite() {
                 assert!(
-                    part.predicted_cpu[t] <= spec.cpu_budget + 1e-9,
-                    "tier {t} cpu {} over budget {}",
-                    part.predicted_cpu[t],
-                    spec.cpu_budget
+                    leaf.predicted_cpu[t] <= budget + 1e-9,
+                    "tier {t} cpu {} over budget {budget}",
+                    leaf.predicted_cpu[t],
                 );
             }
         }
@@ -918,19 +650,19 @@ mod tests {
     #[test]
     fn prepared_multitier_matches_one_shot() {
         let (g, prof) = profiled();
-        let chain = [
+        let dep = Deployment::chain(&[
             Platform::tmote_sky(),
             Platform::gumstix(),
             Platform::server(),
-        ];
-        let cfg = MultiTierConfig::for_chain(&chain);
-        let mut prep = PreparedMultiTier::new(&g, &prof, &cfg).unwrap();
+        ]);
+        let cfg = DeploymentConfig::default();
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
         for rate in [0.05, 0.2, 1.0, 4.0] {
             let a = prep.solve_at(rate);
-            let b = partition_multitier(&g, &prof, &cfg.clone().at_rate(rate));
+            let b = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(rate));
             match (a, b) {
                 (Ok(a), Ok(b)) => {
-                    assert_eq!(a.tier_ops, b.tier_ops, "rate {rate}");
+                    assert_eq!(a.leaves[0].site_ops, b.leaves[0].site_ops, "rate {rate}");
                     assert!(
                         (a.objective - b.objective).abs() < 1e-6 * (1.0 + b.objective.abs()),
                         "rate {rate}: {} vs {}",
@@ -953,19 +685,22 @@ mod tests {
         // the mote's, so pass-through traffic always fits).
         let (g, prof) = profiled();
         let mote = Platform::tmote_sky();
-        let two = max_sustainable_rate_multitier(
+        let cfg = DeploymentConfig::default();
+        let two = max_sustainable_rate_deployment(
             &g,
             &prof,
-            &MultiTierConfig::for_chain(&[mote.clone(), Platform::server()]),
+            &Deployment::chain(&[mote.clone(), Platform::server()]),
+            &cfg,
             64.0,
             0.01,
         )
         .unwrap()
         .expect("feasible");
-        let three = max_sustainable_rate_multitier(
+        let three = max_sustainable_rate_deployment(
             &g,
             &prof,
-            &MultiTierConfig::for_chain(&[mote, Platform::iphone(), Platform::server()]),
+            &Deployment::chain(&[mote, Platform::iphone(), Platform::server()]),
+            &cfg,
             64.0,
             0.01,
         )
@@ -1087,12 +822,23 @@ mod tests {
     #[test]
     fn infeasible_chain_returns_none_from_rate_search() {
         let (g, prof) = profiled();
-        let mut cfg = MultiTierConfig::for_chain(&[Platform::tmote_sky(), Platform::server()]);
-        cfg.tiers[0].cpu_budget = 0.0;
-        cfg.links[0].net_budget = 0.0;
-        assert!(max_sustainable_rate_multitier(&g, &prof, &cfg, 8.0, 0.01)
-            .unwrap()
-            .is_none());
+        let dep = Deployment::star([(
+            Site::new("mote", &Platform::tmote_sky()).with_cpu_budget(0.0),
+            LinkSpec {
+                beta: 1.0,
+                net_budget: 0.0,
+            },
+        )]);
+        assert!(max_sustainable_rate_deployment(
+            &g,
+            &prof,
+            &dep,
+            &DeploymentConfig::default(),
+            8.0,
+            0.01
+        )
+        .unwrap()
+        .is_none());
     }
 
     #[test]

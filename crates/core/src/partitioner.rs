@@ -1,117 +1,14 @@
-//! The Wishbone partitioner: profile → preprocess → ILP → partition.
+//! Partitioning failures, shared by every stage of the pipeline.
 //!
-//! [`partition`] answers one (rate, platform) question. The paper's
-//! evaluation asks thousands of them on the *same* application (2100
-//! lp_solve runs for Fig 6; a binary search per platform for §4.3), and
-//! only the input-rate multiplier — a uniform scale on every profiled
-//! cost — changes between questions. [`PreparedPartition`] exploits that:
-//! the partition graph, §4.1 preprocessing, and ILP encoding are built
-//! once, and each probe rescales the prepared problem's coefficients in
-//! place (objective × rate, budget right-hand sides ÷ rate), reusing one
-//! simplex workspace and seeding each solve with the previous incumbent.
+//! The partitioner itself lives in [`crate::topology`]: the paper's
+//! node/server split is the 2-site star
+//! ([`Deployment::star`](crate::topology::Deployment::star)) of the one
+//! [`partition_deployment`](crate::topology::partition_deployment) path.
+//! The unit tests below exercise that special case end to end.
 
-use std::collections::HashSet;
+use wishbone_ilp::SolveError;
 
-use wishbone_dataflow::{EdgeId, Graph, OperatorId};
-use wishbone_ilp::{
-    solve_ilp_in, IlpOptions, IlpStats, SimplexWorkspace, SolveError, SolverBackend, VarId,
-};
-use wishbone_profile::{GraphProfile, Platform};
-
-use crate::cost_graph::{build_partition_graph, Mode, PartitionGraph, PinError};
-use crate::encodings::{encode, EncodedProblem, Encoding, ObjectiveConfig};
-use crate::preprocess::preprocess;
-
-/// Full partitioner configuration.
-#[derive(Debug, Clone)]
-pub struct PartitionConfig {
-    /// CPU weight α in the objective.
-    pub alpha: f64,
-    /// Network weight β in the objective.
-    pub beta: f64,
-    /// CPU budget `C` as a fraction of the node CPU.
-    pub cpu_budget: f64,
-    /// Network budget `N`, on-air bytes/second at the collection root.
-    pub net_budget: f64,
-    /// Stateful-relocation mode (§2.1.1).
-    pub mode: Mode,
-    /// ILP formulation (§4.2.1).
-    pub encoding: Encoding,
-    /// Apply the §4.1 merge preprocessing.
-    pub preprocess: bool,
-    /// Input-rate multiplier relative to the profile's reference rate.
-    pub rate_multiplier: f64,
-    /// Branch-and-bound options. `ilp.backend` selects the simplex
-    /// implementation: `Auto` (default) runs the sparse revised simplex
-    /// on kilooperator encodings and the dense tableau on small ones —
-    /// see [`PreparedPartition::solver_backend`] for the resolved choice.
-    pub ilp: IlpOptions,
-}
-
-impl PartitionConfig {
-    /// The paper's evaluation configuration for `platform`: α = 0, β = 1
-    /// ("allow the CPU to be fully utilized but not over-utilized"), with
-    /// budgets from the platform model.
-    pub fn for_platform(platform: &Platform) -> Self {
-        PartitionConfig {
-            alpha: 0.0,
-            beta: 1.0,
-            cpu_budget: platform.cpu_budget_fraction,
-            net_budget: platform.radio.goodput_bytes_per_sec,
-            mode: Mode::Permissive,
-            encoding: Encoding::Restricted,
-            preprocess: true,
-            rate_multiplier: 1.0,
-            ilp: IlpOptions::default(),
-        }
-    }
-
-    /// Override the rate multiplier (builder style).
-    pub fn at_rate(mut self, rate_multiplier: f64) -> Self {
-        self.rate_multiplier = rate_multiplier;
-        self
-    }
-
-    /// Derate the CPU budget by the platform's measured OS-overhead factor
-    /// (scheduling, packet handling — everything the additive profile
-    /// model omits). This is the "automated approach to determining these
-    /// scaling factors" the paper's §7.3 calls for after observing 11.5%
-    /// predicted vs 15% measured CPU.
-    pub fn with_measured_overheads(mut self, platform: &Platform) -> Self {
-        self.cpu_budget /= platform.os_overhead;
-        self
-    }
-}
-
-/// A computed partition.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Operators assigned to every embedded node.
-    pub node_ops: HashSet<OperatorId>,
-    /// Operators assigned to the server.
-    pub server_ops: HashSet<OperatorId>,
-    /// Dataflow edges crossing the cut (these get marshalling code).
-    pub cut_edges: Vec<EdgeId>,
-    /// Predicted node CPU fraction at the configured rate.
-    pub predicted_cpu: f64,
-    /// Predicted on-air bandwidth at the configured rate, bytes/second.
-    pub predicted_net: f64,
-    /// Objective value (α·cpu + β·net over the merged graph).
-    pub objective: f64,
-    /// Solver statistics (discover/prove timeline for Fig 6).
-    pub ilp_stats: IlpStats,
-    /// ILP size actually solved: (variables, constraints).
-    pub problem_size: (usize, usize),
-    /// Partition-graph vertices before and after preprocessing.
-    pub merge_stats: (usize, usize),
-}
-
-impl Partition {
-    /// Number of operators on the embedded node (the Y axis of Fig 5a).
-    pub fn node_op_count(&self) -> usize {
-        self.node_ops.len()
-    }
-}
+use crate::cost_graph::PinError;
 
 /// Partitioning failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,294 +67,17 @@ impl From<PinError> for PartitionError {
     }
 }
 
-/// Compute the optimal partition of `graph` for `platform`.
-///
-/// One-shot convenience over [`PreparedPartition`]; callers solving the
-/// same application at many rates (rate searches, figure sweeps) should
-/// prepare once and call [`PreparedPartition::solve_at`] per rate.
-///
-/// Prefer [`partition_deployment`](crate::topology::partition_deployment):
-/// the node/server split is the 2-site star special case of a
-/// [`Deployment`](crate::topology::Deployment) tree, and (for the default
-/// restricted encoding) this function now delegates to that one code path
-/// — the encodings themselves stay independently pinned by the
-/// differential parity tests.
-pub fn partition(
-    graph: &Graph,
-    profile: &GraphProfile,
-    platform: &Platform,
-    cfg: &PartitionConfig,
-) -> Result<Partition, PartitionError> {
-    let mut prep = PreparedPartition::new(graph, profile, platform, cfg)?;
-    prep.solve_at(cfg.rate_multiplier)
-}
-
-/// A partitioning instance prepared for repeated solves at varying input
-/// rates.
-///
-/// Construction performs the whole front half of the pipeline exactly once
-/// — pin analysis, partition-graph build, §4.1 merge preprocessing, ILP
-/// encoding (all at unit rate) — and allocates one [`SimplexWorkspace`].
-/// Every [`solve_at`](PreparedPartition::solve_at) then only rescales the
-/// prepared ILP in place: CPU and network load are linear in the input
-/// rate (§4.3), so a probe at rate `r` is the unit-rate problem with its
-/// objective coefficients multiplied by `r` and its budget right-hand
-/// sides divided by `r`. Successive probes also seed the branch-and-bound
-/// with the previous incumbent, which (rates only shrink the load) is
-/// usually still feasible and prunes the new tree from node one.
-pub struct PreparedPartition<'a> {
-    inner: PreparedInner<'a>,
-}
-
-/// The restricted encoding is the 2-site star special case of the
-/// topology-first deployment path — one quotient/merge/encode/rescale
-/// implementation shared with the multi-tier and tree partitioners,
-/// producing the binary encoding bit for bit (pinned by
-/// `tests/proptest_deployment.rs`). The general (edge-variable)
-/// formulation of §4.2.1 eq. 3–5 is not expressible as monotone
-/// indicators, so it keeps the direct [`encode`] path.
-// Both variants are ~2 kB of inline solver state; one lives per prepared
-// partition for its whole session, so boxing would buy nothing but an
-// extra indirection on every solve.
-#[allow(clippy::large_enum_variant)]
-enum PreparedInner<'a> {
-    Tree(crate::topology::PreparedDeployment<'a>),
-    General(PreparedGeneral<'a>),
-}
-
-struct PreparedGeneral<'a> {
-    graph: &'a Graph,
-    profile: &'a GraphProfile,
-    platform: &'a Platform,
-    cfg: PartitionConfig,
-    pg: PartitionGraph,
-    vertices_before: usize,
-    vertices_after: usize,
-    ep: EncodedProblem,
-    /// Objective coefficients of the unit-rate encoding.
-    base_objective: Vec<f64>,
-    workspace: SimplexWorkspace,
-    solves: u32,
-    last_values: Option<Vec<f64>>,
-}
-
-impl<'a> PreparedPartition<'a> {
-    /// Build the partition graph, preprocess, and encode — once.
-    /// `cfg.rate_multiplier` is ignored here; pass the rate to
-    /// [`solve_at`](PreparedPartition::solve_at).
-    pub fn new(
-        graph: &'a Graph,
-        profile: &'a GraphProfile,
-        platform: &'a Platform,
-        cfg: &PartitionConfig,
-    ) -> Result<Self, PartitionError> {
-        if cfg.encoding == Encoding::Restricted {
-            let dep = crate::topology::Deployment::binary(cfg, platform);
-            let dcfg = crate::topology::DeploymentConfig {
-                mode: cfg.mode,
-                preprocess: cfg.preprocess,
-                rate_multiplier: 1.0,
-                robustness: crate::topology::RobustnessMode::Nominal,
-                ilp: cfg.ilp.clone(),
-                ..Default::default()
-            };
-            return Ok(PreparedPartition {
-                inner: PreparedInner::Tree(crate::topology::PreparedDeployment::new(
-                    graph, profile, &dep, &dcfg,
-                )?),
-            });
-        }
-
-        let pg0 = build_partition_graph(graph, profile, platform, cfg.mode, 1.0)?;
-        let vertices_before = pg0.vertices.len();
-        let (pg, vertices_after) = if cfg.preprocess {
-            let r = preprocess(&pg0)?;
-            let after = r.vertices_after;
-            (r.graph, after)
-        } else {
-            (pg0, vertices_before)
-        };
-
-        let obj = ObjectiveConfig {
-            alpha: cfg.alpha,
-            beta: cfg.beta,
-            cpu_budget: cfg.cpu_budget,
-            net_budget: cfg.net_budget,
-        };
-        let ep = encode(&pg, cfg.encoding, &obj);
-        let base_objective: Vec<f64> = (0..ep.problem.num_vars())
-            .map(|j| ep.problem.objective_coeff(VarId(j)))
-            .collect();
-        Ok(PreparedPartition {
-            inner: PreparedInner::General(PreparedGeneral {
-                graph,
-                profile,
-                platform,
-                cfg: cfg.clone(),
-                pg,
-                vertices_before,
-                vertices_after,
-                ep,
-                base_objective,
-                workspace: SimplexWorkspace::new(),
-                solves: 0,
-                last_values: None,
-            }),
-        })
-    }
-
-    /// How many times the ILP has been encoded (always 1: that is the
-    /// point — rate probes rescale, they do not re-encode).
-    pub fn encodes(&self) -> u32 {
-        match &self.inner {
-            PreparedInner::Tree(prep) => prep.encodes(),
-            PreparedInner::General(_) => 1,
-        }
-    }
-
-    /// How many rate probes this instance has solved.
-    pub fn solves(&self) -> u32 {
-        match &self.inner {
-            PreparedInner::Tree(prep) => prep.solves(),
-            PreparedInner::General(prep) => prep.solves,
-        }
-    }
-
-    /// The simplex backend that will solve this prepared instance —
-    /// `cfg.ilp.backend` resolved against the encoded problem size
-    /// (rate rescaling never changes the shape, so the choice is fixed
-    /// for the lifetime of the preparation).
-    pub fn solver_backend(&self) -> SolverBackend {
-        match &self.inner {
-            PreparedInner::Tree(prep) => prep.solver_backend(),
-            PreparedInner::General(prep) => prep.cfg.ilp.backend.resolve(&prep.ep.problem),
-        }
-    }
-
-    /// Statically audit the encoded ILP (structure, conditioning,
-    /// infeasibility pre-certificates) without solving it.
-    pub fn audit(&self) -> wishbone_audit::AuditReport {
-        match &self.inner {
-            PreparedInner::Tree(prep) => prep.audit(),
-            PreparedInner::General(prep) => crate::audit::audit_binary(&prep.ep),
-        }
-    }
-
-    /// Solve the prepared instance at `rate` (a multiplier on the
-    /// profile's reference input rate).
-    pub fn solve_at(&mut self, rate: f64) -> Result<Partition, PartitionError> {
-        match &mut self.inner {
-            PreparedInner::Tree(prep) => {
-                let dp = prep.solve_at(rate)?;
-                let leaf = dp
-                    .leaves
-                    .into_iter()
-                    .next()
-                    .expect("a binary deployment has exactly one leaf");
-                let mut site_ops = leaf.site_ops.into_iter();
-                let node_ops = site_ops.next().expect("leaf side");
-                let server_ops = site_ops.next().expect("server side");
-                let mut link_cut_edges = leaf.link_cut_edges.into_iter();
-                Ok(Partition {
-                    node_ops,
-                    server_ops,
-                    cut_edges: link_cut_edges.next().expect("single cut"),
-                    predicted_cpu: leaf.predicted_cpu[0],
-                    predicted_net: leaf.predicted_net[0],
-                    objective: dp.objective,
-                    ilp_stats: dp.ilp_stats,
-                    problem_size: dp.problem_size,
-                    merge_stats: dp.merge_stats,
-                })
-            }
-            PreparedInner::General(prep) => prep.solve_at(rate),
-        }
-    }
-}
-
-impl PreparedGeneral<'_> {
-    fn solve_at(&mut self, rate: f64) -> Result<Partition, PartitionError> {
-        assert!(rate > 0.0, "rate multiplier must be positive");
-        self.solves += 1;
-
-        // Rescale in place: minimizing `r·cᵀf` matches the fresh encoding
-        // at rate `r`, and `Σ r·c·f ≤ B  ⇔  Σ c·f ≤ B/r`.
-        for (j, &base) in self.base_objective.iter().enumerate() {
-            self.ep.problem.set_objective_coeff(VarId(j), base * rate);
-        }
-        if let Some(row) = self.ep.cpu_row {
-            self.ep.problem.set_rhs(row, self.cfg.cpu_budget / rate);
-        }
-        if let Some(row) = self.ep.net_row {
-            self.ep.problem.set_rhs(row, self.cfg.net_budget / rate);
-        }
-
-        let mut opts = self.cfg.ilp.clone();
-        if opts.warm_solution.is_none() {
-            opts.warm_solution = self.last_values.clone();
-        }
-        let (result, stats) = solve_ilp_in(&self.ep.problem, &opts, &mut self.workspace);
-        let sol = match result {
-            Ok(s) => s,
-            Err(SolveError::Infeasible) => return Err(PartitionError::Infeasible),
-            Err(SolveError::IterationLimit) if stats.timed_out => {
-                return Err(PartitionError::Unproven {
-                    best_bound: stats.best_bound,
-                })
-            }
-            Err(e) => return Err(PartitionError::Solver(e)),
-        };
-        self.last_values = Some(sol.values.clone());
-
-        let node_vertices = self.ep.decode(&sol.values);
-        let node_ops = self.pg.expand(&node_vertices);
-        let server_ops: HashSet<OperatorId> = self
-            .graph
-            .operator_ids()
-            .filter(|id| !node_ops.contains(id))
-            .collect();
-
-        let cut_edges: Vec<EdgeId> = self
-            .graph
-            .edge_ids()
-            .filter(|&eid| {
-                let e = self.graph.edge(eid);
-                node_ops.contains(&e.src) && !node_ops.contains(&e.dst)
-            })
-            .collect();
-
-        // Report predictions against the *original* (unmerged) weights.
-        let predicted_cpu: f64 = node_ops
-            .iter()
-            .map(|&op| self.profile.cpu_fraction(op, self.platform) * rate)
-            .sum();
-        let predicted_net: f64 = cut_edges
-            .iter()
-            .map(|&e| self.profile.edge_on_air_bandwidth(e, self.platform) * rate)
-            .sum();
-
-        Ok(Partition {
-            node_ops,
-            server_ops,
-            cut_edges,
-            predicted_cpu,
-            predicted_net,
-            objective: sol.objective,
-            ilp_stats: sol.stats,
-            problem_size: (
-                self.ep.problem.num_vars(),
-                self.ep.problem.num_constraints(),
-            ),
-            merge_stats: (self.vertices_before, self.vertices_after),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, Value};
-    use wishbone_profile::{profile as run_profile, SourceTrace};
+    use crate::cost_graph::{build_partition_graph, Mode};
+    use crate::encodings::{encode, Encoding, ObjectiveConfig};
+    use crate::multitier::LinkSpec;
+    use crate::preprocess::preprocess;
+    use crate::topology::{partition_deployment, Deployment, DeploymentConfig, Site};
+    use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
+    use wishbone_ilp::IlpOptions;
+    use wishbone_profile::{profile as run_profile, GraphProfile, Platform, SourceTrace};
 
     /// A 4-stage reducing pipeline with controllable per-stage cost:
     /// src -> a(cheap, 402B->102B) -> c(expensive, 102B->22B) -> sink.
@@ -507,16 +127,31 @@ mod tests {
         (g, src, ops, p)
     }
 
+    /// The binary node/server shape: one `platform` leaf under the server.
+    fn two_site(node: Site, net_budget: f64) -> Deployment {
+        Deployment::star([(
+            node,
+            LinkSpec {
+                beta: 1.0,
+                net_budget,
+            },
+        )])
+    }
+
     #[test]
     fn fast_platform_takes_everything() {
         let (g, _src, ops, prof) = profiled();
         let platform = Platform::gumstix();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let part = partition(&g, &prof, &platform, &cfg).unwrap();
+        let dep = Deployment::star([(
+            Site::new("node", &platform),
+            LinkSpec::for_platform(&platform),
+        )]);
+        let part = partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
+        let leaf = &part.leaves[0];
         // All three node-side ops fit easily: minimum-bandwidth cut.
-        assert_eq!(part.node_ops, ops.iter().copied().collect());
-        assert_eq!(part.cut_edges.len(), 1);
-        assert!(part.predicted_cpu < 0.1);
+        assert_eq!(leaf.site_ops[0], ops.iter().copied().collect());
+        assert_eq!(leaf.link_cut_edges[0].len(), 1);
+        assert!(leaf.predicted_cpu[0] < 0.1);
         assert!(part.ilp_stats.proved);
     }
 
@@ -524,31 +159,34 @@ mod tests {
     fn tight_cpu_budget_moves_expensive_stage_off() {
         let (g, _src, ops, prof) = profiled();
         let platform = Platform::tmote_sky();
-        let mut cfg = PartitionConfig::for_platform(&platform);
         // Find the expensive stage's cost and budget just below it.
         let pricey = prof.cpu_fraction(ops[2], &platform);
-        cfg.cpu_budget = prof.cpu_fraction(ops[0], &platform)
+        let cpu_budget = prof.cpu_fraction(ops[0], &platform)
             + prof.cpu_fraction(ops[1], &platform)
             + pricey * 0.5;
-        cfg.net_budget = 1e9;
-        let part = partition(&g, &prof, &platform, &cfg).unwrap();
-        assert!(part.node_ops.contains(&ops[1]), "cheap stage stays");
+        let dep = two_site(
+            Site::new("node", &platform).with_cpu_budget(cpu_budget),
+            1e9,
+        );
+        let part = partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
+        let leaf = &part.leaves[0];
+        assert!(leaf.site_ops[0].contains(&ops[1]), "cheap stage stays");
         assert!(
-            !part.node_ops.contains(&ops[2]),
+            !leaf.site_ops[0].contains(&ops[2]),
             "pricey stage moves to server"
         );
-        assert!(part.predicted_cpu <= cfg.cpu_budget + 1e-9);
+        assert!(leaf.predicted_cpu[0] <= cpu_budget + 1e-9);
     }
 
     #[test]
     fn infeasible_when_budgets_are_zero() {
         let (g, _src, _ops, prof) = profiled();
         let platform = Platform::tmote_sky();
-        let mut cfg = PartitionConfig::for_platform(&platform);
-        cfg.cpu_budget = 1e-12; // even the pinned source exceeds this
-        cfg.net_budget = 1.0; // and the raw stream exceeds this
+        // Even the pinned source exceeds this CPU budget, and the raw
+        // stream exceeds this uplink.
+        let dep = two_site(Site::new("node", &platform).with_cpu_budget(1e-12), 1.0);
         assert_eq!(
-            partition(&g, &prof, &platform, &cfg).unwrap_err(),
+            partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).unwrap_err(),
             PartitionError::Infeasible
         );
     }
@@ -556,14 +194,15 @@ mod tests {
     #[test]
     fn preprocessing_shrinks_the_problem_without_changing_the_answer() {
         let (g, _src, _ops, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let mut with = PartitionConfig::for_platform(&platform);
-        with.net_budget = 1e9;
-        let mut without = with.clone();
-        without.preprocess = false;
-        let a = partition(&g, &prof, &platform, &with).unwrap();
-        let b = partition(&g, &prof, &platform, &without).unwrap();
-        assert_eq!(a.node_ops, b.node_ops);
+        let dep = two_site(Site::new("node", &Platform::tmote_sky()), 1e9);
+        let with = DeploymentConfig::default();
+        let without = DeploymentConfig {
+            preprocess: false,
+            ..with.clone()
+        };
+        let a = partition_deployment(&g, &prof, &dep, &with).unwrap();
+        let b = partition_deployment(&g, &prof, &dep, &without).unwrap();
+        assert_eq!(a.leaves[0].site_ops[0], b.leaves[0].site_ops[0]);
         assert!(a.merge_stats.1 <= b.merge_stats.1);
         assert!(a.problem_size.0 <= b.problem_size.0);
     }
@@ -572,33 +211,47 @@ mod tests {
     fn encodings_agree() {
         let (g, _src, _ops, prof) = profiled();
         let platform = Platform::tmote_sky();
-        let mut r = PartitionConfig::for_platform(&platform);
-        r.net_budget = 1e9;
-        let mut gen = r.clone();
-        gen.encoding = Encoding::General;
-        let a = partition(&g, &prof, &platform, &r).unwrap();
-        let b = partition(&g, &prof, &platform, &gen).unwrap();
-        assert_eq!(a.node_ops, b.node_ops);
-        assert!((a.predicted_net - b.predicted_net).abs() < 1e-9);
+        let dep = two_site(Site::new("node", &platform), 1e9);
+        let a = partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
+
+        // The general (edge-variable) formulation of §4.2.1 eq. 3–5,
+        // straight through the standalone encoder.
+        let pg = build_partition_graph(&g, &prof, &platform, Mode::Permissive, 1.0).unwrap();
+        let pg = preprocess(&pg).unwrap().graph;
+        let obj = ObjectiveConfig {
+            alpha: 0.0,
+            beta: 1.0,
+            cpu_budget: platform.cpu_budget_fraction,
+            net_budget: 1e9,
+        };
+        let ep = encode(&pg, Encoding::General, &obj);
+        let sol = ep.problem.solve_ilp(&IlpOptions::default()).unwrap();
+        let node_ops = pg.expand(&ep.decode(&sol.values));
+        let net: f64 = g
+            .edge_ids()
+            .filter(|&e| {
+                let edge = g.edge(e);
+                node_ops.contains(&edge.src) && !node_ops.contains(&edge.dst)
+            })
+            .map(|e| prof.edge_on_air_bandwidth(e, &platform))
+            .sum();
+        assert_eq!(a.leaves[0].site_ops[0], node_ops);
+        assert!((a.leaves[0].predicted_net[0] - net).abs() < 1e-9);
     }
 
     #[test]
     fn rate_scaling_monotone_in_load() {
         let (g, _src, _ops, prof) = profiled();
         let platform = Platform::tmote_sky();
-        let mut cfg = PartitionConfig::for_platform(&platform);
-        cfg.net_budget = 1e9;
-        let slow = partition(&g, &prof, &platform, &cfg.clone().at_rate(0.5)).unwrap();
-        let fast = partition(&g, &prof, &platform, &cfg.at_rate(2.0)).unwrap();
+        let dep = two_site(Site::new("node", &platform), 1e9);
+        let cfg = DeploymentConfig::default();
+        let slow = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(0.5)).unwrap();
+        let fast = partition_deployment(&g, &prof, &dep, &cfg.at_rate(2.0)).unwrap();
         // Fewer (or equal) operators fit within the CPU budget at higher
         // rates (Fig 5a's downward-sloping curves). Note the node CPU
         // *prediction* may fall at higher rates precisely because work
         // moves off the node.
-        assert!(fast.node_op_count() <= slow.node_op_count());
-        assert!(fast.predicted_cpu <= cfg_budget_of(&platform) + 1e-9);
-
-        fn cfg_budget_of(p: &Platform) -> f64 {
-            p.cpu_budget_fraction
-        }
+        assert!(fast.leaves[0].site_ops[0].len() <= slow.leaves[0].site_ops[0].len());
+        assert!(fast.leaves[0].predicted_cpu[0] <= platform.cpu_budget_fraction + 1e-9);
     }
 }

@@ -9,39 +9,6 @@
 //! receiving less, which the §7.3.1 network profile guarantees by keeping
 //! the budget below saturation.
 
-use wishbone_dataflow::Graph;
-use wishbone_ilp::SolverBackend;
-use wishbone_profile::{GraphProfile, Platform};
-
-use crate::partitioner::{Partition, PartitionConfig, PartitionError, PreparedPartition};
-
-/// Result of the rate search.
-#[derive(Debug, Clone)]
-pub struct RateSearchResult {
-    /// Highest feasible rate multiplier found (relative to the profile's
-    /// reference rate).
-    pub rate: f64,
-    /// The optimal partition at that rate.
-    pub partition: Partition,
-    /// Partitioner invocations (ILP solves) consumed.
-    pub evaluations: u32,
-    /// Partition-graph builds + preprocesses + ILP encodings performed:
-    /// always 1 — every probe re-solves the same [`PreparedPartition`]
-    /// with rescaled coefficients.
-    pub encodes: u32,
-    /// The simplex backend (resolved, never `Auto`) every probe ran on:
-    /// sparse revised on kilooperator encodings, dense tableau on small
-    /// ones.
-    pub backend: SolverBackend,
-    /// The lowest probed rate whose solve timed out *without proving
-    /// anything* (no incumbent, no infeasibility certificate). When
-    /// `Some`, [`RateSearchResult::rate`] is only a proven *lower* bound
-    /// on the sustainable rate — the true maximum may lie anywhere up to
-    /// the unproven rate. `None` means every probe was decisive and the
-    /// result is exact to the requested tolerance.
-    pub unproven: Option<UnprovenRate>,
-}
-
 /// A probed rate whose branch-and-bound hit its node/time budget before
 /// finding any integer point: neither feasible nor infeasible.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,8 +54,9 @@ pub(crate) enum SearchOutcome<P> {
     FloorUnproven(UnprovenRate),
 }
 
-/// The §4.3 search skeleton shared by the binary, multi-tier, and
-/// deployment rate searches: establish a feasible lower bound at a
+/// The §4.3 search skeleton behind
+/// [`max_sustainable_rate_deployment`](crate::topology::max_sustainable_rate_deployment):
+/// establish a feasible lower bound at a
 /// vanishing rate, double until infeasible (or the cap is hit), then
 /// bisect to relative precision `tol`. An
 /// [`ProbeOutcome::Unproven`] probe is treated as an upper bound for the
@@ -178,67 +146,17 @@ pub(crate) fn search_max_rate<P, E>(
     })
 }
 
-/// Binary-search the maximum sustainable rate multiplier in
-/// `(0, hi_limit]`, to relative precision `tol`.
-///
-/// The partition graph is built, preprocessed, and encoded **once** (a
-/// [`PreparedPartition`]); each probe rescales the prepared ILP in place,
-/// reuses the same simplex workspace, and seeds branch-and-bound with the
-/// previous probe's incumbent. Infeasible probes at overload rates are
-/// typically refused by presolve without a single simplex iteration.
-///
-/// Returns `None` if the program is infeasible even at vanishingly small
-/// rates (e.g. pinned operators alone exceed the CPU budget), mirroring the
-/// paper's "the programmer will have to ... switch to a more powerful node
-/// platform" case. Solver errors propagate.
-pub fn max_sustainable_rate(
-    graph: &Graph,
-    profile: &GraphProfile,
-    platform: &Platform,
-    cfg: &PartitionConfig,
-    hi_limit: f64,
-    tol: f64,
-) -> Result<Option<RateSearchResult>, PartitionError> {
-    let mut prep = PreparedPartition::new(graph, profile, platform, cfg)?;
-    let outcome = search_max_rate(
-        |rate| match prep.solve_at(rate) {
-            Ok(p) => Ok(ProbeOutcome::Feasible(p)),
-            Err(PartitionError::Infeasible) => Ok(ProbeOutcome::Infeasible),
-            Err(PartitionError::Unproven { best_bound }) => {
-                Ok(ProbeOutcome::Unproven { best_bound })
-            }
-            Err(e) => Err(e),
-        },
-        hi_limit,
-        tol,
-    )?;
-    match outcome {
-        SearchOutcome::Found {
-            rate,
-            best,
-            evaluations,
-            unproven,
-        } => Ok(Some(RateSearchResult {
-            rate,
-            partition: best,
-            evaluations,
-            encodes: prep.encodes(),
-            backend: prep.solver_backend(),
-            unproven,
-        })),
-        SearchOutcome::Infeasible => Ok(None),
-        SearchOutcome::FloorUnproven(u) => Err(PartitionError::Unproven {
-            best_bound: u.best_bound,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::partitioner::partition;
-    use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, OperatorId, Value};
-    use wishbone_profile::{profile as run_profile, SourceTrace};
+    use crate::multitier::LinkSpec;
+    use crate::partitioner::PartitionError;
+    use crate::topology::{
+        max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,
+        PreparedDeployment, Site,
+    };
+    use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
+    use wishbone_ilp::SolverBackend;
+    use wishbone_profile::{profile as run_profile, GraphProfile, Platform, SourceTrace};
 
     /// src -> crunch(compute-heavy 10x reducer) -> sink.
     fn app() -> (Graph, OperatorId) {
@@ -275,31 +193,45 @@ mod tests {
         (g, p)
     }
 
+    /// The binary node/server shape at the paper's evaluation defaults.
+    fn two_site(platform: &Platform) -> Deployment {
+        Deployment::star([(
+            Site::new("node", platform),
+            LinkSpec::for_platform(platform),
+        )])
+    }
+
     #[test]
     fn finds_a_boundary_rate() {
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 64.0, 0.01)
+        let dep = two_site(&Platform::tmote_sky());
+        let cfg = DeploymentConfig::default();
+        let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, 0.01)
             .unwrap()
             .expect("feasible at low rates");
         assert!(r.rate > 0.0 && r.rate < 64.0, "rate {}", r.rate);
         // Just above the found rate must be infeasible.
-        let above = partition(&g, &prof, &platform, &cfg.clone().at_rate(r.rate * 1.05));
+        let above = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(r.rate * 1.05));
         assert_eq!(above.unwrap_err(), PartitionError::Infeasible);
         // At the found rate, feasible.
-        let at = partition(&g, &prof, &platform, &cfg.clone().at_rate(r.rate));
+        let at = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(r.rate));
         assert!(at.is_ok());
     }
 
     #[test]
     fn powerful_platform_hits_the_cap() {
         let (g, prof) = profiled();
-        let platform = Platform::gumstix();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 8.0, 0.01)
-            .unwrap()
-            .expect("feasible");
+        let dep = two_site(&Platform::gumstix());
+        let r = max_sustainable_rate_deployment(
+            &g,
+            &prof,
+            &dep,
+            &DeploymentConfig::default(),
+            8.0,
+            0.01,
+        )
+        .unwrap()
+        .expect("feasible");
         assert!(
             (r.rate - 8.0).abs() < 1e-9,
             "cap should be reached, got {}",
@@ -310,11 +242,17 @@ mod tests {
     #[test]
     fn whole_search_encodes_exactly_once() {
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 64.0, 0.01)
-            .unwrap()
-            .expect("feasible at low rates");
+        let dep = two_site(&Platform::tmote_sky());
+        let r = max_sustainable_rate_deployment(
+            &g,
+            &prof,
+            &dep,
+            &DeploymentConfig::default(),
+            64.0,
+            0.01,
+        )
+        .unwrap()
+        .expect("feasible at low rates");
         assert_eq!(
             r.encodes, 1,
             "one graph build + preprocess + encode for the whole search"
@@ -329,15 +267,18 @@ mod tests {
     #[test]
     fn prepared_partition_matches_one_shot() {
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let mut prep = PreparedPartition::new(&g, &prof, &platform, &cfg).unwrap();
+        let dep = two_site(&Platform::tmote_sky());
+        let cfg = DeploymentConfig::default();
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
         for rate in [0.02, 0.05, 0.25, 1.0] {
             let a = prep.solve_at(rate);
-            let b = partition(&g, &prof, &platform, &cfg.clone().at_rate(rate));
+            let b = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(rate));
             match (a, b) {
                 (Ok(a), Ok(b)) => {
-                    assert_eq!(a.node_ops, b.node_ops, "rate {rate}");
+                    assert_eq!(
+                        a.leaves[0].site_ops[0], b.leaves[0].site_ops[0],
+                        "rate {rate}"
+                    );
                     assert!(
                         (a.objective - b.objective).abs() < 1e-6 * (1.0 + b.objective.abs()),
                         "rate {rate}: {} vs {}",
@@ -358,12 +299,12 @@ mod tests {
         // The §4.3 search must land on the same rate whichever simplex
         // backend runs the probes, and report the backend it used.
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
+        let dep = two_site(&Platform::tmote_sky());
         let mut rates = Vec::new();
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let mut cfg = PartitionConfig::for_platform(&platform);
+            let mut cfg = DeploymentConfig::default();
             cfg.ilp.backend = backend;
-            let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 64.0, 0.01)
+            let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, 0.01)
                 .unwrap()
                 .expect("feasible at low rates");
             assert_eq!(r.backend, backend, "forced backend must be reported");
@@ -380,26 +321,36 @@ mod tests {
     #[test]
     fn hopeless_program_returns_none() {
         let (g, prof) = profiled();
-        let platform = Platform::tmote_sky();
-        let mut cfg = PartitionConfig::for_platform(&platform);
-        cfg.cpu_budget = 0.0;
-        cfg.net_budget = 0.0;
-        assert!(max_sustainable_rate(&g, &prof, &platform, &cfg, 8.0, 0.01)
-            .unwrap()
-            .is_none());
+        let dep = Deployment::star([(
+            Site::new("node", &Platform::tmote_sky()).with_cpu_budget(0.0),
+            LinkSpec {
+                beta: 1.0,
+                net_budget: 0.0,
+            },
+        )]);
+        assert!(max_sustainable_rate_deployment(
+            &g,
+            &prof,
+            &dep,
+            &DeploymentConfig::default(),
+            8.0,
+            0.01
+        )
+        .unwrap()
+        .is_none());
     }
 
     #[test]
     fn result_rate_is_nearly_maximal() {
         let (g, prof) = profiled();
-        let platform = Platform::nokia_n80();
-        let cfg = PartitionConfig::for_platform(&platform);
-        let r = max_sustainable_rate(&g, &prof, &platform, &cfg, 1024.0, 0.005)
+        let dep = two_site(&Platform::nokia_n80());
+        let cfg = DeploymentConfig::default();
+        let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 1024.0, 0.005)
             .unwrap()
             .expect("feasible");
         if r.rate < 1023.0 {
             // Tolerance respected: 1.5% above must fail.
-            let above = partition(&g, &prof, &platform, &cfg.clone().at_rate(r.rate * 1.015));
+            let above = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(r.rate * 1.015));
             assert_eq!(above.unwrap_err(), PartitionError::Infeasible);
         }
     }

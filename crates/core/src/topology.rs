@@ -1,35 +1,35 @@
-//! Topology-first deployments: one `Deployment` tree subsumes binary,
-//! mixed, and multi-tier partitioning.
+//! Topology-first deployments: one `Deployment` tree is the only
+//! partitioning shape.
 //!
 //! The paper's §9 sketches heterogeneous deployments ("run the
-//! partitioning algorithm once for each type of node"); PR 4 generalized
-//! the cut to tier *chains*. This module is the single entry point both
-//! of those grew into: a [`Deployment`] is a rooted tree of [`Site`]s —
-//! each site a platform, a device count, and a CPU budget; each tree edge
-//! an uplink [`LinkSpec`] with its own radio framing (the child site's)
-//! and bandwidth budget. Every *leaf* site runs its own instance of the
-//! program, partitioned along its root path; interior sites (gateways)
-//! and tree edges are **shared**, so one joint ILP prices a gateway's CPU
-//! and uplink across every mote class routed through it.
+//! partitioning algorithm once for each type of node") and hierarchies
+//! beyond one node/server cut. Both are the same object here: a
+//! [`Deployment`] is a rooted tree of [`Site`]s — each site a platform, a
+//! device count, and a CPU budget; each tree edge an uplink [`LinkSpec`]
+//! with its own radio framing (the child site's) and bandwidth budget.
+//! Every *leaf* site runs its own instance of the program, partitioned
+//! along its root path; interior sites (gateways) and tree edges are
+//! **shared**, so one joint ILP prices a gateway's CPU and uplink across
+//! every mote class routed through it.
 //!
-//! Special cases, each pinned by differential parity tests:
+//! The paper's shapes are constructors, each pinned by differential
+//! parity tests against the standalone encoders:
 //!
-//! * a 2-site star (one leaf under the server) is the binary restricted
-//!   encoding, bit for bit — [`crate::partitioner::partition`];
-//! * a k-site path is [`crate::encodings::encode_multitier`] row for row
-//!   — [`crate::multitier::partition_multitier`];
-//! * a star of heterogeneous leaves decouples into one binary ILP per
-//!   leaf — [`crate::mixed::partition_mixed`];
+//! * [`Deployment::star`] with one leaf is the binary node/server cut —
+//!   [`crate::encodings::encode`]'s restricted encoding, bit for bit;
+//! * [`Deployment::star`] with *n* heterogeneous leaves is §9's mixed
+//!   network, decoupling into one binary ILP per leaf;
+//! * [`Deployment::chain`] is a k-tier path —
+//!   [`crate::encodings::encode_multitier`] row for row;
 //! * a genuine tree (many motes per gateway, many gateways per server,
-//!   each gateway with its own uplink budget) is new capability: the
-//!   branching topology the ROADMAP called for.
+//!   each gateway with its own uplink budget) is built with
+//!   [`Deployment::new`] + [`Deployment::attach`].
 //!
-//! [`PreparedDeployment`] keeps the `PreparedPartition` contract: graph
-//! build, per-leaf §4.1 merge, and encoding happen **once**; every rate
-//! probe rescales the prepared ILP in place on one reused
-//! [`SimplexWorkspace`], seeding branch-and-bound with the previous
-//! incumbent; [`max_sustainable_rate_deployment`] runs §4.3 on the shared
-//! `search_max_rate` skeleton.
+//! [`PreparedDeployment`] builds graphs, runs the per-leaf §4.1 merge,
+//! and encodes **once**; every rate probe rescales the prepared ILP in
+//! place on one reused [`SimplexWorkspace`], seeding branch-and-bound
+//! with the previous incumbent; [`max_sustainable_rate_deployment`] runs
+//! §4.3 on top of it.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -45,8 +45,8 @@ use wishbone_profile::{GraphProfile, Platform};
 use crate::cost_graph::Mode;
 use crate::encodings::TierObjective;
 use crate::encodings::{encode_deployment, DeploymentObjective, EncodedDeployment, LeafChain};
-use crate::multitier::{build_tiered_graph, preprocess_tiered, LinkSpec, MultiTierConfig};
-use crate::partitioner::{PartitionConfig, PartitionError};
+use crate::multitier::{build_tiered_graph, preprocess_tiered, LinkSpec};
+use crate::partitioner::PartitionError;
 
 /// Index of a [`Site`] within its [`Deployment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,7 +70,8 @@ pub struct Site {
     pub cpu_budget: f64,
     /// Per-leaf input-rate factor relative to the profile's reference
     /// rate, multiplied with the global rate at solve time (meaningful on
-    /// leaf sites; mirrors `partition_mixed`'s per-class rates).
+    /// leaf sites: §9's mixed networks run each node class at its own
+    /// rate).
     pub rate_factor: f64,
 }
 
@@ -122,6 +123,16 @@ impl Site {
         self.rate_factor = rate_factor;
         self
     }
+
+    /// Derate the CPU budget by the platform's measured OS-overhead factor
+    /// (scheduling, packet handling — everything the additive profile
+    /// model omits). This is the "automated approach to determining these
+    /// scaling factors" the paper's §7.3 calls for after observing 11.5%
+    /// predicted vs 15% measured CPU.
+    pub fn with_measured_overheads(mut self) -> Self {
+        self.cpu_budget /= self.platform.os_overhead;
+        self
+    }
 }
 
 /// A rooted tree of [`Site`]s. The root is the backend server; every
@@ -161,10 +172,22 @@ impl Deployment {
         id
     }
 
-    /// A path deployment mirroring [`MultiTierConfig::for_chain`]:
-    /// `platforms` innermost-first, every non-final platform budgeted at
-    /// its own CPU fraction and radio goodput, the final platform an
-    /// unconstrained server.
+    /// A star: an unconstrained server root with one leaf class per
+    /// `(site, uplink)` item. One leaf is the paper's binary node/server
+    /// cut; *n* heterogeneous leaves are §9's mixed network.
+    pub fn star(leaves: impl IntoIterator<Item = (Site, LinkSpec)>) -> Self {
+        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+        let root = dep.root();
+        for (site, uplink) in leaves {
+            dep.attach(root, site, uplink);
+        }
+        dep
+    }
+
+    /// A path: `platforms` innermost-first, every non-final platform
+    /// budgeted at its own CPU fraction and radio goodput, the final
+    /// platform an unconstrained server (the paper's evaluation setting
+    /// generalized to a chain: α = 0, β = 1 on every link).
     pub fn chain(platforms: &[Platform]) -> Self {
         assert!(platforms.len() >= 2, "a chain needs at least two sites");
         let k = platforms.len();
@@ -177,65 +200,9 @@ impl Deployment {
             parent = dep.attach(
                 parent,
                 Site::new(p.name.clone(), p),
-                LinkSpec {
-                    beta: 1.0,
-                    net_budget: p.radio.goodput_bytes_per_sec,
-                },
+                LinkSpec::for_platform(p),
             );
         }
-        dep
-    }
-
-    /// The exact path image of a [`MultiTierConfig`]: partitioning with
-    /// this deployment produces the same ILP as
-    /// [`crate::multitier::partition_multitier`], row for row.
-    pub fn from_multitier(cfg: &MultiTierConfig) -> Self {
-        let k = cfg.k();
-        let last = &cfg.tiers[k - 1];
-        let mut dep = Deployment::new(Site {
-            name: last.platform.name.clone(),
-            platform: last.platform.clone(),
-            count: 1,
-            alpha: last.alpha,
-            cpu_budget: last.cpu_budget,
-            rate_factor: 1.0,
-        });
-        let mut parent = dep.root();
-        for t in (0..k - 1).rev() {
-            let tier = &cfg.tiers[t];
-            parent = dep.attach(
-                parent,
-                Site {
-                    name: tier.platform.name.clone(),
-                    platform: tier.platform.clone(),
-                    count: 1,
-                    alpha: tier.alpha,
-                    cpu_budget: tier.cpu_budget,
-                    rate_factor: 1.0,
-                },
-                cfg.links[t],
-            );
-        }
-        dep
-    }
-
-    /// The exact 2-site star image of a binary [`PartitionConfig`] on
-    /// `node_platform`: one leaf under an unconstrained server, producing
-    /// the binary restricted encoding bit for bit (`cfg.encoding` is
-    /// ignored — monotone cuts *are* the restricted formulation).
-    pub fn binary(cfg: &PartitionConfig, node_platform: &Platform) -> Self {
-        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-        let root = dep.root();
-        dep.attach(
-            root,
-            Site::new(node_platform.name.clone(), node_platform)
-                .with_alpha(cfg.alpha)
-                .with_cpu_budget(cfg.cpu_budget),
-            LinkSpec {
-                beta: cfg.beta,
-                net_budget: cfg.net_budget,
-            },
-        );
         dep
     }
 
@@ -658,14 +625,15 @@ struct PreparedLeaf {
     rate_factor: f64,
 }
 
-/// A tree-deployment instance prepared for repeated solves at varying
-/// input rates — the topology-first sibling of
-/// [`PreparedPartition`](crate::partitioner::PreparedPartition) and the
-/// engine both it and `PreparedMultiTier` now delegate to. Same
-/// contract: graph build, per-leaf merge, and encoding happen once; every
-/// probe rescales the prepared ILP in place (objective × rate, budget
-/// right-hand sides ÷ rate) on one reused [`SimplexWorkspace`], seeding
-/// branch-and-bound with the previous incumbent.
+/// A deployment instance prepared for repeated solves at varying input
+/// rates. The paper's evaluation asks thousands of questions of the
+/// *same* application (2100 lp_solve runs for Fig 6; a binary search per
+/// platform for §4.3), and only the input-rate multiplier — a uniform
+/// scale on every profiled cost — changes between them. So graph build,
+/// per-leaf merge, and encoding happen once; every probe rescales the
+/// prepared ILP in place (objective × rate, budget right-hand sides ÷
+/// rate) on one reused [`SimplexWorkspace`], seeding branch-and-bound
+/// with the previous incumbent.
 pub struct PreparedDeployment<'a> {
     graph: InputHandle<'a, Graph>,
     profile: InputHandle<'a, GraphProfile>,
@@ -1032,10 +1000,24 @@ impl<'a> PreparedDeployment<'a> {
 
     /// Solve the prepared instance at `rate` via the multilevel anytime
     /// engine: heuristic placement plus a certified gap from the root LP
-    /// bound. The instance must already be retargeted to `rate`.
-    fn approx_at(&mut self, rate: f64) -> Result<DeploymentPartition, PartitionError> {
+    /// bound, solved cold in the caller's arena on the configured
+    /// backend. The instance must already be retargeted to `rate`.
+    fn approx_at(
+        &mut self,
+        rate: f64,
+        ws: &mut SimplexWorkspace,
+    ) -> Result<DeploymentPartition, PartitionError> {
         let cut = self.approx_values(rate);
-        let lp = match wishbone_ilp::solve_lp(&self.ep.problem) {
+        ws.set_backend(self.cfg.ilp.backend);
+        let problem = &self.ep.problem;
+        let lp = match wishbone_ilp::solve_lp_in(
+            problem,
+            problem.lower_bounds(),
+            problem.upper_bounds(),
+            wishbone_ilp::simplex::default_iteration_limit(problem),
+            ws,
+            false,
+        ) {
             Ok(s) => Some(s.objective + self.ep.objective_offset * rate),
             Err(SolveError::Infeasible) => None,
             Err(e) => return Err(PartitionError::Solver(e)),
@@ -1091,7 +1073,7 @@ impl<'a> PreparedDeployment<'a> {
         self.retarget(rate);
 
         if self.cfg.engine == PlacementEngine::Approx {
-            return self.approx_at(rate);
+            return self.approx_at(rate, ws);
         }
 
         let mut opts = self.cfg.ilp.clone();
@@ -1431,26 +1413,67 @@ mod tests {
 
     #[test]
     fn chain_deployment_matches_multitier_row_for_row() {
+        use crate::encodings::encode_multitier;
         let (g, prof) = profiled();
         let chain = [
             Platform::tmote_sky(),
             Platform::iphone(),
             Platform::server(),
         ];
-        let mt_cfg = MultiTierConfig::for_chain(&chain);
-        let mut mt_prep = crate::multitier::PreparedMultiTier::new(&g, &prof, &mt_cfg).unwrap();
         let dep = Deployment::chain(&chain);
+        let tobj = dep.leaf_objective(dep.leaves()[0]);
+        // The standalone chain pipeline at `rate`: tiered graph → tiered
+        // merge → `encode_multitier`.
+        let oracle_at = |rate: f64| {
+            let tg = build_tiered_graph(&g, &prof, &chain, Mode::Permissive, rate).unwrap();
+            let merged = preprocess_tiered(&tg, &tobj).unwrap().graph;
+            let ep = encode_multitier(&merged, &tobj);
+            (merged, ep)
+        };
         let mut prep =
             PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
-        assert_eq!(prep.problem_size(), mt_prep.problem_size());
+
+        let (_, oracle) = oracle_at(1.0);
+        let (a, b) = (&oracle.problem, prep.problem());
+        assert_eq!(
+            prep.problem_size(),
+            (a.num_vars(), a.num_constraints()),
+            "identical ILP shape"
+        );
+        for j in 0..a.num_vars() {
+            let v = VarId(j);
+            assert_eq!(
+                a.objective_coeff(v).to_bits(),
+                b.objective_coeff(v).to_bits()
+            );
+        }
+        for i in 0..a.num_constraints() {
+            let (ra, rb) = (a.constraint(i), b.constraint(i));
+            assert_eq!(ra.sense, rb.sense, "sense of row {i}");
+            assert_eq!(ra.rhs.to_bits(), rb.rhs.to_bits(), "rhs of row {i}");
+            assert_eq!(ra.terms.len(), rb.terms.len(), "terms of row {i}");
+            for (ta, tb) in ra.terms.iter().zip(&rb.terms) {
+                assert_eq!((ta.0, ta.1.to_bits()), (tb.0, tb.1.to_bits()), "row {i}");
+            }
+        }
+
         for rate in [0.1, 0.5, 2.0] {
-            match (prep.solve_at(rate), mt_prep.solve_at(rate)) {
+            let (merged, ep) = oracle_at(rate);
+            let m = ep.problem.solve_ilp(&IlpOptions::default());
+            match (prep.solve_at(rate), m) {
                 (Ok(d), Ok(m)) => {
-                    assert_eq!(d.leaves[0].site_ops, m.tier_ops, "rate {rate}");
-                    assert_eq!(d.leaves[0].link_cut_edges, m.link_cut_edges);
-                    assert!((d.objective - m.objective).abs() < 1e-9 * (1.0 + m.objective.abs()));
+                    let tiers = merged.op_tiers(&ep.decode(&m.values), g.operator_count());
+                    for id in g.operator_ids() {
+                        assert_eq!(
+                            d.leaves[0].position_of(id),
+                            Some(tiers[id.0]),
+                            "rate {rate}"
+                        );
+                    }
+                    let objective = m.objective + ep.objective_offset;
+                    assert!((d.objective - objective).abs() < 1e-9 * (1.0 + objective.abs()));
                 }
-                (Err(d), Err(m)) => assert_eq!(d, m),
+                (Err(PartitionError::Infeasible), Err(SolveError::Infeasible)) => {}
                 (d, m) => panic!("rate {rate}: deployment {d:?} vs multitier {m:?}"),
             }
         }
@@ -1482,7 +1505,7 @@ mod tests {
         // Two mote classes behind ONE gateway whose CPU budget fits
         // hosting the pipeline for exactly one class: the joint ILP must
         // give the gateway to one class and push the other's work to the
-        // server. partition_mixed cannot express this — its per-class
+        // server. Solving each class alone cannot express this — per-class
         // solves would both claim the gateway.
         let (g, prof) = profiled();
         let phone = Platform::iphone();
@@ -1626,58 +1649,127 @@ mod tests {
     fn per_leaf_rate_factors_mirror_mixed_classes() {
         let (g, prof) = profiled();
         // Star: two leaf classes at different rates directly under the
-        // server — the joint solve must reproduce partition_mixed.
+        // server — the joint solve must reproduce §9's "run the
+        // partitioning algorithm once for each type of node".
         let mote = Platform::tmote_sky();
         let strong = Platform::gumstix();
-        let mote_cfg = PartitionConfig::for_platform(&mote).at_rate(0.05);
-        let strong_cfg = PartitionConfig::for_platform(&strong);
-        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-        let root = dep.root();
-        dep.attach(
-            root,
-            Site::new("motes", &mote)
-                .with_cpu_budget(mote_cfg.cpu_budget)
-                .at_rate(0.05),
-            LinkSpec {
-                beta: 1.0,
-                net_budget: mote_cfg.net_budget,
-            },
-        );
-        dep.attach(
-            root,
-            Site::new("microservers", &strong).with_cpu_budget(strong_cfg.cpu_budget),
-            LinkSpec {
-                beta: 1.0,
-                net_budget: strong_cfg.net_budget,
-            },
-        );
-        let part =
-            partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).expect("feasible");
-        let mixed = crate::mixed::partition_mixed(
-            &g,
-            &prof,
-            &[
-                crate::mixed::NodeClass {
-                    platform: mote.clone(),
-                    count: 1,
-                    config: mote_cfg,
+        let classes = [
+            (
+                Site::new("motes", &mote).at_rate(0.05),
+                LinkSpec::for_platform(&mote),
+            ),
+            (
+                Site::new("microservers", &strong),
+                LinkSpec::for_platform(&strong),
+            ),
+        ];
+        let cfg = DeploymentConfig::default();
+        let part = partition_deployment(&g, &prof, &Deployment::star(classes.clone()), &cfg)
+            .expect("feasible");
+        for (leaf, class) in part.leaves.iter().zip(classes) {
+            let alone = partition_deployment(&g, &prof, &Deployment::star([class]), &cfg).unwrap();
+            assert_eq!(leaf.site_ops[0], alone.leaves[0].site_ops[0]);
+        }
+    }
+
+    #[test]
+    fn star_classes_get_different_physical_partitions() {
+        let (g, prof) = profiled();
+        let weak = Platform::tmote_sky();
+        let strong = Platform::gumstix();
+        // Each uplink row aggregates its class's devices, so a class of
+        // `n` nodes each allowed the platform's goodput budgets `n` times
+        // that.
+        let class = |name: &str, p: &Platform, count: usize| {
+            let link = LinkSpec::for_platform(p);
+            (
+                Site::new(name, p).with_count(count),
+                LinkSpec {
+                    net_budget: link.net_budget * count as f64,
+                    ..link
                 },
-                crate::mixed::NodeClass {
-                    platform: strong.clone(),
-                    count: 1,
-                    config: strong_cfg,
-                },
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            part.leaves[0].site_ops[0],
-            mixed.classes[0].partition.node_ops
+            )
+        };
+        let (motes, uplink) = class("motes", &weak, 10);
+        let dep = Deployment::star([
+            (motes.at_rate(0.05), uplink),
+            class("microservers", &strong, 2),
+        ]);
+        let part = partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
+        assert_eq!(part.leaves.len(), 2);
+        // The strong class runs at 20x the rate and still fits everything;
+        // the weak class may or may not carry the heavy stage — but the
+        // strong class must carry at least as much as the weak one.
+        let (weak_ops, strong_ops) = (&part.leaves[0].site_ops[0], &part.leaves[1].site_ops[0]);
+        assert!(strong_ops.len() >= weak_ops.len());
+        assert!(part.leaves.iter().all(|l| !l.link_cut_edges[0].is_empty()));
+        // The server-side union covers everything any class leaves behind.
+        let union = part.ops_at(dep.root());
+        for id in g.operator_ids() {
+            if !weak_ops.contains(&id) || !strong_ops.contains(&id) {
+                assert!(union.contains(&id));
+            }
+        }
+        assert!(part.link_net.iter().sum::<f64>() > 0.0);
+    }
+
+    #[test]
+    fn one_leaf_star_is_the_hand_built_two_site_deployment() {
+        let (g, prof) = profiled();
+        let p = Platform::gumstix();
+        let star = Deployment::star([(Site::new("node", &p), LinkSpec::for_platform(&p))]);
+        let mut built = Deployment::new(Site::server("server", &Platform::server()));
+        built.attach(
+            built.root(),
+            Site::new("node", &p),
+            LinkSpec::for_platform(&p),
         );
+        let cfg = DeploymentConfig::default();
+        let a = partition_deployment(&g, &prof, &star, &cfg).unwrap();
+        let b = partition_deployment(&g, &prof, &built, &cfg).unwrap();
+        assert_eq!(a.leaves[0].path, vec![SiteId(1), SiteId(0)]);
+        assert_eq!(a.leaves[0].site_ops, b.leaves[0].site_ops);
+        assert_eq!(a.leaves[0].link_cut_edges, b.leaves[0].link_cut_edges);
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    }
+
+    #[test]
+    fn approx_certificate_runs_in_the_callers_arena_on_the_configured_backend() {
+        let (g, prof) = profiled();
+        let rate = 0.2;
+        let mut cfg = DeploymentConfig::default().approx();
+        let solve = |cfg: &DeploymentConfig, ws: &mut SimplexWorkspace| {
+            PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), cfg)
+                .unwrap()
+                .solve_at_in(rate, ws)
+                .expect("feasible")
+        };
+        let fresh = solve(&cfg, &mut SimplexWorkspace::new());
+
+        // An arena that last solved a different shape must not leak into
+        // the placement or the certificate.
+        let mut used = SimplexWorkspace::new();
+        let chain = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
+        PreparedDeployment::new(&g, &prof, &chain, &DeploymentConfig::default())
+            .unwrap()
+            .solve_at_in(0.05, &mut used)
+            .expect("chain feasible");
+        let reused = solve(&cfg, &mut used);
+        for (a, b) in fresh.leaves.iter().zip(&reused.leaves) {
+            assert_eq!(a.site_ops, b.site_ops);
+        }
+        assert_eq!(fresh.objective.to_bits(), reused.objective.to_bits());
         assert_eq!(
-            part.leaves[1].site_ops[0],
-            mixed.classes[1].partition.node_ops
+            fresh.certified_gap.map(f64::to_bits),
+            reused.certified_gap.map(f64::to_bits)
         );
+        assert!(fresh.certified_gap.is_some());
+
+        // The bound is computed by the backend the stats report.
+        cfg.ilp.backend = SolverBackend::Dense;
+        let dense = solve(&cfg, &mut used);
+        assert_eq!(used.backend(), SolverBackend::Dense);
+        assert_eq!(dense.ilp_stats.backend, SolverBackend::Dense);
     }
 
     #[test]

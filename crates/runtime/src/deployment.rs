@@ -1,4 +1,4 @@
-//! End-to-end deployment simulation: N nodes + shared channel + server.
+//! The node-side pass of the deployment simulation, and its inputs.
 //!
 //! Reproduces the paper's testbed methodology (§7.3): run the partitioned
 //! application, count *missed input events* (CPU overrun at the node) and
@@ -6,16 +6,17 @@
 //! "the percentage of sample data that was fully processed to produce
 //! output ... roughly the product of the fraction of data processed at
 //! sensor inputs, and the fraction of network messages that were
-//! successfully received."
+//! successfully received." The channels, gateways, and server above the
+//! nodes are simulated by [`crate::tree`].
 
 use std::collections::HashSet;
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId, Value};
-use wishbone_net::{Channel, ChannelParams};
+use wishbone_net::ChannelParams;
 use wishbone_profile::Platform;
-use wishbone_trace::{NullSink, TraceEvent, TraceSink};
+use wishbone_trace::{TraceEvent, TraceSink};
 
-use crate::exec::{NodeExecutor, RelayExecutor, ServerExecutor};
+use crate::exec::NodeExecutor;
 use crate::task::TaskModel;
 
 /// Configuration of one simulated deployment run.
@@ -55,55 +56,6 @@ impl SimulationConfig {
     }
 }
 
-/// Outcome of a deployment simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeploymentReport {
-    /// Source events offered across all nodes.
-    pub events_offered: u64,
-    /// Source events actually processed (not missed while CPU-busy).
-    pub events_processed: u64,
-    /// Elements submitted to the radio.
-    pub elements_sent: u64,
-    /// Elements fully delivered (all packets survived).
-    pub elements_delivered: u64,
-    /// Packets sent / delivered (channel-level view).
-    pub packets_sent: u64,
-    /// Fraction of packets delivered.
-    pub packet_delivery_ratio: f64,
-    /// Elements that reached a sink on the server.
-    pub sink_arrivals: u64,
-    /// Mean node CPU utilization (busy time / duration).
-    pub node_cpu_utilization: f64,
-    /// Aggregate on-air offered load, bytes/s.
-    pub offered_load_bytes_per_sec: f64,
-}
-
-impl DeploymentReport {
-    /// Fraction of input events processed at the nodes.
-    pub fn input_processed_ratio(&self) -> f64 {
-        if self.events_offered == 0 {
-            1.0
-        } else {
-            self.events_processed as f64 / self.events_offered as f64
-        }
-    }
-
-    /// Fraction of radio elements delivered end-to-end.
-    pub fn element_delivery_ratio(&self) -> f64 {
-        if self.elements_sent == 0 {
-            1.0
-        } else {
-            self.elements_delivered as f64 / self.elements_sent as f64
-        }
-    }
-
-    /// The paper's goodput metric: fraction of offered sample data fully
-    /// processed to output (product of input processing and delivery).
-    pub fn goodput_ratio(&self) -> f64 {
-        self.input_processed_ratio() * self.element_delivery_ratio()
-    }
-}
-
 /// Input feed for one source operator on every node.
 #[derive(Debug, Clone)]
 pub struct SourceFeed {
@@ -116,85 +68,7 @@ pub struct SourceFeed {
     pub rate_hz: f64,
 }
 
-/// Simulate a deployment of `graph` partitioned at `node_ops`.
-///
-/// `trace` supplies the per-node source input (every node samples its own
-/// copy, offset-free: nodes are homogeneous); `trace_rate_hz` is the
-/// reference element rate scaled by `cfg.rate_multiplier`.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_deployment(
-    graph: &Graph,
-    node_ops: &HashSet<OperatorId>,
-    source: OperatorId,
-    trace: &[Value],
-    trace_rate_hz: f64,
-    node_platform: &Platform,
-    channel: ChannelParams,
-    cfg: &SimulationConfig,
-) -> DeploymentReport {
-    simulate_deployment_multi(
-        graph,
-        node_ops,
-        &[SourceFeed {
-            source,
-            trace: trace.to_vec(),
-            rate_hz: trace_rate_hz,
-        }],
-        node_platform,
-        channel,
-        cfg,
-    )
-}
-
-/// Multi-source deployment simulation: each node hosts every feed (e.g.
-/// the 22 channels of an EEG cap), with arrivals merged in time order.
-pub fn simulate_deployment_multi(
-    graph: &Graph,
-    node_ops: &HashSet<OperatorId>,
-    feeds: &[SourceFeed],
-    node_platform: &Platform,
-    channel: ChannelParams,
-    cfg: &SimulationConfig,
-) -> DeploymentReport {
-    let np = run_node_pass(graph, node_ops, feeds, node_platform, &channel, cfg);
-    let NodePass {
-        events_offered,
-        events_processed,
-        busy_total,
-        sends,
-        on_air_total,
-        ..
-    } = np;
-
-    // ---- Pass 2: channel + server --------------------------------------
-    let offered_load = on_air_total / cfg.duration_s;
-    let mut ch = Channel::new(channel, cfg.seed);
-    ch.set_offered_load(offered_load);
-    let mut server = ServerExecutor::new(graph, node_ops, cfg.n_nodes);
-
-    let mut elements_delivered = 0u64;
-    for (node, eid, v) in &sends {
-        if ch.try_deliver(v.wire_size()) {
-            elements_delivered += 1;
-            server.deliver(graph, *node, *eid, v);
-        }
-    }
-
-    DeploymentReport {
-        events_offered,
-        events_processed,
-        elements_sent: sends.len() as u64,
-        elements_delivered,
-        packets_sent: ch.sent_packets(),
-        packet_delivery_ratio: ch.packet_delivery_ratio(),
-        sink_arrivals: server.sink_arrivals,
-        node_cpu_utilization: (busy_total / (cfg.n_nodes as f64 * cfg.duration_s)).min(1.0),
-        offered_load_bytes_per_sec: offered_load,
-    }
-}
-
-/// Output of the node-side simulation pass (CPU + queueing) shared by the
-/// single-hop, tiered, and tree deployment simulators.
+/// Output of the node-side simulation pass (CPU + queueing).
 pub(crate) struct NodePass {
     pub(crate) events_offered: u64,
     pub(crate) events_processed: u64,
@@ -217,35 +91,15 @@ pub(crate) struct NodePass {
 /// Pass 1: nodes are independent except for the shared channel; simulate
 /// each node's arrival queue to find which events are processed and what
 /// traffic it offers to the first hop.
-pub(crate) fn run_node_pass(
-    graph: &Graph,
-    node_ops: &HashSet<OperatorId>,
-    feeds: &[SourceFeed],
-    node_platform: &Platform,
-    channel: &ChannelParams,
-    cfg: &SimulationConfig,
-) -> NodePass {
-    run_node_pass_failing(
-        graph,
-        node_ops,
-        feeds,
-        node_platform,
-        channel,
-        cfg,
-        &[],
-        0,
-        &mut NullSink,
-    )
-}
-
-/// [`run_node_pass`] with battery deaths: `deaths` lists
-/// `(node, after_events)` pairs — node `node` stops processing (and
-/// transmitting) once `after_events` source events have been offered to
-/// it; later arrivals count as offered but are lost to the outage. With
-/// an empty list this is byte-for-byte `run_node_pass`.
+///
+/// `deaths` lists `(node, after_events)` battery deaths — node `node`
+/// stops processing (and transmitting) once `after_events` source events
+/// have been offered to it; later arrivals count as offered but are lost
+/// to the outage.
 ///
 /// `site` labels the emitted [`TraceEvent::OperatorCost`] samples;
-/// with a [`NullSink`] the instrumentation compiles away entirely.
+/// with a [`wishbone_trace::NullSink`] the instrumentation compiles away
+/// entirely.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_node_pass_failing<S: TraceSink>(
     graph: &Graph,
@@ -368,191 +222,10 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
     pass
 }
 
-/// Outcome of a multi-tier deployment simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TieredDeploymentReport {
-    /// Source events offered across all nodes.
-    pub events_offered: u64,
-    /// Source events actually processed (not missed while CPU-busy).
-    pub events_processed: u64,
-    /// Elements submitted to each hop's channel (length `k − 1`).
-    pub hop_elements_sent: Vec<u64>,
-    /// Elements fully delivered over each hop.
-    pub hop_elements_delivered: Vec<u64>,
-    /// Aggregate on-air offered load per hop, bytes/s.
-    pub hop_offered_load_bytes_per_sec: Vec<f64>,
-    /// Fraction of packets delivered per hop.
-    pub hop_packet_delivery_ratio: Vec<f64>,
-    /// Mean node CPU utilization at tier 0.
-    pub node_cpu_utilization: f64,
-    /// CPU utilization of each relay tier (length `k − 2`). A value at
-    /// 1.0 means the gateway saturated and started dropping (see
-    /// [`relay_elements_dropped`](Self::relay_elements_dropped)).
-    pub relay_cpu_utilization: Vec<f64>,
-    /// Elements that survived their hop but were dropped by a saturated
-    /// relay CPU before processing (length `k − 2`).
-    pub relay_elements_dropped: Vec<u64>,
-    /// Elements that reached a sink on the server.
-    pub sink_arrivals: u64,
-}
-
-impl TieredDeploymentReport {
-    /// Fraction of input events processed at the nodes.
-    pub fn input_processed_ratio(&self) -> f64 {
-        if self.events_offered == 0 {
-            1.0
-        } else {
-            self.events_processed as f64 / self.events_offered as f64
-        }
-    }
-
-    /// Fraction of elements delivered end-to-end over hop `h`.
-    pub fn hop_delivery_ratio(&self, h: usize) -> f64 {
-        if self.hop_elements_sent[h] == 0 {
-            1.0
-        } else {
-            self.hop_elements_delivered[h] as f64 / self.hop_elements_sent[h] as f64
-        }
-    }
-
-    /// Fraction of elements delivered into relay `r` that its CPU managed
-    /// to process (1.0 when the gateway kept up).
-    pub fn relay_processed_ratio(&self, r: usize) -> f64 {
-        let delivered = self.hop_elements_delivered[r];
-        if delivered == 0 {
-            1.0
-        } else {
-            (delivered - self.relay_elements_dropped[r]) as f64 / delivered as f64
-        }
-    }
-
-    /// The paper's goodput metric generalized to a chain: the product of
-    /// the input-processing ratio, every hop's element delivery ratio,
-    /// and every relay's CPU processing ratio.
-    pub fn goodput_ratio(&self) -> f64 {
-        (0..self.hop_elements_sent.len())
-            .map(|h| self.hop_delivery_ratio(h))
-            .product::<f64>()
-            * (0..self.relay_elements_dropped.len())
-                .map(|r| self.relay_processed_ratio(r))
-                .product::<f64>()
-            * self.input_processed_ratio()
-    }
-}
-
-/// Simulate a multi-tier deployment of `graph`: `cfg.n_nodes` motes run
-/// `tier_ops[0]`, each intermediate tier is a gateway
-/// ([`RelayExecutor`]) hosting `tier_ops[t]` with per-node state for
-/// relocated operators, and the final tier is the server. `channels[h]`
-/// carries hop `h` (tier `h` → `h+1`); traffic whose destination lies
-/// beyond the next tier is stored-and-forwarded by each relay it crosses,
-/// consuming bandwidth on every hop — the deployment-level counterpart of
-/// the partitioner's per-link bandwidth accounting.
-pub fn simulate_tiered_deployment(
-    graph: &Graph,
-    tier_ops: &[HashSet<OperatorId>],
-    feeds: &[SourceFeed],
-    platforms: &[Platform],
-    channels: &[ChannelParams],
-    cfg: &SimulationConfig,
-) -> TieredDeploymentReport {
-    let k = tier_ops.len();
-    assert!(k >= 2, "a chain needs at least two tiers");
-    assert_eq!(platforms.len(), k, "one platform per tier");
-    assert_eq!(channels.len(), k - 1, "one channel per hop");
-    for id in graph.operator_ids() {
-        debug_assert_eq!(
-            tier_ops.iter().filter(|s| s.contains(&id)).count(),
-            1,
-            "operator {id} must sit on exactly one tier"
-        );
-    }
-
-    let np = run_node_pass(graph, &tier_ops[0], feeds, &platforms[0], &channels[0], cfg);
-
-    // Relays for tiers 1..k−1; the server hosts everything beyond them.
-    let mut relays: Vec<RelayExecutor> = (1..k - 1)
-        .map(|t| RelayExecutor::new(graph, &tier_ops[t], cfg.n_nodes, platforms[t].clone()))
-        .collect();
-    let pre_server: HashSet<OperatorId> = tier_ops[..k - 1]
-        .iter()
-        .flat_map(|s| s.iter().copied())
-        .collect();
-    let mut server = ServerExecutor::new(graph, &pre_server, cfg.n_nodes);
-
-    let mut report = TieredDeploymentReport {
-        events_offered: np.events_offered,
-        events_processed: np.events_processed,
-        hop_elements_sent: vec![0; k - 1],
-        hop_elements_delivered: vec![0; k - 1],
-        hop_offered_load_bytes_per_sec: vec![0.0; k - 1],
-        hop_packet_delivery_ratio: vec![1.0; k - 1],
-        node_cpu_utilization: (np.busy_total / (cfg.n_nodes as f64 * cfg.duration_s)).min(1.0),
-        relay_cpu_utilization: vec![0.0; k.saturating_sub(2)],
-        relay_elements_dropped: vec![0; k.saturating_sub(2)],
-        sink_arrivals: 0,
-    };
-
-    let mut traffic = np.sends;
-    for h in 0..k - 1 {
-        let offered = traffic
-            .iter()
-            .map(|(_, _, v)| channels[h].format.on_air_bytes(v.wire_size()) as f64)
-            .sum::<f64>()
-            / cfg.duration_s;
-        report.hop_offered_load_bytes_per_sec[h] = offered;
-        let mut ch = Channel::new(channels[h], cfg.seed.wrapping_add(h as u64));
-        ch.set_offered_load(offered);
-
-        let mut next: Vec<(usize, EdgeId, Value)> = Vec::new();
-        let mut relay_busy = 0.0f64;
-        for (node, eid, v) in &traffic {
-            report.hop_elements_sent[h] += 1;
-            if !ch.try_deliver(v.wire_size()) {
-                continue;
-            }
-            report.hop_elements_delivered[h] += 1;
-            if h + 1 == k - 1 {
-                server.deliver(graph, *node, *eid, v);
-            } else {
-                // The gateway has a CPU too: once it has burned a full
-                // duration of busy time it is saturated, and further
-                // arrivals are dropped instead of processed — the relay
-                // analogue of tier-0 nodes missing input events while
-                // CPU-busy.
-                if relay_busy >= cfg.duration_s {
-                    report.relay_elements_dropped[h] += 1;
-                    continue;
-                }
-                let cascade = relays[h].deliver(graph, *node, *eid, v);
-                let tx_cpu = cascade
-                    .forwards
-                    .iter()
-                    .map(|(_, fv)| {
-                        channels[h + 1].format.packets_for(fv.wire_size()) as f64
-                            * cfg.per_packet_cpu_s
-                    })
-                    .sum::<f64>();
-                relay_busy += cascade.cpu_seconds + tx_cpu;
-                for (fe, fv) in cascade.forwards {
-                    next.push((*node, fe, fv));
-                }
-            }
-        }
-        report.hop_packet_delivery_ratio[h] = ch.packet_delivery_ratio();
-        if h + 1 < k - 1 {
-            report.relay_cpu_utilization[h] = (relay_busy / cfg.duration_s).min(1.0);
-        }
-        traffic = next;
-    }
-
-    report.sink_arrivals = server.sink_arrivals;
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::{simulate_deployment_tree, LeafRoute, TreeDeploymentReport, TreeTopology};
     use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder};
 
     /// src -> burn (costs `cost` int ops, reduces 10x) -> sink
@@ -589,6 +262,32 @@ mod tests {
         (0..n).map(|i| Value::VecI16(vec![i as i16; 100])).collect()
     }
 
+    /// One class of `cfg.n_nodes` TMotes under the server over the mote
+    /// channel, `node_ops` on the motes — site 1 is the motes, site 0 the
+    /// server.
+    fn simulate_motes(
+        g: &Graph,
+        node_ops: &HashSet<OperatorId>,
+        feeds: Vec<SourceFeed>,
+        cfg: &SimulationConfig,
+    ) -> TreeDeploymentReport {
+        let topo = TreeTopology::chain(
+            &[Platform::tmote_sky(), Platform::server()],
+            &[ChannelParams::mote()],
+            cfg.n_nodes,
+        );
+        let route = LeafRoute::chain(g, std::slice::from_ref(node_ops), feeds);
+        simulate_deployment_tree(g, &topo, &[route], cfg)
+    }
+
+    fn feed(source: OperatorId, n: usize, rate_hz: f64) -> Vec<SourceFeed> {
+        vec![SourceFeed {
+            source,
+            trace: trace(n),
+            rate_hz,
+        }]
+    }
+
     #[test]
     fn light_load_processes_everything() {
         let (g, src, burn) = pipeline(100);
@@ -597,24 +296,20 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 1)
         };
-        let r = simulate_deployment(
-            &g,
-            &node_ops,
-            src,
-            &trace(100),
-            10.0,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &cfg,
-        );
-        assert_eq!(r.events_offered, 100);
-        assert_eq!(r.events_processed, 100);
+        let r = simulate_motes(&g, &node_ops, feed(src, 100, 10.0), &cfg);
+        let leaf = &r.leaves[0];
+        assert_eq!(leaf.events_offered, 100);
+        assert_eq!(leaf.events_processed, 100);
         // 10 single-packet elements at 5% baseline loss: expect ~9.5
         // delivered; allow binomial noise.
-        assert!(r.goodput_ratio() > 0.7, "goodput {}", r.goodput_ratio());
-        assert!(r.node_cpu_utilization < 0.2);
+        assert!(
+            leaf.goodput_ratio() > 0.7,
+            "goodput {}",
+            leaf.goodput_ratio()
+        );
+        assert!(r.site_cpu_utilization[1] < 0.2);
         // 10x reduction: 10 elements sent, and they're small.
-        assert_eq!(r.elements_sent, 10);
+        assert_eq!(leaf.hop_elements_sent[0], 10);
     }
 
     #[test]
@@ -627,22 +322,13 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 2)
         };
-        let r = simulate_deployment(
-            &g,
-            &node_ops,
-            src,
-            &trace(100),
-            10.0,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &cfg,
-        );
+        let r = simulate_motes(&g, &node_ops, feed(src, 100, 10.0), &cfg);
         assert!(
-            r.input_processed_ratio() < 0.5,
+            r.leaves[0].input_processed_ratio() < 0.5,
             "ratio {}",
-            r.input_processed_ratio()
+            r.leaves[0].input_processed_ratio()
         );
-        assert!(r.node_cpu_utilization > 0.9);
+        assert!(r.site_cpu_utilization[1] > 0.9);
     }
 
     #[test]
@@ -655,24 +341,17 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 3)
         };
-        let r = simulate_deployment(
-            &g,
-            &node_ops,
-            src,
-            &trace(100),
-            40.0,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &cfg,
-        );
-        assert!(r.offered_load_bytes_per_sec > ChannelParams::mote().capacity_bytes_per_sec);
+        let r = simulate_motes(&g, &node_ops, feed(src, 100, 40.0), &cfg);
         assert!(
-            r.element_delivery_ratio() < 0.5,
+            r.edge_offered_load_bytes_per_sec[1] > ChannelParams::mote().capacity_bytes_per_sec
+        );
+        assert!(
+            r.leaves[0].hop_delivery_ratio(0) < 0.5,
             "delivery {}",
-            r.element_delivery_ratio()
+            r.leaves[0].hop_delivery_ratio(0)
         );
         assert!(
-            r.input_processed_ratio() > 0.9,
+            r.leaves[0].input_processed_ratio() > 0.9,
             "cheap source shouldn't miss inputs"
         );
     }
@@ -683,34 +362,23 @@ mod tests {
         // saturation while a single node stays under it.
         let (g, src, burn) = pipeline_with_payload(1000, 100);
         let node_ops: HashSet<_> = [src, burn].into_iter().collect();
-        let one = simulate_deployment(
-            &g,
-            &node_ops,
-            src,
-            &trace(100),
-            20.0,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &SimulationConfig {
-                duration_s: 10.0,
-                ..SimulationConfig::motes(1, 4)
-            },
+        let run = |n_nodes: usize| {
+            simulate_motes(
+                &g,
+                &node_ops,
+                feed(src, 100, 20.0),
+                &SimulationConfig {
+                    duration_s: 10.0,
+                    ..SimulationConfig::motes(n_nodes, 4)
+                },
+            )
+        };
+        let (one, twenty) = (run(1), run(20));
+        assert!(
+            twenty.edge_offered_load_bytes_per_sec[1]
+                > 10.0 * one.edge_offered_load_bytes_per_sec[1]
         );
-        let twenty = simulate_deployment(
-            &g,
-            &node_ops,
-            src,
-            &trace(100),
-            20.0,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &SimulationConfig {
-                duration_s: 10.0,
-                ..SimulationConfig::motes(20, 4)
-            },
-        );
-        assert!(twenty.offered_load_bytes_per_sec > 10.0 * one.offered_load_bytes_per_sec);
-        assert!(twenty.element_delivery_ratio() <= one.element_delivery_ratio());
+        assert!(twenty.leaves[0].hop_delivery_ratio(0) <= one.leaves[0].hop_delivery_ratio(0));
     }
 
     #[test]
@@ -721,17 +389,8 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 5)
         };
-        let r = simulate_deployment(
-            &g,
-            &node_ops,
-            src,
-            &trace(100),
-            10.0,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &cfg,
-        );
-        assert_eq!(r.sink_arrivals, r.elements_delivered);
+        let r = simulate_motes(&g, &node_ops, feed(src, 100, 10.0), &cfg);
+        assert_eq!(r.sink_arrivals, r.leaves[0].hop_elements_delivered[0]);
     }
 
     #[test]
@@ -778,58 +437,18 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 8)
         };
-        let r = simulate_deployment_multi(
-            &g,
-            &node_ops,
-            &feeds,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &cfg,
-        );
+        let r = simulate_motes(&g, &node_ops, feeds, &cfg);
+        let leaf = &r.leaves[0];
         // 20/s + 5/s over 10s = 250 events offered.
-        assert_eq!(r.events_offered, 250);
+        assert_eq!(leaf.events_offered, 250);
         assert!(
-            r.input_processed_ratio() > 0.95,
+            leaf.input_processed_ratio() > 0.95,
             "light load processes everything"
         );
         assert_eq!(
-            r.elements_sent, r.events_processed,
+            leaf.hop_elements_sent[0], leaf.events_processed,
             "both pipelines transmit"
         );
-    }
-
-    #[test]
-    fn single_source_wrapper_equals_multi() {
-        let (g, src, burn) = pipeline(500);
-        let node_ops: HashSet<_> = [src, burn].into_iter().collect();
-        let cfg = SimulationConfig {
-            duration_s: 5.0,
-            ..SimulationConfig::motes(2, 9)
-        };
-        let tr = trace(50);
-        let a = simulate_deployment(
-            &g,
-            &node_ops,
-            src,
-            &tr,
-            20.0,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &cfg,
-        );
-        let b = simulate_deployment_multi(
-            &g,
-            &node_ops,
-            &[SourceFeed {
-                source: src,
-                trace: tr,
-                rate_hz: 20.0,
-            }],
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &cfg,
-        );
-        assert_eq!(a, b);
     }
 
     /// src -> burn(node) -> squeeze(relay candidate, 2x reducer) -> sink
@@ -861,105 +480,52 @@ mod tests {
         (g, src.0, burn.0, squeeze.0)
     }
 
-    #[test]
-    fn two_tier_sim_equals_flat_deployment() {
-        // With k = 2 the tiered simulator must reproduce the flat one
-        // exactly: same node pass, same channel seed, same server.
-        let (g, src, burn) = pipeline(500);
-        let node_ops: HashSet<_> = [src, burn].into_iter().collect();
-        let server_ops: HashSet<_> = g
-            .operator_ids()
-            .filter(|id| !node_ops.contains(id))
-            .collect();
-        let cfg = SimulationConfig {
-            duration_s: 10.0,
-            ..SimulationConfig::motes(2, 11)
-        };
-        let feeds = vec![SourceFeed {
-            source: src,
-            trace: trace(50),
-            rate_hz: 10.0,
-        }];
-        let flat = simulate_deployment_multi(
-            &g,
-            &node_ops,
-            &feeds,
-            &Platform::tmote_sky(),
-            ChannelParams::mote(),
-            &cfg,
-        );
-        let tiered = simulate_tiered_deployment(
-            &g,
-            &[node_ops, server_ops],
-            &feeds,
-            &[Platform::tmote_sky(), Platform::server()],
-            &[ChannelParams::mote()],
-            &cfg,
-        );
-        assert_eq!(tiered.events_offered, flat.events_offered);
-        assert_eq!(tiered.events_processed, flat.events_processed);
-        assert_eq!(tiered.hop_elements_sent[0], flat.elements_sent);
-        assert_eq!(tiered.hop_elements_delivered[0], flat.elements_delivered);
-        assert_eq!(tiered.sink_arrivals, flat.sink_arrivals);
-        assert!((tiered.goodput_ratio() - flat.goodput_ratio()).abs() < 1e-12);
-        assert!((tiered.node_cpu_utilization - flat.node_cpu_utilization).abs() < 1e-12);
+    /// The mote → Gumstix relay → server chain of the relay tests (site 2
+    /// the mote, site 1 the relay, site 0 the server).
+    fn relay_chain(channels: &[ChannelParams; 2]) -> TreeTopology {
+        TreeTopology::chain(
+            &[
+                Platform::tmote_sky(),
+                Platform::gumstix(),
+                Platform::server(),
+            ],
+            channels,
+            1,
+        )
     }
 
     #[test]
     fn relay_tier_reduces_second_hop_load() {
         let (g, src, burn, squeeze) = three_stage();
         let node: HashSet<_> = [src, burn].into_iter().collect();
-        let server: HashSet<_> = g.operator_ids().filter(|id| !node.contains(id)).collect();
         let relay_hosted: HashSet<_> = [squeeze].into_iter().collect();
-        let after_relay: HashSet<_> = server
-            .iter()
-            .copied()
-            .filter(|id| !relay_hosted.contains(id))
-            .collect();
         let cfg = SimulationConfig {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 13)
         };
-        let feeds = vec![SourceFeed {
-            source: src,
-            trace: trace(50),
-            rate_hz: 10.0,
-        }];
-        let platforms = [
-            Platform::tmote_sky(),
-            Platform::gumstix(),
-            Platform::server(),
-        ];
-        let channels = [ChannelParams::mote(), ChannelParams::wifi(1e6)];
+        let topo = relay_chain(&[ChannelParams::mote(), ChannelParams::wifi(1e6)]);
+        let run = |relay: HashSet<OperatorId>| {
+            let route = LeafRoute::chain(&g, &[node.clone(), relay], feed(src, 50, 10.0));
+            simulate_deployment_tree(&g, &topo, &[route], &cfg)
+        };
         // Empty relay: hop-1 carries the same payloads as hop 0.
-        let passthrough = simulate_tiered_deployment(
-            &g,
-            &[node.clone(), HashSet::new(), server.clone()],
-            &feeds,
-            &platforms,
-            &channels,
-            &cfg,
-        );
+        let passthrough = run(HashSet::new());
         // Squeeze at the relay: hop-1 load halves, and the relay burns CPU.
-        let squeezed = simulate_tiered_deployment(
-            &g,
-            &[node, relay_hosted, after_relay],
-            &feeds,
-            &platforms,
-            &channels,
-            &cfg,
-        );
+        let squeezed = run(relay_hosted);
         assert!(
-            squeezed.hop_offered_load_bytes_per_sec[1]
-                < 0.8 * passthrough.hop_offered_load_bytes_per_sec[1],
+            squeezed.edge_offered_load_bytes_per_sec[1]
+                < 0.8 * passthrough.edge_offered_load_bytes_per_sec[1],
             "squeezed {} vs passthrough {}",
-            squeezed.hop_offered_load_bytes_per_sec[1],
-            passthrough.hop_offered_load_bytes_per_sec[1]
+            squeezed.edge_offered_load_bytes_per_sec[1],
+            passthrough.edge_offered_load_bytes_per_sec[1]
         );
         // Pass-through still pays per-packet forwarding CPU; hosting the
         // squeeze op adds real application CPU on top.
-        assert!(squeezed.relay_cpu_utilization[0] > passthrough.relay_cpu_utilization[0]);
-        assert_eq!(squeezed.sink_arrivals, squeezed.hop_elements_delivered[1]);
+        assert!(squeezed.site_cpu_utilization[1] > passthrough.site_cpu_utilization[1]);
+        assert_eq!(
+            squeezed.sink_arrivals,
+            squeezed.leaves[0].hop_elements_delivered[1]
+        );
     }
 
     #[test]
@@ -983,51 +549,42 @@ mod tests {
         let g = b.finish().unwrap();
         let node: HashSet<_> = [src.0].into_iter().collect();
         let relay: HashSet<_> = [heavy.0].into_iter().collect();
-        let server: HashSet<_> = g
-            .operator_ids()
-            .filter(|id| !node.contains(id) && !relay.contains(id))
-            .collect();
         let cfg = SimulationConfig {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 23)
         };
-        let feeds = vec![SourceFeed {
-            source: src.0,
-            trace: trace(50),
-            rate_hz: 20.0,
-        }];
-        let r = simulate_tiered_deployment(
-            &g,
-            &[node, relay, server],
-            &feeds,
+        let topo = TreeTopology::chain(
             &[
                 Platform::gumstix(),
                 Platform::tmote_sky(),
                 Platform::server(),
             ],
             &[ChannelParams::wifi(1e6), ChannelParams::wifi(1e6)],
-            &cfg,
+            1,
         );
+        let route = LeafRoute::chain(&g, &[node, relay], feed(src.0, 50, 20.0));
+        let r = simulate_deployment_tree(&g, &topo, &[route], &cfg);
+        let leaf = &r.leaves[0];
         assert!(
-            r.relay_elements_dropped[0] > 0,
+            leaf.hop_elements_dropped[0] > 0,
             "saturated gateway must shed load"
         );
-        assert!(r.relay_cpu_utilization[0] >= 0.99);
+        assert!(r.site_cpu_utilization[1] >= 0.99);
         assert!(
-            r.relay_processed_ratio(0) < 0.2,
+            leaf.relay_processed_ratio(0) < 0.2,
             "processed ratio {}",
-            r.relay_processed_ratio(0)
+            leaf.relay_processed_ratio(0)
         );
         assert!(
-            r.goodput_ratio() < 0.2,
+            leaf.goodput_ratio() < 0.2,
             "goodput must reflect relay overload, got {}",
-            r.goodput_ratio()
+            leaf.goodput_ratio()
         );
         // Conservation: everything delivered into the relay was either
         // processed (and forwarded, 1:1 here) or dropped.
         assert_eq!(
-            r.hop_elements_sent[1] + r.relay_elements_dropped[0],
-            r.hop_elements_delivered[0]
+            leaf.hop_elements_sent[1] + leaf.hop_elements_dropped[0],
+            leaf.hop_elements_delivered[0]
         );
     }
 
@@ -1035,40 +592,29 @@ mod tests {
     fn congested_second_hop_caps_goodput() {
         let (g, src, burn, _squeeze) = three_stage();
         let node: HashSet<_> = [src, burn].into_iter().collect();
-        let server: HashSet<_> = g.operator_ids().filter(|id| !node.contains(id)).collect();
         let cfg = SimulationConfig {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 17)
         };
-        let feeds = vec![SourceFeed {
-            source: src,
-            trace: trace(50),
-            rate_hz: 20.0,
-        }];
-        let platforms = [
-            Platform::tmote_sky(),
-            Platform::gumstix(),
-            Platform::server(),
-        ];
         // Hop 0 is a roomy 1 MB/s link, hop 1 a starved 500 B/s one:
         // 202-byte elements at 20/s sail over the first hop and swamp
         // the second.
-        let r = simulate_tiered_deployment(
-            &g,
-            &[node, HashSet::new(), server],
-            &feeds,
-            &platforms,
-            &[ChannelParams::wifi(1e6), ChannelParams::wifi(500.0)],
-            &cfg,
+        let topo = relay_chain(&[ChannelParams::wifi(1e6), ChannelParams::wifi(500.0)]);
+        let route = LeafRoute::chain(&g, &[node, HashSet::new()], feed(src, 50, 20.0));
+        let r = simulate_deployment_tree(&g, &topo, &[route], &cfg);
+        let leaf = &r.leaves[0];
+        assert!(
+            leaf.hop_delivery_ratio(1) < leaf.hop_delivery_ratio(0),
+            "hop1 {} must lose more than hop0 {}",
+            leaf.hop_delivery_ratio(1),
+            leaf.hop_delivery_ratio(0)
         );
         assert!(
-            r.hop_delivery_ratio(1) < r.hop_delivery_ratio(0),
-            "hop1 {} must lose more than hop0 {}",
-            r.hop_delivery_ratio(1),
-            r.hop_delivery_ratio(0)
+            leaf.goodput_ratio() < 0.5,
+            "goodput {}",
+            leaf.goodput_ratio()
         );
-        assert!(r.goodput_ratio() < 0.5, "goodput {}", r.goodput_ratio());
-        assert_eq!(r.sink_arrivals, r.hop_elements_delivered[1]);
+        assert_eq!(r.sink_arrivals, leaf.hop_elements_delivered[1]);
     }
 
     #[test]
@@ -1079,18 +625,7 @@ mod tests {
             duration_s: 5.0,
             ..SimulationConfig::motes(3, 9)
         };
-        let run = || {
-            simulate_deployment(
-                &g,
-                &node_ops,
-                src,
-                &trace(50),
-                20.0,
-                &Platform::tmote_sky(),
-                ChannelParams::mote(),
-                &cfg,
-            )
-        };
+        let run = || simulate_motes(&g, &node_ops, feed(src, 50, 20.0), &cfg);
         assert_eq!(run(), run());
     }
 }

@@ -9,26 +9,24 @@
 //!   semantics (per-node instances for relocated stateful operators,
 //!   §2.1.1); relays store-and-forward traffic destined further
 //!   downstream;
-//! * [`simulate_deployment`] — the end-to-end testbed simulation behind
-//!   Figures 9 and 10: N nodes feeding one congested channel, counting
-//!   missed input events, dropped messages, and goodput;
-//! * [`simulate_tiered_deployment`] — the multi-tier generalization: a
-//!   mote → gateway → server chain with one [`wishbone_net::Channel`] per
-//!   hop, reporting per-hop delivery and end-to-end goodput;
-//! * [`simulate_deployment_tree`] — the topology-first generalization: a
+//! * [`simulate_deployment_tree`] — the one deployment simulator: a
 //!   [`TreeTopology`] of leaf classes, gateways, and a server with one
-//!   channel per tree edge, shared gateway CPU, and per-route goodput —
-//!   the runtime mirror of `wishbone-core`'s `Deployment` partitioner;
-//! * [`simulate_deployment_tree_with_failures`] — the same simulation
-//!   under a seeded [`FailurePlan`] (mote battery deaths, gateway reboot
-//!   windows, fading uplinks) with per-window outage accounting
-//!   ([`OutageReport`]) and aggregate [`SimStats`] counters;
-//! * [`simulate_deployment_tree_traced`] — the same simulation emitting
+//!   [`wishbone_net::Channel`] per tree edge, shared gateway CPU, and
+//!   per-route goodput — the runtime mirror of `wishbone-core`'s
+//!   `Deployment` partitioner. The paper's testbed behind Figures 9 and
+//!   10 (N nodes feeding one congested channel, counting missed input
+//!   events, dropped messages, and goodput) is [`TreeTopology::chain`]
+//!   over two platforms with [`LeafRoute::chain`] as its route; longer
+//!   chains add store-and-forward gateways;
+//! * [`simulate_deployment_tree_traced`] — the same simulation under a
+//!   seeded [`FailurePlan`] (mote battery deaths, gateway reboot windows,
+//!   fading uplinks) with per-window outage accounting
+//!   ([`OutageReport`]) and aggregate [`SimStats`] counters, emitting
 //!   streaming [`wishbone_trace::TraceEvent`] telemetry through a
 //!   [`wishbone_trace::TraceSink`] (zero-cost when off — the untraced
-//!   entry points delegate here with the null sink), and
-//!   [`attribute_tree`] — snailtrail-style ranked blame over a finished
-//!   run, naming the site/link responsible for lost goodput.
+//!   entry point delegates here with an empty plan and the null sink),
+//!   and [`attribute_tree`] — snailtrail-style ranked blame over a
+//!   finished run, naming the site/link responsible for lost goodput.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,14 +38,10 @@ pub mod task;
 pub mod tree;
 
 pub use attribution::attribute_tree;
-pub use deployment::{
-    simulate_deployment, simulate_deployment_multi, simulate_tiered_deployment, DeploymentReport,
-    SimulationConfig, SourceFeed, TieredDeploymentReport,
-};
+pub use deployment::{SimulationConfig, SourceFeed};
 pub use exec::{NodeCascade, NodeExecutor, RelayCascade, RelayExecutor, ServerExecutor};
 pub use task::TaskModel;
 pub use tree::{
-    simulate_deployment_tree, simulate_deployment_tree_traced,
-    simulate_deployment_tree_with_failures, Failure, FailurePlan, LeafFlowReport, LeafRoute,
-    OutageReport, SimStats, TreeDeploymentReport, TreeTopology,
+    simulate_deployment_tree, simulate_deployment_tree_traced, Failure, FailurePlan,
+    LeafFlowReport, LeafRoute, OutageReport, SimStats, TreeDeploymentReport, TreeTopology,
 };

@@ -12,10 +12,10 @@
 //! serves, dropping elements once saturated (the relay analogue of
 //! tier-0 nodes missing input events).
 //!
-//! For a path topology with a single route this reproduces
-//! [`crate::deployment::simulate_tiered_deployment`] *exactly* — same
-//! node pass, same channel seeds, same relay semantics — which is the
-//! simulator's differential parity anchor (see the tests below).
+//! This is the only simulator. Its differential parity anchor is a
+//! test-only reference (see the tests below): for a path topology with a
+//! single route it reproduces a straight-line per-hop loop *exactly* —
+//! same node pass, same channel seeds, same relay semantics.
 
 use std::collections::{HashMap, HashSet};
 
@@ -46,8 +46,9 @@ pub struct TreeTopology {
 }
 
 impl TreeTopology {
-    /// A path topology (mote → … → server), mirroring the tiered
-    /// simulator's `platforms`/`channels` arrays (innermost first).
+    /// A path topology (mote → … → server): `platforms` and `channels`
+    /// innermost first, `n_nodes` motes at the leaf. Site 0 is the server,
+    /// site `k − 1` the motes; [`LeafRoute::chain`] is its one route.
     pub fn chain(platforms: &[Platform], channels: &[ChannelParams], n_nodes: usize) -> Self {
         let k = platforms.len();
         assert!(k >= 2, "a chain needs at least two sites");
@@ -89,8 +90,8 @@ impl TreeTopology {
     /// Edge-processing order: child sites by depth descending, index
     /// ascending — deepest hops first, so every route's traffic reaches a
     /// shared edge before that edge's channel is simulated. For a path
-    /// this is exactly the tiered simulator's hop order (and its channel
-    /// seeds).
+    /// this is hop order, innermost first (channel `h` is seeded
+    /// `cfg.seed + h`).
     pub fn edge_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.len())
             .filter(|&s| self.parent[s].is_some())
@@ -156,7 +157,7 @@ pub enum Failure {
 }
 
 /// A seeded set of failure processes applied during
-/// [`simulate_deployment_tree_with_failures`]. The default (empty) plan
+/// [`simulate_deployment_tree_traced`]. The default (empty) plan
 /// perturbs nothing: the simulation is byte-for-byte identical to
 /// [`simulate_deployment_tree`], and the failure RNG — seeded from
 /// `seed`, independent of the channel seeds — is never drawn.
@@ -259,6 +260,32 @@ pub struct LeafRoute {
     pub site_ops: Vec<HashSet<OperatorId>>,
     /// Source feeds driving every node of this class.
     pub feeds: Vec<SourceFeed>,
+}
+
+impl LeafRoute {
+    /// The one route of a [`TreeTopology::chain`]: `below_root[t]` runs at
+    /// tier `t` (innermost first) and the root hosts every other operator
+    /// of `graph`. One set is the paper's node/server cut; `k − 1` sets
+    /// are a `DeploymentPartition` leaf's non-root `site_ops`.
+    pub fn chain(
+        graph: &Graph,
+        below_root: &[HashSet<OperatorId>],
+        feeds: Vec<SourceFeed>,
+    ) -> Self {
+        let root_ops = graph
+            .operator_ids()
+            .filter(|id| !below_root.iter().any(|ops| ops.contains(id)))
+            .collect();
+        LeafRoute {
+            path: (0..=below_root.len()).rev().collect(),
+            site_ops: below_root
+                .iter()
+                .cloned()
+                .chain(std::iter::once(root_ops))
+                .collect(),
+            feeds,
+        }
+    }
 }
 
 /// Per-leaf-class flow accounting of a tree simulation.
@@ -409,34 +436,30 @@ pub fn simulate_deployment_tree(
     routes: &[LeafRoute],
     cfg: &SimulationConfig,
 ) -> TreeDeploymentReport {
-    simulate_deployment_tree_with_failures(graph, topo, routes, cfg, &FailurePlan::default())
+    simulate_deployment_tree_traced(
+        graph,
+        topo,
+        routes,
+        cfg,
+        &FailurePlan::default(),
+        &mut NullSink,
+    )
 }
 
-/// [`simulate_deployment_tree`] under a seeded [`FailurePlan`]: motes
-/// die on battery, gateways reboot, uplinks fade. Failure windows are
-/// evaluated against each element's production time at its leaf
-/// (propagation delay is not modeled); the plan's RNG is independent of
-/// the channel seeds, so adding a failure never reshuffles congestion
-/// losses. An empty plan reproduces the failure-free simulation
-/// byte for byte.
-pub fn simulate_deployment_tree_with_failures(
-    graph: &Graph,
-    topo: &TreeTopology,
-    routes: &[LeafRoute],
-    cfg: &SimulationConfig,
-    plan: &FailurePlan,
-) -> TreeDeploymentReport {
-    simulate_deployment_tree_traced(graph, topo, routes, cfg, plan, &mut NullSink)
-}
-
-/// [`simulate_deployment_tree_with_failures`] with streaming telemetry:
-/// every per-operator invocation cost, per-edge element fate, per-site
+/// [`simulate_deployment_tree`] under a seeded [`FailurePlan`] — motes
+/// die on battery, gateways reboot, uplinks fade — with streaming
+/// telemetry. Failure windows are evaluated against each element's
+/// production time at its leaf (propagation delay is not modeled); the
+/// plan's RNG is independent of the channel seeds, so adding a failure
+/// never reshuffles congestion losses, and an empty plan reproduces the
+/// failure-free simulation byte for byte.
+///
+/// Every per-operator invocation cost, per-edge element fate, per-site
 /// busy fraction, and failure-outage window is emitted through `sink` as
 /// a structured [`TraceEvent`]. All event construction is gated on
-/// [`TraceSink::enabled`], so running with
-/// [`NullSink`] is byte-identical to (and
-/// within measurement noise of) the untraced entry points — which in
-/// fact delegate here.
+/// [`TraceSink::enabled`], so running with [`NullSink`] is byte-identical
+/// to (and within measurement noise of) the untraced entry point — which
+/// in fact delegates here.
 pub fn simulate_deployment_tree_traced<S: TraceSink>(
     graph: &Graph,
     topo: &TreeTopology,
@@ -808,7 +831,6 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::{simulate_tiered_deployment, SimulationConfig};
     use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder};
 
     /// src -> squeeze (2x reducer, configurable cost) -> sink
@@ -843,66 +865,239 @@ mod tests {
         }]
     }
 
-    #[test]
-    fn path_tree_equals_tiered_simulation_exactly() {
-        let (g, src, squeeze) = pipeline(200);
-        let node: HashSet<_> = [src].into_iter().collect();
-        let relay: HashSet<_> = [squeeze].into_iter().collect();
-        let server: HashSet<_> = g
-            .operator_ids()
-            .filter(|id| !node.contains(id) && !relay.contains(id))
-            .collect();
-        let platforms = [
-            Platform::tmote_sky(),
-            Platform::gumstix(),
-            Platform::server(),
-        ];
-        let channels = [ChannelParams::mote(), ChannelParams::wifi(50_000.0)];
-        let cfg = SimulationConfig {
-            duration_s: 10.0,
-            ..SimulationConfig::motes(3, 11)
-        };
-        let tiered = simulate_tiered_deployment(
-            &g,
-            &[node.clone(), relay.clone(), server.clone()],
-            &feeds(src, 10.0),
-            &platforms,
-            &channels,
-            &cfg,
+    /// What [`simulate_tiered_reference`] reports, per hop and per relay.
+    struct TieredReference {
+        events_offered: u64,
+        events_processed: u64,
+        hop_elements_sent: Vec<u64>,
+        hop_elements_delivered: Vec<u64>,
+        hop_offered_load_bytes_per_sec: Vec<f64>,
+        hop_packet_delivery_ratio: Vec<f64>,
+        node_cpu_utilization: f64,
+        relay_cpu_utilization: Vec<f64>,
+        relay_elements_dropped: Vec<u64>,
+        sink_arrivals: u64,
+    }
+
+    impl TieredReference {
+        /// Input processing × every hop's delivery × every relay's
+        /// processed share.
+        fn goodput_ratio(&self) -> f64 {
+            let ratio = |num: u64, den: u64| {
+                if den == 0 {
+                    1.0
+                } else {
+                    num as f64 / den as f64
+                }
+            };
+            (0..self.hop_elements_sent.len())
+                .map(|h| ratio(self.hop_elements_delivered[h], self.hop_elements_sent[h]))
+                .product::<f64>()
+                * (0..self.relay_elements_dropped.len())
+                    .map(|r| {
+                        let delivered = self.hop_elements_delivered[r];
+                        ratio(delivered - self.relay_elements_dropped[r], delivered)
+                    })
+                    .product::<f64>()
+                * ratio(self.events_processed, self.events_offered)
+        }
+    }
+
+    /// The reference the tree simulator is pinned against: the original
+    /// straight-line chain simulator. `cfg.n_nodes` motes run
+    /// `tier_ops[0]`, each intermediate tier is a [`RelayExecutor`]
+    /// hosting `tier_ops[t]`, the final tier is the server; `channels[h]`
+    /// (seeded `cfg.seed + h`) carries hop `h`, one hop after the other.
+    fn simulate_tiered_reference(
+        graph: &Graph,
+        tier_ops: &[HashSet<OperatorId>],
+        feeds: &[SourceFeed],
+        platforms: &[Platform],
+        channels: &[ChannelParams],
+        cfg: &SimulationConfig,
+    ) -> TieredReference {
+        let k = tier_ops.len();
+        let np = run_node_pass_failing(
+            graph,
+            &tier_ops[0],
+            feeds,
+            &platforms[0],
+            &channels[0],
+            cfg,
+            &[],
+            0,
+            &mut NullSink,
         );
-        let topo = TreeTopology::chain(&platforms, &channels, 3);
-        // Sites: 0 = server, 1 = gumstix relay, 2 = motes.
-        let route = LeafRoute {
-            path: vec![2, 1, 0],
-            site_ops: vec![node, relay, server],
-            feeds: feeds(src, 10.0),
+
+        // Relays for tiers 1..k−1; the server hosts everything beyond them.
+        let mut relays: Vec<RelayExecutor> = (1..k - 1)
+            .map(|t| RelayExecutor::new(graph, &tier_ops[t], cfg.n_nodes, platforms[t].clone()))
+            .collect();
+        let pre_server: HashSet<OperatorId> = tier_ops[..k - 1]
+            .iter()
+            .flat_map(|s| s.iter().copied())
+            .collect();
+        let mut server = ServerExecutor::new(graph, &pre_server, cfg.n_nodes);
+
+        let mut report = TieredReference {
+            events_offered: np.events_offered,
+            events_processed: np.events_processed,
+            hop_elements_sent: vec![0; k - 1],
+            hop_elements_delivered: vec![0; k - 1],
+            hop_offered_load_bytes_per_sec: vec![0.0; k - 1],
+            hop_packet_delivery_ratio: vec![1.0; k - 1],
+            node_cpu_utilization: (np.busy_total / (cfg.n_nodes as f64 * cfg.duration_s)).min(1.0),
+            relay_cpu_utilization: vec![0.0; k - 2],
+            relay_elements_dropped: vec![0; k - 2],
+            sink_arrivals: 0,
         };
-        let tree = simulate_deployment_tree(&g, &topo, &[route], &cfg);
+
+        let mut traffic = np.sends;
+        for h in 0..k - 1 {
+            let offered = traffic
+                .iter()
+                .map(|(_, _, v)| channels[h].format.on_air_bytes(v.wire_size()) as f64)
+                .sum::<f64>()
+                / cfg.duration_s;
+            report.hop_offered_load_bytes_per_sec[h] = offered;
+            let mut ch = Channel::new(channels[h], cfg.seed.wrapping_add(h as u64));
+            ch.set_offered_load(offered);
+
+            let mut next: Vec<(usize, EdgeId, Value)> = Vec::new();
+            let mut relay_busy = 0.0f64;
+            for (node, eid, v) in &traffic {
+                report.hop_elements_sent[h] += 1;
+                if !ch.try_deliver(v.wire_size()) {
+                    continue;
+                }
+                report.hop_elements_delivered[h] += 1;
+                if h + 1 == k - 1 {
+                    server.deliver(graph, *node, *eid, v);
+                } else {
+                    // A relay that has burned a full duration of busy
+                    // time is saturated: further arrivals are dropped.
+                    if relay_busy >= cfg.duration_s {
+                        report.relay_elements_dropped[h] += 1;
+                        continue;
+                    }
+                    let cascade = relays[h].deliver(graph, *node, *eid, v);
+                    let tx_cpu = cascade
+                        .forwards
+                        .iter()
+                        .map(|(_, fv)| {
+                            channels[h + 1].format.packets_for(fv.wire_size()) as f64
+                                * cfg.per_packet_cpu_s
+                        })
+                        .sum::<f64>();
+                    relay_busy += cascade.cpu_seconds + tx_cpu;
+                    for (fe, fv) in cascade.forwards {
+                        next.push((*node, fe, fv));
+                    }
+                }
+            }
+            report.hop_packet_delivery_ratio[h] = ch.packet_delivery_ratio();
+            if h + 1 < k - 1 {
+                report.relay_cpu_utilization[h] = (relay_busy / cfg.duration_s).min(1.0);
+            }
+            traffic = next;
+        }
+
+        report.sink_arrivals = server.sink_arrivals;
+        report
+    }
+
+    /// Run the reference and the tree simulator on the same chain and
+    /// hold the tree to the reference: counters exactly, ratios to 1e-12.
+    fn assert_tree_equals_reference(
+        g: &Graph,
+        below_root: &[HashSet<OperatorId>],
+        feeds: Vec<SourceFeed>,
+        platforms: &[Platform],
+        channels: &[ChannelParams],
+        cfg: &SimulationConfig,
+    ) {
+        let k = platforms.len();
+        let route = LeafRoute::chain(g, below_root, feeds);
+        let tiered =
+            simulate_tiered_reference(g, &route.site_ops, &route.feeds, platforms, channels, cfg);
+        let topo = TreeTopology::chain(platforms, channels, cfg.n_nodes);
+        let tree = simulate_deployment_tree(g, &topo, &[route], cfg);
         let leaf = &tree.leaves[0];
         assert_eq!(leaf.events_offered, tiered.events_offered);
         assert_eq!(leaf.events_processed, tiered.events_processed);
         assert_eq!(leaf.hop_elements_sent, tiered.hop_elements_sent);
         assert_eq!(leaf.hop_elements_delivered, tiered.hop_elements_delivered);
         assert_eq!(
-            leaf.hop_elements_dropped[0],
-            tiered.relay_elements_dropped[0]
+            leaf.hop_elements_dropped[..k - 2],
+            tiered.relay_elements_dropped[..]
         );
         assert_eq!(tree.sink_arrivals, tiered.sink_arrivals);
         assert!(
-            (tree.site_cpu_utilization[2] - tiered.node_cpu_utilization).abs() < 1e-12,
+            (tree.site_cpu_utilization[k - 1] - tiered.node_cpu_utilization).abs() < 1e-12,
             "leaf CPU"
         );
-        assert!(
-            (tree.site_cpu_utilization[1] - tiered.relay_cpu_utilization[0]).abs() < 1e-12,
-            "relay CPU"
-        );
-        assert!(
-            (tree.edge_offered_load_bytes_per_sec[2] - tiered.hop_offered_load_bytes_per_sec[0])
-                .abs()
-                < 1e-9
-        );
+        for h in 0..k - 1 {
+            // Tier `h` is site `k − 1 − h`; hop `h` is its uplink.
+            let site = k - 1 - h;
+            assert!(
+                (tree.edge_offered_load_bytes_per_sec[site]
+                    - tiered.hop_offered_load_bytes_per_sec[h])
+                    .abs()
+                    < 1e-9
+            );
+            assert!(
+                (tree.edge_packet_delivery_ratio[site] - tiered.hop_packet_delivery_ratio[h]).abs()
+                    < 1e-12
+            );
+            if h >= 1 {
+                assert!(
+                    (tree.site_cpu_utilization[site] - tiered.relay_cpu_utilization[h - 1]).abs()
+                        < 1e-12,
+                    "relay CPU"
+                );
+            }
+        }
         assert!((leaf.goodput_ratio() - tiered.goodput_ratio()).abs() < 1e-12);
         assert!((tree.goodput_ratio() - tiered.goodput_ratio()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn path_tree_equals_tiered_simulation_exactly() {
+        let (g, src, squeeze) = pipeline(200);
+        let cfg = SimulationConfig {
+            duration_s: 10.0,
+            ..SimulationConfig::motes(3, 11)
+        };
+        assert_tree_equals_reference(
+            &g,
+            &[[src].into_iter().collect(), [squeeze].into_iter().collect()],
+            feeds(src, 10.0),
+            &[
+                Platform::tmote_sky(),
+                Platform::gumstix(),
+                Platform::server(),
+            ],
+            &[ChannelParams::mote(), ChannelParams::wifi(50_000.0)],
+            &cfg,
+        );
+    }
+
+    #[test]
+    fn two_site_star_equals_tiered_simulation_exactly() {
+        // The paper's flat N-motes-one-channel testbed is the k = 2 chain.
+        let (g, src, squeeze) = pipeline(500);
+        let cfg = SimulationConfig {
+            duration_s: 10.0,
+            ..SimulationConfig::motes(2, 11)
+        };
+        assert_tree_equals_reference(
+            &g,
+            &[[src, squeeze].into_iter().collect()],
+            feeds(src, 10.0),
+            &[Platform::tmote_sky(), Platform::server()],
+            &[ChannelParams::mote()],
+            &cfg,
+        );
     }
 
     #[test]
@@ -1048,7 +1243,7 @@ mod tests {
     fn empty_failure_plan_is_byte_identical() {
         let (g, topo, route, cfg) = light_chain(2, 10.0);
         let bare = simulate_deployment_tree(&g, &topo, std::slice::from_ref(&route), &cfg);
-        let planned = simulate_deployment_tree_with_failures(
+        let planned = simulate_deployment_tree_traced(
             &g,
             &topo,
             &[route],
@@ -1057,6 +1252,7 @@ mod tests {
                 failures: vec![],
                 seed: 999, // an unused failure seed must not matter
             },
+            &mut NullSink,
         );
         assert_eq!(bare, planned);
         assert_eq!(bare.stats(), planned.stats());
@@ -1073,7 +1269,7 @@ mod tests {
             }],
             seed: 0,
         };
-        let r = simulate_deployment_tree_with_failures(&g, &topo, &[route], &cfg, &plan);
+        let r = simulate_deployment_tree_traced(&g, &topo, &[route], &cfg, &plan, &mut NullSink);
         let leaf = &r.leaves[0];
         assert_eq!(leaf.events_offered, 100);
         assert_eq!(leaf.events_processed, 10, "the node dies after 10 events");
@@ -1104,7 +1300,7 @@ mod tests {
             }],
             seed: 0,
         };
-        let r = simulate_deployment_tree_with_failures(&g, &topo, &[route], &cfg, &plan);
+        let r = simulate_deployment_tree_traced(&g, &topo, &[route], &cfg, &plan, &mut NullSink);
         // The channel's congestion losses on the leaf uplink are
         // untouched (same seeds, same offered load); the reboot only
         // thins what the gateway forwards to later hops.
@@ -1140,7 +1336,7 @@ mod tests {
             }],
             seed: 42,
         };
-        let r = simulate_deployment_tree_with_failures(&g, &topo, &[route], &cfg, &plan);
+        let r = simulate_deployment_tree_traced(&g, &topo, &[route], &cfg, &plan, &mut NullSink);
         let o = &r.outages[0];
         assert!(o.elements_dropped > 0);
         assert_eq!(o.elements_delivered, 0, "loss_prob 1.0 spares nothing");

@@ -7,6 +7,14 @@
 
 use wishbone::prelude::*;
 
+/// The paper's node/server split: one `platform` leaf under the server.
+fn two_site(platform: &Platform) -> Deployment {
+    Deployment::star([(
+        Site::new(platform.name.clone(), platform),
+        LinkSpec::for_platform(platform),
+    )])
+}
+
 fn main() {
     let mut app = build_eeg_app(EegParams::default());
     println!(
@@ -22,15 +30,16 @@ fn main() {
     let mote = Platform::tmote_sky();
 
     // One partition at a moderate rate, with solver statistics.
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(0.5);
-    match partition(&app.graph, &prof, &mote, &cfg) {
+    let cfg = DeploymentConfig::default().at_rate(0.5);
+    match partition_deployment(&app.graph, &prof, &two_site(&mote), &cfg) {
         Ok(part) => {
+            let node = &part.leaves[0];
             println!(
                 "\nrate x0.5: {} of {} operators on the node, cpu {:.1}%, net {:.0} B/s",
-                part.node_op_count(),
+                node.site_ops[0].len(),
                 app.graph.operator_count(),
-                part.predicted_cpu * 100.0,
-                part.predicted_net
+                node.predicted_cpu[0] * 100.0,
+                node.predicted_net[0]
             );
             println!(
                 "preprocessing merged {} vertices down to {}; ILP had {} vars / {} constraints",
@@ -61,14 +70,12 @@ fn main() {
     println!("\noperators in optimal node partition vs input rate:");
     println!("{:>8} {:>10} {:>10}", "rate", "TMoteSky", "NokiaN80");
     let n80 = Platform::nokia_n80();
-    let mut cfg = PartitionConfig::for_platform(&mote);
+    let mut cfg = DeploymentConfig::default();
     cfg.ilp.time_limit = Some(std::time::Duration::from_secs(2));
-    let mut prep_mote =
-        PreparedPartition::new(&app.graph, &prof, &mote, &cfg).expect("pin analysis succeeds");
-    let mut cfg_n80 = PartitionConfig::for_platform(&n80);
-    cfg_n80.ilp.time_limit = Some(std::time::Duration::from_secs(2));
-    let mut prep_n80 =
-        PreparedPartition::new(&app.graph, &prof, &n80, &cfg_n80).expect("pin analysis succeeds");
+    let mut prep_mote = PreparedDeployment::new(&app.graph, &prof, &two_site(&mote), &cfg)
+        .expect("pin analysis succeeds");
+    let mut prep_n80 = PreparedDeployment::new(&app.graph, &prof, &two_site(&n80), &cfg)
+        .expect("pin analysis succeeds");
     if std::env::args().any(|a| a == "--audit") {
         for (prep, name) in [(&prep_mote, "TMoteSky"), (&prep_n80, "NokiaN80")] {
             let report = prep.audit();
@@ -78,7 +85,7 @@ fn main() {
     }
     let mut sweep_stats: Vec<(String, u64, u64)> = Vec::new();
     for mult in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
-        let mut count = |prep: &mut PreparedPartition, name: &str| -> String {
+        let mut count = |prep: &mut PreparedDeployment, name: &str| -> String {
             match prep.solve_at(mult) {
                 Ok(part) => {
                     sweep_stats.push((
@@ -86,7 +93,7 @@ fn main() {
                         part.ilp_stats.warm_starts,
                         part.ilp_stats.cold_starts,
                     ));
-                    part.node_op_count().to_string()
+                    part.leaves[0].site_ops[0].len().to_string()
                 }
                 Err(_) => "-".into(),
             }

@@ -1,12 +1,11 @@
 //! A genuinely branching deployment: two wards of EEG caps, two
-//! gateways, one server — the topology the binary, mixed, and chain
-//! partitioners cannot express.
+//! gateways, one server — the topology no star or chain can express.
 //!
 //! Each ward is 20 caps of 11-channel EEG montages on telos-class motes,
 //! docked to one ward gateway; the gateways share nothing but the clinic
 //! server. Gateway A's backhaul is a metered 100 B/s 2G link, gateway
 //! B's a roomy WiFi one. The gateway's uplink row aggregates all 20
-//! caps' streams — the count-weighted coupling `partition_mixed` cannot
+//! caps' streams — the count-weighted coupling per-class solves cannot
 //! see — so the starved backhaul constrains *only* subtree A. Driven
 //! well past A's sustainable rate, `simulate_deployment_tree` shows
 //! goodput collapsing on A's subtree while B keeps streaming.
@@ -269,7 +268,7 @@ fn main() {
         seed: 1,
     };
     let failed =
-        simulate_deployment_tree_with_failures(&app.graph, &topo, &routes, &sim_cfg, &plan);
+        simulate_deployment_tree_traced(&app.graph, &topo, &routes, &sim_cfg, &plan, &mut NullSink);
     println!("\nsame run under failures (gw-b reboot 8-12s, ward-b fade 0-10s @25%):");
     for (f, o) in plan.failures.iter().zip(&failed.outages) {
         println!(

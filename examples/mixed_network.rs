@@ -1,13 +1,13 @@
 //! §9 extension: mixed networks. "A single logical node partition can take
 //! on different physical partitions at different nodes ... by running the
-//! partitioning algorithm once for each type of node."
+//! partitioning algorithm once for each type of node." Here that is one
+//! joint solve over a star of node classes, which decouples per class.
 //!
 //! Scenario: a deployment with 16 TMote Sky motes and 4 Gumstix
 //! microservers all running the same speech-detection program.
 //!
 //! Run with: `cargo run --release --example mixed_network`
 
-use wishbone::core::{partition_mixed, NodeClass};
 use wishbone::prelude::*;
 
 fn main() {
@@ -15,56 +15,67 @@ fn main() {
     let trace = app.trace(120, 7);
     let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
 
-    let mote = Platform::tmote_sky();
-    let gumstix = Platform::gumstix();
-    let classes = vec![
-        NodeClass {
-            // Motes run at a reduced rate (their radio share of the channel).
-            config: PartitionConfig::for_platform(&mote)
-                .with_measured_overheads(&mote)
+    // One leaf class per node type under the server. Each uplink row
+    // aggregates its class's devices, so `n` nodes each allowed the
+    // platform radio's goodput budget the class at `n` times that.
+    let class = |site: Site, count: usize| {
+        let link = LinkSpec::for_platform(&site.platform);
+        (
+            site.with_count(count),
+            LinkSpec {
+                net_budget: link.net_budget * count as f64,
+                ..link
+            },
+        )
+    };
+    let dep = Deployment::star([
+        // Motes run at a reduced rate (their radio share of the channel).
+        class(
+            Site::new("TMoteSky", &Platform::tmote_sky())
+                .with_measured_overheads()
                 .at_rate(0.1),
-            platform: mote,
-            count: 16,
-        },
-        NodeClass {
-            config: PartitionConfig::for_platform(&gumstix),
-            platform: gumstix,
-            count: 4,
-        },
-    ];
+            16,
+        ),
+        class(Site::new("Gumstix", &Platform::gumstix()), 4),
+    ]);
 
-    let mixed = partition_mixed(&app.graph, &prof, &classes).expect("both classes partition");
+    let mixed = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("both classes partition");
     println!("mixed deployment: one logical program, two physical partitions\n");
-    for c in &mixed.classes {
+    for c in &mixed.leaves {
+        let site = dep.site(c.leaf);
         let last = app
             .stages
             .iter()
             .rev()
-            .find(|(_, id)| c.partition.node_ops.contains(id))
+            .find(|(_, id)| c.site_ops[0].contains(id))
             .map(|&(n, _)| n)
             .unwrap_or("nothing");
         println!(
             "{:>9} x{:<3} -> {} ops on-node (cut after '{}'), cpu {:.1}%, net {:.0} B/s",
-            c.platform_name,
-            c.count,
-            c.partition.node_op_count(),
+            site.name,
+            site.count,
+            c.site_ops[0].len(),
             last,
-            c.partition.predicted_cpu * 100.0,
-            c.partition.predicted_net
-        );
-        println!(
-            "{:>13} solver: {}",
-            "",
-            report_stats(&c.partition.ilp_stats)
+            c.predicted_cpu[0] * 100.0,
+            c.predicted_net[0]
         );
     }
+    println!("\nsolver: {}", report_stats(&mixed.ilp_stats));
+    let mut entry_edges: Vec<_> = mixed
+        .leaves
+        .iter()
+        .flat_map(|c| c.link_cut_edges[0].iter().copied())
+        .collect();
+    entry_edges.sort_unstable();
+    entry_edges.dedup();
     println!(
-        "\nserver must accept partial results at {} distinct cut edges; \
+        "server must accept partial results at {} distinct cut edges; \
          aggregate offered load {:.0} B/s",
-        mixed.server_entry_edges.len(),
-        mixed.total_predicted_net()
+        entry_edges.len(),
+        mixed.link_net.iter().sum::<f64>()
     );
-    let union = mixed.server_side_union(&app.graph);
+    let union = mixed.ops_at(dep.root());
     println!(
         "server-side code covers {} of {} operators (union across classes)",
         union.len(),

@@ -22,16 +22,28 @@ fn main() {
     );
 
     // 2. Binary search over data rates (§4.3).
-    let mut cfg = PartitionConfig::for_platform(&mote);
-    cfg.net_budget = netprof.max_aggregate_payload_rate;
-    let result = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 8.0, 0.01)
-        .expect("solver ok")
-        .expect("feasible at low rate");
+    let dep = Deployment::star([(
+        Site::new("mote", &mote),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: netprof.max_aggregate_payload_rate,
+        },
+    )]);
+    let result = max_sustainable_rate_deployment(
+        &app.graph,
+        &prof,
+        &dep,
+        &DeploymentConfig::default(),
+        8.0,
+        0.01,
+    )
+    .expect("solver ok")
+    .expect("feasible at low rate");
     let recommended = app
         .stages
         .iter()
         .rev()
-        .find(|(_, id)| result.partition.node_ops.contains(id))
+        .find(|(_, id)| result.partition.leaves[0].site_ops[0].contains(id))
         .map(|&(n, _)| n)
         .unwrap();
     println!(
@@ -47,6 +59,7 @@ fn main() {
         "cut after", "input %", "msgs %", "goodput %"
     );
     let elems = app.trace_elements(200, 11);
+    let topo = TreeTopology::chain(&[mote, Platform::server()], &[channel], 1);
     let mut best: Option<(&str, f64)> = None;
     let mut goods: Vec<(&str, f64)> = Vec::new();
     for (name, node_set) in app.cutpoints() {
@@ -55,15 +68,20 @@ fn main() {
             rate_multiplier: result.rate,
             ..SimulationConfig::motes(1, 17)
         };
-        let report = simulate_deployment(
-            &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
-        );
+        let feeds = vec![SourceFeed {
+            source: app.source,
+            trace: elems.clone(),
+            rate_hz: 40.0,
+        }];
+        let route = LeafRoute::chain(&app.graph, &[node_set], feeds);
+        let sim = simulate_deployment_tree(&app.graph, &topo, &[route], &dcfg);
+        let report = &sim.leaves[0];
         let good = report.goodput_ratio() * 100.0;
         println!(
             "{:<12} {:>9.1}% {:>9.1}% {:>9.1}%",
             name,
             report.input_processed_ratio() * 100.0,
-            report.element_delivery_ratio() * 100.0,
+            report.hop_delivery_ratio(0) * 100.0,
             good
         );
         if best.is_none_or(|(_, g)| good > g) {

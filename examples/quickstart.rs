@@ -32,22 +32,26 @@ fn main() {
         println!("{name:<12} {us:>14.1} {bw:>16.0}");
     }
 
-    // 3. Partition. At the full 8 kHz rate nothing fits on a TMote, so ask
-    // Wishbone for the best partition at 1/8 rate.
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(0.125);
-    match partition(&app.graph, &prof, &mote, &cfg) {
+    // 3. Partition. The paper's node/server split is a one-leaf star: a
+    // TMote under the server, its uplink budgeted at the radio's goodput.
+    // At the full 8 kHz rate nothing fits on a TMote, so ask Wishbone for
+    // the best partition at 1/8 rate.
+    let dep = Deployment::star([(Site::new("mote", &mote), LinkSpec::for_platform(&mote))]);
+    let cfg = DeploymentConfig::default().at_rate(0.125);
+    match partition_deployment(&app.graph, &prof, &dep, &cfg) {
         Ok(part) => {
+            let on_mote = &part.leaves[0];
             let names: Vec<&str> = app
                 .stages
                 .iter()
-                .filter(|(_, id)| part.node_ops.contains(id))
+                .filter(|(_, id)| on_mote.site_ops[0].contains(id))
                 .map(|&(n, _)| n)
                 .collect();
             println!("\noptimal node partition at 1/8 rate: {names:?}");
             println!(
                 "predicted: {:.1}% CPU, {:.0} B/s over the radio (objective {:.1})",
-                part.predicted_cpu * 100.0,
-                part.predicted_net,
+                on_mote.predicted_cpu[0] * 100.0,
+                on_mote.predicted_net[0],
                 part.objective
             );
             println!(
@@ -63,10 +67,9 @@ fn main() {
                 &app.graph,
                 &DotOptions {
                     heat: prof.heat(&mote),
-                    node_partition: part.node_ops.iter().copied().collect(),
+                    node_partition: on_mote.site_ops[0].iter().copied().collect(),
                     label: "speech detection on TMote Sky (1/8 rate)".into(),
-                    cut_bandwidth: part
-                        .cut_edges
+                    cut_bandwidth: on_mote.link_cut_edges[0]
                         .iter()
                         .map(|&e| {
                             (

@@ -6,6 +6,14 @@
 
 use wishbone::prelude::*;
 
+/// The paper's node/server split: one `platform` leaf under the server.
+fn two_site(platform: &Platform) -> Deployment {
+    Deployment::star([(
+        Site::new(platform.name.clone(), platform),
+        LinkSpec::for_platform(platform),
+    )])
+}
+
 fn main() {
     let mut app = build_speech_app(SpeechParams::default());
     let trace = app.trace(120, 7);
@@ -18,22 +26,24 @@ fn main() {
     );
 
     for platform in Platform::fig5b_platforms() {
-        let cfg = PartitionConfig::for_platform(&platform);
-        match max_sustainable_rate(&app.graph, &prof, &platform, &cfg, 32.0, 0.01) {
+        let cfg = DeploymentConfig::default();
+        let dep = two_site(&platform);
+        match max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 32.0, 0.01) {
             Ok(Some(r)) => {
+                let node = &r.partition.leaves[0];
                 let last_stage = app
                     .stages
                     .iter()
                     .rev()
-                    .find(|(_, id)| r.partition.node_ops.contains(id))
+                    .find(|(_, id)| node.site_ops[0].contains(id))
                     .map(|&(n, _)| n)
                     .unwrap_or("nothing");
                 println!(
                     "{:<10} {:>12.3} {:>10} {:>9.1}%  {}",
                     platform.name,
                     r.rate,
-                    r.partition.node_op_count(),
-                    r.partition.predicted_cpu * 100.0,
+                    node.site_ops[0].len(),
+                    node.predicted_cpu[0] * 100.0,
                     last_stage
                 );
             }
@@ -45,10 +55,15 @@ fn main() {
     // The Meraki story (§7.3): plenty of radio, modest CPU — optimal cut
     // is to ship raw data.
     let meraki = Platform::meraki_mini();
-    let cfg = PartitionConfig::for_platform(&meraki);
-    let part = partition(&app.graph, &prof, &meraki, &cfg).expect("meraki fits at full rate");
+    let part = partition_deployment(
+        &app.graph,
+        &prof,
+        &two_site(&meraki),
+        &DeploymentConfig::default(),
+    )
+    .expect("meraki fits at full rate");
     println!("\nMeraki solver: {}", report_stats(&part.ilp_stats));
-    let node_stage_count = part.node_op_count();
+    let node_stage_count = part.leaves[0].site_ops[0].len();
     println!(
         "\nMeraki Mini at full rate: {} node op(s) -> {}",
         node_stage_count,

@@ -32,13 +32,15 @@ fn main() {
     let phone = Platform::iphone();
     let server = Platform::server();
     let chain = [telos.clone(), phone.clone(), server.clone()];
-    let mut cfg = MultiTierConfig::for_chain(&chain);
+    let dep = Deployment::chain(&chain);
+    let mut cfg = DeploymentConfig::default();
     // Near the infeasibility cliff the CPU knapsack has a genuine ~2%
     // integrality gap; accept it instead of enumerating it closed.
     cfg.ilp.rel_gap = 0.025;
     cfg.ilp.time_limit = Some(std::time::Duration::from_secs(5));
 
-    let mut prep = PreparedMultiTier::new(&app.graph, &prof, &cfg).expect("pin analysis succeeds");
+    let mut prep =
+        PreparedDeployment::new(&app.graph, &prof, &dep, &cfg).expect("pin analysis succeeds");
     let (vars, cons) = prep.problem_size();
     println!(
         "3-tier ILP: {} vars x {} constraints (merged {} -> {} vertices), backend {:?}",
@@ -72,14 +74,15 @@ fn main() {
                     "probe x{mult} outside the configured gap: {}",
                     part.ilp_stats.final_gap
                 );
+                let tiers = &part.leaves[0];
                 println!(
                     "{:>6.2} {:>6} {:>6} {:>7} {:>12.0} {:>12.0} {:>8.1}ms",
                     mult,
-                    part.tier_op_count(0),
-                    part.tier_op_count(1),
-                    part.tier_op_count(2),
-                    part.predicted_net[0],
-                    part.predicted_net[1],
+                    tiers.site_ops[0].len(),
+                    tiers.site_ops[1].len(),
+                    tiers.site_ops[2].len(),
+                    tiers.predicted_net[0],
+                    tiers.predicted_net[1],
                     t0.elapsed().as_secs_f64() * 1e3
                 );
             }
@@ -88,7 +91,7 @@ fn main() {
     }
 
     // §4.3 tier-aware rate search: the fastest rate the whole chain holds.
-    let r = max_sustainable_rate_multitier(&app.graph, &prof, &cfg, 64.0, 0.01)
+    let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 64.0, 0.01)
         .expect("no solver error")
         .expect("feasible at low rates");
     println!(
@@ -96,13 +99,13 @@ fn main() {
         r.rate, r.evaluations, r.encodes, r.backend
     );
     println!("solver: {}", report_stats(&r.partition.ilp_stats));
-    let part = &r.partition;
+    let part = &r.partition.leaves[0];
     for (t, platform) in chain.iter().enumerate() {
         println!(
             "  tier {} ({:>8}): {:>4} ops, cpu {:>5.1}%",
             t,
             platform.name,
-            part.tier_op_count(t),
+            part.site_ops[t].len(),
             part.predicted_cpu[t] * 100.0
         );
     }
@@ -112,7 +115,9 @@ fn main() {
             b,
             cut.len(),
             part.predicted_net[b],
-            cfg.links[b].net_budget
+            dep.uplink(part.path[b])
+                .expect("non-root site has an uplink")
+                .net_budget
         );
     }
 
@@ -134,15 +139,7 @@ fn main() {
             rate_hz: t.rate_hz,
         })
         .collect();
-    let routes = vec![LeafRoute {
-        path: vec![2, 1, 0],
-        site_ops: part
-            .tier_ops
-            .iter()
-            .map(|ops| ops.iter().copied().collect())
-            .collect(),
-        feeds,
-    }];
+    let routes = vec![LeafRoute::chain(&app.graph, &part.site_ops[..2], feeds)];
     let sim_cfg = SimulationConfig {
         duration_s: 5.0,
         rate_multiplier: r.rate,
@@ -195,7 +192,7 @@ fn main() {
     // boxes, every crossing edge annotated with the bandwidth of the hop
     // that first carries it.
     let mut tiers = Vec::new();
-    for (t, ops) in part.tier_ops.iter().enumerate() {
+    for (t, ops) in part.site_ops.iter().enumerate() {
         tiers.extend(ops.iter().map(|&id| (id, t)));
     }
     let mut cut_bandwidth = Vec::new();
@@ -212,7 +209,7 @@ fn main() {
         &DotOptions {
             tiers,
             cut_bandwidth,
-            node_partition: part.tier_ops[0].iter().copied().collect(),
+            node_partition: part.site_ops[0].iter().copied().collect(),
             label: format!(
                 "22-channel EEG on telos -> phone -> server (rate x{:.2})",
                 r.rate

@@ -20,8 +20,8 @@
 //! | [`ilp`] | `wishbone-ilp` | simplex + branch-and-bound solver |
 //! | [`profile`] | `wishbone-profile` | platform cost models, graph profiler |
 //! | [`net`] | `wishbone-net` | shared-channel radio simulator |
-//! | [`runtime`] | `wishbone-runtime` | TinyOS-style executors, deployment sim |
-//! | [`core`] | `wishbone-core` | the partitioner itself |
+//! | [`runtime`] | `wishbone-runtime` | TinyOS-style executors, the tree deployment simulator |
+//! | [`core`] | `wishbone-core` | the partitioner itself: one `Deployment` path |
 //! | [`apps`] | `wishbone-apps` | speech-MFCC and EEG applications |
 //! | [`audit`] | `wishbone-audit` | static analyzer for encoded ILPs |
 //! | [`trace`] | `wishbone-trace` | streaming telemetry, drift detection, loss attribution |
@@ -37,12 +37,15 @@
 //! let trace = app.trace(40, 1);
 //! let prof = profile(&mut app.graph, &[trace]).unwrap();
 //!
-//! // Partition it for a TMote Sky at 1/8 of the full 8 kHz rate.
+//! // Partition it for a TMote Sky at 1/8 of the full 8 kHz rate: the
+//! // paper's node/server split is a one-leaf star under the server.
 //! let mote = Platform::tmote_sky();
-//! let cfg = PartitionConfig::for_platform(&mote).at_rate(0.125);
-//! let part = partition(&app.graph, &prof, &mote, &cfg).unwrap();
-//! assert!(part.node_ops.contains(&app.source));
-//! assert!(part.predicted_cpu <= 1.0);
+//! let dep = Deployment::star([(Site::new("mote", &mote), LinkSpec::for_platform(&mote))]);
+//! let cfg = DeploymentConfig::default().at_rate(0.125);
+//! let part = partition_deployment(&app.graph, &prof, &dep, &cfg).unwrap();
+//! let on_mote = &part.leaves[0];
+//! assert!(on_mote.site_ops[0].contains(&app.source));
+//! assert!(on_mote.predicted_cpu[0] <= 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,14 +73,11 @@ pub mod prelude {
     pub use wishbone_audit::{AuditCode, AuditReport, Diagnostic, Severity};
     pub use wishbone_core::{
         all_node, all_server, build_partition_graph, drift_to_deltas, evaluate, greedy,
-        max_sustainable_rate, max_sustainable_rate_deployment, max_sustainable_rate_multitier,
-        partition, partition_approx, partition_deployment, partition_multitier, pin_analysis,
-        pipeline_cutpoints, preprocess, ApproxCut, Deployment, DeploymentConfig, DeploymentDelta,
-        DeploymentPartition, DeploymentRateResult, Encoding, LeafPartition, LinkSpec, Mode,
-        MultiTierConfig, MultiTierPartition, MultiTierRateResult, ObjectiveConfig, Partition,
-        PartitionConfig, PartitionError, PartitionGraph, Pin, PlacementEngine, PreparedDeployment,
-        PreparedMultiTier, PreparedPartition, RateSearchResult, RobustnessMode, Site, SiteId,
-        TierSpec, UnprovenRate,
+        max_sustainable_rate_deployment, partition_deployment, pin_analysis, pipeline_cutpoints,
+        preprocess, ApproxCut, Deployment, DeploymentConfig, DeploymentDelta, DeploymentPartition,
+        DeploymentRateResult, Encoding, LeafPartition, LinkSpec, Mode, ObjectiveConfig,
+        PartitionError, PartitionGraph, Pin, PlacementEngine, PreparedDeployment, RobustnessMode,
+        Site, SiteId, UnprovenRate,
     };
     pub use wishbone_core::{deltas_between, shape_key, ShapeKey};
     pub use wishbone_dataflow::{
@@ -90,11 +90,9 @@ pub mod prelude {
     pub use wishbone_net::{profile_network, Channel, ChannelParams, PacketFormat};
     pub use wishbone_profile::{profile, GraphProfile, Platform, SourceTrace};
     pub use wishbone_runtime::{
-        attribute_tree, simulate_deployment, simulate_deployment_multi, simulate_deployment_tree,
-        simulate_deployment_tree_traced, simulate_deployment_tree_with_failures,
-        simulate_tiered_deployment, DeploymentReport, Failure, FailurePlan, LeafFlowReport,
-        LeafRoute, OutageReport, RelayExecutor, SimStats, SimulationConfig, SourceFeed, TaskModel,
-        TieredDeploymentReport, TreeDeploymentReport, TreeTopology,
+        attribute_tree, simulate_deployment_tree, simulate_deployment_tree_traced, Failure,
+        FailurePlan, LeafFlowReport, LeafRoute, OutageReport, RelayExecutor, SimStats,
+        SimulationConfig, SourceFeed, TaskModel, TreeDeploymentReport, TreeTopology,
     };
     pub use wishbone_trace::{
         AttributionReport, Blame, DriftConfig, DriftDetector, DriftReport, EdgeDrift, EdgeEstimate,

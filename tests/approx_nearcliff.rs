@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use wishbone::core::{partition_approx, PlacementEngine};
+use wishbone::core::PlacementEngine;
 use wishbone::ilp::SolverBackend;
 use wishbone::prelude::*;
 
@@ -282,7 +282,8 @@ fn approx_certificate_holds_near_the_cliff_on_both_backends() {
         cfg.ilp.backend = backend;
         let exact =
             partition_deployment(&graph, &prof, &dep, &cfg).expect("feasible just under the cliff");
-        let approx = partition_approx(&graph, &prof, &dep, &cfg).expect("heuristic placement");
+        let approx =
+            partition_deployment(&graph, &prof, &dep, &cfg.approx()).expect("heuristic placement");
         let gap = approx
             .certified_gap
             .expect("approx placements carry a certificate");
@@ -385,7 +386,7 @@ proptest! {
             let mut cfg = DeploymentConfig::default().at_rate(rate);
             cfg.ilp.backend = backend;
             let exact = partition_deployment(&graph, &prof, &dep, &cfg);
-            let approx = partition_approx(&graph, &prof, &dep, &cfg);
+            let approx = partition_deployment(&graph, &prof, &dep, &cfg.approx());
             match (exact, approx) {
                 (Ok(e), Ok(a)) => {
                     let gap = a.certified_gap.expect("certificate present");

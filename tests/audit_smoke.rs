@@ -30,12 +30,12 @@ fn fig6_multitier_audits_clean_on_both_backends() {
         Platform::server(),
     ];
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-        let mut cfg = MultiTierConfig::for_chain(&chain);
+        let mut cfg = DeploymentConfig::default();
         cfg.ilp.backend = backend;
         cfg.ilp.rel_gap = 0.025;
         cfg.ilp.time_limit = Some(std::time::Duration::from_secs(5));
-        let mut prep =
-            PreparedMultiTier::new(&app.graph, &prof, &cfg).expect("pin analysis succeeds");
+        let mut prep = PreparedDeployment::new(&app.graph, &prof, &Deployment::chain(&chain), &cfg)
+            .expect("pin analysis succeeds");
         let report = prep.audit();
         assert!(
             !report.has_errors(),
@@ -111,11 +111,12 @@ fn forest_deployment_audits_clean_on_both_backends() {
     }
 }
 
-/// The binary encodings behind `partition()` audit clean too, through
-/// the prepared pipeline (restricted tree encoder and general DAG
-/// encoder both).
+/// The binary encodings audit clean too: the restricted one through the
+/// prepared 2-site star, the general DAG one straight from the
+/// standalone encoder.
 #[test]
 fn binary_prepared_partitions_audit_clean() {
+    use wishbone::core::{audit_binary, encode};
     let mut app = build_eeg_app(EegParams {
         n_channels: 2,
         ..Default::default()
@@ -123,15 +124,24 @@ fn binary_prepared_partitions_audit_clean() {
     let traces = app.traces(8, 3..6, 5);
     let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
     let mote = Platform::tmote_sky();
-    for encoding in [Encoding::Restricted, Encoding::General] {
-        let mut cfg = PartitionConfig::for_platform(&mote).at_rate(0.25);
-        cfg.encoding = encoding;
-        let prep =
-            PreparedPartition::new(&app.graph, &prof, &mote, &cfg).expect("pin analysis succeeds");
-        let report = prep.audit();
-        assert!(
-            !report.has_errors(),
-            "{encoding:?}: binary encoding rejected:\n{report}"
-        );
-    }
+    let uplink = LinkSpec::for_platform(&mote);
+
+    let dep = Deployment::star([(Site::new("mote", &mote), uplink)]);
+    let prep = PreparedDeployment::new(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("pin analysis succeeds");
+    let report = prep.audit();
+    assert!(
+        !report.has_errors(),
+        "restricted binary encoding rejected:\n{report}"
+    );
+
+    let pg = build_partition_graph(&app.graph, &prof, &mote, Mode::Permissive, 1.0)
+        .expect("pin analysis succeeds");
+    let merged = preprocess(&pg).expect("merge succeeds").graph;
+    let obj = ObjectiveConfig::bandwidth_only(mote.cpu_budget_fraction, uplink.net_budget);
+    let report = audit_binary(&encode(&merged, Encoding::General, &obj));
+    assert!(
+        !report.has_errors(),
+        "general binary encoding rejected:\n{report}"
+    );
 }

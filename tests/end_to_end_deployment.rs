@@ -8,8 +8,9 @@
 //!    (and for a 2-site star, the binary restricted encoding), built
 //!    through the *independent* oracle path
 //!    (`build_partition_graph`/`build_tiered_graph` + merge + the chain
-//!    encoders). This is what licenses `partition()` and
-//!    `partition_multitier()` delegating to the deployment engine.
+//!    encoders). This is what licenses the deployment engine being the
+//!    only partitioner: the binary and chain shapes are its
+//!    `Deployment::star` / `Deployment::chain` constructors.
 //! 2. **New capability** — a genuinely branching forest (two gateways
 //!    with different uplink budgets) solves end to end, and the
 //!    partitioner, the §4.3 rate search, and the tree simulator agree
@@ -17,7 +18,7 @@
 
 use wishbone::core::{
     build_partition_graph, build_tiered_graph, encode, encode_multitier, preprocess,
-    preprocess_tiered, MultiTierConfig, TierObjective,
+    preprocess_tiered, TierObjective,
 };
 use wishbone::ilp::{Problem, VarId};
 use wishbone::prelude::*;
@@ -62,23 +63,18 @@ fn speech_two_site_star_is_the_binary_encoding() {
     let trace = app.trace(40, 42);
     let prof = profile(&mut app.graph, &[trace]).unwrap();
     let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote);
+    let uplink = LinkSpec::for_platform(&mote);
 
     // Oracle: the historical binary path, assembled by hand.
-    let pg = build_partition_graph(&app.graph, &prof, &mote, cfg.mode, 1.0).unwrap();
+    let pg = build_partition_graph(&app.graph, &prof, &mote, Mode::Permissive, 1.0).unwrap();
     let merged = preprocess(&pg).unwrap().graph;
     let oracle = encode(
         &merged,
         Encoding::Restricted,
-        &ObjectiveConfig {
-            alpha: cfg.alpha,
-            beta: cfg.beta,
-            cpu_budget: cfg.cpu_budget,
-            net_budget: cfg.net_budget,
-        },
+        &ObjectiveConfig::bandwidth_only(mote.cpu_budget_fraction, uplink.net_budget),
     );
 
-    let dep = Deployment::binary(&cfg, &mote);
+    let dep = Deployment::star([(Site::new("mote", &mote), uplink)]);
     let prep =
         PreparedDeployment::new(&app.graph, &prof, &dep, &DeploymentConfig::default()).unwrap();
     assert_problems_identical(&oracle.problem, prep.problem(), "speech 2-site");
@@ -97,23 +93,31 @@ fn eeg_three_tier_path_is_the_multitier_encoding() {
         Platform::iphone(),
         Platform::server(),
     ];
-    let mt_cfg = MultiTierConfig::for_chain(&chain);
 
     // Oracle: the chain path, assembled by hand through the independent
     // multitier encoder.
-    let obj: TierObjective = mt_cfg.objective();
-    let tg = build_tiered_graph(&app.graph, &prof, &chain, mt_cfg.mode, 1.0).unwrap();
+    let obj = TierObjective::bandwidth_only(
+        vec![
+            chain[0].cpu_budget_fraction,
+            chain[1].cpu_budget_fraction,
+            f64::INFINITY,
+        ],
+        chain[..2]
+            .iter()
+            .map(|p| p.radio.goodput_bytes_per_sec)
+            .collect(),
+    );
+    let tg = build_tiered_graph(&app.graph, &prof, &chain, Mode::Permissive, 1.0).unwrap();
     let tg = preprocess_tiered(&tg, &obj).unwrap().graph;
     let oracle = encode_multitier(&tg, &obj);
 
-    let dep = Deployment::from_multitier(&mt_cfg);
+    let dep = Deployment::chain(&chain);
     let prep =
         PreparedDeployment::new(&app.graph, &prof, &dep, &DeploymentConfig::default()).unwrap();
     assert_problems_identical(&oracle.problem, prep.problem(), "eeg k=3 path");
 
     // And through the solver, on both backends, the deployment facade
-    // (which partition_multitier now delegates to) must reproduce the
-    // oracle's optimum.
+    // must reproduce the oracle's optimum.
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
         let opts = IlpOptions {
             backend,

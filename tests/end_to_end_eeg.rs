@@ -4,6 +4,12 @@
 
 use wishbone::prelude::*;
 
+/// The paper's node/server split: one TMote leaf under the server.
+fn mote_star() -> Deployment {
+    let mote = Platform::tmote_sky();
+    Deployment::star([(Site::new("mote", &mote), LinkSpec::for_platform(&mote))])
+}
+
 #[test]
 fn full_eeg_app_partitions_in_reasonable_time() {
     // §7.1: "partitioning all 22-channels (1412 operators)"; our build is
@@ -15,10 +21,10 @@ fn full_eeg_app_partitions_in_reasonable_time() {
     let traces = app.traces(6, 2..4, 3);
     let prof = profile(&mut app.graph, &traces).unwrap();
 
-    let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(1.0);
+    let cfg = DeploymentConfig::default().at_rate(1.0);
     let start = std::time::Instant::now();
-    let part = partition(&app.graph, &prof, &mote, &cfg).expect("feasible at reference rate");
+    let part = partition_deployment(&app.graph, &prof, &mote_star(), &cfg)
+        .expect("feasible at reference rate");
     let elapsed = start.elapsed();
     assert!(
         elapsed.as_secs_f64() < 60.0,
@@ -35,7 +41,7 @@ fn full_eeg_app_partitions_in_reasonable_time() {
     );
     // Sources always stay on the node.
     for s in &app.sources {
-        assert!(part.node_ops.contains(s));
+        assert!(part.leaves[0].site_ops[0].contains(s));
     }
 }
 
@@ -46,12 +52,12 @@ fn node_partition_shrinks_with_rate() {
     let mut app = build_eeg_channel();
     let traces = app.traces(6, 2..4, 7);
     let prof = profile(&mut app.graph, &traces).unwrap();
-    let mote = Platform::tmote_sky();
+    let dep = mote_star();
     let mut counts = Vec::new();
     for mult in [0.5, 2.0, 8.0, 32.0] {
-        let cfg = PartitionConfig::for_platform(&mote).at_rate(mult);
-        let n = match partition(&app.graph, &prof, &mote, &cfg) {
-            Ok(p) => p.node_op_count(),
+        let cfg = DeploymentConfig::default().at_rate(mult);
+        let n = match partition_deployment(&app.graph, &prof, &dep, &cfg) {
+            Ok(p) => p.leaves[0].site_ops[0].len(),
             Err(PartitionError::Infeasible) => 0,
             Err(e) => panic!("{e}"),
         };
@@ -71,22 +77,22 @@ fn conservative_mode_keeps_stateful_ops_on_the_node() {
     let mut app = build_eeg_channel();
     let traces = app.traces(6, 2..4, 11);
     let prof = profile(&mut app.graph, &traces).unwrap();
-    let mote = Platform::tmote_sky();
+    let dep = mote_star();
 
     // Permissive at a high rate: the FIRs (stateful) may move server-side.
-    let mut cfg = PartitionConfig::for_platform(&mote).at_rate(16.0);
+    let mut cfg = DeploymentConfig::default().at_rate(16.0);
     cfg.mode = Mode::Permissive;
-    let permissive = partition(&app.graph, &prof, &mote, &cfg);
+    let permissive = partition_deployment(&app.graph, &prof, &dep, &cfg);
 
-    let mut ccfg = PartitionConfig::for_platform(&mote).at_rate(16.0);
+    let mut ccfg = DeploymentConfig::default().at_rate(16.0);
     ccfg.mode = Mode::Conservative;
-    let conservative = partition(&app.graph, &prof, &mote, &ccfg);
+    let conservative = partition_deployment(&app.graph, &prof, &dep, &ccfg);
 
     match (permissive, conservative) {
         (Ok(p), Ok(c)) => {
             // Conservative can never place fewer ops on the node than the
             // pinning forces; permissive has strictly more freedom.
-            assert!(c.node_op_count() >= p.node_op_count());
+            assert!(c.leaves[0].site_ops[0].len() >= p.leaves[0].site_ops[0].len());
         }
         (Ok(_), Err(PartitionError::Infeasible)) => {
             // Also a valid outcome: pinning everything stateful on-node
@@ -108,9 +114,9 @@ fn seizure_detected_through_partitioned_deployment() {
     let traces = app.traces(16, 8..14, 13);
     let prof = profile(&mut app.graph, &traces).unwrap();
 
-    let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(1.0);
-    let part = partition(&app.graph, &prof, &mote, &cfg).expect("EEG fits at 0.5 windows/s");
+    let cfg = DeploymentConfig::default().at_rate(1.0);
+    let part = partition_deployment(&app.graph, &prof, &mote_star(), &cfg)
+        .expect("EEG fits at 0.5 windows/s");
 
     // Rebuild a fresh app (the profiler consumed operator state) and drive
     // all four channel sources through the multi-source deployment.
@@ -131,20 +137,19 @@ fn seizure_detected_through_partitioned_deployment() {
         duration_s: 32.0, // 16 windows at 0.5 windows/s
         ..SimulationConfig::motes(1, 3)
     };
-    let rep = simulate_deployment_multi(
-        &app2.graph,
-        &part.node_ops,
-        &feeds,
-        &mote,
-        ChannelParams::mote(),
-        &dcfg,
+    let topo = TreeTopology::chain(
+        &[Platform::tmote_sky(), Platform::server()],
+        &[ChannelParams::mote()],
+        1,
     );
+    let route = LeafRoute::chain(&app2.graph, &part.leaves[0].site_ops[..1], feeds);
+    let rep = simulate_deployment_tree(&app2.graph, &topo, &[route], &dcfg);
     assert!(
-        rep.input_processed_ratio() > 0.9,
+        rep.leaves[0].input_processed_ratio() > 0.9,
         "EEG at reference rate flows: {rep:?}"
     );
     assert!(
-        rep.goodput_ratio() > 0.5,
+        rep.leaves[0].goodput_ratio() > 0.5,
         "features cross the network: {rep:?}"
     );
     assert!(rep.sink_arrivals >= 8, "declare verdicts reach the sink");

@@ -5,7 +5,6 @@
 //! sparse revised simplex) cannot silently change what the examples
 //! print.
 
-use wishbone::core::{partition_mixed, NodeClass};
 use wishbone::prelude::*;
 
 fn speech_profiled() -> (SpeechApp, GraphProfile) {
@@ -22,72 +21,82 @@ fn mixed_network_two_classes_semantics() {
     let (app, prof) = speech_profiled();
     let mote = Platform::tmote_sky();
     let gumstix = Platform::gumstix();
-    let classes = vec![
-        NodeClass {
-            config: PartitionConfig::for_platform(&mote)
-                .with_measured_overheads(&mote)
+    // §9: "run the partitioning algorithm once for each type of node" —
+    // one leaf class per node type under the server.
+    let classes = [
+        (
+            Site::new("motes", &mote)
+                .with_measured_overheads()
                 .at_rate(0.1),
-            platform: mote.clone(),
-            count: 16,
-        },
-        NodeClass {
-            config: PartitionConfig::for_platform(&gumstix),
-            platform: gumstix.clone(),
-            count: 4,
-        },
+            16,
+        ),
+        (Site::new("microservers", &gumstix), 4),
     ];
-    let mixed = partition_mixed(&app.graph, &prof, &classes).expect("both classes partition");
+    // Each uplink row aggregates its class's devices, so a class of `n`
+    // nodes each allowed the platform's goodput budgets `n` times that.
+    let dep = Deployment::star(classes.iter().map(|(site, count)| {
+        let link = LinkSpec::for_platform(&site.platform);
+        (
+            site.clone().with_count(*count),
+            LinkSpec {
+                net_budget: link.net_budget * *count as f64,
+                ..link
+            },
+        )
+    }));
+    let cfg = DeploymentConfig::default();
+    let mixed =
+        partition_deployment(&app.graph, &prof, &dep, &cfg).expect("both classes partition");
 
-    assert_eq!(mixed.classes.len(), 2);
-    let mote_part = &mixed.classes[0].partition;
-    let gum_part = &mixed.classes[1].partition;
+    assert_eq!(mixed.leaves.len(), 2);
+    let mote_part = &mixed.leaves[0];
+    let gum_part = &mixed.leaves[1];
 
     // Each class keeps the pinned source on the node and respects its own
     // budgets at its own rate.
-    assert!(mote_part.node_ops.contains(&app.source));
-    assert!(gum_part.node_ops.contains(&app.source));
+    assert!(mote_part.site_ops[0].contains(&app.source));
+    assert!(gum_part.site_ops[0].contains(&app.source));
     assert!(
-        mote_part.predicted_cpu <= 1.0 + 1e-9,
+        mote_part.predicted_cpu[0] <= 1.0 + 1e-9,
         "mote cpu {}",
-        mote_part.predicted_cpu
+        mote_part.predicted_cpu[0]
     );
     // The microserver class runs the full 8 kHz and has CPU to spare, so
     // it carries at least as much of the pipeline as the slowed motes.
     assert!(
-        gum_part.node_op_count() >= mote_part.node_op_count(),
+        gum_part.site_ops[0].len() >= mote_part.site_ops[0].len(),
         "gumstix {} ops vs mote {} ops",
-        gum_part.node_op_count(),
-        mote_part.node_op_count()
+        gum_part.site_ops[0].len(),
+        mote_part.site_ops[0].len()
     );
 
-    // "The server would need to be engineered to deal with receiving
-    // results ... at various stages of partial processing": the entry
-    // edges are exactly the union of the per-class cut edges, and the
-    // server-side union covers every operator some class leaves off-node.
-    for c in &mixed.classes {
-        for e in &c.partition.cut_edges {
-            assert!(
-                mixed.server_entry_edges.contains(e),
-                "cut edge missing from server entry set"
-            );
-        }
+    // The joint star decouples: every class gets the placement it would
+    // get partitioned alone.
+    for (leaf, (class, _)) in mixed.leaves.iter().zip(classes) {
+        let uplink = LinkSpec::for_platform(&class.platform);
+        let alone = partition_deployment(
+            &app.graph,
+            &prof,
+            &Deployment::star([(class, uplink)]),
+            &cfg,
+        )
+        .expect("each class partitions alone");
+        assert_eq!(leaf.site_ops[0], alone.leaves[0].site_ops[0]);
+        assert_eq!(leaf.link_cut_edges[0], alone.leaves[0].link_cut_edges[0]);
     }
-    let union = mixed.server_side_union(&app.graph);
+
+    // "The server would need to be engineered to deal with receiving
+    // results ... at various stages of partial processing": the
+    // server-side union covers every operator some class leaves off-node.
+    let union = mixed.ops_at(dep.root());
     for id in app.graph.operator_ids() {
-        let off_node_somewhere = mixed
-            .classes
-            .iter()
-            .any(|c| !c.partition.node_ops.contains(&id));
+        let off_node_somewhere = mixed.leaves.iter().any(|l| !l.site_ops[0].contains(&id));
         assert_eq!(union.contains(&id), off_node_somewhere);
     }
 
     // Aggregate offered load = Σ count · per-node net.
-    let expect: f64 = mixed
-        .classes
-        .iter()
-        .map(|c| c.partition.predicted_net * c.count as f64)
-        .sum();
-    assert!((mixed.total_predicted_net() - expect).abs() < 1e-9);
+    let expect = mote_part.predicted_net[0] * 16.0 + gum_part.predicted_net[0] * 4.0;
+    assert!((mixed.link_net.iter().sum::<f64>() - expect).abs() < 1e-9);
 }
 
 #[test]
@@ -108,11 +117,22 @@ fn overload_deployment_recommendation_matches_simulation() {
         "network profile must find a usable rate"
     );
 
-    let mut cfg = PartitionConfig::for_platform(&mote);
-    cfg.net_budget = netprof.max_aggregate_payload_rate;
-    let result = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 8.0, 0.01)
-        .expect("solver ok")
-        .expect("feasible at low rate");
+    let uplink = LinkSpec {
+        beta: 1.0,
+        net_budget: netprof.max_aggregate_payload_rate,
+    };
+    let dep = Deployment::star([(Site::new("mote", &mote), uplink)]);
+    let result = max_sustainable_rate_deployment(
+        &app.graph,
+        &prof,
+        &dep,
+        &DeploymentConfig::default(),
+        8.0,
+        0.01,
+    )
+    .expect("solver ok")
+    .expect("feasible at low rate");
+    let recommended = &result.partition.leaves[0];
     assert!(
         result.rate > 0.0 && result.rate < 8.0,
         "sustainable rate {} must be an interior point",
@@ -120,9 +140,9 @@ fn overload_deployment_recommendation_matches_simulation() {
     );
     // The recommendation is an intermediate cut: real on-node work, and
     // the predicted load fits both measured budgets.
-    assert!(result.partition.node_op_count() >= 1);
-    assert!(result.partition.predicted_cpu <= cfg.cpu_budget + 1e-9);
-    assert!(result.partition.predicted_net <= cfg.net_budget + 1e-9);
+    assert!(!recommended.site_ops[0].is_empty());
+    assert!(recommended.predicted_cpu[0] <= mote.cpu_budget_fraction + 1e-9);
+    assert!(recommended.predicted_net[0] <= uplink.net_budget + 1e-9);
 
     // Ground truth: simulate the deployment at the recommended rate for
     // every cutpoint; the recommended cut must be competitive with the
@@ -136,11 +156,20 @@ fn overload_deployment_recommendation_matches_simulation() {
             rate_multiplier: result.rate,
             ..SimulationConfig::motes(1, 17)
         };
-        let report = simulate_deployment(
-            &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
-        );
-        let is_recommended = node_set == result.partition.node_ops;
-        goods.push((name.to_string(), report.goodput_ratio(), is_recommended));
+        let topo = TreeTopology::chain(&[mote.clone(), Platform::server()], &[channel], 1);
+        let feeds = vec![SourceFeed {
+            source: app.source,
+            trace: elems.clone(),
+            rate_hz: 40.0,
+        }];
+        let route = LeafRoute::chain(&app.graph, std::slice::from_ref(&node_set), feeds);
+        let report = simulate_deployment_tree(&app.graph, &topo, &[route], &dcfg);
+        let is_recommended = node_set == recommended.site_ops[0];
+        goods.push((
+            name.to_string(),
+            report.leaves[0].goodput_ratio(),
+            is_recommended,
+        ));
     }
     let rec = goods
         .iter()
@@ -172,13 +201,19 @@ fn overload_pipeline_is_backend_invariant() {
     let netprof = profile_network(channel, 1, 28, 0.90, 99);
     let mut results = Vec::new();
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-        let mut cfg = PartitionConfig::for_platform(&mote);
-        cfg.net_budget = netprof.max_aggregate_payload_rate;
+        let dep = Deployment::star([(
+            Site::new("mote", &mote),
+            LinkSpec {
+                beta: 1.0,
+                net_budget: netprof.max_aggregate_payload_rate,
+            },
+        )]);
+        let mut cfg = DeploymentConfig::default();
         cfg.ilp.backend = backend;
-        let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 8.0, 0.01)
+        let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 8.0, 0.01)
             .expect("solver ok")
             .expect("feasible");
-        results.push((r.rate, r.partition.node_ops.clone()));
+        results.push((r.rate, r.partition.leaves[0].site_ops[0].clone()));
     }
     let (dense_rate, dense_cut) = &results[0];
     let (sparse_rate, sparse_cut) = &results[1];

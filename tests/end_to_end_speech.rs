@@ -1,7 +1,36 @@
 //! End-to-end integration: profile → partition → deploy for the speech
 //! application, validating the paper's headline claims (§7.2–7.3).
 
+use std::collections::HashSet;
+
 use wishbone::prelude::*;
+
+/// The paper's node/server split: one `node` leaf under the server, its
+/// uplink budgeted at the platform radio's goodput.
+fn two_site(node: Site) -> Deployment {
+    let uplink = LinkSpec::for_platform(&node.platform);
+    Deployment::star([(node, uplink)])
+}
+
+/// Simulate one `platform` node running `node_ops` of the speech pipeline
+/// under the server, fed `elems` at the 40 frames/s reference rate.
+fn simulate_cut(
+    app: &SpeechApp,
+    node_ops: &HashSet<OperatorId>,
+    elems: &[Value],
+    platform: &Platform,
+    channel: ChannelParams,
+    cfg: &SimulationConfig,
+) -> TreeDeploymentReport {
+    let topo = TreeTopology::chain(&[platform.clone(), Platform::server()], &[channel], 1);
+    let feeds = vec![SourceFeed {
+        source: app.source,
+        trace: elems.to_vec(),
+        rate_hz: 40.0,
+    }];
+    let route = LeafRoute::chain(&app.graph, std::slice::from_ref(node_ops), feeds);
+    simulate_deployment_tree(&app.graph, &topo, &[route], cfg)
+}
 
 fn profiled_app() -> (SpeechApp, GraphProfile) {
     let mut app = build_speech_app(SpeechParams::default());
@@ -13,22 +42,23 @@ fn profiled_app() -> (SpeechApp, GraphProfile) {
 #[test]
 fn tmote_cannot_fit_at_full_rate_but_fits_when_slowed() {
     let (app, prof) = profiled_app();
-    let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote);
+    let dep = two_site(Site::new("mote", &Platform::tmote_sky()));
+    let cfg = DeploymentConfig::default();
     // Full 8 kHz: infeasible on a TMote (both CPU and radio are too small).
     assert!(matches!(
-        partition(&app.graph, &prof, &mote, &cfg),
+        partition_deployment(&app.graph, &prof, &dep, &cfg),
         Err(PartitionError::Infeasible)
     ));
     // The §4.3 rate search finds a positive sustainable rate.
-    let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 4.0, 0.01)
+    let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 4.0, 0.01)
         .unwrap()
         .expect("some rate is sustainable");
     assert!(r.rate > 0.001 && r.rate < 1.0, "rate {}", r.rate);
     // At that rate, the selected cut is an intermediate one (not all-server,
     // not necessarily everything).
-    assert!(r.partition.node_op_count() >= 1);
-    assert!(r.partition.predicted_cpu <= 1.0 + 1e-9);
+    let leaf = &r.partition.leaves[0];
+    assert!(!leaf.site_ops[0].is_empty());
+    assert!(leaf.predicted_cpu[0] <= 1.0 + 1e-9);
 }
 
 #[test]
@@ -39,29 +69,27 @@ fn optimal_cut_beats_endpoint_partitions_in_deployment() {
     // intermediate partition."
     let (app, prof) = profiled_app();
     let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote);
-    let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 4.0, 0.01)
+    let dep = two_site(Site::new("mote", &mote));
+    let cfg = DeploymentConfig::default();
+    let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 4.0, 0.01)
         .unwrap()
         .expect("feasible");
 
     let elems = app.trace_elements(200, 9);
     let channel = ChannelParams::mote();
-    let run = |node_set: &std::collections::HashSet<OperatorId>| -> f64 {
+    let run = |node_set: &HashSet<OperatorId>| -> f64 {
         let dcfg = SimulationConfig {
             duration_s: 20.0,
             rate_multiplier: 1.0, // full rate: the overload case
             ..SimulationConfig::motes(1, 33)
         };
-        simulate_deployment(
-            &app.graph, node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
-        )
-        .goodput_ratio()
+        simulate_cut(&app, node_set, &elems, &mote, channel, &dcfg).leaves[0].goodput_ratio()
     };
 
     let cuts = app.cutpoints();
     let all_server_good = run(&cuts.first().unwrap().1);
     let all_node_good = run(&cuts.last().unwrap().1);
-    let recommended = run(&r.partition.node_ops);
+    let recommended = run(&r.partition.leaves[0].site_ops[0]);
 
     // All-server drives the mote radio into congestion collapse (paper:
     // ~0% goodput); the recommended intermediate cut delivers data. The
@@ -91,10 +119,12 @@ fn recommended_cut_matches_empirical_peak() {
     // doesn't over-commit the CPU that the OS will eat.
     let (app, prof) = profiled_app();
     let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote).with_measured_overheads(&mote);
-    let r = max_sustainable_rate(&app.graph, &prof, &mote, &cfg, 4.0, 0.01)
+    let dep = two_site(Site::new("mote", &mote).with_measured_overheads());
+    let cfg = DeploymentConfig::default();
+    let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 4.0, 0.01)
         .unwrap()
         .expect("feasible");
+    let recommended = &r.partition.leaves[0].site_ops[0];
 
     let elems = app.trace_elements(200, 5);
     let channel = ChannelParams::mote();
@@ -106,11 +136,9 @@ fn recommended_cut_matches_empirical_peak() {
             rate_multiplier: r.rate,
             ..SimulationConfig::motes(1, 77)
         };
-        let rep = simulate_deployment(
-            &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
-        );
-        let g = rep.goodput_ratio();
-        if node_set == r.partition.node_ops {
+        let rep = simulate_cut(&app, &node_set, &elems, &mote, channel, &dcfg);
+        let g = rep.leaves[0].goodput_ratio();
+        if node_set == *recommended {
             recommended_good = Some(g);
         }
         if best.is_none_or(|(_, bg)| g > bg) {
@@ -135,10 +163,8 @@ fn recommended_cut_matches_empirical_peak() {
             rate_multiplier: r.rate,
             ..SimulationConfig::motes(1, 77)
         };
-        let rep = simulate_deployment(
-            &app.graph, &node_set, app.source, &elems, 40.0, &mote, channel, &dcfg,
-        );
-        all_goods.push(rep.goodput_ratio());
+        let rep = simulate_cut(&app, &node_set, &elems, &mote, channel, &dcfg);
+        all_goods.push(rep.leaves[0].goodput_ratio());
     }
     all_goods.sort_by(|a, b| b.partial_cmp(a).unwrap());
     assert!(
@@ -153,8 +179,10 @@ fn predicted_cpu_close_to_simulated_cpu() {
     // (Gumstix: 11.5% predicted vs 15% measured — a ~1.3x OS factor).
     let (app, prof) = profiled_app();
     let gumstix = Platform::gumstix();
-    let cfg = PartitionConfig::for_platform(&gumstix);
-    let part = partition(&app.graph, &prof, &gumstix, &cfg).expect("gumstix fits");
+    let dep = two_site(Site::new("gumstix", &gumstix));
+    let part = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("gumstix fits");
+    let leaf = &part.leaves[0];
 
     let elems = app.trace_elements(200, 21);
     let dcfg = SimulationConfig {
@@ -163,18 +191,16 @@ fn predicted_cpu_close_to_simulated_cpu() {
         per_packet_cpu_s: 20e-6,
         ..SimulationConfig::motes(1, 5)
     };
-    let rep = simulate_deployment(
-        &app.graph,
-        &part.node_ops,
-        app.source,
+    let rep = simulate_cut(
+        &app,
+        &leaf.site_ops[0],
         &elems,
-        40.0,
         &gumstix,
         ChannelParams::wifi(400_000.0),
         &dcfg,
     );
-    let predicted = part.predicted_cpu;
-    let measured = rep.node_cpu_utilization;
+    let predicted = leaf.predicted_cpu[0];
+    let measured = rep.site_cpu_utilization[1];
     assert!(
         measured > predicted,
         "measured ({measured:.3}) must exceed the additive prediction ({predicted:.3})"
@@ -226,12 +252,19 @@ fn meraki_ships_raw_data() {
     // fractions of each resource.
     let (app, prof) = profiled_app();
     let meraki = Platform::meraki_mini();
-    let mut cfg = PartitionConfig::for_platform(&meraki);
-    cfg.alpha = 1.0 / cfg.cpu_budget;
-    cfg.beta = 1.0 / cfg.net_budget;
-    let part = partition(&app.graph, &prof, &meraki, &cfg).expect("meraki fits at full rate");
-    assert_eq!(part.node_op_count(), 1, "only the source stays on the node");
-    assert!(part.node_ops.contains(&app.source));
+    let uplink = LinkSpec::for_platform(&meraki);
+    let dep = Deployment::star([(
+        Site::new("meraki", &meraki).with_alpha(1.0 / meraki.cpu_budget_fraction),
+        LinkSpec {
+            beta: 1.0 / uplink.net_budget,
+            ..uplink
+        },
+    )]);
+    let part = partition_deployment(&app.graph, &prof, &dep, &DeploymentConfig::default())
+        .expect("meraki fits at full rate");
+    let node_ops = &part.leaves[0].site_ops[0];
+    assert_eq!(node_ops.len(), 1, "only the source stays on the node");
+    assert!(node_ops.contains(&app.source));
 
     // Cross-check with the deployment simulator: shipping raw over WiFi
     // delivers essentially everything at the full 8 kHz rate.
@@ -242,18 +275,16 @@ fn meraki_ships_raw_data() {
         per_packet_cpu_s: 50e-6,
         ..SimulationConfig::motes(1, 41)
     };
-    let rep = simulate_deployment(
-        &app.graph,
-        &part.node_ops,
-        app.source,
+    let rep = simulate_cut(
+        &app,
+        node_ops,
         &elems,
-        40.0,
         &meraki,
         ChannelParams::wifi(meraki.radio.goodput_bytes_per_sec),
         &dcfg,
     );
     assert!(
-        rep.goodput_ratio() > 0.9,
+        rep.leaves[0].goodput_ratio() > 0.9,
         "WiFi swallows the raw stream: {rep:?}"
     );
 }

@@ -1,14 +1,17 @@
-//! End-to-end tests of the multi-tier subsystem.
+//! End-to-end tests of chain (`Deployment::chain`) deployments.
 //!
 //! The correctness anchor is differential parity: for k = 2 the k-way
 //! monotone-cut partitioner must return the same operator assignment,
-//! objective, and verdict as the binary `partition()` on the apps-crate
-//! graphs, on both simplex backends (the same way the dense tableau
-//! anchored the sparse revised simplex in PR 3). On top of that, 3-tier
-//! chains are checked for structural invariants and wired through the
-//! tiered deployment simulator.
+//! objective, and verdict as the binary pipeline assembled by hand from
+//! the standalone oracles (`build_partition_graph` → `preprocess` →
+//! `encode(.., Restricted, ..)` → `solve_ilp`) on the apps-crate graphs,
+//! on both simplex backends (the same way the dense tableau anchored the
+//! sparse revised simplex in PR 3). On top of that, 3-tier chains are
+//! checked for structural invariants and wired through the deployment
+//! simulator.
 
-use wishbone::core::MultiTierConfig;
+use wishbone::core::{encode, preprocess};
+use wishbone::ilp::SolveError;
 use wishbone::prelude::*;
 
 fn parity_on(
@@ -18,20 +21,51 @@ fn parity_on(
     rates: &[f64],
     backend: SolverBackend,
 ) {
+    let dep = Deployment::chain(&[node_platform.clone(), Platform::server()]);
     for &rate in rates {
-        let mut cfg = PartitionConfig::for_platform(node_platform).at_rate(rate);
-        cfg.ilp.backend = backend;
-        let mt_cfg = MultiTierConfig::binary(&cfg, node_platform);
-        let binary = partition(graph, prof, node_platform, &cfg);
-        let tiered = partition_multitier(graph, prof, &mt_cfg);
+        let opts = IlpOptions {
+            backend,
+            ..Default::default()
+        };
+        // Binary oracle at `rate`, straight through the standalone
+        // restricted encoder.
+        let pg = build_partition_graph(graph, prof, node_platform, Mode::Permissive, rate).unwrap();
+        let merged = preprocess(&pg).unwrap().graph;
+        let ep = encode(
+            &merged,
+            Encoding::Restricted,
+            &ObjectiveConfig::bandwidth_only(
+                node_platform.cpu_budget_fraction,
+                node_platform.radio.goodput_bytes_per_sec,
+            ),
+        );
+        let binary = ep.problem.solve_ilp(&opts);
+
+        let cfg = DeploymentConfig {
+            ilp: opts,
+            ..DeploymentConfig::default().at_rate(rate)
+        };
+        let tiered = partition_deployment(graph, prof, &dep, &cfg);
         match (binary, tiered) {
             (Ok(b), Ok(t)) => {
+                let node_ops = merged.expand(&ep.decode(&b.values));
+                let leaf = &t.leaves[0];
                 assert_eq!(
-                    b.node_ops, t.tier_ops[0],
+                    node_ops, leaf.site_ops[0],
                     "node assignment diverged at rate {rate} on {backend:?}"
                 );
-                assert_eq!(b.server_ops, t.tier_ops[1]);
-                assert_eq!(b.cut_edges, t.link_cut_edges[0]);
+                assert_eq!(
+                    graph.operator_count() - node_ops.len(),
+                    leaf.site_ops[1].len()
+                );
+                let cut_edges: Vec<_> = graph
+                    .edge_ids()
+                    .filter(|&e| {
+                        let edge = graph.edge(e);
+                        node_ops.contains(&edge.src) && !node_ops.contains(&edge.dst)
+                    })
+                    .collect();
+                assert_eq!(cut_edges, leaf.link_cut_edges[0]);
                 assert!(
                     (b.objective - t.objective).abs() < 1e-9 * (1.0 + b.objective.abs()),
                     "objective diverged at rate {rate}: {} vs {}",
@@ -39,15 +73,14 @@ fn parity_on(
                     t.objective
                 );
                 assert_eq!(
-                    b.problem_size, t.problem_size,
+                    (ep.problem.num_vars(), ep.problem.num_constraints()),
+                    t.problem_size,
                     "the k=2 encoding must be the binary encoding, row for row"
                 );
-                assert_eq!(b.ilp_stats.backend, t.ilp_stats.backend);
+                assert_eq!(b.stats.backend, t.ilp_stats.backend);
             }
-            (Err(b), Err(t)) => {
-                assert_eq!(b, t, "verdicts diverged at rate {rate} on {backend:?}")
-            }
-            (b, t) => panic!("rate {rate} {backend:?}: binary {b:?} vs multitier {t:?}"),
+            (Err(SolveError::Infeasible), Err(PartitionError::Infeasible)) => {}
+            (b, t) => panic!("rate {rate} {backend:?}: binary {b:?} vs chain {t:?}"),
         }
     }
 }
@@ -88,44 +121,48 @@ fn eeg_three_tier_structure_and_rate_dominance() {
     let mote = Platform::tmote_sky();
     let chain = [mote.clone(), Platform::iphone(), Platform::server()];
 
-    let cfg3 = MultiTierConfig::for_chain(&chain);
-    let part = partition_multitier(&app.graph, &prof, &cfg3.clone().at_rate(0.5))
+    let dep3 = Deployment::chain(&chain);
+    let cfg = DeploymentConfig::default();
+    let part = partition_deployment(&app.graph, &prof, &dep3, &cfg.clone().at_rate(0.5))
         .expect("3-tier feasible at half rate");
-    assert_eq!(part.k(), 3);
+    let part = &part.leaves[0];
+    assert_eq!(part.path.len(), 3);
     // Tier order is monotone along every dataflow edge.
     for eid in app.graph.edge_ids() {
         let e = app.graph.edge(eid);
-        assert!(part.tier_of(e.src).unwrap() <= part.tier_of(e.dst).unwrap());
+        assert!(part.position_of(e.src).unwrap() <= part.position_of(e.dst).unwrap());
     }
     // Sources sit on the motes, the sink on the server.
     for &src in &app.sources {
-        assert_eq!(part.tier_of(src), Some(0));
+        assert_eq!(part.position_of(src), Some(0));
     }
-    assert_eq!(part.tier_of(app.sink), Some(2));
+    assert_eq!(part.position_of(app.sink), Some(2));
     // Budgets hold on every constrained tier and link.
-    for (t, spec) in cfg3.tiers.iter().enumerate() {
-        if spec.cpu_budget.is_finite() {
-            assert!(part.predicted_cpu[t] <= spec.cpu_budget * 0.5 + 1e-9);
+    for (t, &site) in part.path.iter().enumerate() {
+        let cpu_budget = dep3.site(site).cpu_budget;
+        if cpu_budget.is_finite() {
+            assert!(part.predicted_cpu[t] <= cpu_budget * 0.5 + 1e-9);
         }
-    }
-    for (b, link) in cfg3.links.iter().enumerate() {
-        assert!(part.predicted_net[b] <= link.net_budget * 0.5 + 1e-9);
+        if let Some(link) = dep3.uplink(site) {
+            assert!(part.predicted_net[t] <= link.net_budget * 0.5 + 1e-9);
+        }
     }
 
     // Adding a relay can only help: the 3-tier max sustainable rate is at
     // least the binary mote→server rate (a 2-tier solution embeds as a
     // 3-tier one with an empty phone tier; the phone's WiFi uplink dwarfs
     // the mote radio, so pass-through always fits).
-    let two = max_sustainable_rate_multitier(
+    let two = max_sustainable_rate_deployment(
         &app.graph,
         &prof,
-        &MultiTierConfig::for_chain(&[mote, Platform::server()]),
+        &Deployment::chain(&[mote, Platform::server()]),
+        &cfg,
         32.0,
         0.02,
     )
     .unwrap()
     .expect("2-tier feasible");
-    let three = max_sustainable_rate_multitier(&app.graph, &prof, &cfg3, 32.0, 0.02)
+    let three = max_sustainable_rate_deployment(&app.graph, &prof, &dep3, &cfg, 32.0, 0.02)
         .unwrap()
         .expect("3-tier feasible");
     assert!(
@@ -148,10 +185,11 @@ fn tiered_deployment_simulates_goodput_across_both_hops() {
         Platform::server(),
     ];
     let rate = 0.125;
-    let part = partition_multitier(
+    let part = partition_deployment(
         &app.graph,
         &prof,
-        &MultiTierConfig::for_chain(&chain).at_rate(rate),
+        &Deployment::chain(&chain),
+        &DeploymentConfig::default().at_rate(rate),
     )
     .expect("feasible at 1/8 rate");
 
@@ -165,14 +203,15 @@ fn tiered_deployment_simulates_goodput_across_both_hops() {
         trace: trace.elements.clone(),
         rate_hz: trace.rate_hz,
     }];
-    let r = simulate_tiered_deployment(
-        &app.graph,
-        &part.tier_ops,
-        &feeds,
+    // Sites: 0 = server, 1 = Gumstix relay, 2 = the two motes.
+    let topo = TreeTopology::chain(
         &chain,
         &[ChannelParams::mote(), ChannelParams::wifi(400_000.0)],
-        &cfg,
+        2,
     );
+    let route = LeafRoute::chain(&app.graph, &part.leaves[0].site_ops[..2], feeds);
+    let sim = simulate_deployment_tree(&app.graph, &topo, &[route], &cfg);
+    let r = &sim.leaves[0];
     assert!(r.events_offered > 0);
     assert!(
         r.input_processed_ratio() > 0.9,
@@ -183,35 +222,38 @@ fn tiered_deployment_simulates_goodput_across_both_hops() {
     // per-link budgets kept each offered load under its channel capacity.
     assert!(r.hop_elements_sent[0] > 0);
     assert!(r.hop_elements_sent[1] > 0);
-    assert!(r.hop_offered_load_bytes_per_sec[0] <= ChannelParams::mote().capacity_bytes_per_sec);
-    assert!(r.hop_offered_load_bytes_per_sec[1] <= 400_000.0);
+    assert!(sim.edge_offered_load_bytes_per_sec[2] <= ChannelParams::mote().capacity_bytes_per_sec);
+    assert!(sim.edge_offered_load_bytes_per_sec[1] <= 400_000.0);
     assert!(r.goodput_ratio() > 0.5, "goodput {}", r.goodput_ratio());
     assert_eq!(r.sink_arrivals, r.hop_elements_delivered[1]);
 }
 
 #[test]
 fn mixed_classes_still_compose_with_multitier_chains() {
-    // The §9 mixed-network path (one binary ILP per class) and the
-    // multitier path answer different questions about the same program;
-    // on a single-class network they must agree with each other through
-    // the k = 2 anchor.
+    // The §9 mixed-network shape (a star of node classes) and the chain
+    // shape answer different questions about the same program; on a
+    // single-class network they must agree with each other through the
+    // k = 2 anchor. The class's four nodes share its uplink row, so four
+    // nodes each allowed the radio's goodput budget four times that.
     let mut app = build_speech_app(SpeechParams::default());
     let trace = app.trace(40, 21);
     let prof = profile(&mut app.graph, &[trace]).unwrap();
     let gumstix = Platform::gumstix();
-    let cfg = PartitionConfig::for_platform(&gumstix);
-    let mixed = wishbone::core::partition_mixed(
-        &app.graph,
-        &prof,
-        &[wishbone::core::NodeClass {
-            platform: gumstix.clone(),
-            count: 4,
-            config: cfg.clone(),
-        }],
-    )
-    .unwrap();
-    let tiered =
-        partition_multitier(&app.graph, &prof, &MultiTierConfig::binary(&cfg, &gumstix)).unwrap();
-    assert_eq!(mixed.classes[0].partition.node_ops, tiered.tier_ops[0]);
-    assert_eq!(mixed.server_entry_edges, tiered.link_cut_edges[0]);
+    let uplink = LinkSpec::for_platform(&gumstix);
+    let star = Deployment::star([(
+        Site::new("microservers", &gumstix).with_count(4),
+        LinkSpec {
+            net_budget: 4.0 * uplink.net_budget,
+            ..uplink
+        },
+    )]);
+    let cfg = DeploymentConfig::default();
+    let mixed = partition_deployment(&app.graph, &prof, &star, &cfg).unwrap();
+    let chain = Deployment::chain(&[gumstix, Platform::server()]);
+    let tiered = partition_deployment(&app.graph, &prof, &chain, &cfg).unwrap();
+    assert_eq!(mixed.leaves[0].site_ops[0], tiered.leaves[0].site_ops[0]);
+    assert_eq!(
+        mixed.leaves[0].link_cut_edges[0],
+        tiered.leaves[0].link_cut_edges[0]
+    );
 }

@@ -5,6 +5,14 @@
 
 use wishbone::prelude::*;
 
+/// The paper's node/server split: one `platform` leaf under the server.
+fn two_site(platform: &Platform) -> Deployment {
+    Deployment::star([(
+        Site::new(platform.name.clone(), platform),
+        LinkSpec::for_platform(platform),
+    )])
+}
+
 #[test]
 fn speech_app_partitions_on_tmote_sky() {
     let mut app = build_speech_app(SpeechParams::default());
@@ -13,16 +21,18 @@ fn speech_app_partitions_on_tmote_sky() {
 
     let mote = Platform::tmote_sky();
     // Full 8 kHz exceeds a TMote (§7.2); an eighth of the rate fits.
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(0.125);
-    let part = partition(&app.graph, &prof, &mote, &cfg).expect("feasible at 1/8 rate");
+    let cfg = DeploymentConfig::default().at_rate(0.125);
+    let part = partition_deployment(&app.graph, &prof, &two_site(&mote), &cfg)
+        .expect("feasible at 1/8 rate");
+    let leaf = &part.leaves[0];
 
     assert!(
-        part.predicted_cpu <= 1.0,
+        leaf.predicted_cpu[0] <= 1.0,
         "predicted CPU {} exceeds the whole-processor budget",
-        part.predicted_cpu
+        leaf.predicted_cpu[0]
     );
     assert!(
-        part.node_ops.contains(&app.source),
+        leaf.site_ops[0].contains(&app.source),
         "speech source must be pinned to the node partition"
     );
 }
@@ -34,17 +44,19 @@ fn eeg_app_partitions_on_tmote_sky() {
     let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
-    let cfg = PartitionConfig::for_platform(&mote).at_rate(1.0);
-    let part = partition(&app.graph, &prof, &mote, &cfg).expect("feasible at reference rate");
+    let cfg = DeploymentConfig::default().at_rate(1.0);
+    let part = partition_deployment(&app.graph, &prof, &two_site(&mote), &cfg)
+        .expect("feasible at reference rate");
+    let leaf = &part.leaves[0];
 
     assert!(
-        part.predicted_cpu <= 1.0,
+        leaf.predicted_cpu[0] <= 1.0,
         "predicted CPU {} exceeds the whole-processor budget",
-        part.predicted_cpu
+        leaf.predicted_cpu[0]
     );
     for src in &app.sources {
         assert!(
-            part.node_ops.contains(src),
+            leaf.site_ops[0].contains(src),
             "EEG source {src} must be pinned to the node partition"
         );
     }

@@ -5,11 +5,11 @@
 //! * (a) a **path** deployment produces `encode_multitier`'s rows
 //!   bit-for-bit (and a 2-site star produces the binary restricted
 //!   encoding bit-for-bit) — the old encoders stay alive as independent
-//!   oracles precisely so this comparison means something now that
-//!   `partition()`/`partition_multitier()` delegate to the deployment
-//!   path;
-//! * (b) a **star** of heterogeneous leaf classes reproduces
-//!   `partition_mixed`'s per-class partitions from one joint ILP;
+//!   oracles precisely so this comparison means something now that the
+//!   deployment path is the only partitioner;
+//! * (b) a **star** of heterogeneous leaf classes reproduces, from one
+//!   joint ILP, the partition each class gets solved alone (§9: "running
+//!   the partitioning algorithm once for each type of node");
 //! * (c) on genuine **trees**, every per-gateway CPU and uplink budget
 //!   holds at the returned placement, identically on both simplex
 //!   backends.
@@ -18,10 +18,10 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 use wishbone::core::{
-    deltas_between, encode, encode_deployment, encode_multitier, partition_deployment,
-    partition_mixed, shape_key, Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective,
-    Encoding, LeafChain, LinkSpec, NodeClass, ObjectiveConfig, PEdge, PVertex, PartitionConfig,
-    PartitionGraph, Pin, PreparedDeployment, Site, SiteId, TierObjective, TieredGraph,
+    deltas_between, encode, encode_deployment, encode_multitier, partition_deployment, shape_key,
+    Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective, Encoding, LeafChain,
+    LinkSpec, ObjectiveConfig, PEdge, PVertex, PartitionGraph, Pin, PreparedDeployment, Site,
+    SiteId, TierObjective, TieredGraph,
 };
 use wishbone::dataflow::OperatorId;
 use wishbone::ilp::{IlpOptions, Problem, SolverBackend, VarId};
@@ -238,7 +238,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (b) star of heterogeneous leaf classes ≡ `partition_mixed`: the
+    /// (b) star of heterogeneous leaf classes ≡ one solve per class: the
     /// joint block-diagonal ILP reproduces every per-class partition.
     #[test]
     fn star_reproduces_mixed_per_class_partitions(
@@ -261,51 +261,43 @@ proptest! {
         };
         let mote = Platform::tmote_sky();
         let strong = Platform::gumstix();
-        let mut weak_cfg = PartitionConfig::for_platform(&mote).at_rate(weak_rate);
-        weak_cfg.cpu_budget = weak_budget;
-        weak_cfg.net_budget = 1e9;
-        let mut strong_cfg = PartitionConfig::for_platform(&strong);
-        strong_cfg.cpu_budget = strong_budget;
-        strong_cfg.net_budget = 1e9;
+        let uplink = LinkSpec { beta: 1.0, net_budget: 1e9 };
+        let classes = [
+            (
+                Site::new("motes", &mote)
+                    .with_cpu_budget(weak_budget)
+                    .at_rate(weak_rate),
+                uplink,
+            ),
+            (
+                Site::new("microservers", &strong).with_cpu_budget(strong_budget),
+                uplink,
+            ),
+        ];
 
-        let mixed = match partition_mixed(
-            &g,
-            &prof,
-            &[
-                NodeClass { platform: mote.clone(), count: 1, config: weak_cfg.clone() },
-                NodeClass { platform: strong.clone(), count: 1, config: strong_cfg.clone() },
-            ],
-        ) {
-            Ok(m) => m,
-            Err(_) => return Ok(()), // a class may genuinely not fit
-        };
+        // Each class partitioned alone, as its own one-leaf star.
+        let mut alone = Vec::new();
+        for class in &classes {
+            let solo = Deployment::star([class.clone()]);
+            match partition_deployment(&g, &prof, &solo, &DeploymentConfig::default()) {
+                Ok(p) => alone.push(p),
+                Err(_) => return Ok(()), // a class may genuinely not fit
+            }
+        }
 
-        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-        let root = dep.root();
-        dep.attach(
-            root,
-            Site::new("motes", &mote)
-                .with_cpu_budget(weak_budget)
-                .at_rate(weak_rate),
-            LinkSpec { beta: 1.0, net_budget: 1e9 },
-        );
-        dep.attach(
-            root,
-            Site::new("microservers", &strong).with_cpu_budget(strong_budget),
-            LinkSpec { beta: 1.0, net_budget: 1e9 },
-        );
+        let dep = Deployment::star(classes.clone());
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let mut cfg = DeploymentConfig::default();
             cfg.ilp.backend = backend;
             let part = partition_deployment(&g, &prof, &dep, &cfg)
-                .expect("mixed succeeded, so the joint star must too");
-            for (leaf, class) in part.leaves.iter().zip(&mixed.classes) {
+                .expect("every class fits alone, so the joint star must too");
+            for ((leaf, solo), class) in part.leaves.iter().zip(&alone).zip(&classes) {
                 prop_assert_eq!(
                     &leaf.site_ops[0],
-                    &class.partition.node_ops,
-                    "{:?}: class {} diverged from partition_mixed",
+                    &solo.leaves[0].site_ops[0],
+                    "{:?}: class {} diverged from its solo partition",
                     backend,
-                    class.platform_name
+                    &class.0.name
                 );
             }
         }
@@ -429,52 +421,36 @@ fn star_server_side_union_matches_mixed() {
     let prof = profile(&mut g, &[trace]).unwrap();
     let mote = Platform::tmote_sky();
     let strong = Platform::gumstix();
-    let weak_cfg = PartitionConfig::for_platform(&mote).at_rate(0.1);
-    let strong_cfg = PartitionConfig::for_platform(&strong);
-    let mixed = partition_mixed(
-        &g,
-        &prof,
-        &[
-            NodeClass {
-                platform: mote.clone(),
-                count: 8,
-                config: weak_cfg.clone(),
+    // Aggregate uplinks: each class's nodes share a channel budgeted at
+    // the per-node figure each.
+    let class = |name: &str, p: &Platform, count: usize| {
+        (
+            Site::new(name, p).with_count(count),
+            LinkSpec {
+                beta: 1.0,
+                net_budget: count as f64 * p.radio.goodput_bytes_per_sec,
             },
-            NodeClass {
-                platform: strong.clone(),
-                count: 2,
-                config: strong_cfg.clone(),
-            },
-        ],
-    )
-    .unwrap();
+        )
+    };
+    let (motes, mote_uplink) = class("motes", &mote, 8);
+    let classes = [
+        (motes.at_rate(0.1), mote_uplink),
+        class("microservers", &strong, 2),
+    ];
+    let cfg = DeploymentConfig::default();
 
-    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-    let root = dep.root();
-    dep.attach(
-        root,
-        Site::new("motes", &mote)
-            .with_count(8)
-            .with_cpu_budget(weak_cfg.cpu_budget)
-            .at_rate(0.1),
-        LinkSpec {
-            beta: 1.0,
-            // Aggregate uplink: 8 motes sharing a channel budgeted at the
-            // per-class (per-node) figure each.
-            net_budget: 8.0 * weak_cfg.net_budget,
-        },
-    );
-    dep.attach(
-        root,
-        Site::new("microservers", &strong).with_cpu_budget(strong_cfg.cpu_budget),
-        LinkSpec {
-            beta: 1.0,
-            net_budget: 2.0 * strong_cfg.net_budget,
-        },
-    );
-    let part = partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
+    // What the server must host when each class is partitioned alone.
+    let mut alone_union: HashSet<OperatorId> = HashSet::new();
+    for class in &classes {
+        let solo = Deployment::star([class.clone()]);
+        let part = partition_deployment(&g, &prof, &solo, &cfg).unwrap();
+        alone_union.extend(part.ops_at(solo.root()));
+    }
+
+    let dep = Deployment::star(classes);
+    let part = partition_deployment(&g, &prof, &dep, &cfg).unwrap();
     let server_union: HashSet<OperatorId> = part.ops_at(SiteId(0));
-    assert_eq!(server_union, mixed.server_side_union(&g));
+    assert_eq!(server_union, alone_union);
 }
 
 proptest! {

@@ -1,12 +1,11 @@
-//! Property tests for `wishbone-core::mixed` (§9 mixed networks): every
-//! class's physical partition must respect that class's budgets, and the
-//! per-class server-side residual graphs must compose into a valid
-//! whole-program execution order on the server.
+//! Property tests for §9 mixed networks (`Deployment::star` with one leaf
+//! class per node type): every class's physical partition must respect
+//! that class's budgets, and the per-class server-side residual graphs
+//! must compose into a valid whole-program execution order on the server.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-use wishbone::core::{partition_mixed, NodeClass};
 use wishbone::prelude::*;
 
 /// A random reducing pipeline: `stages` transforms, each with a random
@@ -69,65 +68,70 @@ proptest! {
 
         let mote = Platform::tmote_sky();
         let gumstix = Platform::gumstix();
-        let mk_class = |platform: &Platform, (budget, rate): (f64, f64), count| {
-            let mut config = PartitionConfig::for_platform(platform).at_rate(rate);
-            config.cpu_budget = budget;
-            config.net_budget = 1e9;
-            NodeClass { platform: platform.clone(), count, config }
+        // Each uplink row aggregates its class's devices: scale the
+        // (non-binding) per-node budget by the class size.
+        let mk_class = |name: &str, platform: &Platform, (budget, rate): (f64, f64), count| {
+            (
+                Site::new(name, platform)
+                    .with_count(count)
+                    .with_cpu_budget(budget)
+                    .at_rate(rate),
+                LinkSpec { beta: 1.0, net_budget: 1e9 * count as f64 },
+            )
         };
-        let classes = vec![
-            mk_class(&mote, weak, 10),
-            mk_class(&gumstix, strong, 2),
-        ];
-        let mixed = match partition_mixed(&g, &prof, &classes) {
+        let dep = Deployment::star([
+            mk_class("motes", &mote, weak, 10),
+            mk_class("microservers", &gumstix, strong, 2),
+        ]);
+        let mixed = match partition_deployment(&g, &prof, &dep, &DeploymentConfig::default()) {
             Ok(m) => m,
             Err(_) => return Ok(()), // a class may genuinely not fit
         };
 
         let all_ops: HashSet<OperatorId> = g.operator_ids().collect();
         let mut cut_union: Vec<wishbone::dataflow::EdgeId> = Vec::new();
-        for (class, cp) in classes.iter().zip(&mixed.classes) {
-            let part = &cp.partition;
+        for part in &mixed.leaves {
+            let class = dep.site(part.leaf);
+            let (node_ops, server_ops) = (&part.site_ops[0], &part.site_ops[1]);
             // 1. The class budget holds at the class rate.
             prop_assert!(
-                part.predicted_cpu <= class.config.cpu_budget + 1e-9,
+                part.predicted_cpu[0] <= class.cpu_budget + 1e-9,
                 "{}: cpu {} over budget {}",
-                cp.platform_name, part.predicted_cpu, class.config.cpu_budget
+                class.name, part.predicted_cpu[0], class.cpu_budget
             );
             // 2. node ∪ server covers the program exactly once.
-            let union: HashSet<OperatorId> =
-                part.node_ops.union(&part.server_ops).copied().collect();
+            let union: HashSet<OperatorId> = node_ops.union(server_ops).copied().collect();
             prop_assert_eq!(&union, &all_ops);
-            prop_assert!(part.node_ops.is_disjoint(&part.server_ops));
+            prop_assert!(node_ops.is_disjoint(server_ops));
             // 3. Single crossing: no edge flows server → node, and the cut
             // edges are exactly the node → server frontier.
             let mut frontier = Vec::new();
             for eid in g.edge_ids() {
                 let e = g.edge(eid);
-                let src_on_node = part.node_ops.contains(&e.src);
-                let dst_on_node = part.node_ops.contains(&e.dst);
+                let src_on_node = node_ops.contains(&e.src);
+                let dst_on_node = node_ops.contains(&e.dst);
                 prop_assert!(src_on_node || !dst_on_node,
-                    "{}: edge {:?} flows back into the network", cp.platform_name, eid);
+                    "{}: edge {:?} flows back into the network", class.name, eid);
                 if src_on_node && !dst_on_node {
                     frontier.push(eid);
                 }
             }
-            prop_assert_eq!(&frontier, &part.cut_edges);
+            prop_assert_eq!(&frontier, &part.link_cut_edges[0]);
             cut_union.extend(frontier);
         }
 
         // 4. The server-side residuals compose: the union of server ops
         // closes under successors (a valid suffix of every topological
         // order), and every entry edge targets an op inside it.
-        let server_union = mixed.server_side_union(&g);
-        for eid in &mixed.server_entry_edges {
+        let server_union = mixed.ops_at(dep.root());
+        for eid in &cut_union {
             let e = g.edge(*eid);
             prop_assert!(server_union.contains(&e.dst),
                 "entry edge {:?} targets an op outside the server union", eid);
         }
-        for cp in &mixed.classes {
+        for part in &mixed.leaves {
             for id in g.operator_ids() {
-                if !cp.partition.node_ops.contains(&id) {
+                if !part.site_ops[0].contains(&id) {
                     // Everything any class leaves behind is in the union…
                     prop_assert!(server_union.contains(&id));
                     // …and its whole downstream cone is too (execution
@@ -139,10 +143,5 @@ proptest! {
                 }
             }
         }
-        // 5. The reported entry edges are exactly the deduplicated,
-        // sorted union of all class cuts.
-        cut_union.sort_unstable();
-        cut_union.dedup();
-        prop_assert_eq!(&cut_union, &mixed.server_entry_edges);
     }
 }

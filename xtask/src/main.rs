@@ -17,8 +17,12 @@
 //!    `SolverBackend::Dense` tableau) must stay referenced from tests,
 //!    so they cannot be silently deleted out from under the parity
 //!    suite.
+//! 5. **entry-points** — `crates/core/src` and `crates/runtime/src` expose
+//!    one partitioning path and one simulator: a `pub fn` named
+//!    `partition*`, `max_sustainable_rate*` or `simulate_*` outside
+//!    [`ENTRY_POINTS`] is a second path growing back.
 //!
-//! Test modules are exempt from rules 1–3: by repo convention
+//! Test modules are exempt from rules 1–3 and 5: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -64,7 +68,7 @@ const ORACLE_ANCHORS: [(&str, &str); 6] = [
         "the dense tableau is the differential oracle for the sparse backend",
     ),
     (
-        "partition_approx",
+        "PlacementEngine::Approx",
         "the multilevel heuristic's certificates are pinned against the exact ILP",
     ),
     (
@@ -75,6 +79,23 @@ const ORACLE_ANCHORS: [(&str, &str); 6] = [
         "fleet_batch_matches_serial_one_shot",
         "fleet cache hits must stay bit-identical to serial one-shot solves",
     ),
+];
+
+/// Directories held to the entry-points rule.
+const ENTRY_POINT_DIRS: [&str; 2] = ["crates/core/src", "crates/runtime/src"];
+
+/// Name prefixes that mark a partitioning / rate-search / simulation
+/// entry point.
+const ENTRY_POINT_PREFIXES: [&str; 3] = ["partition", "max_sustainable_rate", "simulate_"];
+
+/// The one partitioning path and the one simulator (plus its traced
+/// form): every other shape is a `Deployment` / `TreeTopology`
+/// constructor, every other behaviour a config field.
+const ENTRY_POINTS: [&str; 4] = [
+    "partition_deployment",
+    "max_sustainable_rate_deployment",
+    "simulate_deployment_tree",
+    "simulate_deployment_tree_traced",
 ];
 
 struct Violation {
@@ -130,6 +151,11 @@ fn lint() -> ExitCode {
         }
     }
     check_oracle_anchors(&root, &mut violations);
+    for dir in ENTRY_POINT_DIRS {
+        for file in rust_sources(&root.join(dir)) {
+            check_entry_points(&root, &file, &mut violations);
+        }
+    }
 
     if violations.is_empty() {
         println!(
@@ -389,6 +415,36 @@ fn check_pub_docs(root: &Path, path: &Path, violations: &mut Vec<Violation>) {
                 line: i + 1,
                 rule: "pub-docs",
                 message: format!("public item `{name}` has no doc comment"),
+            });
+        }
+    }
+}
+
+fn check_entry_points(root: &Path, path: &Path, violations: &mut Vec<Violation>) {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return;
+    };
+    let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
+    for (line_no, line) in non_test_lines(&text) {
+        let trimmed = line.trim_start();
+        if !trimmed.starts_with("pub fn ") || allowed(line, "entry-points") {
+            continue;
+        }
+        let Some(name) = pub_item_name(trimmed) else {
+            continue;
+        };
+        if ENTRY_POINT_PREFIXES.iter().any(|p| name.starts_with(p)) && !ENTRY_POINTS.contains(&name)
+        {
+            violations.push(Violation {
+                file: rel.clone(),
+                line: line_no,
+                rule: "entry-points",
+                message: format!(
+                    "`{name}` is a second partitioning/simulation entry point — make the \
+                     shape a `Deployment`/`TreeTopology` constructor or the behaviour a \
+                     config field of the one path ({})",
+                    ENTRY_POINTS.join(", ")
+                ),
             });
         }
     }
