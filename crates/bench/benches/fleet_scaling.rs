@@ -31,6 +31,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use wishbone_bench::{merge_bench_json, BenchRecord};
 use wishbone_core::{Deployment, DeploymentConfig, LinkSpec, Site};
 use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
 use wishbone_fleet::{run_batch, FleetConfig, FleetRequest, FleetStats};
@@ -278,32 +279,23 @@ fn smoke() {
     }
 }
 
-/// One `BENCH_solver.json` record (schema shared with
-/// `solver_criterion`).
-struct JsonRecord {
-    bench: String,
-    median_ns: u128,
-    nodes: u64,
-    warm_starts: u64,
-}
-
-fn records_for(name: &str, a: &Arm) -> Vec<JsonRecord> {
+fn records_for(name: &str, a: &Arm) -> Vec<BenchRecord> {
     // Every miss is one encode — cacheless arms miss on every request.
     let encodes = a.stats.cache_misses;
     vec![
-        JsonRecord {
+        BenchRecord {
             bench: name.to_string(),
             median_ns: (a.stats.p50_s() * 1e9) as u128,
             nodes: encodes,
             warm_starts: a.stats.cache_hits,
         },
-        JsonRecord {
+        BenchRecord {
             bench: format!("{name}_p99"),
             median_ns: (a.stats.p99_s() * 1e9) as u128,
             nodes: encodes,
             warm_starts: a.stats.cache_hits,
         },
-        JsonRecord {
+        BenchRecord {
             bench: format!("{name}_total"),
             median_ns: (a.total_s * 1e9) as u128,
             nodes: encodes,
@@ -312,34 +304,11 @@ fn records_for(name: &str, a: &Arm) -> Vec<JsonRecord> {
     ]
 }
 
-/// Merge `fleet_*` records into `BENCH_solver.json`, preserving every
-/// non-fleet record `solver_criterion --json` wrote.
-fn merge_json(new_records: &[JsonRecord]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut lines: Vec<String> = existing
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with('{'))
-        .map(|l| l.trim_end_matches(',').to_string())
-        .filter(|l| !l.contains("\"bench\": \"fleet_"))
-        .collect();
-    lines.extend(new_records.iter().map(|r| {
-        format!(
-            "{{\"bench\": \"{}\", \"median_ns\": {}, \"nodes\": {}, \"warm_starts\": {}}}",
-            r.bench, r.median_ns, r.nodes, r.warm_starts
-        )
-    }));
-    let body: Vec<String> = lines.iter().map(|l| format!("  {l}")).collect();
-    std::fs::write(path, format!("[\n{}\n]\n", body.join(",\n"))).expect("write BENCH_solver.json");
-    println!("wrote {path} ({} fleet records)", new_records.len());
-}
-
 /// The full table: 1k and 10k requests, cold baseline, cached at every
 /// worker count.
 fn full(json: bool) {
     let apps = [profiled(0), profiled(1)];
-    let mut records: Vec<JsonRecord> = Vec::new();
+    let mut records: Vec<BenchRecord> = Vec::new();
 
     for &n in &[1_000usize, 10_000] {
         let tag = if n == 1_000 { "1k" } else { "10k" };
@@ -358,7 +327,7 @@ fn full(json: bool) {
         }
     }
     if json {
-        merge_json(&records);
+        merge_bench_json(&records);
     }
 }
 

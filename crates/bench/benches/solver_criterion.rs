@@ -19,10 +19,12 @@
 //! * `cargo bench --bench solver_criterion` — the criterion groups;
 //! * `... -- --smoke` (or `WISHBONE_BENCH_SMOKE=1`) — a seconds-scale CI
 //!   run that also asserts warm/cold agreement and `warm_starts > 0`;
-//! * `... -- --json` (or `WISHBONE_BENCH_JSON=1`) — additionally writes
-//!   `BENCH_solver.json` at the repo root: an array of
+//! * `... -- --json` (or `WISHBONE_BENCH_JSON=1`) — additionally merges
+//!   its records into `BENCH_solver.json` at the repo root: an array of
 //!   `{"bench", "median_ns", "nodes", "warm_starts"}` records (see the
-//!   README "Solver" section) so future PRs can track solver perf.
+//!   README "Solver" section) so future PRs can track solver perf. The
+//!   records it regenerates are replaced where they stand; the `fleet_*`
+//!   ones, which only `fleet_scaling -- --json` produces, are kept.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -30,6 +32,7 @@ use std::time::Instant;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
 use wishbone_apps::{build_eeg_app, EegParams};
+use wishbone_bench::{merge_bench_json, BenchRecord};
 use wishbone_core::{
     build_partition_graph, build_tiered_graph, drift_to_deltas, encode, encode_multitier,
     max_sustainable_rate_deployment, partition_deployment, preprocess, preprocess_tiered,
@@ -457,11 +460,41 @@ fn mote_star() -> Deployment {
     Deployment::star([(Site::new("mote", &mote), LinkSpec::for_platform(&mote))])
 }
 
+/// `max_sustainable_rate_deployment`'s §4.3 schedule — floor probe,
+/// doubling, bisection to relative precision `tol` — over an arbitrary
+/// probe, so a bench can watch (or replace) every probe of a search.
+fn rate_schedule(mut feasible: impl FnMut(f64) -> bool, hi_limit: f64, tol: f64) -> f64 {
+    let mut lo = hi_limit * 2f64.powi(-24);
+    assert!(feasible(lo), "feasible at tiny rates");
+    let mut hi = lo;
+    loop {
+        let next = (hi * 2.0).min(hi_limit);
+        if feasible(next) {
+            lo = next;
+            hi = next;
+            if (next - hi_limit).abs() < f64::EPSILON * hi_limit {
+                return lo;
+            }
+        } else {
+            hi = next;
+            break;
+        }
+    }
+    while (hi - lo) / lo > tol {
+        let mid = 0.5 * (lo + hi);
+        if feasible(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// §4.3 rate search the pre-workspace way: rebuild the partition graph,
 /// preprocessing, and encoding at every probe (a one-shot
 /// `partition_deployment` per probe). Kept as the comparison baseline
-/// for the prepared path; mirrors `max_sustainable_rate_deployment`'s
-/// search schedule.
+/// for the prepared path.
 fn rate_search_rebuild(
     graph: &wishbone_dataflow::Graph,
     prof: &GraphProfile,
@@ -470,40 +503,15 @@ fn rate_search_rebuild(
     hi_limit: f64,
     tol: f64,
 ) -> f64 {
-    let try_rate = |rate: f64| -> Option<()> {
-        match partition_deployment(graph, prof, dep, &cfg.clone().at_rate(rate)) {
-            Ok(_) => Some(()),
-            Err(PartitionError::Infeasible) => None,
+    rate_schedule(
+        |rate| match partition_deployment(graph, prof, dep, &cfg.clone().at_rate(rate)) {
+            Ok(_) => true,
+            Err(PartitionError::Infeasible) => false,
             Err(e) => panic!("solver error: {e}"),
-        }
-    };
-    let mut lo = hi_limit * 2f64.powi(-24);
-    try_rate(lo).expect("feasible at tiny rates");
-    let mut hi = lo;
-    loop {
-        let next = (hi * 2.0).min(hi_limit);
-        match try_rate(next) {
-            Some(()) => {
-                lo = next;
-                hi = next;
-                if (next - hi_limit).abs() < f64::EPSILON * hi_limit {
-                    return lo;
-                }
-            }
-            None => {
-                hi = next;
-                break;
-            }
-        }
-    }
-    while (hi - lo) / lo > tol {
-        let mid = 0.5 * (lo + hi);
-        match try_rate(mid) {
-            Some(()) => lo = mid,
-            None => hi = mid,
-        }
-    }
-    lo
+        },
+        hi_limit,
+        tol,
+    )
 }
 
 fn rate_search(c: &mut Criterion) {
@@ -871,14 +879,6 @@ criterion_group!(
     drift_resolve,
 );
 
-/// One `BENCH_solver.json` record.
-struct JsonRecord {
-    bench: String,
-    median_ns: u128,
-    nodes: u64,
-    warm_starts: u64,
-}
-
 /// Median wall-clock of `reps` runs of `f`, which also reports the solver
 /// work it did (B&B nodes, warm starts).
 fn measure(reps: usize, mut f: impl FnMut() -> (u64, u64)) -> (u128, u64, u64) {
@@ -896,7 +896,7 @@ fn measure(reps: usize, mut f: impl FnMut() -> (u64, u64)) -> (u128, u64, u64) {
 /// Run the fixed instance set behind `BENCH_solver.json` and write it to
 /// the repo root (two directories above this crate).
 fn emit_json(reps: usize) {
-    let mut records: Vec<JsonRecord> = Vec::new();
+    let mut records: Vec<BenchRecord> = Vec::new();
 
     for channels in [1usize, 2, 4] {
         let pg = eeg_partition_graph(channels);
@@ -904,7 +904,7 @@ fn emit_json(reps: usize) {
             let (_, stats) = solve_opts(&pg, Encoding::Restricted, true, &IlpOptions::default());
             (stats.nodes, stats.warm_starts)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: format!("solver_scaling_{channels}ch"),
             median_ns,
             nodes,
@@ -930,7 +930,7 @@ fn emit_json(reps: usize) {
                 let s = p.solve_ilp(&backend_opts(backend)).expect("solvable");
                 (s.stats.nodes, s.stats.warm_starts)
             });
-            records.push(JsonRecord {
+            records.push(BenchRecord {
                 bench: format!("{name}_{label}"),
                 median_ns,
                 nodes,
@@ -951,7 +951,7 @@ fn emit_json(reps: usize) {
             let s = p.solve_ilp(&IlpOptions::default()).expect("solvable");
             (s.stats.nodes, s.stats.warm_starts)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: name,
             median_ns,
             nodes,
@@ -975,7 +975,7 @@ fn emit_json(reps: usize) {
                 Ok(part) => (part.ilp_stats.nodes, part.ilp_stats.warm_starts),
                 Err(_) => (0, 0),
             });
-            records.push(JsonRecord {
+            records.push(BenchRecord {
                 bench: format!("multitier_eeg22_k3_sweep_x{rate}"),
                 median_ns,
                 nodes,
@@ -999,7 +999,7 @@ fn emit_json(reps: usize) {
                 let s = forest.solve_ilp(&backend_opts(backend)).expect("solvable");
                 (s.stats.nodes, s.stats.warm_starts)
             });
-            records.push(JsonRecord {
+            records.push(BenchRecord {
                 bench: format!("deployment_forest_eeg2_2x4_{label}"),
                 median_ns,
                 nodes,
@@ -1016,7 +1016,7 @@ fn emit_json(reps: usize) {
                 Ok(part) => (part.ilp_stats.nodes, part.ilp_stats.warm_starts),
                 Err(_) => (0, 0),
             });
-            records.push(JsonRecord {
+            records.push(BenchRecord {
                 bench: format!("deployment_forest_eeg4_asym_sweep_x{rate}"),
                 median_ns,
                 nodes,
@@ -1052,7 +1052,7 @@ fn emit_json(reps: usize) {
             ]);
             (0, 0)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "churn_delta_apply_per_event".into(),
             median_ns,
             nodes: 0,
@@ -1067,7 +1067,7 @@ fn emit_json(reps: usize) {
             let _ = cold.problem_size();
             (0, 0)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "churn_cold_rebuild_per_event".into(),
             median_ns,
             nodes: 0,
@@ -1089,7 +1089,7 @@ fn emit_json(reps: usize) {
             );
             (part.ilp_stats.nodes, part.ilp_stats.warm_starts)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "nearcliff_forest_eeg4_seeded_exact".into(),
             median_ns,
             nodes,
@@ -1104,7 +1104,7 @@ fn emit_json(reps: usize) {
             assert!(gap <= 0.025, "near-cliff certificate blew up: {gap}");
             (0, 0)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "nearcliff_forest_eeg4_approx".into(),
             median_ns,
             nodes: 0,
@@ -1122,7 +1122,7 @@ fn emit_json(reps: usize) {
         let stats = &r.partition.ilp_stats;
         (stats.nodes, stats.warm_starts)
     });
-    records.push(JsonRecord {
+    records.push(BenchRecord {
         bench: "rate_search_eeg2_prepared".into(),
         median_ns,
         nodes,
@@ -1132,7 +1132,7 @@ fn emit_json(reps: usize) {
         rate_search_rebuild(&graph, &prof, &dep, &cfg, 64.0, 0.01);
         (0, 0)
     });
-    records.push(JsonRecord {
+    records.push(BenchRecord {
         bench: "rate_search_eeg2_rebuild".into(),
         median_ns,
         nodes: 0,
@@ -1147,7 +1147,7 @@ fn emit_json(reps: usize) {
             let r = simulate_deployment_tree(&sgraph, &stopo, &sroutes, &scfg);
             (r.stats().events_processed, 0)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "trace_overhead_untraced".into(),
             median_ns,
             nodes: 0,
@@ -1165,7 +1165,7 @@ fn emit_json(reps: usize) {
             );
             (r.stats().events_processed, 0)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "trace_overhead_null_sink".into(),
             median_ns,
             nodes: 0,
@@ -1183,7 +1183,7 @@ fn emit_json(reps: usize) {
             );
             (sink.events.len() as u64, 0)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "trace_overhead_memory_sink".into(),
             median_ns,
             nodes: 0,
@@ -1214,7 +1214,7 @@ fn emit_json(reps: usize) {
             (part.ilp_stats.nodes, part.ilp_stats.warm_starts)
         });
         assert_eq!(prep.encodes(), 1, "drift re-solves must not re-encode");
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "drift_resolve_warm_rescale".into(),
             median_ns,
             nodes,
@@ -1230,7 +1230,7 @@ fn emit_json(reps: usize) {
             let part = cold.solve_at(DRIFT_RATE).expect("cold solve");
             (part.ilp_stats.nodes, part.ilp_stats.warm_starts)
         });
-        records.push(JsonRecord {
+        records.push(BenchRecord {
             bench: "drift_resolve_cold_rebuild".into(),
             median_ns,
             nodes,
@@ -1238,19 +1238,7 @@ fn emit_json(reps: usize) {
         });
     }
 
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"bench\": \"{}\", \"median_ns\": {}, \"nodes\": {}, \"warm_starts\": {}}}",
-                r.bench, r.median_ns, r.nodes, r.warm_starts
-            )
-        })
-        .collect();
-    let json = format!("[\n{}\n]\n", body.join(",\n"));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    std::fs::write(path, json).expect("write BENCH_solver.json");
-    println!("wrote {path}");
+    merge_bench_json(&records);
 }
 
 /// Seconds-scale smoke run for CI, parameterized by backend so a sparse
@@ -1405,6 +1393,68 @@ fn smoke(backend: SolverBackend) {
         seeded.objective
     );
 
+    // One forest rate search per smoke — the benchmark of record's
+    // `forest_eeg4_rate_search` instance. Both backends must land on
+    // the same rate in the same number of probes.
+    let mut rcfg = DeploymentConfig::default();
+    rcfg.ilp.backend = backend;
+    let found = max_sustainable_rate_deployment(&graph4, &prof4, &dep4, &rcfg, 64.0, 0.005)
+        .expect("no solver error")
+        .expect("feasible");
+    assert_eq!(found.encodes, 1, "[{label}] one encode");
+    assert_eq!(
+        (found.rate, found.evaluations),
+        (3.15625, 28),
+        "[{label}] the forest's sustainable rate and probe count (either backend)"
+    );
+    // Sparse smoke only: the same search probe by probe on one prepared
+    // instance, to count what the library's result does not carry. The
+    // sparse backend follows a retarget from the previous probe's basis,
+    // so all but the first root LP (and any right after an infeasible
+    // probe that was refuted from a cold start) enter warm and the whole
+    // search costs a few hundred pivots, not ~15 500 from the slack basis
+    // every time. Counts, so they repeat exactly on any machine.
+    if backend == SolverBackend::Sparse {
+        let (mut probes, mut feasible, mut warm_roots, mut search_iters) = (0u32, 0u32, 0u32, 0u64);
+        let mut prep = PreparedDeployment::new(&graph4, &prof4, &dep4, &rcfg).expect("pins ok");
+        let replayed = rate_schedule(
+            |rate| {
+                probes += 1;
+                match prep.solve_at(rate) {
+                    Ok(part) => {
+                        feasible += 1;
+                        // No LP of the probe started cold, its root included.
+                        warm_roots += u32::from(part.ilp_stats.cold_starts == 0);
+                        search_iters += part.ilp_stats.simplex_iterations;
+                        true
+                    }
+                    Err(PartitionError::Infeasible) => false,
+                    Err(e) => panic!("[sparse] solver error: {e}"),
+                }
+            },
+            64.0,
+            0.005,
+        );
+        assert_eq!(prep.encodes(), 1, "[sparse] one encode");
+        assert_eq!(
+            (replayed, probes),
+            (found.rate, found.evaluations),
+            "[sparse] the replay must be the library's search"
+        );
+        assert!(
+            warm_roots * 5 >= feasible * 4,
+            "[sparse] only {warm_roots} of {feasible} feasible probes entered warm"
+        );
+        assert!(
+            search_iters <= 2000,
+            "[sparse] the forest rate search took {search_iters} simplex iterations, budget 2000"
+        );
+        println!(
+            "smoke[sparse] forest rate search: {probes} probes, {warm_roots} of {feasible} \
+             feasible ones warm at the root, {search_iters} iterations"
+        );
+    }
+
     // One traced simulation per smoke: the NullSink run must reproduce
     // the untraced entry point byte for byte and cost nothing (min-of-N
     // within 5% plus scheduling slack), a MemorySink must capture the
@@ -1546,8 +1596,9 @@ fn smoke(backend: SolverBackend) {
         "smoke[{label}] OK: {} nodes ({} warm) on 1ch EEG; chain_972 obj {:.1} \
          in {} nodes; multitier k3 obj {:.1}; forest obj {:.1}; rate search found \
          x{:.3} in {} probes / {} encode; churn delta obj {:.3}; near-cliff \
-         seeded obj {:.3}, approx gap {:.4}; traced sim {} events, top blame \
-         {}, null-sink overhead {:+.1}%; drift re-solve obj {:.3} in 1 encode",
+         seeded obj {:.3}, approx gap {:.4}; forest rate search x{} in {} probes; \
+         traced sim {} events, top blame {}, null-sink overhead {:+.1}%; drift \
+         re-solve obj {:.3} in 1 encode",
         warm_stats.nodes,
         warm_stats.warm_starts,
         mine.objective,
@@ -1560,6 +1611,8 @@ fn smoke(backend: SolverBackend) {
         churn_obj,
         seeded.objective,
         cliff_gap,
+        found.rate,
+        found.evaluations,
         mem.events.len(),
         top.label,
         (best_null as f64 / best_untraced as f64 - 1.0) * 100.0,

@@ -93,9 +93,106 @@ pub fn linear_rates(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// One `BENCH_solver.json` record: the schema `solver_criterion -- --json`
+/// and `fleet_scaling -- --json` share.
+pub struct BenchRecord {
+    /// Record name, unique within the file.
+    pub bench: String,
+    /// Median wall clock of the measured runs, nanoseconds.
+    pub median_ns: u128,
+    /// Branch-and-bound nodes of one run (encodes, for the fleet records).
+    pub nodes: u64,
+    /// Warm-started node LPs of one run (cache hits, for the fleet records).
+    pub warm_starts: u64,
+}
+
+/// `existing` (the text of a `BENCH_solver.json`, possibly empty) with
+/// `records` merged in: a record already present under the same `bench`
+/// name is replaced where it stands, new names are appended, and every
+/// other record is kept as it was — so each bench binary refreshes only
+/// the records it regenerates.
+pub fn merge_bench_records(existing: &str, records: &[BenchRecord]) -> String {
+    let render = |r: &BenchRecord| {
+        format!(
+            "{{\"bench\": \"{}\", \"median_ns\": {}, \"nodes\": {}, \"warm_starts\": {}}}",
+            r.bench, r.median_ns, r.nodes, r.warm_starts
+        )
+    };
+    let mut placed = vec![false; records.len()];
+    let mut lines: Vec<String> = existing
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with('{'))
+        .map(|l| {
+            let name = l
+                .split("\"bench\": \"")
+                .nth(1)
+                .and_then(|rest| rest.split('"').next());
+            match records.iter().position(|r| Some(r.bench.as_str()) == name) {
+                Some(i) => {
+                    placed[i] = true;
+                    render(&records[i])
+                }
+                None => l.to_string(),
+            }
+        })
+        .collect();
+    lines.extend(
+        records
+            .iter()
+            .zip(&placed)
+            .filter(|(_, &placed)| !placed)
+            .map(|(r, _)| render(r)),
+    );
+    let body: Vec<String> = lines.iter().map(|l| format!("  {l}")).collect();
+    format!("[\n{}\n]\n", body.join(",\n"))
+}
+
+/// [`merge_bench_records`] applied to `BENCH_solver.json` at the
+/// repository root (two directories above this crate).
+pub fn merge_bench_json(records: &[BenchRecord]) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    std::fs::write(path, merge_bench_records(&existing, records)).expect("write BENCH_solver.json");
+    println!("merged {} records into {path}", records.len());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merging_replaces_in_place_appends_new_names_and_keeps_the_rest() {
+        let rec = |bench: &str, median_ns| BenchRecord {
+            bench: bench.into(),
+            median_ns,
+            nodes: 1,
+            warm_starts: 0,
+        };
+        let file = |records: &[(&str, u128)]| {
+            let lines: Vec<String> = records
+                .iter()
+                .map(|(bench, ns)| {
+                    format!(
+                        "  {{\"bench\": \"{bench}\", \"median_ns\": {ns}, \"nodes\": 1, \
+                         \"warm_starts\": 0}}"
+                    )
+                })
+                .collect();
+            format!("[\n{}\n]\n", lines.join(",\n"))
+        };
+        let first = merge_bench_records("", &[rec("a", 1), rec("fleet_x", 2), rec("b", 3)]);
+        assert_eq!(first, file(&[("a", 1), ("fleet_x", 2), ("b", 3)]));
+        // A run that regenerates `b` and adds `c` leaves `a` and the
+        // fleet record alone, and the order of what was there.
+        let second = merge_bench_records(&first, &[rec("c", 5), rec("b", 4)]);
+        assert_eq!(
+            second,
+            file(&[("a", 1), ("fleet_x", 2), ("b", 4), ("c", 5)])
+        );
+        // Merging what is already there changes nothing.
+        assert_eq!(merge_bench_records(&second, &[rec("a", 1)]), second);
+    }
 
     #[test]
     fn cdf_percentiles() {

@@ -9,6 +9,9 @@
 //! receiving less, which the §7.3.1 network profile guarantees by keeping
 //! the budget below saturation.
 
+use crate::partitioner::PartitionError;
+use crate::topology::DeploymentPartition;
+
 /// A probed rate whose branch-and-bound hit its node/time budget before
 /// finding any integer point: neither feasible nor infeasible.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,130 +23,100 @@ pub struct UnprovenRate {
     pub best_bound: Option<f64>,
 }
 
-/// What one rate probe learned.
-pub(crate) enum ProbeOutcome<P> {
-    /// A placement exists at this rate (and here it is).
-    Feasible(P),
-    /// Proven: no placement exists at this rate.
-    Infeasible,
-    /// The probe's search budget ran out before any integer point was
-    /// found — nothing is proven either way.
-    Unproven {
-        /// Objective lower bound from the truncated tree, if any.
-        best_bound: Option<f64>,
-    },
-}
-
-/// How a [`search_max_rate`] run ended.
-pub(crate) enum SearchOutcome<P> {
-    /// A feasible rate was found (and possibly an unproven probe above
-    /// it).
-    Found {
-        /// Highest proven-feasible rate.
-        rate: f64,
-        /// The placement at that rate.
-        best: P,
-        /// Probes consumed.
-        evaluations: u32,
-        /// Lowest unproven probe above `rate`, if any probe timed out.
-        unproven: Option<UnprovenRate>,
-    },
-    /// Proven infeasible even at the vanishing floor rate.
-    Infeasible,
-    /// The floor probe itself was unproven: the search learned nothing.
-    FloorUnproven(UnprovenRate),
+/// A completed [`search_max_rate`] run that found a feasible rate.
+pub(crate) struct FoundRate {
+    /// Highest proven-feasible rate.
+    pub(crate) rate: f64,
+    /// The placement at that rate.
+    pub(crate) best: DeploymentPartition,
+    /// Probes consumed.
+    pub(crate) evaluations: u32,
+    /// Lowest unproven probe above `rate`, if any probe timed out.
+    pub(crate) unproven: Option<UnprovenRate>,
 }
 
 /// The §4.3 search skeleton behind
 /// [`max_sustainable_rate_deployment`](crate::topology::max_sustainable_rate_deployment):
 /// establish a feasible lower bound at a
 /// vanishing rate, double until infeasible (or the cap is hit), then
-/// bisect to relative precision `tol`. An
-/// [`ProbeOutcome::Unproven`] probe is treated as an upper bound for the
-/// bisection (conservative) but recorded and reported, so callers can
-/// tell a proven ceiling from a search that merely ran out of budget —
-/// the range above the result is *unproven*, not infeasible.
-pub(crate) fn search_max_rate<P, E>(
-    mut probe: impl FnMut(f64) -> Result<ProbeOutcome<P>, E>,
+/// bisect to relative precision `tol`. `solve_at` is one probe: a
+/// placement, [`PartitionError::Infeasible`] (proven), or
+/// [`PartitionError::Unproven`] (the probe's search budget ran out before
+/// any integer point was found). An unproven probe is treated as an upper
+/// bound for the bisection (conservative) but recorded and reported, so
+/// callers can tell a proven ceiling from a search that merely ran out of
+/// budget — the range above the result is *unproven*, not infeasible.
+///
+/// `Ok(None)` means proven infeasible even at the vanishing floor rate;
+/// a floor probe that was itself unproven — the search learned nothing —
+/// and any other solver error come back as `Err`.
+pub(crate) fn search_max_rate(
+    mut solve_at: impl FnMut(f64) -> Result<DeploymentPartition, PartitionError>,
     hi_limit: f64,
     tol: f64,
-) -> Result<SearchOutcome<P>, E> {
+) -> Result<Option<FoundRate>, PartitionError> {
     assert!(hi_limit > 0.0 && tol > 0.0);
     let mut evals = 0u32;
     let mut unproven: Option<UnprovenRate> = None;
-    let note_unproven = |u: &mut Option<UnprovenRate>, rate: f64, best_bound| {
-        if u.is_none_or(|prev| rate < prev.rate) {
-            *u = Some(UnprovenRate { rate, best_bound });
+    // `None`: nothing fits at this rate, as far as this probe could tell.
+    let mut probe = |rate: f64| -> Result<Option<DeploymentPartition>, PartitionError> {
+        evals += 1;
+        match solve_at(rate) {
+            Ok(p) => Ok(Some(p)),
+            Err(PartitionError::Infeasible) => Ok(None),
+            Err(PartitionError::Unproven { best_bound }) => {
+                if unproven.is_none_or(|prev| rate < prev.rate) {
+                    unproven = Some(UnprovenRate { rate, best_bound });
+                }
+                Ok(None)
+            }
+            Err(e) => Err(e),
         }
     };
 
     // Establish a feasible lower bound.
     let mut lo = hi_limit * 2f64.powi(-24);
-    evals += 1;
-    let mut best = match probe(lo)? {
-        ProbeOutcome::Feasible(p) => p,
-        ProbeOutcome::Infeasible => return Ok(SearchOutcome::Infeasible),
-        ProbeOutcome::Unproven { best_bound } => {
-            return Ok(SearchOutcome::FloorUnproven(UnprovenRate {
-                rate: lo,
-                best_bound,
-            }))
-        }
+    let Some(mut best) = probe(lo)? else {
+        return match unproven {
+            Some(u) => Err(PartitionError::Unproven {
+                best_bound: u.best_bound,
+            }),
+            None => Ok(None),
+        };
     };
 
     // Grow until infeasible/unproven or the cap is hit.
     let mut hi = lo;
     loop {
-        let next = (hi * 2.0).min(hi_limit);
-        evals += 1;
-        match probe(next)? {
-            ProbeOutcome::Feasible(p) => {
-                lo = next;
-                best = p;
-                hi = next;
-                if (next - hi_limit).abs() < f64::EPSILON * hi_limit {
-                    return Ok(SearchOutcome::Found {
-                        rate: lo,
-                        best,
-                        evaluations: evals,
-                        unproven,
-                    });
-                }
-            }
-            ProbeOutcome::Infeasible => {
-                hi = next;
-                break;
-            }
-            ProbeOutcome::Unproven { best_bound } => {
-                note_unproven(&mut unproven, next, best_bound);
-                hi = next;
-                break;
-            }
+        hi = (hi * 2.0).min(hi_limit);
+        let Some(p) = probe(hi)? else {
+            break;
+        };
+        lo = hi;
+        best = p;
+        if (hi - hi_limit).abs() < f64::EPSILON * hi_limit {
+            break;
         }
     }
 
-    // Bisect (lo feasible; hi infeasible or unproven).
+    // Bisect (lo feasible; hi infeasible or unproven — or lo == hi, the
+    // cap itself).
     while (hi - lo) / lo > tol {
         let mid = 0.5 * (lo + hi);
-        evals += 1;
         match probe(mid)? {
-            ProbeOutcome::Feasible(p) => {
+            Some(p) => {
                 lo = mid;
                 best = p;
             }
-            ProbeOutcome::Infeasible => hi = mid,
-            ProbeOutcome::Unproven { best_bound } => {
-                note_unproven(&mut unproven, mid, best_bound);
-                hi = mid;
-            }
+            None => hi = mid,
         }
     }
-    Ok(SearchOutcome::Found {
+    Ok(Some(FoundRate {
         rate: lo,
         best,
         evaluations: evals,
         unproven,
-    })
+    }))
 }
 
 #[cfg(test)]

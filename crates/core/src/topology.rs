@@ -632,8 +632,22 @@ struct PreparedLeaf {
 /// scale on every profiled cost — changes between them. So graph build,
 /// per-leaf merge, and encoding happen once; every probe rescales the
 /// prepared ILP in place (objective × rate, budget right-hand sides ÷
-/// rate) on one reused [`SimplexWorkspace`], seeding branch-and-bound
-/// with the previous incumbent.
+/// rate) on one reused [`SimplexWorkspace`].
+///
+/// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
+/// the last placement, which seeds branch-and-bound as its first
+/// incumbent, and — in the instance's own workspace only — the last
+/// simplex basis. A retarget scales the objective uniformly and moves a
+/// handful of budget right-hand sides, so that basis is still dual
+/// feasible and the next root LP (the exact engine's, or the approximate
+/// engine's certificate) costs a few dual pivots instead of a solve from
+/// the slack basis (sparse backend; the dense tableau cannot follow a
+/// changed right-hand side and re-enters warm only at a repeated rate).
+/// Verdicts and optimal values never depend on this; which of several
+/// equally cheap placements comes back can.
+/// [`reset_warm_start`](Self::reset_warm_start) drops both, and
+/// [`apply_delta`](Self::apply_delta) rewrites budget rows, which makes
+/// the next root LP a cold start by itself.
 pub struct PreparedDeployment<'a> {
     graph: InputHandle<'a, Graph>,
     profile: InputHandle<'a, GraphProfile>,
@@ -857,16 +871,18 @@ impl<'a> PreparedDeployment<'a> {
         &self.cfg
     }
 
-    /// Drop warm-start state carried over from previous solves (the last
-    /// incumbent). The next [`solve_at`](Self::solve_at) then runs
-    /// exactly like the first solve of a freshly prepared instance —
-    /// branch-and-bound keeps a seeded incumbent on objective ties, so a
-    /// leaked incumbent from an earlier request could steer tie-breaking
-    /// toward a different (equally optimal) placement. The fleet service
-    /// calls this between requests so cache hits stay bit-identical to
-    /// serial one-shot solves.
+    /// Drop warm-start state carried over from previous solves: the last
+    /// incumbent, and the basis retained in the instance's own workspace.
+    /// The next [`solve_at`](Self::solve_at) then runs exactly like the
+    /// first solve of a freshly prepared instance — branch-and-bound
+    /// keeps a seeded incumbent on objective ties, and a warm root LP can
+    /// land on a different optimal vertex, so either could steer
+    /// tie-breaking toward a different (equally optimal) placement. The
+    /// fleet service calls this between requests so cache hits stay
+    /// bit-identical to serial one-shot solves.
     pub fn reset_warm_start(&mut self) {
         self.last_values = None;
+        self.workspace.invalidate();
     }
 
     /// Wall-clock cost of the one-time build (graph build, merge,
@@ -1000,8 +1016,9 @@ impl<'a> PreparedDeployment<'a> {
 
     /// Solve the prepared instance at `rate` via the multilevel anytime
     /// engine: heuristic placement plus a certified gap from the root LP
-    /// bound, solved cold in the caller's arena on the configured
-    /// backend. The instance must already be retargeted to `rate`.
+    /// bound, solved in `ws` on the configured backend — warm when `ws`
+    /// retains a basis of this instance. The instance must already be
+    /// retargeted to `rate`.
     fn approx_at(
         &mut self,
         rate: f64,
@@ -1009,15 +1026,36 @@ impl<'a> PreparedDeployment<'a> {
     ) -> Result<DeploymentPartition, PartitionError> {
         let cut = self.approx_values(rate);
         ws.set_backend(self.cfg.ilp.backend);
+        ws.reset_counters();
         let problem = &self.ep.problem;
-        let lp = match wishbone_ilp::solve_lp_in(
+        let lp_t = Instant::now();
+        let lp = wishbone_ilp::solve_lp_in(
             problem,
             problem.lower_bounds(),
             problem.upper_bounds(),
             wishbone_ilp::simplex::default_iteration_limit(problem),
             ws,
-            false,
-        ) {
+            true,
+        );
+        let root_lp_s = lp_t.elapsed().as_secs_f64();
+        // What the certificate cost, and whether it entered warm.
+        let (dual_iterations, primal_iterations) = (ws.dual_iterations(), ws.primal_iterations());
+        let mut stats = IlpStats {
+            simplex_iterations: dual_iterations + primal_iterations,
+            dual_iterations,
+            primal_iterations,
+            warm_starts: ws.warm_starts(),
+            cold_starts: ws.cold_starts(),
+            refactorizations: ws.refactorizations(),
+            backend: self.solver_backend(),
+            phase_times: PhaseTimes {
+                encode_s: self.encode_s,
+                root_lp_s,
+                ..PhaseTimes::default()
+            },
+            ..IlpStats::default()
+        };
+        let lp = match lp {
             Ok(s) => Some(s.objective + self.ep.objective_offset * rate),
             Err(SolveError::Infeasible) => None,
             Err(e) => return Err(PartitionError::Solver(e)),
@@ -1034,36 +1072,44 @@ impl<'a> PreparedDeployment<'a> {
         };
         let certified_gap =
             lp.map(|bound| ((objective - bound) / objective.abs().max(f64::EPSILON)).max(0.0));
-        let stats = IlpStats {
-            best_bound: lp.map(|b| b - self.ep.objective_offset * rate),
-            backend: self.solver_backend(),
-            phase_times: PhaseTimes {
-                encode_s: self.encode_s,
-                ..PhaseTimes::default()
-            },
-            ..IlpStats::default()
-        };
+        stats.best_bound = lp.map(|b| b - self.ep.objective_offset * rate);
         self.last_values = Some(values.clone());
         Ok(self.decode_partition(&values, rate, objective, stats, certified_gap))
     }
 
     /// Solve the prepared instance at `rate` (a global multiplier on the
     /// profile's reference input rate, composed with each leaf's
-    /// `rate_factor`).
+    /// `rate_factor`), in the instance's own workspace. From the second
+    /// call on the root LP re-enters from the basis the previous call
+    /// left there (see the type-level docs for what that does and does
+    /// not change about the answer).
     pub fn solve_at(&mut self, rate: f64) -> Result<DeploymentPartition, PartitionError> {
         let mut ws = std::mem::take(&mut self.workspace);
-        let out = self.solve_at_in(rate, &mut ws);
+        let out = self.solve_in(rate, &mut ws);
         self.workspace = ws;
         out
     }
 
     /// [`solve_at`](Self::solve_at) inside a caller-owned workspace
-    /// arena. The workspace is pure scratch memory — `solve_ilp_in`
-    /// invalidates it on entry, so results are bit-identical whichever
-    /// arena is passed. A fleet worker keeps **one** long-lived arena
-    /// and solves every cached shape's instance in it, instead of every
-    /// cache entry growing its own.
+    /// arena. The arena is pure scratch memory: it is invalidated on
+    /// entry, so the root LP always starts cold and results are
+    /// bit-identical whichever arena is passed, whatever it solved last —
+    /// this very instance included. Only the instance's own workspace
+    /// ever carries a basis from one solve to the next. A fleet worker
+    /// keeps **one** long-lived arena and solves every cached shape's
+    /// instance in it, instead of every cache entry growing its own.
     pub fn solve_at_in(
+        &mut self,
+        rate: f64,
+        ws: &mut SimplexWorkspace,
+    ) -> Result<DeploymentPartition, PartitionError> {
+        ws.invalidate();
+        self.solve_in(rate, ws)
+    }
+
+    /// Retarget to `rate` and solve in `ws` as it stands: warm at the
+    /// root when `ws` retains a basis of this instance's current matrix.
+    fn solve_in(
         &mut self,
         rate: f64,
         ws: &mut SimplexWorkspace,
@@ -1238,9 +1284,10 @@ pub struct DeploymentRateResult {
 }
 
 /// Binary-search the maximum sustainable global rate multiplier of a
-/// deployment in `(0, hi_limit]` to relative precision `tol` — §4.3 on
-/// the shared `search_max_rate` skeleton, every probe solving one
-/// prepared deployment ILP in place.
+/// deployment in `(0, hi_limit]` to relative precision `tol` — §4.3's
+/// floor / doubling / bisection schedule (`search_max_rate`), every probe
+/// a [`PreparedDeployment::solve_at`] on one prepared instance: one
+/// encode, each root LP re-entering from the previous probe's basis.
 ///
 /// Returns `None` if the deployment is infeasible even at vanishingly
 /// small rates; solver errors propagate.
@@ -1252,39 +1299,16 @@ pub fn max_sustainable_rate_deployment(
     hi_limit: f64,
     tol: f64,
 ) -> Result<Option<DeploymentRateResult>, PartitionError> {
-    use crate::rate_search::{ProbeOutcome, SearchOutcome};
     let mut prep = PreparedDeployment::new(graph, profile, dep, cfg)?;
-    let outcome = crate::rate_search::search_max_rate(
-        |rate| match prep.solve_at(rate) {
-            Ok(p) => Ok(ProbeOutcome::Feasible(p)),
-            Err(PartitionError::Infeasible) => Ok(ProbeOutcome::Infeasible),
-            Err(PartitionError::Unproven { best_bound }) => {
-                Ok(ProbeOutcome::Unproven { best_bound })
-            }
-            Err(e) => Err(e),
-        },
-        hi_limit,
-        tol,
-    )?;
-    match outcome {
-        SearchOutcome::Found {
-            rate,
-            best,
-            evaluations,
-            unproven,
-        } => Ok(Some(DeploymentRateResult {
-            rate,
-            partition: best,
-            evaluations,
-            encodes: prep.encodes(),
-            backend: prep.solver_backend(),
-            unproven,
-        })),
-        SearchOutcome::Infeasible => Ok(None),
-        SearchOutcome::FloorUnproven(u) => Err(PartitionError::Unproven {
-            best_bound: u.best_bound,
-        }),
-    }
+    let found = crate::rate_search::search_max_rate(|rate| prep.solve_at(rate), hi_limit, tol)?;
+    Ok(found.map(|f| DeploymentRateResult {
+        rate: f.rate,
+        partition: f.best,
+        evaluations: f.evaluations,
+        encodes: prep.encodes(),
+        backend: prep.solver_backend(),
+        unproven: f.unproven,
+    }))
 }
 
 #[cfg(test)]
@@ -1737,39 +1761,92 @@ mod tests {
     fn approx_certificate_runs_in_the_callers_arena_on_the_configured_backend() {
         let (g, prof) = profiled();
         let rate = 0.2;
-        let mut cfg = DeploymentConfig::default().approx();
-        let solve = |cfg: &DeploymentConfig, ws: &mut SimplexWorkspace| {
-            PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), cfg)
-                .unwrap()
-                .solve_at_in(rate, ws)
-                .expect("feasible")
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let assert_same = |a: &DeploymentPartition, b: &DeploymentPartition, what: &str| {
+            for (la, lb) in a.leaves.iter().zip(&b.leaves) {
+                assert_eq!(la.site_ops, lb.site_ops, "{what}");
+            }
+            assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{what}");
+            assert_eq!(bits(&a.site_cpu), bits(&b.site_cpu), "{what}");
+            assert_eq!(bits(&a.link_net), bits(&b.link_net), "{what}");
+            assert_eq!(
+                a.certified_gap.map(f64::to_bits),
+                b.certified_gap.map(f64::to_bits),
+                "{what}"
+            );
+            // Not just the same answer: the same route to it.
+            let (sa, sb) = (&a.ilp_stats, &b.ilp_stats);
+            assert_eq!(
+                (sa.warm_starts, sa.cold_starts, sa.simplex_iterations),
+                (sb.warm_starts, sb.cold_starts, sb.simplex_iterations),
+                "{what}"
+            );
         };
-        let fresh = solve(&cfg, &mut SimplexWorkspace::new());
+        for mut cfg in [
+            DeploymentConfig::default().approx(),
+            DeploymentConfig::default(),
+        ] {
+            // Both backends: the sparse one could follow the retarget
+            // below from a retained basis, the dense one the repeat.
+            for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+                cfg.ilp.backend = backend;
+                let prepare =
+                    || PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), &cfg).unwrap();
+                let fresh = prepare()
+                    .solve_at_in(rate, &mut SimplexWorkspace::new())
+                    .expect("feasible");
+                assert_eq!(
+                    fresh.certified_gap.is_some(),
+                    cfg.engine == PlacementEngine::Approx
+                );
+                assert_eq!(fresh.ilp_stats.warm_starts, 0, "a fresh arena has no basis");
 
-        // An arena that last solved a different shape must not leak into
-        // the placement or the certificate.
-        let mut used = SimplexWorkspace::new();
-        let chain = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
-        PreparedDeployment::new(&g, &prof, &chain, &DeploymentConfig::default())
-            .unwrap()
-            .solve_at_in(0.05, &mut used)
-            .expect("chain feasible");
-        let reused = solve(&cfg, &mut used);
-        for (a, b) in fresh.leaves.iter().zip(&reused.leaves) {
-            assert_eq!(a.site_ops, b.site_ops);
+                // An arena that last solved a different shape must not
+                // leak into the placement or the certificate.
+                let mut used = SimplexWorkspace::new();
+                let chain = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
+                PreparedDeployment::new(&g, &prof, &chain, &DeploymentConfig::default())
+                    .unwrap()
+                    .solve_at_in(0.05, &mut used)
+                    .expect("chain feasible");
+                let mut prep = prepare();
+                let reused = prep.solve_at_in(rate, &mut used).expect("feasible");
+                assert_same(&fresh, &reused, "after another shape");
+
+                // Nor one that last solved this very instance, whose
+                // basis `solve_lp_in` would happily re-enter from: only
+                // the instance's own workspace carries a basis over.
+                prep.solve_at_in(1.5 * rate, &mut used).expect("feasible");
+                prep.reset_warm_start();
+                let again = prep.solve_at_in(rate, &mut used).expect("feasible");
+                assert_same(&fresh, &again, "after the same instance");
+
+                // The bound is computed by the backend the stats report.
+                assert_eq!(used.backend(), backend);
+                assert_eq!(again.ilp_stats.backend, backend);
+            }
         }
-        assert_eq!(fresh.objective.to_bits(), reused.objective.to_bits());
-        assert_eq!(
-            fresh.certified_gap.map(f64::to_bits),
-            reused.certified_gap.map(f64::to_bits)
-        );
-        assert!(fresh.certified_gap.is_some());
+    }
 
-        // The bound is computed by the backend the stats report.
-        cfg.ilp.backend = SolverBackend::Dense;
-        let dense = solve(&cfg, &mut used);
-        assert_eq!(used.backend(), SolverBackend::Dense);
-        assert_eq!(dense.ilp_stats.backend, SolverBackend::Dense);
+    #[test]
+    fn approx_stats_say_what_the_certificate_cost_and_how_it_entered() {
+        let (g, prof) = profiled();
+        let mut cfg = DeploymentConfig::default().approx();
+        cfg.ilp.backend = SolverBackend::Sparse;
+        let mut prep = PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), &cfg).unwrap();
+        let first = prep.solve_at(0.2).expect("feasible").ilp_stats;
+        assert_eq!((first.warm_starts, first.cold_starts), (0, 1));
+        assert!(first.simplex_iterations > 0);
+        assert_eq!(
+            first.simplex_iterations,
+            first.dual_iterations + first.primal_iterations
+        );
+        assert!(first.refactorizations >= 1, "the sparse load factorizes");
+        assert!(first.phase_times.root_lp_s > 0.0);
+        assert_eq!(first.nodes, 0, "no branch-and-bound ran");
+        // The retargeted certificate re-enters from the first one's basis.
+        let second = prep.solve_at(0.3).expect("feasible").ilp_stats;
+        assert_eq!((second.warm_starts, second.cold_starts), (1, 0));
     }
 
     #[test]

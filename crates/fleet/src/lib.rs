@@ -40,7 +40,12 @@
 //! `deterministic: false` lets same-shape requests inherit the previous
 //! incumbent (PR 2's rate-probe trick fleet-wide): solves get cheaper,
 //! but a tie between equally-optimal placements may then resolve
-//! differently than a cold solve would.
+//! differently than a cold solve would. In either mode the shared arena
+//! carries no simplex basis from one request to the next:
+//! [`solve_at_in`](PreparedDeployment::solve_at_in) invalidates it on
+//! entry, so every root LP starts cold (a prepared instance's *own*
+//! workspace is the only place a basis is kept, and the fleet never
+//! solves there).
 //!
 //! ## Worker sizing
 //!

@@ -10,10 +10,13 @@
 //!
 //! Three things make the search fast (cf. lp_solve's own architecture):
 //!
-//! * every node's LP reuses one [`SimplexWorkspace`] — after the root, the
-//!   child re-enters **warm** from the last optimal basis and a short
-//!   dual-simplex pass repairs (or refutes) feasibility, instead of paying
-//!   a full tableau build + phase 1 from the artificial basis;
+//! * every node's LP reuses one [`SimplexWorkspace`] — each re-enters
+//!   **warm** from the last optimal basis and a short dual-simplex pass
+//!   repairs (or refutes) feasibility, instead of paying a full tableau
+//!   build + phase 1 from the artificial basis. The root is no exception:
+//!   in a workspace that last solved the same constraint matrix (the
+//!   previous probe of a rate search) it re-enters from that solve's
+//!   basis, and starts cold only in a workspace that holds nothing usable;
 //! * [`presolve`](crate::presolve()) runs before the root LP (bailing
 //!   `Infeasible` with zero simplex iterations when bound propagation
 //!   proves it) and a single-pass activity check discards hopeless
@@ -125,7 +128,8 @@ pub struct IlpStats {
     pub node_iterations: Vec<u64>,
     /// Node LPs re-entered from the retained basis of the shared workspace.
     pub warm_starts: u64,
-    /// Node LPs built from scratch (the root, plus any warm fallback).
+    /// Node LPs built from scratch: the root when the workspace held no
+    /// basis for this constraint matrix, plus any warm fallback.
     pub cold_starts: u64,
     /// Dual-simplex iterations across all nodes: warm repairs of
     /// re-bounded children and, on the sparse backend, the dual-first
@@ -231,15 +235,17 @@ pub fn solve_ilp(problem: &Problem, opts: &IlpOptions) -> Result<IlpSolution, So
 /// alongside the result so failed runs (notably presolve-proven
 /// infeasibility, where `stats.nodes == 0`) are observable too. For a
 /// successful run the returned stats equal `solution.stats`.
+///
+/// With [`IlpOptions::warm_lp`] the root LP is warm-started like any
+/// other node when `ws` retains a basis for this problem's matrix (see
+/// [`solve_lp_in`]); call [`SimplexWorkspace::invalidate`] first for an
+/// answer that does not depend on what `ws` solved before.
 pub fn solve_ilp_in(
     problem: &Problem,
     opts: &IlpOptions,
     ws: &mut SimplexWorkspace,
 ) -> (Result<IlpSolution, SolveError>, IlpStats) {
     let start = Instant::now();
-    // The caller may have mutated the problem since the workspace last saw
-    // it (rate rescaling does); the root must always enter cold.
-    ws.invalidate();
     ws.reset_counters();
     ws.set_backend(opts.backend);
 

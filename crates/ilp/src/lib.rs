@@ -14,9 +14,11 @@
 //! Performance architecture (mirroring production MILP codes):
 //!
 //! * [`SimplexWorkspace`] — one tableau/factorization allocation reused
-//!   by every branch-and-bound node; children re-enter **warm** from the
-//!   parent search's last optimal basis via a bounded dual-simplex
-//!   repair;
+//!   by every branch-and-bound node; nodes re-enter **warm** from the
+//!   search's last optimal basis via a bounded dual-simplex repair — and
+//!   so does the root of the next search over the same constraint matrix
+//!   (a [`Problem`] carries a stamp of its matrix; retargeting costs and
+//!   right-hand sides keeps it, editing rows or variables renews it);
 //! * two interchangeable simplex backends behind that workspace
 //!   ([`SolverBackend`]): the dense tableau (small problems, and the
 //!   oracle for the differential test suite) and a **sparse revised

@@ -6,6 +6,12 @@
 //! because the offline crate set contains no LP solver.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`Problem`] matrix stamps; `0` is reserved for the empty
+/// problem. `Relaxed`: the value publishes no other data, it only has to
+/// be unique.
+static NEXT_MATRIX_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// Index of a decision variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,6 +57,15 @@ pub struct Problem {
     pub(crate) upper: Vec<f64>,
     pub(crate) integer: Vec<bool>,
     pub(crate) constraints: Vec<Constraint>,
+    /// Process-unique identity of everything a simplex basis is tied to:
+    /// the variable set and every row's terms and sense. Each mutator of
+    /// those draws a new value; [`set_rhs`](Problem::set_rhs) and
+    /// [`set_objective_coeff`](Problem::set_objective_coeff) do not, and
+    /// a clone shares its original's until either side is mutated. Equal
+    /// stamps therefore mean equal matrices, which is what lets a
+    /// [`SimplexWorkspace`](crate::SimplexWorkspace) re-enter from a
+    /// retained basis without comparing coefficients.
+    pub(crate) matrix_stamp: u64,
 }
 
 impl Problem {
@@ -65,6 +80,7 @@ impl Problem {
     pub fn add_var(&mut self, lower: f64, upper: f64, obj: f64, integer: bool) -> VarId {
         assert!(lower.is_finite(), "lower bound must be finite");
         assert!(lower <= upper, "lower bound {lower} exceeds upper {upper}");
+        self.renew_matrix_stamp();
         let id = VarId(self.objective.len());
         self.objective.push(obj);
         self.lower.push(lower);
@@ -86,11 +102,16 @@ impl Problem {
                 "constraint references unknown variable"
             );
         }
+        self.renew_matrix_stamp();
         self.constraints.push(Constraint {
             terms: terms.to_vec(),
             sense,
             rhs,
         });
+    }
+
+    fn renew_matrix_stamp(&mut self) {
+        self.matrix_stamp = NEXT_MATRIX_STAMP.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Objective coefficient of `v` (minimization).
@@ -101,13 +122,19 @@ impl Problem {
     /// Overwrite the objective coefficient of `v` (minimization). Used to
     /// rescale a prepared problem in place — e.g. Wishbone's rate search
     /// multiplying every profiled cost by a new rate — without re-encoding.
+    /// A workspace that solved this problem before may still re-enter
+    /// from its retained basis afterwards: any basis stays a valid start
+    /// under new costs.
     pub fn set_objective_coeff(&mut self, v: VarId, obj: f64) {
         self.objective[v.0] = obj;
     }
 
     /// Overwrite the right-hand side of constraint `row` (the companion of
     /// [`set_objective_coeff`](Problem::set_objective_coeff) for budget
-    /// rows: `Σ c·f ≤ C/rate` is the rate-scaled `Σ rc·f ≤ C`).
+    /// rows: `Σ c·f ≤ C/rate` is the rate-scaled `Σ rc·f ≤ C`). Like an
+    /// objective change this keeps a retained basis usable — the sparse
+    /// backend rereads the right-hand sides on every warm entry; the
+    /// dense tableau has them baked in and starts cold instead.
     pub fn set_rhs(&mut self, row: usize, rhs: f64) {
         self.constraints[row].rhs = rhs;
     }
@@ -117,7 +144,8 @@ impl Problem {
     /// indices and stale any recorded budget-row positions, so in-place
     /// replacement is how the audit mutation tests seed a corrupted
     /// model (and how a caller would neutralize a row: replace it with
-    /// a vacuous one).
+    /// a vacuous one). The row's terms may change, so the next solve of
+    /// this problem in any workspace starts cold.
     pub fn replace_constraint(
         &mut self,
         row: usize,
@@ -132,6 +160,7 @@ impl Problem {
                 "constraint references unknown variable"
             );
         }
+        self.renew_matrix_stamp();
         self.constraints[row] = Constraint {
             terms: terms.to_vec(),
             sense,
@@ -266,6 +295,54 @@ mod tests {
         let _ = p.add_var(0.0, 1.0, 2.0, false);
         let _ = p.add_var(0.0, 1.0, -3.0, false);
         assert!((p.objective_value(&[1.0, 1.0]) - (-1.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn matrix_stamp_follows_the_matrix_and_nothing_else() {
+        let (a, b) = (Problem::new(), Problem::new());
+        assert_eq!(a.matrix_stamp, b.matrix_stamp, "empty matrices are equal");
+
+        let build = || {
+            let mut p = Problem::new();
+            let x = p.add_var(0.0, 4.0, -1.0, false);
+            let y = p.add_var(0.0, 4.0, -1.0, false);
+            p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Le, 4.0);
+            (p, x, y)
+        };
+        let (mut p, x, y) = build();
+        let (q, ..) = build();
+        assert_ne!(
+            p.matrix_stamp, q.matrix_stamp,
+            "separately built problems never share a stamp, equal or not"
+        );
+
+        // What a retarget touches keeps the stamp …
+        let stamp = p.matrix_stamp;
+        p.set_rhs(0, 2.0);
+        p.set_objective_coeff(x, -3.0);
+        assert_eq!(p.matrix_stamp, stamp);
+
+        // … a clone shares it until either side's matrix changes …
+        let mut c = p.clone();
+        assert_eq!(c.matrix_stamp, stamp);
+        c.set_rhs(0, 1.0);
+        assert_eq!(c.matrix_stamp, stamp);
+        c.replace_constraint(0, &[(x, 3.0), (y, 1.0)], Sense::Le, 4.0);
+        assert_ne!(c.matrix_stamp, stamp);
+        assert_eq!(p.matrix_stamp, stamp, "the original is untouched");
+
+        // … and every matrix mutator renews it.
+        let mut seen = vec![stamp, c.matrix_stamp];
+        p.replace_constraint(0, &[(x, 1.0), (y, 1.0)], Sense::Le, 2.0);
+        seen.push(p.matrix_stamp);
+        p.add_constraint(&[(x, 1.0)], Sense::Ge, 0.0);
+        seen.push(p.matrix_stamp);
+        let _ = p.add_var(0.0, 1.0, 0.0, true);
+        seen.push(p.matrix_stamp);
+        let _ = p.add_binary(0.0);
+        seen.push(p.matrix_stamp);
+        let distinct: std::collections::BTreeSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len(), "stamps {seen:?}");
     }
 
     #[test]

@@ -346,9 +346,7 @@ impl SimplexWorkspace {
         self.sparse.rows.load(problem);
         self.sparse.worig = art_sign;
 
-        self.loaded_rhs.clear();
-        self.loaded_rhs
-            .extend(problem.constraints.iter().map(|c| c.rhs));
+        self.loaded_stamp = problem.matrix_stamp;
 
         refill(&mut self.cost, n, 0.0);
         self.iterations = 0;
@@ -511,6 +509,14 @@ impl SimplexWorkspace {
         self.scan_limit = self.first_artificial;
         self.price_cursor = 0;
         self.sparse.duals_fresh = false;
+        // The caller may have moved right-hand sides since the load (a
+        // rate retarget moves the budget rows'): `b` is kept raw, so
+        // rereading it is all it takes — the basic values below are
+        // derived from it, and the dual pass repairs what went infeasible.
+        self.sparse.b.clear();
+        self.sparse
+            .b
+            .extend(problem.constraints.iter().map(|c| c.rhs));
         if !self.sparse.refactor(&self.basis) {
             return false;
         }

@@ -17,11 +17,13 @@
 //! reuses one allocation across every node. A solve can enter either
 //! **cold** (all-artificial basis, two phases) or **warm**
 //! ([`solve_lp_in`] with `allow_warm`): the workspace's retained
-//! phase-2-optimal basis is dual feasible, only bounds have changed, so a
-//! bounded dual-simplex pass repairs primal feasibility — or proves the
-//! child infeasible — in a handful of pivots, then a primal phase-2 pass
-//! certifies optimality. Any numerical doubt falls back to a cold start,
-//! so warm and cold solves always agree on the answer.
+//! phase-2-optimal basis is dual feasible when only bounds have changed
+//! (or the objective was scaled by a positive factor), so a bounded
+//! dual-simplex pass repairs primal feasibility — or proves the LP
+//! infeasible — in a handful of pivots, then a primal phase-2 pass
+//! certifies optimality, whatever the costs have become. Any numerical
+//! doubt falls back to a cold start, so warm and cold solves always agree
+//! on the verdict and the optimal value.
 
 use crate::num::is_exact_zero;
 use crate::problem::{LpSolution, Problem, SolveError};
@@ -532,11 +534,15 @@ pub fn solve_lp_with_bounds(
 
 /// Solve the LP relaxation inside a reusable workspace.
 ///
-/// With `allow_warm`, and when `ws` retains a valid basis for a problem of
-/// this shape, the solve re-enters warm (dual-simplex repair from the
+/// With `allow_warm`, and when `ws` retains a valid basis for this
+/// problem's constraint matrix — the last solve in `ws` was of `problem`
+/// or a clone of it, with no variable or row added or replaced since;
+/// bounds and costs may differ, and on the sparse backend right-hand
+/// sides too — the solve re-enters warm (dual-simplex repair from the
 /// retained basis); any numerical doubt silently falls back to a cold
-/// start, so the answer never depends on the entry path. The workspace's
-/// warm/cold counters record which path ran.
+/// start, so verdict and optimal value never depend on the entry path
+/// (which of several equally good vertices comes back can). The
+/// workspace's warm/cold counters record which path ran.
 pub fn solve_lp_in(
     problem: &Problem,
     lower: &[f64],

@@ -8,12 +8,27 @@
 //! allocations of tableau buffers.
 //!
 //! The workspace also retains the final basis of the last *successful*
-//! solve. When the next solve is the same problem under different variable
-//! bounds (exactly what branch-and-bound children are), the warm path in
-//! `simplex.rs` re-enters from that basis and repairs primal feasibility
-//! with a bounded dual-simplex pass instead of rebuilding from the
-//! all-artificial basis — the warm-started-child strategy production MILP
-//! solvers use.
+//! solve. When the next solve is over the same constraint matrix — a
+//! branch-and-bound child under different variable bounds, or the next
+//! probe of a rate search under a rescaled objective and new budget
+//! right-hand sides — the warm path re-enters from that basis and repairs
+//! primal feasibility with a bounded dual-simplex pass instead of
+//! rebuilding from the all-artificial basis — the warm-started-child
+//! strategy production MILP solvers use.
+//!
+//! "The same matrix" is decided (`can_warm`) from the [`Problem`]'s
+//! matrix stamp, recorded at every cold load: equal stamps mean the same
+//! variables and the same row terms and senses, whichever `Problem` value
+//! carries them, and nothing cheaper than a coefficient-by-coefficient
+//! compare could tell two same-shaped problems apart otherwise. Costs and
+//! bounds are reread on every warm entry, so they may differ freely.
+//! Right-hand sides split the backends: the
+//! sparse one keeps `b` raw and rereads it too (`warm_load_sparse`), so a
+//! changed `b` is just more work for the dual pass; the dense tableau
+//! carries `B⁻¹b`, and without the basis inverse (phase 2 stops
+//! eliminating through the artificial columns that held it) it cannot
+//! follow a changed `b` — it also requires the right-hand sides it was
+//! loaded with.
 
 use crate::num::is_exact_zero;
 use crate::problem::{Problem, Sense};
@@ -134,13 +149,17 @@ pub struct SimplexWorkspace {
     /// True when the buffers hold a valid, phase-2-optimal (or at least
     /// dual-feasible) basis for the problem shape recorded above.
     warm_ready: bool,
-    /// Raw constraint right-hand sides as of the last cold `load`. The
-    /// transformed `rhs` bakes these in, so a caller mutating them in
-    /// place (`Problem::set_rhs`) silently invalidates the retained basis;
-    /// `can_warm` compares to catch that. (Objective mutation is safe:
-    /// `warm_load` rereads costs and the final primal pass certifies
-    /// optimality regardless of the entering reduced costs.)
-    pub(crate) loaded_rhs: Vec<f64>,
+    /// [`Problem::matrix_stamp`] as of the last cold load, either
+    /// backend: the matrix the retained basis belongs to.
+    pub(crate) loaded_stamp: u64,
+    /// Raw constraint right-hand sides as of the last cold *dense* `load`.
+    /// The transformed `rhs` bakes these in, so a caller mutating them in
+    /// place (`Problem::set_rhs`) silently invalidates the retained
+    /// tableau; `can_warm` compares to catch that. (Objective mutation is
+    /// safe on both backends: the warm loaders reread costs and the final
+    /// primal pass certifies optimality regardless of the entering
+    /// reduced costs.)
+    loaded_rhs: Vec<f64>,
     warm_starts: u64,
     cold_starts: u64,
     /// Dual / primal simplex iterations since the last `reset_counters`,
@@ -215,7 +234,9 @@ impl SimplexWorkspace {
     }
 
     /// Forget the retained basis: the next solve must be a cold start.
-    /// Called whenever the problem's coefficients may have changed.
+    /// Never needed for correctness — a mutated matrix is caught by its
+    /// stamp — but it is how a caller makes an answer independent of what
+    /// the workspace solved before, ties between equal optima included.
     pub fn invalidate(&mut self) {
         self.warm_ready = false;
     }
@@ -245,18 +266,21 @@ impl SimplexWorkspace {
         self.warm_ready = true;
     }
 
-    /// Can the retained basis serve `problem` (same shape, same
-    /// right-hand sides, same resolved backend, valid state)?
+    /// Can the retained basis serve `problem`: valid state, same
+    /// resolved backend, same constraint matrix (by stamp — which covers
+    /// the shape) and, on the dense backend only, the same right-hand
+    /// sides? See the module docs for why the backends differ.
     pub(crate) fn can_warm(&self, problem: &Problem) -> bool {
+        let backend = self.backend.resolve(problem);
         self.warm_ready
-            && self.loaded_backend == self.backend.resolve(problem)
-            && self.n_structural == problem.num_vars()
-            && self.m == problem.num_constraints()
-            && problem
-                .constraints
-                .iter()
-                .zip(&self.loaded_rhs)
-                .all(|(c, &r)| c.rhs == r)
+            && self.loaded_backend == backend
+            && self.loaded_stamp == problem.matrix_stamp
+            && (backend == SolverBackend::Sparse
+                || problem
+                    .constraints
+                    .iter()
+                    .zip(&self.loaded_rhs)
+                    .all(|(c, &r)| c.rhs == r))
     }
 
     /// Cold build: the tableau for `problem` with per-solve bound overrides
@@ -338,6 +362,7 @@ impl SimplexWorkspace {
         }
         debug_assert_eq!(slack_col, first_artificial);
 
+        self.loaded_stamp = problem.matrix_stamp;
         self.loaded_rhs.clear();
         self.loaded_rhs
             .extend(problem.constraints.iter().map(|c| c.rhs));

@@ -1,12 +1,18 @@
 //! Warm-start soundness: a branch-and-bound search whose node LPs re-enter
 //! warm from the shared workspace basis must be indistinguishable — same
 //! objective, same feasible/infeasible verdict — from one that cold-starts
-//! every node, on random bounded mixed-integer programs. Plus the presolve
-//! fast-fail contract: a pinned-vertex CPU sum over budget is rejected with
-//! zero branch-and-bound nodes.
+//! every node, on random bounded mixed-integer programs; and a workspace
+//! re-enters warm exactly when it last solved the same constraint matrix.
+//! Plus the presolve fast-fail contract: a pinned-vertex CPU sum over
+//! budget is rejected with zero branch-and-bound nodes.
 
 use proptest::prelude::*;
-use wishbone_ilp::{solve_ilp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError};
+use wishbone_ilp::{
+    solve_ilp_in, solve_lp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError,
+    SolverBackend, VarId,
+};
+
+const BACKENDS: [SolverBackend; 2] = [SolverBackend::Dense, SolverBackend::Sparse];
 
 /// Random bounded MILPs: a mix of integer and continuous variables with
 /// finite boxes, small integer-ish coefficients, a few ≤/≥ rows.
@@ -73,11 +79,15 @@ proptest! {
     #[test]
     fn workspace_reuse_across_solves_is_transparent(p in milp_strategy()) {
         // One workspace carried across two back-to-back solves of the same
-        // problem must not change the answer (the second solve's root is
-        // forced cold internally).
+        // problem must not change the answer, although the second solve's
+        // root re-enters from whatever basis the first one's last node
+        // left behind.
         let mut ws = SimplexWorkspace::new();
         let (first, _) = solve_ilp_in(&p, &IlpOptions::default(), &mut ws);
-        let (second, _) = solve_ilp_in(&p, &IlpOptions::default(), &mut ws);
+        let (second, stats) = solve_ilp_in(&p, &IlpOptions::default(), &mut ws);
+        if first.is_ok() && stats.nodes > 0 {
+            prop_assert!(stats.warm_starts >= 1, "the second root must enter warm");
+        }
         match (&first, &second) {
             (Ok(a), Ok(b)) => prop_assert!((a.objective - b.objective).abs() < 1e-9),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
@@ -102,4 +112,112 @@ fn presolve_rejects_pinned_sum_over_budget_without_search() {
     assert_eq!(stats.nodes, 0, "no branch-and-bound node may be explored");
     assert_eq!(stats.simplex_iterations, 0, "no simplex iteration may run");
     assert!(stats.proved);
+}
+
+/// `min −x − y` over `x, y ∈ [0, 4]` under two `≤ 4` rows with the given
+/// coefficients.
+fn two_rows(rows: [[f64; 2]; 2]) -> Problem {
+    let mut p = Problem::new();
+    let x = p.add_var(0.0, 4.0, -1.0, false);
+    let y = p.add_var(0.0, 4.0, -1.0, false);
+    for [a, b] in rows {
+        p.add_constraint(&[(x, a), (y, b)], Sense::Le, 4.0);
+    }
+    p
+}
+
+fn lp_in(p: &Problem, ws: &mut SimplexWorkspace) -> Result<f64, SolveError> {
+    solve_lp_in(p, p.lower_bounds(), p.upper_bounds(), 10_000, ws, true).map(|s| s.objective)
+}
+
+#[test]
+fn a_same_shaped_problem_never_inherits_another_matrix_basis() {
+    // Same shape, same right-hand sides, same costs — only the matrix
+    // differs. A workspace that tells problems apart by shape and rhs
+    // alone re-enters the second from the first one's basis inverse and
+    // returns −4 at a point the second problem forbids.
+    let first = two_rows([[1.0, 1.0], [1.0, 1.0]]);
+    let second = two_rows([[3.0, 1.0], [1.0, 3.0]]);
+    for backend in BACKENDS {
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(backend);
+        assert_eq!(lp_in(&first, &mut ws), Ok(-4.0), "{backend:?}");
+        let s = solve_lp_in(
+            &second,
+            second.lower_bounds(),
+            second.upper_bounds(),
+            10_000,
+            &mut ws,
+            true,
+        )
+        .expect("feasible");
+        assert!(
+            second.is_feasible(&s.values, 1e-9),
+            "{backend:?}: {:?}",
+            s.values
+        );
+        assert!((s.objective + 2.0).abs() < 1e-9, "{backend:?}: {s:?}");
+        assert_eq!(
+            (ws.warm_starts(), ws.cold_starts()),
+            (0, 2),
+            "{backend:?}: a different matrix is a cold start"
+        );
+    }
+}
+
+#[test]
+fn retargets_keep_the_basis_and_matrix_edits_drop_it() {
+    let (x, y) = (VarId(0), VarId(1));
+    for backend in BACKENDS {
+        let sparse = backend == SolverBackend::Sparse;
+        let mut p = two_rows([[3.0, 1.0], [1.0, 3.0]]);
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(backend);
+        // (what changed, expected objective, does the basis survive it)
+        let mut step = |p: &Problem, what: &str, want: f64, warm: bool| {
+            ws.reset_counters();
+            let got = lp_in(p, &mut ws).expect("feasible");
+            assert!((got - want).abs() < 1e-9, "{backend:?} {what}: {got}");
+            assert_eq!(
+                (ws.warm_starts(), ws.cold_starts()),
+                if warm { (1, 0) } else { (0, 1) },
+                "{backend:?} after {what}"
+            );
+        };
+        step(&p, "the first load", -2.0, false);
+        step(&p.clone(), "a clone", -2.0, true);
+        p.set_objective_coeff(x, -3.0);
+        step(&p, "set_objective_coeff", -4.0, true);
+        p.set_objective_coeff(x, -1.0);
+        // The dense tableau has the right-hand sides baked in.
+        p.set_rhs(0, 8.0);
+        step(&p, "set_rhs", -3.0, sparse);
+        p.set_rhs(0, 4.0);
+        step(&p, "set_rhs back", -2.0, sparse);
+        p.replace_constraint(1, &[(x, 1.0), (y, 1.0)], Sense::Le, 4.0);
+        step(&p, "replace_constraint", -4.0, false);
+        p.add_constraint(&[(y, 1.0)], Sense::Le, 1.0);
+        step(&p, "add_constraint", -2.0, false);
+        let z = p.add_var(0.0, 1.0, -1.0, false);
+        step(&p, "add_var", -3.0, false);
+        p.add_constraint(&[(z, 1.0)], Sense::Le, 0.5);
+        step(&p, "add_constraint", -2.5, false);
+
+        // Bound overrides are per solve and never touch the problem.
+        ws.reset_counters();
+        let tight = solve_lp_in(
+            &p,
+            p.lower_bounds(),
+            &[0.5, 4.0, 1.0],
+            10_000,
+            &mut ws,
+            true,
+        )
+        .expect("feasible");
+        assert!(
+            (tight.objective + 2.0).abs() < 1e-9,
+            "{backend:?}: {tight:?}"
+        );
+        assert_eq!((ws.warm_starts(), ws.cold_starts()), (1, 0), "{backend:?}");
+    }
 }

@@ -86,6 +86,9 @@ fn main() {
             a.objective,
             e.objective
         );
+        // What the certificate LP cost: cold at the first rate, a few
+        // dual pivots from the previous rate's basis after that.
+        println!("          certificate: {}", report_stats(&a.ilp_stats));
     }
 
     // Past the cliff both engines agree there is nothing to place.

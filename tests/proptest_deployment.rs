@@ -13,15 +13,20 @@
 //! * (c) on genuine **trees**, every per-gateway CPU and uplink budget
 //!   holds at the returned placement, identically on both simplex
 //!   backends.
+//!
+//! And the prepared-instance contract: the n-th `solve_at` of one
+//! instance — its root LP re-entering from the previous solve's basis —
+//! agrees with a freshly prepared instance solved once at that rate,
+//! across rate sequences, `apply_delta` and `reset_warm_start`.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 use wishbone::core::{
     deltas_between, encode, encode_deployment, encode_multitier, partition_deployment, shape_key,
-    Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective, Encoding, LeafChain,
-    LinkSpec, ObjectiveConfig, PEdge, PVertex, PartitionGraph, Pin, PreparedDeployment, Site,
-    SiteId, TierObjective, TieredGraph,
+    Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective, DeploymentPartition,
+    Encoding, LeafChain, LinkSpec, ObjectiveConfig, PEdge, PVertex, PartitionError, PartitionGraph,
+    Pin, PreparedDeployment, Site, SiteId, TierObjective, TieredGraph,
 };
 use wishbone::dataflow::OperatorId;
 use wishbone::ilp::{IlpOptions, Problem, SolverBackend, VarId};
@@ -145,6 +150,36 @@ fn random_app(
     b.exit_namespace();
     b.sink("out", prev);
     (b.finish().unwrap(), src.0)
+}
+
+/// The two-ward tree of the tree-shaped properties. Sites: 0 = server,
+/// 1 = gw-a (metered uplink), 2 = gw-b, 3 = motes-a (`count_a` devices),
+/// 4 = motes-b.
+fn two_ward_tree(budget_a: f64, budget_b: f64, uplink_a: f64, count_a: usize) -> Deployment {
+    let mote = Platform::tmote_sky();
+    let phone = Platform::iphone();
+    let roomy = LinkSpec {
+        beta: 1.0,
+        net_budget: 1e9,
+    };
+    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+    let root = dep.root();
+    let gw_a = dep.attach(
+        root,
+        Site::new("gw-a", &phone).with_cpu_budget(budget_a),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: uplink_a,
+        },
+    );
+    let gw_b = dep.attach(
+        root,
+        Site::new("gw-b", &phone).with_cpu_budget(budget_b),
+        roomy,
+    );
+    dep.attach(gw_a, Site::new("motes-a", &mote).with_count(count_a), roomy);
+    dep.attach(gw_b, Site::new("motes-b", &mote), roomy);
+    dep
 }
 
 proptest! {
@@ -327,30 +362,7 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
-        let mote = Platform::tmote_sky();
-        let phone = Platform::iphone();
-        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-        let root = dep.root();
-        let gw_a = dep.attach(
-            root,
-            Site::new("gw-a", &phone).with_cpu_budget(gw_budget_a),
-            LinkSpec { beta: 1.0, net_budget: uplink_a },
-        );
-        let gw_b = dep.attach(
-            root,
-            Site::new("gw-b", &phone).with_cpu_budget(gw_budget_b),
-            LinkSpec { beta: 1.0, net_budget: 1e9 },
-        );
-        dep.attach(
-            gw_a,
-            Site::new("motes-a", &mote).with_count(count_a),
-            LinkSpec { beta: 1.0, net_budget: 1e9 },
-        );
-        dep.attach(
-            gw_b,
-            Site::new("motes-b", &mote),
-            LinkSpec { beta: 1.0, net_budget: 1e9 },
-        );
+        let dep = two_ward_tree(gw_budget_a, gw_budget_b, uplink_a, count_a);
 
         let mut objectives: Vec<Option<f64>> = Vec::new();
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
@@ -358,25 +370,7 @@ proptest! {
             cfg.ilp.backend = backend;
             match partition_deployment(&g, &prof, &dep, &cfg) {
                 Ok(part) => {
-                    for s in dep.site_ids() {
-                        let site = dep.site(s);
-                        if site.cpu_budget.is_finite() {
-                            prop_assert!(
-                                part.site_cpu[s.0] <= site.cpu_budget + 1e-6,
-                                "{:?}: site {} cpu {} over {}",
-                                backend, site.name, part.site_cpu[s.0], site.cpu_budget
-                            );
-                        }
-                        if let Some(l) = dep.uplink(s) {
-                            if l.net_budget.is_finite() {
-                                prop_assert!(
-                                    part.link_net[s.0] <= l.net_budget + 1e-6,
-                                    "{:?}: site {} uplink {} over {}",
-                                    backend, site.name, part.link_net[s.0], l.net_budget
-                                );
-                            }
-                        }
-                    }
+                    assert_budgets_hold(&dep, &part)?;
                     // Structure: positions are monotone along every edge
                     // of every leaf's program instance.
                     for leaf in &part.leaves {
@@ -484,34 +478,8 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
-        let mote = Platform::tmote_sky();
-        let phone = Platform::iphone();
-        // Sites: 0 = server, 1 = gw-a, 2 = gw-b, 3 = motes-a, 4 = motes-b.
-        let mk_dep = |count_a: usize, budget_a: f64| {
-            let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-            let root = dep.root();
-            let gw_a = dep.attach(
-                root,
-                Site::new("gw-a", &phone).with_cpu_budget(budget_a),
-                LinkSpec { beta: 1.0, net_budget: uplink_a },
-            );
-            let gw_b = dep.attach(
-                root,
-                Site::new("gw-b", &phone).with_cpu_budget(gw_budget_b),
-                LinkSpec { beta: 1.0, net_budget: 1e9 },
-            );
-            dep.attach(
-                gw_a,
-                Site::new("motes-a", &mote).with_count(count_a),
-                LinkSpec { beta: 1.0, net_budget: 1e9 },
-            );
-            dep.attach(
-                gw_b,
-                Site::new("motes-b", &mote),
-                LinkSpec { beta: 1.0, net_budget: 1e9 },
-            );
-            dep
-        };
+        let mk_dep =
+            |count_a: usize, budget_a: f64| two_ward_tree(budget_a, gw_budget_b, uplink_a, count_a);
         let new_budget_a = gw_budget_a * budget_scale;
 
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
@@ -589,34 +557,8 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
-        let mote = Platform::tmote_sky();
-        let phone = Platform::iphone();
-        // Sites: 0 = server, 1 = gw-a, 2 = gw-b, 3 = motes-a, 4 = motes-b.
-        let mk_dep = |uplink_a: f64, budget_a: f64| {
-            let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-            let root = dep.root();
-            let gw_a = dep.attach(
-                root,
-                Site::new("gw-a", &phone).with_cpu_budget(budget_a),
-                LinkSpec { beta: 1.0, net_budget: uplink_a },
-            );
-            let gw_b = dep.attach(
-                root,
-                Site::new("gw-b", &phone).with_cpu_budget(gw_budget_b),
-                LinkSpec { beta: 1.0, net_budget: 1e9 },
-            );
-            dep.attach(
-                gw_a,
-                Site::new("motes-a", &mote).with_count(count_a),
-                LinkSpec { beta: 1.0, net_budget: 1e9 },
-            );
-            dep.attach(
-                gw_b,
-                Site::new("motes-b", &mote),
-                LinkSpec { beta: 1.0, net_budget: 1e9 },
-            );
-            dep
-        };
+        let mk_dep =
+            |uplink_a: f64, budget_a: f64| two_ward_tree(budget_a, gw_budget_b, uplink_a, count_a);
         let new_uplink_a = uplink_a * uplink_scale;
         let new_budget_a = gw_budget_a * budget_scale;
 
@@ -749,6 +691,174 @@ proptest! {
                 "bit-identical problems must solve bit-identically ({} vs {})",
                 a.objective, b.objective
             );
+        }
+    }
+}
+
+/// Every finite CPU and uplink budget of `dep` holds at `part`.
+fn assert_budgets_hold(dep: &Deployment, part: &DeploymentPartition) -> Result<(), TestCaseError> {
+    for s in dep.site_ids() {
+        let site = dep.site(s);
+        prop_assert!(
+            part.site_cpu[s.0] <= site.cpu_budget + 1e-6,
+            "site {} cpu {} over {}",
+            site.name,
+            part.site_cpu[s.0],
+            site.cpu_budget
+        );
+        if let Some(l) = dep.uplink(s) {
+            prop_assert!(
+                part.link_net[s.0] <= l.net_budget + 1e-6,
+                "site {} uplink {} over {}",
+                site.name,
+                part.link_net[s.0],
+                l.net_budget
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Everything a caller can read off a placement, floats by bit pattern.
+fn assert_bit_identical(
+    a: &DeploymentPartition,
+    b: &DeploymentPartition,
+) -> Result<(), TestCaseError> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    prop_assert_eq!(bits(&a.site_cpu), bits(&b.site_cpu));
+    prop_assert_eq!(bits(&a.link_net), bits(&b.link_net));
+    for (la, lb) in a.leaves.iter().zip(&b.leaves) {
+        prop_assert_eq!(&la.site_ops, &lb.site_ops);
+        prop_assert_eq!(&la.link_cut_edges, &lb.link_cut_edges);
+        prop_assert_eq!(bits(&la.predicted_cpu), bits(&lb.predicted_cpu));
+        prop_assert_eq!(bits(&la.predicted_net), bits(&lb.predicted_net));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Warm ≡ cold across retargets. One prepared instance walks a rate
+    /// sequence — a repeated rate and a rate far past the cliff spliced
+    /// in, a delta batch applied half-way — and after every step answers
+    /// like an instance prepared from scratch for that one question.
+    #[test]
+    fn nth_solve_at_agrees_with_a_freshly_prepared_instance(
+        stages in 2usize..5,
+        costs in prop::collection::vec(100u64..4000, 4),
+        keeps in prop::collection::vec(1usize..5, 4),
+        gw_budgets in ((0.01f64..0.5), (0.01f64..0.5), (0.5f64..1.5)),
+        uplink_count in ((50.0f64..5000.0), 1usize..4),
+        walk in (prop::collection::vec(-5.0f64..5.0, 3..7), 0usize..3, 0usize..3),
+    ) {
+        let (gw_budget_a, gw_budget_b, budget_scale) = gw_budgets;
+        let (uplink_a, count_a) = uplink_count;
+        let (rate_exps, repeat_at, cliff_at) = walk;
+        let (mut g, src) = random_app(stages, &costs, &keeps);
+        let trace = SourceTrace {
+            source: src,
+            elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
+            rate_hz: 20.0,
+        };
+        let prof = match profile(&mut g, &[trace]) {
+            Ok(p) => p,
+            Err(_) => return Ok(()),
+        };
+        let dep = two_ward_tree(gw_budget_a, gw_budget_b, uplink_a, count_a);
+
+        // The walk: the random rates, one of them asked twice in a row,
+        // and one rate no budget survives.
+        let mut rates: Vec<f64> = rate_exps.iter().map(|e| e.exp2()).collect();
+        rates.insert(repeat_at + 1, rates[repeat_at]);
+        rates.insert(cliff_at, 1e6);
+        let delta_at = rates.len() / 2;
+
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            let mut cfg = DeploymentConfig::default();
+            cfg.ilp.backend = backend;
+            let mut prep = match PreparedDeployment::new(&g, &prof, &dep, &cfg) {
+                Ok(p) => p,
+                Err(_) => return Ok(()),
+            };
+            let fresh_at = |prep: &PreparedDeployment<'_>, rate: f64| {
+                PreparedDeployment::new(&g, &prof, prep.deployment(), &cfg)
+                    .expect("same graph prepared once already")
+                    .solve_at(rate)
+            };
+            // The previous step, when it was answered by its root LP alone.
+            let mut root_only: Option<f64> = None;
+            let mut past_the_cliff = 0;
+            for (i, &rate) in rates.iter().enumerate() {
+                let morphed = i == delta_at;
+                if morphed {
+                    prep.apply_delta(&[
+                        DeploymentDelta::SetCpuBudget {
+                            site: SiteId(1),
+                            cpu_budget: gw_budget_a * budget_scale,
+                        },
+                        DeploymentDelta::SetLeafCount { leaf: SiteId(3), count: count_a + 1 },
+                    ]);
+                }
+                let got = prep.solve_at(rate);
+                let want = fresh_at(&prep, rate);
+                match (&got, &want) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert!(
+                            (a.objective - b.objective).abs() <= 1e-9 * b.objective.abs(),
+                            "{:?} step {} rate {}: nth {} vs fresh {}",
+                            backend, i, rate, a.objective, b.objective
+                        );
+                        assert_budgets_hold(prep.deployment(), a)?;
+                        if morphed {
+                            // The rewritten budget rows are a new matrix.
+                            prop_assert!(
+                                a.ilp_stats.cold_starts >= 1,
+                                "{:?}: the root LP after apply_delta must start cold", backend
+                            );
+                        } else if root_only == Some(rate) {
+                            // Same matrix, same right-hand sides, and the
+                            // last thing the workspace did was solve this
+                            // LP: either backend re-enters.
+                            prop_assert!(
+                                a.ilp_stats.warm_starts >= 1,
+                                "{:?} step {}: a repeated rate must re-enter warm", backend, i
+                            );
+                        }
+                        root_only = (a.ilp_stats.nodes == 1).then_some(rate);
+                    }
+                    (Err(PartitionError::Infeasible), Err(PartitionError::Infeasible)) => {
+                        past_the_cliff += 1;
+                        root_only = None;
+                    }
+                    _ => prop_assert!(
+                        false,
+                        "{:?} step {} rate {}: nth {:?} vs fresh {:?}",
+                        backend, i, rate, got.map(|p| p.objective), want.map(|p| p.objective)
+                    ),
+                }
+            }
+            prop_assert!(past_the_cliff >= 1, "the walk must cross the cliff");
+            prop_assert_eq!(prep.encodes(), 1);
+
+            // With the carried state dropped, the instance is
+            // indistinguishable from a fresh one — ties included.
+            let rate = rates[repeat_at + usize::from(cliff_at <= repeat_at)];
+            prep.reset_warm_start();
+            match (prep.solve_at(rate), fresh_at(&prep, rate)) {
+                (Ok(a), Ok(b)) => {
+                    assert_bit_identical(&a, &b)?;
+                    prop_assert_eq!(a.ilp_stats.warm_starts, b.ilp_stats.warm_starts);
+                    prop_assert_eq!(a.ilp_stats.cold_starts, b.ilp_stats.cold_starts);
+                    prop_assert_eq!(&a.ilp_stats.node_iterations, &b.ilp_stats.node_iterations);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(
+                    false,
+                    "{:?}: after reset, {:?} vs fresh {:?}", backend, a.is_ok(), b.is_ok()
+                ),
+            }
         }
     }
 }
