@@ -181,6 +181,18 @@ impl AuditReport {
         format!("{errors} errors, {warnings} warnings, {info} info")
     }
 
+    /// The self-audit hook encoders call on their own output under
+    /// `debug_assertions`: panic if the model carries any
+    /// `Error`-severity diagnostic, naming the `encoder` that emitted it.
+    /// `Warn` findings (e.g. a provably infeasible rate-search probe)
+    /// pass through.
+    pub fn assert_no_errors(&self, encoder: &str) {
+        assert!(
+            !self.has_errors(),
+            "{encoder} emitted a model the static auditor rejects:\n{self}"
+        );
+    }
+
     pub(crate) fn push(
         &mut self,
         code: AuditCode,

@@ -10,11 +10,12 @@
 
 use std::collections::HashSet;
 
-use wishbone_core::{
-    encode, evaluate, exhaustive, Encoding, ObjectiveConfig, PEdge, PVertex, PartitionGraph, Pin,
-};
+use wishbone_core::Pin;
 use wishbone_dataflow::OperatorId;
 use wishbone_ilp::IlpOptions;
+use wishbone_oracle::{
+    encode, evaluate, exhaustive, Encoding, ObjectiveConfig, PEdge, PVertex, PartitionGraph,
+};
 
 fn example() -> PartitionGraph {
     let v = |cpu: f64, pin: Pin, i: usize| PVertex {

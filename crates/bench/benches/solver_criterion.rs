@@ -34,10 +34,9 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use wishbone_apps::{build_eeg_app, EegParams};
 use wishbone_bench::{merge_bench_json, BenchRecord};
 use wishbone_core::{
-    build_partition_graph, build_tiered_graph, drift_to_deltas, encode, encode_multitier,
-    max_sustainable_rate_deployment, partition_deployment, preprocess, preprocess_tiered,
-    Deployment, DeploymentConfig, DeploymentDelta, Encoding, LinkSpec, Mode, ObjectiveConfig,
-    PartitionError, PartitionGraph, PreparedDeployment, Site, SiteId, TierObjective,
+    build_tiered_graph, drift_to_deltas, max_sustainable_rate_deployment, partition_deployment,
+    preprocess_tiered, Deployment, DeploymentConfig, DeploymentDelta, LinkSpec, Mode,
+    PartitionError, PreparedDeployment, Site, SiteId, TierObjective,
 };
 use wishbone_dataflow::OperatorId;
 use wishbone_ilp::instances::chain_ilp;
@@ -45,6 +44,10 @@ use wishbone_ilp::{
     solve_lp_in, Branching, IlpOptions, IlpStats, Problem, SimplexWorkspace, SolverBackend,
 };
 use wishbone_net::ChannelParams;
+use wishbone_oracle::{
+    build_partition_graph, encode, encode_multitier, preprocess, Encoding, ObjectiveConfig,
+    PartitionGraph,
+};
 use wishbone_profile::{profile, GraphProfile, Platform};
 use wishbone_runtime::{
     attribute_tree, simulate_deployment_tree, simulate_deployment_tree_traced, FailurePlan,

@@ -13,12 +13,14 @@ use std::collections::HashSet;
 use wishbone_apps::SpeechApp;
 use wishbone_apps::{build_speech_app, SpeechParams};
 use wishbone_core::{
-    build_partition_graph, evaluate, exhaustive, greedy, local_search,
     max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig, LinkSpec,
-    Mode, ObjectiveConfig, Site,
+    Mode, Site,
 };
 use wishbone_dataflow::{OperatorId, Value};
 use wishbone_net::{profile_network, ChannelParams};
+use wishbone_oracle::{
+    build_partition_graph, evaluate, exhaustive, greedy, local_search, ObjectiveConfig,
+};
 use wishbone_profile::{profile, Platform};
 use wishbone_runtime::{
     simulate_deployment_tree, LeafRoute, SimulationConfig, SourceFeed, TaskModel,
@@ -153,7 +155,7 @@ fn main() {
     for budget in [0.2, 0.4, 0.6, 0.8, 1.0] {
         let obj = ObjectiveConfig::bandwidth_only(budget, 1e12);
         let ilp_set: HashSet<usize> = {
-            let ep = wishbone_core::encode(&pg, wishbone_core::Encoding::Restricted, &obj);
+            let ep = wishbone_oracle::encode(&pg, wishbone_oracle::Encoding::Restricted, &obj);
             let sol = ep.problem.solve_ilp(&Default::default()).expect("solvable");
             ep.decode(&sol.values)
         };

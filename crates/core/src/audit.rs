@@ -1,54 +1,19 @@
-//! Bridges the encoders to the [`wishbone_audit`] static analyzer:
-//! builds the [`ModelSpec`] each encoder implies (which columns are
-//! placement indicators, which rows are budgets) and audits the
-//! encoded [`Problem`](wishbone_ilp::Problem) against it.
+//! Bridges the encoder to the [`wishbone_audit`] static analyzer:
+//! builds the [`ModelSpec`] an [`EncodedDeployment`] implies (which
+//! columns are placement indicators, which rows are budgets) and audits
+//! the encoded [`Problem`](wishbone_ilp::Problem) against it.
 //!
-//! Every encoder in [`crate::encodings`] calls
-//! `debug_assert_audit_clean` on its own output, so under
+//! [`crate::encodings::encode_deployment`] and
+//! [`EncodedDeployment::rescale_in_place`] call
+//! [`AuditReport::assert_no_errors`] on their own output, so under
 //! `debug_assertions` the entire test suite doubles as an audit corpus:
 //! any encoding with an `Error`-severity diagnostic aborts the test
 //! that produced it. Release builds skip the check entirely — encoding
 //! stays allocation-for-allocation identical on the hot rate-search
 //! path.
 
-use crate::encodings::{EncodedDeployment, EncodedMultiTier, EncodedProblem, Encoding};
+use crate::encodings::EncodedDeployment;
 use wishbone_audit::{audit_model, AuditReport, IndicatorBlock, ModelSpec, PinnedRow};
-
-/// The [`ModelSpec`] of a binary (2-way) encoding: the `f` vector is a
-/// single one-boundary indicator block. The general encoding's net row
-/// sums continuous edge variables, so it is neither conserved nor
-/// indicator-supported.
-pub fn binary_spec(ep: &EncodedProblem) -> ModelSpec {
-    ModelSpec {
-        blocks: vec![IndicatorBlock {
-            columns: vec![ep.f_vars.iter().map(|v| v.0).collect()],
-        }],
-        cpu_rows: ep.cpu_row.into_iter().collect(),
-        net_rows: ep.net_row.into_iter().collect(),
-        conserved_net: ep.encoding == Encoding::Restricted,
-        general_edge_rows: ep.encoding == Encoding::General,
-        pinned_rows: vec![],
-    }
-}
-
-/// The [`ModelSpec`] of a multi-tier chain encoding: one block of
-/// `k − 1` boundaries, one CPU row per tier, one net row per link.
-pub fn multitier_spec(ep: &EncodedMultiTier) -> ModelSpec {
-    ModelSpec {
-        blocks: vec![IndicatorBlock {
-            columns: ep
-                .y_vars
-                .iter()
-                .map(|row| row.iter().map(|v| v.0).collect())
-                .collect(),
-        }],
-        cpu_rows: ep.cpu_rows.iter().flatten().map(|r| r.row).collect(),
-        net_rows: ep.net_rows.iter().flatten().copied().collect(),
-        conserved_net: true,
-        general_edge_rows: false,
-        pinned_rows: vec![],
-    }
-}
 
 /// The [`ModelSpec`] of a deployment-tree encoding: one block per leaf
 /// class, exactly one CPU row per site and one uplink row per tree
@@ -91,28 +56,7 @@ pub fn deployment_spec(ep: &EncodedDeployment) -> ModelSpec {
     }
 }
 
-/// Audit a binary encoding against its implied spec.
-pub fn audit_binary(ep: &EncodedProblem) -> AuditReport {
-    audit_model(&ep.problem, &binary_spec(ep))
-}
-
-/// Audit a multi-tier encoding against its implied spec.
-pub fn audit_multitier(ep: &EncodedMultiTier) -> AuditReport {
-    audit_model(&ep.problem, &multitier_spec(ep))
-}
-
 /// Audit a deployment encoding against its implied spec.
 pub fn audit_deployment(ep: &EncodedDeployment) -> AuditReport {
     audit_model(&ep.problem, &deployment_spec(ep))
-}
-
-/// Debug-build hook the encoders call on their own output: abort if
-/// the model carries any `Error`-severity diagnostic. `Warn` findings
-/// (e.g. a provably infeasible rate-search probe) pass through.
-#[cfg(debug_assertions)]
-pub(crate) fn debug_assert_audit_clean(report: &AuditReport, encoder: &str) {
-    assert!(
-        !report.has_errors(),
-        "{encoder} emitted a model the static auditor rejects:\n{report}"
-    );
 }

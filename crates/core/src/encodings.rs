@@ -1,249 +1,24 @@
-//! The two ILP encodings of §4.2.1.
+//! The one ILP encoding: coupled monotone cuts over a deployment tree.
 //!
-//! **General** (equations 1–5): binary placement variables `f_v` plus two
-//! continuous edge variables `e_uv, e'_uv ≥ 0` with
-//! `f_u − f_v + e_uv ≥ 0` and `f_v − f_u + e'_uv ≥ 0`, so `e_uv + e'_uv`
-//! is 1 exactly when the edge is cut. Supports back-and-forth
-//! communication: `2|E| + |V|` variables, `4|E| + |V| + 1` constraints.
-//!
-//! **Restricted** (equations 6–7): with data flowing across the network at
-//! most once, all edges can be oriented towards the server and
-//! `f_u − f_v ≥ 0` per edge makes the cut bandwidth a *linear* function
-//! `Σ (f_u − f_v)·r_uv` — only `|V|` variables and `|E| + |V| + 1`
-//! constraints. This is the formulation Wishbone's prototype uses.
+//! Every leaf class of a [`Deployment`](crate::topology::Deployment)
+//! assigns each operator a position on its root path via monotone
+//! indicator variables `y_u^b = 1 ⇔ position(u) ≤ b`; sites couple the
+//! classes through one CPU row and one uplink row each
+//! ([`encode_deployment`]). The paper's §4.2.1 *restricted* formulation
+//! (eq. 6–7: `f_u − f_v ≥ 0` per edge, cut bandwidth linear in `f`) is
+//! the one-leaf, two-site case of it — `y^0 = f` — and a k-tier chain is
+//! the one-leaf path. Both of those shapes survive as standalone encoders
+//! in the dev-only `wishbone_oracle` crate, where the parity suites pin
+//! this encoder to them bit for bit.
 
 use wishbone_ilp::{is_exact_zero, Problem, Sense, VarId};
 
-use crate::cost_graph::{PartitionGraph, Pin};
+use crate::cost_graph::Pin;
 use crate::multitier::TieredGraph;
 
-/// Which ILP formulation to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Encoding {
-    /// Single network crossing, oriented edges (§4.2.1 eq. 6–7).
-    #[default]
-    Restricted,
-    /// Edge-variable formulation permitting back-and-forth flows
-    /// (§4.2.1 eq. 3–5).
-    General,
-}
-
-/// Objective and budgets: minimize `α·cpu + β·net` s.t. `cpu ≤ C`,
-/// `net ≤ N` (§4, "Cost here is defined as a linear combination of CPU and
-/// network usage, α·CPU + β·Net, which can be a proxy for energy usage").
-#[derive(Debug, Clone, Copy)]
-pub struct ObjectiveConfig {
-    /// CPU weight in the objective.
-    pub alpha: f64,
-    /// Network weight in the objective.
-    pub beta: f64,
-    /// CPU budget `C` (fraction of the node CPU, 1.0 = fully utilized).
-    pub cpu_budget: f64,
-    /// Network budget `N` (on-air bytes/second at the tree root).
-    pub net_budget: f64,
-}
-
-impl ObjectiveConfig {
-    /// The paper's evaluation setting: "minimize network bandwidth subject
-    /// to not exceeding CPU capacity (α = 0, β = 1)".
-    pub fn bandwidth_only(cpu_budget: f64, net_budget: f64) -> Self {
-        ObjectiveConfig {
-            alpha: 0.0,
-            beta: 1.0,
-            cpu_budget,
-            net_budget,
-        }
-    }
-}
-
-/// An encoded partitioning ILP plus the variable map needed to decode.
-#[derive(Debug)]
-pub struct EncodedProblem {
-    /// The integer program.
-    pub problem: Problem,
-    /// `f` variable of each partition-graph vertex.
-    pub f_vars: Vec<VarId>,
-    /// Which encoding produced it.
-    pub encoding: Encoding,
-    /// Constraint index of the CPU-budget row (`Σ c·f ≤ C`), if emitted.
-    /// Recorded so a prepared problem can be re-targeted at a new input
-    /// rate by rewriting one right-hand side instead of re-encoding.
-    pub cpu_row: Option<usize>,
-    /// Constraint index of the network-budget row (`net ≤ N`), if emitted.
-    pub net_row: Option<usize>,
-}
-
-impl EncodedProblem {
-    /// Decode a solver assignment into the set of node-side vertex indices.
-    pub fn decode(&self, values: &[f64]) -> std::collections::HashSet<usize> {
-        self.f_vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| values[v.0] > 0.5)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Build the ILP for `pg` under `enc` and `obj`.
-pub fn encode(pg: &PartitionGraph, enc: Encoding, obj: &ObjectiveConfig) -> EncodedProblem {
-    match enc {
-        Encoding::Restricted => encode_restricted(pg, obj),
-        Encoding::General => encode_general(pg, obj),
-    }
-}
-
-fn f_bounds(pin: Pin) -> (f64, f64) {
-    match pin {
-        Pin::Movable => (0.0, 1.0),
-        Pin::Node => (1.0, 1.0),   // (∀u ∈ S) f_u = 1
-        Pin::Server => (0.0, 0.0), // (∀v ∈ T) f_v = 0
-    }
-}
-
-fn encode_restricted(pg: &PartitionGraph, obj: &ObjectiveConfig) -> EncodedProblem {
-    let mut p = Problem::new();
-
-    // net = Σ_(u,v) (f_u − f_v)·r_uv  expands to per-vertex coefficients
-    // (Σ_out r − Σ_in r); the objective for f_v is α·c_v + β·(that).
-    let n = pg.vertices.len();
-    let mut net_coeff = vec![0.0f64; n];
-    for e in &pg.edges {
-        net_coeff[e.src] += e.bandwidth;
-        net_coeff[e.dst] -= e.bandwidth;
-    }
-
-    let f_vars: Vec<VarId> = pg
-        .vertices
-        .iter()
-        .enumerate()
-        .map(|(v, vert)| {
-            let (lo, hi) = f_bounds(vert.pin);
-            let c = obj.alpha * vert.cpu_cost + obj.beta * net_coeff[v];
-            p.add_var(lo, hi, c, true)
-        })
-        .collect();
-
-    // (6): f_u − f_v ≥ 0 per edge.
-    for e in &pg.edges {
-        p.add_constraint(
-            &[(f_vars[e.src], 1.0), (f_vars[e.dst], -1.0)],
-            Sense::Ge,
-            0.0,
-        );
-    }
-    // (2): cpu ≤ C. An infinite budget is no constraint: the row is
-    // omitted (matching the multitier encoding, which keeps the k = 2
-    // case row-for-row identical even for unconstrained tiers).
-    let cpu_row: Vec<(VarId, f64)> = pg
-        .vertices
-        .iter()
-        .enumerate()
-        .filter(|(_, vert)| !is_exact_zero(vert.cpu_cost))
-        .map(|(v, vert)| (f_vars[v], vert.cpu_cost))
-        .collect();
-    let mut cpu_row_idx = None;
-    if !cpu_row.is_empty() && obj.cpu_budget.is_finite() {
-        cpu_row_idx = Some(p.num_constraints());
-        p.add_constraint(&cpu_row, Sense::Le, obj.cpu_budget);
-    }
-    // (4) with (7): net ≤ N.
-    let net_row: Vec<(VarId, f64)> = net_coeff
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| !is_exact_zero(c))
-        .map(|(v, &c)| (f_vars[v], c))
-        .collect();
-    let mut net_row_idx = None;
-    if !net_row.is_empty() && obj.net_budget.is_finite() {
-        net_row_idx = Some(p.num_constraints());
-        p.add_constraint(&net_row, Sense::Le, obj.net_budget);
-    }
-
-    let ep = EncodedProblem {
-        problem: p,
-        f_vars,
-        encoding: Encoding::Restricted,
-        cpu_row: cpu_row_idx,
-        net_row: net_row_idx,
-    };
-    #[cfg(debug_assertions)]
-    crate::audit::debug_assert_audit_clean(&crate::audit::audit_binary(&ep), "encode_restricted");
-    ep
-}
-
-fn encode_general(pg: &PartitionGraph, obj: &ObjectiveConfig) -> EncodedProblem {
-    let mut p = Problem::new();
-
-    let f_vars: Vec<VarId> = pg
-        .vertices
-        .iter()
-        .map(|vert| {
-            let (lo, hi) = f_bounds(vert.pin);
-            p.add_var(lo, hi, obj.alpha * vert.cpu_cost, true)
-        })
-        .collect();
-
-    // Two continuous edge variables per edge, each carrying β·r in the
-    // objective; at an optimum e + e' = 1 iff the edge is cut.
-    let mut net_row: Vec<(VarId, f64)> = Vec::with_capacity(2 * pg.edges.len());
-    for e in &pg.edges {
-        let euv = p.add_var(0.0, f64::INFINITY, obj.beta * e.bandwidth, false);
-        let epv = p.add_var(0.0, f64::INFINITY, obj.beta * e.bandwidth, false);
-        // (3): f_u − f_v + e_uv ≥ 0  and  f_v − f_u + e'_uv ≥ 0.
-        p.add_constraint(
-            &[(f_vars[e.src], 1.0), (f_vars[e.dst], -1.0), (euv, 1.0)],
-            Sense::Ge,
-            0.0,
-        );
-        p.add_constraint(
-            &[(f_vars[e.dst], 1.0), (f_vars[e.src], -1.0), (epv, 1.0)],
-            Sense::Ge,
-            0.0,
-        );
-        net_row.push((euv, e.bandwidth));
-        net_row.push((epv, e.bandwidth));
-    }
-
-    // (2): cpu ≤ C (omitted when unconstrained, as in the restricted
-    // encoding).
-    let cpu_row: Vec<(VarId, f64)> = pg
-        .vertices
-        .iter()
-        .enumerate()
-        .filter(|(_, vert)| !is_exact_zero(vert.cpu_cost))
-        .map(|(v, vert)| (f_vars[v], vert.cpu_cost))
-        .collect();
-    let mut cpu_row_idx = None;
-    if !cpu_row.is_empty() && obj.cpu_budget.is_finite() {
-        cpu_row_idx = Some(p.num_constraints());
-        p.add_constraint(&cpu_row, Sense::Le, obj.cpu_budget);
-    }
-    // (4): net ≤ N.
-    let mut net_row_idx = None;
-    if !net_row.is_empty() && obj.net_budget.is_finite() {
-        net_row_idx = Some(p.num_constraints());
-        p.add_constraint(&net_row, Sense::Le, obj.net_budget);
-    }
-
-    let ep = EncodedProblem {
-        problem: p,
-        f_vars,
-        encoding: Encoding::General,
-        cpu_row: cpu_row_idx,
-        net_row: net_row_idx,
-    };
-    #[cfg(debug_assertions)]
-    crate::audit::debug_assert_audit_clean(&crate::audit::audit_binary(&ep), "encode_general");
-    ep
-}
-
-// ---------------------------------------------------------------------------
-// k-way monotone cuts (§9 "hierarchies": mote → gateway → server chains)
-// ---------------------------------------------------------------------------
-
-/// Per-tier / per-link objective weights and budgets for the k-way
-/// monotone-cut encoding ([`encode_multitier`]).
+/// Per-tier / per-link objective weights and budgets of one leaf's
+/// root path seen as a chain — what the per-leaf §4.1 merge
+/// ([`crate::multitier::preprocess_tiered`]) reasons about.
 ///
 /// `alpha`/`cpu_budget` have one entry per tier (CPU weight and budget on
 /// that tier's platform; `f64::INFINITY` omits the budget row), while
@@ -282,8 +57,8 @@ impl TierObjective {
     }
 }
 
-/// A CPU-budget row of the multi-tier encoding, kept so prepared problems
-/// can be re-targeted at a new input rate in place.
+/// A CPU-budget row of the encoding, kept so prepared problems can be
+/// re-targeted at a new input rate in place.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuRow {
     /// Constraint index within the problem.
@@ -294,207 +69,6 @@ pub struct CpuRow {
     /// `C/r − shift`, not `C/r`.
     pub shift: f64,
 }
-
-/// An encoded k-tier partitioning ILP plus the variable map to decode it.
-///
-/// The encoding assigns each vertex `u` a tier `t(u) ∈ {0, …, k−1}` via
-/// `k − 1` **monotone indicator variables** `y_u^b = 1 ⇔ t(u) ≤ b`:
-///
-/// * monotonicity rows `y_u^{b+1} − y_u^b ≥ 0` (an operator at or before
-///   boundary `b` is also at or before boundary `b+1`) — unit-coefficient,
-///   two-nonzero rows, upper-triangular in the boundary-major variable
-///   order, exactly the structure the sparse backend's singleton-peel LU
-///   preorder factors fill-free;
-/// * per-edge precedence `y_u^b − y_v^b ≥ 0` for every boundary (data
-///   flows strictly towards the server: `t(u) ≤ t(v)`), the k-way
-///   generalization of the restricted encoding's eq. 6;
-/// * tier-`t` CPU load `Σ_u c_u^t (y_u^t − y_u^{t−1}) ≤ C_t` with the
-///   conventions `y^{−1} = 0`, `y^{k−1} = 1`;
-/// * link-`b` bandwidth `Σ_{(u,v)} r_{uv}^b (y_u^b − y_v^b) ≤ N_b` — an
-///   edge is carried over link `b` exactly when `t(u) ≤ b < t(v)`, i.e.
-///   relays store-and-forward traffic that crosses them.
-///
-/// For `k = 2` the encoding degenerates, row for row and coefficient for
-/// coefficient, into the restricted binary encoding (`y^0 = f`).
-#[derive(Debug)]
-pub struct EncodedMultiTier {
-    /// The integer program.
-    pub problem: Problem,
-    /// `y_vars[b][v]` is the indicator "vertex `v` sits at tier ≤ `b`"
-    /// (`k − 1` boundaries × `|V|` vertices).
-    pub y_vars: Vec<Vec<VarId>>,
-    /// Number of tiers `k`.
-    pub tiers: usize,
-    /// CPU-budget row per tier (`None` when the budget is infinite or the
-    /// row would be empty).
-    pub cpu_rows: Vec<Option<CpuRow>>,
-    /// Link-budget row per link (`None` when infinite/empty).
-    pub net_rows: Vec<Option<usize>>,
-    /// Constant objective term at unit rate: the last tier's CPU cost is
-    /// `Σ c (1 − y)`, whose `α_{k−1}·Σ c` constant the ILP cannot see.
-    /// Add `offset × rate` to the solver objective to report true cost.
-    pub objective_offset: f64,
-}
-
-impl EncodedMultiTier {
-    /// Decode a solver assignment into the tier index of every vertex.
-    pub fn decode(&self, values: &[f64]) -> Vec<usize> {
-        let n = self.y_vars.first().map_or(0, Vec::len);
-        (0..n)
-            .map(|v| {
-                self.y_vars
-                    .iter()
-                    .position(|b| values[b[v].0] > 0.5)
-                    .unwrap_or(self.tiers - 1)
-            })
-            .collect()
-    }
-}
-
-/// Build the k-way monotone-cut ILP for `tg` under `obj`.
-///
-/// `k = tg.tiers` must match `obj.tiers()` and be at least 2. Vertices
-/// pinned [`Pin::Node`] are fixed to tier 0, [`Pin::Server`] to tier
-/// `k − 1`; movable vertices may take any tier.
-pub fn encode_multitier(tg: &TieredGraph, obj: &TierObjective) -> EncodedMultiTier {
-    let k = tg.tiers;
-    assert!(k >= 2, "a chain needs at least two tiers");
-    assert_eq!(obj.tiers(), k, "objective tier count mismatch");
-    assert_eq!(obj.beta.len(), k - 1);
-    assert_eq!(obj.cpu_budget.len(), k);
-    assert_eq!(obj.net_budget.len(), k - 1);
-
-    let n = tg.vertices.len();
-    let mut p = Problem::new();
-
-    // Per-link per-vertex net coefficients: link b's load is
-    // Σ (y_u^b − y_v^b)·r^b, i.e. coefficient (Σ_out r^b − Σ_in r^b) on
-    // y_v^b (accumulated in edge order, mirroring the binary encoding).
-    let mut net_coeff = vec![vec![0.0f64; n]; k - 1];
-    for e in &tg.edges {
-        for (b, &r) in e.bandwidth.iter().enumerate() {
-            net_coeff[b][e.src] += r;
-            net_coeff[b][e.dst] -= r;
-        }
-    }
-
-    // Variables, boundary-major (boundary 0 first, so k = 2 reproduces the
-    // binary encoding's VarIds exactly). Objective coefficient of y_u^b:
-    // α_b·c_u^b − α_{b+1}·c_u^{b+1} + β_b·net_coeff_b (tier b's CPU gains
-    // y^b, tier b+1's loses it).
-    let y_vars: Vec<Vec<VarId>> = (0..k - 1)
-        .map(|b| {
-            tg.vertices
-                .iter()
-                .enumerate()
-                .map(|(v, vert)| {
-                    let (lo, hi) = match vert.pin {
-                        Pin::Movable => (0.0, 1.0),
-                        Pin::Node => (1.0, 1.0),   // tier 0: every y is 1
-                        Pin::Server => (0.0, 0.0), // tier k−1: every y is 0
-                    };
-                    let mut c = obj.alpha[b] * vert.cpu_cost[b] + obj.beta[b] * net_coeff[b][v];
-                    if !is_exact_zero(obj.alpha[b + 1]) {
-                        c -= obj.alpha[b + 1] * vert.cpu_cost[b + 1];
-                    }
-                    p.add_var(lo, hi, c, true)
-                })
-                .collect()
-        })
-        .collect();
-
-    // Monotonicity: y_u^{b+1} − y_u^b ≥ 0 (absent for k = 2).
-    for b in 0..k.saturating_sub(2) {
-        for (&y_next, &y_cur) in y_vars[b + 1].iter().zip(&y_vars[b]) {
-            p.add_constraint(&[(y_next, 1.0), (y_cur, -1.0)], Sense::Ge, 0.0);
-        }
-    }
-
-    // Precedence per edge per boundary: y_u^b − y_v^b ≥ 0.
-    for y_b in &y_vars {
-        for e in &tg.edges {
-            p.add_constraint(&[(y_b[e.src], 1.0), (y_b[e.dst], -1.0)], Sense::Ge, 0.0);
-        }
-    }
-
-    // CPU budget per tier.
-    let mut cpu_rows: Vec<Option<CpuRow>> = vec![None; k];
-    for (t, row_slot) in cpu_rows.iter_mut().enumerate() {
-        if !obj.cpu_budget[t].is_finite() {
-            continue;
-        }
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut shift = 0.0f64;
-        for (v, vert) in tg.vertices.iter().enumerate() {
-            let c = vert.cpu_cost[t];
-            if is_exact_zero(c) {
-                continue;
-            }
-            if t < k - 1 {
-                terms.push((y_vars[t][v], c));
-            }
-            if t > 0 {
-                terms.push((y_vars[t - 1][v], -c));
-            }
-            if t == k - 1 {
-                shift += c; // Σ c·(1 − y): constant folded into the rhs
-            }
-        }
-        if terms.is_empty() {
-            continue;
-        }
-        *row_slot = Some(CpuRow {
-            row: p.num_constraints(),
-            shift,
-        });
-        p.add_constraint(&terms, Sense::Le, obj.cpu_budget[t] - shift);
-    }
-
-    // Bandwidth budget per link.
-    let mut net_rows: Vec<Option<usize>> = vec![None; k - 1];
-    for (b, row_slot) in net_rows.iter_mut().enumerate() {
-        if !obj.net_budget[b].is_finite() {
-            continue;
-        }
-        let terms: Vec<(VarId, f64)> = net_coeff[b]
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| !is_exact_zero(c))
-            .map(|(v, &c)| (y_vars[b][v], c))
-            .collect();
-        if terms.is_empty() {
-            continue;
-        }
-        *row_slot = Some(p.num_constraints());
-        p.add_constraint(&terms, Sense::Le, obj.net_budget[b]);
-    }
-
-    let objective_offset: f64 = if !is_exact_zero(obj.alpha[k - 1]) {
-        obj.alpha[k - 1]
-            * tg.vertices
-                .iter()
-                .map(|vert| vert.cpu_cost[k - 1])
-                .sum::<f64>()
-    } else {
-        0.0
-    };
-
-    let ep = EncodedMultiTier {
-        problem: p,
-        y_vars,
-        tiers: k,
-        cpu_rows,
-        net_rows,
-        objective_offset,
-    };
-    #[cfg(debug_assertions)]
-    crate::audit::debug_assert_audit_clean(&crate::audit::audit_multitier(&ep), "encode_multitier");
-    ep
-}
-
-// ---------------------------------------------------------------------------
-// Tree deployments: monotone cuts per leaf class, coupled per-site rows
-// ---------------------------------------------------------------------------
 
 /// One leaf class of a tree deployment, ready to encode: the (merged)
 /// chain graph along the leaf's root path, plus the site index at every
@@ -540,22 +114,36 @@ pub struct DeploymentObjective {
     pub net_budget: Vec<f64>,
     /// Canonical row-emission order of sites: depth-descending, index
     /// ascending. For a path deployment this is leaf → … → root, which is
-    /// what makes the encoding row-for-row identical to
-    /// [`encode_multitier`].
+    /// what makes the encoding row-for-row identical to the chain oracle
+    /// (`wishbone_oracle::encode_multitier`).
     pub row_order: Vec<usize>,
 }
 
 /// An encoded tree-deployment ILP plus the variable map to decode it.
 ///
-/// Generalizes [`EncodedMultiTier`] from one chain to a forest of leaf
-/// chains sharing interior sites: per leaf class the same monotone
-/// indicators `y_u^b = 1 ⇔ position(u) ≤ b` with monotonicity and
-/// precedence rows, and per *site* one CPU row and one uplink row that
-/// sum every leaf class routed through it (weighted by device counts).
+/// Each leaf class assigns every vertex `u` of its chain graph a path
+/// position `t(u) ∈ {0, …, k−1}` via `k − 1` **monotone indicator
+/// variables** `y_u^b = 1 ⇔ t(u) ≤ b`:
+///
+/// * monotonicity rows `y_u^{b+1} − y_u^b ≥ 0` — unit-coefficient,
+///   two-nonzero rows, upper-triangular in the boundary-major variable
+///   order, exactly the structure the sparse backend's singleton-peel LU
+///   preorder factors fill-free;
+/// * per-edge precedence `y_u^b − y_v^b ≥ 0` for every boundary (data
+///   flows strictly towards the root: `t(u) ≤ t(v)`), the k-way
+///   generalization of §4.2.1 eq. 6;
+/// * per **site** one CPU row `Σ_u c_u^t (y_u^t − y_u^{t−1}) ≤ C_t` (with
+///   `y^{−1} = 0`, `y^{k−1} = 1`) and one uplink row
+///   `Σ_{(u,v)} r_{uv}^b (y_u^b − y_v^b) ≤ N_b` — an edge is carried over
+///   hop `b` exactly when `t(u) ≤ b < t(v)`, relays store-and-forward —
+///   each summing every leaf class routed through the site, weighted by
+///   device counts.
+///
 /// With a single leaf the encoding degenerates — row for row, bit for
-/// bit — into [`encode_multitier`] (and thus, for a 2-site star, into the
-/// binary restricted encoding), which is the differential parity anchor
-/// pinned by `tests/proptest_deployment.rs`.
+/// bit — into the chain oracle `wishbone_oracle::encode_multitier` (and
+/// thus, for a 2-site star, into the paper's binary restricted encoding,
+/// `y^0 = f`), which is the differential parity anchor pinned by
+/// `tests/proptest_deployment.rs`.
 #[derive(Debug)]
 pub struct EncodedDeployment {
     /// The integer program.
@@ -719,10 +307,7 @@ impl EncodedDeployment {
         self.objective_offset = objective_offset;
 
         #[cfg(debug_assertions)]
-        crate::audit::debug_assert_audit_clean(
-            &crate::audit::audit_deployment(self),
-            "rescale_in_place",
-        );
+        crate::audit::audit_deployment(self).assert_no_errors("rescale_in_place");
     }
 
     /// Decode a solver assignment into per-leaf vertex path positions.
@@ -797,7 +382,7 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
     let net_coeff = deployment_net_coeffs(leaves);
 
     // Variables: leaf-major, boundary-major, vertex within — so a single
-    // leaf reproduces encode_multitier's VarIds exactly. Objective of
+    // leaf reproduces the chain oracle's VarIds exactly. Objective of
     // y_u^b: site(b)'s CPU gains u, site(b+1)'s loses it, and the uplink
     // of site(b) carries u's net coefficient.
     let y_vars: Vec<Vec<Vec<VarId>>> = leaves
@@ -943,186 +528,6 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
         objective_offset,
     };
     #[cfg(debug_assertions)]
-    crate::audit::debug_assert_audit_clean(
-        &crate::audit::audit_deployment(&ep),
-        "encode_deployment",
-    );
+    crate::audit::audit_deployment(&ep).assert_no_errors("encode_deployment");
     ep
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cost_graph::{PEdge, PVertex};
-    use std::collections::HashSet;
-    use wishbone_ilp::IlpOptions;
-
-    fn chain(bws: &[f64], cpus: &[f64]) -> PartitionGraph {
-        // v0 (Node) -> v1 ... -> vn (Server); bws[i] is the edge out of vi.
-        let n = cpus.len();
-        assert_eq!(bws.len(), n - 1);
-        let vertices = (0..n)
-            .map(|i| PVertex {
-                ops: vec![wishbone_dataflow::OperatorId(i)],
-                cpu_cost: cpus[i],
-                pin: if i == 0 {
-                    Pin::Node
-                } else if i == n - 1 {
-                    Pin::Server
-                } else {
-                    Pin::Movable
-                },
-            })
-            .collect();
-        let edges = (0..n - 1)
-            .map(|i| PEdge {
-                src: i,
-                dst: i + 1,
-                bandwidth: bws[i],
-                graph_edges: vec![],
-            })
-            .collect();
-        PartitionGraph { vertices, edges }
-    }
-
-    fn solve(pg: &PartitionGraph, enc: Encoding, obj: &ObjectiveConfig) -> HashSet<usize> {
-        let ep = encode(pg, enc, obj);
-        let sol = ep
-            .problem
-            .solve_ilp(&IlpOptions::default())
-            .expect("solvable");
-        ep.decode(&sol.values)
-    }
-
-    #[test]
-    fn restricted_picks_min_bandwidth_cut_within_budget() {
-        // Chain with reducing bandwidths 100, 40, 5; cpu 0.1 each stage.
-        // With cpu budget 0.35 the whole movable prefix fits: cut at 5.
-        let pg = chain(&[100.0, 40.0, 5.0], &[0.1, 0.1, 0.1, 0.0]);
-        let obj = ObjectiveConfig::bandwidth_only(0.35, 1e9);
-        let node = solve(&pg, Encoding::Restricted, &obj);
-        assert_eq!(node, [0, 1, 2].into_iter().collect());
-        // With budget 0.25 only one movable stage fits: cut at 40.
-        let obj = ObjectiveConfig::bandwidth_only(0.25, 1e9);
-        let node = solve(&pg, Encoding::Restricted, &obj);
-        assert_eq!(node, [0, 1].into_iter().collect());
-        // With budget 0.15 nothing extra fits: cut at 100.
-        let obj = ObjectiveConfig::bandwidth_only(0.15, 1e9);
-        let node = solve(&pg, Encoding::Restricted, &obj);
-        assert_eq!(node, [0].into_iter().collect());
-    }
-
-    #[test]
-    fn general_matches_restricted_on_dags() {
-        let pg = chain(&[100.0, 40.0, 5.0], &[0.1, 0.1, 0.1, 0.0]);
-        for budget in [0.15, 0.25, 0.35] {
-            let obj = ObjectiveConfig::bandwidth_only(budget, 1e9);
-            let a = solve(&pg, Encoding::Restricted, &obj);
-            let b = solve(&pg, Encoding::General, &obj);
-            assert_eq!(a, b, "budget {budget}");
-        }
-    }
-
-    #[test]
-    fn encoding_sizes_match_paper_formulas() {
-        let pg = chain(&[100.0, 40.0, 5.0], &[0.1, 0.1, 0.1, 0.0]);
-        let (v, e) = (4usize, 3usize);
-        let r = encode(
-            &pg,
-            Encoding::Restricted,
-            &ObjectiveConfig::bandwidth_only(1.0, 1e9),
-        );
-        assert_eq!(r.problem.num_vars(), v);
-        assert!(r.problem.num_constraints() <= e + 2); // |E| + cpu + net
-        let g = encode(
-            &pg,
-            Encoding::General,
-            &ObjectiveConfig::bandwidth_only(1.0, 1e9),
-        );
-        assert_eq!(g.problem.num_vars(), v + 2 * e); // |V| + 2|E|
-        assert!(g.problem.num_constraints() <= 2 * e + 2);
-        // Only |V| variables are integer in both encodings.
-        assert_eq!(r.problem.num_integer_vars(), v);
-        assert_eq!(g.problem.num_integer_vars(), v);
-    }
-
-    #[test]
-    fn infinite_budgets_omit_rows_in_every_encoding() {
-        let pg = chain(&[100.0, 40.0, 5.0], &[0.1, 0.1, 0.1, 0.0]);
-        let obj = ObjectiveConfig {
-            alpha: 0.0,
-            beta: 1.0,
-            cpu_budget: f64::INFINITY,
-            net_budget: f64::INFINITY,
-        };
-        for enc in [Encoding::Restricted, Encoding::General] {
-            let ep = encode(&pg, enc, &obj);
-            assert!(ep.cpu_row.is_none(), "{enc:?} must omit an ∞ cpu row");
-            assert!(ep.net_row.is_none(), "{enc:?} must omit an ∞ net row");
-        }
-        // The k = 2 parity contract holds even for unconstrained budgets:
-        // same rows as the restricted encoding, none of them budget rows.
-        let r = encode(&pg, Encoding::Restricted, &obj);
-        let t = encode_multitier(
-            &crate::multitier::TieredGraph::from_binary(&pg),
-            &TierObjective {
-                alpha: vec![0.0, 0.0],
-                cpu_budget: vec![f64::INFINITY, f64::INFINITY],
-                beta: vec![1.0],
-                net_budget: vec![f64::INFINITY],
-            },
-        );
-        assert_eq!(r.problem.num_vars(), t.problem.num_vars());
-        assert_eq!(r.problem.num_constraints(), t.problem.num_constraints());
-    }
-
-    #[test]
-    fn cpu_budget_infeasible_when_pinned_ops_exceed_it() {
-        let mut pg = chain(&[10.0], &[0.9, 0.0]);
-        pg.vertices[0].cpu_cost = 0.9; // pinned source needs 90% CPU
-        let obj = ObjectiveConfig::bandwidth_only(0.5, 1e9);
-        let ep = encode(&pg, Encoding::Restricted, &obj);
-        assert!(ep.problem.solve_ilp(&IlpOptions::default()).is_err());
-    }
-
-    #[test]
-    fn net_budget_binds() {
-        // Cutting at the cheap edge needs cpu 0.2; net budget below 100
-        // forbids the all-server cut even though cpu would prefer it.
-        let pg = chain(&[100.0, 5.0], &[0.1, 0.1, 0.0]);
-        let obj = ObjectiveConfig {
-            alpha: 1.0,
-            beta: 0.0,
-            cpu_budget: 1.0,
-            net_budget: 50.0,
-        };
-        let node = solve(&pg, Encoding::Restricted, &obj);
-        assert_eq!(
-            node,
-            [0, 1].into_iter().collect(),
-            "forced past the 100-byte edge"
-        );
-    }
-
-    #[test]
-    fn alpha_beta_tradeoff() {
-        // Moving v1 to the node costs cpu 0.5 and saves bandwidth 60.
-        let pg = chain(&[100.0, 40.0], &[0.1, 0.5, 0.0]);
-        // Pure bandwidth: take it.
-        let node = solve(
-            &pg,
-            Encoding::Restricted,
-            &ObjectiveConfig::bandwidth_only(1.0, 1e9),
-        );
-        assert!(node.contains(&1));
-        // Heavy CPU weight: leave it on the server.
-        let obj = ObjectiveConfig {
-            alpha: 1000.0,
-            beta: 1.0,
-            cpu_budget: 1.0,
-            net_budget: 1e9,
-        };
-        let node = solve(&pg, Encoding::Restricted, &obj);
-        assert!(!node.contains(&1));
-    }
 }

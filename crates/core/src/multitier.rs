@@ -19,9 +19,10 @@
 //! with *that* hop's radio framing — relays store-and-forward traffic
 //! that merely passes through them.
 //!
-//! For `k = 2` the chain is provably identical to the binary restricted
-//! encoding: same variables, same rows, same coefficients, in the same
-//! order — the differential parity tests (`tests/end_to_end_tiered.rs`,
+//! For `k = 2` the chain is provably identical to the paper's binary
+//! restricted encoding (kept as a dev-only oracle in `wishbone_oracle`):
+//! same variables, same rows, same coefficients, in the same order — the
+//! differential parity tests (`tests/end_to_end_tiered.rs`,
 //! `tests/proptest_multitier.rs`) pin that anchor on both simplex
 //! backends.
 
@@ -32,9 +33,8 @@ use wishbone_ilp::is_exact_zero;
 use wishbone_net::ChannelParams;
 use wishbone_profile::{GraphProfile, Platform};
 
-use crate::cost_graph::{pin_analysis, Mode, PartitionGraph, Pin, PinError};
+use crate::cost_graph::{pin_analysis, Mode, Pin, PinError};
 use crate::encodings::TierObjective;
-use crate::preprocess::{combine_pins, find_cycle_scc, Dsu};
 
 /// A vertex of the tiered partitioning graph: one operator (or a merged
 /// class) with a CPU cost *per tier platform*.
@@ -76,33 +76,6 @@ pub struct TieredGraph {
 }
 
 impl TieredGraph {
-    /// Lift a binary [`PartitionGraph`] into a 2-tier graph (tier-1 CPU
-    /// costs are zero: the paper's infinitely powerful server).
-    pub fn from_binary(pg: &PartitionGraph) -> TieredGraph {
-        TieredGraph {
-            tiers: 2,
-            vertices: pg
-                .vertices
-                .iter()
-                .map(|v| TVertex {
-                    ops: v.ops.clone(),
-                    cpu_cost: vec![v.cpu_cost, 0.0],
-                    pin: v.pin,
-                })
-                .collect(),
-            edges: pg
-                .edges
-                .iter()
-                .map(|e| TEdge {
-                    src: e.src,
-                    dst: e.dst,
-                    bandwidth: vec![e.bandwidth],
-                    graph_edges: e.graph_edges.clone(),
-                })
-                .collect(),
-        }
-    }
-
     /// Expand a per-vertex tier assignment into per-operator tiers,
     /// indexed by `OperatorId.0`.
     pub fn op_tiers(&self, vertex_tiers: &[usize], n_ops: usize) -> Vec<usize> {
@@ -164,6 +137,43 @@ pub fn build_tiered_graph(
     })
 }
 
+/// Union-find over vertex indices.
+struct Dsu {
+    parent: Vec<usize>,
+}
+
+impl Dsu {
+    fn new(n: usize) -> Self {
+        Dsu {
+            parent: (0..n).collect(),
+        }
+    }
+
+    fn find(&mut self, x: usize) -> usize {
+        if self.parent[x] != x {
+            let root = self.find(self.parent[x]);
+            self.parent[x] = root;
+        }
+        self.parent[x]
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.parent[ra] = rb;
+        }
+    }
+}
+
+/// Combine two pin states; `Err` names `witness` on node/server conflict.
+fn combine_pins(a: Pin, b: Pin, witness: OperatorId) -> Result<Pin, PinError> {
+    match (a, b) {
+        (Pin::Movable, p) | (p, Pin::Movable) => Ok(p),
+        (x, y) if x == y => Ok(x),
+        _ => Err(PinError::Conflict(witness)),
+    }
+}
+
 /// Result of the tiered §4.1 merge.
 #[derive(Debug, Clone)]
 pub struct TieredPreprocessResult {
@@ -193,8 +203,9 @@ pub struct TieredPreprocessResult {
 ///   power". A budgeted gateway breaks it — merging could overload the
 ///   middle tier and flip a feasible instance to infeasible.
 ///
-/// For `k = 2` with a free final tier this is exactly
-/// [`crate::preprocess::preprocess`] (which now delegates here).
+/// For `k = 2` with a free final tier this is exactly the paper's binary
+/// merge (the dev-only oracle `wishbone_oracle::preprocess` delegates
+/// here).
 pub fn preprocess_tiered(
     tg: &TieredGraph,
     obj: &TierObjective,
@@ -239,8 +250,11 @@ pub fn preprocess_tiered(
         }
     }
 
-    // Build the quotient, collapsing SCCs until acyclic (mirrors the
-    // binary preprocess, with vector weights).
+    // Build the quotient. Merging can create cycles in it (a path
+    // between two merged vertices through an unmerged one); the
+    // single-crossing constraints force such intermediate vertices onto
+    // the same side anyway, so collapse strongly connected components
+    // until the result is a DAG.
     loop {
         let mut class_of: HashMap<usize, usize> = HashMap::new();
         let mut classes: Vec<Vec<usize>> = Vec::new();
@@ -328,6 +342,74 @@ pub fn preprocess_tiered(
     }
 }
 
+/// Find one non-trivial SCC in the quotient graph, if any (iterative
+/// Tarjan). Returns `None` when the graph is a DAG.
+fn find_cycle_scc(n: usize, adj: &[HashSet<usize>]) -> Option<Vec<usize>> {
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    // Iterative DFS state: (vertex, neighbour iterator position).
+    for start in 0..n {
+        if index[start] != usize::MAX {
+            continue;
+        }
+        let mut call: Vec<(usize, Vec<usize>, usize)> = Vec::new();
+        let neigh: Vec<usize> = adj[start].iter().copied().collect();
+        call.push((start, neigh, 0));
+        index[start] = next_index;
+        low[start] = next_index;
+        next_index += 1;
+        stack.push(start);
+        on_stack[start] = true;
+
+        while let Some((v, neigh, mut i)) = call.pop() {
+            let mut descended = false;
+            while i < neigh.len() {
+                let w = neigh[i];
+                i += 1;
+                if index[w] == usize::MAX {
+                    call.push((v, neigh.clone(), i));
+                    let wn: Vec<usize> = adj[w].iter().copied().collect();
+                    index[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    call.push((w, wn, 0));
+                    descended = true;
+                    break;
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            }
+            if descended {
+                continue;
+            }
+            // v finished.
+            if low[v] == index[v] {
+                let mut scc = Vec::new();
+                loop {
+                    let w = stack.pop().expect("stack non-empty");
+                    on_stack[w] = false;
+                    scc.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                if scc.len() > 1 {
+                    return Some(scc);
+                }
+            }
+            if let Some(&mut (p, _, _)) = call.last_mut() {
+                low[p] = low[p].min(low[v]);
+            }
+        }
+    }
+    None
+}
+
 /// One link (the uplink from tier `b` towards tier `b+1`).
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {
@@ -363,14 +445,11 @@ impl LinkSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encodings::{encode, encode_multitier, Encoding, ObjectiveConfig};
-    use crate::partitioner::PartitionError;
     use crate::topology::{
         max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,
         PreparedDeployment, Site,
     };
     use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, Value};
-    use wishbone_ilp::{IlpOptions, SolveError, SolverBackend};
     use wishbone_profile::{profile as run_profile, SourceTrace};
 
     /// src -> heavy 4x reducer -> light 2x reducer -> sink.
@@ -416,204 +495,6 @@ mod tests {
         };
         let prof = run_profile(&mut g, &[t]).unwrap();
         (g, prof)
-    }
-
-    /// What [`binary_oracle`] computed.
-    #[derive(Debug)]
-    struct BinaryCut {
-        node_ops: HashSet<OperatorId>,
-        cut_edges: Vec<EdgeId>,
-        objective: f64,
-        problem_size: (usize, usize),
-        merge_stats: (usize, usize),
-    }
-
-    /// The binary pipeline spelled out on the standalone oracles: partition
-    /// graph → §4.1 merge → restricted encoding → branch-and-bound.
-    fn binary_oracle(
-        g: &Graph,
-        prof: &GraphProfile,
-        platform: &Platform,
-        rate: f64,
-        backend: SolverBackend,
-    ) -> Result<BinaryCut, PartitionError> {
-        let pg0 =
-            crate::cost_graph::build_partition_graph(g, prof, platform, Mode::Permissive, rate)?;
-        let merged = crate::preprocess::preprocess(&pg0)?;
-        let ep = encode(
-            &merged.graph,
-            Encoding::Restricted,
-            &ObjectiveConfig {
-                alpha: 0.0,
-                beta: 1.0,
-                cpu_budget: platform.cpu_budget_fraction,
-                net_budget: platform.radio.goodput_bytes_per_sec,
-            },
-        );
-        let opts = IlpOptions {
-            backend,
-            ..IlpOptions::default()
-        };
-        let sol = ep.problem.solve_ilp(&opts).map_err(|e| match e {
-            SolveError::Infeasible => PartitionError::Infeasible,
-            e => PartitionError::Solver(e),
-        })?;
-        let node_ops = merged.graph.expand(&ep.decode(&sol.values));
-        let cut_edges = g
-            .edge_ids()
-            .filter(|&eid| {
-                let e = g.edge(eid);
-                node_ops.contains(&e.src) && !node_ops.contains(&e.dst)
-            })
-            .collect();
-        Ok(BinaryCut {
-            node_ops,
-            cut_edges,
-            objective: sol.objective,
-            problem_size: (ep.problem.num_vars(), ep.problem.num_constraints()),
-            merge_stats: (pg0.vertices.len(), merged.vertices_after),
-        })
-    }
-
-    #[test]
-    fn two_tier_parity_with_binary_partitioner() {
-        let (g, prof) = profiled();
-        let mote = Platform::tmote_sky();
-        let dep = Deployment::star([(Site::new("mote", &mote), LinkSpec::for_platform(&mote))]);
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            for rate in [0.02, 0.1, 0.5] {
-                let mut cfg = DeploymentConfig::default().at_rate(rate);
-                cfg.ilp.backend = backend;
-                let a = binary_oracle(&g, &prof, &mote, rate, backend);
-                let b = partition_deployment(&g, &prof, &dep, &cfg);
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        let leaf = &b.leaves[0];
-                        assert_eq!(a.node_ops, leaf.site_ops[0], "rate {rate} {backend:?}");
-                        assert_eq!(
-                            g.operator_count() - a.node_ops.len(),
-                            leaf.site_ops[1].len()
-                        );
-                        assert_eq!(a.cut_edges, leaf.link_cut_edges[0]);
-                        assert!(
-                            (a.objective - b.objective).abs() < 1e-9 * (1.0 + a.objective.abs()),
-                            "objectives {} vs {}",
-                            a.objective,
-                            b.objective
-                        );
-                        let cpu: f64 = g
-                            .operator_ids()
-                            .filter(|id| a.node_ops.contains(id))
-                            .map(|id| prof.cpu_fraction(id, &mote) * rate)
-                            .sum();
-                        let net: f64 = a
-                            .cut_edges
-                            .iter()
-                            .map(|&e| prof.edge_on_air_bandwidth(e, &mote) * rate)
-                            .sum();
-                        assert!((cpu - leaf.predicted_cpu[0]).abs() < 1e-12);
-                        assert!((net - leaf.predicted_net[0]).abs() < 1e-12);
-                        assert_eq!(a.problem_size, b.problem_size, "identical ILP shape");
-                        assert_eq!(a.merge_stats, b.merge_stats, "identical merge");
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, b, "rate {rate} {backend:?}"),
-                    (a, b) => panic!("rate {rate} {backend:?}: binary {a:?} vs star {b:?}"),
-                }
-            }
-        }
-    }
-
-    /// Synthetic 3-tier chain where the gateway is the only place the
-    /// heavy reducer fits: tier 1 must absorb it.
-    fn synthetic_3tier() -> TieredGraph {
-        TieredGraph {
-            tiers: 3,
-            vertices: vec![
-                TVertex {
-                    ops: vec![OperatorId(0)],
-                    cpu_cost: vec![0.1, 0.01, 0.0],
-                    pin: Pin::Node,
-                },
-                TVertex {
-                    ops: vec![OperatorId(1)],
-                    cpu_cost: vec![0.9, 0.1, 0.0],
-                    pin: Pin::Movable,
-                },
-                TVertex {
-                    ops: vec![OperatorId(2)],
-                    cpu_cost: vec![0.0, 0.0, 0.0],
-                    pin: Pin::Server,
-                },
-            ],
-            edges: vec![
-                TEdge {
-                    src: 0,
-                    dst: 1,
-                    bandwidth: vec![100.0, 100.0],
-                    graph_edges: vec![],
-                },
-                TEdge {
-                    src: 1,
-                    dst: 2,
-                    bandwidth: vec![10.0, 10.0],
-                    graph_edges: vec![],
-                },
-            ],
-        }
-    }
-
-    fn solve_tiers(tg: &TieredGraph, obj: &TierObjective) -> Option<(Vec<usize>, f64)> {
-        let ep = encode_multitier(tg, obj);
-        ep.problem
-            .solve_ilp(&IlpOptions::default())
-            .ok()
-            .map(|s| (ep.decode(&s.values), s.objective + ep.objective_offset))
-    }
-
-    #[test]
-    fn gateway_absorbs_work_the_mote_cannot_hold() {
-        let tg = synthetic_3tier();
-        // Mote budget 0.5 rejects the 0.9 reducer; gateway budget 1.0
-        // accepts its 0.1 incarnation. Optimal: reducer on tier 1
-        // (objective 100 + 10 = 110, vs all-server 100 + 100 = 200).
-        let obj = TierObjective::bandwidth_only(
-            vec![0.5, 1.0, f64::INFINITY],
-            vec![f64::INFINITY, f64::INFINITY],
-        );
-        let (tiers, objective) = solve_tiers(&tg, &obj).expect("feasible");
-        assert_eq!(tiers, vec![0, 1, 2]);
-        assert!((objective - 110.0).abs() < 1e-6, "objective {objective}");
-    }
-
-    #[test]
-    fn gateway_cpu_budget_pushes_work_to_the_server() {
-        let tg = synthetic_3tier();
-        let obj = TierObjective::bandwidth_only(
-            vec![0.5, 0.05, f64::INFINITY],
-            vec![f64::INFINITY, f64::INFINITY],
-        );
-        let (tiers, objective) = solve_tiers(&tg, &obj).expect("feasible");
-        assert_eq!(tiers, vec![0, 2, 2], "0.05 gateway budget rejects 0.1");
-        assert!((objective - 200.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn link_budget_binds_per_hop() {
-        let mut tg = synthetic_3tier();
-        // Make the mote able to hold the reducer so the first hop can be
-        // the cheap 10 B/s edge.
-        tg.vertices[1].cpu_cost[0] = 0.2;
-        // Link 1 budget below 10 B/s: nothing may cross to the server —
-        // but the sink is pinned there, so even the residual 10 B/s flow
-        // must cross, making the instance infeasible.
-        let obj =
-            TierObjective::bandwidth_only(vec![1.0, 1.0, f64::INFINITY], vec![f64::INFINITY, 5.0]);
-        assert!(solve_tiers(&tg, &obj).is_none(), "5 B/s hop-1 cap");
-        // Budget 15 admits the reduced stream.
-        let obj =
-            TierObjective::bandwidth_only(vec![1.0, 1.0, f64::INFINITY], vec![f64::INFINITY, 15.0]);
-        let (tiers, _) = solve_tiers(&tg, &obj).expect("feasible");
-        assert!(tiers[1] <= 1, "reducer stays inside the network");
     }
 
     #[test]
@@ -714,109 +595,6 @@ mod tests {
         );
         assert_eq!(three.encodes, 1);
         assert!(three.evaluations > 1);
-    }
-
-    #[test]
-    fn tiered_preprocess_reduces_to_binary_on_two_tiers() {
-        let (g, prof) = profiled();
-        let mote = Platform::tmote_sky();
-        let pg = crate::cost_graph::build_partition_graph(&g, &prof, &mote, Mode::Permissive, 1.0)
-            .unwrap();
-        let binary = crate::preprocess::preprocess(&pg).unwrap();
-        let tg = build_tiered_graph(
-            &g,
-            &prof,
-            &[mote.clone(), Platform::server()],
-            Mode::Permissive,
-            1.0,
-        )
-        .unwrap();
-        let obj = TierObjective::bandwidth_only(vec![1.0, f64::INFINITY], vec![1e9]);
-        let tiered = preprocess_tiered(&tg, &obj).unwrap();
-        assert_eq!(binary.vertices_after, tiered.vertices_after);
-        for (bv, tv) in binary.graph.vertices.iter().zip(&tiered.graph.vertices) {
-            assert_eq!(bv.ops, tv.ops);
-            assert!((bv.cpu_cost - tv.cpu_cost[0]).abs() < 1e-12);
-            assert_eq!(bv.pin, tv.pin);
-        }
-        for (be, te) in binary.graph.edges.iter().zip(&tiered.graph.edges) {
-            assert_eq!((be.src, be.dst), (te.src, te.dst));
-            assert!((be.bandwidth - te.bandwidth[0]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn tiered_merge_never_worsens_the_optimum_under_gateway_budgets() {
-        // The regression the sound merge rule exists for: a data-neutral
-        // op `v` that is cheap on the mote but *expensive on the gateway*
-        // feeds a heavy op `w`. Gluing v to w (the naive bandwidth-only
-        // rule) would weld v's gateway cost onto w and push both to the
-        // server (objective 200); the true optimum keeps v on the mote
-        // and w on the gateway (objective 110).
-        let tg = TieredGraph {
-            tiers: 3,
-            vertices: vec![
-                TVertex {
-                    ops: vec![OperatorId(0)],
-                    cpu_cost: vec![0.05, 0.01, 0.0],
-                    pin: Pin::Node,
-                },
-                TVertex {
-                    ops: vec![OperatorId(1)], // v: neutral, gateway-heavy
-                    cpu_cost: vec![0.1, 0.5, 0.0],
-                    pin: Pin::Movable,
-                },
-                TVertex {
-                    ops: vec![OperatorId(2)], // w: mote-impossible
-                    cpu_cost: vec![2.0, 0.4, 0.0],
-                    pin: Pin::Movable,
-                },
-                TVertex {
-                    ops: vec![OperatorId(3)],
-                    cpu_cost: vec![0.0, 0.0, 0.0],
-                    pin: Pin::Server,
-                },
-            ],
-            edges: vec![
-                TEdge {
-                    src: 0,
-                    dst: 1,
-                    bandwidth: vec![100.0, 100.0],
-                    graph_edges: vec![],
-                },
-                TEdge {
-                    src: 1,
-                    dst: 2,
-                    bandwidth: vec![100.0, 100.0], // v is data-neutral
-                    graph_edges: vec![],
-                },
-                TEdge {
-                    src: 2,
-                    dst: 3,
-                    bandwidth: vec![10.0, 10.0],
-                    graph_edges: vec![],
-                },
-            ],
-        };
-        let obj = TierObjective::bandwidth_only(
-            vec![0.2, 0.6, f64::INFINITY],
-            vec![f64::INFINITY, f64::INFINITY],
-        );
-        let (_, unmerged) = solve_tiers(&tg, &obj).expect("unmerged feasible");
-        assert!((unmerged - 110.0).abs() < 1e-6, "optimum {unmerged}");
-        let merged = preprocess_tiered(&tg, &obj).unwrap();
-        let (_, merged_obj) = solve_tiers(&merged.graph, &obj).expect("merged stays feasible");
-        assert!(
-            (merged_obj - unmerged).abs() < 1e-6,
-            "merge changed the optimum: {unmerged} -> {merged_obj}"
-        );
-        // Sanity for the rule itself: v must not have been glued to w
-        // (its gateway cost is nonzero and the gateway budget is finite).
-        assert!(merged
-            .graph
-            .vertices
-            .iter()
-            .all(|vert| !(vert.ops.contains(&OperatorId(1)) && vert.ops.contains(&OperatorId(2)))));
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! receiving less, which the §7.3.1 network profile guarantees by keeping
 //! the budget below saturation.
 
-use crate::partitioner::PartitionError;
-use crate::topology::DeploymentPartition;
+use crate::topology::{DeploymentPartition, PartitionError};
 
 /// A probed rate whose branch-and-bound hit its node/time budget before
 /// finding any integer point: neither feasible nor infeasible.
@@ -122,10 +121,9 @@ pub(crate) fn search_max_rate(
 #[cfg(test)]
 mod tests {
     use crate::multitier::LinkSpec;
-    use crate::partitioner::PartitionError;
     use crate::topology::{
         max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,
-        PreparedDeployment, Site,
+        PartitionError, PreparedDeployment, Site,
     };
     use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
     use wishbone_ilp::SolverBackend;

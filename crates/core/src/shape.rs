@@ -129,7 +129,6 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
     w.f(cfg.ilp.rel_gap);
     w.u(cfg.ilp.max_nodes);
     w.u(cfg.ilp.time_limit.map_or(u64::MAX, |d| d.as_nanos() as u64));
-    w.u(cfg.ilp.simplex_iteration_limit.map_or(u64::MAX, |l| l));
     w.u(match cfg.ilp.branching {
         wishbone_ilp::Branching::MostFractional => 0,
         wishbone_ilp::Branching::FirstFractional => 1,

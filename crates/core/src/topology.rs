@@ -13,14 +13,15 @@
 //! every mote class routed through it.
 //!
 //! The paper's shapes are constructors, each pinned by differential
-//! parity tests against the standalone encoders:
+//! parity tests against the standalone encoders of the dev-only
+//! `wishbone_oracle` crate:
 //!
 //! * [`Deployment::star`] with one leaf is the binary node/server cut —
-//!   [`crate::encodings::encode`]'s restricted encoding, bit for bit;
+//!   `wishbone_oracle::encode`'s restricted encoding, bit for bit;
 //! * [`Deployment::star`] with *n* heterogeneous leaves is §9's mixed
 //!   network, decoupling into one binary ILP per leaf;
 //! * [`Deployment::chain`] is a k-tier path —
-//!   [`crate::encodings::encode_multitier`] row for row;
+//!   `wishbone_oracle::encode_multitier` row for row;
 //! * a genuine tree (many motes per gateway, many gateways per server,
 //!   each gateway with its own uplink budget) is built with
 //!   [`Deployment::new`] + [`Deployment::attach`].
@@ -42,11 +43,11 @@ use wishbone_ilp::{
 };
 use wishbone_profile::{GraphProfile, Platform};
 
-use crate::cost_graph::Mode;
-use crate::encodings::TierObjective;
-use crate::encodings::{encode_deployment, DeploymentObjective, EncodedDeployment, LeafChain};
+use crate::cost_graph::{Mode, PinError};
+use crate::encodings::{
+    encode_deployment, DeploymentObjective, EncodedDeployment, LeafChain, TierObjective,
+};
 use crate::multitier::{build_tiered_graph, preprocess_tiered, LinkSpec};
-use crate::partitioner::PartitionError;
 
 /// Index of a [`Site`] within its [`Deployment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -583,6 +584,63 @@ impl DeploymentPartition {
     }
 }
 
+/// Partitioning failures.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PartitionError {
+    /// Pinning conflict (program cannot satisfy single-crossing placement).
+    Pin(PinError),
+    /// No partition satisfies the CPU/network budgets — the program does
+    /// not "fit"; callers typically fall back to the §4.3 rate search.
+    Infeasible,
+    /// The branch-and-bound node/time budget ran out before *any*
+    /// integer placement was found: the solve proved neither feasibility
+    /// nor infeasibility. `best_bound` is the lower bound on the optimal
+    /// objective the truncated search established, when it got far
+    /// enough to have one. Distinct from [`PartitionError::Infeasible`]
+    /// so rate searches report an unproven range instead of silently
+    /// shrinking the feasible one.
+    Unproven {
+        /// Lower bound on the optimal objective from the open tree
+        /// (offset-adjusted to the same frame as reported objectives).
+        best_bound: Option<f64>,
+    },
+    /// Solver failure (iteration limits / numerical trouble).
+    Solver(SolveError),
+}
+
+impl std::fmt::Display for PartitionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PartitionError::Pin(e) => write!(f, "pinning: {e}"),
+            PartitionError::Infeasible => {
+                write!(
+                    f,
+                    "no feasible partition within the CPU and network budgets"
+                )
+            }
+            PartitionError::Unproven { best_bound } => {
+                write!(
+                    f,
+                    "search budget exhausted before any integer placement was found"
+                )?;
+                if let Some(b) = best_bound {
+                    write!(f, " (objective lower bound {b})")?;
+                }
+                Ok(())
+            }
+            PartitionError::Solver(e) => write!(f, "solver: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for PartitionError {}
+
+impl From<PinError> for PartitionError {
+    fn from(e: PinError) -> Self {
+        PartitionError::Pin(e)
+    }
+}
+
 /// Compute the optimal placement of `graph` over `dep`'s topology.
 ///
 /// One-shot convenience over [`PreparedDeployment`]; callers probing many
@@ -623,6 +681,29 @@ struct PreparedLeaf {
     path: Vec<SiteId>,
     graph: crate::multitier::TieredGraph,
     rate_factor: f64,
+}
+
+/// The leaf-chain view of a preparation, as [`encode_deployment`] and the
+/// multilevel heuristic consume it: every leaf at its device count in
+/// `dep`, a removed leaf at `count = 0`.
+fn leaf_chains<'l>(
+    leaves: &'l [PreparedLeaf],
+    removed: &[bool],
+    dep: &Deployment,
+) -> Vec<LeafChain<'l>> {
+    leaves
+        .iter()
+        .zip(removed)
+        .map(|(l, &gone)| LeafChain {
+            graph: &l.graph,
+            path: l.path.iter().map(|s| s.0).collect(),
+            count: if gone {
+                0.0
+            } else {
+                dep.sites[l.leaf.0].count as f64
+            },
+        })
+        .collect()
 }
 
 /// A deployment instance prepared for repeated solves at varying input
@@ -745,20 +826,12 @@ impl<'a> PreparedDeployment<'a> {
             });
         }
 
-        let chains: Vec<LeafChain<'_>> = leaves
-            .iter()
-            .map(|l| LeafChain {
-                graph: &l.graph,
-                path: l.path.iter().map(|s| s.0).collect(),
-                count: dep.site(l.leaf).count as f64,
-            })
-            .collect();
+        let removed = vec![false; leaves.len()];
         let obj = dep.objective_with(cfg.robustness);
-        let ep = encode_deployment(&chains, &obj);
+        let ep = encode_deployment(&leaf_chains(&leaves, &removed, dep), &obj);
         let base_objective: Vec<f64> = (0..ep.problem.num_vars())
             .map(|j| ep.problem.objective_coeff(VarId(j)))
             .collect();
-        let removed = vec![false; leaves.len()];
         Ok(PreparedDeployment {
             graph,
             profile,
@@ -832,20 +905,7 @@ impl<'a> PreparedDeployment<'a> {
             }
         }
         self.obj = self.dep.objective_with(self.cfg.robustness);
-        let chains: Vec<LeafChain<'_>> = self
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(i, l)| LeafChain {
-                graph: &l.graph,
-                path: l.path.iter().map(|s| s.0).collect(),
-                count: if self.removed[i] {
-                    0.0
-                } else {
-                    self.dep.sites[l.leaf.0].count as f64
-                },
-            })
-            .collect();
+        let chains = leaf_chains(&self.leaves, &self.removed, &self.dep);
         self.ep.rescale_in_place(&chains, &self.obj);
         self.base_objective = (0..self.ep.problem.num_vars())
             .map(|j| self.ep.problem.objective_coeff(VarId(j)))
@@ -955,25 +1015,6 @@ impl<'a> PreparedDeployment<'a> {
         }
     }
 
-    /// The current leaf-chain view of this preparation (a removed leaf
-    /// carries `count = 0`), as [`encode_deployment`] and the multilevel
-    /// heuristic consume it.
-    fn chains(&self) -> Vec<LeafChain<'_>> {
-        self.leaves
-            .iter()
-            .enumerate()
-            .map(|(i, l)| LeafChain {
-                graph: &l.graph,
-                path: l.path.iter().map(|s| s.0).collect(),
-                count: if self.removed[i] {
-                    0.0
-                } else {
-                    self.dep.sites[l.leaf.0].count as f64
-                },
-            })
-            .collect()
-    }
-
     /// Expand a per-leaf tier assignment into the encoding's full
     /// indicator vector (`y[l][b][v] = 1 ⇔ tier ≤ b`).
     fn y_values(&self, tiers: &[Vec<usize>]) -> Vec<f64> {
@@ -995,7 +1036,7 @@ impl<'a> PreparedDeployment<'a> {
     /// (already retargeted) encoded problem. `None` when the heuristic
     /// finds no budget-feasible placement.
     fn approx_values(&self, rate: f64) -> Option<(Vec<f64>, f64)> {
-        let chains = self.chains();
+        let chains = leaf_chains(&self.leaves, &self.removed, &self.dep);
         let cut = crate::multilevel::approx_cut(&chains, &self.obj, rate)?;
         let values = self.y_values(&cut.tiers);
         if !self.ep.problem.is_feasible(&values, 1e-6) {
@@ -1009,22 +1050,24 @@ impl<'a> PreparedDeployment<'a> {
         {
             let spec = crate::audit::deployment_spec(&self.ep);
             let report = wishbone_audit::audit_assignment(&self.ep.problem, &spec, &values);
-            crate::audit::debug_assert_audit_clean(&report, "approx_cut assignment");
+            report.assert_no_errors("approx_cut assignment");
         }
         Some((values, cut.objective))
     }
 
     /// Solve the prepared instance at `rate` via the multilevel anytime
     /// engine: heuristic placement plus a certified gap from the root LP
-    /// bound, solved in `ws` on the configured backend — warm when `ws`
-    /// retains a basis of this instance. The instance must already be
-    /// retargeted to `rate`.
+    /// bound, solved on the configured backend in `arena` (the instance's
+    /// own workspace when `None`) — warm when that retains a basis of
+    /// this instance. The instance must already be retargeted to `rate`.
     fn approx_at(
         &mut self,
         rate: f64,
-        ws: &mut SimplexWorkspace,
+        arena: Option<&mut SimplexWorkspace>,
     ) -> Result<DeploymentPartition, PartitionError> {
         let cut = self.approx_values(rate);
+        let backend = self.solver_backend();
+        let ws = arena.unwrap_or(&mut self.workspace);
         ws.set_backend(self.cfg.ilp.backend);
         ws.reset_counters();
         let problem = &self.ep.problem;
@@ -1047,7 +1090,7 @@ impl<'a> PreparedDeployment<'a> {
             warm_starts: ws.warm_starts(),
             cold_starts: ws.cold_starts(),
             refactorizations: ws.refactorizations(),
-            backend: self.solver_backend(),
+            backend,
             phase_times: PhaseTimes {
                 encode_s: self.encode_s,
                 root_lp_s,
@@ -1084,10 +1127,7 @@ impl<'a> PreparedDeployment<'a> {
     /// left there (see the type-level docs for what that does and does
     /// not change about the answer).
     pub fn solve_at(&mut self, rate: f64) -> Result<DeploymentPartition, PartitionError> {
-        let mut ws = std::mem::take(&mut self.workspace);
-        let out = self.solve_in(rate, &mut ws);
-        self.workspace = ws;
-        out
+        self.solve_in(rate, None)
     }
 
     /// [`solve_at`](Self::solve_at) inside a caller-owned workspace
@@ -1104,22 +1144,23 @@ impl<'a> PreparedDeployment<'a> {
         ws: &mut SimplexWorkspace,
     ) -> Result<DeploymentPartition, PartitionError> {
         ws.invalidate();
-        self.solve_in(rate, ws)
+        self.solve_in(rate, Some(ws))
     }
 
-    /// Retarget to `rate` and solve in `ws` as it stands: warm at the
-    /// root when `ws` retains a basis of this instance's current matrix.
+    /// Retarget to `rate` and solve in `arena` — the instance's own
+    /// workspace when `None` — as it stands: warm at the root when it
+    /// retains a basis of this instance's current matrix.
     fn solve_in(
         &mut self,
         rate: f64,
-        ws: &mut SimplexWorkspace,
+        arena: Option<&mut SimplexWorkspace>,
     ) -> Result<DeploymentPartition, PartitionError> {
         assert!(rate > 0.0, "rate multiplier must be positive");
         self.solves += 1;
         self.retarget(rate);
 
         if self.cfg.engine == PlacementEngine::Approx {
-            return self.approx_at(rate, ws);
+            return self.approx_at(rate, arena);
         }
 
         let mut opts = self.cfg.ilp.clone();
@@ -1129,6 +1170,7 @@ impl<'a> PreparedDeployment<'a> {
         if opts.warm_solution.is_none() && self.cfg.seed_incumbent {
             opts.warm_solution = self.approx_values(rate).map(|(values, _)| values);
         }
+        let ws = arena.unwrap_or(&mut self.workspace);
         let (result, stats) = solve_ilp_in(&self.ep.problem, &opts, ws);
         let sol = match result {
             Ok(s) => s,
@@ -1433,74 +1475,6 @@ mod tests {
             dep.site_order(),
             vec![SiteId(3), SiteId(4), SiteId(1), SiteId(2), SiteId(0)]
         );
-    }
-
-    #[test]
-    fn chain_deployment_matches_multitier_row_for_row() {
-        use crate::encodings::encode_multitier;
-        let (g, prof) = profiled();
-        let chain = [
-            Platform::tmote_sky(),
-            Platform::iphone(),
-            Platform::server(),
-        ];
-        let dep = Deployment::chain(&chain);
-        let tobj = dep.leaf_objective(dep.leaves()[0]);
-        // The standalone chain pipeline at `rate`: tiered graph → tiered
-        // merge → `encode_multitier`.
-        let oracle_at = |rate: f64| {
-            let tg = build_tiered_graph(&g, &prof, &chain, Mode::Permissive, rate).unwrap();
-            let merged = preprocess_tiered(&tg, &tobj).unwrap().graph;
-            let ep = encode_multitier(&merged, &tobj);
-            (merged, ep)
-        };
-        let mut prep =
-            PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default()).unwrap();
-
-        let (_, oracle) = oracle_at(1.0);
-        let (a, b) = (&oracle.problem, prep.problem());
-        assert_eq!(
-            prep.problem_size(),
-            (a.num_vars(), a.num_constraints()),
-            "identical ILP shape"
-        );
-        for j in 0..a.num_vars() {
-            let v = VarId(j);
-            assert_eq!(
-                a.objective_coeff(v).to_bits(),
-                b.objective_coeff(v).to_bits()
-            );
-        }
-        for i in 0..a.num_constraints() {
-            let (ra, rb) = (a.constraint(i), b.constraint(i));
-            assert_eq!(ra.sense, rb.sense, "sense of row {i}");
-            assert_eq!(ra.rhs.to_bits(), rb.rhs.to_bits(), "rhs of row {i}");
-            assert_eq!(ra.terms.len(), rb.terms.len(), "terms of row {i}");
-            for (ta, tb) in ra.terms.iter().zip(&rb.terms) {
-                assert_eq!((ta.0, ta.1.to_bits()), (tb.0, tb.1.to_bits()), "row {i}");
-            }
-        }
-
-        for rate in [0.1, 0.5, 2.0] {
-            let (merged, ep) = oracle_at(rate);
-            let m = ep.problem.solve_ilp(&IlpOptions::default());
-            match (prep.solve_at(rate), m) {
-                (Ok(d), Ok(m)) => {
-                    let tiers = merged.op_tiers(&ep.decode(&m.values), g.operator_count());
-                    for id in g.operator_ids() {
-                        assert_eq!(
-                            d.leaves[0].position_of(id),
-                            Some(tiers[id.0]),
-                            "rate {rate}"
-                        );
-                    }
-                    let objective = m.objective + ep.objective_offset;
-                    assert!((d.objective - objective).abs() < 1e-9 * (1.0 + objective.abs()));
-                }
-                (Err(PartitionError::Infeasible), Err(SolveError::Infeasible)) => {}
-                (d, m) => panic!("rate {rate}: deployment {d:?} vs multitier {m:?}"),
-            }
-        }
     }
 
     #[test]

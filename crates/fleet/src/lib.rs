@@ -202,20 +202,58 @@ impl FleetStats {
         self.latencies_s.push(s);
     }
 
+    /// The totals of one answered request: hit or miss, and what its
+    /// solve cost (or that it failed).
+    fn of_request(
+        cache_hit: bool,
+        result: &Result<DeploymentPartition, PartitionError>,
+    ) -> FleetStats {
+        let hit = u64::from(cache_hit);
+        let mut one = FleetStats {
+            requests: 1,
+            cache_hits: hit,
+            cache_misses: 1 - hit,
+            encodes_avoided: hit,
+            ..FleetStats::default()
+        };
+        match result {
+            Ok(part) => {
+                let stats = &part.ilp_stats;
+                one.phase_times = stats.phase_times;
+                one.dual_iterations = stats.dual_iterations;
+                one.primal_iterations = stats.primal_iterations;
+                one.refactorizations = stats.refactorizations;
+            }
+            Err(_) => one.errors = 1,
+        }
+        one
+    }
+
+    /// Sum `other`'s counters and phase times into `self` — a request
+    /// into its worker's totals, a worker's into the fleet's. Latencies
+    /// and the per-worker view are the server's to fill.
+    fn absorb(&mut self, other: &FleetStats) {
+        self.requests += other.requests;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.encodes_avoided += other.encodes_avoided;
+        self.distinct_shapes += other.distinct_shapes;
+        self.errors += other.errors;
+        // `PhaseTimes` is a foreign plain-data struct without an `Add`.
+        self.phase_times.encode_s += other.phase_times.encode_s;
+        self.phase_times.presolve_s += other.phase_times.presolve_s;
+        self.phase_times.warm_start_s += other.phase_times.warm_start_s;
+        self.phase_times.nodes_s += other.phase_times.nodes_s;
+        self.phase_times.root_lp_s += other.phase_times.root_lp_s;
+        self.dual_iterations += other.dual_iterations;
+        self.primal_iterations += other.primal_iterations;
+        self.refactorizations += other.refactorizations;
+    }
+
     fn finalize(&mut self) {
         self.latencies_s
             .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     }
-}
-
-/// Sum `b` into `a` field-wise (`PhaseTimes` is a foreign plain-data
-/// struct without an `Add` impl).
-fn add_phase_times(a: &mut PhaseTimes, b: &PhaseTimes) {
-    a.encode_s += b.encode_s;
-    a.presolve_s += b.presolve_s;
-    a.warm_start_s += b.warm_start_s;
-    a.nodes_s += b.nodes_s;
-    a.root_lp_s += b.root_lp_s;
 }
 
 /// One worker's shape-keyed cache of prepared instances.
@@ -285,41 +323,20 @@ impl ShapeCache {
     }
 }
 
-/// What one worker thread reports back when the server shuts down.
-struct WorkerReport {
-    solves: u64,
-    hits: u64,
-    misses: u64,
-    errors: u64,
-    distinct_shapes: u64,
-    phase_times: PhaseTimes,
-    dual_iterations: u64,
-    primal_iterations: u64,
-    refactorizations: u64,
-}
-
+/// One worker thread: serve its shard's requests until the server hangs
+/// up, then report this worker's totals (latencies are recorded on the
+/// server side, as responses are collected).
 fn worker_loop(
     worker: usize,
     cfg: FleetConfig,
-    rx: mpsc::Receiver<FleetRequest>,
+    rx: mpsc::Receiver<(ShapeKey, FleetRequest)>,
     tx: mpsc::Sender<FleetResponse>,
-) -> WorkerReport {
+) -> FleetStats {
     let mut cache = ShapeCache::new();
     let mut arena = SimplexWorkspace::new();
-    let mut report = WorkerReport {
-        solves: 0,
-        hits: 0,
-        misses: 0,
-        errors: 0,
-        distinct_shapes: 0,
-        phase_times: PhaseTimes::default(),
-        dual_iterations: 0,
-        primal_iterations: 0,
-        refactorizations: 0,
-    };
-    while let Ok(req) = rx.recv() {
+    let mut report = FleetStats::default();
+    while let Ok((key, req)) = rx.recv() {
         let t = Instant::now();
-        let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
         let (cache_hit, result) = if cfg.cache {
             cache.serve(&req, key, &mut arena, cfg.deterministic)
         } else {
@@ -332,22 +349,7 @@ fn worker_loop(
             .and_then(|mut prep| prep.solve_at_in(req.rate, &mut arena));
             (false, result)
         };
-        report.solves += 1;
-        if cache_hit {
-            report.hits += 1;
-        } else {
-            report.misses += 1;
-        }
-        match &result {
-            Ok(part) => {
-                let stats = &part.ilp_stats;
-                add_phase_times(&mut report.phase_times, &stats.phase_times);
-                report.dual_iterations += stats.dual_iterations;
-                report.primal_iterations += stats.primal_iterations;
-                report.refactorizations += stats.refactorizations;
-            }
-            Err(_) => report.errors += 1,
-        }
+        report.absorb(&FleetStats::of_request(cache_hit, &result));
         let resp = FleetResponse {
             id: req.id,
             worker,
@@ -412,9 +414,9 @@ fn worker_loop(
 /// ```
 pub struct FleetServer {
     cfg: FleetConfig,
-    txs: Vec<mpsc::Sender<FleetRequest>>,
+    txs: Vec<mpsc::Sender<(ShapeKey, FleetRequest)>>,
     rx: mpsc::Receiver<FleetResponse>,
-    handles: Vec<JoinHandle<WorkerReport>>,
+    handles: Vec<JoinHandle<FleetStats>>,
     outstanding: u64,
     stats: FleetStats,
 }
@@ -436,7 +438,7 @@ impl FleetServer {
         let mut txs = Vec::with_capacity(cfg.workers);
         let mut handles = Vec::with_capacity(cfg.workers);
         for worker in 0..cfg.workers {
-            let (tx, rx) = mpsc::channel::<FleetRequest>();
+            let (tx, rx) = mpsc::channel();
             let resp_tx = resp_tx.clone();
             let wcfg = cfg.clone();
             handles.push(std::thread::spawn(move || {
@@ -469,7 +471,7 @@ impl FleetServer {
         let shard = self.shard(&key);
         self.outstanding += 1;
         self.txs[shard]
-            .send(req)
+            .send((key, req))
             .expect("fleet worker hung up with requests outstanding");
     }
 
@@ -503,22 +505,12 @@ impl FleetServer {
     pub fn shutdown(mut self) -> FleetStats {
         drop(self.txs); // workers' recv() errors out: clean exit
         let mut stats = std::mem::take(&mut self.stats);
-        stats.per_worker_solves = Vec::with_capacity(self.handles.len());
         for handle in self.handles {
-            let report = handle
+            let worker = handle
                 .join()
                 .expect("fleet worker panicked; its shard's requests are lost");
-            stats.requests += report.solves;
-            stats.cache_hits += report.hits;
-            stats.cache_misses += report.misses;
-            stats.encodes_avoided += report.hits;
-            stats.distinct_shapes += report.distinct_shapes;
-            stats.errors += report.errors;
-            stats.per_worker_solves.push(report.solves);
-            add_phase_times(&mut stats.phase_times, &report.phase_times);
-            stats.dual_iterations += report.dual_iterations;
-            stats.primal_iterations += report.primal_iterations;
-            stats.refactorizations += report.refactorizations;
+            stats.per_worker_solves.push(worker.requests);
+            stats.absorb(&worker);
         }
         stats.finalize();
         stats

@@ -48,8 +48,6 @@ pub struct IlpOptions {
     pub max_nodes: u64,
     /// Wall-clock budget; same unproven-return behaviour as `max_nodes`.
     pub time_limit: Option<Duration>,
-    /// Per-LP simplex iteration cap; `None` derives one from problem size.
-    pub simplex_iteration_limit: Option<u64>,
     /// Branching rule.
     pub branching: Branching,
     /// Re-enter child LPs from the workspace's retained basis (dual-simplex
@@ -77,7 +75,6 @@ impl Default for IlpOptions {
             rel_gap: 0.0,
             max_nodes: 1_000_000,
             time_limit: None,
-            simplex_iteration_limit: None,
             branching: Branching::MostFractional,
             warm_lp: true,
             presolve: true,
@@ -266,9 +263,7 @@ pub fn solve_ilp_in(
         }
     }
 
-    let iter_limit = opts
-        .simplex_iteration_limit
-        .unwrap_or_else(|| default_iteration_limit(problem));
+    let iter_limit = default_iteration_limit(problem);
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     let warm_start_t = Instant::now();

@@ -9,7 +9,9 @@
 
 use std::collections::HashSet;
 
-use crate::cost_graph::{PartitionGraph, Pin};
+use wishbone_core::Pin;
+
+use crate::cost_graph::PartitionGraph;
 use crate::encodings::ObjectiveConfig;
 
 /// Metrics of a candidate cut.

@@ -1,80 +1,20 @@
-//! Partitioning failures, shared by every stage of the pipeline.
+//! The binary node/server cut, end to end.
 //!
-//! The partitioner itself lives in [`crate::topology`]: the paper's
-//! node/server split is the 2-site star
-//! ([`Deployment::star`](crate::topology::Deployment::star)) of the one
-//! [`partition_deployment`](crate::topology::partition_deployment) path.
-//! The unit tests below exercise that special case end to end.
-
-use wishbone_ilp::SolveError;
-
-use crate::cost_graph::PinError;
-
-/// Partitioning failures.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PartitionError {
-    /// Pinning conflict (program cannot satisfy single-crossing placement).
-    Pin(PinError),
-    /// No partition satisfies the CPU/network budgets — the program does
-    /// not "fit"; callers typically fall back to the §4.3 rate search.
-    Infeasible,
-    /// The branch-and-bound node/time budget ran out before *any*
-    /// integer placement was found: the solve proved neither feasibility
-    /// nor infeasibility. `best_bound` is the lower bound on the optimal
-    /// objective the truncated search established, when it got far
-    /// enough to have one. Distinct from [`PartitionError::Infeasible`]
-    /// so rate searches report an unproven range instead of silently
-    /// shrinking the feasible one.
-    Unproven {
-        /// Lower bound on the optimal objective from the open tree
-        /// (offset-adjusted to the same frame as reported objectives).
-        best_bound: Option<f64>,
-    },
-    /// Solver failure (iteration limits / numerical trouble).
-    Solver(SolveError),
-}
-
-impl std::fmt::Display for PartitionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PartitionError::Pin(e) => write!(f, "pinning: {e}"),
-            PartitionError::Infeasible => {
-                write!(
-                    f,
-                    "no feasible partition within the CPU and network budgets"
-                )
-            }
-            PartitionError::Unproven { best_bound } => {
-                write!(
-                    f,
-                    "search budget exhausted before any integer placement was found"
-                )?;
-                if let Some(b) = best_bound {
-                    write!(f, " (objective lower bound {b})")?;
-                }
-                Ok(())
-            }
-            PartitionError::Solver(e) => write!(f, "solver: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PartitionError {}
-
-impl From<PinError> for PartitionError {
-    fn from(e: PinError) -> Self {
-        PartitionError::Pin(e)
-    }
-}
+//! The partitioner itself is `wishbone_core`'s one
+//! [`partition_deployment`](wishbone_core::partition_deployment) path,
+//! where the paper's node/server split is the 2-site star
+//! ([`Deployment::star`](wishbone_core::Deployment::star)). The unit tests
+//! below exercise that special case and check it against the standalone
+//! general (edge-variable) encoder; the module holds nothing else.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cost_graph::{build_partition_graph, Mode};
+    use crate::cost_graph::build_partition_graph;
     use crate::encodings::{encode, Encoding, ObjectiveConfig};
-    use crate::multitier::LinkSpec;
     use crate::preprocess::preprocess;
-    use crate::topology::{partition_deployment, Deployment, DeploymentConfig, Site};
+    use wishbone_core::{
+        partition_deployment, Deployment, DeploymentConfig, LinkSpec, Mode, PartitionError, Site,
+    };
     use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
     use wishbone_ilp::IlpOptions;
     use wishbone_profile::{profile as run_profile, GraphProfile, Platform, SourceTrace};

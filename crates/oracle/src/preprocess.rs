@@ -9,55 +9,40 @@
 //! with its downstream operator(s), reducing the search space without
 //! eliminating optimal solutions."
 //!
-//! Merging a vertex with *all* of its successors can create cycles in the
-//! quotient graph (a path between two merged vertices through an unmerged
-//! one); the original single-crossing constraints force such intermediate
-//! vertices onto the same side anyway, so we collapse quotient-level
-//! strongly connected components until the result is a DAG.
+//! The binary graph *is* the 2-tier chain whose downstream side has
+//! "infinite computational power", so the merge itself is
+//! [`wishbone_core::preprocess_tiered`] under a free server tier; this
+//! module is the scalar-weight view of it ([`tiered_from_binary`] in,
+//! [`PartitionGraph`] out).
 
-use std::collections::HashSet;
+use wishbone_core::{preprocess_tiered, PinError, TEdge, TVertex, TierObjective, TieredGraph};
 
-use crate::cost_graph::{PEdge, PVertex, PartitionGraph, Pin, PinError};
+use crate::cost_graph::{PEdge, PVertex, PartitionGraph};
 
-/// Union-find over vertex indices (shared with the tiered merge in
-/// [`crate::multitier`]).
-pub(crate) struct Dsu {
-    parent: Vec<usize>,
-}
-
-impl Dsu {
-    pub(crate) fn new(n: usize) -> Self {
-        Dsu {
-            parent: (0..n).collect(),
-        }
-    }
-
-    pub(crate) fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
-        }
-        self.parent[x]
-    }
-
-    pub(crate) fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-}
-
-/// Combine two pin states; `Err` names `witness` on node/server conflict.
-pub(crate) fn combine_pins(
-    a: Pin,
-    b: Pin,
-    witness: wishbone_dataflow::OperatorId,
-) -> Result<Pin, PinError> {
-    match (a, b) {
-        (Pin::Movable, p) | (p, Pin::Movable) => Ok(p),
-        (x, y) if x == y => Ok(x),
-        _ => Err(PinError::Conflict(witness)),
+/// Lift a binary [`PartitionGraph`] into a 2-tier graph (tier-1 CPU
+/// costs are zero: the paper's infinitely powerful server).
+pub fn tiered_from_binary(pg: &PartitionGraph) -> TieredGraph {
+    TieredGraph {
+        tiers: 2,
+        vertices: pg
+            .vertices
+            .iter()
+            .map(|v| TVertex {
+                ops: v.ops.clone(),
+                cpu_cost: vec![v.cpu_cost, 0.0],
+                pin: v.pin,
+            })
+            .collect(),
+        edges: pg
+            .edges
+            .iter()
+            .map(|e| TEdge {
+                src: e.src,
+                dst: e.dst,
+                bandwidth: vec![e.bandwidth],
+                graph_edges: e.graph_edges.clone(),
+            })
+            .collect(),
     }
 }
 
@@ -74,23 +59,21 @@ pub struct PreprocessResult {
 
 /// Apply the §4.1 merge to `pg`.
 ///
-/// Delegates to the k-way generalization
-/// ([`crate::multitier::preprocess_tiered`]) with a free server tier — the
-/// binary graph *is* the 2-tier chain whose downstream side has "infinite
-/// computational power", which is exactly the regime where the paper's
-/// dominance argument holds. One quotient/SCC-collapse implementation
-/// serves both paths.
+/// Delegates to the k-way generalization ([`preprocess_tiered`]) with a
+/// free server tier — exactly the regime where the paper's dominance
+/// argument holds. One quotient/SCC-collapse implementation serves both
+/// paths.
 pub fn preprocess(pg: &PartitionGraph) -> Result<PreprocessResult, PinError> {
-    let tg = crate::multitier::TieredGraph::from_binary(pg);
+    let tg = tiered_from_binary(pg);
     // A free final tier (α = 0, infinite budget): every bandwidth-safe
     // merge is also CPU-safe, matching the binary rule exactly.
-    let obj = crate::encodings::TierObjective {
+    let obj = TierObjective {
         alpha: vec![0.0, 0.0],
         cpu_budget: vec![f64::INFINITY, f64::INFINITY],
         beta: vec![1.0],
         net_budget: vec![f64::INFINITY],
     };
-    let r = crate::multitier::preprocess_tiered(&tg, &obj)?;
+    let r = preprocess_tiered(&tg, &obj)?;
     Ok(PreprocessResult {
         graph: PartitionGraph {
             vertices: r
@@ -120,78 +103,10 @@ pub fn preprocess(pg: &PartitionGraph) -> Result<PreprocessResult, PinError> {
     })
 }
 
-/// Find one non-trivial SCC in the quotient graph, if any (iterative
-/// Tarjan). Returns `None` when the graph is a DAG. Shared with the
-/// tiered merge in [`crate::multitier`].
-pub(crate) fn find_cycle_scc(n: usize, adj: &[HashSet<usize>]) -> Option<Vec<usize>> {
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    // Iterative DFS state: (vertex, neighbour iterator position).
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let neigh: Vec<usize> = adj[start].iter().copied().collect();
-        call.push((start, neigh, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-
-        while let Some((v, neigh, mut i)) = call.pop() {
-            let mut descended = false;
-            while i < neigh.len() {
-                let w = neigh[i];
-                i += 1;
-                if index[w] == usize::MAX {
-                    call.push((v, neigh.clone(), i));
-                    let wn: Vec<usize> = adj[w].iter().copied().collect();
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, wn, 0));
-                    descended = true;
-                    break;
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            }
-            if descended {
-                continue;
-            }
-            // v finished.
-            if low[v] == index[v] {
-                let mut scc = Vec::new();
-                loop {
-                    let w = stack.pop().expect("stack non-empty");
-                    on_stack[w] = false;
-                    scc.push(w);
-                    if w == v {
-                        break;
-                    }
-                }
-                if scc.len() > 1 {
-                    return Some(scc);
-                }
-            }
-            if let Some(&mut (p, _, _)) = call.last_mut() {
-                low[p] = low[p].min(low[v]);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wishbone_core::Pin;
     use wishbone_dataflow::OperatorId;
 
     fn v(cpu: f64, pin: Pin) -> PVertex {

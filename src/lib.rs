@@ -27,6 +27,11 @@
 //! | [`trace`] | `wishbone-trace` | streaming telemetry, drift detection, loss attribution |
 //! | [`fleet`] | `wishbone-fleet` | sharded, shape-cached fleet partitioning service |
 //!
+//! (The paper's binary graph model, merge, encoders and baseline
+//! comparators — the differential oracles `core`'s one encoder is pinned
+//! against — are the dev-only `wishbone-oracle` crate: a
+//! `[dev-dependencies]` entry here, re-exported nowhere.)
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -71,15 +76,13 @@ pub mod prelude {
         LinearSvm, SpeechApp, SpeechParams,
     };
     pub use wishbone_audit::{AuditCode, AuditReport, Diagnostic, Severity};
-    pub use wishbone_core::{
-        all_node, all_server, build_partition_graph, drift_to_deltas, evaluate, greedy,
-        max_sustainable_rate_deployment, partition_deployment, pin_analysis, pipeline_cutpoints,
-        preprocess, ApproxCut, Deployment, DeploymentConfig, DeploymentDelta, DeploymentPartition,
-        DeploymentRateResult, Encoding, LeafPartition, LinkSpec, Mode, ObjectiveConfig,
-        PartitionError, PartitionGraph, Pin, PlacementEngine, PreparedDeployment, RobustnessMode,
-        Site, SiteId, UnprovenRate,
-    };
     pub use wishbone_core::{deltas_between, shape_key, ShapeKey};
+    pub use wishbone_core::{
+        drift_to_deltas, max_sustainable_rate_deployment, partition_deployment, pin_analysis,
+        ApproxCut, Deployment, DeploymentConfig, DeploymentDelta, DeploymentPartition,
+        DeploymentRateResult, LeafPartition, LinkSpec, Mode, PartitionError, Pin, PlacementEngine,
+        PreparedDeployment, RobustnessMode, Site, SiteId, UnprovenRate,
+    };
     pub use wishbone_dataflow::{
         Graph, GraphBuilder, Namespace, OperatorId, OperatorKind, OperatorSpec, Value, WorkFn,
     };

@@ -17,12 +17,15 @@ use proptest::prelude::*;
 
 use wishbone::audit::audit_model;
 use wishbone::core::{
-    audit_binary, audit_deployment, audit_multitier, deployment_spec, encode, encode_deployment,
-    encode_multitier, DeploymentObjective, EncodedDeployment, EncodedMultiTier, Encoding,
-    LeafChain, ObjectiveConfig, PEdge, PVertex, PartitionGraph, Pin, TierObjective, TieredGraph,
+    audit_deployment, deployment_spec, encode_deployment, DeploymentObjective, EncodedDeployment,
+    LeafChain, Pin, TierObjective, TieredGraph,
 };
 use wishbone::dataflow::OperatorId;
 use wishbone::prelude::AuditCode;
+use wishbone_oracle::{
+    audit_binary, audit_multitier, encode, encode_multitier, tiered_from_binary, EncodedMultiTier,
+    Encoding, ObjectiveConfig, PEdge, PVertex, PartitionGraph,
+};
 
 /// Random layered DAG: vertex 0 pinned Node, last pinned Server, edges
 /// only forward (same shape as `proptest_deployment`).
@@ -68,7 +71,7 @@ fn pg_strategy() -> impl Strategy<Value = PartitionGraph> {
 /// Lift a binary graph into a 3-tier one (gateway at 1/8 cost, both
 /// hops the same bandwidth), as in `proptest_multitier`.
 fn lift_k3(pg: &PartitionGraph) -> TieredGraph {
-    let mut tg = TieredGraph::from_binary(pg);
+    let mut tg = tiered_from_binary(pg);
     tg.tiers = 3;
     for v in &mut tg.vertices {
         let mote = v.cpu_cost[0];

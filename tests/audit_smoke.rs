@@ -116,7 +116,9 @@ fn forest_deployment_audits_clean_on_both_backends() {
 /// standalone encoder.
 #[test]
 fn binary_prepared_partitions_audit_clean() {
-    use wishbone::core::{audit_binary, encode};
+    use wishbone_oracle::{
+        audit_binary, build_partition_graph, encode, preprocess, Encoding, ObjectiveConfig,
+    };
     let mut app = build_eeg_app(EegParams {
         n_channels: 2,
         ..Default::default()

@@ -16,12 +16,12 @@
 //!    partitioner, the §4.3 rate search, and the tree simulator agree
 //!    about *where* goodput collapses when one gateway saturates.
 
-use wishbone::core::{
-    build_partition_graph, build_tiered_graph, encode, encode_multitier, preprocess,
-    preprocess_tiered, TierObjective,
-};
+use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
 use wishbone::ilp::{Problem, VarId};
 use wishbone::prelude::*;
+use wishbone_oracle::{
+    build_partition_graph, encode, encode_multitier, preprocess, Encoding, ObjectiveConfig,
+};
 
 fn assert_problems_identical(a: &Problem, b: &Problem, what: &str) {
     assert_eq!(a.num_vars(), b.num_vars(), "{what}: variable count");

@@ -3,6 +3,7 @@
 //! deployment simulator.
 
 use wishbone::prelude::*;
+use wishbone_oracle::{all_node, all_server, build_partition_graph, evaluate, ObjectiveConfig};
 
 /// The paper's node/server split: one TMote leaf under the server.
 fn mote_star() -> Deployment {

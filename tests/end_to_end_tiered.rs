@@ -10,9 +10,9 @@
 //! checked for structural invariants and wired through the deployment
 //! simulator.
 
-use wishbone::core::{encode, preprocess};
 use wishbone::ilp::SolveError;
 use wishbone::prelude::*;
+use wishbone_oracle::{build_partition_graph, encode, preprocess, Encoding, ObjectiveConfig};
 
 fn parity_on(
     graph: &Graph,

@@ -23,14 +23,17 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 use wishbone::core::{
-    deltas_between, encode, encode_deployment, encode_multitier, partition_deployment, shape_key,
-    Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective, DeploymentPartition,
-    Encoding, LeafChain, LinkSpec, ObjectiveConfig, PEdge, PVertex, PartitionError, PartitionGraph,
-    Pin, PreparedDeployment, Site, SiteId, TierObjective, TieredGraph,
+    deltas_between, encode_deployment, partition_deployment, shape_key, Deployment,
+    DeploymentConfig, DeploymentDelta, DeploymentObjective, DeploymentPartition, LeafChain,
+    LinkSpec, PartitionError, Pin, PreparedDeployment, Site, SiteId, TierObjective, TieredGraph,
 };
 use wishbone::dataflow::OperatorId;
 use wishbone::ilp::{IlpOptions, Problem, SolverBackend, VarId};
 use wishbone::prelude::{profile, GraphBuilder, Platform, SourceTrace, Value};
+use wishbone_oracle::{
+    encode, encode_multitier, tiered_from_binary, Encoding, ObjectiveConfig, PEdge, PVertex,
+    PartitionGraph,
+};
 
 /// Random layered DAG: vertex 0 pinned Node, last pinned Server, edges
 /// only forward (guaranteeing acyclicity and source/sink reachability).
@@ -106,7 +109,7 @@ fn assert_problems_identical(a: &Problem, b: &Problem) -> Result<(), TestCaseErr
 /// Lift a binary graph into a 3-tier one (gateway at 1/8 cost, both hops
 /// the same bandwidth), as in `proptest_multitier`.
 fn lift_k3(pg: &PartitionGraph) -> TieredGraph {
-    let mut tg = TieredGraph::from_binary(pg);
+    let mut tg = tiered_from_binary(pg);
     tg.tiers = 3;
     for v in &mut tg.vertices {
         let mote = v.cpu_cost[0];
@@ -201,7 +204,7 @@ proptest! {
             &ObjectiveConfig::bandwidth_only(budget, net),
         );
         // Sites: 0 = server (root), 1 = the leaf class.
-        let lifted = TieredGraph::from_binary(&pg);
+        let lifted = tiered_from_binary(&pg);
         let ep = encode_deployment(
             &[LeafChain {
                 graph: &lifted,

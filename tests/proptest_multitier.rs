@@ -6,12 +6,13 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-use wishbone::core::{
-    encode, encode_multitier, Encoding, ObjectiveConfig, PEdge, PVertex, PartitionGraph, Pin,
-    TierObjective, TieredGraph,
-};
+use wishbone::core::{Pin, TierObjective, TieredGraph};
 use wishbone::dataflow::OperatorId;
 use wishbone::ilp::{IlpOptions, SolverBackend};
+use wishbone_oracle::{
+    encode, encode_multitier, tiered_from_binary, Encoding, ObjectiveConfig, PEdge, PVertex,
+    PartitionGraph,
+};
 
 /// Random layered DAG: vertex 0 pinned Node, last pinned Server, edges only
 /// forward (guaranteeing acyclicity and source/sink reachability).
@@ -64,7 +65,7 @@ fn opts(backend: SolverBackend) -> IlpOptions {
 /// Lift a binary graph into a 3-tier one: the gateway runs the same ops at
 /// an eighth of the CPU cost, both hops see the same bandwidth.
 fn lift_k3(pg: &PartitionGraph) -> TieredGraph {
-    let mut tg = TieredGraph::from_binary(pg);
+    let mut tg = tiered_from_binary(pg);
     tg.tiers = 3;
     for v in &mut tg.vertices {
         let mote = v.cpu_cost[0];
@@ -101,7 +102,7 @@ proptest! {
         let backend = if sparse { SolverBackend::Sparse } else { SolverBackend::Dense };
         let obj = ObjectiveConfig::bandwidth_only(budget, 1e9);
         let bep = encode(&pg, Encoding::Restricted, &obj);
-        let tg = TieredGraph::from_binary(&pg);
+        let tg = tiered_from_binary(&pg);
         let tobj = TierObjective {
             alpha: vec![0.0, 0.0],
             cpu_budget: vec![budget, f64::INFINITY],
@@ -145,7 +146,7 @@ proptest! {
             .ok()
             .map(|s| s.objective);
 
-        let mut tg = TieredGraph::from_binary(&pg);
+        let mut tg = tiered_from_binary(&pg);
         tg.tiers = 3;
         for v in &mut tg.vertices {
             let mote = v.cpu_cost[0];

@@ -5,12 +5,13 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-use wishbone::core::{
-    all_server, encode, evaluate, exhaustive, greedy, preprocess, Encoding, ObjectiveConfig, PEdge,
-    PVertex, PartitionGraph, Pin,
-};
+use wishbone::core::Pin;
 use wishbone::dataflow::OperatorId;
 use wishbone::ilp::IlpOptions;
+use wishbone_oracle::{
+    all_server, encode, evaluate, exhaustive, greedy, preprocess, Encoding, ObjectiveConfig, PEdge,
+    PVertex, PartitionGraph,
+};
 
 /// Random layered DAG: vertex 0 pinned Node, last pinned Server, edges only
 /// forward (guaranteeing acyclicity and source/sink reachability).
@@ -165,7 +166,7 @@ proptest! {
         let obj = ObjectiveConfig::bandwidth_only(10.0, 1e9);
         if let Some(iset) = solve_ilp_set(&pg, &obj) {
             let im = evaluate(&pg, &iset, &obj);
-            let an = evaluate(&pg, &wishbone::core::all_node(&pg), &obj);
+            let an = evaluate(&pg, &wishbone_oracle::all_node(&pg), &obj);
             let asrv = evaluate(&pg, &all_server(&pg), &obj);
             prop_assert!(im.objective <= an.objective + 1e-6);
             prop_assert!(im.objective <= asrv.objective + 1e-6);

@@ -22,7 +22,13 @@
 //!    `partition*`, `max_sustainable_rate*` or `simulate_*` outside
 //!    [`ENTRY_POINTS`] is a second path growing back.
 //!
-//! Test modules are exempt from rules 1–3 and 5: by repo convention
+//! 6. **oracle-dev-only** — production compiles one graph model, one
+//!    merge, one encoder: no `Cargo.toml` outside `crates/bench` names
+//!    `wishbone-oracle` under `[dependencies]`, and `crates/core/src`
+//!    declares no free `pub fn encode*` but `encode_deployment` and none of
+//!    the binary world's type names ([`ORACLE_ONLY_IDENTS`]).
+//!
+//! Test modules are exempt from rules 1–3, 5 and 6: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -48,9 +54,14 @@ const HOT_PATHS: [&str; 6] = [
 ];
 
 /// Directories whose sources are held to the float-eq and pub-docs
-/// rules (the solver and the encoders — where a silent float bug costs
-/// the most).
-const LINTED_DIRS: [&str; 3] = ["crates/ilp/src", "crates/core/src", "crates/fleet/src"];
+/// rules (the solver, the encoders and their oracles — where a silent
+/// float bug costs the most).
+const LINTED_DIRS: [&str; 4] = [
+    "crates/ilp/src",
+    "crates/core/src",
+    "crates/fleet/src",
+    "crates/oracle/src",
+];
 
 /// `(needle, why it must survive)` — each must appear in at least one
 /// test file.
@@ -96,6 +107,26 @@ const ENTRY_POINTS: [&str; 4] = [
     "max_sustainable_rate_deployment",
     "simulate_deployment_tree",
     "simulate_deployment_tree_traced",
+];
+
+/// The dev-only oracle crate, and the one manifest that may depend on it
+/// outside `[dev-dependencies]` (the bench tooling crate, which nothing
+/// in the facade's dependency graph reaches).
+const ORACLE_CRATE: &str = "wishbone-oracle";
+const ORACLE_DEPENDENT: &str = "crates/bench/Cargo.toml";
+
+/// Where the one encoder lives, and its name.
+const CORE_SRC: &str = "crates/core/src";
+const THE_ENCODER: &str = "encode_deployment";
+
+/// Type names of the binary world that left `crates/core/src` for the
+/// oracle crate; one of them in core's code (doc comments may point at
+/// `wishbone_oracle`) is the second graph model or encoder growing back.
+const ORACLE_ONLY_IDENTS: [&str; 4] = [
+    "PartitionGraph",
+    "ObjectiveConfig",
+    "EncodedProblem",
+    "EncodedMultiTier",
 ];
 
 struct Violation {
@@ -154,6 +185,19 @@ fn lint() -> ExitCode {
     for dir in ENTRY_POINT_DIRS {
         for file in rust_sources(&root.join(dir)) {
             check_entry_points(&root, &file, &mut violations);
+        }
+    }
+
+    for manifest in manifests(&root) {
+        if let Ok(text) = std::fs::read_to_string(&manifest) {
+            let rel = manifest.strip_prefix(&root).unwrap_or(&manifest);
+            check_oracle_dependency(rel, &text, &mut violations);
+        }
+    }
+    for file in rust_sources(&root.join(CORE_SRC)) {
+        if let Ok(text) = std::fs::read_to_string(&file) {
+            let rel = file.strip_prefix(&root).unwrap_or(&file);
+            check_oracle_leak(rel, &text, &mut violations);
         }
     }
 
@@ -450,6 +494,120 @@ fn check_entry_points(root: &Path, path: &Path, violations: &mut Vec<Violation>)
     }
 }
 
+/// Every package manifest of the repo: the root, each `crates/*` and
+/// `vendor/*` member, `xtask`, and the stand-alone `benchmark/` package.
+fn manifests(root: &Path) -> Vec<PathBuf> {
+    let mut dirs = vec![
+        root.to_path_buf(),
+        root.join("xtask"),
+        root.join("benchmark"),
+    ];
+    for group in ["crates", "vendor"] {
+        if let Ok(entries) = std::fs::read_dir(root.join(group)) {
+            dirs.extend(entries.flatten().map(|e| e.path()));
+        }
+    }
+    let mut out: Vec<PathBuf> = dirs
+        .into_iter()
+        .map(|d| d.join("Cargo.toml"))
+        .filter(|m| m.is_file())
+        .collect();
+    out.sort();
+    out
+}
+
+/// Rule 6, manifest half: `wishbone-oracle` may appear under
+/// `[dev-dependencies]` anywhere, under `[dependencies]` (or a
+/// `[build-dependencies]` / `[target.*.dependencies]` table) only in
+/// [`ORACLE_DEPENDENT`].
+fn check_oracle_dependency(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
+    if rel == Path::new(ORACLE_DEPENDENT) {
+        return;
+    }
+    let mut flag = |line: usize| {
+        violations.push(Violation {
+            file: rel.to_path_buf(),
+            line,
+            rule: "oracle-dev-only",
+            message: format!(
+                "`{ORACLE_CRATE}` outside [dev-dependencies] — the oracles are dev-only; \
+                 production compiles one encoder"
+            ),
+        })
+    };
+    // Is this `[table]` name a non-dev dependency table?
+    let ships = |table: &str| {
+        let last = table.rsplit('.').next().unwrap_or(table);
+        last == "dependencies" || last == "build-dependencies"
+    };
+    let mut in_shipping_table = false;
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if let Some(table) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            // `[dependencies.wishbone-oracle]` names the crate in the header.
+            match table
+                .strip_suffix(ORACLE_CRATE)
+                .and_then(|t| t.strip_suffix('.'))
+            {
+                Some(parent) if ships(parent) => flag(i + 1),
+                _ => {}
+            }
+            in_shipping_table = ships(table);
+        } else if in_shipping_table
+            && line
+                .strip_prefix(ORACLE_CRATE)
+                .is_some_and(|rest| rest.trim_start().starts_with(['=', '.']))
+        {
+            flag(i + 1);
+        }
+    }
+}
+
+/// Does `line` contain `ident` as a whole identifier?
+fn mentions_ident(line: &str, ident: &str) -> bool {
+    let is_ident_char = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(ident).any(|(at, _)| {
+        !line[..at].ends_with(is_ident_char) && !line[at + ident.len()..].starts_with(is_ident_char)
+    })
+}
+
+/// Rule 6, source half, over one `crates/core/src` file: the only free
+/// `pub fn encode` / `encode_*` is [`THE_ENCODER`], and no code names a
+/// type of [`ORACLE_ONLY_IDENTS`].
+fn check_oracle_leak(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
+    for (line_no, raw) in non_test_lines(text) {
+        if allowed(raw, "oracle-dev-only") {
+            continue;
+        }
+        let mut flag = |message: String| {
+            violations.push(Violation {
+                file: rel.to_path_buf(),
+                line: line_no,
+                rule: "oracle-dev-only",
+                message,
+            })
+        };
+        // Encoders are free functions; `PreparedDeployment::encodes()` and
+        // friends are indented methods.
+        if let Some(name) = pub_item_name(raw).filter(|_| raw.starts_with("pub fn ")) {
+            if (name == "encode" || name.starts_with("encode_")) && name != THE_ENCODER {
+                flag(format!(
+                    "`{name}` is a second encoder in `{CORE_SRC}` — `{THE_ENCODER}` is the \
+                     only one production compiles; oracles live in `crates/oracle`"
+                ));
+            }
+        }
+        let code = strip_strings_and_comments(raw);
+        for ident in ORACLE_ONLY_IDENTS {
+            if mentions_ident(&code, ident) {
+                flag(format!(
+                    "`{ident}` belongs to the dev-only `crates/oracle`, not `{CORE_SRC}`"
+                ));
+            }
+        }
+    }
+}
+
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
     // Test corpus: the workspace-level tests/ plus every crate's tests/.
     let mut test_files = rust_sources(&root.join("tests"));
@@ -474,5 +632,94 @@ fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
                 ),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn leaks(source: &str) -> Vec<String> {
+        let mut v = Vec::new();
+        check_oracle_leak(Path::new("crates/core/src/encodings.rs"), source, &mut v);
+        assert!(v.iter().all(|x| x.rule == "oracle-dev-only"));
+        v.iter()
+            .map(|x| format!("{}: {}", x.line, x.message))
+            .collect()
+    }
+
+    fn bad_deps(manifest: &str, toml: &str) -> Vec<usize> {
+        let mut v = Vec::new();
+        check_oracle_dependency(Path::new(manifest), toml, &mut v);
+        v.iter().map(|x| x.line).collect()
+    }
+
+    #[test]
+    fn oracle_dev_only_fires_on_an_encoder_put_back_into_core() {
+        let source = "\
+/// Build the k-way monotone-cut ILP.
+pub fn encode_multitier(tg: &TieredGraph, obj: &TierObjective) -> EncodedMultiTier {
+    todo!()
+}
+";
+        let found = leaks(source);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found[0].starts_with("2: `encode_multitier` is a second encoder"));
+        assert!(found[1].starts_with("2: `EncodedMultiTier` belongs to the dev-only"));
+    }
+
+    #[test]
+    fn oracle_dev_only_passes_the_one_encoder_docs_and_test_tails() {
+        let source = "\
+/// Degenerates into `wishbone_oracle::encode_multitier` / `EncodedMultiTier`.
+pub fn encode_deployment(leaves: &[LeafChain<'_>]) -> EncodedDeployment {
+    let not_a_type = \"PartitionGraph\"; // nor here: ObjectiveConfig
+    let my_PartitionGraph_like = 0;
+    todo!()
+}
+fn encode_helper() {}
+impl PreparedDeployment<'_> {
+    pub fn encodes(&self) -> u32 { 1 }
+    pub fn encode_seconds(&self) -> f64 { 0.0 }
+}
+#[cfg(test)]
+mod tests {
+    pub fn encode_anything(pg: &PartitionGraph) {}
+}
+";
+        assert_eq!(leaks(source), Vec::<String>::new());
+        assert_eq!(
+            leaks("use crate::cost_graph::{PartitionGraph, Pin};").len(),
+            1
+        );
+    }
+
+    #[test]
+    fn oracle_dev_only_reads_manifest_tables() {
+        let dev = "[dependencies]\nwishbone-core = { path = \"crates/core\" }\n\n\
+                   [dev-dependencies]\nwishbone-oracle = { path = \"crates/oracle\" }\n";
+        assert_eq!(bad_deps("Cargo.toml", dev), Vec::<usize>::new());
+        let shipped = "[package]\nname = \"wishbone-fleet\"\n\n[dependencies]\n\
+                       wishbone-oracle = { path = \"../oracle\" } # no\n";
+        assert_eq!(bad_deps("crates/fleet/Cargo.toml", shipped), vec![5]);
+        assert_eq!(bad_deps(ORACLE_DEPENDENT, shipped), Vec::<usize>::new());
+        for header in [
+            "[dependencies.wishbone-oracle]",
+            "[target.'cfg(unix)'.dependencies]\nwishbone-oracle.path = \"../oracle\"",
+            "[build-dependencies]\nwishbone-oracle = \"*\"",
+        ] {
+            assert_eq!(
+                bad_deps("crates/core/Cargo.toml", header).len(),
+                1,
+                "{header}"
+            );
+        }
+        // The oracle's own manifest names itself only under [package].
+        let own = "[package]\nname = \"wishbone-oracle\"\n\n[dependencies]\n\
+                   wishbone-core = { path = \"../core\" }\n";
+        assert_eq!(
+            bad_deps("crates/oracle/Cargo.toml", own),
+            Vec::<usize>::new()
+        );
     }
 }
