@@ -4,7 +4,8 @@
 //! iteration — `B·w = a` (**FTRAN**: the entering column in the basis
 //! frame) and `Bᵀ·y = c` (**BTRAN**: the duals, or a single tableau
 //! row) — against a factorization `P·B = L·U` built by left-looking
-//! Gaussian elimination with partial pivoting. On Wishbone's ≈2-nonzero
+//! Gaussian elimination with scaled partial pivoting (candidates compare
+//! relative to the largest entry of their row). On Wishbone's ≈2-nonzero
 //! rows `L` and `U` stay nearly as sparse as `B` itself, so both solves
 //! are `O(nnz)` instead of the dense tableau's `O(m·n)` pivot.
 //!
@@ -249,7 +250,7 @@ fn pop_top_bit(bits: &mut [u64], top: &mut usize) -> Option<usize> {
     }
 }
 
-/// `P_r·B·P_c = L·U`: a row permutation from partial pivoting plus a
+/// `P_r·B·P_c = L·U`: a row permutation from scaled partial pivoting plus a
 /// *column* permutation from a singleton-peel preorder. `L` is
 /// unit-lower-triangular, stored by factor step as `(original_row,
 /// multiplier)` pairs; `U` is stored by factor step as `(factor_step,
@@ -335,6 +336,13 @@ pub(crate) struct LuFactors {
     /// the pivot of factor step `s` (`u32::MAX`: none, pivot by
     /// magnitude).
     pivot_hint: Vec<u32>,
+    /// `row_max[i]` = the largest `|a|` the basis holds in original row
+    /// `i`: pivot candidates are compared *relative to their rows*
+    /// (scaled partial pivoting), so a budget row whose coefficients run
+    /// to the thousands does not outbid a ±1 precedence row for every
+    /// column that crosses it — which would thread that row's
+    /// right-hand side through the multipliers of the whole basis.
+    row_max: Vec<f64>,
 }
 
 impl LuFactors {
@@ -436,11 +444,14 @@ impl LuFactors {
                     }
                 }
             }
-            // Partial pivoting over the candidate rows.
+            // Scaled partial pivoting over the candidate rows: each
+            // candidate counts relative to the largest entry of its row.
+            // (A candidate row holds an entry of this column or of an
+            // earlier one, so its `row_max` is positive.)
             let mut ipiv = usize::MAX;
             let mut best = 0.0f64;
             for &i in &self.cand {
-                let v = self.work[i].abs();
+                let v = self.work[i].abs() / self.row_max[i];
                 if v > best {
                     best = v;
                     ipiv = i;
@@ -455,12 +466,12 @@ impl LuFactors {
             }
             // The row the singleton peel prescribed wins over the largest
             // candidate (a dense-row entry of the same column) while it
-            // is within the usual threshold of it, so multipliers stay
-            // ≤ 1/PEEL_PIVOT_THRESHOLD.
+            // is within the usual threshold of it, so row-relative
+            // multipliers stay ≤ 1/PEEL_PIVOT_THRESHOLD.
             let hint = self.pivot_hint[s] as usize;
             if hint < m
                 && self.ppos[hint] == usize::MAX
-                && self.work[hint].abs() >= PEEL_PIVOT_THRESHOLD * best
+                && self.work[hint].abs() >= PEEL_PIVOT_THRESHOLD * best * self.row_max[hint]
             {
                 ipiv = hint;
             }
@@ -510,11 +521,14 @@ impl LuFactors {
         // Row → containing-columns map, counting-sort flat.
         self.row_ptr.clear();
         self.row_ptr.resize(m + 1, 0);
+        self.row_max.clear();
+        self.row_max.resize(m, 0.0);
         let mut nnz = 0;
         for &j in basis {
-            let (rows, _) = matrix.col(j);
-            for &i in rows {
+            let (rows, vals) = matrix.col(j);
+            for (&i, &a) in rows.iter().zip(vals) {
                 self.row_ptr[i + 1] += 1;
+                self.row_max[i] = self.row_max[i].max(a.abs());
             }
             nnz += rows.len();
         }
@@ -635,16 +649,18 @@ impl LuFactors {
     pub(crate) fn ftran_sparse(
         &mut self,
         w: &mut [f64],
-        seeds: &[usize],
+        seeds: impl Iterator<Item = usize>,
         out: &mut [f64],
         stamp: &mut [u64],
         epoch: u64,
         nnz: &mut Vec<usize>,
     ) {
-        for &i in seeds {
+        let mut any = false;
+        for i in seeds {
             set_bit(&mut self.bits, self.ppos[i]);
+            any = true;
         }
-        if seeds.is_empty() {
+        if !any {
             return; // a zero column — the only kind a rowless problem has
         }
         if !self.l_rows.is_empty() {
@@ -1035,7 +1051,14 @@ mod tests {
             let (rows, _) = a.col(entering);
             a.axpy_col(entering, 1.0, &mut w);
             live.clear();
-            lu.ftran_sparse(&mut w, rows, &mut alpha, &mut stamp, epoch, &mut live);
+            lu.ftran_sparse(
+                &mut w,
+                rows.iter().copied(),
+                &mut alpha,
+                &mut stamp,
+                epoch,
+                &mut live,
+            );
             assert!(w.iter().all(|&v| v == 0.0), "ftran_sparse must consume w");
             // The hypersparse FTRAN is the dense one, bit for bit.
             let dense = ftran_col(&lu, &a, entering);

@@ -44,15 +44,45 @@
 //!
 //! # What one dual iteration costs
 //!
-//! Not `O(m + n + nnz(A))`: the pivot row `ρ = B⁻ᵀe_r` comes from a
-//! hypersparse BTRAN with its nonzero rows listed; `ρᵀA` is scattered
-//! from those rows of a row-major copy of `A` into a stamped accumulator,
-//! so the ratio test and the reduced-cost update walk only the columns
-//! the row touches; the entering column is a hypersparse FTRAN. Ties in
-//! the ratio test break by larger `|α|`, then lower column index, so the
-//! choice does not depend on the order columns were touched in. The
-//! leaving row is the largest entry of a maintained bound-violation
-//! vector — the one `O(m)` step left, a sequential pass over `m` floats.
+//! Not `O(m + n + nnz(A))` — every step follows the nonzeros it meets:
+//!
+//! 1. **Leaving row**, by dual steepest edge: among the basis positions
+//!    whose variable violates a bound, the one maximising `viol_i² / w_i`
+//!    with `w_i = ‖e_iᵀB⁻¹‖²`, the lowest position on ties. The scan walks
+//!    a maintained *list* of the infeasible positions (on the 22-channel
+//!    chain about a sixth of the rows on average), not all `m`; a repaired
+//!    position drops off at the next scan, a newly violated one is
+//!    appended where its violation is written. Normalising by `w_i` is
+//!    what keeps everything below cheap: the largest raw violation tends
+//!    to sit on a row whose `ρ` is long, and a long `ρ` means a dense
+//!    pivot row, a dense entering column and a dense eta.
+//! 2. **Pivot row**: `ρ = B⁻ᵀe_r` from a hypersparse BTRAN with its
+//!    nonzero rows listed; `ρᵀA` is scattered from those rows of a
+//!    row-major copy of `A` into a stamped accumulator, so the ratio test
+//!    and the reduced-cost update walk only the columns the row touches.
+//!    Ties in the ratio test break by larger `|α|`, then lower column
+//!    index, so the choice does not depend on the order columns were
+//!    touched in.
+//! 3. **Entering column**: `α = B⁻¹a_e`, a hypersparse FTRAN.
+//! 4. **Weight update**: a second hypersparse FTRAN, `τ = B⁻¹ρ`, gives
+//!    the cross terms `τ_i = ρ_i·ρ_r`; over the nonzeros of `α`,
+//!    `w_i ← max(w_i − 2(α_i/α_r)τ_i + (α_i/α_r)²w_r, floor)`, and
+//!    `w_r ← w_r/α_r²` — with `w_r = ‖ρ‖²` recomputed from the `ρ` in
+//!    hand rather than trusted, so an inexact weight is corrected the
+//!    moment its row is chosen.
+//!
+//! The weights' lifecycle: **cold load** — exactly 1 (both starting
+//! bases are diagonal ±1), so a cold solve owes nothing to what the
+//! workspace solved before; **dual pivot** — the exact update above;
+//! **refactorization** and **warm re-entry** — kept (neither changes the
+//! basis; a branch-and-bound child or a rate retarget resumes with the
+//! weights its parent ended on); **reload** — reset with everything else.
+//! A **primal pivot** updates the replaced position only (`w_r ← w_r/α_r²`
+//! needs no solve) and leaves the other positions `α` touches as they
+//! were: exact there would cost the primal a BTRAN and an FTRAN per pivot
+//! to serve a dual pass that usually never follows, and a stale weight
+//! can cost the next dual pass pivots, never its verdict — the weights
+//! only rank candidate rows.
 //!
 //! [`dual_repair_sparse`]: SimplexWorkspace::dual_repair_sparse
 //! [`run_phase_sparse`]: SimplexWorkspace::run_phase_sparse
@@ -66,6 +96,11 @@ use crate::problem::{LpSolution, Problem, Sense, SolveError};
 use crate::simplex::{DualOutcome, WarmOutcome, DEGENERATE_LIMIT, DUAL_FEAS_TOL, EPS, PIVOT_TOL};
 use crate::sparse::{CscMatrix, CsrMatrix};
 use crate::workspace::{refill, SimplexWorkspace, SolverBackend, VarStatus};
+
+/// Steepest-edge weights never drop below this: the recurrence subtracts
+/// nearly equal numbers when a row of `B⁻¹` shrinks, and a weight that
+/// cancelled to zero or below would make its row win every selection.
+const WEIGHT_FLOOR: f64 = 1e-12;
 
 /// Everything the sparse backend owns beyond the shared workspace
 /// bookkeeping: the constraint matrix, the basis factorization, and the
@@ -114,9 +149,24 @@ pub(crate) struct SparseState {
     ratio_cand: Vec<u32>,
     /// Signed bound violation of the basic variable at each basis
     /// position (`> 0`: above its upper bound, `< 0`: below its lower,
-    /// `0`: within tolerance), maintained by the dual simplex so the
-    /// leaving-row choice is one sequential pass.
+    /// `0`: within tolerance), maintained by the dual simplex.
     viol: Vec<f64>,
+    /// The basis positions whose `viol` is nonzero — the only rows the
+    /// leaving-row choice looks at. `listed[i]` says whether position `i`
+    /// is on the list; a position whose violation was repaired stays
+    /// listed until the next selection scan drops it.
+    infeas: Vec<u32>,
+    listed: Vec<bool>,
+    /// Dual steepest-edge weights `w_i = ‖e_iᵀB⁻¹‖²` by basis position
+    /// (see the module docs for their lifecycle).
+    weight: Vec<f64>,
+    /// `τ = B⁻¹ρ` in the basis frame, the cross terms `ρ_i·ρ_r` of the
+    /// weight update. Sparse like `alpha`: live positions are stamped
+    /// with `tau_epoch`.
+    tau: Vec<f64>,
+    tau_nnz: Vec<usize>,
+    tau_stamp: Vec<u64>,
+    tau_epoch: u64,
     /// Reduced costs `d = c − Aᵀy` by column, maintained by the dual
     /// simplex from pivot to pivot (the primal re-prices from `y`).
     dj: Vec<f64>,
@@ -146,6 +196,15 @@ impl SparseState {
         self.row_epoch = 0;
         self.ratio_cand.clear();
         refill(&mut self.viol, m, 0.0);
+        self.infeas.clear();
+        refill(&mut self.listed, m, false);
+        // Every cold start is a diagonal ±1 basis: the weights are
+        // exactly 1, at no cost.
+        refill(&mut self.weight, m, 1.0);
+        refill(&mut self.tau, m, 0.0);
+        refill(&mut self.tau_stamp, m, 0);
+        self.tau_nnz.clear();
+        self.tau_epoch = 0;
         refill(&mut self.dj, n_priced, 0.0);
         self.duals_fresh = false;
     }
@@ -168,7 +227,7 @@ impl SparseState {
         self.alpha_nnz.clear();
         self.lu.ftran_sparse(
             &mut self.worig,
-            self.matrix.col(j).0,
+            self.matrix.col(j).0.iter().copied(),
             &mut self.alpha,
             &mut self.alpha_stamp,
             self.alpha_epoch,
@@ -229,6 +288,102 @@ impl SparseState {
                 self.row_acc[ju] += rho_i * a;
             }
         }
+    }
+
+    /// Record the violation of basis position `i`, listing the position
+    /// if it just became infeasible.
+    #[inline]
+    fn set_violation(&mut self, i: usize, v: f64) {
+        self.viol[i] = v;
+        if !is_exact_zero(v) && !self.listed[i] {
+            self.listed[i] = true;
+            self.infeas.push(i as u32);
+        }
+    }
+
+    /// The dual simplex's leaving row: the infeasible basis position
+    /// maximising `viol² / w`, the lowest such position on ties — so the
+    /// choice depends on the set of infeasible rows, not on the order the
+    /// list collected them in. Positions repaired since the last scan
+    /// drop off the list on the way. `None`: the basis is primal feasible.
+    fn choose_leaving(&mut self) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        let mut kept = 0;
+        for idx in 0..self.infeas.len() {
+            let i = self.infeas[idx] as usize;
+            let v = self.viol[i];
+            if is_exact_zero(v) {
+                self.listed[i] = false;
+                continue;
+            }
+            self.infeas[kept] = i as u32;
+            kept += 1;
+            let score = v * v / self.weight[i];
+            if best.is_none_or(|(bi, bs)| score > bs || (score >= bs && i < bi)) {
+                best = Some((i, score));
+            }
+        }
+        self.infeas.truncate(kept);
+        debug_assert!(self.infeasibility_list_is_exact());
+        best.map(|(i, _)| i)
+    }
+
+    /// The list invariant at the selection point: `infeas` holds exactly
+    /// the positions with a nonzero violation, each once, and `listed`
+    /// marks exactly those.
+    fn infeasibility_list_is_exact(&self) -> bool {
+        let mut on_list = vec![false; self.viol.len()];
+        for &i in &self.infeas {
+            if std::mem::replace(&mut on_list[i as usize], true) {
+                return false;
+            }
+        }
+        (0..self.viol.len())
+            .all(|i| on_list[i] != is_exact_zero(self.viol[i]) && on_list[i] == self.listed[i])
+    }
+
+    /// Carry the steepest-edge weights through a dual pivot at position
+    /// `r`: `ρ` is the pivot row just used and `α` the entering column,
+    /// both still in hand and both in the *old* basis frame, so this runs
+    /// before the eta is pushed. One extra hypersparse FTRAN gives
+    /// `τ = B⁻¹ρ`, whose entry `τ_i = ρ_i·ρ_r` is the cross term of
+    /// `‖ρ_i − (α_i/α_r)ρ_r‖²`; `w_r` itself is recomputed from `ρ`, so an
+    /// inexact weight is corrected the moment its row is chosen.
+    fn update_weights(&mut self, r: usize) {
+        debug_assert!(self.worig.iter().all(|&v| is_exact_zero(v)));
+        let mut w_r = 0.0;
+        for &i in &self.rho_nnz {
+            let v = self.rho[i as usize];
+            self.worig[i as usize] = v;
+            w_r += v * v;
+        }
+        self.tau_epoch += 1;
+        self.tau_nnz.clear();
+        self.lu.ftran_sparse(
+            &mut self.worig,
+            self.rho_nnz.iter().map(|&i| i as usize),
+            &mut self.tau,
+            &mut self.tau_stamp,
+            self.tau_epoch,
+            &mut self.tau_nnz,
+        );
+        let alpha_r = self.alpha[r];
+        for &i in &self.alpha_nnz {
+            if i == r {
+                continue;
+            }
+            let k = self.alpha[i] / alpha_r;
+            if is_exact_zero(k) {
+                continue;
+            }
+            let tau_i = if self.tau_stamp[i] == self.tau_epoch {
+                self.tau[i]
+            } else {
+                0.0
+            };
+            self.weight[i] = (self.weight[i] - 2.0 * k * tau_i + k * k * w_r).max(WEIGHT_FLOOR);
+        }
+        self.weight[r] = (w_r / (alpha_r * alpha_r)).max(WEIGHT_FLOOR);
     }
 
     /// Append the update for a pivot at basis position `r` whose entering
@@ -729,6 +884,10 @@ impl SimplexWorkspace {
         };
         self.status[e] = VarStatus::Basic;
         self.basis[r] = e;
+        // Row `r` of the new `B⁻¹` is the old one over `α_r`, so the
+        // replaced position's weight follows without a solve (see the
+        // module docs for the positions that do not).
+        self.sparse.weight[r] = (self.sparse.weight[r] / (coef * coef)).max(WEIGHT_FLOOR);
         self.pivot_sparse(r)?;
         self.degenerate_run = if t_star <= EPS {
             self.degenerate_run + 1
@@ -817,9 +976,15 @@ impl SimplexWorkspace {
         }
     }
 
+    /// Recompute every violation and rebuild the infeasibility list
+    /// (at entry to the dual pass and after each refactorization, which
+    /// rewrites every basic value).
     fn refresh_violations(&mut self) {
+        self.sparse.infeas.clear();
+        self.sparse.listed.fill(false);
         for i in 0..self.m {
-            self.sparse.viol[i] = self.bound_violation(i);
+            let v = self.bound_violation(i);
+            self.sparse.set_violation(i, v);
         }
     }
 
@@ -850,19 +1015,9 @@ impl SimplexWorkspace {
             if self.iterations >= budget {
                 return DualOutcome::GiveUp;
             }
-            // Leaving row: the most violated basic variable (the first
-            // such position on ties).
-            let mut r = 0;
-            let mut worst = 0.0f64;
-            for (i, v) in self.sparse.viol.iter().enumerate() {
-                if v.abs() > worst {
-                    worst = v.abs();
-                    r = i;
-                }
-            }
-            if worst <= 0.0 {
+            let Some(r) = self.sparse.choose_leaving() else {
                 return DualOutcome::Feasible;
-            }
+            };
             let above = self.sparse.viol[r] > 0.0;
             self.iterations += 1;
             self.dual_iterations += 1;
@@ -928,6 +1083,7 @@ impl SimplexWorkspace {
                 // factorization is too frayed to trust.
                 return DualOutcome::GiveUp;
             }
+            self.sparse.update_weights(r);
             // Maintain the reduced costs through the basis change: the
             // entering column's drops to zero, the leaving one's (zero
             // while basic, `α_r` = 1) becomes −θ.
@@ -966,7 +1122,8 @@ impl SimplexWorkspace {
                 Ok(false) => {
                     for idx in 0..self.sparse.alpha_nnz.len() {
                         let i = self.sparse.alpha_nnz[idx];
-                        self.sparse.viol[i] = self.bound_violation(i);
+                        let v = self.bound_violation(i);
+                        self.sparse.set_violation(i, v);
                     }
                 }
             }
@@ -1000,7 +1157,7 @@ impl SimplexWorkspace {
 #[cfg(test)]
 mod tests {
     use crate::problem::{Problem, Sense, SolveError};
-    use crate::simplex::{solve_lp_in, solve_lp_with_bounds};
+    use crate::simplex::{solve_lp_in, solve_lp_with_bounds, DualOutcome};
     use crate::workspace::{SimplexWorkspace, SolverBackend};
 
     fn assert_close(a: f64, b: f64) {
@@ -1049,6 +1206,34 @@ mod tests {
         // And the answer matches the dense oracle.
         let dense = solve_lp_with_bounds(&p, &p.lower, &p.upper, 100_000).unwrap();
         assert_close(s.objective, dense.objective);
+    }
+
+    #[test]
+    fn a_vacuous_huge_budget_row_does_not_leak_into_the_answer() {
+        // Encoders spell "no budget" as a row with a right-hand side of
+        // 1e12 over coefficients in the thousands. Its slack never leaves
+        // the basis, so the row should be inert — but a factorization
+        // that lets its large entries outbid the ±1 precedence rows for
+        // pivots threads that 1e12 through the multipliers, and every
+        // recomputation of `x_B` then carries ~1e-6 of roundoff: enough
+        // to turn an integral optimum fractional. Row-relative pivoting
+        // keeps the row decoupled; the answer must be clean to 1e-9.
+        let mut p = long_chain(400);
+        let unlimited: Vec<_> = (0..400)
+            .map(|i| (crate::VarId(i), 7.0 + ((i * 37) % 2473) as f64))
+            .collect();
+        p.add_constraint(&unlimited, Sense::Le, 1e12);
+        let mut ws = sparse_ws();
+        let s = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap();
+        assert!(ws.refactorizations() >= 3, "several `x_B` recomputations");
+        assert!(p.is_feasible(&s.values, 1e-9), "sparse point infeasible");
+        let dense = solve_lp_with_bounds(&p, &p.lower, &p.upper, 1_000_000).unwrap();
+        assert!(
+            (s.objective - dense.objective).abs() < 1e-9 * (1.0 + dense.objective.abs()),
+            "sparse {} vs dense {}",
+            s.objective,
+            dense.objective
+        );
     }
 
     #[test]
@@ -1130,12 +1315,77 @@ mod tests {
         assert!(ws.t.is_empty(), "the dense tableau was never loaded");
     }
 
+    /// `‖B⁻ᵀe_i‖²` for every basis position, straight from the
+    /// factorization.
+    fn true_weights(ws: &mut SimplexWorkspace) -> Vec<f64> {
+        let mut rho = vec![0.0; ws.m];
+        let mut nnz: Vec<u32> = Vec::new();
+        (0..ws.m)
+            .map(|i| {
+                ws.sparse.lu.btran_unit(i, &mut rho, &mut nnz);
+                let w = nnz.iter().map(|&k| rho[k as usize].powi(2)).sum();
+                for &k in &nnz {
+                    rho[k as usize] = 0.0;
+                }
+                nnz.clear();
+                w
+            })
+            .collect()
+    }
+
+    #[test]
+    fn steepest_edge_weights_track_the_basis_inverse_through_a_dual_pass() {
+        // A wrong weight update still solves every LP — only slower — so
+        // the objective-parity tests cannot see it. Pin the recurrence
+        // itself: after a cold dual pass of ≥ 100 pivots (several
+        // refactorizations, which must leave the weights alone) every
+        // maintained `w_i` is the squared norm of row `i` of `B⁻¹`.
+        for (name, p) in [
+            ("long_chain(400)", long_chain(400)),
+            ("chain_ilp(972)", crate::instances::chain_ilp(972, 2.0)),
+        ] {
+            let mut ws = sparse_ws();
+            assert!(
+                ws.load_sparse(&p, &p.lower, &p.upper, 1_000_000, true),
+                "{name}: the dual-first start applies"
+            );
+            assert!(ws
+                .sparse
+                .weight
+                .iter()
+                .all(|&w| w.to_bits() == 1f64.to_bits()));
+            assert!(matches!(
+                ws.dual_repair_sparse(1_000_000),
+                DualOutcome::Feasible
+            ));
+            assert!(
+                ws.dual_iterations() >= 100 && ws.refactorizations() >= 3,
+                "{name}: {} dual pivots, {} factorizations",
+                ws.dual_iterations(),
+                ws.refactorizations()
+            );
+            let want = true_weights(&mut ws);
+            let mut moved = 0;
+            for (i, (&got, &want)) in ws.sparse.weight.iter().zip(&want).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-6 * want,
+                    "{name}: position {i}: maintained {got} vs ‖B⁻ᵀe_i‖² = {want}"
+                );
+                moved += usize::from((want - 1.0).abs() > 1e-3);
+            }
+            assert!(moved >= 50, "{name}: only {moved} weights left 1");
+        }
+    }
+
     #[test]
     fn answers_do_not_depend_on_what_the_workspace_solved_before() {
         // The fleet's determinism contract: a long-lived workspace arena
         // must answer exactly as a fresh one would. The stamped / touched
         // scratch of the dual simplex (pivot-row accumulator, `ρ` pattern,
-        // bitsets, eta arena) is the state that could leak across loads.
+        // bitsets, eta arena) is the state that could leak across loads —
+        // and so are the steepest-edge weights and the infeasibility
+        // list, which steer every leaving-row choice: the reused
+        // workspace must arrive with both dirty.
         let p = long_chain(300);
         let bits = |ws: &mut SimplexWorkspace| -> Vec<u64> {
             solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, ws, false)
@@ -1144,6 +1394,13 @@ mod tests {
                 .iter()
                 .map(|v| v.to_bits())
                 .collect()
+        };
+        let non_unit_weights = |ws: &SimplexWorkspace| {
+            ws.sparse
+                .weight
+                .iter()
+                .filter(|w| (*w - 1.0).abs() > 1e-3)
+                .count()
         };
         let fresh = bits(&mut sparse_ws());
 
@@ -1159,6 +1416,7 @@ mod tests {
                 false,
             )
             .unwrap();
+            assert!(non_unit_weights(&reused) > other.num_constraints() / 4);
             assert_eq!(
                 bits(&mut reused),
                 fresh,
@@ -1167,7 +1425,8 @@ mod tests {
             );
         }
 
-        // After an infeasible LP (the dual pass stops mid-iteration).
+        // After an infeasible LP (the dual pass stops mid-iteration, its
+        // infeasibility list still populated).
         let mut infeasible = long_chain(120);
         infeasible.add_constraint(&[(crate::VarId(119), 1.0)], Sense::Ge, 2.0);
         assert_eq!(
@@ -1181,10 +1440,13 @@ mod tests {
             ),
             Err(SolveError::Infeasible)
         );
+        assert!(!reused.sparse.infeas.is_empty());
+        assert!(reused.sparse.listed.iter().any(|&l| l));
+        assert!(non_unit_weights(&reused) > 0);
         assert_eq!(bits(&mut reused), fresh, "after an infeasible LP");
 
         // After a solve whose dual pass gave up half-way and fell back to
-        // the primal.
+        // the primal (whose pivots rescale the weights they replace).
         let mut gave_up = sparse_ws();
         gave_up.dual_giveup_after = Some(40);
         let other = long_chain(450);
@@ -1198,6 +1460,7 @@ mod tests {
         )
         .unwrap();
         assert!(gave_up.primal_iterations() > 1);
+        assert!(non_unit_weights(&gave_up) > 0);
         gave_up.dual_giveup_after = None;
         assert_eq!(bits(&mut gave_up), fresh, "after a GiveUp");
     }

@@ -311,6 +311,49 @@ proptest! {
             (a, b) => prop_assert!(false, "warm dense {a:?} vs warm sparse {b:?}"),
         }
     }
+
+    #[test]
+    fn infeasibility_list_is_exact_at_every_selection(
+        p in boxed_ineq_strategy(),
+        rounds in prop::collection::vec(prop::collection::vec(0u8..=3, 9), 1..5),
+    ) {
+        // The sparse dual prices over a maintained list of infeasible
+        // basis positions. Under `debug_assertions` (every `cargo test`
+        // without `--release`) each leaving-row selection asserts that
+        // the list is exactly `{i : viol_i ≠ 0}`; this case walks the
+        // ways the list is built and edited — a cold dual-first pass,
+        // then warm re-entries under bounds fixed low, fixed high and
+        // released again, infeasible dead ends included — and holds each
+        // warm answer to a fresh solve's while it is there.
+        let lower = p.lower_bounds().to_vec();
+        let upper = p.upper_bounds().to_vec();
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(SolverBackend::Sparse);
+        let _ = solve_lp_in(&p, &lower, &upper, 50_000, &mut ws, true);
+        for moves in &rounds {
+            let (mut lo, mut up) = (lower.clone(), upper.clone());
+            for (j, &mv) in moves.iter().enumerate().take(lo.len()) {
+                match mv {
+                    0 => up[j] = lo[j],
+                    1 => lo[j] = up[j],
+                    _ => {}
+                }
+            }
+            let warm = solve_lp_in(&p, &lo, &up, 50_000, &mut ws, true).map(|s| s.objective);
+            let mut fresh_ws = SimplexWorkspace::new();
+            fresh_ws.set_backend(SolverBackend::Sparse);
+            let fresh =
+                solve_lp_in(&p, &lo, &up, 50_000, &mut fresh_ws, false).map(|s| s.objective);
+            match (&warm, &fresh) {
+                (Ok(w), Ok(f)) => prop_assert!(
+                    (w - f).abs() < 1e-6 * (1.0 + f.abs()),
+                    "warm {w} vs fresh {f}"
+                ),
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "statuses must match"),
+                (a, b) => prop_assert!(false, "warm {a:?} vs fresh {b:?}"),
+            }
+        }
+    }
 }
 
 #[test]

@@ -28,7 +28,13 @@
 //!    declares no free `pub fn encode*` but `encode_deployment` and none of
 //!    the binary world's type names ([`ORACLE_ONLY_IDENTS`]).
 //!
-//! Test modules are exempt from rules 1–3, 5 and 6: by repo convention
+//! 7. **no-env-knobs** — the shipped crates ([`NO_ENV_DIRS`]) read no
+//!    environment variable (`std::env::var`, `env::var_os`, `env::vars`):
+//!    a pricing rule, a tolerance or any other solver behaviour selected
+//!    by the environment is a knob no signature shows, and it breaks the
+//!    fleet's "a response is a function of (shape, request)" contract.
+//!
+//! Test modules are exempt from rules 1–3 and 5–7: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -129,6 +135,20 @@ const ORACLE_ONLY_IDENTS: [&str; 4] = [
     "EncodedMultiTier",
 ];
 
+/// Directories held to the no-env-knobs rule: every crate the facade
+/// ships (the bench tooling and the examples may read flags from the
+/// environment; what they drive may not).
+const NO_ENV_DIRS: [&str; 8] = [
+    "crates/ilp/src",
+    "crates/core/src",
+    "crates/runtime/src",
+    "crates/fleet/src",
+    "crates/net/src",
+    "crates/dataflow/src",
+    "crates/profile/src",
+    "crates/trace/src",
+];
+
 struct Violation {
     file: PathBuf,
     line: usize,
@@ -198,6 +218,15 @@ fn lint() -> ExitCode {
         if let Ok(text) = std::fs::read_to_string(&file) {
             let rel = file.strip_prefix(&root).unwrap_or(&file);
             check_oracle_leak(rel, &text, &mut violations);
+        }
+    }
+
+    for dir in NO_ENV_DIRS {
+        for file in rust_sources(&root.join(dir)) {
+            if let Ok(text) = std::fs::read_to_string(&file) {
+                let rel = file.strip_prefix(&root).unwrap_or(&file);
+                check_env_knobs(rel, &text, &mut violations);
+            }
         }
     }
 
@@ -608,6 +637,27 @@ fn check_oracle_leak(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
     }
 }
 
+/// Rule 7 over one shipped source file: no runtime read of the process
+/// environment (`env::var`, `env::var_os`, `env::vars`, `env::vars_os` —
+/// the compile-time `env!` macro is not one).
+fn check_env_knobs(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
+    for (line_no, raw) in non_test_lines(text) {
+        if allowed(raw, "no-env-knobs") {
+            continue;
+        }
+        if strip_strings_and_comments(raw).contains("env::var") {
+            violations.push(Violation {
+                file: rel.to_path_buf(),
+                line: line_no,
+                rule: "no-env-knobs",
+                message: "a shipped crate reads the environment — behaviour selected there \
+                          is a hidden knob; make it an argument or a config field"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
     // Test corpus: the workspace-level tests/ plus every crate's tests/.
     let mut test_files = rust_sources(&root.join("tests"));
@@ -692,6 +742,30 @@ mod tests {
             leaks("use crate::cost_graph::{PartitionGraph, Pin};").len(),
             1
         );
+    }
+
+    #[test]
+    fn no_env_knobs_fires_on_runtime_reads_outside_tests() {
+        let source = "\
+use std::env;
+/// Leaving-row rule.
+fn pricing() -> bool {
+    std::env::var(\"WISHBONE_PRICING\").is_ok() // line 4
+        || env::var_os(\"WISHBONE_DSE\").is_some()
+}
+const ROOT: &str = env!(\"CARGO_MANIFEST_DIR\");
+// std::env::var in a comment, and \"env::var\" in a string
+fn quoted() -> &'static str { \"env::var\" }
+fn allowed() { let _ = std::env::vars(); } // audit:allow(no-env-knobs): demo
+#[cfg(test)]
+mod tests {
+    fn t() { std::env::var(\"X\").ok(); }
+}
+";
+        let mut v = Vec::new();
+        check_env_knobs(Path::new("crates/ilp/src/revised.rs"), source, &mut v);
+        assert!(v.iter().all(|x| x.rule == "no-env-knobs"));
+        assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![4, 5]);
     }
 
     #[test]
