@@ -19,8 +19,10 @@
 //!   (1k and 10k requests, every worker count, cold vs cached);
 //! * `... -- --smoke` — a seconds-scale CI run asserting the cache
 //!   contract: encodes == shapes ≪ requests, cached throughput ≥ 5×
-//!   cold, and (only when the host actually has ≥ 8 cores) 8-worker
-//!   throughput ≥ 3× 1-worker;
+//!   cold, ≤ 8 simplex iterations per cached request with a nonzero
+//!   factorization count (the sparse backend's signature), and (only
+//!   when the host actually has ≥ 8 cores) 8-worker throughput ≥ 3×
+//!   1-worker;
 //! * `... -- --json` — merge `fleet_*` records into the repo-root
 //!   `BENCH_solver.json` (replacing stale `fleet_*` entries, leaving
 //!   `solver_criterion`'s records alone). `median_ns` is the p50
@@ -261,6 +263,23 @@ fn smoke() {
     assert!(
         leverage >= 5.0,
         "shape cache must beat per-request encodes by >= 5x, got {leverage:.2}x"
+    );
+
+    // Count guard (counts repeat exactly on any host): the fleet runs
+    // the sparse backend, dual-first — a handful of pivots per request
+    // on these few-dozen-row encodings, where the reference tableau's
+    // two-phase primal needs tens and factorizes nothing.
+    let s = &cached.stats;
+    let iters_per_req = (s.dual_iterations + s.primal_iterations) as f64 / s.requests as f64;
+    println!(
+        "simplex work: {iters_per_req:.1} iterations / request (ceiling 8), {} factorizations",
+        s.refactorizations
+    );
+    assert!(
+        iters_per_req <= 8.0 && s.refactorizations > 0,
+        "the fleet must solve on the sparse backend: {iters_per_req:.1} iterations / request, \
+         {} factorizations",
+        s.refactorizations
     );
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());

@@ -968,7 +968,6 @@ fn emit_json(reps: usize) {
         let dep = Deployment::chain(&bench_chain(3));
         let mut prep =
             PreparedDeployment::new(&graph22, &prof22, &dep, &cfg).expect("pin analysis succeeds");
-        assert_eq!(prep.solver_backend(), SolverBackend::Sparse);
         for rate in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
             // Overload rates return Infeasible; median_ns then measures
             // the cost of the *infeasibility proof* (a real root-LP
@@ -1635,39 +1634,6 @@ fn smoke(backend: SolverBackend) {
     );
 }
 
-/// Print the encoded ILP sizes of the bench family (handy when tuning
-/// `SPARSE_AUTO_THRESHOLD`).
-fn sizes() {
-    for channels in [1usize, 2, 4, 8] {
-        let pg = eeg_partition_graph(channels);
-        let raw = encode(&pg, Encoding::Restricted, &obj()).problem;
-        let merged = eeg_ilp(channels);
-        println!(
-            "eeg_{channels}ch: raw {} vars x {} cons; merged {} vars x {} cons",
-            raw.num_vars(),
-            raw.num_constraints(),
-            merged.num_vars(),
-            merged.num_constraints(),
-        );
-    }
-    for (channels, k) in [(1usize, 2usize), (1, 3), (2, 3), (4, 3), (22, 3)] {
-        let p = eeg_multitier_ilp(channels, k);
-        println!(
-            "multitier_eeg_{channels}ch_k{k}: merged {} vars x {} cons",
-            p.num_vars(),
-            p.num_constraints(),
-        );
-    }
-    for (channels, count) in [(1usize, 1usize), (2, 4), (4, 4), (11, 20)] {
-        let p = eeg_forest_ilp(channels, count);
-        println!(
-            "deployment_forest_eeg{channels}_2x{count}: merged {} vars x {} cons",
-            p.num_vars(),
-            p.num_constraints(),
-        );
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke_mode =
@@ -1683,10 +1649,6 @@ fn main() {
             "sparse" => SolverBackend::Sparse,
             other => panic!("unknown backend {other:?} (use dense|sparse)"),
         });
-    if args.iter().any(|a| a == "--sizes") {
-        sizes();
-        return;
-    }
     if args.iter().any(|a| a == "--probe") {
         for (name, p) in [
             ("eeg_1ch".to_string(), eeg_ilp(1)),

@@ -164,11 +164,10 @@ pub struct EncodedDeployment {
 
 impl EncodedDeployment {
     /// Recompute every count-, weight-, and budget-dependent coefficient
-    /// of this encoding in place — the same arithmetic as
-    /// [`encode_deployment`], written through
-    /// [`Problem::replace_constraint`] and
-    /// [`Problem::set_objective_coeff`] so variable and row indices stay
-    /// stable and a branch-and-bound incumbent warm start survives.
+    /// of this encoding in place — [`encode_deployment`]'s own arithmetic
+    /// (`Coefficients`), written through [`Problem::replace_constraint`]
+    /// and [`Problem::set_objective_coeff`] so variable and row indices
+    /// stay stable and a branch-and-bound incumbent warm start survives.
     ///
     /// `leaves` must have the structure this encoding was built from
     /// (same chain graphs, same paths); device counts and `obj` entries
@@ -179,132 +178,60 @@ impl EncodedDeployment {
     /// be added or removed in place (callers flipping a budget between
     /// finite and infinite must re-encode).
     pub fn rescale_in_place(&mut self, leaves: &[LeafChain<'_>], obj: &DeploymentObjective) {
-        let n_sites = obj.alpha.len();
+        let co = Coefficients::new(leaves, obj);
         assert_eq!(leaves.len(), self.y_vars.len(), "leaf set must match");
-        assert_eq!(obj.cpu_budget.len(), n_sites);
-        assert_eq!(obj.count.len(), n_sites);
-        assert_eq!(obj.beta.len(), n_sites);
-        assert_eq!(obj.net_budget.len(), n_sites);
-        for (l, leaf) in leaves.iter().enumerate() {
-            assert_eq!(leaf.graph.tiers, leaf.path.len());
-            assert_eq!(self.y_vars[l].len(), leaf.path.len() - 1, "path drift");
+        for (leaf, y_l) in leaves.iter().zip(&self.y_vars) {
+            assert_eq!(y_l.len(), leaf.path.len() - 1, "path drift");
             assert!(leaf.count >= 0.0);
         }
 
-        let net_coeff = deployment_net_coeffs(leaves);
-
-        // Objective coefficients: same formula as encoding time.
-        for (l, leaf) in leaves.iter().enumerate() {
-            let k = leaf.path.len();
-            for (b, net_b) in net_coeff[l].iter().enumerate().take(k - 1) {
-                let (sb, sb1) = (leaf.path[b], leaf.path[b + 1]);
-                let cpu_scale = leaf.count / obj.count[sb];
-                let cpu_scale1 = leaf.count / obj.count[sb1];
-                for (v, vert) in leaf.graph.vertices.iter().enumerate() {
-                    let mut c = obj.alpha[sb] * (cpu_scale * vert.cpu_cost[b])
-                        + obj.beta[sb] * (leaf.count * net_b[v]);
-                    if !is_exact_zero(obj.alpha[sb1]) {
-                        c -= obj.alpha[sb1] * (cpu_scale1 * vert.cpu_cost[b + 1]);
-                    }
-                    self.problem.set_objective_coeff(self.y_vars[l][b][v], c);
+        for (l, y_l) in self.y_vars.iter().enumerate() {
+            for (b, y_b) in y_l.iter().enumerate() {
+                for (v, &y) in y_b.iter().enumerate() {
+                    self.problem.set_objective_coeff(y, co.y_cost(l, b, v));
                 }
             }
         }
 
-        // CPU budget rows: same terms, rewritten at the new scales. A row
-        // whose every contribution vanished (all crossing classes
-        // removed) keeps one zero-weight term so it stays a well-formed,
-        // trivially slack budget row.
-        for s in 0..n_sites {
-            let Some(CpuRow { row, .. }) = self.cpu_rows[s] else {
-                continue;
-            };
-            assert!(
-                obj.cpu_budget[s].is_finite(),
-                "cannot drop the CPU row of site {s} in place"
-            );
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
-            let mut shift = 0.0f64;
-            let mut fallback = None;
-            for (l, leaf) in leaves.iter().enumerate() {
-                let Some(t) = leaf.path.iter().position(|&site| site == s) else {
-                    continue;
-                };
-                let k = leaf.path.len();
-                fallback.get_or_insert(self.y_vars[l][t.min(k - 2)][0]);
-                let scale = leaf.count / obj.count[s];
-                for (v, vert) in leaf.graph.vertices.iter().enumerate() {
-                    let c = scale * vert.cpu_cost[t];
-                    if is_exact_zero(c) {
-                        continue;
-                    }
-                    if t < k - 1 {
-                        terms.push((self.y_vars[l][t][v], c));
-                    }
-                    if t > 0 {
-                        terms.push((self.y_vars[l][t - 1][v], -c));
-                    }
-                    if t == k - 1 {
-                        shift += c;
-                    }
-                }
-            }
+        // A budget row whose every contribution vanished (all crossing
+        // classes removed) keeps one zero-weight term so it stays a
+        // well-formed, trivially slack row. Rescale-only: the encoder
+        // omits an empty row instead.
+        let or_placeholder = |mut terms: Vec<(VarId, f64)>, s: usize| {
             if terms.is_empty() {
-                terms.push((fallback.expect("an encoded row has a crossing leaf"), 0.0));
+                let (l, t) = co
+                    .crossing(s)
+                    .next()
+                    .expect("an encoded row has a crossing leaf");
+                terms.push((self.y_vars[l][t.min(leaves[l].path.len() - 2)][0], 0.0));
             }
-            self.problem
-                .replace_constraint(row, &terms, Sense::Le, obj.cpu_budget[s] - shift);
-            self.cpu_rows[s] = Some(CpuRow { row, shift });
-        }
-
-        // Uplink budget rows, likewise.
-        for s in 0..n_sites {
-            let Some(row) = self.net_rows[s] else {
-                continue;
-            };
-            assert!(
-                obj.net_budget[s].is_finite(),
-                "cannot drop the uplink row of site {s} in place"
-            );
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
-            let mut fallback = None;
-            for (l, leaf) in leaves.iter().enumerate() {
-                let Some(b) = leaf.path.iter().position(|&site| site == s) else {
-                    continue;
-                };
-                debug_assert!(b < leaf.path.len() - 1, "non-root site at root position");
-                fallback.get_or_insert(self.y_vars[l][b][0]);
-                for (v, &nc) in net_coeff[l][b].iter().enumerate() {
-                    let c = leaf.count * nc;
-                    if !is_exact_zero(c) {
-                        terms.push((self.y_vars[l][b][v], c));
-                    }
-                }
+            terms
+        };
+        for s in 0..obj.alpha.len() {
+            if let Some(CpuRow { row, .. }) = self.cpu_rows[s] {
+                let budget = obj.cpu_budget[s];
+                assert!(
+                    budget.is_finite(),
+                    "site {s}: cannot drop a CPU row in place"
+                );
+                let (terms, shift) = co.cpu_row(&self.y_vars, s);
+                let terms = or_placeholder(terms, s);
+                self.problem
+                    .replace_constraint(row, &terms, Sense::Le, budget - shift);
+                self.cpu_rows[s] = Some(CpuRow { row, shift });
             }
-            if terms.is_empty() {
-                terms.push((fallback.expect("an encoded row has a crossing leaf"), 0.0));
-            }
-            self.problem
-                .replace_constraint(row, &terms, Sense::Le, obj.net_budget[s]);
-        }
-
-        // Constant root-CPU term, per leaf, count-scaled.
-        let mut objective_offset = 0.0f64;
-        for leaf in leaves {
-            let root = *leaf.path.last().expect("non-empty path");
-            if !is_exact_zero(obj.alpha[root]) {
-                let k = leaf.path.len();
-                let scale = leaf.count / obj.count[root];
-                objective_offset += obj.alpha[root]
-                    * leaf
-                        .graph
-                        .vertices
-                        .iter()
-                        .map(|vert| scale * vert.cpu_cost[k - 1])
-                        .sum::<f64>();
+            if let Some(row) = self.net_rows[s] {
+                let budget = obj.net_budget[s];
+                assert!(
+                    budget.is_finite(),
+                    "site {s}: cannot drop an uplink row in place"
+                );
+                let terms = or_placeholder(co.net_row(&self.y_vars, s), s);
+                self.problem
+                    .replace_constraint(row, &terms, Sense::Le, budget);
             }
         }
-        self.objective_offset = objective_offset;
+        self.objective_offset = co.root_cpu_offset();
 
         #[cfg(debug_assertions)]
         crate::audit::audit_deployment(self).assert_no_errors("rescale_in_place");
@@ -329,15 +256,34 @@ impl EncodedDeployment {
     }
 }
 
-/// Per-leaf per-boundary per-vertex net coefficients (leaf-local,
-/// unscaled — counts are applied at the point of use so a count of 1
-/// reproduces the chain encoding bit for bit).
-fn deployment_net_coeffs(leaves: &[LeafChain<'_>]) -> Vec<Vec<Vec<f64>>> {
-    leaves
-        .iter()
-        .map(|leaf| {
-            let k = leaf.path.len();
-            let n = leaf.graph.vertices.len();
+/// The count-, weight- and budget-dependent arithmetic of the encoding,
+/// stated once: [`encode_deployment`] `add_var`s / `add_constraint`s what
+/// [`EncodedDeployment::rescale_in_place`] `set_objective_coeff`s /
+/// `replace_constraint`s, so the two agree bit for bit by construction.
+struct Coefficients<'a, 'g> {
+    leaves: &'a [LeafChain<'g>],
+    obj: &'a DeploymentObjective,
+    /// `net[l][b][v]`: net bandwidth vertex `v` of leaf `l` adds to hop
+    /// `b` when it sits at or below it (leaf-local, unscaled — counts are
+    /// applied at the point of use so a count of 1 reproduces the chain
+    /// encoding bit for bit).
+    net: Vec<Vec<Vec<f64>>>,
+}
+
+impl<'a, 'g> Coefficients<'a, 'g> {
+    fn new(leaves: &'a [LeafChain<'g>], obj: &'a DeploymentObjective) -> Self {
+        let n_sites = obj.alpha.len();
+        assert_eq!(obj.cpu_budget.len(), n_sites);
+        assert_eq!(obj.count.len(), n_sites);
+        assert_eq!(obj.beta.len(), n_sites);
+        assert_eq!(obj.net_budget.len(), n_sites);
+        let net = leaves.iter().map(|leaf| {
+            let (k, n) = (leaf.path.len(), leaf.graph.vertices.len());
+            assert_eq!(
+                leaf.graph.tiers, k,
+                "a leaf's chain graph spans its whole path"
+            );
+            assert!(k >= 2, "a leaf path needs at least two sites");
             let mut nc = vec![vec![0.0f64; n]; k - 1];
             for e in &leaf.graph.edges {
                 for (b, &r) in e.bandwidth.iter().enumerate() {
@@ -346,8 +292,103 @@ fn deployment_net_coeffs(leaves: &[LeafChain<'_>]) -> Vec<Vec<Vec<f64>>> {
                 }
             }
             nc
-        })
-        .collect()
+        });
+        Coefficients {
+            leaves,
+            obj,
+            net: net.collect(),
+        }
+    }
+
+    /// Leaf classes routed through site `s`: `(leaf, position of s on
+    /// its path)`.
+    fn crossing(&self, s: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let at = move |leaf: &LeafChain<'_>| leaf.path.iter().position(|&site| site == s);
+        self.leaves
+            .iter()
+            .enumerate()
+            .filter_map(move |(l, leaf)| Some((l, at(leaf)?)))
+    }
+
+    /// Objective coefficient of `y_u^b` (vertex `v` of leaf `l`): site(b)'s
+    /// CPU gains `u`, site(b+1)'s loses it, and the uplink of site(b)
+    /// carries `u`'s net coefficient.
+    fn y_cost(&self, l: usize, b: usize, v: usize) -> f64 {
+        let (leaf, obj) = (&self.leaves[l], self.obj);
+        let (sb, sb1) = (leaf.path[b], leaf.path[b + 1]);
+        let cpu = &leaf.graph.vertices[v].cpu_cost;
+        let mut c = obj.alpha[sb] * (leaf.count / obj.count[sb] * cpu[b])
+            + obj.beta[sb] * (leaf.count * self.net[l][b][v]);
+        if !is_exact_zero(obj.alpha[sb1]) {
+            c -= obj.alpha[sb1] * (leaf.count / obj.count[sb1] * cpu[b + 1]);
+        }
+        c
+    }
+
+    /// Site `s`'s CPU row `Σ_u c_u^t (y_u^t − y_u^{t−1})` over every leaf
+    /// class crossing it, and the constant the root position's
+    /// `y^{k−1} = 1` contributes ([`CpuRow::shift`]).
+    fn cpu_row(&self, y_vars: &[Vec<Vec<VarId>>], s: usize) -> (Vec<(VarId, f64)>, f64) {
+        let (mut terms, mut shift) = (Vec::new(), 0.0f64);
+        for (l, t) in self.crossing(s) {
+            let leaf = &self.leaves[l];
+            let k = leaf.path.len();
+            let scale = leaf.count / self.obj.count[s];
+            for (v, vert) in leaf.graph.vertices.iter().enumerate() {
+                let c = scale * vert.cpu_cost[t];
+                if is_exact_zero(c) {
+                    continue;
+                }
+                if t < k - 1 {
+                    terms.push((y_vars[l][t][v], c));
+                } else {
+                    shift += c;
+                }
+                if t > 0 {
+                    terms.push((y_vars[l][t - 1][v], -c));
+                }
+            }
+        }
+        (terms, shift)
+    }
+
+    /// Non-root site `s`'s uplink row: the aggregate on-air load of every
+    /// leaf class whose path crosses that tree edge.
+    fn net_row(&self, y_vars: &[Vec<Vec<VarId>>], s: usize) -> Vec<(VarId, f64)> {
+        let mut terms = Vec::new();
+        for (l, b) in self.crossing(s) {
+            let leaf = &self.leaves[l];
+            debug_assert!(b < leaf.path.len() - 1, "non-root site at root position");
+            for (&y, &nc) in y_vars[l][b].iter().zip(&self.net[l][b]) {
+                let c = leaf.count * nc;
+                if !is_exact_zero(c) {
+                    terms.push((y, c));
+                }
+            }
+        }
+        terms
+    }
+
+    /// Root CPU cost is `Σ c·(1 − y)`: its constant is invisible to the
+    /// solver and reported via [`EncodedDeployment::objective_offset`]
+    /// (per leaf, count-scaled).
+    fn root_cpu_offset(&self) -> f64 {
+        let mut offset = 0.0f64;
+        for leaf in self.leaves {
+            let (k, root) = (leaf.path.len(), *leaf.path.last().expect("non-empty path"));
+            let alpha = self.obj.alpha[root];
+            if !is_exact_zero(alpha) {
+                let scale = leaf.count / self.obj.count[root];
+                let cpu = leaf
+                    .graph
+                    .vertices
+                    .iter()
+                    .map(|v| scale * v.cpu_cost[k - 1]);
+                offset += alpha * cpu.sum::<f64>();
+            }
+        }
+        offset
+    }
 }
 
 /// Build the coupled monotone-cut ILP for a tree deployment.
@@ -362,61 +403,29 @@ fn deployment_net_coeffs(leaves: &[LeafChain<'_>]) -> Vec<Vec<Vec<f64>>> {
 pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) -> EncodedDeployment {
     let n_sites = obj.alpha.len();
     assert!(!leaves.is_empty(), "a deployment needs at least one leaf");
-    assert_eq!(obj.cpu_budget.len(), n_sites);
-    assert_eq!(obj.count.len(), n_sites);
-    assert_eq!(obj.beta.len(), n_sites);
-    assert_eq!(obj.net_budget.len(), n_sites);
     assert_eq!(obj.row_order.len(), n_sites);
-    for leaf in leaves {
-        assert_eq!(
-            leaf.graph.tiers,
-            leaf.path.len(),
-            "leaf chain graph must span its whole path"
-        );
-        assert!(leaf.path.len() >= 2, "a leaf path needs at least two sites");
-        assert!(leaf.count > 0.0);
-    }
+    assert!(leaves.iter().all(|leaf| leaf.count > 0.0));
+    let co = Coefficients::new(leaves, obj);
 
     let mut p = Problem::new();
 
-    let net_coeff = deployment_net_coeffs(leaves);
-
     // Variables: leaf-major, boundary-major, vertex within — so a single
-    // leaf reproduces the chain oracle's VarIds exactly. Objective of
-    // y_u^b: site(b)'s CPU gains u, site(b+1)'s loses it, and the uplink
-    // of site(b) carries u's net coefficient.
-    let y_vars: Vec<Vec<Vec<VarId>>> = leaves
-        .iter()
-        .enumerate()
-        .map(|(l, leaf)| {
-            let k = leaf.path.len();
-            (0..k - 1)
-                .map(|b| {
-                    let (sb, sb1) = (leaf.path[b], leaf.path[b + 1]);
-                    let cpu_scale = leaf.count / obj.count[sb];
-                    let cpu_scale1 = leaf.count / obj.count[sb1];
-                    leaf.graph
-                        .vertices
-                        .iter()
-                        .enumerate()
-                        .map(|(v, vert)| {
-                            let (lo, hi) = match vert.pin {
-                                Pin::Movable => (0.0, 1.0),
-                                Pin::Node => (1.0, 1.0),
-                                Pin::Server => (0.0, 0.0),
-                            };
-                            let mut c = obj.alpha[sb] * (cpu_scale * vert.cpu_cost[b])
-                                + obj.beta[sb] * (leaf.count * net_coeff[l][b][v]);
-                            if !is_exact_zero(obj.alpha[sb1]) {
-                                c -= obj.alpha[sb1] * (cpu_scale1 * vert.cpu_cost[b + 1]);
-                            }
-                            p.add_var(lo, hi, c, true)
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
+    // leaf reproduces the chain oracle's VarIds exactly.
+    let mut y_vars: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(leaves.len());
+    for (l, leaf) in leaves.iter().enumerate() {
+        let y_l = (0..leaf.path.len() - 1).map(|b| {
+            let y_b = leaf.graph.vertices.iter().enumerate().map(|(v, vert)| {
+                let (lo, hi) = match vert.pin {
+                    Pin::Movable => (0.0, 1.0),
+                    Pin::Node => (1.0, 1.0),
+                    Pin::Server => (0.0, 0.0),
+                };
+                p.add_var(lo, hi, co.y_cost(l, b, v), true)
+            });
+            y_b.collect()
+        });
+        y_vars.push(y_l.collect());
+    }
 
     // Per-leaf structural rows: monotonicity y^{b+1} ≥ y^b, then edge
     // precedence y_u^b ≥ y_v^b per boundary.
@@ -440,83 +449,25 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
         if !obj.cpu_budget[s].is_finite() {
             continue;
         }
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut shift = 0.0f64;
-        for (l, leaf) in leaves.iter().enumerate() {
-            let Some(t) = leaf.path.iter().position(|&site| site == s) else {
-                continue;
-            };
-            let k = leaf.path.len();
-            let scale = leaf.count / obj.count[s];
-            for (v, vert) in leaf.graph.vertices.iter().enumerate() {
-                let c = scale * vert.cpu_cost[t];
-                if is_exact_zero(c) {
-                    continue;
-                }
-                if t < k - 1 {
-                    terms.push((y_vars[l][t][v], c));
-                }
-                if t > 0 {
-                    terms.push((y_vars[l][t - 1][v], -c));
-                }
-                if t == k - 1 {
-                    shift += c;
-                }
-            }
+        let (terms, shift) = co.cpu_row(&y_vars, s);
+        if !terms.is_empty() {
+            let row = p.num_constraints();
+            cpu_rows[s] = Some(CpuRow { row, shift });
+            p.add_constraint(&terms, Sense::Le, obj.cpu_budget[s] - shift);
         }
-        if terms.is_empty() {
-            continue;
-        }
-        cpu_rows[s] = Some(CpuRow {
-            row: p.num_constraints(),
-            shift,
-        });
-        p.add_constraint(&terms, Sense::Le, obj.cpu_budget[s] - shift);
     }
 
-    // Uplink budget per non-root site: aggregate on-air load of every
-    // leaf class whose path crosses this tree edge.
+    // Uplink budget per non-root site.
     let root = *leaves[0].path.last().expect("non-empty path");
     let mut net_rows: Vec<Option<usize>> = vec![None; n_sites];
     for &s in &obj.row_order {
         if s == root || !obj.net_budget[s].is_finite() {
             continue;
         }
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        for (l, leaf) in leaves.iter().enumerate() {
-            let Some(b) = leaf.path.iter().position(|&site| site == s) else {
-                continue;
-            };
-            debug_assert!(b < leaf.path.len() - 1, "non-root site at root position");
-            for (v, &nc) in net_coeff[l][b].iter().enumerate() {
-                let c = leaf.count * nc;
-                if !is_exact_zero(c) {
-                    terms.push((y_vars[l][b][v], c));
-                }
-            }
-        }
-        if terms.is_empty() {
-            continue;
-        }
-        net_rows[s] = Some(p.num_constraints());
-        p.add_constraint(&terms, Sense::Le, obj.net_budget[s]);
-    }
-
-    // Root CPU cost is Σ c·(1 − y): its constant is invisible to the
-    // solver and reported via the offset (per leaf, count-scaled).
-    let mut objective_offset = 0.0f64;
-    for leaf in leaves {
-        let root = *leaf.path.last().expect("non-empty path");
-        if !is_exact_zero(obj.alpha[root]) {
-            let k = leaf.path.len();
-            let scale = leaf.count / obj.count[root];
-            objective_offset += obj.alpha[root]
-                * leaf
-                    .graph
-                    .vertices
-                    .iter()
-                    .map(|vert| scale * vert.cpu_cost[k - 1])
-                    .sum::<f64>();
+        let terms = co.net_row(&y_vars, s);
+        if !terms.is_empty() {
+            net_rows[s] = Some(p.num_constraints());
+            p.add_constraint(&terms, Sense::Le, obj.net_budget[s]);
         }
     }
 
@@ -525,7 +476,7 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
         y_vars,
         cpu_rows,
         net_rows,
-        objective_offset,
+        objective_offset: co.root_cpu_offset(),
     };
     #[cfg(debug_assertions)]
     crate::audit::audit_deployment(&ep).assert_no_errors("encode_deployment");

@@ -278,7 +278,10 @@ mod tests {
             let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, 0.01)
                 .unwrap()
                 .expect("feasible at low rates");
-            assert_eq!(r.backend, backend, "forced backend must be reported");
+            assert_eq!(
+                r.partition.ilp_stats.backend, backend,
+                "forced backend must be reported"
+            );
             rates.push(r.rate);
         }
         assert!(

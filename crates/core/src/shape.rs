@@ -135,11 +135,7 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
     });
     w.b(cfg.ilp.warm_lp);
     w.b(cfg.ilp.presolve);
-    w.u(match cfg.ilp.backend {
-        wishbone_ilp::SolverBackend::Auto => 0,
-        wishbone_ilp::SolverBackend::Dense => 1,
-        wishbone_ilp::SolverBackend::Sparse => 2,
-    });
+    w.u(cfg.ilp.backend as u64);
     // A caller-supplied warm solution steers tie-breaking, so two
     // requests differing in it must not share a cache entry.
     match &cfg.ilp.warm_solution {

@@ -38,8 +38,7 @@ use std::time::Instant;
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId};
 use wishbone_ilp::{
-    solve_ilp_in, IlpOptions, IlpStats, PhaseTimes, SimplexWorkspace, SolveError, SolverBackend,
-    VarId,
+    solve_ilp_in, IlpOptions, IlpStats, PhaseTimes, SimplexWorkspace, SolveError, VarId,
 };
 use wishbone_profile::{GraphProfile, Platform};
 
@@ -722,8 +721,9 @@ fn leaf_chains<'l>(
 /// handful of budget right-hand sides, so that basis is still dual
 /// feasible and the next root LP (the exact engine's, or the approximate
 /// engine's certificate) costs a few dual pivots instead of a solve from
-/// the slack basis (sparse backend; the dense tableau cannot follow a
-/// changed right-hand side and re-enters warm only at a repeated rate).
+/// the slack basis, whatever the instance's size (only the reference
+/// tableau, when `cfg.ilp.backend` names it, cannot follow a changed
+/// right-hand side and re-enters warm only at a repeated rate).
 /// Verdicts and optimal values never depend on this; which of several
 /// equally cheap placements comes back can.
 /// [`reset_warm_start`](Self::reset_warm_start) drops both, and
@@ -957,12 +957,6 @@ impl<'a> PreparedDeployment<'a> {
         self.solves
     }
 
-    /// The simplex backend that will solve this prepared instance
-    /// (resolved against the encoded size — never `Auto`).
-    pub fn solver_backend(&self) -> SolverBackend {
-        self.cfg.ilp.backend.resolve(&self.ep.problem)
-    }
-
     /// ILP size: (variables, constraints).
     pub fn problem_size(&self) -> (usize, usize) {
         (
@@ -1066,7 +1060,6 @@ impl<'a> PreparedDeployment<'a> {
         arena: Option<&mut SimplexWorkspace>,
     ) -> Result<DeploymentPartition, PartitionError> {
         let cut = self.approx_values(rate);
-        let backend = self.solver_backend();
         let ws = arena.unwrap_or(&mut self.workspace);
         ws.set_backend(self.cfg.ilp.backend);
         ws.reset_counters();
@@ -1090,7 +1083,7 @@ impl<'a> PreparedDeployment<'a> {
             warm_starts: ws.warm_starts(),
             cold_starts: ws.cold_starts(),
             refactorizations: ws.refactorizations(),
-            backend,
+            backend: self.cfg.ilp.backend,
             phase_times: PhaseTimes {
                 encode_s: self.encode_s,
                 root_lp_s,
@@ -1316,8 +1309,6 @@ pub struct DeploymentRateResult {
     pub evaluations: u32,
     /// Encodings performed — always 1 (probes rescale in place).
     pub encodes: u32,
-    /// The simplex backend every probe ran on (resolved, never `Auto`).
-    pub backend: SolverBackend,
     /// The lowest probed rate whose solve timed out without proving
     /// anything — when `Some`, [`DeploymentRateResult::rate`] is only a
     /// proven lower bound on the sustainable rate (see
@@ -1348,7 +1339,6 @@ pub fn max_sustainable_rate_deployment(
         partition: f.best,
         evaluations: f.evaluations,
         encodes: prep.encodes(),
-        backend: prep.solver_backend(),
         unproven: f.unproven,
     }))
 }
@@ -1357,6 +1347,7 @@ pub fn max_sustainable_rate_deployment(
 mod tests {
     use super::*;
     use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, Value};
+    use wishbone_ilp::SolverBackend;
     use wishbone_profile::{profile as run_profile, SourceTrace};
 
     /// Compile-time `Send` audit: the fleet service moves prepared

@@ -18,7 +18,10 @@
 //! [`ShapeCache`] — cache hits are maximized, no cache state is ever
 //! shared or locked across threads, and each worker keeps exactly one
 //! long-lived [`SimplexWorkspace`] arena that every cached instance
-//! solves in ([`PreparedDeployment::solve_at_in`]).
+//! solves in ([`PreparedDeployment::solve_at_in`]) — on the sparse
+//! revised simplex however small the encoding (a fleet shape is a few
+//! dozen rows); the reference tableau runs only for a request whose
+//! `cfg.ilp.backend` names it.
 //!
 //! ## Cache semantics
 //!
@@ -164,8 +167,8 @@ pub struct FleetStats {
     /// (misses pay it, hits amortize it), the rest by branch-and-bound.
     pub phase_times: PhaseTimes,
     /// Simplex work summed over every successful solve in the fleet:
-    /// dual iterations, primal iterations, and (sparse backend only) LU
-    /// factorizations — the counters of
+    /// dual iterations, primal iterations, and LU factorizations (the
+    /// reference tableau has none) — the counters of
     /// [`IlpStats`](wishbone_ilp::IlpStats) of the same names.
     pub dual_iterations: u64,
     /// See [`dual_iterations`](Self::dual_iterations).

@@ -61,11 +61,11 @@ pub struct IlpOptions {
     /// rate search) adopted as the initial incumbent/cutoff when it checks
     /// out feasible, so the tree is pruned from the first node.
     pub warm_solution: Option<Vec<f64>>,
-    /// Which simplex backend solves the node LPs. `Auto` (the default)
-    /// picks the sparse revised method at or above
-    /// [`SPARSE_AUTO_THRESHOLD`](crate::workspace::SPARSE_AUTO_THRESHOLD)
-    /// constraints and the dense tableau below it; forcing `Dense` or
-    /// `Sparse` is how the differential tests and benches compare them.
+    /// Which simplex backend solves the node LPs: the sparse revised
+    /// method (the default, at every problem size) or, when a caller
+    /// names [`SolverBackend::Dense`], the reference tableau — which is
+    /// how the differential tests and the benchmark's answer check
+    /// compare the two.
     pub backend: SolverBackend,
 }
 
@@ -79,7 +79,7 @@ impl Default for IlpOptions {
             warm_lp: true,
             presolve: true,
             warm_solution: None,
-            backend: SolverBackend::Auto,
+            backend: SolverBackend::Sparse,
         }
     }
 }
@@ -167,8 +167,8 @@ pub struct IlpStats {
     /// True if [`IlpOptions::warm_solution`] checked out feasible and was
     /// adopted as the initial incumbent (seeded cutoff from node one).
     pub seeded: bool,
-    /// The simplex backend that solved the node LPs (resolved — never
-    /// `Auto`).
+    /// The simplex backend that solved the node LPs
+    /// ([`IlpOptions::backend`], echoed).
     pub backend: SolverBackend,
     /// Wall-clock breakdown of the solve by phase.
     pub phase_times: PhaseTimes,
@@ -247,7 +247,7 @@ pub fn solve_ilp_in(
     ws.set_backend(opts.backend);
 
     let mut stats = IlpStats {
-        backend: opts.backend.resolve(problem),
+        backend: opts.backend,
         ..IlpStats::default()
     };
     let mut root_lower = problem.lower.clone();

@@ -1,8 +1,10 @@
 //! # wishbone-ilp
 //!
 //! A self-contained linear-programming and integer-linear-programming
-//! solver: bounded-variable simplex (a dense two-phase primal tableau and
-//! a sparse, dual-first revised method), plus branch and bound. It plays the role of `lp_solve` in the Wishbone paper (§4.2.1):
+//! solver: a bounded-variable, sparse, dual-first revised simplex plus
+//! branch and bound (and a dense two-phase tableau kept as the reference
+//! the tests diff it against). It plays the role of `lp_solve` in the
+//! Wishbone paper (§4.2.1):
 //! "an off-the-shelf integer programming solver ... uses branch-and-bound to
 //! solve integer-constrained problems ... and the Simplex algorithm to solve
 //! linear programming problems."
@@ -13,22 +15,20 @@
 //!
 //! Performance architecture (mirroring production MILP codes):
 //!
-//! * [`SimplexWorkspace`] — one tableau/factorization allocation reused
-//!   by every branch-and-bound node; nodes re-enter **warm** from the
-//!   search's last optimal basis via a bounded dual-simplex repair — and
-//!   so does the root of the next search over the same constraint matrix
-//!   (a [`Problem`] carries a stamp of its matrix; retargeting costs and
+//! * [`SimplexWorkspace`] — one factorization allocation reused by every
+//!   branch-and-bound node; nodes re-enter **warm** from the search's
+//!   last optimal basis via a bounded dual-simplex repair — and so does
+//!   the root of the next search over the same constraint matrix (a
+//!   [`Problem`] carries a stamp of its matrix; retargeting costs and
 //!   right-hand sides keeps it, editing rows or variables renews it);
-//! * two interchangeable simplex backends behind that workspace
-//!   ([`SolverBackend`]): the dense tableau (small problems, and the
-//!   oracle for the differential test suite) and a **sparse revised
-//!   simplex** over an LU-factored basis with eta updates (`sparse.rs`,
-//!   `lu.rs`, `revised.rs`) that starts cold solves **dual first** — from
-//!   the slack basis with every variable at its cost-preferred bound —
-//!   whenever the problem admits it, so cold and warm solves share one
-//!   dual-then-primal tail; `Auto` switches at
-//!   [`SPARSE_AUTO_THRESHOLD`] constraints, which on the fig6
-//!   972-constraint EEG instances is worth an order of magnitude;
+//! * one production simplex behind that workspace, at every problem
+//!   size: a **sparse revised simplex** over an LU-factored basis with
+//!   eta updates (`sparse.rs`, `lu.rs`, `revised.rs`) that starts cold
+//!   solves **dual first** — from the slack basis with every variable at
+//!   its cost-preferred bound — whenever the problem admits it, so cold
+//!   and warm solves share one dual-then-primal tail. The dense tableau
+//!   (`simplex.rs`) is the reference of the differential test suite and
+//!   runs only when a caller names [`SolverBackend::Dense`];
 //! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes
 //!   implied-integral variables) before a single simplex iteration runs;
 //! * best-first node selection, so the reported optimality gap tightens
@@ -72,7 +72,7 @@ pub use num::is_exact_zero;
 pub use presolve::{presolve, quick_infeasible, PresolveOutcome};
 pub use problem::{Constraint, LpSolution, Problem, Sense, SolveError, VarId};
 pub use simplex::{solve_lp, solve_lp_in, solve_lp_with_bounds};
-pub use workspace::{SimplexWorkspace, SolverBackend, SPARSE_AUTO_THRESHOLD};
+pub use workspace::{SimplexWorkspace, SolverBackend};
 
 impl Problem {
     /// Solve the LP relaxation.

@@ -1,10 +1,11 @@
 //! Sparse revised simplex over an LU-factored basis, **dual first**.
 //!
-//! This is the scaling backend: at 972 constraints a dense-tableau pivot
-//! streams ~13 MB, while Wishbone's constraint matrices carry ≈2 nonzeros
-//! per row (`f_u ≥ f_v` precedence rows plus a few budget rows) — exactly
-//! the shape where a revised method that only touches what changed per
-//! iteration wins by orders of magnitude. The tableau is never formed:
+//! This is the production backend, at every problem size: at 972
+//! constraints a dense-tableau pivot streams ~13 MB, while Wishbone's
+//! constraint matrices carry ≈2 nonzeros per row (`f_u ≥ f_v` precedence
+//! rows plus a few budget rows) — exactly the shape where a revised
+//! method that only touches what changed per iteration wins by orders of
+//! magnitude. The tableau is never formed:
 //! entering columns come from an FTRAN (`Bα = a_e`), duals and pivot rows
 //! from a BTRAN, and each pivot appends an eta to the factorization
 //! (`lu.rs`), which refactorizes — and recomputes `x_B`, bounding drift —
@@ -38,7 +39,8 @@
 //! takes the **two-phase primal** ([`two_phase_sparse`]) from the slack /
 //! artificial crash basis: Dantzig pricing over rotating sections with a
 //! Bland's-rule fallback after a degenerate run, the dense backend's
-//! bound-flipping ratio test. The dense tableau (`simplex.rs`) stays the
+//! bound-flipping ratio test. That is the last rung: what it returns is
+//! the solve's answer. The dense tableau (`simplex.rs`) stays the
 //! differential oracle; `tests/proptest_revised.rs` holds this backend to
 //! its verdicts and objectives.
 //!
@@ -107,7 +109,7 @@ const WEIGHT_FLOOR: f64 = 1e-12;
 /// scratch vectors the solves consume. All buffers are reused across
 /// loads and every one of them is reset by [`resize`](Self::resize), so
 /// nothing a previous solve left behind can reach the next. A workspace
-/// that only ever runs dense never allocates any of this.
+/// that only ever runs the reference tableau never allocates any of this.
 #[derive(Debug, Default)]
 pub(crate) struct SparseState {
     /// Structural + slack + signed-artificial columns, CSC.
@@ -120,6 +122,11 @@ pub(crate) struct SparseState {
     lu: LuFactors,
     /// LU factorizations since the counters were last reset.
     pub(crate) refactorizations: u64,
+    /// Test-only override: the factorization with this ordinal (as
+    /// `refactorizations` counts them) reports a numerically singular
+    /// basis, which no well-posed instance is known to produce.
+    #[cfg(test)]
+    singular_at: Option<u64>,
     /// Scratch indexed by original row (FTRAN input, zeroed after use).
     worig: Vec<f64>,
     /// Scratch indexed by basis position (BTRAN input / FTRAN output).
@@ -213,6 +220,10 @@ impl SparseState {
     /// means the basis is numerically singular.
     fn refactor(&mut self, basis: &[usize]) -> bool {
         self.refactorizations += 1;
+        #[cfg(test)]
+        if self.singular_at == Some(self.refactorizations) {
+            return false;
+        }
         self.lu.factorize(&self.matrix, basis)
     }
 
@@ -926,9 +937,8 @@ impl SimplexWorkspace {
             if !self.sparse.refactor(&self.basis) {
                 // A running basis only goes singular through roundoff;
                 // surface it as numerical trouble. The dual pass turns
-                // this into a fresh primal start, and only when the
-                // two-phase primal itself hits it does `solve_lp_in`
-                // re-derive the verdict on the dense oracle.
+                // this into a fresh primal start; when the two-phase
+                // primal itself hits it, the error is the solve's answer.
                 return Err(SolveError::IterationLimit);
             }
             self.recompute_basic_x_sparse();
@@ -1265,9 +1275,21 @@ mod tests {
     }
 
     #[test]
+    fn a_default_workspace_never_allocates_the_tableau_however_small_the_lp() {
+        let mut p = Problem::new();
+        let x = p.add_var(0.0, 1.0, -1.0, false);
+        p.add_constraint(&[(x, 1.0)], Sense::Le, 1.0);
+        let mut ws = SimplexWorkspace::new();
+        let s = solve_lp_in(&p, &p.lower, &p.upper, 1_000, &mut ws, false).unwrap();
+        assert_close(s.objective, -1.0);
+        assert!(ws.refactorizations() > 0, "the sparse backend ran");
+        assert!(ws.t.is_empty(), "the dense tableau was never loaded");
+    }
+
+    #[test]
     fn dual_giveup_lands_on_the_sparse_primal_never_the_dense_tableau() {
-        // The ladder is dual-first → sparse two-phase primal → dense. A
-        // dual pass that gives up mid-way (here: forced after 50 pivots,
+        // The ladder is dual-first → sparse two-phase primal, full stop.
+        // A dual pass that gives up mid-way (here: forced after 50 pivots,
         // with etas on file and half the basis rewritten) must reload and
         // finish on the sparse primal: a dense tableau of a kilo-row LP
         // is hundreds of megabytes.
@@ -1313,6 +1335,24 @@ mod tests {
         let got = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ws, true).unwrap();
         assert_close(got.objective, want.objective);
         assert!(ws.t.is_empty(), "the dense tableau was never loaded");
+
+        // And the primal is the last rung. When its refactorization comes
+        // back numerically singular (forced: the third of the solve —
+        // load, reload after the give-up, first eta-file refresh) it
+        // reports `IterationLimit` with budget to spare, and that typed
+        // error is the answer: no tableau is allocated to second-guess it.
+        let mut ws = sparse_ws();
+        ws.dual_giveup_after = Some(50);
+        ws.sparse.singular_at = Some(3);
+        let err = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap_err();
+        assert_eq!(err, SolveError::IterationLimit);
+        assert!(ws.iterations < ws.iteration_limit, "budget to spare");
+        assert_eq!(ws.refactorizations(), 3);
+        assert!(ws.t.is_empty(), "the dense tableau was never loaded");
+        // The failed solve retains nothing: the next one enters cold.
+        let got = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ws, true).unwrap();
+        assert_close(got.objective, want.objective);
+        assert_eq!((ws.warm_starts(), ws.cold_starts()), (0, 2));
     }
 
     /// `‖B⁻ᵀe_i‖²` for every basis position, straight from the

@@ -1,11 +1,12 @@
 //! Two-phase primal simplex with bounded variables, plus a dual-simplex
 //! warm-start path.
 //!
-//! Dense-tableau implementation: the partitioning LPs are small-to-medium
-//! (hundreds to a few thousand variables after Wishbone's §4.1 merge
-//! preprocessing), so a cache-friendly dense tableau beats a sparse revised
-//! method at this scale while staying simple and auditable — the same
-//! trade-off lp_solve's default path makes.
+//! Dense-tableau implementation — the **reference** backend
+//! ([`SolverBackend::Dense`]): simple and auditable, it is what the
+//! differential suites hold the sparse revised simplex (`revised.rs`, the
+//! backend every production solve runs) to, and it runs only when a
+//! caller names it. This file also holds the backend-neutral entry points
+//! ([`solve_lp`], [`solve_lp_in`]) that dispatch between the two.
 //!
 //! Variable bounds `l ≤ x ≤ u` are handled natively (nonbasic variables sit
 //! at either bound; the ratio test includes bound flips), which keeps the
@@ -537,8 +538,8 @@ pub fn solve_lp_with_bounds(
 /// With `allow_warm`, and when `ws` retains a valid basis for this
 /// problem's constraint matrix — the last solve in `ws` was of `problem`
 /// or a clone of it, with no variable or row added or replaced since;
-/// bounds and costs may differ, and on the sparse backend right-hand
-/// sides too — the solve re-enters warm (dual-simplex repair from the
+/// bounds, costs and right-hand sides may differ (the reference tableau
+/// alone needs equal right-hand sides) — the solve re-enters warm (dual-simplex repair from the
 /// retained basis); any numerical doubt silently falls back to a cold
 /// start, so verdict and optimal value never depend on the entry path
 /// (which of several equally good vertices comes back can). The
@@ -556,13 +557,12 @@ pub fn solve_lp_in(
             return Err(SolveError::Infeasible);
         }
     }
-    let backend = ws.backend().resolve(problem);
+    let backend = ws.backend();
     let mut burned = 0;
     if allow_warm && ws.can_warm(problem) {
         let outcome = match backend {
-            SolverBackend::Dense => ws.solve_warm(problem, lower, upper, iteration_limit),
             SolverBackend::Sparse => ws.solve_warm_sparse(problem, lower, upper, iteration_limit),
-            SolverBackend::Auto => unreachable!("resolve never returns Auto"),
+            SolverBackend::Dense => ws.solve_warm(problem, lower, upper, iteration_limit),
         };
         match outcome {
             WarmOutcome::Solved(s) => {
@@ -583,28 +583,15 @@ pub fn solve_lp_in(
     }
     ws.note_cold();
     let result = match backend {
+        // The whole sparse ladder — dual-first start → sparse two-phase
+        // primal — is inside `solve_cold_sparse`; whatever it returns,
+        // a numerically singular refactorization's `IterationLimit`
+        // included, is the answer: nothing here allocates a tableau.
+        SolverBackend::Sparse => ws.solve_cold_sparse(problem, lower, upper, iteration_limit),
         SolverBackend::Dense => {
             ws.load(problem, lower, upper, iteration_limit);
             ws.solve_cold(problem)
         }
-        // The sparse ladder: dual-first start → sparse two-phase primal
-        // (both inside `solve_cold_sparse`; a dual pass that gives up
-        // never leaves the sparse backend) → dense.
-        SolverBackend::Sparse => {
-            match ws.solve_cold_sparse(problem, lower, upper, iteration_limit) {
-                // An `IterationLimit` with budget to spare is the sparse
-                // two-phase primal reporting a numerically singular
-                // refactorization, not exhaustion; re-derive the verdict
-                // on the dense oracle so a roundoff-frayed factorization
-                // can never turn a solvable instance into an error.
-                Err(SolveError::IterationLimit) if ws.iterations < ws.iteration_limit => {
-                    ws.load(problem, lower, upper, iteration_limit);
-                    ws.solve_cold(problem)
-                }
-                other => other,
-            }
-        }
-        SolverBackend::Auto => unreachable!("resolve never returns Auto"),
     };
     if result.is_ok() {
         ws.mark_warm_ready();
@@ -629,6 +616,19 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
+    }
+
+    // This is the reference tableau's own unit suite, so every solve in
+    // it names `Dense`; `solve_lp` shadows the backend-neutral entry point.
+    fn dense_ws() -> SimplexWorkspace {
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(SolverBackend::Dense);
+        ws
+    }
+
+    fn solve_lp(p: &Problem) -> Result<LpSolution, SolveError> {
+        let limit = default_iteration_limit(p);
+        solve_lp_in(p, &p.lower, &p.upper, limit, &mut dense_ws(), false)
     }
 
     #[test]
@@ -750,7 +750,7 @@ mod tests {
     fn bound_overrides_make_problem_infeasible() {
         let mut p = Problem::new();
         let _x = p.add_var(0.0, 1.0, 1.0, false);
-        let r = solve_lp_with_bounds(&p, &[2.0], &[1.0], 1000);
+        let r = solve_lp_in(&p, &[2.0], &[1.0], 1000, &mut dense_ws(), false);
         assert_eq!(r, Err(SolveError::Infeasible));
     }
 
@@ -780,13 +780,13 @@ mod tests {
         p.add_constraint(&[(y, 2.0)], Sense::Le, 12.0);
         p.add_constraint(&[(x, 1.0), (y, 2.0)], Sense::Le, 18.0);
 
-        let mut ws = SimplexWorkspace::new();
+        let mut ws = dense_ws();
         let first = solve_lp_in(&p, &p.lower, &p.upper, 10_000, &mut ws, true).unwrap();
         assert_close(first.values[0], 4.0);
 
         let tight_upper = [1.0, 10.0];
         let warm = solve_lp_in(&p, &p.lower, &tight_upper, 10_000, &mut ws, true).unwrap();
-        let cold = solve_lp_with_bounds(&p, &p.lower, &tight_upper, 10_000).unwrap();
+        let cold = solve_lp_in(&p, &p.lower, &tight_upper, 10_000, &mut dense_ws(), false).unwrap();
         assert_close(warm.objective, cold.objective);
         assert_eq!(ws.warm_starts(), 1);
         assert_eq!(ws.cold_starts(), 1);
@@ -802,7 +802,7 @@ mod tests {
         let y = p.add_var(0.0, 4.0, 1.0, false);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Ge, 6.0);
 
-        let mut ws = SimplexWorkspace::new();
+        let mut ws = dense_ws();
         solve_lp_in(&p, &p.lower, &p.upper, 10_000, &mut ws, true).unwrap();
         let r = solve_lp_in(&p, &p.lower, &[2.0, 2.0], 10_000, &mut ws, true);
         assert_eq!(r, Err(SolveError::Infeasible));
@@ -818,7 +818,7 @@ mod tests {
         let y = p.add_var(0.0, 2.0, -1.0, false);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Le, 10.0);
 
-        let mut ws = SimplexWorkspace::new();
+        let mut ws = dense_ws();
         solve_lp_in(&p, &p.lower, &[1.0, 1.0], 10_000, &mut ws, true).unwrap();
         let loose = solve_lp_in(&p, &p.lower, &[2.0, 2.0], 10_000, &mut ws, true).unwrap();
         assert_close(loose.objective, -4.0);

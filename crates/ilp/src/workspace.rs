@@ -1,11 +1,12 @@
-//! Reusable dense-simplex workspace.
+//! Reusable simplex workspace, shared by both backends.
 //!
-//! A [`SimplexWorkspace`] owns every buffer the simplex algorithm needs —
-//! tableau, transformed right-hand side, basis, variable statuses, bounds,
-//! costs, reduced costs — sized once for a problem and reused across all LP
-//! solves of a branch-and-bound search. After the first node, `load`
-//! (the cold path) only rewrites buffer contents: zero per-node heap
-//! allocations of tableau buffers.
+//! A [`SimplexWorkspace`] owns every buffer a simplex solve needs —
+//! bounds, costs, basis, variable statuses, the sparse backend's
+//! factorization state (and, only when the reference backend is asked
+//! for, the dense tableau) — sized once for a problem and reused across
+//! all LP solves of a branch-and-bound search. After the first node a
+//! cold load only rewrites buffer contents: zero per-node heap
+//! allocations.
 //!
 //! The workspace also retains the final basis of the last *successful*
 //! solve. When the next solve is over the same constraint matrix — a
@@ -13,22 +14,21 @@
 //! probe of a rate search under a rescaled objective and new budget
 //! right-hand sides — the warm path re-enters from that basis and repairs
 //! primal feasibility with a bounded dual-simplex pass instead of
-//! rebuilding from the all-artificial basis — the warm-started-child
-//! strategy production MILP solvers use.
+//! rebuilding from scratch — the warm-started-child strategy production
+//! MILP solvers use.
 //!
 //! "The same matrix" is decided (`can_warm`) from the [`Problem`]'s
 //! matrix stamp, recorded at every cold load: equal stamps mean the same
 //! variables and the same row terms and senses, whichever `Problem` value
 //! carries them, and nothing cheaper than a coefficient-by-coefficient
-//! compare could tell two same-shaped problems apart otherwise. Costs and
-//! bounds are reread on every warm entry, so they may differ freely.
-//! Right-hand sides split the backends: the
-//! sparse one keeps `b` raw and rereads it too (`warm_load_sparse`), so a
-//! changed `b` is just more work for the dual pass; the dense tableau
-//! carries `B⁻¹b`, and without the basis inverse (phase 2 stops
-//! eliminating through the artificial columns that held it) it cannot
-//! follow a changed `b` — it also requires the right-hand sides it was
-//! loaded with.
+//! compare could tell two same-shaped problems apart otherwise. Costs,
+//! bounds and right-hand sides are reread on every warm entry
+//! (`warm_load_sparse` keeps `b` raw), so they may differ freely: a
+//! changed `b` is just more work for the dual pass. The reference tableau
+//! alone is stricter: it carries `B⁻¹b`, and without the basis inverse
+//! (phase 2 stops eliminating through the artificial columns that held
+//! it) it cannot follow a changed `b` — [`SolverBackend::Dense`] also
+//! requires the right-hand sides it was loaded with.
 
 use crate::num::is_exact_zero;
 use crate::problem::{Problem, Sense};
@@ -36,50 +36,28 @@ use crate::revised::SparseState;
 
 /// Which simplex implementation executes a solve.
 ///
-/// Both backends share the [`SimplexWorkspace`] bookkeeping (column
-/// layout, basis, statuses, warm-start retention) and produce the same
-/// answers — the differential proptests in `tests/proptest_revised.rs`
-/// hold them to that — but by different routes and at different costs:
-/// the dense tableau runs a two-phase primal and streams `O(m·n)` floats
-/// per pivot; the sparse revised method starts dual-first wherever the
-/// problem admits it and pays `O(nnz)` — for a dual iteration, only what
-/// the pivot touches — against an LU-factored basis.
+/// Every production solve runs [`Sparse`](SolverBackend::Sparse), at
+/// every problem size; [`Dense`](SolverBackend::Dense) is the reference
+/// the differential suites compare it against and runs only when a
+/// caller names it. Both share the [`SimplexWorkspace`] bookkeeping
+/// (column layout, basis, statuses, warm-start retention) and produce the
+/// same answers — `tests/proptest_revised.rs` holds them to that — by
+/// different routes: the dense tableau runs a two-phase primal and
+/// streams `O(m·n)` floats per pivot; the sparse revised method starts
+/// dual-first wherever the problem admits it and pays `O(nnz)` — for a
+/// dual iteration, only what the pivot touches — against an LU-factored
+/// basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
-    /// Pick per problem: sparse revised at or above
-    /// [`SPARSE_AUTO_THRESHOLD`] constraints, dense tableau below it.
-    #[default]
-    Auto,
-    /// Dense-tableau simplex (PR 2's path; the oracle the differential
-    /// tests compare the sparse backend against).
-    Dense,
     /// Sparse, dual-first revised simplex over an LU-factored basis
-    /// (`revised.rs`).
+    /// (`revised.rs`): the solver.
+    #[default]
     Sparse,
-}
-
-/// Constraint count at which [`SolverBackend::Auto`] switches to the
-/// sparse revised backend. Calibrated on the EEG partitioning family
-/// (`BENCH_solver.json`): below ~50 constraints the dense tableau's
-/// cache-resident pivots win, around this size the backends are within
-/// noise of each other, and by ~1000 constraints (the fig6 near-cliff
-/// 22-channel EEG) the sparse backend wins by ~20×.
-pub const SPARSE_AUTO_THRESHOLD: usize = 64;
-
-impl SolverBackend {
-    /// Resolve `Auto` against a concrete problem (never returns `Auto`).
-    pub fn resolve(self, problem: &Problem) -> SolverBackend {
-        match self {
-            SolverBackend::Auto => {
-                if problem.num_constraints() >= SPARSE_AUTO_THRESHOLD {
-                    SolverBackend::Sparse
-                } else {
-                    SolverBackend::Dense
-                }
-            }
-            other => other,
-        }
-    }
+    /// Dense-tableau two-phase simplex (`simplex.rs`): the reference.
+    /// Nothing selects it but [`IlpOptions::backend`](crate::IlpOptions)
+    /// or [`SimplexWorkspace::set_backend`] naming it — the differential
+    /// test suites and the benchmark's answer check do.
+    Dense,
 }
 
 /// Where a variable currently sits relative to the basis.
@@ -93,7 +71,7 @@ pub(crate) enum VarStatus {
     AtUpper,
 }
 
-/// Reusable dense simplex state: one allocation per *problem shape*, shared
+/// Reusable simplex state: one allocation per *problem shape*, shared
 /// by every LP solve of a branch-and-bound search (and, allocation-wise, by
 /// every probe of a rate search over the same encoded problem).
 #[derive(Debug, Default)]
@@ -103,7 +81,8 @@ pub struct SimplexWorkspace {
     pub(crate) n: usize,
     pub(crate) n_structural: usize,
     pub(crate) first_artificial: usize,
-    /// Row-major `m × n` tableau, kept equal to `B⁻¹·A`.
+    /// Row-major `m × n` tableau, kept equal to `B⁻¹·A`. Reference
+    /// backend only: empty until a [`SolverBackend::Dense`] solve loads it.
     pub(crate) t: Vec<f64>,
     /// Transformed right-hand side (`B⁻¹·b`-style invariant).
     pub(crate) rhs: Vec<f64>,
@@ -129,13 +108,13 @@ pub struct SimplexWorkspace {
     /// right-hand sides, and the scratch the revised method needs. Boxed
     /// so that the workspace itself stays small — prepared instances embed
     /// one each, and a fleet cache holds thousands of those by value —
-    /// and every buffer in it stays empty while only the dense backend
-    /// runs.
+    /// and every buffer in it stays empty while only the reference
+    /// backend runs.
     pub(crate) sparse: Box<SparseState>,
-    /// Which backend the caller asked for (`Auto` resolves per problem).
+    /// Which backend the caller asked for.
     backend: SolverBackend,
     /// Backend that produced the currently loaded/retained state; a warm
-    /// start requires the resolved backend to match it.
+    /// start requires the requested backend to match it.
     loaded_backend: SolverBackend,
     /// Test-only override: price with Bland's rule from the first
     /// iteration instead of after a degenerate run. The anti-cycling
@@ -241,15 +220,15 @@ impl SimplexWorkspace {
         self.warm_ready = false;
     }
 
-    /// Select the simplex backend for subsequent solves. `Auto` (the
-    /// default) resolves per problem by [`SPARSE_AUTO_THRESHOLD`].
-    /// Switching backends between solves is safe: a retained basis from
-    /// the other backend is simply not warm-started from.
+    /// Select the simplex backend for subsequent solves (a new workspace
+    /// runs [`SolverBackend::Sparse`]). Switching backends between solves
+    /// is safe: a retained basis from the other backend is simply not
+    /// warm-started from.
     pub fn set_backend(&mut self, backend: SolverBackend) {
         self.backend = backend;
     }
 
-    /// The configured backend (possibly `Auto`).
+    /// The backend the next solve runs.
     pub fn backend(&self) -> SolverBackend {
         self.backend
     }
@@ -267,15 +246,14 @@ impl SimplexWorkspace {
     }
 
     /// Can the retained basis serve `problem`: valid state, same
-    /// resolved backend, same constraint matrix (by stamp — which covers
-    /// the shape) and, on the dense backend only, the same right-hand
+    /// backend, same constraint matrix (by stamp — which covers the
+    /// shape) and, on the reference tableau only, the same right-hand
     /// sides? See the module docs for why the backends differ.
     pub(crate) fn can_warm(&self, problem: &Problem) -> bool {
-        let backend = self.backend.resolve(problem);
         self.warm_ready
-            && self.loaded_backend == backend
+            && self.loaded_backend == self.backend
             && self.loaded_stamp == problem.matrix_stamp
-            && (backend == SolverBackend::Sparse
+            && (self.backend == SolverBackend::Sparse
                 || problem
                     .constraints
                     .iter()

@@ -490,34 +490,112 @@ fn dual_first_gate_reads_the_problem_it_is_handed() {
 
 #[test]
 fn auto_threshold_routes_by_size() {
-    let small = {
-        let mut p = Problem::new();
-        let x = p.add_var(0.0, 1.0, -1.0, false);
-        p.add_constraint(&[(x, 1.0)], Sense::Le, 1.0);
-        p
-    };
-    assert_eq!(
-        SolverBackend::Auto.resolve(&small),
-        SolverBackend::Dense,
-        "small problems stay on the dense tableau"
-    );
+    // There is no threshold: the default is the sparse backend at every
+    // size, and the reference tableau runs only when a caller names it.
+    assert_eq!(IlpOptions::default().backend, SolverBackend::Sparse);
+    assert_eq!(SimplexWorkspace::new().backend(), SolverBackend::Sparse);
+
+    let mut small = Problem::new();
+    let x = small.add_var(0.0, 1.0, -1.0, false);
+    small.add_constraint(&[(x, 1.0)], Sense::Le, 1.0);
 
     let mut big = Problem::new();
-    let vars: Vec<VarId> = (0..wishbone_ilp::SPARSE_AUTO_THRESHOLD + 1)
-        .map(|_| p_var(&mut big))
-        .collect();
+    let vars: Vec<VarId> = (0..65).map(|_| p_var(&mut big)).collect();
     for w in vars.windows(2) {
         big.add_constraint(&[(w[0], 1.0), (w[1], -1.0)], Sense::Ge, 0.0);
     }
     let row: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
     big.add_constraint(&row, Sense::Le, 10.0);
-    assert_eq!(SolverBackend::Auto.resolve(&big), SolverBackend::Sparse);
 
-    // And the auto-solved answer matches both forced backends.
-    let auto = big.solve_ilp(&IlpOptions::default()).unwrap();
-    let dense = big.solve_ilp(&backend_opts(SolverBackend::Dense)).unwrap();
-    assert_eq!(auto.stats.backend, SolverBackend::Sparse);
-    assert!((auto.objective - dense.objective).abs() < 1e-6);
+    for p in [&small, &big] {
+        let default = p.solve_ilp(&IlpOptions::default()).unwrap();
+        assert_eq!(default.stats.backend, SolverBackend::Sparse);
+        assert!(
+            default.stats.refactorizations > 0,
+            "only the sparse backend factorizes a basis"
+        );
+        let dense = p.solve_ilp(&backend_opts(SolverBackend::Dense)).unwrap();
+        assert_eq!(dense.stats.backend, SolverBackend::Dense);
+        assert_eq!(dense.stats.refactorizations, 0);
+        assert!((default.objective - dense.objective).abs() < 1e-6);
+    }
+}
+
+/// The shapes so small that only the tableau met them while a size
+/// threshold routed them there: both backends must return the verdict /
+/// objective worked out by hand. Every shape but the first starts from
+/// `min −x + y/2` over `x ∈ [0, 1]`, `y ∈ [−1, 2]` (optimum −1.5).
+#[test]
+fn tiny_shapes_agree_across_backends() {
+    type Shape = (
+        &'static str,
+        fn(&mut Problem, VarId, VarId),
+        Result<f64, SolveError>,
+    );
+    let shapes: [Shape; 9] = [
+        ("no rows", |_, _, _| {}, Ok(-1.5)),
+        (
+            "Eq only",
+            |p, x, y| p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Eq, 1.5),
+            Ok(-0.75),
+        ),
+        (
+            "empty row, rhs +1",
+            |p, _, _| p.add_constraint(&[], Sense::Le, 1.0),
+            Ok(-1.5),
+        ),
+        (
+            "empty row, rhs -1",
+            |p, _, _| p.add_constraint(&[], Sense::Le, -1.0),
+            Err(SolveError::Infeasible),
+        ),
+        (
+            "empty Ge row, rhs +1",
+            |p, _, _| p.add_constraint(&[], Sense::Ge, 1.0),
+            Err(SolveError::Infeasible),
+        ),
+        (
+            "duplicated term",
+            |p, x, y| p.add_constraint(&[(x, 1.0), (y, 1.0), (x, 1.0)], Sense::Le, 0.5),
+            Ok(-1.25),
+        ),
+        (
+            "zero coefficient",
+            |p, x, y| p.add_constraint(&[(x, 0.0), (y, 1.0)], Sense::Ge, 0.5),
+            Ok(-0.75),
+        ),
+        (
+            "unbounded ray",
+            |p, x, _| {
+                let z = p.add_var(0.0, f64::INFINITY, -1.0, false);
+                p.add_constraint(&[(z, 1.0), (x, -1.0)], Sense::Ge, 0.0);
+            },
+            Err(SolveError::Unbounded),
+        ),
+        (
+            "infeasible box",
+            |p, x, y| p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Ge, 5.0),
+            Err(SolveError::Infeasible),
+        ),
+    ];
+    let check = |name: &str, p: &Problem, want: &Result<f64, SolveError>| {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            match (lp_on(p, backend), want) {
+                (Ok(got), Ok(want)) => {
+                    assert!((got - want).abs() < 1e-9, "{name} on {backend:?}: {got}")
+                }
+                (got, want) => assert_eq!(&got, want, "{name} on {backend:?}"),
+            }
+        }
+    };
+    check("no variables", &Problem::new(), &Ok(0.0));
+    for (name, build, want) in shapes {
+        let mut p = Problem::new();
+        let x = p.add_var(0.0, 1.0, -1.0, false);
+        let y = p.add_var(-1.0, 2.0, 0.5, false);
+        build(&mut p, x, y);
+        check(name, &p, &want);
+    }
 }
 
 fn p_var(p: &mut Problem) -> VarId {

@@ -103,15 +103,10 @@ fn main() {
         println!("{mult:>8.2} {mote_count:>10} {n80_count:>10}");
     }
 
-    // Solver diagnostics for the sweep: which backend ran the probes and
-    // how much warm-start reuse they got (a bench regression in
-    // BENCH_solver.json should be explainable from these numbers alone).
-    println!(
-        "\nsweep backends: TMoteSky -> {:?}, NokiaN80 -> {:?}",
-        prep_mote.solver_backend(),
-        prep_n80.solver_backend()
-    );
+    // Solver diagnostics for the sweep: how much warm-start reuse the
+    // probes got (a bench regression in BENCH_solver.json should be
+    // explainable from these numbers alone).
     let warm: u64 = sweep_stats.iter().map(|s| s.1).sum();
     let cold: u64 = sweep_stats.iter().map(|s| s.2).sum();
-    println!("sweep node LPs: {warm} warm-started, {cold} cold across all feasible probes");
+    println!("\nsweep node LPs: {warm} warm-started, {cold} cold across all feasible probes");
 }

@@ -85,9 +85,7 @@ fn main() {
     let (vars, cons) = prep.problem_size();
     println!(
         "forest ILP: {} vars x {} constraints across 2 leaf classes, backend {:?}",
-        vars,
-        cons,
-        prep.solver_backend()
+        vars, cons, cfg.ilp.backend
     );
     if std::env::args().any(|a| a == "--audit") {
         let report = prep.audit();

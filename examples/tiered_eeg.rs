@@ -13,7 +13,6 @@
 use std::time::Instant;
 
 use wishbone::dataflow::dot::{to_dot, DotOptions};
-use wishbone::ilp::SolverBackend;
 use wishbone::prelude::*;
 
 fn main() {
@@ -48,12 +47,7 @@ fn main() {
         cons,
         app.graph.operator_count(),
         vars / 2,
-        prep.solver_backend()
-    );
-    assert_eq!(
-        prep.solver_backend(),
-        SolverBackend::Sparse,
-        "Auto must pick the sparse revised simplex at this size"
+        cfg.ilp.backend
     );
     if std::env::args().any(|a| a == "--audit") {
         let report = prep.audit();
@@ -96,7 +90,7 @@ fn main() {
         .expect("feasible at low rates");
     println!(
         "\nmax sustainable rate x{:.3} ({} probes, {} encode, {:?} backend)",
-        r.rate, r.evaluations, r.encodes, r.backend
+        r.rate, r.evaluations, r.encodes, r.partition.ilp_stats.backend
     );
     println!("solver: {}", report_stats(&r.partition.ilp_stats));
     let part = &r.partition.leaves[0];

@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | [`dataflow`] | `wishbone-dataflow` | operator graphs, metered work functions |
 //! | [`dsp`] | `wishbone-dsp` | FFT / FIR / mel / DCT kernels + operators |
-//! | [`ilp`] | `wishbone-ilp` | simplex + branch-and-bound solver |
+//! | [`ilp`] | `wishbone-ilp` | sparse revised simplex + branch and bound (a dense tableau kept as the tests' reference) |
 //! | [`profile`] | `wishbone-profile` | platform cost models, graph profiler |
 //! | [`net`] | `wishbone-net` | shared-channel radio simulator |
 //! | [`runtime`] | `wishbone-runtime` | TinyOS-style executors, the tree deployment simulator |

@@ -34,7 +34,15 @@
 //!    by the environment is a knob no signature shows, and it breaks the
 //!    fleet's "a response is a function of (shape, request)" contract.
 //!
-//! Test modules are exempt from rules 1–3 and 5–7: by repo convention
+//! 8. **reference-backend-by-request** — no production call reaches the
+//!    dense tableau: non-test code in [`SHIPPED_SOLVER_CALLERS`] never
+//!    names `SolverBackend::Dense` (a config word hashes the
+//!    discriminant instead), and inside `crates/ilp/src` only
+//!    [`REFERENCE_BACKEND_HOMES`] do — the enum and the dispatch. The
+//!    reference runs when a test, a bench or the benchmark's answer check
+//!    asks for it by name, and for no other reason.
+//!
+//! Test modules are exempt from rules 1–3 and 5–8: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -149,6 +157,25 @@ const NO_ENV_DIRS: [&str; 8] = [
     "crates/trace/src",
 ];
 
+/// Shipped code that configures or drives the solver (rule 8), plus the
+/// solver crate itself.
+const SHIPPED_SOLVER_CALLERS: [&str; 7] = [
+    "crates/ilp/src",
+    "crates/core/src",
+    "crates/fleet/src",
+    "crates/runtime/src",
+    "crates/net/src",
+    "crates/trace/src",
+    "src",
+];
+
+/// The reference tableau's variant, and the two files that may name it
+/// outside tests: where the enum is declared and where a solve is
+/// dispatched on it.
+const REFERENCE_BACKEND: &str = "SolverBackend::Dense";
+const REFERENCE_BACKEND_HOMES: [&str; 2] =
+    ["crates/ilp/src/workspace.rs", "crates/ilp/src/simplex.rs"];
+
 struct Violation {
     file: PathBuf,
     line: usize,
@@ -214,21 +241,14 @@ fn lint() -> ExitCode {
             check_oracle_dependency(rel, &text, &mut violations);
         }
     }
-    for file in rust_sources(&root.join(CORE_SRC)) {
-        if let Ok(text) = std::fs::read_to_string(&file) {
-            let rel = file.strip_prefix(&root).unwrap_or(&file);
-            check_oracle_leak(rel, &text, &mut violations);
-        }
-    }
-
-    for dir in NO_ENV_DIRS {
-        for file in rust_sources(&root.join(dir)) {
-            if let Ok(text) = std::fs::read_to_string(&file) {
-                let rel = file.strip_prefix(&root).unwrap_or(&file);
-                check_env_knobs(rel, &text, &mut violations);
-            }
-        }
-    }
+    scan(&root, &[CORE_SRC], check_oracle_leak, &mut violations);
+    scan(&root, &NO_ENV_DIRS, check_env_knobs, &mut violations);
+    scan(
+        &root,
+        &SHIPPED_SOLVER_CALLERS,
+        check_reference_backend,
+        &mut violations,
+    );
 
     if violations.is_empty() {
         println!(
@@ -244,6 +264,23 @@ fn lint() -> ExitCode {
         }
         eprintln!("xtask lint: {} violation(s)", violations.len());
         ExitCode::FAILURE
+    }
+}
+
+/// Run a per-file rule over every source under `dirs`, handing it the
+/// repo-relative path and the file's text.
+fn scan(
+    root: &Path,
+    dirs: &[&str],
+    check: fn(&Path, &str, &mut Vec<Violation>),
+    violations: &mut Vec<Violation>,
+) {
+    for dir in dirs {
+        for file in rust_sources(&root.join(dir)) {
+            if let Ok(text) = std::fs::read_to_string(&file) {
+                check(file.strip_prefix(root).unwrap_or(&file), &text, violations);
+            }
+        }
     }
 }
 
@@ -658,6 +695,32 @@ fn check_env_knobs(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
     }
 }
 
+/// Rule 8 over one shipped source file: outside
+/// [`REFERENCE_BACKEND_HOMES`], non-test code does not name the reference
+/// backend (doc comments may).
+fn check_reference_backend(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
+    if REFERENCE_BACKEND_HOMES.iter().any(|h| rel == Path::new(h)) {
+        return;
+    }
+    for (line_no, raw) in non_test_lines(text) {
+        if allowed(raw, "reference-backend-by-request") {
+            continue;
+        }
+        if strip_strings_and_comments(raw).contains(REFERENCE_BACKEND) {
+            violations.push(Violation {
+                file: rel.to_path_buf(),
+                line: line_no,
+                rule: "reference-backend-by-request",
+                message: format!(
+                    "shipped code names `{REFERENCE_BACKEND}` — the dense tableau is the \
+                     tests' reference and runs only when a caller asks for it; production \
+                     solves on the sparse backend at every size"
+                ),
+            });
+        }
+    }
+}
+
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
     // Test corpus: the workspace-level tests/ plus every crate's tests/.
     let mut test_files = rust_sources(&root.join("tests"));
@@ -766,6 +829,34 @@ mod tests {
         check_env_knobs(Path::new("crates/ilp/src/revised.rs"), source, &mut v);
         assert!(v.iter().all(|x| x.rule == "no-env-knobs"));
         assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![4, 5]);
+    }
+
+    #[test]
+    fn reference_backend_by_request_fires_on_a_size_rule_put_back() {
+        let source = "\
+/// Falls back to [`SolverBackend::Dense`] — in a doc comment, fine.
+fn pick(rows: usize) -> SolverBackend {
+    if rows < 64 { SolverBackend::Dense } else { SolverBackend::Sparse } // line 3
+}
+fn word(cfg: &DeploymentConfig) -> u64 { cfg.ilp.backend as u64 }
+fn label() -> &'static str { \"SolverBackend::Dense\" }
+const ORACLE: SolverBackend = SolverBackend::Dense; // audit:allow(reference-backend-by-request): demo
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = SolverBackend::Dense; }
+}
+";
+        let lines = |file: &str| {
+            let mut v = Vec::new();
+            check_reference_backend(Path::new(file), source, &mut v);
+            assert!(v.iter().all(|x| x.rule == "reference-backend-by-request"));
+            v.iter().map(|x| x.line).collect::<Vec<_>>()
+        };
+        assert_eq!(lines("crates/core/src/topology.rs"), vec![3]);
+        assert_eq!(lines("crates/ilp/src/branch_bound.rs"), vec![3]);
+        for home in REFERENCE_BACKEND_HOMES {
+            assert_eq!(lines(home), Vec::<usize>::new());
+        }
     }
 
     #[test]
