@@ -12,7 +12,7 @@
 //!   patient-specific linear [`svm`], and a 3-consecutive-windows
 //!   declaration rule;
 //! * [`signal`] — deterministic synthetic audio/EEG generators standing in
-//!   for the paper's recorded corpora (see DESIGN.md substitutions).
+//!   for the paper's recorded corpora.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

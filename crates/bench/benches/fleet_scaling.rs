@@ -15,25 +15,26 @@
 //!
 //! Modes (custom harness, flags pass straight through):
 //!
-//! * `cargo bench --bench fleet_scaling` — print the full table
-//!   (1k and 10k requests, every worker count, cold vs cached);
+//! * `cargo bench --bench fleet_scaling` — the `fleet_scaling` criterion
+//!   group: the batch wall clock of every arm (1k and 10k requests, every
+//!   worker count, cold vs cached), repeated and printed as
+//!   `median [q1 q3]` by the same stand-in that times `solver_criterion`;
+//! * `... -- --json` — the same run, after which those records are merged
+//!   into the repo-root `BENCH_solver.json` under a `fleet_scaling`
+//!   header (`solver_criterion`'s lines there are kept). Per-request
+//!   latency is the benchmark of record's `fleet_hits` / `fleet_misses`;
 //! * `... -- --smoke` — a seconds-scale CI run asserting the cache
 //!   contract: encodes == shapes ≪ requests, cached throughput ≥ 5×
 //!   cold, ≤ 8 simplex iterations per cached request with a nonzero
 //!   factorization count (the sparse backend's signature), and (only
 //!   when the host actually has ≥ 8 cores) 8-worker throughput ≥ 3×
-//!   1-worker;
-//! * `... -- --json` — merge `fleet_*` records into the repo-root
-//!   `BENCH_solver.json` (replacing stale `fleet_*` entries, leaving
-//!   `solver_criterion`'s records alone). `median_ns` is the p50
-//!   request latency (`_p99`/`_total` suffixed records carry the p99
-//!   and the whole-batch wall clock), `nodes` is the encode count, and
-//!   `warm_starts` is the cache-hit count.
+//!   1-worker.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use wishbone_bench::{merge_bench_json, BenchRecord};
+use criterion::{BenchmarkId, Criterion};
+use wishbone_bench::merge_bench_json;
 use wishbone_core::{Deployment, DeploymentConfig, LinkSpec, Site};
 use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
 use wishbone_fleet::{run_batch, FleetConfig, FleetRequest, FleetStats};
@@ -179,14 +180,15 @@ fn mk_requests(n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Vec<FleetR
         .collect()
 }
 
-/// Run one batch and return (batch wall-clock seconds, stats).
-fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (f64, FleetStats) {
+/// The batch runner: one batch, its wall clock (requests are built by the
+/// caller, outside it) and the fleet's stats.
+fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (Duration, FleetStats) {
     let start = Instant::now();
     let (responses, stats) = run_batch(cfg, requests);
-    let total_s = start.elapsed().as_secs_f64();
+    let wall = start.elapsed();
     assert_eq!(stats.errors, 0, "fixture requests all solve");
     assert_eq!(responses.len() as u64, stats.requests);
-    (total_s, stats)
+    (wall, stats)
 }
 
 /// The fleet's throughput mode: caching on, warm-start inheritance on.
@@ -215,10 +217,10 @@ struct Arm {
 }
 
 fn arm(name: &str, cfg: FleetConfig, n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Arm {
-    let (total_s, stats) = run_arm(cfg, mk_requests(n, apps));
+    let (wall, stats) = run_arm(cfg, mk_requests(n, apps));
     let a = Arm {
         name: name.to_string(),
-        total_s,
+        total_s: wall.as_secs_f64(),
         stats,
     };
     println!(
@@ -298,159 +300,44 @@ fn smoke() {
     }
 }
 
-fn records_for(name: &str, a: &Arm) -> Vec<BenchRecord> {
-    // Every miss is one encode — cacheless arms miss on every request.
-    let encodes = a.stats.cache_misses;
-    vec![
-        BenchRecord {
-            bench: name.to_string(),
-            median_ns: (a.stats.p50_s() * 1e9) as u128,
-            nodes: encodes,
-            warm_starts: a.stats.cache_hits,
-        },
-        BenchRecord {
-            bench: format!("{name}_p99"),
-            median_ns: (a.stats.p99_s() * 1e9) as u128,
-            nodes: encodes,
-            warm_starts: a.stats.cache_hits,
-        },
-        BenchRecord {
-            bench: format!("{name}_total"),
-            median_ns: (a.total_s * 1e9) as u128,
-            nodes: encodes,
-            warm_starts: a.stats.cache_hits,
-        },
-    ]
-}
-
 /// The full table: 1k and 10k requests, cold baseline, cached at every
-/// worker count.
-fn full(json: bool) {
+/// worker count — each arm's batch wall clock, five samples.
+fn fleet_scaling(c: &mut Criterion) {
     let apps = [profiled(0), profiled(1)];
-    let mut records: Vec<BenchRecord> = Vec::new();
-
-    for &n in &[1_000usize, 10_000] {
-        let tag = if n == 1_000 { "1k" } else { "10k" };
+    let mut group = c.benchmark_group("fleet_scaling");
+    group.sample_size(5);
+    for (tag, n) in [("1k", 1_000usize), ("10k", 10_000)] {
         // Cold baseline at 1k only: 10k fresh encodes measure nothing new.
-        if n == 1_000 {
-            let cold = arm(&format!("fleet_{tag}_cold_w1"), cold_cfg(1), n, &apps);
-            records.extend(records_for(&format!("fleet_{tag}_cold_w1"), &cold));
+        let cold = (n == 1_000).then(|| ("cold_w1".to_string(), cold_cfg(1)));
+        let cached = [1usize, 2, 4, 8].map(|w| (format!("cached_w{w}"), warm_cfg(w)));
+        for (label, cfg) in cold.into_iter().chain(cached) {
+            group.bench_function(BenchmarkId::new(tag, label), |b| {
+                b.iter_custom(|iters| {
+                    (0..iters)
+                        .map(|_| {
+                            let (wall, stats) = run_arm(cfg.clone(), mk_requests(n, &apps));
+                            // Shapes shard deterministically, so each encodes
+                            // exactly once fleet-wide at every worker count.
+                            assert!(!cfg.cache || stats.cache_misses == stats.distinct_shapes);
+                            wall
+                        })
+                        .sum()
+                })
+            });
         }
-        for &workers in &[1usize, 2, 4, 8] {
-            let name = format!("fleet_{tag}_cached_w{workers}");
-            let a = arm(&name, warm_cfg(workers), n, &apps);
-            // Shapes shard deterministically, so each encodes exactly
-            // once fleet-wide at every worker count.
-            assert_eq!(a.stats.cache_misses, a.stats.distinct_shapes);
-            records.extend(records_for(&name, &a));
-        }
     }
-    if json {
-        merge_bench_json(&records);
-    }
-}
-
-/// Per-request cost anatomy at this fixture size: what an encode costs
-/// vs a (cold- or warm-started) solve vs the cache bookkeeping around
-/// them — the numbers that set the cache-leverage ceiling.
-fn probe() {
-    use wishbone_core::{deltas_between, shape_key, PreparedDeployment};
-    let apps = [profiled(0), profiled(1)];
-    let cfg = DeploymentConfig::default();
-    let (graph, prof) = &apps[1];
-    let dep = mk_dep(true, 1.0, 3, 16_000.0);
-    let reps = 200;
-
-    let t = Instant::now();
-    for _ in 0..reps {
-        let p = PreparedDeployment::new(graph, prof, &dep, &cfg).expect("pins ok");
-        std::hint::black_box(&p);
-    }
-    println!(
-        "encode:            {:8.1}us",
-        t.elapsed().as_secs_f64() / reps as f64 * 1e6
-    );
-
-    let mut prep = PreparedDeployment::new(graph, prof, &dep, &cfg).expect("pins ok");
-    let (nv, nc) = prep.problem_size();
-    println!("problem:           {nv} vars x {nc} cons");
-    let t = Instant::now();
-    for i in 0..reps {
-        prep.reset_warm_start();
-        let r = prep
-            .solve_at([0.05, 0.1, 0.2, 0.35][i % 4])
-            .expect("solves");
-        std::hint::black_box(&r);
-    }
-    println!(
-        "solve (cold seed): {:8.1}us",
-        t.elapsed().as_secs_f64() / reps as f64 * 1e6
-    );
-
-    let t = Instant::now();
-    for i in 0..reps {
-        let r = prep
-            .solve_at([0.05, 0.1, 0.2, 0.35][i % 4])
-            .expect("solves");
-        std::hint::black_box(&r);
-    }
-    println!(
-        "solve (warm):      {:8.1}us",
-        t.elapsed().as_secs_f64() / reps as f64 * 1e6
-    );
-    let part = prep.solve_at(0.2).expect("solves");
-    println!(
-        "warm stats: {} nodes, {} warm / {} cold LPs, presolve {:.1}us, warm-start {:.1}us, nodes {:.1}us",
-        part.ilp_stats.nodes,
-        part.ilp_stats.warm_starts,
-        part.ilp_stats.cold_starts,
-        part.ilp_stats.phase_times.presolve_s * 1e6,
-        part.ilp_stats.phase_times.warm_start_s * 1e6,
-        part.ilp_stats.phase_times.nodes_s * 1e6,
-    );
-
-    let t = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(shape_key(graph, prof, &dep, &cfg));
-    }
-    println!(
-        "shape_key:         {:8.1}us",
-        t.elapsed().as_secs_f64() / reps as f64 * 1e6
-    );
-
-    let dep2 = mk_dep(true, 1.0, 4, 32_000.0);
-    let t = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(deltas_between(&dep, &dep2));
-    }
-    println!(
-        "deltas_between:    {:8.1}us",
-        t.elapsed().as_secs_f64() / reps as f64 * 1e6
-    );
-
-    let t = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(mk_dep(true, 1.0, 3, 16_000.0));
-    }
-    println!(
-        "mk_dep (client):   {:8.1}us",
-        t.elapsed().as_secs_f64() / reps as f64 * 1e6
-    );
+    group.finish();
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke_mode =
-        args.iter().any(|a| a == "--smoke") || std::env::var_os("WISHBONE_BENCH_SMOKE").is_some();
-    let json_mode =
-        args.iter().any(|a| a == "--json") || std::env::var_os("WISHBONE_BENCH_JSON").is_some();
-    if args.iter().any(|a| a == "--probe") {
-        probe();
-        return;
-    }
-    if smoke_mode {
+    if args.iter().any(|a| a == "--smoke") {
         smoke();
         return;
     }
-    full(json_mode);
+    let mut timed = Criterion::default();
+    fleet_scaling(&mut timed);
+    if args.iter().any(|a| a == "--json") {
+        merge_bench_json("fleet_scaling", &timed);
+    }
 }

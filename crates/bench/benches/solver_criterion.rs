@@ -1,30 +1,34 @@
-//! Criterion micro-benchmarks for the solver and the design choices called
-//! out in DESIGN.md:
+//! Criterion micro-benchmarks for the solver and its design choices:
 //!
 //! * `solver_scaling`: ILP solve time vs EEG channel count (problem size);
+//! * `backend_scaling` / `multitier_scaling` / `deployment_scaling`: the
+//!   solve alone on pre-encoded binary, k-tier chain and forest ILPs;
 //! * `ablation_preprocess`: §4.1 merge on vs off;
 //! * `ablation_encoding`: restricted vs general formulation;
 //! * `ablation_branching`: most-fractional vs first-fractional branching;
 //! * `ablation_warm_start`: workspace warm starts vs all-cold node LPs;
 //! * `rate_search`: §4.3 end-to-end, prepared (one encode, rescale per
 //!   probe) vs rebuild-per-probe (the pre-workspace behaviour);
+//! * `churn_scaling`: deltas absorbed in place vs a cold rebuild per event;
+//! * `approx_scaling`: the approximate engine vs exact branch-and-bound;
 //! * `trace_overhead`: the tree simulator untraced vs traced with a
 //!   `NullSink` (must be free) vs a buffering `MemorySink`;
 //! * `drift_resolve`: a flagged profile drift absorbed by the standing
 //!   encoding (in-place budget rescale + warm re-solve) vs rebuilding
 //!   and re-encoding the drifted deployment from scratch.
 //!
-//! Modes (custom harness, so extra flags pass straight through):
+//! The groups are the only list of timed instances and the `criterion`
+//! stand-in the only timer. Modes (custom harness, so extra flags pass
+//! straight through):
 //!
-//! * `cargo bench --bench solver_criterion` — the criterion groups;
-//! * `... -- --smoke` (or `WISHBONE_BENCH_SMOKE=1`) — a seconds-scale CI
-//!   run that also asserts warm/cold agreement and `warm_starts > 0`;
-//! * `... -- --json` (or `WISHBONE_BENCH_JSON=1`) — additionally merges
-//!   its records into `BENCH_solver.json` at the repo root: an array of
-//!   `{"bench", "median_ns", "nodes", "warm_starts"}` records (see the
-//!   README "Solver" section) so future PRs can track solver perf. The
-//!   records it regenerates are replaced where they stand; the `fleet_*`
-//!   ones, which only `fleet_scaling -- --json` produces, are kept.
+//! * `cargo bench --bench solver_criterion` — the criterion groups, each
+//!   id printed as `median [q1 q3]`;
+//! * `... -- --json` — the same run, after which exactly what the groups
+//!   timed is merged into `BENCH_solver.json` at the repo root (see the
+//!   README "Solver perf trajectory" section); `fleet_scaling`'s lines
+//!   there are kept;
+//! * `... -- --smoke [--backend dense|sparse]` — a seconds-scale CI run of
+//!   assertions and count guards instead of the groups.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -32,7 +36,7 @@ use std::time::Instant;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
 use wishbone_apps::{build_eeg_app, EegParams};
-use wishbone_bench::{merge_bench_json, BenchRecord};
+use wishbone_bench::merge_bench_json;
 use wishbone_core::{
     build_tiered_graph, drift_to_deltas, max_sustainable_rate_deployment, partition_deployment,
     preprocess_tiered, Deployment, DeploymentConfig, DeploymentDelta, LinkSpec, Mode,
@@ -41,7 +45,8 @@ use wishbone_core::{
 use wishbone_dataflow::OperatorId;
 use wishbone_ilp::instances::chain_ilp;
 use wishbone_ilp::{
-    solve_lp_in, Branching, IlpOptions, IlpStats, Problem, SimplexWorkspace, SolverBackend,
+    solve_lp_in, Branching, IlpOptions, IlpSolution, IlpStats, Problem, SimplexWorkspace,
+    SolverBackend,
 };
 use wishbone_net::ChannelParams;
 use wishbone_oracle::{
@@ -51,19 +56,14 @@ use wishbone_oracle::{
 use wishbone_profile::{profile, GraphProfile, Platform};
 use wishbone_runtime::{
     attribute_tree, simulate_deployment_tree, simulate_deployment_tree_traced, FailurePlan,
-    LeafRoute, SimulationConfig, SourceFeed, TreeTopology,
+    LeafRoute, SimulationConfig, SourceFeed, TreeDeploymentReport, TreeTopology,
 };
-use wishbone_trace::{DriftReport, LossCause, MemorySink, NullSink, OperatorDrift};
+use wishbone_trace::{DriftReport, LossCause, MemorySink, NullSink, OperatorDrift, TraceSink};
 
 fn eeg_partition_graph(channels: usize) -> PartitionGraph {
-    let mut app = build_eeg_app(EegParams {
-        n_channels: channels,
-        ..Default::default()
-    });
-    let traces = app.traces(4, 1..3, 7);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let (graph, prof) = eeg_app(channels);
     let mote = Platform::tmote_sky();
-    build_partition_graph(&app.graph, &prof, &mote, Mode::Permissive, 1.0).expect("pins ok")
+    build_partition_graph(&graph, &prof, &mote, Mode::Permissive, 1.0).expect("pins ok")
 }
 
 fn obj() -> ObjectiveConfig {
@@ -101,6 +101,30 @@ fn backend_opts(backend: SolverBackend) -> IlpOptions {
         backend,
         ..Default::default()
     }
+}
+
+fn other_backend(backend: SolverBackend) -> SolverBackend {
+    match backend {
+        SolverBackend::Dense => SolverBackend::Sparse,
+        SolverBackend::Sparse => SolverBackend::Dense,
+    }
+}
+
+/// Differential parity, outside any timing loop: `p` solves on `backend`
+/// (and says so) to the optimum the other backend finds. Returns
+/// `backend`'s solution.
+fn assert_backends_agree(name: &str, p: &Problem, backend: SolverBackend) -> IlpSolution {
+    let other = other_backend(backend);
+    let mine = p.solve_ilp(&backend_opts(backend)).expect("solvable");
+    assert_eq!(mine.stats.backend, backend);
+    let theirs = p.solve_ilp(&backend_opts(other)).expect("solvable");
+    assert!(
+        (mine.objective - theirs.objective).abs() < 1e-6 * (1.0 + mine.objective.abs()),
+        "backends disagree on {name}: {backend:?} {} vs {other:?} {}",
+        mine.objective,
+        theirs.objective
+    );
+    mine
 }
 
 /// The encoded (merged, restricted) ILP of an EEG instance — what the
@@ -150,41 +174,39 @@ fn eeg_forest(
     backhaul_b: f64,
 ) -> (wishbone_dataflow::Graph, GraphProfile, Deployment) {
     let (graph, prof) = eeg_app(channels);
+    let ward_budget = Platform::tmote_sky().cpu_budget_fraction;
+    let dep = forest_dep(count, ward_budget, backhaul_a, backhaul_b);
+    (graph, prof, dep)
+}
+
+/// The forest of [`eeg_forest`] with every cap's CPU budget at
+/// `ward_budget` — the platform's own there; cut by the drift ratio where
+/// a cold rebuild has to reconstruct what the warm arm absorbs as a
+/// `SetCpuBudget` delta.
+fn forest_dep(count: usize, ward_budget: f64, backhaul_a: f64, backhaul_b: f64) -> Deployment {
     let mote = Platform::tmote_sky();
     let phone = Platform::iphone();
     let mut dep = Deployment::new(Site::server("server", &Platform::server()));
     let root = dep.root();
-    let gw_a = dep.attach(
-        root,
-        Site::new("gw-a", &phone),
-        LinkSpec {
+    // Site ids follow attach order: both gateways, then both wards.
+    let [gw_a, gw_b] = [("gw-a", backhaul_a), ("gw-b", backhaul_b)].map(|(name, net_budget)| {
+        let backhaul = LinkSpec {
             beta: 1.0,
-            net_budget: backhaul_a,
-        },
-    );
-    let gw_b = dep.attach(
-        root,
-        Site::new("gw-b", &phone),
-        LinkSpec {
-            beta: 1.0,
-            net_budget: backhaul_b,
-        },
-    );
+            net_budget,
+        };
+        dep.attach(root, Site::new(name, &phone), backhaul)
+    });
     let ward_uplink = LinkSpec {
         beta: 1.0,
         net_budget: count as f64 * mote.radio.goodput_bytes_per_sec,
     };
-    dep.attach(
-        gw_a,
-        Site::new("ward-a", &mote).with_count(count),
-        ward_uplink,
-    );
-    dep.attach(
-        gw_b,
-        Site::new("ward-b", &mote).with_count(count),
-        ward_uplink,
-    );
-    (graph, prof, dep)
+    for (gw, name) in [(gw_a, "ward-a"), (gw_b, "ward-b")] {
+        let ward = Site::new(name, &mote)
+            .with_count(count)
+            .with_cpu_budget(ward_budget);
+        dep.attach(gw, ward, ward_uplink);
+    }
+    dep
 }
 
 /// The encoded (merged) forest ILP at unit rate.
@@ -197,7 +219,6 @@ fn eeg_forest_ilp(channels: usize, count: usize) -> Problem {
 
 fn solver_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_scaling");
-    group.sample_size(10);
     for channels in [1usize, 2, 4] {
         let pg = eeg_partition_graph(channels);
         group.bench_with_input(
@@ -217,48 +238,40 @@ fn solver_scaling(c: &mut Criterion) {
 /// its keep.
 fn backend_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_scaling");
-    group.sample_size(10);
     let instances: Vec<(String, Problem)> = vec![
         ("eeg_4ch".into(), eeg_ilp(4)),
         ("eeg_22ch".into(), eeg_ilp(22)),
         ("chain_972".into(), chain_ilp(972, 1.5)),
     ];
     for (name, p) in &instances {
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let label = match backend {
-                SolverBackend::Dense => "dense",
-                _ => "sparse",
-            };
+        for (label, backend) in [
+            ("dense", SolverBackend::Dense),
+            ("sparse", SolverBackend::Sparse),
+        ] {
             group.bench_function(BenchmarkId::new(name.as_str(), label), |b| {
                 b.iter(|| p.solve_ilp(&backend_opts(backend)).expect("solvable"))
             });
         }
     }
     group.finish();
-    // Parity outside the timing loops: both backends, same optimum.
     for (name, p) in &instances {
-        let d = p.solve_ilp(&backend_opts(SolverBackend::Dense)).unwrap();
-        let s = p.solve_ilp(&backend_opts(SolverBackend::Sparse)).unwrap();
-        assert!(
-            (d.objective - s.objective).abs() < 1e-6 * (1.0 + d.objective.abs()),
-            "{name}: dense {} vs sparse {}",
-            d.objective,
-            s.objective
-        );
+        assert_backends_agree(name, p, SolverBackend::Sparse);
     }
 }
 
 /// k-way monotone-cut scaling: the same EEG instance encoded for 2 and 3
 /// tiers (k multiplies variables and precedence rows on the identical
 /// ≈2-nonzeros-per-row structure — the stress test the sparse revised
-/// backend was built for).
+/// backend was built for), up to the full 22-channel app on the mote →
+/// phone → server chain (the `tiered_eeg` example's encoding, and the
+/// cold solve the benchmark of record's `chain_eeg22_cold` is built on).
 fn multitier_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("multitier_scaling");
-    group.sample_size(10);
     let instances: Vec<(String, Problem)> = vec![
         ("eeg_2ch_k2".into(), eeg_multitier_ilp(2, 2)),
         ("eeg_2ch_k3".into(), eeg_multitier_ilp(2, 3)),
         ("eeg_4ch_k3".into(), eeg_multitier_ilp(4, 3)),
+        ("eeg_22ch_k3".into(), eeg_multitier_ilp(22, 3)),
     ];
     for (name, p) in &instances {
         group.bench_function(name.as_str(), |b| {
@@ -281,20 +294,7 @@ fn multitier_scaling(c: &mut Criterion) {
         k2.objective,
         binary.objective
     );
-    let d = instances[1]
-        .1
-        .solve_ilp(&backend_opts(SolverBackend::Dense))
-        .expect("solvable");
-    let s = instances[1]
-        .1
-        .solve_ilp(&backend_opts(SolverBackend::Sparse))
-        .expect("solvable");
-    assert!(
-        (d.objective - s.objective).abs() < 1e-6 * (1.0 + d.objective.abs()),
-        "k=3 backends disagree: dense {} vs sparse {}",
-        d.objective,
-        s.objective
-    );
+    assert_backends_agree("eeg_2ch_k3", &instances[1].1, SolverBackend::Sparse);
 }
 
 /// Tree-deployment scaling: two coupled leaf classes vs the same app's
@@ -302,7 +302,6 @@ fn multitier_scaling(c: &mut Criterion) {
 /// identical ≈2-nonzeros-per-row structure.
 fn deployment_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("deployment_scaling");
-    group.sample_size(10);
     let instances: Vec<(String, Problem)> = vec![
         ("forest_eeg1_2x1".into(), eeg_forest_ilp(1, 1)),
         ("forest_eeg2_2x4".into(), eeg_forest_ilp(2, 4)),
@@ -314,21 +313,7 @@ fn deployment_scaling(c: &mut Criterion) {
         });
     }
     group.finish();
-    // Parity outside the timing loops: both backends agree on the forest.
-    let d = instances[1]
-        .1
-        .solve_ilp(&backend_opts(SolverBackend::Dense))
-        .expect("solvable");
-    let sp = instances[1]
-        .1
-        .solve_ilp(&backend_opts(SolverBackend::Sparse))
-        .expect("solvable");
-    assert!(
-        (d.objective - sp.objective).abs() < 1e-6 * (1.0 + d.objective.abs()),
-        "forest backends disagree: dense {} vs sparse {}",
-        d.objective,
-        sp.objective
-    );
+    assert_backends_agree("forest_eeg2_2x4", &instances[1].1, SolverBackend::Sparse);
 }
 
 /// Rate just under the tight forest's feasibility cliff (calibrated in
@@ -338,42 +323,57 @@ const NEAR_CLIFF_RATE: f64 = 3.15;
 
 /// Anytime approximate partitioning vs exact branch-and-bound on the
 /// same prepared forest deployments, up to the 22-channel kilooperator
-/// forest. Both arms are prepared once and re-solved per iteration (the
-/// exact arm warm-starts from its own previous solve, the approx arm
-/// re-runs coarsen + cut + refine + the root-LP certificate each time).
+/// forest, plus the 4-channel forest at [`NEAR_CLIFF_RATE`]. Both arms
+/// are prepared once and re-solved per iteration at one rate, so the
+/// exact arm times a warm re-entry (it keeps its basis and its previous
+/// incumbent: presolve, a zero-pivot root LP, decode — what asking the
+/// same question again costs, not a first solve) while the approx arm
+/// re-runs coarsen + cut + refine + the root-LP certificate each time.
 fn approx_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("approx_scaling");
-    group.sample_size(10);
-    for (label, channels, count) in [
-        ("forest_eeg2_2x4", 2usize, 4usize),
-        ("forest_eeg4_2x4", 4, 4),
-        ("forest_eeg22_2x4", 22, 4),
+    for (label, channels, near_cliff) in [
+        ("forest_eeg2_2x4", 2usize, false),
+        ("forest_eeg4_2x4", 4, false),
+        ("forest_eeg22_2x4", 22, false),
+        ("forest_eeg4_nearcliff", 4, true),
     ] {
-        let (graph, prof, dep) = eeg_forest(channels, count, 500.0, 400_000.0);
-        let mut exact = PreparedDeployment::new(&graph, &prof, &dep, &DeploymentConfig::default())
-            .expect("pins ok");
+        let mut exact_cfg = DeploymentConfig::default();
+        let rate = if near_cliff {
+            exact_cfg.ilp.rel_gap = 0.025;
+            NEAR_CLIFF_RATE
+        } else {
+            1.0
+        };
+        let (graph, prof, dep) = eeg_forest(channels, 4, 500.0, 400_000.0);
+        let mut exact = PreparedDeployment::new(&graph, &prof, &dep, &exact_cfg).expect("pins ok");
         let mut approx =
             PreparedDeployment::new(&graph, &prof, &dep, &DeploymentConfig::default().approx())
                 .expect("pins ok");
         group.bench_function(BenchmarkId::new(label, "exact"), |b| {
-            b.iter(|| exact.solve_at(1.0).expect("feasible").objective)
+            b.iter(|| exact.solve_at(rate).expect("feasible").objective)
         });
         group.bench_function(BenchmarkId::new(label, "approx"), |b| {
-            b.iter(|| approx.solve_at(1.0).expect("feasible").objective)
+            b.iter(|| approx.solve_at(rate).expect("feasible").objective)
         });
         // Certificate honesty, outside the timing loops: the heuristic
         // placement's true distance from the exact optimum is within
-        // its own certified gap.
-        let e = exact.solve_at(1.0).expect("feasible").objective;
-        let a = approx.solve_at(1.0).expect("feasible");
+        // its own certified gap — and under the cliff that gap stays
+        // inside 2.5 % while the exact arm adopts the multilevel seed.
+        let e = exact.solve_at(rate).expect("feasible");
+        let a = approx.solve_at(rate).expect("feasible");
         let gap = a
             .certified_gap
             .expect("approx placements carry a certificate");
         assert!(
-            (a.objective - e) / a.objective.abs().max(f64::EPSILON) <= gap + 1e-9,
-            "{label}: approx {} vs exact {e} exceeds certificate {gap}",
-            a.objective
+            (a.objective - e.objective) / a.objective.abs().max(f64::EPSILON) <= gap + 1e-9,
+            "{label}: approx {} vs exact {} exceeds certificate {gap}",
+            a.objective,
+            e.objective
         );
+        if near_cliff {
+            assert!(e.ilp_stats.seeded, "exact arm adopts the multilevel seed");
+            assert!(gap <= 0.025, "near-cliff certificate blew up: {gap}");
+        }
     }
     group.finish();
 }
@@ -381,7 +381,6 @@ fn approx_scaling(c: &mut Criterion) {
 fn ablation_preprocess(c: &mut Criterion) {
     let pg = eeg_partition_graph(2);
     let mut group = c.benchmark_group("ablation_preprocess");
-    group.sample_size(10);
     group.bench_function("with_merge", |b| {
         b.iter(|| solve(&pg, Encoding::Restricted, Branching::MostFractional, true))
     });
@@ -398,7 +397,6 @@ fn ablation_preprocess(c: &mut Criterion) {
 fn ablation_encoding(c: &mut Criterion) {
     let pg = eeg_partition_graph(1);
     let mut group = c.benchmark_group("ablation_encoding");
-    group.sample_size(10);
     group.bench_function("restricted", |b| {
         b.iter(|| solve(&pg, Encoding::Restricted, Branching::MostFractional, true))
     });
@@ -414,7 +412,6 @@ fn ablation_encoding(c: &mut Criterion) {
 fn ablation_branching(c: &mut Criterion) {
     let pg = eeg_partition_graph(2);
     let mut group = c.benchmark_group("ablation_branching");
-    group.sample_size(10);
     group.bench_function("most_fractional", |b| {
         b.iter(|| solve(&pg, Encoding::Restricted, Branching::MostFractional, true))
     });
@@ -432,7 +429,6 @@ fn ablation_warm_start(c: &mut Criterion) {
         ..Default::default()
     };
     let mut group = c.benchmark_group("ablation_warm_start");
-    group.sample_size(10);
     group.bench_function("warm", |b| {
         b.iter(|| solve_opts(&pg, Encoding::Restricted, true, &warm))
     });
@@ -522,7 +518,6 @@ fn rate_search(c: &mut Criterion) {
     let dep = mote_star();
     let cfg = DeploymentConfig::default();
     let mut group = c.benchmark_group("rate_search");
-    group.sample_size(10);
     group.bench_function("prepared", |b| {
         b.iter(|| {
             max_sustainable_rate_deployment(&graph, &prof, &dep, &cfg, 64.0, 0.01)
@@ -591,6 +586,21 @@ fn churn_event(i: usize) -> (usize, f64) {
     (2 + (i % 5), 0.20 + 0.02 * ((i % 8) as f64))
 }
 
+/// The delta batch that absorbs the `i`-th churn event in place.
+fn churn_deltas(i: usize) -> [DeploymentDelta; 2] {
+    let (count, cpu_budget) = churn_event(i);
+    [
+        DeploymentDelta::SetLeafCount {
+            leaf: SiteId(3),
+            count,
+        },
+        DeploymentDelta::SetCpuBudget {
+            site: SiteId(1),
+            cpu_budget,
+        },
+    ]
+}
+
 const CHURN_RATE: f64 = 0.5;
 
 /// Topology churn: a stream of N re-provision/re-budget events against
@@ -608,7 +618,6 @@ fn churn_scaling(c: &mut Criterion) {
     let (graph, prof) = eeg_app(2);
     let cfg = DeploymentConfig::default();
     let mut group = c.benchmark_group("churn_scaling");
-    group.sample_size(10);
     for n in [1usize, 10, 100] {
         group.bench_function(BenchmarkId::new("delta_apply", n), |b| {
             let (count0, budget0) = churn_event(0);
@@ -617,17 +626,7 @@ fn churn_scaling(c: &mut Criterion) {
                     .expect("pins ok");
             b.iter(|| {
                 for i in 0..n {
-                    let (count, budget) = churn_event(i);
-                    prep.apply_delta(&[
-                        DeploymentDelta::SetLeafCount {
-                            leaf: SiteId(3),
-                            count,
-                        },
-                        DeploymentDelta::SetCpuBudget {
-                            site: SiteId(1),
-                            cpu_budget: budget,
-                        },
-                    ]);
+                    prep.apply_delta(&churn_deltas(i));
                 }
                 prep.problem_size()
             })
@@ -655,12 +654,34 @@ fn churn_scaling(c: &mut Criterion) {
 /// so the full raw streams cross both hops and gw-a's starved 100 B/s
 /// backhaul sheds load deterministically — the instance
 /// `tests/observability.rs` pins attribution on.
-fn forest_sim() -> (
-    wishbone_dataflow::Graph,
-    TreeTopology,
-    Vec<LeafRoute>,
-    SimulationConfig,
-) {
+struct ForestSim {
+    graph: wishbone_dataflow::Graph,
+    topo: TreeTopology,
+    routes: Vec<LeafRoute>,
+    cfg: SimulationConfig,
+}
+
+impl ForestSim {
+    /// The untraced entry point.
+    fn untraced(&self) -> TreeDeploymentReport {
+        simulate_deployment_tree(&self.graph, &self.topo, &self.routes, &self.cfg)
+    }
+
+    /// The traced entry point, no failures injected.
+    fn traced(&self, sink: &mut impl TraceSink) -> TreeDeploymentReport {
+        let plan = FailurePlan::default();
+        simulate_deployment_tree_traced(
+            &self.graph,
+            &self.topo,
+            &self.routes,
+            &self.cfg,
+            &plan,
+            sink,
+        )
+    }
+}
+
+fn forest_sim() -> ForestSim {
     let mut app = build_eeg_app(EegParams {
         n_channels: 2,
         ..Default::default()
@@ -714,7 +735,12 @@ fn forest_sim() -> (
         rate_multiplier: 1.0,
         ..SimulationConfig::motes(1, 7)
     };
-    (app.graph, topo, routes, cfg)
+    ForestSim {
+        graph: app.graph,
+        topo,
+        routes,
+        cfg,
+    }
 }
 
 /// Telemetry must be free when off: the untraced entry point vs the
@@ -724,35 +750,14 @@ fn forest_sim() -> (
 /// turning tracing on). The `--smoke` run asserts the null arm lands
 /// within 5% of untraced; this group puts numbers on all three.
 fn trace_overhead(c: &mut Criterion) {
-    let (graph, topo, routes, cfg) = forest_sim();
+    let sim = forest_sim();
     let mut group = c.benchmark_group("trace_overhead");
-    group.bench_function("untraced", |b| {
-        b.iter(|| simulate_deployment_tree(&graph, &topo, &routes, &cfg))
-    });
-    group.bench_function("null_sink", |b| {
-        b.iter(|| {
-            let mut off = NullSink;
-            simulate_deployment_tree_traced(
-                &graph,
-                &topo,
-                &routes,
-                &cfg,
-                &FailurePlan::default(),
-                &mut off,
-            )
-        })
-    });
+    group.bench_function("untraced", |b| b.iter(|| sim.untraced()));
+    group.bench_function("null_sink", |b| b.iter(|| sim.traced(&mut NullSink)));
     group.bench_function("memory_sink", |b| {
         b.iter(|| {
             let mut sink = MemorySink::new();
-            simulate_deployment_tree_traced(
-                &graph,
-                &topo,
-                &routes,
-                &cfg,
-                &FailurePlan::default(),
-                &mut sink,
-            );
+            sim.traced(&mut sink);
             sink.events.len()
         })
     });
@@ -787,7 +792,6 @@ fn drift_resolve(c: &mut Criterion) {
     let (graph, prof, dep) = eeg_forest(2, 4, 1e9, 1e9);
     let cfg = DeploymentConfig::default();
     let mut group = c.benchmark_group("drift_resolve");
-    group.sample_size(10);
     group.bench_function("warm_rescale", |b| {
         let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
         let base = prep.solve_at(DRIFT_RATE).expect("baseline solve");
@@ -807,62 +811,17 @@ fn drift_resolve(c: &mut Criterion) {
         assert_eq!(prep.encodes(), 1, "drift re-solves must not re-encode");
     });
     group.bench_function("cold_rebuild", |b| {
+        let ward_budget = Platform::tmote_sky().cpu_budget_fraction;
         let mut i = 0usize;
         b.iter(|| {
             i += 1;
             let ratio = if i.is_multiple_of(2) { 1.0 } else { 2.0 };
-            let drifted = drifted_forest(ratio);
+            let drifted = forest_dep(4, ward_budget / ratio, 1e9, 1e9);
             let mut prep = PreparedDeployment::new(&graph, &prof, &drifted, &cfg).expect("pins ok");
             prep.solve_at(DRIFT_RATE).expect("cold solve").objective
         });
     });
     group.finish();
-}
-
-/// The 2×4 forest with both ward budgets cut by `ratio` — what a cold
-/// rebuild has to reconstruct to absorb the same drift the warm arm
-/// handles with a `SetCpuBudget` delta.
-fn drifted_forest(ratio: f64) -> Deployment {
-    let mote = Platform::tmote_sky();
-    let phone = Platform::iphone();
-    let ward_budget = mote.cpu_budget_fraction / ratio;
-    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-    let root = dep.root();
-    let gw_a = dep.attach(
-        root,
-        Site::new("gw-a", &phone),
-        LinkSpec {
-            beta: 1.0,
-            net_budget: 1e9,
-        },
-    );
-    let gw_b = dep.attach(
-        root,
-        Site::new("gw-b", &phone),
-        LinkSpec {
-            beta: 1.0,
-            net_budget: 1e9,
-        },
-    );
-    let ward_uplink = LinkSpec {
-        beta: 1.0,
-        net_budget: 4.0 * mote.radio.goodput_bytes_per_sec,
-    };
-    dep.attach(
-        gw_a,
-        Site::new("ward-a", &mote)
-            .with_count(4)
-            .with_cpu_budget(ward_budget),
-        ward_uplink,
-    );
-    dep.attach(
-        gw_b,
-        Site::new("ward-b", &mote)
-            .with_count(4)
-            .with_cpu_budget(ward_budget),
-        ward_uplink,
-    );
-    dep
 }
 
 criterion_group!(
@@ -881,367 +840,6 @@ criterion_group!(
     trace_overhead,
     drift_resolve,
 );
-
-/// Median wall-clock of `reps` runs of `f`, which also reports the solver
-/// work it did (B&B nodes, warm starts).
-fn measure(reps: usize, mut f: impl FnMut() -> (u64, u64)) -> (u128, u64, u64) {
-    let mut times: Vec<u128> = Vec::with_capacity(reps);
-    let mut work = (0u64, 0u64);
-    for _ in 0..reps {
-        let start = Instant::now();
-        work = f();
-        times.push(start.elapsed().as_nanos());
-    }
-    times.sort_unstable();
-    (times[times.len() / 2], work.0, work.1)
-}
-
-/// Run the fixed instance set behind `BENCH_solver.json` and write it to
-/// the repo root (two directories above this crate).
-fn emit_json(reps: usize) {
-    let mut records: Vec<BenchRecord> = Vec::new();
-
-    for channels in [1usize, 2, 4] {
-        let pg = eeg_partition_graph(channels);
-        let (median_ns, nodes, warm_starts) = measure(reps, || {
-            let (_, stats) = solve_opts(&pg, Encoding::Restricted, true, &IlpOptions::default());
-            (stats.nodes, stats.warm_starts)
-        });
-        records.push(BenchRecord {
-            bench: format!("solver_scaling_{channels}ch"),
-            median_ns,
-            nodes,
-            warm_starts,
-        });
-    }
-
-    // Dense-vs-sparse head to head on pre-encoded instances: the 4ch EEG
-    // point, the full fig6 application (972 constraints — the ROADMAP
-    // scaling-wall size), and the synthetic 972-constraint chain.
-    let head_to_head = [
-        ("solver_scaling_4ch".to_string(), eeg_ilp(4)),
-        ("solver_fig6_22ch".to_string(), eeg_ilp(22)),
-        ("solver_chain_972".to_string(), chain_ilp(972, 1.5)),
-    ];
-    for (name, p) in &head_to_head {
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let label = match backend {
-                SolverBackend::Dense => "dense",
-                _ => "sparse",
-            };
-            let (median_ns, nodes, warm_starts) = measure(reps, || {
-                let s = p.solve_ilp(&backend_opts(backend)).expect("solvable");
-                (s.stats.nodes, s.stats.warm_starts)
-            });
-            records.push(BenchRecord {
-                bench: format!("{name}_{label}"),
-                median_ns,
-                nodes,
-                warm_starts,
-            });
-        }
-    }
-
-    // k-tier monotone cuts: a 2ch/22ch k=3 head-to-head plus the 3-tier
-    // 22-channel EEG rate sweep with per-point solve times (the tiered_eeg
-    // example's workload — the acceptance instance for the multi-tier
-    // subsystem).
-    for (name, p) in [
-        ("multitier_eeg2_k3".to_string(), eeg_multitier_ilp(2, 3)),
-        ("multitier_eeg22_k3".to_string(), eeg_multitier_ilp(22, 3)),
-    ] {
-        let (median_ns, nodes, warm_starts) = measure(reps, || {
-            let s = p.solve_ilp(&IlpOptions::default()).expect("solvable");
-            (s.stats.nodes, s.stats.warm_starts)
-        });
-        records.push(BenchRecord {
-            bench: name,
-            median_ns,
-            nodes,
-            warm_starts,
-        });
-    }
-    {
-        let (graph22, prof22) = eeg_app(22);
-        let mut cfg = DeploymentConfig::default();
-        cfg.ilp.rel_gap = 0.025;
-        let dep = Deployment::chain(&bench_chain(3));
-        let mut prep =
-            PreparedDeployment::new(&graph22, &prof22, &dep, &cfg).expect("pin analysis succeeds");
-        for rate in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
-            // Overload rates return Infeasible; median_ns then measures
-            // the cost of the *infeasibility proof* (a real root-LP
-            // refutation, tens of ms at this size — the stats columns are
-            // zeroed because the error path carries no IlpStats).
-            let (median_ns, nodes, warm_starts) = measure(reps, || match prep.solve_at(rate) {
-                Ok(part) => (part.ilp_stats.nodes, part.ilp_stats.warm_starts),
-                Err(_) => (0, 0),
-            });
-            records.push(BenchRecord {
-                bench: format!("multitier_eeg22_k3_sweep_x{rate}"),
-                median_ns,
-                nodes,
-                warm_starts,
-            });
-        }
-    }
-
-    // Tree deployments: a dense/sparse head-to-head on the 2-ward forest
-    // plus an asymmetric-gateway rate sweep on the prepared deployment
-    // (the forest_eeg example's solve pattern: one encode, per-rate
-    // rescale, per-gateway uplink rows).
-    {
-        let forest = eeg_forest_ilp(2, 4);
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let label = match backend {
-                SolverBackend::Dense => "dense",
-                _ => "sparse",
-            };
-            let (median_ns, nodes, warm_starts) = measure(reps, || {
-                let s = forest.solve_ilp(&backend_opts(backend)).expect("solvable");
-                (s.stats.nodes, s.stats.warm_starts)
-            });
-            records.push(BenchRecord {
-                bench: format!("deployment_forest_eeg2_2x4_{label}"),
-                median_ns,
-                nodes,
-                warm_starts,
-            });
-        }
-        // Asymmetric backhauls: gw-a starved to ~the trickle, gw-b roomy.
-        let (graph, prof, dep) = eeg_forest(4, 4, 500.0, 400_000.0);
-        let mut dcfg = DeploymentConfig::default();
-        dcfg.ilp.rel_gap = 0.025;
-        let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &dcfg).expect("pins ok");
-        for rate in [0.25, 0.5, 1.0, 2.0] {
-            let (median_ns, nodes, warm_starts) = measure(reps, || match prep.solve_at(rate) {
-                Ok(part) => (part.ilp_stats.nodes, part.ilp_stats.warm_starts),
-                Err(_) => (0, 0),
-            });
-            records.push(BenchRecord {
-                bench: format!("deployment_forest_eeg4_asym_sweep_x{rate}"),
-                median_ns,
-                nodes,
-                warm_starts,
-            });
-        }
-
-        // Topology churn: one re-provision/re-budget event against the
-        // 2-ward 2ch forest, warm (apply_delta on the standing
-        // encoding) vs cold (rebuild + merge + re-encode). Both arms
-        // end at bit-identical problems, so the (common) solve is not
-        // timed; the delta arm must stay an order of magnitude faster
-        // at pure maintenance — that ratio is what the incremental
-        // path exists for.
-        let (graph, prof) = eeg_app(2);
-        let cfg = DeploymentConfig::default();
-        let (count0, budget0) = churn_event(0);
-        let mut prep = PreparedDeployment::new(&graph, &prof, &churn_dep(count0, budget0), &cfg)
-            .expect("pins ok");
-        let mut i = 0usize;
-        let (median_ns, _, _) = measure(reps.max(5), || {
-            i += 1;
-            let (count, budget) = churn_event(i);
-            prep.apply_delta(&[
-                DeploymentDelta::SetLeafCount {
-                    leaf: SiteId(3),
-                    count,
-                },
-                DeploymentDelta::SetCpuBudget {
-                    site: SiteId(1),
-                    cpu_budget: budget,
-                },
-            ]);
-            (0, 0)
-        });
-        records.push(BenchRecord {
-            bench: "churn_delta_apply_per_event".into(),
-            median_ns,
-            nodes: 0,
-            warm_starts: 0,
-        });
-        let mut i = 0usize;
-        let (median_ns, _, _) = measure(reps.max(5), || {
-            i += 1;
-            let (count, budget) = churn_event(i);
-            let cold = PreparedDeployment::new(&graph, &prof, &churn_dep(count, budget), &cfg)
-                .expect("pins ok");
-            let _ = cold.problem_size();
-            (0, 0)
-        });
-        records.push(BenchRecord {
-            bench: "churn_cold_rebuild_per_event".into(),
-            median_ns,
-            nodes: 0,
-            warm_starts: 0,
-        });
-
-        // Near-cliff incumbent starvation: the seeded exact solve and the
-        // standalone multilevel heuristic on the tight asymmetric forest
-        // at x3.15 (just under its x3.1614 cliff) — the PR 8 instance.
-        let (graph, prof, dep) = eeg_forest(4, 4, 500.0, 400_000.0);
-        let mut dcfg = DeploymentConfig::default();
-        dcfg.ilp.rel_gap = 0.025;
-        let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &dcfg).expect("pins ok");
-        let (median_ns, nodes, warm_starts) = measure(reps, || {
-            let part = prep.solve_at(NEAR_CLIFF_RATE).expect("near-cliff feasible");
-            assert!(
-                part.ilp_stats.seeded,
-                "exact arm adopts the multilevel seed"
-            );
-            (part.ilp_stats.nodes, part.ilp_stats.warm_starts)
-        });
-        records.push(BenchRecord {
-            bench: "nearcliff_forest_eeg4_seeded_exact".into(),
-            median_ns,
-            nodes,
-            warm_starts,
-        });
-        let mut prep =
-            PreparedDeployment::new(&graph, &prof, &dep, &DeploymentConfig::default().approx())
-                .expect("pins ok");
-        let (median_ns, _, _) = measure(reps, || {
-            let part = prep.solve_at(NEAR_CLIFF_RATE).expect("near-cliff feasible");
-            let gap = part.certified_gap.expect("approx carries a certificate");
-            assert!(gap <= 0.025, "near-cliff certificate blew up: {gap}");
-            (0, 0)
-        });
-        records.push(BenchRecord {
-            bench: "nearcliff_forest_eeg4_approx".into(),
-            median_ns,
-            nodes: 0,
-            warm_starts: 0,
-        });
-    }
-
-    let (graph, prof) = eeg_app(2);
-    let dep = mote_star();
-    let cfg = DeploymentConfig::default();
-    let (median_ns, nodes, warm_starts) = measure(reps, || {
-        let r = max_sustainable_rate_deployment(&graph, &prof, &dep, &cfg, 64.0, 0.01)
-            .expect("no solver error")
-            .expect("feasible");
-        let stats = &r.partition.ilp_stats;
-        (stats.nodes, stats.warm_starts)
-    });
-    records.push(BenchRecord {
-        bench: "rate_search_eeg2_prepared".into(),
-        median_ns,
-        nodes,
-        warm_starts,
-    });
-    let (median_ns, _, _) = measure(reps, || {
-        rate_search_rebuild(&graph, &prof, &dep, &cfg, 64.0, 0.01);
-        (0, 0)
-    });
-    records.push(BenchRecord {
-        bench: "rate_search_eeg2_rebuild".into(),
-        median_ns,
-        nodes: 0,
-        warm_starts: 0,
-    });
-
-    // Trace overhead: the forest tree simulation untraced vs traced with
-    // a NullSink (must coincide up to noise) vs a buffering MemorySink.
-    {
-        let (sgraph, stopo, sroutes, scfg) = forest_sim();
-        let (median_ns, _, _) = measure(reps.max(5), || {
-            let r = simulate_deployment_tree(&sgraph, &stopo, &sroutes, &scfg);
-            (r.stats().events_processed, 0)
-        });
-        records.push(BenchRecord {
-            bench: "trace_overhead_untraced".into(),
-            median_ns,
-            nodes: 0,
-            warm_starts: 0,
-        });
-        let (median_ns, _, _) = measure(reps.max(5), || {
-            let mut off = NullSink;
-            let r = simulate_deployment_tree_traced(
-                &sgraph,
-                &stopo,
-                &sroutes,
-                &scfg,
-                &FailurePlan::default(),
-                &mut off,
-            );
-            (r.stats().events_processed, 0)
-        });
-        records.push(BenchRecord {
-            bench: "trace_overhead_null_sink".into(),
-            median_ns,
-            nodes: 0,
-            warm_starts: 0,
-        });
-        let (median_ns, _, _) = measure(reps.max(5), || {
-            let mut sink = MemorySink::new();
-            let _ = simulate_deployment_tree_traced(
-                &sgraph,
-                &stopo,
-                &sroutes,
-                &scfg,
-                &FailurePlan::default(),
-                &mut sink,
-            );
-            (sink.events.len() as u64, 0)
-        });
-        records.push(BenchRecord {
-            bench: "trace_overhead_memory_sink".into(),
-            median_ns,
-            nodes: 0,
-            warm_starts: 0,
-        });
-    }
-
-    // Drift re-solve: a flagged 2× inflation absorbed by the standing
-    // encoding (delta + warm solve, encodes() stays 1) vs a full rebuild
-    // + re-encode + cold solve of the drifted deployment.
-    {
-        let (dgraph, dprof, ddep) = eeg_forest(2, 4, 1e9, 1e9);
-        let dcfg = DeploymentConfig::default();
-        let mut prep = PreparedDeployment::new(&dgraph, &dprof, &ddep, &dcfg).expect("pins ok");
-        let base = prep.solve_at(DRIFT_RATE).expect("baseline solve");
-        let victim = base.leaves[0].site_ops[0]
-            .iter()
-            .copied()
-            .min()
-            .expect("the leaf hosts its sources");
-        let mut i = 0usize;
-        let (median_ns, nodes, warm_starts) = measure(reps.max(5), || {
-            i += 1;
-            let ratio = if i.is_multiple_of(2) { 1.0 } else { 2.0 };
-            let deltas = drift_to_deltas(&drift_report(victim, ratio), &ddep, &base);
-            prep.apply_delta(&deltas);
-            let part = prep.solve_at(DRIFT_RATE).expect("warm re-solve");
-            (part.ilp_stats.nodes, part.ilp_stats.warm_starts)
-        });
-        assert_eq!(prep.encodes(), 1, "drift re-solves must not re-encode");
-        records.push(BenchRecord {
-            bench: "drift_resolve_warm_rescale".into(),
-            median_ns,
-            nodes,
-            warm_starts,
-        });
-        let mut i = 0usize;
-        let (median_ns, nodes, warm_starts) = measure(reps.max(5), || {
-            i += 1;
-            let ratio = if i.is_multiple_of(2) { 1.0 } else { 2.0 };
-            let drifted = drifted_forest(ratio);
-            let mut cold =
-                PreparedDeployment::new(&dgraph, &dprof, &drifted, &dcfg).expect("pins ok");
-            let part = cold.solve_at(DRIFT_RATE).expect("cold solve");
-            (part.ilp_stats.nodes, part.ilp_stats.warm_starts)
-        });
-        records.push(BenchRecord {
-            bench: "drift_resolve_cold_rebuild".into(),
-            median_ns,
-            nodes,
-            warm_starts,
-        });
-    }
-
-    merge_bench_json(&records);
-}
 
 /// Seconds-scale smoke run for CI, parameterized by backend so a sparse
 /// (or dense) regression cannot land silently: the perf-critical paths
@@ -1271,51 +869,21 @@ fn smoke(backend: SolverBackend) {
 
     // Differential parity against the other backend on the same instance
     // and on the 972-constraint chain the sparse path exists for.
-    let other = match backend {
-        SolverBackend::Dense => SolverBackend::Sparse,
-        _ => SolverBackend::Dense,
-    };
-    let (other_obj, _) = solve_opts(&pg, Encoding::Restricted, true, &backend_opts(other));
+    let other = backend_opts(other_backend(backend));
+    let (other_obj, _) = solve_opts(&pg, Encoding::Restricted, true, &other);
     assert!(
         (warm_obj - other_obj).abs() < 1e-6,
         "backends disagree on 1ch EEG: {warm_obj} vs {other_obj}"
     );
-    let chain = chain_ilp(972, 1.5);
-    let mine = chain.solve_ilp(&backend_opts(backend)).expect("solvable");
-    assert_eq!(mine.stats.backend, backend);
-    let theirs = chain.solve_ilp(&backend_opts(other)).expect("solvable");
-    assert!(
-        (mine.objective - theirs.objective).abs() < 1e-6 * (1.0 + mine.objective.abs()),
-        "backends disagree on chain_972: {backend:?} {} vs {other:?} {}",
-        mine.objective,
-        theirs.objective
-    );
+    let mine = assert_backends_agree("chain_972", &chain_ilp(972, 1.5), backend);
 
     // One multitier instance per smoke: the 3-tier 1ch EEG encoding must
     // solve on this backend to the same optimum as the other backend.
-    let mt = eeg_multitier_ilp(1, 3);
-    let mt_mine = mt.solve_ilp(&backend_opts(backend)).expect("solvable");
-    assert_eq!(mt_mine.stats.backend, backend);
-    let mt_theirs = mt.solve_ilp(&backend_opts(other)).expect("solvable");
-    assert!(
-        (mt_mine.objective - mt_theirs.objective).abs() < 1e-6 * (1.0 + mt_mine.objective.abs()),
-        "backends disagree on multitier 1ch k3: {backend:?} {} vs {other:?} {}",
-        mt_mine.objective,
-        mt_theirs.objective
-    );
+    let mt_mine = assert_backends_agree("multitier 1ch k3", &eeg_multitier_ilp(1, 3), backend);
 
     // One tree-deployment instance per smoke: the 2-ward forest encoding
     // must solve on this backend to the same optimum as the other.
-    let forest = eeg_forest_ilp(1, 1);
-    let f_mine = forest.solve_ilp(&backend_opts(backend)).expect("solvable");
-    assert_eq!(f_mine.stats.backend, backend);
-    let f_theirs = forest.solve_ilp(&backend_opts(other)).expect("solvable");
-    assert!(
-        (f_mine.objective - f_theirs.objective).abs() < 1e-6 * (1.0 + f_mine.objective.abs()),
-        "backends disagree on the 2-ward forest: {backend:?} {} vs {other:?} {}",
-        f_mine.objective,
-        f_theirs.objective
-    );
+    let f_mine = assert_backends_agree("the 2-ward forest", &eeg_forest_ilp(1, 1), backend);
 
     let (graph, prof) = eeg_app(1);
     let mut dcfg = DeploymentConfig::default();
@@ -1332,16 +900,7 @@ fn smoke(backend: SolverBackend) {
     let (count1, budget1) = churn_event(1);
     let mut warm = PreparedDeployment::new(&graph, &prof, &churn_dep(count0, budget0), &dcfg)
         .expect("pins ok");
-    warm.apply_delta(&[
-        DeploymentDelta::SetLeafCount {
-            leaf: SiteId(3),
-            count: count1,
-        },
-        DeploymentDelta::SetCpuBudget {
-            site: SiteId(1),
-            cpu_budget: budget1,
-        },
-    ]);
+    warm.apply_delta(&churn_deltas(1));
     assert_eq!(warm.encodes(), 1, "[{label}] deltas must not re-encode");
     let mut cold = PreparedDeployment::new(&graph, &prof, &churn_dep(count1, budget1), &dcfg)
         .expect("pins ok");
@@ -1464,32 +1023,17 @@ fn smoke(backend: SolverBackend) {
     // the untraced entry point byte for byte and cost nothing (min-of-N
     // within 5% plus scheduling slack), a MemorySink must capture the
     // stream, and attribution must blame the starved gateway uplink.
-    let (sgraph, stopo, sroutes, scfg) = forest_sim();
-    let bare = simulate_deployment_tree(&sgraph, &stopo, &sroutes, &scfg);
-    let mut off = NullSink;
-    let traced = simulate_deployment_tree_traced(
-        &sgraph,
-        &stopo,
-        &sroutes,
-        &scfg,
-        &FailurePlan::default(),
-        &mut off,
-    );
+    let sim = forest_sim();
+    let bare = sim.untraced();
+    let traced = sim.traced(&mut NullSink);
     assert_eq!(
         bare, traced,
         "[{label}] NullSink run must be byte-identical"
     );
     let mut mem = MemorySink::new();
-    let _ = simulate_deployment_tree_traced(
-        &sgraph,
-        &stopo,
-        &sroutes,
-        &scfg,
-        &FailurePlan::default(),
-        &mut mem,
-    );
+    let _ = sim.traced(&mut mem);
     assert!(!mem.events.is_empty(), "[{label}] MemorySink saw no events");
-    let attr = attribute_tree(&bare, &stopo);
+    let attr = attribute_tree(&bare, &sim.topo);
     let top = attr.top().expect("the starved forest sheds load");
     assert_eq!(
         (top.cause, top.site),
@@ -1500,18 +1044,10 @@ fn smoke(backend: SolverBackend) {
     let mut best_null = u128::MAX;
     for _ in 0..7 {
         let t = Instant::now();
-        let _ = simulate_deployment_tree(&sgraph, &stopo, &sroutes, &scfg);
+        let _ = sim.untraced();
         best_untraced = best_untraced.min(t.elapsed().as_nanos());
         let t = Instant::now();
-        let mut off = NullSink;
-        let _ = simulate_deployment_tree_traced(
-            &sgraph,
-            &stopo,
-            &sroutes,
-            &scfg,
-            &FailurePlan::default(),
-            &mut off,
-        );
+        let _ = sim.traced(&mut NullSink);
         best_null = best_null.min(t.elapsed().as_nanos());
     }
     assert!(
@@ -1636,10 +1172,6 @@ fn smoke(backend: SolverBackend) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke_mode =
-        args.iter().any(|a| a == "--smoke") || std::env::var_os("WISHBONE_BENCH_SMOKE").is_some();
-    let json_mode =
-        args.iter().any(|a| a == "--json") || std::env::var_os("WISHBONE_BENCH_JSON").is_some();
     let backend = args
         .iter()
         .position(|a| a == "--backend")
@@ -1649,44 +1181,7 @@ fn main() {
             "sparse" => SolverBackend::Sparse,
             other => panic!("unknown backend {other:?} (use dense|sparse)"),
         });
-    if args.iter().any(|a| a == "--probe") {
-        for (name, p) in [
-            ("eeg_1ch".to_string(), eeg_ilp(1)),
-            ("chain_24".to_string(), chain_ilp(24, 0.08)),
-            ("chain_48".to_string(), chain_ilp(48, 0.15)),
-            ("eeg_2ch".to_string(), eeg_ilp(2)),
-            ("eeg_4ch".to_string(), eeg_ilp(4)),
-            ("eeg_8ch".to_string(), eeg_ilp(8)),
-            ("chain_972".to_string(), chain_ilp(972, 1.5)),
-        ] {
-            let reps = if name == "chain_972" { 5 } else { 30 };
-            // Interleaved warm-up pass, then per-backend medians.
-            for b in [SolverBackend::Dense, SolverBackend::Sparse] {
-                let _ = p.solve_ilp(&backend_opts(b)).unwrap();
-            }
-            for b in [SolverBackend::Dense, SolverBackend::Sparse] {
-                let mut times: Vec<u128> = Vec::new();
-                let mut stats = None;
-                for _ in 0..reps {
-                    let t = Instant::now();
-                    let s = p.solve_ilp(&backend_opts(b)).unwrap();
-                    times.push(t.elapsed().as_nanos());
-                    stats = Some(s.stats);
-                }
-                times.sort_unstable();
-                let s = stats.unwrap();
-                println!(
-                    "{name} {b:?}: median {:.3}ms nodes {} iters {} warm {}",
-                    times[times.len() / 2] as f64 / 1e6,
-                    s.nodes,
-                    s.simplex_iterations,
-                    s.warm_starts,
-                );
-            }
-        }
-        return;
-    }
-    if smoke_mode {
+    if args.iter().any(|a| a == "--smoke") {
         match backend {
             Some(b) => smoke(b),
             None => {
@@ -1694,10 +1189,10 @@ fn main() {
                 smoke(SolverBackend::Sparse);
             }
         }
-    } else {
-        benches();
+        return;
     }
-    if json_mode {
-        emit_json(if smoke_mode { 3 } else { 5 });
+    let timed = benches();
+    if args.iter().any(|a| a == "--json") {
+        merge_bench_json("solver_criterion", &timed);
     }
 }

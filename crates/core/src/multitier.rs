@@ -253,141 +253,136 @@ pub fn preprocess_tiered(
     // Build the quotient. Merging can create cycles in it (a path
     // between two merged vertices through an unmerged one); the
     // single-crossing constraints force such intermediate vertices onto
-    // the same side anyway, so collapse strongly connected components
-    // until the result is a DAG.
-    loop {
-        let mut class_of: HashMap<usize, usize> = HashMap::new();
-        let mut classes: Vec<Vec<usize>> = Vec::new();
-        for v in 0..n {
-            let root = dsu.find(v);
-            let c = *class_of.entry(root).or_insert_with(|| {
-                classes.push(Vec::new());
-                classes.len() - 1
-            });
-            classes[c].push(v);
-        }
-
-        let m = classes.len();
-        let mut adj: Vec<HashSet<usize>> = vec![HashSet::new(); m];
-        for e in &tg.edges {
-            let (cs, cd) = (class_of[&dsu.find(e.src)], class_of[&dsu.find(e.dst)]);
-            if cs != cd {
-                adj[cs].insert(cd);
-            }
-        }
-
-        match find_cycle_scc(m, &adj) {
-            Some(scc) => {
-                let mut members = scc.iter().flat_map(|&c| classes[c].iter().copied());
-                let first = members.next().expect("SCC is non-empty");
-                for v in members {
-                    dsu.union(first, v);
-                }
-            }
-            None => {
-                let mut vertices: Vec<TVertex> = Vec::with_capacity(m);
-                for members in &classes {
-                    let mut ops = Vec::new();
-                    let mut cpu = vec![0.0f64; tg.tiers];
-                    let mut pin = Pin::Movable;
-                    for &v in members {
-                        let vert = &tg.vertices[v];
-                        ops.extend(vert.ops.iter().copied());
-                        for (acc, &c) in cpu.iter_mut().zip(&vert.cpu_cost) {
-                            *acc += c;
-                        }
-                        pin = combine_pins(
-                            pin,
-                            vert.pin,
-                            vert.ops.first().copied().unwrap_or(OperatorId(0)),
-                        )?;
-                    }
-                    ops.sort_unstable();
-                    vertices.push(TVertex {
-                        ops,
-                        cpu_cost: cpu,
-                        pin,
-                    });
-                }
-                let mut agg: HashMap<(usize, usize), TEdge> = HashMap::new();
-                for e in &tg.edges {
-                    let (cs, cd) = (class_of[&dsu.find(e.src)], class_of[&dsu.find(e.dst)]);
-                    if cs == cd {
-                        continue;
-                    }
-                    let entry = agg.entry((cs, cd)).or_insert(TEdge {
-                        src: cs,
-                        dst: cd,
-                        bandwidth: vec![0.0; links],
-                        graph_edges: Vec::new(),
-                    });
-                    for (acc, &r) in entry.bandwidth.iter_mut().zip(&e.bandwidth) {
-                        *acc += r;
-                    }
-                    entry.graph_edges.extend(e.graph_edges.iter().copied());
-                }
-                let mut edges: Vec<TEdge> = agg.into_values().collect();
-                edges.sort_by_key(|e| (e.src, e.dst));
-                return Ok(TieredPreprocessResult {
-                    graph: TieredGraph {
-                        tiers: tg.tiers,
-                        vertices,
-                        edges,
-                    },
-                    vertices_before: n,
-                    vertices_after: m,
-                });
-            }
+    // the same side anyway, so collapse every strongly connected
+    // component. The condensation of a graph is a DAG, so one pass of
+    // that and one rebuild of the quotient is all it takes.
+    let (mut class_of, mut classes) = quotient(&mut dsu, n);
+    let mut adj: Vec<HashSet<usize>> = vec![HashSet::new(); classes.len()];
+    for e in &tg.edges {
+        let (cs, cd) = (class_of[&dsu.find(e.src)], class_of[&dsu.find(e.dst)]);
+        if cs != cd {
+            adj[cs].insert(cd);
         }
     }
+    let cycles = cyclic_sccs(&adj);
+    if !cycles.is_empty() {
+        for scc in &cycles {
+            let mut members = scc.iter().flat_map(|&c| classes[c].iter().copied());
+            let first = members.next().expect("SCC is non-empty");
+            for v in members {
+                dsu.union(first, v);
+            }
+        }
+        (class_of, classes) = quotient(&mut dsu, n);
+    }
+
+    let m = classes.len();
+    let mut vertices: Vec<TVertex> = Vec::with_capacity(m);
+    for members in &classes {
+        let mut ops = Vec::new();
+        let mut cpu = vec![0.0f64; tg.tiers];
+        let mut pin = Pin::Movable;
+        for &v in members {
+            let vert = &tg.vertices[v];
+            ops.extend(vert.ops.iter().copied());
+            for (acc, &c) in cpu.iter_mut().zip(&vert.cpu_cost) {
+                *acc += c;
+            }
+            pin = combine_pins(
+                pin,
+                vert.pin,
+                vert.ops.first().copied().unwrap_or(OperatorId(0)),
+            )?;
+        }
+        ops.sort_unstable();
+        vertices.push(TVertex {
+            ops,
+            cpu_cost: cpu,
+            pin,
+        });
+    }
+    let mut agg: HashMap<(usize, usize), TEdge> = HashMap::new();
+    for e in &tg.edges {
+        let (cs, cd) = (class_of[&dsu.find(e.src)], class_of[&dsu.find(e.dst)]);
+        if cs == cd {
+            continue;
+        }
+        let entry = agg.entry((cs, cd)).or_insert(TEdge {
+            src: cs,
+            dst: cd,
+            bandwidth: vec![0.0; links],
+            graph_edges: Vec::new(),
+        });
+        for (acc, &r) in entry.bandwidth.iter_mut().zip(&e.bandwidth) {
+            *acc += r;
+        }
+        entry.graph_edges.extend(e.graph_edges.iter().copied());
+    }
+    let mut edges: Vec<TEdge> = agg.into_values().collect();
+    edges.sort_by_key(|e| (e.src, e.dst));
+    Ok(TieredPreprocessResult {
+        graph: TieredGraph {
+            tiers: tg.tiers,
+            vertices,
+            edges,
+        },
+        vertices_before: n,
+        vertices_after: m,
+    })
 }
 
-/// Find one non-trivial SCC in the quotient graph, if any (iterative
-/// Tarjan). Returns `None` when the graph is a DAG.
-fn find_cycle_scc(n: usize, adj: &[HashSet<usize>]) -> Option<Vec<usize>> {
+/// The classes of `dsu` over vertices `0..n`, numbered by their first
+/// vertex with members in vertex order (so every sum over a class runs
+/// in vertex order), and the class of each root.
+fn quotient(dsu: &mut Dsu, n: usize) -> (HashMap<usize, usize>, Vec<Vec<usize>>) {
+    let mut class_of: HashMap<usize, usize> = HashMap::new();
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for v in 0..n {
+        let root = dsu.find(v);
+        let c = *class_of.entry(root).or_insert_with(|| {
+            classes.push(Vec::new());
+            classes.len() - 1
+        });
+        classes[c].push(v);
+    }
+    (class_of, classes)
+}
+
+/// Every non-trivial strongly connected component of the quotient graph
+/// (iterative Tarjan, one pass); empty when the graph is a DAG.
+fn cyclic_sccs(adj: &[HashSet<usize>]) -> Vec<Vec<usize>> {
+    let n = adj.len();
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    // Iterative DFS state: (vertex, neighbour iterator position).
+    let mut sccs = Vec::new();
     for start in 0..n {
         if index[start] != usize::MAX {
             continue;
         }
-        let mut call: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let neigh: Vec<usize> = adj[start].iter().copied().collect();
-        call.push((start, neigh, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-
-        while let Some((v, neigh, mut i)) = call.pop() {
-            let mut descended = false;
-            while i < neigh.len() {
-                let w = neigh[i];
-                i += 1;
+        // Iterative DFS state: a vertex and its unvisited neighbours.
+        let mut call = vec![(start, adj[start].iter())];
+        while let Some((v, neighbours)) = call.last_mut() {
+            let v = *v;
+            if index[v] == usize::MAX {
+                index[v] = next_index;
+                low[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = neighbours.next() {
                 if index[w] == usize::MAX {
-                    call.push((v, neigh.clone(), i));
-                    let wn: Vec<usize> = adj[w].iter().copied().collect();
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, wn, 0));
-                    descended = true;
-                    break;
+                    call.push((w, adj[w].iter()));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
-            }
-            if descended {
                 continue;
             }
             // v finished.
+            call.pop();
             if low[v] == index[v] {
                 let mut scc = Vec::new();
                 loop {
@@ -399,15 +394,15 @@ fn find_cycle_scc(n: usize, adj: &[HashSet<usize>]) -> Option<Vec<usize>> {
                     }
                 }
                 if scc.len() > 1 {
-                    return Some(scc);
+                    sccs.push(scc);
                 }
             }
-            if let Some(&mut (p, _, _)) = call.last_mut() {
+            if let Some(&(p, _)) = call.last() {
                 low[p] = low[p].min(low[v]);
             }
         }
     }
-    None
+    sccs
 }
 
 /// One link (the uplink from tier `b` towards tier `b+1`).
@@ -617,6 +612,64 @@ mod tests {
         )
         .unwrap()
         .is_none());
+    }
+
+    /// No tiered graph built from a dataflow DAG reaches the SCC collapse
+    /// (a merged class is an in-tree, and only its root has edges out), so
+    /// pin it on a hand-made graph: two separate cycles, every vertex
+    /// data-reducing so that nothing else merges, collapse in one pass.
+    #[test]
+    fn every_cycle_of_the_quotient_collapses_in_one_pass() {
+        let edge = |id: usize, src: usize, dst: usize, bw: f64| TEdge {
+            src,
+            dst,
+            bandwidth: vec![bw],
+            graph_edges: vec![EdgeId(id)],
+        };
+        let tg = TieredGraph {
+            tiers: 2,
+            vertices: (0..6)
+                .map(|v| TVertex {
+                    ops: vec![OperatorId(v)],
+                    cpu_cost: vec![v as f64, 0.0],
+                    pin: Pin::Movable,
+                })
+                .collect(),
+            // {3, 0} and {4, 1, 2} are the cycles; 5 hangs off the second.
+            edges: vec![
+                edge(0, 3, 0, 2.0),
+                edge(1, 0, 3, 1.0),
+                edge(2, 3, 4, 5.0),
+                edge(3, 4, 1, 4.0),
+                edge(4, 1, 2, 3.0),
+                edge(5, 2, 4, 5.0),
+                edge(6, 2, 5, 1.0),
+            ],
+        };
+        let obj = TierObjective::bandwidth_only(vec![1.0, f64::INFINITY], vec![1e12]);
+        let merged = preprocess_tiered(&tg, &obj).expect("no pins to conflict");
+        assert_eq!((merged.vertices_before, merged.vertices_after), (6, 3));
+        let classes: Vec<(Vec<usize>, f64)> = merged
+            .graph
+            .vertices
+            .iter()
+            .map(|v| (v.ops.iter().map(|op| op.0).collect(), v.cpu_cost[0]))
+            .collect();
+        // Classes are numbered by their first vertex.
+        assert_eq!(
+            classes,
+            [(vec![0, 3], 3.0), (vec![1, 2, 4], 7.0), (vec![5], 5.0)]
+        );
+        let edges: Vec<(usize, usize, f64, &[EdgeId])> = merged
+            .graph
+            .edges
+            .iter()
+            .map(|e| (e.src, e.dst, e.bandwidth[0], &e.graph_edges[..]))
+            .collect();
+        assert_eq!(
+            edges,
+            [(0, 1, 5.0, &[EdgeId(2)][..]), (1, 2, 1.0, &[EdgeId(6)][..])]
+        );
     }
 
     #[test]

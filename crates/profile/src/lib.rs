@@ -10,8 +10,7 @@
 //! cycle-accurate simulators (§3). This crate substitutes metered execution
 //! plus calibrated cycle tables; the calibration reproduces the relative
 //! effects the paper's evaluation hinges on (missing FPUs, JVM overheads,
-//! DVFS derating, radio bandwidth gaps). See `DESIGN.md` for the
-//! substitution table.
+//! DVFS derating, radio bandwidth gaps).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

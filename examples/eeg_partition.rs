@@ -53,7 +53,8 @@ fn main() {
                 part.ilp_stats.warm_starts
             );
             println!(
-                "solver: {} — regressions in BENCH_solver.json should reproduce here",
+                "solver: {} — a regression in BENCH_solver.json's backend_scaling/eeg_22ch/* \
+                 (this app's ILP) should reproduce here",
                 report_stats(&part.ilp_stats)
             );
         }
@@ -104,8 +105,9 @@ fn main() {
     }
 
     // Solver diagnostics for the sweep: how much warm-start reuse the
-    // probes got (a bench regression in BENCH_solver.json should be
-    // explainable from these numbers alone).
+    // probes got (BENCH_solver.json records carry times only; a
+    // regression in its rate_search/* pair should be explainable from
+    // these counts).
     let warm: u64 = sweep_stats.iter().map(|s| s.1).sum();
     let cold: u64 = sweep_stats.iter().map(|s| s.2).sum();
     println!("\nsweep node LPs: {warm} warm-started, {cold} cold across all feasible probes");

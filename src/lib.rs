@@ -108,8 +108,10 @@ pub mod prelude {
 /// backend ran, how many branch-and-bound nodes it took, the warm/cold
 /// node-LP split, the simplex work behind them (dual and primal
 /// iterations, LU factorizations), and where the wall clock went phase
-/// by phase (the numbers a `BENCH_solver.json` regression should be
-/// explainable from). `encode` is stamped only by prepared pipelines — a
+/// by phase. `BENCH_solver.json` records carry times and their spread,
+/// no counters — a regression in a `backend_scaling/*`,
+/// `multitier_scaling/*` or `deployment_scaling/*` record is explained
+/// from this line. `encode` is stamped only by prepared pipelines — a
 /// direct `solve_ilp` call reports it as zero because the caller encoded
 /// separately; `root LP` is the part of `nodes` spent in the first LP.
 pub fn report_stats(stats: &ilp::IlpStats) -> String {

@@ -42,7 +42,14 @@
 //!    reference runs when a test, a bench or the benchmark's answer check
 //!    asks for it by name, and for no other reason.
 //!
-//! Test modules are exempt from rules 1–3 and 5–8: by repo convention
+//! 9. **bench-one-timer** — the `criterion` stand-in is the only
+//!    micro-bench timer and its groups the only instance list: nothing
+//!    under [`BENCH_TARGETS`] names `BenchRecord`, defines `fn measure` /
+//!    `fn emit_json`, or reads a `WISHBONE_BENCH_*` variable.
+//!    `BENCH_solver.json` records are built from the stand-in's samples in
+//!    `crates/bench/src/lib.rs` and nowhere else.
+//!
+//! Test modules are exempt from rules 1–3 and 5–9: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -176,6 +183,12 @@ const REFERENCE_BACKEND: &str = "SolverBackend::Dense";
 const REFERENCE_BACKEND_HOMES: [&str; 2] =
     ["crates/ilp/src/workspace.rs", "crates/ilp/src/simplex.rs"];
 
+/// Where the bench targets live (rule 9), and what a second timer or a
+/// second record list growing back in one of them would have to name.
+const BENCH_TARGETS: &str = "crates/bench/benches";
+const SECOND_TIMER_NEEDLES: [&str; 3] = ["BenchRecord", "fn measure", "fn emit_json"];
+const BENCH_ENV_PREFIX: &str = "WISHBONE_BENCH_";
+
 struct Violation {
     file: PathBuf,
     line: usize,
@@ -247,6 +260,12 @@ fn lint() -> ExitCode {
         &root,
         &SHIPPED_SOLVER_CALLERS,
         check_reference_backend,
+        &mut violations,
+    );
+    scan(
+        &root,
+        &[BENCH_TARGETS],
+        check_bench_one_timer,
         &mut violations,
     );
 
@@ -721,6 +740,43 @@ fn check_reference_backend(rel: &Path, text: &str, violations: &mut Vec<Violatio
     }
 }
 
+/// Rule 9 over one bench target: `BenchRecord` anywhere in code, a
+/// `fn measure` / `fn emit_json` definition, or a `WISHBONE_BENCH_*`
+/// name (it only ever occurs in the string handed to `env::var`).
+fn check_bench_one_timer(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
+    for (line_no, raw) in non_test_lines(text) {
+        if allowed(raw, "bench-one-timer") {
+            continue;
+        }
+        let code = strip_strings_and_comments(raw);
+        let needle = SECOND_TIMER_NEEDLES
+            .iter()
+            .find(|needle| mentions_ident(&code, needle));
+        let found = if let Some(needle) = needle {
+            format!("has `{needle}`")
+        } else if raw
+            .split("//")
+            .next()
+            .unwrap_or("")
+            .contains(BENCH_ENV_PREFIX)
+        {
+            format!("reads a `{BENCH_ENV_PREFIX}*` variable")
+        } else {
+            continue;
+        };
+        violations.push(Violation {
+            file: rel.to_path_buf(),
+            line: line_no,
+            rule: "bench-one-timer",
+            message: format!(
+                "a bench target {found} — time the instance in a criterion group and let \
+                 `wishbone_bench::merge_bench_json` write what the group measured; \
+                 `--smoke` and `--json` are the only switches"
+            ),
+        });
+    }
+}
+
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
     // Test corpus: the workspace-level tests/ plus every crate's tests/.
     let mut test_files = rust_sources(&root.join("tests"));
@@ -829,6 +885,43 @@ mod tests {
         check_env_knobs(Path::new("crates/ilp/src/revised.rs"), source, &mut v);
         assert!(v.iter().all(|x| x.rule == "no-env-knobs"));
         assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![4, 5]);
+    }
+
+    #[test]
+    fn bench_one_timer_fires_on_a_second_timer_or_record_list_put_back() {
+        let source = "\
+use wishbone_bench::{merge_bench_json, BenchRecord}; // line 1
+/// Median wall-clock of `reps` runs of `f` (a doc comment may say measure).
+fn measure(reps: usize, mut f: impl FnMut()) -> u128 { 0 } // line 3
+fn emit_json(reps: usize) { // line 4
+    records.push(BenchRecord { bench: name, median_ns }); // line 5
+}
+fn main() {
+    let json = std::env::var_os(\"WISHBONE_BENCH_JSON\").is_some(); // line 8
+    let n = wishbone_bench::env_size(\"WISHBONE_FIG6_POINTS\", 8);
+    fn remeasure() {} fn measure_all() {} let s = \"fn measure, BenchRecord\";
+    merge_bench_json(\"solver_criterion\", &timed); // WISHBONE_BENCH_JSON is gone
+    let old = legacy::BenchRecord::new(); // audit:allow(bench-one-timer): demo
+}
+";
+        let mut v = Vec::new();
+        let target = Path::new("crates/bench/benches/solver_criterion.rs");
+        check_bench_one_timer(target, source, &mut v);
+        assert!(v.iter().all(|x| x.rule == "bench-one-timer"));
+        let found: Vec<(usize, &str)> = v
+            .iter()
+            .map(|x| (x.line, x.message.split(" — ").next().unwrap_or("")))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (1, "a bench target has `BenchRecord`"),
+                (3, "a bench target has `fn measure`"),
+                (4, "a bench target has `fn emit_json`"),
+                (5, "a bench target has `BenchRecord`"),
+                (8, "a bench target reads a `WISHBONE_BENCH_*` variable"),
+            ]
+        );
     }
 
     #[test]
