@@ -26,9 +26,9 @@
 //! * `... -- --smoke` — a seconds-scale CI run asserting the cache
 //!   contract: encodes == shapes ≪ requests, cached throughput ≥ 5×
 //!   cold, ≤ 8 simplex iterations per cached request with a nonzero
-//!   factorization count (the sparse backend's signature), and (only
-//!   when the host actually has ≥ 8 cores) 8-worker throughput ≥ 3×
-//!   1-worker.
+//!   factorization count (the sparse backend's signature), ≤ 2.05
+//!   branch-and-bound nodes per cached request, and (only when the host
+//!   actually has ≥ 8 cores) 8-worker throughput ≥ 3× 1-worker.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -181,14 +181,20 @@ fn mk_requests(n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Vec<FleetR
 }
 
 /// The batch runner: one batch, its wall clock (requests are built by the
-/// caller, outside it) and the fleet's stats.
-fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (Duration, FleetStats) {
+/// caller, outside it), the fleet's stats and the branch-and-bound nodes
+/// its responses report.
+fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (Duration, FleetStats, u64) {
     let start = Instant::now();
     let (responses, stats) = run_batch(cfg, requests);
     let wall = start.elapsed();
     assert_eq!(stats.errors, 0, "fixture requests all solve");
     assert_eq!(responses.len() as u64, stats.requests);
-    (wall, stats)
+    let nodes = responses
+        .iter()
+        .filter_map(|r| r.result.as_ref().ok())
+        .map(|p| p.ilp_stats.nodes)
+        .sum();
+    (wall, stats, nodes)
 }
 
 /// The fleet's throughput mode: caching on, warm-start inheritance on.
@@ -214,14 +220,16 @@ struct Arm {
     name: String,
     total_s: f64,
     stats: FleetStats,
+    nodes: u64,
 }
 
 fn arm(name: &str, cfg: FleetConfig, n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Arm {
-    let (wall, stats) = run_arm(cfg, mk_requests(n, apps));
+    let (wall, stats, nodes) = run_arm(cfg, mk_requests(n, apps));
     let a = Arm {
         name: name.to_string(),
         total_s: wall.as_secs_f64(),
         stats,
+        nodes,
     };
     println!(
         "{:28} {:7.0} req/s  p50 {:8.3}ms  p99 {:8.3}ms  encodes {:4}  hits {:5}",
@@ -283,6 +291,15 @@ fn smoke() {
          {} factorizations",
         s.refactorizations
     );
+    // A node costs its LP and nothing else (no per-node heuristic), so
+    // nodes × iterations is the whole search: 1.64 nodes per request
+    // measured, ceiling that + 25 %.
+    let nodes_per_req = cached.nodes as f64 / s.requests as f64;
+    println!("search work: {nodes_per_req:.2} B&B nodes / request (ceiling 2.05)");
+    assert!(
+        nodes_per_req <= 2.05,
+        "the fleet's search trees grew: {nodes_per_req:.2} B&B nodes / request"
+    );
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let w8 = arm("smoke_cached_w8", warm_cfg(8), n, &apps);
@@ -315,7 +332,7 @@ fn fleet_scaling(c: &mut Criterion) {
                 b.iter_custom(|iters| {
                     (0..iters)
                         .map(|_| {
-                            let (wall, stats) = run_arm(cfg.clone(), mk_requests(n, &apps));
+                            let (wall, stats, _) = run_arm(cfg.clone(), mk_requests(n, &apps));
                             // Shapes shard deterministically, so each encodes
                             // exactly once fleet-wide at every worker count.
                             assert!(!cfg.cache || stats.cache_misses == stats.distinct_shapes);

@@ -5,7 +5,6 @@
 //!   solve alone on pre-encoded binary, k-tier chain and forest ILPs;
 //! * `ablation_preprocess`: §4.1 merge on vs off;
 //! * `ablation_encoding`: restricted vs general formulation;
-//! * `ablation_branching`: most-fractional vs first-fractional branching;
 //! * `ablation_warm_start`: workspace warm starts vs all-cold node LPs;
 //! * `rate_search`: §4.3 end-to-end, prepared (one encode, rescale per
 //!   probe) vs rebuild-per-probe (the pre-workspace behaviour);
@@ -45,8 +44,7 @@ use wishbone_core::{
 use wishbone_dataflow::OperatorId;
 use wishbone_ilp::instances::chain_ilp;
 use wishbone_ilp::{
-    solve_lp_in, Branching, IlpOptions, IlpSolution, IlpStats, Problem, SimplexWorkspace,
-    SolverBackend,
+    solve_lp_in, IlpOptions, IlpSolution, IlpStats, Problem, SimplexWorkspace, SolverBackend,
 };
 use wishbone_net::ChannelParams;
 use wishbone_oracle::{
@@ -70,17 +68,8 @@ fn obj() -> ObjectiveConfig {
     ObjectiveConfig::bandwidth_only(1.0, 1e12)
 }
 
-fn solve(pg: &PartitionGraph, enc: Encoding, branching: Branching, pre: bool) -> f64 {
-    solve_opts(
-        pg,
-        enc,
-        pre,
-        &IlpOptions {
-            branching,
-            ..Default::default()
-        },
-    )
-    .0
+fn solve(pg: &PartitionGraph, enc: Encoding, pre: bool) -> f64 {
+    solve_opts(pg, enc, pre, &IlpOptions::default()).0
 }
 
 fn solve_opts(pg: &PartitionGraph, enc: Encoding, pre: bool, opts: &IlpOptions) -> (f64, IlpStats) {
@@ -224,7 +213,7 @@ fn solver_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{channels}ch")),
             &pg,
-            |b, pg| b.iter(|| solve(pg, Encoding::Restricted, Branching::MostFractional, true)),
+            |b, pg| b.iter(|| solve(pg, Encoding::Restricted, true)),
         );
     }
     group.finish();
@@ -382,15 +371,15 @@ fn ablation_preprocess(c: &mut Criterion) {
     let pg = eeg_partition_graph(2);
     let mut group = c.benchmark_group("ablation_preprocess");
     group.bench_function("with_merge", |b| {
-        b.iter(|| solve(&pg, Encoding::Restricted, Branching::MostFractional, true))
+        b.iter(|| solve(&pg, Encoding::Restricted, true))
     });
     group.bench_function("without_merge", |b| {
-        b.iter(|| solve(&pg, Encoding::Restricted, Branching::MostFractional, false))
+        b.iter(|| solve(&pg, Encoding::Restricted, false))
     });
     group.finish();
     // Optimality must not change (checked once outside the timing loop).
-    let with = solve(&pg, Encoding::Restricted, Branching::MostFractional, true);
-    let without = solve(&pg, Encoding::Restricted, Branching::MostFractional, false);
+    let with = solve(&pg, Encoding::Restricted, true);
+    let without = solve(&pg, Encoding::Restricted, false);
     assert!((with - without).abs() < 1e-6, "merge changed the optimum");
 }
 
@@ -398,27 +387,15 @@ fn ablation_encoding(c: &mut Criterion) {
     let pg = eeg_partition_graph(1);
     let mut group = c.benchmark_group("ablation_encoding");
     group.bench_function("restricted", |b| {
-        b.iter(|| solve(&pg, Encoding::Restricted, Branching::MostFractional, true))
+        b.iter(|| solve(&pg, Encoding::Restricted, true))
     });
     group.bench_function("general", |b| {
-        b.iter(|| solve(&pg, Encoding::General, Branching::MostFractional, true))
+        b.iter(|| solve(&pg, Encoding::General, true))
     });
     group.finish();
-    let r = solve(&pg, Encoding::Restricted, Branching::MostFractional, true);
-    let g = solve(&pg, Encoding::General, Branching::MostFractional, true);
+    let r = solve(&pg, Encoding::Restricted, true);
+    let g = solve(&pg, Encoding::General, true);
     assert!(g <= r + 1e-6, "general encoding can only match or improve");
-}
-
-fn ablation_branching(c: &mut Criterion) {
-    let pg = eeg_partition_graph(2);
-    let mut group = c.benchmark_group("ablation_branching");
-    group.bench_function("most_fractional", |b| {
-        b.iter(|| solve(&pg, Encoding::Restricted, Branching::MostFractional, true))
-    });
-    group.bench_function("first_fractional", |b| {
-        b.iter(|| solve(&pg, Encoding::Restricted, Branching::FirstFractional, true))
-    });
-    group.finish();
 }
 
 fn ablation_warm_start(c: &mut Criterion) {
@@ -832,7 +809,6 @@ criterion_group!(
     deployment_scaling,
     ablation_preprocess,
     ablation_encoding,
-    ablation_branching,
     ablation_warm_start,
     rate_search,
     churn_scaling,

@@ -112,33 +112,51 @@ fn platform_words(w: &mut KeyWriter, p: &Platform) {
 }
 
 fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
-    w.u(match cfg.mode {
+    // Both structs are destructured without `..`: a field added to either
+    // is a compile error here until it is keyed (or ignored by name), so
+    // two configs that differ in it cannot share a cache entry.
+    let DeploymentConfig {
+        mode,
+        preprocess,
+        // A per-solve argument, not part of the encoding (module doc).
+        rate_multiplier: _,
+        robustness,
+        engine,
+        seed_incumbent,
+        ilp,
+    } = cfg;
+    let wishbone_ilp::IlpOptions {
+        rel_gap,
+        max_nodes,
+        time_limit,
+        warm_lp,
+        presolve,
+        warm_solution,
+        backend,
+    } = ilp;
+    w.u(match mode {
         crate::cost_graph::Mode::Conservative => 0,
         crate::cost_graph::Mode::Permissive => 1,
     });
-    w.b(cfg.preprocess);
-    w.u(match cfg.robustness {
+    w.b(*preprocess);
+    w.u(match robustness {
         crate::topology::RobustnessMode::Nominal => 0,
         crate::topology::RobustnessMode::SingleGatewayFailure => 1,
     });
-    w.u(match cfg.engine {
+    w.u(match engine {
         PlacementEngine::Exact => 0,
         PlacementEngine::Approx => 1,
     });
-    w.b(cfg.seed_incumbent);
-    w.f(cfg.ilp.rel_gap);
-    w.u(cfg.ilp.max_nodes);
-    w.u(cfg.ilp.time_limit.map_or(u64::MAX, |d| d.as_nanos() as u64));
-    w.u(match cfg.ilp.branching {
-        wishbone_ilp::Branching::MostFractional => 0,
-        wishbone_ilp::Branching::FirstFractional => 1,
-    });
-    w.b(cfg.ilp.warm_lp);
-    w.b(cfg.ilp.presolve);
-    w.u(cfg.ilp.backend as u64);
+    w.b(*seed_incumbent);
+    w.f(*rel_gap);
+    w.u(*max_nodes);
+    w.u(time_limit.map_or(u64::MAX, |d| d.as_nanos() as u64));
+    w.b(*warm_lp);
+    w.b(*presolve);
+    w.u(*backend as u64);
     // A caller-supplied warm solution steers tie-breaking, so two
     // requests differing in it must not share a cache entry.
-    match &cfg.ilp.warm_solution {
+    match warm_solution {
         None => w.u(0),
         Some(vals) => {
             w.u(1 + vals.len() as u64);

@@ -422,6 +422,10 @@ pub struct DeploymentConfig {
     /// as its initial incumbent when no warmer start is available — the
     /// near-cliff fix: feasibility is *discovered* by the heuristic in
     /// milliseconds and merely *proved* optimal by the exact search.
+    /// The seed is the one heuristic incumbent there is: the search
+    /// itself adopts integral node LPs and nothing else, so with this off
+    /// (and no previous probe) it holds no placement until its plunge
+    /// reaches one.
     pub seed_incumbent: bool,
     /// Branch-and-bound options (backend selection included).
     pub ilp: IlpOptions,

@@ -24,13 +24,19 @@
 //! * open nodes live in a **best-first** [`BinaryHeap`] keyed by the
 //!   parent's LP bound, so the global lower bound tightens monotonically
 //!   and a limit-hit return carries a meaningful [`IlpStats::final_gap`].
+//!
+//! An incumbent comes from one of two places and no other: the caller's
+//! [`IlpOptions::warm_solution`], adopted before the first node when it
+//! checks out feasible, and a node LP whose optimum is integral. There is
+//! no rounding or repair heuristic inside the search, so a run that is
+//! given no seed holds no integer point until its plunge reaches one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use crate::presolve::{presolve, quick_infeasible, PresolveOutcome};
-use crate::problem::{Problem, Sense, SolveError};
+use crate::problem::{Problem, SolveError};
 use crate::simplex::{default_iteration_limit, solve_lp_in};
 use crate::workspace::{SimplexWorkspace, SolverBackend};
 
@@ -48,8 +54,6 @@ pub struct IlpOptions {
     pub max_nodes: u64,
     /// Wall-clock budget; same unproven-return behaviour as `max_nodes`.
     pub time_limit: Option<Duration>,
-    /// Branching rule.
-    pub branching: Branching,
     /// Re-enter child LPs from the workspace's retained basis (dual-simplex
     /// warm start). Disable to force a cold start at every node — useful
     /// only for testing that both paths agree.
@@ -59,7 +63,8 @@ pub struct IlpOptions {
     pub presolve: bool,
     /// A known integer-feasible assignment (e.g. the previous probe of a
     /// rate search) adopted as the initial incumbent/cutoff when it checks
-    /// out feasible, so the tree is pruned from the first node.
+    /// out feasible, so the tree is pruned from the first node. It is the
+    /// only incumbent the search does not find as an integral node LP.
     pub warm_solution: Option<Vec<f64>>,
     /// Which simplex backend solves the node LPs: the sparse revised
     /// method (the default, at every problem size) or, when a caller
@@ -75,22 +80,12 @@ impl Default for IlpOptions {
             rel_gap: 0.0,
             max_nodes: 1_000_000,
             time_limit: None,
-            branching: Branching::MostFractional,
             warm_lp: true,
             presolve: true,
             warm_solution: None,
             backend: SolverBackend::Sparse,
         }
     }
-}
-
-/// Which fractional variable to branch on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Branching {
-    /// The variable whose fractional part is closest to 0.5.
-    MostFractional,
-    /// The lowest-indexed fractional variable.
-    FirstFractional,
 }
 
 /// Span-style wall-clock breakdown of one solve, seconds. The branch-
@@ -285,15 +280,6 @@ pub fn solve_ilp_in(
     }
     stats.phase_times.warm_start_s = warm_start_t.elapsed().as_secs_f64();
 
-    // The floor-and-lift rounding heuristic below assumes a chain-shaped
-    // precedence structure (one indicator component, as in the binary and
-    // single-chain encodings). A branching deployment encodes several
-    // disjoint per-leaf components coupled only through shared budget
-    // rows; there the floored candidate keeps violating the tight coupled
-    // rows and is discarded at every node, so detect the shape once and
-    // skip the heuristic for the whole solve.
-    let try_rounding = precedence_components(problem) < 2;
-
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
     // One child of the just-solved node is explored immediately
     // (depth-first "plunge"), the sibling parked in the best-first heap.
@@ -357,7 +343,6 @@ pub fn solve_ilp_in(
         }
 
         stats.nodes += 1;
-        let incumbents_before = stats.incumbents.len();
         let root_lp_t = (stats.nodes == 1).then(Instant::now);
         let lp = solve_lp_in(
             problem,
@@ -387,7 +372,7 @@ pub fn solve_ilp_in(
             }
         }
 
-        match pick_branch_var(problem, &lp.values, opts.branching) {
+        match pick_branch_var(problem, &lp.values) {
             None => {
                 // Integer feasible: round off the residual fuzz.
                 let mut vals = lp.values.clone();
@@ -403,37 +388,15 @@ pub fn solve_ilp_in(
                 if improves {
                     stats.incumbents.push((start.elapsed(), obj));
                     incumbent = Some((obj, vals));
+                    // A better incumbent retires every open node above
+                    // the new cutoff; dropping them eagerly keeps the
+                    // best-first heap's memory proportional to the nodes
+                    // that can still matter.
+                    let cutoff = obj - gap_slack(obj, opts.rel_gap);
+                    heap.retain(|n| n.parent_bound < cutoff);
                 }
             }
             Some(j) => {
-                // Primal rounding heuristic: flooring the integer variables
-                // of the relaxation is often feasible for partitioning-style
-                // structures (monotone single-crossing constraints and
-                // nonnegative knapsack rows are preserved by thresholding).
-                // A good early incumbent is what makes the discover-time
-                // curve of Fig 6 sit far left of the prove-time curve.
-                if try_rounding {
-                    let mut rounded = lp.values.clone();
-                    for (k, v) in rounded.iter_mut().enumerate() {
-                        if problem.integer[k] {
-                            *v = v
-                                .floor()
-                                .clamp(problem.lower[k].ceil(), problem.upper[k].floor());
-                        }
-                    }
-                    if problem.is_feasible(&rounded, 1e-6) {
-                        greedy_lift(problem, &mut rounded);
-                        let obj = problem.objective_value(&rounded);
-                        let improves = incumbent
-                            .as_ref()
-                            .is_none_or(|(best, _)| obj < best - 1e-12);
-                        if improves {
-                            stats.incumbents.push((start.elapsed(), obj));
-                            incumbent = Some((obj, rounded));
-                        }
-                    }
-                }
-
                 let x = lp.values[j];
                 let floor = x.floor();
                 let ceil = x.ceil();
@@ -461,16 +424,6 @@ pub fn solve_ilp_in(
                     heap.push(down);
                     plunge = Some(up);
                 }
-            }
-        }
-
-        // A better incumbent retires every open node above the new cutoff;
-        // dropping them eagerly keeps the best-first heap's memory
-        // proportional to the nodes that can still matter.
-        if stats.incumbents.len() > incumbents_before {
-            if let Some((inc_obj, _)) = &incumbent {
-                let cutoff = inc_obj - gap_slack(*inc_obj, opts.rel_gap);
-                heap.retain(|n| n.parent_bound < cutoff);
             }
         }
     }
@@ -543,191 +496,14 @@ pub fn solve_ilp_in(
     (result, stats)
 }
 
-/// Number of weakly-connected components among integer variables linked
-/// by two-term precedence-shaped `≥` rows — the structural signature the
-/// rounding heuristic keys on. A binary or single-chain encoding is one
-/// component; a branching `Deployment` encodes one disjoint component per
-/// leaf class.
-fn precedence_components(problem: &Problem) -> usize {
-    let n = problem.num_vars();
-    // Union-find over variable indices; usize::MAX marks "not seen in any
-    // precedence row".
-    const UNSEEN: usize = usize::MAX;
-    let mut parent: Vec<usize> = vec![UNSEEN; n];
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for c in &problem.constraints {
-        if c.sense != Sense::Ge || c.terms.len() != 2 {
-            continue;
-        }
-        let (a, ca) = c.terms[0];
-        let (b, cb) = c.terms[1];
-        if !(problem.integer[a.0] && problem.integer[b.0]) || ca * cb >= 0.0 {
-            continue;
-        }
-        for v in [a.0, b.0] {
-            if parent[v] == UNSEEN {
-                parent[v] = v;
-            }
-        }
-        let (ra, rb) = (find(&mut parent, a.0), find(&mut parent, b.0));
-        if ra != rb {
-            parent[ra] = rb;
-        }
-    }
-    let mut roots = 0usize;
-    for v in 0..n {
-        if parent[v] != UNSEEN && find(&mut parent, v) == v {
-            roots += 1;
-        }
-    }
-    roots
-}
-
 /// Absolute slack implied by the relative-gap termination rule.
 fn gap_slack(incumbent: f64, rel_gap: f64) -> f64 {
     1e-9 + rel_gap * incumbent.abs().max(1.0)
 }
 
-/// Greedy repair of a rounded-down feasible point: raise integer variables
-/// while every constraint keeps its slack. Flooring the LP relaxation is
-/// feasible but weak on tight knapsack rows — it strands most of the
-/// budget — and a mediocre first incumbent is what forces branch-and-bound
-/// to wander for a replacement; the lift typically lands within the
-/// integrality gap of the optimum at the root.
-///
-/// A lift may need company: in Wishbone's restricted encoding the
-/// precedence rows `f_u − f_v ≥ 0` mean placing a high-reduction operator
-/// on the node requires its (possibly cost-*increasing*) upstream chain
-/// too. So for each beneficial candidate the lift plans the prerequisite
-/// closure through violated precedence-shaped rows and applies the whole
-/// set when its joint objective delta is negative and every row survives —
-/// the "move the cutpoint deeper along the pipeline" move, done generically.
-fn greedy_lift(problem: &Problem, vals: &mut [f64]) {
-    const MAX_WAVES: usize = 4;
-    const MAX_SET: usize = 48;
-
-    let n = problem.num_vars();
-    // Column view and current row activities.
-    let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    let mut act: Vec<f64> = Vec::with_capacity(problem.num_constraints());
-    for (i, c) in problem.constraints.iter().enumerate() {
-        let mut a = 0.0;
-        for &(v, coef) in &c.terms {
-            a += coef * vals[v.0];
-            cols[v.0].push((i, coef));
-        }
-        act.push(a);
-    }
-    let liftable = |vals: &[f64], j: usize| -> bool {
-        problem.integer[j] && vals[j] + 1.0 <= problem.upper[j] + 1e-9
-    };
-    let row_tol = |i: usize| 1e-6 * (1.0 + problem.constraints[i].rhs.abs());
-
-    let mut cand: Vec<usize> = (0..n)
-        .filter(|&j| problem.integer[j] && problem.objective[j] < -1e-12)
-        .collect();
-    cand.sort_by(|&a, &b| problem.objective[a].total_cmp(&problem.objective[b]));
-
-    // Scratch for the closure planner.
-    let mut set: Vec<usize> = Vec::new();
-    let mut in_set = vec![false; n];
-    // BTreeMap: the growth order of the plan must be deterministic.
-    let mut row_delta: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-
-    for _ in 0..MAX_WAVES {
-        let mut lifted = false;
-        for &j in &cand {
-            if !liftable(vals, j) {
-                continue;
-            }
-            // Grow the prerequisite closure of {j} until no touched row is
-            // violated (or the plan is abandoned).
-            set.clear();
-            set.push(j);
-            in_set[j] = true;
-            let feasible = loop {
-                row_delta.clear();
-                for &k in &set {
-                    for &(i, coef) in &cols[k] {
-                        *row_delta.entry(i).or_insert(0.0) += coef;
-                    }
-                }
-                let mut grew = false;
-                let mut abandon = false;
-                for (&i, &delta) in &row_delta {
-                    let c = &problem.constraints[i];
-                    let next = act[i] + delta;
-                    let violated = match c.sense {
-                        Sense::Le => next > c.rhs + row_tol(i),
-                        Sense::Ge => next < c.rhs - row_tol(i),
-                        Sense::Eq => (next - c.rhs).abs() > row_tol(i),
-                    };
-                    if !violated {
-                        continue;
-                    }
-                    // Repairable only through a precedence-shaped `≥` row:
-                    // lift the positive-coefficient member not yet in the
-                    // plan.
-                    let repair = if c.sense == Sense::Ge {
-                        c.terms
-                            .iter()
-                            .find(|&&(v, coef)| coef > 0.0 && !in_set[v.0] && liftable(vals, v.0))
-                            .map(|&(v, _)| v.0)
-                    } else {
-                        None
-                    };
-                    match repair {
-                        Some(u) if set.len() < MAX_SET => {
-                            set.push(u);
-                            in_set[u] = true;
-                            grew = true;
-                        }
-                        _ => {
-                            abandon = true;
-                            break;
-                        }
-                    }
-                }
-                if abandon {
-                    break false;
-                }
-                if !grew {
-                    break true;
-                }
-            };
-            let delta_obj: f64 = set.iter().map(|&k| problem.objective[k]).sum();
-            if feasible && delta_obj < -1e-12 {
-                for &k in &set {
-                    vals[k] += 1.0;
-                }
-                row_delta.clear();
-                for &k in &set {
-                    for &(i, coef) in &cols[k] {
-                        *row_delta.entry(i).or_insert(0.0) += coef;
-                    }
-                }
-                for (&i, &delta) in &row_delta {
-                    act[i] += delta;
-                }
-                lifted = true;
-            }
-            for &k in &set {
-                in_set[k] = false;
-            }
-        }
-        if !lifted {
-            break;
-        }
-    }
-}
-
-fn pick_branch_var(problem: &Problem, x: &[f64], rule: Branching) -> Option<usize> {
+/// The integer variable whose relaxation value sits closest to a half
+/// (the lowest-indexed one on a tie); `None` when `x` is integral.
+fn pick_branch_var(problem: &Problem, x: &[f64]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (j, &v) in x.iter().enumerate() {
         if !problem.integer[j] {
@@ -737,14 +513,9 @@ fn pick_branch_var(problem: &Problem, x: &[f64], rule: Branching) -> Option<usiz
         if frac <= INT_TOL {
             continue;
         }
-        match rule {
-            Branching::FirstFractional => return Some(j),
-            Branching::MostFractional => {
-                let dist = (v - v.floor() - 0.5).abs(); // 0 = most fractional
-                if best.is_none_or(|(_, d)| dist < d) {
-                    best = Some((j, dist));
-                }
-            }
+        let dist = (v - v.floor() - 0.5).abs(); // 0 = most fractional
+        if best.is_none_or(|(_, d)| dist < d) {
+            best = Some((j, dist));
         }
     }
     best.map(|(j, _)| j)
@@ -899,6 +670,44 @@ mod tests {
     }
 
     #[test]
+    fn an_unseeded_search_has_no_incumbent_before_its_first_integral_lp() {
+        // min -5x - 4y - 3z, 4x + 3y + 2z <= 4 over binaries. The root LP
+        // takes z whole and y at 2/3 (objective -17/3); its floor, z
+        // alone, is feasible — but an incumbent is a seed or an integral
+        // node LP, never a rounded one, so one node proves nothing.
+        let mut p = Problem::new();
+        let x = p.add_binary(-5.0);
+        let y = p.add_binary(-4.0);
+        let z = p.add_binary(-3.0);
+        p.add_constraint(&[(x, 4.0), (y, 3.0), (z, 2.0)], Sense::Le, 4.0);
+        let one_node = IlpOptions {
+            max_nodes: 1,
+            ..Default::default()
+        };
+        let mut ws = SimplexWorkspace::new();
+        let (result, stats) = solve_ilp_in(&p, &one_node, &mut ws);
+        assert_eq!(result, Err(SolveError::IterationLimit));
+        assert!(stats.timed_out);
+        assert!(!stats.proved);
+        assert!(stats.incumbents.is_empty());
+        assert_close(
+            stats.best_bound.expect("root LP bounded the tree"),
+            -17.0 / 3.0,
+        );
+        // Seeded with that same floored point, the one node returns it.
+        let seeded = IlpOptions {
+            warm_solution: Some(vec![0.0, 0.0, 1.0]),
+            ..one_node
+        };
+        let (result, stats) = solve_ilp_in(&p, &seeded, &mut ws);
+        let s = result.expect("the seed is an incumbent");
+        assert!(stats.seeded);
+        assert!(!stats.proved);
+        assert_close(s.objective, -3.0);
+        assert_eq!(stats.incumbents.len(), 1);
+    }
+
+    #[test]
     fn adopted_warm_solution_is_flagged_seeded() {
         let mut p = Problem::new();
         let vals = [10.0, 13.0, 4.0, 8.0];
@@ -927,26 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn precedence_components_sees_branching_shapes() {
-        // One chain: x0 -> x1 -> x2 (rows x_i - x_{i+1} >= 0).
-        let mut p = Problem::new();
-        let v: Vec<_> = (0..3).map(|_| p.add_binary(-1.0)).collect();
-        p.add_constraint(&[(v[0], 1.0), (v[1], -1.0)], Sense::Ge, 0.0);
-        p.add_constraint(&[(v[1], 1.0), (v[2], -1.0)], Sense::Ge, 0.0);
-        assert_eq!(precedence_components(&p), 1);
-        // A second, disjoint chain — the branching-deployment signature.
-        let w: Vec<_> = (0..2).map(|_| p.add_binary(-1.0)).collect();
-        p.add_constraint(&[(w[0], 1.0), (w[1], -1.0)], Sense::Ge, 0.0);
-        assert_eq!(precedence_components(&p), 2);
-        // Budget rows and non-precedence shapes never count.
-        let mut q = Problem::new();
-        let a = q.add_binary(-1.0);
-        let b = q.add_binary(-1.0);
-        q.add_constraint(&[(a, 1.0), (b, 1.0)], Sense::Le, 1.0);
-        assert_eq!(precedence_components(&q), 0);
-    }
-
-    #[test]
     fn incumbent_timeline_is_monotone() {
         let mut p = Problem::new();
         let vars: Vec<_> = (0..10)
@@ -960,30 +749,6 @@ mod tests {
             assert!(w[1].0 >= w[0].0, "times must be nondecreasing");
         }
         assert!(s.stats.time_to_best <= s.stats.total_time);
-    }
-
-    #[test]
-    fn branching_rules_agree_on_optimum() {
-        let mut p = Problem::new();
-        let vars: Vec<_> = (0..8)
-            .map(|i| p.add_binary(-((i * 7 % 5) as f64 + 1.5)))
-            .collect();
-        let row: Vec<_> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, (i % 4 + 1) as f64))
-            .collect();
-        p.add_constraint(&row, Sense::Le, 9.0);
-        let a = solve_ilp(&p, &IlpOptions::default()).unwrap();
-        let b = solve_ilp(
-            &p,
-            &IlpOptions {
-                branching: Branching::FirstFractional,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_close(a.objective, b.objective);
     }
 
     #[test]

@@ -31,8 +31,11 @@
 //!   runs only when a caller names [`SolverBackend::Dense`];
 //! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes
 //!   implied-integral variables) before a single simplex iteration runs;
-//! * best-first node selection, so the reported optimality gap tightens
-//!   monotonically and limit-hit returns carry a meaningful bound.
+//! * best-first node selection with a depth-first plunge on the most
+//!   fractional variable, so the reported optimality gap tightens
+//!   monotonically and limit-hit returns carry a meaningful bound. An
+//!   incumbent is the caller's [`IlpOptions::warm_solution`] or an
+//!   integral node LP; the search rounds and repairs nothing.
 //!
 //! ```
 //! use wishbone_ilp::{Problem, Sense, IlpOptions};
@@ -65,13 +68,11 @@ pub mod simplex;
 mod sparse;
 pub mod workspace;
 
-pub use branch_bound::{
-    solve_ilp, solve_ilp_in, Branching, IlpOptions, IlpSolution, IlpStats, PhaseTimes,
-};
+pub use branch_bound::{solve_ilp, solve_ilp_in, IlpOptions, IlpSolution, IlpStats, PhaseTimes};
 pub use num::is_exact_zero;
 pub use presolve::{presolve, quick_infeasible, PresolveOutcome};
 pub use problem::{Constraint, LpSolution, Problem, Sense, SolveError, VarId};
-pub use simplex::{solve_lp, solve_lp_in, solve_lp_with_bounds};
+pub use simplex::{solve_lp, solve_lp_in};
 pub use workspace::{SimplexWorkspace, SolverBackend};
 
 impl Problem {

@@ -1167,7 +1167,7 @@ impl SimplexWorkspace {
 #[cfg(test)]
 mod tests {
     use crate::problem::{Problem, Sense, SolveError};
-    use crate::simplex::{solve_lp_in, solve_lp_with_bounds, DualOutcome};
+    use crate::simplex::{solve_lp_in, DualOutcome};
     use crate::workspace::{SimplexWorkspace, SolverBackend};
 
     fn assert_close(a: f64, b: f64) {
@@ -1214,7 +1214,7 @@ mod tests {
             s.iterations
         );
         // And the answer matches the dense oracle.
-        let dense = solve_lp_with_bounds(&p, &p.lower, &p.upper, 100_000).unwrap();
+        let dense = solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut dense_ws(), false).unwrap();
         assert_close(s.objective, dense.objective);
     }
 
@@ -1237,7 +1237,7 @@ mod tests {
         let s = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap();
         assert!(ws.refactorizations() >= 3, "several `x_B` recomputations");
         assert!(p.is_feasible(&s.values, 1e-9), "sparse point infeasible");
-        let dense = solve_lp_with_bounds(&p, &p.lower, &p.upper, 1_000_000).unwrap();
+        let dense = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut dense_ws(), false).unwrap();
         assert!(
             (s.objective - dense.objective).abs() < 1e-9 * (1.0 + dense.objective.abs()),
             "sparse {} vs dense {}",
@@ -1263,14 +1263,21 @@ mod tests {
             let warm = solve_lp_in(&p, &p.lower, &upper, 100_000, &mut ws, true).unwrap();
             let drift = ws.sparse_residual_inf();
             assert!(drift < 1e-6, "round {step}: drift {drift}");
-            let cold = solve_lp_with_bounds(&p, &p.lower, &upper, 100_000).unwrap();
-            assert_close(warm.objective, cold.objective);
+            let dense = solve_lp_in(&p, &p.lower, &upper, 100_000, &mut dense_ws(), false).unwrap();
+            assert_close(warm.objective, dense.objective);
         }
     }
 
     fn sparse_ws() -> SimplexWorkspace {
         let mut ws = SimplexWorkspace::new();
         ws.set_backend(SolverBackend::Sparse);
+        ws
+    }
+
+    /// The reference tableau, named: a default workspace is sparse.
+    fn dense_ws() -> SimplexWorkspace {
+        let mut ws = SimplexWorkspace::new();
+        ws.set_backend(SolverBackend::Dense);
         ws
     }
 

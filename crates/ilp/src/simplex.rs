@@ -510,27 +510,18 @@ pub(crate) enum DualOutcome {
     GiveUp,
 }
 
-/// Solve the LP relaxation of `problem` (integrality ignored).
+/// Solve the LP relaxation of `problem` (integrality ignored) in a
+/// throwaway workspace; hot paths should use [`solve_lp_in`].
 pub fn solve_lp(problem: &Problem) -> Result<LpSolution, SolveError> {
-    solve_lp_with_bounds(
+    let mut ws = SimplexWorkspace::new();
+    solve_lp_in(
         problem,
         &problem.lower,
         &problem.upper,
         default_iteration_limit(problem),
+        &mut ws,
+        false,
     )
-}
-
-/// Solve the LP relaxation with per-call bound overrides (used by
-/// branch-and-bound to express branching decisions). Builds a throwaway
-/// workspace; hot paths should use [`solve_lp_in`].
-pub fn solve_lp_with_bounds(
-    problem: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    iteration_limit: u64,
-) -> Result<LpSolution, SolveError> {
-    let mut ws = SimplexWorkspace::new();
-    solve_lp_in(problem, lower, upper, iteration_limit, &mut ws, false)
 }
 
 /// Solve the LP relaxation inside a reusable workspace.
