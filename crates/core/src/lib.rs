@@ -61,7 +61,7 @@ pub use multitier::{
     TieredPreprocessResult,
 };
 pub use rate_search::UnprovenRate;
-pub use shape::{deltas_between, differing_sites, shape_key, ShapeKey};
+pub use shape::{deltas_between, shape_key, ShapeKey};
 pub use topology::{
     max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,
     DeploymentDelta, DeploymentPartition, DeploymentRateResult, LeafPartition, PartitionError,

@@ -33,7 +33,7 @@
 use wishbone_dataflow::Graph;
 use wishbone_profile::{GraphProfile, Platform};
 
-use crate::topology::{Deployment, DeploymentConfig, DeploymentDelta, PlacementEngine, SiteId};
+use crate::topology::{Deployment, DeploymentConfig, DeploymentDelta, PlacementEngine};
 
 /// An exact structural fingerprint of a deployment request, excluding
 /// leaf counts, finite budget values, and the solve rate. Equal keys ⇒
@@ -258,25 +258,11 @@ pub fn deltas_between(from: &Deployment, to: &Deployment) -> Vec<DeploymentDelta
     deltas
 }
 
-/// Convenience over [`deltas_between`] for callers holding a
-/// [`SiteId`]-indexed pair (diagnostics): which sites differ at all.
-pub fn differing_sites(from: &Deployment, to: &Deployment) -> Vec<SiteId> {
-    deltas_between(from, to)
-        .iter()
-        .map(|d| match *d {
-            DeploymentDelta::SetLeafCount { leaf, .. } => leaf,
-            DeploymentDelta::SetCpuBudget { site, .. } => site,
-            DeploymentDelta::SetNetBudget { site, .. } => site,
-            DeploymentDelta::RemoveLeaf { leaf } => leaf,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::multitier::LinkSpec;
-    use crate::topology::Site;
+    use crate::topology::{Site, SiteId};
     use wishbone_dataflow::{GraphBuilder, Value};
     use wishbone_profile::{profile as run_profile, SourceTrace};
 

@@ -609,6 +609,13 @@ pub enum PartitionError {
     },
     /// Solver failure (iteration limits / numerical trouble).
     Solver(SolveError),
+    /// The requested rate multiplier is not a finite positive number, so
+    /// there is no instance to solve (a NaN, zero, negative or infinite
+    /// rate would only poison the objective and budget rows).
+    InvalidRate {
+        /// The offending rate, as given.
+        rate: f64,
+    },
 }
 
 impl std::fmt::Display for PartitionError {
@@ -632,6 +639,9 @@ impl std::fmt::Display for PartitionError {
                 Ok(())
             }
             PartitionError::Solver(e) => write!(f, "solver: {e}"),
+            PartitionError::InvalidRate { rate } => {
+                write!(f, "rate multiplier {rate} is not finite and positive")
+            }
         }
     }
 }
@@ -1152,7 +1162,9 @@ impl<'a> PreparedDeployment<'a> {
         rate: f64,
         arena: Option<&mut SimplexWorkspace>,
     ) -> Result<DeploymentPartition, PartitionError> {
-        assert!(rate > 0.0, "rate multiplier must be positive");
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(PartitionError::InvalidRate { rate });
+        }
         self.solves += 1;
         self.retarget(rate);
 

@@ -16,7 +16,7 @@ use wishbone_net::ChannelParams;
 use wishbone_profile::Platform;
 use wishbone_trace::{TraceEvent, TraceSink};
 
-use crate::exec::NodeExecutor;
+use crate::exec::SiteExecutor;
 use crate::task::TaskModel;
 
 /// Configuration of one simulated deployment run.
@@ -68,24 +68,48 @@ pub struct SourceFeed {
     pub rate_hz: f64,
 }
 
+/// One element in flight between two sites of a route.
+pub(crate) struct InFlight {
+    /// Originating node within the leaf class.
+    pub(crate) node: usize,
+    /// The cut edge the element is crossing.
+    pub(crate) edge: EdgeId,
+    pub(crate) value: Value,
+    /// When the node's CPU finished the cascade that emitted it (or the
+    /// element it descends from). The tree simulator uses this to place
+    /// elements inside failure windows.
+    pub(crate) produced_at: f64,
+}
+
+impl InFlight {
+    /// A cascade's `forwards` as elements in flight from `node`.
+    pub(crate) fn all(
+        node: usize,
+        produced_at: f64,
+        forwards: Vec<(EdgeId, Value)>,
+    ) -> impl Iterator<Item = InFlight> {
+        forwards.into_iter().map(move |(edge, value)| InFlight {
+            node,
+            edge,
+            value,
+            produced_at,
+        })
+    }
+}
+
 /// Output of the node-side simulation pass (CPU + queueing).
 pub(crate) struct NodePass {
     pub(crate) events_offered: u64,
     pub(crate) events_processed: u64,
     pub(crate) busy_total: f64,
-    /// (node, cut edge, element) transmissions in send order.
-    pub(crate) sends: Vec<(usize, EdgeId, Value)>,
-    /// Production time of each send (aligned with `sends`): when the
-    /// node's CPU finished the cascade that emitted it. The tree
-    /// simulator uses these to place elements inside failure windows.
-    pub(crate) send_times: Vec<f64>,
+    /// Transmissions in send order.
+    pub(crate) sends: Vec<InFlight>,
     /// Events missed because the node's battery had died.
     pub(crate) events_lost_to_death: u64,
     /// Per-death accounting aligned with the `deaths` parameter of
     /// [`run_node_pass_failing`]: `(events lost, events processed by the
     /// dying node, death wall-clock time)`.
     pub(crate) death_outcomes: Vec<(u64, u64, f64)>,
-    pub(crate) on_air_total: f64,
 }
 
 /// Pass 1: nodes are independent except for the shared channel; simulate
@@ -133,22 +157,24 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
     }
     schedule.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
 
-    let mut executors: Vec<NodeExecutor> = (0..cfg.n_nodes)
-        .map(|_| NodeExecutor::new(graph, node_ops, node_platform.clone(), cfg.task_model))
-        .collect();
+    let mut exec = SiteExecutor::new(
+        graph,
+        node_ops,
+        cfg.n_nodes,
+        node_platform.clone(),
+        Some(cfg.task_model),
+    );
 
     let mut pass = NodePass {
         events_offered: 0,
         events_processed: 0,
         busy_total: 0.0,
         sends: Vec::new(),
-        send_times: Vec::new(),
         events_lost_to_death: 0,
         death_outcomes: vec![(0, 0, cfg.duration_s); deaths.len()],
-        on_air_total: 0.0,
     };
 
-    for (node, ne) in executors.iter_mut().enumerate() {
+    for node in 0..cfg.n_nodes {
         // Battery death threshold for this node (events offered before
         // the node goes dark), if the failure plan names it.
         let my_deaths: Vec<usize> = deaths
@@ -191,14 +217,12 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
             }
             let feed = &feeds[fi];
             let elem = &feed.trace[k % feed.trace.len()];
-            let cascade = ne.process_event(graph, feed.source, elem);
-            if sink.enabled() {
-                for &(op, cpu_s) in &cascade.op_costs {
-                    sink.record(TraceEvent::OperatorCost { site, op, cpu_s });
-                }
+            let cascade = exec.process_event(graph, node, feed.source, elem, sink.enabled());
+            for &(op, cpu_s) in &cascade.op_costs {
+                sink.record(TraceEvent::OperatorCost { site, op, cpu_s });
             }
             let tx_cpu = cascade
-                .transmissions
+                .forwards
                 .iter()
                 .map(|(_, v)| {
                     channel.format.packets_for(v.wire_size()) as f64 * cfg.per_packet_cpu_s
@@ -212,11 +236,8 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
             for &i in &my_deaths {
                 pass.death_outcomes[i].1 += 1;
             }
-            for (eid, v) in cascade.transmissions {
-                pass.on_air_total += channel.format.on_air_bytes(v.wire_size()) as f64;
-                pass.sends.push((node, eid, v));
-                pass.send_times.push(free_at);
-            }
+            pass.sends
+                .extend(InFlight::all(node, free_at, cascade.forwards));
         }
     }
     pass

@@ -4,11 +4,11 @@
 //!
 //! * [`TaskModel`] — the TinyOS cooperative task model with loop-boundary
 //!   task splitting (paper §5.2);
-//! * [`NodeExecutor`] / [`RelayExecutor`] / [`ServerExecutor`] — run the
-//!   embedded, gateway, and server partitions with the paper's state
-//!   semantics (per-node instances for relocated stateful operators,
-//!   §2.1.1); relays store-and-forward traffic destined further
-//!   downstream;
+//! * [`SiteExecutor`] — runs the operators placed at one site (a mote
+//!   class, a gateway, the server) with the paper's state semantics
+//!   (per-node instances for node-namespace operators wherever they run,
+//!   §2.1.1), charges the task model where the site's OS has one, and
+//!   stores-and-forwards traffic destined further downstream;
 //! * [`simulate_deployment_tree`] — the one deployment simulator: a
 //!   [`TreeTopology`] of leaf classes, gateways, and a server with one
 //!   [`wishbone_net::Channel`] per tree edge, shared gateway CPU, and
@@ -39,7 +39,7 @@ pub mod tree;
 
 pub use attribution::attribute_tree;
 pub use deployment::{SimulationConfig, SourceFeed};
-pub use exec::{NodeCascade, NodeExecutor, RelayCascade, RelayExecutor, ServerExecutor};
+pub use exec::{Cascade, SiteExecutor};
 pub use task::TaskModel;
 pub use tree::{
     simulate_deployment_tree, simulate_deployment_tree_traced, Failure, FailurePlan,

@@ -2,33 +2,32 @@
 //! `wishbone-core`'s topology-first `Deployment` partitioner.
 //!
 //! A [`TreeTopology`] is a rooted tree of sites — leaf sites are classes
-//! of embedded nodes, interior sites are gateways
-//! ([`crate::exec::RelayExecutor`] per leaf class, with per-node state
-//! for relocated operators), the root is the server — with **one
-//! [`Channel`] per tree edge**. Each [`LeafRoute`] runs its own instance
-//! of the program along its root path; what couples the routes is the
-//! shared infrastructure: a tree edge's channel carries every route
-//! crossing it, and a gateway's CPU burns busy time for every route it
-//! serves, dropping elements once saturated (the relay analogue of
-//! tier-0 nodes missing input events).
+//! of embedded nodes, interior sites are gateways, the root is the server
+//! (each a [`crate::exec::SiteExecutor`] per leaf class, with per-node
+//! state for relocated operators) — with **one [`Channel`] per tree
+//! edge**. Each [`LeafRoute`] runs its own instance of the program along
+//! its root path; what couples the routes is the shared infrastructure: a
+//! tree edge's channel carries every route crossing it, and a gateway's
+//! CPU burns busy time for every route it serves, dropping elements once
+//! saturated (the relay analogue of tier-0 nodes missing input events).
 //!
 //! This is the only simulator. Its differential parity anchor is a
 //! test-only reference (see the tests below): for a path topology with a
 //! single route it reproduces a straight-line per-hop loop *exactly* —
 //! same node pass, same channel seeds, same relay semantics.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wishbone_dataflow::{EdgeId, Graph, OperatorId, Value};
+use wishbone_dataflow::{Graph, Namespace, OperatorId};
 use wishbone_net::{Channel, ChannelParams};
 use wishbone_profile::Platform;
 
 use wishbone_trace::{NullSink, TraceEvent, TraceSink};
 
-use crate::deployment::{run_node_pass_failing, SimulationConfig, SourceFeed};
-use crate::exec::{RelayExecutor, ServerExecutor};
+use crate::deployment::{run_node_pass_failing, InFlight, SimulationConfig, SourceFeed};
+use crate::exec::SiteExecutor;
 
 /// A rooted tree of deployment sites, runtime view: platforms, device
 /// counts, and one uplink channel per non-root site.
@@ -422,7 +421,9 @@ impl TreeDeploymentReport {
 /// Simulate a tree deployment of `graph`: every route's leaf class runs
 /// `site_ops[0]` on `counts[leaf]` nodes, gateways along the path host
 /// that route's interior placements with per-node state, and the root
-/// hosts the rest. Each tree edge is one [`Channel`] shared by every
+/// hosts `site_ops[last]` (a route is validated, not trusted: every
+/// operator of `graph` sits in exactly one `site_ops[t]`, a
+/// server-namespace operator only at the root). Each tree edge is one [`Channel`] shared by every
 /// route crossing it; traffic destined beyond the next site is
 /// store-and-forwarded by each gateway it crosses, consuming bandwidth on
 /// every hop and gateway CPU at every relay — the runtime counterpart of
@@ -482,6 +483,23 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
                 "route must follow tree edges"
             );
         }
+        // The root runs `site_ops[last]` and nothing else, so a placement
+        // is taken at its word only if it is one: every operator at
+        // exactly one site, a server-namespace operator (one shared
+        // instance) at the root.
+        let root = route.path.len() - 1;
+        for op in graph.operator_ids() {
+            let mut homes = (0..=root).filter(|&t| route.site_ops[t].contains(&op));
+            let home = homes.next();
+            assert!(
+                home.is_some() && homes.next().is_none(),
+                "operator {op} must sit in exactly one site_ops[t] of its route"
+            );
+            assert!(
+                graph.spec(op).namespace == Namespace::Node || home == Some(root),
+                "server-namespace operator {op} placed below the root"
+            );
+        }
     }
 
     let n_sites = topo.len();
@@ -533,8 +551,7 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
     // one shared budget — a site that starts one route *and* relays
     // another spends the same CPU on both.
     let mut site_busy = vec![0.0f64; n_sites];
-    let mut traffic: Vec<Vec<(usize, EdgeId, Value)>> = Vec::with_capacity(routes.len());
-    let mut times: Vec<Vec<f64>> = Vec::with_capacity(routes.len());
+    let mut traffic: Vec<Vec<InFlight>> = Vec::with_capacity(routes.len());
     for route in routes {
         let leaf = route.path[0];
         let count = topo.counts[leaf];
@@ -590,38 +607,21 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
             sink_arrivals: 0,
         });
         traffic.push(np.sends);
-        times.push(np.send_times);
     }
 
-    // Gateway state: per (site, route) one RelayExecutor (per-node state
-    // for the route's class), per site one shared busy-time budget.
-    let mut relays: HashMap<(usize, usize), RelayExecutor> = HashMap::new();
-    for (r, route) in routes.iter().enumerate() {
-        let count = topo.counts[route.path[0]];
-        for (t, &site) in route.path.iter().enumerate() {
-            if t > 0 && t + 1 < route.path.len() {
-                relays.insert(
-                    (site, r),
-                    RelayExecutor::new(
-                        graph,
-                        &route.site_ops[t],
-                        count,
-                        topo.platforms[site].clone(),
-                    ),
-                );
-            }
-        }
-    }
-
-    // Server state: one executor per route (per-node state per class).
-    let mut servers: Vec<ServerExecutor> = routes
+    // Gateway and server state: `execs[r][t - 1]` runs position `t ≥ 1`
+    // of route `r` (per-node state for the route's class; no task model
+    // above the motes); per site one shared busy-time budget.
+    let mut execs: Vec<Vec<SiteExecutor>> = routes
         .iter()
         .map(|route| {
-            let pre_server: HashSet<OperatorId> = route.site_ops[..route.path.len() - 1]
-                .iter()
-                .flat_map(|s| s.iter().copied())
-                .collect();
-            ServerExecutor::new(graph, &pre_server, topo.counts[route.path[0]])
+            let count = topo.counts[route.path[0]];
+            (1..route.path.len())
+                .map(|t| {
+                    let platform = topo.platforms[route.path[t]].clone();
+                    SiteExecutor::new(graph, &route.site_ops[t], count, platform, None)
+                })
+                .collect()
         })
         .collect();
 
@@ -648,7 +648,7 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
         let offered = crossing
             .iter()
             .flat_map(|&(r, _)| traffic[r].iter())
-            .map(|(_, _, v)| params.format.on_air_bytes(v.wire_size()) as f64)
+            .map(|f| params.format.on_air_bytes(f.value.wire_size()) as f64)
             .sum::<f64>()
             / cfg.duration_s;
         report.edge_offered_load_bytes_per_sec[child] = offered;
@@ -689,18 +689,21 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
         // balancing, mirroring the partitioner's count-balanced rows).
         let relay_capacity = topo.counts[parent] as f64 * cfg.duration_s;
         for (r, h) in crossing {
-            let flow = std::mem::take(&mut traffic[r]);
-            let flow_times = std::mem::take(&mut times[r]);
-            let mut next: Vec<(usize, EdgeId, Value)> = Vec::new();
-            let mut next_times: Vec<f64> = Vec::new();
-            for ((node, eid, v), &t) in flow.iter().zip(flow_times.iter()) {
+            let mut next: Vec<InFlight> = Vec::new();
+            for flight in std::mem::take(&mut traffic[r]) {
+                let InFlight {
+                    node,
+                    edge,
+                    value,
+                    produced_at: t,
+                } = flight;
                 report.leaves[r].hop_elements_sent[h] += 1;
-                let wire_bytes = v.wire_size();
+                let wire_bytes = value.wire_size();
                 if !ch.try_deliver(wire_bytes) {
                     if sink.enabled() {
                         sink.record(TraceEvent::EdgeElement {
                             site: child,
-                            edge: *eid,
+                            edge,
                             wire_bytes,
                             delivered: false,
                         });
@@ -718,7 +721,7 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
                         if sink.enabled() {
                             sink.record(TraceEvent::EdgeElement {
                                 site: child,
-                                edge: *eid,
+                                edge,
                                 wire_bytes,
                                 delivered: false,
                             });
@@ -731,7 +734,7 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
                 if sink.enabled() {
                     sink.record(TraceEvent::EdgeElement {
                         site: child,
-                        edge: *eid,
+                        edge,
                         wire_bytes,
                         delivered: true,
                     });
@@ -744,28 +747,31 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
                     report.leaves[r].hop_elements_dropped[h] += 1;
                     continue;
                 }
-                if parent == 0 {
-                    servers[r].deliver(graph, *node, *eid, v);
+                // The gateway has a CPU too: once it has burned its whole
+                // capacity of busy time it is saturated, and further
+                // arrivals are dropped instead of forwarded for free. (The
+                // root's CPU is not modelled: no budget, no cost samples.)
+                let at_root = parent == 0;
+                if !at_root && site_busy[parent] >= relay_capacity {
+                    report.leaves[r].hop_elements_dropped[h] += 1;
+                    report.site_elements_dropped[parent] += 1;
+                    continue;
+                }
+                let costs = sink.enabled() && !at_root;
+                let cascade = execs[r][h].deliver(graph, node, edge, &value, costs);
+                report.leaves[r].sink_arrivals += cascade.sink_arrivals;
+                if at_root {
+                    debug_assert!(
+                        cascade.forwards.is_empty(),
+                        "data may not flow back into the network (single-crossing restriction)"
+                    );
                 } else {
-                    // The gateway has a CPU too: once it has burned its
-                    // whole capacity of busy time it is saturated, and
-                    // further arrivals are dropped instead of forwarded
-                    // for free.
-                    if site_busy[parent] >= relay_capacity {
-                        report.leaves[r].hop_elements_dropped[h] += 1;
-                        report.site_elements_dropped[parent] += 1;
-                        continue;
-                    }
-                    let relay = relays.get_mut(&(parent, r)).expect("relay exists");
-                    let cascade = relay.deliver(graph, *node, *eid, v);
-                    if sink.enabled() {
-                        for &(op, cpu_s) in &cascade.op_costs {
-                            sink.record(TraceEvent::OperatorCost {
-                                site: parent,
-                                op,
-                                cpu_s,
-                            });
-                        }
+                    for &(op, cpu_s) in &cascade.op_costs {
+                        sink.record(TraceEvent::OperatorCost {
+                            site: parent,
+                            op,
+                            cpu_s,
+                        });
                     }
                     let next_hop = topo.uplink[parent].expect("gateway has an uplink");
                     let tx_cpu = cascade
@@ -777,10 +783,7 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
                         })
                         .sum::<f64>();
                     site_busy[parent] += cascade.cpu_seconds + tx_cpu;
-                    for (fe, fv) in cascade.forwards {
-                        next.push((*node, fe, fv));
-                        next_times.push(t);
-                    }
+                    next.extend(InFlight::all(node, t, cascade.forwards));
                 }
                 for &(pi, ws, we) in &reboots {
                     if t < ws || t >= we {
@@ -789,7 +792,6 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
                 }
             }
             traffic[r] = next;
-            times[r] = next_times;
         }
         report.edge_packet_delivery_ratio[child] = ch.packet_delivery_ratio();
         if sink.enabled() {
@@ -810,10 +812,7 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
             });
         }
     }
-    for (r, server) in servers.iter().enumerate() {
-        report.leaves[r].sink_arrivals = server.sink_arrivals;
-        report.sink_arrivals += server.sink_arrivals;
-    }
+    report.sink_arrivals = report.leaves.iter().map(|l| l.sink_arrivals).sum();
     if sink.enabled() {
         for o in &report.outages {
             sink.record(TraceEvent::Outage {
@@ -831,7 +830,7 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder};
+    use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, Value};
 
     /// src -> squeeze (2x reducer, configurable cost) -> sink
     fn pipeline(cost: u64) -> (Graph, OperatorId, OperatorId) {
@@ -905,9 +904,9 @@ mod tests {
 
     /// The reference the tree simulator is pinned against: the original
     /// straight-line chain simulator. `cfg.n_nodes` motes run
-    /// `tier_ops[0]`, each intermediate tier is a [`RelayExecutor`]
-    /// hosting `tier_ops[t]`, the final tier is the server; `channels[h]`
-    /// (seeded `cfg.seed + h`) carries hop `h`, one hop after the other.
+    /// `tier_ops[0]`, each later tier is a [`SiteExecutor`] hosting
+    /// `tier_ops[t]`, the final one the server; `channels[h]` (seeded
+    /// `cfg.seed + h`) carries hop `h`, one hop after the other.
     fn simulate_tiered_reference(
         graph: &Graph,
         tier_ops: &[HashSet<OperatorId>],
@@ -929,15 +928,13 @@ mod tests {
             &mut NullSink,
         );
 
-        // Relays for tiers 1..k−1; the server hosts everything beyond them.
-        let mut relays: Vec<RelayExecutor> = (1..k - 1)
-            .map(|t| RelayExecutor::new(graph, &tier_ops[t], cfg.n_nodes, platforms[t].clone()))
+        // `tiers[h]` receives hop `h`: relays for tiers 1..k−1, then the
+        // server.
+        let mut tiers: Vec<SiteExecutor> = (1..k)
+            .map(|t| {
+                SiteExecutor::new(graph, &tier_ops[t], cfg.n_nodes, platforms[t].clone(), None)
+            })
             .collect();
-        let pre_server: HashSet<OperatorId> = tier_ops[..k - 1]
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .collect();
-        let mut server = ServerExecutor::new(graph, &pre_server, cfg.n_nodes);
 
         let mut report = TieredReference {
             events_offered: np.events_offered,
@@ -956,23 +953,25 @@ mod tests {
         for h in 0..k - 1 {
             let offered = traffic
                 .iter()
-                .map(|(_, _, v)| channels[h].format.on_air_bytes(v.wire_size()) as f64)
+                .map(|f| channels[h].format.on_air_bytes(f.value.wire_size()) as f64)
                 .sum::<f64>()
                 / cfg.duration_s;
             report.hop_offered_load_bytes_per_sec[h] = offered;
             let mut ch = Channel::new(channels[h], cfg.seed.wrapping_add(h as u64));
             ch.set_offered_load(offered);
 
-            let mut next: Vec<(usize, EdgeId, Value)> = Vec::new();
+            let mut next: Vec<InFlight> = Vec::new();
             let mut relay_busy = 0.0f64;
-            for (node, eid, v) in &traffic {
+            for f in &traffic {
                 report.hop_elements_sent[h] += 1;
-                if !ch.try_deliver(v.wire_size()) {
+                if !ch.try_deliver(f.value.wire_size()) {
                     continue;
                 }
                 report.hop_elements_delivered[h] += 1;
                 if h + 1 == k - 1 {
-                    server.deliver(graph, *node, *eid, v);
+                    report.sink_arrivals += tiers[h]
+                        .deliver(graph, f.node, f.edge, &f.value, false)
+                        .sink_arrivals;
                 } else {
                     // A relay that has burned a full duration of busy
                     // time is saturated: further arrivals are dropped.
@@ -980,7 +979,7 @@ mod tests {
                         report.relay_elements_dropped[h] += 1;
                         continue;
                     }
-                    let cascade = relays[h].deliver(graph, *node, *eid, v);
+                    let cascade = tiers[h].deliver(graph, f.node, f.edge, &f.value, false);
                     let tx_cpu = cascade
                         .forwards
                         .iter()
@@ -990,9 +989,7 @@ mod tests {
                         })
                         .sum::<f64>();
                     relay_busy += cascade.cpu_seconds + tx_cpu;
-                    for (fe, fv) in cascade.forwards {
-                        next.push((*node, fe, fv));
-                    }
+                    next.extend(InFlight::all(f.node, f.produced_at, cascade.forwards));
                 }
             }
             report.hop_packet_delivery_ratio[h] = ch.packet_delivery_ratio();
@@ -1002,7 +999,6 @@ mod tests {
             traffic = next;
         }
 
-        report.sink_arrivals = server.sink_arrivals;
         report
     }
 
@@ -1353,6 +1349,23 @@ mod tests {
             r.leaves[0].hop_elements_sent[0],
             baseline.leaves[0].hop_elements_sent[0]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "must sit in exactly one site_ops[t]")]
+    fn a_route_that_places_an_operator_twice_or_nowhere_is_rejected() {
+        let (g, topo, route, cfg) = light_chain(1, 10.0);
+        let squeeze = *route.site_ops[1].iter().next().unwrap();
+        // Nowhere: no site of the route is asked to run `squeeze`.
+        let mut nowhere = route.clone();
+        nowhere.site_ops[1].clear();
+        let run = |route: LeafRoute| simulate_deployment_tree(&g, &topo, &[route], &cfg);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(nowhere)));
+        assert!(caught.is_err(), "an unplaced operator must be rejected");
+        // Twice: at the gateway and again at the root.
+        let mut twice = route;
+        twice.site_ops[2].insert(squeeze);
+        run(twice);
     }
 
     #[test]

@@ -104,15 +104,6 @@ impl AttributionReport {
         self.blames.first()
     }
 
-    /// Sum of losses attributed to one cause across all sites.
-    pub fn lost_to(&self, cause: LossCause) -> u64 {
-        self.blames
-            .iter()
-            .filter(|b| b.cause == cause)
-            .map(|b| b.lost)
-            .sum()
-    }
-
     /// Multi-line ranked rendering (what the examples print).
     pub fn render(&self) -> String {
         self.to_string()

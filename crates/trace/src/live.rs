@@ -252,10 +252,7 @@ impl fmt::Display for DriftReport {
 /// [`GraphProfile`] a standing cut was solved against.
 ///
 /// The expectations are snapshotted at construction: per-operator
-/// seconds-per-invocation on `platform` (optionally scaled by a known
-/// runtime CPU overhead factor, see
-/// [`with_cpu_overhead`](Self::with_cpu_overhead)) and per-edge mean
-/// element bytes.
+/// seconds-per-invocation on `platform` and per-edge mean element bytes.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     cfg: DriftConfig,
@@ -278,19 +275,6 @@ impl DriftDetector {
             expected_op_s,
             expected_edge_bytes,
         }
-    }
-
-    /// Scale every per-operator expectation by `factor`. The runtime
-    /// charges task-model and OS overheads on top of the raw profiled
-    /// cycle cost; when live samples come from the simulator, pass the
-    /// platform's known overhead factor here so the band measures
-    /// genuine drift rather than the constant bookkeeping markup.
-    pub fn with_cpu_overhead(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0);
-        for e in &mut self.expected_op_s {
-            *e *= factor;
-        }
-        self
     }
 
     /// The configured band.

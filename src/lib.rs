@@ -94,8 +94,8 @@ pub mod prelude {
     pub use wishbone_profile::{profile, GraphProfile, Platform, SourceTrace};
     pub use wishbone_runtime::{
         attribute_tree, simulate_deployment_tree, simulate_deployment_tree_traced, Failure,
-        FailurePlan, LeafFlowReport, LeafRoute, OutageReport, RelayExecutor, SimStats,
-        SimulationConfig, SourceFeed, TaskModel, TreeDeploymentReport, TreeTopology,
+        FailurePlan, LeafFlowReport, LeafRoute, OutageReport, SimStats, SimulationConfig,
+        SourceFeed, TaskModel, TreeDeploymentReport, TreeTopology,
     };
     pub use wishbone_trace::{
         AttributionReport, Blame, DriftConfig, DriftDetector, DriftReport, EdgeDrift, EdgeEstimate,

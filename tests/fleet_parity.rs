@@ -19,8 +19,8 @@ use wishbone::core::{
 };
 use wishbone::dataflow::{ExecCtx, FnWork, Graph, Value};
 use wishbone::prelude::{
-    profile, run_batch, FleetConfig, FleetRequest, GraphBuilder, GraphProfile, Platform,
-    SourceTrace,
+    profile, run_batch, FleetConfig, FleetRequest, FleetServer, GraphBuilder, GraphProfile,
+    Platform, SourceTrace,
 };
 
 /// Tiny deterministic PRNG — no vendored `rand` in tier-1 tests.
@@ -304,5 +304,57 @@ fn cacheless_fleet_matches_serial_one_shot() {
             &resp.result,
             oracle,
         );
+    }
+}
+
+/// A request whose rate is not a finite positive number is answered
+/// with a typed error; the worker that drew it lives on, serves the
+/// shape's next request from the same cache entry bit-identically to a
+/// serial solve, and the pool shuts down cleanly. (A panic in the worker
+/// thread instead kills `recv` on its `expect` with one worker and blocks
+/// it forever with several.)
+#[test]
+fn a_bad_rate_gets_a_typed_error_and_the_worker_lives_on() {
+    let (graph, prof) = profiled(0);
+    let cfg = DeploymentConfig::default();
+    let rates = [0.1, f64::NAN, 0.2];
+    let mut server = FleetServer::with_config(FleetConfig {
+        workers: 2,
+        cache: true,
+        deterministic: true,
+    });
+    for (i, &rate) in rates.iter().enumerate() {
+        server.submit(FleetRequest {
+            id: i as u64,
+            graph: Arc::clone(&graph),
+            profile: Arc::clone(&prof),
+            deployment: mk_dep(false, 1.0, 2, 0.2),
+            config: cfg.clone(),
+            rate,
+        });
+    }
+    let mut responses = server.drain();
+    responses.sort_by_key(|r| r.id);
+    assert_eq!(responses.len(), 3);
+    assert!(
+        matches!(responses[1].result, Err(PartitionError::InvalidRate { rate }) if rate.is_nan()),
+        "{:?}",
+        responses[1].result
+    );
+    for i in [0, 2] {
+        let dep = mk_dep(false, 1.0, 2, 0.2);
+        let serial = partition_deployment(&graph, &prof, &dep, &cfg.clone().at_rate(rates[i]));
+        assert!(serial.is_ok());
+        assert_partitions_bit_identical(&format!("request {i}"), &responses[i].result, &serial);
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.errors), (3, 1));
+
+    // Zero, negative and infinite rates are refused the same way, one-shot
+    // (`0 × ∞` would otherwise reach the simplex as NaN coefficients).
+    for rate in [0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+        let dep = mk_dep(false, 1.0, 2, 0.2);
+        let got = partition_deployment(&graph, &prof, &dep, &cfg.clone().at_rate(rate));
+        assert_eq!(got.err(), Some(PartitionError::InvalidRate { rate }));
     }
 }

@@ -49,7 +49,14 @@
 //!    `BENCH_solver.json` records are built from the stand-in's samples in
 //!    `crates/bench/src/lib.rs` and nowhere else.
 //!
-//! Test modules are exempt from rules 1–3 and 5–9: by repo convention
+//! 10. **one-executor** — the simulator runs every site through one
+//!     depth-first cascade: outside tests, [`RUNTIME_SRC`] declares
+//!     exactly one `pub struct *Executor` and exactly one
+//!     `pub struct *Cascade`. A second of either is a per-platform copy of
+//!     the cascade growing back; what differs between a mote, a gateway
+//!     and the server is a field of the one.
+//!
+//! Test modules are exempt from rules 1–3 and 5–10: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -189,6 +196,11 @@ const BENCH_TARGETS: &str = "crates/bench/benches";
 const SECOND_TIMER_NEEDLES: [&str; 3] = ["BenchRecord", "fn measure", "fn emit_json"];
 const BENCH_ENV_PREFIX: &str = "WISHBONE_BENCH_";
 
+/// Where the simulator lives (rule 10), and the name suffixes of which
+/// it declares exactly one `pub struct` each.
+const RUNTIME_SRC: &str = "crates/runtime/src";
+const ONE_OF_EACH: [&str; 2] = ["Executor", "Cascade"];
+
 struct Violation {
     file: PathBuf,
     line: usize,
@@ -268,6 +280,17 @@ fn lint() -> ExitCode {
         check_bench_one_timer,
         &mut violations,
     );
+    let runtime: Vec<(PathBuf, String)> = rust_sources(&root.join(RUNTIME_SRC))
+        .into_iter()
+        .filter_map(|file| {
+            let text = std::fs::read_to_string(&file).ok()?;
+            Some((
+                file.strip_prefix(&root).unwrap_or(&file).to_path_buf(),
+                text,
+            ))
+        })
+        .collect();
+    check_one_executor(&runtime, &mut violations);
 
     if violations.is_empty() {
         println!(
@@ -777,6 +800,42 @@ fn check_bench_one_timer(rel: &Path, text: &str, violations: &mut Vec<Violation>
     }
 }
 
+/// Rule 10 over the sources of [`RUNTIME_SRC`] (repo-relative path, text):
+/// for each suffix of [`ONE_OF_EACH`], exactly one non-test `pub struct`
+/// whose name ends in it.
+fn check_one_executor(sources: &[(PathBuf, String)], violations: &mut Vec<Violation>) {
+    for suffix in ONE_OF_EACH {
+        let mut decls = sources.iter().flat_map(|(rel, text)| {
+            non_test_lines(text).filter_map(move |(line_no, raw)| {
+                let decl = raw.trim_start();
+                let name = pub_item_name(decl).filter(|name| name.ends_with(suffix))?;
+                (decl.starts_with("pub struct ") && !allowed(raw, "one-executor"))
+                    .then_some((rel, line_no, name))
+            })
+        });
+        let Some((_, _, first)) = decls.next() else {
+            violations.push(Violation {
+                file: PathBuf::from(RUNTIME_SRC),
+                line: 0,
+                rule: "one-executor",
+                message: format!("no `pub struct *{suffix}` — the one site executor is gone"),
+            });
+            continue;
+        };
+        for (rel, line_no, name) in decls {
+            violations.push(Violation {
+                file: rel.clone(),
+                line: line_no,
+                rule: "one-executor",
+                message: format!(
+                    "`{name}` is a second `*{suffix}` beside `{first}` — sites differ by what \
+                     they host and whether they have a task model, not by a copy of the cascade"
+                ),
+            });
+        }
+    }
+}
+
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
     // Test corpus: the workspace-level tests/ plus every crate's tests/.
     let mut test_files = rust_sources(&root.join("tests"));
@@ -921,6 +980,50 @@ fn main() {
                 (5, "a bench target has `BenchRecord`"),
                 (8, "a bench target reads a `WISHBONE_BENCH_*` variable"),
             ]
+        );
+    }
+
+    #[test]
+    fn one_executor_fires_on_a_per_platform_copy_put_back_and_on_none() {
+        let exec = "\
+/// Result of pushing one element through a site.
+pub struct Cascade { pub cpu_seconds: f64 }
+/// Executes the operators placed at one site.
+pub struct SiteExecutor { hosted: Vec<bool> }
+pub(crate) struct ScratchExecutor; // crate-private: not a second door
+pub struct ExecutorConfig; // `Executor` is not its suffix
+#[cfg(test)]
+mod tests {
+    pub struct FakeExecutor;
+}
+";
+        let copy = "\
+/// Result of delivering one element to a relay tier.
+pub struct RelayCascade { pub cpu_seconds: f64 } // line 2
+pub struct LegacyCascade; // audit:allow(one-executor): demo
+    pub struct RelayExecutor { hosted: Vec<bool> } // line 4
+";
+        let found = |sources: &[(&str, &str)]| {
+            let sources: Vec<(PathBuf, String)> = sources
+                .iter()
+                .map(|&(rel, text)| (PathBuf::from(rel), text.to_string()))
+                .collect();
+            let mut v = Vec::new();
+            check_one_executor(&sources, &mut v);
+            assert!(v.iter().all(|x| x.rule == "one-executor"));
+            v.iter()
+                .map(|x| (x.file.display().to_string(), x.line))
+                .collect::<Vec<_>>()
+        };
+        let (exec_rs, tree_rs) = ("crates/runtime/src/exec.rs", "crates/runtime/src/tree.rs");
+        assert_eq!(found(&[(exec_rs, exec)]), vec![]);
+        assert_eq!(
+            found(&[(exec_rs, exec), (tree_rs, copy)]),
+            vec![(tree_rs.to_string(), 4), (tree_rs.to_string(), 2)]
+        );
+        assert_eq!(
+            found(&[(tree_rs, "pub fn simulate_deployment_tree() {}")]),
+            vec![(RUNTIME_SRC.to_string(), 0), (RUNTIME_SRC.to_string(), 0)]
         );
     }
 
