@@ -23,7 +23,7 @@ fn main() {
     let mote = Platform::tmote_sky();
     let channel = ChannelParams::mote();
     let elems = app.trace_elements(240, 13);
-    let duration = wishbone_bench::env_size("WISHBONE_FIG10_SECONDS", 30) as f64;
+    let duration = 30.0; // simulated seconds per cutpoint
 
     wishbone_bench::header(
         "Figure 10: goodput per cutpoint, 1 vs 20 TMotes (full rate)",

@@ -3,9 +3,7 @@
 //! N80/JavaME. "As we increased the data rate (moving right), fewer
 //! operators can fit within the CPU bounds on the node (moving down). The
 //! sloping lines show that every stage of processing yields data
-//! reductions." α = 0, β = 1 as in the paper.
-//!
-//! Size knob: `WISHBONE_FIG5A_POINTS` (default 32 rate points).
+//! reductions." α = 0, β = 1 as in the paper, over 48 rate points.
 
 use wishbone_apps::{build_eeg_channel, EegApp};
 use wishbone_core::{
@@ -22,10 +20,9 @@ fn profiled() -> (EegApp, GraphProfile) {
 
 fn main() {
     let (app, prof) = profiled();
-    let n_points = wishbone_bench::env_size("WISHBONE_FIG5A_POINTS", 48);
     // Geometric grid over a wide range so both platforms' shedding
     // regions (TMote ~30x, N80 ~100x) are resolved.
-    let rates = wishbone_bench::geometric_rates(1.0, 512.0, n_points);
+    let rates = wishbone_bench::geometric_rates(1.0, 512.0, 48);
 
     let tmote = Platform::tmote_sky();
     let n80 = Platform::nokia_n80();

@@ -1,31 +1,34 @@
 //! Figure 6: CDF of the time the solver needs to *discover* the optimal
 //! partition vs the time to *prove* it optimal, on the full 22-channel EEG
 //! application, across a linear sweep of data rates from "everything fits
-//! easily" to "nothing fits" (§7.1). The paper ran lp_solve 2100 times;
-//! the default here is 8 points for CI-scale runs — set
-//! `WISHBONE_FIG6_POINTS=2100` for the full sweep (same shape). The whole
-//! sweep shares one [`wishbone_core::PreparedDeployment`]: the kilooperator
-//! graph is built, merged, and encoded once, and every rate point only
-//! rescales the prepared ILP.
+//! easily" to "nothing fits" (§7.1). CI scale: `N_POINTS` = 8 rate
+//! points, a 2.5 % gap and a 45 s per-point limit; the paper ran lp_solve
+//! 2100 times, which is the number to edit `N_POINTS` to for the full
+//! sweep (same shape). The whole sweep shares one
+//! [`wishbone_core::PreparedDeployment`]: the kilooperator graph is built,
+//! merged, and encoded once, and every rate point only rescales the
+//! prepared ILP.
 //!
 //! Matching the paper's setup: α = 0, β = 1, CPU is the only budget
 //! ("allow the CPU to be fully utilized but not over-utilized"). Like the
 //! paper, proving optimality exactly can take minutes on the hard
 //! (budget-binding, channel-symmetric) instances, so the run uses the
 //! paper's own remedy — "an approximate lower bound to establish a
-//! termination condition" (`rel_gap`, default 2.5% via
-//! `WISHBONE_FIG6_RELGAP_BP`, in basis points: just past the near-cliff
-//! knapsack integrality gap, so the bound provably reaches it) plus a
-//! per-point time limit (`WISHBONE_FIG6_TIMELIMIT_SECS`, default 45) as a
-//! pure safety net — the sweep asserts every feasible point actually
-//! closes its gap. Overload points need no limit at all: presolve proves
-//! them infeasible before the first simplex iteration.
+//! termination condition" (`rel_gap`: just past the near-cliff knapsack
+//! integrality gap, so the bound provably reaches it) plus the per-point
+//! time limit as a pure safety net — the sweep asserts every feasible
+//! point actually closes its gap (at 2100 points that closure depends on
+//! the machine's speed). Overload points need no limit at all: presolve
+//! proves them infeasible before the first simplex iteration.
 
 use wishbone_apps::{build_eeg_app, EegParams};
 use wishbone_core::{
     Deployment, DeploymentConfig, LinkSpec, PartitionError, PreparedDeployment, Site,
 };
 use wishbone_profile::{profile, Platform};
+
+/// Rate points in the sweep.
+const N_POINTS: usize = 8;
 
 fn main() {
     let mut app = build_eeg_app(EegParams::default());
@@ -37,9 +40,7 @@ fn main() {
         app.graph.edge_count()
     );
 
-    let n_points = wishbone_bench::env_size("WISHBONE_FIG6_POINTS", 8);
-    let time_limit = wishbone_bench::env_size("WISHBONE_FIG6_TIMELIMIT_SECS", 45) as u64;
-    let rates = wishbone_bench::linear_rates(0.25, 48.0, n_points);
+    let rates = wishbone_bench::linear_rates(0.25, 48.0, N_POINTS);
     let mote = Platform::tmote_sky();
 
     // The paper's approximate-bound termination. Near the infeasibility
@@ -49,7 +50,7 @@ fn main() {
     // enumeration, the regime where the paper's own proofs ran to 12
     // minutes. 2.5% sits just past that plateau, so every feasible point
     // provably terminates.
-    let rel_gap = wishbone_bench::env_size("WISHBONE_FIG6_RELGAP_BP", 250) as f64 / 10_000.0;
+    let rel_gap = 0.025;
     let dep = Deployment::star([(
         Site::new("mote", &mote),
         LinkSpec {
@@ -59,15 +60,10 @@ fn main() {
     )]);
     let mut cfg = DeploymentConfig::default();
     cfg.ilp.rel_gap = rel_gap;
-    cfg.ilp.time_limit = Some(std::time::Duration::from_secs(time_limit));
+    cfg.ilp.time_limit = Some(std::time::Duration::from_secs(45));
     let mut prep =
         PreparedDeployment::new(&app.graph, &prof, &dep, &cfg).expect("pin analysis succeeds");
 
-    // Gap-closure is asserted at CI scale; a full-scale (e.g. 2100-point)
-    // sweep explores far more near-cliff points whose closure is
-    // machine-speed-dependent, so there the sweep reports instead of
-    // aborting hours of work.
-    let strict = n_points <= 24;
     let mut discover: Vec<f64> = Vec::new();
     let mut prove: Vec<f64> = Vec::new();
     let mut feasible = 0usize;
@@ -85,13 +81,11 @@ fn main() {
                 if p.ilp_stats.proved {
                     proved += 1;
                 }
-                if strict {
-                    assert!(
-                        p.ilp_stats.final_gap <= rel_gap + 1e-9,
-                        "rate {rate}: residual gap {} exceeds the configured rel_gap",
-                        p.ilp_stats.final_gap
-                    );
-                }
+                assert!(
+                    p.ilp_stats.final_gap <= rel_gap + 1e-9,
+                    "rate {rate}: residual gap {} exceeds the configured rel_gap",
+                    p.ilp_stats.final_gap
+                );
                 problem_size = p.problem_size;
                 merged = p.merge_stats;
             }
@@ -105,12 +99,10 @@ fn main() {
         merged.0, merged.1, problem_size.0, problem_size.1
     );
     assert!(feasible >= 3, "sweep must include feasible points");
-    if strict {
-        assert_eq!(
-            proved, feasible,
-            "every feasible point must close its gap within the limit"
-        );
-    }
+    assert_eq!(
+        proved, feasible,
+        "every feasible point must close its gap within the limit"
+    );
 
     let grid = [5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0];
     wishbone_bench::header(

@@ -20,7 +20,7 @@ fn main() {
     let mote = Platform::tmote_sky();
     let channel = ChannelParams::mote();
     let elems = app.trace_elements(240, 9);
-    let duration = wishbone_bench::env_size("WISHBONE_FIG9_SECONDS", 30) as f64;
+    let duration = 30.0; // simulated seconds per cutpoint
 
     wishbone_bench::header(
         "Figure 9: 1 TMote + basestation, full 8 kHz rate",

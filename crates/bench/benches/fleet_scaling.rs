@@ -2,11 +2,12 @@
 //! requests over a small set of distinct *shapes* pushed through
 //! [`wishbone_fleet::run_batch`], measuring
 //!
-//! * **cache leverage** — the same batch with the per-worker
-//!   [`ShapeCache`](wishbone_fleet::ShapeCache) on vs off. With ≤ 8
-//!   shapes behind 1 000 requests, the cached arm encodes 8 times and
-//!   rides `apply_delta` rescales for the other 992; the cold arm
-//!   re-encodes every request.
+//! * **cache leverage** — the same batch through the fleet's per-worker
+//!   [`ShapeCache`](wishbone_fleet::ShapeCache) vs a plain loop of
+//!   one-shot [`partition_deployment`] calls. With ≤ 8 shapes behind
+//!   1 000 requests, the cached arm encodes 8 times and rides
+//!   `apply_delta` rescales for the other 992; the cold arm re-encodes
+//!   every request.
 //! * **worker scaling** — the cached batch at 1/2/4/8 workers.
 //!   Workers share nothing (sharded queues, per-worker caches and
 //!   arenas), so the ceiling is `min(workers, shapes-per-shard ×
@@ -24,9 +25,9 @@
 //!   header (`solver_criterion`'s lines there are kept). Per-request
 //!   latency is the benchmark of record's `fleet_hits` / `fleet_misses`;
 //! * `... -- --smoke` — a seconds-scale CI run asserting the cache
-//!   contract: encodes == shapes ≪ requests, cached throughput ≥ 5×
+//!   contract: encodes == shapes ≪ requests, cached throughput ≥ 3×
 //!   cold, ≤ 8 simplex iterations per cached request with a nonzero
-//!   factorization count (the sparse backend's signature), ≤ 2.05
+//!   factorization count (the sparse backend's signature), ≤ 1.84
 //!   branch-and-bound nodes per cached request, and (only when the host
 //!   actually has ≥ 8 cores) 8-worker throughput ≥ 3× 1-worker.
 
@@ -35,9 +36,9 @@ use std::time::{Duration, Instant};
 
 use criterion::{BenchmarkId, Criterion};
 use wishbone_bench::merge_bench_json;
-use wishbone_core::{Deployment, DeploymentConfig, LinkSpec, Site};
+use wishbone_core::{partition_deployment, Deployment, DeploymentConfig, LinkSpec, Site};
 use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
-use wishbone_fleet::{run_batch, FleetConfig, FleetRequest, FleetStats};
+use wishbone_fleet::{run_batch, FleetRequest, FleetStats};
 use wishbone_profile::{profile, GraphProfile, Platform, SourceTrace};
 
 /// Tiny deterministic PRNG (no vendored `rand` in the hot loop).
@@ -180,12 +181,12 @@ fn mk_requests(n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Vec<FleetR
         .collect()
 }
 
-/// The batch runner: one batch, its wall clock (requests are built by the
-/// caller, outside it), the fleet's stats and the branch-and-bound nodes
-/// its responses report.
-fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (Duration, FleetStats, u64) {
+/// The batch runner: one batch through a fleet of `workers`, its wall
+/// clock (requests are built by the caller, outside it), the fleet's
+/// stats and the branch-and-bound nodes its responses report.
+fn run_arm(workers: usize, requests: Vec<FleetRequest>) -> (Duration, FleetStats, u64) {
     let start = Instant::now();
-    let (responses, stats) = run_batch(cfg, requests);
+    let (responses, stats) = run_batch(workers, requests);
     let wall = start.elapsed();
     assert_eq!(stats.errors, 0, "fixture requests all solve");
     assert_eq!(responses.len() as u64, stats.requests);
@@ -197,23 +198,16 @@ fn run_arm(cfg: FleetConfig, requests: Vec<FleetRequest>) -> (Duration, FleetSta
     (wall, stats, nodes)
 }
 
-/// The fleet's throughput mode: caching on, warm-start inheritance on.
-/// The bit-determinism story of the default mode is pinned by
-/// `tests/fleet_parity.rs`; this bench measures what the cache buys.
-fn warm_cfg(workers: usize) -> FleetConfig {
-    FleetConfig {
-        workers,
-        cache: true,
-        deterministic: false,
+/// The cold baseline: every request prepared from scratch and solved
+/// one-shot on this thread — what a service with no shape cache pays.
+fn run_cold(requests: &[FleetRequest]) -> Duration {
+    let start = Instant::now();
+    for req in requests {
+        let cfg = req.config.clone().at_rate(req.rate);
+        partition_deployment(&req.graph, &req.profile, &req.deployment, &cfg)
+            .expect("fixture requests all solve");
     }
-}
-
-fn cold_cfg(workers: usize) -> FleetConfig {
-    FleetConfig {
-        workers,
-        cache: false,
-        deterministic: false,
-    }
+    start.elapsed()
 }
 
 struct Arm {
@@ -223,8 +217,8 @@ struct Arm {
     nodes: u64,
 }
 
-fn arm(name: &str, cfg: FleetConfig, n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Arm {
-    let (wall, stats, nodes) = run_arm(cfg, mk_requests(n, apps));
+fn arm(name: &str, workers: usize, n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Arm {
+    let (wall, stats, nodes) = run_arm(workers, mk_requests(n, apps));
     let a = Arm {
         name: name.to_string(),
         total_s: wall.as_secs_f64(),
@@ -251,11 +245,16 @@ fn smoke() {
 
     // Best-of-two per arm: single-core CI hosts jitter by tens of
     // percent, and the leverage floor below is an acceptance threshold,
-    // not a statistics exercise.
-    let cold = arm("smoke_cold_w1", cold_cfg(1), n, &apps);
-    let cold_b = arm("smoke_cold_w1_rerun", cold_cfg(1), n, &apps);
-    let cached = arm("smoke_cached_w1", warm_cfg(1), n, &apps);
-    let w1 = arm("smoke_cached_w1_rerun", warm_cfg(1), n, &apps);
+    // not a statistics exercise (3.6x – 6.2x over sixteen runs on a
+    // 2-vCPU shared host; the floor is the lowest of them less a sixth).
+    let cold = || {
+        let wall = run_cold(&mk_requests(n, &apps)).as_secs_f64();
+        println!("{:28} {:7.0} req/s", "smoke_cold", n as f64 / wall);
+        wall
+    };
+    let cold_s = cold().min(cold());
+    let cached = arm("smoke_cached_w1", 1, n, &apps);
+    let w1 = arm("smoke_cached_w1_rerun", 1, n, &apps);
 
     // Cache contract: every shape encodes exactly once, everything else
     // is an in-place rescale.
@@ -266,13 +265,12 @@ fn smoke() {
     );
     assert_eq!(cached.stats.cache_hits, n as u64 - 8);
     assert_eq!(cached.stats.encodes_avoided, n as u64 - 8);
-    assert_eq!(cold.stats.cache_hits, 0, "the cold arm must not cache");
 
-    let leverage = cold.total_s.min(cold_b.total_s) / cached.total_s.min(w1.total_s);
-    println!("cache leverage: {leverage:.1}x (acceptance floor 5x)");
+    let leverage = cold_s / cached.total_s.min(w1.total_s);
+    println!("cache leverage: {leverage:.1}x (acceptance floor 3x)");
     assert!(
-        leverage >= 5.0,
-        "shape cache must beat per-request encodes by >= 5x, got {leverage:.2}x"
+        leverage >= 3.0,
+        "shape cache must beat per-request encodes by >= 3x, got {leverage:.2}x"
     );
 
     // Count guard (counts repeat exactly on any host): the fleet runs
@@ -292,17 +290,17 @@ fn smoke() {
         s.refactorizations
     );
     // A node costs its LP and nothing else (no per-node heuristic), so
-    // nodes × iterations is the whole search: 1.64 nodes per request
+    // nodes × iterations is the whole search: 1.47 nodes per request
     // measured, ceiling that + 25 %.
     let nodes_per_req = cached.nodes as f64 / s.requests as f64;
-    println!("search work: {nodes_per_req:.2} B&B nodes / request (ceiling 2.05)");
+    println!("search work: {nodes_per_req:.2} B&B nodes / request (ceiling 1.84)");
     assert!(
-        nodes_per_req <= 2.05,
+        nodes_per_req <= 1.84,
         "the fleet's search trees grew: {nodes_per_req:.2} B&B nodes / request"
     );
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let w8 = arm("smoke_cached_w8", warm_cfg(8), n, &apps);
+    let w8 = arm("smoke_cached_w8", 8, n, &apps);
     let speedup = w1.total_s / w8.total_s;
     println!("8-worker speedup: {speedup:.2}x on {cores} cores");
     if cores >= 8 {
@@ -325,17 +323,20 @@ fn fleet_scaling(c: &mut Criterion) {
     group.sample_size(5);
     for (tag, n) in [("1k", 1_000usize), ("10k", 10_000)] {
         // Cold baseline at 1k only: 10k fresh encodes measure nothing new.
-        let cold = (n == 1_000).then(|| ("cold_w1".to_string(), cold_cfg(1)));
-        let cached = [1usize, 2, 4, 8].map(|w| (format!("cached_w{w}"), warm_cfg(w)));
-        for (label, cfg) in cold.into_iter().chain(cached) {
-            group.bench_function(BenchmarkId::new(tag, label), |b| {
+        if n == 1_000 {
+            group.bench_function(BenchmarkId::new(tag, "cold_w1"), |b| {
+                b.iter_custom(|iters| (0..iters).map(|_| run_cold(&mk_requests(n, &apps))).sum())
+            });
+        }
+        for workers in [1usize, 2, 4, 8] {
+            group.bench_function(BenchmarkId::new(tag, format!("cached_w{workers}")), |b| {
                 b.iter_custom(|iters| {
                     (0..iters)
                         .map(|_| {
-                            let (wall, stats, _) = run_arm(cfg.clone(), mk_requests(n, &apps));
+                            let (wall, stats, _) = run_arm(workers, mk_requests(n, &apps));
                             // Shapes shard deterministically, so each encodes
                             // exactly once fleet-wide at every worker count.
-                            assert!(!cfg.cache || stats.cache_misses == stats.distinct_shapes);
+                            assert_eq!(stats.cache_misses, stats.distinct_shapes);
                             wall
                         })
                         .sum()

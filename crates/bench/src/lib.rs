@@ -72,15 +72,6 @@ pub fn cdf(samples: &mut [f64], percentiles: &[f64]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Environment-variable override for experiment sizes, so CI-scale runs
-/// stay fast while full-scale runs match the paper.
-pub fn env_size(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Geometric series of `n` rate multipliers between `lo` and `hi`.
 pub fn geometric_rates(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(n >= 2 && lo > 0.0 && hi > lo);
@@ -367,12 +358,5 @@ mod tests {
         assert_eq!(f(12.34), "12.3");
         assert_eq!(f(1.234), "1.234");
         assert_eq!(pct(0.5), "50.0%");
-    }
-
-    #[test]
-    fn env_size_parses() {
-        std::env::set_var("WISHBONE_TEST_SIZE_X", "17");
-        assert_eq!(env_size("WISHBONE_TEST_SIZE_X", 3), 17);
-        assert_eq!(env_size("WISHBONE_TEST_SIZE_MISSING", 3), 3);
     }
 }

@@ -117,12 +117,10 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
     // two configs that differ in it cannot share a cache entry.
     let DeploymentConfig {
         mode,
-        preprocess,
         // A per-solve argument, not part of the encoding (module doc).
         rate_multiplier: _,
         robustness,
         engine,
-        seed_incumbent,
         ilp,
     } = cfg;
     let wishbone_ilp::IlpOptions {
@@ -130,7 +128,6 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
         max_nodes,
         time_limit,
         warm_lp,
-        presolve,
         warm_solution,
         backend,
     } = ilp;
@@ -138,7 +135,6 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
         crate::cost_graph::Mode::Conservative => 0,
         crate::cost_graph::Mode::Permissive => 1,
     });
-    w.b(*preprocess);
     w.u(match robustness {
         crate::topology::RobustnessMode::Nominal => 0,
         crate::topology::RobustnessMode::SingleGatewayFailure => 1,
@@ -147,12 +143,10 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
         PlacementEngine::Exact => 0,
         PlacementEngine::Approx => 1,
     });
-    w.b(*seed_incumbent);
     w.f(*rel_gap);
     w.u(*max_nodes);
     w.u(time_limit.map_or(u64::MAX, |d| d.as_nanos() as u64));
     w.b(*warm_lp);
-    w.b(*presolve);
     w.u(*backend as u64);
     // A caller-supplied warm solution steers tie-breaking, so two
     // requests differing in it must not share a cache entry.
@@ -336,6 +330,47 @@ mod tests {
             shape_key(&g, &p, &a, &cfg),
             shape_key(&g2, &p, &a, &cfg),
             "graph identity is shape"
+        );
+    }
+
+    #[test]
+    fn every_config_field_but_the_rate_is_shape() {
+        use crate::cost_graph::Mode;
+        use crate::topology::RobustnessMode;
+        use std::time::Duration;
+        use wishbone_ilp::SolverBackend;
+
+        let (g, p) = profiled();
+        let dep = two_tier(4, 0.8, 60.0);
+        let key = |cfg: &DeploymentConfig| shape_key(&g, &p, &dep, cfg);
+        let base = DeploymentConfig::default();
+
+        // One field at a time, moved off its default.
+        type Vary = fn(&mut DeploymentConfig);
+        let varied: [(&str, Vary); 9] = [
+            ("mode", |c| c.mode = Mode::Conservative),
+            ("robustness", |c| {
+                c.robustness = RobustnessMode::SingleGatewayFailure
+            }),
+            ("engine", |c| c.engine = PlacementEngine::Approx),
+            ("rel_gap", |c| c.ilp.rel_gap = 0.01),
+            ("max_nodes", |c| c.ilp.max_nodes = 20),
+            ("time_limit", |c| {
+                c.ilp.time_limit = Some(Duration::from_secs(2))
+            }),
+            ("warm_lp", |c| c.ilp.warm_lp = false),
+            ("warm_solution", |c| c.ilp.warm_solution = Some(vec![1.0])),
+            ("backend", |c| c.ilp.backend = SolverBackend::Dense),
+        ];
+        for (field, vary) in varied {
+            let mut cfg = base.clone();
+            vary(&mut cfg);
+            assert_ne!(key(&base), key(&cfg), "`{field}` alone must change the key");
+        }
+        assert_eq!(
+            key(&base),
+            key(&base.clone().at_rate(2.5)),
+            "the rate is a per-solve argument, not shape"
         );
     }
 }

@@ -405,28 +405,31 @@ pub enum PlacementEngine {
 /// Solver-side configuration of [`partition_deployment`] — the topology
 /// itself lives in [`Deployment`]. (The simulation-side sibling is
 /// `wishbone_runtime::SimulationConfig`.)
+///
+/// Each field says why it is one (`xtask lint`'s `config-surface` rule
+/// counts them); a behaviour with one value in use is not. The §4.1
+/// merge always runs, and exact branch-and-bound always starts from the
+/// multilevel heuristic's cut when no warmer start exists — feasibility
+/// is *discovered* by the heuristic in milliseconds and merely *proved*
+/// optimal by the exact search (the near-cliff fix).
 #[derive(Debug, Clone)]
 pub struct DeploymentConfig {
-    /// Stateful-relocation mode (§2.1.1).
+    /// Stateful-relocation mode (§2.1.1). Kept: conservative and
+    /// permissive are the paper's own two behaviours.
     pub mode: Mode,
-    /// Apply the (per-leaf, tiered) §4.1 merge preprocessing.
-    pub preprocess: bool,
     /// Global input-rate multiplier relative to the profile's reference
-    /// rate (composed with each leaf site's `rate_factor`).
+    /// rate (composed with each leaf site's `rate_factor`). Kept: every
+    /// one-shot caller solves at its own rate.
     pub rate_multiplier: f64,
-    /// Failure-robustness pricing of the budget rows.
+    /// Failure-robustness pricing of the budget rows. Kept: it prices a
+    /// different problem (the fault-tolerant partitioning line in
+    /// PAPERS.md), not a tuning of the nominal one.
     pub robustness: RobustnessMode,
     /// Exact branch-and-bound, or the multilevel anytime heuristic.
+    /// Kept: `examples/approx_forest.rs` and the benchmark's approximate
+    /// sweep set it through [`approx`](Self::approx), which `benchmark/`
+    /// names.
     pub engine: PlacementEngine,
-    /// Seed exact branch-and-bound with the multilevel heuristic's cut
-    /// as its initial incumbent when no warmer start is available — the
-    /// near-cliff fix: feasibility is *discovered* by the heuristic in
-    /// milliseconds and merely *proved* optimal by the exact search.
-    /// The seed is the one heuristic incumbent there is: the search
-    /// itself adopts integral node LPs and nothing else, so with this off
-    /// (and no previous probe) it holds no placement until its plunge
-    /// reaches one.
-    pub seed_incumbent: bool,
     /// Branch-and-bound options (backend selection included).
     pub ilp: IlpOptions,
 }
@@ -435,11 +438,9 @@ impl Default for DeploymentConfig {
     fn default() -> Self {
         DeploymentConfig {
             mode: Mode::Permissive,
-            preprocess: true,
             rate_multiplier: 1.0,
             robustness: RobustnessMode::Nominal,
             engine: PlacementEngine::Exact,
-            seed_incumbent: true,
             ilp: IlpOptions::default(),
         }
     }
@@ -824,18 +825,12 @@ impl<'a> PreparedDeployment<'a> {
             let rate_factor = dep.site(leaf).rate_factor;
             let tg0 = build_tiered_graph(&graph, &profile, &platforms, cfg.mode, rate_factor)?;
             vertices_before += tg0.vertices.len();
-            let tg = if cfg.preprocess {
-                let r = preprocess_tiered(&tg0, &dep.leaf_objective(leaf))?;
-                vertices_after += r.vertices_after;
-                r.graph
-            } else {
-                vertices_after += tg0.vertices.len();
-                tg0
-            };
+            let merged = preprocess_tiered(&tg0, &dep.leaf_objective(leaf))?;
+            vertices_after += merged.vertices_after;
             leaves.push(PreparedLeaf {
                 leaf,
                 path,
-                graph: tg,
+                graph: merged.graph,
                 rate_factor,
             });
         }
@@ -1176,7 +1171,7 @@ impl<'a> PreparedDeployment<'a> {
         if opts.warm_solution.is_none() {
             opts.warm_solution = self.last_values.clone();
         }
-        if opts.warm_solution.is_none() && self.cfg.seed_incumbent {
+        if opts.warm_solution.is_none() {
             opts.warm_solution = self.approx_values(rate).map(|(values, _)| values);
         }
         let ws = arena.unwrap_or(&mut self.workspace);

@@ -34,21 +34,15 @@
 //! re-encoding — `encodes()` stays at one per shape, not one per
 //! request.
 //!
-//! Determinism: by default ([`FleetConfig::deterministic`] = true) the
-//! worker resets warm-start state between requests, so every response
-//! is **bit-identical** to a serial one-shot
-//! [`partition_deployment`](wishbone_core::partition_deployment) call —
-//! cache hits cannot leak one request's tie-breaking into another's
-//! placement (pinned by `tests/fleet_parity.rs`). Setting
-//! `deterministic: false` lets same-shape requests inherit the previous
-//! incumbent (PR 2's rate-probe trick fleet-wide): solves get cheaper,
-//! but a tie between equally-optimal placements may then resolve
-//! differently than a cold solve would. In either mode the shared arena
+//! Determinism: every response is **bit-identical** to a serial one-shot
+//! [`partition_deployment`](wishbone_core::partition_deployment) call,
+//! and there is no mode in which it is not (pinned by
+//! `tests/fleet_parity.rs`). The worker resets a cached instance's
+//! warm-start state before each solve, so a hit cannot leak one
+//! request's tie-breaking into another's placement, and the shared arena
 //! carries no simplex basis from one request to the next:
 //! [`solve_at_in`](PreparedDeployment::solve_at_in) invalidates it on
-//! entry, so every root LP starts cold (a prepared instance's *own*
-//! workspace is the only place a basis is kept, and the fleet never
-//! solves there).
+//! entry, so every root LP starts cold.
 //!
 //! ## Worker sizing
 //!
@@ -77,31 +71,6 @@ use wishbone_core::{deltas_between, shape_key, PartitionError, ShapeKey};
 use wishbone_dataflow::Graph;
 use wishbone_ilp::{PhaseTimes, SimplexWorkspace};
 use wishbone_profile::GraphProfile;
-
-/// Service configuration.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Worker thread count (≥ 1). See the crate docs on worker sizing.
-    pub workers: usize,
-    /// Keep a [`ShapeCache`] per worker. Disabling it prepares every
-    /// request from scratch — the "cold" arm the `fleet_scaling` bench
-    /// compares against.
-    pub cache: bool,
-    /// Reset warm-start state between requests so every response is
-    /// bit-identical to a serial one-shot solve (the default). See the
-    /// crate docs on cache semantics for what `false` trades away.
-    pub deterministic: bool,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            workers: 1,
-            cache: true,
-            deterministic: true,
-        }
-    }
-}
 
 /// One deployment request: which profiled graph, over which topology,
 /// under which config, at which rate. Graph and profile ride `Arc`s —
@@ -292,7 +261,8 @@ impl ShapeCache {
     /// and budgets via [`deltas_between`] + `apply_delta` — index-stable
     /// row surgery, no re-encode. `deterministic` resets warm-start
     /// state first so the solve is bit-identical to a serial one-shot
-    /// (see the crate docs).
+    /// (see the crate docs). The service always passes `true`; the
+    /// parameter stays because `benchmark/` calls `serve` with it.
     pub fn serve(
         &mut self,
         req: &FleetRequest,
@@ -331,7 +301,6 @@ impl ShapeCache {
 /// server side, as responses are collected).
 fn worker_loop(
     worker: usize,
-    cfg: FleetConfig,
     rx: mpsc::Receiver<(ShapeKey, FleetRequest)>,
     tx: mpsc::Sender<FleetResponse>,
 ) -> FleetStats {
@@ -340,18 +309,7 @@ fn worker_loop(
     let mut report = FleetStats::default();
     while let Ok((key, req)) = rx.recv() {
         let t = Instant::now();
-        let (cache_hit, result) = if cfg.cache {
-            cache.serve(&req, key, &mut arena, cfg.deterministic)
-        } else {
-            let result = PreparedDeployment::new_shared(
-                Arc::clone(&req.graph),
-                Arc::clone(&req.profile),
-                &req.deployment,
-                &req.config,
-            )
-            .and_then(|mut prep| prep.solve_at_in(req.rate, &mut arena));
-            (false, result)
-        };
+        let (cache_hit, result) = cache.serve(&req, key, &mut arena, true);
         report.absorb(&FleetStats::of_request(cache_hit, &result));
         let resp = FleetResponse {
             id: req.id,
@@ -416,7 +374,6 @@ fn worker_loop(
 /// assert_eq!(stats.encodes_avoided, 2);
 /// ```
 pub struct FleetServer {
-    cfg: FleetConfig,
     txs: Vec<mpsc::Sender<(ShapeKey, FleetRequest)>>,
     rx: mpsc::Receiver<FleetResponse>,
     handles: Vec<JoinHandle<FleetStats>>,
@@ -425,32 +382,20 @@ pub struct FleetServer {
 }
 
 impl FleetServer {
-    /// Spawn a server with `workers` threads and default semantics
-    /// (cache on, deterministic).
+    /// Spawn a server with `workers` threads (≥ 1; see the crate docs
+    /// on worker sizing).
     pub fn new(workers: usize) -> Self {
-        Self::with_config(FleetConfig {
-            workers,
-            ..FleetConfig::default()
-        })
-    }
-
-    /// Spawn a server with explicit [`FleetConfig`] semantics.
-    pub fn with_config(cfg: FleetConfig) -> Self {
-        assert!(cfg.workers >= 1, "a fleet needs at least one worker");
+        assert!(workers >= 1, "a fleet needs at least one worker");
         let (resp_tx, resp_rx) = mpsc::channel();
-        let mut txs = Vec::with_capacity(cfg.workers);
-        let mut handles = Vec::with_capacity(cfg.workers);
-        for worker in 0..cfg.workers {
+        let mut txs = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for worker in 0..workers {
             let (tx, rx) = mpsc::channel();
             let resp_tx = resp_tx.clone();
-            let wcfg = cfg.clone();
-            handles.push(std::thread::spawn(move || {
-                worker_loop(worker, wcfg, rx, resp_tx)
-            }));
+            handles.push(std::thread::spawn(move || worker_loop(worker, rx, resp_tx)));
             txs.push(tx);
         }
         FleetServer {
-            cfg,
             txs,
             rx: resp_rx,
             handles,
@@ -519,25 +464,18 @@ impl FleetServer {
         stats
     }
 
-    /// The configuration the pool was spawned with.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
     /// Requests submitted but not yet collected.
     pub fn outstanding(&self) -> u64 {
         self.outstanding
     }
 }
 
-/// Convenience: spawn a server, run one batch through it, and shut it
-/// down. Responses come back **sorted by request id**, so callers
-/// compare against serial baselines without tracking arrival order.
-pub fn run_batch(
-    cfg: FleetConfig,
-    requests: Vec<FleetRequest>,
-) -> (Vec<FleetResponse>, FleetStats) {
-    let mut server = FleetServer::with_config(cfg);
+/// Convenience: spawn a server of `workers` threads, run one batch
+/// through it, and shut it down. Responses come back **sorted by request
+/// id**, so callers compare against serial baselines without tracking
+/// arrival order.
+pub fn run_batch(workers: usize, requests: Vec<FleetRequest>) -> (Vec<FleetResponse>, FleetStats) {
+    let mut server = FleetServer::new(workers);
     for req in requests {
         server.submit(req);
     }

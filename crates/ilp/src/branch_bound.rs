@@ -43,34 +43,37 @@ use crate::workspace::{SimplexWorkspace, SolverBackend};
 /// Tolerance for deciding a relaxation value is integral.
 const INT_TOL: f64 = 1e-6;
 
-/// Options controlling the branch-and-bound search.
+/// Options controlling the branch-and-bound search; each field says who
+/// sets it (`xtask lint`'s `config-surface` rule counts them). Presolve
+/// and the per-node activity fast-fail always run.
 #[derive(Debug, Clone)]
 pub struct IlpOptions {
     /// Stop when `(incumbent - bound) / max(|incumbent|, 1)` falls below
     /// this. `0.0` proves optimality exactly (the default, like lp_solve).
+    /// Kept, with `time_limit`: the `eeg_partition`, `tiered_eeg` and
+    /// `forest_eeg` examples bound their sweeps with the two.
     pub rel_gap: f64,
     /// Abort after exploring this many nodes (best incumbent is returned,
-    /// flagged unproven).
+    /// flagged unproven). Kept: the budget that repeats on any host.
     pub max_nodes: u64,
     /// Wall-clock budget; same unproven-return behaviour as `max_nodes`.
     pub time_limit: Option<Duration>,
     /// Re-enter child LPs from the workspace's retained basis (dual-simplex
-    /// warm start). Disable to force a cold start at every node — useful
-    /// only for testing that both paths agree.
+    /// warm start). Kept: `false`, a cold start at every node, is the
+    /// reference `proptest_warm.rs` and `degenerate_regression.rs` diff
+    /// against.
     pub warm_lp: bool,
-    /// Run bound propagation before the root LP and the cheap activity
-    /// fast-fail at every node.
-    pub presolve: bool,
-    /// A known integer-feasible assignment (e.g. the previous probe of a
-    /// rate search) adopted as the initial incumbent/cutoff when it checks
-    /// out feasible, so the tree is pruned from the first node. It is the
-    /// only incumbent the search does not find as an integral node LP.
+    /// A known integer-feasible assignment adopted as the initial
+    /// incumbent/cutoff when it checks out feasible, so the tree is pruned
+    /// from the first node. It is the only incumbent the search does not
+    /// find as an integral node LP. Kept: a rate search hands each probe
+    /// the previous one's placement, a first probe the multilevel cut.
     pub warm_solution: Option<Vec<f64>>,
     /// Which simplex backend solves the node LPs: the sparse revised
     /// method (the default, at every problem size) or, when a caller
     /// names [`SolverBackend::Dense`], the reference tableau — which is
     /// how the differential tests and the benchmark's answer check
-    /// compare the two.
+    /// compare the two. Kept: `benchmark/` names it.
     pub backend: SolverBackend,
 }
 
@@ -81,7 +84,6 @@ impl Default for IlpOptions {
             max_nodes: 1_000_000,
             time_limit: None,
             warm_lp: true,
-            presolve: true,
             warm_solution: None,
             backend: SolverBackend::Sparse,
         }
@@ -247,15 +249,13 @@ pub fn solve_ilp_in(
     };
     let mut root_lower = problem.lower.clone();
     let mut root_upper = problem.upper.clone();
-    if opts.presolve {
-        let presolve_start = Instant::now();
-        let outcome = presolve(problem, &mut root_lower, &mut root_upper);
-        stats.phase_times.presolve_s = presolve_start.elapsed().as_secs_f64();
-        if let PresolveOutcome::Infeasible = outcome {
-            stats.proved = true;
-            stats.total_time = start.elapsed();
-            return (Err(SolveError::Infeasible), stats);
-        }
+    let presolve_start = Instant::now();
+    let outcome = presolve(problem, &mut root_lower, &mut root_upper);
+    stats.phase_times.presolve_s = presolve_start.elapsed().as_secs_f64();
+    if let PresolveOutcome::Infeasible = outcome {
+        stats.proved = true;
+        stats.total_time = start.elapsed();
+        return (Err(SolveError::Infeasible), stats);
     }
 
     let iter_limit = default_iteration_limit(problem);
@@ -338,7 +338,7 @@ pub fn solve_ilp_in(
         };
 
         // Activity fast-fail: hopeless children never reach the simplex.
-        if opts.presolve && quick_infeasible(problem, &node.lower, &node.upper) {
+        if quick_infeasible(problem, &node.lower, &node.upper) {
             continue;
         }
 
@@ -632,20 +632,20 @@ mod tests {
 
     #[test]
     fn timeout_without_incumbent_carries_best_bound() {
-        // min x + y s.t. x + y >= 1.5 over binaries: the root LP is
-        // fractional and flooring it is infeasible, so one node cannot
-        // produce an incumbent (presolve is off — bound propagation would
-        // solve this toy outright). The limit-hit return must be
-        // distinguishable from proven infeasibility: timed_out set,
-        // proved unset, and the open-tree bound (1.5 after the root
-        // branches) reported.
+        // min x + y + z s.t. 2x + 2y + 2z >= 3 over binaries: the root
+        // LP is fractional at 1.5, so one node cannot produce an
+        // incumbent, and bound propagation cannot crack it (any two
+        // variables cover the row, so no bound tightens). The limit-hit
+        // return must be distinguishable from proven infeasibility:
+        // timed_out set, proved unset, and the open-tree bound (1.5
+        // after the root branches) reported.
         let mut p = Problem::new();
         let x = p.add_binary(1.0);
         let y = p.add_binary(1.0);
-        p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Ge, 1.5);
+        let z = p.add_binary(1.0);
+        p.add_constraint(&[(x, 2.0), (y, 2.0), (z, 2.0)], Sense::Ge, 3.0);
         let opts = IlpOptions {
             max_nodes: 1,
-            presolve: false,
             ..Default::default()
         };
         let mut ws = SimplexWorkspace::new();
@@ -657,11 +657,7 @@ mod tests {
         assert!((bound - 1.5).abs() < 1e-6, "open bound {bound}");
         // The same instance without the limit solves fine — the timeout
         // signal never fires on a completed search.
-        let full_opts = IlpOptions {
-            presolve: false,
-            ..Default::default()
-        };
-        let (full, full_stats) = solve_ilp_in(&p, &full_opts, &mut ws);
+        let (full, full_stats) = solve_ilp_in(&p, &IlpOptions::default(), &mut ws);
         let full = full.expect("feasible");
         assert!(!full_stats.timed_out);
         assert!(full_stats.proved);

@@ -132,22 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn preprocessing_shrinks_the_problem_without_changing_the_answer() {
-        let (g, _src, _ops, prof) = profiled();
-        let dep = two_site(Site::new("node", &Platform::tmote_sky()), 1e9);
-        let with = DeploymentConfig::default();
-        let without = DeploymentConfig {
-            preprocess: false,
-            ..with.clone()
-        };
-        let a = partition_deployment(&g, &prof, &dep, &with).unwrap();
-        let b = partition_deployment(&g, &prof, &dep, &without).unwrap();
-        assert_eq!(a.leaves[0].site_ops[0], b.leaves[0].site_ops[0]);
-        assert!(a.merge_stats.1 <= b.merge_stats.1);
-        assert!(a.problem_size.0 <= b.problem_size.0);
-    }
-
-    #[test]
     fn encodings_agree() {
         let (g, _src, _ops, prof) = profiled();
         let platform = Platform::tmote_sky();

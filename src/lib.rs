@@ -87,7 +87,7 @@ pub mod prelude {
         Graph, GraphBuilder, Namespace, OperatorId, OperatorKind, OperatorSpec, Value, WorkFn,
     };
     pub use wishbone_fleet::{
-        run_batch, FleetConfig, FleetRequest, FleetResponse, FleetServer, FleetStats, ShapeCache,
+        run_batch, FleetRequest, FleetResponse, FleetServer, FleetStats, ShapeCache,
     };
     pub use wishbone_ilp::{IlpOptions, PhaseTimes, Problem, Sense, SolverBackend};
     pub use wishbone_net::{profile_network, Channel, ChannelParams, PacketFormat};

@@ -19,8 +19,8 @@ use wishbone::core::{
 };
 use wishbone::dataflow::{ExecCtx, FnWork, Graph, Value};
 use wishbone::prelude::{
-    profile, run_batch, FleetConfig, FleetRequest, FleetServer, GraphBuilder, GraphProfile,
-    Platform, SourceTrace,
+    profile, run_batch, FleetRequest, FleetServer, GraphBuilder, GraphProfile, Platform,
+    SourceTrace,
 };
 
 /// Tiny deterministic PRNG — no vendored `rand` in tier-1 tests.
@@ -229,14 +229,7 @@ fn fleet_batch_matches_serial_one_shot() {
             .enumerate()
             .map(|(i, p)| mk_request(i as u64, p))
             .collect();
-        let (responses, stats) = run_batch(
-            FleetConfig {
-                workers,
-                cache: true,
-                deterministic: true,
-            },
-            requests,
-        );
+        let (responses, stats) = run_batch(workers, requests);
         assert_eq!(responses.len(), params.len());
         assert_eq!(stats.requests, params.len() as u64);
         assert_eq!(stats.distinct_shapes, 8, "{workers} workers: shape census");
@@ -258,55 +251,6 @@ fn fleet_batch_matches_serial_one_shot() {
     }
 }
 
-/// The cacheless arm must also match serial answers — it is the bench's
-/// cold baseline, and "cold" may not mean "different".
-#[test]
-fn cacheless_fleet_matches_serial_one_shot() {
-    let (graph, prof) = profiled(0);
-    let cfg = DeploymentConfig::default();
-    let params: Vec<(usize, f64)> = vec![(1, 0.1), (3, 0.2), (2, 0.35), (4, 0.05)];
-    let serial: Vec<_> = params
-        .iter()
-        .map(|&(count, rate)| {
-            partition_deployment(
-                &graph,
-                &prof,
-                &mk_dep(false, 1.0, count, 0.2),
-                &cfg.clone().at_rate(rate),
-            )
-        })
-        .collect();
-    let requests: Vec<FleetRequest> = params
-        .iter()
-        .enumerate()
-        .map(|(i, &(count, rate))| FleetRequest {
-            id: i as u64,
-            graph: Arc::clone(&graph),
-            profile: Arc::clone(&prof),
-            deployment: mk_dep(false, 1.0, count, 0.2),
-            config: cfg.clone(),
-            rate,
-        })
-        .collect();
-    let (responses, stats) = run_batch(
-        FleetConfig {
-            workers: 2,
-            cache: false,
-            deterministic: true,
-        },
-        requests,
-    );
-    assert_eq!(stats.cache_hits, 0);
-    assert_eq!(stats.encodes_avoided, 0);
-    for (resp, oracle) in responses.iter().zip(&serial) {
-        assert_partitions_bit_identical(
-            &format!("cacheless request {}", resp.id),
-            &resp.result,
-            oracle,
-        );
-    }
-}
-
 /// A request whose rate is not a finite positive number is answered
 /// with a typed error; the worker that drew it lives on, serves the
 /// shape's next request from the same cache entry bit-identically to a
@@ -318,11 +262,7 @@ fn a_bad_rate_gets_a_typed_error_and_the_worker_lives_on() {
     let (graph, prof) = profiled(0);
     let cfg = DeploymentConfig::default();
     let rates = [0.1, f64::NAN, 0.2];
-    let mut server = FleetServer::with_config(FleetConfig {
-        workers: 2,
-        cache: true,
-        deterministic: true,
-    });
+    let mut server = FleetServer::new(2);
     for (i, &rate) in rates.iter().enumerate() {
         server.submit(FleetRequest {
             id: i as u64,

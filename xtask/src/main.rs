@@ -28,11 +28,12 @@
 //!    declares no free `pub fn encode*` but `encode_deployment` and none of
 //!    the binary world's type names ([`ORACLE_ONLY_IDENTS`]).
 //!
-//! 7. **no-env-knobs** — the shipped crates ([`NO_ENV_DIRS`]) read no
-//!    environment variable (`std::env::var`, `env::var_os`, `env::vars`):
-//!    a pricing rule, a tolerance or any other solver behaviour selected
-//!    by the environment is a knob no signature shows, and it breaks the
-//!    fleet's "a response is a function of (shape, request)" contract.
+//! 7. **no-env-knobs** — the shipped crates and the bench tooling
+//!    ([`NO_ENV_DIRS`]) read no environment variable (`std::env::var`,
+//!    `env::var_os`, `env::vars`): a pricing rule, a tolerance, a sweep
+//!    size or any other behaviour selected by the environment is a knob
+//!    no signature shows, and it breaks the fleet's "a response is a
+//!    function of (shape, request)" contract.
 //!
 //! 8. **reference-backend-by-request** — no production call reaches the
 //!    dense tableau: non-test code in [`SHIPPED_SOLVER_CALLERS`] never
@@ -44,8 +45,8 @@
 //!
 //! 9. **bench-one-timer** — the `criterion` stand-in is the only
 //!    micro-bench timer and its groups the only instance list: nothing
-//!    under [`BENCH_TARGETS`] names `BenchRecord`, defines `fn measure` /
-//!    `fn emit_json`, or reads a `WISHBONE_BENCH_*` variable.
+//!    under [`BENCH_TARGETS`] names `BenchRecord` or defines `fn measure` /
+//!    `fn emit_json` (rule 7 covers a variable that would select one).
 //!    `BENCH_solver.json` records are built from the stand-in's samples in
 //!    `crates/bench/src/lib.rs` and nowhere else.
 //!
@@ -56,7 +57,15 @@
 //!     the cascade growing back; what differs between a mote, a gateway
 //!     and the server is a field of the one.
 //!
-//! Test modules are exempt from rules 1–3 and 5–10: by repo convention
+//! 11. **config-surface** — a behaviour is a config field only when
+//!     shipped callers need different values: the structs of
+//!     [`CONFIG_SURFACE`] declare exactly their counted number of `pub`
+//!     fields (one more comes with its callers named in its doc comment
+//!     and the count bumped in the same diff), and [`FLEET_SRC`] declares
+//!     no `pub struct *Config` — a fleet's one parameter is its worker
+//!     count.
+//!
+//! Test modules are exempt from rules 1–3 and 5–11: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -158,9 +167,9 @@ const ORACLE_ONLY_IDENTS: [&str; 4] = [
 ];
 
 /// Directories held to the no-env-knobs rule: every crate the facade
-/// ships (the bench tooling and the examples may read flags from the
-/// environment; what they drive may not).
-const NO_ENV_DIRS: [&str; 8] = [
+/// ships, and the bench tooling (its switches are `--smoke` / `--json`
+/// on the command line; a sweep size is a constant in its target).
+const NO_ENV_DIRS: [&str; 10] = [
     "crates/ilp/src",
     "crates/core/src",
     "crates/runtime/src",
@@ -169,6 +178,8 @@ const NO_ENV_DIRS: [&str; 8] = [
     "crates/dataflow/src",
     "crates/profile/src",
     "crates/trace/src",
+    "crates/bench/src",
+    "crates/bench/benches",
 ];
 
 /// Shipped code that configures or drives the solver (rule 8), plus the
@@ -194,12 +205,19 @@ const REFERENCE_BACKEND_HOMES: [&str; 2] =
 /// second record list growing back in one of them would have to name.
 const BENCH_TARGETS: &str = "crates/bench/benches";
 const SECOND_TIMER_NEEDLES: [&str; 3] = ["BenchRecord", "fn measure", "fn emit_json"];
-const BENCH_ENV_PREFIX: &str = "WISHBONE_BENCH_";
 
 /// Where the simulator lives (rule 10), and the name suffixes of which
 /// it declares exactly one `pub struct` each.
 const RUNTIME_SRC: &str = "crates/runtime/src";
 const ONE_OF_EACH: [&str; 2] = ["Executor", "Cascade"];
+
+/// The option structs (rule 11): file, name, counted `pub` fields. And
+/// the crate that has none.
+const CONFIG_SURFACE: [(&str, &str, usize); 2] = [
+    ("crates/core/src/topology.rs", "DeploymentConfig", 5),
+    ("crates/ilp/src/branch_bound.rs", "IlpOptions", 6),
+];
+const FLEET_SRC: &str = "crates/fleet/src";
 
 struct Violation {
     file: PathBuf,
@@ -291,6 +309,12 @@ fn lint() -> ExitCode {
         })
         .collect();
     check_one_executor(&runtime, &mut violations);
+    for (file, _, _) in CONFIG_SURFACE {
+        // A file that is gone reads as empty: its struct is then missing.
+        let text = std::fs::read_to_string(root.join(file)).unwrap_or_default();
+        check_config_surface(Path::new(file), &text, &mut violations);
+    }
+    scan(&root, &[FLEET_SRC], check_config_surface, &mut violations);
 
     if violations.is_empty() {
         println!(
@@ -763,28 +787,18 @@ fn check_reference_backend(rel: &Path, text: &str, violations: &mut Vec<Violatio
     }
 }
 
-/// Rule 9 over one bench target: `BenchRecord` anywhere in code, a
-/// `fn measure` / `fn emit_json` definition, or a `WISHBONE_BENCH_*`
-/// name (it only ever occurs in the string handed to `env::var`).
+/// Rule 9 over one bench target: `BenchRecord` anywhere in code, or a
+/// `fn measure` / `fn emit_json` definition.
 fn check_bench_one_timer(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
     for (line_no, raw) in non_test_lines(text) {
         if allowed(raw, "bench-one-timer") {
             continue;
         }
         let code = strip_strings_and_comments(raw);
-        let needle = SECOND_TIMER_NEEDLES
+        let Some(needle) = SECOND_TIMER_NEEDLES
             .iter()
-            .find(|needle| mentions_ident(&code, needle));
-        let found = if let Some(needle) = needle {
-            format!("has `{needle}`")
-        } else if raw
-            .split("//")
-            .next()
-            .unwrap_or("")
-            .contains(BENCH_ENV_PREFIX)
-        {
-            format!("reads a `{BENCH_ENV_PREFIX}*` variable")
-        } else {
+            .find(|needle| mentions_ident(&code, needle))
+        else {
             continue;
         };
         violations.push(Violation {
@@ -792,12 +806,18 @@ fn check_bench_one_timer(rel: &Path, text: &str, violations: &mut Vec<Violation>
             line: line_no,
             rule: "bench-one-timer",
             message: format!(
-                "a bench target {found} — time the instance in a criterion group and let \
-                 `wishbone_bench::merge_bench_json` write what the group measured; \
+                "a bench target has `{needle}` — time the instance in a criterion group and \
+                 let `wishbone_bench::merge_bench_json` write what the group measured; \
                  `--smoke` and `--json` are the only switches"
             ),
         });
     }
+}
+
+/// The name a line declares as a `pub struct`, if it does.
+fn pub_struct_name(raw: &str) -> Option<&str> {
+    let decl = raw.trim_start();
+    pub_item_name(decl).filter(|_| decl.starts_with("pub struct "))
 }
 
 /// Rule 10 over the sources of [`RUNTIME_SRC`] (repo-relative path, text):
@@ -807,10 +827,8 @@ fn check_one_executor(sources: &[(PathBuf, String)], violations: &mut Vec<Violat
     for suffix in ONE_OF_EACH {
         let mut decls = sources.iter().flat_map(|(rel, text)| {
             non_test_lines(text).filter_map(move |(line_no, raw)| {
-                let decl = raw.trim_start();
-                let name = pub_item_name(decl).filter(|name| name.ends_with(suffix))?;
-                (decl.starts_with("pub struct ") && !allowed(raw, "one-executor"))
-                    .then_some((rel, line_no, name))
+                let name = pub_struct_name(raw).filter(|name| name.ends_with(suffix))?;
+                (!allowed(raw, "one-executor")).then_some((rel, line_no, name))
             })
         });
         let Some((_, _, first)) = decls.next() else {
@@ -834,6 +852,46 @@ fn check_one_executor(sources: &[(PathBuf, String)], violations: &mut Vec<Violat
             });
         }
     }
+}
+
+/// Rule 11 over one source file: a struct of [`CONFIG_SURFACE`] declares
+/// its counted number of `pub` fields in the file the table names, and a
+/// file under [`FLEET_SRC`] declares no `pub struct *Config`.
+fn check_config_surface(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
+    let mut found = Vec::new();
+    for (_, name, counted) in CONFIG_SURFACE.iter().filter(|s| rel == Path::new(s.0)) {
+        let mut lines =
+            non_test_lines(text).skip_while(|(_, raw)| pub_struct_name(raw) != Some(name));
+        let decl_line = lines.next().map_or(0, |(line_no, _)| line_no);
+        let fields = lines
+            .take_while(|(_, raw)| !raw.starts_with('}'))
+            .filter(|(_, raw)| raw.trim_start().starts_with("pub "))
+            .count();
+        if fields != *counted {
+            found.push((
+                decl_line,
+                format!(
+                    "`{name}` declares {fields} `pub` fields, {counted} are counted — a new \
+                     field names the shipped callers that need different values and bumps \
+                     the count; one nothing sets is a constant"
+                ),
+            ));
+        }
+    }
+    if rel.starts_with(FLEET_SRC) {
+        let configs = non_test_lines(text).filter(|(_, raw)| !allowed(raw, "config-surface"));
+        found.extend(configs.filter_map(|(line_no, raw)| {
+            let name = pub_struct_name(raw).filter(|name| name.ends_with("Config"))?;
+            let fix = "a fleet's one parameter is its worker count — `FleetServer::new`";
+            Some((line_no, format!("`{name}`: {fix}")))
+        }));
+    }
+    violations.extend(found.into_iter().map(|(line, message)| Violation {
+        file: rel.to_path_buf(),
+        line,
+        rule: "config-surface",
+        message,
+    }));
 }
 
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
@@ -957,7 +1015,6 @@ fn emit_json(reps: usize) { // line 4
 }
 fn main() {
     let json = std::env::var_os(\"WISHBONE_BENCH_JSON\").is_some(); // line 8
-    let n = wishbone_bench::env_size(\"WISHBONE_FIG6_POINTS\", 8);
     fn remeasure() {} fn measure_all() {} let s = \"fn measure, BenchRecord\";
     merge_bench_json(\"solver_criterion\", &timed); // WISHBONE_BENCH_JSON is gone
     let old = legacy::BenchRecord::new(); // audit:allow(bench-one-timer): demo
@@ -978,9 +1035,58 @@ fn main() {
                 (3, "a bench target has `fn measure`"),
                 (4, "a bench target has `fn emit_json`"),
                 (5, "a bench target has `BenchRecord`"),
-                (8, "a bench target reads a `WISHBONE_BENCH_*` variable"),
             ]
         );
+        // The variable on line 8 is rule 7's, now that it scans here too.
+        let mut v = Vec::new();
+        check_env_knobs(target, source, &mut v);
+        assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![8]);
+    }
+
+    #[test]
+    fn config_surface_fires_on_a_field_or_a_fleet_config_put_back() {
+        let found = |file: &str, source: &str| {
+            let mut v = Vec::new();
+            check_config_surface(Path::new(file), source, &mut v);
+            assert!(v.iter().all(|x| x.rule == "config-surface"));
+            v.iter().map(|x| x.line).collect::<Vec<_>>()
+        };
+        let options = "\
+/// Options controlling the search.
+pub struct IlpOptions { // line 2
+    /// Gap.
+    pub rel_gap: f64,
+    pub max_nodes: u64,
+    pub time_limit: Option<Duration>,
+    pub warm_lp: bool,
+    pub warm_solution: Option<Vec<f64>>,
+    pub backend: SolverBackend,
+}
+pub struct IlpStats { pub nodes: u64, }
+";
+        let ilp = "crates/ilp/src/branch_bound.rs";
+        assert_eq!(found(ilp, options), vec![]);
+        assert_eq!(
+            found(
+                ilp,
+                &options.replace("    /// Gap.", "    pub presolve: bool,")
+            ),
+            vec![2]
+        );
+        assert_eq!(found(ilp, "pub struct IlpStats;"), vec![0]);
+
+        let fleet = "\
+pub struct FleetServer { txs: Vec<Tx> }
+pub struct FleetConfig { pub workers: usize } // line 2
+pub struct ConfigReport; // `Config` is not its suffix
+pub struct OldConfig; // audit:allow(config-surface): demo
+#[cfg(test)]
+mod tests {
+    pub struct TestConfig;
+}
+";
+        assert_eq!(found("crates/fleet/src/lib.rs", fleet), vec![2]);
+        assert_eq!(found("crates/core/src/shape.rs", fleet), vec![]);
     }
 
     #[test]
