@@ -1,11 +1,7 @@
 //! Criterion micro-benchmarks for the solver and its design choices:
 //!
-//! * `solver_scaling`: ILP solve time vs EEG channel count (problem size);
 //! * `backend_scaling` / `multitier_scaling` / `deployment_scaling`: the
 //!   solve alone on pre-encoded binary, k-tier chain and forest ILPs;
-//! * `ablation_preprocess`: §4.1 merge on vs off;
-//! * `ablation_encoding`: restricted vs general formulation;
-//! * `ablation_warm_start`: workspace warm starts vs all-cold node LPs;
 //! * `rate_search`: §4.3 end-to-end, prepared (one encode, rescale per
 //!   probe) vs rebuild-per-probe (the pre-workspace behaviour);
 //! * `churn_scaling`: deltas absorbed in place vs a cold rebuild per event;
@@ -68,19 +64,10 @@ fn obj() -> ObjectiveConfig {
     ObjectiveConfig::bandwidth_only(1.0, 1e12)
 }
 
-fn solve(pg: &PartitionGraph, enc: Encoding, pre: bool) -> f64 {
-    solve_opts(pg, enc, pre, &IlpOptions::default()).0
-}
-
-fn solve_opts(pg: &PartitionGraph, enc: Encoding, pre: bool, opts: &IlpOptions) -> (f64, IlpStats) {
-    let merged;
-    let target = if pre {
-        merged = preprocess(pg).expect("merge ok").graph;
-        &merged
-    } else {
-        pg
-    };
-    let ep = encode(target, enc, &obj());
+/// Merge, encode (restricted) and solve `pg` under `opts`.
+fn solve_opts(pg: &PartitionGraph, opts: &IlpOptions) -> (f64, IlpStats) {
+    let merged = preprocess(pg).expect("merge ok").graph;
+    let ep = encode(&merged, Encoding::Restricted, &obj());
     let sol = ep.problem.solve_ilp(opts).expect("solvable");
     (sol.objective, sol.stats)
 }
@@ -204,19 +191,6 @@ fn eeg_forest_ilp(channels: usize, count: usize) -> Problem {
     let prep = PreparedDeployment::new(&graph, &prof, &dep, &DeploymentConfig::default())
         .expect("pins ok");
     prep.problem().clone()
-}
-
-fn solver_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("solver_scaling");
-    for channels in [1usize, 2, 4] {
-        let pg = eeg_partition_graph(channels);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{channels}ch")),
-            &pg,
-            |b, pg| b.iter(|| solve(pg, Encoding::Restricted, true)),
-        );
-    }
-    group.finish();
 }
 
 /// Dense tableau vs sparse revised on identical pre-encoded instances:
@@ -365,57 +339,6 @@ fn approx_scaling(c: &mut Criterion) {
         }
     }
     group.finish();
-}
-
-fn ablation_preprocess(c: &mut Criterion) {
-    let pg = eeg_partition_graph(2);
-    let mut group = c.benchmark_group("ablation_preprocess");
-    group.bench_function("with_merge", |b| {
-        b.iter(|| solve(&pg, Encoding::Restricted, true))
-    });
-    group.bench_function("without_merge", |b| {
-        b.iter(|| solve(&pg, Encoding::Restricted, false))
-    });
-    group.finish();
-    // Optimality must not change (checked once outside the timing loop).
-    let with = solve(&pg, Encoding::Restricted, true);
-    let without = solve(&pg, Encoding::Restricted, false);
-    assert!((with - without).abs() < 1e-6, "merge changed the optimum");
-}
-
-fn ablation_encoding(c: &mut Criterion) {
-    let pg = eeg_partition_graph(1);
-    let mut group = c.benchmark_group("ablation_encoding");
-    group.bench_function("restricted", |b| {
-        b.iter(|| solve(&pg, Encoding::Restricted, true))
-    });
-    group.bench_function("general", |b| {
-        b.iter(|| solve(&pg, Encoding::General, true))
-    });
-    group.finish();
-    let r = solve(&pg, Encoding::Restricted, true);
-    let g = solve(&pg, Encoding::General, true);
-    assert!(g <= r + 1e-6, "general encoding can only match or improve");
-}
-
-fn ablation_warm_start(c: &mut Criterion) {
-    let pg = eeg_partition_graph(2);
-    let warm = IlpOptions::default();
-    let cold = IlpOptions {
-        warm_lp: false,
-        ..Default::default()
-    };
-    let mut group = c.benchmark_group("ablation_warm_start");
-    group.bench_function("warm", |b| {
-        b.iter(|| solve_opts(&pg, Encoding::Restricted, true, &warm))
-    });
-    group.bench_function("cold", |b| {
-        b.iter(|| solve_opts(&pg, Encoding::Restricted, true, &cold))
-    });
-    group.finish();
-    let (w, _) = solve_opts(&pg, Encoding::Restricted, true, &warm);
-    let (cd, _) = solve_opts(&pg, Encoding::Restricted, true, &cold);
-    assert!((w - cd).abs() < 1e-6, "warm start changed the optimum");
 }
 
 /// Profiled EEG app reused by the end-to-end rate-search benches.
@@ -803,13 +726,9 @@ fn drift_resolve(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    solver_scaling,
     backend_scaling,
     multitier_scaling,
     deployment_scaling,
-    ablation_preprocess,
-    ablation_encoding,
-    ablation_warm_start,
     rate_search,
     churn_scaling,
     approx_scaling,
@@ -829,8 +748,8 @@ fn smoke(backend: SolverBackend) {
         warm_lp: false,
         ..backend_opts(backend)
     };
-    let (warm_obj, warm_stats) = solve_opts(&pg, Encoding::Restricted, true, &warm_opts);
-    let (cold_obj, cold_stats) = solve_opts(&pg, Encoding::Restricted, true, &cold_opts);
+    let (warm_obj, warm_stats) = solve_opts(&pg, &warm_opts);
+    let (cold_obj, cold_stats) = solve_opts(&pg, &cold_opts);
     assert!(
         (warm_obj - cold_obj).abs() < 1e-6,
         "[{label}] warm {warm_obj} vs cold {cold_obj}"
@@ -846,7 +765,7 @@ fn smoke(backend: SolverBackend) {
     // Differential parity against the other backend on the same instance
     // and on the 972-constraint chain the sparse path exists for.
     let other = backend_opts(other_backend(backend));
-    let (other_obj, _) = solve_opts(&pg, Encoding::Restricted, true, &other);
+    let (other_obj, _) = solve_opts(&pg, &other);
     assert!(
         (warm_obj - other_obj).abs() < 1e-6,
         "backends disagree on 1ch EEG: {warm_obj} vs {other_obj}"

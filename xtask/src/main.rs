@@ -65,6 +65,14 @@
 //!     no `pub struct *Config` — a fleet's one parameter is its worker
 //!     count.
 //!
+//! 12. **one-repro** — the paper's evaluation is one target whose stdout
+//!     is the checked-in `REPRO.md`: [`BENCH_MANIFEST`] declares exactly
+//!     the three `[[bench]]` targets of [`THE_BENCH_TARGETS`] (`repro`
+//!     and the two timing targets), and no file under [`BENCH_TARGETS`]
+//!     is named `fig*` or `validation_*` — a figure put back as its own
+//!     binary is a fixture and an assert list growing back beside the
+//!     claim list.
+//!
 //! Test modules are exempt from rules 1–3 and 5–11: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
@@ -206,6 +214,12 @@ const REFERENCE_BACKEND_HOMES: [&str; 2] =
 const BENCH_TARGETS: &str = "crates/bench/benches";
 const SECOND_TIMER_NEEDLES: [&str; 3] = ["BenchRecord", "fn measure", "fn emit_json"];
 
+/// The bench crate's manifest and the only `[[bench]]` targets it may
+/// declare (rule 12), and how a per-figure target put back would be named.
+const BENCH_MANIFEST: &str = ORACLE_DEPENDENT;
+const THE_BENCH_TARGETS: [&str; 3] = ["repro", "solver_criterion", "fleet_scaling"];
+const PER_FIGURE_PREFIXES: [&str; 2] = ["fig", "validation_"];
+
 /// Where the simulator lives (rule 10), and the name suffixes of which
 /// it declares exactly one `pub struct` each.
 const RUNTIME_SRC: &str = "crates/runtime/src";
@@ -298,6 +312,13 @@ fn lint() -> ExitCode {
         check_bench_one_timer,
         &mut violations,
     );
+    // A manifest that is gone reads as empty: all three targets are then missing.
+    let bench_manifest = std::fs::read_to_string(root.join(BENCH_MANIFEST)).unwrap_or_default();
+    let bench_files: Vec<PathBuf> = rust_sources(&root.join(BENCH_TARGETS))
+        .iter()
+        .map(|file| file.strip_prefix(&root).unwrap_or(file).to_path_buf())
+        .collect();
+    check_one_repro(&bench_manifest, &bench_files, &mut violations);
     let runtime: Vec<(PathBuf, String)> = rust_sources(&root.join(RUNTIME_SRC))
         .into_iter()
         .filter_map(|file| {
@@ -814,6 +835,57 @@ fn check_bench_one_timer(rel: &Path, text: &str, violations: &mut Vec<Violation>
     }
 }
 
+/// Rule 12: `manifest` (the text of [`BENCH_MANIFEST`]) declares exactly
+/// [`THE_BENCH_TARGETS`], and none of `files` (the sources under
+/// [`BENCH_TARGETS`]) is named like a per-figure target.
+fn check_one_repro(manifest: &str, files: &[PathBuf], violations: &mut Vec<Violation>) {
+    let mut flag = |file: &Path, line: usize, message: String| {
+        violations.push(Violation {
+            file: file.to_path_buf(),
+            line,
+            rule: "one-repro",
+            message,
+        })
+    };
+    let mut declared: Vec<&str> = Vec::new();
+    let mut in_bench = false;
+    for (i, raw) in manifest.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            in_bench = line == "[[bench]]";
+            continue;
+        }
+        let key_value = line.split_once('=').map(|(k, v)| (k.trim(), v.trim()));
+        let Some(("name", value)) = key_value.filter(|_| in_bench) else {
+            continue;
+        };
+        let name = value.trim_matches('"');
+        if !THE_BENCH_TARGETS.contains(&name) || declared.contains(&name) {
+            let message = format!(
+                "`[[bench]]` target `{name}` — the bench crate has exactly the targets \
+                 {THE_BENCH_TARGETS:?}; a figure or validation experiment is a function of \
+                 `repro.rs` and its asserts are claims on the one list"
+            );
+            flag(Path::new(BENCH_MANIFEST), i + 1, message);
+        }
+        declared.push(name);
+    }
+    for missing in THE_BENCH_TARGETS.iter().filter(|t| !declared.contains(t)) {
+        let message = format!("`[[bench]]` target `{missing}` is not declared");
+        flag(Path::new(BENCH_MANIFEST), 1, message);
+    }
+    for file in files {
+        let stem = file.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        if PER_FIGURE_PREFIXES.iter().any(|p| stem.starts_with(p)) {
+            let message = format!(
+                "a per-figure bench source — fold `{stem}` into `repro.rs`, whose stdout is \
+                 `REPRO.md`"
+            );
+            flag(file, 1, message);
+        }
+    }
+}
+
 /// The name a line declares as a `pub struct`, if it does.
 fn pub_struct_name(raw: &str) -> Option<&str> {
     let decl = raw.trim_start();
@@ -1041,6 +1113,71 @@ fn main() {
         let mut v = Vec::new();
         check_env_knobs(target, source, &mut v);
         assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![8]);
+    }
+
+    #[test]
+    fn one_repro_fires_on_a_per_figure_target_put_back() {
+        let manifest = |names: &[&str]| -> String {
+            let target = |n: &&str| format!("[[bench]]\nname = \"{n}\"\nharness = false\n\n");
+            let head = "[package]\nname = \"wishbone-bench\"\n\n[dependencies]\n\n";
+            head.to_string() + &names.iter().map(target).collect::<String>()
+        };
+        let files = |names: &[&str]| -> Vec<PathBuf> {
+            let path = |n: &&str| Path::new(BENCH_TARGETS).join(format!("{n}.rs"));
+            names.iter().map(path).collect()
+        };
+        let found = |names: &[&str]| {
+            let mut v = Vec::new();
+            check_one_repro(&manifest(names), &files(names), &mut v);
+            assert!(v.iter().all(|x| x.rule == "one-repro"));
+            v.iter()
+                .map(|x| (x.file.to_string_lossy().into_owned(), x.line))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(found(&THE_BENCH_TARGETS), []);
+        // Fig 9 and the validation target put back as their own binaries:
+        // two manifest entries (lines 15 and 19) and two source files.
+        let put_back = [
+            "repro",
+            "solver_criterion",
+            "fig9_single_mote_goodput",
+            "validation_predictions",
+            "fleet_scaling",
+        ];
+        assert_eq!(
+            found(&put_back),
+            [
+                (BENCH_MANIFEST.to_string(), 15),
+                (BENCH_MANIFEST.to_string(), 19),
+                (
+                    "crates/bench/benches/fig9_single_mote_goodput.rs".to_string(),
+                    1
+                ),
+                (
+                    "crates/bench/benches/validation_predictions.rs".to_string(),
+                    1
+                ),
+            ]
+        );
+        // `repro` itself deleted, or declared twice: not three targets either.
+        assert_eq!(
+            found(&["solver_criterion", "fleet_scaling"]),
+            [(BENCH_MANIFEST.to_string(), 1)]
+        );
+        let mut v = Vec::new();
+        let twice = manifest(&["repro", "repro", "solver_criterion", "fleet_scaling"]);
+        check_one_repro(&twice, &files(&THE_BENCH_TARGETS), &mut v);
+        assert_eq!(v.len(), 1);
+        // The committed manifest and directory are clean.
+        let manifest = std::fs::read_to_string(repo_root().join(BENCH_MANIFEST)).unwrap();
+        let files = rust_sources(&repo_root().join(BENCH_TARGETS));
+        let mut v = Vec::new();
+        check_one_repro(&manifest, &files, &mut v);
+        assert!(
+            v.is_empty(),
+            "{}",
+            v.iter().map(|x| x.to_string()).collect::<String>()
+        );
     }
 
     #[test]
