@@ -13,7 +13,12 @@
 //!    contracted first, so the coarse graph's cuts avoid them by
 //!    construction. Contraction only pairs vertices whose tier intervals
 //!    (from pins, propagated through precedence) intersect, so every
-//!    coarse vertex still has a legal tier.
+//!    coarse vertex still has a legal tier. This phase happens **once per
+//!    prepared instance** (`CutHierarchy::build`): it reads the merged
+//!    leaf graphs — pins, per-tier CPU costs, per-link edge bandwidths —
+//!    and each leaf's path, and never a device count, a budget, a weight
+//!    or a rate, so no rate probe and no
+//!    [`DeploymentDelta`](crate::topology::DeploymentDelta) can stale it.
 //! 2. **Cut** the coarsest graphs greedily: start from the two trivial
 //!    monotone cuts (everything as low / as high as pins allow) and
 //!    repair budget overloads by single-tier moves that maximally reduce
@@ -23,6 +28,9 @@
 //!    tolerating bounded non-improving stretches, rolling back to the
 //!    best state seen — then each leaf projects one level finer and the
 //!    pass repeats with progressively finer moves.
+//!
+//! Phases 2 and 3 are what a solve pays (`CutHierarchy::cut`): counts,
+//! budgets, weights and the rate enter there and only there.
 //!
 //! Every move is *monotone-aware*: a move rounds a whole tier per (leaf,
 //! operator), never a fractional indicator, and is generated only if it
@@ -62,7 +70,7 @@ const MAX_LEVELS: usize = 24;
 const STALL_CAP: usize = 12;
 
 /// Per-pass cap on how many times one (leaf, vertex) may move.
-const MOVE_CAP: usize = 4;
+const MOVE_CAP: u8 = 4;
 
 /// A tier-per-vertex placement produced by [`approx_cut`], with the
 /// search effort that produced it.
@@ -78,35 +86,76 @@ pub struct ApproxCut {
     /// [`DeploymentPartition::objective`](crate::topology::DeploymentPartition::objective)
     /// (the encoded problem's objective plus its constant offset).
     pub objective: f64,
-    /// Coarsening levels built, summed over leaves.
-    pub levels: usize,
     /// Single-tier moves applied across repair and refinement.
     pub moves: u64,
 }
 
-/// One leaf graph at one coarsening level.
+/// One leaf graph at one coarsening level, stored flat — a handful of
+/// arrays per level, whatever the vertex count, so a hierarchy kept for
+/// the life of a prepared instance costs little beyond its payload.
 struct CLevel {
-    /// Per-vertex CPU cost per tier (length `k` each).
-    cpu: Vec<Vec<f64>>,
-    /// Tightest legal tier interval per vertex (pins propagated through
-    /// precedence, intersected over merged members).
-    lo: Vec<usize>,
-    hi: Vec<usize>,
-    /// Merged directed edges (no self-loops; parallel edges summed).
-    edges: Vec<CEdge>,
-    /// Outgoing / incoming edge indices per vertex.
-    out: Vec<Vec<usize>>,
-    inc: Vec<Vec<usize>>,
-    /// Map from the next-finer level's vertices to this level's
-    /// (`None` for the finest level).
-    map: Option<Vec<usize>>,
+    /// Tiers `k` of the leaf's path.
+    k: usize,
+    /// CPU cost of vertex `v` on tier `t`: `cpu[v * k + t]`.
+    cpu: Vec<f64>,
+    /// Tightest legal tier interval `[lo, hi]` per vertex (pins propagated
+    /// through precedence, intersected over merged members).
+    span: Vec<[u32; 2]>,
+    /// Merged directed edges `[src, dst]` (no self-loops; parallel edges
+    /// summed).
+    ends: Vec<[u32; 2]>,
+    /// On-air bytes/second of edge `e` if carried over link `b`:
+    /// `bw[e * (k − 1) + b]`.
+    bw: Vec<f64>,
+    /// Outgoing, then incoming, edge indices per vertex, ascending, as two
+    /// CSR tables in one array ([`adjacency`]).
+    adj: Vec<u32>,
+    /// Map from the next-finer level's vertices to this level's (empty
+    /// for the finest level).
+    map: Vec<u32>,
 }
 
-struct CEdge {
-    src: usize,
-    dst: usize,
-    /// On-air bytes/second if carried over link `b` (length `k − 1`).
-    bw: Vec<f64>,
+impl CLevel {
+    fn vertices(&self) -> usize {
+        self.span.len()
+    }
+
+    fn lo(&self, v: usize) -> usize {
+        self.span[v][0] as usize
+    }
+
+    fn hi(&self, v: usize) -> usize {
+        self.span[v][1] as usize
+    }
+
+    fn src(&self, e: u32) -> usize {
+        self.ends[e as usize][0] as usize
+    }
+
+    fn dst(&self, e: u32) -> usize {
+        self.ends[e as usize][1] as usize
+    }
+
+    fn cpu(&self, v: usize, t: usize) -> f64 {
+        self.cpu[v * self.k + t]
+    }
+
+    fn bw(&self, e: u32, b: usize) -> f64 {
+        self.bw[e as usize * (self.k - 1) + b]
+    }
+
+    /// Edges listed at row `row` of `adj`'s offset header.
+    fn adj_row(&self, row: usize) -> &[u32] {
+        &self.adj[self.adj[row] as usize..self.adj[row + 1] as usize]
+    }
+
+    fn out(&self, v: usize) -> &[u32] {
+        self.adj_row(v)
+    }
+
+    fn inc(&self, v: usize) -> &[u32] {
+        self.adj_row(self.vertices() + 1 + v)
+    }
 }
 
 /// Tier-interval fixpoint: push `lo` forward and `hi` backward along
@@ -114,16 +163,17 @@ struct CEdge {
 /// can create directed cycles, which simply force tier equality around
 /// the cycle). Returns `false` on an empty interval — no legal tier
 /// assignment exists at this level.
-fn propagate_bounds(lo: &mut [usize], hi: &mut [usize], edges: &[CEdge]) -> bool {
+fn propagate_bounds(span: &mut [[u32; 2]], ends: &[[u32; 2]]) -> bool {
     loop {
         let mut changed = false;
-        for e in edges {
-            if lo[e.src] > lo[e.dst] {
-                lo[e.dst] = lo[e.src];
+        for &[s, d] in ends {
+            let (s, d) = (s as usize, d as usize);
+            if span[s][0] > span[d][0] {
+                span[d][0] = span[s][0];
                 changed = true;
             }
-            if hi[e.dst] < hi[e.src] {
-                hi[e.src] = hi[e.dst];
+            if span[d][1] < span[s][1] {
+                span[s][1] = span[d][1];
                 changed = true;
             }
         }
@@ -131,95 +181,103 @@ fn propagate_bounds(lo: &mut [usize], hi: &mut [usize], edges: &[CEdge]) -> bool
             break;
         }
     }
-    lo.iter().zip(hi.iter()).all(|(l, h)| l <= h)
+    span.iter().all(|[lo, hi]| lo <= hi)
+}
+
+/// Out- and in-adjacency of `n` vertices in one array: a header of two
+/// `n + 1`-entry offset rows (by source, then by destination), each
+/// delimiting its vertices' edge indices — ascending within a vertex —
+/// in the body that follows.
+fn adjacency(n: usize, ends: &[[u32; 2]]) -> Vec<u32> {
+    let header = 2 * (n + 1);
+    let mut adj = vec![0u32; header + 2 * ends.len()];
+    for side in 0..2 {
+        let row = side * (n + 1);
+        for e in ends {
+            adj[row + e[side] as usize + 1] += 1;
+        }
+        adj[row] = (header + side * ends.len()) as u32;
+        for v in 0..n {
+            adj[row + v + 1] += adj[row + v];
+        }
+        let mut next = adj[row..row + n].to_vec();
+        for (e, ends) in ends.iter().enumerate() {
+            let slot = &mut next[ends[side] as usize];
+            adj[*slot as usize] = e as u32;
+            *slot += 1;
+        }
+    }
+    adj
 }
 
 /// Build the finest [`CLevel`] of one leaf from its (merged) chain graph.
 fn finest_level(leaf: &LeafChain<'_>) -> Option<CLevel> {
     let k = leaf.graph.tiers;
     let n = leaf.graph.vertices.len();
-    let mut lo = vec![0usize; n];
-    let mut hi = vec![k - 1; n];
-    for (v, vert) in leaf.graph.vertices.iter().enumerate() {
-        match vert.pin {
-            crate::cost_graph::Pin::Node => hi[v] = 0,
-            crate::cost_graph::Pin::Server => lo[v] = k - 1,
-            crate::cost_graph::Pin::Movable => {}
-        }
-    }
-    let edges: Vec<CEdge> = leaf
-        .graph
-        .edges
+    assert!(
+        2 * (n + 1 + leaf.graph.edges.len()) <= u32::MAX as usize,
+        "a leaf graph and its adjacency array are indexed by u32"
+    );
+    let top = k as u32 - 1;
+    let vertices = &leaf.graph.vertices;
+    let mut span: Vec<[u32; 2]> = vertices
         .iter()
-        .map(|e| CEdge {
-            src: e.src,
-            dst: e.dst,
-            bw: e.bandwidth.clone(),
+        .map(|vert| match vert.pin {
+            crate::cost_graph::Pin::Node => [0, 0],
+            crate::cost_graph::Pin::Server => [top, top],
+            crate::cost_graph::Pin::Movable => [0, top],
         })
         .collect();
-    if !propagate_bounds(&mut lo, &mut hi, &edges) {
+    let edges = &leaf.graph.edges;
+    let ends: Vec<[u32; 2]> = edges.iter().map(|e| [e.src as u32, e.dst as u32]).collect();
+    if !propagate_bounds(&mut span, &ends) {
         return None;
     }
-    let (out, inc) = adjacency(n, &edges);
     Some(CLevel {
-        cpu: leaf
-            .graph
-            .vertices
-            .iter()
-            .map(|v| v.cpu_cost.clone())
-            .collect(),
-        lo,
-        hi,
-        edges,
-        out,
-        inc,
-        map: None,
+        k,
+        cpu: vertices.iter().flat_map(|v| &v.cpu_cost).copied().collect(),
+        span,
+        bw: edges.iter().flat_map(|e| &e.bandwidth).copied().collect(),
+        adj: adjacency(n, &ends),
+        ends,
+        map: Vec::new(),
     })
-}
-
-fn adjacency(n: usize, edges: &[CEdge]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-    let mut out = vec![Vec::new(); n];
-    let mut inc = vec![Vec::new(); n];
-    for (i, e) in edges.iter().enumerate() {
-        out[e.src].push(i);
-        inc[e.dst].push(i);
-    }
-    (out, inc)
 }
 
 /// One heavy-edge-matching contraction of `fine`. Returns `None` when no
 /// edge can be contracted (coarsening has converged) or the contracted
 /// graph has no legal tier assignment (stop at the finer level).
 fn coarsen(fine: &CLevel) -> Option<CLevel> {
-    let n = fine.lo.len();
+    const FREE: u32 = u32::MAX;
+    let (n, k) = (fine.vertices(), fine.k);
     // Heaviest total data rate first; index order breaks ties so the
     // matching is deterministic.
-    let mut order: Vec<usize> = (0..fine.edges.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (wa, wb) = (
-            fine.edges[a].bw.iter().sum::<f64>(),
-            fine.edges[b].bw.iter().sum::<f64>(),
-        );
-        wb.partial_cmp(&wa)
+    let edges = fine.ends.len();
+    let weight: Vec<f64> = (0..edges)
+        .map(|e| fine.bw[e * (k - 1)..(e + 1) * (k - 1)].iter().sum())
+        .collect();
+    let mut order: Vec<u32> = (0..edges as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        weight[b as usize]
+            .partial_cmp(&weight[a as usize])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
 
-    let mut mate = vec![usize::MAX; n];
+    let mut mate = vec![FREE; n];
     let mut pairs = 0usize;
-    for &i in &order {
-        let e = &fine.edges[i];
-        let (u, v) = (e.src, e.dst);
-        if u == v || mate[u] != usize::MAX || mate[v] != usize::MAX {
+    for &e in &order {
+        let (u, v) = (fine.src(e), fine.dst(e));
+        if u == v || mate[u] != FREE || mate[v] != FREE {
             continue;
         }
         // Contraction forces t(u) = t(v): legal only on intersecting
         // tier intervals.
-        if fine.lo[u].max(fine.lo[v]) > fine.hi[u].min(fine.hi[v]) {
+        if fine.lo(u).max(fine.lo(v)) > fine.hi(u).min(fine.hi(v)) {
             continue;
         }
-        mate[u] = v;
-        mate[v] = u;
+        mate[u] = v as u32;
+        mate[v] = u as u32;
         pairs += 1;
     }
     if pairs == 0 {
@@ -228,77 +286,80 @@ fn coarsen(fine: &CLevel) -> Option<CLevel> {
 
     // Coarse ids in fine-vertex order: the lower endpoint of each pair
     // names the merged vertex.
-    let mut map = vec![usize::MAX; n];
-    let mut next = 0usize;
+    let mut map = vec![FREE; n];
+    let mut next = 0u32;
     for v in 0..n {
-        if map[v] != usize::MAX {
+        if map[v] != FREE {
             continue;
         }
         map[v] = next;
-        if mate[v] != usize::MAX {
-            map[mate[v]] = next;
+        if mate[v] != FREE {
+            map[mate[v] as usize] = next;
         }
         next += 1;
     }
+    let coarse_n = next as usize;
 
-    let k = fine.cpu.first().map_or(0, Vec::len);
-    let mut cpu = vec![vec![0.0f64; k]; next];
-    let mut lo = vec![0usize; next];
-    let mut hi = vec![usize::MAX; next];
+    let mut cpu = vec![0.0f64; coarse_n * k];
+    let mut span = vec![[0u32, u32::MAX]; coarse_n];
     for (v, &c) in map.iter().enumerate() {
-        for (t, acc) in cpu[c].iter_mut().enumerate() {
-            *acc += fine.cpu[v][t];
+        let c = c as usize;
+        for (acc, &fine_cpu) in cpu[c * k..(c + 1) * k]
+            .iter_mut()
+            .zip(&fine.cpu[v * k..(v + 1) * k])
+        {
+            *acc += fine_cpu;
         }
-        lo[c] = lo[c].max(fine.lo[v]);
-        hi[c] = hi[c].min(fine.hi[v]);
+        let [lo, hi] = fine.span[v];
+        span[c] = [span[c][0].max(lo), span[c][1].min(hi)];
     }
 
-    // Merge parallel coarse edges; drop internalized ones.
-    let mut merged: std::collections::HashMap<(usize, usize), Vec<f64>> =
-        std::collections::HashMap::new();
-    for e in &fine.edges {
-        let (cs, cd) = (map[e.src], map[e.dst]);
-        if cs == cd {
-            continue;
+    // Merge parallel coarse edges; drop internalized ones. Sorted by
+    // (coarse src, coarse dst, fine edge), so each merged edge sums its
+    // members in fine-edge order.
+    let mut crossing: Vec<([u32; 2], u32)> = (0..edges as u32)
+        .map(|e| ([map[fine.src(e)], map[fine.dst(e)]], e))
+        .filter(|([cs, cd], _)| cs != cd)
+        .collect();
+    crossing.sort_unstable();
+    let (mut ends, mut bw) = (Vec::new(), Vec::new());
+    for &(coarse, e) in &crossing {
+        if ends.last() != Some(&coarse) {
+            ends.push(coarse);
+            bw.resize(bw.len() + k - 1, 0.0f64);
         }
-        let bw = merged.entry((cs, cd)).or_insert_with(|| vec![0.0; k - 1]);
-        for (b, acc) in bw.iter_mut().enumerate() {
-            *acc += e.bw[b];
+        let at = bw.len() - (k - 1);
+        for (b, acc) in bw[at..].iter_mut().enumerate() {
+            *acc += fine.bw(e, b);
         }
     }
-    let mut keys: Vec<(usize, usize)> = merged.keys().copied().collect();
-    keys.sort_unstable();
-    let edges: Vec<CEdge> = keys
-        .into_iter()
-        .map(|(src, dst)| CEdge {
-            src,
-            dst,
-            bw: merged.remove(&(src, dst)).unwrap_or_default(),
-        })
-        .collect();
-    if !propagate_bounds(&mut lo, &mut hi, &edges) {
+    // Kept for the life of a prepared instance: drop the growth slack.
+    ends.shrink_to_fit();
+    bw.shrink_to_fit();
+    if !propagate_bounds(&mut span, &ends) {
         return None;
     }
-    let (out, inc) = adjacency(next, &edges);
     Some(CLevel {
+        k,
         cpu,
-        lo,
-        hi,
-        edges,
-        out,
-        inc,
-        map: Some(map),
+        span,
+        bw,
+        adj: adjacency(coarse_n, &ends),
+        ends,
+        map,
     })
 }
 
 /// The joint placement state across all leaves: per-site loads at unit
 /// rate, plus the knobs to price and legalize single-tier moves.
+#[derive(Clone)]
 struct State<'a> {
     obj: &'a DeploymentObjective,
     rate: f64,
-    /// Per-leaf: path (site per position) and device count.
-    paths: Vec<&'a [usize]>,
-    counts: Vec<f64>,
+    /// Per-leaf: path (site per position, in the hierarchy) and device
+    /// count.
+    leaves: &'a [LeafLevels],
+    counts: &'a [f64],
     /// Current tier per (leaf, vertex) at each leaf's *current* level.
     tiers: Vec<Vec<usize>>,
     /// Per-site aggregate per-device CPU load at unit rate.
@@ -309,7 +370,7 @@ struct State<'a> {
 }
 
 /// A candidate single-tier move of one (leaf, vertex).
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Move {
     leaf: usize,
     v: usize,
@@ -322,12 +383,15 @@ struct Move {
     net_at: (usize, f64),
 }
 
+/// The two directions a vertex can move, in scan order.
+const DIRS: [isize; 2] = [1, -1];
+
 impl<'a> State<'a> {
     fn new(
+        leaves: &'a [LeafLevels],
+        counts: &'a [f64],
         obj: &'a DeploymentObjective,
         rate: f64,
-        paths: Vec<&'a [usize]>,
-        counts: Vec<f64>,
         levels: &[&CLevel],
         tiers: Vec<Vec<usize>>,
     ) -> State<'a> {
@@ -335,7 +399,7 @@ impl<'a> State<'a> {
         let mut st = State {
             obj,
             rate,
-            paths,
+            leaves,
             counts,
             tiers,
             cpu: vec![0.0; n_sites],
@@ -351,15 +415,16 @@ impl<'a> State<'a> {
         self.net.iter_mut().for_each(|x| *x = 0.0);
         for (l, lev) in levels.iter().enumerate() {
             let count = self.counts[l];
-            let path = self.paths[l];
-            for (v, &t) in self.tiers[l].iter().enumerate() {
+            let path = &self.leaves[l].path;
+            let tiers = &self.tiers[l];
+            for (v, &t) in tiers.iter().enumerate() {
                 let s = path[t];
-                self.cpu[s] += count / self.obj.count[s] * lev.cpu[v][t];
+                self.cpu[s] += count / self.obj.count[s] * lev.cpu(v, t);
             }
-            for e in &lev.edges {
-                let (ts, td) = (self.tiers[l][e.src], self.tiers[l][e.dst]);
+            for e in 0..lev.ends.len() as u32 {
+                let (ts, td) = (tiers[lev.src(e)], tiers[lev.dst(e)]);
                 for (b, &site) in path.iter().enumerate().take(td).skip(ts) {
-                    self.net[site] += count * e.bw[b];
+                    self.net[site] += count * lev.bw(e, b);
                 }
             }
         }
@@ -395,39 +460,42 @@ impl<'a> State<'a> {
     /// Generate the move of `(leaf, v)` one tier in `dir`, if it stays
     /// inside tier bounds and edge precedence. Budget feasibility is the
     /// caller's policy (repair tolerates overloads; refine must not).
+    /// Reads the tiers of `v` and of its in- and out-neighbours, and
+    /// nothing else that a move changes.
     fn candidate(&self, levels: &[&CLevel], leaf: usize, v: usize, dir: isize) -> Option<Move> {
         let lev = levels[leaf];
-        let t = self.tiers[leaf][v];
+        let tiers = &self.tiers[leaf];
+        let t = tiers[v];
         let nt = t.checked_add_signed(dir)?;
-        if nt < lev.lo[v] || nt > lev.hi[v] {
+        if nt < lev.lo(v) || nt > lev.hi(v) {
             return None;
         }
-        let path = self.paths[leaf];
+        let path = &self.leaves[leaf].path;
         let count = self.counts[leaf];
         // Precedence, and the single uplink boundary whose crossings flip.
         let b = if dir > 0 { t } else { nt };
         let mut net_delta = 0.0;
         if dir > 0 {
-            for &i in &lev.out[v] {
-                if self.tiers[leaf][lev.edges[i].dst] < nt {
+            for &e in lev.out(v) {
+                if tiers[lev.dst(e)] < nt {
                     return None;
                 }
-                net_delta -= count * lev.edges[i].bw[b];
+                net_delta -= count * lev.bw(e, b);
             }
-            for &i in &lev.inc[v] {
-                debug_assert!(self.tiers[leaf][lev.edges[i].src] <= t);
-                net_delta += count * lev.edges[i].bw[b];
+            for &e in lev.inc(v) {
+                debug_assert!(tiers[lev.src(e)] <= t);
+                net_delta += count * lev.bw(e, b);
             }
         } else {
-            for &i in &lev.inc[v] {
-                if self.tiers[leaf][lev.edges[i].src] > nt {
+            for &e in lev.inc(v) {
+                if tiers[lev.src(e)] > nt {
                     return None;
                 }
-                net_delta -= count * lev.edges[i].bw[b];
+                net_delta -= count * lev.bw(e, b);
             }
-            for &i in &lev.out[v] {
-                debug_assert!(self.tiers[leaf][lev.edges[i].dst] >= t);
-                net_delta += count * lev.edges[i].bw[b];
+            for &e in lev.out(v) {
+                debug_assert!(tiers[lev.dst(e)] >= t);
+                net_delta += count * lev.bw(e, b);
             }
         }
         let (sf, st_) = (path[t], path[nt]);
@@ -435,8 +503,8 @@ impl<'a> State<'a> {
             leaf,
             v,
             dir,
-            cpu_from: (sf, -(count / self.obj.count[sf]) * lev.cpu[v][t]),
-            cpu_to: (st_, count / self.obj.count[st_] * lev.cpu[v][nt]),
+            cpu_from: (sf, -(count / self.obj.count[sf]) * lev.cpu(v, t)),
+            cpu_to: (st_, count / self.obj.count[st_] * lev.cpu(v, nt)),
             net_at: (path[b], net_delta),
         })
     }
@@ -451,18 +519,20 @@ impl<'a> State<'a> {
 
     /// Violation change if `m` were applied.
     fn violation_delta(&self, m: &Move) -> f64 {
-        let mut d = 0.0;
+        let cpu = |s: usize, delta: f64| {
+            let before = overload(self.cpu[s] * self.rate, self.obj.cpu_budget[s]);
+            let after = overload((self.cpu[s] + delta) * self.rate, self.obj.cpu_budget[s]);
+            after - before
+        };
         // CPU terms may hit the same site twice (a move within one
         // site's row is impossible — adjacent path positions are
         // distinct sites — but stay general).
-        let mut cpu_d: Vec<(usize, f64)> = vec![m.cpu_from, m.cpu_to];
+        let mut d = 0.0;
         if m.cpu_from.0 == m.cpu_to.0 {
-            cpu_d = vec![(m.cpu_from.0, m.cpu_from.1 + m.cpu_to.1)];
-        }
-        for (s, delta) in cpu_d {
-            let before = overload(self.cpu[s] * self.rate, self.obj.cpu_budget[s]);
-            let after = overload((self.cpu[s] + delta) * self.rate, self.obj.cpu_budget[s]);
-            d += after - before;
+            d += cpu(m.cpu_from.0, m.cpu_from.1 + m.cpu_to.1);
+        } else {
+            d += cpu(m.cpu_from.0, m.cpu_from.1);
+            d += cpu(m.cpu_to.0, m.cpu_to.1);
         }
         let (s, delta) = m.net_at;
         let before = overload(self.net[s] * self.rate, self.obj.net_budget[s]);
@@ -524,7 +594,7 @@ fn repair(st: &mut State<'_>, levels: &[&CLevel]) -> bool {
         let mut best: Option<(f64, f64, Move)> = None;
         for leaf in 0..st.tiers.len() {
             for v in 0..st.tiers[leaf].len() {
-                for dir in [1isize, -1] {
+                for dir in DIRS {
                     let Some(m) = st.candidate(levels, leaf, v, dir) else {
                         continue;
                     };
@@ -549,36 +619,86 @@ fn repair(st: &mut State<'_>, levels: &[&CLevel]) -> bool {
     true
 }
 
+/// What [`refine`] keeps between moves, allocated once per cut and reused
+/// across passes and levels. All three tables are flat over (leaf,
+/// vertex), each leaf's block starting at its [`LeafLevels::offset`] and
+/// sized for its finest level; a coarser level uses a prefix.
+struct FmTables {
+    /// Per direction of [`DIRS`]: the legal move and its objective delta,
+    /// `None` where tier bounds or precedence forbid it. An entry depends
+    /// only on what [`State::candidate`] reads, so a move of `v` stales
+    /// `v`'s and its neighbours' entries and no others.
+    cand: Vec<[Option<(f64, Move)>; 2]>,
+    /// Moves made this pass.
+    moved: Vec<u8>,
+    /// The best placement seen this pass.
+    best_tiers: Vec<usize>,
+}
+
+impl FmTables {
+    fn new(vertices: usize) -> FmTables {
+        FmTables {
+            cand: vec![[None; 2]; vertices],
+            moved: vec![0; vertices],
+            best_tiers: vec![0; vertices],
+        }
+    }
+
+    /// Record `tiers` as the best placement seen.
+    fn remember(&mut self, st: &State<'_>) {
+        for (leaf, tiers) in st.leaves.iter().zip(&st.tiers) {
+            self.best_tiers[leaf.offset..leaf.offset + tiers.len()].copy_from_slice(tiers);
+        }
+    }
+
+    /// Re-derive both entries of `(leaf, v)`, stored at `at`.
+    fn price(&mut self, st: &State<'_>, levels: &[&CLevel], at: usize, leaf: usize, v: usize) {
+        self.cand[at] = DIRS.map(|dir| {
+            let m = st.candidate(levels, leaf, v, dir)?;
+            Some((st.objective_delta(&m), m))
+        });
+    }
+}
+
 /// KL/FM-style refinement: repeated passes of best-gain single-tier
 /// moves. A pass may chain up to [`STALL_CAP`] non-improving moves (each
 /// vertex moving at most [`MOVE_CAP`] times) before rolling back to the
 /// best placement it saw; refinement stops when a whole pass fails to
 /// improve the objective.
-fn refine(st: &mut State<'_>, levels: &[&CLevel]) {
+///
+/// The candidate of every (leaf, vertex, direction) is priced once per
+/// pass and again only after a move in its neighbourhood; each step then
+/// scans the table in (leaf, vertex, direction) order for the first
+/// strictly best entry that [`State::stays_feasible`] under the loads as
+/// they stand — the order, the tie-break and the answer of a full rescan
+/// (pinned against one in the tests below).
+fn refine(st: &mut State<'_>, levels: &[&CLevel], fm: &mut FmTables) {
+    let leaves = st.leaves;
+    let offset = |leaf: usize| leaves[leaf].offset;
     loop {
         let mut improved = false;
-        let mut best_tiers = st.tiers.clone();
         let mut best_obj = st.objective();
         let mut stalled = 0usize;
-        let mut moved: std::collections::HashMap<(usize, usize), usize> =
-            std::collections::HashMap::new();
+        fm.remember(st);
+        for (leaf, tiers) in st.tiers.iter().enumerate() {
+            let at = offset(leaf);
+            fm.moved[at..at + tiers.len()].fill(0);
+            for v in 0..tiers.len() {
+                fm.price(st, levels, at + v, leaf, v);
+            }
+        }
         loop {
             let mut best: Option<(f64, Move)> = None;
-            for leaf in 0..st.tiers.len() {
-                for v in 0..st.tiers[leaf].len() {
-                    if moved.get(&(leaf, v)).copied().unwrap_or(0) >= MOVE_CAP {
+            for (leaf, tiers) in st.tiers.iter().enumerate() {
+                let at = offset(leaf);
+                let block = at..at + tiers.len();
+                for (cand, &moved) in fm.cand[block.clone()].iter().zip(&fm.moved[block]) {
+                    if moved >= MOVE_CAP {
                         continue;
                     }
-                    for dir in [1isize, -1] {
-                        let Some(m) = st.candidate(levels, leaf, v, dir) else {
-                            continue;
-                        };
-                        if !st.stays_feasible(&m) {
-                            continue;
-                        }
-                        let d = st.objective_delta(&m);
-                        if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                            best = Some((d, m));
+                    for (d, m) in cand.iter().flatten() {
+                        if best.as_ref().is_none_or(|(bd, _)| d < bd) && st.stays_feasible(m) {
+                            best = Some((*d, *m));
                         }
                     }
                 }
@@ -588,11 +708,19 @@ fn refine(st: &mut State<'_>, levels: &[&CLevel]) {
                 break;
             }
             st.apply(&m);
-            *moved.entry((m.leaf, m.v)).or_insert(0) += 1;
+            let (lev, at) = (levels[m.leaf], offset(m.leaf));
+            fm.moved[at + m.v] += 1;
+            fm.price(st, levels, at + m.v, m.leaf, m.v);
+            for &e in lev.out(m.v) {
+                fm.price(st, levels, at + lev.dst(e), m.leaf, lev.dst(e));
+            }
+            for &e in lev.inc(m.v) {
+                fm.price(st, levels, at + lev.src(e), m.leaf, lev.src(e));
+            }
             let obj = st.objective();
             if obj < best_obj - 1e-12 * (1.0 + best_obj.abs()) {
                 best_obj = obj;
-                best_tiers = st.tiers.clone();
+                fm.remember(st);
                 stalled = 0;
                 improved = true;
             } else {
@@ -600,11 +728,190 @@ fn refine(st: &mut State<'_>, levels: &[&CLevel]) {
             }
         }
         // Roll back to the best placement seen this pass.
-        st.tiers = best_tiers;
+        for (leaf, tiers) in st.tiers.iter_mut().enumerate() {
+            let block = offset(leaf)..offset(leaf) + tiers.len();
+            tiers.copy_from_slice(&fm.best_tiers[block]);
+        }
         st.recompute_loads(levels);
         if !improved {
             break;
         }
+    }
+}
+
+/// One leaf's share of a [`CutHierarchy`].
+struct LeafLevels {
+    /// Site index at each path position, leaf first.
+    path: Vec<usize>,
+    /// The finest level, then each contraction of the one before it.
+    levels: Vec<CLevel>,
+    /// Start of this leaf's block in a cut's flat per-vertex tables
+    /// ([`FmTables`]): the finest-level vertices of the leaves before it.
+    offset: usize,
+}
+
+/// Phase 1 of the heuristic, kept: every leaf's finest level and the
+/// heavy-edge-matching stack above it, plus the leaf's path. Built once
+/// per prepared instance from the merged leaf graphs; nothing in it
+/// depends on a device count, a budget, a weight or a rate, so one
+/// hierarchy serves every [`cut`](Self::cut) asked of the same
+/// application on the same tree.
+pub(crate) struct CutHierarchy {
+    leaves: Vec<LeafLevels>,
+    /// Finest-level vertices, all leaves together.
+    vertices: usize,
+}
+
+impl CutHierarchy {
+    /// Coarsen each leaf independently. `None` when there is no leaf, or
+    /// a leaf's pins leave some vertex no legal tier — no cut exists
+    /// then, whatever the budgets.
+    pub(crate) fn build(chains: &[LeafChain<'_>]) -> Option<CutHierarchy> {
+        if chains.is_empty() {
+            return None;
+        }
+        let mut leaves = Vec::with_capacity(chains.len());
+        let mut vertices = 0;
+        for chain in chains {
+            let mut levels = vec![finest_level(chain)?];
+            while levels.len() < MAX_LEVELS {
+                let top = levels.last().expect("non-empty stack");
+                if top.vertices() <= COARSEST {
+                    break;
+                }
+                match coarsen(top) {
+                    Some(next) => levels.push(next),
+                    None => break,
+                }
+            }
+            levels.shrink_to_fit();
+            let offset = vertices;
+            vertices += levels[0].vertices();
+            leaves.push(LeafLevels {
+                path: chain.path.clone(),
+                levels,
+                offset,
+            });
+        }
+        Some(CutHierarchy { leaves, vertices })
+    }
+
+    /// Every leaf's coarsest level.
+    fn coarsest(&self) -> Vec<usize> {
+        self.leaves.iter().map(|l| l.levels.len() - 1).collect()
+    }
+
+    /// Each leaf's level `cur[leaf]`.
+    fn view(&self, cur: &[usize]) -> Vec<&CLevel> {
+        self.leaves
+            .iter()
+            .zip(cur)
+            .map(|(l, &i)| &l.levels[i])
+            .collect()
+    }
+
+    /// Phase 2: greedy cut at each leaf's coarsest level. Two trivial
+    /// monotone starts; keep the best repairable one.
+    fn greedy_start<'a>(
+        &'a self,
+        counts: &'a [f64],
+        obj: &'a DeploymentObjective,
+        rate: f64,
+        coarsest: &[&CLevel],
+    ) -> State<'a> {
+        let start = |pick_hi: bool| {
+            let tiers = coarsest
+                .iter()
+                .map(|lev| {
+                    let bound = usize::from(pick_hi);
+                    lev.span.iter().map(|s| s[bound] as usize).collect()
+                })
+                .collect();
+            let mut st = State::new(&self.leaves, counts, obj, rate, coarsest, tiers);
+            // A coarsest-level repair may fail even on feasible instances
+            // (contraction locks vertices together), so an overloaded
+            // state survives here: finer levels re-attempt repair with
+            // more freedom.
+            repair(&mut st, coarsest);
+            st
+        };
+        let (low, high) = (start(false), start(true));
+        // Prefer the lower-violation start, objective as the tie-break.
+        let (lv, hv) = (low.violation(), high.violation());
+        if hv < lv - 1e-15 || (hv <= lv + 1e-15 && high.objective() < low.objective()) {
+            high
+        } else {
+            low
+        }
+    }
+
+    /// Project every leaf not yet at its finest level one level finer.
+    /// `false` once all are there.
+    fn uncoarsen(&self, st: &mut State<'_>, cur: &mut [usize]) -> bool {
+        if cur.iter().all(|&i| i == 0) {
+            return false;
+        }
+        for (l, i) in cur.iter_mut().enumerate() {
+            if *i == 0 {
+                continue;
+            }
+            let coarse = &st.tiers[l];
+            st.tiers[l] = self.leaves[l].levels[*i]
+                .map
+                .iter()
+                .map(|&c| coarse[c as usize])
+                .collect();
+            *i -= 1;
+        }
+        st.recompute_loads(&self.view(cur));
+        true
+    }
+
+    /// Phases 2 and 3 on the kept hierarchy: greedy cut, then repair,
+    /// refine and project down to the finest graphs.
+    ///
+    /// `counts` is each leaf's device count in build order (a removed
+    /// leaf class is `0`), `obj` exactly what
+    /// [`encode_deployment`](crate::encodings::encode_deployment)
+    /// consumes, `rate` the global input-rate multiplier the budgets are
+    /// tested at. Returns `None` when the heuristic cannot reach a
+    /// budget-feasible placement — the instance may still be exactly
+    /// feasible, so callers fall back to the exact path or report an
+    /// unproven probe, never infeasibility.
+    pub(crate) fn cut(
+        &self,
+        counts: &[f64],
+        obj: &DeploymentObjective,
+        rate: f64,
+    ) -> Option<ApproxCut> {
+        assert!(rate > 0.0, "rate multiplier must be positive");
+        assert_eq!(counts.len(), self.leaves.len(), "one count per leaf");
+        let mut cur = self.coarsest();
+        let mut st = self.greedy_start(counts, obj, rate, &self.view(&cur));
+
+        // Phase 3, in lockstep down to the finest graphs. Only a
+        // feasible state is refined (FM moves preserve feasibility);
+        // feasibility itself is demanded only of the finest placement.
+        let mut fm = FmTables::new(self.vertices);
+        loop {
+            let view = self.view(&cur);
+            repair(&mut st, &view);
+            if st.violation() <= 0.0 {
+                refine(&mut st, &view, &mut fm);
+            }
+            if !self.uncoarsen(&mut st, &mut cur) {
+                break;
+            }
+        }
+        if st.violation() > 0.0 {
+            return None;
+        }
+
+        Some(ApproxCut {
+            objective: st.objective(),
+            moves: st.moves,
+            tiers: st.tiers,
+        })
     }
 }
 
@@ -619,119 +926,18 @@ fn refine(st: &mut State<'_>, levels: &[&CLevel]) {
 /// `None` when the heuristic cannot reach a budget-feasible placement —
 /// the instance may still be exactly feasible, so callers fall back to
 /// the exact path or report an unproven probe, never infeasibility.
+///
+/// One-shot: the coarsening hierarchy is built, cut once and dropped.
+/// [`PreparedDeployment`](crate::topology::PreparedDeployment) builds it
+/// once and cuts it at every solve.
 pub fn approx_cut(
     leaves: &[LeafChain<'_>],
     obj: &DeploymentObjective,
     rate: f64,
 ) -> Option<ApproxCut> {
     assert!(rate > 0.0, "rate multiplier must be positive");
-    if leaves.is_empty() {
-        return None;
-    }
-
-    // Phase 1: coarsen each leaf independently.
-    let mut levels: Vec<Vec<CLevel>> = Vec::with_capacity(leaves.len());
-    for leaf in leaves {
-        let mut stack = vec![finest_level(leaf)?];
-        while stack.len() < MAX_LEVELS {
-            let top = stack.last().expect("non-empty stack");
-            if top.lo.len() <= COARSEST {
-                break;
-            }
-            match coarsen(top) {
-                Some(next) => stack.push(next),
-                None => break,
-            }
-        }
-        levels.push(stack);
-    }
-    let total_levels: usize = levels.iter().map(Vec::len).sum();
-
-    let paths: Vec<&[usize]> = leaves.iter().map(|l| l.path.as_slice()).collect();
     let counts: Vec<f64> = leaves.iter().map(|l| l.count).collect();
-
-    // Phase 2: greedy cut at each leaf's coarsest level. Two trivial
-    // monotone starts; keep the best repairable one.
-    let coarsest: Vec<&CLevel> = levels
-        .iter()
-        .map(|s| s.last().expect("at least the finest level"))
-        .collect();
-    let start = |pick_hi: bool| -> Vec<Vec<usize>> {
-        coarsest
-            .iter()
-            .map(|lev| {
-                if pick_hi {
-                    lev.hi.clone()
-                } else {
-                    lev.lo.clone()
-                }
-            })
-            .collect()
-    };
-    let mut best: Option<State<'_>> = None;
-    for pick_hi in [false, true] {
-        let mut st = State::new(
-            obj,
-            rate,
-            paths.clone(),
-            counts.clone(),
-            &coarsest,
-            start(pick_hi),
-        );
-        // A coarsest-level repair may fail even on feasible instances
-        // (contraction locks vertices together), so an overloaded state
-        // survives here: finer levels re-attempt repair with more
-        // freedom. Prefer the lower-violation start, objective as the
-        // tie-break.
-        repair(&mut st, &coarsest);
-        let better = best.as_ref().is_none_or(|b| {
-            let (bv, sv) = (b.violation(), st.violation());
-            sv < bv - 1e-15 || (sv <= bv + 1e-15 && st.objective() < b.objective())
-        });
-        if better {
-            best = Some(st);
-        }
-    }
-    let mut st = best?;
-
-    // Phase 3: repair and refine, then project every leaf one level
-    // finer and repeat, in lockstep, down to the finest graphs. Only a
-    // feasible state is refined (FM moves preserve feasibility);
-    // feasibility itself is demanded only of the finest placement.
-    let mut cur: Vec<usize> = levels.iter().map(|s| s.len() - 1).collect();
-    loop {
-        let view: Vec<&CLevel> = levels.iter().zip(&cur).map(|(s, &i)| &s[i]).collect();
-        repair(&mut st, &view);
-        if st.violation() <= 0.0 {
-            refine(&mut st, &view);
-        }
-        if cur.iter().all(|&i| i == 0) {
-            break;
-        }
-        for (l, i) in cur.iter_mut().enumerate() {
-            if *i == 0 {
-                continue;
-            }
-            let map = levels[l][*i]
-                .map
-                .as_ref()
-                .expect("coarse levels carry a projection map");
-            st.tiers[l] = map.iter().map(|&c| st.tiers[l][c]).collect();
-            *i -= 1;
-        }
-        let view: Vec<&CLevel> = levels.iter().zip(&cur).map(|(s, &i)| &s[i]).collect();
-        st.recompute_loads(&view);
-    }
-    if st.violation() > 0.0 {
-        return None;
-    }
-
-    Some(ApproxCut {
-        objective: st.objective(),
-        moves: st.moves,
-        levels: total_levels,
-        tiers: st.tiers,
-    })
+    CutHierarchy::build(leaves)?.cut(&counts, obj, rate)
 }
 
 #[cfg(test)]
@@ -740,6 +946,7 @@ mod tests {
     use crate::cost_graph::Pin;
     use crate::encodings::encode_deployment;
     use crate::multitier::{TEdge, TVertex, TieredGraph};
+    use proptest::prelude::*;
     use wishbone_ilp::IlpOptions;
 
     /// A k-tier chain of `n` vertices: Node-pinned source, Server-pinned
@@ -907,5 +1114,232 @@ mod tests {
         // The Node-pinned source alone exceeds the mote CPU budget.
         let obj = path_objective(3, vec![0.01, 0.01, f64::INFINITY], vec![1.0, 1.0, 1.0]);
         assert!(approx_cut(&leaves, &obj, 1.0).is_none());
+    }
+
+    /// The FM refinement [`refine`] replaced, kept as its reference:
+    /// every step re-derives every (leaf, vertex, direction) through
+    /// `candidate()`.
+    fn refine_rescan(st: &mut State<'_>, levels: &[&CLevel]) {
+        loop {
+            let mut improved = false;
+            let mut best_tiers = st.tiers.clone();
+            let mut best_obj = st.objective();
+            let mut stalled = 0usize;
+            let mut moved: std::collections::HashMap<(usize, usize), u8> =
+                std::collections::HashMap::new();
+            loop {
+                let mut best: Option<(f64, Move)> = None;
+                for leaf in 0..st.tiers.len() {
+                    for v in 0..st.tiers[leaf].len() {
+                        if moved.get(&(leaf, v)).copied().unwrap_or(0) >= MOVE_CAP {
+                            continue;
+                        }
+                        for dir in DIRS {
+                            let Some(m) = st.candidate(levels, leaf, v, dir) else {
+                                continue;
+                            };
+                            if !st.stays_feasible(&m) {
+                                continue;
+                            }
+                            let d = st.objective_delta(&m);
+                            if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
+                                best = Some((d, m));
+                            }
+                        }
+                    }
+                }
+                let Some((d, m)) = best else { break };
+                if d >= 0.0 && stalled >= STALL_CAP {
+                    break;
+                }
+                st.apply(&m);
+                *moved.entry((m.leaf, m.v)).or_insert(0) += 1;
+                let obj = st.objective();
+                if obj < best_obj - 1e-12 * (1.0 + best_obj.abs()) {
+                    best_obj = obj;
+                    best_tiers = st.tiers.clone();
+                    stalled = 0;
+                    improved = true;
+                } else {
+                    stalled += 1;
+                }
+            }
+            st.tiers = best_tiers;
+            st.recompute_loads(levels);
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    /// Walk `h` the way [`CutHierarchy::cut`] does, refining every level
+    /// with both refiners from the same state and holding the table-driven
+    /// one to the rescan: same tiers, same objective bits, same move
+    /// count, same loads. Returns the moves the two agreed on.
+    fn refiners_agree(
+        h: &CutHierarchy,
+        counts: &[f64],
+        obj: &DeploymentObjective,
+        rate: f64,
+    ) -> u64 {
+        let mut cur = h.coarsest();
+        let mut st = h.greedy_start(counts, obj, rate, &h.view(&cur));
+        let mut fm = FmTables::new(h.vertices);
+        let mut refined = 0;
+        loop {
+            let view = h.view(&cur);
+            repair(&mut st, &view);
+            if st.violation() <= 0.0 {
+                let before = st.moves;
+                let mut reference = st.clone();
+                refine_rescan(&mut reference, &view);
+                refine(&mut st, &view, &mut fm);
+                assert_eq!(st.tiers, reference.tiers, "levels {cur:?}");
+                assert_eq!(st.objective().to_bits(), reference.objective().to_bits());
+                assert_eq!(st.moves, reference.moves, "levels {cur:?}");
+                let bits = |loads: &[f64]| loads.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&st.cpu), bits(&reference.cpu));
+                assert_eq!(bits(&st.net), bits(&reference.net));
+                refined += st.moves - before;
+            }
+            if !h.uncoarsen(&mut st, &mut cur) {
+                return refined;
+            }
+        }
+    }
+
+    /// A pinned DAG of 3–47 vertices over `k` tiers: vertex `v ≥ 1` hangs
+    /// off one or two of the four vertices before it; the first is
+    /// Node-pinned, the last Server-pinned, and a few near either end
+    /// carry the matching pin too.
+    fn dag_strategy(k: usize) -> impl Strategy<Value = TieredGraph> {
+        let vertex = (
+            0.002f64..0.05,
+            1usize..5,
+            0usize..5,
+            20.0f64..800.0,
+            0usize..30,
+        );
+        prop::collection::vec(vertex, 3..48).prop_map(move |spec| {
+            let n = spec.len();
+            let mut edges = Vec::new();
+            for (v, &(_, back, also, bw, _)) in spec.iter().enumerate().skip(1) {
+                let first = v - back.min(v);
+                let second = v - also.min(v);
+                for src in [Some(first), (also > 0 && second != first).then_some(second)] {
+                    edges.extend(src.map(|src| TEdge {
+                        src,
+                        dst: v,
+                        bandwidth: (0..k - 1).map(|b| bw * (1.0 + 0.3 * b as f64)).collect(),
+                        graph_edges: vec![],
+                    }));
+                }
+            }
+            let vertices = spec
+                .iter()
+                .enumerate()
+                .map(|(v, &(cpu, _, _, _, pin))| TVertex {
+                    ops: vec![],
+                    cpu_cost: (0..k).map(|t| cpu / (1.0 + 2.0 * t as f64)).collect(),
+                    pin: match pin {
+                        _ if v == 0 => Pin::Node,
+                        _ if v == n - 1 => Pin::Server,
+                        0 if v < n / 3 => Pin::Node,
+                        1 if v > 2 * n / 3 => Pin::Server,
+                        _ => Pin::Movable,
+                    },
+                })
+                .collect();
+            TieredGraph {
+                tiers: k,
+                vertices,
+                edges,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random pinned DAG forests, one to three leaf classes sharing
+        /// the interior of a k-site path, budgets scaled from starved to
+        /// roomy: wherever a level is refined at all, the candidate table
+        /// picks the moves a full rescan picks.
+        #[test]
+        fn table_driven_refine_is_the_full_rescan(
+            (k, graphs) in (2usize..5)
+                .prop_flat_map(|k| (Just(k), prop::collection::vec(dag_strategy(k), 1..4))),
+            device_counts in prop::collection::vec(1usize..5, 3),
+            alphas in prop::collection::vec(0.0f64..10.0, 8),
+            picks in prop::collection::vec(0.0f64..1.0, 16),
+            roomy in 0.0f64..1.0,
+            rate in 0.2f64..2.5,
+        ) {
+            // Sites: 0 = root, 1..k−1 the shared interior (root side
+            // first), then one leaf site per class.
+            let n_sites = k - 1 + graphs.len();
+            let leaves: Vec<LeafChain<'_>> = graphs
+                .iter()
+                .enumerate()
+                .map(|(l, graph)| LeafChain {
+                    graph,
+                    path: std::iter::once(k - 1 + l).chain((0..k - 1).rev()).collect(),
+                    count: device_counts[l] as f64,
+                })
+                .collect();
+            let mut count = vec![1.0; n_sites];
+            for (l, leaf) in leaves.iter().enumerate() {
+                count[k - 1 + l] = leaf.count;
+            }
+            let obj = DeploymentObjective {
+                // A third of the sites price CPU, so CPU and uplink gains trade off.
+                alpha: (0..n_sites).map(|s| if s % 3 == 1 { alphas[s] } else { 0.0 }).collect(),
+                cpu_budget: (0..n_sites)
+                    .map(|s| if s == 0 { f64::INFINITY } else { 0.3 + 6.0 * roomy * picks[s] })
+                    .collect(),
+                count,
+                beta: (0..n_sites).map(|s| if s == 0 { 0.0 } else { 0.5 + picks[8 + s] }).collect(),
+                net_budget: (0..n_sites)
+                    .map(|s| match s {
+                        0 => f64::INFINITY,
+                        _ if picks[s] > 0.8 => f64::INFINITY,
+                        _ => 800.0 + 60_000.0 * roomy * picks[8 + s],
+                    })
+                    .collect(),
+                row_order: (0..n_sites).rev().collect(),
+            };
+            let counts: Vec<f64> = leaves.iter().map(|l| l.count).collect();
+            let h = CutHierarchy::build(&leaves).expect("end pins leave every vertex a tier");
+            refiners_agree(&h, &counts, &obj, rate);
+            // The walk above is the cut: same placement, feasible or not.
+            let cut = h.cut(&counts, &obj, rate);
+            let one_shot = approx_cut(&leaves, &obj, rate);
+            prop_assert_eq!(cut.is_some(), one_shot.is_some());
+            if let (Some(a), Some(b)) = (cut, one_shot) {
+                prop_assert_eq!(a.tiers, b.tiers);
+                prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+                prop_assert_eq!(a.moves, b.moves);
+            }
+        }
+    }
+
+    /// The proptest above must not pass by never refining: on the roomy
+    /// 3-tier chain both refiners do real work, and agree on it.
+    #[test]
+    fn refiners_agree_on_moves_that_happen() {
+        let tg = chain(40, 3);
+        let leaves = [LeafChain {
+            graph: &tg,
+            path: vec![0, 1, 2],
+            count: 1.0,
+        }];
+        let obj = path_objective(
+            3,
+            vec![0.5, 1.0, f64::INFINITY],
+            vec![600.0, 600.0, f64::INFINITY],
+        );
+        let h = CutHierarchy::build(&leaves).expect("a chain has a legal tiering");
+        assert!(h.coarsest()[0] > 0, "40 vertices coarsen at least once");
+        assert!(refiners_agree(&h, &[1.0], &obj, 1.0) > 0);
     }
 }

@@ -46,6 +46,7 @@ use crate::cost_graph::{Mode, PinError};
 use crate::encodings::{
     encode_deployment, DeploymentObjective, EncodedDeployment, LeafChain, TierObjective,
 };
+use crate::multilevel::CutHierarchy;
 use crate::multitier::{build_tiered_graph, preprocess_tiered, LinkSpec};
 
 /// Index of a [`Site`] within its [`Deployment`].
@@ -693,13 +694,30 @@ impl<T> std::ops::Deref for InputHandle<'_, T> {
 struct PreparedLeaf {
     leaf: SiteId,
     path: Vec<SiteId>,
+    /// `path` as the site indices a [`LeafChain`] carries.
+    path_indices: Vec<usize>,
     graph: crate::multitier::TieredGraph,
     rate_factor: f64,
 }
 
+/// Every leaf's device count in `dep`, a removed leaf's as `0`.
+fn leaf_counts<'l>(
+    leaves: &'l [PreparedLeaf],
+    removed: &'l [bool],
+    dep: &'l Deployment,
+) -> impl Iterator<Item = f64> + 'l {
+    leaves.iter().zip(removed).map(|(l, &gone)| {
+        if gone {
+            0.0
+        } else {
+            dep.sites[l.leaf.0].count as f64
+        }
+    })
+}
+
 /// The leaf-chain view of a preparation, as [`encode_deployment`] and the
-/// multilevel heuristic consume it: every leaf at its device count in
-/// `dep`, a removed leaf at `count = 0`.
+/// multilevel hierarchy consume it: every leaf at its
+/// [`leaf_counts`] count.
 fn leaf_chains<'l>(
     leaves: &'l [PreparedLeaf],
     removed: &[bool],
@@ -707,15 +725,11 @@ fn leaf_chains<'l>(
 ) -> Vec<LeafChain<'l>> {
     leaves
         .iter()
-        .zip(removed)
-        .map(|(l, &gone)| LeafChain {
+        .zip(leaf_counts(leaves, removed, dep))
+        .map(|(l, count)| LeafChain {
             graph: &l.graph,
-            path: l.path.iter().map(|s| s.0).collect(),
-            count: if gone {
-                0.0
-            } else {
-                dep.sites[l.leaf.0].count as f64
-            },
+            path: l.path_indices.clone(),
+            count,
         })
         .collect()
 }
@@ -727,7 +741,13 @@ fn leaf_chains<'l>(
 /// scale on every profiled cost — changes between them. So graph build,
 /// per-leaf merge, and encoding happen once; every probe rescales the
 /// prepared ILP in place (objective × rate, budget right-hand sides ÷
-/// rate) on one reused [`SimplexWorkspace`].
+/// rate) on one reused [`SimplexWorkspace`]. The multilevel heuristic's
+/// coarsening of the merged leaf graphs ([`crate::multilevel`], phase 1)
+/// is part of that one-time build too: it reads pins, per-tier CPU costs
+/// and per-link bandwidths, never a count, a budget or the rate, so it is
+/// kept for the life of the instance, no delta or probe can stale it, and
+/// — unlike the two things below — keeping it cannot change any answer: a
+/// cut of the kept hierarchy is bit for bit the cut of a freshly built one.
 ///
 /// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
 /// the last placement, which seeds branch-and-bound as its first
@@ -750,6 +770,10 @@ pub struct PreparedDeployment<'a> {
     dep: Deployment,
     cfg: DeploymentConfig,
     leaves: Vec<PreparedLeaf>,
+    /// The multilevel heuristic's coarsening of `leaves`' graphs — `None`
+    /// when some leaf's pins admit no placement at all. Deltas edit
+    /// counts and budgets, never a leaf graph, so it is never rebuilt.
+    hierarchy: Option<CutHierarchy>,
     /// Per-leaf out-of-service flags, [`Deployment::leaves`] order
     /// ([`DeploymentDelta::RemoveLeaf`]).
     removed: Vec<bool>,
@@ -772,7 +796,7 @@ pub struct PreparedDeployment<'a> {
 }
 
 impl<'a> PreparedDeployment<'a> {
-    /// Build every leaf's chain graph, merge, and encode — once.
+    /// Build every leaf's chain graph, merge, encode, and coarsen — once.
     /// `cfg.rate_multiplier` is ignored here; pass the rate to
     /// [`solve_at`](PreparedDeployment::solve_at).
     pub fn new(
@@ -829,6 +853,7 @@ impl<'a> PreparedDeployment<'a> {
             vertices_after += merged.vertices_after;
             leaves.push(PreparedLeaf {
                 leaf,
+                path_indices: path.iter().map(|s| s.0).collect(),
                 path,
                 graph: merged.graph,
                 rate_factor,
@@ -837,7 +862,9 @@ impl<'a> PreparedDeployment<'a> {
 
         let removed = vec![false; leaves.len()];
         let obj = dep.objective_with(cfg.robustness);
-        let ep = encode_deployment(&leaf_chains(&leaves, &removed, dep), &obj);
+        let chains = leaf_chains(&leaves, &removed, dep);
+        let ep = encode_deployment(&chains, &obj);
+        let hierarchy = CutHierarchy::build(&chains);
         let base_objective: Vec<f64> = (0..ep.problem.num_vars())
             .map(|j| ep.problem.objective_coeff(VarId(j)))
             .collect();
@@ -849,6 +876,7 @@ impl<'a> PreparedDeployment<'a> {
             removed,
             obj,
             leaves,
+            hierarchy,
             vertices_before,
             vertices_after,
             ep,
@@ -1039,8 +1067,8 @@ impl<'a> PreparedDeployment<'a> {
     /// (already retargeted) encoded problem. `None` when the heuristic
     /// finds no budget-feasible placement.
     fn approx_values(&self, rate: f64) -> Option<(Vec<f64>, f64)> {
-        let chains = leaf_chains(&self.leaves, &self.removed, &self.dep);
-        let cut = crate::multilevel::approx_cut(&chains, &self.obj, rate)?;
+        let counts: Vec<f64> = leaf_counts(&self.leaves, &self.removed, &self.dep).collect();
+        let cut = self.hierarchy.as_ref()?.cut(&counts, &self.obj, rate)?;
         let values = self.y_values(&cut.tiers);
         if !self.ep.problem.is_feasible(&values, 1e-6) {
             debug_assert!(
@@ -1053,7 +1081,7 @@ impl<'a> PreparedDeployment<'a> {
         {
             let spec = crate::audit::deployment_spec(&self.ep);
             let report = wishbone_audit::audit_assignment(&self.ep.problem, &spec, &values);
-            report.assert_no_errors("approx_cut assignment");
+            report.assert_no_errors("multilevel cut assignment");
         }
         Some((values, cut.objective))
     }
@@ -1277,14 +1305,10 @@ impl<'a> PreparedDeployment<'a> {
         let n_sites = self.dep.len();
         let mut site_cpu = vec![0.0f64; n_sites];
         let mut link_net = vec![0.0f64; n_sites];
-        for (l, leaf) in leaves.iter().enumerate() {
+        let counts = leaf_counts(&self.leaves, &self.removed, &self.dep);
+        for (leaf, count) in leaves.iter().zip(counts) {
             // A removed leaf still reports its (per-device) placement but
             // routes no traffic, so it contributes nothing here.
-            let count = if self.removed[l] {
-                0.0
-            } else {
-                self.dep.site(leaf.leaf).count as f64
-            };
             for (t, &s) in leaf.path.iter().enumerate() {
                 site_cpu[s.0] += leaf.predicted_cpu[t] * count / self.dep.site(s).count as f64;
                 if t < leaf.path.len() - 1 {

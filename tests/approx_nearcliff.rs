@@ -335,6 +335,139 @@ fn starved_probe_past_the_cliff_reports_unproven_not_infeasible() {
     );
 }
 
+/// One leaf class as `PreparedDeployment` keeps it: the merged chain
+/// graph and the site index at every path position.
+type MergedLeaf = (SiteId, wishbone::core::TieredGraph, Vec<usize>);
+
+/// Every leaf's merged chain graph, rebuilt from `dep`'s public
+/// accessors the way `PreparedDeployment::new` builds its own.
+fn merged_leaves(
+    graph: &wishbone::dataflow::Graph,
+    prof: &GraphProfile,
+    dep: &Deployment,
+) -> Vec<MergedLeaf> {
+    use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
+    let link = |s: &SiteId| *dep.uplink(*s).expect("a non-root site has an uplink");
+    dep.leaves()
+        .into_iter()
+        .map(|leaf| {
+            let path = dep.path(leaf);
+            let hops = &path[..path.len() - 1];
+            let platforms: Vec<Platform> =
+                path.iter().map(|&s| dep.site(s).platform.clone()).collect();
+            let tobj = TierObjective {
+                alpha: path.iter().map(|&s| dep.site(s).alpha).collect(),
+                cpu_budget: path.iter().map(|&s| dep.site(s).cpu_budget).collect(),
+                beta: hops.iter().map(|s| link(s).beta).collect(),
+                net_budget: hops.iter().map(|s| link(s).net_budget).collect(),
+            };
+            let rate_factor = dep.site(leaf).rate_factor;
+            let built = build_tiered_graph(graph, prof, &platforms, Mode::Permissive, rate_factor)
+                .expect("pins ok");
+            let merged = preprocess_tiered(&built, &tobj).expect("pins ok");
+            (leaf, merged.graph, path.iter().map(|s| s.0).collect())
+        })
+        .collect()
+}
+
+/// The nominal per-site objective `PreparedDeployment` prices `dep` at.
+fn site_objective(dep: &Deployment) -> wishbone::core::DeploymentObjective {
+    let sites = || dep.site_ids().map(|s| dep.site(s));
+    let links = || dep.site_ids().map(|s| dep.uplink(s));
+    wishbone::core::DeploymentObjective {
+        alpha: sites().map(|s| s.alpha).collect(),
+        cpu_budget: sites().map(|s| s.cpu_budget).collect(),
+        count: sites().map(|s| s.count as f64).collect(),
+        beta: links().map(|u| u.map_or(0.0, |l| l.beta)).collect(),
+        net_budget: links()
+            .map(|u| u.map_or(f64::INFINITY, |l| l.net_budget))
+            .collect(),
+        row_order: dep.site_order().iter().map(|s| s.0).collect(),
+    }
+}
+
+/// A one-shot `approx_cut` — hierarchy built, cut once, dropped — of
+/// `leaves` at `dep`'s counts and budgets, the classes in `removed` at
+/// count 0.
+fn fresh_cut(
+    leaves: &[MergedLeaf],
+    dep: &Deployment,
+    removed: &[SiteId],
+    rate: f64,
+) -> Option<ApproxCut> {
+    let chains: Vec<wishbone::core::LeafChain<'_>> = leaves
+        .iter()
+        .map(|(leaf, graph, path)| wishbone::core::LeafChain {
+            graph,
+            path: path.clone(),
+            count: if removed.contains(leaf) {
+                0.0
+            } else {
+                dep.site(*leaf).count as f64
+            },
+        })
+        .collect();
+    wishbone::core::approx_cut(&chains, &site_objective(dep), rate)
+}
+
+/// Single-tier moves `approx_cut` applies over `rates`, summed.
+fn cut_moves(
+    graph: &wishbone::dataflow::Graph,
+    prof: &GraphProfile,
+    dep: &Deployment,
+    rates: &[f64],
+) -> u64 {
+    let leaves = merged_leaves(graph, prof, dep);
+    rates
+        .iter()
+        .map(|&rate| {
+            fresh_cut(&leaves, dep, &[], rate)
+                .expect("a cut exists under the cliff")
+                .moves
+        })
+        .sum()
+}
+
+/// The search effort of the multilevel cut is part of its contract: the
+/// FM candidate table and the retained hierarchy must pick the very moves
+/// the full-rescan, rebuild-per-call heuristic picked (counts taken at
+/// 217550e), on the benchmark's two approx-heavy instances.
+#[test]
+fn cut_move_counts_are_pinned() {
+    // `forest_eeg4_approx_sweep`'s instance (`benchmark/src/fixtures.rs`):
+    // the tight forest with each ward attached right after its gateway
+    // and the gateways' CPU left at the site default.
+    let (graph, prof) = eeg_profiled(4);
+    let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
+    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+    for (name, backhaul) in [("a", 500.0), ("b", 400_000.0)] {
+        let link = |net_budget: f64| LinkSpec {
+            beta: 1.0,
+            net_budget,
+        };
+        let gw = dep.attach(
+            dep.root(),
+            Site::new(format!("gw-{name}"), &phone),
+            link(backhaul),
+        );
+        dep.attach(
+            gw,
+            Site::new(format!("ward-{name}"), &mote).with_count(4),
+            link(4.0 * mote.radio.goodput_bytes_per_sec),
+        );
+    }
+    let sweep = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.15];
+    assert_eq!(cut_moves(&graph, &prof, &dep, &sweep), 544);
+
+    let (graph, prof) = eeg_profiled(22);
+    let chain = Deployment::chain(&[
+        Platform::tmote_sky(),
+        Platform::iphone(),
+        Platform::server(),
+    ]);
+    assert_eq!(cut_moves(&graph, &prof, &chain, &[1.0]), 36);
+}
+
 #[test]
 fn approx_config_builder_sets_the_engine() {
     let cfg = DeploymentConfig::default().approx();
@@ -404,5 +537,74 @@ proptest! {
                 ),
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One long-lived approximate `PreparedDeployment` cuts the hierarchy
+    /// it coarsened at preparation; a one-shot `approx_cut` coarsens the
+    /// same merged graphs again. Across a rate sweep, and after every
+    /// kind of delta, the two agree bit for bit — nothing a delta edits
+    /// is anything the hierarchy read.
+    #[test]
+    fn a_kept_hierarchy_cuts_like_a_fresh_one_across_rates_and_deltas(
+        count in 1usize..7,
+        gw_budget in 0.05f64..0.8,
+        backhaul in 300.0f64..4000.0,
+        picked_rates in prop::collection::vec(0.1f64..3.3, 2),
+    ) {
+        let (graph, prof) = eeg_profiled(4);
+        // Sites: 0 = server, 1 = gw-a, 2 = gw-b, 3 = ward-a, 4 = ward-b.
+        let dep = forest(4, 4, 500.0, 400_000.0, 0.5);
+        let leaves = merged_leaves(&graph, &prof, &dep);
+        let cfg = DeploymentConfig::default().approx();
+        let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+        let rates = [&[0.25, 3.15][..], &picked_rates[..]].concat();
+
+        let mut placed = 0;
+        let mut removed: Vec<SiteId> = Vec::new();
+        let steps = [
+            None,
+            Some(DeploymentDelta::SetLeafCount { leaf: SiteId(3), count }),
+            Some(DeploymentDelta::SetCpuBudget { site: SiteId(1), cpu_budget: gw_budget }),
+            Some(DeploymentDelta::SetNetBudget { site: SiteId(1), net_budget: backhaul }),
+            Some(DeploymentDelta::RemoveLeaf { leaf: SiteId(4) }),
+            Some(DeploymentDelta::SetLeafCount { leaf: SiteId(4), count: 4 }),
+        ];
+        for delta in steps {
+            match delta {
+                Some(DeploymentDelta::RemoveLeaf { leaf }) => removed.push(leaf),
+                Some(DeploymentDelta::SetLeafCount { leaf, .. }) => removed.retain(|&l| l != leaf),
+                _ => {}
+            }
+            prep.apply_delta(delta.as_slice());
+            for &rate in &rates {
+                let fresh = fresh_cut(&leaves, prep.deployment(), &removed, rate);
+                match (prep.solve_at(rate), fresh) {
+                    (Ok(kept), Some(fresh)) => {
+                        prop_assert_eq!(kept.objective.to_bits(), fresh.objective.to_bits());
+                        for ((_, tg, _), (tiers, leaf)) in
+                            leaves.iter().zip(fresh.tiers.iter().zip(&kept.leaves))
+                        {
+                            let at = tg.op_tiers(tiers, graph.operator_count());
+                            for id in graph.operator_ids() {
+                                prop_assert!(leaf.site_ops[at[id.0]].contains(&id));
+                            }
+                        }
+                        placed += 1;
+                    }
+                    (Err(PartitionError::Unproven { .. } | PartitionError::Infeasible), None) => {}
+                    (kept, fresh) => prop_assert!(
+                        false,
+                        "after {:?} at x{}: kept {:?} vs fresh {:?}",
+                        delta, rate, kept.map(|p| p.objective), fresh.map(|c| c.objective)
+                    ),
+                }
+            }
+        }
+        prop_assert_eq!(prep.encodes(), 1);
+        prop_assert!(placed >= steps.len(), "x0.25 is placeable after every step");
     }
 }

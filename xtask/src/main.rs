@@ -73,7 +73,14 @@
 //!     binary is a fixture and an assert list growing back beside the
 //!     claim list.
 //!
-//! Test modules are exempt from rules 1–3 and 5–11: by repo convention
+//! 13. **one-coarsening** — the multilevel seed coarsens once per prepared
+//!     instance: outside tests, [`COARSENING_FNS`] are called from
+//!     [`THE_COARSENER`] in [`THE_HEURISTIC`] and nowhere else in
+//!     `crates/core/src`, and [`PER_SOLVE_PATH`] never calls the one-shot
+//!     [`ONE_SHOT_CUT`] — either would be the per-solve path growing its
+//!     rebuild of a rate-independent hierarchy back.
+//!
+//! Test modules are exempt from rules 1–3, 5–11 and 13: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -233,6 +240,15 @@ const CONFIG_SURFACE: [(&str, &str, usize); 2] = [
 ];
 const FLEET_SRC: &str = "crates/fleet/src";
 
+/// The multilevel heuristic's file (rule 13), its two hierarchy-building
+/// functions, the one function that may call them, and the per-solve
+/// file that must cut the kept hierarchy instead of the one-shot entry.
+const THE_HEURISTIC: &str = "crates/core/src/multilevel.rs";
+const COARSENING_FNS: [&str; 2] = ["finest_level", "coarsen"];
+const THE_COARSENER: &str = "build";
+const PER_SOLVE_PATH: &str = "crates/core/src/topology.rs";
+const ONE_SHOT_CUT: &str = "approx_cut";
+
 struct Violation {
     file: PathBuf,
     line: usize,
@@ -336,6 +352,7 @@ fn lint() -> ExitCode {
         check_config_surface(Path::new(file), &text, &mut violations);
     }
     scan(&root, &[FLEET_SRC], check_config_surface, &mut violations);
+    scan(&root, &[CORE_SRC], check_one_coarsening, &mut violations);
 
     if violations.is_empty() {
         println!(
@@ -966,6 +983,56 @@ fn check_config_surface(rel: &Path, text: &str, violations: &mut Vec<Violation>)
     }));
 }
 
+/// Does `code` call `name` — `name(` as a whole identifier, not its own
+/// `fn name(` definition?
+fn calls(code: &str, name: &str) -> bool {
+    let is_ident_char = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(name).any(|(at, _)| {
+        let (before, after) = (&code[..at], &code[at + name.len()..]);
+        !before.ends_with(is_ident_char)
+            && after.starts_with('(')
+            && !before.trim_end().ends_with("fn")
+    })
+}
+
+/// Rule 13 over one `crates/core/src` file: [`COARSENING_FNS`] are called
+/// only inside a `fn` named [`THE_COARSENER`] of [`THE_HEURISTIC`], and
+/// [`PER_SOLVE_PATH`] does not call [`ONE_SHOT_CUT`].
+fn check_one_coarsening(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
+    let is_ident_char = |c: &char| c.is_alphanumeric() || *c == '_';
+    let mut current_fn = String::new();
+    for (line_no, raw) in non_test_lines(text) {
+        let code = strip_strings_and_comments(raw);
+        if let Some((_, name)) = code.split_once("fn ") {
+            current_fn = name.chars().take_while(is_ident_char).collect();
+        }
+        if allowed(raw, "one-coarsening") {
+            continue;
+        }
+        let mut flag = |message: String| {
+            violations.push(Violation {
+                file: rel.to_path_buf(),
+                line: line_no,
+                rule: "one-coarsening",
+                message,
+            })
+        };
+        let in_the_coarsener = rel == Path::new(THE_HEURISTIC) && current_fn == THE_COARSENER;
+        for name in COARSENING_FNS {
+            if calls(&code, name) && !in_the_coarsener {
+                flag(format!(
+                    "`{name}(` outside `CutHierarchy::{THE_COARSENER}` — the hierarchy reads no                      count, budget or rate and is built once per prepared instance; cut the                      kept one"
+                ));
+            }
+        }
+        if rel == Path::new(PER_SOLVE_PATH) && calls(&code, ONE_SHOT_CUT) {
+            flag(format!(
+                "`{ONE_SHOT_CUT}(` on the per-solve path rebuilds the hierarchy at every                  solve — `PreparedDeployment` cuts the `CutHierarchy` it built at preparation"
+            ));
+        }
+    }
+}
+
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
     // Test corpus: the workspace-level tests/ plus every crate's tests/.
     let mut test_files = rust_sources(&root.join("tests"));
@@ -1224,6 +1291,73 @@ mod tests {
 ";
         assert_eq!(found("crates/fleet/src/lib.rs", fleet), vec![2]);
         assert_eq!(found("crates/core/src/shape.rs", fleet), vec![]);
+    }
+
+    #[test]
+    fn one_coarsening_fires_on_a_per_solve_rebuild_put_back() {
+        let lines = |file: &str, source: &str| {
+            let mut v = Vec::new();
+            check_one_coarsening(Path::new(file), source, &mut v);
+            assert!(v.iter().all(|x| x.rule == "one-coarsening"));
+            v.iter().map(|x| x.line).collect::<Vec<_>>()
+        };
+        let kept = "\
+fn finest_level(leaf: &LeafChain<'_>) -> Option<CLevel> { None }
+/// Calls `coarsen(top)` until it converges — in a doc comment, fine.
+fn coarsen(fine: &CLevel) -> Option<CLevel> { None }
+impl CutHierarchy {
+    pub(crate) fn build(leaves: &[LeafChain<'_>]) -> Option<CutHierarchy> {
+        let mut stack = vec![finest_level(leaf)?];
+        match coarsen(top) {
+        }
+    }
+    pub(crate) fn cut(&self, counts: &[f64]) -> Option<ApproxCut> { None }
+}
+pub fn approx_cut(leaves: &[LeafChain<'_>]) -> Option<ApproxCut> {
+    CutHierarchy::build(leaves)?.cut(&counts, obj, rate)
+}
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = coarsen(&finest_level(&leaf).unwrap()); }
+}
+";
+        assert_eq!(lines(THE_HEURISTIC, kept), Vec::<usize>::new());
+        // The parent's `approx_cut`: a hierarchy per call.
+        let rebuilt = kept.replace(
+            "    CutHierarchy::build(leaves)?.cut(&counts, obj, rate)",
+            "    let mut stack = vec![finest_level(leaf)?]; // line 13\n    \
+             while let Some(next) = coarsen(stack.last()?) { stack.push(next); }\n    \
+             let fine = recoarsen(top); // another name\n    \
+             let old = coarsen(top); // audit:allow(one-coarsening): demo",
+        );
+        assert_eq!(lines(THE_HEURISTIC, &rebuilt), vec![13, 14]);
+        // A `build` elsewhere in core is not the coarsener.
+        assert_eq!(lines("crates/core/src/shape.rs", kept), vec![6, 7]);
+
+        let per_solve = "\
+use crate::multilevel::{approx_cut, CutHierarchy};
+fn approx_values(&self, rate: f64) -> Option<(Vec<f64>, f64)> {
+    let cut = crate::multilevel::approx_cut(&chains, &self.obj, rate)?; // line 3
+    report.assert_no_errors(\"approx_cut(..) assignment\");
+}
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = approx_cut(&chains, &obj, 1.0); }
+}
+";
+        assert_eq!(lines(PER_SOLVE_PATH, per_solve), vec![3]);
+        assert_eq!(
+            lines("crates/core/src/drift.rs", per_solve),
+            Vec::<usize>::new()
+        );
+        // The committed core is clean.
+        let mut v = Vec::new();
+        scan(&repo_root(), &[CORE_SRC], check_one_coarsening, &mut v);
+        assert!(
+            v.is_empty(),
+            "{}",
+            v.iter().map(|x| x.to_string()).collect::<String>()
+        );
     }
 
     #[test]
