@@ -988,10 +988,13 @@ fn smoke(backend: SolverBackend) {
     // chain must take the dual-first start and finish well under the
     // ~4450 pivots the two-phase primal needs on it — so a change that
     // silently falls back to the primal fails here, on any machine. The
-    // factorization guard is the steepest-edge pricing's: rows with a
-    // short `B⁻ᵀe_r` keep the etas sparse, so only the 64-eta period
-    // forces a refactorization (27 of them), where largest-violation
-    // pricing ran into the eta file's nonzero budget (39).
+    // iteration count is pinned exactly: the leaving heap must choose
+    // what a full scan chooses, and a longer refactorization period must
+    // not move a pivot. The factorization guard is the steepest-edge
+    // pricing's: rows with a short `B⁻ᵀe_r` keep the etas sparse, so only
+    // the 128-eta period forces a refactorization (14 of them; 27 at the
+    // old 64-eta period), where largest-violation pricing ran into the eta
+    // file's nonzero budget (39 at 64).
     if backend == SolverBackend::Sparse {
         let (graph22, prof22) = eeg_app(22);
         let chain = Deployment::chain(&bench_chain(3));
@@ -1013,17 +1016,17 @@ fn smoke(backend: SolverBackend) {
             ws.dual_iterations() > 0,
             "[sparse] the 22ch chain root LP must start dual-first"
         );
-        assert!(
-            lp.iterations <= 2000,
-            "[sparse] the 22ch chain root LP took {} iterations ({} dual + {} primal), \
-             budget 2000",
+        assert_eq!(
+            lp.iterations,
+            1717,
+            "[sparse] the 22ch chain root LP took {} iterations ({} dual + {} primal)",
             lp.iterations,
             ws.dual_iterations(),
             ws.primal_iterations()
         );
         assert!(
-            ws.refactorizations() <= 32,
-            "[sparse] the 22ch chain root LP took {} factorizations, budget 32",
+            ws.refactorizations() <= 16,
+            "[sparse] the 22ch chain root LP took {} factorizations, budget 16",
             ws.refactorizations()
         );
         println!(

@@ -45,7 +45,18 @@ use crate::sparse::CscMatrix;
 /// Hard cap on eta updates between refactorizations. Each eta costs
 /// `O(nnz(α))` per solve, so together with [`ETA_NNZ_FACTOR`] this bounds
 /// FTRAN/BTRAN work *and* numerical drift.
-pub(crate) const REFACTOR_PERIOD: usize = 64;
+///
+/// Why 128: under dual steepest edge the chosen rows have short
+/// `B⁻ᵀe_r`, so the etas stay sparse and it is this count, not the
+/// nonzero budget, that ends a cycle — at 64 the 22-channel chain's root
+/// LP spent a third of its time refactorizing (27 times in 1,717 pivots),
+/// at 128 it refactorizes 14 times in the same pivots. Drift does not
+/// set the limit on these ±1 chain updates: recomputing `x_B` halfway
+/// through a 128-eta cycle changes nothing. What the longer cycle did
+/// expose is factorizations of bases where a dense row's slack reached
+/// the bump; the unit-column rule in
+/// [`peel_order`](LuFactors::peel_order) closes that.
+pub(crate) const REFACTOR_PERIOD: usize = 128;
 
 /// Refactorize once the eta file holds more than this many nonzeros per
 /// basis row. Entering columns on chain-structured bases densify (the
@@ -506,6 +517,16 @@ impl LuFactors {
     /// singleton available — e.g. the columns that close the dense
     /// budget rows) are appended in basis order for the general
     /// elimination above. `O(nnz)`.
+    ///
+    /// One exception runs before the peel: a basic **unit column** (a
+    /// slack) whose only entry lies in a dense row pivots on that row,
+    /// first. Its row sits the peel out, so without the rule the slack
+    /// would reach the bump in basis order, and a structural bump column
+    /// factored before it could take the row — threading an "unlimited"
+    /// budget row's 1e12 right-hand side through the structural's `x_B`
+    /// (see `a_vacuous_huge_budget_row_does_not_leak_into_the_answer`).
+    /// Pivoted first, the slack owns its row and the structurals' entries
+    /// there land in `U`, where they never multiply that row's `b`.
     fn peel_order(&mut self, matrix: &CscMatrix, basis: &[usize]) {
         let m = self.m;
         self.pcol.clear();
@@ -555,6 +576,15 @@ impl LuFactors {
             if sparse_rows == 1 {
                 self.peel_stack.push(k);
             }
+            // Unit column in a dense row: it takes that row before the
+            // peel (its count is 0, so the peel never visits it).
+            if let &[i] = rows {
+                if self.row_used[i] {
+                    self.peel_done[k] = true;
+                    self.pivot_hint[self.pcol.len()] = i as u32;
+                    self.pcol.push(k);
+                }
+            }
         }
         while let Some(k) = self.peel_stack.pop() {
             if self.peel_done[k] || self.peel_count[k] != 1 {
@@ -591,6 +621,25 @@ impl LuFactors {
                 self.pcol.push(k);
             }
         }
+    }
+
+    /// The original row basis position `k` pivoted on in the last
+    /// factorization.
+    #[cfg(test)]
+    pub(crate) fn pivot_row_of(&self, k: usize) -> usize {
+        let s = self.pcol.iter().position(|&p| p == k).expect("k factored");
+        self.prow[s]
+    }
+
+    /// The basis positions the last factorization left to general
+    /// elimination — the bump: no singleton peel or unit-column rule
+    /// prescribed their row.
+    #[cfg(test)]
+    pub(crate) fn bump_positions(&self) -> Vec<usize> {
+        (0..self.m)
+            .filter(|&s| self.pivot_hint[s] == u32::MAX)
+            .map(|s| self.pcol[s])
+            .collect()
     }
 
     /// Append the update for a pivot at basis position `r` whose entering
@@ -1025,10 +1074,12 @@ mod tests {
 
     #[test]
     fn hypersparse_btran_row_matches_dense_through_etas_and_a_refactor() {
-        // A chain long enough that one refactorization period (64 etas)
-        // fits, a budget row so `U` has a dense column, and a basis that
-        // mixes structural and slack columns so `L` is not empty.
-        let n = 90;
+        // A chain long enough that one refactorization period of etas
+        // (and then some) fits, a budget row so `U` has a dense column,
+        // and a basis that mixes structural and slack columns so `L` is
+        // not empty.
+        let period_plus = REFACTOR_PERIOD + 6;
+        let n = period_plus + 20;
         let a = chain_matrix(n);
         let m = a.rows();
         let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
@@ -1045,7 +1096,7 @@ mod tests {
         let mut live: Vec<usize> = Vec::new();
         let mut w = vec![0.0; m];
         let mut in_basis = vec![false; m];
-        for entering in 0..70usize {
+        for entering in 0..period_plus {
             let pivots = entering; // one structural column enters per pivot
             let epoch = pivots as u64 + 1;
             let (rows, _) = a.col(entering);
@@ -1082,14 +1133,17 @@ mod tests {
             lu.push_eta(r, &alpha, &live);
             basis[r] = entering;
             in_basis[r] = true;
-            if pivots % 9 == 0 || pivots == 63 {
+            if pivots % 9 == 0 || pivots + 1 == REFACTOR_PERIOD {
                 assert_unit_rows_match_dense(&mut lu, &format!("after {} etas", pivots + 1));
             }
             if pivots + 1 == REFACTOR_PERIOD {
                 assert!(lu.due_for_refactor());
             }
         }
-        assert!(lu.etas.len() >= REFACTOR_PERIOD, "≥ 64 etas exercised");
+        assert!(
+            lu.etas.len() >= REFACTOR_PERIOD,
+            "≥ {REFACTOR_PERIOD} etas exercised"
+        );
 
         // Refactorize the mixed basis: the eta file empties, the row-wise
         // factors are rebuilt, and `L` now carries real multipliers.
@@ -1098,7 +1152,7 @@ mod tests {
         assert!(!lu.l_rows.is_empty(), "the instance must exercise `L`");
         assert_unit_rows_match_dense(&mut lu, "after the refactor");
         // And once more with a few etas on top of the non-trivial factors.
-        for entering in 70..75 {
+        for entering in period_plus..period_plus + 5 {
             let alpha = ftran_col(&lu, &a, entering);
             let live: Vec<usize> = (0..m).collect();
             let r = (0..m)

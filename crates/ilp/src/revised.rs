@@ -50,11 +50,14 @@
 //!
 //! 1. **Leaving row**, by dual steepest edge: among the basis positions
 //!    whose variable violates a bound, the one maximising `viol_i² / w_i`
-//!    with `w_i = ‖e_iᵀB⁻¹‖²`, the lowest position on ties. The scan walks
-//!    a maintained *list* of the infeasible positions (on the 22-channel
-//!    chain about a sixth of the rows on average), not all `m`; a repaired
-//!    position drops off at the next scan, a newly violated one is
-//!    appended where its violation is written. Normalising by `w_i` is
+//!    with `w_i = ‖e_iᵀB⁻¹‖²`, the lowest position on ties — the top of a
+//!    lazy max-heap keyed `(viol_i²/w_i, lowest position)`, not a scan. A
+//!    pivot changes violations and weights only where `α` is nonzero, so
+//!    only those positions are re-keyed (a fresh entry pushed; the old one
+//!    is dropped when it surfaces and no longer matches its position); a
+//!    refactorization rewrites every basic value and rebuilds the heap in
+//!    one heapify. The choice is exactly a full scan's, which debug builds
+//!    check at every selection. Normalising by `w_i` is
 //!    what keeps everything below cheap: the largest raw violation tends
 //!    to sit on a row whose `ρ` is long, and a long `ρ` means a dense
 //!    pivot row, a dense entering column and a dense eta.
@@ -91,6 +94,9 @@
 //! [`solve_warm_sparse`]: SimplexWorkspace::solve_warm_sparse
 //! [`load_sparse`]: SimplexWorkspace::load_sparse
 //! [`two_phase_sparse`]: SimplexWorkspace::two_phase_sparse
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::lu::LuFactors;
 use crate::num::is_exact_zero;
@@ -158,12 +164,15 @@ pub(crate) struct SparseState {
     /// position (`> 0`: above its upper bound, `< 0`: below its lower,
     /// `0`: within tolerance), maintained by the dual simplex.
     viol: Vec<f64>,
-    /// The basis positions whose `viol` is nonzero — the only rows the
-    /// leaving-row choice looks at. `listed[i]` says whether position `i`
-    /// is on the list; a position whose violation was repaired stays
-    /// listed until the next selection scan drops it.
-    infeas: Vec<u32>,
-    listed: Vec<bool>,
+    /// The leaving-row candidates, a lazy max-heap keyed by
+    /// `(viol²/w as bits, lowest position)`. An entry is a claim, checked
+    /// against `viol` and `weight` when it reaches the top: one whose
+    /// score is no longer its position's is dropped there. Every
+    /// violated position has at least one current entry: each dual pass
+    /// starts from a rebuild, each write of a nonzero violation pushes
+    /// one, and within a pass a weight only changes on a position whose
+    /// violation is rewritten right after.
+    leaving: BinaryHeap<(u64, Reverse<u32>)>,
     /// Dual steepest-edge weights `w_i = ‖e_iᵀB⁻¹‖²` by basis position
     /// (see the module docs for their lifecycle).
     weight: Vec<f64>,
@@ -203,8 +212,7 @@ impl SparseState {
         self.row_epoch = 0;
         self.ratio_cand.clear();
         refill(&mut self.viol, m, 0.0);
-        self.infeas.clear();
-        refill(&mut self.listed, m, false);
+        self.leaving.clear();
         // Every cold start is a diagonal ±1 basis: the weights are
         // exactly 1, at no cost.
         refill(&mut self.weight, m, 1.0);
@@ -301,56 +309,55 @@ impl SparseState {
         }
     }
 
-    /// Record the violation of basis position `i`, listing the position
-    /// if it just became infeasible.
+    /// The dual steepest-edge score of basis position `i`, as the bits
+    /// the heap orders by (a positive `f64` orders like its bits).
+    #[inline]
+    fn score_bits(&self, i: usize) -> u64 {
+        let v = self.viol[i];
+        (v * v / self.weight[i]).to_bits()
+    }
+
+    /// Record the violation of basis position `i`, keying the position
+    /// into the leaving heap if it is infeasible.
     #[inline]
     fn set_violation(&mut self, i: usize, v: f64) {
         self.viol[i] = v;
-        if !is_exact_zero(v) && !self.listed[i] {
-            self.listed[i] = true;
-            self.infeas.push(i as u32);
+        if !is_exact_zero(v) {
+            self.leaving.push((self.score_bits(i), Reverse(i as u32)));
         }
     }
 
     /// The dual simplex's leaving row: the infeasible basis position
-    /// maximising `viol² / w`, the lowest such position on ties — so the
-    /// choice depends on the set of infeasible rows, not on the order the
-    /// list collected them in. Positions repaired since the last scan
-    /// drop off the list on the way. `None`: the basis is primal feasible.
+    /// maximising `viol² / w`, the lowest such position on ties — the top
+    /// of the heap once the entries that no longer hold are popped.
+    /// `None`: the basis is primal feasible.
     fn choose_leaving(&mut self) -> Option<usize> {
+        while let Some(&(score, Reverse(i))) = self.leaving.peek() {
+            let i = i as usize;
+            if !is_exact_zero(self.viol[i]) && self.score_bits(i) == score {
+                debug_assert_eq!(Some(i), self.scan_leaving(), "heap vs full scan");
+                return Some(i);
+            }
+            self.leaving.pop();
+        }
+        debug_assert_eq!(None, self.scan_leaving(), "heap vs full scan");
+        None
+    }
+
+    /// What the heap must agree with: the same rule as a scan over every
+    /// basis position (the debug-build check in `choose_leaving`).
+    fn scan_leaving(&self) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
-        let mut kept = 0;
-        for idx in 0..self.infeas.len() {
-            let i = self.infeas[idx] as usize;
-            let v = self.viol[i];
+        for (i, &v) in self.viol.iter().enumerate() {
             if is_exact_zero(v) {
-                self.listed[i] = false;
                 continue;
             }
-            self.infeas[kept] = i as u32;
-            kept += 1;
             let score = v * v / self.weight[i];
-            if best.is_none_or(|(bi, bs)| score > bs || (score >= bs && i < bi)) {
+            if best.is_none_or(|(_, bs)| score > bs) {
                 best = Some((i, score));
             }
         }
-        self.infeas.truncate(kept);
-        debug_assert!(self.infeasibility_list_is_exact());
         best.map(|(i, _)| i)
-    }
-
-    /// The list invariant at the selection point: `infeas` holds exactly
-    /// the positions with a nonzero violation, each once, and `listed`
-    /// marks exactly those.
-    fn infeasibility_list_is_exact(&self) -> bool {
-        let mut on_list = vec![false; self.viol.len()];
-        for &i in &self.infeas {
-            if std::mem::replace(&mut on_list[i as usize], true) {
-                return false;
-            }
-        }
-        (0..self.viol.len())
-            .all(|i| on_list[i] != is_exact_zero(self.viol[i]) && on_list[i] == self.listed[i])
     }
 
     /// Carry the steepest-edge weights through a dual pivot at position
@@ -986,16 +993,20 @@ impl SimplexWorkspace {
         }
     }
 
-    /// Recompute every violation and rebuild the infeasibility list
-    /// (at entry to the dual pass and after each refactorization, which
-    /// rewrites every basic value).
+    /// Recompute every violation and rebuild the leaving heap, in one
+    /// `O(m)` heapify (at entry to the dual pass and after each
+    /// refactorization, which rewrites every basic value).
     fn refresh_violations(&mut self) {
-        self.sparse.infeas.clear();
-        self.sparse.listed.fill(false);
+        let mut keys = std::mem::take(&mut self.sparse.leaving).into_vec();
+        keys.clear();
         for i in 0..self.m {
             let v = self.bound_violation(i);
-            self.sparse.set_violation(i, v);
+            self.sparse.viol[i] = v;
+            if !is_exact_zero(v) {
+                keys.push((self.sparse.score_bits(i), Reverse(i as u32)));
+            }
         }
+        self.sparse.leaving = BinaryHeap::from(keys);
     }
 
     /// Bounded-variable dual simplex on the factorization — the sparse
@@ -1218,6 +1229,64 @@ mod tests {
         assert_close(s.objective, dense.objective);
     }
 
+    /// `long_chain(400)` plus an "unlimited" budget row (rhs 1e12,
+    /// coefficients in the thousands), last.
+    fn vacuous_chain() -> Problem {
+        let mut p = long_chain(400);
+        let unlimited: Vec<_> = (0..400)
+            .map(|i| (crate::VarId(i), 7.0 + ((i * 37) % 2473) as f64))
+            .collect();
+        p.add_constraint(&unlimited, Sense::Le, 1e12);
+        p
+    }
+
+    #[test]
+    fn a_dense_rows_slack_takes_its_own_row_even_behind_a_bump_column() {
+        // Pins `peel_order`'s unit-column rule on a basis built to need
+        // it, from the slack basis of the vacuous instance (slack of row
+        // `i` at position `i`):
+        // * structurals 1..=17 replace the slacks of precedence rows
+        //   1..=17 — the peel takes each on its row, and 17 basic columns
+        //   crossing them make both budget rows dense;
+        // * structural 399, whose only precedence row is 398, takes
+        //   position 398 and that row's slack moves to position 399 (the
+        //   real budget row's slack leaves). The slack, later in basis
+        //   order, is peeled first and takes row 398, so x399 is left to
+        //   the bump — ahead of the vacuous row's slack at position 400.
+        // Relative to its rows x399 prefers the vacuous one: its 2405 is
+        // that row's largest basic entry, its 0.8 two thirds of the real
+        // budget row's. Without the rule x399 takes the vacuous row and
+        // the slack is left a row it only reaches through fill (row 16).
+        let p = vacuous_chain();
+        let vacuous = 400;
+        let mut ws = sparse_ws();
+        assert!(ws.load_sparse(&p, &p.lower, &p.upper, 1_000_000, true));
+        let n = ws.n_structural; // slack of row `i`: column `n + i`
+        let mut basis = ws.basis.clone();
+        for (j, col) in basis.iter_mut().enumerate().take(18).skip(1) {
+            *col = j;
+        }
+        basis[398] = 399;
+        basis[399] = n + 398;
+        assert!(ws.sparse.refactor(&basis));
+        assert!(ws.sparse.lu.bump_positions().contains(&398), "x399");
+        assert_eq!(
+            ws.sparse.lu.pivot_row_of(vacuous),
+            vacuous,
+            "the slack takes its own row"
+        );
+
+        // And on the basis the solver ends on: a fresh factorization's
+        // `x_B` holds every row (the real budget row, rhs 140, included).
+        solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap();
+        assert!(ws.sparse.refactor(&ws.basis));
+        ws.recompute_basic_x_sparse();
+        assert!(
+            p.is_feasible(&ws.x[..n], 1e-9),
+            "fresh `x_B` of the final basis"
+        );
+    }
+
     #[test]
     fn a_vacuous_huge_budget_row_does_not_leak_into_the_answer() {
         // Encoders spell "no budget" as a row with a right-hand side of
@@ -1228,11 +1297,7 @@ mod tests {
         // recomputation of `x_B` then carries ~1e-6 of roundoff: enough
         // to turn an integral optimum fractional. Row-relative pivoting
         // keeps the row decoupled; the answer must be clean to 1e-9.
-        let mut p = long_chain(400);
-        let unlimited: Vec<_> = (0..400)
-            .map(|i| (crate::VarId(i), 7.0 + ((i * 37) % 2473) as f64))
-            .collect();
-        p.add_constraint(&unlimited, Sense::Le, 1e12);
+        let p = vacuous_chain();
         let mut ws = sparse_ws();
         let s = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap();
         assert!(ws.refactorizations() >= 3, "several `x_B` recomputations");
@@ -1430,9 +1495,9 @@ mod tests {
         // must answer exactly as a fresh one would. The stamped / touched
         // scratch of the dual simplex (pivot-row accumulator, `ρ` pattern,
         // bitsets, eta arena) is the state that could leak across loads —
-        // and so are the steepest-edge weights and the infeasibility
-        // list, which steer every leaving-row choice: the reused
-        // workspace must arrive with both dirty.
+        // and so are the steepest-edge weights and the leaving heap,
+        // which steer every leaving-row choice: the reused workspace
+        // must arrive with both dirty.
         let p = long_chain(300);
         let bits = |ws: &mut SimplexWorkspace| -> Vec<u64> {
             solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, ws, false)
@@ -1473,7 +1538,7 @@ mod tests {
         }
 
         // After an infeasible LP (the dual pass stops mid-iteration, its
-        // infeasibility list still populated).
+        // leaving heap still populated).
         let mut infeasible = long_chain(120);
         infeasible.add_constraint(&[(crate::VarId(119), 1.0)], Sense::Ge, 2.0);
         assert_eq!(
@@ -1487,8 +1552,7 @@ mod tests {
             ),
             Err(SolveError::Infeasible)
         );
-        assert!(!reused.sparse.infeas.is_empty());
-        assert!(reused.sparse.listed.iter().any(|&l| l));
+        assert!(!reused.sparse.leaving.is_empty());
         assert!(non_unit_weights(&reused) > 0);
         assert_eq!(bits(&mut reused), fresh, "after an infeasible LP");
 
