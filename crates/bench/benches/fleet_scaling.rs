@@ -25,7 +25,7 @@
 //!   header (`solver_criterion`'s lines there are kept). Per-request
 //!   latency is the benchmark of record's `fleet_hits` / `fleet_misses`;
 //! * `... -- --smoke` — a seconds-scale CI run asserting the cache
-//!   contract: encodes == shapes ≪ requests, cached throughput ≥ 3×
+//!   contract: encodes == shapes ≪ requests, cached throughput ≥ 1.6×
 //!   cold, ≤ 8 simplex iterations per cached request with a nonzero
 //!   factorization count (the sparse backend's signature), ≤ 1.84
 //!   branch-and-bound nodes per cached request, and (only when the host
@@ -237,6 +237,9 @@ fn arm(name: &str, workers: usize, n: usize, apps: &[(Arc<Graph>, Arc<GraphProfi
     a
 }
 
+/// The smoke's floor on cached over cold throughput (see `smoke`).
+const LEVERAGE_FLOOR: f64 = 1.6;
+
 /// CI smoke: seconds-scale, asserts the cache contract and — only where
 /// the host can express it — worker scaling.
 fn smoke() {
@@ -245,8 +248,11 @@ fn smoke() {
 
     // Best-of-two per arm: single-core CI hosts jitter by tens of
     // percent, and the leverage floor below is an acceptance threshold,
-    // not a statistics exercise (3.6x – 6.2x over sixteen runs on a
-    // 2-vCPU shared host; the floor is the lowest of them less a sixth).
+    // not a statistics exercise (1.96x – 2.88x over 33 runs on a
+    // 2-vCPU shared host; the floor is the lowest of them less a sixth,
+    // rounded down). It fell from 3x when a miss stopped building the
+    // unmerged graph: the cold arm is a loop of misses, and it got
+    // faster (3,300 – 4,100 → 9,700 – 12,600 req/s), not the cache slower.
     let cold = || {
         let wall = run_cold(&mk_requests(n, &apps)).as_secs_f64();
         println!("{:28} {:7.0} req/s", "smoke_cold", n as f64 / wall);
@@ -267,10 +273,10 @@ fn smoke() {
     assert_eq!(cached.stats.encodes_avoided, n as u64 - 8);
 
     let leverage = cold_s / cached.total_s.min(w1.total_s);
-    println!("cache leverage: {leverage:.1}x (acceptance floor 3x)");
+    println!("cache leverage: {leverage:.2}x (acceptance floor {LEVERAGE_FLOOR}x)");
     assert!(
-        leverage >= 3.0,
-        "shape cache must beat per-request encodes by >= 3x, got {leverage:.2}x"
+        leverage >= LEVERAGE_FLOOR,
+        "shape cache must beat per-request encodes by >= {LEVERAGE_FLOOR}x, got {leverage:.2}x"
     );
 
     // Count guard (counts repeat exactly on any host): the fleet runs

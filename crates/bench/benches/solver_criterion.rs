@@ -10,7 +10,10 @@
 //!   `NullSink` (must be free) vs a buffering `MemorySink`;
 //! * `drift_resolve`: a flagged profile drift absorbed by the standing
 //!   encoding (in-place budget rescale + warm re-solve) vs rebuilding
-//!   and re-encoding the drifted deployment from scratch.
+//!   and re-encoding the drifted deployment from scratch;
+//! * `prepare_scaling`: `PreparedDeployment::new` on 1k- and 16k-stage
+//!   pipelines — the build + §4.1 merge's complexity, which the sparse
+//!   `--smoke` pins as a ratio.
 //!
 //! The groups are the only list of timed instances and the `criterion`
 //! stand-in the only timer. Modes (custom harness, so extra flags pass
@@ -37,7 +40,7 @@ use wishbone_core::{
     preprocess_tiered, Deployment, DeploymentConfig, DeploymentDelta, LinkSpec, Mode,
     PartitionError, PreparedDeployment, Site, SiteId, TierObjective,
 };
-use wishbone_dataflow::OperatorId;
+use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, OperatorId, Value};
 use wishbone_ilp::instances::chain_ilp;
 use wishbone_ilp::{
     solve_lp_in, IlpOptions, IlpSolution, IlpStats, Problem, SimplexWorkspace, SolverBackend,
@@ -47,7 +50,7 @@ use wishbone_oracle::{
     build_partition_graph, encode, encode_multitier, preprocess, Encoding, ObjectiveConfig,
     PartitionGraph,
 };
-use wishbone_profile::{profile, GraphProfile, Platform};
+use wishbone_profile::{profile, GraphProfile, Platform, SourceTrace};
 use wishbone_runtime::{
     attribute_tree, simulate_deployment_tree, simulate_deployment_tree_traced, FailurePlan,
     LeafRoute, SimulationConfig, SourceFeed, TreeDeploymentReport, TreeTopology,
@@ -548,6 +551,81 @@ fn churn_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// A `stages`-long pipeline between a mote source and a server sink:
+/// data-neutral stages with a 3× reducer every 128th, the fleet fixture's
+/// shape stretched. The §4.1 merge collapses every neutral run, so the
+/// merged ILP grows with the reducers alone while the build and the
+/// merge see every stage — the instance that shows their complexity.
+fn pipeline_app(stages: usize) -> (wishbone_dataflow::Graph, GraphProfile) {
+    let mut b = GraphBuilder::new();
+    b.enter_node_namespace();
+    let src = b.source("src");
+    let mut prev = src;
+    for s in 0..stages {
+        let keep = if s % 128 == 127 { 3 } else { 1 };
+        let cost = 100 + 20 * (s as u64 % 7);
+        prev = b.transform(
+            format!("stage{s}"),
+            Box::new(FnWork(move |_p: usize, v: &Value, cx: &mut ExecCtx| {
+                let w = v.as_i16s().expect("the pipeline carries i16 windows");
+                cx.meter().loop_scope(cost, |m| m.int(cost));
+                cx.emit(Value::VecI16(w.iter().step_by(keep).copied().collect()));
+            })),
+            prev,
+        );
+    }
+    b.exit_namespace();
+    b.sink("out", prev);
+    let mut graph = b.finish().expect("a pipeline is a DAG");
+    let trace = SourceTrace {
+        source: src.0,
+        elements: (0..4).map(|i| Value::VecI16(vec![i as i16; 64])).collect(),
+        rate_hz: 10.0,
+    };
+    // The profiler delivers each emission depth first, a stack frame per
+    // stage: give a 16k-stage cascade the room.
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(move || {
+            let prof = profile(&mut graph, &[trace]).expect("profiling succeeds");
+            (graph, prof)
+        })
+        .expect("spawn the profiling thread")
+        .join()
+        .expect("profiling succeeds")
+}
+
+/// Stage counts of the `prepare_scaling` group and the smoke's ratio.
+const PIPELINE_STAGES: [(&str, usize); 2] = [("pipeline_1k", 1_000), ("pipeline_16k", 16_000)];
+
+/// The smoke's ceiling on prepare time at 16k stages over 1k: measured
+/// 9.9×–23.5× over six runs of the linear merge, 178× under the
+/// quadratic out-edge scan it replaced (0.99 → 177 ms), both on the
+/// 2-vCPU host; the ceiling is twice the highest linear reading.
+const PREPARE_RATIO_CEILING: f64 = 48.0;
+
+/// `PreparedDeployment::new` on a one-mote star over pipelines 16× apart
+/// in length: graph build, §4.1 merge, encode and coarsening, once. A
+/// linear prepare reads ≈ 16× between the two; the quadratic out-edge
+/// scan the merge had before read far more (the `--smoke` ceiling sits
+/// between the two).
+fn prepare_scaling(c: &mut Criterion) {
+    let dep = mote_star();
+    let cfg = DeploymentConfig::default();
+    let mut group = c.benchmark_group("prepare_scaling");
+    for (label, stages) in PIPELINE_STAGES {
+        let (graph, prof) = pipeline_app(stages);
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                PreparedDeployment::new(&graph, &prof, &dep, &cfg)
+                    .expect("pins ok")
+                    .problem_size()
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The traced-simulation fixture of the trace benches and smokes: the
 /// 2-ward EEG forest as a runtime tree. The caps host only their
 /// sources (gateways pure store-and-forward, the rest at the server),
@@ -734,6 +812,7 @@ criterion_group!(
     approx_scaling,
     trace_overhead,
     drift_resolve,
+    prepare_scaling,
 );
 
 /// Seconds-scale smoke run for CI, parameterized by backend so a sparse
@@ -1037,6 +1116,38 @@ fn smoke(backend: SolverBackend) {
             ws.dual_iterations(),
             ws.primal_iterations(),
             ws.refactorizations()
+        );
+    }
+
+    // Prepare is linear in the pipeline's length (sparse smoke only: no
+    // solve runs, so the backend cannot matter). A ratio, not a time, so
+    // the host's speed cancels; best of five per side.
+    if backend == SolverBackend::Sparse {
+        let (dep, cfg) = (mote_star(), DeploymentConfig::default());
+        let best_prepare = |stages: usize| {
+            let (graph, prof) = pipeline_app(stages);
+            (0..5)
+                .map(|_| {
+                    let t = Instant::now();
+                    PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let [(_, short), (_, long)] = PIPELINE_STAGES;
+        let (short_s, long_s) = (best_prepare(short), best_prepare(long));
+        let ratio = long_s / short_s;
+        println!(
+            "smoke[sparse] prepare scaling: {:.3} ms at {short} stages, {:.3} ms at {long}: \
+             {ratio:.1}x (ceiling {PREPARE_RATIO_CEILING}x; linear is {}x)",
+            short_s * 1e3,
+            long_s * 1e3,
+            long / short
+        );
+        assert!(
+            ratio <= PREPARE_RATIO_CEILING,
+            "[sparse] prepare grew superlinearly: {ratio:.1}x for {}x the stages",
+            long / short
         );
     }
 

@@ -13,12 +13,14 @@
 //!
 //! 1. [`cost_graph::pin_analysis`] — derive placement constraints from
 //!    operator metadata (§2.1.1) with single-crossing propagation (§2.1.2);
-//! 2. [`multitier::build_tiered_graph`] — per leaf root path, attach
-//!    profiled CPU fractions (one per site platform) and on-air bandwidths
-//!    (one per hop) as vertex/edge weights (§4);
-//! 3. [`multitier::preprocess_tiered`] — merge data-expanding/neutral
-//!    operators downstream where no later site can charge for them,
-//!    shrinking the ILP without losing optimality (§4.1);
+//! 2. per leaf root path, attach profiled CPU fractions (one per site
+//!    platform) and on-air bandwidths (one per hop) as vertex/edge
+//!    weights (§4) — into a flat per-operator table, never an unmerged
+//!    graph; [`multitier::build_tiered_graph`] materialises that table;
+//! 3. merge data-expanding/neutral operators downstream where no later
+//!    site can charge for them, shrinking the ILP without losing
+//!    optimality (§4.1) — one O(V + E) merge over the table, which
+//!    [`multitier::preprocess_tiered`] runs on a built graph;
 //! 4. [`encodings::encode_deployment`] — build the one ILP: monotone cuts
 //!    per leaf class, coupled by one CPU row per site and one row per
 //!    uplink (§4.2.1's restricted formulation at two sites);

@@ -7,8 +7,27 @@
 //! of a [`Deployment`](crate::topology::Deployment) sees its root path as
 //! such a chain: each operator is assigned a tier `t ∈ {0, …, k−1}`,
 //! jointly optimizing all `k − 1` cut frontiers in one ILP. This module
-//! builds that chain's weighted graph ([`build_tiered_graph`]) and runs
-//! the chain-sound §4.1 merge on it ([`preprocess_tiered`]).
+//! weighs that chain's graph and runs the chain-sound §4.1 merge on it.
+//!
+//! **One merge, two ways in.** The merge reads one private flat table,
+//! `ChainTable`: per vertex a pin, `k` CPU costs and its sole successor
+//! (when it has exactly one out-edge), per edge its endpoints and `k − 1`
+//! on-air bandwidths, and CSR lists of the operators and dataflow edges
+//! behind them — a handful of `Vec`s, nothing allocated per operator.
+//! [`PreparedDeployment`](crate::topology::PreparedDeployment) fills it
+//! straight from the dataflow graph (pins once, costs once per leaf) and
+//! materialises only the *merged* [`TieredGraph`]; the public
+//! [`build_tiered_graph`] and [`preprocess_tiered`] are adapters onto the
+//! same table and the same merge. The merge runs in O(V + E): the
+//! sole-successor pass makes one `union` per mergeable vertex, classes are
+//! numbered through a `Vec` indexed by union-find root, and cross-class
+//! edges are grouped by a stable two-pass counting sort on
+//! `(src class, dst class)` — which is also the quotient's adjacency for
+//! the cycle check — so every sum runs in vertex or edge order and the
+//! output is a pure function of the input, bit for bit. The dev-only
+//! `wishbone_oracle::preprocess_tiered_reference` keeps the hashed,
+//! quadratic original as the differential reference
+//! (`tests/proptest_multitier.rs`).
 //!
 //! The encoding uses monotone indicator variables
 //! `y_u^b = 1 ⇔ tier(u) ≤ b` with unit-coefficient precedence rows — the
@@ -25,8 +44,6 @@
 //! differential parity tests (`tests/end_to_end_tiered.rs`,
 //! `tests/proptest_multitier.rs`) pin that anchor on both simplex
 //! backends.
-
-use std::collections::{HashMap, HashSet};
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId};
 use wishbone_ilp::is_exact_zero;
@@ -91,7 +108,8 @@ impl TieredGraph {
 
 /// Build the tiered partitioning graph for a chain of candidate platforms:
 /// per-tier CPU fractions and per-link on-air bandwidths, at
-/// `rate_multiplier` times the profile's reference rate.
+/// `rate_multiplier` times the profile's reference rate — the unmerged
+/// `ChainTable` of `graph`, materialised.
 pub fn build_tiered_graph(
     graph: &Graph,
     profile: &GraphProfile,
@@ -99,45 +117,358 @@ pub fn build_tiered_graph(
     mode: Mode,
     rate_multiplier: f64,
 ) -> Result<TieredGraph, PinError> {
-    let k = platforms.len();
-    assert!(k >= 2, "a chain needs at least two tiers");
-    let pins = pin_analysis(graph, mode)?;
-    let vertices = graph
-        .operator_ids()
-        .map(|id| TVertex {
-            ops: vec![id],
-            cpu_cost: platforms
-                .iter()
-                .map(|p| profile.cpu_fraction(id, p) * rate_multiplier)
-                .collect(),
-            pin: pins[id.0],
-        })
-        .collect();
-    let edges = graph
-        .edge_ids()
-        .map(|eid| {
-            let e = graph.edge(eid);
-            TEdge {
-                src: e.src.0,
-                dst: e.dst.0,
-                // Link b is forwarded by tier b, so it wears tier b's
-                // packet framing.
-                bandwidth: platforms[..k - 1]
-                    .iter()
-                    .map(|p| profile.edge_on_air_bandwidth(eid, p) * rate_multiplier)
-                    .collect(),
-                graph_edges: vec![eid],
-            }
-        })
-        .collect();
-    Ok(TieredGraph {
-        tiers: k,
-        vertices,
-        edges,
-    })
+    assert!(platforms.len() >= 2, "a chain needs at least two tiers");
+    let mut table = ChainTable::from_graph(graph, mode)?;
+    let platforms: Vec<&Platform> = platforms.iter().collect();
+    table.price(profile, &platforms, rate_multiplier);
+    Ok(table.to_tiered())
 }
 
-/// Union-find over vertex indices.
+/// The unmerged chain graph as flat arrays — the one input of
+/// [`ChainTable::merge`]. Vertex `v`'s CPU costs are
+/// `cpu[v·k .. (v+1)·k]` and its operators `ops[op_start[v] ..
+/// op_start[v+1]]`; edge `e`'s bandwidths are `bw[e·(k−1) .. (e+1)·(k−1)]`
+/// and its dataflow edges `graph_edges[ge_start[e] .. ge_start[e+1]]`.
+pub(crate) struct ChainTable {
+    tiers: usize,
+    pin: Vec<Pin>,
+    /// Each vertex's one out-edge target, `None` unless its out-degree is
+    /// exactly 1 (only such a vertex may merge downstream).
+    succ: Vec<Option<usize>>,
+    cpu: Vec<f64>,
+    op_start: Vec<usize>,
+    ops: Vec<OperatorId>,
+    src: Vec<usize>,
+    dst: Vec<usize>,
+    bw: Vec<f64>,
+    ge_start: Vec<usize>,
+    graph_edges: Vec<EdgeId>,
+}
+
+impl ChainTable {
+    /// The structure of `graph` — one vertex per operator, one edge per
+    /// stream, pins under `mode` — with no costs yet ([`price`](Self::price)
+    /// adds them). Every leaf of a deployment shares it.
+    pub(crate) fn from_graph(graph: &Graph, mode: Mode) -> Result<ChainTable, PinError> {
+        let pin = pin_analysis(graph, mode)?;
+        let (n, m) = (graph.operator_count(), graph.edge_count());
+        let (src, dst): (Vec<usize>, Vec<usize>) = graph
+            .edge_ids()
+            .map(|eid| {
+                let e = graph.edge(eid);
+                (e.src.0, e.dst.0)
+            })
+            .unzip();
+        Ok(ChainTable {
+            tiers: 0,
+            succ: sole_successors(n, &src, &dst),
+            pin,
+            cpu: Vec::new(),
+            op_start: (0..=n).collect(),
+            ops: graph.operator_ids().collect(),
+            src,
+            dst,
+            bw: Vec::new(),
+            ge_start: (0..=m).collect(),
+            graph_edges: graph.edge_ids().collect(),
+        })
+    }
+
+    /// Weigh a [`from_graph`](Self::from_graph) table for the chain
+    /// `platforms` (innermost first) at `rate_multiplier` times the
+    /// profile's reference rate, replacing any earlier pricing.
+    pub(crate) fn price(
+        &mut self,
+        profile: &GraphProfile,
+        platforms: &[&Platform],
+        rate_multiplier: f64,
+    ) {
+        let k = platforms.len();
+        self.tiers = k;
+        self.cpu.clear();
+        for &op in &self.ops {
+            self.cpu.extend(
+                platforms
+                    .iter()
+                    .map(|p| profile.cpu_fraction(op, p) * rate_multiplier),
+            );
+        }
+        self.bw.clear();
+        for &eid in &self.graph_edges {
+            // Link b is forwarded by tier b, so it wears tier b's packet
+            // framing.
+            self.bw.extend(
+                platforms[..k - 1]
+                    .iter()
+                    .map(|p| profile.edge_on_air_bandwidth(eid, p) * rate_multiplier),
+            );
+        }
+    }
+
+    /// Flatten a public [`TieredGraph`].
+    fn from_tiered(tg: &TieredGraph) -> ChainTable {
+        let (k, links) = (tg.tiers, tg.tiers - 1);
+        let mut table = ChainTable {
+            tiers: k,
+            pin: Vec::with_capacity(tg.vertices.len()),
+            succ: Vec::new(),
+            cpu: Vec::with_capacity(tg.vertices.len() * k),
+            op_start: vec![0],
+            ops: Vec::new(),
+            src: Vec::with_capacity(tg.edges.len()),
+            dst: Vec::with_capacity(tg.edges.len()),
+            bw: Vec::with_capacity(tg.edges.len() * links),
+            ge_start: vec![0],
+            graph_edges: Vec::new(),
+        };
+        for v in &tg.vertices {
+            assert_eq!(v.cpu_cost.len(), k, "one CPU cost per tier");
+            table.pin.push(v.pin);
+            table.cpu.extend_from_slice(&v.cpu_cost);
+            table.ops.extend_from_slice(&v.ops);
+            table.op_start.push(table.ops.len());
+        }
+        for e in &tg.edges {
+            assert_eq!(e.bandwidth.len(), links, "one bandwidth per link");
+            table.src.push(e.src);
+            table.dst.push(e.dst);
+            table.bw.extend_from_slice(&e.bandwidth);
+            table.graph_edges.extend_from_slice(&e.graph_edges);
+            table.ge_start.push(table.graph_edges.len());
+        }
+        table.succ = sole_successors(tg.vertices.len(), &table.src, &table.dst);
+        table
+    }
+
+    /// Materialise the table as a [`TieredGraph`], one vertex per table
+    /// vertex.
+    fn to_tiered(&self) -> TieredGraph {
+        TieredGraph {
+            tiers: self.tiers,
+            vertices: (0..self.pin.len())
+                .map(|v| TVertex {
+                    ops: self.ops_of(v).to_vec(),
+                    cpu_cost: self.cpu_of(v).to_vec(),
+                    pin: self.pin[v],
+                })
+                .collect(),
+            edges: (0..self.src.len())
+                .map(|e| TEdge {
+                    src: self.src[e],
+                    dst: self.dst[e],
+                    bandwidth: self.bw_of(e).to_vec(),
+                    graph_edges: self.graph_edges_of(e).to_vec(),
+                })
+                .collect(),
+        }
+    }
+
+    /// The §4.1 merge of this table under `obj` (see [`preprocess_tiered`]
+    /// for the rule and why it is sound on a chain), materialising only
+    /// the merged graph.
+    pub(crate) fn merge(&self, obj: &TierObjective) -> Result<TieredPreprocessResult, PinError> {
+        let k = self.tiers;
+        assert_eq!(obj.tiers(), k, "objective tier count mismatch");
+        let (n, links) = (self.pin.len(), k - 1);
+
+        // Per-vertex per-link input/output bandwidth sums, in edge order.
+        let mut in_bw = vec![0.0f64; n * links];
+        let mut out_bw = vec![0.0f64; n * links];
+        for (e, (&s, &d)) in self.src.iter().zip(&self.dst).enumerate() {
+            for (b, &r) in self.bw_of(e).iter().enumerate() {
+                out_bw[s * links + b] += r;
+                in_bw[d * links + b] += r;
+            }
+        }
+
+        // Tiers that may charge `v` for being moved onto them.
+        let charging_tiers: Vec<usize> = (1..k)
+            .filter(|&t| !is_exact_zero(obj.alpha[t]) || obj.cpu_budget[t].is_finite())
+            .collect();
+
+        let mut dsu = Dsu::new(n);
+        for (v, &succ) in self.succ.iter().enumerate() {
+            let Some(succ) = succ else { continue };
+            if self.pin[v] != Pin::Movable {
+                continue;
+            }
+            let (ins, outs) = (
+                &in_bw[v * links..(v + 1) * links],
+                &out_bw[v * links..(v + 1) * links],
+            );
+            let safe_on_every_link = outs
+                .iter()
+                .zip(ins)
+                .all(|(&out, &inp)| out + 1e-12 >= inp && out > 0.0);
+            let free_on_every_charging_tier = charging_tiers
+                .iter()
+                .all(|&t| is_exact_zero(self.cpu_of(v)[t]));
+            if safe_on_every_link && free_on_every_charging_tier {
+                dsu.union(v, succ);
+            }
+        }
+
+        // Merging can create cycles in the quotient (a path between two
+        // merged vertices through an unmerged one); the single-crossing
+        // constraints force such intermediate vertices onto the same side
+        // anyway, so collapse every strongly connected component. The
+        // condensation of a graph is a DAG, so one pass of that and one
+        // rebuild of the quotient is all it takes. (No table built from a
+        // dataflow DAG gets here: a merged class is an in-tree, and only
+        // its root has edges out.)
+        let mut classes = Quotient::of(&mut dsu);
+        let mut cross = self.cross_edges(&classes);
+        let (adj_start, adj) = classes.adjacency(&cross, &self.src, &self.dst);
+        let cycles = cyclic_sccs(&adj_start, &adj);
+        if !cycles.is_empty() {
+            for scc in &cycles {
+                let first = classes.first[scc[0]];
+                for &c in &scc[1..] {
+                    dsu.union(first, classes.first[c]);
+                }
+            }
+            classes = Quotient::of(&mut dsu);
+            cross = self.cross_edges(&classes);
+        }
+
+        // Sums and pins per class, members in vertex order; a pin conflict
+        // names the first conflicting member of the lowest class.
+        let c = classes.first.len();
+        let mut cpu = vec![0.0f64; c * k];
+        let mut pins = vec![Ok(Pin::Movable); c];
+        let mut op_count = vec![0usize; c];
+        for (v, &cv) in classes.of.iter().enumerate() {
+            for (acc, &x) in cpu[cv * k..(cv + 1) * k].iter_mut().zip(self.cpu_of(v)) {
+                *acc += x;
+            }
+            let ops = self.ops_of(v);
+            if let Ok(pin) = pins[cv] {
+                pins[cv] = combine_pins(
+                    pin,
+                    self.pin[v],
+                    ops.first().copied().unwrap_or(OperatorId(0)),
+                );
+            }
+            op_count[cv] += ops.len();
+        }
+        let mut vertices: Vec<TVertex> = Vec::with_capacity(c);
+        for (cv, (pin, count)) in pins.into_iter().zip(op_count).enumerate() {
+            vertices.push(TVertex {
+                ops: Vec::with_capacity(count),
+                cpu_cost: cpu[cv * k..(cv + 1) * k].to_vec(),
+                pin: pin?,
+            });
+        }
+        for (v, &cv) in classes.of.iter().enumerate() {
+            vertices[cv].ops.extend_from_slice(self.ops_of(v));
+        }
+        for vert in &mut vertices {
+            vert.ops.sort_unstable();
+        }
+
+        // One partition edge per run of equal (src class, dst class) in
+        // the sorted cross-class edges, summed in edge order.
+        let mut edges: Vec<TEdge> = Vec::new();
+        for &e in &cross {
+            let (cs, cd) = (classes.of[self.src[e]], classes.of[self.dst[e]]);
+            if edges
+                .last()
+                .is_none_or(|last| (last.src, last.dst) != (cs, cd))
+            {
+                edges.push(TEdge {
+                    src: cs,
+                    dst: cd,
+                    bandwidth: vec![0.0; links],
+                    graph_edges: Vec::new(),
+                });
+            }
+            let agg = edges.last_mut().expect("pushed above");
+            for (acc, &r) in agg.bandwidth.iter_mut().zip(self.bw_of(e)) {
+                *acc += r;
+            }
+            agg.graph_edges.extend_from_slice(self.graph_edges_of(e));
+        }
+        Ok(TieredPreprocessResult {
+            graph: TieredGraph {
+                tiers: k,
+                vertices,
+                edges,
+            },
+            vertices_before: n,
+            vertices_after: c,
+        })
+    }
+
+    fn ops_of(&self, v: usize) -> &[OperatorId] {
+        &self.ops[self.op_start[v]..self.op_start[v + 1]]
+    }
+
+    fn cpu_of(&self, v: usize) -> &[f64] {
+        &self.cpu[v * self.tiers..(v + 1) * self.tiers]
+    }
+
+    fn bw_of(&self, e: usize) -> &[f64] {
+        let links = self.tiers - 1;
+        &self.bw[e * links..(e + 1) * links]
+    }
+
+    fn graph_edges_of(&self, e: usize) -> &[EdgeId] {
+        &self.graph_edges[self.ge_start[e]..self.ge_start[e + 1]]
+    }
+
+    /// The edges joining two different classes, sorted by
+    /// `(src class, dst class)` with ties in edge order (a stable
+    /// two-pass counting sort: by destination, then by source).
+    fn cross_edges(&self, classes: &Quotient) -> Vec<usize> {
+        let c = classes.first.len();
+        let (src_class, dst_class) = (
+            |e: usize| classes.of[self.src[e]],
+            |e: usize| classes.of[self.dst[e]],
+        );
+        let cross: Vec<usize> = (0..self.src.len())
+            .filter(|&e| src_class(e) != dst_class(e))
+            .collect();
+        counting_sort(&counting_sort(&cross, c, dst_class), c, src_class)
+    }
+}
+
+/// Each vertex's one out-edge target, `None` unless its out-degree is
+/// exactly 1.
+fn sole_successors(n: usize, src: &[usize], dst: &[usize]) -> Vec<Option<usize>> {
+    let mut out_deg = vec![0usize; n];
+    let mut succ = vec![None; n];
+    for (&s, &d) in src.iter().zip(dst) {
+        out_deg[s] += 1;
+        succ[s] = Some(d);
+    }
+    for (succ, deg) in succ.iter_mut().zip(out_deg) {
+        if deg != 1 {
+            *succ = None;
+        }
+    }
+    succ
+}
+
+/// Stable counting sort of `items` by `key(item) < buckets`.
+fn counting_sort(items: &[usize], buckets: usize, key: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut next = vec![0usize; buckets + 1];
+    for &i in items {
+        next[key(i) + 1] += 1;
+    }
+    for b in 0..buckets {
+        next[b + 1] += next[b];
+    }
+    let mut out = vec![0usize; items.len()];
+    for &i in items {
+        let slot = &mut next[key(i)];
+        out[*slot] = i;
+        *slot += 1;
+    }
+    out
+}
+
+/// Union-find over vertex indices (path halving: iterative, so a long
+/// pipeline's merged run cannot overflow the stack).
 struct Dsu {
     parent: Vec<usize>,
 }
@@ -149,12 +480,12 @@ impl Dsu {
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        self.parent[x]
+        x
     }
 
     fn union(&mut self, a: usize, b: usize) {
@@ -162,6 +493,49 @@ impl Dsu {
         if ra != rb {
             self.parent[ra] = rb;
         }
+    }
+}
+
+/// The classes of a [`Dsu`], numbered by their first vertex (so every sum
+/// over a class in vertex order is a sum in class-member order).
+struct Quotient {
+    /// Class of each vertex.
+    of: Vec<usize>,
+    /// First (lowest) vertex of each class.
+    first: Vec<usize>,
+}
+
+impl Quotient {
+    fn of(dsu: &mut Dsu) -> Quotient {
+        let n = dsu.parent.len();
+        let mut class_of_root = vec![usize::MAX; n];
+        let mut q = Quotient {
+            of: Vec::with_capacity(n),
+            first: Vec::new(),
+        };
+        for v in 0..n {
+            let root = dsu.find(v);
+            if class_of_root[root] == usize::MAX {
+                class_of_root[root] = q.first.len();
+                q.first.push(v);
+            }
+            q.of.push(class_of_root[root]);
+        }
+        q
+    }
+
+    /// The quotient graph as CSR (`adj[start[c] .. start[c+1]]` are the
+    /// classes `c` has edges to), read off `cross` — the sorted
+    /// cross-class edges of [`ChainTable::cross_edges`].
+    fn adjacency(&self, cross: &[usize], src: &[usize], dst: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let mut start = vec![0usize; self.first.len() + 1];
+        for &e in cross {
+            start[self.of[src[e]] + 1] += 1;
+        }
+        for c in 0..self.first.len() {
+            start[c + 1] += start[c];
+        }
+        (start, cross.iter().map(|&e| self.of[dst[e]]).collect())
     }
 }
 
@@ -204,168 +578,36 @@ pub struct TieredPreprocessResult {
 ///   middle tier and flip a feasible instance to infeasible.
 ///
 /// For `k = 2` with a free final tier this is exactly the paper's binary
-/// merge (the dev-only oracle `wishbone_oracle::preprocess` delegates
-/// here).
+/// merge. An adapter: `tg` is flattened into the one `ChainTable` the
+/// prepare path fills directly, and merged by the one merge, in
+/// O(V + E).
 pub fn preprocess_tiered(
     tg: &TieredGraph,
     obj: &TierObjective,
 ) -> Result<TieredPreprocessResult, PinError> {
-    assert_eq!(obj.tiers(), tg.tiers, "objective tier count mismatch");
-    let n = tg.vertices.len();
-    let links = tg.tiers - 1;
-    let mut dsu = Dsu::new(n);
-
-    // Per-link per-vertex input/output bandwidth sums.
-    let mut in_bw = vec![vec![0.0f64; n]; links];
-    let mut out_bw = vec![vec![0.0f64; n]; links];
-    for e in &tg.edges {
-        for (b, &r) in e.bandwidth.iter().enumerate() {
-            out_bw[b][e.src] += r;
-            in_bw[b][e.dst] += r;
-        }
-    }
-
-    // Tiers that may charge `v` for being moved onto them.
-    let charging_tiers: Vec<usize> = (1..tg.tiers)
-        .filter(|&t| !is_exact_zero(obj.alpha[t]) || obj.cpu_budget[t].is_finite())
-        .collect();
-
-    let mut out_deg = vec![0usize; n];
-    for e in &tg.edges {
-        out_deg[e.src] += 1;
-    }
-    for (v, vert) in tg.vertices.iter().enumerate() {
-        if vert.pin != Pin::Movable || out_deg[v] != 1 {
-            continue;
-        }
-        let safe_on_every_link =
-            (0..links).all(|b| out_bw[b][v] + 1e-12 >= in_bw[b][v] && out_bw[b][v] > 0.0);
-        let free_on_every_charging_tier = charging_tiers
-            .iter()
-            .all(|&t| is_exact_zero(vert.cpu_cost[t]));
-        if safe_on_every_link && free_on_every_charging_tier {
-            for e in tg.edges.iter().filter(|e| e.src == v) {
-                dsu.union(v, e.dst);
-            }
-        }
-    }
-
-    // Build the quotient. Merging can create cycles in it (a path
-    // between two merged vertices through an unmerged one); the
-    // single-crossing constraints force such intermediate vertices onto
-    // the same side anyway, so collapse every strongly connected
-    // component. The condensation of a graph is a DAG, so one pass of
-    // that and one rebuild of the quotient is all it takes.
-    let (mut class_of, mut classes) = quotient(&mut dsu, n);
-    let mut adj: Vec<HashSet<usize>> = vec![HashSet::new(); classes.len()];
-    for e in &tg.edges {
-        let (cs, cd) = (class_of[&dsu.find(e.src)], class_of[&dsu.find(e.dst)]);
-        if cs != cd {
-            adj[cs].insert(cd);
-        }
-    }
-    let cycles = cyclic_sccs(&adj);
-    if !cycles.is_empty() {
-        for scc in &cycles {
-            let mut members = scc.iter().flat_map(|&c| classes[c].iter().copied());
-            let first = members.next().expect("SCC is non-empty");
-            for v in members {
-                dsu.union(first, v);
-            }
-        }
-        (class_of, classes) = quotient(&mut dsu, n);
-    }
-
-    let m = classes.len();
-    let mut vertices: Vec<TVertex> = Vec::with_capacity(m);
-    for members in &classes {
-        let mut ops = Vec::new();
-        let mut cpu = vec![0.0f64; tg.tiers];
-        let mut pin = Pin::Movable;
-        for &v in members {
-            let vert = &tg.vertices[v];
-            ops.extend(vert.ops.iter().copied());
-            for (acc, &c) in cpu.iter_mut().zip(&vert.cpu_cost) {
-                *acc += c;
-            }
-            pin = combine_pins(
-                pin,
-                vert.pin,
-                vert.ops.first().copied().unwrap_or(OperatorId(0)),
-            )?;
-        }
-        ops.sort_unstable();
-        vertices.push(TVertex {
-            ops,
-            cpu_cost: cpu,
-            pin,
-        });
-    }
-    let mut agg: HashMap<(usize, usize), TEdge> = HashMap::new();
-    for e in &tg.edges {
-        let (cs, cd) = (class_of[&dsu.find(e.src)], class_of[&dsu.find(e.dst)]);
-        if cs == cd {
-            continue;
-        }
-        let entry = agg.entry((cs, cd)).or_insert(TEdge {
-            src: cs,
-            dst: cd,
-            bandwidth: vec![0.0; links],
-            graph_edges: Vec::new(),
-        });
-        for (acc, &r) in entry.bandwidth.iter_mut().zip(&e.bandwidth) {
-            *acc += r;
-        }
-        entry.graph_edges.extend(e.graph_edges.iter().copied());
-    }
-    let mut edges: Vec<TEdge> = agg.into_values().collect();
-    edges.sort_by_key(|e| (e.src, e.dst));
-    Ok(TieredPreprocessResult {
-        graph: TieredGraph {
-            tiers: tg.tiers,
-            vertices,
-            edges,
-        },
-        vertices_before: n,
-        vertices_after: m,
-    })
-}
-
-/// The classes of `dsu` over vertices `0..n`, numbered by their first
-/// vertex with members in vertex order (so every sum over a class runs
-/// in vertex order), and the class of each root.
-fn quotient(dsu: &mut Dsu, n: usize) -> (HashMap<usize, usize>, Vec<Vec<usize>>) {
-    let mut class_of: HashMap<usize, usize> = HashMap::new();
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for v in 0..n {
-        let root = dsu.find(v);
-        let c = *class_of.entry(root).or_insert_with(|| {
-            classes.push(Vec::new());
-            classes.len() - 1
-        });
-        classes[c].push(v);
-    }
-    (class_of, classes)
+    ChainTable::from_tiered(tg).merge(obj)
 }
 
 /// Every non-trivial strongly connected component of the quotient graph
-/// (iterative Tarjan, one pass); empty when the graph is a DAG.
-fn cyclic_sccs(adj: &[HashSet<usize>]) -> Vec<Vec<usize>> {
-    let n = adj.len();
+/// in CSR form (iterative Tarjan, one pass); empty when it is a DAG.
+fn cyclic_sccs(start: &[usize], adj: &[usize]) -> Vec<Vec<usize>> {
+    let n = start.len() - 1;
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
     let mut sccs = Vec::new();
-    for start in 0..n {
-        if index[start] != usize::MAX {
+    // Iterative DFS state: a vertex and the position of its next
+    // unvisited neighbour in `adj`.
+    let mut call: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != usize::MAX {
             continue;
         }
-        // Iterative DFS state: a vertex and its unvisited neighbours.
-        let mut call = vec![(start, adj[start].iter())];
-        while let Some((v, neighbours)) = call.last_mut() {
-            let v = *v;
+        call.push((root, start[root]));
+        while let Some(top) = call.last_mut() {
+            let v = top.0;
             if index[v] == usize::MAX {
                 index[v] = next_index;
                 low[v] = next_index;
@@ -373,9 +615,11 @@ fn cyclic_sccs(adj: &[HashSet<usize>]) -> Vec<Vec<usize>> {
                 stack.push(v);
                 on_stack[v] = true;
             }
-            if let Some(&w) = neighbours.next() {
+            if top.1 < start[v + 1] {
+                let w = adj[top.1];
+                top.1 += 1;
                 if index[w] == usize::MAX {
-                    call.push((w, adj[w].iter()));
+                    call.push((w, start[w]));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }

@@ -47,7 +47,7 @@ use crate::encodings::{
     encode_deployment, DeploymentObjective, EncodedDeployment, LeafChain, TierObjective,
 };
 use crate::multilevel::CutHierarchy;
-use crate::multitier::{build_tiered_graph, preprocess_tiered, LinkSpec};
+use crate::multitier::{ChainTable, LinkSpec};
 
 /// Index of a [`Site`] within its [`Deployment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -839,17 +839,19 @@ impl<'a> PreparedDeployment<'a> {
     ) -> Result<Self, PartitionError> {
         dep.validate();
         let encode_t = Instant::now();
+        // One flat table for every leaf: pins and structure once, costs
+        // re-priced per root path; only merged graphs are materialised.
+        let mut table = ChainTable::from_graph(&graph, cfg.mode)?;
         let mut leaves = Vec::new();
         let mut vertices_before = 0;
         let mut vertices_after = 0;
         for leaf in dep.leaves() {
             let path = dep.path(leaf);
-            let platforms: Vec<Platform> =
-                path.iter().map(|&s| dep.site(s).platform.clone()).collect();
+            let platforms: Vec<&Platform> = path.iter().map(|&s| &dep.site(s).platform).collect();
             let rate_factor = dep.site(leaf).rate_factor;
-            let tg0 = build_tiered_graph(&graph, &profile, &platforms, cfg.mode, rate_factor)?;
-            vertices_before += tg0.vertices.len();
-            let merged = preprocess_tiered(&tg0, &dep.leaf_objective(leaf))?;
+            table.price(&profile, &platforms, rate_factor);
+            let merged = table.merge(&dep.leaf_objective(leaf))?;
+            vertices_before += merged.vertices_before;
             vertices_after += merged.vertices_after;
             leaves.push(PreparedLeaf {
                 leaf,
@@ -1381,7 +1383,8 @@ pub fn max_sustainable_rate_deployment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, Value};
+    use crate::multitier::{build_tiered_graph, preprocess_tiered, TieredGraph};
+    use wishbone_dataflow::{ExecCtx, FnWork, GraphBuilder, IdentityWork, OperatorSpec, Value};
     use wishbone_ilp::SolverBackend;
     use wishbone_profile::{profile as run_profile, SourceTrace};
 
@@ -1486,6 +1489,119 @@ mod tests {
             );
         }
         dep
+    }
+
+    /// src → costly neutral stage → heavy 4x reducer → {free neutral,
+    /// stateful neutral} → neutral join → sink: a neutral run, a fan-out,
+    /// a fan-in, and a stage `Mode::Conservative` pins.
+    fn merge_app() -> (Graph, GraphProfile) {
+        let mut b = GraphBuilder::new();
+        b.enter_node_namespace();
+        let src = b.source("src");
+        let scale = b.transform(
+            "scale",
+            Box::new(FnWork(|_p: usize, v: &Value, cx: &mut ExecCtx| {
+                let w = v.as_i16s().unwrap();
+                cx.meter()
+                    .loop_scope(w.len() as u64, |m| m.int(w.len() as u64));
+                cx.emit(Value::VecI16(w.to_vec()));
+            })),
+            src,
+        );
+        let heavy = b.transform(
+            "heavy",
+            Box::new(FnWork(|_p: usize, v: &Value, cx: &mut ExecCtx| {
+                let w = v.as_i16s().unwrap();
+                cx.meter()
+                    .loop_scope(w.len() as u64, |m| m.fmul(40 * w.len() as u64));
+                cx.emit(Value::VecI16(w.iter().step_by(4).copied().collect()));
+            })),
+            scale,
+        );
+        let free = b.transform("free", Box::new(IdentityWork), heavy);
+        let held = b.stateful_transform("held", Box::new(IdentityWork), heavy);
+        let join = b.operator(
+            OperatorSpec::transform("join"),
+            Box::new(IdentityWork),
+            &[free, held],
+        );
+        b.exit_namespace();
+        b.sink("out", join);
+        let mut g = b.finish().unwrap();
+        let t = SourceTrace {
+            source: src.0,
+            elements: (0..30)
+                .map(|i| Value::VecI16(vec![i as i16; 256]))
+                .collect(),
+            rate_hz: 20.0,
+        };
+        let prof = run_profile(&mut g, &[t]).unwrap();
+        (g, prof)
+    }
+
+    /// The prepare path fills the flat table straight from the dataflow
+    /// graph; the public adapters build the unmerged graph and merge it.
+    /// Both must be the one merge: the same leaf graphs, bit for bit, and
+    /// the same merge counts.
+    #[test]
+    fn prepared_leaf_graphs_are_the_public_build_then_merge() {
+        let bits = |tg: &TieredGraph| {
+            let f = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let vertices: Vec<_> = tg
+                .vertices
+                .iter()
+                .map(|v| (v.ops.clone(), f(&v.cpu_cost), v.pin))
+                .collect();
+            let edges: Vec<_> = tg
+                .edges
+                .iter()
+                .map(|e| (e.src, e.dst, f(&e.bandwidth), e.graph_edges.clone()))
+                .collect();
+            (tg.tiers, vertices, edges)
+        };
+        let (g, prof) = merge_app();
+        let mote = Platform::tmote_sky();
+        // A gateway that charges (α > 0) and one that does not.
+        let mut charged = forest(1e5, 1e6);
+        charged.sites[1].alpha = 0.5;
+        let star = Deployment::star([
+            (
+                Site::new("motes", &mote).at_rate(0.05),
+                LinkSpec::for_platform(&mote),
+            ),
+            (
+                Site::new("gumstix", &Platform::gumstix()),
+                LinkSpec::for_platform(&Platform::gumstix()),
+            ),
+        ]);
+        let chain = Deployment::chain(&[mote.clone(), Platform::iphone(), Platform::server()]);
+        let mut merged_any = false;
+        for dep in [forest(1e5, 1e6), charged, star, chain] {
+            for mode in [Mode::Permissive, Mode::Conservative] {
+                let cfg = DeploymentConfig {
+                    mode,
+                    ..DeploymentConfig::default()
+                };
+                let prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
+                let (mut before, mut after) = (0, 0);
+                for leaf in &prep.leaves {
+                    let platforms: Vec<Platform> = leaf
+                        .path
+                        .iter()
+                        .map(|&s| dep.site(s).platform.clone())
+                        .collect();
+                    let built =
+                        build_tiered_graph(&g, &prof, &platforms, mode, leaf.rate_factor).unwrap();
+                    let merged = preprocess_tiered(&built, &dep.leaf_objective(leaf.leaf)).unwrap();
+                    assert_eq!(bits(&leaf.graph), bits(&merged.graph), "{mode:?}");
+                    before += merged.vertices_before;
+                    after += merged.vertices_after;
+                }
+                assert_eq!((prep.vertices_before, prep.vertices_after), (before, after));
+                merged_any |= after < before;
+            }
+        }
+        assert!(merged_any, "the fixture must exercise the merge");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!
 //! * [`cost_graph`] — [`PartitionGraph`]: scalar vertex/edge weights for
 //!   one node platform against an infinitely powerful server (§4);
-//! * [`preprocess`](mod@preprocess) — the §4.1 merge on that graph, and
-//!   [`tiered_from_binary`], its lift into a 2-tier
+//! * [`preprocess`](mod@preprocess) — the §4.1 merge on that graph, its
+//!   k-tier reference [`preprocess_tiered_reference`] (the pre-rewrite
+//!   `wishbone_core::preprocess_tiered`, pinned to the shipped one bit
+//!   for bit), and [`tiered_from_binary`], the lift into a 2-tier
 //!   [`TieredGraph`](wishbone_core::TieredGraph);
 //! * [`encodings`] — the restricted (single-crossing) and general ILPs of
 //!   §4.2.1 ([`encode`]);
@@ -26,9 +28,9 @@
 //!   oracle encoders.
 //!
 //! The crate calls only `wishbone-core`'s public API (`pin_analysis`,
-//! `preprocess_tiered`, `TierObjective`, `TieredGraph`) and shares no
-//! encoder logic with `encode_deployment`: an oracle that runs the code
-//! under test checks nothing.
+//! `TierObjective`, `TieredGraph`) and shares no merge or encoder logic
+//! with `preprocess_tiered` / `encode_deployment`: an oracle that runs the
+//! code under test checks nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,4 +54,6 @@ pub use baselines::{
 pub use cost_graph::{build_partition_graph, PEdge, PVertex, PartitionGraph};
 pub use encodings::{encode, EncodedProblem, Encoding, ObjectiveConfig};
 pub use multitier::{encode_multitier, EncodedMultiTier};
-pub use preprocess::{preprocess, tiered_from_binary, PreprocessResult};
+pub use preprocess::{
+    preprocess, preprocess_tiered_reference, tiered_from_binary, PreprocessResult,
+};

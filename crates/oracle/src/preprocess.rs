@@ -10,12 +10,21 @@
 //! eliminating optimal solutions."
 //!
 //! The binary graph *is* the 2-tier chain whose downstream side has
-//! "infinite computational power", so the merge itself is
-//! [`wishbone_core::preprocess_tiered`] under a free server tier; this
-//! module is the scalar-weight view of it ([`tiered_from_binary`] in,
-//! [`PartitionGraph`] out).
+//! "infinite computational power", so the binary merge is the k-tier one
+//! under a free server tier ([`tiered_from_binary`] in, [`PartitionGraph`]
+//! out). The k-tier merge here, [`preprocess_tiered_reference`], is the
+//! one `wishbone-core` shipped before its flat, linear-time rewrite — its
+//! own union-find, hashed quotient and SCC collapse, sharing no code with
+//! [`wishbone_core::preprocess_tiered`], which `tests/proptest_multitier.rs`
+//! pins to it bit for bit.
 
-use wishbone_core::{preprocess_tiered, PinError, TEdge, TVertex, TierObjective, TieredGraph};
+use std::collections::{HashMap, HashSet};
+
+use wishbone_core::{
+    Pin, PinError, TEdge, TVertex, TierObjective, TieredGraph, TieredPreprocessResult,
+};
+use wishbone_dataflow::OperatorId;
+use wishbone_ilp::is_exact_zero;
 
 use crate::cost_graph::{PEdge, PVertex, PartitionGraph};
 
@@ -59,10 +68,9 @@ pub struct PreprocessResult {
 
 /// Apply the §4.1 merge to `pg`.
 ///
-/// Delegates to the k-way generalization ([`preprocess_tiered`]) with a
-/// free server tier — exactly the regime where the paper's dominance
-/// argument holds. One quotient/SCC-collapse implementation serves both
-/// paths.
+/// Delegates to the k-way generalization
+/// ([`preprocess_tiered_reference`]) with a free server tier — exactly
+/// the regime where the paper's dominance argument holds.
 pub fn preprocess(pg: &PartitionGraph) -> Result<PreprocessResult, PinError> {
     let tg = tiered_from_binary(pg);
     // A free final tier (α = 0, infinite budget): every bandwidth-safe
@@ -73,7 +81,7 @@ pub fn preprocess(pg: &PartitionGraph) -> Result<PreprocessResult, PinError> {
         beta: vec![1.0],
         net_budget: vec![f64::INFINITY],
     };
-    let r = preprocess_tiered(&tg, &obj)?;
+    let r = preprocess_tiered_reference(&tg, &obj)?;
     Ok(PreprocessResult {
         graph: PartitionGraph {
             vertices: r
@@ -101,6 +109,243 @@ pub fn preprocess(pg: &PartitionGraph) -> Result<PreprocessResult, PinError> {
         vertices_before: r.vertices_before,
         vertices_after: r.vertices_after,
     })
+}
+
+/// The reference k-tier §4.1 merge: the rule of
+/// [`wishbone_core::preprocess_tiered`], computed the way `wishbone-core`
+/// did before its flat rewrite — a scan of every edge per mergeable
+/// vertex, hashed class lookups, a hashed edge aggregation sorted
+/// afterwards. O(V·E); what it returns is the specification.
+pub fn preprocess_tiered_reference(
+    tg: &TieredGraph,
+    obj: &TierObjective,
+) -> Result<TieredPreprocessResult, PinError> {
+    assert_eq!(obj.tiers(), tg.tiers, "objective tier count mismatch");
+    let n = tg.vertices.len();
+    let links = tg.tiers - 1;
+    let mut dsu = Dsu::new(n);
+
+    // Per-link per-vertex input/output bandwidth sums.
+    let mut in_bw = vec![vec![0.0f64; n]; links];
+    let mut out_bw = vec![vec![0.0f64; n]; links];
+    for e in &tg.edges {
+        for (b, &r) in e.bandwidth.iter().enumerate() {
+            out_bw[b][e.src] += r;
+            in_bw[b][e.dst] += r;
+        }
+    }
+
+    // Tiers that may charge `v` for being moved onto them.
+    let charging_tiers: Vec<usize> = (1..tg.tiers)
+        .filter(|&t| !is_exact_zero(obj.alpha[t]) || obj.cpu_budget[t].is_finite())
+        .collect();
+
+    let mut out_deg = vec![0usize; n];
+    for e in &tg.edges {
+        out_deg[e.src] += 1;
+    }
+    for (v, vert) in tg.vertices.iter().enumerate() {
+        if vert.pin != Pin::Movable || out_deg[v] != 1 {
+            continue;
+        }
+        let safe_on_every_link =
+            (0..links).all(|b| out_bw[b][v] + 1e-12 >= in_bw[b][v] && out_bw[b][v] > 0.0);
+        let free_on_every_charging_tier = charging_tiers
+            .iter()
+            .all(|&t| is_exact_zero(vert.cpu_cost[t]));
+        if safe_on_every_link && free_on_every_charging_tier {
+            for e in tg.edges.iter().filter(|e| e.src == v) {
+                dsu.union(v, e.dst);
+            }
+        }
+    }
+
+    // Collapse every strongly connected component of the quotient, then
+    // rebuild it once.
+    let (mut class_of, mut classes) = quotient(&mut dsu, n);
+    let mut adj: Vec<HashSet<usize>> = vec![HashSet::new(); classes.len()];
+    for e in &tg.edges {
+        let (cs, cd) = (class_of[&dsu.find(e.src)], class_of[&dsu.find(e.dst)]);
+        if cs != cd {
+            adj[cs].insert(cd);
+        }
+    }
+    let cycles = cyclic_sccs(&adj);
+    if !cycles.is_empty() {
+        for scc in &cycles {
+            let mut members = scc.iter().flat_map(|&c| classes[c].iter().copied());
+            let first = members.next().expect("SCC is non-empty");
+            for v in members {
+                dsu.union(first, v);
+            }
+        }
+        (class_of, classes) = quotient(&mut dsu, n);
+    }
+
+    let m = classes.len();
+    let mut vertices: Vec<TVertex> = Vec::with_capacity(m);
+    for members in &classes {
+        let mut ops = Vec::new();
+        let mut cpu = vec![0.0f64; tg.tiers];
+        let mut pin = Pin::Movable;
+        for &v in members {
+            let vert = &tg.vertices[v];
+            ops.extend(vert.ops.iter().copied());
+            for (acc, &c) in cpu.iter_mut().zip(&vert.cpu_cost) {
+                *acc += c;
+            }
+            pin = combine_pins(
+                pin,
+                vert.pin,
+                vert.ops.first().copied().unwrap_or(OperatorId(0)),
+            )?;
+        }
+        ops.sort_unstable();
+        vertices.push(TVertex {
+            ops,
+            cpu_cost: cpu,
+            pin,
+        });
+    }
+    let mut agg: HashMap<(usize, usize), TEdge> = HashMap::new();
+    for e in &tg.edges {
+        let (cs, cd) = (class_of[&dsu.find(e.src)], class_of[&dsu.find(e.dst)]);
+        if cs == cd {
+            continue;
+        }
+        let entry = agg.entry((cs, cd)).or_insert(TEdge {
+            src: cs,
+            dst: cd,
+            bandwidth: vec![0.0; links],
+            graph_edges: Vec::new(),
+        });
+        for (acc, &r) in entry.bandwidth.iter_mut().zip(&e.bandwidth) {
+            *acc += r;
+        }
+        entry.graph_edges.extend(e.graph_edges.iter().copied());
+    }
+    let mut edges: Vec<TEdge> = agg.into_values().collect();
+    edges.sort_by_key(|e| (e.src, e.dst));
+    Ok(TieredPreprocessResult {
+        graph: TieredGraph {
+            tiers: tg.tiers,
+            vertices,
+            edges,
+        },
+        vertices_before: n,
+        vertices_after: m,
+    })
+}
+
+/// Union-find over vertex indices.
+struct Dsu {
+    parent: Vec<usize>,
+}
+
+impl Dsu {
+    fn new(n: usize) -> Self {
+        Dsu {
+            parent: (0..n).collect(),
+        }
+    }
+
+    fn find(&mut self, x: usize) -> usize {
+        if self.parent[x] != x {
+            let root = self.find(self.parent[x]);
+            self.parent[x] = root;
+        }
+        self.parent[x]
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.parent[ra] = rb;
+        }
+    }
+}
+
+/// Combine two pin states; `Err` names `witness` on node/server conflict.
+fn combine_pins(a: Pin, b: Pin, witness: OperatorId) -> Result<Pin, PinError> {
+    match (a, b) {
+        (Pin::Movable, p) | (p, Pin::Movable) => Ok(p),
+        (x, y) if x == y => Ok(x),
+        _ => Err(PinError::Conflict(witness)),
+    }
+}
+
+/// The classes of `dsu` over vertices `0..n`, numbered by their first
+/// vertex with members in vertex order (so every sum over a class runs
+/// in vertex order), and the class of each root.
+fn quotient(dsu: &mut Dsu, n: usize) -> (HashMap<usize, usize>, Vec<Vec<usize>>) {
+    let mut class_of: HashMap<usize, usize> = HashMap::new();
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for v in 0..n {
+        let root = dsu.find(v);
+        let c = *class_of.entry(root).or_insert_with(|| {
+            classes.push(Vec::new());
+            classes.len() - 1
+        });
+        classes[c].push(v);
+    }
+    (class_of, classes)
+}
+
+/// Every non-trivial strongly connected component of the quotient graph
+/// (iterative Tarjan, one pass); empty when the graph is a DAG.
+fn cyclic_sccs(adj: &[HashSet<usize>]) -> Vec<Vec<usize>> {
+    let n = adj.len();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut sccs = Vec::new();
+    for start in 0..n {
+        if index[start] != usize::MAX {
+            continue;
+        }
+        // Iterative DFS state: a vertex and its unvisited neighbours.
+        let mut call = vec![(start, adj[start].iter())];
+        while let Some((v, neighbours)) = call.last_mut() {
+            let v = *v;
+            if index[v] == usize::MAX {
+                index[v] = next_index;
+                low[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = neighbours.next() {
+                if index[w] == usize::MAX {
+                    call.push((w, adj[w].iter()));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            // v finished.
+            call.pop();
+            if low[v] == index[v] {
+                let mut scc = Vec::new();
+                loop {
+                    let w = stack.pop().expect("stack non-empty");
+                    on_stack[w] = false;
+                    scc.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                if scc.len() > 1 {
+                    sccs.push(scc);
+                }
+            }
+            if let Some(&(p, _)) = call.last() {
+                low[p] = low[p].min(low[v]);
+            }
+        }
+    }
+    sccs
 }
 
 #[cfg(test)]

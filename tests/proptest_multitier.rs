@@ -1,17 +1,22 @@
 //! Property tests for the k-way monotone-cut encoding over random
 //! weighted DAGs: k = 2 must be *identical* to the binary restricted
 //! encoding (assignment, objective, and verdict, on both simplex
-//! backends), and k = 3 solutions must satisfy the chain invariants.
+//! backends), and k = 3 solutions must satisfy the chain invariants. The
+//! §4.1 merge that feeds it must equal the oracle's reference merge bit
+//! for bit on random chain graphs.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-use wishbone::core::{Pin, TierObjective, TieredGraph};
-use wishbone::dataflow::OperatorId;
+use wishbone::core::{
+    preprocess_tiered, Pin, PinError, TEdge, TVertex, TierObjective, TieredGraph,
+    TieredPreprocessResult,
+};
+use wishbone::dataflow::{EdgeId, OperatorId};
 use wishbone::ilp::{IlpOptions, SolverBackend};
 use wishbone_oracle::{
-    encode, encode_multitier, tiered_from_binary, Encoding, ObjectiveConfig, PEdge, PVertex,
-    PartitionGraph,
+    encode, encode_multitier, preprocess_tiered_reference, tiered_from_binary, Encoding,
+    ObjectiveConfig, PEdge, PVertex, PartitionGraph,
 };
 
 /// Random layered DAG: vertex 0 pinned Node, last pinned Server, edges only
@@ -78,6 +83,181 @@ fn lift_k3(pg: &PartitionGraph) -> TieredGraph {
     tg
 }
 
+/// A random chain graph and objective for the §4.1 merge: 2–4 tiers, all
+/// three pin kinds, fan-in and fan-out, parallel edges, vertices with
+/// zero to two operators and edges with zero to two dataflow edges;
+/// bandwidths drawn from a few exact values (so expanding, neutral and
+/// reducing vertices all occur, per link) and CPU costs often exactly
+/// zero (free to glue); each tier charging or free. When `cyclic`, back
+/// edges too: the merge accepts any graph, and only a cycle through two
+/// classes reaches its SCC collapse.
+fn merge_case_strategy() -> impl Strategy<Value = (TieredGraph, TierObjective)> {
+    (2usize..13, 2usize..5, prop::bool::ANY).prop_flat_map(|(n, k, cyclic)| {
+        let vertices = prop::collection::vec(
+            (
+                0u8..6,
+                0usize..3,
+                prop::collection::vec((0u8..3, 0.0f64..1.0), k),
+            ),
+            n,
+        );
+        let bandwidths = prop::collection::vec((0u8..5, 1.0f64..64.0), k - 1);
+        let pairs = prop::collection::vec((0u8..12, 0u8..12, 0usize..3, bandwidths), n * (n - 1));
+        let tiers = prop::collection::vec((prop::bool::ANY, prop::bool::ANY), k);
+        let links = prop::collection::vec(prop::bool::ANY, k - 1);
+        (vertices, pairs, tiers, links).prop_map(move |(vs, pairs, tiers, links)| {
+            let mut next_op = 1000;
+            let vertices = vs
+                .into_iter()
+                .map(|(pin, n_ops, cpus)| TVertex {
+                    // Descending ids, so a class's operator list needs its sort.
+                    ops: (0..n_ops)
+                        .map(|_| {
+                            next_op -= 1;
+                            OperatorId(next_op)
+                        })
+                        .collect(),
+                    cpu_cost: cpus
+                        .into_iter()
+                        .map(|(zero, c)| if zero < 2 { 0.0 } else { c })
+                        .collect(),
+                    pin: match pin {
+                        0 => Pin::Node,
+                        1 => Pin::Server,
+                        _ => Pin::Movable,
+                    },
+                })
+                .collect();
+            let mut edges = Vec::new();
+            let mut next_edge = 0;
+            let mut pairs = pairs.into_iter();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    for (src, dst) in [(i, j), (j, i)] {
+                        let (pick, parallel, n_graph_edges, bws) =
+                            pairs.next().expect("n·(n−1) draws");
+                        // A backbone edge i → i+1 most of the time, other
+                        // forward edges rarely, back edges only if cyclic.
+                        let present = match (src < dst, dst == src + 1) {
+                            (true, true) => pick < 8,
+                            (true, false) => pick < 2,
+                            (false, _) => cyclic && pick < 1,
+                        };
+                        let copies = if !present {
+                            0
+                        } else if parallel < 2 {
+                            1
+                        } else {
+                            2
+                        };
+                        for _ in 0..copies {
+                            edges.push(TEdge {
+                                src,
+                                dst,
+                                bandwidth: bws
+                                    .iter()
+                                    .map(|&(class, x)| match class {
+                                        0 => 0.0,
+                                        1 => 8.0,
+                                        2 => 16.0,
+                                        3 => 32.0,
+                                        _ => x,
+                                    })
+                                    .collect(),
+                                graph_edges: (0..n_graph_edges)
+                                    .map(|_| {
+                                        next_edge += 1;
+                                        EdgeId(next_edge)
+                                    })
+                                    .collect(),
+                            });
+                        }
+                    }
+                }
+            }
+            let obj = TierObjective {
+                alpha: tiers
+                    .iter()
+                    .map(|&(a, _)| if a { 0.5 } else { 0.0 })
+                    .collect(),
+                cpu_budget: tiers
+                    .iter()
+                    .map(|&(_, b)| if b { 1.0 } else { f64::INFINITY })
+                    .collect(),
+                beta: vec![1.0; k - 1],
+                net_budget: links
+                    .iter()
+                    .map(|&b| if b { 100.0 } else { f64::INFINITY })
+                    .collect(),
+            };
+            (
+                TieredGraph {
+                    tiers: k,
+                    vertices,
+                    edges,
+                },
+                obj,
+            )
+        })
+    })
+}
+
+/// One merged vertex with its CPU costs as bits.
+type VertexBits = (Vec<OperatorId>, Vec<u64>, Pin);
+/// One merged edge with its bandwidths as bits.
+type EdgeBits = (usize, usize, Vec<u64>, Vec<EdgeId>);
+
+/// A merge result with every float as its bits, so `==` is bit equality.
+fn merge_bits(
+    r: Result<TieredPreprocessResult, PinError>,
+) -> Result<(usize, usize, Vec<VertexBits>, Vec<EdgeBits>), PinError> {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    r.map(|r| {
+        (
+            r.vertices_before,
+            r.vertices_after,
+            r.graph
+                .vertices
+                .iter()
+                .map(|v| (v.ops.clone(), bits(&v.cpu_cost), v.pin))
+                .collect(),
+            r.graph
+                .edges
+                .iter()
+                .map(|e| (e.src, e.dst, bits(&e.bandwidth), e.graph_edges.clone()))
+                .collect(),
+        )
+    })
+}
+
+/// The generator reaches what the merge branches on: merges, pin
+/// conflicts, cycles, and every tier count.
+#[test]
+fn the_merge_generator_covers_merges_conflicts_and_cycles() {
+    let strategy = merge_case_strategy();
+    let (mut merged, mut conflicts, mut cyclic_merged) = (0, 0, 0);
+    let mut tier_counts = HashSet::new();
+    for case in 0..512 {
+        let mut rng = proptest::test_runner::TestRng::for_case("merge coverage", case);
+        let (tg, obj) = strategy.gen_value(&mut rng);
+        tier_counts.insert(tg.tiers);
+        let back_edge = tg.edges.iter().any(|e| e.src > e.dst);
+        match preprocess_tiered_reference(&tg, &obj) {
+            Ok(r) if r.vertices_after < r.vertices_before => {
+                merged += 1;
+                cyclic_merged += usize::from(back_edge);
+            }
+            Ok(_) => {}
+            Err(_) => conflicts += 1,
+        }
+    }
+    assert!(
+        merged >= 50 && conflicts >= 20 && cyclic_merged >= 20,
+        "merged {merged}, conflicts {conflicts}, cyclic merged {cyclic_merged}"
+    );
+    assert_eq!(tier_counts, HashSet::from([2, 3, 4]));
+}
+
 /// Per-tier CPU loads of a decoded assignment.
 fn tier_cpu(tg: &TieredGraph, tiers: &[usize]) -> Vec<f64> {
     let mut cpu = vec![0.0; tg.tiers];
@@ -85,6 +265,21 @@ fn tier_cpu(tg: &TieredGraph, tiers: &[usize]) -> Vec<f64> {
         cpu[tiers[v]] += vert.cpu_cost[tiers[v]];
     }
     cpu
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The linear-time merge is the reference merge: same classes, same
+    /// operator lists, same CPU and bandwidth bits, same edge order, same
+    /// counts — or the same pin conflict, naming the same operator.
+    #[test]
+    fn merge_matches_the_reference_bit_for_bit((tg, obj) in merge_case_strategy()) {
+        prop_assert_eq!(
+            merge_bits(preprocess_tiered(&tg, &obj)),
+            merge_bits(preprocess_tiered_reference(&tg, &obj))
+        );
+    }
 }
 
 proptest! {

@@ -80,7 +80,15 @@
 //!     [`ONE_SHOT_CUT`] — either would be the per-solve path growing its
 //!     rebuild of a rate-independent hierarchy back.
 //!
-//! Test modules are exempt from rules 1–3, 5–11 and 13: by repo convention
+//! 14. **one-merge** — the §4.1 merge has one body, fed by two ways in:
+//!     outside tests, `crates/core/src` defines [`THE_MERGE`] exactly once,
+//!     in [`THE_MERGE_HOME`], calls its [`MERGE_HELPERS`] from that body
+//!     only, and [`PER_SOLVE_PATH`] never calls the public
+//!     [`MERGE_ADAPTERS`] — the prepare path fills the flat table itself,
+//!     and going through the adapters would build the unmerged graph the
+//!     table exists to skip.
+//!
+//! Test modules are exempt from rules 1–3, 5–11, 13 and 14: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -249,6 +257,14 @@ const THE_COARSENER: &str = "build";
 const PER_SOLVE_PATH: &str = "crates/core/src/topology.rs";
 const ONE_SHOT_CUT: &str = "approx_cut";
 
+/// The one §4.1 merge (rule 14): its file, its body's name
+/// (`ChainTable::merge`), the helpers only that body calls, and the public
+/// adapters onto it that the prepare path must not take.
+const THE_MERGE_HOME: &str = "crates/core/src/multitier.rs";
+const THE_MERGE: &str = "merge";
+const MERGE_HELPERS: [&str; 2] = ["cross_edges", "cyclic_sccs"];
+const MERGE_ADAPTERS: [&str; 2] = ["build_tiered_graph", "preprocess_tiered"];
+
 struct Violation {
     file: PathBuf,
     line: usize,
@@ -335,17 +351,7 @@ fn lint() -> ExitCode {
         .map(|file| file.strip_prefix(&root).unwrap_or(file).to_path_buf())
         .collect();
     check_one_repro(&bench_manifest, &bench_files, &mut violations);
-    let runtime: Vec<(PathBuf, String)> = rust_sources(&root.join(RUNTIME_SRC))
-        .into_iter()
-        .filter_map(|file| {
-            let text = std::fs::read_to_string(&file).ok()?;
-            Some((
-                file.strip_prefix(&root).unwrap_or(&file).to_path_buf(),
-                text,
-            ))
-        })
-        .collect();
-    check_one_executor(&runtime, &mut violations);
+    check_one_executor(&sources_under(&root, RUNTIME_SRC), &mut violations);
     for (file, _, _) in CONFIG_SURFACE {
         // A file that is gone reads as empty: its struct is then missing.
         let text = std::fs::read_to_string(root.join(file)).unwrap_or_default();
@@ -353,6 +359,7 @@ fn lint() -> ExitCode {
     }
     scan(&root, &[FLEET_SRC], check_config_surface, &mut violations);
     scan(&root, &[CORE_SRC], check_one_coarsening, &mut violations);
+    check_one_merge(&sources_under(&root, CORE_SRC), &mut violations);
 
     if violations.is_empty() {
         println!(
@@ -386,6 +393,18 @@ fn scan(
             }
         }
     }
+}
+
+/// Every source under `dir` with its repo-relative path, for the rules
+/// that look across files.
+fn sources_under(root: &Path, dir: &str) -> Vec<(PathBuf, String)> {
+    rust_sources(&root.join(dir))
+        .into_iter()
+        .filter_map(|file| {
+            let text = std::fs::read_to_string(&file).ok()?;
+            Some((file.strip_prefix(root).unwrap_or(&file).to_path_buf(), text))
+        })
+        .collect()
 }
 
 /// Every `.rs` file under `dir`, recursively, in sorted order.
@@ -1033,6 +1052,77 @@ fn check_one_coarsening(rel: &Path, text: &str, violations: &mut Vec<Violation>)
     }
 }
 
+/// Rule 14 over `crates/core/src`: one definition of [`THE_MERGE`], in
+/// [`THE_MERGE_HOME`]; [`MERGE_HELPERS`] called from inside it only; no
+/// [`MERGE_ADAPTERS`] call in [`PER_SOLVE_PATH`].
+fn check_one_merge(sources: &[(PathBuf, String)], violations: &mut Vec<Violation>) {
+    let is_ident_char = |c: &char| c.is_alphanumeric() || *c == '_';
+    let mut definitions: Vec<(PathBuf, usize)> = Vec::new();
+    for (rel, text) in sources {
+        let mut current_fn = String::new();
+        for (line_no, raw) in non_test_lines(text) {
+            let code = strip_strings_and_comments(raw);
+            if let Some((_, name)) = code.split_once("fn ") {
+                current_fn = name.chars().take_while(is_ident_char).collect();
+            }
+            if allowed(raw, "one-merge") {
+                continue;
+            }
+            if code.contains("fn ") && current_fn == THE_MERGE {
+                definitions.push((rel.clone(), line_no));
+            }
+            let mut flag = |message: String| {
+                violations.push(Violation {
+                    file: rel.clone(),
+                    line: line_no,
+                    rule: "one-merge",
+                    message,
+                })
+            };
+            let in_the_merge = rel == Path::new(THE_MERGE_HOME) && current_fn == THE_MERGE;
+            for name in MERGE_HELPERS {
+                if calls(&code, name) && !in_the_merge {
+                    flag(format!(
+                        "`{name}(` outside `ChainTable::{THE_MERGE}` — a second merge body \
+                         growing beside the one"
+                    ));
+                }
+            }
+            if rel == Path::new(PER_SOLVE_PATH) {
+                for name in MERGE_ADAPTERS {
+                    if calls(&code, name) {
+                        flag(format!(
+                            "`{name}(` on the prepare path builds the unmerged graph — fill \
+                             the flat `ChainTable` and merge it"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    let home = definitions
+        .iter()
+        .position(|(rel, _)| rel == Path::new(THE_MERGE_HOME));
+    if home.is_none() {
+        violations.push(Violation {
+            file: PathBuf::from(THE_MERGE_HOME),
+            line: 0,
+            rule: "one-merge",
+            message: format!("no `fn {THE_MERGE}` — the §4.1 merge body is gone"),
+        });
+    }
+    for (i, (file, line)) in definitions.into_iter().enumerate() {
+        if Some(i) != home {
+            violations.push(Violation {
+                file,
+                line,
+                rule: "one-merge",
+                message: format!("a second `fn {THE_MERGE}` — the §4.1 merge has one body"),
+            });
+        }
+    }
+}
+
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
     // Test corpus: the workspace-level tests/ plus every crate's tests/.
     let mut test_files = rust_sources(&root.join("tests"));
@@ -1353,6 +1443,89 @@ mod tests {
         // The committed core is clean.
         let mut v = Vec::new();
         scan(&repo_root(), &[CORE_SRC], check_one_coarsening, &mut v);
+        assert!(
+            v.is_empty(),
+            "{}",
+            v.iter().map(|x| x.to_string()).collect::<String>()
+        );
+    }
+
+    #[test]
+    fn one_merge_fires_on_a_second_merge_or_the_unmerged_graph_put_back() {
+        let found = |sources: &[(&str, &str)]| {
+            let sources: Vec<(PathBuf, String)> = sources
+                .iter()
+                .map(|&(rel, text)| (PathBuf::from(rel), text.to_string()))
+                .collect();
+            let mut v = Vec::new();
+            check_one_merge(&sources, &mut v);
+            assert!(v.iter().all(|x| x.rule == "one-merge"));
+            v.iter()
+                .map(|x| (x.file.display().to_string(), x.line))
+                .collect::<Vec<_>>()
+        };
+        let kept = "\
+pub fn build_tiered_graph(graph: &Graph) -> TieredGraph { ChainTable::from_graph(graph).to_tiered() }
+impl ChainTable {
+    pub(crate) fn merge(&self, obj: &TierObjective) -> TieredPreprocessResult {
+        let cross = self.cross_edges(&classes);
+        let cycles = cyclic_sccs(&start, &adj);
+    }
+    fn cross_edges(&self, classes: &Quotient) -> Vec<usize> { vec![] }
+}
+/// Calls `cyclic_sccs(..)` — in a doc comment, fine.
+pub fn preprocess_tiered(tg: &TieredGraph) -> TieredPreprocessResult {
+    ChainTable::from_tiered(tg).merge(obj)
+}
+fn cyclic_sccs(start: &[usize], adj: &[usize]) -> Vec<Vec<usize>> { vec![] }
+#[cfg(test)]
+mod tests {
+    fn merge(tg: &TieredGraph) { let _ = cyclic_sccs(&[0], &[]); }
+}
+";
+        let prepare = "\
+fn build(graph: &Graph) -> Result<Self, PartitionError> {
+    let mut table = ChainTable::from_graph(&graph, cfg.mode)?;
+    let merged = table.merge(&dep.leaf_objective(leaf))?;
+}
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = preprocess_tiered(&build_tiered_graph(&g), &obj); }
+}
+";
+        let (home, topology) = (THE_MERGE_HOME, PER_SOLVE_PATH);
+        assert_eq!(found(&[(home, kept), (topology, prepare)]), vec![]);
+
+        // The parent's prepare path: the unmerged graph, then the adapter.
+        let unmerged = prepare.replace(
+            "    let merged = table.merge(&dep.leaf_objective(leaf))?;",
+            "    let tg0 = build_tiered_graph(&graph, &profile, &platforms)?; // line 3\n    \
+             let merged = preprocess_tiered(&tg0, &dep.leaf_objective(leaf))?;",
+        );
+        assert_eq!(
+            found(&[(home, kept), (topology, &unmerged)]),
+            vec![(topology.to_string(), 3), (topology.to_string(), 4)]
+        );
+        // A second body beside the one: its own definition, and the
+        // helpers called from outside `ChainTable::merge`.
+        let second = "\
+fn merge(tg: &TieredGraph) -> TieredPreprocessResult { // line 1
+    let cycles = cyclic_sccs(&start, &adj);
+    let old = cyclic_sccs(&start, &adj); // audit:allow(one-merge): demo
+}
+";
+        assert_eq!(
+            found(&[(home, kept), ("crates/core/src/shape.rs", second)]),
+            vec![
+                ("crates/core/src/shape.rs".to_string(), 2),
+                ("crates/core/src/shape.rs".to_string(), 1),
+            ]
+        );
+        // No body at all.
+        assert_eq!(found(&[(topology, prepare)]), vec![(home.to_string(), 0)]);
+        // The committed core is clean.
+        let mut v = Vec::new();
+        check_one_merge(&sources_under(&repo_root(), CORE_SRC), &mut v);
         assert!(
             v.is_empty(),
             "{}",
