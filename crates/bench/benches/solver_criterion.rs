@@ -1038,7 +1038,7 @@ fn smoke(backend: SolverBackend) {
     let mut prep = PreparedDeployment::new(&dgraph, &dprof, &ddep, &dcfg).expect("pins ok");
     let dbase = prep.solve_at(DRIFT_RATE).expect("baseline solve");
     assert!(
-        dbase.ilp_stats.phase_times.encode_s > 0.0,
+        prep.encode_seconds() > 0.0,
         "[{label}] the encode span must be timed"
     );
     let victim = dbase.leaves[0].site_ops[0]

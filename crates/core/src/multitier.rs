@@ -29,6 +29,16 @@
 //! quadratic original as the differential reference
 //! (`tests/proptest_multitier.rs`).
 //!
+//! **One pricing.** `ChainTable::price` is the only place in `core` that
+//! asks the profile for a price (`cpu_fraction`, `edge_on_air_bandwidth`).
+//! Everything downstream reads the merged graph it produces: the merge's
+//! dominance test, the encoder's budget rows and objective, the
+//! multilevel cut, and the per-solve decode of a placement into per-site
+//! operators, cut edges and predicted loads. A prediction is therefore a
+//! budget row's own left-hand side, and a prepared instance needs neither
+//! the graph nor the profile after it is built (`xtask lint`'s
+//! `one-pricing` rule).
+//!
 //! The encoding uses monotone indicator variables
 //! `y_u^b = 1 ⇔ tier(u) ≤ b` with unit-coefficient precedence rows — the
 //! same ≈2-nonzeros-per-row shape the sparse revised simplex backend was

@@ -24,11 +24,13 @@
 //!
 //! Graph and profile enter the key by *pointer identity*, not content:
 //! fleet requests carry `Arc<Graph>` / `Arc<GraphProfile>`, so equal
-//! pointers imply equal contents, and the cache's prepared instances
-//! co-own the `Arc`s, which keeps the addresses alive (no ABA reuse)
-//! for as long as the key is in a map. Two structurally identical
-//! graphs in different allocations miss the cache — conservative, never
-//! wrong.
+//! pointers imply equal contents. A prepared instance keeps neither
+//! input, so a map keyed by `ShapeKey` must keep them alive itself: the
+//! fleet's `ShapeCache` stores each request's two `Arc`s in the entry
+//! beside its prepared instance, so the addresses cannot be freed and
+//! reused (no ABA) for as long as the key is in the map. Two structurally
+//! identical graphs in different allocations miss the cache —
+//! conservative, never wrong.
 
 use wishbone_dataflow::Graph;
 use wishbone_profile::{GraphProfile, Platform};

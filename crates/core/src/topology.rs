@@ -26,13 +26,15 @@
 //!   each gateway with its own uplink budget) is built with
 //!   [`Deployment::new`] + [`Deployment::attach`].
 //!
-//! [`PreparedDeployment`] builds graphs, runs the per-leaf §4.1 merge,
-//! and encodes **once**; every rate probe rescales the prepared ILP in
-//! place on one reused [`SimplexWorkspace`], seeding branch-and-bound
-//! with the previous incumbent; [`max_sustainable_rate_deployment`] runs
-//! §4.3 on top of it.
+//! [`PreparedDeployment`] prices the program, runs the per-leaf §4.1
+//! merge, and encodes **once**; every rate probe rescales the prepared
+//! ILP in place on one reused [`SimplexWorkspace`], seeding
+//! branch-and-bound with the previous incumbent, and decodes its answer
+//! from the same merged leaf graphs the budget rows were written from;
+//! [`max_sustainable_rate_deployment`] runs §4.3 on top of it.
 
 use std::collections::HashSet;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -671,33 +673,15 @@ pub fn partition_deployment(
     prep.solve_at(cfg.rate_multiplier)
 }
 
-/// Borrowed-or-shared input handle: one-shot callers lend their graph
-/// and profile for `'a`; fleet cache entries co-own them through `Arc`
-/// so the prepared instance can be `'static` and live in a cache that
-/// outlives any single request.
-enum InputHandle<'a, T> {
-    Borrowed(&'a T),
-    Shared(Arc<T>),
-}
-
-impl<T> std::ops::Deref for InputHandle<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        match self {
-            InputHandle::Borrowed(t) => t,
-            InputHandle::Shared(t) => t,
-        }
-    }
-}
-
-/// Per-leaf prepared state: the merged chain graph and its path.
+/// Per-leaf prepared state: the merged chain graph and its path. The
+/// graph's costs are priced along the path at the leaf's `rate_factor`,
+/// so they are the budget rows' coefficients per unit of global rate.
 struct PreparedLeaf {
     leaf: SiteId,
     path: Vec<SiteId>,
     /// `path` as the site indices a [`LeafChain`] carries.
     path_indices: Vec<usize>,
     graph: crate::multitier::TieredGraph,
-    rate_factor: f64,
 }
 
 /// Every leaf's device count in `dep`, a removed leaf's as `0`.
@@ -749,6 +733,16 @@ fn leaf_chains<'l>(
 /// — unlike the two things below — keeping it cannot change any answer: a
 /// cut of the kept hierarchy is bit for bit the cut of a freshly built one.
 ///
+/// The instance keeps nothing of its caller's: the graph and profile are
+/// read while it prepares and never again. What it keeps is the deployment
+/// (plus applied deltas), the configuration, each leaf's path and merged
+/// graph, the encoding and the hierarchy. The merged graphs are the only
+/// priced view of the program: the budget rows are written from their
+/// costs, and every solve decodes its per-site operators, cut edges and
+/// predicted loads from them too, so a prediction is a budget row's own
+/// left-hand side (up to summation order) rather than a second pricing
+/// that has to agree with it. The lifetime parameter is a marker only.
+///
 /// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
 /// the last placement, which seeds branch-and-bound as its first
 /// incumbent, and — in the instance's own workspace only — the last
@@ -765,8 +759,7 @@ fn leaf_chains<'l>(
 /// [`apply_delta`](Self::apply_delta) rewrites budget rows, which makes
 /// the next root LP a cold start by itself.
 pub struct PreparedDeployment<'a> {
-    graph: InputHandle<'a, Graph>,
-    profile: InputHandle<'a, GraphProfile>,
+    _marker: PhantomData<&'a ()>,
     dep: Deployment,
     cfg: DeploymentConfig,
     leaves: Vec<PreparedLeaf>,
@@ -789,51 +782,19 @@ pub struct PreparedDeployment<'a> {
     encodes: u32,
     solves: u32,
     last_values: Option<Vec<f64>>,
-    /// Wall-clock cost of the one-time build (graph build, §4.1 merge,
-    /// encoding), stamped into every solve's
-    /// [`PhaseTimes::encode_s`].
+    /// Wall-clock cost of the one-time build (pricing, §4.1 merge,
+    /// encoding, coarsening).
     encode_s: f64,
 }
 
 impl<'a> PreparedDeployment<'a> {
-    /// Build every leaf's chain graph, merge, encode, and coarsen — once.
+    /// Price every leaf's chain graph, merge, encode, and coarsen — once.
+    /// `graph` and `profile` are read here and not kept.
     /// `cfg.rate_multiplier` is ignored here; pass the rate to
     /// [`solve_at`](PreparedDeployment::solve_at).
     pub fn new(
-        graph: &'a Graph,
-        profile: &'a GraphProfile,
-        dep: &Deployment,
-        cfg: &DeploymentConfig,
-    ) -> Result<Self, PartitionError> {
-        Self::build(
-            InputHandle::Borrowed(graph),
-            InputHandle::Borrowed(profile),
-            dep,
-            cfg,
-        )
-    }
-
-    /// [`new`](Self::new) over co-owned inputs: the prepared instance
-    /// holds `Arc`s instead of borrows, so it is `'static` and can live
-    /// in a long-lived cache (the fleet service's `ShapeCache`) shared
-    /// across worker threads.
-    pub fn new_shared(
-        graph: Arc<Graph>,
-        profile: Arc<GraphProfile>,
-        dep: &Deployment,
-        cfg: &DeploymentConfig,
-    ) -> Result<PreparedDeployment<'static>, PartitionError> {
-        PreparedDeployment::build(
-            InputHandle::Shared(graph),
-            InputHandle::Shared(profile),
-            dep,
-            cfg,
-        )
-    }
-
-    fn build(
-        graph: InputHandle<'a, Graph>,
-        profile: InputHandle<'a, GraphProfile>,
+        graph: &Graph,
+        profile: &GraphProfile,
         dep: &Deployment,
         cfg: &DeploymentConfig,
     ) -> Result<Self, PartitionError> {
@@ -841,15 +802,14 @@ impl<'a> PreparedDeployment<'a> {
         let encode_t = Instant::now();
         // One flat table for every leaf: pins and structure once, costs
         // re-priced per root path; only merged graphs are materialised.
-        let mut table = ChainTable::from_graph(&graph, cfg.mode)?;
+        let mut table = ChainTable::from_graph(graph, cfg.mode)?;
         let mut leaves = Vec::new();
         let mut vertices_before = 0;
         let mut vertices_after = 0;
         for leaf in dep.leaves() {
             let path = dep.path(leaf);
             let platforms: Vec<&Platform> = path.iter().map(|&s| &dep.site(s).platform).collect();
-            let rate_factor = dep.site(leaf).rate_factor;
-            table.price(&profile, &platforms, rate_factor);
+            table.price(profile, &platforms, dep.site(leaf).rate_factor);
             let merged = table.merge(&dep.leaf_objective(leaf))?;
             vertices_before += merged.vertices_before;
             vertices_after += merged.vertices_after;
@@ -858,7 +818,6 @@ impl<'a> PreparedDeployment<'a> {
                 path_indices: path.iter().map(|s| s.0).collect(),
                 path,
                 graph: merged.graph,
-                rate_factor,
             });
         }
 
@@ -871,8 +830,7 @@ impl<'a> PreparedDeployment<'a> {
             .map(|j| ep.problem.objective_coeff(VarId(j)))
             .collect();
         Ok(PreparedDeployment {
-            graph,
-            profile,
+            _marker: PhantomData,
             dep: dep.clone(),
             cfg: cfg.clone(),
             removed,
@@ -889,6 +847,18 @@ impl<'a> PreparedDeployment<'a> {
             last_values: None,
             encode_s: encode_t.elapsed().as_secs_f64(),
         })
+    }
+
+    /// [`new`](Self::new) over `Arc`-held inputs, as a `'static` instance
+    /// (the prepared instance holds neither; a cache keyed by their
+    /// addresses must keep them alive itself, as the fleet's does).
+    pub fn new_shared(
+        graph: Arc<Graph>,
+        profile: Arc<GraphProfile>,
+        dep: &Deployment,
+        cfg: &DeploymentConfig,
+    ) -> Result<PreparedDeployment<'static>, PartitionError> {
+        PreparedDeployment::new(&graph, &profile, dep, cfg)
     }
 
     /// Apply a batch of topology deltas in place: mutate the stored
@@ -984,9 +954,8 @@ impl<'a> PreparedDeployment<'a> {
         self.workspace.invalidate();
     }
 
-    /// Wall-clock cost of the one-time build (graph build, merge,
-    /// encoding), seconds — the `encode_s` phase every solve from this
-    /// instance reports.
+    /// Wall-clock cost of the one-time build (pricing, merge, encoding,
+    /// coarsening), seconds. Paid once per instance; no solve reports it.
     pub fn encode_seconds(&self) -> f64 {
         self.encode_s
     }
@@ -1124,7 +1093,6 @@ impl<'a> PreparedDeployment<'a> {
             refactorizations: ws.refactorizations(),
             backend: self.cfg.ilp.backend,
             phase_times: PhaseTimes {
-                encode_s: self.encode_s,
                 root_lp_s,
                 ..PhaseTimes::default()
             },
@@ -1222,14 +1190,13 @@ impl<'a> PreparedDeployment<'a> {
         };
         self.last_values = Some(sol.values.clone());
         let objective = sol.objective + self.ep.objective_offset * rate;
-        let mut stats = sol.stats;
-        stats.phase_times.encode_s = self.encode_s;
-        Ok(self.decode_partition(&sol.values, rate, objective, stats, None))
+        Ok(self.decode_partition(&sol.values, rate, objective, sol.stats, None))
     }
 
     /// Decode an encoding-level assignment into the public
     /// [`DeploymentPartition`] view: per-leaf placements, per-hop cut
-    /// edges, and aggregate per-site loads.
+    /// edges, and aggregate per-site loads — all read off the merged leaf
+    /// graphs, whose costs are the budget rows' coefficients.
     fn decode_partition(
         &self,
         values: &[f64],
@@ -1240,59 +1207,38 @@ impl<'a> PreparedDeployment<'a> {
     ) -> DeploymentPartition {
         let decoded = self.ep.decode(values);
         let mut leaves = Vec::with_capacity(self.leaves.len());
-        for (l, prep) in self.leaves.iter().enumerate() {
-            let k = prep.path.len();
-            let eff_rate = rate * prep.rate_factor;
-            let op_pos = prep
-                .graph
-                .op_tiers(&decoded[l], self.graph.operator_count());
-
-            // This decode runs on every rate probe — for a fleet cache
-            // hit it is most of the non-LP cost — so everything below is
-            // a single pass over operators (and one over edges), not a
-            // per-tier rescan.
-            let platforms: Vec<&Platform> = prep
-                .path
-                .iter()
-                .map(|&s| &self.dep.site(s).platform)
-                .collect();
+        for (prep, tier) in self.leaves.iter().zip(&decoded) {
+            let (k, graph) = (prep.path.len(), &prep.graph);
+            // Sums run in vertex and edge order, never over the hash sets,
+            // so identical solves report identical bits (the fleet parity
+            // suite compares these vectors bit for bit with serial solves).
             let mut tier_count = vec![0usize; k];
-            for &t in &op_pos {
-                tier_count[t] += 1;
+            let mut predicted_cpu = vec![0.0f64; k];
+            for (vert, &t) in graph.vertices.iter().zip(tier) {
+                tier_count[t] += vert.ops.len();
+                predicted_cpu[t] += vert.cpu_cost[t];
             }
             let mut site_ops: Vec<HashSet<OperatorId>> = tier_count
                 .iter()
                 .map(|&c| HashSet::with_capacity(c))
                 .collect();
-            // Sum predictions in ascending operator order, NOT
-            // `site_ops[t]` hash order: float addition is
-            // order-sensitive in the last bit, and per-instance hash
-            // seeds would make otherwise identical solves report
-            // different bits (the fleet parity suite compares these
-            // vectors bit-for-bit against serial solves).
-            let mut predicted_cpu = vec![0.0f64; k];
-            for id in self.graph.operator_ids() {
-                let t = op_pos[id.0];
-                site_ops[t].insert(id);
-                predicted_cpu[t] += self.profile.cpu_fraction(id, platforms[t]) * eff_rate;
+            for (vert, &t) in graph.vertices.iter().zip(tier) {
+                site_ops[t].extend(&vert.ops);
             }
             let mut link_cut_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); k - 1];
-            for eid in self.graph.edge_ids() {
-                let e = self.graph.edge(eid);
-                for cut in &mut link_cut_edges[op_pos[e.src.0]..op_pos[e.dst.0]] {
-                    cut.push(eid);
+            let mut predicted_net = vec![0.0f64; k - 1];
+            for e in &graph.edges {
+                for b in tier[e.src]..tier[e.dst] {
+                    link_cut_edges[b].extend_from_slice(&e.graph_edges);
+                    predicted_net[b] += e.bandwidth[b];
                 }
             }
-            let predicted_net: Vec<f64> = link_cut_edges
-                .iter()
-                .enumerate()
-                .map(|(b, cut)| {
-                    let platform = &self.dep.site(prep.path[b]).platform;
-                    cut.iter()
-                        .map(|&e| self.profile.edge_on_air_bandwidth(e, platform) * eff_rate)
-                        .sum()
-                })
-                .collect();
+            for cut in &mut link_cut_edges {
+                cut.sort_unstable();
+            }
+            for load in predicted_cpu.iter_mut().chain(&mut predicted_net) {
+                *load *= rate;
+            }
             leaves.push(LeafPartition {
                 leaf: prep.leaf,
                 path: prep.path.clone(),
@@ -1390,11 +1336,10 @@ mod tests {
 
     /// Compile-time `Send` audit: the fleet service moves prepared
     /// instances into worker threads and keeps them in a long-lived
-    /// cache, so everything a `PreparedDeployment` closes over — the
-    /// graph (work functions included), profile, encoded problem, and
-    /// simplex workspace — must cross thread boundaries. A regression
-    /// here (an `Rc`, a `Cell`, a non-`Sync` work function) fails to
-    /// compile rather than failing at runtime.
+    /// cache, so everything a `PreparedDeployment` holds — merged leaf
+    /// graphs, encoded problem, hierarchy and simplex workspace — must
+    /// cross thread boundaries. A regression here (an `Rc`, a `Cell`)
+    /// fails to compile rather than failing at runtime.
     #[test]
     fn prepared_deployment_is_send() {
         fn assert_send<T: Send>() {}
@@ -1404,9 +1349,9 @@ mod tests {
         assert_send::<DeploymentDelta>();
         assert_send::<DeploymentPartition>();
         assert_send::<crate::shape::ShapeKey>();
-        // Borrowed instances cross threads too (scoped threads), which
-        // additionally requires `Graph: Sync` — `&'a Graph: Send` at any
-        // lifetime reduces to exactly that bound, so assert it directly.
+        // Requests carry `Arc<Graph>` / `Arc<GraphProfile>` to the worker
+        // that prepares them, which needs both `Sync` (work functions
+        // included).
         fn assert_sync<T: Sync>() {}
         assert_sync::<Graph>();
         assert_sync::<GraphProfile>();
@@ -1590,8 +1535,9 @@ mod tests {
                         .iter()
                         .map(|&s| dep.site(s).platform.clone())
                         .collect();
+                    let rate_factor = dep.site(leaf.leaf).rate_factor;
                     let built =
-                        build_tiered_graph(&g, &prof, &platforms, mode, leaf.rate_factor).unwrap();
+                        build_tiered_graph(&g, &prof, &platforms, mode, rate_factor).unwrap();
                     let merged = preprocess_tiered(&built, &dep.leaf_objective(leaf.leaf)).unwrap();
                     assert_eq!(bits(&leaf.graph), bits(&merged.graph), "{mode:?}");
                     before += merged.vertices_before;

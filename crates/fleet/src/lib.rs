@@ -74,9 +74,10 @@ use wishbone_profile::GraphProfile;
 
 /// One deployment request: which profiled graph, over which topology,
 /// under which config, at which rate. Graph and profile ride `Arc`s —
-/// shape identity is pointer identity (see
-/// [`shape_key`]), and the cache co-owns them
-/// so prepared instances outlive any single request.
+/// shape identity is pointer identity (see [`shape_key`]). A prepared
+/// instance keeps neither, so a [`ShapeCache`] entry holds the `Arc`s of
+/// the request that created it: while its key is in the map, the
+/// addresses the key names cannot be freed and reused by another app.
 #[derive(Clone)]
 pub struct FleetRequest {
     /// Caller-chosen correlation id, echoed in the response.
@@ -131,9 +132,9 @@ pub struct FleetStats {
     /// Solve count per worker, index = worker id — the shard balance
     /// view.
     pub per_worker_solves: Vec<u64>,
-    /// Per-phase wall-clock cost summed over every successful solve in
-    /// the fleet: `encode_s` is stamped by the prepared pipeline
-    /// (misses pay it, hits amortize it), the rest by branch-and-bound.
+    /// Per-phase solver wall-clock summed over every successful solve in
+    /// the fleet. The one-time encode a miss pays is not a solve phase
+    /// and is not in it.
     pub phase_times: PhaseTimes,
     /// Simplex work summed over every successful solve in the fleet:
     /// dual iterations, primal iterations, and LU factorizations (the
@@ -212,7 +213,6 @@ impl FleetStats {
         self.distinct_shapes += other.distinct_shapes;
         self.errors += other.errors;
         // `PhaseTimes` is a foreign plain-data struct without an `Add`.
-        self.phase_times.encode_s += other.phase_times.encode_s;
         self.phase_times.presolve_s += other.phase_times.presolve_s;
         self.phase_times.warm_start_s += other.phase_times.warm_start_s;
         self.phase_times.nodes_s += other.phase_times.nodes_s;
@@ -235,7 +235,9 @@ impl FleetStats {
 /// service.
 #[derive(Default)]
 pub struct ShapeCache {
-    entries: HashMap<ShapeKey, PreparedDeployment<'static>>,
+    /// Each prepared instance beside the graph and profile its key names
+    /// by address (see [`FleetRequest`]).
+    entries: HashMap<ShapeKey, (PreparedDeployment<'static>, Arc<Graph>, Arc<GraphProfile>)>,
 }
 
 impl ShapeCache {
@@ -270,7 +272,7 @@ impl ShapeCache {
         ws: &mut SimplexWorkspace,
         deterministic: bool,
     ) -> (bool, Result<DeploymentPartition, PartitionError>) {
-        if let Some(prep) = self.entries.get_mut(&key) {
+        if let Some((prep, ..)) = self.entries.get_mut(&key) {
             let deltas = deltas_between(prep.deployment(), &req.deployment);
             if !deltas.is_empty() {
                 prep.apply_delta(&deltas);
@@ -280,15 +282,11 @@ impl ShapeCache {
             }
             return (true, prep.solve_at_in(req.rate, ws));
         }
-        match PreparedDeployment::new_shared(
-            Arc::clone(&req.graph),
-            Arc::clone(&req.profile),
-            &req.deployment,
-            &req.config,
-        ) {
+        match PreparedDeployment::new(&req.graph, &req.profile, &req.deployment, &req.config) {
             Ok(mut prep) => {
                 let result = prep.solve_at_in(req.rate, ws);
-                self.entries.insert(key, prep);
+                let (graph, profile) = (Arc::clone(&req.graph), Arc::clone(&req.profile));
+                self.entries.insert(key, (prep, graph, profile));
                 (false, result)
             }
             Err(e) => (false, Err(e)),
@@ -483,4 +481,47 @@ pub fn run_batch(workers: usize, requests: Vec<FleetRequest>) -> (Vec<FleetRespo
     responses.sort_by_key(|r| r.id);
     let stats = server.shutdown();
     (responses, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wishbone_apps::{build_speech_app, SpeechParams};
+    use wishbone_core::topology::Site;
+    use wishbone_core::LinkSpec;
+    use wishbone_profile::{profile, Platform};
+
+    /// A [`ShapeKey`] names graph and profile by address, so a cache entry
+    /// must keep both alive after the request that created it is gone:
+    /// freed, the addresses could be reused by another app whose requests
+    /// would then hit this entry.
+    #[test]
+    fn a_cache_entry_co_owns_the_inputs_its_key_points_at() {
+        let mut app = build_speech_app(SpeechParams::default());
+        let trace = app.trace(10, 1);
+        let prof = profile(&mut app.graph, &[trace]).unwrap();
+        let (graph, profile) = (Arc::new(app.graph), Arc::new(prof));
+        let mote = Platform::tmote_sky();
+        let req = FleetRequest {
+            id: 0,
+            graph: Arc::clone(&graph),
+            profile: Arc::clone(&profile),
+            deployment: Deployment::star([(
+                Site::new("motes", &mote),
+                LinkSpec::for_platform(&mote),
+            )]),
+            config: DeploymentConfig::default(),
+            rate: 0.1,
+        };
+        let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
+        let mut cache = ShapeCache::new();
+        let (hit, result) = cache.serve(&req, key, &mut SimplexWorkspace::new(), true);
+        assert!(!hit && result.is_ok());
+        drop(req);
+        // This test's handle and the cache entry's.
+        assert_eq!(Arc::strong_count(&graph), 2);
+        assert_eq!(Arc::strong_count(&profile), 2);
+        drop(cache);
+        assert_eq!(Arc::strong_count(&graph), 1);
+    }
 }

@@ -90,14 +90,11 @@ impl Default for IlpOptions {
     }
 }
 
-/// Span-style wall-clock breakdown of one solve, seconds. The branch-
-/// and-bound phases are timed by [`solve_ilp_in`] itself; `encode_s` is
-/// stamped in by prepared pipelines that own the encoding (zero for a
-/// direct [`solve_ilp`] call, where the caller encoded separately).
+/// Span-style wall-clock breakdown of one solve, seconds, every phase
+/// timed by [`solve_ilp_in`] itself. Encoding is the caller's and is not
+/// here: a prepared instance that encodes once reports that cost once.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Building the encoded problem (graph build, merge, row emission).
-    pub encode_s: f64,
     /// Root bound propagation (presolve).
     pub presolve_s: f64,
     /// Checking and adopting the warm incumbent seed.

@@ -111,13 +111,13 @@ pub mod prelude {
 /// by phase. `BENCH_solver.json` records carry times and their spread,
 /// no counters — a regression in a `backend_scaling/*`,
 /// `multitier_scaling/*` or `deployment_scaling/*` record is explained
-/// from this line. `encode` is stamped only by prepared pipelines — a
-/// direct `solve_ilp` call reports it as zero because the caller encoded
-/// separately; `root LP` is the part of `nodes` spent in the first LP.
+/// from this line. The one-time encode is not a solve phase: a prepared
+/// instance reports it as `encode_seconds()`. `root LP` is the part of
+/// `nodes` spent in the first LP.
 pub fn report_stats(stats: &ilp::IlpStats) -> String {
     format!(
         "{:?} backend, {} B&B nodes ({} warm / {} cold LPs; {} dual + {} primal iterations, \
-         {} factorizations); phases: encode {:.1}ms, presolve {:.1}ms, warm-start {:.1}ms, \
+         {} factorizations); phases: presolve {:.1}ms, warm-start {:.1}ms, \
          nodes {:.1}ms (root LP {:.1}ms)",
         stats.backend,
         stats.nodes,
@@ -126,7 +126,6 @@ pub fn report_stats(stats: &ilp::IlpStats) -> String {
         stats.dual_iterations,
         stats.primal_iterations,
         stats.refactorizations,
-        stats.phase_times.encode_s * 1e3,
         stats.phase_times.presolve_s * 1e3,
         stats.phase_times.warm_start_s * 1e3,
         stats.phase_times.nodes_s * 1e3,
@@ -145,7 +144,7 @@ pub fn report_fleet_stats(stats: &fleet::FleetStats) -> String {
          per-worker solves: {:?}\n\
          latency p50 {:.2}ms, p99 {:.2}ms\n\
          simplex (fleet-wide): {} dual + {} primal iterations, {} factorizations\n\
-         phases (fleet-wide): encode {:.1}ms, presolve {:.1}ms, warm-start {:.1}ms, \
+         phases (fleet-wide): presolve {:.1}ms, warm-start {:.1}ms, \
          nodes {:.1}ms (root LPs {:.1}ms)",
         stats.requests,
         stats.distinct_shapes,
@@ -159,7 +158,6 @@ pub fn report_fleet_stats(stats: &fleet::FleetStats) -> String {
         stats.dual_iterations,
         stats.primal_iterations,
         stats.refactorizations,
-        stats.phase_times.encode_s * 1e3,
         stats.phase_times.presolve_s * 1e3,
         stats.phase_times.warm_start_s * 1e3,
         stats.phase_times.nodes_s * 1e3,

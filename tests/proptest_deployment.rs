@@ -17,7 +17,9 @@
 //! And the prepared-instance contract: the n-th `solve_at` of one
 //! instance — its root LP re-entering from the previous solve's basis —
 //! agrees with a freshly prepared instance solved once at that rate,
-//! across rate sequences, `apply_delta` and `reset_warm_start`.
+//! across rate sequences, `apply_delta` and `reset_warm_start`. And the
+//! decode, which reads only the merged leaf graphs, reports what pricing
+//! the placement afresh from the profile gives.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -27,7 +29,7 @@ use wishbone::core::{
     DeploymentConfig, DeploymentDelta, DeploymentObjective, DeploymentPartition, LeafChain,
     LinkSpec, PartitionError, Pin, PreparedDeployment, Site, SiteId, TierObjective, TieredGraph,
 };
-use wishbone::dataflow::OperatorId;
+use wishbone::dataflow::{EdgeId, IdentityWork, OperatorId, OperatorSpec, WorkFn};
 use wishbone::ilp::{IlpOptions, Problem, SolverBackend, VarId};
 use wishbone::prelude::{profile, GraphBuilder, Platform, SourceTrace, Value};
 use wishbone_oracle::{
@@ -133,26 +135,53 @@ fn random_app(
     let src = b.source("src");
     let mut prev = src;
     for s in 0..stages {
-        let cost = costs[s];
-        let keep = keeps[s].max(1);
-        prev = b.transform(
-            format!("stage{s}"),
-            Box::new(wishbone::dataflow::FnWork(
-                move |_p: usize, v: &Value, cx: &mut wishbone::dataflow::ExecCtx| {
-                    let w = v.as_i16s().unwrap();
-                    cx.meter().loop_scope(cost, |m| {
-                        m.int(cost);
-                        m.fadd(cost / 2);
-                    });
-                    cx.emit(Value::VecI16(w.iter().step_by(keep).copied().collect()));
-                },
-            )),
-            prev,
-        );
+        prev = b.transform(format!("stage{s}"), reducing_work(costs[s], keeps[s]), prev);
     }
     b.exit_namespace();
     b.sink("out", prev);
     (b.finish().unwrap(), src.0)
+}
+
+/// `random_app`'s stages dealt alternately onto two branches that fan out
+/// of the source and join before the sink — with an odd stage count the
+/// join's first input edge comes from the later operator.
+fn diamond_app(
+    stages: usize,
+    costs: &[u64],
+    keeps: &[usize],
+) -> (wishbone::dataflow::Graph, OperatorId) {
+    let mut b = GraphBuilder::new();
+    b.enter_node_namespace();
+    let src = b.source("src");
+    let mut arms = [src, src];
+    for s in 0..stages {
+        let arm = &mut arms[s % 2];
+        *arm = b.transform(format!("stage{s}"), reducing_work(costs[s], keeps[s]), *arm);
+    }
+    let join = b.operator(
+        OperatorSpec::transform("join"),
+        Box::new(IdentityWork),
+        &arms,
+    );
+    b.exit_namespace();
+    b.sink("out", join);
+    (b.finish().unwrap(), src.0)
+}
+
+/// A stage metering `cost` operations per element and keeping every
+/// `keep`-th sample.
+fn reducing_work(cost: u64, keep: usize) -> Box<dyn WorkFn> {
+    let keep = keep.max(1);
+    Box::new(wishbone::dataflow::FnWork(
+        move |_p: usize, v: &Value, cx: &mut wishbone::dataflow::ExecCtx| {
+            let w = v.as_i16s().unwrap();
+            cx.meter().loop_scope(cost, |m| {
+                m.int(cost);
+                m.fadd(cost / 2);
+            });
+            cx.emit(Value::VecI16(w.iter().step_by(keep).copied().collect()));
+        },
+    ))
 }
 
 /// The two-ward tree of the tree-shaped properties. Sites: 0 = server,
@@ -862,6 +891,137 @@ proptest! {
                     "{:?}: after reset, {:?} vs fresh {:?}", backend, a.is_ok(), b.is_ok()
                 ),
             }
+        }
+    }
+}
+
+/// `a` and `b` agree to 1e-12 relative (both sums of non-negative terms).
+fn assert_close(what: &str, a: f64, b: f64) -> Result<(), TestCaseError> {
+    prop_assert!(
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+        "{}: decoded {} vs profile {}",
+        what,
+        a,
+        b
+    );
+    Ok(())
+}
+
+/// Recompute every leaf's predictions and cut edges of `part` from the
+/// raw profile, by public API only: per-operator CPU on each position's
+/// platform and per-edge on-air bandwidth with each hop's framing, times
+/// `rate × rate_factor`, and the cut edges of link `b` as every edge with
+/// `pos(src) ≤ b < pos(dst)` in ascending order.
+fn assert_decode_is_the_profile(
+    g: &wishbone::dataflow::Graph,
+    prof: &wishbone::profile::GraphProfile,
+    dep: &Deployment,
+    part: &DeploymentPartition,
+    rate: f64,
+) -> Result<(), TestCaseError> {
+    for leaf in &part.leaves {
+        let rate_factor = dep.site(leaf.leaf).rate_factor;
+        let platform = |t: usize| &dep.site(leaf.path[t]).platform;
+        let pos = |op: OperatorId| leaf.position_of(op).expect("every operator is placed");
+        prop_assert_eq!(
+            leaf.site_ops.iter().map(HashSet::len).sum::<usize>(),
+            g.operator_count()
+        );
+        for (t, ops) in leaf.site_ops.iter().enumerate() {
+            let mut ops: Vec<OperatorId> = ops.iter().copied().collect();
+            ops.sort();
+            let cpu: f64 = ops
+                .iter()
+                .map(|&op| prof.cpu_fraction(op, platform(t)) * rate * rate_factor)
+                .sum();
+            assert_close("predicted_cpu", leaf.predicted_cpu[t], cpu)?;
+        }
+        for b in 0..leaf.path.len() - 1 {
+            let cut: Vec<EdgeId> = g
+                .edge_ids()
+                .filter(|&eid| {
+                    let e = g.edge(eid);
+                    pos(e.src) <= b && b < pos(e.dst)
+                })
+                .collect();
+            prop_assert_eq!(&leaf.link_cut_edges[b], &cut);
+            let net: f64 = cut
+                .iter()
+                .map(|&e| prof.edge_on_air_bandwidth(e, platform(b)) * rate * rate_factor)
+                .sum();
+            assert_close("predicted_net", leaf.predicted_net[b], net)?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The decode reads the merged leaf graphs, not the profile. What it
+    /// reports must still be what pricing every operator and cut edge
+    /// afresh from the profile gives: for pipelines and fan-out / fan-in
+    /// apps, on random trees (two gateway wards at their own rate factors,
+    /// optionally a leaf class straight under the server), on both
+    /// engines, after every step of a delta chain that re-counts,
+    /// re-budgets, removes and revives leaves.
+    #[test]
+    fn decoded_predictions_are_the_profile_priced_afresh(
+        stages in 2usize..6,
+        costs in prop::collection::vec(100u64..4000, 5),
+        keeps in prop::collection::vec(1usize..5, 5),
+        shape in ((0.05f64..2.0), (0.05f64..2.0), prop::bool::ANY, prop::bool::ANY, prop::bool::ANY),
+        chain in prop::collection::vec((0usize..5, 0.0f64..1.0), 1..6),
+        rates in prop::collection::vec(0.02f64..0.6, 6),
+    ) {
+        let (factor_a, factor_b, direct_leaf, approx, diamond) = shape;
+        let app = if diamond { diamond_app } else { random_app };
+        let (mut g, src) = app(stages, &costs, &keeps);
+        let trace = SourceTrace {
+            source: src,
+            elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
+            rate_hz: 20.0,
+        };
+        let prof = match profile(&mut g, &[trace]) {
+            Ok(p) => p,
+            Err(_) => return Ok(()),
+        };
+        let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
+        let link = |net_budget: f64| LinkSpec { beta: 1.0, net_budget };
+        // Sites: 0 = server, 1 = gw-a, 2 = gw-b, 3 = motes-a, 4 = motes-b,
+        // 5 = microservers (when present).
+        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+        let root = dep.root();
+        let gw_a = dep.attach(root, Site::new("gw-a", &phone).with_cpu_budget(0.3), link(2000.0));
+        let gw_b = dep.attach(root, Site::new("gw-b", &phone).with_cpu_budget(0.3), link(1e9));
+        dep.attach(gw_a, Site::new("motes-a", &mote).at_rate(factor_a), link(1e9));
+        dep.attach(gw_b, Site::new("motes-b", &mote).at_rate(factor_b), link(1e9));
+        if direct_leaf {
+            let gumstix = Platform::gumstix();
+            dep.attach(root, Site::new("microservers", &gumstix), LinkSpec::for_platform(&gumstix));
+        }
+        let cfg = if approx { DeploymentConfig::default().approx() } else { DeploymentConfig::default() };
+        let mut prep = match PreparedDeployment::new(&g, &prof, &dep, &cfg) {
+            Ok(p) => p,
+            Err(_) => return Ok(()),
+        };
+        let check = |prep: &mut PreparedDeployment<'_>, rate: f64| {
+            match prep.solve_at(rate) {
+                Ok(part) => assert_decode_is_the_profile(&g, &prof, prep.deployment(), &part, rate),
+                Err(_) => Ok(()),
+            }
+        };
+        check(&mut prep, rates[0])?;
+        for (step, &(kind, v)) in chain.iter().enumerate() {
+            let delta = match kind {
+                0 => DeploymentDelta::SetLeafCount { leaf: SiteId(3), count: 1 + (v * 4.0) as usize },
+                1 => DeploymentDelta::SetCpuBudget { site: SiteId(1), cpu_budget: 0.01 + 0.5 * v },
+                2 => DeploymentDelta::SetNetBudget { site: SiteId(1), net_budget: 50.0 + 5000.0 * v },
+                3 => DeploymentDelta::RemoveLeaf { leaf: SiteId(4) },
+                _ => DeploymentDelta::SetLeafCount { leaf: SiteId(4), count: 1 + (v * 2.0) as usize },
+            };
+            prep.apply_delta(&[delta]);
+            check(&mut prep, rates[1 + step % 5])?;
         }
     }
 }

@@ -88,7 +88,15 @@
 //!     and going through the adapters would build the unmerged graph the
 //!     table exists to skip.
 //!
-//! Test modules are exempt from rules 1–3, 5–11, 13 and 14: by repo convention
+//! 15. **one-pricing** — the profile prices the program once: outside
+//!     tests, [`PRICES`] are called in `crates/core/src` from
+//!     [`THE_PRICING_HOME`] only (the merge, the encoder, the multilevel
+//!     cut and the decode all read the merged graphs it prices), and
+//!     [`PER_SOLVE_PATH`] declares no struct or enum that holds one of
+//!     [`CALLER_INPUTS`] — a prepared instance keeping its caller's graph
+//!     or profile is the second, per-solve pricing growing back.
+//!
+//! Test modules are exempt from rules 1–3, 5–11 and 13–15: by repo convention
 //! `#[cfg(test)] mod tests` is the tail of each file, so scanning
 //! stops at the first `#[cfg(test)]` line. A site may opt out of a
 //! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
@@ -265,6 +273,13 @@ const THE_MERGE: &str = "merge";
 const MERGE_HELPERS: [&str; 2] = ["cross_edges", "cyclic_sccs"];
 const MERGE_ADAPTERS: [&str; 2] = ["build_tiered_graph", "preprocess_tiered"];
 
+/// The one pricing (rule 15): the file that may ask the profile for
+/// prices, the two per-operator / per-edge prices, and the caller's inputs
+/// no per-solve type may hold.
+const THE_PRICING_HOME: &str = "crates/core/src/multitier.rs";
+const PRICES: [&str; 2] = ["cpu_fraction", "edge_on_air_bandwidth"];
+const CALLER_INPUTS: [&str; 3] = ["Graph", "GraphProfile", "InputHandle"];
+
 struct Violation {
     file: PathBuf,
     line: usize,
@@ -360,6 +375,7 @@ fn lint() -> ExitCode {
     scan(&root, &[FLEET_SRC], check_config_surface, &mut violations);
     scan(&root, &[CORE_SRC], check_one_coarsening, &mut violations);
     check_one_merge(&sources_under(&root, CORE_SRC), &mut violations);
+    scan(&root, &[CORE_SRC], check_one_pricing, &mut violations);
 
     if violations.is_empty() {
         println!(
@@ -1123,6 +1139,56 @@ fn check_one_merge(sources: &[(PathBuf, String)], violations: &mut Vec<Violation
     }
 }
 
+/// Rule 15 over one `crates/core/src` file: no [`PRICES`] call outside
+/// [`THE_PRICING_HOME`], and in [`PER_SOLVE_PATH`] no struct or enum whose
+/// declaration or body names one of [`CALLER_INPUTS`].
+fn check_one_pricing(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
+    // Brace depth, and the depth at which an open struct / enum body closes.
+    let (mut depth, mut body): (usize, Option<usize>) = (0, None);
+    for (line_no, raw) in non_test_lines(text) {
+        let code = strip_strings_and_comments(raw);
+        let declares = mentions_ident(&code, "struct") || mentions_ident(&code, "enum");
+        if declares && body.is_none() && code.contains('{') {
+            body = Some(depth);
+        }
+        let in_type = declares || body.is_some();
+        depth = (depth + code.matches('{').count()).saturating_sub(code.matches('}').count());
+        if body.is_some_and(|open| depth <= open) {
+            body = None;
+        }
+        if allowed(raw, "one-pricing") {
+            continue;
+        }
+        let mut flag = |message: String| {
+            violations.push(Violation {
+                file: rel.to_path_buf(),
+                line: line_no,
+                rule: "one-pricing",
+                message,
+            })
+        };
+        if rel != Path::new(THE_PRICING_HOME) {
+            for name in PRICES.iter().filter(|name| calls(&code, name)) {
+                flag(format!(
+                    "`{name}(` outside `{THE_PRICING_HOME}` — the merged leaf graphs carry the \
+                     one pricing; read their costs"
+                ));
+            }
+        }
+        if rel == Path::new(PER_SOLVE_PATH) && in_type {
+            for ident in CALLER_INPUTS
+                .iter()
+                .filter(|ident| mentions_ident(&code, ident))
+            {
+                flag(format!(
+                    "a type in `{PER_SOLVE_PATH}` holds `{ident}` — a prepared instance reads \
+                     its caller's inputs while it prepares and keeps nothing of theirs"
+                ));
+            }
+        }
+    }
+}
+
 fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
     // Test corpus: the workspace-level tests/ plus every crate's tests/.
     let mut test_files = rust_sources(&root.join("tests"));
@@ -1526,6 +1592,79 @@ fn merge(tg: &TieredGraph) -> TieredPreprocessResult { // line 1
         // The committed core is clean.
         let mut v = Vec::new();
         check_one_merge(&sources_under(&repo_root(), CORE_SRC), &mut v);
+        assert!(
+            v.is_empty(),
+            "{}",
+            v.iter().map(|x| x.to_string()).collect::<String>()
+        );
+    }
+
+    #[test]
+    fn one_pricing_fires_on_a_second_pricing_or_a_kept_input_put_back() {
+        let lines = |file: &str, source: &str| {
+            let mut v = Vec::new();
+            check_one_pricing(Path::new(file), source, &mut v);
+            assert!(v.iter().all(|x| x.rule == "one-pricing"));
+            v.iter().map(|x| x.line).collect::<Vec<_>>()
+        };
+        let kept = "\
+/// Per-leaf state: a `Graph`'s merged view (a doc comment may say so).
+struct PreparedLeaf {
+    path: Vec<SiteId>,
+    graph: crate::multitier::TieredGraph,
+}
+pub struct PreparedDeployment<'a> {
+    _marker: PhantomData<&'a ()>,
+    leaves: Vec<PreparedLeaf>,
+}
+impl<'a> PreparedDeployment<'a> {
+    pub fn new(graph: &Graph, profile: &GraphProfile) -> Result<Self, PartitionError> {
+        table.price(profile, &platforms, rate_factor);
+        Ok(PreparedDeployment { _marker: PhantomData, leaves })
+    }
+    fn decode_partition(&self, values: &[f64], rate: f64) -> DeploymentPartition {
+        predicted_cpu[t] += vert.cpu_cost[t];
+    }
+}
+#[cfg(test)]
+mod tests {
+    struct Fixture { graph: Graph }
+    fn t() { let _ = prof.cpu_fraction(op, &phone); }
+}
+";
+        assert_eq!(lines(PER_SOLVE_PATH, kept), Vec::<usize>::new());
+        // The parent's instance: the inputs kept, the decode pricing again.
+        let parent = kept
+            .replace(
+                "    _marker: PhantomData<&'a ()>,",
+                "    graph: InputHandle<'a, Graph>, // line 7\n    \
+                 profile: InputHandle<'a, GraphProfile>,",
+            )
+            .replace(
+                "        predicted_cpu[t] += vert.cpu_cost[t];",
+                "        predicted_cpu[t] += self.profile.cpu_fraction(id, platform) * rate;",
+            )
+            .replace(
+                "#[cfg(test)]",
+                "enum InputHandle<'a, T> { // line 20\n    Borrowed(&'a T),\n}\n\
+                 struct Inputs(Arc<Graph>); // line 23\n#[cfg(test)]",
+            );
+        assert_eq!(lines(PER_SOLVE_PATH, &parent), vec![7, 7, 8, 8, 17, 20, 23]);
+        // Only the instance's file is held to the field half; every core
+        // file but the pricing home to the call half.
+        let pricing = "\
+fn price(&mut self, profile: &GraphProfile, platforms: &[&Platform]) {
+    self.cpu.extend(platforms.iter().map(|p| profile.cpu_fraction(op, p)));
+    let bw = profile.edge_on_air_bandwidth(eid, p); // audit:allow(one-pricing): demo
+    let link = profile.edge_on_air_bandwidth(eid, p);
+}
+struct Table { graph: Graph }
+";
+        assert_eq!(lines(THE_PRICING_HOME, pricing), Vec::<usize>::new());
+        assert_eq!(lines("crates/core/src/multilevel.rs", pricing), vec![2, 4]);
+        // The committed core is clean.
+        let mut v = Vec::new();
+        scan(&repo_root(), &[CORE_SRC], check_one_pricing, &mut v);
         assert!(
             v.is_empty(),
             "{}",
