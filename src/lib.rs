@@ -70,7 +70,7 @@ pub use wishbone_trace as trace;
 
 /// The names most programs need, re-exported flat.
 pub mod prelude {
-    pub use crate::{report_deployment_stats, report_fleet_stats, report_sim_stats, report_stats};
+    pub use crate::{report_deployment_stats, report_stats};
     pub use wishbone_apps::{
         build_eeg_app, build_eeg_channel, build_speech_app, heuristic_svm, EegApp, EegParams,
         LinearSvm, SpeechApp, SpeechParams,
@@ -133,43 +133,20 @@ pub fn report_stats(stats: &ilp::IlpStats) -> String {
     )
 }
 
-/// One consistent fleet-statistics block: request volume, cache
-/// leverage (hits, misses, encodes avoided), shard balance, latency
-/// percentiles, and the aggregated per-phase wall clock across every
-/// worker — the fleet-scale view of what [`report_stats`] shows for one
-/// solve.
-pub fn report_fleet_stats(stats: &fleet::FleetStats) -> String {
-    format!(
-        "{} requests over {} shapes: {} cache hits / {} misses ({} encodes avoided), {} errors\n\
-         per-worker solves: {:?}\n\
-         latency p50 {:.2}ms, p99 {:.2}ms\n\
-         simplex (fleet-wide): {} dual + {} primal iterations, {} factorizations\n\
-         phases (fleet-wide): presolve {:.1}ms, warm-start {:.1}ms, \
-         nodes {:.1}ms (root LPs {:.1}ms)",
-        stats.requests,
-        stats.distinct_shapes,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.encodes_avoided,
-        stats.errors,
-        stats.per_worker_solves,
-        stats.p50_s() * 1e3,
-        stats.p99_s() * 1e3,
-        stats.dual_iterations,
-        stats.primal_iterations,
-        stats.refactorizations,
-        stats.phase_times.presolve_s * 1e3,
-        stats.phase_times.warm_start_s * 1e3,
-        stats.phase_times.nodes_s * 1e3,
-        stats.phase_times.root_lp_s * 1e3,
-    )
-}
-
-/// One consistent simulation-statistics line for the examples: what the
-/// tree simulator offered, processed, and delivered, and where the rest
-/// went (channel contention, relay saturation, failure outages).
-pub fn report_sim_stats(stats: &runtime::SimStats) -> String {
-    format!(
+/// One consistent simulation report for the examples: what the tree
+/// simulator offered, processed, and delivered, and where the rest went
+/// (channel contention, relay saturation, failure outages); then every
+/// site's busy fraction, saturation drops, and outage-attributed drops,
+/// rendered uniformly (zeros included, so failure-free runs and failure
+/// replays line up column for column), plus each non-root site's uplink
+/// load, delivery ratio, and fade drops. Pinned by
+/// `tests/observability.rs`.
+pub fn report_deployment_stats(
+    report: &runtime::TreeDeploymentReport,
+    topo: &runtime::TreeTopology,
+) -> String {
+    let stats = report.stats();
+    let mut out = format!(
         "{} events offered / {} processed; {} elements sent, {} lost on-air, \
          {} saturation-dropped, {} outage-dropped, {} reached the sink",
         stats.events_offered,
@@ -179,20 +156,7 @@ pub fn report_sim_stats(stats: &runtime::SimStats) -> String {
         stats.saturation_dropped,
         stats.outage_dropped,
         stats.sink_arrivals
-    )
-}
-
-/// The per-site view [`report_sim_stats`]'s aggregate line cannot show:
-/// every site's busy fraction, saturation drops, and outage-attributed
-/// drops, rendered uniformly (zeros included, so failure-free runs and
-/// failure replays line up column for column), plus each non-root site's
-/// uplink load, delivery ratio, and fade drops. Pinned by
-/// `tests/observability.rs`.
-pub fn report_deployment_stats(
-    report: &runtime::TreeDeploymentReport,
-    topo: &runtime::TreeTopology,
-) -> String {
-    let mut out = report_sim_stats(&report.stats());
+    );
     for s in 0..topo.len() {
         out.push_str(&format!(
             "\nsite {s}: busy {:5.1}%, saturation-dropped {}, outage-dropped {}",

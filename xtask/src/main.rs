@@ -1,283 +1,279 @@
 //! `cargo run -p xtask -- lint` — repo-specific invariants clippy
 //! cannot express, enforced by plain text scanning (offline, no
-//! registry deps, no proc macros):
+//! registry deps, no proc macros).
 //!
-//! 1. **no-unwrap** — `.unwrap()` is banned in the solver hot paths
-//!    (`crates/ilp/src/{simplex,revised,lu,branch_bound}.rs`); a panic
-//!    there must document its invariant via `.expect("...")`.
-//! 2. **float-eq** — raw `f64` `==`/`!=` against a float literal is
-//!    banned in `crates/ilp/src` and `crates/core/src`; intended
-//!    exact-zero tests go through `wishbone_ilp::is_exact_zero`, whose
-//!    one definition site carries the `audit:allow(float-eq)` marker.
-//! 3. **pub-docs** — every `pub` item in `crates/ilp/src` and
-//!    `crates/core/src` carries a doc comment, including items in
-//!    private modules `#[warn(missing_docs)]` cannot see.
-//! 4. **oracle-anchors** — the differential-oracle encoders
-//!    (`encode_multitier`, the binary `Encoding::Restricted` path, the
-//!    `SolverBackend::Dense` tableau) must stay referenced from tests,
-//!    so they cannot be silently deleted out from under the parity
-//!    suite.
-//! 5. **entry-points** — `crates/core/src` and `crates/runtime/src` expose
-//!    one partitioning path and one simulator: a `pub fn` named
-//!    `partition*`, `max_sustainable_rate*` or `simulate_*` outside
-//!    [`ENTRY_POINTS`] is a second path growing back.
+//! Most rules are rows of two tables, each run by one scanner:
+//! [`CONFINE`] (in a scope, a text, identifier or call appears only in
+//! its homes) and [`CENSUS`] (in a scope, the declarations matching a
+//! pattern are only the listed names, or exactly a count of them). A
+//! row's `why` is its reason and what a violation prints. A new
+//! invariant is one more row, and the row self-tests generate an
+//! offending line for every row, so a row that cannot fire fails
+//! `cargo test -p xtask` with no new test code.
 //!
-//! 6. **oracle-dev-only** — production compiles one graph model, one
-//!    merge, one encoder: no `Cargo.toml` outside `crates/bench` names
-//!    `wishbone-oracle` under `[dependencies]`, and `crates/core/src`
-//!    declares no free `pub fn encode*` but `encode_deployment` and none of
-//!    the binary world's type names ([`ORACLE_ONLY_IDENTS`]).
+//! The rules that parse something else are hand-written, each in its
+//! own `check_*`: `float-eq`, `pub-docs`, `oracle-anchors`,
+//! `oracle-dev-only`'s manifest half, `one-repro`, `config-surface`'s
+//! field counts and `one-pricing`'s held inputs.
 //!
-//! 7. **no-env-knobs** — the shipped crates and the bench tooling
-//!    ([`NO_ENV_DIRS`]) read no environment variable (`std::env::var`,
-//!    `env::var_os`, `env::vars`): a pricing rule, a tolerance, a sweep
-//!    size or any other behaviour selected by the environment is a knob
-//!    no signature shows, and it breaks the fleet's "a response is a
-//!    function of (shape, request)" contract.
-//!
-//! 8. **reference-backend-by-request** — no production call reaches the
-//!    dense tableau: non-test code in [`SHIPPED_SOLVER_CALLERS`] never
-//!    names `SolverBackend::Dense` (a config word hashes the
-//!    discriminant instead), and inside `crates/ilp/src` only
-//!    [`REFERENCE_BACKEND_HOMES`] do — the enum and the dispatch. The
-//!    reference runs when a test, a bench or the benchmark's answer check
-//!    asks for it by name, and for no other reason.
-//!
-//! 9. **bench-one-timer** — the `criterion` stand-in is the only
-//!    micro-bench timer and its groups the only instance list: nothing
-//!    under [`BENCH_TARGETS`] names `BenchRecord` or defines `fn measure` /
-//!    `fn emit_json` (rule 7 covers a variable that would select one).
-//!    `BENCH_solver.json` records are built from the stand-in's samples in
-//!    `crates/bench/src/lib.rs` and nowhere else.
-//!
-//! 10. **one-executor** — the simulator runs every site through one
-//!     depth-first cascade: outside tests, [`RUNTIME_SRC`] declares
-//!     exactly one `pub struct *Executor` and exactly one
-//!     `pub struct *Cascade`. A second of either is a per-platform copy of
-//!     the cascade growing back; what differs between a mote, a gateway
-//!     and the server is a field of the one.
-//!
-//! 11. **config-surface** — a behaviour is a config field only when
-//!     shipped callers need different values: the structs of
-//!     [`CONFIG_SURFACE`] declare exactly their counted number of `pub`
-//!     fields (one more comes with its callers named in its doc comment
-//!     and the count bumped in the same diff), and [`FLEET_SRC`] declares
-//!     no `pub struct *Config` — a fleet's one parameter is its worker
-//!     count.
-//!
-//! 12. **one-repro** — the paper's evaluation is one target whose stdout
-//!     is the checked-in `REPRO.md`: [`BENCH_MANIFEST`] declares exactly
-//!     the three `[[bench]]` targets of [`THE_BENCH_TARGETS`] (`repro`
-//!     and the two timing targets), and no file under [`BENCH_TARGETS`]
-//!     is named `fig*` or `validation_*` — a figure put back as its own
-//!     binary is a fixture and an assert list growing back beside the
-//!     claim list.
-//!
-//! 13. **one-coarsening** — the multilevel seed coarsens once per prepared
-//!     instance: outside tests, [`COARSENING_FNS`] are called from
-//!     [`THE_COARSENER`] in [`THE_HEURISTIC`] and nowhere else in
-//!     `crates/core/src`, and [`PER_SOLVE_PATH`] never calls the one-shot
-//!     [`ONE_SHOT_CUT`] — either would be the per-solve path growing its
-//!     rebuild of a rate-independent hierarchy back.
-//!
-//! 14. **one-merge** — the §4.1 merge has one body, fed by two ways in:
-//!     outside tests, `crates/core/src` defines [`THE_MERGE`] exactly once,
-//!     in [`THE_MERGE_HOME`], calls its [`MERGE_HELPERS`] from that body
-//!     only, and [`PER_SOLVE_PATH`] never calls the public
-//!     [`MERGE_ADAPTERS`] — the prepare path fills the flat table itself,
-//!     and going through the adapters would build the unmerged graph the
-//!     table exists to skip.
-//!
-//! 15. **one-pricing** — the profile prices the program once: outside
-//!     tests, [`PRICES`] are called in `crates/core/src` from
-//!     [`THE_PRICING_HOME`] only (the merge, the encoder, the multilevel
-//!     cut and the decode all read the merged graphs it prices), and
-//!     [`PER_SOLVE_PATH`] declares no struct or enum that holds one of
-//!     [`CALLER_INPUTS`] — a prepared instance keeping its caller's graph
-//!     or profile is the second, per-solve pricing growing back.
-//!
-//! Test modules are exempt from rules 1–3, 5–11 and 13–15: by repo convention
-//! `#[cfg(test)] mod tests` is the tail of each file, so scanning
-//! stops at the first `#[cfg(test)]` line. A site may opt out of a
-//! rule with a trailing `// audit:allow(<rule>): <reason>` comment.
+//! Every rule but `oracle-anchors` (which reads the tests) and the two
+//! manifest readers skips test modules: by repo convention
+//! `#[cfg(test)] mod tests` is the tail of each file, so scanning stops
+//! at the first `#[cfg(test)]` line. A site may opt out of a rule with a
+//! trailing `// audit:allow(<rule>): <reason>` comment.
 //!
 //! Exit status is nonzero iff any violation is found, which is what
 //! gates CI.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Files where `.unwrap()` would panic inside the simplex /
-/// branch-and-bound inner loops — or, for the fleet service, take a
-/// whole worker thread (and every shape sharded onto it) down with one
-/// bad request.
-const HOT_PATHS: [&str; 6] = [
-    "crates/ilp/src/simplex.rs",
-    "crates/ilp/src/revised.rs",
-    "crates/ilp/src/lu.rs",
-    "crates/ilp/src/sparse.rs",
-    "crates/ilp/src/branch_bound.rs",
-    "crates/fleet/src/lib.rs",
+const CORE_SRC: &str = "crates/core/src";
+const RUNTIME_SRC: &str = "crates/runtime/src";
+/// The prepared instance: the per-solve path.
+const PER_SOLVE_PATH: &str = "crates/core/src/topology.rs";
+/// The one §4.1 merge and the one pricing.
+const MULTITIER: &str = "crates/core/src/multitier.rs";
+
+/// What a [`Confine`] row looks for in a line's code (string literals and
+/// `//` comments stripped).
+#[derive(Clone, Copy)]
+enum Needle {
+    /// The text, anywhere.
+    Text(&'static str),
+    /// The text with no identifier character on either side.
+    Ident(&'static str),
+    /// A call `name(` — not the `fn name(` that defines it.
+    Call(&'static str),
+}
+use Needle::{Call, Ident, Text};
+
+/// Where a [`Confine`] row's needles may appear.
+enum Home {
+    File(&'static str),
+    /// Inside the `fn` of that name in that file.
+    Fn(&'static str, &'static str),
+}
+
+/// Outside tests, in `scope` (files, or directories scanned recursively),
+/// `needles` appear only in `homes`.
+struct Confine {
+    rule: &'static str,
+    scope: &'static [&'static str],
+    needles: &'static [Needle],
+    homes: &'static [Home],
+    /// The violation's message; `{}` is the needle that matched.
+    why: &'static str,
+}
+
+/// The declarations a [`Census`] row counts.
+enum Decl {
+    /// Any `fn`, at any visibility and indentation.
+    Fn,
+    /// A `pub fn` at any indentation, methods included.
+    PubFn,
+    /// An unindented `pub fn`: a free function.
+    FreePubFn,
+    /// A `pub struct` at any indentation.
+    PubStruct,
+}
+
+enum Expect {
+    /// No matching name outside this list.
+    Only(&'static [&'static str]),
+    /// Exactly this many declarations per pattern.
+    Exactly(usize),
+}
+
+/// Outside tests, in `scope`, the `decl`s whose names match one of
+/// `names` (a `*` at either end is a wildcard) are as `expect` says.
+struct Census {
+    rule: &'static str,
+    scope: &'static [&'static str],
+    decl: Decl,
+    names: &'static [&'static str],
+    expect: Expect,
+    /// The message at a declaration too many; `{}` is its name.
+    why: &'static str,
+}
+
+#[rustfmt::skip]
+const CONFINE: [Confine; 11] = [
+    Confine {
+        rule: "no-unwrap",
+        // The simplex / branch-and-bound inner loops, and the fleet service,
+        // where one bad request would take a worker (and its shapes) down.
+        scope: &["crates/ilp/src/simplex.rs", "crates/ilp/src/revised.rs", "crates/ilp/src/lu.rs",
+                 "crates/ilp/src/sparse.rs", "crates/ilp/src/branch_bound.rs",
+                 "crates/fleet/src/lib.rs"],
+        needles: &[Text(".unwrap()")], homes: &[],
+        why: "solver hot path: use .expect(\"<invariant>\") so a panic names the violated \
+              invariant",
+    },
+    Confine {
+        rule: "no-env-knobs",
+        // Every crate the facade ships, and the bench tooling (its switches
+        // are `--smoke` / `--json`; a sweep size is a constant in its
+        // target). The compile-time `env!` is not a read.
+        scope: &["crates/ilp/src", CORE_SRC, RUNTIME_SRC, "crates/fleet/src", "crates/net/src",
+                 "crates/dataflow/src", "crates/profile/src", "crates/trace/src",
+                 "crates/bench/src", BENCH_TARGETS],
+        needles: &[Text("env::var")], homes: &[],
+        why: "a shipped crate reads the environment — behaviour selected there is a hidden \
+              knob that breaks \"a response is a function of (shape, request)\"; make it an \
+              argument or a config field",
+    },
+    Confine {
+        rule: "reference-backend-by-request",
+        // Shipped code that configures or drives the solver, and the solver;
+        // the homes declare the enum and dispatch on it.
+        scope: &["crates/ilp/src", CORE_SRC, "crates/fleet/src", RUNTIME_SRC, "crates/net/src",
+                 "crates/trace/src", "src"],
+        needles: &[Text("SolverBackend::Dense")],
+        homes: &[Home::File("crates/ilp/src/workspace.rs"),
+                 Home::File("crates/ilp/src/simplex.rs")],
+        why: "shipped code names `{}` — the dense tableau is the tests' reference and runs \
+              only when a caller asks for it; production solves on the sparse backend at \
+              every size",
+    },
+    Confine {
+        rule: "bench-one-timer", scope: &[BENCH_TARGETS],
+        needles: &[Ident("BenchRecord"), Ident("fn measure"), Ident("fn emit_json")],
+        homes: &[],
+        why: "a bench target has `{}` — time the instance in a criterion group and let \
+              `wishbone_bench::merge_bench_json` write what the group measured; `--smoke` and \
+              `--json` are the only switches",
+    },
+    Confine {
+        rule: "oracle-dev-only",
+        // The binary world's types, moved to the oracle crate: one in core
+        // is a second graph model or encoder growing back.
+        scope: &[CORE_SRC],
+        needles: &[Ident("PartitionGraph"), Ident("ObjectiveConfig"), Ident("EncodedProblem"),
+                   Ident("EncodedMultiTier")],
+        homes: &[],
+        why: "`{}` belongs to the dev-only `crates/oracle`, not `crates/core/src`",
+    },
+    Confine {
+        rule: "one-coarsening", scope: &[CORE_SRC],
+        needles: &[Call("finest_level"), Call("coarsen")],
+        homes: &[Home::Fn("crates/core/src/multilevel.rs", "build")],
+        why: "`{}` outside `CutHierarchy::build` — the hierarchy reads no count, budget or \
+              rate and is built once per prepared instance; cut the kept one",
+    },
+    Confine {
+        rule: "one-coarsening", scope: &[PER_SOLVE_PATH],
+        needles: &[Call("approx_cut")], homes: &[],
+        why: "`{}` on the per-solve path rebuilds the hierarchy at every solve — \
+              `PreparedDeployment` cuts the `CutHierarchy` it built at preparation",
+    },
+    Confine {
+        rule: "one-merge", scope: &[CORE_SRC],
+        needles: &[Ident("fn merge")], homes: &[Home::File(MULTITIER)],
+        why: "a second `{}` — the §4.1 merge has one body",
+    },
+    Confine {
+        rule: "one-merge", scope: &[CORE_SRC],
+        needles: &[Call("cross_edges"), Call("cyclic_sccs")],
+        homes: &[Home::Fn(MULTITIER, "merge")],
+        why: "`{}` outside `ChainTable::merge` — a second merge body growing beside the one",
+    },
+    Confine {
+        rule: "one-merge", scope: &[PER_SOLVE_PATH],
+        needles: &[Call("build_tiered_graph"), Call("preprocess_tiered")], homes: &[],
+        why: "`{}` on the prepare path builds the unmerged graph — fill the flat `ChainTable` \
+              and merge it",
+    },
+    Confine {
+        rule: "one-pricing", scope: &[CORE_SRC],
+        needles: &[Call("cpu_fraction"), Call("edge_on_air_bandwidth")],
+        homes: &[Home::File(MULTITIER)],
+        why: "`{}` outside `crates/core/src/multitier.rs` — the merged leaf graphs carry the \
+              one pricing; read their costs",
+    },
 ];
 
-/// Directories whose sources are held to the float-eq and pub-docs
-/// rules (the solver, the encoders and their oracles — where a silent
-/// float bug costs the most).
-const LINTED_DIRS: [&str; 4] = [
-    "crates/ilp/src",
-    "crates/core/src",
-    "crates/fleet/src",
-    "crates/oracle/src",
+#[rustfmt::skip]
+const CENSUS: [Census; 5] = [
+    Census {
+        rule: "entry-points", scope: &[CORE_SRC, RUNTIME_SRC],
+        decl: Decl::PubFn, names: &["partition*", "max_sustainable_rate*", "simulate_*"],
+        expect: Expect::Only(&["partition_deployment", "max_sustainable_rate_deployment",
+                               "simulate_deployment_tree", "simulate_deployment_tree_traced"]),
+        why: "`{}` is a second partitioning/simulation entry point — make the shape a \
+              `Deployment`/`TreeTopology` constructor or the behaviour a config field of the \
+              one path",
+    },
+    Census {
+        rule: "oracle-dev-only", scope: &[CORE_SRC],
+        decl: Decl::FreePubFn, names: &["encode", "encode_*"],
+        expect: Expect::Only(&["encode_deployment"]),
+        why: "`{}` is a second encoder in `crates/core/src` — `encode_deployment` is the only \
+              one production compiles; oracles live in `crates/oracle`",
+    },
+    Census {
+        rule: "one-executor", scope: &[RUNTIME_SRC],
+        decl: Decl::PubStruct, names: &["*Executor", "*Cascade"],
+        expect: Expect::Exactly(1),
+        why: "`{}` is a second site executor — sites differ by what they host and whether they \
+              have a task model, not by a copy of the cascade",
+    },
+    Census {
+        rule: "config-surface", scope: &["crates/fleet/src"],
+        decl: Decl::PubStruct, names: &["*Config"],
+        expect: Expect::Only(&[]),
+        why: "`{}`: a fleet's one parameter is its worker count — `FleetServer::new`",
+    },
+    Census {
+        rule: "one-merge", scope: &[MULTITIER],
+        decl: Decl::Fn, names: &["merge"],
+        expect: Expect::Exactly(1),
+        why: "a second `fn {}` — the §4.1 merge has one body",
+    },
 ];
+
+/// Directories held to `float-eq` and `pub-docs` (the solver, the
+/// encoders and their oracles — where a silent float bug costs the most).
+#[rustfmt::skip]
+const LINTED_DIRS: [&str; 4] = ["crates/ilp/src", CORE_SRC, "crates/fleet/src", "crates/oracle/src"];
 
 /// `(needle, why it must survive)` — each must appear in at least one
 /// test file.
+#[rustfmt::skip]
 const ORACLE_ANCHORS: [(&str, &str); 6] = [
-    (
-        "encode_multitier",
-        "the k-way chain encoder is the parity oracle for deployments",
-    ),
-    (
-        "Encoding::Restricted",
-        "the binary restricted encoder anchors the k = 2 parity chain",
-    ),
-    (
-        "SolverBackend::Dense",
-        "the dense tableau is the differential oracle for the sparse backend",
-    ),
-    (
-        "PlacementEngine::Approx",
-        "the multilevel heuristic's certificates are pinned against the exact ILP",
-    ),
-    (
-        "NullSink::NULL",
-        "the trace off path must stay pinned by the zero-overhead byte-identical test",
-    ),
-    (
-        "fleet_batch_matches_serial_one_shot",
-        "fleet cache hits must stay bit-identical to serial one-shot solves",
-    ),
+    ("encode_multitier", "the k-way chain encoder is the parity oracle for deployments"),
+    ("Encoding::Restricted", "the binary restricted encoder anchors the k = 2 parity chain"),
+    ("SolverBackend::Dense", "the dense tableau is the differential oracle for the sparse backend"),
+    ("PlacementEngine::Approx",
+     "the multilevel heuristic's certificates are pinned against the exact ILP"),
+    ("NullSink::NULL",
+     "the trace off path must stay pinned by the zero-overhead byte-identical test"),
+    ("fleet_batch_matches_serial_one_shot",
+     "fleet cache hits must stay bit-identical to serial one-shot solves"),
 ];
 
-/// Directories held to the entry-points rule.
-const ENTRY_POINT_DIRS: [&str; 2] = ["crates/core/src", "crates/runtime/src"];
-
-/// Name prefixes that mark a partitioning / rate-search / simulation
-/// entry point.
-const ENTRY_POINT_PREFIXES: [&str; 3] = ["partition", "max_sustainable_rate", "simulate_"];
-
-/// The one partitioning path and the one simulator (plus its traced
-/// form): every other shape is a `Deployment` / `TreeTopology`
-/// constructor, every other behaviour a config field.
-const ENTRY_POINTS: [&str; 4] = [
-    "partition_deployment",
-    "max_sustainable_rate_deployment",
-    "simulate_deployment_tree",
-    "simulate_deployment_tree_traced",
-];
-
-/// The dev-only oracle crate, and the one manifest that may depend on it
-/// outside `[dev-dependencies]` (the bench tooling crate, which nothing
-/// in the facade's dependency graph reaches).
+/// The dev-only oracle crate. The bench tooling crate, which nothing in
+/// the facade's dependency graph reaches, is the one manifest that may
+/// depend on it outside `[dev-dependencies]`; it declares exactly
+/// [`THE_BENCH_TARGETS`], whose sources are under [`BENCH_TARGETS`].
 const ORACLE_CRATE: &str = "wishbone-oracle";
-const ORACLE_DEPENDENT: &str = "crates/bench/Cargo.toml";
-
-/// Where the one encoder lives, and its name.
-const CORE_SRC: &str = "crates/core/src";
-const THE_ENCODER: &str = "encode_deployment";
-
-/// Type names of the binary world that left `crates/core/src` for the
-/// oracle crate; one of them in core's code (doc comments may point at
-/// `wishbone_oracle`) is the second graph model or encoder growing back.
-const ORACLE_ONLY_IDENTS: [&str; 4] = [
-    "PartitionGraph",
-    "ObjectiveConfig",
-    "EncodedProblem",
-    "EncodedMultiTier",
-];
-
-/// Directories held to the no-env-knobs rule: every crate the facade
-/// ships, and the bench tooling (its switches are `--smoke` / `--json`
-/// on the command line; a sweep size is a constant in its target).
-const NO_ENV_DIRS: [&str; 10] = [
-    "crates/ilp/src",
-    "crates/core/src",
-    "crates/runtime/src",
-    "crates/fleet/src",
-    "crates/net/src",
-    "crates/dataflow/src",
-    "crates/profile/src",
-    "crates/trace/src",
-    "crates/bench/src",
-    "crates/bench/benches",
-];
-
-/// Shipped code that configures or drives the solver (rule 8), plus the
-/// solver crate itself.
-const SHIPPED_SOLVER_CALLERS: [&str; 7] = [
-    "crates/ilp/src",
-    "crates/core/src",
-    "crates/fleet/src",
-    "crates/runtime/src",
-    "crates/net/src",
-    "crates/trace/src",
-    "src",
-];
-
-/// The reference tableau's variant, and the two files that may name it
-/// outside tests: where the enum is declared and where a solve is
-/// dispatched on it.
-const REFERENCE_BACKEND: &str = "SolverBackend::Dense";
-const REFERENCE_BACKEND_HOMES: [&str; 2] =
-    ["crates/ilp/src/workspace.rs", "crates/ilp/src/simplex.rs"];
-
-/// Where the bench targets live (rule 9), and what a second timer or a
-/// second record list growing back in one of them would have to name.
+const BENCH_MANIFEST: &str = "crates/bench/Cargo.toml";
 const BENCH_TARGETS: &str = "crates/bench/benches";
-const SECOND_TIMER_NEEDLES: [&str; 3] = ["BenchRecord", "fn measure", "fn emit_json"];
-
-/// The bench crate's manifest and the only `[[bench]]` targets it may
-/// declare (rule 12), and how a per-figure target put back would be named.
-const BENCH_MANIFEST: &str = ORACLE_DEPENDENT;
 const THE_BENCH_TARGETS: [&str; 3] = ["repro", "solver_criterion", "fleet_scaling"];
-const PER_FIGURE_PREFIXES: [&str; 2] = ["fig", "validation_"];
 
-/// Where the simulator lives (rule 10), and the name suffixes of which
-/// it declares exactly one `pub struct` each.
-const RUNTIME_SRC: &str = "crates/runtime/src";
-const ONE_OF_EACH: [&str; 2] = ["Executor", "Cascade"];
-
-/// The option structs (rule 11): file, name, counted `pub` fields. And
-/// the crate that has none.
+/// The option structs: file, name, counted `pub` fields. A behaviour is
+/// a field only when shipped callers need different values; one more
+/// comes with its callers named in its doc and the count bumped.
 const CONFIG_SURFACE: [(&str, &str, usize); 2] = [
-    ("crates/core/src/topology.rs", "DeploymentConfig", 5),
+    (PER_SOLVE_PATH, "DeploymentConfig", 5),
     ("crates/ilp/src/branch_bound.rs", "IlpOptions", 6),
 ];
-const FLEET_SRC: &str = "crates/fleet/src";
 
-/// The multilevel heuristic's file (rule 13), its two hierarchy-building
-/// functions, the one function that may call them, and the per-solve
-/// file that must cut the kept hierarchy instead of the one-shot entry.
-const THE_HEURISTIC: &str = "crates/core/src/multilevel.rs";
-const COARSENING_FNS: [&str; 2] = ["finest_level", "coarsen"];
-const THE_COARSENER: &str = "build";
-const PER_SOLVE_PATH: &str = "crates/core/src/topology.rs";
-const ONE_SHOT_CUT: &str = "approx_cut";
-
-/// The one §4.1 merge (rule 14): its file, its body's name
-/// (`ChainTable::merge`), the helpers only that body calls, and the public
-/// adapters onto it that the prepare path must not take.
-const THE_MERGE_HOME: &str = "crates/core/src/multitier.rs";
-const THE_MERGE: &str = "merge";
-const MERGE_HELPERS: [&str; 2] = ["cross_edges", "cyclic_sccs"];
-const MERGE_ADAPTERS: [&str; 2] = ["build_tiered_graph", "preprocess_tiered"];
-
-/// The one pricing (rule 15): the file that may ask the profile for
-/// prices, the two per-operator / per-edge prices, and the caller's inputs
-/// no per-solve type may hold.
-const THE_PRICING_HOME: &str = "crates/core/src/multitier.rs";
-const PRICES: [&str; 2] = ["cpu_fraction", "edge_on_air_bandwidth"];
+/// The caller's inputs no type of [`PER_SOLVE_PATH`] may hold: a
+/// prepared instance keeping its caller's graph or profile is the
+/// second, per-solve pricing growing back.
 const CALLER_INPUTS: [&str; 3] = ["Graph", "GraphProfile", "InputHandle"];
 
 struct Violation {
@@ -287,22 +283,27 @@ struct Violation {
     message: String,
 }
 
+impl Violation {
+    fn new(file: &Path, line: usize, rule: &'static str, message: String) -> Self {
+        let file = file.to_path_buf();
+        Violation {
+            file,
+            line,
+            rule,
+            message,
+        }
+    }
+}
+
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file.display(),
-            self.line,
-            self.rule,
-            self.message
-        )
+        let (file, line, rule) = (self.file.display(), self.line, self.rule);
+        write!(f, "{file}:{line}: [{rule}] {}", self.message)
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    match std::env::args().nth(1).as_deref() {
         Some("lint") => lint(),
         _ => {
             eprintln!("usage: cargo run -p xtask -- lint");
@@ -321,44 +322,14 @@ fn repo_root() -> PathBuf {
 
 fn lint() -> ExitCode {
     let root = repo_root();
-    let mut violations: Vec<Violation> = Vec::new();
-
-    for rel in HOT_PATHS {
-        check_no_unwrap(&root, rel, &mut violations);
-    }
-    for dir in LINTED_DIRS {
-        for file in rust_sources(&root.join(dir)) {
-            check_float_eq(&root, &file, &mut violations);
-            check_pub_docs(&root, &file, &mut violations);
-        }
-    }
-    check_oracle_anchors(&root, &mut violations);
-    for dir in ENTRY_POINT_DIRS {
-        for file in rust_sources(&root.join(dir)) {
-            check_entry_points(&root, &file, &mut violations);
-        }
-    }
-
+    let mut violations = missing_files(&root);
+    violations.extend(lint_sources(&repo_sources(&root)));
     for manifest in manifests(&root) {
         if let Ok(text) = std::fs::read_to_string(&manifest) {
             let rel = manifest.strip_prefix(&root).unwrap_or(&manifest);
             check_oracle_dependency(rel, &text, &mut violations);
         }
     }
-    scan(&root, &[CORE_SRC], check_oracle_leak, &mut violations);
-    scan(&root, &NO_ENV_DIRS, check_env_knobs, &mut violations);
-    scan(
-        &root,
-        &SHIPPED_SOLVER_CALLERS,
-        check_reference_backend,
-        &mut violations,
-    );
-    scan(
-        &root,
-        &[BENCH_TARGETS],
-        check_bench_one_timer,
-        &mut violations,
-    );
     // A manifest that is gone reads as empty: all three targets are then missing.
     let bench_manifest = std::fs::read_to_string(root.join(BENCH_MANIFEST)).unwrap_or_default();
     let bench_files: Vec<PathBuf> = rust_sources(&root.join(BENCH_TARGETS))
@@ -366,23 +337,12 @@ fn lint() -> ExitCode {
         .map(|file| file.strip_prefix(&root).unwrap_or(file).to_path_buf())
         .collect();
     check_one_repro(&bench_manifest, &bench_files, &mut violations);
-    check_one_executor(&sources_under(&root, RUNTIME_SRC), &mut violations);
-    for (file, _, _) in CONFIG_SURFACE {
-        // A file that is gone reads as empty: its struct is then missing.
-        let text = std::fs::read_to_string(root.join(file)).unwrap_or_default();
-        check_config_surface(Path::new(file), &text, &mut violations);
-    }
-    scan(&root, &[FLEET_SRC], check_config_surface, &mut violations);
-    scan(&root, &[CORE_SRC], check_one_coarsening, &mut violations);
-    check_one_merge(&sources_under(&root, CORE_SRC), &mut violations);
-    scan(&root, &[CORE_SRC], check_one_pricing, &mut violations);
+    check_oracle_anchors(&test_corpus(&root), &mut violations);
 
     if violations.is_empty() {
+        let (confine, census, anchors) = (CONFINE.len(), CENSUS.len(), ORACLE_ANCHORS.len());
         println!(
-            "xtask lint: clean ({} hot-path files, {} linted dirs, {} anchors)",
-            HOT_PATHS.len(),
-            LINTED_DIRS.len(),
-            ORACLE_ANCHORS.len()
+            "xtask lint: clean ({confine} confine rows, {census} census rows, {anchors} anchors)"
         );
         ExitCode::SUCCESS
     } else {
@@ -394,65 +354,125 @@ fn lint() -> ExitCode {
     }
 }
 
-/// Run a per-file rule over every source under `dirs`, handing it the
-/// repo-relative path and the file's text.
-fn scan(
-    root: &Path,
-    dirs: &[&str],
-    check: fn(&Path, &str, &mut Vec<Violation>),
-    violations: &mut Vec<Violation>,
-) {
-    for dir in dirs {
-        for file in rust_sources(&root.join(dir)) {
-            if let Ok(text) = std::fs::read_to_string(&file) {
-                check(file.strip_prefix(root).unwrap_or(&file), &text, violations);
-            }
-        }
-    }
-}
-
-/// Every source under `dir` with its repo-relative path, for the rules
-/// that look across files.
-fn sources_under(root: &Path, dir: &str) -> Vec<(PathBuf, String)> {
-    rust_sources(&root.join(dir))
-        .into_iter()
-        .filter_map(|file| {
-            let text = std::fs::read_to_string(&file).ok()?;
-            Some((file.strip_prefix(root).unwrap_or(&file).to_path_buf(), text))
-        })
-        .collect()
-}
-
-/// Every `.rs` file under `dir`, recursively, in sorted order.
-fn rust_sources(dir: &Path) -> Vec<PathBuf> {
+/// Every rule that reads Rust source, over `sources` (repo-relative
+/// path, text), in file and line order.
+fn lint_sources(sources: &[(PathBuf, String)]) -> Vec<Violation> {
+    let files: Vec<(&Path, Vec<CodeLine>)> = sources
+        .iter()
+        .map(|(rel, text)| (rel.as_path(), code_lines(text)))
+        .collect();
     let mut out = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return out;
+    for row in &CENSUS {
+        census(row, &files, &mut out);
+    }
+    for (rel, lines) in &files {
+        for row in &CONFINE {
+            confine(row, rel, lines, &mut out);
+        }
+        if in_scope(rel, &LINTED_DIRS) {
+            check_float_eq(rel, lines, &mut out);
+            check_pub_docs(rel, lines, &mut out);
+        }
+        if *rel == Path::new(PER_SOLVE_PATH) {
+            check_held_inputs(rel, lines, &mut out);
+        }
+        check_field_counts(rel, lines, &mut out);
+    }
+    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    out
+}
+
+/// Every source some rule reads (the scopes of both tables, and
+/// [`LINTED_DIRS`], which hold [`CONFIG_SURFACE`]'s files), by
+/// repo-relative path, in path order.
+fn repo_sources(root: &Path) -> Vec<(PathBuf, String)> {
+    let scopes = CONFINE.iter().flat_map(|row| row.scope);
+    let scopes = scopes.chain(CENSUS.iter().flat_map(|row| row.scope));
+    let files: BTreeSet<PathBuf> = scopes
+        .chain(&LINTED_DIRS)
+        .flat_map(|scope| rust_sources(&root.join(scope)))
+        .collect();
+    let read = |file: PathBuf| Some((file.strip_prefix(root).ok()?.into(), read_text(&file)?));
+    files.into_iter().filter_map(read).collect()
+}
+
+fn read_text(path: &Path) -> Option<String> {
+    std::fs::read_to_string(path).ok()
+}
+
+/// A file named by a confine row's scope or by [`CONFIG_SURFACE`] that is
+/// gone: its rule would otherwise pass by reading nothing.
+fn missing_files(root: &Path) -> Vec<Violation> {
+    let rows = CONFINE.iter();
+    let named = rows.flat_map(|row| row.scope.iter().map(|f| (row.rule, *f)));
+    let named = named.chain(CONFIG_SURFACE.map(|(file, _, _)| ("config-surface", file)));
+    let missing = named.filter(|(_, file)| file.ends_with(".rs") && !root.join(file).is_file());
+    let message = "file is missing (update xtask if it moved)";
+    let flag = |(rule, file)| Violation::new(Path::new(file), 0, rule, message.to_string());
+    missing.map(flag).collect()
+}
+
+/// Every `.rs` file at or under `path`, recursively, in sorted order.
+fn rust_sources(path: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(path) else {
+        // A file (itself, if Rust source) or nothing (then it fails to read).
+        let rust = Some(path.to_path_buf()).filter(|p| p.extension().is_some_and(|e| e == "rs"));
+        return rust.into_iter().collect();
     };
     let mut entries: Vec<_> = entries.flatten().map(|e| e.path()).collect();
     entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            out.extend(rust_sources(&path));
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    out
+    entries.iter().flat_map(|p| rust_sources(p)).collect()
+}
+
+fn in_scope(rel: &Path, scope: &[&str]) -> bool {
+    scope.iter().any(|s| rel.starts_with(s))
+}
+
+/// A non-test source line, as every rule reads it.
+struct CodeLine<'a> {
+    no: usize,
+    raw: &'a str,
+    /// The line with string literals and `//` comments stripped.
+    code: String,
+    /// The `fn` the line is in: the last one declared at or above it.
+    in_fn: String,
 }
 
 /// The non-test prefix of a source file: by repo convention the
 /// `#[cfg(test)] mod tests` block is the file tail, so everything from
 /// the first `#[cfg(test)]` on is test code.
-fn non_test_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+fn code_lines(text: &str) -> Vec<CodeLine<'_>> {
+    let mut in_fn = String::new();
     text.lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
         .enumerate()
-        .take_while(|(_, l)| !l.trim_start().starts_with("#[cfg(test)]"))
-        .map(|(i, l)| (i + 1, l))
+        .map(|(i, raw)| {
+            let code = strip_strings_and_comments(raw);
+            if let Some((_, name)) = code.split_once("fn ") {
+                in_fn = ident_prefix(name).to_string();
+            }
+            let in_fn = in_fn.clone();
+            CodeLine {
+                no: i + 1,
+                raw,
+                code,
+                in_fn,
+            }
+        })
+        .collect()
 }
 
 fn allowed(line: &str, rule: &str) -> bool {
     line.contains(&format!("audit:allow({rule})"))
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The identifier `s` starts with (empty if none).
+fn ident_prefix(s: &str) -> &str {
+    &s[..s.find(|c| !is_ident_char(c)).unwrap_or(s.len())]
 }
 
 /// Strip string literals and `//` comments so operators inside them
@@ -461,44 +481,31 @@ fn allowed(line: &str, rule: &str) -> bool {
 fn strip_strings_and_comments(line: &str) -> String {
     let mut out = String::with_capacity(line.len());
     let mut chars = line.chars().peekable();
-    let mut in_str = false;
-    let mut in_char = false;
+    // The quote that closes the string or char literal being skipped.
+    let mut open: Option<char> = None;
     while let Some(c) = chars.next() {
-        if in_str {
-            match c {
-                '\\' => {
-                    chars.next();
-                }
-                '"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        if in_char {
-            match c {
-                '\\' => {
-                    chars.next();
-                }
-                '\'' => in_char = false,
-                _ => {}
+        if let Some(quote) = open {
+            if c == '\\' {
+                chars.next();
+            } else if c == quote {
+                open = None;
             }
             continue;
         }
         match c {
-            '"' => in_str = true,
+            '"' => open = Some('"'),
             // A lifetime tick is followed by an identifier char and no
             // closing quote nearby; treating only quoted single chars
             // as char literals keeps lifetimes intact.
             '\'' => {
                 let mut look = chars.clone();
-                let payload = look.next();
-                let is_char_lit = match payload {
+                let is_char_lit = match look.next() {
                     Some('\\') => true,
                     Some(_) => look.next() == Some('\''),
                     None => false,
                 };
                 if is_char_lit {
-                    in_char = true;
+                    open = Some('\'');
                 } else {
                     out.push(c);
                 }
@@ -510,30 +517,117 @@ fn strip_strings_and_comments(line: &str) -> String {
     out
 }
 
-fn check_no_unwrap(root: &Path, rel: &str, violations: &mut Vec<Violation>) {
-    let path = root.join(rel);
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        violations.push(Violation {
-            file: path,
-            line: 0,
-            rule: "no-unwrap",
-            message: "hot-path file is missing (update xtask if it moved)".to_string(),
-        });
+/// Does `line` contain `ident` as a whole identifier?
+fn mentions_ident(line: &str, ident: &str) -> bool {
+    line.match_indices(ident).any(|(at, _)| {
+        !line[..at].ends_with(is_ident_char) && !line[at + ident.len()..].starts_with(is_ident_char)
+    })
+}
+
+/// Does `code` call `name` — `name(` as a whole identifier, not its own
+/// `fn name(` definition?
+fn calls(code: &str, name: &str) -> bool {
+    code.match_indices(name).any(|(at, _)| {
+        let (before, after) = (&code[..at], &code[at + name.len()..]);
+        !before.ends_with(is_ident_char)
+            && after.starts_with('(')
+            && !before.trim_end().ends_with("fn")
+    })
+}
+
+impl Needle {
+    fn found_in(self, code: &str) -> bool {
+        match self {
+            Text(text) => code.contains(text),
+            Ident(ident) => mentions_ident(code, ident),
+            Call(name) => calls(code, name),
+        }
+    }
+
+    /// How a message names the needle.
+    fn shown(self) -> String {
+        match self {
+            Text(text) | Ident(text) => text.to_string(),
+            Call(name) => format!("{name}("),
+        }
+    }
+}
+
+impl Home {
+    fn holds(&self, rel: &Path, in_fn: &str) -> bool {
+        match *self {
+            Home::File(file) => rel == Path::new(file),
+            Home::Fn(file, name) => rel == Path::new(file) && in_fn == name,
+        }
+    }
+}
+
+impl Decl {
+    /// The name `line` declares, if it is this kind of declaration.
+    fn name<'a>(&self, line: &'a CodeLine) -> Option<&'a str> {
+        let (head, keyword) = match self {
+            Decl::Fn => return line.code.contains("fn ").then_some(line.in_fn.as_str()),
+            Decl::PubFn => (line.raw.trim_start(), "pub fn "),
+            Decl::FreePubFn => (line.raw, "pub fn "),
+            Decl::PubStruct => (line.raw.trim_start(), "pub struct "),
+        };
+        Some(ident_prefix(head.strip_prefix(keyword)?)).filter(|name| !name.is_empty())
+    }
+}
+
+/// Does `name` match `pattern` (a `*` at either end is a wildcard)?
+fn matches(pattern: &str, name: &str) -> bool {
+    match (pattern.strip_prefix('*'), pattern.strip_suffix('*')) {
+        (Some(suffix), _) => name.ends_with(suffix),
+        (_, Some(prefix)) => name.starts_with(prefix),
+        _ => name == pattern,
+    }
+}
+
+/// The confine scanner: every needle of `row` on a line of `rel` outside
+/// the row's homes.
+fn confine(row: &Confine, rel: &Path, lines: &[CodeLine], out: &mut Vec<Violation>) {
+    if !in_scope(rel, row.scope) {
         return;
-    };
-    for (line_no, line) in non_test_lines(&text) {
-        if allowed(line, "unwrap") {
+    }
+    for line in lines {
+        if allowed(line.raw, row.rule) || row.homes.iter().any(|h| h.holds(rel, &line.in_fn)) {
             continue;
         }
-        if strip_strings_and_comments(line).contains(".unwrap()") {
-            violations.push(Violation {
-                file: PathBuf::from(rel),
-                line: line_no,
-                rule: "no-unwrap",
-                message: "solver hot path: use .expect(\"<invariant>\") so a panic \
-                          names the violated invariant"
-                    .to_string(),
-            });
+        for needle in row.needles.iter().filter(|n| n.found_in(&line.code)) {
+            let message = row.why.replace("{}", &needle.shown());
+            out.push(Violation::new(rel, line.no, row.rule, message));
+        }
+    }
+}
+
+/// The census scanner: `row`'s declarations over `files`, each one past
+/// what the row expects flagged where it is, and each count short of
+/// [`Expect::Exactly`] at line 0 of the row's first scope entry.
+fn census(row: &Census, files: &[(&Path, Vec<CodeLine>)], out: &mut Vec<Violation>) {
+    let mut seen = vec![0; row.names.len()];
+    for (rel, lines) in files.iter().filter(|(rel, _)| in_scope(rel, row.scope)) {
+        let lines = lines.iter().filter(|line| !allowed(line.raw, row.rule));
+        for (no, name) in lines.filter_map(|line| Some((line.no, row.decl.name(line)?))) {
+            let Some(pattern) = row.names.iter().position(|p| matches(p, name)) else {
+                continue;
+            };
+            seen[pattern] += 1;
+            let extra = match row.expect {
+                Expect::Only(names) => !names.contains(&name),
+                Expect::Exactly(n) => seen[pattern] > n,
+            };
+            if extra {
+                let message = row.why.replace("{}", name);
+                out.push(Violation::new(rel, no, row.rule, message));
+            }
+        }
+    }
+    if let Expect::Exactly(n) = row.expect {
+        for (pattern, count) in row.names.iter().zip(seen).filter(|(_, c)| *c < n) {
+            let message = format!("{count} `{pattern}` declared, {n} expected");
+            let file = Path::new(row.scope[0]);
+            out.push(Violation::new(file, 0, row.rule, message));
         }
     }
 }
@@ -551,41 +645,32 @@ fn is_float_literal(token: &str) -> bool {
     (t.contains('.') || t.contains(['e', 'E'])) && t.parse::<f64>().is_ok()
 }
 
-fn check_float_eq(root: &Path, path: &Path, violations: &mut Vec<Violation>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-    for (line_no, raw) in non_test_lines(&text) {
+fn check_float_eq(rel: &Path, lines: &[CodeLine], out: &mut Vec<Violation>) {
+    for CodeLine { no, raw, code, .. } in lines {
         if allowed(raw, "float-eq") {
             continue;
         }
-        let line = strip_strings_and_comments(raw);
         for op in ["==", "!="] {
             let mut from = 0;
-            while let Some(pos) = line[from..].find(op) {
+            while let Some(pos) = code[from..].find(op) {
                 let at = from + pos;
                 from = at + op.len();
-                let left = line[..at]
+                let left = code[..at]
                     .rsplit(|c: char| c.is_whitespace() || "([{,;&|".contains(c))
                     .next()
                     .unwrap_or("");
-                let right = line[at + op.len()..]
+                let right = code[at + op.len()..]
                     .trim_start()
                     .split(|c: char| c.is_whitespace() || ")]},;&|".contains(c))
                     .next()
                     .unwrap_or("");
                 if is_float_literal(left) || is_float_literal(right) {
-                    violations.push(Violation {
-                        file: rel.clone(),
-                        line: line_no,
-                        rule: "float-eq",
-                        message: format!(
-                            "raw float {op} comparison — use wishbone_ilp::is_exact_zero \
-                             for exact-zero tests or an explicit epsilon, or annotate \
-                             `// audit:allow(float-eq): <reason>`"
-                        ),
-                    });
+                    let message = format!(
+                        "raw float {op} comparison — use wishbone_ilp::is_exact_zero for \
+                         exact-zero tests or an explicit epsilon, or annotate \
+                         `// audit:allow(float-eq): <reason>`"
+                    );
+                    out.push(Violation::new(rel, *no, "float-eq", message));
                     break;
                 }
             }
@@ -595,106 +680,86 @@ fn check_float_eq(root: &Path, path: &Path, violations: &mut Vec<Violation>) {
 
 /// Is this trimmed line the start of a `pub` item that needs docs?
 fn pub_item_name(trimmed: &str) -> Option<&str> {
-    if !trimmed.starts_with("pub ") {
-        return None; // pub(crate)/pub(super) are not public API
-    }
-    let rest = &trimmed[4..];
+    // pub(crate)/pub(super) are not public API.
+    let rest = trimmed.strip_prefix("pub ")?;
     // Out-of-line modules (`pub mod x;`) carry their docs as the module
     // file's own `//!` header, which rustdoc accepts.
     if rest.starts_with("mod ") && trimmed.ends_with(';') {
         return None;
     }
-    for kw in [
-        "fn ",
-        "struct ",
-        "enum ",
-        "trait ",
-        "mod ",
-        "const ",
-        "static ",
-        "type ",
-        "unsafe fn ",
-    ] {
-        if let Some(after) = rest.strip_prefix(kw) {
-            let name: &str = after
-                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .next()
-                .unwrap_or("");
-            if !name.is_empty() {
-                return Some(name);
-            }
-        }
-    }
-    None // `pub use` re-exports inherit their target's docs
+    // `pub use` re-exports inherit their target's docs.
+    let mut items = "fn|unsafe fn|struct|enum|trait|mod|const|static|type".split('|');
+    let after = |kw: &str| rest.strip_prefix(kw)?.strip_prefix(' ');
+    Some(ident_prefix(items.find_map(after)?)).filter(|name| !name.is_empty())
 }
 
-fn check_pub_docs(root: &Path, path: &Path, violations: &mut Vec<Violation>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-    let lines: Vec<&str> = text.lines().collect();
-    let test_start = lines
-        .iter()
-        .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
-        .unwrap_or(lines.len());
-    for i in 0..test_start {
-        let trimmed = lines[i].trim_start();
-        if allowed(lines[i], "pub-docs") {
+fn check_pub_docs(rel: &Path, lines: &[CodeLine], out: &mut Vec<Violation>) {
+    for (i, line) in lines.iter().enumerate() {
+        if allowed(line.raw, "pub-docs") {
             continue;
         }
-        let Some(name) = pub_item_name(trimmed) else {
+        let Some(name) = pub_item_name(line.raw.trim_start()) else {
             continue;
         };
-        // Walk upward over attributes/derives to the nearest comment.
-        let mut j = i;
-        let mut documented = false;
-        while j > 0 {
-            j -= 1;
-            let above = lines[j].trim_start();
-            if above.starts_with("#[") || above.starts_with(')') || above.starts_with(']') {
-                continue; // attribute (possibly multi-line) — keep walking
-            }
-            documented = above.starts_with("///") || above.starts_with("/**");
-            break;
-        }
-        if !documented {
-            violations.push(Violation {
-                file: rel.clone(),
-                line: i + 1,
-                rule: "pub-docs",
-                message: format!("public item `{name}` has no doc comment"),
-            });
+        // Walk upward over attributes (possibly multi-line) to the nearest
+        // comment.
+        let is_attr = |l: &str| l.starts_with("#[") || l.starts_with(')') || l.starts_with(']');
+        let mut above = lines[..i].iter().rev().map(|l| l.raw.trim_start());
+        let above = above.find(|l| !is_attr(l));
+        if !above.is_some_and(|a| a.starts_with("///") || a.starts_with("/**")) {
+            let message = format!("public item `{name}` has no doc comment");
+            out.push(Violation::new(rel, line.no, "pub-docs", message));
         }
     }
 }
 
-fn check_entry_points(root: &Path, path: &Path, violations: &mut Vec<Violation>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-    for (line_no, line) in non_test_lines(&text) {
-        let trimmed = line.trim_start();
-        if !trimmed.starts_with("pub fn ") || allowed(line, "entry-points") {
+/// `config-surface`, counted half: each struct of [`CONFIG_SURFACE`]
+/// declares its counted number of `pub` fields in the file it names.
+fn check_field_counts(rel: &Path, lines: &[CodeLine], out: &mut Vec<Violation>) {
+    for (_, name, counted) in CONFIG_SURFACE.iter().filter(|s| rel == Path::new(s.0)) {
+        let mut rest = lines
+            .iter()
+            .skip_while(|l| Decl::PubStruct.name(l) != Some(name));
+        let decl_line = rest.next().map_or(0, |line| line.no);
+        let fields = rest
+            .take_while(|line| !line.raw.starts_with('}'))
+            .filter(|line| line.raw.trim_start().starts_with("pub "))
+            .count();
+        if fields != *counted {
+            let message = format!(
+                "`{name}` declares {fields} `pub` fields, {counted} are counted — a new field \
+                 names the shipped callers that need different values and bumps the count; one \
+                 nothing sets is a constant"
+            );
+            out.push(Violation::new(rel, decl_line, "config-surface", message));
+        }
+    }
+}
+
+/// `one-pricing`, held half: no struct or enum of [`PER_SOLVE_PATH`] names
+/// one of [`CALLER_INPUTS`] in its declaration or body.
+fn check_held_inputs(rel: &Path, lines: &[CodeLine], out: &mut Vec<Violation>) {
+    // Brace depth, and the depth at which an open struct / enum body closes.
+    let (mut depth, mut body): (usize, Option<usize>) = (0, None);
+    for CodeLine { no, raw, code, .. } in lines {
+        let declares = mentions_ident(code, "struct") || mentions_ident(code, "enum");
+        if declares && body.is_none() && code.contains('{') {
+            body = Some(depth);
+        }
+        let in_type = declares || body.is_some();
+        depth = (depth + code.matches('{').count()).saturating_sub(code.matches('}').count());
+        if body.is_some_and(|open| depth <= open) {
+            body = None;
+        }
+        if !in_type || allowed(raw, "one-pricing") {
             continue;
         }
-        let Some(name) = pub_item_name(trimmed) else {
-            continue;
-        };
-        if ENTRY_POINT_PREFIXES.iter().any(|p| name.starts_with(p)) && !ENTRY_POINTS.contains(&name)
-        {
-            violations.push(Violation {
-                file: rel.clone(),
-                line: line_no,
-                rule: "entry-points",
-                message: format!(
-                    "`{name}` is a second partitioning/simulation entry point — make the \
-                     shape a `Deployment`/`TreeTopology` constructor or the behaviour a \
-                     config field of the one path ({})",
-                    ENTRY_POINTS.join(", ")
-                ),
-            });
+        for ident in CALLER_INPUTS.iter().filter(|i| mentions_ident(code, i)) {
+            let message = format!(
+                "a type in `{PER_SOLVE_PATH}` holds `{ident}` — a prepared instance reads its \
+                 caller's inputs while it prepares and keeps nothing of theirs"
+            );
+            out.push(Violation::new(rel, *no, "one-pricing", message));
         }
     }
 }
@@ -702,43 +767,31 @@ fn check_entry_points(root: &Path, path: &Path, violations: &mut Vec<Violation>)
 /// Every package manifest of the repo: the root, each `crates/*` and
 /// `vendor/*` member, `xtask`, and the stand-alone `benchmark/` package.
 fn manifests(root: &Path) -> Vec<PathBuf> {
-    let mut dirs = vec![
-        root.to_path_buf(),
-        root.join("xtask"),
-        root.join("benchmark"),
-    ];
+    let mut dirs: Vec<PathBuf> = ["", "xtask", "benchmark"].map(|d| root.join(d)).into();
     for group in ["crates", "vendor"] {
-        if let Ok(entries) = std::fs::read_dir(root.join(group)) {
-            dirs.extend(entries.flatten().map(|e| e.path()));
-        }
+        let members = std::fs::read_dir(root.join(group)).into_iter().flatten();
+        dirs.extend(members.flatten().map(|e| e.path()));
     }
-    let mut out: Vec<PathBuf> = dirs
-        .into_iter()
-        .map(|d| d.join("Cargo.toml"))
-        .filter(|m| m.is_file())
-        .collect();
+    let mut out: Vec<PathBuf> = dirs.iter().map(|d| d.join("Cargo.toml")).collect();
+    out.retain(|m| m.is_file());
     out.sort();
     out
 }
 
-/// Rule 6, manifest half: `wishbone-oracle` may appear under
+/// `oracle-dev-only`, manifest half: `wishbone-oracle` may appear under
 /// `[dev-dependencies]` anywhere, under `[dependencies]` (or a
 /// `[build-dependencies]` / `[target.*.dependencies]` table) only in
-/// [`ORACLE_DEPENDENT`].
+/// [`BENCH_MANIFEST`].
 fn check_oracle_dependency(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
-    if rel == Path::new(ORACLE_DEPENDENT) {
+    if rel == Path::new(BENCH_MANIFEST) {
         return;
     }
     let mut flag = |line: usize| {
-        violations.push(Violation {
-            file: rel.to_path_buf(),
-            line,
-            rule: "oracle-dev-only",
-            message: format!(
-                "`{ORACLE_CRATE}` outside [dev-dependencies] — the oracles are dev-only; \
-                 production compiles one encoder"
-            ),
-        })
+        let message = format!(
+            "`{ORACLE_CRATE}` outside [dev-dependencies] — the oracles are dev-only; \
+             production compiles one encoder"
+        );
+        violations.push(Violation::new(rel, line, "oracle-dev-only", message))
     };
     // Is this `[table]` name a non-dev dependency table?
     let ships = |table: &str| {
@@ -768,136 +821,14 @@ fn check_oracle_dependency(rel: &Path, text: &str, violations: &mut Vec<Violatio
     }
 }
 
-/// Does `line` contain `ident` as a whole identifier?
-fn mentions_ident(line: &str, ident: &str) -> bool {
-    let is_ident_char = |c: char| c.is_alphanumeric() || c == '_';
-    line.match_indices(ident).any(|(at, _)| {
-        !line[..at].ends_with(is_ident_char) && !line[at + ident.len()..].starts_with(is_ident_char)
-    })
-}
-
-/// Rule 6, source half, over one `crates/core/src` file: the only free
-/// `pub fn encode` / `encode_*` is [`THE_ENCODER`], and no code names a
-/// type of [`ORACLE_ONLY_IDENTS`].
-fn check_oracle_leak(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
-    for (line_no, raw) in non_test_lines(text) {
-        if allowed(raw, "oracle-dev-only") {
-            continue;
-        }
-        let mut flag = |message: String| {
-            violations.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: "oracle-dev-only",
-                message,
-            })
-        };
-        // Encoders are free functions; `PreparedDeployment::encodes()` and
-        // friends are indented methods.
-        if let Some(name) = pub_item_name(raw).filter(|_| raw.starts_with("pub fn ")) {
-            if (name == "encode" || name.starts_with("encode_")) && name != THE_ENCODER {
-                flag(format!(
-                    "`{name}` is a second encoder in `{CORE_SRC}` — `{THE_ENCODER}` is the \
-                     only one production compiles; oracles live in `crates/oracle`"
-                ));
-            }
-        }
-        let code = strip_strings_and_comments(raw);
-        for ident in ORACLE_ONLY_IDENTS {
-            if mentions_ident(&code, ident) {
-                flag(format!(
-                    "`{ident}` belongs to the dev-only `crates/oracle`, not `{CORE_SRC}`"
-                ));
-            }
-        }
-    }
-}
-
-/// Rule 7 over one shipped source file: no runtime read of the process
-/// environment (`env::var`, `env::var_os`, `env::vars`, `env::vars_os` —
-/// the compile-time `env!` macro is not one).
-fn check_env_knobs(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
-    for (line_no, raw) in non_test_lines(text) {
-        if allowed(raw, "no-env-knobs") {
-            continue;
-        }
-        if strip_strings_and_comments(raw).contains("env::var") {
-            violations.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: "no-env-knobs",
-                message: "a shipped crate reads the environment — behaviour selected there \
-                          is a hidden knob; make it an argument or a config field"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Rule 8 over one shipped source file: outside
-/// [`REFERENCE_BACKEND_HOMES`], non-test code does not name the reference
-/// backend (doc comments may).
-fn check_reference_backend(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
-    if REFERENCE_BACKEND_HOMES.iter().any(|h| rel == Path::new(h)) {
-        return;
-    }
-    for (line_no, raw) in non_test_lines(text) {
-        if allowed(raw, "reference-backend-by-request") {
-            continue;
-        }
-        if strip_strings_and_comments(raw).contains(REFERENCE_BACKEND) {
-            violations.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: "reference-backend-by-request",
-                message: format!(
-                    "shipped code names `{REFERENCE_BACKEND}` — the dense tableau is the \
-                     tests' reference and runs only when a caller asks for it; production \
-                     solves on the sparse backend at every size"
-                ),
-            });
-        }
-    }
-}
-
-/// Rule 9 over one bench target: `BenchRecord` anywhere in code, or a
-/// `fn measure` / `fn emit_json` definition.
-fn check_bench_one_timer(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
-    for (line_no, raw) in non_test_lines(text) {
-        if allowed(raw, "bench-one-timer") {
-            continue;
-        }
-        let code = strip_strings_and_comments(raw);
-        let Some(needle) = SECOND_TIMER_NEEDLES
-            .iter()
-            .find(|needle| mentions_ident(&code, needle))
-        else {
-            continue;
-        };
-        violations.push(Violation {
-            file: rel.to_path_buf(),
-            line: line_no,
-            rule: "bench-one-timer",
-            message: format!(
-                "a bench target has `{needle}` — time the instance in a criterion group and \
-                 let `wishbone_bench::merge_bench_json` write what the group measured; \
-                 `--smoke` and `--json` are the only switches"
-            ),
-        });
-    }
-}
-
-/// Rule 12: `manifest` (the text of [`BENCH_MANIFEST`]) declares exactly
-/// [`THE_BENCH_TARGETS`], and none of `files` (the sources under
-/// [`BENCH_TARGETS`]) is named like a per-figure target.
+/// `one-repro`: `manifest` (the text of [`BENCH_MANIFEST`]) declares
+/// exactly [`THE_BENCH_TARGETS`], and none of `files` (the sources under
+/// [`BENCH_TARGETS`]) is named like a per-figure target — a figure put
+/// back as its own binary is a fixture and an assert list growing back
+/// beside the claim list.
 fn check_one_repro(manifest: &str, files: &[PathBuf], violations: &mut Vec<Violation>) {
     let mut flag = |file: &Path, line: usize, message: String| {
-        violations.push(Violation {
-            file: file.to_path_buf(),
-            line,
-            rule: "one-repro",
-            message,
-        })
+        violations.push(Violation::new(file, line, "one-repro", message))
     };
     let mut declared: Vec<&str> = Vec::new();
     let mut in_bench = false;
@@ -928,7 +859,7 @@ fn check_one_repro(manifest: &str, files: &[PathBuf], violations: &mut Vec<Viola
     }
     for file in files {
         let stem = file.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        if PER_FIGURE_PREFIXES.iter().any(|p| stem.starts_with(p)) {
+        if stem.starts_with("fig") || stem.starts_with("validation_") {
             let message = format!(
                 "a per-figure bench source — fold `{stem}` into `repro.rs`, whose stdout is \
                  `REPRO.md`"
@@ -938,280 +869,26 @@ fn check_one_repro(manifest: &str, files: &[PathBuf], violations: &mut Vec<Viola
     }
 }
 
-/// The name a line declares as a `pub struct`, if it does.
-fn pub_struct_name(raw: &str) -> Option<&str> {
-    let decl = raw.trim_start();
-    pub_item_name(decl).filter(|_| decl.starts_with("pub struct "))
+/// The test corpus: the workspace-level `tests/` plus every crate's.
+fn test_corpus(root: &Path) -> String {
+    let crates = std::fs::read_dir(root.join("crates")).into_iter().flatten();
+    let crates = crates.flatten().map(|e| e.path().join("tests"));
+    let dirs = std::iter::once(root.join("tests")).chain(crates);
+    let files = dirs.flat_map(|dir| rust_sources(&dir));
+    files.filter_map(|file| read_text(&file)).collect()
 }
 
-/// Rule 10 over the sources of [`RUNTIME_SRC`] (repo-relative path, text):
-/// for each suffix of [`ONE_OF_EACH`], exactly one non-test `pub struct`
-/// whose name ends in it.
-fn check_one_executor(sources: &[(PathBuf, String)], violations: &mut Vec<Violation>) {
-    for suffix in ONE_OF_EACH {
-        let mut decls = sources.iter().flat_map(|(rel, text)| {
-            non_test_lines(text).filter_map(move |(line_no, raw)| {
-                let name = pub_struct_name(raw).filter(|name| name.ends_with(suffix))?;
-                (!allowed(raw, "one-executor")).then_some((rel, line_no, name))
-            })
-        });
-        let Some((_, _, first)) = decls.next() else {
-            violations.push(Violation {
-                file: PathBuf::from(RUNTIME_SRC),
-                line: 0,
-                rule: "one-executor",
-                message: format!("no `pub struct *{suffix}` — the one site executor is gone"),
-            });
-            continue;
-        };
-        for (rel, line_no, name) in decls {
-            violations.push(Violation {
-                file: rel.clone(),
-                line: line_no,
-                rule: "one-executor",
-                message: format!(
-                    "`{name}` is a second `*{suffix}` beside `{first}` — sites differ by what \
-                     they host and whether they have a task model, not by a copy of the cascade"
-                ),
-            });
-        }
-    }
-}
-
-/// Rule 11 over one source file: a struct of [`CONFIG_SURFACE`] declares
-/// its counted number of `pub` fields in the file the table names, and a
-/// file under [`FLEET_SRC`] declares no `pub struct *Config`.
-fn check_config_surface(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
-    let mut found = Vec::new();
-    for (_, name, counted) in CONFIG_SURFACE.iter().filter(|s| rel == Path::new(s.0)) {
-        let mut lines =
-            non_test_lines(text).skip_while(|(_, raw)| pub_struct_name(raw) != Some(name));
-        let decl_line = lines.next().map_or(0, |(line_no, _)| line_no);
-        let fields = lines
-            .take_while(|(_, raw)| !raw.starts_with('}'))
-            .filter(|(_, raw)| raw.trim_start().starts_with("pub "))
-            .count();
-        if fields != *counted {
-            found.push((
-                decl_line,
-                format!(
-                    "`{name}` declares {fields} `pub` fields, {counted} are counted — a new \
-                     field names the shipped callers that need different values and bumps \
-                     the count; one nothing sets is a constant"
-                ),
-            ));
-        }
-    }
-    if rel.starts_with(FLEET_SRC) {
-        let configs = non_test_lines(text).filter(|(_, raw)| !allowed(raw, "config-surface"));
-        found.extend(configs.filter_map(|(line_no, raw)| {
-            let name = pub_struct_name(raw).filter(|name| name.ends_with("Config"))?;
-            let fix = "a fleet's one parameter is its worker count — `FleetServer::new`";
-            Some((line_no, format!("`{name}`: {fix}")))
-        }));
-    }
-    violations.extend(found.into_iter().map(|(line, message)| Violation {
-        file: rel.to_path_buf(),
-        line,
-        rule: "config-surface",
-        message,
-    }));
-}
-
-/// Does `code` call `name` — `name(` as a whole identifier, not its own
-/// `fn name(` definition?
-fn calls(code: &str, name: &str) -> bool {
-    let is_ident_char = |c: char| c.is_alphanumeric() || c == '_';
-    code.match_indices(name).any(|(at, _)| {
-        let (before, after) = (&code[..at], &code[at + name.len()..]);
-        !before.ends_with(is_ident_char)
-            && after.starts_with('(')
-            && !before.trim_end().ends_with("fn")
-    })
-}
-
-/// Rule 13 over one `crates/core/src` file: [`COARSENING_FNS`] are called
-/// only inside a `fn` named [`THE_COARSENER`] of [`THE_HEURISTIC`], and
-/// [`PER_SOLVE_PATH`] does not call [`ONE_SHOT_CUT`].
-fn check_one_coarsening(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
-    let is_ident_char = |c: &char| c.is_alphanumeric() || *c == '_';
-    let mut current_fn = String::new();
-    for (line_no, raw) in non_test_lines(text) {
-        let code = strip_strings_and_comments(raw);
-        if let Some((_, name)) = code.split_once("fn ") {
-            current_fn = name.chars().take_while(is_ident_char).collect();
-        }
-        if allowed(raw, "one-coarsening") {
-            continue;
-        }
-        let mut flag = |message: String| {
-            violations.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: "one-coarsening",
-                message,
-            })
-        };
-        let in_the_coarsener = rel == Path::new(THE_HEURISTIC) && current_fn == THE_COARSENER;
-        for name in COARSENING_FNS {
-            if calls(&code, name) && !in_the_coarsener {
-                flag(format!(
-                    "`{name}(` outside `CutHierarchy::{THE_COARSENER}` — the hierarchy reads no                      count, budget or rate and is built once per prepared instance; cut the                      kept one"
-                ));
-            }
-        }
-        if rel == Path::new(PER_SOLVE_PATH) && calls(&code, ONE_SHOT_CUT) {
-            flag(format!(
-                "`{ONE_SHOT_CUT}(` on the per-solve path rebuilds the hierarchy at every                  solve — `PreparedDeployment` cuts the `CutHierarchy` it built at preparation"
-            ));
-        }
-    }
-}
-
-/// Rule 14 over `crates/core/src`: one definition of [`THE_MERGE`], in
-/// [`THE_MERGE_HOME`]; [`MERGE_HELPERS`] called from inside it only; no
-/// [`MERGE_ADAPTERS`] call in [`PER_SOLVE_PATH`].
-fn check_one_merge(sources: &[(PathBuf, String)], violations: &mut Vec<Violation>) {
-    let is_ident_char = |c: &char| c.is_alphanumeric() || *c == '_';
-    let mut definitions: Vec<(PathBuf, usize)> = Vec::new();
-    for (rel, text) in sources {
-        let mut current_fn = String::new();
-        for (line_no, raw) in non_test_lines(text) {
-            let code = strip_strings_and_comments(raw);
-            if let Some((_, name)) = code.split_once("fn ") {
-                current_fn = name.chars().take_while(is_ident_char).collect();
-            }
-            if allowed(raw, "one-merge") {
-                continue;
-            }
-            if code.contains("fn ") && current_fn == THE_MERGE {
-                definitions.push((rel.clone(), line_no));
-            }
-            let mut flag = |message: String| {
-                violations.push(Violation {
-                    file: rel.clone(),
-                    line: line_no,
-                    rule: "one-merge",
-                    message,
-                })
-            };
-            let in_the_merge = rel == Path::new(THE_MERGE_HOME) && current_fn == THE_MERGE;
-            for name in MERGE_HELPERS {
-                if calls(&code, name) && !in_the_merge {
-                    flag(format!(
-                        "`{name}(` outside `ChainTable::{THE_MERGE}` — a second merge body \
-                         growing beside the one"
-                    ));
-                }
-            }
-            if rel == Path::new(PER_SOLVE_PATH) {
-                for name in MERGE_ADAPTERS {
-                    if calls(&code, name) {
-                        flag(format!(
-                            "`{name}(` on the prepare path builds the unmerged graph — fill \
-                             the flat `ChainTable` and merge it"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    let home = definitions
-        .iter()
-        .position(|(rel, _)| rel == Path::new(THE_MERGE_HOME));
-    if home.is_none() {
-        violations.push(Violation {
-            file: PathBuf::from(THE_MERGE_HOME),
-            line: 0,
-            rule: "one-merge",
-            message: format!("no `fn {THE_MERGE}` — the §4.1 merge body is gone"),
-        });
-    }
-    for (i, (file, line)) in definitions.into_iter().enumerate() {
-        if Some(i) != home {
-            violations.push(Violation {
-                file,
-                line,
-                rule: "one-merge",
-                message: format!("a second `fn {THE_MERGE}` — the §4.1 merge has one body"),
-            });
-        }
-    }
-}
-
-/// Rule 15 over one `crates/core/src` file: no [`PRICES`] call outside
-/// [`THE_PRICING_HOME`], and in [`PER_SOLVE_PATH`] no struct or enum whose
-/// declaration or body names one of [`CALLER_INPUTS`].
-fn check_one_pricing(rel: &Path, text: &str, violations: &mut Vec<Violation>) {
-    // Brace depth, and the depth at which an open struct / enum body closes.
-    let (mut depth, mut body): (usize, Option<usize>) = (0, None);
-    for (line_no, raw) in non_test_lines(text) {
-        let code = strip_strings_and_comments(raw);
-        let declares = mentions_ident(&code, "struct") || mentions_ident(&code, "enum");
-        if declares && body.is_none() && code.contains('{') {
-            body = Some(depth);
-        }
-        let in_type = declares || body.is_some();
-        depth = (depth + code.matches('{').count()).saturating_sub(code.matches('}').count());
-        if body.is_some_and(|open| depth <= open) {
-            body = None;
-        }
-        if allowed(raw, "one-pricing") {
-            continue;
-        }
-        let mut flag = |message: String| {
-            violations.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: "one-pricing",
-                message,
-            })
-        };
-        if rel != Path::new(THE_PRICING_HOME) {
-            for name in PRICES.iter().filter(|name| calls(&code, name)) {
-                flag(format!(
-                    "`{name}(` outside `{THE_PRICING_HOME}` — the merged leaf graphs carry the \
-                     one pricing; read their costs"
-                ));
-            }
-        }
-        if rel == Path::new(PER_SOLVE_PATH) && in_type {
-            for ident in CALLER_INPUTS
-                .iter()
-                .filter(|ident| mentions_ident(&code, ident))
-            {
-                flag(format!(
-                    "a type in `{PER_SOLVE_PATH}` holds `{ident}` — a prepared instance reads \
-                     its caller's inputs while it prepares and keeps nothing of theirs"
-                ));
-            }
-        }
-    }
-}
-
-fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
-    // Test corpus: the workspace-level tests/ plus every crate's tests/.
-    let mut test_files = rust_sources(&root.join("tests"));
-    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
-        for entry in entries.flatten() {
-            test_files.extend(rust_sources(&entry.path().join("tests")));
-        }
-    }
-    let corpus: String = test_files
-        .iter()
-        .filter_map(|p| std::fs::read_to_string(p).ok())
-        .collect();
+/// `oracle-anchors`: every needle of [`ORACLE_ANCHORS`] appears in the
+/// test `corpus`, so the oracle it names cannot be deleted out from
+/// under the parity suite.
+fn check_oracle_anchors(corpus: &str, violations: &mut Vec<Violation>) {
     for (needle, why) in ORACLE_ANCHORS {
         if !corpus.contains(needle) {
-            violations.push(Violation {
-                file: PathBuf::from("tests/"),
-                line: 0,
-                rule: "oracle-anchors",
-                message: format!(
-                    "no test references `{needle}` — {why}; the parity suite no \
-                     longer pins it"
-                ),
-            });
+            let message = format!(
+                "no test references `{needle}` — {why}; the parity suite no longer pins it"
+            );
+            let tests = Path::new("tests/");
+            violations.push(Violation::new(tests, 0, "oracle-anchors", message));
         }
     }
 }
@@ -1220,10 +897,44 @@ fn check_oracle_anchors(root: &Path, violations: &mut Vec<Violation>) {
 mod tests {
     use super::*;
 
+    /// Every violation of `rule` over in-memory `(path, text)` sources.
+    fn violations(rule: &str, sources: &[(&str, &str)]) -> Vec<Violation> {
+        let sources: Vec<(PathBuf, String)> = sources
+            .iter()
+            .map(|&(rel, text)| (PathBuf::from(rel), text.to_string()))
+            .collect();
+        let mut v = lint_sources(&sources);
+        v.retain(|x| x.rule == rule);
+        v
+    }
+
+    /// The `(file, line)` of every violation of `rule` over `sources`.
+    fn found(rule: &str, sources: &[(&str, &str)]) -> Vec<(String, usize)> {
+        let v = violations(rule, sources).into_iter();
+        v.map(|x| (x.file.display().to_string(), x.line)).collect()
+    }
+
+    /// The lines of every violation of `rule` in one source file.
+    fn lines(rule: &str, file: &str, source: &str) -> Vec<usize> {
+        found(rule, &[(file, source)])
+            .into_iter()
+            .map(|(_, line)| line)
+            .collect()
+    }
+
+    /// `rule` holds on the committed sources.
+    fn assert_repo_clean(rule: &str) {
+        let mut v = lint_sources(&repo_sources(&repo_root()));
+        v.retain(|x| x.rule == rule);
+        let report: Vec<String> = v.iter().map(|x| x.to_string()).collect();
+        assert!(v.is_empty(), "{}", report.join("\n"));
+    }
+
     fn leaks(source: &str) -> Vec<String> {
-        let mut v = Vec::new();
-        check_oracle_leak(Path::new("crates/core/src/encodings.rs"), source, &mut v);
-        assert!(v.iter().all(|x| x.rule == "oracle-dev-only"));
+        let v = violations(
+            "oracle-dev-only",
+            &[("crates/core/src/encodings.rs", source)],
+        );
         v.iter()
             .map(|x| format!("{}: {}", x.line, x.message))
             .collect()
@@ -1293,10 +1004,10 @@ mod tests {
     fn t() { std::env::var(\"X\").ok(); }
 }
 ";
-        let mut v = Vec::new();
-        check_env_knobs(Path::new("crates/ilp/src/revised.rs"), source, &mut v);
-        assert!(v.iter().all(|x| x.rule == "no-env-knobs"));
-        assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![4, 5]);
+        assert_eq!(
+            lines("no-env-knobs", "crates/ilp/src/revised.rs", source),
+            vec![4, 5]
+        );
     }
 
     #[test]
@@ -1315,10 +1026,8 @@ fn main() {
     let old = legacy::BenchRecord::new(); // audit:allow(bench-one-timer): demo
 }
 ";
-        let mut v = Vec::new();
-        let target = Path::new("crates/bench/benches/solver_criterion.rs");
-        check_bench_one_timer(target, source, &mut v);
-        assert!(v.iter().all(|x| x.rule == "bench-one-timer"));
+        let target = "crates/bench/benches/solver_criterion.rs";
+        let v = violations("bench-one-timer", &[(target, source)]);
         let found: Vec<(usize, &str)> = v
             .iter()
             .map(|x| (x.line, x.message.split(" — ").next().unwrap_or("")))
@@ -1332,10 +1041,8 @@ fn main() {
                 (5, "a bench target has `BenchRecord`"),
             ]
         );
-        // The variable on line 8 is rule 7's, now that it scans here too.
-        let mut v = Vec::new();
-        check_env_knobs(target, source, &mut v);
-        assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), vec![8]);
+        // The variable on line 8 is `no-env-knobs`'s, which scans bench targets too.
+        assert_eq!(lines("no-env-knobs", target, source), vec![8]);
     }
 
     #[test]
@@ -1396,21 +1103,12 @@ fn main() {
         let files = rust_sources(&repo_root().join(BENCH_TARGETS));
         let mut v = Vec::new();
         check_one_repro(&manifest, &files, &mut v);
-        assert!(
-            v.is_empty(),
-            "{}",
-            v.iter().map(|x| x.to_string()).collect::<String>()
-        );
+        assert!(v.is_empty(), "{}", v[0]);
     }
 
     #[test]
     fn config_surface_fires_on_a_field_or_a_fleet_config_put_back() {
-        let found = |file: &str, source: &str| {
-            let mut v = Vec::new();
-            check_config_surface(Path::new(file), source, &mut v);
-            assert!(v.iter().all(|x| x.rule == "config-surface"));
-            v.iter().map(|x| x.line).collect::<Vec<_>>()
-        };
+        let found = |file: &str, source: &str| lines("config-surface", file, source);
         let options = "\
 /// Options controlling the search.
 pub struct IlpOptions { // line 2
@@ -1451,12 +1149,8 @@ mod tests {
 
     #[test]
     fn one_coarsening_fires_on_a_per_solve_rebuild_put_back() {
-        let lines = |file: &str, source: &str| {
-            let mut v = Vec::new();
-            check_one_coarsening(Path::new(file), source, &mut v);
-            assert!(v.iter().all(|x| x.rule == "one-coarsening"));
-            v.iter().map(|x| x.line).collect::<Vec<_>>()
-        };
+        let lines = |file: &str, source: &str| lines("one-coarsening", file, source);
+        const THE_HEURISTIC: &str = "crates/core/src/multilevel.rs";
         let kept = "\
 fn finest_level(leaf: &LeafChain<'_>) -> Option<CLevel> { None }
 /// Calls `coarsen(top)` until it converges — in a doc comment, fine.
@@ -1506,30 +1200,12 @@ mod tests {
             lines("crates/core/src/drift.rs", per_solve),
             Vec::<usize>::new()
         );
-        // The committed core is clean.
-        let mut v = Vec::new();
-        scan(&repo_root(), &[CORE_SRC], check_one_coarsening, &mut v);
-        assert!(
-            v.is_empty(),
-            "{}",
-            v.iter().map(|x| x.to_string()).collect::<String>()
-        );
+        assert_repo_clean("one-coarsening");
     }
 
     #[test]
     fn one_merge_fires_on_a_second_merge_or_the_unmerged_graph_put_back() {
-        let found = |sources: &[(&str, &str)]| {
-            let sources: Vec<(PathBuf, String)> = sources
-                .iter()
-                .map(|&(rel, text)| (PathBuf::from(rel), text.to_string()))
-                .collect();
-            let mut v = Vec::new();
-            check_one_merge(&sources, &mut v);
-            assert!(v.iter().all(|x| x.rule == "one-merge"));
-            v.iter()
-                .map(|x| (x.file.display().to_string(), x.line))
-                .collect::<Vec<_>>()
-        };
+        let found = |sources: &[(&str, &str)]| found("one-merge", sources);
         let kept = "\
 pub fn build_tiered_graph(graph: &Graph) -> TieredGraph { ChainTable::from_graph(graph).to_tiered() }
 impl ChainTable {
@@ -1559,7 +1235,7 @@ mod tests {
     fn t() { let _ = preprocess_tiered(&build_tiered_graph(&g), &obj); }
 }
 ";
-        let (home, topology) = (THE_MERGE_HOME, PER_SOLVE_PATH);
+        let (home, topology) = (MULTITIER, PER_SOLVE_PATH);
         assert_eq!(found(&[(home, kept), (topology, prepare)]), vec![]);
 
         // The parent's prepare path: the unmerged graph, then the adapter.
@@ -1583,30 +1259,18 @@ fn merge(tg: &TieredGraph) -> TieredPreprocessResult { // line 1
         assert_eq!(
             found(&[(home, kept), ("crates/core/src/shape.rs", second)]),
             vec![
-                ("crates/core/src/shape.rs".to_string(), 2),
                 ("crates/core/src/shape.rs".to_string(), 1),
+                ("crates/core/src/shape.rs".to_string(), 2),
             ]
         );
         // No body at all.
         assert_eq!(found(&[(topology, prepare)]), vec![(home.to_string(), 0)]);
-        // The committed core is clean.
-        let mut v = Vec::new();
-        check_one_merge(&sources_under(&repo_root(), CORE_SRC), &mut v);
-        assert!(
-            v.is_empty(),
-            "{}",
-            v.iter().map(|x| x.to_string()).collect::<String>()
-        );
+        assert_repo_clean("one-merge");
     }
 
     #[test]
     fn one_pricing_fires_on_a_second_pricing_or_a_kept_input_put_back() {
-        let lines = |file: &str, source: &str| {
-            let mut v = Vec::new();
-            check_one_pricing(Path::new(file), source, &mut v);
-            assert!(v.iter().all(|x| x.rule == "one-pricing"));
-            v.iter().map(|x| x.line).collect::<Vec<_>>()
-        };
+        let lines = |file: &str, source: &str| lines("one-pricing", file, source);
         let kept = "\
 /// Per-leaf state: a `Graph`'s merged view (a doc comment may say so).
 struct PreparedLeaf {
@@ -1660,16 +1324,9 @@ fn price(&mut self, profile: &GraphProfile, platforms: &[&Platform]) {
 }
 struct Table { graph: Graph }
 ";
-        assert_eq!(lines(THE_PRICING_HOME, pricing), Vec::<usize>::new());
+        assert_eq!(lines(MULTITIER, pricing), Vec::<usize>::new());
         assert_eq!(lines("crates/core/src/multilevel.rs", pricing), vec![2, 4]);
-        // The committed core is clean.
-        let mut v = Vec::new();
-        scan(&repo_root(), &[CORE_SRC], check_one_pricing, &mut v);
-        assert!(
-            v.is_empty(),
-            "{}",
-            v.iter().map(|x| x.to_string()).collect::<String>()
-        );
+        assert_repo_clean("one-pricing");
     }
 
     #[test]
@@ -1692,23 +1349,12 @@ pub struct RelayCascade { pub cpu_seconds: f64 } // line 2
 pub struct LegacyCascade; // audit:allow(one-executor): demo
     pub struct RelayExecutor { hosted: Vec<bool> } // line 4
 ";
-        let found = |sources: &[(&str, &str)]| {
-            let sources: Vec<(PathBuf, String)> = sources
-                .iter()
-                .map(|&(rel, text)| (PathBuf::from(rel), text.to_string()))
-                .collect();
-            let mut v = Vec::new();
-            check_one_executor(&sources, &mut v);
-            assert!(v.iter().all(|x| x.rule == "one-executor"));
-            v.iter()
-                .map(|x| (x.file.display().to_string(), x.line))
-                .collect::<Vec<_>>()
-        };
+        let found = |sources: &[(&str, &str)]| found("one-executor", sources);
         let (exec_rs, tree_rs) = ("crates/runtime/src/exec.rs", "crates/runtime/src/tree.rs");
         assert_eq!(found(&[(exec_rs, exec)]), vec![]);
         assert_eq!(
             found(&[(exec_rs, exec), (tree_rs, copy)]),
-            vec![(tree_rs.to_string(), 4), (tree_rs.to_string(), 2)]
+            vec![(tree_rs.to_string(), 2), (tree_rs.to_string(), 4)]
         );
         assert_eq!(
             found(&[(tree_rs, "pub fn simulate_deployment_tree() {}")]),
@@ -1731,15 +1377,10 @@ mod tests {
     fn t() { let _ = SolverBackend::Dense; }
 }
 ";
-        let lines = |file: &str| {
-            let mut v = Vec::new();
-            check_reference_backend(Path::new(file), source, &mut v);
-            assert!(v.iter().all(|x| x.rule == "reference-backend-by-request"));
-            v.iter().map(|x| x.line).collect::<Vec<_>>()
-        };
+        let lines = |file: &str| lines("reference-backend-by-request", file, source);
         assert_eq!(lines("crates/core/src/topology.rs"), vec![3]);
         assert_eq!(lines("crates/ilp/src/branch_bound.rs"), vec![3]);
-        for home in REFERENCE_BACKEND_HOMES {
+        for home in ["crates/ilp/src/workspace.rs", "crates/ilp/src/simplex.rs"] {
             assert_eq!(lines(home), Vec::<usize>::new());
         }
     }
@@ -1752,7 +1393,7 @@ mod tests {
         let shipped = "[package]\nname = \"wishbone-fleet\"\n\n[dependencies]\n\
                        wishbone-oracle = { path = \"../oracle\" } # no\n";
         assert_eq!(bad_deps("crates/fleet/Cargo.toml", shipped), vec![5]);
-        assert_eq!(bad_deps(ORACLE_DEPENDENT, shipped), Vec::<usize>::new());
+        assert_eq!(bad_deps(BENCH_MANIFEST, shipped), Vec::<usize>::new());
         for header in [
             "[dependencies.wishbone-oracle]",
             "[target.'cfg(unix)'.dependencies]\nwishbone-oracle.path = \"../oracle\"",
@@ -1771,5 +1412,278 @@ mod tests {
             bad_deps("crates/oracle/Cargo.toml", own),
             Vec::<usize>::new()
         );
+    }
+
+    #[test]
+    fn no_unwrap_fires_in_a_hot_path_only() {
+        let source = "\
+fn pivot(x: Option<f64>) -> f64 {
+    let a = x.unwrap(); // line 2
+    let b = x.expect(\"the basis entry is set\");
+    let s = \".unwrap()\"; // x.unwrap() in a comment
+    x.unwrap_or(0.0)
+}
+fn old() { x.unwrap(); } // audit:allow(no-unwrap): demo
+#[cfg(test)]
+mod tests {
+    fn t() { x.unwrap(); }
+}
+";
+        assert_eq!(lines("no-unwrap", "crates/ilp/src/lu.rs", source), vec![2]);
+        assert_eq!(
+            lines("no-unwrap", "crates/ilp/src/presolve.rs", source),
+            Vec::<usize>::new()
+        );
+    }
+
+    #[test]
+    fn float_eq_fires_on_a_raw_comparison_with_a_float_literal() {
+        let source = "\
+fn f(x: f64, n: usize) -> bool {
+    if x == 0.0 { return true; } // line 2
+    if x != 1e-9f64 { return true; } // line 3
+    if n == 10 || x == y { return false; }
+    let s = \"x == 0.0\"; // x == 0.0
+    x == 0.0 // audit:allow(float-eq): demo
+}
+#[cfg(test)]
+mod tests {
+    fn t() { assert!(x == 1.5); }
+}
+";
+        assert_eq!(
+            lines("float-eq", "crates/core/src/drift.rs", source),
+            vec![2, 3]
+        );
+        assert_eq!(
+            lines("float-eq", "crates/runtime/src/tree.rs", source),
+            Vec::<usize>::new()
+        );
+    }
+
+    #[test]
+    fn pub_docs_fires_on_an_undocumented_public_item() {
+        let source = "\
+/// Documented.
+pub fn documented() {}
+pub fn bare() {} // line 3
+/// Documented above an attribute.
+#[derive(Debug)]
+pub struct Attributed;
+pub(crate) fn internal() {}
+pub mod out_of_line;
+pub use crate::x::Y;
+pub unsafe fn raw() {} // line 10
+pub fn waived() {} // audit:allow(pub-docs): demo
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+";
+        assert_eq!(
+            lines("pub-docs", "crates/ilp/src/num.rs", source),
+            vec![3, 10]
+        );
+        assert_eq!(
+            lines("pub-docs", "crates/net/src/lib.rs", source),
+            Vec::<usize>::new()
+        );
+    }
+
+    #[test]
+    fn entry_points_fires_on_a_second_partitioning_or_simulation_path() {
+        let source = "\
+/// The one path.
+pub fn partition_deployment() {}
+pub fn partition_star() {} // line 3
+impl Sim {
+    pub fn simulate_tiered(&self) {} // line 5
+}
+fn partition_helper() {}
+pub fn max_sustainable_rate_binary() {} // audit:allow(entry-points): demo
+#[cfg(test)]
+mod tests {
+    pub fn partition_fixture() {}
+}
+";
+        let core = "crates/core/src/topology.rs";
+        assert_eq!(lines("entry-points", core, source), vec![3, 5]);
+        assert_eq!(
+            lines("entry-points", "crates/fleet/src/lib.rs", source),
+            Vec::<usize>::new()
+        );
+    }
+
+    #[test]
+    fn oracle_anchors_fires_on_an_oracle_no_test_names() {
+        let corpus: String = ORACLE_ANCHORS
+            .iter()
+            .map(|(n, _)| format!("{n}\n"))
+            .collect();
+        let mut v = Vec::new();
+        check_oracle_anchors(&corpus, &mut v);
+        assert!(v.is_empty(), "{}", v[0]);
+        check_oracle_anchors(&corpus.replace("NullSink::NULL", "NullSink::OFF"), &mut v);
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].rule, v[0].line), ("oracle-anchors", 0));
+        assert!(v[0].message.contains("`NullSink::NULL`"), "{}", v[0]);
+        // The committed tests name every anchor.
+        let mut v = Vec::new();
+        check_oracle_anchors(&test_corpus(&repo_root()), &mut v);
+        assert!(v.is_empty(), "{}", v[0]);
+    }
+
+    /// A file of `scope` entry `entry`: the entry itself, or a new one
+    /// under the directory it names.
+    fn file_in(entry: &str) -> String {
+        match entry.ends_with(".rs") {
+            true => entry.to_string(),
+            false => format!("{entry}/probe.rs"),
+        }
+    }
+
+    fn confine_lines(row: &Confine, file: &str, source: &str) -> Vec<usize> {
+        let mut v = Vec::new();
+        confine(row, Path::new(file), &code_lines(source), &mut v);
+        v.iter().map(|x| x.line).collect()
+    }
+
+    #[test]
+    fn every_confine_row_fires_outside_its_homes_and_not_in_them() {
+        for row in &CONFINE {
+            for needle in row.needles {
+                let code = match *needle {
+                    Text(text) | Ident(text) => format!("    let _ = {text};"),
+                    Call(name) => format!("    let _ = {name}(x);"),
+                };
+                let context = format!("{} `{}` in", row.rule, needle.shown());
+                let outside = |host: &str| format!("fn {host}() {{\n{code}\n}}\n");
+                let homes: Vec<&str> = row
+                    .homes
+                    .iter()
+                    .map(|h| match *h {
+                        Home::File(file) | Home::Fn(file, _) => file,
+                    })
+                    .collect();
+                let mut fired = 0;
+                for entry in row.scope.iter().filter(|e| !homes.contains(e)) {
+                    let file = file_in(entry);
+                    assert_eq!(
+                        confine_lines(row, &file, &outside("probe")),
+                        [2],
+                        "{context} {file}"
+                    );
+                    fired += 1;
+                }
+                assert!(fired > 0, "{context}: no scope entry outside the homes");
+                for home in row.homes {
+                    let (file, host) = match *home {
+                        Home::File(file) => (file, "probe"),
+                        Home::Fn(file, name) => (file, name),
+                    };
+                    assert_eq!(
+                        confine_lines(row, file, &outside(host)),
+                        [],
+                        "{context} {file}"
+                    );
+                    if let Home::Fn(..) = home {
+                        // The same file outside that fn is not a home.
+                        assert_eq!(
+                            confine_lines(row, file, &outside("probe")),
+                            [2],
+                            "{context}"
+                        );
+                    }
+                }
+                let allowed =
+                    outside("probe").replace(";\n", &format!("; // audit:allow({})\n", row.rule));
+                assert_eq!(confine_lines(row, &file_in(row.scope[0]), &allowed), []);
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_names_paths_that_exist() {
+        let homes = CONFINE.iter().flat_map(|row| row.homes).map(|h| match *h {
+            Home::File(file) | Home::Fn(file, _) => file,
+        });
+        let scopes = CONFINE.iter().flat_map(|row| row.scope);
+        let scopes = scopes.chain(CENSUS.iter().flat_map(|row| row.scope));
+        for path in scopes.copied().chain(homes) {
+            assert!(repo_root().join(path).exists(), "{path}");
+        }
+    }
+
+    #[test]
+    fn every_census_row_fires_on_one_declaration_too_many_and_one_too_few() {
+        for row in &CENSUS {
+            let file = file_in(row.scope[0]);
+            let decl = |name: &str| match row.decl {
+                Decl::Fn => format!("    fn {name}() {{}}"),
+                Decl::PubFn | Decl::FreePubFn => format!("pub fn {name}() {{}}"),
+                Decl::PubStruct => format!("pub struct {name};"),
+            };
+            let lines_of = |names: &[String]| {
+                let source: String = names.iter().map(|n| decl(n) + "\n").collect();
+                let mut v = Vec::new();
+                census(row, &[(Path::new(&file), code_lines(&source))], &mut v);
+                assert!(v.iter().all(|x| x.rule == row.rule));
+                v.iter().map(|x| x.line).collect::<Vec<_>>()
+            };
+            // A name each pattern matches, `i` telling several apart.
+            let sample = |pattern: &str, i: usize| pattern.replace('*', &format!("Probe{i}"));
+            match row.expect {
+                Expect::Only(names) => {
+                    let mut decls: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+                    assert!(names
+                        .iter()
+                        .all(|n| row.names.iter().any(|p| matches(p, n))));
+                    assert_eq!(lines_of(&decls), [], "{}", row.rule);
+                    for pattern in row.names {
+                        decls.push(sample(pattern, 0));
+                        assert_eq!(lines_of(&decls), [decls.len()], "{} {pattern}", row.rule);
+                        decls.pop();
+                    }
+                    // An `Only` row lists what may be declared; one too few
+                    // is a listed name going away, which it lets pass.
+                    if let Some(listed) = decls.pop() {
+                        assert_eq!(lines_of(&decls), [], "{} without {listed}", row.rule);
+                    }
+                }
+                Expect::Exactly(n) => {
+                    let exact: Vec<String> = row
+                        .names
+                        .iter()
+                        .flat_map(|p| (0..n).map(|i| sample(p, i)))
+                        .collect();
+                    assert_eq!(lines_of(&exact), [], "{}", row.rule);
+                    for (k, pattern) in row.names.iter().enumerate() {
+                        let mut more = exact.clone();
+                        more.push(sample(pattern, n));
+                        assert_eq!(lines_of(&more), [more.len()], "{} {pattern}", row.rule);
+                        let mut fewer = exact.clone();
+                        fewer.remove(k * n);
+                        assert_eq!(lines_of(&fewer), [0], "{} {pattern}", row.rule);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_message_reads_without_a_double_space() {
+        let mut messages: Vec<String> = CONFINE
+            .iter()
+            .flat_map(|row| {
+                row.needles
+                    .iter()
+                    .map(|n| row.why.replace("{}", &n.shown()))
+            })
+            .collect();
+        messages.extend(CENSUS.iter().map(|row| row.why.replace("{}", "Probe")));
+        for message in messages {
+            assert!(!message.contains("  "), "{message}");
+            assert!(!message.contains("{}"), "{message}");
+        }
     }
 }
