@@ -94,8 +94,8 @@ pub enum AuditCode {
     NonMonotoneAssignment,
     /// A proposed assignment violates a variable bound or constraint row
     /// of the problem — it is not the integer-feasible placement its
-    /// producer (e.g. the `PlacementEngine::Approx` heuristic) claims by
-    /// construction.
+    /// producer (e.g. the multilevel heuristic seeding branch-and-bound)
+    /// claims by construction.
     AssignmentInfeasible,
 }
 

@@ -156,7 +156,7 @@ fn mk_requests(n: usize, apps: &[(Arc<Graph>, Arc<GraphProfile>)]) -> Vec<FleetR
                 .collect::<Vec<_>>()
         })
         .collect();
-    // A fleet operator's config: exact engine, 1% certified gap — the
+    // A fleet operator's config: a 1% optimality gap — the
     // gap prunes the optimality-proof tail of warm re-solves without
     // touching the cache mechanics under test.
     let mut cfg = DeploymentConfig::default();

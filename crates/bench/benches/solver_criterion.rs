@@ -5,7 +5,6 @@
 //! * `rate_search`: §4.3 end-to-end, prepared (one encode, rescale per
 //!   probe) vs rebuild-per-probe (the pre-workspace behaviour);
 //! * `churn_scaling`: deltas absorbed in place vs a cold rebuild per event;
-//! * `approx_scaling`: the approximate engine vs exact branch-and-bound;
 //! * `trace_overhead`: the tree simulator untraced vs traced with a
 //!   `NullSink` (must be free) vs a buffering `MemorySink`;
 //! * `drift_resolve`: a flagged profile drift absorbed by the standing
@@ -286,63 +285,6 @@ fn deployment_scaling(c: &mut Criterion) {
 /// `tests/approx_nearcliff.rs`): the instance where exact search used
 /// to starve for an incumbent and now adopts the multilevel cut.
 const NEAR_CLIFF_RATE: f64 = 3.15;
-
-/// Anytime approximate partitioning vs exact branch-and-bound on the
-/// same prepared forest deployments, up to the 22-channel kilooperator
-/// forest, plus the 4-channel forest at [`NEAR_CLIFF_RATE`]. Both arms
-/// are prepared once and re-solved per iteration at one rate, so the
-/// exact arm times a warm re-entry (it keeps its basis and its previous
-/// incumbent: presolve, a zero-pivot root LP, decode — what asking the
-/// same question again costs, not a first solve) while the approx arm
-/// re-runs coarsen + cut + refine + the root-LP certificate each time.
-fn approx_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("approx_scaling");
-    for (label, channels, near_cliff) in [
-        ("forest_eeg2_2x4", 2usize, false),
-        ("forest_eeg4_2x4", 4, false),
-        ("forest_eeg22_2x4", 22, false),
-        ("forest_eeg4_nearcliff", 4, true),
-    ] {
-        let mut exact_cfg = DeploymentConfig::default();
-        let rate = if near_cliff {
-            exact_cfg.ilp.rel_gap = 0.025;
-            NEAR_CLIFF_RATE
-        } else {
-            1.0
-        };
-        let (graph, prof, dep) = eeg_forest(channels, 4, 500.0, 400_000.0);
-        let mut exact = PreparedDeployment::new(&graph, &prof, &dep, &exact_cfg).expect("pins ok");
-        let mut approx =
-            PreparedDeployment::new(&graph, &prof, &dep, &DeploymentConfig::default().approx())
-                .expect("pins ok");
-        group.bench_function(BenchmarkId::new(label, "exact"), |b| {
-            b.iter(|| exact.solve_at(rate).expect("feasible").objective)
-        });
-        group.bench_function(BenchmarkId::new(label, "approx"), |b| {
-            b.iter(|| approx.solve_at(rate).expect("feasible").objective)
-        });
-        // Certificate honesty, outside the timing loops: the heuristic
-        // placement's true distance from the exact optimum is within
-        // its own certified gap — and under the cliff that gap stays
-        // inside 2.5 % while the exact arm adopts the multilevel seed.
-        let e = exact.solve_at(rate).expect("feasible");
-        let a = approx.solve_at(rate).expect("feasible");
-        let gap = a
-            .certified_gap
-            .expect("approx placements carry a certificate");
-        assert!(
-            (a.objective - e.objective) / a.objective.abs().max(f64::EPSILON) <= gap + 1e-9,
-            "{label}: approx {} vs exact {} exceeds certificate {gap}",
-            a.objective,
-            e.objective
-        );
-        if near_cliff {
-            assert!(e.ilp_stats.seeded, "exact arm adopts the multilevel seed");
-            assert!(gap <= 0.025, "near-cliff certificate blew up: {gap}");
-        }
-    }
-    group.finish();
-}
 
 /// Profiled EEG app reused by the end-to-end rate-search benches.
 fn eeg_app(channels: usize) -> (wishbone_dataflow::Graph, GraphProfile) {
@@ -809,7 +751,6 @@ criterion_group!(
     deployment_scaling,
     rate_search,
     churn_scaling,
-    approx_scaling,
     trace_overhead,
     drift_resolve,
     prepare_scaling,
@@ -898,8 +839,8 @@ fn smoke(backend: SolverBackend) {
 
     // One near-cliff instance per smoke: on the tight asymmetric forest
     // just under its feasibility cliff, the exact solve must adopt the
-    // multilevel seed and the standalone approximate mode must hold its
-    // certified gap — on this backend.
+    // multilevel seed and a root-capped search (`max_nodes = 1`) must
+    // hold its certified gap — on this backend.
     let (graph4, prof4, dep4) = eeg_forest(4, 4, 500.0, 400_000.0);
     let mut ncfg = DeploymentConfig::default();
     ncfg.ilp.backend = backend;
@@ -910,21 +851,22 @@ fn smoke(backend: SolverBackend) {
         seeded.ilp_stats.seeded,
         "[{label}] near-cliff exact solve must adopt the multilevel seed"
     );
-    let mut acfg = DeploymentConfig::default().approx();
-    acfg.ilp.backend = backend;
-    let mut prep = PreparedDeployment::new(&graph4, &prof4, &dep4, &acfg).expect("pins ok");
-    let approx = prep.solve_at(NEAR_CLIFF_RATE).expect("near-cliff feasible");
-    let cliff_gap = approx
+    let mut ccfg = DeploymentConfig::default();
+    ccfg.ilp.backend = backend;
+    ccfg.ilp.max_nodes = 1;
+    let mut prep = PreparedDeployment::new(&graph4, &prof4, &dep4, &ccfg).expect("pins ok");
+    let capped = prep.solve_at(NEAR_CLIFF_RATE).expect("near-cliff feasible");
+    let cliff_gap = capped
         .certified_gap
-        .expect("approx placements carry a certificate");
+        .expect("every placement carries a certificate");
     assert!(
         cliff_gap <= 0.025,
         "[{label}] near-cliff certified gap blew up: {cliff_gap}"
     );
     assert!(
-        approx.objective >= seeded.objective - 1e-9 * (1.0 + seeded.objective.abs()),
-        "[{label}] heuristic beat the exact optimum: {} vs {}",
-        approx.objective,
+        capped.objective >= seeded.objective - 1e-9 * (1.0 + seeded.objective.abs()),
+        "[{label}] a root-capped search beat the exact optimum: {} vs {}",
+        capped.objective,
         seeded.objective
     );
 
@@ -1155,7 +1097,7 @@ fn smoke(backend: SolverBackend) {
         "smoke[{label}] OK: {} nodes ({} warm) on 1ch EEG; chain_972 obj {:.1} \
          in {} nodes; multitier k3 obj {:.1}; forest obj {:.1}; rate search found \
          x{:.3} in {} probes / {} encode; churn delta obj {:.3}; near-cliff \
-         seeded obj {:.3}, approx gap {:.4}; forest rate search x{} in {} probes; \
+         seeded obj {:.3}, capped gap {:.4}; forest rate search x{} in {} probes; \
          traced sim {} events, top blame {}, null-sink overhead {:+.1}%; drift \
          re-solve obj {:.3} in 1 encode",
         warm_stats.nodes,

@@ -67,5 +67,5 @@ pub use shape::{deltas_between, shape_key, ShapeKey};
 pub use topology::{
     max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,
     DeploymentDelta, DeploymentPartition, DeploymentRateResult, LeafPartition, PartitionError,
-    PlacementEngine, PreparedDeployment, RobustnessMode, Site, SiteId,
+    PreparedDeployment, RobustnessMode, Site, SiteId,
 };

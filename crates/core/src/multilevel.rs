@@ -43,11 +43,12 @@
 //! and, under `debug_assertions`, against the `wishbone-audit`
 //! assignment auditor.
 //!
-//! The heuristic is wired in twice ([`crate::topology`]): as the
-//! incumbent seed for exact branch-and-bound (restoring sub-second
-//! discovery on near-cliff forests) and as the standalone anytime engine
-//! behind [`DeploymentConfig::approx`](crate::topology::DeploymentConfig::approx),
-//! which certifies its placement against the root LP bound.
+//! The heuristic has one caller ([`crate::topology`]): it seeds exact
+//! branch-and-bound's incumbent (restoring sub-second discovery on
+//! near-cliff forests). Capped at its root node (`ilp.max_nodes = 1`),
+//! that search is the bounded-time answer — this cut, or an integral root
+//! LP if cheaper — certified against the root LP bound
+//! ([`DeploymentPartition::certified_gap`](crate::topology::DeploymentPartition::certified_gap)).
 
 use crate::encodings::{DeploymentObjective, LeafChain};
 

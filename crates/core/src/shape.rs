@@ -35,7 +35,7 @@
 use wishbone_dataflow::Graph;
 use wishbone_profile::{GraphProfile, Platform};
 
-use crate::topology::{Deployment, DeploymentConfig, DeploymentDelta, PlacementEngine};
+use crate::topology::{Deployment, DeploymentConfig, DeploymentDelta};
 
 /// An exact structural fingerprint of a deployment request, excluding
 /// leaf counts, finite budget values, and the solve rate. Equal keys ⇒
@@ -122,7 +122,6 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
         // A per-solve argument, not part of the encoding (module doc).
         rate_multiplier: _,
         robustness,
-        engine,
         ilp,
     } = cfg;
     let wishbone_ilp::IlpOptions {
@@ -140,10 +139,6 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
     w.u(match robustness {
         crate::topology::RobustnessMode::Nominal => 0,
         crate::topology::RobustnessMode::SingleGatewayFailure => 1,
-    });
-    w.u(match engine {
-        PlacementEngine::Exact => 0,
-        PlacementEngine::Approx => 1,
     });
     w.f(*rel_gap);
     w.u(*max_nodes);
@@ -349,12 +344,11 @@ mod tests {
 
         // One field at a time, moved off its default.
         type Vary = fn(&mut DeploymentConfig);
-        let varied: [(&str, Vary); 9] = [
+        let varied: [(&str, Vary); 8] = [
             ("mode", |c| c.mode = Mode::Conservative),
             ("robustness", |c| {
                 c.robustness = RobustnessMode::SingleGatewayFailure
             }),
-            ("engine", |c| c.engine = PlacementEngine::Approx),
             ("rel_gap", |c| c.ilp.rel_gap = 0.01),
             ("max_nodes", |c| c.ilp.max_nodes = 20),
             ("time_limit", |c| {

@@ -39,9 +39,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId};
-use wishbone_ilp::{
-    solve_ilp_in, IlpOptions, IlpStats, PhaseTimes, SimplexWorkspace, SolveError, VarId,
-};
+use wishbone_ilp::{solve_ilp_in, IlpOptions, IlpStats, SimplexWorkspace, SolveError, VarId};
 use wishbone_profile::{GraphProfile, Platform};
 
 use crate::cost_graph::{Mode, PinError};
@@ -390,21 +388,6 @@ pub enum RobustnessMode {
     SingleGatewayFailure,
 }
 
-/// Which engine computes placements for a [`DeploymentConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementEngine {
-    /// Exact branch-and-bound over the encoded ILP (optimal, or a
-    /// [`PartitionError::Unproven`] signal when the node/time budget
-    /// runs out before any integer point is found).
-    #[default]
-    Exact,
-    /// The multilevel coarsen–partition–refine heuristic
-    /// ([`crate::multilevel`]): always fast, feasible by construction,
-    /// and certified against the root LP bound
-    /// ([`DeploymentPartition::certified_gap`]).
-    Approx,
-}
-
 /// Solver-side configuration of [`partition_deployment`] — the topology
 /// itself lives in [`Deployment`]. (The simulation-side sibling is
 /// `wishbone_runtime::SimulationConfig`.)
@@ -428,11 +411,6 @@ pub struct DeploymentConfig {
     /// different problem (the fault-tolerant partitioning line in
     /// PAPERS.md), not a tuning of the nominal one.
     pub robustness: RobustnessMode,
-    /// Exact branch-and-bound, or the multilevel anytime heuristic.
-    /// Kept: `examples/approx_forest.rs` and the benchmark's approximate
-    /// sweep set it through [`approx`](Self::approx), which `benchmark/`
-    /// names.
-    pub engine: PlacementEngine,
     /// Branch-and-bound options (backend selection included).
     pub ilp: IlpOptions,
 }
@@ -443,7 +421,6 @@ impl Default for DeploymentConfig {
             mode: Mode::Permissive,
             rate_multiplier: 1.0,
             robustness: RobustnessMode::Nominal,
-            engine: PlacementEngine::Exact,
             ilp: IlpOptions::default(),
         }
     }
@@ -462,11 +439,13 @@ impl DeploymentConfig {
         self
     }
 
-    /// Switch to the multilevel anytime engine (builder style): every
-    /// solve returns the heuristic placement with a certified optimality
-    /// gap instead of running exact branch-and-bound.
-    pub fn approx(mut self) -> Self {
-        self.engine = PlacementEngine::Approx;
+    /// Returns `self` unchanged. There is one placement engine, exact
+    /// branch-and-bound seeded by the multilevel cut, and every placement
+    /// carries its [`DeploymentPartition::certified_gap`]; this builder
+    /// stays only because `benchmark/` names it. A bounded-time answer is
+    /// `ilp.max_nodes = 1` on a fresh instance: the seed (or an integral
+    /// root LP) with its distance from the root bound.
+    pub fn approx(self) -> Self {
         self
     }
 }
@@ -564,12 +543,14 @@ pub struct DeploymentPartition {
     pub problem_size: (usize, usize),
     /// Summed per-leaf chain-graph vertices before and after the merge.
     pub merge_stats: (usize, usize),
-    /// Certified relative optimality gap against the root LP bound —
-    /// `Some` only for [`PlacementEngine::Approx`] placements:
-    /// `(objective − lp_bound) / |objective|`, an *upper* bound on the
-    /// true distance from optimal (the ILP optimum sits between the LP
-    /// bound and this placement). Exact solves report `None`; their gap
-    /// story lives in [`IlpStats`].
+    /// Certified relative optimality gap, `Some` on every placement:
+    /// `(objective − bound) / |objective|` clamped at 0, where `bound` is
+    /// branch-and-bound's [`IlpStats::best_bound`] — an *upper* bound on
+    /// the true distance from optimal (the ILP optimum sits between the
+    /// bound and this placement). `0` for a proved optimum, at most
+    /// `ilp.rel_gap` when the gap closed the search, and the placement's
+    /// distance from the open tree's bound when the node or time budget
+    /// ran out (from the root LP under `ilp.max_nodes = 1`).
     pub certified_gap: Option<f64>,
 }
 
@@ -748,11 +729,10 @@ fn leaf_chains<'l>(
 /// incumbent, and — in the instance's own workspace only — the last
 /// simplex basis. A retarget scales the objective uniformly and moves a
 /// handful of budget right-hand sides, so that basis is still dual
-/// feasible and the next root LP (the exact engine's, or the approximate
-/// engine's certificate) costs a few dual pivots instead of a solve from
-/// the slack basis, whatever the instance's size (only the reference
-/// tableau, when `cfg.ilp.backend` names it, cannot follow a changed
-/// right-hand side and re-enters warm only at a repeated rate).
+/// feasible and the next root LP costs a few dual pivots instead of a
+/// solve from the slack basis, whatever the instance's size (only the
+/// reference tableau, when `cfg.ilp.backend` names it, cannot follow a
+/// changed right-hand side and re-enters warm only at a repeated rate).
 /// Verdicts and optimal values never depend on this; which of several
 /// equally cheap placements comes back can.
 /// [`reset_warm_start`](Self::reset_warm_start) drops both, and
@@ -1035,9 +1015,9 @@ impl<'a> PreparedDeployment<'a> {
 
     /// Run the multilevel heuristic on the current instance and return
     /// its cut as an encoding-level assignment, verified against the
-    /// (already retargeted) encoded problem. `None` when the heuristic
-    /// finds no budget-feasible placement.
-    fn approx_values(&self, rate: f64) -> Option<(Vec<f64>, f64)> {
+    /// (already retargeted) encoded problem — branch-and-bound's seed.
+    /// `None` when the heuristic finds no budget-feasible placement.
+    fn seed_values(&self, rate: f64) -> Option<Vec<f64>> {
         let counts: Vec<f64> = leaf_counts(&self.leaves, &self.removed, &self.dep).collect();
         let cut = self.hierarchy.as_ref()?.cut(&counts, &self.obj, rate)?;
         let values = self.y_values(&cut.tiers);
@@ -1054,70 +1034,7 @@ impl<'a> PreparedDeployment<'a> {
             let report = wishbone_audit::audit_assignment(&self.ep.problem, &spec, &values);
             report.assert_no_errors("multilevel cut assignment");
         }
-        Some((values, cut.objective))
-    }
-
-    /// Solve the prepared instance at `rate` via the multilevel anytime
-    /// engine: heuristic placement plus a certified gap from the root LP
-    /// bound, solved on the configured backend in `arena` (the instance's
-    /// own workspace when `None`) — warm when that retains a basis of
-    /// this instance. The instance must already be retargeted to `rate`.
-    fn approx_at(
-        &mut self,
-        rate: f64,
-        arena: Option<&mut SimplexWorkspace>,
-    ) -> Result<DeploymentPartition, PartitionError> {
-        let cut = self.approx_values(rate);
-        let ws = arena.unwrap_or(&mut self.workspace);
-        ws.set_backend(self.cfg.ilp.backend);
-        ws.reset_counters();
-        let problem = &self.ep.problem;
-        let lp_t = Instant::now();
-        let lp = wishbone_ilp::solve_lp_in(
-            problem,
-            problem.lower_bounds(),
-            problem.upper_bounds(),
-            wishbone_ilp::simplex::default_iteration_limit(problem),
-            ws,
-            true,
-        );
-        let root_lp_s = lp_t.elapsed().as_secs_f64();
-        // What the certificate cost, and whether it entered warm.
-        let (dual_iterations, primal_iterations) = (ws.dual_iterations(), ws.primal_iterations());
-        let mut stats = IlpStats {
-            simplex_iterations: dual_iterations + primal_iterations,
-            dual_iterations,
-            primal_iterations,
-            warm_starts: ws.warm_starts(),
-            cold_starts: ws.cold_starts(),
-            refactorizations: ws.refactorizations(),
-            backend: self.cfg.ilp.backend,
-            phase_times: PhaseTimes {
-                root_lp_s,
-                ..PhaseTimes::default()
-            },
-            ..IlpStats::default()
-        };
-        let lp = match lp {
-            Ok(s) => Some(s.objective + self.ep.objective_offset * rate),
-            Err(SolveError::Infeasible) => None,
-            Err(e) => return Err(PartitionError::Solver(e)),
-        };
-        let Some((values, objective)) = cut else {
-            // The heuristic is one-sided: failure to find a placement
-            // proves nothing unless the LP relaxation is itself empty.
-            return match lp {
-                None => Err(PartitionError::Infeasible),
-                Some(bound) => Err(PartitionError::Unproven {
-                    best_bound: Some(bound),
-                }),
-            };
-        };
-        let certified_gap =
-            lp.map(|bound| ((objective - bound) / objective.abs().max(f64::EPSILON)).max(0.0));
-        stats.best_bound = lp.map(|b| b - self.ep.objective_offset * rate);
-        self.last_values = Some(values.clone());
-        Ok(self.decode_partition(&values, rate, objective, stats, certified_gap))
+        Some(values)
     }
 
     /// Solve the prepared instance at `rate` (a global multiplier on the
@@ -1161,19 +1078,16 @@ impl<'a> PreparedDeployment<'a> {
         self.solves += 1;
         self.retarget(rate);
 
-        if self.cfg.engine == PlacementEngine::Approx {
-            return self.approx_at(rate, arena);
-        }
-
         let mut opts = self.cfg.ilp.clone();
         if opts.warm_solution.is_none() {
             opts.warm_solution = self.last_values.clone();
         }
         if opts.warm_solution.is_none() {
-            opts.warm_solution = self.approx_values(rate).map(|(values, _)| values);
+            opts.warm_solution = self.seed_values(rate);
         }
         let ws = arena.unwrap_or(&mut self.workspace);
         let (result, stats) = solve_ilp_in(&self.ep.problem, &opts, ws);
+        let offset = self.ep.objective_offset * rate;
         let sol = match result {
             Ok(s) => s,
             Err(SolveError::Infeasible) => return Err(PartitionError::Infeasible),
@@ -1181,16 +1095,17 @@ impl<'a> PreparedDeployment<'a> {
                 // Hit the node/time budget with no incumbent: the probe
                 // is unproven, not infeasible.
                 return Err(PartitionError::Unproven {
-                    best_bound: stats
-                        .best_bound
-                        .map(|b| b + self.ep.objective_offset * rate),
+                    best_bound: stats.best_bound.map(|b| b + offset),
                 });
             }
             Err(e) => return Err(PartitionError::Solver(e)),
         };
         self.last_values = Some(sol.values.clone());
-        let objective = sol.objective + self.ep.objective_offset * rate;
-        Ok(self.decode_partition(&sol.values, rate, objective, sol.stats, None))
+        let objective = sol.objective + offset;
+        let certified_gap = sol.stats.best_bound.map(|bound| {
+            ((objective - (bound + offset)) / objective.abs().max(f64::EPSILON)).max(0.0)
+        });
+        Ok(self.decode_partition(&sol.values, rate, objective, sol.stats, certified_gap))
     }
 
     /// Decode an encoding-level assignment into the public
@@ -1820,7 +1735,7 @@ mod tests {
     }
 
     #[test]
-    fn approx_certificate_runs_in_the_callers_arena_on_the_configured_backend() {
+    fn solve_at_in_runs_in_the_callers_arena_on_the_configured_backend() {
         let (g, prof) = profiled();
         let rate = 0.2;
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1844,71 +1759,63 @@ mod tests {
                 "{what}"
             );
         };
-        for mut cfg in [
-            DeploymentConfig::default().approx(),
-            DeploymentConfig::default(),
-        ] {
-            // Both backends: the sparse one could follow the retarget
-            // below from a retained basis, the dense one the repeat.
-            for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-                cfg.ilp.backend = backend;
-                let prepare =
-                    || PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), &cfg).unwrap();
-                let fresh = prepare()
-                    .solve_at_in(rate, &mut SimplexWorkspace::new())
-                    .expect("feasible");
-                assert_eq!(
-                    fresh.certified_gap.is_some(),
-                    cfg.engine == PlacementEngine::Approx
-                );
-                assert_eq!(fresh.ilp_stats.warm_starts, 0, "a fresh arena has no basis");
+        let mut cfg = DeploymentConfig::default();
+        // Both backends: the sparse one could follow the retarget below
+        // from a retained basis, the dense one the repeat.
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            cfg.ilp.backend = backend;
+            let prepare = || PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), &cfg).unwrap();
+            let fresh = prepare()
+                .solve_at_in(rate, &mut SimplexWorkspace::new())
+                .expect("feasible");
+            assert_eq!(fresh.ilp_stats.warm_starts, 0, "a fresh arena has no basis");
 
-                // An arena that last solved a different shape must not
-                // leak into the placement or the certificate.
-                let mut used = SimplexWorkspace::new();
-                let chain = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
-                PreparedDeployment::new(&g, &prof, &chain, &DeploymentConfig::default())
-                    .unwrap()
-                    .solve_at_in(0.05, &mut used)
-                    .expect("chain feasible");
-                let mut prep = prepare();
-                let reused = prep.solve_at_in(rate, &mut used).expect("feasible");
-                assert_same(&fresh, &reused, "after another shape");
+            // An arena that last solved a different shape must not leak
+            // into the placement or the certificate.
+            let mut used = SimplexWorkspace::new();
+            let chain = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
+            PreparedDeployment::new(&g, &prof, &chain, &DeploymentConfig::default())
+                .unwrap()
+                .solve_at_in(0.05, &mut used)
+                .expect("chain feasible");
+            let mut prep = prepare();
+            let reused = prep.solve_at_in(rate, &mut used).expect("feasible");
+            assert_same(&fresh, &reused, "after another shape");
 
-                // Nor one that last solved this very instance, whose
-                // basis `solve_lp_in` would happily re-enter from: only
-                // the instance's own workspace carries a basis over.
-                prep.solve_at_in(1.5 * rate, &mut used).expect("feasible");
-                prep.reset_warm_start();
-                let again = prep.solve_at_in(rate, &mut used).expect("feasible");
-                assert_same(&fresh, &again, "after the same instance");
+            // Nor one that last solved this very instance, whose basis
+            // `solve_lp_in` would happily re-enter from: only the
+            // instance's own workspace carries a basis over.
+            prep.solve_at_in(1.5 * rate, &mut used).expect("feasible");
+            prep.reset_warm_start();
+            let again = prep.solve_at_in(rate, &mut used).expect("feasible");
+            assert_same(&fresh, &again, "after the same instance");
 
-                // The bound is computed by the backend the stats report.
-                assert_eq!(used.backend(), backend);
-                assert_eq!(again.ilp_stats.backend, backend);
-            }
+            // The search ran on the backend the stats report.
+            assert_eq!(used.backend(), backend);
+            assert_eq!(again.ilp_stats.backend, backend);
         }
     }
 
     #[test]
-    fn approx_stats_say_what_the_certificate_cost_and_how_it_entered() {
+    fn every_placement_carries_its_certified_gap() {
+        // Whichever workspace it ran in. A placement that is not proved
+        // optimal is certified against its search's bound by the
+        // root-capped tests in `tests/approx_nearcliff.rs`.
         let (g, prof) = profiled();
-        let mut cfg = DeploymentConfig::default().approx();
-        cfg.ilp.backend = SolverBackend::Sparse;
-        let mut prep = PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), &cfg).unwrap();
-        let first = prep.solve_at(0.2).expect("feasible").ilp_stats;
-        assert_eq!((first.warm_starts, first.cold_starts), (0, 1));
-        assert!(first.simplex_iterations > 0);
-        assert_eq!(
-            first.simplex_iterations,
-            first.dual_iterations + first.primal_iterations
-        );
-        assert!(first.refactorizations >= 1, "the sparse load factorizes");
-        assert!(first.phase_times.root_lp_s > 0.0);
-        assert_eq!(first.nodes, 0, "no branch-and-bound ran");
-        // The retargeted certificate re-enters from the first one's basis.
-        let second = prep.solve_at(0.3).expect("feasible").ilp_stats;
-        assert_eq!((second.warm_starts, second.cold_starts), (1, 0));
+        let dep = forest(1e5, 1e6);
+        let cfg = DeploymentConfig::default();
+        let mut own = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
+        let mut arena = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
+        let mut ws = SimplexWorkspace::new();
+        for rate in [0.05, 0.1, 0.2, 0.3] {
+            let a = own.solve_at(rate).expect("feasible");
+            let b = arena.solve_at_in(rate, &mut ws).expect("feasible");
+            for p in [a, b] {
+                let gap = p.certified_gap.expect("every Ok carries one");
+                assert!(p.ilp_stats.proved, "rel_gap 0, uncapped");
+                assert_eq!(gap.to_bits(), 0.0f64.to_bits(), "a proved optimum");
+            }
+        }
     }
 
     #[test]

@@ -145,18 +145,21 @@ pub struct IlpStats {
     pub total_time: Duration,
     /// True if the search space was exhausted (or closed within `rel_gap`).
     pub proved: bool,
-    /// Relative gap at termination.
+    /// Relative gap between the incumbent and the open tree's bound at
+    /// termination (nodes pruned within `rel_gap` count in
+    /// [`IlpStats::best_bound`], not here).
     pub final_gap: f64,
     /// True if the node or wall-clock budget ran out before the tree was
     /// exhausted. Combined with an `Err(IterationLimit)` result this is
     /// the *timed-out-without-incumbent* signal: the probe proved
     /// nothing, and [`IlpStats::best_bound`] is all it learned.
     pub timed_out: bool,
-    /// Lower bound on the optimal objective over the open tree at
-    /// termination (the best-first heap top, merged with an interrupted
-    /// plunge child). `None` when the search ended before any node LP
-    /// bounded the tree, or when infeasibility was proved outright.
-    /// For a proved run this equals the incumbent objective.
+    /// Lower bound on the optimal objective at termination: the open
+    /// tree's (the best-first heap top, merged with an interrupted plunge
+    /// child) and that of every node [`IlpOptions::rel_gap`] pruned, capped
+    /// at the incumbent. `None` when the search ended before any node LP
+    /// bounded the tree, or when infeasibility was proved outright. For a
+    /// run proved with `rel_gap == 0` this equals the incumbent objective.
     pub best_bound: Option<f64>,
     /// True if [`IlpOptions::warm_solution`] checked out feasible and was
     /// adopted as the initial incumbent (seeded cutoff from node one).
@@ -293,9 +296,17 @@ pub fn solve_ilp_in(
     });
     let mut hit_limit = false;
     let mut fatal: Option<SolveError> = None;
+    // The least bound of a node pruned by the relative gap alone: its
+    // subtree may hold a better optimum, so it bounds `best_bound`.
+    let mut gap_pruned = f64::INFINITY;
 
     let node_loop_t = Instant::now();
     loop {
+        // An exhausted tree is a finished search, even when its last
+        // node was also the last one the budget allowed.
+        if plunge.is_none() && heap.is_empty() {
+            break;
+        }
         if stats.nodes >= opts.max_nodes {
             hit_limit = true;
             break;
@@ -312,6 +323,7 @@ pub fn solve_ilp_in(
                 // back to the heap on the next pass.
                 if let Some((inc_obj, _)) = &incumbent {
                     if n.parent_bound >= inc_obj - gap_slack(*inc_obj, opts.rel_gap) {
+                        note_gap_pruned(&mut gap_pruned, n.parent_bound, *inc_obj);
                         continue;
                     }
                 }
@@ -322,9 +334,10 @@ pub fn solve_ilp_in(
                 // over the open tree: once it crosses the incumbent's
                 // gap-adjusted cutoff, every open node is pruned at once
                 // and optimality (within rel_gap) is proved.
-                let Some(top_bound) = heap.peek().map(|n| n.parent_bound) else {
-                    break;
-                };
+                let top_bound = heap
+                    .peek()
+                    .map(|n| n.parent_bound)
+                    .expect("no plunge child, so the heap is not empty");
                 if let Some((inc_obj, _)) = &incumbent {
                     if top_bound >= inc_obj - gap_slack(*inc_obj, opts.rel_gap) {
                         break;
@@ -365,6 +378,7 @@ pub fn solve_ilp_in(
 
         if let Some((inc_obj, _)) = &incumbent {
             if lp.objective >= inc_obj - gap_slack(*inc_obj, opts.rel_gap) {
+                note_gap_pruned(&mut gap_pruned, lp.objective, *inc_obj);
                 continue; // bound prune
             }
         }
@@ -390,7 +404,13 @@ pub fn solve_ilp_in(
                     // best-first heap's memory proportional to the nodes
                     // that can still matter.
                     let cutoff = obj - gap_slack(obj, opts.rel_gap);
-                    heap.retain(|n| n.parent_bound < cutoff);
+                    heap.retain(|n| {
+                        let open = n.parent_bound < cutoff;
+                        if !open {
+                            note_gap_pruned(&mut gap_pruned, n.parent_bound, obj);
+                        }
+                        open
+                    });
                 }
             }
             Some(j) => {
@@ -467,7 +487,7 @@ pub fn solve_ilp_in(
             } else {
                 0.0
             };
-            let lower = open_bound.min(obj);
+            let lower = open_bound.min(gap_pruned).min(obj);
             stats.best_bound = lower.is_finite().then_some(lower);
             Ok(IlpSolution {
                 objective: obj,
@@ -493,9 +513,21 @@ pub fn solve_ilp_in(
     (result, stats)
 }
 
+/// Absolute part of the pruning slack: a node bounded within it of the
+/// incumbent cannot beat it beyond floating-point noise.
+const PRUNE_TOL: f64 = 1e-9;
+
 /// Absolute slack implied by the relative-gap termination rule.
 fn gap_slack(incumbent: f64, rel_gap: f64) -> f64 {
-    1e-9 + rel_gap * incumbent.abs().max(1.0)
+    PRUNE_TOL + rel_gap * incumbent.abs().max(1.0)
+}
+
+/// Record the bound of a node pruned against `incumbent` when only the
+/// relative gap, not the noise tolerance, pruned it.
+fn note_gap_pruned(gap_pruned: &mut f64, bound: f64, incumbent: f64) {
+    if bound < incumbent - PRUNE_TOL {
+        *gap_pruned = gap_pruned.min(bound);
+    }
 }
 
 /// The integer variable whose relaxation value sits closest to a half
@@ -624,6 +656,52 @@ mod tests {
             Ok(s) => assert!(!s.stats.proved),
             Err(SolveError::IterationLimit) => {}
             Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+
+    #[test]
+    fn a_one_node_search_whose_root_is_integral_is_proved() {
+        // The root LP is the optimum: the last node the budget allows
+        // closes the tree, so the search finished rather than ran out.
+        let mut p = Problem::new();
+        let x = p.add_binary(-1.0);
+        p.add_constraint(&[(x, 1.0)], Sense::Le, 1.0);
+        let opts = IlpOptions {
+            max_nodes: 1,
+            ..Default::default()
+        };
+        let mut ws = SimplexWorkspace::new();
+        let (result, stats) = solve_ilp_in(&p, &opts, &mut ws);
+        let s = result.expect("integral root");
+        assert_close(s.objective, -1.0);
+        assert_eq!(stats.nodes, 1);
+        assert!(stats.proved);
+        assert!(!stats.timed_out);
+        assert_close(stats.best_bound.expect("proved bound"), -1.0);
+    }
+
+    #[test]
+    fn a_one_node_search_whose_root_lp_is_infeasible_proves_infeasibility() {
+        // Every pair of x, y, z covers 1, so 2(x + y + z) >= 3, yet the
+        // sum is capped at 1.4. No single row tightens a bound, so
+        // presolve cannot refute it; the root LP does.
+        let mut p = Problem::new();
+        let v: Vec<_> = (0..3).map(|_| p.add_binary(1.0)).collect();
+        for (a, b) in [(0, 1), (1, 2), (0, 2)] {
+            p.add_constraint(&[(v[a], 1.0), (v[b], 1.0)], Sense::Ge, 1.0);
+        }
+        p.add_constraint(&[(v[0], 1.0), (v[1], 1.0), (v[2], 1.0)], Sense::Le, 1.4);
+        let mut ws = SimplexWorkspace::new();
+        for max_nodes in [1, IlpOptions::default().max_nodes] {
+            let opts = IlpOptions {
+                max_nodes,
+                ..Default::default()
+            };
+            let (result, stats) = solve_ilp_in(&p, &opts, &mut ws);
+            assert_eq!(result, Err(SolveError::Infeasible), "max_nodes {max_nodes}");
+            assert_eq!(stats.nodes, 1, "the root LP, not presolve, refutes it");
+            assert!(stats.proved);
+            assert!(!stats.timed_out);
         }
     }
 

@@ -105,6 +105,10 @@ proptest! {
             let slack = 1e-6 + 0.10 * a.objective.abs().max(1.0);
             prop_assert!(b.objective <= a.objective + slack,
                 "gap solve {} vs exact {}", b.objective, a.objective);
+            // Its bound stays a bound: the nodes the gap pruned count.
+            let bound = b.stats.best_bound.expect("an incumbent bounds the tree");
+            prop_assert!(bound <= a.objective + 1e-6,
+                "gap solve's bound {} above the optimum {}", bound, a.objective);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Exact vs approximate partitioning on a near-cliff forest.
+//! Exact vs root-capped partitioning on a near-cliff forest.
 //!
 //! The instance is the calibrated tight forest from
 //! `tests/approx_nearcliff.rs`: two 4-mote wards of 4-channel EEG caps
@@ -6,13 +6,14 @@
 //! driven at rates approaching its feasibility cliff (x3.1614). This is
 //! the regime where exact branch-and-bound used to *starve* — hundreds
 //! of nodes before the first integer point — and where the PR-8
-//! multilevel heuristic earns its keep from both ends:
+//! multilevel heuristic earns its keep as branch-and-bound's seed:
 //!
-//! * the default (exact) engine seeds its incumbent from the multilevel
-//!   cut (`IlpStats::seeded`), so the anytime answer exists from
-//!   millisecond one;
-//! * `DeploymentConfig::approx()` skips branch-and-bound entirely and
-//!   reports a certified optimality gap from the root LP bound.
+//! * the exact search adopts the multilevel cut as its first incumbent
+//!   (`IlpStats::seeded`), so an answer exists from millisecond one;
+//! * the same search capped at its root node (`ilp.max_nodes = 1`) is the
+//!   bounded-time answer: that cut, or an integral root LP if cheaper,
+//!   with `DeploymentPartition::certified_gap` measured from the root LP
+//!   bound.
 //!
 //! Run with: `cargo run --release --example approx_forest`
 
@@ -55,19 +56,18 @@ fn main() {
 
     let mut exact = PreparedDeployment::new(&app.graph, &prof, &dep, &DeploymentConfig::default())
         .expect("pins ok");
-    let mut approx = PreparedDeployment::new(
-        &app.graph,
-        &prof,
-        &dep,
-        &DeploymentConfig::default().approx(),
-    )
-    .expect("pins ok");
+    let mut capped_cfg = DeploymentConfig::default();
+    capped_cfg.ilp.max_nodes = 1;
+    let mut capped =
+        PreparedDeployment::new(&app.graph, &prof, &dep, &capped_cfg).expect("pins ok");
 
-    println!("rate      exact obj   (seeded, first inc)   approx obj  certified gap");
+    println!("rate      exact obj   (seeded, first inc)   capped obj  certified gap");
     for rate in [1.0, 2.0, 3.0, 3.15] {
         let e = exact.solve_at(rate).expect("below the cliff");
-        let a = approx.solve_at(rate).expect("below the cliff");
-        let gap = a.certified_gap.expect("approx carries a certificate");
+        // Seed from this rate's cut, not the previous rate's placement.
+        capped.reset_warm_start();
+        let a = capped.solve_at(rate).expect("below the cliff");
+        let gap = a.certified_gap.expect("every placement carries one");
         println!(
             "x{rate:<7} {:>11.2}   ({}, {:?})   {:>10.2}  {:.4}",
             e.objective,
@@ -78,26 +78,25 @@ fn main() {
         );
         assert!(
             a.objective >= e.objective - 1e-9 * (1.0 + e.objective.abs()),
-            "heuristic beat the exact optimum"
+            "a root-capped search beat the exact optimum"
         );
         assert!(
             (a.objective - e.objective) / a.objective.abs().max(f64::EPSILON) <= gap + 1e-9,
-            "certificate violated: approx {} exact {} gap {gap}",
+            "certificate violated: capped {} exact {} gap {gap}",
             a.objective,
             e.objective
         );
-        // What the certificate LP cost: cold at the first rate, a few
-        // dual pivots from the previous rate's basis after that.
-        println!("          certificate: {}", report_stats(&a.ilp_stats));
+        // What the one node cost.
+        println!("          capped: {}", report_stats(&a.ilp_stats));
     }
 
-    // Past the cliff both engines agree there is nothing to place.
+    // Past the cliff both searches agree there is nothing to place.
     match exact.solve_at(4.0) {
-        Err(e) => println!("x4.0 (past the cliff): exact engine says {e}"),
+        Err(e) => println!("x4.0 (past the cliff): the exact search says {e}"),
         Ok(p) => panic!("x4.0 should be infeasible, got obj {}", p.objective),
     }
-    match approx.solve_at(4.0) {
-        Err(e) => println!("x4.0 (past the cliff): approx engine says {e}"),
+    match capped.solve_at(4.0) {
+        Err(e) => println!("x4.0 (past the cliff): the capped search says {e}"),
         Ok(p) => panic!("x4.0 should be infeasible, got obj {}", p.objective),
     }
 }

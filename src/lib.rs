@@ -80,7 +80,7 @@ pub mod prelude {
     pub use wishbone_core::{
         drift_to_deltas, max_sustainable_rate_deployment, partition_deployment, pin_analysis,
         ApproxCut, Deployment, DeploymentConfig, DeploymentDelta, DeploymentPartition,
-        DeploymentRateResult, LeafPartition, LinkSpec, Mode, PartitionError, Pin, PlacementEngine,
+        DeploymentRateResult, LeafPartition, LinkSpec, Mode, PartitionError, Pin,
         PreparedDeployment, RobustnessMode, Site, SiteId, UnprovenRate,
     };
     pub use wishbone_dataflow::{

@@ -11,19 +11,18 @@
 //!
 //! * exact search discovers its first incumbent in well under a second
 //!   — the heuristic's cut is adopted as the incumbent before node one;
-//! * `partition_approx` returns an integer-feasible placement whose
-//!   certified optimality gap (vs the root LP bound) is ≤ 2.5%, and
-//!   whose *actual* gap vs the exact optimum is within the certificate,
-//!   on both simplex backends;
-//! * random tree deployments (proptest): every `partition_approx`
-//!   placement respects all budgets and its certificate, and it never
-//!   claims feasibility where the exact solver proves there is none.
+//! * a root-capped search (`ilp.max_nodes = 1`, the bounded-time mode)
+//!   returns an integer-feasible placement whose certified optimality
+//!   gap (vs the root LP bound) is ≤ 2.5%, and whose *actual* gap vs the
+//!   exact optimum is within the certificate, on both simplex backends;
+//! * random tree deployments (proptest): every root-capped placement
+//!   respects all budgets and its certificate, and it never claims
+//!   feasibility where the exact solver proves there is none.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use wishbone::core::PlacementEngine;
 use wishbone::ilp::SolverBackend;
 use wishbone::prelude::*;
 
@@ -109,6 +108,15 @@ const UNSEEDABLE_RATE: f64 = 3.6;
 
 /// Past the cliff, where the 8-channel ward is refuted inside any budget.
 const INFEASIBLE_RATE: f64 = 3.7;
+
+/// `cfg` with branch-and-bound stopped after the root node: on a fresh
+/// instance, the multilevel seed (or an integral root LP, if cheaper)
+/// certified against the root LP bound.
+fn root_capped(cfg: &DeploymentConfig) -> DeploymentConfig {
+    let mut cfg = cfg.clone();
+    cfg.ilp.max_nodes = 1;
+    cfg
+}
 
 /// Manual calibration probe — run with
 /// `cargo test -q probe_cliff -- --ignored --nocapture` when re-tuning
@@ -254,11 +262,11 @@ fn approx_certificate_holds_near_the_cliff_on_both_backends() {
         cfg.ilp.backend = backend;
         let exact =
             partition_deployment(&graph, &prof, &dep, &cfg).expect("feasible just under the cliff");
-        let approx =
-            partition_deployment(&graph, &prof, &dep, &cfg.approx()).expect("heuristic placement");
+        let approx = partition_deployment(&graph, &prof, &dep, &root_capped(&cfg))
+            .expect("the seed is a placement");
         let gap = approx
             .certified_gap
-            .expect("approx placements carry a certificate");
+            .expect("every placement carries a certificate");
         assert!(
             gap <= 0.025,
             "[{backend:?}] certified gap {gap} exceeds the 2.5% acceptance bar"
@@ -290,6 +298,31 @@ fn approx_certificate_holds_near_the_cliff_on_both_backends() {
             }
         }
     }
+
+    // There the seed is optimal and the root proves it. On the starved
+    // 8-channel ward the root LP stays fractional: the capped search
+    // returns the seed unproven, and its certificate is the seed's
+    // distance from the root LP bound, recomputed here from the problem
+    // (on the default backend: the dense one takes minutes in debug).
+    let (graph, prof) = eeg_profiled(8);
+    let dep = forest(4, 4, 800.0, 1_500.0, 0.25);
+    let cfg = root_capped(&DeploymentConfig::default());
+    let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+    let capped = prep
+        .solve_at(STARVED_RATE)
+        .expect("the seed is a placement");
+    assert!(capped.ilp_stats.seeded && !capped.ilp_stats.proved);
+    let gap = capped.certified_gap.expect("every placement carries one");
+    let root = wishbone::ilp::solve_lp(prep.problem())
+        .expect("LP-feasible")
+        .objective
+        + prep.encoded().objective_offset * STARVED_RATE;
+    let bound = capped.objective * (1.0 - gap);
+    assert!(gap > 0.0, "an unproven seed is certified above 0");
+    assert!(
+        (bound - root).abs() <= 1e-9 * root.abs(),
+        "certificate bound {bound} is not the root LP bound {root}"
+    );
 }
 
 #[test]
@@ -468,18 +501,12 @@ fn cut_move_counts_are_pinned() {
     assert_eq!(cut_moves(&graph, &prof, &chain, &[1.0]), 36);
 }
 
-#[test]
-fn approx_config_builder_sets_the_engine() {
-    let cfg = DeploymentConfig::default().approx();
-    assert_eq!(cfg.engine, PlacementEngine::Approx);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random tree deployments: `partition_approx` placements respect
-    /// every budget, never beat the exact optimum, and stay within
-    /// their own certificate — on both backends.
+    /// Random tree deployments: root-capped placements respect every
+    /// budget, never beat the exact optimum, and stay within their own
+    /// certificate — on both backends.
     #[test]
     fn approx_respects_budgets_and_certificates_on_random_trees(
         channels in 1usize..3,
@@ -495,7 +522,7 @@ proptest! {
             let mut cfg = DeploymentConfig::default().at_rate(rate);
             cfg.ilp.backend = backend;
             let exact = partition_deployment(&graph, &prof, &dep, &cfg);
-            let approx = partition_deployment(&graph, &prof, &dep, &cfg.approx());
+            let approx = partition_deployment(&graph, &prof, &dep, &root_capped(&cfg));
             match (exact, approx) {
                 (Ok(e), Ok(a)) => {
                     let gap = a.certified_gap.expect("certificate present");
@@ -524,10 +551,10 @@ proptest! {
                         }
                     }
                 }
-                // The heuristic is incomplete: it may fail to find a cut
-                // on a feasible instance (reported as Unproven, never as
-                // a silent Infeasible). It must not claim feasibility
-                // the exact solver refutes.
+                // One node is incomplete: with no cut to seed it and a
+                // fractional root it finds nothing on a feasible instance
+                // (reported as Unproven, never as a silent Infeasible). It
+                // must not claim feasibility the exact solver refutes.
                 (Ok(_), Err(PartitionError::Unproven { .. })) => {}
                 (Err(_), Err(_)) => {}
                 (e, a) => prop_assert!(
@@ -543,11 +570,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// One long-lived approximate `PreparedDeployment` cuts the hierarchy
-    /// it coarsened at preparation; a one-shot `approx_cut` coarsens the
-    /// same merged graphs again. Across a rate sweep, and after every
-    /// kind of delta, the two agree bit for bit — nothing a delta edits
-    /// is anything the hierarchy read.
+    /// One long-lived `PreparedDeployment` cuts the hierarchy it coarsened
+    /// at preparation; a one-shot `approx_cut` coarsens the same merged
+    /// graphs again. Across a rate sweep, and after every kind of delta,
+    /// the two agree bit for bit — nothing a delta edits is anything the
+    /// hierarchy read. The instance's cut is read as the seed of a
+    /// root-capped search with no warm start to outrank it.
     #[test]
     fn a_kept_hierarchy_cuts_like_a_fresh_one_across_rates_and_deltas(
         count in 1usize..7,
@@ -559,7 +587,7 @@ proptest! {
         // Sites: 0 = server, 1 = gw-a, 2 = gw-b, 3 = ward-a, 4 = ward-b.
         let dep = forest(4, 4, 500.0, 400_000.0, 0.5);
         let leaves = merged_leaves(&graph, &prof, &dep);
-        let cfg = DeploymentConfig::default().approx();
+        let cfg = root_capped(&DeploymentConfig::default());
         let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
         let rates = [&[0.25, 3.15][..], &picked_rates[..]].concat();
 
@@ -582,9 +610,20 @@ proptest! {
             prep.apply_delta(delta.as_slice());
             for &rate in &rates {
                 let fresh = fresh_cut(&leaves, prep.deployment(), &removed, rate);
+                prep.reset_warm_start();
                 match (prep.solve_at(rate), fresh) {
                     (Ok(kept), Some(fresh)) => {
-                        prop_assert_eq!(kept.objective.to_bits(), fresh.objective.to_bits());
+                        // The seed is the first incumbent; an integral
+                        // root LP may only replace it with a cheaper one.
+                        let stats = &kept.ilp_stats;
+                        prop_assert!(stats.seeded);
+                        let offset = prep.encoded().objective_offset * rate;
+                        let seed = stats.incumbents[0].1 + offset;
+                        prop_assert!((seed - fresh.objective).abs() <= 1e-9 * fresh.objective.abs());
+                        if stats.incumbents.len() > 1 {
+                            prop_assert!(kept.objective < fresh.objective);
+                            continue;
+                        }
                         for ((_, tg, _), (tiers, leaf)) in
                             leaves.iter().zip(fresh.tiers.iter().zip(&kept.leaves))
                         {
@@ -595,6 +634,8 @@ proptest! {
                         }
                         placed += 1;
                     }
+                    // No cut, but the root LP landed on an integer point.
+                    (Ok(kept), None) => prop_assert!(!kept.ilp_stats.seeded),
                     (Err(PartitionError::Unproven { .. } | PartitionError::Infeasible), None) => {}
                     (kept, fresh) => prop_assert!(
                         false,

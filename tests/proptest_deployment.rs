@@ -962,8 +962,8 @@ proptest! {
     /// reports must still be what pricing every operator and cut edge
     /// afresh from the profile gives: for pipelines and fan-out / fan-in
     /// apps, on random trees (two gateway wards at their own rate factors,
-    /// optionally a leaf class straight under the server), on both
-    /// engines, after every step of a delta chain that re-counts,
+    /// optionally a leaf class straight under the server), exact and
+    /// root-capped (`max_nodes = 1`), after every step of a delta chain that re-counts,
     /// re-budgets, removes and revives leaves.
     #[test]
     fn decoded_predictions_are_the_profile_priced_afresh(
@@ -974,7 +974,7 @@ proptest! {
         chain in prop::collection::vec((0usize..5, 0.0f64..1.0), 1..6),
         rates in prop::collection::vec(0.02f64..0.6, 6),
     ) {
-        let (factor_a, factor_b, direct_leaf, approx, diamond) = shape;
+        let (factor_a, factor_b, direct_leaf, capped, diamond) = shape;
         let app = if diamond { diamond_app } else { random_app };
         let (mut g, src) = app(stages, &costs, &keeps);
         let trace = SourceTrace {
@@ -1000,7 +1000,10 @@ proptest! {
             let gumstix = Platform::gumstix();
             dep.attach(root, Site::new("microservers", &gumstix), LinkSpec::for_platform(&gumstix));
         }
-        let cfg = if approx { DeploymentConfig::default().approx() } else { DeploymentConfig::default() };
+        let mut cfg = DeploymentConfig::default();
+        if capped {
+            cfg.ilp.max_nodes = 1;
+        }
         let mut prep = match PreparedDeployment::new(&g, &prof, &dep, &cfg) {
             Ok(p) => p,
             Err(_) => return Ok(()),

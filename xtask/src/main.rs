@@ -246,8 +246,8 @@ const ORACLE_ANCHORS: [(&str, &str); 6] = [
     ("encode_multitier", "the k-way chain encoder is the parity oracle for deployments"),
     ("Encoding::Restricted", "the binary restricted encoder anchors the k = 2 parity chain"),
     ("SolverBackend::Dense", "the dense tableau is the differential oracle for the sparse backend"),
-    ("PlacementEngine::Approx",
-     "the multilevel heuristic's certificates are pinned against the exact ILP"),
+    ("approx_certificate_holds_near_the_cliff_on_both_backends",
+     "a root-capped placement's certificate is pinned against the exact ILP and the root LP"),
     ("NullSink::NULL",
      "the trace off path must stay pinned by the zero-overhead byte-identical test"),
     ("fleet_batch_matches_serial_one_shot",
@@ -267,7 +267,7 @@ const THE_BENCH_TARGETS: [&str; 3] = ["repro", "solver_criterion", "fleet_scalin
 /// a field only when shipped callers need different values; one more
 /// comes with its callers named in its doc and the count bumped.
 const CONFIG_SURFACE: [(&str, &str, usize); 2] = [
-    (PER_SOLVE_PATH, "DeploymentConfig", 5),
+    (PER_SOLVE_PATH, "DeploymentConfig", 4),
     ("crates/ilp/src/branch_bound.rs", "IlpOptions", 6),
 ];
 
@@ -1186,7 +1186,7 @@ mod tests {
 
         let per_solve = "\
 use crate::multilevel::{approx_cut, CutHierarchy};
-fn approx_values(&self, rate: f64) -> Option<(Vec<f64>, f64)> {
+fn seed_values(&self, rate: f64) -> Option<Vec<f64>> {
     let cut = crate::multilevel::approx_cut(&chains, &self.obj, rate)?; // line 3
     report.assert_no_errors(\"approx_cut(..) assignment\");
 }
