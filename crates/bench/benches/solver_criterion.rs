@@ -872,7 +872,10 @@ fn smoke(backend: SolverBackend) {
 
     // One forest rate search per smoke — the benchmark of record's
     // `forest_eeg4_rate_search` instance. Both backends must land on
-    // the same rate in the same number of probes.
+    // the same rate in the same number of probes, in the same 7
+    // branch-and-bound runs: the floor probe, the 5 past the cliff, and
+    // the final solve at the found rate. The floor's placement still fits
+    // at x3.15625, so it answers the other 22 probes.
     let mut rcfg = DeploymentConfig::default();
     rcfg.ilp.backend = backend;
     let found = max_sustainable_rate_deployment(&graph4, &prof4, &dep4, &rcfg, 64.0, 0.005)
@@ -880,17 +883,18 @@ fn smoke(backend: SolverBackend) {
         .expect("feasible");
     assert_eq!(found.encodes, 1, "[{label}] one encode");
     assert_eq!(
-        (found.rate, found.evaluations),
-        (3.15625, 28),
-        "[{label}] the forest's sustainable rate and probe count (either backend)"
+        (found.rate, found.evaluations, found.solves),
+        (3.15625, 28, 7),
+        "[{label}] the forest's sustainable rate, probe count and solves (either backend)"
     );
-    // Sparse smoke only: the same search probe by probe on one prepared
-    // instance, to count what the library's result does not carry. The
+    // Sparse smoke only: the same schedule with every probe solved on one
+    // prepared instance — what `solve_at` across retargets costs, which
+    // the library's search no longer exercises probe by probe. The
     // sparse backend follows a retarget from the previous probe's basis,
     // so all but the first root LP (and any right after an infeasible
     // probe that was refuted from a cold start) enter warm and the whole
-    // search costs a few hundred pivots, not ~15 500 from the slack basis
-    // every time. Counts, so they repeat exactly on any machine.
+    // schedule costs a few hundred pivots, not ~15 500 from the slack
+    // basis every time. Counts, so they repeat exactly on any machine.
     if backend == SolverBackend::Sparse {
         let (mut probes, mut feasible, mut warm_roots) = (0u32, 0u32, 0u32);
         let (mut search_iters, mut search_refactors) = (0u64, 0u64);
@@ -1097,7 +1101,8 @@ fn smoke(backend: SolverBackend) {
         "smoke[{label}] OK: {} nodes ({} warm) on 1ch EEG; chain_972 obj {:.1} \
          in {} nodes; multitier k3 obj {:.1}; forest obj {:.1}; rate search found \
          x{:.3} in {} probes / {} encode; churn delta obj {:.3}; near-cliff \
-         seeded obj {:.3}, capped gap {:.4}; forest rate search x{} in {} probes; \
+         seeded obj {:.3}, capped gap {:.4}; forest rate search x{} in {} probes / {} \
+         solves; \
          traced sim {} events, top blame {}, null-sink overhead {:+.1}%; drift \
          re-solve obj {:.3} in 1 encode",
         warm_stats.nodes,
@@ -1114,6 +1119,7 @@ fn smoke(backend: SolverBackend) {
         cliff_gap,
         found.rate,
         found.evaluations,
+        found.solves,
         mem.events.len(),
         top.label,
         (best_null as f64 / best_untraced as f64 - 1.0) * 100.0,

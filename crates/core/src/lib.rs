@@ -25,10 +25,11 @@
 //!    per leaf class, coupled by one CPU row per site and one row per
 //!    uplink (§4.2.1's restricted formulation at two sites);
 //! 5. [`topology::PreparedDeployment`] — steps 1–4 happen once; every rate
-//!    probe rescales the ILP in place and solves it by branch-and-bound or
-//!    the [`multilevel`] heuristic, and
+//!    probe rescales the ILP in place and solves it by branch-and-bound
+//!    seeded with the [`multilevel`] heuristic's cut, and
 //!    [`topology::max_sustainable_rate_deployment`] searches rates per
-//!    §4.3 on top of it;
+//!    §4.3 on top of it, solving only the probes the last proved
+//!    placement no longer fits;
 //! 6. [`audit`] — a static-analysis bridge: the encoder's output is
 //!    checked against its implied [`wishbone_audit::ModelSpec`] under
 //!    `debug_assertions`, so the whole test suite doubles as an audit

@@ -8,8 +8,13 @@
 //! the network is not driven past the point where sending more means
 //! receiving less, which the §7.3.1 network profile guarantees by keeping
 //! the budget below saturation.
+//!
+//! The same monotonicity makes most probes free: the objective scales
+//! uniformly with the rate while the budgets only tighten, so a placement
+//! optimal at one rate is optimal at every higher rate it still fits, and
+//! no branch-and-bound run is needed to say so.
 
-use crate::topology::{DeploymentPartition, PartitionError};
+use crate::topology::PartitionError;
 
 /// A probed rate whose branch-and-bound hit its node/time budget before
 /// finding any integer point: neither feasible nor infeasible.
@@ -26,8 +31,6 @@ pub struct UnprovenRate {
 pub(crate) struct FoundRate {
     /// Highest proven-feasible rate.
     pub(crate) rate: f64,
-    /// The placement at that rate.
-    pub(crate) best: DeploymentPartition,
     /// Probes consumed.
     pub(crate) evaluations: u32,
     /// Lowest unproven probe above `rate`, if any probe timed out.
@@ -38,36 +41,40 @@ pub(crate) struct FoundRate {
 /// [`max_sustainable_rate_deployment`](crate::topology::max_sustainable_rate_deployment):
 /// establish a feasible lower bound at a
 /// vanishing rate, double until infeasible (or the cap is hit), then
-/// bisect to relative precision `tol`. `solve_at` is one probe: a
-/// placement, [`PartitionError::Infeasible`] (proven), or
+/// bisect to relative precision `tol`. `probe` is one verdict: `Ok` (a
+/// placement fits), [`PartitionError::Infeasible`] (proven), or
 /// [`PartitionError::Unproven`] (the probe's search budget ran out before
 /// any integer point was found). An unproven probe is treated as an upper
 /// bound for the bisection (conservative) but recorded and reported, so
 /// callers can tell a proven ceiling from a search that merely ran out of
 /// budget — the range above the result is *unproven*, not infeasible.
 ///
+/// Every probe after the first lies above the highest feasible one so
+/// far, which is what lets a prober answer it from that probe's placement
+/// while it still fits.
+///
 /// `Ok(None)` means proven infeasible even at the vanishing floor rate;
 /// a floor probe that was itself unproven — the search learned nothing —
 /// and any other solver error come back as `Err`.
 pub(crate) fn search_max_rate(
-    mut solve_at: impl FnMut(f64) -> Result<DeploymentPartition, PartitionError>,
+    mut probe: impl FnMut(f64) -> Result<(), PartitionError>,
     hi_limit: f64,
     tol: f64,
 ) -> Result<Option<FoundRate>, PartitionError> {
     assert!(hi_limit > 0.0 && tol > 0.0);
     let mut evals = 0u32;
     let mut unproven: Option<UnprovenRate> = None;
-    // `None`: nothing fits at this rate, as far as this probe could tell.
-    let mut probe = |rate: f64| -> Result<Option<DeploymentPartition>, PartitionError> {
+    // `false`: nothing fits at this rate, as far as this probe could tell.
+    let mut fits = |rate: f64| -> Result<bool, PartitionError> {
         evals += 1;
-        match solve_at(rate) {
-            Ok(p) => Ok(Some(p)),
-            Err(PartitionError::Infeasible) => Ok(None),
+        match probe(rate) {
+            Ok(()) => Ok(true),
+            Err(PartitionError::Infeasible) => Ok(false),
             Err(PartitionError::Unproven { best_bound }) => {
                 if unproven.is_none_or(|prev| rate < prev.rate) {
                     unproven = Some(UnprovenRate { rate, best_bound });
                 }
-                Ok(None)
+                Ok(false)
             }
             Err(e) => Err(e),
         }
@@ -75,24 +82,23 @@ pub(crate) fn search_max_rate(
 
     // Establish a feasible lower bound.
     let mut lo = hi_limit * 2f64.powi(-24);
-    let Some(mut best) = probe(lo)? else {
+    if !fits(lo)? {
         return match unproven {
             Some(u) => Err(PartitionError::Unproven {
                 best_bound: u.best_bound,
             }),
             None => Ok(None),
         };
-    };
+    }
 
     // Grow until infeasible/unproven or the cap is hit.
     let mut hi = lo;
     loop {
         hi = (hi * 2.0).min(hi_limit);
-        let Some(p) = probe(hi)? else {
+        if !fits(hi)? {
             break;
-        };
+        }
         lo = hi;
-        best = p;
         if (hi - hi_limit).abs() < f64::EPSILON * hi_limit {
             break;
         }
@@ -102,17 +108,14 @@ pub(crate) fn search_max_rate(
     // cap itself).
     while (hi - lo) / lo > tol {
         let mid = 0.5 * (lo + hi);
-        match probe(mid)? {
-            Some(p) => {
-                lo = mid;
-                best = p;
-            }
-            None => hi = mid,
+        if fits(mid)? {
+            lo = mid;
+        } else {
+            hi = mid;
         }
     }
     Ok(Some(FoundRate {
         rate: lo,
-        best,
         evaluations: evals,
         unproven,
     }))

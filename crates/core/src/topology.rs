@@ -31,7 +31,8 @@
 //! ILP in place on one reused [`SimplexWorkspace`], seeding
 //! branch-and-bound with the previous incumbent, and decodes its answer
 //! from the same merged leaf graphs the budget rows were written from;
-//! [`max_sustainable_rate_deployment`] runs §4.3 on top of it.
+//! [`max_sustainable_rate_deployment`] runs §4.3 on top of it, answering a
+//! probe from the last proved placement while that still fits.
 
 use std::collections::HashSet;
 use std::marker::PhantomData;
@@ -726,8 +727,9 @@ fn leaf_chains<'l>(
 ///
 /// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
 /// the last placement, which seeds branch-and-bound as its first
-/// incumbent, and — in the instance's own workspace only — the last
-/// simplex basis. A retarget scales the objective uniformly and moves a
+/// incumbent (and answers [`max_sustainable_rate_deployment`]'s probes
+/// while it still fits), and — in the instance's own workspace only — the
+/// last simplex basis. A retarget scales the objective uniformly and moves a
 /// handful of budget right-hand sides, so that basis is still dual
 /// feasible and the next root LP costs a few dual pivots instead of a
 /// solve from the slack basis, whatever the instance's size (only the
@@ -761,10 +763,23 @@ pub struct PreparedDeployment<'a> {
     workspace: SimplexWorkspace,
     encodes: u32,
     solves: u32,
-    last_values: Option<Vec<f64>>,
+    last: Option<Placement>,
     /// Wall-clock cost of the one-time build (pricing, §4.1 merge,
     /// encoding, coarsening).
     encode_s: f64,
+}
+
+/// The placement of the last branch-and-bound run, as the instance keeps
+/// it between solves.
+struct Placement {
+    /// The encoding-level assignment (the next solve's seed).
+    values: Vec<f64>,
+    /// The rate it was solved at.
+    rate: f64,
+    /// Its objective at `rate`, offset included.
+    objective: f64,
+    stats: IlpStats,
+    certified_gap: Option<f64>,
 }
 
 impl<'a> PreparedDeployment<'a> {
@@ -824,7 +839,7 @@ impl<'a> PreparedDeployment<'a> {
             workspace: SimplexWorkspace::new(),
             encodes: 1,
             solves: 0,
-            last_values: None,
+            last: None,
             encode_s: encode_t.elapsed().as_secs_f64(),
         })
     }
@@ -930,7 +945,7 @@ impl<'a> PreparedDeployment<'a> {
     /// fleet service calls this between requests so cache hits stay
     /// bit-identical to serial one-shot solves.
     pub fn reset_warm_start(&mut self) {
-        self.last_values = None;
+        self.last = None;
         self.workspace.invalidate();
     }
 
@@ -940,7 +955,9 @@ impl<'a> PreparedDeployment<'a> {
         self.encode_s
     }
 
-    /// How many rate probes this instance has solved.
+    /// How many branch-and-bound runs this instance has made: one per
+    /// [`solve_at`](Self::solve_at) / [`solve_at_in`](Self::solve_at_in)
+    /// at a valid rate.
     pub fn solves(&self) -> u32 {
         self.solves
     }
@@ -983,18 +1000,31 @@ impl<'a> PreparedDeployment<'a> {
         for (j, &base) in self.base_objective.iter().enumerate() {
             self.ep.problem.set_objective_coeff(VarId(j), base * rate);
         }
-        for (s, row) in self.ep.cpu_rows.iter().enumerate() {
-            if let Some(cr) = row {
-                self.ep
-                    .problem
-                    .set_rhs(cr.row, self.obj.cpu_budget[s] / rate - cr.shift);
-            }
+        let rows: Vec<(usize, f64)> = self.budget_rhs(rate).collect();
+        for (row, rhs) in rows {
+            self.ep.problem.set_rhs(row, rhs);
         }
-        for (s, row) in self.ep.net_rows.iter().enumerate() {
-            if let Some(r) = row {
-                self.ep.problem.set_rhs(*r, self.obj.net_budget[s] / rate);
-            }
-        }
+    }
+
+    /// Every budget row with its right-hand side at `rate`: `C/r − shift`
+    /// for a CPU row, `B/r` for an uplink row. Their terms do not depend on
+    /// the rate.
+    fn budget_rhs(&self, rate: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let cpu = (self.ep.cpu_rows.iter().zip(&self.obj.cpu_budget))
+            .filter_map(move |(row, &c)| row.map(|cr| (cr.row, c / rate - cr.shift)));
+        let net = (self.ep.net_rows.iter().zip(&self.obj.net_budget))
+            .filter_map(move |(row, &b)| row.map(|r| (r, b / rate)));
+        cpu.chain(net)
+    }
+
+    /// Does `values` hold every budget row at `rate`? Exactly, with no
+    /// solver tolerance: a placement that is over a budget by any margin
+    /// is left to branch-and-bound.
+    fn fits(&self, values: &[f64], rate: f64) -> bool {
+        self.budget_rhs(rate).all(|(row, rhs)| {
+            let terms = &self.ep.problem.constraint(row).terms;
+            terms.iter().map(|&(v, a)| a * values[v.0]).sum::<f64>() <= rhs
+        })
     }
 
     /// Expand a per-leaf tier assignment into the encoding's full
@@ -1072,15 +1102,44 @@ impl<'a> PreparedDeployment<'a> {
         rate: f64,
         arena: Option<&mut SimplexWorkspace>,
     ) -> Result<DeploymentPartition, PartitionError> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(PartitionError::InvalidRate { rate });
+        self.search(rate, arena)?;
+        Ok(self.decode_last())
+    }
+
+    /// One probe of the §4.3 search at `rate`, answered without a solve
+    /// when the last placement settles it: it was proved at a rate no
+    /// higher than this one and still fits every budget row here. Budgets
+    /// only tighten as the rate grows while the objective scales
+    /// uniformly, so that placement is then optimal here too (within the
+    /// same relative gap) and a branch-and-bound run would only re-prove
+    /// it. Otherwise one [`search`](Self::search).
+    fn probe(&mut self, rate: f64) -> Result<(), PartitionError> {
+        check_rate(rate)?;
+        match &self.last {
+            Some(last)
+                if last.stats.proved && last.rate <= rate && self.fits(&last.values, rate) =>
+            {
+                Ok(())
+            }
+            _ => self.search(rate, None),
         }
+    }
+
+    /// Retarget to `rate` and run branch-and-bound in `arena` (see
+    /// [`solve_in`](Self::solve_in)), keeping its placement as the
+    /// instance's last.
+    fn search(
+        &mut self,
+        rate: f64,
+        arena: Option<&mut SimplexWorkspace>,
+    ) -> Result<(), PartitionError> {
+        check_rate(rate)?;
         self.solves += 1;
         self.retarget(rate);
 
         let mut opts = self.cfg.ilp.clone();
         if opts.warm_solution.is_none() {
-            opts.warm_solution = self.last_values.clone();
+            opts.warm_solution = self.last.as_ref().map(|last| last.values.clone());
         }
         if opts.warm_solution.is_none() {
             opts.warm_solution = self.seed_values(rate);
@@ -1100,26 +1159,27 @@ impl<'a> PreparedDeployment<'a> {
             }
             Err(e) => return Err(PartitionError::Solver(e)),
         };
-        self.last_values = Some(sol.values.clone());
         let objective = sol.objective + offset;
         let certified_gap = sol.stats.best_bound.map(|bound| {
             ((objective - (bound + offset)) / objective.abs().max(f64::EPSILON)).max(0.0)
         });
-        Ok(self.decode_partition(&sol.values, rate, objective, sol.stats, certified_gap))
+        self.last = Some(Placement {
+            values: sol.values,
+            rate,
+            objective,
+            stats: sol.stats,
+            certified_gap,
+        });
+        Ok(())
     }
 
-    /// Decode an encoding-level assignment into the public
-    /// [`DeploymentPartition`] view: per-leaf placements, per-hop cut
-    /// edges, and aggregate per-site loads — all read off the merged leaf
-    /// graphs, whose costs are the budget rows' coefficients.
-    fn decode_partition(
-        &self,
-        values: &[f64],
-        rate: f64,
-        objective: f64,
-        ilp_stats: IlpStats,
-        certified_gap: Option<f64>,
-    ) -> DeploymentPartition {
+    /// Decode the last placement into the public [`DeploymentPartition`]
+    /// view: per-leaf placements, per-hop cut edges, and aggregate
+    /// per-site loads — all read off the merged leaf graphs, whose costs
+    /// are the budget rows' coefficients.
+    fn decode_last(&self) -> DeploymentPartition {
+        let last = self.last.as_ref().expect("a search kept a placement");
+        let (values, rate) = (&last.values, last.rate);
         let decoded = self.ep.decode(values);
         let mut leaves = Vec::with_capacity(self.leaves.len());
         for (prep, tier) in self.leaves.iter().zip(&decoded) {
@@ -1184,15 +1244,25 @@ impl<'a> PreparedDeployment<'a> {
             leaves,
             site_cpu,
             link_net,
-            objective,
-            ilp_stats,
+            objective: last.objective,
+            ilp_stats: last.stats.clone(),
             problem_size: (
                 self.ep.problem.num_vars(),
                 self.ep.problem.num_constraints(),
             ),
             merge_stats: (self.vertices_before, self.vertices_after),
-            certified_gap,
+            certified_gap: last.certified_gap,
         }
+    }
+}
+
+/// A rate multiplier is a finite positive number, or there is no instance
+/// to solve.
+fn check_rate(rate: f64) -> Result<(), PartitionError> {
+    if rate.is_finite() && rate > 0.0 {
+        Ok(())
+    } else {
+        Err(PartitionError::InvalidRate { rate })
     }
 }
 
@@ -1203,8 +1273,12 @@ pub struct DeploymentRateResult {
     pub rate: f64,
     /// The optimal placement at that rate.
     pub partition: DeploymentPartition,
-    /// ILP solves consumed.
+    /// Probes of the §4.3 schedule.
     pub evaluations: u32,
+    /// Branch-and-bound runs: the probes the last proved placement did not
+    /// answer, plus one at `rate` when such a placement answered it (so
+    /// that `partition` is a solve at `rate`).
+    pub solves: u32,
     /// Encodings performed — always 1 (probes rescale in place).
     pub encodes: u32,
     /// The lowest probed rate whose solve timed out without proving
@@ -1216,9 +1290,11 @@ pub struct DeploymentRateResult {
 
 /// Binary-search the maximum sustainable global rate multiplier of a
 /// deployment in `(0, hi_limit]` to relative precision `tol` — §4.3's
-/// floor / doubling / bisection schedule (`search_max_rate`), every probe
-/// a [`PreparedDeployment::solve_at`] on one prepared instance: one
-/// encode, each root LP re-entering from the previous probe's basis.
+/// floor / doubling / bisection schedule (`search_max_rate`) on one
+/// prepared instance: one encode, and each probe either answered by the
+/// last proved placement, when it still fits the probe's budgets (it is
+/// then optimal there too), or solved by branch-and-bound with its root LP
+/// re-entering from the last solve's basis.
 ///
 /// Returns `None` if the deployment is infeasible even at vanishingly
 /// small rates; solver errors propagate.
@@ -1231,13 +1307,26 @@ pub fn max_sustainable_rate_deployment(
     tol: f64,
 ) -> Result<Option<DeploymentRateResult>, PartitionError> {
     let mut prep = PreparedDeployment::new(graph, profile, dep, cfg)?;
-    let found = crate::rate_search::search_max_rate(|rate| prep.solve_at(rate), hi_limit, tol)?;
-    Ok(found.map(|f| DeploymentRateResult {
-        rate: f.rate,
-        partition: f.best,
-        evaluations: f.evaluations,
+    let found = crate::rate_search::search_max_rate(|rate| prep.probe(rate), hi_limit, tol)?;
+    let Some(found) = found else {
+        return Ok(None);
+    };
+    // The found rate's probe was either solved, or answered by a
+    // placement proved at a lower rate: then solve there, so that the
+    // partition's statistics are the found rate's own.
+    let solved_there = prep.last.as_ref().is_some_and(|l| l.rate == found.rate);
+    let partition = if solved_there {
+        prep.decode_last()
+    } else {
+        prep.solve_at(found.rate)?
+    };
+    Ok(Some(DeploymentRateResult {
+        rate: found.rate,
+        partition,
+        evaluations: found.evaluations,
+        solves: prep.solves(),
         encodes: prep.encodes(),
-        unproven: f.unproven,
+        unproven: found.unproven,
     }))
 }
 
@@ -1615,6 +1704,62 @@ mod tests {
             strong.rate
         );
         assert_eq!(weak.encodes, 1);
+    }
+
+    /// A probe is answered without a solve only by a placement proved at
+    /// a rate no higher than the probe's that still fits its budgets —
+    /// up to the last representable margin on both sides of its ceiling.
+    #[test]
+    fn a_probe_reuses_only_a_proved_placement_below_its_ceiling() {
+        let (g, prof) = profiled();
+        let dep = forest(1e5, 1e6);
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default())
+            .expect("pins ok");
+        let r0 = 0.05;
+        prep.probe(r0).expect("feasible");
+        assert_eq!(prep.solves(), 1);
+        // Lower rates loosen every budget, but the placement need not stay
+        // optimal there: solve.
+        prep.probe(r0 / 2.0).expect("feasible");
+        assert_eq!(
+            prep.solves(),
+            2,
+            "a probe below the proof's rate must solve"
+        );
+
+        // The placement's ceiling: the rate at which its tightest budget
+        // row is exactly consumed (loads are linear in the rate).
+        let p = prep.decode_last();
+        let mut ceiling = f64::INFINITY;
+        for s in 0..dep.len() {
+            let site = SiteId(s);
+            ceiling = ceiling.min(dep.site(site).cpu_budget * (r0 / 2.0) / p.site_cpu[s]);
+            if let Some(link) = dep.uplink(site) {
+                ceiling = ceiling.min(link.net_budget * (r0 / 2.0) / p.link_net[s]);
+            }
+        }
+        assert!(ceiling.is_finite() && ceiling > r0, "ceiling {ceiling}");
+        prep.probe(ceiling * (1.0 - 1e-9))
+            .expect("the placement fits");
+        assert_eq!(prep.solves(), 2, "a fitting proved placement answers");
+        let _ = prep.probe(ceiling * (1.0 + 1e-9));
+        assert_eq!(
+            prep.solves(),
+            3,
+            "a placement over a budget row must not answer"
+        );
+
+        // An unproven placement answers nothing: a search stopped before
+        // its first node returns the multilevel seed, unproved.
+        let mut cfg = DeploymentConfig::default();
+        cfg.ilp.time_limit = Some(std::time::Duration::ZERO);
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("pins ok");
+        prep.probe(r0).expect("the seed is feasible");
+        let last = prep.last.as_ref().expect("kept");
+        assert!(!last.stats.proved);
+        assert!(prep.fits(&last.values, 1.01 * r0));
+        prep.probe(1.01 * r0).expect("feasible");
+        assert_eq!(prep.solves(), 2, "an unproven placement must not answer");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! And the prepared-instance contract: the n-th `solve_at` of one
 //! instance — its root LP re-entering from the previous solve's basis —
 //! agrees with a freshly prepared instance solved once at that rate,
-//! across rate sequences, `apply_delta` and `reset_warm_start`. And the
+//! across rate sequences, `apply_delta` and `reset_warm_start`; and the
+//! §4.3 search, which answers most probes from the last proved placement,
+//! agrees with the same schedule solving every probe. And the
 //! decode, which reads only the merged leaf graphs, reports what pricing
 //! the placement afresh from the profile gives.
 
@@ -25,9 +27,10 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 use wishbone::core::{
-    deltas_between, encode_deployment, partition_deployment, shape_key, Deployment,
-    DeploymentConfig, DeploymentDelta, DeploymentObjective, DeploymentPartition, LeafChain,
-    LinkSpec, PartitionError, Pin, PreparedDeployment, Site, SiteId, TierObjective, TieredGraph,
+    deltas_between, encode_deployment, max_sustainable_rate_deployment, partition_deployment,
+    shape_key, Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective,
+    DeploymentPartition, LeafChain, LinkSpec, PartitionError, Pin, PreparedDeployment, Site,
+    SiteId, TierObjective, TieredGraph,
 };
 use wishbone::dataflow::{EdgeId, IdentityWork, OperatorId, OperatorSpec, WorkFn};
 use wishbone::ilp::{IlpOptions, Problem, SolverBackend, VarId};
@@ -891,6 +894,119 @@ proptest! {
                     "{:?}: after reset, {:?} vs fresh {:?}", backend, a.is_ok(), b.is_ok()
                 ),
             }
+        }
+    }
+}
+
+/// §4.3's schedule — floor probe, doubling, bisection to relative
+/// precision `tol` — over an arbitrary verdict: the highest feasible
+/// probe (`None` when the floor is not) and the probe count.
+fn rate_schedule(mut fits: impl FnMut(f64) -> bool, hi_limit: f64, tol: f64) -> (Option<f64>, u32) {
+    let mut probes = 0;
+    let mut fits = |rate: f64| {
+        probes += 1;
+        fits(rate)
+    };
+    let mut lo = hi_limit * 2f64.powi(-24);
+    if !fits(lo) {
+        return (None, probes);
+    }
+    let mut hi = lo;
+    loop {
+        hi = (hi * 2.0).min(hi_limit);
+        if !fits(hi) {
+            break;
+        }
+        lo = hi;
+        if (hi - hi_limit).abs() < f64::EPSILON * hi_limit {
+            break;
+        }
+    }
+    while (hi - lo) / lo > tol {
+        let mid = 0.5 * (lo + hi);
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (Some(lo), probes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The §4.3 search answers a probe from the last proved placement
+    /// while it still fits; that may change the work and nothing else.
+    /// Against the same schedule with every probe solved, on both
+    /// backends: the same rate, bit for bit, in the same number of probes
+    /// — and the returned placement a proved optimum there (a cold
+    /// solve's objective to 1e-9, certified gap 0) within every budget.
+    #[test]
+    fn the_rate_search_answers_like_a_solve_at_every_probe(
+        stages in 2usize..5,
+        costs in prop::collection::vec(100u64..4000, 4),
+        keeps in prop::collection::vec(1usize..5, 4),
+        gw_budgets in ((0.01f64..0.5), (0.01f64..0.5)),
+        uplink_count in ((50.0f64..5000.0), 1usize..4),
+        shape_tol in (prop::bool::ANY, 0.001f64..0.05),
+    ) {
+        let (diamond, tol) = shape_tol;
+        let (gw_budget_a, gw_budget_b) = gw_budgets;
+        let (uplink_a, count_a) = uplink_count;
+        let app = if diamond { diamond_app } else { random_app };
+        let (mut g, src) = app(stages, &costs, &keeps);
+        let trace = SourceTrace {
+            source: src,
+            elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
+            rate_hz: 20.0,
+        };
+        let prof = match profile(&mut g, &[trace]) {
+            Ok(p) => p,
+            Err(_) => return Ok(()),
+        };
+        let dep = two_ward_tree(gw_budget_a, gw_budget_b, uplink_a, count_a);
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            let mut cfg = DeploymentConfig::default();
+            cfg.ilp.backend = backend;
+            let got = match max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, tol) {
+                Ok(got) => got,
+                Err(PartitionError::Pin(_)) => return Ok(()),
+                Err(e) => return Err(TestCaseError::fail(format!("solver error: {e}"))),
+            };
+
+            let mut every =
+                PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("prepared once already");
+            let (rate, probes) = rate_schedule(
+                |rate| match every.solve_at(rate) {
+                    Ok(_) => true,
+                    Err(PartitionError::Infeasible) => false,
+                    Err(e) => panic!("solver error at x{rate}: {e}"),
+                },
+                64.0,
+                tol,
+            );
+            let Some(got) = got else {
+                prop_assert_eq!(rate, None, "{:?}: the floor probe's verdict flipped", backend);
+                continue;
+            };
+            prop_assert_eq!(
+                (Some(got.rate.to_bits()), got.evaluations),
+                (rate.map(f64::to_bits), probes),
+                "{:?}", backend
+            );
+            prop_assert!(got.unproven.is_none());
+            prop_assert!(got.solves <= got.evaluations + 1);
+            let cold = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(got.rate))
+                .expect("the found rate is feasible");
+            let p = &got.partition;
+            prop_assert!(
+                (p.objective - cold.objective).abs() <= 1e-9 * cold.objective.abs(),
+                "{:?} x{}: searched {} vs cold {}", backend, got.rate, p.objective, cold.objective
+            );
+            prop_assert!(p.ilp_stats.proved);
+            prop_assert_eq!(p.certified_gap, Some(0.0));
+            assert_budgets_hold(&dep, p)?;
         }
     }
 }
