@@ -28,8 +28,9 @@
 //!    probe rescales the ILP in place and solves it by branch-and-bound
 //!    seeded with the [`multilevel`] heuristic's cut, and
 //!    [`topology::max_sustainable_rate_deployment`] searches rates per
-//!    §4.3 on top of it, solving only the probes the last proved
-//!    placement no longer fits;
+//!    §4.3 on top of it, solving only the probes that neither the last
+//!    proved placement still fits nor the last root LP refutation still
+//!    refutes;
 //! 6. [`audit`] — a static-analysis bridge: the encoder's output is
 //!    checked against its implied [`wishbone_audit::ModelSpec`] under
 //!    `debug_assertions`, so the whole test suite doubles as an audit

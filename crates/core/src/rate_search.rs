@@ -9,12 +9,15 @@
 //! receiving less, which the §7.3.1 network profile guarantees by keeping
 //! the budget below saturation.
 //!
-//! The same monotonicity makes most probes free: the objective scales
-//! uniformly with the rate while the budgets only tighten, so a placement
-//! optimal at one rate is optimal at every higher rate it still fits, and
-//! no branch-and-bound run is needed to say so.
+//! The same monotonicity makes most probes free, on both sides of the
+//! cliff. The objective scales uniformly with the rate while the budgets
+//! only tighten, so a placement optimal at one rate is optimal at every
+//! higher rate it still fits. And since every budget right-hand side only
+//! shrinks as the rate grows, a combination of rows that refutes the root
+//! LP at one rate refutes every rate at which it still clears them. No
+//! branch-and-bound run is needed to say either.
 
-use crate::topology::PartitionError;
+use crate::topology::{check_rate, PartitionError};
 
 /// A probed rate whose branch-and-bound hit its node/time budget before
 /// finding any integer point: neither feasible nor infeasible.
@@ -55,13 +58,18 @@ pub(crate) struct FoundRate {
 ///
 /// `Ok(None)` means proven infeasible even at the vanishing floor rate;
 /// a floor probe that was itself unproven — the search learned nothing —
-/// and any other solver error come back as `Err`.
+/// any other solver error, and a `hi_limit` or `tol` that is not finite
+/// and positive come back as `Err`. Bisection also stops once the
+/// midpoint rounds onto an end, however small `tol` is.
 pub(crate) fn search_max_rate(
     mut probe: impl FnMut(f64) -> Result<(), PartitionError>,
     hi_limit: f64,
     tol: f64,
 ) -> Result<Option<FoundRate>, PartitionError> {
-    assert!(hi_limit > 0.0 && tol > 0.0);
+    check_rate(hi_limit)?;
+    if !(tol.is_finite() && tol > 0.0) {
+        return Err(PartitionError::InvalidTolerance { tol });
+    }
     let mut evals = 0u32;
     let mut unproven: Option<UnprovenRate> = None;
     // `false`: nothing fits at this rate, as far as this probe could tell.
@@ -108,6 +116,9 @@ pub(crate) fn search_max_rate(
     // cap itself).
     while (hi - lo) / lo > tol {
         let mid = 0.5 * (lo + hi);
+        if !(lo < mid && mid < hi) {
+            break; // `lo` and `hi` are adjacent floats
+        }
         if fits(mid)? {
             lo = mid;
         } else {
@@ -315,6 +326,52 @@ mod tests {
         )
         .unwrap()
         .is_none());
+    }
+
+    #[test]
+    fn a_bad_cap_or_tolerance_is_a_typed_error() {
+        let (g, prof) = profiled();
+        let dep = two_site(&Platform::tmote_sky());
+        let cfg = DeploymentConfig::default();
+        let search = |hi_limit, tol| {
+            max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, hi_limit, tol).map(|_| ())
+        };
+        for hi_limit in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    search(hi_limit, 0.01),
+                    Err(PartitionError::InvalidRate { .. })
+                ),
+                "hi_limit {hi_limit}"
+            );
+        }
+        for tol in [0.0, -0.01, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    search(64.0, tol),
+                    Err(PartitionError::InvalidTolerance { .. })
+                ),
+                "tol {tol}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tolerance_below_float_resolution_ends_the_bisection() {
+        let (g, prof) = profiled();
+        let dep = two_site(&Platform::tmote_sky());
+        let cfg = DeploymentConfig::default();
+        let search = |tol| {
+            max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, tol)
+                .unwrap()
+                .expect("feasible at low rates")
+        };
+        let fine = search(1e-18);
+        // Doubling from 2⁻²⁴ of the cap, then one probe per significand
+        // bit at most before the midpoint stops moving.
+        assert!(fine.evaluations <= 26 + 53, "{} probes", fine.evaluations);
+        let coarse = search(1e-12);
+        assert!(fine.rate >= coarse.rate && fine.rate <= coarse.rate * (1.0 + 1e-12));
     }
 
     #[test]

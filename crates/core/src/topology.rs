@@ -32,7 +32,8 @@
 //! branch-and-bound with the previous incumbent, and decodes its answer
 //! from the same merged leaf graphs the budget rows were written from;
 //! [`max_sustainable_rate_deployment`] runs §4.3 on top of it, answering a
-//! probe from the last proved placement while that still fits.
+//! probe from the last proved placement while that still fits, and from
+//! the last root LP refutation while that still refutes.
 
 use std::collections::HashSet;
 use std::marker::PhantomData;
@@ -40,7 +41,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId};
-use wishbone_ilp::{solve_ilp_in, IlpOptions, IlpStats, SimplexWorkspace, SolveError, VarId};
+use wishbone_ilp::{
+    solve_ilp_in, IlpOptions, IlpStats, Refutation, SimplexWorkspace, SolveError, VarId,
+};
 use wishbone_profile::{GraphProfile, Platform};
 
 use crate::cost_graph::{Mode, PinError};
@@ -602,6 +605,12 @@ pub enum PartitionError {
         /// The offending rate, as given.
         rate: f64,
     },
+    /// A rate search's relative precision is not a finite positive
+    /// number: with a zero or NaN one the bisection has no end.
+    InvalidTolerance {
+        /// The offending tolerance, as given.
+        tol: f64,
+    },
 }
 
 impl std::fmt::Display for PartitionError {
@@ -627,6 +636,9 @@ impl std::fmt::Display for PartitionError {
             PartitionError::Solver(e) => write!(f, "solver: {e}"),
             PartitionError::InvalidRate { rate } => {
                 write!(f, "rate multiplier {rate} is not finite and positive")
+            }
+            PartitionError::InvalidTolerance { tol } => {
+                write!(f, "rate search tolerance {tol} is not finite and positive")
             }
         }
     }
@@ -736,10 +748,15 @@ fn leaf_chains<'l>(
 /// reference tableau, when `cfg.ilp.backend` names it, cannot follow a
 /// changed right-hand side and re-enters warm only at a repeated rate).
 /// Verdicts and optimal values never depend on this; which of several
-/// equally cheap placements comes back can.
-/// [`reset_warm_start`](Self::reset_warm_start) drops both, and
-/// [`apply_delta`](Self::apply_delta) rewrites budget rows, which makes
-/// the next root LP a cold start by itself.
+/// equally cheap placements comes back can. A third thing serves
+/// [`max_sustainable_rate_deployment`]'s probes alone: the last root LP
+/// [`Refutation`], which answers a probe `Infeasible` while it still
+/// refutes the probe's budget right-hand sides. It is a checked proof, so
+/// it changes no verdict either.
+/// [`reset_warm_start`](Self::reset_warm_start) drops all three, and
+/// [`apply_delta`](Self::apply_delta) drops the refutation (it belongs to
+/// the rows it combines) and rewrites budget rows, which makes the next
+/// root LP a cold start by itself.
 pub struct PreparedDeployment<'a> {
     _marker: PhantomData<&'a ()>,
     dep: Deployment,
@@ -764,6 +781,9 @@ pub struct PreparedDeployment<'a> {
     encodes: u32,
     solves: u32,
     last: Option<Placement>,
+    /// The last root LP refutation a search kept
+    /// ([`IlpStats::refutation`]).
+    refutation: Option<Refutation>,
     /// Wall-clock cost of the one-time build (pricing, §4.1 merge,
     /// encoding, coarsening).
     encode_s: f64,
@@ -840,6 +860,7 @@ impl<'a> PreparedDeployment<'a> {
             encodes: 1,
             solves: 0,
             last: None,
+            refutation: None,
             encode_s: encode_t.elapsed().as_secs_f64(),
         })
     }
@@ -908,6 +929,7 @@ impl<'a> PreparedDeployment<'a> {
                 }
             }
         }
+        self.refutation = None;
         self.obj = self.dep.objective_with(self.cfg.robustness);
         let chains = leaf_chains(&self.leaves, &self.removed, &self.dep);
         self.ep.rescale_in_place(&chains, &self.obj);
@@ -936,7 +958,8 @@ impl<'a> PreparedDeployment<'a> {
     }
 
     /// Drop warm-start state carried over from previous solves: the last
-    /// incumbent, and the basis retained in the instance's own workspace.
+    /// incumbent, the last refutation, and the basis retained in the
+    /// instance's own workspace.
     /// The next [`solve_at`](Self::solve_at) then runs exactly like the
     /// first solve of a freshly prepared instance — branch-and-bound
     /// keeps a seeded incumbent on objective ties, and a warm root LP can
@@ -946,6 +969,7 @@ impl<'a> PreparedDeployment<'a> {
     /// bit-identical to serial one-shot solves.
     pub fn reset_warm_start(&mut self) {
         self.last = None;
+        self.refutation = None;
         self.workspace.invalidate();
     }
 
@@ -1112,7 +1136,9 @@ impl<'a> PreparedDeployment<'a> {
     /// only tighten as the rate grows while the objective scales
     /// uniformly, so that placement is then optimal here too (within the
     /// same relative gap) and a branch-and-bound run would only re-prove
-    /// it. Otherwise one [`search`](Self::search).
+    /// it. Failing that, `Infeasible` without a solve when the last
+    /// refutation still refutes this rate's budgets. Otherwise one
+    /// [`search`](Self::search).
     fn probe(&mut self, rate: f64) -> Result<(), PartitionError> {
         check_rate(rate)?;
         match &self.last {
@@ -1121,8 +1147,39 @@ impl<'a> PreparedDeployment<'a> {
             {
                 Ok(())
             }
+            _ if self.refuted_at(rate) => Err(PartitionError::Infeasible),
             _ => self.search(rate, None),
         }
+    }
+
+    /// Does the last refutation still refute the problem at `rate`? Only
+    /// the budget rows' right-hand sides move with the rate, and each only
+    /// shrinks as it grows, so one refuted probe refutes every higher one
+    /// and any lower one whose budgets it still clears.
+    fn refuted_at(&self, rate: f64) -> bool {
+        let Some(refutation) = &self.refutation else {
+            return false;
+        };
+        let budgets: Vec<(usize, f64)> = self.budget_rhs(rate).collect();
+        refutation.refutes(|row| match budgets.iter().find(|&&(r, _)| r == row) {
+            Some(&(_, rhs)) => rhs,
+            None => self.ep.problem.constraint(row).rhs,
+        })
+    }
+
+    /// Carry the last placement to `rate` without a solve, where it is
+    /// known optimal (a proved placement that still fits a higher rate
+    /// is, see [`probe`](Self::probe)): retarget, and price its objective
+    /// as a solve seeded with it would.
+    fn reprice_last(&mut self, rate: f64) {
+        self.retarget(rate);
+        let offset = self.ep.objective_offset * rate;
+        let last = self
+            .last
+            .as_mut()
+            .expect("a feasible probe kept a placement");
+        last.objective = self.ep.problem.objective_value(&last.values) + offset;
+        last.rate = rate;
     }
 
     /// Retarget to `rate` and run branch-and-bound in `arena` (see
@@ -1145,7 +1202,10 @@ impl<'a> PreparedDeployment<'a> {
             opts.warm_solution = self.seed_values(rate);
         }
         let ws = arena.unwrap_or(&mut self.workspace);
-        let (result, stats) = solve_ilp_in(&self.ep.problem, &opts, ws);
+        let (result, mut stats) = solve_ilp_in(&self.ep.problem, &opts, ws);
+        if let Some(refutation) = stats.refutation.take() {
+            self.refutation = Some(refutation);
+        }
         let offset = self.ep.objective_offset * rate;
         let sol = match result {
             Ok(s) => s,
@@ -1258,7 +1318,7 @@ impl<'a> PreparedDeployment<'a> {
 
 /// A rate multiplier is a finite positive number, or there is no instance
 /// to solve.
-fn check_rate(rate: f64) -> Result<(), PartitionError> {
+pub(crate) fn check_rate(rate: f64) -> Result<(), PartitionError> {
     if rate.is_finite() && rate > 0.0 {
         Ok(())
     } else {
@@ -1271,14 +1331,21 @@ fn check_rate(rate: f64) -> Result<(), PartitionError> {
 pub struct DeploymentRateResult {
     /// Highest feasible global rate multiplier found.
     pub rate: f64,
-    /// The optimal placement at that rate.
+    /// The optimal placement at that rate, decoded there. Its `ilp_stats`
+    /// and `certified_gap` are those of the solve that proved it, which
+    /// may have run at a lower rate: a proved placement that still fits a
+    /// higher rate is optimal there too, so it is not solved again.
     pub partition: DeploymentPartition,
     /// Probes of the §4.3 schedule.
     pub evaluations: u32,
-    /// Branch-and-bound runs: the probes the last proved placement did not
-    /// answer, plus one at `rate` when such a placement answered it (so
-    /// that `partition` is a solve at `rate`).
+    /// Branch-and-bound runs: the probes that neither the last proved
+    /// placement nor the last root LP refutation answered. No run is
+    /// added at `rate` itself.
     pub solves: u32,
+    /// The probed rates a root LP [`Refutation`] answered `Infeasible`
+    /// with no branch-and-bound run, in probe order (always empty on the
+    /// reference tableau, which reports none).
+    pub refuted: Vec<f64>,
     /// Encodings performed — always 1 (probes rescale in place).
     pub encodes: u32,
     /// The lowest probed rate whose solve timed out without proving
@@ -1291,10 +1358,17 @@ pub struct DeploymentRateResult {
 /// Binary-search the maximum sustainable global rate multiplier of a
 /// deployment in `(0, hi_limit]` to relative precision `tol` — §4.3's
 /// floor / doubling / bisection schedule (`search_max_rate`) on one
-/// prepared instance: one encode, and each probe either answered by the
-/// last proved placement, when it still fits the probe's budgets (it is
-/// then optimal there too), or solved by branch-and-bound with its root LP
-/// re-entering from the last solve's basis.
+/// prepared instance: one encode, and each probe answered by the last
+/// proved placement, when it still fits the probe's budgets (it is then
+/// optimal there too), else by the last root LP refutation, when it still
+/// refutes them, or else solved by branch-and-bound with its root LP
+/// re-entering from the last solve's basis. The placement that made the
+/// found rate feasible is decoded there, not solved again.
+///
+/// `hi_limit` must be a finite positive rate
+/// ([`PartitionError::InvalidRate`]) and `tol` a finite positive relative
+/// precision ([`PartitionError::InvalidTolerance`]); a `tol` below what
+/// an `f64` resolves ends the bisection where the midpoint stops moving.
 ///
 /// Returns `None` if the deployment is infeasible even at vanishingly
 /// small rates; solver errors propagate.
@@ -1307,26 +1381,34 @@ pub fn max_sustainable_rate_deployment(
     tol: f64,
 ) -> Result<Option<DeploymentRateResult>, PartitionError> {
     let mut prep = PreparedDeployment::new(graph, profile, dep, cfg)?;
-    let found = crate::rate_search::search_max_rate(|rate| prep.probe(rate), hi_limit, tol)?;
+    let mut refuted = Vec::new();
+    let found = crate::rate_search::search_max_rate(
+        |rate| {
+            let solves = prep.solves();
+            let verdict = prep.probe(rate);
+            if prep.solves() == solves && verdict == Err(PartitionError::Infeasible) {
+                refuted.push(rate);
+            }
+            verdict
+        },
+        hi_limit,
+        tol,
+    )?;
     let Some(found) = found else {
         return Ok(None);
     };
     // The found rate's probe was either solved, or answered by a
-    // placement proved at a lower rate: then solve there, so that the
-    // partition's statistics are the found rate's own.
-    let solved_there = prep.last.as_ref().is_some_and(|l| l.rate == found.rate);
-    let partition = if solved_there {
-        prep.decode_last()
-    } else {
-        prep.solve_at(found.rate)?
-    };
+    // placement proved at a lower rate that is optimal at the found rate
+    // too: price it there instead of proving it again.
+    prep.reprice_last(found.rate);
     Ok(Some(DeploymentRateResult {
         rate: found.rate,
-        partition,
+        partition: prep.decode_last(),
         evaluations: found.evaluations,
         solves: prep.solves(),
         encodes: prep.encodes(),
         unproven: found.unproven,
+        refuted,
     }))
 }
 
@@ -1760,6 +1842,105 @@ mod tests {
         assert!(prep.fits(&last.values, 1.01 * r0));
         prep.probe(1.01 * r0).expect("feasible");
         assert_eq!(prep.solves(), 2, "an unproven placement must not answer");
+    }
+
+    /// The benchmark of record's two-ward 4-channel EEG forest: four caps
+    /// per ward on their own CPU budget, ward-a's backhaul starved to
+    /// 500 B/s. Its cliff is one the root LP refutes, not presolve.
+    fn eeg_forest() -> (Graph, GraphProfile, Deployment) {
+        let mut app = wishbone_apps::build_eeg_app(wishbone_apps::EegParams {
+            n_channels: 4,
+            ..Default::default()
+        });
+        let traces = app.traces(4, 1..3, 7);
+        let prof = run_profile(&mut app.graph, &traces).unwrap();
+        let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
+        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+        let root = dep.root();
+        for (gw, ward, backhaul) in [("gw-a", "ward-a", 500.0), ("gw-b", "ward-b", 4e5)] {
+            let link = LinkSpec {
+                beta: 1.0,
+                net_budget: backhaul,
+            };
+            let gw = dep.attach(root, Site::new(gw, &phone), link);
+            let caps = Site::new(ward, &mote)
+                .with_count(4)
+                .with_cpu_budget(mote.cpu_budget_fraction);
+            let radio = LinkSpec {
+                beta: 1.0,
+                net_budget: 4.0 * mote.radio.goodput_bytes_per_sec,
+            };
+            dep.attach(gw, caps, radio);
+        }
+        (app.graph, prof, dep)
+    }
+
+    /// A probe is answered `Infeasible` without a solve only by a
+    /// refutation that still refutes its budgets — up to the last
+    /// representable margin on both sides of its threshold — and a delta
+    /// or a reset drops the refutation.
+    #[test]
+    fn a_probe_is_refuted_only_past_the_refutations_threshold() {
+        let (g, prof, dep) = eeg_forest();
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default())
+            .expect("pins ok");
+        prep.probe(0.05).expect("feasible");
+        let past = 4.0;
+        assert_eq!(prep.probe(past), Err(PartitionError::Infeasible));
+        assert_eq!(prep.solves(), 2);
+        let refutation = prep
+            .refutation
+            .clone()
+            .expect("the sparse dual refuted the root");
+
+        // Σ w·b(r) = a + c/r, since only the budget rows move (`C/r − shift`,
+        // `B/r`); it refutes while below the box minimum less 1e-6·Σ|w|.
+        let combined = |rate: f64| -> f64 {
+            let budgets: Vec<(usize, f64)> = prep.budget_rhs(rate).collect();
+            let rhs = |row: usize| match budgets.iter().find(|&&(r, _)| r == row) {
+                Some(&(_, b)) => b,
+                None => prep.ep.problem.constraint(row).rhs,
+            };
+            refutation.rows().iter().map(|&(row, w)| w * rhs(row)).sum()
+        };
+        let c = 2.0 * (combined(1.0) - combined(2.0));
+        let a = combined(1.0) - c;
+        let weight: f64 = refutation.rows().iter().map(|&(_, w)| w.abs()).sum();
+        let threshold = c / (refutation.box_min() - 1e-6 * weight - a);
+        assert!(
+            threshold.is_finite() && threshold > 0.05 && threshold < past,
+            "threshold {threshold}"
+        );
+        let placement = prep.last.as_ref().map(|l| l.values.clone()).expect("kept");
+        assert!(
+            !prep.fits(&placement, threshold * (1.0 - 1e-9)),
+            "the placement must not answer below the threshold"
+        );
+
+        assert_eq!(
+            prep.probe(threshold * (1.0 + 1e-9)),
+            Err(PartitionError::Infeasible)
+        );
+        assert_eq!(prep.solves(), 2, "a refutation that still refutes answers");
+        let _ = prep.probe(threshold * (1.0 - 1e-9));
+        assert_eq!(
+            prep.solves(),
+            3,
+            "a refutation short of its margin must not"
+        );
+
+        // It belongs to the rows it combines: a delta drops it, even one
+        // that rewrites a budget to its own value; so does a reset.
+        assert!(prep.refutation.is_some());
+        prep.apply_delta(&[DeploymentDelta::SetNetBudget {
+            site: SiteId(1),
+            net_budget: 500.0,
+        }]);
+        assert!(prep.refutation.is_none(), "apply_delta must drop it");
+        assert_eq!(prep.probe(past), Err(PartitionError::Infeasible));
+        assert!(prep.refutation.is_some());
+        prep.reset_warm_start();
+        assert!(prep.refutation.is_none(), "reset_warm_start must drop it");
     }
 
     #[test]

@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 
 use crate::presolve::{presolve, quick_infeasible, PresolveOutcome};
 use crate::problem::{Problem, SolveError};
+use crate::refutation::Refutation;
 use crate::simplex::{default_iteration_limit, solve_lp_in};
 use crate::workspace::{SimplexWorkspace, SolverBackend};
 
@@ -161,6 +162,16 @@ pub struct IlpStats {
     /// bounded the tree, or when infeasibility was proved outright. For a
     /// run proved with `rel_gap == 0` this equals the incumbent objective.
     pub best_bound: Option<f64>,
+    /// When the sparse dual simplex refuted the root LP: its refutation,
+    /// a combination of the problem's rows that no point of the
+    /// problem's own (un-presolved) variable box satisfies, kept only
+    /// when it clears that box by the search's row tolerance. It refutes
+    /// every right-hand side it still clears ([`Refutation::refutes`]),
+    /// so a caller that moves nothing but right-hand sides — a rate
+    /// search — can answer later problems with it. `None` on every other
+    /// search: a feasible one, one that presolve or a node below the root
+    /// refuted, and any on the reference tableau.
+    pub refutation: Option<Refutation>,
     /// True if [`IlpOptions::warm_solution`] checked out feasible and was
     /// adopted as the initial incumbent (seeded cutoff from node one).
     pub seeded: bool,
@@ -367,7 +378,12 @@ pub fn solve_ilp_in(
         }
         let lp = match lp {
             Ok(lp) => lp,
-            Err(SolveError::Infeasible) => continue,
+            Err(SolveError::Infeasible) => {
+                if stats.nodes == 1 {
+                    stats.refutation = ws.refutation(problem);
+                }
+                continue;
+            }
             Err(e) => {
                 fatal = Some(e);
                 break;
@@ -702,7 +718,21 @@ mod tests {
             assert_eq!(stats.nodes, 1, "the root LP, not presolve, refutes it");
             assert!(stats.proved);
             assert!(!stats.timed_out);
+            // The dual simplex's row refutes the cap 1.4 and, being a
+            // proof, no cap from 1.5 on (x = y = z = ½ fits there).
+            let refutation = stats.refutation.expect("the sparse dual refuted the root");
+            let cap = |b: f64| move |row: usize| if row == 3 { b } else { 1.0 };
+            assert!(refutation.refutes(cap(1.4)));
+            assert!(refutation.refutes(cap(1.0)));
+            assert!(!refutation.refutes(cap(1.5)));
         }
+        let dense = IlpOptions {
+            backend: SolverBackend::Dense,
+            ..Default::default()
+        };
+        let (result, stats) = solve_ilp_in(&p, &dense, &mut ws);
+        assert_eq!(result, Err(SolveError::Infeasible));
+        assert_eq!(stats.refutation, None, "the reference tableau reports none");
     }
 
     #[test]

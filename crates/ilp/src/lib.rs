@@ -31,6 +31,10 @@
 //!   runs only when a caller names [`SolverBackend::Dense`];
 //! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes
 //!   implied-integral variables) before a single simplex iteration runs;
+//! * a root LP that the sparse dual simplex refutes leaves a checked
+//!   [`Refutation`] in [`IlpStats::refutation`]: a row combination that
+//!   keeps refuting every right-hand side it still clears, so a caller
+//!   that only moves right-hand sides needs no further solve to say so;
 //! * best-first node selection with a depth-first plunge on the most
 //!   fractional variable, so the reported optimality gap tightens
 //!   monotonically and limit-hit returns carry a meaningful bound. An
@@ -63,6 +67,7 @@ mod lu;
 pub mod num;
 pub mod presolve;
 pub mod problem;
+mod refutation;
 mod revised;
 pub mod simplex;
 mod sparse;
@@ -72,6 +77,7 @@ pub use branch_bound::{solve_ilp, solve_ilp_in, IlpOptions, IlpSolution, IlpStat
 pub use num::is_exact_zero;
 pub use presolve::{presolve, quick_infeasible, PresolveOutcome};
 pub use problem::{Constraint, LpSolution, Problem, Sense, SolveError, VarId};
+pub use refutation::Refutation;
 pub use simplex::{solve_lp, solve_lp_in};
 pub use workspace::{SimplexWorkspace, SolverBackend};
 

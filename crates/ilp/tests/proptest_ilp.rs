@@ -1,9 +1,12 @@
 //! Property tests: the branch-and-bound solver must agree with exhaustive
-//! enumeration on random small binary programs, and LP relaxations must
-//! lower-bound the integer optimum.
+//! enumeration on random small binary programs, LP relaxations must
+//! lower-bound the integer optimum, and a root refutation must hold
+//! exactly where the reference solver finds no point.
 
 use proptest::prelude::*;
-use wishbone_ilp::{IlpOptions, Problem, Sense, SolveError};
+use wishbone_ilp::{
+    solve_ilp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError, SolverBackend, VarId,
+};
 
 /// Exhaustively enumerate all 0/1 assignments of an all-binary problem.
 fn brute_force(p: &Problem) -> Option<f64> {
@@ -58,6 +61,97 @@ fn problem_strategy() -> impl Strategy<Value = Problem> {
             p
         })
     })
+}
+
+/// Strategy: a budgeted cover over binaries — items worth at least a
+/// demand (a `≥` row) within a weight budget (row 0, a `≤` row: the
+/// budget row whose right-hand side moves) — plus `x_j ≥ x_{j+1}` rows
+/// between random neighbours, like the partitioner's cut rows. Half the
+/// problems get one more item, a heavy one worth more per unit weight
+/// than any other: presolve fixes it out at a tight budget, and only a
+/// looser one admits it.
+fn budgeted_cover() -> impl Strategy<Value = Problem> {
+    (3usize..10)
+        .prop_flat_map(|n| {
+            (
+                prop::collection::vec((1i32..=4, 1i32..=9, -5i32..=5, prop::bool::ANY), n),
+                (8i32..=16, -5i32..=5, prop::bool::ANY),
+                0.2f64..0.8,
+                0.4f64..0.95,
+            )
+        })
+        .prop_map(
+            |(mut items, (heavy, cost, jackpot), budget_frac, demand_frac)| {
+                let light = |pick: fn(&(i32, i32, i32, bool)) -> i32| -> f64 {
+                    items.iter().map(|item| f64::from(pick(item))).sum()
+                };
+                let (budget, demand) = (budget_frac * light(|i| i.0), demand_frac * light(|i| i.1));
+                if jackpot {
+                    items.push((heavy, 10 * heavy, cost, false));
+                }
+                let mut p = Problem::new();
+                let vars: Vec<VarId> = items
+                    .iter()
+                    .map(|&(_, _, c, _)| p.add_binary(f64::from(c)))
+                    .collect();
+                let row = |pick: fn(&(i32, i32, i32, bool)) -> i32| -> Vec<(VarId, f64)> {
+                    vars.iter()
+                        .zip(&items)
+                        .map(|(&v, item)| (v, f64::from(pick(item))))
+                        .collect()
+                };
+                p.add_constraint(&row(|i| i.0), Sense::Le, budget);
+                p.add_constraint(&row(|i| i.1), Sense::Ge, demand);
+                for (j, pair) in vars.windows(2).enumerate() {
+                    if items[j].3 {
+                        p.add_constraint(&[(pair[0], 1.0), (pair[1], -1.0)], Sense::Ge, 0.0);
+                    }
+                }
+                p
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Whenever branch-and-bound reports a root refutation, it is a
+    /// proof: the reference tableau also says `Infeasible` (and reports
+    /// none itself), a tighter budget is still refuted, and no budget
+    /// relaxed step by step to where the reference finds a point is.
+    #[test]
+    fn a_root_refutation_refutes_only_what_the_reference_cannot_solve(p in budgeted_cover()) {
+        let (result, stats) = solve_ilp_in(&p, &IlpOptions::default(), &mut SimplexWorkspace::new());
+        let Some(refutation) = stats.refutation else {
+            return Ok(());
+        };
+        prop_assert_eq!(result.map(|s| s.objective), Err(SolveError::Infeasible));
+        let dense = IlpOptions { backend: SolverBackend::Dense, ..Default::default() };
+        let (reference, dense_stats) = solve_ilp_in(&p, &dense, &mut SimplexWorkspace::new());
+        prop_assert_eq!(reference.map(|s| s.objective), Err(SolveError::Infeasible));
+        prop_assert!(dense_stats.refutation.is_none());
+
+        let budget = p.constraint(0).rhs;
+        let q = &p;
+        let at = |b: f64| move |row: usize| if row == 0 { b } else { q.constraint(row).rhs };
+        for cut in [0.25, 1.0, 4.0] {
+            prop_assert!(refutation.refutes(at(budget - cut)), "budget {} - {}", budget, cut);
+        }
+        let all: f64 = p.constraint(0).terms.iter().map(|&(_, a)| a).sum();
+        let mut relaxed = p.clone();
+        let mut solved = false;
+        for k in 1..=20 {
+            let b = budget + (all - budget) * f64::from(k) / 16.0;
+            relaxed.set_rhs(0, b);
+            let feasible = relaxed.solve_ilp(&dense).is_ok();
+            prop_assert!(
+                !(feasible && refutation.refutes(at(b))),
+                "refutes budget {} (from {}), where the reference finds a point", b, budget
+            );
+            solved |= feasible;
+        }
+        prop_assert!(solved, "every item fits the loosest budget");
+    }
 }
 
 proptest! {

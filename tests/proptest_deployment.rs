@@ -977,10 +977,14 @@ proptest! {
 
             let mut every =
                 PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("prepared once already");
+            let mut infeasible = Vec::new();
             let (rate, probes) = rate_schedule(
                 |rate| match every.solve_at(rate) {
                     Ok(_) => true,
-                    Err(PartitionError::Infeasible) => false,
+                    Err(PartitionError::Infeasible) => {
+                        infeasible.push(rate.to_bits());
+                        false
+                    }
                     Err(e) => panic!("solver error at x{rate}: {e}"),
                 },
                 64.0,
@@ -997,6 +1001,18 @@ proptest! {
             );
             prop_assert!(got.unproven.is_none());
             prop_assert!(got.solves <= got.evaluations + 1);
+            // Every probe a refutation answered is one the every-probe
+            // schedule solved to `Infeasible`; the tableau refutes none.
+            for refuted in &got.refuted {
+                prop_assert!(
+                    infeasible.contains(&refuted.to_bits()),
+                    "{:?}: x{} refuted, but the every-probe schedule did not find it infeasible",
+                    backend, refuted
+                );
+            }
+            if backend == SolverBackend::Dense {
+                prop_assert!(got.refuted.is_empty());
+            }
             let cold = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(got.rate))
                 .expect("the found rate is feasible");
             let p = &got.partition;

@@ -656,6 +656,7 @@ fn check_float_eq(rel: &Path, lines: &[CodeLine], out: &mut Vec<Violation>) {
                 let at = from + pos;
                 from = at + op.len();
                 let left = code[..at]
+                    .trim_end()
                     .rsplit(|c: char| c.is_whitespace() || "([{,;&|".contains(c))
                     .next()
                     .unwrap_or("");
@@ -1442,6 +1443,7 @@ mod tests {
 fn f(x: f64, n: usize) -> bool {
     if x == 0.0 { return true; } // line 2
     if x != 1e-9f64 { return true; } // line 3
+    if 1e-9 != x { return true; } // line 4: the literal on the left
     if n == 10 || x == y { return false; }
     let s = \"x == 0.0\"; // x == 0.0
     x == 0.0 // audit:allow(float-eq): demo
@@ -1453,7 +1455,7 @@ mod tests {
 ";
         assert_eq!(
             lines("float-eq", "crates/core/src/drift.rs", source),
-            vec![2, 3]
+            vec![2, 3, 4]
         );
         assert_eq!(
             lines("float-eq", "crates/runtime/src/tree.rs", source),
