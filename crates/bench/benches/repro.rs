@@ -61,16 +61,20 @@ fn profiled_eeg(mut app: EegApp, windows: usize, seizure: Range<usize>) -> Profi
     (app, prof)
 }
 
-/// Simulate `cfg.n_nodes` `platform` nodes, each running `node_ops` under
-/// the server, fed `elems` at the 40 frames/s reference rate.
-fn simulate_cut(
+/// Simulate `cfg.n_nodes` `platform` nodes, each running `node_ops` (a
+/// cut point's set or a placement's sorted list) under the server, fed
+/// `elems` at the 40 frames/s reference rate.
+fn simulate_cut<S>(
     app: &SpeechApp,
-    node_ops: &HashSet<OperatorId>,
+    node_ops: &S,
     elems: &[Value],
     platform: &Platform,
     channel: ChannelParams,
     cfg: &SimulationConfig,
-) -> TreeDeploymentReport {
+) -> TreeDeploymentReport
+where
+    for<'s> &'s S: IntoIterator<Item = &'s OperatorId>,
+{
     let tiers = [platform.clone(), Platform::server()];
     let topo = TreeTopology::chain(&tiers, &[channel], cfg.n_nodes);
     let feeds = vec![SourceFeed {

@@ -35,7 +35,6 @@
 //! probe from the last proved placement while that still fits, and from
 //! the last root LP refutation while that still refutes.
 
-use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
@@ -295,6 +294,23 @@ impl Deployment {
         order
     }
 
+    /// Refuse a budget that is not one: a NaN or `−∞` CPU budget at a
+    /// site, or uplink budget over its uplink, is
+    /// [`PartitionError::InvalidBudget`] naming that site. The §4.1 merge,
+    /// the encoder and [`shape_key`](crate::shape_key) read a budget only
+    /// through `is_finite()`, so either would otherwise solve as "no
+    /// limit". `+∞` is no limit; a finite budget is a row, and a zero or
+    /// negative one fits no placement ([`PartitionError::Infeasible`]).
+    pub fn check_budgets(&self) -> Result<(), PartitionError> {
+        for id in self.site_ids() {
+            let net = self.uplink(id).map_or(f64::INFINITY, |l| l.net_budget);
+            if !is_budget(self.site(id).cpu_budget) || !is_budget(net) {
+                return Err(PartitionError::InvalidBudget { site: id });
+            }
+        }
+        Ok(())
+    }
+
     fn validate(&self) {
         assert!(
             self.sites.len() >= 2,
@@ -507,8 +523,10 @@ pub struct LeafPartition {
     pub leaf: SiteId,
     /// The leaf's root path (leaf first, root last).
     pub path: Vec<SiteId>,
-    /// Operators assigned to each path position.
-    pub site_ops: Vec<HashSet<OperatorId>>,
+    /// Operators assigned to each path position, each list sorted
+    /// strictly ascending. Together the lists hold every operator of the
+    /// program exactly once.
+    pub site_ops: Vec<Vec<OperatorId>>,
     /// Dataflow edges carried over each hop (length `path.len() − 1`).
     /// An edge whose endpoints are several positions apart appears on
     /// every hop it crosses: relays store-and-forward it.
@@ -521,9 +539,12 @@ pub struct LeafPartition {
 }
 
 impl LeafPartition {
-    /// Path position of `op`, if it exists in the program.
+    /// Path position of `op`, if it exists in the program: a binary
+    /// search of each position's sorted list.
     pub fn position_of(&self, op: OperatorId) -> Option<usize> {
-        self.site_ops.iter().position(|s| s.contains(&op))
+        self.site_ops
+            .iter()
+            .position(|ops| ops.binary_search(&op).is_ok())
     }
 }
 
@@ -564,14 +585,17 @@ impl DeploymentPartition {
         self.leaves.iter().find(|l| l.leaf == leaf)
     }
 
-    /// Operators hosted at `site` for at least one leaf class.
-    pub fn ops_at(&self, site: SiteId) -> HashSet<OperatorId> {
-        let mut ops = HashSet::new();
+    /// Operators hosted at `site` for at least one leaf class, sorted
+    /// ascending, each once.
+    pub fn ops_at(&self, site: SiteId) -> Vec<OperatorId> {
+        let mut ops = Vec::new();
         for leaf in &self.leaves {
             if let Some(pos) = leaf.path.iter().position(|&s| s == site) {
-                ops.extend(leaf.site_ops[pos].iter().copied());
+                ops.extend_from_slice(&leaf.site_ops[pos]);
             }
         }
+        ops.sort_unstable();
+        ops.dedup();
         ops
     }
 }
@@ -611,6 +635,13 @@ pub enum PartitionError {
         /// The offending tolerance, as given.
         tol: f64,
     },
+    /// A CPU budget of `site`, or the budget of its uplink, is NaN or
+    /// `−∞` ([`Deployment::check_budgets`]): not a limit, and not "no
+    /// limit" either, which is `+∞`.
+    InvalidBudget {
+        /// The site whose CPU or uplink budget is invalid.
+        site: SiteId,
+    },
 }
 
 impl std::fmt::Display for PartitionError {
@@ -639,6 +670,9 @@ impl std::fmt::Display for PartitionError {
             }
             PartitionError::InvalidTolerance { tol } => {
                 write!(f, "rate search tolerance {tol} is not finite and positive")
+            }
+            PartitionError::InvalidBudget { site } => {
+                write!(f, "site {site:?} has a NaN or -inf CPU or uplink budget")
             }
         }
     }
@@ -814,6 +848,7 @@ impl<'a> PreparedDeployment<'a> {
         cfg: &DeploymentConfig,
     ) -> Result<Self, PartitionError> {
         dep.validate();
+        dep.check_budgets()?;
         let encode_t = Instant::now();
         // One flat table for every leaf: pins and structure once, costs
         // re-priced per root path; only merged graphs are materialised.
@@ -904,6 +939,10 @@ impl<'a> PreparedDeployment<'a> {
                 DeploymentDelta::SetCpuBudget { site, cpu_budget } => {
                     assert!(site.0 < self.dep.len(), "unknown site {site:?}");
                     let old = self.dep.sites[site.0].cpu_budget;
+                    assert!(
+                        is_budget(cpu_budget),
+                        "CPU budget {cpu_budget} is not a budget"
+                    );
                     assert_eq!(
                         cpu_budget.is_finite(),
                         old.is_finite(),
@@ -916,6 +955,10 @@ impl<'a> PreparedDeployment<'a> {
                     let link = self.dep.uplink[site.0]
                         .as_mut()
                         .unwrap_or_else(|| panic!("site {site:?} is the root: it has no uplink"));
+                    assert!(
+                        is_budget(net_budget),
+                        "uplink budget {net_budget} is not a budget"
+                    );
                     assert_eq!(
                         net_budget.is_finite(),
                         link.net_budget.is_finite(),
@@ -1244,21 +1287,23 @@ impl<'a> PreparedDeployment<'a> {
         let mut leaves = Vec::with_capacity(self.leaves.len());
         for (prep, tier) in self.leaves.iter().zip(&decoded) {
             let (k, graph) = (prep.path.len(), &prep.graph);
-            // Sums run in vertex and edge order, never over the hash sets,
-            // so identical solves report identical bits (the fleet parity
-            // suite compares these vectors bit for bit with serial solves).
+            // Sums run in vertex and edge order, so identical solves report
+            // identical bits (the fleet parity suite compares these vectors
+            // bit for bit with serial solves); each position's operator list
+            // is filled in vertex order and then sorted, so it is canonical.
             let mut tier_count = vec![0usize; k];
             let mut predicted_cpu = vec![0.0f64; k];
             for (vert, &t) in graph.vertices.iter().zip(tier) {
                 tier_count[t] += vert.ops.len();
                 predicted_cpu[t] += vert.cpu_cost[t];
             }
-            let mut site_ops: Vec<HashSet<OperatorId>> = tier_count
-                .iter()
-                .map(|&c| HashSet::with_capacity(c))
-                .collect();
+            let mut site_ops: Vec<Vec<OperatorId>> =
+                tier_count.iter().map(|&c| Vec::with_capacity(c)).collect();
             for (vert, &t) in graph.vertices.iter().zip(tier) {
-                site_ops[t].extend(&vert.ops);
+                site_ops[t].extend_from_slice(&vert.ops);
+            }
+            for ops in &mut site_ops {
+                ops.sort_unstable();
             }
             let mut link_cut_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); k - 1];
             let mut predicted_net = vec![0.0f64; k - 1];
@@ -1318,6 +1363,11 @@ impl<'a> PreparedDeployment<'a> {
 
 /// A rate multiplier is a finite positive number, or there is no instance
 /// to solve.
+/// Whether `budget` is one: finite (a row) or `+∞` (no row).
+fn is_budget(budget: f64) -> bool {
+    budget.is_finite() || budget == f64::INFINITY
+}
+
 pub(crate) fn check_rate(rate: f64) -> Result<(), PartitionError> {
     if rate.is_finite() && rate > 0.0 {
         Ok(())
@@ -2184,7 +2234,7 @@ mod tests {
             a.objective,
             b.objective
         );
-        // Aggregates sum over hash sets, so allow summation-order noise.
+        // Aggregates are compared to 1e-9 relative, as the objectives are.
         for (x, y) in a.site_cpu.iter().zip(&b.site_cpu) {
             assert!((x - y).abs() < 1e-9 * (1.0 + y.abs()));
         }

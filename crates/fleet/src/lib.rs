@@ -257,7 +257,9 @@ impl ShapeCache {
     }
 
     /// Serve one request out of the cache, preparing on miss. Returns
-    /// `(hit, solve result)`.
+    /// `(hit, solve result)`; a request whose budgets
+    /// [`Deployment::check_budgets`](wishbone_core::Deployment::check_budgets)
+    /// refuses is answered with that error before the lookup, as a miss.
     ///
     /// On a hit the cached encoding is morphed to the request's counts
     /// and budgets via [`deltas_between`] + `apply_delta` — index-stable
@@ -272,6 +274,11 @@ impl ShapeCache {
         ws: &mut SimplexWorkspace,
         deterministic: bool,
     ) -> (bool, Result<DeploymentPartition, PartitionError>) {
+        // A NaN budget keys like `+∞` (`shape_key` reads finiteness): on a
+        // hit it would otherwise become a budget delta.
+        if let Err(e) = req.deployment.check_budgets() {
+            return (false, Err(e));
+        }
         if let Some((prep, ..)) = self.entries.get_mut(&key) {
             let deltas = deltas_between(prep.deployment(), &req.deployment);
             if !deltas.is_empty() {

@@ -334,7 +334,9 @@ pub(crate) mod tests {
                 match (a, b) {
                     (Ok(a), Ok(b)) => {
                         let leaf = &b.leaves[0];
-                        assert_eq!(a.node_ops, leaf.site_ops[0], "rate {rate} {backend:?}");
+                        let mut node_list: Vec<OperatorId> = a.node_ops.iter().copied().collect();
+                        node_list.sort_unstable();
+                        assert_eq!(node_list, leaf.site_ops[0], "rate {rate} {backend:?}");
                         assert_eq!(
                             g.operator_count() - a.node_ops.len(),
                             leaf.site_ops[1].len()

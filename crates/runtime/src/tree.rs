@@ -264,24 +264,25 @@ pub struct LeafRoute {
 impl LeafRoute {
     /// The one route of a [`TreeTopology::chain`]: `below_root[t]` runs at
     /// tier `t` (innermost first) and the root hosts every other operator
-    /// of `graph`. One set is the paper's node/server cut; `k − 1` sets
-    /// are a `DeploymentPartition` leaf's non-root `site_ops`.
-    pub fn chain(
-        graph: &Graph,
-        below_root: &[HashSet<OperatorId>],
-        feeds: Vec<SourceFeed>,
-    ) -> Self {
+    /// of `graph`. One collection is the paper's node/server cut; `k − 1`
+    /// are a `DeploymentPartition` leaf's non-root `site_ops` (sorted
+    /// lists), which route as they are, as do hash sets.
+    pub fn chain<S>(graph: &Graph, below_root: &[S], feeds: Vec<SourceFeed>) -> Self
+    where
+        for<'s> &'s S: IntoIterator<Item = &'s OperatorId>,
+    {
+        let mut site_ops: Vec<HashSet<OperatorId>> = below_root
+            .iter()
+            .map(|ops| ops.into_iter().copied().collect())
+            .collect();
         let root_ops = graph
             .operator_ids()
-            .filter(|id| !below_root.iter().any(|ops| ops.contains(id)))
+            .filter(|id| !site_ops.iter().any(|ops| ops.contains(id)))
             .collect();
+        site_ops.push(root_ops);
         LeafRoute {
             path: (0..=below_root.len()).rev().collect(),
-            site_ops: below_root
-                .iter()
-                .cloned()
-                .chain(std::iter::once(root_ops))
-                .collect(),
+            site_ops,
             feeds,
         }
     }

@@ -186,17 +186,17 @@ fn main() {
             rate_hz: t.rate_hz,
         })
         .collect();
+    // A route's per-position operator sets, from the placement's sorted lists.
+    let route = |leaf, path, feeds| LeafRoute {
+        path,
+        site_ops: (roomy.partition.leaf(leaf).unwrap().site_ops.iter())
+            .map(|ops| ops.iter().copied().collect())
+            .collect(),
+        feeds,
+    };
     let routes = [
-        LeafRoute {
-            path: vec![3, 1, 0],
-            site_ops: roomy.partition.leaf(cap_a).unwrap().site_ops.clone(),
-            feeds: feeds.clone(),
-        },
-        LeafRoute {
-            path: vec![4, 2, 0],
-            site_ops: roomy.partition.leaf(cap_b).unwrap().site_ops.clone(),
-            feeds,
-        },
+        route(cap_a, vec![3, 1, 0], feeds.clone()),
+        route(cap_b, vec![4, 2, 0], feeds),
     ];
     let sim_cfg = SimulationConfig {
         duration_s: 20.0,

@@ -67,7 +67,7 @@ fn main() {
                 &app.graph,
                 &DotOptions {
                     heat: prof.heat(&mote),
-                    node_partition: on_mote.site_ops[0].iter().copied().collect(),
+                    node_partition: on_mote.site_ops[0].clone(),
                     label: "speech detection on TMote Sky (1/8 rate)".into(),
                     cut_bandwidth: on_mote.link_cut_edges[0]
                         .iter()

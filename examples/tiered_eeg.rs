@@ -203,7 +203,7 @@ fn main() {
         &DotOptions {
             tiers,
             cut_bandwidth,
-            node_partition: part.site_ops[0].iter().copied().collect(),
+            node_partition: part.site_ops[0].clone(),
             label: format!(
                 "22-channel EEG on telos -> phone -> server (rate x{:.2})",
                 r.rate

@@ -1,0 +1,168 @@
+//! A budget that is not one is refused, not read as "no limit".
+//!
+//! The §4.1 merge, the encoder and `shape_key` read a budget only through
+//! `is_finite()`: a finite budget is a row, anything else is none. So a
+//! NaN (or `−∞`) CPU or uplink budget would solve as unbudgeted, and on a
+//! fleet hit it would share its `ShapeKey` with a `+∞` entry and ride in
+//! as a budget delta. Both paths answer `PartitionError::InvalidBudget`
+//! instead. `+∞` stays "no limit", and a zero or negative budget is a row
+//! that no placement fits.
+
+use std::sync::Arc;
+
+use wishbone::core::{PartitionError, PreparedDeployment};
+use wishbone::fleet::ShapeCache;
+use wishbone::ilp::SimplexWorkspace;
+use wishbone::prelude::*;
+
+/// The 2-channel EEG app, profiled.
+fn eeg2() -> (Arc<Graph>, Arc<GraphProfile>) {
+    let mut app = build_eeg_app(EegParams {
+        n_channels: 2,
+        ..EegParams::default()
+    });
+    let traces = app.traces(6, 2..4, 3);
+    let prof = profile(&mut app.graph, &traces).unwrap();
+    (Arc::new(app.graph), Arc::new(prof))
+}
+
+/// One TMote leaf under the server, with the given CPU and uplink budgets.
+fn star(cpu_budget: f64, net_budget: f64) -> Deployment {
+    let mote = Platform::tmote_sky();
+    Deployment::star([(
+        Site::new("mote", &mote).with_cpu_budget(cpu_budget),
+        LinkSpec {
+            net_budget,
+            ..LinkSpec::for_platform(&mote)
+        },
+    )])
+}
+
+/// Every one-shot path (partition, prepare, rate search) on `dep`.
+fn one_shot(g: &Graph, prof: &GraphProfile, dep: &Deployment) -> [Option<PartitionError>; 3] {
+    let cfg = DeploymentConfig::default();
+    [
+        partition_deployment(g, prof, dep, &cfg).err(),
+        PreparedDeployment::new(g, prof, dep, &cfg).err(),
+        max_sustainable_rate_deployment(g, prof, dep, &cfg, 4.0, 0.01).err(),
+    ]
+}
+
+/// The mote's CPU budget (`cpu`) or its uplink's, set to `bad`; the
+/// other `+∞`.
+fn star_with(cpu: bool, bad: f64) -> Deployment {
+    match cpu {
+        true => star(bad, f64::INFINITY),
+        false => star(f64::INFINITY, bad),
+    }
+}
+
+/// Partition, prepare and the rate search all refuse a NaN or `−∞` CPU
+/// (`cpu`) or uplink budget with the mote's id.
+fn assert_refused_one_shot(cpu: bool) {
+    let (g, prof) = eeg2();
+    let mote = star(1.0, 1.0).leaves()[0];
+    let refused = Some(PartitionError::InvalidBudget { site: mote });
+    for bad in [f64::NAN, f64::NEG_INFINITY] {
+        let got = one_shot(&g, &prof, &star_with(cpu, bad));
+        assert_eq!(got, [(); 3].map(|_| refused.clone()), "budget {bad}");
+    }
+}
+
+#[test]
+fn a_nan_cpu_budget_is_refused_one_shot() {
+    assert_refused_one_shot(true);
+}
+
+#[test]
+fn a_nan_net_budget_is_refused_one_shot() {
+    assert_refused_one_shot(false);
+}
+
+#[test]
+fn an_infinite_budget_is_no_limit_and_a_nonpositive_one_fits_nothing() {
+    let (g, prof) = eeg2();
+    let cfg = DeploymentConfig::default();
+    let unlimited = star(f64::INFINITY, f64::INFINITY);
+    let free = partition_deployment(&g, &prof, &unlimited, &cfg).expect("no budget binds");
+    assert!(free.ilp_stats.proved);
+    assert_eq!(free.objective.to_bits(), 9.0f64.to_bits());
+    // Budgets too large to bind give the same placement as no budgets.
+    let roomy = partition_deployment(&g, &prof, &star(1e6, 1e9), &cfg).expect("fits");
+    assert_eq!(roomy.objective.to_bits(), free.objective.to_bits());
+    assert_eq!(roomy.leaves[0].site_ops, free.leaves[0].site_ops);
+    for tight in [0.0, -0.0, -1.0] {
+        for dep in [star(tight, f64::INFINITY), star(f64::INFINITY, tight)] {
+            let got = partition_deployment(&g, &prof, &dep, &cfg);
+            assert_eq!(
+                got.err(),
+                Some(PartitionError::Infeasible),
+                "budget {tight}"
+            );
+        }
+    }
+}
+
+/// A NaN CPU (`cpu`) or uplink budget keys like `+∞`, so it would reach
+/// a `+∞` entry as a budget delta; it is refused, and the entry still
+/// answers the next `+∞` request with the same bits.
+fn assert_refused_on_a_hit(cpu: bool) {
+    let (g, prof) = eeg2();
+    let cfg = DeploymentConfig::default();
+    let request = |id: u64, deployment: Deployment| FleetRequest {
+        id,
+        graph: Arc::clone(&g),
+        profile: Arc::clone(&prof),
+        deployment,
+        config: cfg.clone(),
+        rate: 1.0,
+    };
+    let key = |req: &FleetRequest| shape_key(&req.graph, &req.profile, &req.deployment, &cfg);
+    let mote = star(1.0, 1.0).leaves()[0];
+    let mut cache = ShapeCache::new();
+    let mut ws = SimplexWorkspace::new();
+    let unlimited = request(0, star(f64::INFINITY, f64::INFINITY));
+    let (hit, first) = cache.serve(&unlimited, key(&unlimited), &mut ws, true);
+    let first = first.expect("no budget binds");
+    assert!(!hit);
+    let nan = request(1, star_with(cpu, f64::NAN));
+    assert_eq!(key(&nan), key(&unlimited));
+    let (_, got) = cache.serve(&nan, key(&nan), &mut ws, true);
+    assert_eq!(
+        got.err(),
+        Some(PartitionError::InvalidBudget { site: mote })
+    );
+    let again = request(2, star(f64::INFINITY, f64::INFINITY));
+    let (hit, second) = cache.serve(&again, key(&again), &mut ws, true);
+    let second = second.expect("no budget binds");
+    assert!(hit);
+    assert_eq!(cache.len(), 1);
+    assert_eq!(second.objective.to_bits(), first.objective.to_bits());
+    assert_eq!(second.leaves[0].site_ops, first.leaves[0].site_ops);
+}
+
+#[test]
+fn a_nan_cpu_budget_is_refused_on_a_fleet_hit() {
+    assert_refused_on_a_hit(true);
+}
+
+#[test]
+fn a_nan_net_budget_is_refused_on_a_fleet_hit() {
+    assert_refused_on_a_hit(false);
+}
+
+/// The instance itself refuses such a budget as a delta: `apply_delta`
+/// asserts (a caller that builds deltas by hand skipped the request
+/// check that `ShapeCache::serve` makes).
+#[test]
+#[should_panic(expected = "is not a budget")]
+fn a_nan_budget_delta_is_a_broken_caller() {
+    let (g, prof) = eeg2();
+    let dep = star(f64::INFINITY, f64::INFINITY);
+    let cfg = DeploymentConfig::default();
+    let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("no budget to refuse");
+    prep.apply_delta(&[DeploymentDelta::SetCpuBudget {
+        site: dep.leaves()[0],
+        cpu_budget: f64::NAN,
+    }]);
+}

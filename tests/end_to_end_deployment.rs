@@ -248,7 +248,11 @@ fn forest_goodput_collapses_only_on_the_saturated_subtree() {
         .collect();
     let mk_route = |leaf: usize, part: &LeafPartition| LeafRoute {
         path: vec![leaf, leaf - 2, 0],
-        site_ops: part.site_ops.clone(),
+        site_ops: part
+            .site_ops
+            .iter()
+            .map(|ops| ops.iter().copied().collect())
+            .collect(),
         feeds: feeds.clone(),
     };
     let sim = simulate_deployment_tree(

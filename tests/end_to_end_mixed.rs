@@ -164,7 +164,9 @@ fn overload_deployment_recommendation_matches_simulation() {
         }];
         let route = LeafRoute::chain(&app.graph, std::slice::from_ref(&node_set), feeds);
         let report = simulate_deployment_tree(&app.graph, &topo, &[route], &dcfg);
-        let is_recommended = node_set == recommended.site_ops[0];
+        let mut node_list: Vec<OperatorId> = node_set.iter().copied().collect();
+        node_list.sort_unstable();
+        let is_recommended = node_list == recommended.site_ops[0];
         goods.push((
             name.to_string(),
             report.leaves[0].goodput_ratio(),

@@ -48,7 +48,9 @@ fn parity_on(
         let tiered = partition_deployment(graph, prof, &dep, &cfg);
         match (binary, tiered) {
             (Ok(b), Ok(t)) => {
-                let node_ops = merged.expand(&ep.decode(&b.values));
+                let mut node_ops: Vec<OperatorId> =
+                    merged.expand(&ep.decode(&b.values)).into_iter().collect();
+                node_ops.sort_unstable();
                 let leaf = &t.leaves[0];
                 assert_eq!(
                     node_ops, leaf.site_ops[0],

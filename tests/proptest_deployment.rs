@@ -478,8 +478,9 @@ fn star_server_side_union_matches_mixed() {
 
     let dep = Deployment::star(classes);
     let part = partition_deployment(&g, &prof, &dep, &cfg).unwrap();
-    let server_union: HashSet<OperatorId> = part.ops_at(SiteId(0));
-    assert_eq!(server_union, alone_union);
+    let mut alone_union: Vec<OperatorId> = alone_union.into_iter().collect();
+    alone_union.sort_unstable();
+    assert_eq!(part.ops_at(SiteId(0)), alone_union);
 }
 
 proptest! {
@@ -1056,12 +1057,10 @@ fn assert_decode_is_the_profile(
         let platform = |t: usize| &dep.site(leaf.path[t]).platform;
         let pos = |op: OperatorId| leaf.position_of(op).expect("every operator is placed");
         prop_assert_eq!(
-            leaf.site_ops.iter().map(HashSet::len).sum::<usize>(),
+            leaf.site_ops.iter().map(Vec::len).sum::<usize>(),
             g.operator_count()
         );
         for (t, ops) in leaf.site_ops.iter().enumerate() {
-            let mut ops: Vec<OperatorId> = ops.iter().copied().collect();
-            ops.sort();
             let cpu: f64 = ops
                 .iter()
                 .map(|&op| prof.cpu_fraction(op, platform(t)) * rate * rate_factor)
@@ -1087,6 +1086,70 @@ fn assert_decode_is_the_profile(
     Ok(())
 }
 
+/// `random_app` (or, if `diamond`, `diamond_app`) profiled on a short
+/// trace; `None` when profiling fails.
+fn profiled_app(
+    diamond: bool,
+    stages: usize,
+    costs: &[u64],
+    keeps: &[usize],
+) -> Option<(wishbone::dataflow::Graph, wishbone::profile::GraphProfile)> {
+    let app = if diamond { diamond_app } else { random_app };
+    let (mut g, src) = app(stages, costs, keeps);
+    let trace = SourceTrace {
+        source: src,
+        elements: (0..10)
+            .map(|i| Value::VecI16(vec![i as i16; 128]))
+            .collect(),
+        rate_hz: 20.0,
+    };
+    let prof = profile(&mut g, &[trace]).ok()?;
+    Some((g, prof))
+}
+
+/// Two gateway wards whose motes run at their own rate factors, and
+/// optionally a leaf class straight under the server. Sites: 0 = server,
+/// 1 = gw-a (metered uplink), 2 = gw-b, 3 = motes-a, 4 = motes-b,
+/// 5 = microservers (when `direct_leaf`).
+fn rated_wards(factor_a: f64, factor_b: f64, direct_leaf: bool) -> Deployment {
+    let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
+    let link = |net_budget: f64| LinkSpec {
+        beta: 1.0,
+        net_budget,
+    };
+    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+    let root = dep.root();
+    let gw_a = dep.attach(
+        root,
+        Site::new("gw-a", &phone).with_cpu_budget(0.3),
+        link(2000.0),
+    );
+    let gw_b = dep.attach(
+        root,
+        Site::new("gw-b", &phone).with_cpu_budget(0.3),
+        link(1e9),
+    );
+    dep.attach(
+        gw_a,
+        Site::new("motes-a", &mote).at_rate(factor_a),
+        link(1e9),
+    );
+    dep.attach(
+        gw_b,
+        Site::new("motes-b", &mote).at_rate(factor_b),
+        link(1e9),
+    );
+    if direct_leaf {
+        let gumstix = Platform::gumstix();
+        dep.attach(
+            root,
+            Site::new("microservers", &gumstix),
+            LinkSpec::for_platform(&gumstix),
+        );
+    }
+    dep
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1107,31 +1170,10 @@ proptest! {
         rates in prop::collection::vec(0.02f64..0.6, 6),
     ) {
         let (factor_a, factor_b, direct_leaf, capped, diamond) = shape;
-        let app = if diamond { diamond_app } else { random_app };
-        let (mut g, src) = app(stages, &costs, &keeps);
-        let trace = SourceTrace {
-            source: src,
-            elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
-            rate_hz: 20.0,
+        let Some((g, prof)) = profiled_app(diamond, stages, &costs, &keeps) else {
+            return Ok(());
         };
-        let prof = match profile(&mut g, &[trace]) {
-            Ok(p) => p,
-            Err(_) => return Ok(()),
-        };
-        let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
-        let link = |net_budget: f64| LinkSpec { beta: 1.0, net_budget };
-        // Sites: 0 = server, 1 = gw-a, 2 = gw-b, 3 = motes-a, 4 = motes-b,
-        // 5 = microservers (when present).
-        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-        let root = dep.root();
-        let gw_a = dep.attach(root, Site::new("gw-a", &phone).with_cpu_budget(0.3), link(2000.0));
-        let gw_b = dep.attach(root, Site::new("gw-b", &phone).with_cpu_budget(0.3), link(1e9));
-        dep.attach(gw_a, Site::new("motes-a", &mote).at_rate(factor_a), link(1e9));
-        dep.attach(gw_b, Site::new("motes-b", &mote).at_rate(factor_b), link(1e9));
-        if direct_leaf {
-            let gumstix = Platform::gumstix();
-            dep.attach(root, Site::new("microservers", &gumstix), LinkSpec::for_platform(&gumstix));
-        }
+        let dep = rated_wards(factor_a, factor_b, direct_leaf);
         let mut cfg = DeploymentConfig::default();
         if capped {
             cfg.ilp.max_nodes = 1;
@@ -1157,6 +1199,83 @@ proptest! {
             };
             prep.apply_delta(&[delta]);
             check(&mut prep, rates[1 + step % 5])?;
+        }
+    }
+}
+
+/// `part`'s lists are canonical: every `site_ops[t]` strictly ascending,
+/// a leaf's lists together holding each of the program's operators
+/// exactly once, `position_of` (a binary search) agreeing with a linear
+/// scan, and `ops_at(site)` the sorted, deduplicated union over the
+/// leaves whose path runs through `site`.
+fn assert_placement_is_canonical(
+    g: &wishbone::dataflow::Graph,
+    dep: &Deployment,
+    part: &DeploymentPartition,
+) -> Result<(), TestCaseError> {
+    let mut program: Vec<OperatorId> = g.operator_ids().collect();
+    program.sort_unstable();
+    let absent = OperatorId(program.last().map_or(0, |op| op.0 + 1));
+    for leaf in &part.leaves {
+        for ops in &leaf.site_ops {
+            prop_assert!(
+                ops.windows(2).all(|w| w[0] < w[1]),
+                "not ascending: {:?}",
+                ops
+            );
+        }
+        let mut placed = leaf.site_ops.concat();
+        placed.sort_unstable();
+        prop_assert_eq!(&placed, &program);
+        for &op in program.iter().chain([&absent]) {
+            let scan = leaf.site_ops.iter().position(|ops| ops.contains(&op));
+            prop_assert_eq!(leaf.position_of(op), scan, "operator {:?}", op);
+        }
+    }
+    for site in dep.site_ids() {
+        let hosts = |op: &OperatorId| {
+            part.leaves.iter().any(|l| {
+                let t = l.path.iter().position(|&s| s == site);
+                t.is_some_and(|t| l.site_ops[t].contains(op))
+            })
+        };
+        let union: Vec<OperatorId> = program.iter().copied().filter(hosts).collect();
+        prop_assert_eq!(part.ops_at(site), union, "site {:?}", site);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A placement's per-position operator lists are canonical (see
+    /// `assert_placement_is_canonical`) on pipelines and fan-out / fan-in
+    /// apps over the decode proptest's random trees, at every rate of a
+    /// schedule and after a delta that removes a leaf class.
+    #[test]
+    fn placement_lists_are_sorted_and_partition_the_program(
+        stages in 2usize..6,
+        costs in prop::collection::vec(100u64..4000, 5),
+        keeps in prop::collection::vec(1usize..5, 5),
+        shape in ((0.05f64..2.0), (0.05f64..2.0), prop::bool::ANY, prop::bool::ANY),
+        rates in prop::collection::vec(0.02f64..0.6, 3),
+    ) {
+        let (factor_a, factor_b, direct_leaf, diamond) = shape;
+        let Some((g, prof)) = profiled_app(diamond, stages, &costs, &keeps) else {
+            return Ok(());
+        };
+        let dep = rated_wards(factor_a, factor_b, direct_leaf);
+        let Ok(mut prep) = PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default())
+        else {
+            return Ok(());
+        };
+        for (i, &rate) in rates.iter().enumerate() {
+            if i == rates.len() - 1 {
+                prep.apply_delta(&[DeploymentDelta::RemoveLeaf { leaf: SiteId(4) }]);
+            }
+            if let Ok(part) = prep.solve_at(rate) {
+                assert_placement_is_canonical(&g, prep.deployment(), &part)?;
+            }
         }
     }
 }

@@ -4,7 +4,6 @@
 //! must compose into a valid whole-program execution order on the server.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 use wishbone::prelude::*;
 
@@ -88,7 +87,8 @@ proptest! {
             Err(_) => return Ok(()), // a class may genuinely not fit
         };
 
-        let all_ops: HashSet<OperatorId> = g.operator_ids().collect();
+        let mut all_ops: Vec<OperatorId> = g.operator_ids().collect();
+        all_ops.sort_unstable();
         let mut cut_union: Vec<wishbone::dataflow::EdgeId> = Vec::new();
         for part in &mixed.leaves {
             let class = dep.site(part.leaf);
@@ -100,9 +100,10 @@ proptest! {
                 class.name, part.predicted_cpu[0], class.cpu_budget
             );
             // 2. node ∪ server covers the program exactly once.
-            let union: HashSet<OperatorId> = node_ops.union(server_ops).copied().collect();
+            let mut union: Vec<OperatorId> = node_ops.iter().chain(server_ops).copied().collect();
+            union.sort_unstable();
             prop_assert_eq!(&union, &all_ops);
-            prop_assert!(node_ops.is_disjoint(server_ops));
+            prop_assert!(node_ops.iter().all(|id| server_ops.binary_search(id).is_err()));
             // 3. Single crossing: no edge flows server → node, and the cut
             // edges are exactly the node → server frontier.
             let mut frontier = Vec::new();

@@ -169,7 +169,13 @@ fn robust_partition_survives_every_single_gateway_failure() {
             .iter()
             .map(|&(topo_leaf, dep_leaf)| LeafRoute {
                 path: vec![topo_leaf, topo_leaf - 1, 0],
-                site_ops: part.leaf(dep_leaf).unwrap().site_ops.clone(),
+                site_ops: part
+                    .leaf(dep_leaf)
+                    .unwrap()
+                    .site_ops
+                    .iter()
+                    .map(|ops| ops.iter().copied().collect())
+                    .collect(),
                 feeds: feeds.clone(),
             })
             .collect();

@@ -100,7 +100,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 11] = [
+const CONFINE: [Confine; 12] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -192,6 +192,13 @@ const CONFINE: [Confine; 11] = [
         homes: &[Home::File(MULTITIER)],
         why: "`{}` outside `crates/core/src/multitier.rs` — the merged leaf graphs carry the \
               one pricing; read their costs",
+    },
+    Confine {
+        rule: "flat-placement", scope: &[CORE_SRC],
+        needles: &[Text("HashSet<OperatorId>"), Text("HashSet::<OperatorId>")], homes: &[],
+        why: "`{}` in `crates/core/src` — a placement's per-site operators are sorted \
+              `Vec<OperatorId>` lists that the decode fills in one pass and sorts; a hashed \
+              placement is the decode's largest cost growing back",
     },
 ];
 
@@ -1602,6 +1609,35 @@ mod tests {
                 assert_eq!(confine_lines(row, &file_in(row.scope[0]), &allowed), []);
             }
         }
+    }
+
+    #[test]
+    fn flat_placement_fires_on_a_hashed_placement_put_back() {
+        let source = "\
+use std::collections::HashSet;
+pub struct LeafPartition {
+    pub site_ops: Vec<HashSet<OperatorId>>, // line 3
+    pub link_cut_edges: Vec<Vec<EdgeId>>,
+}
+fn decode(k: usize) -> Vec<HashSet<SiteId>> {
+    let sets = vec![HashSet::<OperatorId>::new(); k]; // line 7
+    // a Vec<HashSet<OperatorId>> in a comment, and \"HashSet<OperatorId>\" in a string
+    let ops: Vec<OperatorId> = Vec::new();
+    todo!()
+}
+#[cfg(test)]
+mod tests {
+    fn reference() -> HashSet<OperatorId> { todo!() }
+}
+";
+        assert_eq!(
+            lines("flat-placement", "crates/core/src/topology.rs", source),
+            vec![3, 7]
+        );
+        assert_eq!(
+            lines("flat-placement", "crates/runtime/src/tree.rs", source),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]
