@@ -1021,12 +1021,13 @@ fn smoke(backend: SolverBackend) {
     // ~4450 pivots the two-phase primal needs on it — so a change that
     // silently falls back to the primal fails here, on any machine. The
     // iteration count is pinned exactly: the leaving heap must choose
-    // what a full scan chooses, and a longer refactorization period must
-    // not move a pivot. The factorization guard is the steepest-edge
-    // pricing's: rows with a short `B⁻ᵀe_r` keep the etas sparse, so only
-    // the 128-eta period forces a refactorization (14 of them; 27 at the
-    // old 64-eta period), where largest-violation pricing ran into the eta
-    // file's nonzero budget (39 at 64).
+    // what a full scan chooses, and the hypersparse eta passes must not
+    // move a pivot. The factorization guard is the steepest-edge
+    // pricing's and the eta file's: rows with a short `B⁻ᵀe_r` keep the
+    // etas sparse, so the 1,716 dual pivots stay inside the file's
+    // nonzero budget and the load's factorization is the only one (a
+    // 128-eta cap forced 14; largest-violation pricing ran into the
+    // budget 39 times under a 64-eta cap).
     if backend == SolverBackend::Sparse {
         let (graph22, prof22) = eeg_app(22);
         let chain = Deployment::chain(&bench_chain(3));
@@ -1057,8 +1058,8 @@ fn smoke(backend: SolverBackend) {
             ws.primal_iterations()
         );
         assert!(
-            ws.refactorizations() <= 16,
-            "[sparse] the 22ch chain root LP took {} factorizations, budget 16",
+            ws.refactorizations() <= 2,
+            "[sparse] the 22ch chain root LP took {} factorizations, budget 2",
             ws.refactorizations()
         );
         println!(

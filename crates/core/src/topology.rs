@@ -294,15 +294,21 @@ impl Deployment {
         order
     }
 
-    /// Refuse a budget that is not one: a NaN or `−∞` CPU budget at a
+    /// Refuse a site the solver cannot price. A device count of zero
+    /// ([`Site::count`] is a public field) is
+    /// [`PartitionError::InvalidCount`] naming that site: there is no
+    /// device to run its operators on. A NaN or `−∞` CPU budget at a
     /// site, or uplink budget over its uplink, is
-    /// [`PartitionError::InvalidBudget`] naming that site. The §4.1 merge,
-    /// the encoder and [`shape_key`](crate::shape_key) read a budget only
-    /// through `is_finite()`, so either would otherwise solve as "no
-    /// limit". `+∞` is no limit; a finite budget is a row, and a zero or
-    /// negative one fits no placement ([`PartitionError::Infeasible`]).
-    pub fn check_budgets(&self) -> Result<(), PartitionError> {
+    /// [`PartitionError::InvalidBudget`]: the §4.1 merge, the encoder and
+    /// [`shape_key`](crate::shape_key) read a budget only through
+    /// `is_finite()`, so either would otherwise solve as "no limit".
+    /// `+∞` is no limit; a finite budget is a row, and a zero or negative
+    /// one fits no placement ([`PartitionError::Infeasible`]).
+    pub fn check_sites(&self) -> Result<(), PartitionError> {
         for id in self.site_ids() {
+            if self.site(id).count == 0 {
+                return Err(PartitionError::InvalidCount { site: id });
+            }
             let net = self.uplink(id).map_or(f64::INFINITY, |l| l.net_budget);
             if !is_budget(self.site(id).cpu_budget) || !is_budget(net) {
                 return Err(PartitionError::InvalidBudget { site: id });
@@ -636,10 +642,17 @@ pub enum PartitionError {
         tol: f64,
     },
     /// A CPU budget of `site`, or the budget of its uplink, is NaN or
-    /// `−∞` ([`Deployment::check_budgets`]): not a limit, and not "no
+    /// `−∞` ([`Deployment::check_sites`]): not a limit, and not "no
     /// limit" either, which is `+∞`.
     InvalidBudget {
         /// The site whose CPU or uplink budget is invalid.
+        site: SiteId,
+    },
+    /// `site` has a device count of zero ([`Deployment::check_sites`]).
+    /// A class out of service is a removed leaf
+    /// ([`DeploymentDelta::RemoveLeaf`]), not an empty one.
+    InvalidCount {
+        /// The site with no devices.
         site: SiteId,
     },
 }
@@ -673,6 +686,9 @@ impl std::fmt::Display for PartitionError {
             }
             PartitionError::InvalidBudget { site } => {
                 write!(f, "site {site:?} has a NaN or -inf CPU or uplink budget")
+            }
+            PartitionError::InvalidCount { site } => {
+                write!(f, "site {site:?} has no devices")
             }
         }
     }
@@ -847,8 +863,8 @@ impl<'a> PreparedDeployment<'a> {
         dep: &Deployment,
         cfg: &DeploymentConfig,
     ) -> Result<Self, PartitionError> {
+        dep.check_sites()?;
         dep.validate();
-        dep.check_budgets()?;
         let encode_t = Instant::now();
         // One flat table for every leaf: pins and structure once, costs
         // re-priced per root path; only merged graphs are materialised.

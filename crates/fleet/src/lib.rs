@@ -257,8 +257,8 @@ impl ShapeCache {
     }
 
     /// Serve one request out of the cache, preparing on miss. Returns
-    /// `(hit, solve result)`; a request whose budgets
-    /// [`Deployment::check_budgets`](wishbone_core::Deployment::check_budgets)
+    /// `(hit, solve result)`; a request whose counts or budgets
+    /// [`Deployment::check_sites`](wishbone_core::Deployment::check_sites)
     /// refuses is answered with that error before the lookup, as a miss.
     ///
     /// On a hit the cached encoding is morphed to the request's counts
@@ -274,9 +274,10 @@ impl ShapeCache {
         ws: &mut SimplexWorkspace,
         deterministic: bool,
     ) -> (bool, Result<DeploymentPartition, PartitionError>) {
-        // A NaN budget keys like `+∞` (`shape_key` reads finiteness): on a
-        // hit it would otherwise become a budget delta.
-        if let Err(e) = req.deployment.check_budgets() {
+        // A NaN budget keys like `+∞` (`shape_key` reads finiteness), and
+        // leaf counts are not shape: on a hit either would otherwise
+        // become a delta.
+        if let Err(e) = req.deployment.check_sites() {
             return (false, Err(e));
         }
         if let Some((prep, ..)) = self.entries.get_mut(&key) {

@@ -11,16 +11,16 @@
 //!
 //! Basis changes do not refactorize: each pivot appends a product-form
 //! **eta** (the entering column in the old basis frame), applied after
-//! `L·U` on FTRAN and before it (transposed, in reverse) on BTRAN. After
-//! [`REFACTOR_PERIOD`] etas the caller refactorizes from scratch, which
-//! both caps the eta file and discards accumulated roundoff — the drift
-//! bound the regression tests pin. The eta file is one flat arena
-//! ([`EtaFile`]: `u32` positions, `f64` values, a pointer per eta),
-//! reserved once per load from [`ETA_NNZ_FACTOR`] and reused across
-//! refactorizations, so a pivot allocates nothing.
+//! `L·U` on FTRAN and before it (transposed, in reverse) on BTRAN. Once
+//! the eta file holds more than [`ETA_NNZ_FACTOR`]` · m` nonzeros the
+//! caller refactorizes from scratch, which both caps the update work and
+//! discards accumulated roundoff — the drift bound the regression tests
+//! pin. The eta file is one flat arena ([`EtaFile`]: `u32` positions,
+//! `f64` values, a pointer per eta), indexed by basis position as it
+//! grows and reused across refactorizations.
 //!
 //! Two solves are **hypersparse** — their cost follows the nonzeros they
-//! produce, not `m`:
+//! produce, not `m` and not the length of the eta file:
 //!
 //! * [`ftran_sparse`](LuFactors::ftran_sparse) of an entering column:
 //!   `L` and `U` are stored by column, which is already the push form an
@@ -30,11 +30,18 @@
 //!   copies of both factors are built (lazily, once per factorization,
 //!   `u32` indices) and the unit vector is propagated through them.
 //!
-//! Both keep their pending factor steps in a bitset and walk it with
-//! `trailing_zeros` / `leading_zeros`: steps come out in exactly the
-//! order the dense loops visit them (so `ftran_sparse` is bit-identical
-//! to the dense solve), and no scratch is zero-filled per call — every
-//! buffer is returned to all-zero by the walk that consumed it.
+//! Both apply only the etas that can act on their vector (Hall and
+//! McKinnon's hyper-sparsity, 2005): the file lists, per basis position,
+//! the etas that pivot there and the etas that read it, and a skipped eta
+//! is an exact no-op of the full walk. (A file no longer than the
+//! vector's live set — a fleet-sized LP's one or two etas — is walked
+//! whole: there is nothing to skip.) Both keep their pending factor
+//! steps and etas in bitsets and walk them with `trailing_zeros` /
+//! `leading_zeros`: steps and etas come out in exactly the order the
+//! dense loops visit them (so both are bit-identical to the dense solves,
+//! which debug builds check eta pass by eta pass), and no scratch is
+//! zero-filled per call — every buffer is returned to all-zero by the
+//! walk that consumed it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -42,28 +49,21 @@ use std::collections::BinaryHeap;
 use crate::num::is_exact_zero;
 use crate::sparse::CscMatrix;
 
-/// Hard cap on eta updates between refactorizations. Each eta costs
-/// `O(nnz(α))` per solve, so together with [`ETA_NNZ_FACTOR`] this bounds
-/// FTRAN/BTRAN work *and* numerical drift.
-///
-/// Why 128: under dual steepest edge the chosen rows have short
-/// `B⁻ᵀe_r`, so the etas stay sparse and it is this count, not the
-/// nonzero budget, that ends a cycle — at 64 the 22-channel chain's root
-/// LP spent a third of its time refactorizing (27 times in 1,717 pivots),
-/// at 128 it refactorizes 14 times in the same pivots. Drift does not
-/// set the limit on these ±1 chain updates: recomputing `x_B` halfway
-/// through a 128-eta cycle changes nothing. What the longer cycle did
-/// expose is factorizations of bases where a dense row's slack reached
-/// the bump; the unit-column rule in
-/// [`peel_order`](LuFactors::peel_order) closes that.
-pub(crate) const REFACTOR_PERIOD: usize = 128;
-
 /// Refactorize once the eta file holds more than this many nonzeros per
-/// basis row. Entering columns on chain-structured bases densify (the
-/// inverse of a bidiagonal matrix is full), so a count-based period alone
-/// would let FTRAN/BTRAN degrade to `O(period · m)`; budgeting total eta
-/// nonzeros keeps the update cost at a small constant times the
-/// factorization cost regardless of fill.
+/// basis row — the only trigger. Entering columns on chain-structured
+/// bases densify (the inverse of a bidiagonal matrix is full); budgeting
+/// total eta nonzeros keeps the update cost at a small constant times the
+/// factorization cost regardless of fill, and bounds the drift a cycle
+/// accumulates.
+///
+/// There is no cap on the eta *count*: the sparse passes visit only the
+/// etas that can act on their vector, so a long file of short etas costs
+/// what its reachable part costs. Under dual steepest edge the etas stay
+/// short (≈6 nonzeros on the 22-channel chain), and a 128-eta cap ended
+/// every cycle there — 14 factorizations in its root LP's 1,717 pivots,
+/// against the load's one under this budget alone. The drift pins
+/// (`lu_drift_stays_bounded_over_100_plus_pivots`,
+/// `drift_bounded_through_warm_resolves_too`) hold without a cap.
 pub(crate) const ETA_NNZ_FACTOR: usize = 4;
 
 /// Pivots smaller than this during factorization mean the basis is
@@ -88,11 +88,22 @@ const DENSE_ROW_MIN: usize = 16;
 /// Entries below this are dropped when harvesting an eta column.
 const ETA_DROP_TOL: f64 = 1e-13;
 
+/// End of an eta-file index list.
+const NONE: u32 = u32::MAX;
+
 /// The eta file: every product-form update since the last
 /// factorization, in one flat arena. Eta `k` is the entering column
 /// `α = B⁻¹·a_e` at the moment of its pivot, split into the pivot element
 /// `pivot[k]` at basis position `r[k]` and the off-pivot nonzeros
 /// `idx/val[ptr[k]..ptr[k + 1]]`. Indices are *basis positions*.
+///
+/// The file is indexed by position as it grows, so the sparse passes
+/// visit only the etas that can act on their vector: `ft_*` lists, per
+/// position, the etas that pivot there (what FTRAN needs: an eta acts iff
+/// its pivot position is live), and `bt_*` the etas that pivot there *or*
+/// carry an entry there (what BTRAN needs: an eta acts iff a position it
+/// reads is live). Both are linked lists threaded through flat arrays, a
+/// head per position and a link per node, newest eta first.
 #[derive(Debug, Default)]
 pub(crate) struct EtaFile {
     r: Vec<u32>,
@@ -100,26 +111,44 @@ pub(crate) struct EtaFile {
     ptr: Vec<u32>,
     idx: Vec<u32>,
     val: Vec<f64>,
+    /// Per position: the newest eta pivoting there (`NONE`: none).
+    ft_head: Vec<u32>,
+    /// Per eta: the next older eta pivoting at the same position.
+    ft_next: Vec<u32>,
+    /// Per position: the newest node of an eta pivoting or holding an
+    /// entry there; per node, its eta and the next older node.
+    bt_head: Vec<u32>,
+    bt_eta: Vec<u32>,
+    bt_next: Vec<u32>,
+    /// The etas a sparse pass has yet to apply, one bit per eta, grown a
+    /// word per 64 etas. All zero between passes.
+    pending: Vec<u64>,
 }
 
 impl EtaFile {
-    /// Empty the file and make room for a full refactorization period on
-    /// an `m`-row basis (a no-op once the arena has grown to that size).
-    /// The nonzero budget is checked *after* a push, so the arena can
-    /// overshoot it by one column.
+    /// Empty the file for an `m`-row basis. The arena's nonzero budget is
+    /// reserved once (a no-op after the first load of that size); the
+    /// per-eta arrays and the pending bitset grow only as etas arrive.
+    /// The budget is checked *after* a push, so the arena can overshoot
+    /// it by one column.
     fn reset(&mut self, m: usize) {
         self.r.clear();
         self.pivot.clear();
         self.ptr.clear();
         self.idx.clear();
         self.val.clear();
-        self.r.reserve(REFACTOR_PERIOD);
-        self.pivot.reserve(REFACTOR_PERIOD);
-        self.ptr.reserve(REFACTOR_PERIOD + 1);
         let budget = (ETA_NNZ_FACTOR + 1) * m.max(8);
         self.idx.reserve(budget);
         self.val.reserve(budget);
         self.ptr.push(0);
+        self.ft_head.clear();
+        self.ft_head.resize(m, NONE);
+        self.ft_next.clear();
+        self.bt_head.clear();
+        self.bt_head.resize(m, NONE);
+        self.bt_eta.clear();
+        self.bt_next.clear();
+        self.pending.clear();
     }
 
     /// Number of etas on file.
@@ -144,15 +173,30 @@ impl EtaFile {
     /// the positions listed in `live` are meaningful (the rest of `alpha`
     /// is stale storage).
     fn push(&mut self, r: usize, alpha: &[f64], live: &[usize]) {
+        let k = self.len() as u32;
         for &i in live {
             if i != r && alpha[i].abs() > ETA_DROP_TOL {
                 self.idx.push(i as u32);
                 self.val.push(alpha[i]);
+                self.link_btran(i, k);
             }
         }
         self.r.push(r as u32);
         self.pivot.push(alpha[r]);
         self.ptr.push(self.idx.len() as u32);
+        self.ft_next.push(self.ft_head[r]);
+        self.ft_head[r] = k;
+        self.link_btran(r, k);
+        if k.is_multiple_of(64) {
+            self.pending.push(0);
+        }
+    }
+
+    /// List eta `k` under position `i` for BTRAN.
+    fn link_btran(&mut self, i: usize, k: u32) {
+        self.bt_eta.push(k);
+        self.bt_next.push(self.bt_head[i]);
+        self.bt_head[i] = (self.bt_next.len() - 1) as u32;
     }
 
     /// FTRAN update: replace the dense `w` by `E_k⁻¹·…·E_1⁻¹·w`.
@@ -170,10 +214,11 @@ impl EtaFile {
         }
     }
 
-    /// FTRAN update on a stamped sparse column: positions outside the
-    /// current-epoch stamp set are zero by contract (their storage is
-    /// stale); any position an eta touches joins the set.
-    fn apply_ftran_sparse(
+    /// FTRAN update on a stamped sparse column, walking the whole file:
+    /// positions outside the current-epoch stamp set are zero by contract
+    /// (their storage is stale); any position an eta touches joins the
+    /// set.
+    fn apply_ftran_stamped(
         &self,
         w: &mut [f64],
         stamp: &mut [u64],
@@ -204,10 +249,90 @@ impl EtaFile {
         }
     }
 
+    /// [`apply_ftran_stamped`](EtaFile::apply_ftran_stamped), visiting
+    /// only the etas that can act: `nnz[from..]` lists the stamped
+    /// positions, and any position an eta writes joins both.
+    ///
+    /// Hypersparse: an eta whose pivot position is zero is a no-op of the
+    /// full walk, so only the etas pivoting at a live position are
+    /// applied — seeded from the live set, and when an eta makes a
+    /// position live, that position's later etas join. They run in file
+    /// order (an ascending bitset walk) on the same values, so every live
+    /// position ends bit-identical to the full walk; a skipped eta's pivot
+    /// position stays unstamped instead of being stamped with a zero. A
+    /// file no longer than the live set is walked whole: seeding alone
+    /// would read at least as many list heads as that walk visits etas.
+    fn apply_ftran_sparse(
+        &mut self,
+        w: &mut [f64],
+        stamp: &mut [u64],
+        epoch: u64,
+        nnz: &mut Vec<usize>,
+        from: usize,
+    ) {
+        if self.len() <= nnz.len() - from {
+            self.apply_ftran_stamped(w, stamp, epoch, nnz);
+            return;
+        }
+        let full = cfg!(debug_assertions).then(|| {
+            let mut full = vec![0.0; w.len()];
+            for &i in &nnz[from..] {
+                full[i] = w[i];
+            }
+            self.apply_ftran(&mut full);
+            full
+        });
+        for &i in &nnz[from..] {
+            let mut k = self.ft_head[i];
+            while k != NONE {
+                set_bit(&mut self.pending, k as usize);
+                k = self.ft_next[k as usize];
+            }
+        }
+        let mut next = 0;
+        while let Some(k) = next_bit(&self.pending, next) {
+            clear_bit(&mut self.pending, k);
+            next = k + 1;
+            let r = self.r[k] as usize;
+            let wr = w[r] / self.pivot[k];
+            if !is_exact_zero(wr) {
+                let lo = self.ptr[k] as usize;
+                let hi = self.ptr[k + 1] as usize;
+                for e in lo..hi {
+                    let i = self.idx[e] as usize;
+                    if stamp[i] != epoch {
+                        stamp[i] = epoch;
+                        w[i] = 0.0;
+                        nnz.push(i);
+                        // Its etas after this one can act now.
+                        let mut k2 = self.ft_head[i];
+                        while k2 != NONE && k2 as usize > k {
+                            set_bit(&mut self.pending, k2 as usize);
+                            k2 = self.ft_next[k2 as usize];
+                        }
+                    }
+                    w[i] -= self.val[e] * wr;
+                }
+            }
+            w[r] = wr;
+        }
+        if let Some(full) = full {
+            for (i, &want) in full.iter().enumerate() {
+                let got = if stamp[i] == epoch { w[i] } else { 0.0 };
+                debug_assert_eq!(
+                    (got + 0.0).to_bits(),
+                    (want + 0.0).to_bits(),
+                    "sparse vs full eta FTRAN at position {i}"
+                );
+            }
+        }
+    }
+
     /// BTRAN update: replace `c` by `E_1⁻ᵀ·…·E_k⁻ᵀ·c` (newest eta first,
-    /// applied before the base `LᵀUᵀ` solve). An eta only ever changes
-    /// its own pivot position; one that turns it from zero to nonzero is
-    /// appended to `live` when the caller tracks the pattern of `c`.
+    /// applied before the base `LᵀUᵀ` solve), walking the whole file. An
+    /// eta only ever changes its own pivot position; one that turns it
+    /// from zero to nonzero is appended to `live` when the caller tracks
+    /// the pattern of `c`.
     fn apply_btran(&self, c: &mut [f64], mut live: Option<&mut Vec<u32>>) {
         for k in (0..self.len()).rev() {
             let r = self.r[k] as usize;
@@ -225,11 +350,79 @@ impl EtaFile {
             }
         }
     }
+
+    /// [`apply_btran`](EtaFile::apply_btran) on a `c` that is zero outside
+    /// the positions in `live`, tracking its pattern there (a position
+    /// that cancels to zero and comes back is listed twice).
+    ///
+    /// Hypersparse: an eta that reads only zeros is a no-op of the full
+    /// walk, so only the etas listed under a live position are applied —
+    /// seeded from `live`, and when an eta makes its pivot position live,
+    /// the earlier etas listed there join. They run newest first (a
+    /// descending bitset walk) on the same values, so every nonzero ends
+    /// bit-identical to the full walk. A file no longer than `live` is
+    /// walked whole, as in
+    /// [`apply_ftran_sparse`](EtaFile::apply_ftran_sparse).
+    fn apply_btran_sparse(&mut self, c: &mut [f64], live: &mut Vec<u32>) {
+        if self.len() <= live.len() {
+            self.apply_btran(c, Some(live));
+            return;
+        }
+        let full = cfg!(debug_assertions).then(|| {
+            let mut full = c.to_vec();
+            self.apply_btran(&mut full, None);
+            full
+        });
+        for &i in live.iter() {
+            let mut node = self.bt_head[i as usize];
+            while node != NONE {
+                set_bit(&mut self.pending, self.bt_eta[node as usize] as usize);
+                node = self.bt_next[node as usize];
+            }
+        }
+        let mut top = self.pending.len() - 1;
+        while let Some(k) = pop_top_bit(&mut self.pending, &mut top) {
+            let r = self.r[k] as usize;
+            let was = c[r];
+            let mut v = was;
+            let (idx, val) = self.entries(k);
+            for (&i, &a) in idx.iter().zip(val) {
+                v -= a * c[i as usize];
+            }
+            c[r] = v / self.pivot[k];
+            if is_exact_zero(was) && !is_exact_zero(v) {
+                live.push(r as u32);
+                // The etas before this one that read position `r`.
+                let mut node = self.bt_head[r];
+                while node != NONE {
+                    let k2 = self.bt_eta[node as usize] as usize;
+                    if k2 < k {
+                        set_bit(&mut self.pending, k2);
+                    }
+                    node = self.bt_next[node as usize];
+                }
+            }
+        }
+        if let Some(full) = full {
+            for (i, (&got, &want)) in c.iter().zip(&full).enumerate() {
+                debug_assert_eq!(
+                    (got + 0.0).to_bits(),
+                    (want + 0.0).to_bits(),
+                    "sparse vs full eta BTRAN at position {i}"
+                );
+            }
+        }
+    }
 }
 
 #[inline]
 fn set_bit(bits: &mut [u64], i: usize) {
     bits[i >> 6] |= 1u64 << (i & 63);
+}
+
+#[inline]
+fn clear_bit(bits: &mut [u64], i: usize) {
+    bits[i >> 6] &= !(1u64 << (i & 63));
 }
 
 /// The lowest set bit at index `from` or above (the ascending walk:
@@ -648,10 +841,9 @@ impl LuFactors {
         self.etas.push(r, alpha, live);
     }
 
-    /// Time to refactorize? Either the eta count or the eta-file nonzero
-    /// budget (which self-tunes for dense entering columns) is exhausted.
+    /// Time to refactorize? The eta file has outgrown its nonzero budget.
     pub(crate) fn due_for_refactor(&self) -> bool {
-        self.etas.len() >= REFACTOR_PERIOD || self.etas.nnz() > ETA_NNZ_FACTOR * self.m.max(8)
+        self.etas.nnz() > ETA_NNZ_FACTOR * self.m.max(8)
     }
 
     /// FTRAN: solve `B·x = w` for the current basis (factors, then the
@@ -704,6 +896,7 @@ impl LuFactors {
         epoch: u64,
         nnz: &mut Vec<usize>,
     ) {
+        let from = nnz.len();
         let mut any = false;
         for i in seeds {
             set_bit(&mut self.bits, self.ppos[i]);
@@ -750,7 +943,7 @@ impl LuFactors {
                 set_bit(&mut self.bits, t);
             }
         }
-        self.etas.apply_ftran_sparse(out, stamp, epoch, nnz);
+        self.etas.apply_ftran_sparse(out, stamp, epoch, nnz, from);
     }
 
     /// BTRAN: solve `Bᵀ·y = c` for the current basis (eta file in
@@ -788,11 +981,11 @@ impl LuFactors {
     /// original row and must be all zero on entry; its nonzeros are
     /// written and their rows appended to `y_nnz`.
     ///
-    /// The eta file still costs a dot product per eta (product form has
-    /// no cheaper transpose), but over the flat arena and against a
-    /// right-hand side that is zero almost everywhere. The factors are
-    /// solved in push form over their row-wise copies: `Uᵀ` ascending,
-    /// then `Lᵀ` descending over the same bitset of pending steps.
+    /// The eta file is applied hypersparse: a dot product only for the
+    /// etas that read a nonzero of the right-hand side, which starts as
+    /// one position (see [`EtaFile`]). The factors are solved in push
+    /// form over their row-wise copies: `Uᵀ` ascending, then `Lᵀ`
+    /// descending over the same bitset of pending steps.
     pub(crate) fn btran_unit(&mut self, r: usize, y: &mut [f64], y_nnz: &mut Vec<u32>) {
         if !self.rowwise_ready {
             self.build_rowwise();
@@ -800,7 +993,7 @@ impl LuFactors {
         self.cwork[r] = 1.0;
         self.clive.push(r as u32);
         self.etas
-            .apply_btran(&mut self.cwork, Some(&mut self.clive));
+            .apply_btran_sparse(&mut self.cwork, &mut self.clive);
         // `clive` may list a position twice (a value cancelled to zero
         // and came back); the first visit consumes it.
         for idx in 0..self.clive.len() {
@@ -919,6 +1112,7 @@ impl LuFactors {
 mod tests {
     use super::*;
     use crate::problem::{Problem, Sense};
+    use proptest::test_runner::TestRng;
 
     /// Dense multiply `B·x` for checking, columns drawn from `matrix`.
     fn mat_vec(matrix: &CscMatrix, basis: &[usize], x: &[f64]) -> Vec<f64> {
@@ -1074,12 +1268,13 @@ mod tests {
 
     #[test]
     fn hypersparse_btran_row_matches_dense_through_etas_and_a_refactor() {
-        // A chain long enough that one refactorization period of etas
-        // (and then some) fits, a budget row so `U` has a dense column,
-        // and a basis that mixes structural and slack columns so `L` is
-        // not empty.
-        let period_plus = REFACTOR_PERIOD + 6;
-        let n = period_plus + 20;
+        // A chain long enough for 134 etas on one factorization — far past
+        // the point where the file outgrows its nonzero budget (56 etas:
+        // these entering columns densify) — a budget row so `U` has a
+        // dense column, and a basis that mixes structural and slack
+        // columns so `L` is not empty.
+        let etas = 134;
+        let n = etas + 20;
         let a = chain_matrix(n);
         let m = a.rows();
         let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
@@ -1096,7 +1291,8 @@ mod tests {
         let mut live: Vec<usize> = Vec::new();
         let mut w = vec![0.0; m];
         let mut in_basis = vec![false; m];
-        for entering in 0..period_plus {
+        let mut due = false;
+        for entering in 0..etas {
             let pivots = entering; // one structural column enters per pivot
             let epoch = pivots as u64 + 1;
             let (rows, _) = a.col(entering);
@@ -1133,17 +1329,14 @@ mod tests {
             lu.push_eta(r, &alpha, &live);
             basis[r] = entering;
             in_basis[r] = true;
-            if pivots % 9 == 0 || pivots + 1 == REFACTOR_PERIOD {
+            let just_due = !due && lu.due_for_refactor();
+            if pivots % 9 == 0 || just_due {
                 assert_unit_rows_match_dense(&mut lu, &format!("after {} etas", pivots + 1));
             }
-            if pivots + 1 == REFACTOR_PERIOD {
-                assert!(lu.due_for_refactor());
-            }
+            due |= just_due;
         }
-        assert!(
-            lu.etas.len() >= REFACTOR_PERIOD,
-            "≥ {REFACTOR_PERIOD} etas exercised"
-        );
+        assert!(due, "the eta file outgrows its nonzero budget");
+        assert_eq!(lu.etas.len(), etas);
 
         // Refactorize the mixed basis: the eta file empties, the row-wise
         // factors are rebuilt, and `L` now carries real multipliers.
@@ -1152,7 +1345,7 @@ mod tests {
         assert!(!lu.l_rows.is_empty(), "the instance must exercise `L`");
         assert_unit_rows_match_dense(&mut lu, "after the refactor");
         // And once more with a few etas on top of the non-trivial factors.
-        for entering in period_plus..period_plus + 5 {
+        for entering in etas..etas + 5 {
             let alpha = ftran_col(&lu, &a, entering);
             let live: Vec<usize> = (0..m).collect();
             let r = (0..m)
@@ -1164,5 +1357,154 @@ mod tests {
             in_basis[r] = true;
         }
         assert_unit_rows_match_dense(&mut lu, "etas over a refactored basis");
+    }
+
+    /// A random sparse problem's matrix: `n` structural columns of one to
+    /// three entries in random rows, two dense "budget" rows that about
+    /// half the columns cross, magnitudes in [0.5, 2] of either sign, and
+    /// a slack column per row (columns `n..n + m`).
+    fn random_matrix(rng: &mut TestRng, m: usize, n: usize) -> CscMatrix {
+        let value = |rng: &mut TestRng| {
+            let v = 0.5 + 1.5 * (rng.next_u64() % 1024) as f64 / 1023.0;
+            if rng.next_u64().is_multiple_of(2) {
+                v
+            } else {
+                -v
+            }
+        };
+        let mut p = Problem::new();
+        let mut rows: Vec<Vec<(crate::VarId, f64)>> = vec![Vec::new(); m];
+        for _ in 0..n {
+            let v = p.add_var(0.0, 1.0, 0.0, false);
+            for _ in 0..1 + rng.next_u64() % 3 {
+                let i = 2 + (rng.next_u64() % (m as u64 - 2)) as usize;
+                rows[i].push((v, value(rng)));
+            }
+            for row in &mut rows[..2] {
+                if rng.next_u64().is_multiple_of(2) {
+                    row.push((v, value(rng)));
+                }
+            }
+        }
+        for row in &rows {
+            p.add_constraint(row, Sense::Le, 1.0);
+        }
+        let mut a = CscMatrix::default();
+        a.load(&p, &[]);
+        a
+    }
+
+    #[test]
+    fn hypersparse_eta_passes_equal_the_full_walks_on_random_bases() {
+        // Each case: a random sparse basis (the slack basis after a run of
+        // random pivots, refactorized), then random pivots through more
+        // than one refactorization cycle. At every pivot the hypersparse
+        // FTRAN must equal the dense one, and the hypersparse eta BTRAN of
+        // a random `e_r` the full walk, bit for bit, on every position;
+        // and `btran_unit` must equal the dense BTRAN of `e_r` — to 1e-12,
+        // since its factor solves push along rows where the dense one
+        // pulls, a different summation order.
+        for case in 0..48u64 {
+            let mut rng = TestRng::for_case("hypersparse_eta_passes", case);
+            let m = 20 + (rng.next_u64() % 60) as usize;
+            let n = 2 * m;
+            let a = random_matrix(&mut rng, m, n);
+            let mut basis: Vec<usize> = (n..n + m).collect();
+            let mut basic = vec![false; n + m];
+            for &j in &basis {
+                basic[j] = true;
+            }
+            let mut lu = LuFactors::default();
+            assert!(lu.factorize(&a, &basis), "case {case}: slack basis");
+            let mut alpha = vec![0.0; m];
+            let mut stamp = vec![0u64; m];
+            let mut live: Vec<usize> = Vec::new();
+            let mut w = vec![0.0; m];
+            let mut epoch = 0;
+            // Cycle 0 builds the random basis from the slack basis, cycle 1
+            // runs on it to the nonzero budget, and cycle 2 is cut short
+            // halfway.
+            let mut cycle = 0;
+            let mut pivots_in_cycle = 0;
+            let mut first_cycle = 0;
+            while cycle < 2 || pivots_in_cycle < first_cycle / 2 {
+                let e = loop {
+                    let j = (rng.next_u64() % (n + m) as u64) as usize;
+                    if !basic[j] {
+                        break j;
+                    }
+                };
+                epoch += 1;
+                a.axpy_col(e, 1.0, &mut w);
+                live.clear();
+                lu.ftran_sparse(
+                    &mut w,
+                    a.col(e).0.iter().copied(),
+                    &mut alpha,
+                    &mut stamp,
+                    epoch,
+                    &mut live,
+                );
+                let dense = ftran_col(&lu, &a, e);
+                for (k, &want) in dense.iter().enumerate() {
+                    let got = if stamp[k] == epoch { alpha[k] } else { 0.0 };
+                    assert_eq!(
+                        (got + 0.0).to_bits(),
+                        (want + 0.0).to_bits(),
+                        "case {case}, cycle {cycle}, pivot {pivots_in_cycle}: \
+                         FTRAN of column {e} at position {k}"
+                    );
+                }
+                let r = (rng.next_u64() % m as u64) as usize;
+                let mut c = vec![0.0; m];
+                c[r] = 1.0;
+                let mut full = c.clone();
+                lu.etas.apply_btran(&mut full, None);
+                let mut c_live = vec![r as u32];
+                lu.etas.apply_btran_sparse(&mut c, &mut c_live);
+                for (k, (&got, &want)) in c.iter().zip(&full).enumerate() {
+                    assert_eq!(
+                        (got + 0.0).to_bits(),
+                        (want + 0.0).to_bits(),
+                        "case {case}, cycle {cycle}, pivot {pivots_in_cycle}: \
+                         eta BTRAN of e_{r} at position {k}"
+                    );
+                    assert!(
+                        got == 0.0 || c_live.contains(&(k as u32)),
+                        "case {case}: unlisted nonzero at {k}"
+                    );
+                }
+                assert!(lu.etas.pending.iter().all(|&b| b == 0), "pending dirty");
+                if pivots_in_cycle % 7 == 0 {
+                    assert_unit_rows_match_dense(
+                        &mut lu,
+                        &format!("case {case}, cycle {cycle}, pivot {pivots_in_cycle}"),
+                    );
+                }
+                // Leave from a random position whose entry is within 10×
+                // of the column's largest, so the basis stays well posed.
+                let big = live.iter().map(|&k| alpha[k].abs()).fold(0.0, f64::max);
+                let ok: Vec<usize> = live
+                    .iter()
+                    .copied()
+                    .filter(|&k| alpha[k].abs() >= 0.1 * big)
+                    .collect();
+                let r = ok[(rng.next_u64() % ok.len() as u64) as usize];
+                lu.push_eta(r, &alpha, &live);
+                basic[basis[r]] = false;
+                basic[e] = true;
+                basis[r] = e;
+                pivots_in_cycle += 1;
+                if lu.due_for_refactor() {
+                    if cycle == 1 {
+                        first_cycle = pivots_in_cycle;
+                    }
+                    assert!(lu.factorize(&a, &basis), "case {case}: refactor");
+                    cycle += 1;
+                    pivots_in_cycle = 0;
+                }
+            }
+            assert!(first_cycle > 1, "case {case}: a cycle of several etas");
+        }
     }
 }

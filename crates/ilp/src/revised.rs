@@ -9,8 +9,11 @@
 //! entering columns come from an FTRAN (`Bα = a_e`), duals and pivot rows
 //! from a BTRAN, and each pivot appends an eta to the factorization
 //! (`lu.rs`), which refactorizes — and recomputes `x_B`, bounding drift —
-//! every [`REFACTOR_PERIOD`](crate::lu::REFACTOR_PERIOD) pivots or once
-//! the eta file outgrows its nonzero budget.
+//! once the eta file outgrows its nonzero budget
+//! ([`ETA_NNZ_FACTOR`](crate::lu::ETA_NNZ_FACTOR) nonzeros per row). The
+//! sparse FTRANs and BTRANs apply only the etas that can act on their
+//! vector, so the file's length costs nothing by itself: the 22-channel
+//! chain's root LP factorizes once in 1,717 pivots.
 //!
 //! # One tail, two ways in
 //!
@@ -940,9 +943,8 @@ impl SimplexWorkspace {
 
     /// Record the basis change at position `r`: append an eta, and
     /// refactorize (recomputing `x_B` to shed drift) once the eta file
-    /// reaches [`REFACTOR_PERIOD`](crate::lu::REFACTOR_PERIOD) or its
-    /// nonzero budget. `Ok(true)` when it did, i.e. when every basic
-    /// value was rewritten.
+    /// outgrows its nonzero budget. `Ok(true)` when it did, i.e. when
+    /// every basic value was rewritten.
     fn pivot_sparse(&mut self, r: usize) -> Result<bool, SolveError> {
         self.sparse.duals_fresh = false;
         self.sparse.push_eta(r);

@@ -1,4 +1,5 @@
-//! A budget that is not one is refused, not read as "no limit".
+//! A budget that is not one is refused, not read as "no limit"; a site
+//! with no devices is refused, not a panic.
 //!
 //! The §4.1 merge, the encoder and `shape_key` read a budget only through
 //! `is_finite()`: a finite budget is a row, anything else is none. So a
@@ -7,6 +8,11 @@
 //! as a budget delta. Both paths answer `PartitionError::InvalidBudget`
 //! instead. `+∞` stays "no limit", and a zero or negative budget is a row
 //! that no placement fits.
+//!
+//! `Site::count` is a public field, so a request can name a site with
+//! zero devices. Leaf counts are not shape either: on a fleet hit such a
+//! request would become a count-0 delta. Every path answers
+//! `PartitionError::InvalidCount` before it reaches an assert.
 
 use std::sync::Arc;
 
@@ -165,4 +171,98 @@ fn a_nan_budget_delta_is_a_broken_caller() {
         site: dep.leaves()[0],
         cpu_budget: f64::NAN,
     }]);
+}
+
+/// One TMote leaf under the server, no budgets, `count` devices (set on
+/// the public field, past `Site::with_count`'s assert).
+fn star_of(count: usize) -> Deployment {
+    let mote = Platform::tmote_sky();
+    let mut site = Site::new("m", &mote);
+    site.count = count;
+    Deployment::star([(site, LinkSpec::for_platform(&mote))])
+}
+
+/// A fleet request for `app` on `star_of(count)`.
+fn count_request(app: &(Arc<Graph>, Arc<GraphProfile>), id: u64, count: usize) -> FleetRequest {
+    FleetRequest {
+        id,
+        graph: Arc::clone(&app.0),
+        profile: Arc::clone(&app.1),
+        deployment: star_of(count),
+        config: DeploymentConfig::default(),
+        rate: 1.0,
+    }
+}
+
+fn key_of(req: &FleetRequest) -> ShapeKey {
+    shape_key(&req.graph, &req.profile, &req.deployment, &req.config)
+}
+
+#[test]
+fn a_zero_device_count_is_refused_one_shot() {
+    let (g, prof) = eeg2();
+    let empty = star_of(0);
+    let refused = Some(PartitionError::InvalidCount {
+        site: empty.leaves()[0],
+    });
+    assert_eq!(
+        one_shot(&g, &prof, &empty),
+        [(); 3].map(|_| refused.clone())
+    );
+}
+
+#[test]
+fn a_zero_device_count_is_refused_on_a_fleet_miss() {
+    let app = eeg2();
+    let req = count_request(&app, 0, 0);
+    let mut cache = ShapeCache::new();
+    let mut ws = SimplexWorkspace::new();
+    let (hit, got) = cache.serve(&req, key_of(&req), &mut ws, true);
+    assert!(!hit);
+    assert_eq!(
+        got.err(),
+        Some(PartitionError::InvalidCount {
+            site: req.deployment.leaves()[0]
+        })
+    );
+    assert!(cache.is_empty(), "nothing was prepared");
+    // And through the service: the worker answers and stays up.
+    let (responses, _) = run_batch(
+        2,
+        vec![count_request(&app, 1, 0), count_request(&app, 2, 1)],
+    );
+    assert!(matches!(
+        responses[0].result,
+        Err(PartitionError::InvalidCount { .. })
+    ));
+    assert!(responses[1].result.is_ok());
+}
+
+#[test]
+fn a_zero_device_count_is_refused_on_a_fleet_hit() {
+    let app = eeg2();
+    let mut cache = ShapeCache::new();
+    let mut ws = SimplexWorkspace::new();
+    let one = count_request(&app, 0, 1);
+    let (hit, first) = cache.serve(&one, key_of(&one), &mut ws, true);
+    let first = first.expect("one device fits");
+    assert!(!hit);
+    // Leaf counts are not shape: the empty leaf keys like the entry.
+    let empty = count_request(&app, 1, 0);
+    assert_eq!(key_of(&empty), key_of(&one));
+    let (_, got) = cache.serve(&empty, key_of(&empty), &mut ws, true);
+    assert_eq!(
+        got.err(),
+        Some(PartitionError::InvalidCount {
+            site: empty.deployment.leaves()[0]
+        })
+    );
+    // The entry was not touched: the next request hits it, same bits.
+    let again = count_request(&app, 2, 1);
+    let (hit, second) = cache.serve(&again, key_of(&again), &mut ws, true);
+    let second = second.expect("one device fits");
+    assert!(hit);
+    assert_eq!(cache.len(), 1);
+    assert_eq!(second.objective.to_bits(), first.objective.to_bits());
+    assert_eq!(second.leaves[0].site_ops, first.leaves[0].site_ops);
 }
