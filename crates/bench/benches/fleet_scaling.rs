@@ -282,18 +282,27 @@ fn smoke() {
     // Count guard (counts repeat exactly on any host): the fleet runs
     // the sparse backend, dual-first — a handful of pivots per request
     // on these few-dozen-row encodings, where the reference tableau's
-    // two-phase primal needs tens and factorizes nothing.
+    // two-phase primal needs tens and factorizes nothing. A request
+    // factorizes once, at its cold root: its branch-and-bound children
+    // re-enter warm on the LU they find.
     let s = &cached.stats;
     let iters_per_req = (s.dual_iterations + s.primal_iterations) as f64 / s.requests as f64;
     println!(
-        "simplex work: {iters_per_req:.1} iterations / request (ceiling 8), {} factorizations",
-        s.refactorizations
+        "simplex work: {iters_per_req:.1} iterations / request (ceiling 8), {} factorizations \
+         (ceiling {})",
+        s.refactorizations, s.requests
     );
     assert!(
         iters_per_req <= 8.0 && s.refactorizations > 0,
         "the fleet must solve on the sparse backend: {iters_per_req:.1} iterations / request, \
          {} factorizations",
         s.refactorizations
+    );
+    assert!(
+        s.refactorizations <= s.requests,
+        "the fleet factorized {} times for {} requests: a warm re-entry refactorized",
+        s.refactorizations,
+        s.requests
     );
     // A node costs its LP and nothing else (no per-node heuristic), so
     // nodes × iterations is the whole search: 1.47 nodes per request

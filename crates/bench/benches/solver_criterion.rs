@@ -939,6 +939,13 @@ fn smoke(backend: SolverBackend) {
             search_iters <= 1000,
             "[sparse] the forest rate search took {search_iters} simplex iterations, budget 1000"
         );
+        // A warm re-entry keeps the LU it finds: only the eta file's
+        // nonzero budget refactorizes, so the 28 probes share one
+        // factorization.
+        assert!(
+            search_refactors <= 2,
+            "[sparse] the forest rate search took {search_refactors} factorizations, budget 2"
+        );
         println!(
             "smoke[sparse] forest rate search: {probes} probes, {warm_roots} of {feasible} \
              feasible ones warm at the root, {search_iters} iterations, \

@@ -20,7 +20,9 @@
 //! * [`presolve`](crate::presolve()) runs before the root LP (bailing
 //!   `Infeasible` with zero simplex iterations when bound propagation
 //!   proves it) and a single-pass activity check discards hopeless
-//!   children before they reach the simplex;
+//!   children before they reach the simplex. The root gets that check
+//!   only when presolve stopped short of its fixpoint: a settled
+//!   presolve's last pass already ran it on the root's very bounds;
 //! * open nodes live in a **best-first** [`BinaryHeap`] keyed by the
 //!   parent's LP bound, so the global lower bound tightens monotonically
 //!   and a limit-hit return carries a meaningful [`IlpStats::final_gap`].
@@ -263,11 +265,15 @@ pub fn solve_ilp_in(
     let presolve_start = Instant::now();
     let outcome = presolve(problem, &mut root_lower, &mut root_upper);
     stats.phase_times.presolve_s = presolve_start.elapsed().as_secs_f64();
-    if let PresolveOutcome::Infeasible = outcome {
-        stats.proved = true;
-        stats.total_time = start.elapsed();
-        return (Err(SolveError::Infeasible), stats);
-    }
+    // A settled presolve has just checked every row on the root's bounds.
+    let mut root_checked = match outcome {
+        PresolveOutcome::Feasible { settled, .. } => settled,
+        PresolveOutcome::Infeasible => {
+            stats.proved = true;
+            stats.total_time = start.elapsed();
+            return (Err(SolveError::Infeasible), stats);
+        }
+    };
 
     let iter_limit = default_iteration_limit(problem);
 
@@ -359,7 +365,8 @@ pub fn solve_ilp_in(
         };
 
         // Activity fast-fail: hopeless children never reach the simplex.
-        if quick_infeasible(problem, &node.lower, &node.upper) {
+        let checked = std::mem::take(&mut root_checked);
+        if !checked && quick_infeasible(problem, &node.lower, &node.upper) {
             continue;
         }
 
@@ -569,7 +576,7 @@ fn pick_branch_var(problem: &Problem, x: &[f64]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Problem, Sense};
+    use crate::problem::{Problem, Sense, VarId};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -733,6 +740,55 @@ mod tests {
         let (result, stats) = solve_ilp_in(&p, &dense, &mut ws);
         assert_eq!(result, Err(SolveError::Infeasible));
         assert_eq!(stats.refutation, None, "the reference tableau reports none");
+    }
+
+    /// Two implication chains `a_{i+1} ≥ a_i + 1`, `b_{i+1} ≥ b_i + 1`
+    /// of `len` links from `a_0, b_0 ≥ 1`, capped by `a_len + b_len ≤
+    /// 2·len + 1` — infeasible, since each end is at least `len + 1`.
+    /// The cap comes first and each chain's links run from its end
+    /// back, so a pass carries the lower bounds one link further: the
+    /// cap row sees both ends at `len + 1` only after pass `len`.
+    fn capped_chains(len: usize) -> Problem {
+        let mut p = Problem::new();
+        let mut chain = || -> Vec<VarId> {
+            (0..=len)
+                .map(|i| p.add_var(if i == 0 { 1.0 } else { 0.0 }, f64::INFINITY, 0.0, false))
+                .collect()
+        };
+        let (a, b) = (chain(), chain());
+        let cap = (2 * len + 1) as f64;
+        p.add_constraint(&[(a[len], 1.0), (b[len], 1.0)], Sense::Le, cap);
+        for x in [&a, &b] {
+            for i in (0..len).rev() {
+                p.add_constraint(&[(x[i], 1.0), (x[i + 1], -1.0)], Sense::Le, -1.0);
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn a_presolve_stopped_by_its_pass_cap_leaves_the_root_fast_fail_on() {
+        use crate::presolve::{presolve, MAX_PASSES};
+        let run = |p: &Problem| presolve(p, &mut p.lower.clone(), &mut p.upper.clone());
+        // One link shorter, the last pass refutes it itself.
+        assert_eq!(
+            run(&capped_chains(MAX_PASSES - 1)),
+            PresolveOutcome::Infeasible
+        );
+        // At the cap, the last pass lifts both ends after the cap row
+        // was checked: presolve stops unsettled on a box whose cap row
+        // is already violated, and only the root's activity check sees
+        // it — no LP is solved.
+        let p = capped_chains(MAX_PASSES);
+        assert!(matches!(
+            run(&p),
+            PresolveOutcome::Feasible { settled: false, .. }
+        ));
+        let mut ws = SimplexWorkspace::new();
+        let (result, stats) = solve_ilp_in(&p, &IlpOptions::default(), &mut ws);
+        assert_eq!(result, Err(SolveError::Infeasible));
+        assert_eq!(stats.nodes, 0, "the root fast-fail refuted it");
+        assert!(stats.proved);
     }
 
     #[test]

@@ -13,7 +13,12 @@
 //! ([`ETA_NNZ_FACTOR`](crate::lu::ETA_NNZ_FACTOR) nonzeros per row). The
 //! sparse FTRANs and BTRANs apply only the etas that can act on their
 //! vector, so the file's length costs nothing by itself: the 22-channel
-//! chain's root LP factorizes once in 1,717 pivots.
+//! chain's root LP factorizes once in 1,717 pivots. That budget is the
+//! only refactorization rule: a warm re-entry keeps the LU and eta file
+//! it finds (they are its basis's) and only recomputes `x_B`, so a
+//! branch-and-bound child or a rate retarget costs no factorization of
+//! its own: the sparse smoke's forest replay, 28 probes each solved in
+//! one workspace, factorizes once.
 //!
 //! # One tail, two ways in
 //!
@@ -84,7 +89,8 @@
 //! workspace solved before; **dual pivot** — the exact update above;
 //! **refactorization** and **warm re-entry** — kept (neither changes the
 //! basis; a branch-and-bound child or a rate retarget resumes with the
-//! weights its parent ended on); **reload** — reset with everything else.
+//! weights, and the factorization, its parent ended on);
+//! **reload** — reset with everything else.
 //! A **primal pivot** updates the replaced position only (`w_r ← w_r/α_r²`
 //! needs no solve) and leaves the other positions `α` touches as they
 //! were: exact there would cost the primal a BTRAN and an FTRAN per pivot
@@ -619,10 +625,12 @@ impl SimplexWorkspace {
         }
     }
 
-    /// Warm solve on the sparse backend: refactorize the retained basis,
-    /// snap nonbasic variables onto the new bounds, then the shared
-    /// dual-then-primal tail — the sparse twin of
-    /// [`solve_warm`](SimplexWorkspace::solve_warm).
+    /// Warm solve on the sparse backend: snap nonbasic variables onto
+    /// the new bounds, reread `b`, recompute `x_B` through the retained
+    /// factorization (no refactorization: the eta file's nonzero budget
+    /// in [`pivot_sparse`](Self::pivot_sparse) is the only rule that
+    /// refreshes it), then the shared dual-then-primal tail — the sparse
+    /// twin of [`solve_warm`](SimplexWorkspace::solve_warm).
     pub(crate) fn solve_warm_sparse(
         &mut self,
         problem: &Problem,
@@ -657,6 +665,9 @@ impl SimplexWorkspace {
         }
     }
 
+    /// Re-enter the retained basis under new bounds and right-hand
+    /// sides, keeping its LU and eta file. `false` when a nonbasic
+    /// variable sits at an upper bound that is now infinite.
     fn warm_load_sparse(
         &mut self,
         problem: &Problem,
@@ -699,11 +710,38 @@ impl SimplexWorkspace {
         self.sparse
             .b
             .extend(problem.constraints.iter().map(|c| c.rhs));
-        if !self.sparse.refactor(&self.basis) {
-            return false;
-        }
+        // The retained LU and eta file are the basis's already: every
+        // pivot since the last factorization appended its eta, and a
+        // solve that could not keep them in step invalidated the
+        // workspace. Only `x_B` is stale (new `b`, new nonbasic values).
+        #[cfg(debug_assertions)]
+        self.assert_factors_are_the_basis();
         self.recompute_basic_x_sparse();
         true
+    }
+
+    /// Debug builds, at warm entry: FTRAN of a sample of basic columns
+    /// (every ⌈m/8⌉-th position, the last included) must return their
+    /// unit vectors, or the retained factors are not this basis's.
+    #[cfg(debug_assertions)]
+    fn assert_factors_are_the_basis(&mut self) {
+        let m = self.m;
+        let sample = (0..m).step_by(m.div_ceil(8).max(1)).chain(m.checked_sub(1));
+        for k in sample {
+            self.sparse.ftran_col(self.basis[k]);
+            for &i in &self.sparse.alpha_nnz {
+                let want = if i == k { 1.0 } else { 0.0 };
+                let got = self.sparse.alpha_at(i);
+                assert!(
+                    (got - want).abs() <= 1e-7,
+                    "retained factors: B⁻¹·B e_{k} has {got} at position {i}"
+                );
+            }
+            assert!(
+                (self.sparse.alpha_at(k) - 1.0).abs() <= 1e-7,
+                "retained factors: B⁻¹·B e_{k} misses its unit entry"
+            );
+        }
     }
 
     /// Re-derive every basic value from the factorized invariant
@@ -1181,8 +1219,8 @@ impl SimplexWorkspace {
     }
 
     /// `‖A·x − b‖∞` over the full column space — the factorization-drift
-    /// observable the regression tests bound across ≥100 pivots.
-    #[cfg(test)]
+    /// observable the regression tests bound across ≥100 pivots (and
+    /// [`basis_residual`](SimplexWorkspace::basis_residual) reports).
     pub(crate) fn sparse_residual_inf(&mut self) -> f64 {
         self.sparse.worig.iter_mut().for_each(|v| *v = 0.0);
         for j in 0..self.n {

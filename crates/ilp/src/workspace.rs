@@ -194,12 +194,22 @@ impl SimplexWorkspace {
     }
 
     /// LU factorizations of the sparse backend's basis since the last
-    /// [`reset_counters`]: one per load, one per warm re-entry, one each
-    /// time the eta file fills up. Always zero on the dense backend.
+    /// [`reset_counters`]: one per load and one each time the eta file
+    /// outgrows its nonzero budget — a warm re-entry keeps the
+    /// factorization it finds. Always zero on the dense backend.
     ///
     /// [`reset_counters`]: SimplexWorkspace::reset_counters
     pub fn refactorizations(&self) -> u64 {
         self.sparse.refactorizations
+    }
+
+    /// `‖B·x_B − (b − N·x_N)‖∞` of the retained sparse basis: how far
+    /// the basic values have drifted from the invariant the LU and eta
+    /// file represent. `None` when the workspace retains no sparse basis
+    /// (nothing solved yet, a failed solve, or the reference tableau).
+    pub fn basis_residual(&mut self) -> Option<f64> {
+        (self.warm_ready && self.loaded_backend == SolverBackend::Sparse)
+            .then(|| self.sparse_residual_inf())
     }
 
     /// Zero the warm/cold and iteration counters (each ILP solve reports

@@ -501,6 +501,122 @@ fn cut_move_counts_are_pinned() {
     assert_eq!(cut_moves(&graph, &prof, &chain, &[1.0]), 36);
 }
 
+/// Warm re-entry keeps the factorization it finds. One workspace
+/// re-enters ≥ 200 times in a row: the root LP of each retarget of the
+/// tight forest, swept up across its cliff and back down, and two
+/// branch-and-bound children below each feasible root. Only the eta
+/// file's nonzero budget may refactorize — never a re-entry that pushed
+/// no eta — and at every step the verdict and objective equal a cold
+/// solve's while `x_B` sits on the factorized invariant:
+/// `‖B·x_B − (b − N·x_N)‖∞` within 1e-12 of the largest row magnitude
+/// `|b_i| + Σ_j |a_ij|·max(|l_j|, |u_j|)` (≈ 1.6e6 here; the drift reads
+/// ≤ 6e-9, a stale `x_B` reads ≥ 1).
+#[test]
+fn warm_reentries_keep_their_factorization_and_match_cold_solves() {
+    use wishbone::ilp::simplex::default_iteration_limit;
+    use wishbone::ilp::{solve_lp_in, LpSolution, Problem, SimplexWorkspace, SolveError, VarId};
+
+    let (graph, prof, dep) = tight_forest();
+    let cfg = DeploymentConfig::default();
+    let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+    let mut ws = SimplexWorkspace::new();
+    let up = (0..40).map(|k| 0.5 + 0.09 * f64::from(k));
+    // The one cold load: the first rate's root.
+    let _ = prep.solve_at(0.5);
+    let p = prep.problem();
+    solve_lp_in(
+        p,
+        p.lower_bounds(),
+        p.upper_bounds(),
+        default_iteration_limit(p),
+        &mut ws,
+        false,
+    )
+    .expect("the first root is feasible");
+    let (mut entries, mut refactors) = (0u64, 0u64);
+    let mut reenter = |p: &Problem, lower: &[f64], upper: &[f64]| -> Option<LpSolution> {
+        let limit = default_iteration_limit(p);
+        let counts = |ws: &SimplexWorkspace| {
+            let c = [ws.warm_starts(), ws.refactorizations()];
+            (c, [ws.dual_iterations(), ws.primal_iterations()])
+        };
+        let (before, iters_before) = counts(&ws);
+        let got = solve_lp_in(p, lower, upper, limit, &mut ws, true);
+        let want = solve_lp_in(p, lower, upper, limit, &mut SimplexWorkspace::new(), false);
+        entries += 1;
+        let (after, iters_after) = counts(&ws);
+        assert_eq!(after[0], before[0] + 1, "entry {entries} re-entered warm");
+        let refactored = after[1] - before[1];
+        // Every dual iteration pivots; a primal pass's last iteration
+        // only prices. With neither, the solve pushed no eta.
+        let no_eta = iters_after[0] == iters_before[0] && iters_after[1] <= iters_before[1] + 1;
+        assert!(
+            !(no_eta && refactored > 0),
+            "entry {entries} refactorized without a pivot"
+        );
+        refactors += refactored;
+        let scale = (0..p.num_constraints())
+            .map(|r| {
+                let c = p.constraint(r);
+                let terms = c.terms.iter();
+                let reach =
+                    |&(v, a): &(VarId, f64)| a.abs() * lower[v.0].abs().max(upper[v.0].abs());
+                c.rhs.abs() + terms.map(reach).sum::<f64>()
+            })
+            .fold(1.0, f64::max);
+        let residual = ws.basis_residual().expect("a sparse basis is retained");
+        assert!(
+            residual <= 1e-12 * scale,
+            "entry {entries}: ‖B·x_B − (b − N·x_N)‖∞ = {residual} at row scale {scale}"
+        );
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                let tol = 1e-9 * want.objective.abs().max(1.0);
+                assert!(
+                    (got.objective - want.objective).abs() <= tol,
+                    "entry {entries}: warm {} vs cold {}",
+                    got.objective,
+                    want.objective
+                );
+                Some(got)
+            }
+            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => None,
+            (got, want) => panic!("entry {entries}: warm {got:?} vs cold {want:?}"),
+        }
+    };
+
+    for (step, rate) in up.clone().chain(up.rev()).enumerate() {
+        // Retarget the encoding (past the cliff the probe is refuted).
+        let _ = prep.solve_at(rate);
+        let p = prep.problem();
+        let (lower, upper) = (p.lower_bounds(), p.upper_bounds());
+        let Some(root) = reenter(p, lower, upper) else {
+            continue;
+        };
+        // Every root here is integral: each child pushes one integer
+        // variable off its root value, as a branch would.
+        let ints: Vec<usize> = (0..p.num_vars())
+            .filter(|&j| p.is_integer(VarId(j)))
+            .collect();
+        for c in 0..2 {
+            let j = ints[(step * 7 + c * 13) % ints.len()];
+            let (mut lo, mut hi) = (lower.to_vec(), upper.to_vec());
+            if root.values[j] >= 0.5 {
+                hi[j] = (root.values[j] - 1.0).ceil().max(lo[j]);
+            } else {
+                lo[j] = (root.values[j] + 1.0).floor().min(hi[j]);
+            }
+            reenter(p, &lo, &hi);
+        }
+    }
+    println!("{entries} warm re-entries, {refactors} factorizations");
+    assert!(entries >= 200, "only {entries} re-entries");
+    assert!(
+        refactors * 10 <= entries,
+        "{refactors} factorizations in {entries} re-entries"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
