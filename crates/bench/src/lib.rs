@@ -1,18 +1,11 @@
 //! # wishbone-bench
 //!
-//! What the three bench targets share. One evaluation target,
-//! `benches/repro.rs`, rebuilds every figure of the paper's evaluation,
-//! prints the series the paper plots and ends with the table of the
-//! paper's [`Claims`] it checked — its stdout is the checked-in
-//! `REPRO.md`. Two timing targets, `solver_criterion` and `fleet_scaling`,
-//! run criterion groups; this crate is the one writer of their
-//! `BENCH_solver.json` ([`merge_bench_json`]).
+//! What the one bench target shares. `benches/repro.rs` rebuilds every
+//! figure of the paper's evaluation, prints the series the paper plots
+//! and ends with the table of the paper's [`Claims`] it checked — its
+//! stdout is the checked-in `REPRO.md`.
 
 #![forbid(unsafe_code)]
-
-use std::process::Command;
-
-use criterion::{Criterion, Summary};
 
 /// Open one table of `REPRO.md`: a `##` heading, then the column row of
 /// a markdown table (cells padded, so the source reads as a table too).
@@ -168,253 +161,9 @@ impl Claims {
     }
 }
 
-/// One line of `BENCH_solver.json`: a JSON object that leads with its
-/// `bench` name. Built here and nowhere else, from what the `criterion`
-/// stand-in sampled ([`BenchRecord::timed`]) or from the host
-/// ([`BenchRecord::header`]) — a bench target hands
-/// [`merge_bench_json`] its `Criterion` and never sees one.
-struct BenchRecord {
-    bench: String,
-    fields: String,
-}
-
-impl BenchRecord {
-    /// The record of one `group/id` the stand-in timed.
-    fn timed(s: &Summary) -> Self {
-        BenchRecord {
-            bench: s.id.clone(),
-            fields: format!(
-                "\"median_ns\": {}, \"q1_ns\": {}, \"q3_ns\": {}, \"samples\": {}",
-                s.median.as_nanos(),
-                s.q1.as_nanos(),
-                s.q3.as_nanos(),
-                s.samples
-            ),
-        }
-    }
-
-    /// The provenance header of the bench binary `writer`: where and on
-    /// what its records were taken, and the largest sample count among
-    /// them (each record states its own).
-    fn header(writer: &str, host: &Host, samples: usize) -> Self {
-        BenchRecord {
-            bench: writer.to_string(),
-            fields: format!(
-                "\"host\": \"{}\", \"nproc\": {}, \"rustc\": \"{}\", \"rev\": \"{}\", \
-                 \"samples\": {samples}",
-                host.cpu, host.nproc, host.rustc, host.rev
-            ),
-        }
-    }
-
-    fn render(&self) -> String {
-        format!("{{\"bench\": \"{}\", {}}}", self.bench, self.fields)
-    }
-}
-
-/// What a header record says about the machine and the tree.
-struct Host {
-    cpu: String,
-    nproc: usize,
-    rustc: String,
-    rev: String,
-}
-
-impl Host {
-    /// Ask the machine; anything it will not say reads `"unknown"`.
-    fn detect() -> Self {
-        let run = |program: &str, args: &[&str]| {
-            Command::new(program)
-                .args(args)
-                .current_dir(env!("CARGO_MANIFEST_DIR"))
-                .output()
-                .ok()
-                .filter(|out| out.status.success())
-                .and_then(|out| String::from_utf8(out.stdout).ok())
-        };
-        // The values land between double quotes in a hand-rolled JSON line.
-        let clean = |text: Option<String>| match text.as_deref().map(str::trim) {
-            Some(t) if !t.is_empty() => t.replace(['"', '\\'], ""),
-            _ => "unknown".to_string(),
-        };
-        let cpu = std::fs::read_to_string("/proc/cpuinfo")
-            .ok()
-            .and_then(|info| {
-                let model = info.lines().find(|l| l.starts_with("model name"))?;
-                Some(model.split_once(':')?.1.to_string())
-            });
-        Host {
-            cpu: clean(cpu),
-            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            rustc: clean(run("rustc", &["--version"])),
-            rev: clean(run("git", &["describe", "--always", "--dirty"])),
-        }
-    }
-}
-
-/// `existing` (the text of a `BENCH_solver.json`, possibly empty) with
-/// `records` merged in: a record already present under the same `bench`
-/// name is replaced where it stands, new names are appended, and every
-/// other record is kept as it was — so each bench binary refreshes only
-/// its own header and the records it regenerates. That includes a record
-/// whose group or id no longer exists: it is kept forever, so deleting or
-/// renaming a group means deleting its lines from the file by hand.
-fn merge_bench_records(existing: &str, records: &[BenchRecord]) -> String {
-    let mut placed = vec![false; records.len()];
-    let mut lines: Vec<String> = existing
-        .lines()
-        .map(|l| l.trim().trim_end_matches(','))
-        .filter(|l| l.starts_with('{'))
-        .map(|l| {
-            let name = l
-                .split("\"bench\": \"")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next());
-            match records.iter().position(|r| Some(r.bench.as_str()) == name) {
-                Some(i) => {
-                    placed[i] = true;
-                    records[i].render()
-                }
-                None => l.to_string(),
-            }
-        })
-        .collect();
-    lines.extend(
-        records
-            .iter()
-            .zip(&placed)
-            .filter(|(_, &placed)| !placed)
-            .map(|(r, _)| r.render()),
-    );
-    let body: Vec<String> = lines.iter().map(|l| format!("  {l}")).collect();
-    format!("[\n{}\n]\n", body.join(",\n"))
-}
-
-/// `writer`'s header followed by one record per `group/id` that `c`
-/// timed, in run order.
-fn records_of(writer: &str, host: &Host, c: &Criterion) -> Vec<BenchRecord> {
-    let samples = c.records().iter().map(|s| s.samples).max().unwrap_or(0);
-    std::iter::once(BenchRecord::header(writer, host, samples))
-        .chain(c.records().iter().map(BenchRecord::timed))
-        .collect()
-}
-
-/// Merge everything `c` timed, under a fresh header for the bench binary
-/// `writer`, into `BENCH_solver.json` at the repository root (two
-/// directories above this crate): a line already there under the same
-/// `bench` name is replaced where it stands, the rest — the other
-/// writer's header and records — is kept.
-pub fn merge_bench_json(writer: &str, c: &Criterion) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let records = records_of(writer, &Host::detect(), c);
-    std::fs::write(path, merge_bench_records(&existing, &records))
-        .expect("write BENCH_solver.json");
-    println!("merged {} records into {path}", records.len());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn merging_replaces_in_place_appends_new_names_and_keeps_the_rest() {
-        let rec = |bench: &str, us: u64| {
-            let t = Duration::from_micros(us);
-            BenchRecord::timed(&Summary::of(bench, vec![t, 2 * t, 3 * t]))
-        };
-        let line = |bench: &str, us: u64| {
-            format!(
-                "{{\"bench\": \"{bench}\", \"median_ns\": {}, \"q1_ns\": {}, \"q3_ns\": {}, \
-                 \"samples\": 3}}",
-                2000 * us,
-                1500 * us,
-                2500 * us
-            )
-        };
-        let file = |lines: &[String]| {
-            let body: Vec<String> = lines.iter().map(|l| format!("  {l}")).collect();
-            format!("[\n{}\n]\n", body.join(",\n"))
-        };
-        let first = merge_bench_records("", &[rec("g/a", 1), rec("fleet/x", 2), rec("g/b", 3)]);
-        assert_eq!(
-            first,
-            file(&[line("g/a", 1), line("fleet/x", 2), line("g/b", 3)])
-        );
-        // A run that regenerates `g/b` and adds `g/c` leaves `g/a` and the
-        // fleet record alone, and the order of what was there.
-        let second = merge_bench_records(&first, &[rec("g/c", 5), rec("g/b", 4)]);
-        assert_eq!(
-            second,
-            file(&[
-                line("g/a", 1),
-                line("fleet/x", 2),
-                line("g/b", 4),
-                line("g/c", 5)
-            ])
-        );
-        // Merging what is already there changes nothing.
-        assert_eq!(merge_bench_records(&second, &[rec("g/a", 1)]), second);
-    }
-
-    #[test]
-    fn each_writer_keeps_its_header_and_records_across_the_others_merge() {
-        let host = |rev: &str| Host {
-            cpu: "Some CPU @ 2.10GHz".into(),
-            nproc: 2,
-            rustc: "rustc 1.0.0".into(),
-            rev: rev.into(),
-        };
-        let timed = |group: &str, sample_size: usize| {
-            let mut c = Criterion::default().sample_size(sample_size);
-            let mut g = c.benchmark_group(group);
-            g.bench_function("a", |b| b.iter_custom(|_| Duration::from_micros(1)));
-            g.bench_function("b", |b| b.iter_custom(|_| Duration::from_micros(2)));
-            g.finish();
-            c
-        };
-        let names = |text: &str| -> Vec<String> {
-            let quoted = |l: &str| l.split('"').nth(3).expect("a bench name").to_string();
-            text.lines()
-                .filter(|l| l.contains("bench"))
-                .map(quoted)
-                .collect()
-        };
-        let solver = records_of("solver_criterion", &host("aaa"), &timed("solver", 4));
-        let fleet = records_of("fleet_scaling", &host("bbb"), &timed("fleet", 2));
-        let both = merge_bench_records(&merge_bench_records("", &solver), &fleet);
-        let layout = [
-            "solver_criterion",
-            "solver/a",
-            "solver/b",
-            "fleet_scaling",
-            "fleet/a",
-            "fleet/b",
-        ];
-        assert_eq!(names(&both), layout);
-        let header = "  {\"bench\": \"solver_criterion\", \"host\": \"Some CPU @ 2.10GHz\", \
-                      \"nproc\": 2, \"rustc\": \"rustc 1.0.0\", \"rev\": \"aaa\", \"samples\": 4},";
-        assert_eq!(both.lines().nth(1), Some(header));
-
-        // The solver binary runs again at a new rev: its header and records
-        // are replaced where they stand, the fleet's lines are untouched.
-        let again = records_of("solver_criterion", &host("ccc"), &timed("solver", 6));
-        let merged = merge_bench_records(&both, &again);
-        assert_eq!(names(&merged), layout);
-        let changed: Vec<usize> = (both.lines().zip(merged.lines()).enumerate())
-            .filter(|(_, (old, new))| old != new)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(changed, [1, 2, 3], "the solver header and its two records");
-        assert!(merged
-            .lines()
-            .nth(1)
-            .is_some_and(|l| l.contains("\"rev\": \"ccc\"")));
-        // Detection never fails: what the machine will not say is "unknown".
-        let here = Host::detect();
-        assert!(here.nproc >= 1 && !here.cpu.is_empty() && !here.rustc.is_empty());
-    }
 
     #[test]
     fn cdf_percentiles() {

@@ -69,7 +69,7 @@ use wishbone_core::topology::{
 };
 use wishbone_core::{deltas_between, shape_key, PartitionError, ShapeKey};
 use wishbone_dataflow::Graph;
-use wishbone_ilp::{PhaseTimes, SimplexWorkspace};
+use wishbone_ilp::SimplexWorkspace;
 use wishbone_profile::GraphProfile;
 
 /// One deployment request: which profiled graph, over which topology,
@@ -121,9 +121,6 @@ pub struct FleetStats {
     pub cache_hits: u64,
     /// Requests that had to prepare (build + merge + encode).
     pub cache_misses: u64,
-    /// Encodes avoided by the cache: hits, each of which a cacheless
-    /// service would have paid a full prepare for.
-    pub encodes_avoided: u64,
     /// Distinct shapes seen, summed over workers (shapes never span
     /// workers, so this is a true fleet-wide count).
     pub distinct_shapes: u64,
@@ -132,19 +129,6 @@ pub struct FleetStats {
     /// Solve count per worker, index = worker id — the shard balance
     /// view.
     pub per_worker_solves: Vec<u64>,
-    /// Per-phase solver wall-clock summed over every successful solve in
-    /// the fleet. The one-time encode a miss pays is not a solve phase
-    /// and is not in it.
-    pub phase_times: PhaseTimes,
-    /// Simplex work summed over every successful solve in the fleet:
-    /// dual iterations, primal iterations, and LU factorizations (the
-    /// reference tableau has none) — the counters of
-    /// [`IlpStats`](wishbone_ilp::IlpStats) of the same names.
-    pub dual_iterations: u64,
-    /// See [`dual_iterations`](Self::dual_iterations).
-    pub primal_iterations: u64,
-    /// See [`dual_iterations`](Self::dual_iterations).
-    pub refactorizations: u64,
     /// Per-request worker-side latencies, seconds, sorted ascending.
     latencies_s: Vec<f64>,
 }
@@ -175,51 +159,31 @@ impl FleetStats {
         self.latencies_s.push(s);
     }
 
-    /// The totals of one answered request: hit or miss, and what its
-    /// solve cost (or that it failed).
+    /// The totals of one answered request: hit or miss, and whether it
+    /// failed.
     fn of_request(
         cache_hit: bool,
         result: &Result<DeploymentPartition, PartitionError>,
     ) -> FleetStats {
         let hit = u64::from(cache_hit);
-        let mut one = FleetStats {
+        FleetStats {
             requests: 1,
             cache_hits: hit,
             cache_misses: 1 - hit,
-            encodes_avoided: hit,
+            errors: u64::from(result.is_err()),
             ..FleetStats::default()
-        };
-        match result {
-            Ok(part) => {
-                let stats = &part.ilp_stats;
-                one.phase_times = stats.phase_times;
-                one.dual_iterations = stats.dual_iterations;
-                one.primal_iterations = stats.primal_iterations;
-                one.refactorizations = stats.refactorizations;
-            }
-            Err(_) => one.errors = 1,
         }
-        one
     }
 
-    /// Sum `other`'s counters and phase times into `self` — a request
-    /// into its worker's totals, a worker's into the fleet's. Latencies
-    /// and the per-worker view are the server's to fill.
+    /// Sum `other`'s counters into `self` — a request into its worker's
+    /// totals, a worker's into the fleet's. Latencies and the per-worker
+    /// view are the server's to fill.
     fn absorb(&mut self, other: &FleetStats) {
         self.requests += other.requests;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.encodes_avoided += other.encodes_avoided;
         self.distinct_shapes += other.distinct_shapes;
         self.errors += other.errors;
-        // `PhaseTimes` is a foreign plain-data struct without an `Add`.
-        self.phase_times.presolve_s += other.phase_times.presolve_s;
-        self.phase_times.warm_start_s += other.phase_times.warm_start_s;
-        self.phase_times.nodes_s += other.phase_times.nodes_s;
-        self.phase_times.root_lp_s += other.phase_times.root_lp_s;
-        self.dual_iterations += other.dual_iterations;
-        self.primal_iterations += other.primal_iterations;
-        self.refactorizations += other.refactorizations;
     }
 
     fn finalize(&mut self) {
@@ -377,7 +341,7 @@ fn worker_loop(
 /// let stats = server.shutdown();
 /// assert_eq!(responses.len(), 3);
 /// assert_eq!(stats.cache_misses, 1, "one shape, one encode");
-/// assert_eq!(stats.encodes_avoided, 2);
+/// assert_eq!(stats.cache_hits, 2);
 /// ```
 pub struct FleetServer {
     txs: Vec<mpsc::Sender<(ShapeKey, FleetRequest)>>,

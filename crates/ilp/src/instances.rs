@@ -1,9 +1,9 @@
 //! Deterministic benchmark/stress instance generators.
 //!
-//! Shared by `tests/stress_ilp.rs` and the `solver_criterion` bench so
-//! the "972-constraint chain" both of them talk about is provably the
-//! *same* instance family — tuning the generator in one place keeps the
-//! stress suite and `BENCH_solver.json` measuring the same thing.
+//! Shared by `tests/stress_ilp.rs` and `tests/solver_guards.rs` so the
+//! "972-constraint chain" both of them talk about is provably the *same*
+//! instance family — tuning the generator in one place keeps the stress
+//! suite and the backend-parity guard checking the same thing.
 
 use crate::problem::{Problem, Sense};
 

@@ -52,11 +52,7 @@ fn main() {
                 part.ilp_stats.nodes,
                 part.ilp_stats.warm_starts
             );
-            println!(
-                "solver: {} — a regression in BENCH_solver.json's backend_scaling/eeg_22ch/* \
-                 (this app's ILP) should reproduce here",
-                report_stats(&part.ilp_stats)
-            );
+            println!("solver: {}", report_stats(&part.ilp_stats));
         }
         Err(e) => println!("rate x0.5: {e}"),
     }
@@ -123,9 +119,7 @@ fn main() {
     }
 
     // Solver diagnostics for the sweep: how much warm-start reuse the
-    // probes got (BENCH_solver.json records carry times only; a
-    // regression in its rate_search/* pair should be explainable from
-    // these counts).
+    // probes got.
     let warm: u64 = sweep_stats.iter().map(|s| s.1).sum();
     let cold: u64 = sweep_stats.iter().map(|s| s.2).sum();
     println!("\nsweep node LPs: {warm} warm-started, {cold} cold across all feasible probes");

@@ -108,10 +108,7 @@ pub mod prelude {
 /// backend ran, how many branch-and-bound nodes it took, the warm/cold
 /// node-LP split, the simplex work behind them (dual and primal
 /// iterations, LU factorizations), and where the wall clock went phase
-/// by phase. `BENCH_solver.json` records carry times and their spread,
-/// no counters — a regression in a `backend_scaling/*`,
-/// `multitier_scaling/*` or `deployment_scaling/*` record is explained
-/// from this line. The one-time encode is not a solve phase: a prepared
+/// by phase. The one-time encode is not a solve phase: a prepared
 /// instance reports it as `encode_seconds()`. `root LP` is the part of
 /// `nodes` spent in the first LP.
 pub fn report_stats(stats: &ilp::IlpStats) -> String {

@@ -9,7 +9,9 @@
 //!
 //! Everything here is deterministic by construction (a fixed LCG drives
 //! the shuffle and the parameter draws), so a failure is a real
-//! state-leak bug, not flake.
+//! state-leak bug, not flake. The same holds for the fleet's count
+//! guards on a 300-request load: encodes, simplex iterations,
+//! factorizations and branch-and-bound nodes.
 
 use std::sync::Arc;
 
@@ -17,67 +19,19 @@ use wishbone::core::{
     partition_deployment, Deployment, DeploymentConfig, DeploymentPartition, LinkSpec,
     PartitionError, Site,
 };
-use wishbone::dataflow::{ExecCtx, FnWork, Graph, Value};
-use wishbone::prelude::{
-    profile, run_batch, FleetRequest, FleetServer, GraphBuilder, GraphProfile, Platform,
-    SourceTrace,
-};
+use wishbone::dataflow::Graph;
+use wishbone::prelude::{run_batch, FleetRequest, FleetServer, GraphProfile, Platform};
 
-/// Tiny deterministic PRNG — no vendored `rand` in tier-1 tests.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
+#[path = "common/fleet.rs"]
+mod fleet;
+use fleet::Lcg;
 
 /// A small reducing pipeline; `variant` perturbs costs and decimation so
 /// the two graphs encode differently (distinct shapes, not just distinct
 /// pointers).
-fn mk_app(variant: usize) -> (Graph, wishbone::dataflow::OperatorId) {
-    let mut b = GraphBuilder::new();
-    b.enter_node_namespace();
-    let src = b.source("src");
-    let mut prev = src;
-    for s in 0..2 + variant {
-        let cost = (600 + 400 * variant as u64) * (s as u64 + 1);
-        let keep = 2 + s;
-        prev = b.transform(
-            format!("stage{s}"),
-            Box::new(FnWork(move |_p: usize, v: &Value, cx: &mut ExecCtx| {
-                let w = v.as_i16s().unwrap();
-                cx.meter().loop_scope(cost, |m| {
-                    m.int(cost);
-                    m.fadd(cost / 2);
-                });
-                cx.emit(Value::VecI16(w.iter().step_by(keep).copied().collect()));
-            })),
-            prev,
-        );
-    }
-    b.exit_namespace();
-    b.sink("out", prev);
-    (b.finish().unwrap(), src.0)
-}
-
 fn profiled(variant: usize) -> (Arc<Graph>, Arc<GraphProfile>) {
-    let (mut g, src) = mk_app(variant);
-    let trace = SourceTrace {
-        source: src,
-        elements: (0..12).map(|i| Value::VecI16(vec![i as i16; 96])).collect(),
-        rate_hz: 25.0,
-    };
-    let prof = profile(&mut g, &[trace]).expect("fixture graphs profile cleanly");
-    (Arc::new(g), Arc::new(prof))
+    let stage = |s: usize| ((600 + 400 * variant as u64) * (s as u64 + 1), 2 + s);
+    fleet::pipeline(2 + variant, stage, 12, 96)
 }
 
 /// `deep == false`: root → gateway → motes (star). `deep == true`: an
@@ -240,7 +194,6 @@ fn fleet_batch_matches_serial_one_shot() {
             "{workers} workers: every shape encodes exactly once"
         );
         assert_eq!(stats.cache_hits, params.len() as u64 - 8);
-        assert_eq!(stats.encodes_avoided, params.len() as u64 - 8);
         for (resp, oracle) in responses.iter().zip(&serial) {
             assert_partitions_bit_identical(
                 &format!("{workers} workers, request {}", resp.id),
@@ -297,4 +250,55 @@ fn a_bad_rate_gets_a_typed_error_and_the_worker_lives_on() {
         let got = partition_deployment(&graph, &prof, &dep, &cfg.clone().at_rate(rate));
         assert_eq!(got.err(), Some(PartitionError::InvalidRate { rate }));
     }
+}
+
+/// The fleet's count guards on the 300-request load over 8 shapes (they
+/// repeat exactly on any host): 8 encodes serve all 300; the sparse
+/// backend answers each request in a handful of dual-first pivots
+/// (3.4 on average), where the reference tableau's two-phase primal
+/// needs tens and factorizes nothing; a request factorizes once, at its
+/// cold root, because its branch-and-bound children re-enter warm on the
+/// LU they find (300 in all); and a node costs its LP and nothing else,
+/// so 1.47 nodes per request is the whole search (ceiling that + 25 %).
+#[test]
+fn the_fleet_load_costs_8_encodes_and_a_few_pivots_per_request() {
+    let n = 300;
+    let (responses, stats) = run_batch(1, fleet::load(n, &fleet::load_apps()));
+    assert_eq!((stats.requests, stats.errors), (n as u64, 0));
+    assert_eq!(stats.distinct_shapes, 8);
+    assert_eq!(
+        stats.cache_misses, 8,
+        "8 shapes must cost exactly 8 encodes"
+    );
+    assert_eq!(stats.cache_hits, n as u64 - 8);
+
+    let solved: Vec<_> = responses
+        .iter()
+        .map(|r| &r.result.as_ref().expect("the load all solves").ilp_stats)
+        .collect();
+    let sum = |count: fn(&wishbone::ilp::IlpStats) -> u64| -> u64 {
+        solved.iter().map(|&s| count(s)).sum()
+    };
+    let iterations = sum(|s| s.dual_iterations + s.primal_iterations);
+    let factorizations = sum(|s| s.refactorizations);
+    let nodes = sum(|s| s.nodes);
+    let iters_per_req = iterations as f64 / n as f64;
+    assert!(
+        iters_per_req <= 8.0 && factorizations > 0,
+        "the fleet must solve on the sparse backend: {iters_per_req:.1} iterations / request, \
+         {factorizations} factorizations"
+    );
+    assert!(
+        factorizations <= n as u64,
+        "the fleet factorized {factorizations} times for {n} requests: a warm re-entry \
+         refactorized"
+    );
+    println!(
+        "{n} requests: {iterations} iterations, {factorizations} factorizations, {nodes} nodes"
+    );
+    let nodes_per_req = nodes as f64 / n as f64;
+    assert!(
+        nodes_per_req <= 1.84,
+        "the fleet's search trees grew: {nodes_per_req:.2} B&B nodes / request"
+    );
 }

@@ -100,7 +100,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 12] = [
+const CONFINE: [Confine; 11] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -114,9 +114,9 @@ const CONFINE: [Confine; 12] = [
     },
     Confine {
         rule: "no-env-knobs",
-        // Every crate the facade ships, and the bench tooling (its switches
-        // are `--smoke` / `--json`; a sweep size is a constant in its
-        // target). The compile-time `env!` is not a read.
+        // Every crate the facade ships, and the bench tooling (a sweep size
+        // is a constant in its target). The compile-time `env!` is not a
+        // read.
         scope: &["crates/ilp/src", CORE_SRC, RUNTIME_SRC, "crates/fleet/src", "crates/net/src",
                  "crates/dataflow/src", "crates/profile/src", "crates/trace/src",
                  "crates/bench/src", BENCH_TARGETS],
@@ -137,14 +137,6 @@ const CONFINE: [Confine; 12] = [
         why: "shipped code names `{}` — the dense tableau is the tests' reference and runs \
               only when a caller asks for it; production solves on the sparse backend at \
               every size",
-    },
-    Confine {
-        rule: "bench-one-timer", scope: &[BENCH_TARGETS],
-        needles: &[Ident("BenchRecord"), Ident("fn measure"), Ident("fn emit_json")],
-        homes: &[],
-        why: "a bench target has `{}` — time the instance in a criterion group and let \
-              `wishbone_bench::merge_bench_json` write what the group measured; `--smoke` and \
-              `--json` are the only switches",
     },
     Confine {
         rule: "oracle-dev-only",
@@ -268,7 +260,7 @@ const ORACLE_ANCHORS: [(&str, &str); 6] = [
 const ORACLE_CRATE: &str = "wishbone-oracle";
 const BENCH_MANIFEST: &str = "crates/bench/Cargo.toml";
 const BENCH_TARGETS: &str = "crates/bench/benches";
-const THE_BENCH_TARGETS: [&str; 3] = ["repro", "solver_criterion", "fleet_scaling"];
+const THE_BENCH_TARGETS: [&str; 1] = ["repro"];
 
 /// The option structs: file, name, counted `pub` fields. A behaviour is
 /// a field only when shipped callers need different values; one more
@@ -337,7 +329,7 @@ fn lint() -> ExitCode {
             check_oracle_dependency(rel, &text, &mut violations);
         }
     }
-    // A manifest that is gone reads as empty: all three targets are then missing.
+    // A manifest that is gone reads as empty: `repro` is then missing.
     let bench_manifest = std::fs::read_to_string(root.join(BENCH_MANIFEST)).unwrap_or_default();
     let bench_files: Vec<PathBuf> = rust_sources(&root.join(BENCH_TARGETS))
         .iter()
@@ -1016,41 +1008,11 @@ mod tests {
             lines("no-env-knobs", "crates/ilp/src/revised.rs", source),
             vec![4, 5]
         );
-    }
-
-    #[test]
-    fn bench_one_timer_fires_on_a_second_timer_or_record_list_put_back() {
-        let source = "\
-use wishbone_bench::{merge_bench_json, BenchRecord}; // line 1
-/// Median wall-clock of `reps` runs of `f` (a doc comment may say measure).
-fn measure(reps: usize, mut f: impl FnMut()) -> u128 { 0 } // line 3
-fn emit_json(reps: usize) { // line 4
-    records.push(BenchRecord { bench: name, median_ns }); // line 5
-}
-fn main() {
-    let json = std::env::var_os(\"WISHBONE_BENCH_JSON\").is_some(); // line 8
-    fn remeasure() {} fn measure_all() {} let s = \"fn measure, BenchRecord\";
-    merge_bench_json(\"solver_criterion\", &timed); // WISHBONE_BENCH_JSON is gone
-    let old = legacy::BenchRecord::new(); // audit:allow(bench-one-timer): demo
-}
-";
-        let target = "crates/bench/benches/solver_criterion.rs";
-        let v = violations("bench-one-timer", &[(target, source)]);
-        let found: Vec<(usize, &str)> = v
-            .iter()
-            .map(|x| (x.line, x.message.split(" — ").next().unwrap_or("")))
-            .collect();
+        // The bench target is in scope too.
         assert_eq!(
-            found,
-            [
-                (1, "a bench target has `BenchRecord`"),
-                (3, "a bench target has `fn measure`"),
-                (4, "a bench target has `fn emit_json`"),
-                (5, "a bench target has `BenchRecord`"),
-            ]
+            lines("no-env-knobs", "crates/bench/benches/repro.rs", source),
+            vec![4, 5]
         );
-        // The variable on line 8 is `no-env-knobs`'s, which scans bench targets too.
-        assert_eq!(lines("no-env-knobs", target, source), vec![8]);
     }
 
     #[test]
@@ -1073,18 +1035,19 @@ fn main() {
                 .collect::<Vec<_>>()
         };
         assert_eq!(found(&THE_BENCH_TARGETS), []);
-        // Fig 9 and the validation target put back as their own binaries:
-        // two manifest entries (lines 15 and 19) and two source files.
+        // Fig 9 and the validation target put back as their own binaries,
+        // and a timing target declared again: three manifest entries
+        // (lines 11, 15 and 19) and the two per-figure source files.
         let put_back = [
             "repro",
-            "solver_criterion",
             "fig9_single_mote_goodput",
             "validation_predictions",
-            "fleet_scaling",
+            "solver_criterion",
         ];
         assert_eq!(
             found(&put_back),
             [
+                (BENCH_MANIFEST.to_string(), 11),
                 (BENCH_MANIFEST.to_string(), 15),
                 (BENCH_MANIFEST.to_string(), 19),
                 (
@@ -1097,14 +1060,10 @@ fn main() {
                 ),
             ]
         );
-        // `repro` itself deleted, or declared twice: not three targets either.
-        assert_eq!(
-            found(&["solver_criterion", "fleet_scaling"]),
-            [(BENCH_MANIFEST.to_string(), 1)]
-        );
+        // `repro` itself deleted, or declared twice.
+        assert_eq!(found(&[]), [(BENCH_MANIFEST.to_string(), 1)]);
         let mut v = Vec::new();
-        let twice = manifest(&["repro", "repro", "solver_criterion", "fleet_scaling"]);
-        check_one_repro(&twice, &files(&THE_BENCH_TARGETS), &mut v);
+        check_one_repro(&manifest(&["repro", "repro"]), &files(&["repro"]), &mut v);
         assert_eq!(v.len(), 1);
         // The committed manifest and directory are clean.
         let manifest = std::fs::read_to_string(repo_root().join(BENCH_MANIFEST)).unwrap();
