@@ -13,11 +13,12 @@
 //!    contracted first, so the coarse graph's cuts avoid them by
 //!    construction. Contraction only pairs vertices whose tier intervals
 //!    (from pins, propagated through precedence) intersect, so every
-//!    coarse vertex still has a legal tier. This phase happens **once per
-//!    prepared instance** (`CutHierarchy::build`): it reads the merged
-//!    leaf graphs — pins, per-tier CPU costs, per-link edge bandwidths —
-//!    and each leaf's path, and never a device count, a budget, a weight
-//!    or a rate, so no rate probe and no
+//!    coarse vertex still has a legal tier. This phase happens **at most
+//!    once per prepared instance**, the first time a search asks for a
+//!    seed (`CutHierarchy::build`): it reads the merged leaf graphs —
+//!    pins, per-tier CPU costs, per-link edge bandwidths — and each
+//!    leaf's path, and never a device count, a budget, a weight or a
+//!    rate, so no rate probe and no
 //!    [`DeploymentDelta`](crate::topology::DeploymentDelta) can stale it.
 //! 2. **Cut** the coarsest graphs greedily: start from the two trivial
 //!    monotone cuts (everything as low / as high as pins allow) and
@@ -44,11 +45,12 @@
 //! assignment auditor.
 //!
 //! The heuristic has one caller ([`crate::topology`]): it seeds exact
-//! branch-and-bound's incumbent (restoring sub-second discovery on
-//! near-cliff forests). Capped at its root node (`ilp.max_nodes = 1`),
-//! that search is the bounded-time answer — this cut, or an integral root
-//! LP if cheaper — certified against the root LP bound
-//! ([`DeploymentPartition::certified_gap`](crate::topology::DeploymentPartition::certified_gap)).
+//! branch-and-bound's incumbent when the search asks for one — after a
+//! fractional root LP, with no placement to start from — restoring
+//! sub-second discovery on near-cliff forests. Capped at its root node
+//! (`ilp.max_nodes = 1`), that search is the bounded-time answer — an
+//! integral root LP, or else this cut — certified against the root LP
+//! bound ([`DeploymentPartition::certified_gap`](crate::topology::DeploymentPartition::certified_gap)).
 
 use crate::encodings::{DeploymentObjective, LeafChain};
 
@@ -752,8 +754,9 @@ struct LeafLevels {
 }
 
 /// Phase 1 of the heuristic, kept: every leaf's finest level and the
-/// heavy-edge-matching stack above it, plus the leaf's path. Built once
-/// per prepared instance from the merged leaf graphs; nothing in it
+/// heavy-edge-matching stack above it, plus the leaf's path. Built at
+/// most once per prepared instance, on the first demand for a seed, from
+/// the merged leaf graphs; nothing in it
 /// depends on a device count, a budget, a weight or a rate, so one
 /// hierarchy serves every [`cut`](Self::cut) asked of the same
 /// application on the same tree.
@@ -930,7 +933,7 @@ impl CutHierarchy {
 ///
 /// One-shot: the coarsening hierarchy is built, cut once and dropped.
 /// [`PreparedDeployment`](crate::topology::PreparedDeployment) builds it
-/// once and cuts it at every solve.
+/// on a search's first demand for a seed and cuts it at every later one.
 pub fn approx_cut(
     leaves: &[LeafChain<'_>],
     obj: &DeploymentObjective,

@@ -29,7 +29,8 @@
 //! [`PreparedDeployment`] prices the program, runs the per-leaf §4.1
 //! merge, and encodes **once**; every rate probe rescales the prepared
 //! ILP in place on one reused [`SimplexWorkspace`], seeding
-//! branch-and-bound with the previous incumbent, and decodes its answer
+//! branch-and-bound with the previous incumbent (or, with none, the
+//! multilevel cut, on demand), and decodes its answer
 //! from the same merged leaf graphs the budget rows were written from;
 //! [`max_sustainable_rate_deployment`] runs §4.3 on top of it, answering a
 //! probe from the last proved placement while that still fits, and from
@@ -41,7 +42,7 @@ use std::time::Instant;
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId};
 use wishbone_ilp::{
-    solve_ilp_in, IlpOptions, IlpStats, Refutation, SimplexWorkspace, SolveError, VarId,
+    solve_ilp_seeded_in, IlpOptions, IlpStats, Refutation, SimplexWorkspace, SolveError, VarId,
 };
 use wishbone_profile::{GraphProfile, Platform};
 
@@ -420,10 +421,11 @@ pub enum RobustnessMode {
 ///
 /// Each field says why it is one (`xtask lint`'s `config-surface` rule
 /// counts them); a behaviour with one value in use is not. The §4.1
-/// merge always runs, and exact branch-and-bound always starts from the
-/// multilevel heuristic's cut when no warmer start exists — feasibility
-/// is *discovered* by the heuristic in milliseconds and merely *proved*
-/// optimal by the exact search (the near-cliff fix).
+/// merge always runs, and exact branch-and-bound with no warmer start
+/// asks for the multilevel heuristic's cut whenever its root LP is
+/// fractional — near a cliff, feasibility is *discovered* by the
+/// heuristic in milliseconds and merely *proved* optimal by the exact
+/// search (the near-cliff fix); an integral root LP needs no seed.
 #[derive(Debug, Clone)]
 pub struct DeploymentConfig {
     /// Stateful-relocation mode (§2.1.1). Kept: conservative and
@@ -466,11 +468,11 @@ impl DeploymentConfig {
     }
 
     /// Returns `self` unchanged. There is one placement engine, exact
-    /// branch-and-bound seeded by the multilevel cut, and every placement
-    /// carries its [`DeploymentPartition::certified_gap`]; this builder
-    /// stays only because `benchmark/` names it. A bounded-time answer is
-    /// `ilp.max_nodes = 1` on a fresh instance: the seed (or an integral
-    /// root LP) with its distance from the root bound.
+    /// branch-and-bound seeded on demand by the multilevel cut, and every
+    /// placement carries its [`DeploymentPartition::certified_gap`]; this
+    /// builder stays only because `benchmark/` names it. A bounded-time
+    /// answer is `ilp.max_nodes = 1` on a fresh instance: an integral root
+    /// LP, or else the seed with its distance from the root bound.
     pub fn approx(self) -> Self {
         self
     }
@@ -744,8 +746,8 @@ fn leaf_counts<'l>(
 }
 
 /// The leaf-chain view of a preparation, as [`encode_deployment`] and the
-/// multilevel hierarchy consume it: every leaf at its
-/// [`leaf_counts`] count.
+/// multilevel heuristic consume it: every leaf at its [`leaf_counts`]
+/// count.
 fn leaf_chains<'l>(
     leaves: &'l [PreparedLeaf],
     removed: &[bool],
@@ -762,6 +764,57 @@ fn leaf_chains<'l>(
         .collect()
 }
 
+/// Expand a per-leaf tier assignment into `ep`'s full indicator vector
+/// (`y[l][b][v] = 1 ⇔ tier ≤ b`).
+fn y_values(ep: &EncodedDeployment, tiers: &[Vec<usize>]) -> Vec<f64> {
+    let mut values = vec![0.0f64; ep.problem.num_vars()];
+    for (l, leaf) in ep.y_vars.iter().enumerate() {
+        for (b, row) in leaf.iter().enumerate() {
+            for (v, &var) in row.iter().enumerate() {
+                if tiers[l][v] <= b {
+                    values[var.0] = 1.0;
+                }
+            }
+        }
+    }
+    values
+}
+
+/// Branch-and-bound's seed: the multilevel heuristic's cut of a prepared
+/// instance at `rate` — its leaf chains `chains`, objective `obj` — as an
+/// assignment of `ep`, verified against the (already retargeted) encoded
+/// problem. `None` when the heuristic finds no budget-feasible placement.
+/// The first call builds the instance's hierarchy into `hierarchy`; every
+/// later one cuts the kept one. The fields come apart rather than as a
+/// `PreparedDeployment`, so a search can lend them while it holds the
+/// instance's workspace.
+fn seed_values(
+    hierarchy: &mut Option<Option<CutHierarchy>>,
+    chains: &[LeafChain<'_>],
+    obj: &DeploymentObjective,
+    ep: &EncodedDeployment,
+    rate: f64,
+) -> Option<Vec<f64>> {
+    let hierarchy = hierarchy.get_or_insert_with(|| CutHierarchy::build(chains));
+    let counts: Vec<f64> = chains.iter().map(|c| c.count).collect();
+    let cut = hierarchy.as_ref()?.cut(&counts, obj, rate)?;
+    let values = y_values(ep, &cut.tiers);
+    if !ep.problem.is_feasible(&values, 1e-6) {
+        debug_assert!(
+            false,
+            "multilevel cut broke its feasible-by-construction contract"
+        );
+        return None;
+    }
+    #[cfg(debug_assertions)]
+    {
+        let spec = crate::audit::deployment_spec(ep);
+        let report = wishbone_audit::audit_assignment(&ep.problem, &spec, &values);
+        report.assert_no_errors("multilevel cut assignment");
+    }
+    Some(values)
+}
+
 /// A deployment instance prepared for repeated solves at varying input
 /// rates. The paper's evaluation asks thousands of questions of the
 /// *same* application (2100 lp_solve runs for Fig 6; a binary search per
@@ -771,21 +824,26 @@ fn leaf_chains<'l>(
 /// prepared ILP in place (objective × rate, budget right-hand sides ÷
 /// rate) on one reused [`SimplexWorkspace`]. The multilevel heuristic's
 /// coarsening of the merged leaf graphs ([`crate::multilevel`], phase 1)
-/// is part of that one-time build too: it reads pins, per-tier CPU costs
-/// and per-link bandwidths, never a count, a budget or the rate, so it is
+/// is built at most once too, on first demand: the first time a search
+/// asks for a seed, which it does only with no placement to start from
+/// and a fractional root LP (an instance whose roots are all integral
+/// never builds it). It reads pins, per-tier CPU costs and per-link
+/// bandwidths, never a count, a budget or the rate, so once built it is
 /// kept for the life of the instance, no delta or probe can stale it, and
-/// — unlike the two things below — keeping it cannot change any answer: a
-/// cut of the kept hierarchy is bit for bit the cut of a freshly built one.
+/// — unlike the two things below — keeping it, or building it after some
+/// deltas rather than before, cannot change any answer: a cut of the kept
+/// hierarchy is bit for bit the cut of a freshly built one.
 ///
 /// The instance keeps nothing of its caller's: the graph and profile are
 /// read while it prepares and never again. What it keeps is the deployment
 /// (plus applied deltas), the configuration, each leaf's path and merged
-/// graph, the encoding and the hierarchy. The merged graphs are the only
-/// priced view of the program: the budget rows are written from their
-/// costs, and every solve decodes its per-site operators, cut edges and
-/// predicted loads from them too, so a prediction is a budget row's own
-/// left-hand side (up to summation order) rather than a second pricing
-/// that has to agree with it. The lifetime parameter is a marker only.
+/// graph, the encoding and, once built, the hierarchy. The merged graphs
+/// are the only priced view of the program: the budget rows are written
+/// from their costs, and every solve decodes its per-site operators, cut
+/// edges and predicted loads from them too, so a prediction is a budget
+/// row's own left-hand side (up to summation order) rather than a second
+/// pricing that has to agree with it. The lifetime parameter is a marker
+/// only.
 ///
 /// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
 /// the last placement, which seeds branch-and-bound as its first
@@ -812,10 +870,12 @@ pub struct PreparedDeployment<'a> {
     dep: Deployment,
     cfg: DeploymentConfig,
     leaves: Vec<PreparedLeaf>,
-    /// The multilevel heuristic's coarsening of `leaves`' graphs — `None`
-    /// when some leaf's pins admit no placement at all. Deltas edit
-    /// counts and budgets, never a leaf graph, so it is never rebuilt.
-    hierarchy: Option<CutHierarchy>,
+    /// The multilevel heuristic's coarsening of `leaves`' graphs, built by
+    /// the first [`seed_values`] call and kept — `None` until then, and
+    /// `Some(None)` when some leaf's pins admit no placement at all.
+    /// Deltas edit counts and budgets, never a leaf graph, so it is never
+    /// rebuilt.
+    hierarchy: Option<Option<CutHierarchy>>,
     /// Per-leaf out-of-service flags, [`Deployment::leaves`] order
     /// ([`DeploymentDelta::RemoveLeaf`]).
     removed: Vec<bool>,
@@ -835,7 +895,7 @@ pub struct PreparedDeployment<'a> {
     /// ([`IlpStats::refutation`]).
     refutation: Option<Refutation>,
     /// Wall-clock cost of the one-time build (pricing, §4.1 merge,
-    /// encoding, coarsening).
+    /// encoding).
     encode_s: f64,
 }
 
@@ -853,8 +913,9 @@ struct Placement {
 }
 
 impl<'a> PreparedDeployment<'a> {
-    /// Price every leaf's chain graph, merge, encode, and coarsen — once.
-    /// `graph` and `profile` are read here and not kept.
+    /// Price every leaf's chain graph, merge and encode — once. The
+    /// multilevel hierarchy is not built here but on a search's first
+    /// demand for a seed. `graph` and `profile` are read here and not kept.
     /// `cfg.rate_multiplier` is ignored here; pass the rate to
     /// [`solve_at`](PreparedDeployment::solve_at).
     pub fn new(
@@ -891,7 +952,6 @@ impl<'a> PreparedDeployment<'a> {
         let obj = dep.objective_with(cfg.robustness);
         let chains = leaf_chains(&leaves, &removed, dep);
         let ep = encode_deployment(&chains, &obj);
-        let hierarchy = CutHierarchy::build(&chains);
         let base_objective: Vec<f64> = (0..ep.problem.num_vars())
             .map(|j| ep.problem.objective_coeff(VarId(j)))
             .collect();
@@ -902,7 +962,7 @@ impl<'a> PreparedDeployment<'a> {
             removed,
             obj,
             leaves,
-            hierarchy,
+            hierarchy: None,
             vertices_before,
             vertices_after,
             ep,
@@ -1032,8 +1092,10 @@ impl<'a> PreparedDeployment<'a> {
         self.workspace.invalidate();
     }
 
-    /// Wall-clock cost of the one-time build (pricing, merge, encoding,
-    /// coarsening), seconds. Paid once per instance; no solve reports it.
+    /// Wall-clock cost of the one-time build (pricing, merge, encoding),
+    /// seconds. Paid once per instance; no solve reports it. The multilevel
+    /// hierarchy, built on a search's first demand for a seed, is in that
+    /// search's `warm_start_s` instead.
     pub fn encode_seconds(&self) -> f64 {
         self.encode_s
     }
@@ -1108,46 +1170,6 @@ impl<'a> PreparedDeployment<'a> {
             let terms = &self.ep.problem.constraint(row).terms;
             terms.iter().map(|&(v, a)| a * values[v.0]).sum::<f64>() <= rhs
         })
-    }
-
-    /// Expand a per-leaf tier assignment into the encoding's full
-    /// indicator vector (`y[l][b][v] = 1 ⇔ tier ≤ b`).
-    fn y_values(&self, tiers: &[Vec<usize>]) -> Vec<f64> {
-        let mut values = vec![0.0f64; self.ep.problem.num_vars()];
-        for (l, leaf) in self.ep.y_vars.iter().enumerate() {
-            for (b, row) in leaf.iter().enumerate() {
-                for (v, &var) in row.iter().enumerate() {
-                    if tiers[l][v] <= b {
-                        values[var.0] = 1.0;
-                    }
-                }
-            }
-        }
-        values
-    }
-
-    /// Run the multilevel heuristic on the current instance and return
-    /// its cut as an encoding-level assignment, verified against the
-    /// (already retargeted) encoded problem — branch-and-bound's seed.
-    /// `None` when the heuristic finds no budget-feasible placement.
-    fn seed_values(&self, rate: f64) -> Option<Vec<f64>> {
-        let counts: Vec<f64> = leaf_counts(&self.leaves, &self.removed, &self.dep).collect();
-        let cut = self.hierarchy.as_ref()?.cut(&counts, &self.obj, rate)?;
-        let values = self.y_values(&cut.tiers);
-        if !self.ep.problem.is_feasible(&values, 1e-6) {
-            debug_assert!(
-                false,
-                "multilevel cut broke its feasible-by-construction contract"
-            );
-            return None;
-        }
-        #[cfg(debug_assertions)]
-        {
-            let spec = crate::audit::deployment_spec(&self.ep);
-            let report = wishbone_audit::audit_assignment(&self.ep.problem, &spec, &values);
-            report.assert_no_errors("multilevel cut assignment");
-        }
-        Some(values)
     }
 
     /// Solve the prepared instance at `rate` (a global multiplier on the
@@ -1257,11 +1279,18 @@ impl<'a> PreparedDeployment<'a> {
         if opts.warm_solution.is_none() {
             opts.warm_solution = self.last.as_ref().map(|last| last.values.clone());
         }
-        if opts.warm_solution.is_none() {
-            opts.warm_solution = self.seed_values(rate);
-        }
+        // With no placement to start from, the multilevel cut is asked for
+        // on demand. The closure borrows the fields the seed reads, apart
+        // from the workspace the search holds.
+        let unseeded = opts.warm_solution.is_none();
+        let (hierarchy, ep, obj) = (&mut self.hierarchy, &self.ep, &self.obj);
+        let (leaves, removed, dep) = (&self.leaves, &self.removed, &self.dep);
+        let seed = || {
+            let chains = unseeded.then(|| leaf_chains(leaves, removed, dep))?;
+            seed_values(hierarchy, &chains, obj, ep, rate)
+        };
         let ws = arena.unwrap_or(&mut self.workspace);
-        let (result, mut stats) = solve_ilp_in(&self.ep.problem, &opts, ws);
+        let (result, mut stats) = solve_ilp_seeded_in(&ep.problem, &opts, ws, seed);
         if let Some(refutation) = stats.refutation.take() {
             self.refutation = Some(refutation);
         }
@@ -1914,12 +1943,7 @@ mod tests {
     /// per ward on their own CPU budget, ward-a's backhaul starved to
     /// 500 B/s. Its cliff is one the root LP refutes, not presolve.
     fn eeg_forest() -> (Graph, GraphProfile, Deployment) {
-        let mut app = wishbone_apps::build_eeg_app(wishbone_apps::EegParams {
-            n_channels: 4,
-            ..Default::default()
-        });
-        let traces = app.traces(4, 1..3, 7);
-        let prof = run_profile(&mut app.graph, &traces).unwrap();
+        let (graph, prof) = eeg_app(4);
         let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
         let mut dep = Deployment::new(Site::server("server", &Platform::server()));
         let root = dep.root();
@@ -1938,7 +1962,155 @@ mod tests {
             };
             dep.attach(gw, caps, radio);
         }
-        (app.graph, prof, dep)
+        (graph, prof, dep)
+    }
+
+    /// The profiled EEG app of `channels` channels.
+    fn eeg_app(channels: usize) -> (Graph, GraphProfile) {
+        let mut app = wishbone_apps::build_eeg_app(wishbone_apps::EegParams {
+            n_channels: channels,
+            ..Default::default()
+        });
+        let traces = app.traces(4, 1..3, 7);
+        let prof = run_profile(&mut app.graph, &traces).unwrap();
+        (app.graph, prof)
+    }
+
+    /// Two 4-mote wards of `channels`-channel EEG caps behind two
+    /// gateways, gw-a on CPU budget `gw_budget` and backhaul `backhaul_a`,
+    /// gw-b on backhaul `backhaul_b`. Sites: 0 = server, 1 = gw-a,
+    /// 2 = gw-b, 3 = ward-a, 4 = ward-b.
+    fn wards(
+        channels: usize,
+        backhaul_a: f64,
+        backhaul_b: f64,
+        gw_budget: f64,
+    ) -> (Graph, GraphProfile, Deployment) {
+        let (graph, prof) = eeg_app(channels);
+        let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
+        let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+        let root = dep.root();
+        let link = |net_budget: f64| LinkSpec {
+            beta: 1.0,
+            net_budget,
+        };
+        let gw_a = Site::new("gw-a", &phone).with_cpu_budget(gw_budget);
+        let gw_a = dep.attach(root, gw_a, link(backhaul_a));
+        let gw_b = dep.attach(root, Site::new("gw-b", &phone), link(backhaul_b));
+        let radio = link(4.0 * mote.radio.goodput_bytes_per_sec);
+        dep.attach(gw_a, Site::new("ward-a", &mote).with_count(4), radio);
+        dep.attach(gw_b, Site::new("ward-b", &mote).with_count(4), radio);
+        (graph, prof, dep)
+    }
+
+    /// The multilevel hierarchy is built on a search's first demand for a
+    /// seed and then kept. On the starved 8-channel ward a root-capped
+    /// search's root LP is integral at ×3.3 and fractional at ×3.5: the
+    /// first never asks for a seed, so nothing is built; the second builds
+    /// the hierarchy and adopts its cut. Nothing after that builds
+    /// another, which the test sees by swapping the kept hierarchy for one
+    /// that admits no cut — any rebuild would overwrite it.
+    #[test]
+    fn the_hierarchy_is_built_once_on_the_first_fractional_root() {
+        let (g, prof, dep) = wards(8, 800.0, 1_500.0, 0.25);
+        let mut cfg = DeploymentConfig::default();
+        cfg.ilp.max_nodes = 1;
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("pins ok");
+        assert!(prep.hierarchy.is_none(), "preparing must not build it");
+
+        let integral = prep.solve_at(3.3).expect("the root LP is integral");
+        assert!(integral.ilp_stats.proved && !integral.ilp_stats.seeded);
+        assert!(
+            prep.hierarchy.is_none(),
+            "an integral root LP must not ask for a seed, so nothing is built"
+        );
+
+        prep.reset_warm_start();
+        let seeded = prep.solve_at(3.5).expect("the seed is a placement");
+        assert!(seeded.ilp_stats.seeded && !seeded.ilp_stats.proved);
+        assert!(matches!(prep.hierarchy, Some(Some(_))), "built once");
+
+        // Keep instead a hierarchy that admits no cut.
+        let built = prep.hierarchy.replace(None);
+        let unproven = |prep: &mut PreparedDeployment| {
+            prep.reset_warm_start();
+            let verdict = prep.solve_at(3.5);
+            assert!(
+                matches!(verdict, Err(PartitionError::Unproven { .. })),
+                "the kept hierarchy, not a rebuilt one, must be cut"
+            );
+            assert!(matches!(prep.hierarchy, Some(None)), "rebuilt");
+        };
+        unproven(&mut prep);
+        prep.apply_delta(&[DeploymentDelta::SetNetBudget {
+            site: SiteId(1),
+            net_budget: 800.0,
+        }]);
+        assert!(matches!(prep.hierarchy, Some(None)), "rebuilt by a delta");
+        unproven(&mut prep);
+
+        prep.hierarchy = built;
+        prep.reset_warm_start();
+        let again = prep.solve_at(3.5).expect("the seed is a placement");
+        assert_eq!(again.objective.to_bits(), seeded.objective.to_bits());
+        assert_eq!(prep.encodes(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// The hierarchy reads nothing a delta edits, so one built late —
+        /// after any run of deltas, a removed leaf read as count 0
+        /// included — and kept through more of them cuts bit for bit like
+        /// a one-shot `approx_cut` of the same leaf chains, at every rate.
+        /// The first `first_cut` steps run before anything is built.
+        #[test]
+        fn a_kept_hierarchy_cuts_like_a_fresh_one_across_rates_and_deltas(
+            count in 1usize..7,
+            gw_budget in 0.05f64..0.8,
+            backhaul in 300.0f64..4000.0,
+            picked_rates in proptest::collection::vec(0.1f64..3.3, 2),
+            first_cut in 0usize..6,
+        ) {
+            let (g, prof, dep) = wards(4, 500.0, 400_000.0, 0.5);
+            let mut prep = PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default())
+                .expect("pins ok");
+            let rates = [&[0.25, 3.15][..], &picked_rates[..]].concat();
+            let steps = [
+                None,
+                Some(DeploymentDelta::SetLeafCount { leaf: SiteId(3), count }),
+                Some(DeploymentDelta::SetCpuBudget { site: SiteId(1), cpu_budget: gw_budget }),
+                Some(DeploymentDelta::SetNetBudget { site: SiteId(1), net_budget: backhaul }),
+                Some(DeploymentDelta::RemoveLeaf { leaf: SiteId(4) }),
+                Some(DeploymentDelta::SetLeafCount { leaf: SiteId(4), count: 4 }),
+            ];
+            let bits = |values: Vec<f64>| -> Vec<u64> { values.into_iter().map(f64::to_bits).collect() };
+            for (step, delta) in steps.iter().enumerate() {
+                prep.apply_delta(delta.as_slice());
+                proptest::prop_assert_eq!(
+                    prep.hierarchy.is_some(),
+                    step > first_cut,
+                    "built by the first cut and kept, at step {}", step
+                );
+                if step < first_cut {
+                    continue;
+                }
+                for (i, &rate) in rates.iter().enumerate() {
+                    prep.retarget(rate);
+                    let chains = leaf_chains(&prep.leaves, &prep.removed, &prep.dep);
+                    let fresh = crate::multilevel::approx_cut(&chains, &prep.obj, rate)
+                        .map(|cut| bits(y_values(&prep.ep, &cut.tiers)));
+                    let kept = seed_values(&mut prep.hierarchy, &chains, &prep.obj, &prep.ep, rate)
+                        .map(bits);
+                    proptest::prop_assert!(
+                        i > 0 || kept.is_some(),
+                        "x0.25 is placeable after {:?}", delta
+                    );
+                    proptest::prop_assert_eq!(kept, fresh, "after {:?} at x{}", delta, rate);
+                }
+            }
+            proptest::prop_assert_eq!(prep.encodes(), 1);
+        }
     }
 
     /// A probe is answered `Infeasible` without a solve only by a

@@ -27,11 +27,14 @@
 //!   parent's LP bound, so the global lower bound tightens monotonically
 //!   and a limit-hit return carries a meaningful [`IlpStats::final_gap`].
 //!
-//! An incumbent comes from one of two places and no other: the caller's
-//! [`IlpOptions::warm_solution`], adopted before the first node when it
-//! checks out feasible, and a node LP whose optimum is integral. There is
-//! no rounding or repair heuristic inside the search, so a run that is
-//! given no seed holds no integer point until its plunge reaches one.
+//! An incumbent comes from one of two places and no other: a caller's
+//! seed, adopted when it checks out feasible, and a node LP whose optimum
+//! is integral. A seed is either eager — [`IlpOptions::warm_solution`],
+//! adopted before the first node — or asked for on demand
+//! ([`solve_ilp_seeded_in`]): only after a fractional root LP, or when
+//! the budget runs out, and only while no incumbent is held. There is no
+//! rounding or repair heuristic inside the search, so a run that is given
+//! no seed holds no integer point until its plunge reaches one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -68,9 +71,11 @@ pub struct IlpOptions {
     pub warm_lp: bool,
     /// A known integer-feasible assignment adopted as the initial
     /// incumbent/cutoff when it checks out feasible, so the tree is pruned
-    /// from the first node. It is the only incumbent the search does not
-    /// find as an integral node LP. Kept: a rate search hands each probe
-    /// the previous one's placement, a first probe the multilevel cut.
+    /// from the first node. Besides an integral node LP, the only other
+    /// incumbent is a seed asked for on demand ([`solve_ilp_seeded_in`]).
+    /// Kept: a rate search hands each probe the previous one's placement,
+    /// which costs nothing to offer; a first probe asks for the
+    /// multilevel cut on demand instead.
     pub warm_solution: Option<Vec<f64>>,
     /// Which simplex backend solves the node LPs: the sparse revised
     /// method (the default, at every problem size) or, when a caller
@@ -100,7 +105,10 @@ impl Default for IlpOptions {
 pub struct PhaseTimes {
     /// Root bound propagation (presolve).
     pub presolve_s: f64,
-    /// Checking and adopting the warm incumbent seed.
+    /// Taking a seed: computing it (an on-demand seed's closure, the
+    /// multilevel cut in a prepared instance), checking it and adopting
+    /// it, wherever it is taken. A seed asked for after the root LP is
+    /// taken inside the node loop, so that part is in `nodes_s` too.
     pub warm_start_s: f64,
     /// The node loop: every LP solve, branching, and heap bookkeeping.
     pub nodes_s: f64,
@@ -174,8 +182,9 @@ pub struct IlpStats {
     /// search: a feasible one, one that presolve or a node below the root
     /// refuted, and any on the reference tableau.
     pub refutation: Option<Refutation>,
-    /// True if [`IlpOptions::warm_solution`] checked out feasible and was
-    /// adopted as the initial incumbent (seeded cutoff from node one).
+    /// True if a seed — [`IlpOptions::warm_solution`] or one asked for on
+    /// demand ([`solve_ilp_seeded_in`]) — checked out feasible and was
+    /// adopted as an incumbent.
     pub seeded: bool,
     /// The simplex backend that solved the node LPs
     /// ([`IlpOptions::backend`], echoed).
@@ -252,6 +261,24 @@ pub fn solve_ilp_in(
     opts: &IlpOptions,
     ws: &mut SimplexWorkspace,
 ) -> (Result<IlpSolution, SolveError>, IlpStats) {
+    solve_ilp_seeded_in(problem, opts, ws, || None)
+}
+
+/// [`solve_ilp_in`] with a seed the search asks for only when it needs
+/// one. `seed` is called at most once, and only while no incumbent is
+/// held: after a fractional root LP, before branching, or — if the search
+/// stops on its node or time budget before that — at the stop, so a
+/// search cut short before its root still returns the seed. A search
+/// whose root LP is integral or infeasible never calls it. What it
+/// returns is checked and adopted exactly like
+/// [`IlpOptions::warm_solution`], which, when set, is still adopted
+/// before the first node.
+pub fn solve_ilp_seeded_in(
+    problem: &Problem,
+    opts: &IlpOptions,
+    ws: &mut SimplexWorkspace,
+    seed: impl FnOnce() -> Option<Vec<f64>>,
+) -> (Result<IlpSolution, SolveError>, IlpStats) {
     let start = Instant::now();
     ws.reset_counters();
     ws.set_backend(opts.backend);
@@ -277,25 +304,8 @@ pub fn solve_ilp_in(
 
     let iter_limit = default_iteration_limit(problem);
 
-    let mut incumbent: Option<(f64, Vec<f64>)> = None;
-    let warm_start_t = Instant::now();
-    if let Some(seed) = &opts.warm_solution {
-        if seed.len() == problem.num_vars() {
-            let mut vals = seed.clone();
-            for (j, v) in vals.iter_mut().enumerate() {
-                if problem.integer[j] {
-                    *v = v.round();
-                }
-            }
-            if problem.is_feasible(&vals, 1e-6) {
-                let obj = problem.objective_value(&vals);
-                stats.incumbents.push((start.elapsed(), obj));
-                incumbent = Some((obj, vals));
-                stats.seeded = true;
-            }
-        }
-    }
-    stats.phase_times.warm_start_s = warm_start_t.elapsed().as_secs_f64();
+    let mut incumbent = adopt_seed(problem, || opts.warm_solution.clone(), start, &mut stats);
+    let mut seed = Some(seed);
 
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
     // One child of the just-solved node is explored immediately
@@ -399,6 +409,11 @@ pub fn solve_ilp_in(
         stats.simplex_iterations += lp.iterations;
         stats.node_iterations.push(lp.iterations);
 
+        if incumbent.is_none() && pick_branch_var(problem, &lp.values).is_some() {
+            if let Some(seed) = seed.take() {
+                incumbent = adopt_seed(problem, seed, start, &mut stats);
+            }
+        }
         if let Some((inc_obj, _)) = &incumbent {
             if lp.objective >= inc_obj - gap_slack(*inc_obj, opts.rel_gap) {
                 note_gap_pruned(&mut gap_pruned, lp.objective, *inc_obj);
@@ -469,6 +484,11 @@ pub fn solve_ilp_in(
     }
 
     stats.phase_times.nodes_s = node_loop_t.elapsed().as_secs_f64();
+    if hit_limit && incumbent.is_none() {
+        if let Some(seed) = seed.take() {
+            incumbent = adopt_seed(problem, seed, start, &mut stats);
+        }
+    }
     stats.warm_starts = ws.warm_starts();
     stats.cold_starts = ws.cold_starts();
     stats.dual_iterations = ws.dual_iterations();
@@ -534,6 +554,36 @@ pub fn solve_ilp_in(
         }
     };
     (result, stats)
+}
+
+/// Take the seed `seed` computes: round its integer entries and adopt it
+/// as the incumbent when it checks out feasible, recording it in
+/// `stats.incumbents` and setting `stats.seeded`. The time spent, `seed`
+/// itself included, is added to `warm_start_s`.
+fn adopt_seed(
+    problem: &Problem,
+    seed: impl FnOnce() -> Option<Vec<f64>>,
+    start: Instant,
+    stats: &mut IlpStats,
+) -> Option<(f64, Vec<f64>)> {
+    let t = Instant::now();
+    let adopted = seed()
+        .filter(|vals| vals.len() == problem.num_vars())
+        .and_then(|mut vals| {
+            for (j, v) in vals.iter_mut().enumerate() {
+                if problem.integer[j] {
+                    *v = v.round();
+                }
+            }
+            problem.is_feasible(&vals, 1e-6).then(|| {
+                let obj = problem.objective_value(&vals);
+                stats.incumbents.push((start.elapsed(), obj));
+                stats.seeded = true;
+                (obj, vals)
+            })
+        });
+    stats.phase_times.warm_start_s += t.elapsed().as_secs_f64();
+    adopted
 }
 
 /// Absolute part of the pruning slack: a node bounded within it of the
@@ -862,6 +912,70 @@ mod tests {
         assert!(!stats.proved);
         assert_close(s.objective, -3.0);
         assert_eq!(stats.incumbents.len(), 1);
+    }
+
+    #[test]
+    fn an_on_demand_seed_is_asked_for_only_by_a_fractional_root_or_a_stop() {
+        // The knapsack of the test above: a fractional root LP.
+        let mut p = Problem::new();
+        let x = p.add_binary(-5.0);
+        let y = p.add_binary(-4.0);
+        let z = p.add_binary(-3.0);
+        p.add_constraint(&[(x, 4.0), (y, 3.0), (z, 2.0)], Sense::Le, 4.0);
+        let one_node = IlpOptions {
+            max_nodes: 1,
+            ..Default::default()
+        };
+        let mut ws = SimplexWorkspace::new();
+        let mut asked = 0;
+        let seed = || {
+            asked += 1;
+            Some(vec![0.0, 0.0, 1.0])
+        };
+        let (result, stats) = solve_ilp_seeded_in(&p, &one_node, &mut ws, seed);
+        assert_eq!(asked, 1, "a fractional root asks once");
+        assert_close(result.expect("the seed is an incumbent").objective, -3.0);
+        assert!(stats.seeded && !stats.proved);
+        assert_eq!(stats.nodes, 1);
+
+        // Stopped before its root, the search asks at the stop.
+        let no_time = IlpOptions {
+            time_limit: Some(Duration::ZERO),
+            ..Default::default()
+        };
+        let mut asked = 0;
+        let seed = || {
+            asked += 1;
+            Some(vec![0.0, 0.0, 1.0])
+        };
+        let (result, stats) = solve_ilp_seeded_in(&p, &no_time, &mut ws, seed);
+        assert_eq!((asked, stats.nodes), (1, 0));
+        assert!(result.is_ok() && stats.seeded && stats.timed_out);
+
+        // An eager seed is held before the root, so nothing is asked;
+        // neither is it by an integral root LP, nor by an infeasible one.
+        let eager = IlpOptions {
+            warm_solution: Some(vec![0.0, 1.0, 0.0]),
+            ..one_node
+        };
+        let never = || -> Option<Vec<f64>> { panic!("no seed is needed") };
+        let (result, stats) = solve_ilp_seeded_in(&p, &eager, &mut ws, never);
+        assert_close(result.expect("the eager seed").objective, -4.0);
+        assert!(stats.seeded);
+        let mut integral = Problem::new();
+        let x = integral.add_binary(-1.0);
+        integral.add_constraint(&[(x, 1.0)], Sense::Le, 1.0);
+        let (result, stats) = solve_ilp_seeded_in(&integral, &one_node, &mut ws, never);
+        assert!(result.is_ok() && stats.proved && !stats.seeded);
+        let mut infeasible = Problem::new();
+        let v: Vec<_> = (0..3).map(|_| infeasible.add_binary(1.0)).collect();
+        for (a, b) in [(0, 1), (1, 2), (0, 2)] {
+            infeasible.add_constraint(&[(v[a], 1.0), (v[b], 1.0)], Sense::Ge, 1.0);
+        }
+        let all: Vec<_> = v.iter().map(|&x| (x, 1.0)).collect();
+        infeasible.add_constraint(&all, Sense::Le, 1.4);
+        let (result, _) = solve_ilp_seeded_in(&infeasible, &one_node, &mut ws, never);
+        assert_eq!(result, Err(SolveError::Infeasible));
     }
 
     #[test]

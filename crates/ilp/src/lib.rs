@@ -38,8 +38,9 @@
 //! * best-first node selection with a depth-first plunge on the most
 //!   fractional variable, so the reported optimality gap tightens
 //!   monotonically and limit-hit returns carry a meaningful bound. An
-//!   incumbent is the caller's [`IlpOptions::warm_solution`] or an
-//!   integral node LP; the search rounds and repairs nothing.
+//!   incumbent is the caller's seed — [`IlpOptions::warm_solution`], or
+//!   one [`solve_ilp_seeded_in`] asks for only after a fractional root
+//!   LP — or an integral node LP; the search rounds and repairs nothing.
 //!
 //! ```
 //! use wishbone_ilp::{Problem, Sense, IlpOptions};
@@ -73,7 +74,9 @@ pub mod simplex;
 mod sparse;
 pub mod workspace;
 
-pub use branch_bound::{solve_ilp, solve_ilp_in, IlpOptions, IlpSolution, IlpStats, PhaseTimes};
+pub use branch_bound::{
+    solve_ilp, solve_ilp_in, solve_ilp_seeded_in, IlpOptions, IlpSolution, IlpStats, PhaseTimes,
+};
 pub use num::is_exact_zero;
 pub use presolve::{presolve, quick_infeasible, PresolveOutcome};
 pub use problem::{Constraint, LpSolution, Problem, Sense, SolveError, VarId};

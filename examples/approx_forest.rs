@@ -5,14 +5,17 @@
 //! behind asymmetric gateways (gw-a's backhaul starved to 500 B/s),
 //! driven at rates approaching its feasibility cliff (x3.1614). This is
 //! the regime where exact branch-and-bound used to *starve* — hundreds
-//! of nodes before the first integer point — and where the PR-8
-//! multilevel heuristic earns its keep as branch-and-bound's seed:
+//! of nodes before the first integer point — and where the multilevel
+//! heuristic is branch-and-bound's seed on demand:
 //!
-//! * the exact search adopts the multilevel cut as its first incumbent
-//!   (`IlpStats::seeded`), so an answer exists from millisecond one;
+//! * a search asks for the multilevel cut only when its root LP comes
+//!   back fractional and it has no placement to start from. On this
+//!   forest every root LP is integral, so the x1 row, the exact search's
+//!   first, is not seeded (`IlpStats::seeded`); each later row is, by the
+//!   previous row's placement;
 //! * the same search capped at its root node (`ilp.max_nodes = 1`) is the
-//!   bounded-time answer: that cut, or an integral root LP if cheaper,
-//!   with `DeploymentPartition::certified_gap` measured from the root LP
+//!   bounded-time answer: an integral root LP, or else the cut, with
+//!   `DeploymentPartition::certified_gap` measured from the root LP
 //!   bound.
 //!
 //! Run with: `cargo run --release --example approx_forest`
@@ -64,7 +67,8 @@ fn main() {
     println!("rate      exact obj   (seeded, first inc)   capped obj  certified gap");
     for rate in [1.0, 2.0, 3.0, 3.15] {
         let e = exact.solve_at(rate).expect("below the cliff");
-        // Seed from this rate's cut, not the previous rate's placement.
+        // Start from this rate's own root, not the previous rate's
+        // placement.
         capped.reset_warm_start();
         let a = capped.solve_at(rate).expect("below the cliff");
         let gap = a.certified_gap.expect("every placement carries one");

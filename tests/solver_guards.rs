@@ -12,12 +12,13 @@
 //!   factorizations all told;
 //! * both backends reach the same optimum on every instance that
 //!   compares them, warm equals cold, a delta equals a cold rebuild, and
-//!   the prepared rate search, the near-cliff certificate and a drift
-//!   re-solve hold on each backend.
+//!   the prepared rate search, the near-cliff certificate (and, on the
+//!   starved 8-channel ward, the seed it certifies) and a drift re-solve
+//!   hold on each backend.
 //!
-//! The dense tableau's rate search and near-cliff solve cost an
-//! unoptimized build 60 s and 25 s, so those two tests run only in
-//! release (`cargo test --release --test solver_guards`).
+//! The dense tableau's rate search and near-cliff solves cost an
+//! unoptimized build minutes, so those two tests run only in release
+//! (`cargo test --release --test solver_guards`).
 
 use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
 use wishbone::ilp::instances::chain_ilp;
@@ -110,6 +111,30 @@ fn eeg_forest_ilp(channels: usize, count: usize) -> Problem {
 fn tight_forest() -> (wishbone::dataflow::Graph, GraphProfile, Deployment) {
     let (graph, prof) = eeg_app(4);
     (graph, prof, forest_dep(4, 500.0, 400_000.0))
+}
+
+/// The starved 8-channel ward of `tests/approx_nearcliff.rs`: two 4-cap
+/// wards behind gw-a (CPU budget 0.25, backhaul 800 B/s) and gw-b
+/// (backhaul 1,500 B/s), sites in `forest_dep`'s order.
+fn starved_ward() -> (wishbone::dataflow::Graph, GraphProfile, Deployment) {
+    let (graph, prof) = eeg_app(8);
+    let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
+    let link = |net_budget: f64| LinkSpec {
+        beta: 1.0,
+        net_budget,
+    };
+    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+    let root = dep.root();
+    let gw_a = dep.attach(
+        root,
+        Site::new("gw-a", &phone).with_cpu_budget(0.25),
+        link(800.0),
+    );
+    let gw_b = dep.attach(root, Site::new("gw-b", &phone), link(1_500.0));
+    let radio = link(4.0 * mote.radio.goodput_bytes_per_sec);
+    dep.attach(gw_a, Site::new("ward-a", &mote).with_count(4), radio);
+    dep.attach(gw_b, Site::new("ward-b", &mote).with_count(4), radio);
+    (graph, prof, dep)
 }
 
 /// One TMote leaf under the server.
@@ -347,19 +372,23 @@ fn a_delta_equals_a_cold_rebuild() {
 /// Just under the tight forest's feasibility cliff (×3.1614).
 const NEAR_CLIFF_RATE: f64 = 3.15;
 
-/// On the tight forest just under its cliff, the exact solve adopts the
-/// multilevel seed, and a root-capped search (`max_nodes = 1`) holds its
-/// certified gap and does not beat the exact optimum.
+/// Just under the starved 8-channel ward's cliff (×3.6102).
+const STARVED_RATE: f64 = 3.5;
+
+/// Near a cliff a root-capped search (`max_nodes = 1`) holds a certified
+/// gap that bounds the exact optimum. On the tight forest the root LP is
+/// integral: the capped search returns it, certified within 2.5 %, and no
+/// better than a 2.5 %-gap search. On the starved 8-channel ward the root
+/// LP is fractional: the capped search returns the multilevel seed, and
+/// its certificate's bound — the root LP's — is no higher than the best
+/// bound of a 50-node sparse search, itself a lower bound on the exact
+/// optimum.
 fn near_cliff(backend: SolverBackend) {
     let (graph, prof, dep) = tight_forest();
     let mut cfg = with_backend(backend);
     cfg.ilp.rel_gap = 0.025;
     let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
     let seeded = prep.solve_at(NEAR_CLIFF_RATE).expect("near-cliff feasible");
-    assert!(
-        seeded.ilp_stats.seeded,
-        "[{backend:?}] near-cliff exact solve must adopt the multilevel seed"
-    );
     let mut cfg = with_backend(backend);
     cfg.ilp.max_nodes = 1;
     let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
@@ -376,6 +405,39 @@ fn near_cliff(backend: SolverBackend) {
         "[{backend:?}] a root-capped search beat the exact optimum: {} vs {}",
         capped.objective,
         seeded.objective
+    );
+
+    let (graph, prof, dep) = starved_ward();
+    let solve = |backend: SolverBackend, max_nodes: u64| {
+        let mut cfg = with_backend(backend);
+        cfg.ilp.max_nodes = max_nodes;
+        let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+        prep.solve_at(STARVED_RATE)
+            .expect("the seed is a placement")
+    };
+    // The exact optimum is the backends' common one: the deeper search
+    // runs on the sparse backend, which is the faster.
+    let (capped, deeper) = (solve(backend, 1), solve(SolverBackend::Sparse, 50));
+    assert!(
+        capped.ilp_stats.seeded && deeper.ilp_stats.seeded,
+        "[{backend:?}] a fractional root must ask for the multilevel seed"
+    );
+    let bound = |p: &DeploymentPartition| {
+        p.objective * (1.0 - p.certified_gap.expect("every placement carries one"))
+    };
+    let tol = 1e-9 * capped.objective.abs();
+    assert!(
+        bound(&capped) <= bound(&deeper) + tol,
+        "[{backend:?}] root-capped bound {} above a deeper search's {}",
+        bound(&capped),
+        bound(&deeper)
+    );
+    assert!(
+        deeper.objective <= capped.objective + tol && bound(&deeper) <= deeper.objective + tol,
+        "[{backend:?}] the capped seed {} beat a deeper search's {} (bound {})",
+        capped.objective,
+        deeper.objective,
+        bound(&deeper)
     );
 }
 

@@ -100,7 +100,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 11] = [
+const CONFINE: [Confine; 12] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -153,13 +153,22 @@ const CONFINE: [Confine; 11] = [
         needles: &[Call("finest_level"), Call("coarsen")],
         homes: &[Home::Fn("crates/core/src/multilevel.rs", "build")],
         why: "`{}` outside `CutHierarchy::build` — the hierarchy reads no count, budget or \
-              rate and is built once per prepared instance; cut the kept one",
+              rate and is built at most once per prepared instance; cut the kept one",
     },
     Confine {
         rule: "one-coarsening", scope: &[PER_SOLVE_PATH],
         needles: &[Call("approx_cut")], homes: &[],
         why: "`{}` on the per-solve path rebuilds the hierarchy at every solve — \
-              `PreparedDeployment` cuts the `CutHierarchy` it built at preparation",
+              `PreparedDeployment` cuts the `CutHierarchy` it built on first demand",
+    },
+    Confine {
+        rule: "one-coarsening", scope: &[CORE_SRC],
+        needles: &[Call("CutHierarchy::build")],
+        homes: &[Home::Fn(PER_SOLVE_PATH, "seed_values"),
+                 Home::Fn("crates/core/src/multilevel.rs", "approx_cut")],
+        why: "`{}` outside the lazy `seed_values` — a prepared instance builds its hierarchy \
+              on a search's first demand for a seed, never in `new` or `apply_delta` (the \
+              one-shot `approx_cut` builds its own)",
     },
     Confine {
         rule: "one-merge", scope: &[CORE_SRC],
@@ -1148,8 +1157,9 @@ mod tests {
              let old = coarsen(top); // audit:allow(one-coarsening): demo",
         );
         assert_eq!(lines(THE_HEURISTIC, &rebuilt), vec![13, 14]);
-        // A `build` elsewhere in core is not the coarsener.
-        assert_eq!(lines("crates/core/src/shape.rs", kept), vec![6, 7]);
+        // A `build` elsewhere in core is not the coarsener, and an
+        // `approx_cut` elsewhere is not the one-shot form's home.
+        assert_eq!(lines("crates/core/src/shape.rs", kept), vec![6, 7, 13]);
 
         let per_solve = "\
 use crate::multilevel::{approx_cut, CutHierarchy};
@@ -1167,6 +1177,30 @@ mod tests {
             lines("crates/core/src/drift.rs", per_solve),
             Vec::<usize>::new()
         );
+
+        // The parent's eager build in `new`, put back beside the lazy one.
+        let lazy = "\
+impl<'a> PreparedDeployment<'a> {
+    pub fn new(graph: &Graph) -> Result<Self, PartitionError> {
+        let ep = encode_deployment(&chains, &obj);
+        let hierarchy = CutHierarchy::build(&chains); // line 4
+        Ok(PreparedDeployment { hierarchy: Some(hierarchy) })
+    }
+    pub fn apply_delta(&mut self, deltas: &[DeploymentDelta]) {
+        self.hierarchy = Some(CutHierarchy::build(&chains)); // line 8
+    }
+}
+/// Built by `CutHierarchy::build(chains)` on first demand — in a doc comment, fine.
+fn seed_values(hierarchy: &mut Option<Option<CutHierarchy>>) -> Option<Vec<f64>> {
+    let hierarchy = hierarchy.get_or_insert_with(|| CutHierarchy::build(chains));
+}
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = CutHierarchy::build(&chains); }
+}
+";
+        assert_eq!(lines(PER_SOLVE_PATH, lazy), vec![4, 8]);
+        assert_eq!(lines("crates/core/src/shape.rs", lazy), vec![4, 8, 13]);
         assert_repo_clean("one-coarsening");
     }
 
