@@ -147,6 +147,17 @@ impl ExecCtx {
         }
     }
 
+    /// Fresh context that emits into `buf`, cleared first: a caller that
+    /// runs many invocations hands back the buffer [`ExecCtx::finish`]
+    /// returned, so an invocation allocates only what it emits.
+    pub fn with_buffer(mut buf: Vec<Value>) -> Self {
+        buf.clear();
+        ExecCtx {
+            meter: Meter::new(),
+            emitted: buf,
+        }
+    }
+
     /// Metering handle.
     pub fn meter(&mut self) -> &mut Meter {
         &mut self.meter

@@ -17,6 +17,9 @@ pub struct FirFilter {
     coeffs: Vec<f32>,
     /// Delay line, most recent sample last.
     hist: Vec<f32>,
+    /// `hist ++ window` for [`FirFilter::filter_window`], kept between
+    /// calls so a window allocates only its output.
+    scratch: Vec<f32>,
 }
 
 impl FirFilter {
@@ -27,6 +30,7 @@ impl FirFilter {
         FirFilter {
             coeffs: coeffs.to_vec(),
             hist: vec![0.0; coeffs.len()],
+            scratch: Vec::new(),
         }
     }
 
@@ -35,7 +39,13 @@ impl FirFilter {
         &self.coeffs
     }
 
-    /// Filter one sample.
+    /// The delay line, oldest sample first.
+    pub fn history(&self) -> &[f32] {
+        &self.hist
+    }
+
+    /// Filter one sample: the reference [`FirFilter::filter_window`] is
+    /// held to.
     pub fn step(&mut self, x: f32, meter: &mut Meter) -> f32 {
         self.hist.rotate_left(1);
         *self.hist.last_mut().expect("non-empty history") = x;
@@ -54,10 +64,56 @@ impl FirFilter {
 
     /// Filter a window of samples (metered as one loop, so the TinyOS task
     /// splitter sees it as divisible).
+    ///
+    /// One direct-form pass over `history ++ window`: output `i` is
+    /// [`FirFilter::step`]'s dot product over the `n` samples ending at
+    /// `window[i]`, in the same product and summation order, and the last
+    /// `n` samples become the history. So every output, the carried
+    /// history and the `OpCounts` equal the per-sample loop's bit for bit;
+    /// debug builds run that loop beside it and assert so.
     pub fn filter_window(&mut self, window: &[f32], meter: &mut Meter) -> Vec<f32> {
-        meter.loop_scope(window.len() as u64, |meter| {
-            window.iter().map(|&x| self.step(x, meter)).collect()
-        })
+        #[cfg(debug_assertions)]
+        let reference = {
+            let (mut f, mut m) = (self.clone(), Meter::new());
+            let out: Vec<f32> = m.loop_scope(window.len() as u64, |m| {
+                window.iter().map(|&x| f.step(x, m)).collect()
+            });
+            (out, f.hist, meter.counts() + m.counts())
+        };
+
+        let (n, len) = (self.coeffs.len(), window.len());
+        let out = meter.loop_scope(len as u64, |meter| {
+            let per_window = (n * len) as u64;
+            meter.fmul(per_window);
+            meter.fadd(per_window);
+            meter.mem(2 * per_window);
+            let line = &mut self.scratch;
+            line.clear();
+            line.extend_from_slice(&self.hist);
+            line.extend_from_slice(window);
+            let out: Vec<f32> = line[1..]
+                .windows(n)
+                .map(|taps| {
+                    self.coeffs
+                        .iter()
+                        .zip(taps.iter().rev())
+                        .map(|(c, h)| c * h)
+                        .sum()
+                })
+                .collect();
+            self.hist.copy_from_slice(&line[len..]);
+            out
+        });
+
+        #[cfg(debug_assertions)]
+        {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (ref_out, ref_hist, ref_counts) = reference;
+            debug_assert_eq!(bits(&out), bits(&ref_out), "filter_window outputs");
+            debug_assert_eq!(bits(&self.hist), bits(&ref_hist), "filter_window history");
+            debug_assert_eq!(meter.counts(), ref_counts, "filter_window op counts");
+        }
+        out
     }
 
     /// Reset the delay line to zeros.
@@ -66,10 +122,12 @@ impl FirFilter {
     }
 }
 
-/// Even-indexed samples of a window (half-rate polyphase branch).
+/// Even-indexed samples of a window (half-rate polyphase branch): an odd
+/// window has one more of them than odd ones, and is metered for it.
 pub fn take_even(window: &[f32], meter: &mut Meter) -> Vec<f32> {
-    meter.loop_scope((window.len() / 2) as u64, |meter| {
-        meter.mem((window.len() / 2) as u64);
+    let copied = window.len().div_ceil(2) as u64;
+    meter.loop_scope(copied, |meter| {
+        meter.mem(copied);
         window.iter().step_by(2).copied().collect()
     })
 }
@@ -148,6 +206,22 @@ mod tests {
         let w = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(take_even(&w, &mut m), vec![0.0, 2.0, 4.0]);
         assert_eq!(take_odd(&w, &mut m), vec![1.0, 3.0, 5.0]);
+    }
+
+    #[test]
+    fn an_odd_window_is_metered_for_what_it_copies() {
+        use wishbone_dataflow::OpClass;
+        let w = [0.0, 1.0, 2.0, 3.0, 4.0];
+        // (copied, Mem, Mem in loops, loop iterations, loops entered)
+        let metered = |take: fn(&[f32], &mut Meter) -> Vec<f32>| {
+            let mut m = Meter::new();
+            let copied = take(&w, &mut m).len();
+            let c = m.counts();
+            let mem = (c.get(OpClass::Mem), c.get_in_loops(OpClass::Mem));
+            (copied, mem.0, mem.1, c.loop_iters, c.loops_entered)
+        };
+        assert_eq!(metered(take_even), (3, 3, 3, 3, 1));
+        assert_eq!(metered(take_odd), (2, 2, 2, 2, 1));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! with the operator name — graphs are statically constructed, so a
 //! mismatch is a programming error, not a runtime condition.
 
+use std::collections::VecDeque;
+
 use wishbone_dataflow::{ExecCtx, Value, WorkFn};
 
 use crate::fft::real_fft_magnitude_q15;
@@ -275,20 +277,27 @@ impl WorkFn for FirWindowOp {
 /// (per-port buffers).
 #[derive(Debug, Clone, Default)]
 pub struct AddWindowsOp {
-    pending: [Vec<Vec<f32>>; 2],
+    /// Windows waiting for their partner, per port. At most one side is
+    /// ever non-empty: an arrival pairs with the other side's oldest.
+    pending: [VecDeque<Vec<f32>>; 2],
 }
 
 impl WorkFn for AddWindowsOp {
     fn process(&mut self, port: usize, input: &Value, cx: &mut ExecCtx) {
         assert!(port < 2, "add: binary operator got port {port}");
-        let w = expect_f32s("add", input).to_vec();
-        self.pending[port].push(w);
+        let w = expect_f32s("add", input);
         cx.meter().mem(1);
-        if !self.pending[0].is_empty() && !self.pending[1].is_empty() {
-            let a = self.pending[0].remove(0);
-            let b = self.pending[1].remove(0);
-            let out = add_windows(&a, &b, cx.meter());
-            cx.emit(Value::VecF32(out));
+        match self.pending[1 - port].pop_front() {
+            // Pair straight from the borrowed input, port 0's window first.
+            Some(waiting) => {
+                let (a, b) = match port {
+                    0 => (w, waiting.as_slice()),
+                    _ => (waiting.as_slice(), w),
+                };
+                let out = add_windows(a, b, cx.meter());
+                cx.emit(Value::VecF32(out));
+            }
+            None => self.pending[port].push_back(w.to_vec()),
         }
     }
 
@@ -408,6 +417,22 @@ mod tests {
         assert!(run(&mut add, 0, Value::VecF32(vec![1.0, 2.0])).is_empty());
         let out = run(&mut add, 1, Value::VecF32(vec![10.0, 20.0]));
         assert_eq!(out, vec![Value::VecF32(vec![11.0, 22.0])]);
+        // Windows queue per port and pair oldest first, from either side.
+        let mut add = AddWindowsOp::default();
+        assert!(run(&mut add, 1, Value::VecF32(vec![1.0, 2.0, 3.0])).is_empty());
+        assert!(run(&mut add, 1, Value::VecF32(vec![4.0])).is_empty());
+        let first = run(&mut add, 0, Value::VecF32(vec![10.0, 20.0]));
+        let second = run(&mut add, 0, Value::VecF32(vec![30.0, 40.0]));
+        assert!(run(&mut add, 0, Value::VecF32(vec![50.0])).is_empty());
+        let third = run(&mut add, 1, Value::VecF32(vec![5.0, 6.0]));
+        assert_eq!(
+            [first, second, third].concat(),
+            vec![
+                Value::VecF32(vec![11.0, 22.0]),
+                Value::VecF32(vec![34.0]),
+                Value::VecF32(vec![55.0]),
+            ]
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests on the DSP kernels: FFT vs a naive DFT reference, Q15 vs
-//! float agreement, FIR linearity, and DCT energy bounds.
+//! float agreement, FIR linearity, the FIR window kernel against its
+//! per-sample reference, and DCT energy bounds.
 
 use proptest::prelude::*;
 use wishbone_dataflow::Meter;
@@ -93,6 +94,37 @@ proptest! {
         let y3 = f3.filter_window(&delayed_in, &mut Meter::new());
         for (i, a) in y1.iter().take(20).enumerate() {
             prop_assert!((a - y3[i + 3]).abs() <= 1e-3 * scale + 1e-3);
+        }
+    }
+
+    #[test]
+    fn fir_window_kernel_equals_the_per_sample_loop(
+        taps in prop::collection::vec(-2.0f32..2.0, 1..7),
+        x in signal_strategy(72),
+        lens in prop::collection::vec(0usize..20, 1..8),
+    ) {
+        // Consecutive windows of the signal, the remainder last; empty
+        // windows included.
+        let mut windows = Vec::new();
+        let mut rest = x.as_slice();
+        for &len in &lens {
+            let (w, tail) = rest.split_at(len.min(rest.len()));
+            windows.push(w);
+            rest = tail;
+        }
+        windows.push(rest);
+        let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let (mut kernel, mut km) = (FirFilter::new(&taps), Meter::new());
+        let (mut stepped, mut sm) = (FirFilter::new(&taps), Meter::new());
+        for w in windows {
+            let fast = kernel.filter_window(w, &mut km);
+            // The per-sample loop, metered as one loop scope per window.
+            let slow: Vec<f32> = sm.loop_scope(w.len() as u64, |m| {
+                w.iter().map(|&s| stepped.step(s, m)).collect()
+            });
+            prop_assert_eq!(bits(&fast), bits(&slow));
+            prop_assert_eq!(bits(kernel.history()), bits(stepped.history()));
+            prop_assert_eq!(km.counts(), sm.counts());
         }
     }
 

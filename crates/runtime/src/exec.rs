@@ -55,6 +55,9 @@ pub struct SiteExecutor {
     /// Task-granularity model of the site's OS, where it has one (the
     /// motes); `None` charges the bare platform cost.
     task_model: Option<TaskModel>,
+    /// Emission buffers of finished invocations, one per cascade depth
+    /// in use, handed to the next [`ExecCtx`].
+    buffers: Vec<Vec<Value>>,
 }
 
 impl SiteExecutor {
@@ -80,6 +83,7 @@ impl SiteExecutor {
                 .collect(),
             platform,
             task_model,
+            buffers: Vec::new(),
         }
     }
 
@@ -138,7 +142,7 @@ impl SiteExecutor {
             cascade.sink_arrivals += 1;
             return;
         }
-        let mut cx = ExecCtx::new();
+        let mut cx = ExecCtx::with_buffer(self.buffers.pop().unwrap_or_default());
         let slot = if self.is_node_ns[op.0] {
             &mut self.per_node[node][op.0]
         } else {
@@ -147,7 +151,7 @@ impl SiteExecutor {
         slot.as_mut()
             .unwrap_or_else(|| panic!("operator {op} has no work function"))
             .process(port, input, &mut cx);
-        let (outputs, counts) = cx.finish();
+        let (mut outputs, counts) = cx.finish();
 
         let busy = self.platform.seconds_for(&counts) * self.platform.os_overhead;
         let charged = match self.task_model {
@@ -168,6 +172,8 @@ impl SiteExecutor {
                 }
             }
         }
+        outputs.clear();
+        self.buffers.push(outputs);
     }
 }
 

@@ -100,7 +100,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 12] = [
+const CONFINE: [Confine; 13] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -201,6 +201,13 @@ const CONFINE: [Confine; 12] = [
               `Vec<OperatorId>` lists that the decode fills in one pass and sorts; a hashed \
               placement is the decode's largest cost growing back",
     },
+    Confine {
+        rule: "window-kernel", scope: &["crates/dsp/src", "crates/apps/src"],
+        needles: &[Call("step")], homes: &[Home::Fn("crates/dsp/src/fir.rs", "filter_window")],
+        why: "`{}` outside `FirFilter::filter_window`'s debug reference — a work function \
+              filters a whole window in the kernel's one pass, which is held bit for bit to the \
+              per-sample loop",
+    },
 ];
 
 #[rustfmt::skip]
@@ -250,7 +257,7 @@ const LINTED_DIRS: [&str; 4] = ["crates/ilp/src", CORE_SRC, "crates/fleet/src", 
 /// `(needle, why it must survive)` — each must appear in at least one
 /// test file.
 #[rustfmt::skip]
-const ORACLE_ANCHORS: [(&str, &str); 6] = [
+const ORACLE_ANCHORS: [(&str, &str); 7] = [
     ("encode_multitier", "the k-way chain encoder is the parity oracle for deployments"),
     ("Encoding::Restricted", "the binary restricted encoder anchors the k = 2 parity chain"),
     ("SolverBackend::Dense", "the dense tableau is the differential oracle for the sparse backend"),
@@ -260,6 +267,8 @@ const ORACLE_ANCHORS: [(&str, &str); 6] = [
      "the trace off path must stay pinned by the zero-overhead byte-identical test"),
     ("fleet_batch_matches_serial_one_shot",
      "fleet cache hits must stay bit-identical to serial one-shot solves"),
+    ("fir_window_kernel_equals_the_per_sample_loop",
+     "the FIR window kernel is pinned bit for bit to the per-sample `FirFilter::step`"),
 ];
 
 /// The dev-only oracle crate. The bench tooling crate, which nothing in
@@ -1121,6 +1130,36 @@ mod tests {
 ";
         assert_eq!(found("crates/fleet/src/lib.rs", fleet), vec![2]);
         assert_eq!(found("crates/core/src/shape.rs", fleet), vec![]);
+    }
+
+    #[test]
+    fn window_kernel_fires_on_a_per_sample_fir_put_back() {
+        let source = "\
+impl WorkFn for FirWindowOp {
+    fn process(&mut self, _port: usize, input: &Value, cx: &mut ExecCtx) {
+        let out: Vec<f32> = w.iter().map(|&x| self.filter.step(x, cx.meter())).collect(); // line 3
+        let even: Vec<f32> = w.iter().step_by(2).copied().collect();
+    }
+}
+/// One `step(x)` per sample, in a doc comment: fine.
+pub fn step(&mut self, x: f32, meter: &mut Meter) -> f32 { todo!() }
+#[cfg(test)]
+mod tests {
+    fn reference() { let _ = f.step(1.0, &mut m); }
+}
+";
+        let lines = |file: &str, source: &str| lines("window-kernel", file, source);
+        assert_eq!(lines("crates/dsp/src/ops.rs", source), vec![3]);
+        assert_eq!(lines("crates/apps/src/eeg.rs", source), vec![3]);
+        assert_eq!(
+            lines("crates/runtime/src/exec.rs", source),
+            Vec::<usize>::new()
+        );
+        // The debug reference inside the kernel is the one home.
+        let home = source.replace("fn process(", "fn filter_window(");
+        assert_eq!(lines("crates/dsp/src/fir.rs", &home), Vec::<usize>::new());
+        assert_eq!(lines("crates/dsp/src/fir.rs", source), vec![3]);
+        assert_repo_clean("window-kernel");
     }
 
     #[test]
