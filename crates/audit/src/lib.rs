@@ -12,8 +12,8 @@
 //!
 //! - [`audit_problem`] runs the encoding-agnostic checks any LP should
 //!   pass: no empty or duplicate rows, no dangling columns, finite
-//!   values, sane per-row conditioning, and cheap row-singleton /
-//!   interval-arithmetic infeasibility pre-certificates.
+//!   values, sane per-row conditioning. Proving a model infeasible is
+//!   `wishbone_ilp::presolve`'s job, which runs before every root LP.
 //! - [`audit_model`] additionally takes a [`ModelSpec`] describing what
 //!   the encoder *meant* — its monotone-indicator blocks and registered
 //!   budget rows — and verifies every row of the problem is accounted
@@ -23,10 +23,9 @@
 //!
 //! Severity semantics: `Error` means an invariant every well-formed
 //! Wishbone encoding satisfies is violated (the encoder has a bug);
-//! `Warn` covers conditions that are legitimate on some inputs — most
-//! notably [`AuditCode::ProvablyInfeasible`], because rate searches
-//! intentionally probe infeasible rates. The `debug_assertions` hooks
-//! in `wishbone-core` assert only that no `Error` is present.
+//! `Warn` covers conditions that are legitimate on some inputs, such as
+//! a wide coefficient range. The `debug_assertions` hooks in
+//! `wishbone-core` assert only that no `Error` is present.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -111,9 +110,8 @@ pub struct ModelSpec {
     pub pinned_rows: Vec<PinnedRow>,
 }
 
-/// Encoding-agnostic audit: structural hygiene, numeric conditioning,
-/// and infeasibility pre-certificates. See the crate docs for the
-/// check list.
+/// Encoding-agnostic audit: structural hygiene and numeric
+/// conditioning. See the crate docs for the check list.
 pub fn audit_problem(problem: &Problem) -> AuditReport {
     let mut report = AuditReport::default();
     generic_checks(problem, &[], &mut report);
@@ -576,102 +574,6 @@ fn generic_checks(problem: &Problem, budget_rows: &[usize], report: &mut AuditRe
             row_keys.insert(key, row);
         }
     }
-
-    infeasibility_certificates(problem, report);
-}
-
-/// Row-singleton bound propagation plus one interval-arithmetic
-/// activity pass: anything caught here is infeasible before a single
-/// simplex iteration. `Warn`, not `Error` — Wishbone's rate searches
-/// intentionally probe infeasible rates.
-fn infeasibility_certificates(problem: &Problem, report: &mut AuditReport) {
-    let n = problem.num_vars();
-    let m = problem.num_constraints();
-    let mut lo = problem.lower_bounds().to_vec();
-    let mut hi = problem.upper_bounds().to_vec();
-    let mut contradicted = vec![false; n];
-
-    // Two propagation passes let a chain of two singletons contradict.
-    for _ in 0..2 {
-        for row in 0..m {
-            let c = problem.constraint(row);
-            let [(v, a)] = c.terms[..] else { continue };
-            if a == 0.0 || !a.is_finite() || !c.rhs.is_finite() {
-                continue;
-            }
-            let bound = c.rhs / a;
-            let (tighten_hi, tighten_lo) = match (c.sense, a > 0.0) {
-                (Sense::Le, true) | (Sense::Ge, false) => (true, false),
-                (Sense::Ge, true) | (Sense::Le, false) => (false, true),
-                (Sense::Eq, _) => (true, true),
-            };
-            if tighten_hi && bound < hi[v.0] {
-                hi[v.0] = bound;
-            }
-            if tighten_lo && bound > lo[v.0] {
-                lo[v.0] = bound;
-            }
-            let tol = 1e-9 * (1.0 + lo[v.0].abs() + hi[v.0].abs());
-            if lo[v.0] > hi[v.0] + tol && !contradicted[v.0] {
-                contradicted[v.0] = true;
-                report.push(
-                    AuditCode::ProvablyInfeasible,
-                    Severity::Warn,
-                    Some(row),
-                    Some(v.0),
-                    format!(
-                        "singleton propagation empties the column's domain \
-                         [{:.6}, {:.6}]",
-                        lo[v.0], hi[v.0]
-                    ),
-                );
-            }
-        }
-    }
-
-    // Min/max-activity per row against the propagated bounds.
-    for row in 0..m {
-        let c = problem.constraint(row);
-        if c.terms.len() < 2 || !c.rhs.is_finite() {
-            continue;
-        }
-        let mut min_act = 0.0f64;
-        let mut max_act = 0.0f64;
-        for &(v, a) in &c.terms {
-            if !a.is_finite() {
-                return; // already reported as NonFiniteValue
-            }
-            let (l, h) = (lo[v.0], hi[v.0]);
-            if a >= 0.0 {
-                min_act += a * l;
-                max_act += a * h; // may be +inf
-            } else {
-                min_act += a * h; // may be -inf
-                max_act += a * l;
-            }
-        }
-        let tol = 1e-9 * (1.0 + c.rhs.abs() + min_act.abs().min(1e300) + max_act.abs().min(1e300));
-        let infeasible = match c.sense {
-            Sense::Le => min_act.is_finite() && min_act > c.rhs + tol,
-            Sense::Ge => max_act.is_finite() && max_act < c.rhs - tol,
-            Sense::Eq => {
-                (min_act.is_finite() && min_act > c.rhs + tol)
-                    || (max_act.is_finite() && max_act < c.rhs - tol)
-            }
-        };
-        if infeasible {
-            report.push(
-                AuditCode::ProvablyInfeasible,
-                Severity::Warn,
-                Some(row),
-                None,
-                format!(
-                    "activity bounds [{min_act:.6}, {max_act:.6}] cannot reach rhs {}",
-                    c.rhs
-                ),
-            );
-        }
-    }
 }
 
 fn structural_checks(
@@ -1120,26 +1022,6 @@ mod tests {
             report.errors().any(|d| d.code == AuditCode::UnknownRow),
             "{report}"
         );
-    }
-
-    #[test]
-    fn singleton_contradiction_is_a_warning_certificate() {
-        let mut p = Problem::new();
-        let x = p.add_var(0.0, 1.0, 1.0, false);
-        p.add_constraint(&[(x, 1.0)], Sense::Ge, 2.0); // x ≥ 2 vs x ≤ 1
-        let report = audit_problem(&p);
-        assert!(report.has_code(AuditCode::ProvablyInfeasible));
-        assert!(!report.has_errors());
-    }
-
-    #[test]
-    fn activity_bounds_catch_multi_term_infeasibility() {
-        let mut p = Problem::new();
-        let x = p.add_var(0.0, 1.0, 1.0, false);
-        let y = p.add_var(0.0, 1.0, 1.0, false);
-        p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Ge, 3.0); // max 2
-        let report = audit_problem(&p);
-        assert!(report.has_code(AuditCode::ProvablyInfeasible));
     }
 
     #[test]

@@ -8,8 +8,7 @@ use std::fmt;
 /// an `Error` means the model violates an invariant every well-formed
 /// Wishbone encoding satisfies, so the encoder that produced it has a
 /// bug. `Warn` flags conditions that are legitimate on some inputs
-/// (e.g. a provably infeasible model during a rate search probing past
-/// the sustainable rate) but deserve a look when unexpected.
+/// (e.g. a wide coefficient range) but deserve a look when unexpected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational observation; never gates anything.
@@ -74,9 +73,6 @@ pub enum AuditCode {
     TinyCoefficient,
     /// A row's rhs is out of all proportion to its coefficients.
     RhsScaleMismatch,
-    /// Row-singleton bound propagation proves the model infeasible
-    /// without a single simplex iteration.
-    ProvablyInfeasible,
     /// The [`ModelSpec`](crate::ModelSpec) itself is inconsistent with
     /// the problem (out-of-range column/row indices, overlapping
     /// registrations) — an encoder wiring bug, not a model property.
@@ -184,8 +180,7 @@ impl AuditReport {
     /// The self-audit hook encoders call on their own output under
     /// `debug_assertions`: panic if the model carries any
     /// `Error`-severity diagnostic, naming the `encoder` that emitted it.
-    /// `Warn` findings (e.g. a provably infeasible rate-search probe)
-    /// pass through.
+    /// `Warn` findings pass through.
     pub fn assert_no_errors(&self, encoder: &str) {
         assert!(
             !self.has_errors(),

@@ -22,42 +22,32 @@
 //! `rate_multiplier` is excluded too: it is a per-solve argument, not
 //! part of the encoding.
 //!
-//! Graph and profile enter the key by *pointer identity*, not content:
-//! fleet requests carry `Arc<Graph>` / `Arc<GraphProfile>`, so equal
-//! pointers imply equal contents. A prepared instance keeps neither
-//! input, so a map keyed by `ShapeKey` must keep them alive itself: the
-//! fleet's `ShapeCache` stores each request's two `Arc`s in the entry
-//! beside its prepared instance, so the addresses cannot be freed and
-//! reused (no ABA) for as long as the key is in the map. Two structurally
-//! identical graphs in different allocations miss the cache —
-//! conservative, never wrong.
+//! Graph and profile enter the key by *content*: each contributes its
+//! [`Fingerprint`] (`Graph::fingerprint`, `GraphProfile::fingerprint` —
+//! the words of what the pin analysis, the table build and the pricing
+//! read, computed once per object), and the profile's public
+//! `duration_s` is keyed afresh. Two requests that load one app into two
+//! allocations therefore share a key, and a key says what the app is,
+//! not where it lives: a map keyed by `ShapeKey` holds its values and
+//! nothing else, and may drop an entry whenever it likes.
 
-use wishbone_dataflow::Graph;
-use wishbone_profile::{GraphProfile, Platform};
+use wishbone_dataflow::{Fingerprint, Graph};
+use wishbone_profile::{CycleCosts, GraphProfile, Platform, RadioModel};
 
-use crate::topology::{Deployment, DeploymentConfig, DeploymentDelta};
+use crate::multitier::LinkSpec;
+use crate::topology::{Deployment, DeploymentConfig, DeploymentDelta, Site};
 
 /// An exact structural fingerprint of a deployment request, excluding
 /// leaf counts, finite budget values, and the solve rate. Equal keys ⇒
 /// the two requests' encodings are reachable from one another via
-/// [`deltas_between`] (pinned by proptest). Stored verbatim (a word
-/// vector, not a digest), so key equality is content equality — a hash
-/// collision can degrade the cache, never corrupt it.
+/// [`deltas_between`] (pinned by proptest). Stored verbatim (words, not a
+/// digest), so key equality is content equality — a hash collision can
+/// degrade the cache, never corrupt it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ShapeKey {
+    graph: Fingerprint,
+    profile: Fingerprint,
     words: Vec<u64>,
-}
-
-impl ShapeKey {
-    /// The fingerprint length in 64-bit words (diagnostics).
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether the fingerprint is empty (never, for a valid key).
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
 }
 
 /// Word-vector builder: every pushed quantity lands verbatim in the key.
@@ -77,46 +67,69 @@ impl KeyWriter {
     fn b(&mut self, v: bool) {
         self.words.push(u64::from(v));
     }
-
-    /// FNV-1a over a string: names fold to one word instead of growing
-    /// the key with the deployment's label lengths.
-    fn s(&mut self, v: &str) {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in v.as_bytes() {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.words.push(h);
-    }
 }
 
+// The cost-model structs below, like `DeploymentConfig` and `Site`, are
+// destructured without `..`: a field added to any of them is a compile
+// error here until it is keyed (or ignored by name), so two requests that
+// differ in it cannot share a cache entry.
+
 fn platform_words(w: &mut KeyWriter, p: &Platform) {
-    w.s(&p.name);
-    w.f(p.clock_hz);
-    w.f(p.cycle_costs.int_alu);
-    w.f(p.cycle_costs.int_mul);
-    w.f(p.cycle_costs.float_add);
-    w.f(p.cycle_costs.float_mul);
-    w.f(p.cycle_costs.float_div);
-    w.f(p.cycle_costs.sqrt);
-    w.f(p.cycle_costs.transcendental);
-    w.f(p.cycle_costs.mem);
-    w.f(p.cycle_costs.branch);
-    w.f(p.cycle_costs.call);
-    w.f(p.interp_penalty);
-    w.f(p.dvfs_derate);
-    w.f(p.os_overhead);
-    w.f(p.cpu_budget_fraction);
-    w.f(p.radio.goodput_bytes_per_sec);
-    w.u(p.radio.max_payload as u64);
-    w.u(p.radio.per_packet_overhead as u64);
-    w.f(p.radio.baseline_loss);
+    let Platform {
+        // A label: nothing the encoding reads.
+        name: _,
+        clock_hz,
+        cycle_costs,
+        interp_penalty,
+        dvfs_derate,
+        os_overhead,
+        cpu_budget_fraction,
+        radio,
+    } = p;
+    let CycleCosts {
+        int_alu,
+        int_mul,
+        float_add,
+        float_mul,
+        float_div,
+        sqrt,
+        transcendental,
+        mem,
+        branch,
+        call,
+    } = cycle_costs;
+    let RadioModel {
+        goodput_bytes_per_sec,
+        max_payload,
+        per_packet_overhead,
+        baseline_loss,
+    } = radio;
+    for v in [
+        clock_hz,
+        int_alu,
+        int_mul,
+        float_add,
+        float_mul,
+        float_div,
+        sqrt,
+        transcendental,
+        mem,
+        branch,
+        call,
+        interp_penalty,
+        dvfs_derate,
+        os_overhead,
+        cpu_budget_fraction,
+        goodput_bytes_per_sec,
+    ] {
+        w.f(*v);
+    }
+    w.u(*max_payload as u64);
+    w.u(*per_packet_overhead as u64);
+    w.f(*baseline_loss);
 }
 
 fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
-    // Both structs are destructured without `..`: a field added to either
-    // is a compile error here until it is keyed (or ignored by name), so
-    // two configs that differ in it cannot share a cache entry.
     let DeploymentConfig {
         mode,
         // A per-solve argument, not part of the encoding (module doc).
@@ -160,7 +173,8 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
 
 /// Compute the [`ShapeKey`] of one request. Cheap relative to preparing
 /// the instance: no graph build, no merge, no encode — a linear pass
-/// over the deployment tree and the config.
+/// over the deployment tree and the config (the two fingerprints are
+/// computed on an object's first key and shared after).
 pub fn shape_key(
     graph: &Graph,
     profile: &GraphProfile,
@@ -170,38 +184,49 @@ pub fn shape_key(
     let mut w = KeyWriter {
         words: Vec::with_capacity(16 + 26 * dep.len()),
     };
-    w.u(graph as *const Graph as u64);
-    w.u(profile as *const GraphProfile as u64);
+    w.f(profile.duration_s);
     config_words(&mut w, cfg);
 
     w.u(dep.len() as u64);
     for id in dep.site_ids() {
-        let site = dep.site(id);
+        let Site {
+            // A label: nothing the encoding reads.
+            name: _,
+            platform,
+            count,
+            alpha,
+            // Budget *values* ride SetCpuBudget / SetNetBudget; finiteness
+            // decides whether the row exists at all, which no delta can
+            // change.
+            cpu_budget,
+            rate_factor,
+        } = dep.site(id);
         let is_leaf = dep.children(id).is_empty();
         w.u(dep.parent(id).map_or(u64::MAX, |p| p.0 as u64));
         w.b(is_leaf);
-        platform_words(&mut w, &site.platform);
-        w.f(site.alpha);
-        w.f(site.rate_factor);
-        // Budget *values* ride SetCpuBudget / SetNetBudget; finiteness
-        // decides whether the row exists at all, which no delta can
-        // change.
-        w.b(site.cpu_budget.is_finite());
+        platform_words(&mut w, platform);
+        w.f(*alpha);
+        w.f(*rate_factor);
+        w.b(cpu_budget.is_finite());
         // Interior counts have no delta (SetLeafCount is leaves-only),
         // so they are part of the shape; leaf counts are the cache's
         // whole point and stay out.
         if !is_leaf {
-            w.u(site.count as u64);
+            w.u(*count as u64);
         }
         match dep.uplink(id) {
             None => w.u(u64::MAX),
-            Some(link) => {
-                w.f(link.beta);
-                w.b(link.net_budget.is_finite());
+            Some(LinkSpec { beta, net_budget }) => {
+                w.f(*beta);
+                w.b(net_budget.is_finite());
             }
         }
     }
-    ShapeKey { words: w.words }
+    ShapeKey {
+        graph: graph.fingerprint().clone(),
+        profile: profile.fingerprint().clone(),
+        words: w.words,
+    }
 }
 
 /// The delta batch that morphs `from` into `to`, assuming equal
@@ -252,21 +277,26 @@ pub fn deltas_between(from: &Deployment, to: &Deployment) -> Vec<DeploymentDelta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multitier::LinkSpec;
-    use crate::topology::{Site, SiteId};
+    use crate::topology::SiteId;
     use wishbone_dataflow::{GraphBuilder, Value};
     use wishbone_profile::{profile as run_profile, SourceTrace};
 
-    /// Minimal profiled graph: the key only reads addresses from these,
-    /// but they must be real instances.
+    /// Minimal profiled graph: a source straight into a sink.
     fn profiled() -> (Graph, GraphProfile) {
+        profiled_at(8)
+    }
+
+    /// The same graph, profiled on elements of `width` samples.
+    fn profiled_at(width: usize) -> (Graph, GraphProfile) {
         let mut b = GraphBuilder::new();
         let src = b.source("src");
         b.sink("out", src);
         let mut g = b.finish().unwrap();
         let t = SourceTrace {
             source: src.0,
-            elements: (0..4).map(|i| Value::VecI16(vec![i as i16; 8])).collect(),
+            elements: (0..4)
+                .map(|i| Value::VecI16(vec![i as i16; width]))
+                .collect(),
             rate_hz: 10.0,
         };
         let prof = run_profile(&mut g, &[t]).unwrap();
@@ -304,7 +334,6 @@ mod tests {
     #[test]
     fn finiteness_beta_and_identity_are_shape() {
         let (g, p) = profiled();
-        let (g2, _p2) = profiled();
         let cfg = DeploymentConfig::default();
         let a = two_tier(4, 0.8, 60.0);
         let key = |d: &Deployment| shape_key(&g, &p, d, &cfg);
@@ -323,11 +352,69 @@ mod tests {
         );
         assert_ne!(key(&a), key(&heavier), "structure is shape");
 
-        assert_ne!(
-            shape_key(&g, &p, &a, &cfg),
-            shape_key(&g2, &p, &a, &cfg),
-            "graph identity is shape"
+        let (g2, p2) = profiled();
+        assert_eq!(
+            key(&a),
+            shape_key(&g2, &p2, &a, &cfg),
+            "a second allocation of one app is the same app"
         );
+        let (_, wider) = profiled_at(9);
+        assert_ne!(key(&a), shape_key(&g, &wider, &a, &cfg), "profile bytes");
+        let mut slower = p.clone();
+        slower.duration_s *= 2.0;
+        assert_ne!(key(&a), shape_key(&g, &slower, &a, &cfg), "duration");
+    }
+
+    #[test]
+    fn every_platform_field_but_the_name_is_shape() {
+        let (g, p) = profiled();
+        let cfg = DeploymentConfig::default();
+        let key = |mote: &Platform| {
+            let dep = Deployment::star([(
+                Site::new("motes", mote),
+                LinkSpec::for_platform(&Platform::tmote_sky()),
+            )]);
+            shape_key(&g, &p, &dep, &cfg)
+        };
+        let base = Platform::tmote_sky();
+
+        // One field at a time, moved off the mote's value.
+        type Vary = fn(&mut Platform);
+        let varied: [(&str, Vary); 19] = [
+            ("clock_hz", |p| p.clock_hz *= 2.0),
+            ("int_alu", |p| p.cycle_costs.int_alu += 1.0),
+            ("int_mul", |p| p.cycle_costs.int_mul += 1.0),
+            ("float_add", |p| p.cycle_costs.float_add += 1.0),
+            ("float_mul", |p| p.cycle_costs.float_mul += 1.0),
+            ("float_div", |p| p.cycle_costs.float_div += 1.0),
+            ("sqrt", |p| p.cycle_costs.sqrt += 1.0),
+            ("transcendental", |p| p.cycle_costs.transcendental += 1.0),
+            ("mem", |p| p.cycle_costs.mem += 1.0),
+            ("branch", |p| p.cycle_costs.branch += 1.0),
+            ("call", |p| p.cycle_costs.call += 1.0),
+            ("interp_penalty", |p| p.interp_penalty += 1.0),
+            ("dvfs_derate", |p| p.dvfs_derate /= 2.0),
+            ("os_overhead", |p| p.os_overhead += 1.0),
+            ("cpu_budget_fraction", |p| p.cpu_budget_fraction /= 2.0),
+            ("goodput", |p| p.radio.goodput_bytes_per_sec *= 2.0),
+            ("max_payload", |p| p.radio.max_payload += 1),
+            ("per_packet_overhead", |p| p.radio.per_packet_overhead += 1),
+            ("baseline_loss", |p| p.radio.baseline_loss += 0.1),
+        ];
+        for (field, vary) in varied {
+            let mut platform = base.clone();
+            vary(&mut platform);
+            assert_ne!(
+                key(&base),
+                key(&platform),
+                "`{field}` alone must change the key"
+            );
+        }
+        let renamed = Platform {
+            name: "renamed".into(),
+            ..base.clone()
+        };
+        assert_eq!(key(&base), key(&renamed), "the name is a label, not shape");
     }
 
     #[test]

@@ -657,6 +657,15 @@ pub enum PartitionError {
         /// The site with no devices.
         site: SiteId,
     },
+    /// `cfg.ilp.rel_gap` is NaN or negative. Every bound prune compares
+    /// against the incumbent plus that gap, so with a NaN none fires and
+    /// with a negative one nothing inside the gap does: the search would
+    /// run the tree out. `+∞` is legal: it stops at the first placement,
+    /// whose certified gap stays honest.
+    InvalidGap {
+        /// The offending gap, as given.
+        rel_gap: f64,
+    },
 }
 
 impl std::fmt::Display for PartitionError {
@@ -691,6 +700,9 @@ impl std::fmt::Display for PartitionError {
             }
             PartitionError::InvalidCount { site } => {
                 write!(f, "site {site:?} has no devices")
+            }
+            PartitionError::InvalidGap { rel_gap } => {
+                write!(f, "relative gap {rel_gap} is NaN or negative")
             }
         }
     }
@@ -917,7 +929,8 @@ impl<'a> PreparedDeployment<'a> {
     /// multilevel hierarchy is not built here but on a search's first
     /// demand for a seed. `graph` and `profile` are read here and not kept.
     /// `cfg.rate_multiplier` is ignored here; pass the rate to
-    /// [`solve_at`](PreparedDeployment::solve_at).
+    /// [`solve_at`](PreparedDeployment::solve_at). A NaN or negative
+    /// `cfg.ilp.rel_gap` is [`PartitionError::InvalidGap`].
     pub fn new(
         graph: &Graph,
         profile: &GraphProfile,
@@ -925,6 +938,10 @@ impl<'a> PreparedDeployment<'a> {
         cfg: &DeploymentConfig,
     ) -> Result<Self, PartitionError> {
         dep.check_sites()?;
+        let rel_gap = cfg.ilp.rel_gap;
+        if rel_gap.is_nan() || rel_gap < 0.0 {
+            return Err(PartitionError::InvalidGap { rel_gap });
+        }
         dep.validate();
         let encode_t = Instant::now();
         // One flat table for every leaf: pins and structure once, costs
@@ -976,9 +993,10 @@ impl<'a> PreparedDeployment<'a> {
         })
     }
 
-    /// [`new`](Self::new) over `Arc`-held inputs, as a `'static` instance
-    /// (the prepared instance holds neither; a cache keyed by their
-    /// addresses must keep them alive itself, as the fleet's does).
+    /// [`new`](Self::new) over `Arc`-held inputs, as a `'static` instance.
+    /// The instance holds neither input, and a cache keyed by
+    /// [`shape_key`](crate::shape_key) need not either: the key holds the
+    /// inputs' content fingerprints, not their addresses.
     pub fn new_shared(
         graph: Arc<Graph>,
         profile: Arc<GraphProfile>,

@@ -200,12 +200,6 @@ impl GraphBuilder {
         self.graph.validate()?;
         Ok(self.graph)
     }
-
-    /// Return the graph without validation (for tests constructing
-    /// deliberately broken graphs).
-    pub fn finish_unchecked(self) -> Graph {
-        self.graph
-    }
 }
 
 impl Default for GraphBuilder {

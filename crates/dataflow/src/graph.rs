@@ -15,7 +15,9 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
+use crate::fingerprint::Fingerprint;
 use crate::meter::{Meter, OpCounts};
 use crate::value::Value;
 
@@ -274,6 +276,9 @@ pub struct Graph {
     edges: Vec<Edge>,
     out_edges: Vec<Vec<EdgeId>>,
     in_edges: Vec<Vec<EdgeId>>,
+    /// [`fingerprint`](Self::fingerprint), computed on first call and
+    /// reset by the two methods that change the structure.
+    fingerprint: OnceLock<Fingerprint>,
 }
 
 impl Graph {
@@ -285,6 +290,7 @@ impl Graph {
             edges: Vec::new(),
             out_edges: Vec::new(),
             in_edges: Vec::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -294,6 +300,7 @@ impl Graph {
         spec: OperatorSpec,
         work: Option<Box<dyn WorkFn>>,
     ) -> OperatorId {
+        self.fingerprint.take();
         let id = OperatorId(self.specs.len());
         self.specs.push(spec);
         self.work.push(work);
@@ -304,11 +311,48 @@ impl Graph {
 
     /// Connect `src → dst` at input `dst_port`; returns the edge id.
     pub fn connect(&mut self, src: OperatorId, dst: OperatorId, dst_port: usize) -> EdgeId {
+        self.fingerprint.take();
         let id = EdgeId(self.edges.len());
         self.edges.push(Edge { src, dst, dst_port });
         self.out_edges[src.0].push(id);
         self.in_edges[dst.0].push(id);
         id
+    }
+
+    /// The words of what a partitioner reads of the graph: the operator
+    /// count, then each operator's kind, namespace, statefulness and side
+    /// effects (its pin), then the edge count and each edge's endpoints
+    /// and port. Names are not read, so two graphs that differ only in
+    /// names share a fingerprint. Computed on first call and kept until
+    /// [`add_operator`](Self::add_operator) or [`connect`](Self::connect)
+    /// changes the structure.
+    pub fn fingerprint(&self) -> &Fingerprint {
+        self.fingerprint.get_or_init(|| {
+            let mut words = Vec::with_capacity(2 + 4 * self.specs.len() + 3 * self.edges.len());
+            words.push(self.specs.len() as u64);
+            for spec in &self.specs {
+                // No `..`: a new field does not compile here until it is
+                // keyed or ignored by name.
+                let OperatorSpec {
+                    name: _,
+                    kind,
+                    namespace,
+                    stateful,
+                    side_effecting,
+                } = spec;
+                words.extend([
+                    *kind as u64,
+                    *namespace as u64,
+                    u64::from(*stateful),
+                    u64::from(*side_effecting),
+                ]);
+            }
+            words.push(self.edges.len() as u64);
+            for &Edge { src, dst, dst_port } in &self.edges {
+                words.extend([src.0 as u64, dst.0 as u64, dst_port as u64]);
+            }
+            Fingerprint::new(words)
+        })
     }
 
     /// Number of operators.

@@ -7,7 +7,7 @@
 //!
 //! * [`Value`]: dynamic stream elements with wire-size accounting,
 //! * [`Graph`] / [`GraphBuilder`]: graph construction, validation,
-//!   topological order, reachability,
+//!   topological order, reachability, and a content [`Fingerprint`],
 //! * [`WorkFn`] / [`ExecCtx`]: metered work-function execution — operators
 //!   run their real computation while counting abstract machine operations
 //!   ([`Meter`], [`OpCounts`]), replacing the paper's on-device profiler,
@@ -22,11 +22,13 @@
 
 pub mod builder;
 pub mod dot;
+pub mod fingerprint;
 pub mod graph;
 pub mod meter;
 pub mod value;
 
 pub use builder::{FnWork, GraphBuilder, StreamRef, ZipWork};
+pub use fingerprint::Fingerprint;
 pub use graph::{
     Edge, EdgeId, ExecCtx, Graph, GraphError, IdentityWork, Namespace, OperatorId, OperatorKind,
     OperatorSpec, WorkFn,

@@ -25,11 +25,14 @@
 //!
 //! ## Cache semantics
 //!
-//! A [`ShapeCache`] maps [`ShapeKey`]s (quotient-graph structure +
-//! platform signatures + link kinds + solver knobs — everything the
-//! encoding bakes in, *excluding* leaf counts, finite budget values,
-//! and rates) to prepared instances. A hit morphs the cached encoding
-//! to the request's counts and budgets with
+//! A [`ShapeCache`] maps [`ShapeKey`]s (the graph's and the profile's
+//! content fingerprints + platform cost models + link kinds + solver
+//! knobs — everything the encoding bakes in, *excluding* leaf counts,
+//! finite budget values, and rates) to prepared instances, and an entry
+//! is the prepared instance alone. The key names what an app is, not
+//! where it lives, so two tenants that load one app into two allocations
+//! share an entry, and no entry keeps a request's inputs alive. A hit
+//! morphs the cached encoding to the request's counts and budgets with
 //! [`deltas_between`]-derived [`apply_delta`] row surgery instead of
 //! re-encoding — `encodes()` stays at one per shape, not one per
 //! request.
@@ -73,11 +76,10 @@ use wishbone_ilp::SimplexWorkspace;
 use wishbone_profile::GraphProfile;
 
 /// One deployment request: which profiled graph, over which topology,
-/// under which config, at which rate. Graph and profile ride `Arc`s —
-/// shape identity is pointer identity (see [`shape_key`]). A prepared
-/// instance keeps neither, so a [`ShapeCache`] entry holds the `Arc`s of
-/// the request that created it: while its key is in the map, the
-/// addresses the key names cannot be freed and reused by another app.
+/// under which config, at which rate. Graph and profile ride `Arc`s so
+/// that many requests share one app cheaply; the cache keys them by
+/// content (see [`shape_key`]) and keeps neither once the request is
+/// answered.
 #[derive(Clone)]
 pub struct FleetRequest {
     /// Caller-chosen correlation id, echoed in the response.
@@ -145,16 +147,6 @@ impl FleetStats {
         self.latencies_s[rank.min(self.latencies_s.len() - 1)]
     }
 
-    /// Median worker-side latency, seconds.
-    pub fn p50_s(&self) -> f64 {
-        self.latency_percentile_s(50.0)
-    }
-
-    /// 99th-percentile worker-side latency, seconds.
-    pub fn p99_s(&self) -> f64 {
-        self.latency_percentile_s(99.0)
-    }
-
     fn record_latency(&mut self, s: f64) {
         self.latencies_s.push(s);
     }
@@ -196,12 +188,12 @@ impl FleetStats {
 ///
 /// Owned by exactly one worker thread — sharding by shape means no
 /// entry is ever contended, so there are no locks anywhere in the
-/// service.
+/// service. An entry is its prepared instance and nothing else: the key
+/// holds content, not addresses, so dropping an entry is a plain map
+/// removal.
 #[derive(Default)]
 pub struct ShapeCache {
-    /// Each prepared instance beside the graph and profile its key names
-    /// by address (see [`FleetRequest`]).
-    entries: HashMap<ShapeKey, (PreparedDeployment<'static>, Arc<Graph>, Arc<GraphProfile>)>,
+    entries: HashMap<ShapeKey, PreparedDeployment<'static>>,
 }
 
 impl ShapeCache {
@@ -244,7 +236,7 @@ impl ShapeCache {
         if let Err(e) = req.deployment.check_sites() {
             return (false, Err(e));
         }
-        if let Some((prep, ..)) = self.entries.get_mut(&key) {
+        if let Some(prep) = self.entries.get_mut(&key) {
             let deltas = deltas_between(prep.deployment(), &req.deployment);
             if !deltas.is_empty() {
                 prep.apply_delta(&deltas);
@@ -257,8 +249,7 @@ impl ShapeCache {
         match PreparedDeployment::new(&req.graph, &req.profile, &req.deployment, &req.config) {
             Ok(mut prep) => {
                 let result = prep.solve_at_in(req.rate, ws);
-                let (graph, profile) = (Arc::clone(&req.graph), Arc::clone(&req.profile));
-                self.entries.insert(key, (prep, graph, profile));
+                self.entries.insert(key, prep);
                 (false, result)
             }
             Err(e) => (false, Err(e)),
@@ -463,37 +454,71 @@ mod tests {
     use wishbone_core::LinkSpec;
     use wishbone_profile::{profile, Platform};
 
-    /// A [`ShapeKey`] names graph and profile by address, so a cache entry
-    /// must keep both alive after the request that created it is gone:
-    /// freed, the addresses could be reused by another app whose requests
-    /// would then hit this entry.
-    #[test]
-    fn a_cache_entry_co_owns_the_inputs_its_key_points_at() {
+    /// The speech app, built and profiled afresh: a new allocation of
+    /// one app every call.
+    fn speech() -> (Arc<Graph>, Arc<GraphProfile>) {
         let mut app = build_speech_app(SpeechParams::default());
         let trace = app.trace(10, 1);
         let prof = profile(&mut app.graph, &[trace]).unwrap();
-        let (graph, profile) = (Arc::new(app.graph), Arc::new(prof));
+        (Arc::new(app.graph), Arc::new(prof))
+    }
+
+    fn request(app: &(Arc<Graph>, Arc<GraphProfile>), count: usize) -> FleetRequest {
         let mote = Platform::tmote_sky();
-        let req = FleetRequest {
-            id: 0,
-            graph: Arc::clone(&graph),
-            profile: Arc::clone(&profile),
+        FleetRequest {
+            id: count as u64,
+            graph: Arc::clone(&app.0),
+            profile: Arc::clone(&app.1),
             deployment: Deployment::star([(
-                Site::new("motes", &mote),
+                Site::new("motes", &mote).with_count(count),
                 LinkSpec::for_platform(&mote),
             )]),
             config: DeploymentConfig::default(),
             rate: 0.1,
-        };
-        let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
+        }
+    }
+
+    /// A [`ShapeKey`] names graph and profile by content: a second build
+    /// of one app hits the first build's entry, which keeps nothing of
+    /// the first build and answers bit for bit like a serial solve.
+    #[test]
+    fn two_allocations_of_one_app_share_one_entry() {
+        let (first, second) = (speech(), speech());
+        assert!(!Arc::ptr_eq(&first.0, &second.0));
         let mut cache = ShapeCache::new();
-        let (hit, result) = cache.serve(&req, key, &mut SimplexWorkspace::new(), true);
+        let mut ws = SimplexWorkspace::new();
+        let req = request(&first, 2);
+        let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
+        let (hit, result) = cache.serve(&req, key, &mut ws, true);
         assert!(!hit && result.is_ok());
+        drop((req, first));
+
+        let req = request(&second, 5);
+        let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
+        let (hit, fleet) = cache.serve(&req, key, &mut ws, true);
+        assert!(hit, "a second allocation of one app is the same shape");
+        assert_eq!(cache.len(), 1);
+        let fleet = fleet.expect("the star fits");
+        let serial = wishbone_core::partition_deployment(
+            &req.graph,
+            &req.profile,
+            &req.deployment,
+            &req.config.clone().at_rate(req.rate),
+        )
+        .expect("the star fits");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(fleet.objective.to_bits(), serial.objective.to_bits());
+        assert_eq!(bits(&fleet.site_cpu), bits(&serial.site_cpu));
+        assert_eq!(bits(&fleet.link_net), bits(&serial.link_net));
+        for (a, b) in fleet.leaves.iter().zip(&serial.leaves) {
+            assert_eq!(a.site_ops, b.site_ops);
+            assert_eq!(a.link_cut_edges, b.link_cut_edges);
+            assert_eq!(bits(&a.predicted_cpu), bits(&b.predicted_cpu));
+            assert_eq!(bits(&a.predicted_net), bits(&b.predicted_net));
+        }
+        // This test's handles are the only ones left: the entry holds none.
+        assert_eq!(Arc::strong_count(&second.0), 2);
         drop(req);
-        // This test's handle and the cache entry's.
-        assert_eq!(Arc::strong_count(&graph), 2);
-        assert_eq!(Arc::strong_count(&profile), 2);
-        drop(cache);
-        assert_eq!(Arc::strong_count(&graph), 1);
+        assert_eq!(Arc::strong_count(&second.0), 1);
     }
 }

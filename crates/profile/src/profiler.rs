@@ -8,8 +8,11 @@
 //! for the predictable-rate applications it targets.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use wishbone_dataflow::{EdgeId, Graph, OpCounts, OperatorId, OperatorKind, Value};
+use wishbone_dataflow::{
+    EdgeId, Fingerprint, Graph, OpCounts, OperatorId, OperatorKind, Value, OP_CLASSES,
+};
 
 use crate::platform::Platform;
 
@@ -83,6 +86,10 @@ pub struct GraphProfile {
     per_edge: Vec<EdgeProfile>,
     /// Wall-clock span of the trace at the reference rate, seconds.
     pub duration_s: f64,
+    /// [`fingerprint`](Self::fingerprint), computed on first call.
+    /// `per_op` and `per_edge` never change after [`profile`], so it is
+    /// never reset.
+    fingerprint: OnceLock<Fingerprint>,
 }
 
 impl GraphProfile {
@@ -94,6 +101,29 @@ impl GraphProfile {
     /// Profile of one edge.
     pub fn edge(&self, id: EdgeId) -> &EdgeProfile {
         &self.per_edge[id.0]
+    }
+
+    /// The words of what the two pricing methods read, except the duration:
+    /// the operator count and each operator's per-class total counts
+    /// ([`cpu_fraction`](Self::cpu_fraction)), then the edge count and
+    /// each edge's bytes and elements
+    /// ([`edge_on_air_bandwidth`](Self::edge_on_air_bandwidth)).
+    /// `duration_s` is a public field, so a key reads it afresh.
+    pub fn fingerprint(&self) -> &Fingerprint {
+        self.fingerprint.get_or_init(|| {
+            let ops = self.per_op.len();
+            let mut words =
+                Vec::with_capacity(2 + OP_CLASSES.len() * ops + 2 * self.per_edge.len());
+            words.push(ops as u64);
+            for p in &self.per_op {
+                words.extend(OP_CLASSES.iter().map(|&c| p.total_counts.get(c)));
+            }
+            words.push(self.per_edge.len() as u64);
+            for e in &self.per_edge {
+                words.extend([e.bytes, e.elements]);
+            }
+            Fingerprint::new(words)
+        })
     }
 
     /// Mean CPU *fraction* (seconds of CPU per second of wall clock) an
@@ -223,6 +253,7 @@ pub fn profile(graph: &mut Graph, traces: &[SourceTrace]) -> Result<GraphProfile
         per_op,
         per_edge,
         duration_s,
+        fingerprint: OnceLock::new(),
     })
 }
 

@@ -13,6 +13,12 @@
 //! zero devices. Leaf counts are not shape either: on a fleet hit such a
 //! request would become a count-0 delta. Every path answers
 //! `PartitionError::InvalidCount` before it reaches an assert.
+//!
+//! `IlpOptions::rel_gap` is a public field too. Branch-and-bound prunes a
+//! node whose bound is within that gap of the incumbent, so a NaN gap
+//! prunes nothing and a negative one prunes nothing inside it: the search
+//! runs the tree out. Every path answers `PartitionError::InvalidGap`;
+//! `+∞` stops at the first placement and certifies its gap honestly.
 
 use std::sync::Arc;
 
@@ -265,4 +271,83 @@ fn a_zero_device_count_is_refused_on_a_fleet_hit() {
     assert_eq!(cache.len(), 1);
     assert_eq!(second.objective.to_bits(), first.objective.to_bits());
     assert_eq!(second.leaves[0].site_ops, first.leaves[0].site_ops);
+}
+
+/// The default config with `ilp.rel_gap` set to `rel_gap`.
+fn gap_config(rel_gap: f64) -> DeploymentConfig {
+    let mut cfg = DeploymentConfig::default();
+    cfg.ilp.rel_gap = rel_gap;
+    cfg
+}
+
+/// `got` is exactly `InvalidGap` carrying `rel_gap`'s bits.
+fn assert_invalid_gap<T>(got: Result<T, PartitionError>, rel_gap: f64) {
+    match got.err() {
+        Some(PartitionError::InvalidGap { rel_gap: g }) => {
+            assert_eq!(g.to_bits(), rel_gap.to_bits())
+        }
+        other => panic!("gap {rel_gap}: expected InvalidGap, got {other:?}"),
+    }
+}
+
+const BAD_GAPS: [f64; 3] = [f64::NAN, -0.01, f64::NEG_INFINITY];
+
+#[test]
+fn a_nan_or_negative_gap_is_refused_one_shot() {
+    let (g, prof) = eeg2();
+    let dep = star(1.0, f64::INFINITY);
+    for bad in BAD_GAPS {
+        let cfg = gap_config(bad);
+        assert_invalid_gap(partition_deployment(&g, &prof, &dep, &cfg), bad);
+        assert_invalid_gap(PreparedDeployment::new(&g, &prof, &dep, &cfg), bad);
+        assert_invalid_gap(
+            max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 4.0, 0.01),
+            bad,
+        );
+    }
+}
+
+#[test]
+fn an_infinite_gap_stops_at_a_placement_whose_certificate_holds() {
+    let (g, prof) = eeg2();
+    let dep = star(0.02, f64::INFINITY);
+    let exact = partition_deployment(&g, &prof, &dep, &DeploymentConfig::default())
+        .expect("the mote fits part of the app");
+    let first = partition_deployment(&g, &prof, &dep, &gap_config(f64::INFINITY))
+        .expect("+inf is a legal gap");
+    let gap = first.certified_gap.expect("every placement is certified");
+    assert!(gap.is_finite() && gap >= 0.0, "certified gap {gap}");
+    let bound = first.objective - gap * first.objective.abs();
+    assert!(exact.objective >= bound - 1e-9 * (1.0 + bound.abs()));
+    assert!(exact.objective <= first.objective + 1e-9 * (1.0 + first.objective.abs()));
+}
+
+#[test]
+fn a_nan_or_negative_gap_is_refused_by_the_fleet_and_caches_nothing() {
+    let (g, prof) = eeg2();
+    let request = |id: u64, cfg: DeploymentConfig| FleetRequest {
+        id,
+        graph: Arc::clone(&g),
+        profile: Arc::clone(&prof),
+        deployment: star(1.0, f64::INFINITY),
+        config: cfg,
+        rate: 1.0,
+    };
+    let good = request(9, DeploymentConfig::default());
+    for bad in BAD_GAPS {
+        let mut cache = ShapeCache::new();
+        let mut ws = SimplexWorkspace::new();
+        let req = request(0, gap_config(bad));
+        let (hit, got) = cache.serve(&req, key_of(&req), &mut ws, true);
+        assert!(!hit);
+        assert_invalid_gap(got, bad);
+        assert!(cache.is_empty(), "nothing was prepared");
+        let (hit, next) = cache.serve(&good, key_of(&good), &mut ws, true);
+        assert!(!hit && next.is_ok(), "the next request is answered");
+
+        let (responses, stats) = run_batch(2, vec![req, request(1, DeploymentConfig::default())]);
+        assert_invalid_gap(responses[0].result.clone(), bad);
+        assert!(responses[1].result.is_ok());
+        assert_eq!(stats.errors, 1);
+    }
 }

@@ -32,7 +32,9 @@ use wishbone::core::{
     DeploymentPartition, LeafChain, LinkSpec, PartitionError, Pin, PreparedDeployment, Site,
     SiteId, TierObjective, TieredGraph,
 };
-use wishbone::dataflow::{EdgeId, IdentityWork, OperatorId, OperatorSpec, WorkFn};
+use wishbone::dataflow::{
+    EdgeId, Graph, IdentityWork, Namespace, OperatorId, OperatorSpec, WorkFn,
+};
 use wishbone::ilp::{IlpOptions, Problem, SolverBackend, VarId};
 use wishbone::prelude::{profile, GraphBuilder, Platform, SourceTrace, Value};
 use wishbone_oracle::{
@@ -668,24 +670,7 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
-        let mote = Platform::tmote_sky();
-        let phone = Platform::iphone();
-        // Sites: 0 = server, 1 = gateway, 2 = motes.
-        let mk_dep = |count: usize, cpu: f64, net: f64| {
-            let mut dep = Deployment::new(Site::server("server", &Platform::server()));
-            let root = dep.root();
-            let gw = dep.attach(
-                root,
-                Site::new("gw", &phone).with_cpu_budget(cpu),
-                LinkSpec { beta: 1.0, net_budget: net },
-            );
-            dep.attach(
-                gw,
-                Site::new("motes", &mote).with_count(count),
-                LinkSpec { beta: 1.0, net_budget: 1e9 },
-            );
-            dep
-        };
+        let mk_dep = gateway_chain;
         let cfg = DeploymentConfig::default();
         let dep_a = mk_dep(count_a, cpu_a, net_a);
         let dep_b = mk_dep(count_b, cpu_b, net_b);
@@ -728,6 +713,148 @@ proptest! {
                 a.objective, b.objective
             );
         }
+    }
+}
+
+/// Motes under a budgeted gateway under the server. Sites: 0 = server,
+/// 1 = gateway (`cpu`, uplink `net`), 2 = motes (`count` devices).
+fn gateway_chain(count: usize, cpu: f64, net: f64) -> Deployment {
+    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+    let root = dep.root();
+    let gw = dep.attach(
+        root,
+        Site::new("gw", &Platform::iphone()).with_cpu_budget(cpu),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: net,
+        },
+    );
+    dep.attach(
+        gw,
+        Site::new("motes", &Platform::tmote_sky()).with_count(count),
+        LinkSpec {
+            beta: 1.0,
+            net_budget: 1e9,
+        },
+    );
+    dep
+}
+
+/// One edit to `built_app`'s pipeline, at one stage.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    None,
+    /// The stage meters one more operation per element.
+    Cost,
+    Stateful,
+    Namespace,
+    /// The stage reads the operator before its input instead.
+    MoveEdge,
+}
+
+/// `random_app`'s pipeline, built op by op into a fresh allocation with
+/// `edit` applied at `stage` (≥ 1), and profiled; `None` when profiling
+/// fails.
+fn built_app(
+    costs: &[u64],
+    keeps: &[usize],
+    edit: Edit,
+    stage: usize,
+) -> Option<(Graph, wishbone::profile::GraphProfile)> {
+    let mut g = Graph::new();
+    let src = g.add_operator(OperatorSpec::source("src"), Some(Box::new(IdentityWork)));
+    let (mut before, mut prev) = (src, src);
+    for (s, (&cost, &keep)) in costs.iter().zip(keeps).enumerate() {
+        let mut spec = OperatorSpec::transform(format!("stage{s}"));
+        let mut cost = cost;
+        let mut input = prev;
+        if s == stage {
+            match edit {
+                Edit::None => {}
+                Edit::Cost => cost += 1,
+                Edit::Stateful => spec.stateful = true,
+                Edit::Namespace => spec.namespace = Namespace::Server,
+                Edit::MoveEdge => input = before,
+            }
+        }
+        let op = g.add_operator(spec, Some(reducing_work(cost, keep)));
+        g.connect(input, op, 0);
+        (before, prev) = (prev, op);
+    }
+    let sink = g.add_operator(OperatorSpec::sink("out"), None);
+    g.connect(prev, sink, 0);
+    let trace = SourceTrace {
+        source: src,
+        elements: (0..10)
+            .map(|i| Value::VecI16(vec![i as i16; 128]))
+            .collect(),
+        rate_hz: 20.0,
+    };
+    let prof = profile(&mut g, &[trace]).ok()?;
+    Some((g, prof))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A key says what an app is. An independent second build of one
+    /// app keys equal to the first, and the first build's instance,
+    /// morphed to the second's counts and budgets, is bit for bit a cold
+    /// prepare of the second build. A changed stage cost, a flipped
+    /// `stateful` or `namespace`, or a moved edge each change the key,
+    /// and so does an operator or an edge added after a key was taken.
+    #[test]
+    fn a_key_is_the_apps_content_not_its_address(
+        costs in prop::collection::vec(100u64..4000, 2..5),
+        keeps in prop::collection::vec(1usize..5, 4),
+        stage_pick in 0usize..4,
+        budgets_a in ((0.01f64..0.5), (50.0f64..5000.0)),
+        budgets_b in ((0.01f64..0.5), (50.0f64..5000.0)),
+        counts_rate in (1usize..5, 1usize..5, 0.05f64..0.5),
+    ) {
+        let ((cpu_a, net_a), (cpu_b, net_b)) = (budgets_a, budgets_b);
+        let (count_a, count_b, rate) = counts_rate;
+        let stage = 1 + stage_pick % (costs.len() - 1);
+        let build = |edit: Edit| built_app(&costs, &keeps, edit, stage);
+        let (Some(first), Some(second)) = (build(Edit::None), build(Edit::None)) else {
+            return Ok(());
+        };
+        let cfg = DeploymentConfig::default();
+        let (dep_a, dep_b) = (gateway_chain(count_a, cpu_a, net_a), gateway_chain(count_b, cpu_b, net_b));
+        let key = |app: &(Graph, wishbone::profile::GraphProfile)| shape_key(&app.0, &app.1, &dep_a, &cfg);
+        prop_assert_eq!(key(&first), key(&second), "two builds of one app");
+
+        for edit in [Edit::Cost, Edit::Stateful, Edit::Namespace, Edit::MoveEdge] {
+            if let Some(edited) = build(edit) {
+                prop_assert!(key(&first) != key(&edited), "{:?} at stage {}", edit, stage);
+            }
+        }
+
+        let mut morphed = match PreparedDeployment::new(&first.0, &first.1, &dep_a, &cfg) {
+            Ok(p) => p,
+            Err(_) => return Ok(()),
+        };
+        let deltas = deltas_between(morphed.deployment(), &dep_b);
+        if !deltas.is_empty() {
+            morphed.apply_delta(&deltas);
+        }
+        drop(first);
+        let mut cold = PreparedDeployment::new(&second.0, &second.1, &dep_b, &cfg)
+            .expect("the first build prepared");
+        let (warm_result, cold_result) = (morphed.solve_at(rate), cold.solve_at(rate));
+        assert_problems_identical(morphed.problem(), cold.problem())?;
+        match (warm_result, cold_result) {
+            (Ok(a), Ok(b)) => assert_bit_identical(&a, &b)?,
+            (a, b) => prop_assert_eq!(a.err(), b.err()),
+        }
+
+        let (mut g, prof) = second;
+        let before = shape_key(&g, &prof, &dep_a, &cfg);
+        let late = g.add_operator(OperatorSpec::transform("late"), Some(Box::new(IdentityWork)));
+        let grown = shape_key(&g, &prof, &dep_a, &cfg);
+        prop_assert!(before != grown, "add_operator after a key");
+        g.connect(OperatorId(0), late, 0);
+        prop_assert!(grown != shape_key(&g, &prof, &dep_a, &cfg), "connect after a key");
     }
 }
 

@@ -100,7 +100,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 13] = [
+const CONFINE: [Confine; 14] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -193,6 +193,13 @@ const CONFINE: [Confine; 13] = [
         homes: &[Home::File(MULTITIER)],
         why: "`{}` outside `crates/core/src/multitier.rs` — the merged leaf graphs carry the \
               one pricing; read their costs",
+    },
+    Confine {
+        rule: "address-identity", scope: &[CORE_SRC, "crates/fleet/src"],
+        needles: &[Text("as *const")], homes: &[],
+        why: "`{}` — a key that names an address makes every holder co-own the allocation; \
+              key on the content fingerprint (`Graph::fingerprint`, \
+              `GraphProfile::fingerprint`) instead",
     },
     Confine {
         rule: "flat-placement", scope: &[CORE_SRC],
@@ -1641,6 +1648,28 @@ mod tests {
                 assert_eq!(confine_lines(row, &file_in(row.scope[0]), &allowed), []);
             }
         }
+    }
+
+    #[test]
+    fn address_identity_fires_on_an_address_key_put_back() {
+        let key = "\
+pub fn shape_key(graph: &Graph, profile: &GraphProfile) -> ShapeKey {
+    let mut w = KeyWriter { words: Vec::new() };
+    ShapeKey { graph: graph.fingerprint().clone(), profile: profile.fingerprint().clone() }
+}
+";
+        assert_eq!(
+            lines("address-identity", "crates/core/src/shape.rs", key),
+            Vec::<usize>::new()
+        );
+        let parent = key.replace(
+            "    let mut w = KeyWriter { words: Vec::new() };",
+            "    w.u(graph as *const Graph as u64);",
+        );
+        for file in ["crates/core/src/shape.rs", "crates/fleet/src/lib.rs"] {
+            assert_eq!(lines("address-identity", file, &parent), vec![2]);
+        }
+        assert_repo_clean("address-identity");
     }
 
     #[test]
