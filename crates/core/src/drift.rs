@@ -40,13 +40,20 @@ use crate::topology::{Deployment, DeploymentDelta, DeploymentPartition, SiteId};
 /// Sites with an infinite CPU budget (the server) and uplinks with an
 /// infinite radio budget are skipped: they have no budget row to
 /// rescale, and more observed load there is free by assumption.
+///
+/// A drift whose ratio is not finite and positive — a live EWMA of 0 s
+/// or 0 bytes reads as ratio 0 — is skipped too: dividing a budget by it
+/// is no budget at all. A site or uplink that no other drift names keeps
+/// its old budget, which is the conservative direction again: the
+/// re-solve never trusts a speedup it could not measure.
 pub fn drift_to_deltas(
     report: &DriftReport,
     dep: &Deployment,
     part: &DeploymentPartition,
 ) -> Vec<DeploymentDelta> {
     let mut worst_ratio: Vec<Option<f64>> = vec![None; dep.len()];
-    for od in &report.operators {
+    let is_ratio = |r: f64| r.is_finite() && r > 0.0;
+    for od in report.operators.iter().filter(|od| is_ratio(od.ratio)) {
         for leaf in &part.leaves {
             let Some(pos) = leaf.position_of(od.op) else {
                 continue;
@@ -58,7 +65,7 @@ pub fn drift_to_deltas(
     }
     // Uplink of `path[hop]` carries every edge in `link_cut_edges[hop]`.
     let mut worst_edge_ratio: Vec<Option<f64>> = vec![None; dep.len()];
-    for ed in &report.edges {
+    for ed in report.edges.iter().filter(|ed| is_ratio(ed.ratio)) {
         for leaf in &part.leaves {
             for (hop, carried) in leaf.link_cut_edges.iter().enumerate() {
                 if !carried.contains(&ed.edge) {

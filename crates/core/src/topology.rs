@@ -304,15 +304,31 @@ impl Deployment {
     /// [`shape_key`](crate::shape_key) read a budget only through
     /// `is_finite()`, so either would otherwise solve as "no limit".
     /// `+∞` is no limit; a finite budget is a row, and a zero or negative
-    /// one fits no placement ([`PartitionError::Infeasible`]).
+    /// one fits no placement ([`PartitionError::Infeasible`]). A
+    /// [`Site::rate_factor`] that is not finite and positive is
+    /// [`PartitionError::InvalidRateFactor`], and a [`Site::alpha`] or
+    /// uplink [`LinkSpec::beta`] that is not finite and non-negative is
+    /// [`PartitionError::InvalidWeight`]: both multiply into every
+    /// objective coefficient and (the rate factor) every budget row, so a
+    /// NaN, infinite or negative one would solve to a NaN or negative
+    /// objective.
     pub fn check_sites(&self) -> Result<(), PartitionError> {
         for id in self.site_ids() {
-            if self.site(id).count == 0 {
+            let site = self.site(id);
+            if site.count == 0 {
                 return Err(PartitionError::InvalidCount { site: id });
             }
-            let net = self.uplink(id).map_or(f64::INFINITY, |l| l.net_budget);
-            if !is_budget(self.site(id).cpu_budget) || !is_budget(net) {
+            let uplink = self.uplink(id);
+            let net = uplink.map_or(f64::INFINITY, |l| l.net_budget);
+            if !is_budget(site.cpu_budget) || !is_budget(net) {
                 return Err(PartitionError::InvalidBudget { site: id });
+            }
+            if !(site.rate_factor.is_finite() && site.rate_factor > 0.0) {
+                return Err(PartitionError::InvalidRateFactor { site: id });
+            }
+            let beta = uplink.map_or(0.0, |l| l.beta);
+            if !is_weight(site.alpha) || !is_weight(beta) {
+                return Err(PartitionError::InvalidWeight { site: id });
             }
         }
         Ok(())
@@ -650,6 +666,18 @@ pub enum PartitionError {
         /// The site whose CPU or uplink budget is invalid.
         site: SiteId,
     },
+    /// The rate factor of `site` is not finite and positive
+    /// ([`Deployment::check_sites`]).
+    InvalidRateFactor {
+        /// The site whose rate factor is invalid.
+        site: SiteId,
+    },
+    /// The CPU weight of `site`, or the bandwidth weight of its uplink, is
+    /// not finite and non-negative ([`Deployment::check_sites`]).
+    InvalidWeight {
+        /// The site whose CPU or uplink weight is invalid.
+        site: SiteId,
+    },
     /// `site` has a device count of zero ([`Deployment::check_sites`]).
     /// A class out of service is a removed leaf
     /// ([`DeploymentDelta::RemoveLeaf`]), not an empty one.
@@ -697,6 +725,18 @@ impl std::fmt::Display for PartitionError {
             }
             PartitionError::InvalidBudget { site } => {
                 write!(f, "site {site:?} has a NaN or -inf CPU or uplink budget")
+            }
+            PartitionError::InvalidRateFactor { site } => {
+                write!(
+                    f,
+                    "site {site:?} has a rate factor that is not finite and positive"
+                )
+            }
+            PartitionError::InvalidWeight { site } => {
+                write!(
+                    f,
+                    "site {site:?} has a CPU or uplink weight that is not finite and non-negative"
+                )
             }
             PartitionError::InvalidCount { site } => {
                 write!(f, "site {site:?} has no devices")
@@ -864,9 +904,9 @@ fn seed_values(
 /// last simplex basis. A retarget scales the objective uniformly and moves a
 /// handful of budget right-hand sides, so that basis is still dual
 /// feasible and the next root LP costs a few dual pivots instead of a
-/// solve from the slack basis, whatever the instance's size (only the
-/// reference tableau, when `cfg.ilp.backend` names it, cannot follow a
-/// changed right-hand side and re-enters warm only at a repeated rate).
+/// solve from the slack basis, whatever the instance's size (the
+/// reference tableau, when `cfg.ilp.backend` names it, keeps no basis:
+/// it solves every LP cold).
 /// Verdicts and optimal values never depend on this; which of several
 /// equally cheap placements comes back can. A third thing serves
 /// [`max_sustainable_rate_deployment`]'s probes alone: the last root LP
@@ -1429,6 +1469,11 @@ impl<'a> PreparedDeployment<'a> {
 /// Whether `budget` is one: finite (a row) or `+∞` (no row).
 fn is_budget(budget: f64) -> bool {
     budget.is_finite() || budget == f64::INFINITY
+}
+
+/// An objective weight: finite and non-negative.
+fn is_weight(weight: f64) -> bool {
+    weight.is_finite() && weight >= 0.0
 }
 
 pub(crate) fn check_rate(rate: f64) -> Result<(), PartitionError> {
@@ -2343,7 +2388,7 @@ mod tests {
         };
         let mut cfg = DeploymentConfig::default();
         // Both backends: the sparse one could follow the retarget below
-        // from a retained basis, the dense one the repeat.
+        // from a retained basis; the dense one solves every LP cold.
         for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
             cfg.ilp.backend = backend;
             let prepare = || PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), &cfg).unwrap();

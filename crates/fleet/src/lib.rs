@@ -21,7 +21,7 @@
 //! solves in ([`PreparedDeployment::solve_at_in`]) — on the sparse
 //! revised simplex however small the encoding (a fleet shape is a few
 //! dozen rows); the reference tableau runs only for a request whose
-//! `cfg.ilp.backend` names it.
+//! `cfg.ilp.backend` names it, and solves every LP cold.
 //!
 //! ## Cache semantics
 //!
@@ -213,7 +213,8 @@ impl ShapeCache {
     }
 
     /// Serve one request out of the cache, preparing on miss. Returns
-    /// `(hit, solve result)`; a request whose counts or budgets
+    /// `(hit, solve result)`; a request whose counts, budgets, rate
+    /// factors or weights
     /// [`Deployment::check_sites`](wishbone_core::Deployment::check_sites)
     /// refuses is answered with that error before the lookup, as a miss.
     ///

@@ -65,9 +65,10 @@ pub struct IlpOptions {
     /// Wall-clock budget; same unproven-return behaviour as `max_nodes`.
     pub time_limit: Option<Duration>,
     /// Re-enter child LPs from the workspace's retained basis (dual-simplex
-    /// warm start). Kept: `false`, a cold start at every node, is the
-    /// reference `proptest_warm.rs` and `degenerate_regression.rs` diff
-    /// against.
+    /// warm start). Sparse backend only: the reference tableau solves every
+    /// LP cold whatever this says. Kept: `false`, a cold start at every
+    /// node, is the reference `proptest_warm.rs` and
+    /// `degenerate_regression.rs` diff against.
     pub warm_lp: bool,
     /// A known integer-feasible assignment adopted as the initial
     /// incumbent/cutoff when it checks out feasible, so the tree is pruned
@@ -79,9 +80,10 @@ pub struct IlpOptions {
     pub warm_solution: Option<Vec<f64>>,
     /// Which simplex backend solves the node LPs: the sparse revised
     /// method (the default, at every problem size) or, when a caller
-    /// names [`SolverBackend::Dense`], the reference tableau — which is
-    /// how the differential tests and the benchmark's answer check
-    /// compare the two. Kept: `benchmark/` names it.
+    /// names [`SolverBackend::Dense`], the reference tableau, which solves
+    /// every node LP cold — which is how the differential tests and the
+    /// benchmark's answer check compare the two. Kept: `benchmark/` names
+    /// it.
     pub backend: SolverBackend,
 }
 
@@ -128,14 +130,16 @@ pub struct IlpStats {
     /// Simplex iterations of each node's LP, in solve order (warm-started
     /// children should sit far below the cold root).
     pub node_iterations: Vec<u64>,
-    /// Node LPs re-entered from the retained basis of the shared workspace.
+    /// Node LPs re-entered from the retained basis of the shared workspace
+    /// (always 0 on the reference tableau).
     pub warm_starts: u64,
     /// Node LPs built from scratch: the root when the workspace held no
-    /// basis for this constraint matrix, plus any warm fallback.
+    /// basis for this constraint matrix, plus any warm fallback — and on
+    /// the reference tableau, every node.
     pub cold_starts: u64,
-    /// Dual-simplex iterations across all nodes: warm repairs of
-    /// re-bounded children and, on the sparse backend, the dual-first
-    /// cold start of the root. Counts abandoned attempts too, so with
+    /// Dual-simplex iterations across all nodes, on the sparse backend
+    /// only: warm repairs of re-bounded children and dual-first cold
+    /// starts. Counts abandoned attempts too, so with
     /// `primal_iterations` it sums to at least `simplex_iterations`.
     pub dual_iterations: u64,
     /// Primal-simplex iterations across all nodes (both phases, bound

@@ -27,8 +27,9 @@
 //!   solves **dual first** — from the slack basis with every variable at
 //!   its cost-preferred bound — whenever the problem admits it, so cold
 //!   and warm solves share one dual-then-primal tail. The dense tableau
-//!   (`simplex.rs`) is the reference of the differential test suite and
-//!   runs only when a caller names [`SolverBackend::Dense`];
+//!   (`simplex.rs`) is the reference of the differential test suite: it
+//!   runs only when a caller names [`SolverBackend::Dense`], and then
+//!   solves every LP cold;
 //! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes
 //!   implied-integral variables) before a single simplex iteration runs;
 //! * a root LP that the sparse dual simplex refutes leaves a checked

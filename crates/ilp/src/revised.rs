@@ -113,7 +113,7 @@ use crate::problem::{LpSolution, Problem, Sense, SolveError};
 use crate::refutation::Refutation;
 use crate::simplex::{DualOutcome, WarmOutcome, DEGENERATE_LIMIT, DUAL_FEAS_TOL, EPS, PIVOT_TOL};
 use crate::sparse::{CscMatrix, CsrMatrix};
-use crate::workspace::{refill, SimplexWorkspace, SolverBackend, VarStatus};
+use crate::workspace::{refill, SimplexWorkspace, VarStatus};
 
 /// Steepest-edge weights never drop below this: the recurrence subtracts
 /// nearly equal numbers when a row of `B⁻¹` shrinks, and a weight that
@@ -542,7 +542,6 @@ impl SimplexWorkspace {
         self.degenerate_run = 0;
         self.scan_limit = n;
         self.price_cursor = 0;
-        self.set_loaded_backend(SolverBackend::Sparse);
         if dual_first {
             // No phase 1: the real costs are in place from the start.
             self.cost[..n_structural].copy_from_slice(&problem.objective);
@@ -629,8 +628,7 @@ impl SimplexWorkspace {
     /// the new bounds, reread `b`, recompute `x_B` through the retained
     /// factorization (no refactorization: the eta file's nonzero budget
     /// in [`pivot_sparse`](Self::pivot_sparse) is the only rule that
-    /// refreshes it), then the shared dual-then-primal tail — the sparse
-    /// twin of [`solve_warm`](SimplexWorkspace::solve_warm).
+    /// refreshes it), then the shared dual-then-primal tail.
     pub(crate) fn solve_warm_sparse(
         &mut self,
         problem: &Problem,
@@ -745,9 +743,8 @@ impl SimplexWorkspace {
     }
 
     /// Re-derive every basic value from the factorized invariant
-    /// `x_B = B⁻¹(b − N·x_N)` — the sparse analogue of
-    /// [`recompute_basic_x`](SimplexWorkspace::recompute_basic_x), and
-    /// the step that discards accumulated drift at each refactorization.
+    /// `x_B = B⁻¹(b − N·x_N)` — the step that discards accumulated drift
+    /// at each refactorization.
     fn recompute_basic_x_sparse(&mut self) {
         self.sparse.worig.iter_mut().for_each(|v| *v = 0.0);
         for i in 0..self.m {
@@ -1055,8 +1052,7 @@ impl SimplexWorkspace {
         self.sparse.leaving = BinaryHeap::from(keys);
     }
 
-    /// Bounded-variable dual simplex on the factorization — the sparse
-    /// twin of [`dual_repair`](SimplexWorkspace::dual_repair): while some
+    /// Bounded-variable dual simplex on the factorization: while some
     /// basic variable violates a bound, pivot it out onto that bound,
     /// choosing the entering column by the dual ratio test so the reduced
     /// costs stay dual feasible. "No admissible entering column" on a

@@ -1,5 +1,4 @@
-//! Two-phase primal simplex with bounded variables, plus a dual-simplex
-//! warm-start path.
+//! Two-phase primal simplex with bounded variables.
 //!
 //! Dense-tableau implementation — the **reference** backend
 //! ([`SolverBackend::Dense`]): simple and auditable, it is what the
@@ -14,17 +13,12 @@
 //! Anti-cycling: Dantzig pricing with a Bland's-rule fallback after a run of
 //! degenerate pivots.
 //!
-//! All dense state lives in a [`SimplexWorkspace`] so branch-and-bound
-//! reuses one allocation across every node. A solve can enter either
-//! **cold** (all-artificial basis, two phases) or **warm**
-//! ([`solve_lp_in`] with `allow_warm`): the workspace's retained
-//! phase-2-optimal basis is dual feasible when only bounds have changed
-//! (or the objective was scaled by a positive factor), so a bounded
-//! dual-simplex pass repairs primal feasibility — or proves the LP
-//! infeasible — in a handful of pivots, then a primal phase-2 pass
-//! certifies optimality, whatever the costs have become. Any numerical
-//! doubt falls back to a cold start, so warm and cold solves always agree
-//! on the verdict and the optimal value.
+//! Every tableau solve is **cold**: it starts from the all-artificial
+//! basis and runs both phases, whatever the workspace solved before, so
+//! "the backends agree" compares the sparse backend's warm re-entry with
+//! an answer built from scratch. The tableau lives in the
+//! [`SimplexWorkspace`] all the same, so branch-and-bound nodes reuse one
+//! allocation.
 
 use crate::num::is_exact_zero;
 use crate::problem::{LpSolution, Problem, SolveError};
@@ -40,7 +34,8 @@ const REFRESH_PERIOD: u64 = 512;
 /// Bound violations below this are treated as feasible by the dual repair.
 pub(crate) const DUAL_FEAS_TOL: f64 = 1e-7;
 
-/// How a warm-started solve ended.
+/// How a sparse dual-then-primal pass ended — a warm re-entry, or a
+/// dual-first cold start.
 pub(crate) enum WarmOutcome {
     /// Optimal solution reached from the retained basis.
     Solved(LpSolution),
@@ -232,7 +227,7 @@ impl SimplexWorkspace {
         }
     }
 
-    /// Gauss–Jordan pivot on `(r, e)`, also updating `rhs` and `obj_row`.
+    /// Gauss–Jordan pivot on `(r, e)`, also updating `obj_row`.
     ///
     /// Row operations stop at `scan_limit`: once phase 1 locks the
     /// artificial columns at `[0, 0]` nothing ever reads them again (they
@@ -248,30 +243,17 @@ impl SimplexWorkspace {
         for v in self.t[r * n..r * n + live].iter_mut() {
             *v *= inv;
         }
-        self.rhs[r] *= inv;
         // Eliminate column e from every other row.
         let (before, rest) = self.t.split_at_mut(r * n);
         let (prow, after) = rest.split_at_mut(n);
         let prow = &prow[..live];
-        for (i, chunk) in before.chunks_exact_mut(n).enumerate() {
+        for chunk in before.chunks_exact_mut(n).chain(after.chunks_exact_mut(n)) {
             let f = chunk[e];
             if !is_exact_zero(f) {
                 for (a, &p) in chunk.iter_mut().zip(prow.iter()) {
                     *a -= f * p;
                 }
                 chunk[e] = 0.0;
-                self.rhs[i] -= f * self.rhs[r];
-            }
-        }
-        for (k, chunk) in after.chunks_exact_mut(n).enumerate() {
-            let i = r + 1 + k;
-            let f = chunk[e];
-            if !is_exact_zero(f) {
-                for (a, &p) in chunk.iter_mut().zip(prow.iter()) {
-                    *a -= f * p;
-                }
-                chunk[e] = 0.0;
-                self.rhs[i] -= f * self.rhs[r];
             }
         }
         let f = self.obj_row[e];
@@ -346,164 +328,9 @@ impl SimplexWorkspace {
             iterations: self.iterations,
         })
     }
-
-    /// Warm solve: re-enter from the retained phase-2 basis under new
-    /// bounds. The retained reduced costs are dual feasible (the previous
-    /// solve ended optimal and only bounds changed), so a bounded
-    /// dual-simplex pass either restores primal feasibility or proves the
-    /// re-bounded LP infeasible; a primal phase-2 pass then certifies
-    /// optimality.
-    pub(crate) fn solve_warm(
-        &mut self,
-        problem: &Problem,
-        lower: &[f64],
-        upper: &[f64],
-        iteration_limit: u64,
-    ) -> WarmOutcome {
-        if !self.warm_load(problem, lower, upper, iteration_limit) {
-            return WarmOutcome::Retry;
-        }
-        // The repair is a *bounded* pass: a healthy warm start needs a
-        // handful of pivots; one that still flails after ~2m is cheaper to
-        // redo cold than to grind out (the budget also keeps warm + cold
-        // fallback within one node's iteration allowance).
-        let dual_budget = (self.m as u64 * 2 + 64).min(iteration_limit);
-        match self.dual_repair(dual_budget) {
-            DualOutcome::Feasible => {}
-            DualOutcome::Infeasible => return WarmOutcome::Infeasible,
-            DualOutcome::GiveUp => return WarmOutcome::Retry,
-        }
-        self.degenerate_run = 0;
-        match self.run_phase() {
-            Ok(()) => {}
-            // Cold start re-derives the verdict with a full budget; this
-            // keeps warm and cold solves byte-for-byte agreeing on errors.
-            Err(_) => return WarmOutcome::Retry,
-        }
-        let values = self.x[..self.n_structural].to_vec();
-        WarmOutcome::Solved(LpSolution {
-            objective: self.objective(),
-            values,
-            iterations: self.iterations,
-        })
-    }
-
-    /// Bounded-variable dual simplex: while some basic variable violates a
-    /// bound, pivot it out towards the violated bound, choosing the
-    /// entering column by the dual ratio test so reduced costs stay dual
-    /// feasible. "No admissible entering column" on a violated row is a
-    /// proof of primal infeasibility (the row's reachable range excludes
-    /// the bound) — this is what makes warm-started children *fast* at
-    /// proving infeasibility.
-    fn dual_repair(&mut self, budget: u64) -> DualOutcome {
-        loop {
-            if self.iterations >= budget {
-                return DualOutcome::GiveUp;
-            }
-            // Leaving row: the most violated basic variable.
-            let mut leave: Option<(usize, bool, f64)> = None; // (row, above, viol)
-            for i in 0..self.m {
-                let xb = self.basis[i];
-                let v = self.x[xb];
-                let (viol, above) = if v > self.upper[xb] + DUAL_FEAS_TOL {
-                    (v - self.upper[xb], true)
-                } else if v < self.lower[xb] - DUAL_FEAS_TOL {
-                    (self.lower[xb] - v, false)
-                } else {
-                    continue;
-                };
-                if leave.is_none_or(|(_, _, w)| viol > w) {
-                    leave = Some((i, above, viol));
-                }
-            }
-            let Some((r, above, _)) = leave else {
-                return DualOutcome::Feasible;
-            };
-            self.iterations += 1;
-            self.dual_iterations += 1;
-
-            // Dual ratio test over nonbasic, non-fixed columns.
-            let row = &self.t[r * self.n..r * self.n + self.first_artificial];
-            let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
-            let mut dubious = false;
-            for (j, &alpha) in row.iter().enumerate() {
-                if alpha.abs() < EPS || self.upper[j] - self.lower[j] <= 0.0 {
-                    continue;
-                }
-                let (admissible, d_eff) = match self.status[j] {
-                    VarStatus::Basic => continue,
-                    // At lower: the column can only increase; it reduces an
-                    // above-violation when α > 0, a below-violation when
-                    // α < 0. Reduced cost is ≥ 0 (clamped against drift).
-                    VarStatus::AtLower => {
-                        let a_eff = if above { alpha } else { -alpha };
-                        (a_eff > 0.0, self.obj_row[j].max(0.0))
-                    }
-                    // At upper: mirrored signs; reduced cost ≤ 0.
-                    VarStatus::AtUpper => {
-                        let a_eff = if above { -alpha } else { alpha };
-                        (a_eff > 0.0, (-self.obj_row[j]).max(0.0))
-                    }
-                };
-                if !admissible {
-                    continue;
-                }
-                if alpha.abs() < PIVOT_TOL {
-                    // Right sign but numerically unusable: remember that the
-                    // infeasibility "proof" would be unsound.
-                    dubious = true;
-                    continue;
-                }
-                let ratio = d_eff / alpha.abs();
-                let take = match best {
-                    None => true,
-                    Some((_, br, ba)) => {
-                        ratio < br - EPS || (ratio <= br + EPS && alpha.abs() > ba)
-                    }
-                };
-                if take {
-                    best = Some((j, ratio, alpha.abs()));
-                }
-            }
-
-            match best {
-                None => {
-                    return if dubious {
-                        DualOutcome::GiveUp
-                    } else {
-                        DualOutcome::Infeasible
-                    };
-                }
-                Some((e, _, _)) => {
-                    // Incremental primal update: moving the entering
-                    // variable by Δ = (x_b − bound)/α_re drives the leaving
-                    // variable exactly onto its violated bound, and every
-                    // other basic value shifts by its own column entry —
-                    // O(m), no tableau-wide recomputation.
-                    let leaving = self.basis[r];
-                    let alpha = self.t[r * self.n + e];
-                    let target = if above {
-                        self.upper[leaving]
-                    } else {
-                        self.lower[leaving]
-                    };
-                    let delta = (self.x[leaving] - target) / alpha;
-                    self.apply_move(e, delta.signum(), delta.abs());
-                    self.x[leaving] = target;
-                    self.status[leaving] = if above {
-                        VarStatus::AtUpper
-                    } else {
-                        VarStatus::AtLower
-                    };
-                    self.status[e] = VarStatus::Basic;
-                    self.basis[r] = e;
-                    self.pivot(r, e);
-                }
-            }
-        }
-    }
 }
 
+/// How a bounded dual-simplex pass ended.
 pub(crate) enum DualOutcome {
     Feasible,
     Infeasible,
@@ -526,15 +353,17 @@ pub fn solve_lp(problem: &Problem) -> Result<LpSolution, SolveError> {
 
 /// Solve the LP relaxation inside a reusable workspace.
 ///
-/// With `allow_warm`, and when `ws` retains a valid basis for this
-/// problem's constraint matrix — the last solve in `ws` was of `problem`
-/// or a clone of it, with no variable or row added or replaced since;
-/// bounds, costs and right-hand sides may differ (the reference tableau
-/// alone needs equal right-hand sides) — the solve re-enters warm (dual-simplex repair from the
-/// retained basis); any numerical doubt silently falls back to a cold
-/// start, so verdict and optimal value never depend on the entry path
-/// (which of several equally good vertices comes back can). The
-/// workspace's warm/cold counters record which path ran.
+/// On the sparse backend, with `allow_warm`, and when `ws` retains a
+/// valid basis for this problem's constraint matrix — the last solve in
+/// `ws` was of `problem` or a clone of it, with no variable or row added
+/// or replaced since; bounds, costs and right-hand sides may differ — the
+/// solve re-enters warm (dual-simplex repair from the retained basis);
+/// any numerical doubt silently falls back to a cold start, so verdict
+/// and optimal value never depend on the entry path (which of several
+/// equally good vertices comes back can). The reference tableau
+/// ([`SolverBackend::Dense`]) always solves cold and drops any basis the
+/// workspace retained. The workspace's warm/cold counters record which
+/// path ran.
 pub fn solve_lp_in(
     problem: &Problem,
     lower: &[f64],
@@ -549,14 +378,17 @@ pub fn solve_lp_in(
             return Err(SolveError::Infeasible);
         }
     }
-    let backend = ws.backend();
+    if ws.backend() == SolverBackend::Dense {
+        // The tableau overwrites the basis, statuses and values a sparse
+        // re-entry would read, and leaves nothing to re-enter from.
+        ws.invalidate();
+        ws.note_cold();
+        ws.load(problem, lower, upper, iteration_limit);
+        return ws.solve_cold(problem);
+    }
     let mut burned = 0;
     if allow_warm && ws.can_warm(problem) {
-        let outcome = match backend {
-            SolverBackend::Sparse => ws.solve_warm_sparse(problem, lower, upper, iteration_limit),
-            SolverBackend::Dense => ws.solve_warm(problem, lower, upper, iteration_limit),
-        };
-        match outcome {
+        match ws.solve_warm_sparse(problem, lower, upper, iteration_limit) {
             WarmOutcome::Solved(s) => {
                 ws.note_warm();
                 return Ok(s);
@@ -574,17 +406,7 @@ pub fn solve_lp_in(
         }
     }
     ws.note_cold();
-    let result = match backend {
-        // The whole sparse ladder — dual-first start → sparse two-phase
-        // primal — is inside `solve_cold_sparse`; whatever it returns,
-        // a numerically singular refactorization's `IterationLimit`
-        // included, is the answer: nothing here allocates a tableau.
-        SolverBackend::Sparse => ws.solve_cold_sparse(problem, lower, upper, iteration_limit),
-        SolverBackend::Dense => {
-            ws.load(problem, lower, upper, iteration_limit);
-            ws.solve_cold(problem)
-        }
-    };
+    let result = ws.solve_cold_sparse(problem, lower, upper, iteration_limit);
     if result.is_ok() {
         ws.mark_warm_ready();
     } else {
@@ -762,49 +584,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_resolve_matches_cold_after_bound_change() {
-        // Dantzig's example again; re-solve with x's upper bound tightened
-        // to 1 through the warm path and compare against a cold solve.
-        let mut p = Problem::new();
-        let x = p.add_var(0.0, 10.0, -3.0, false);
-        let y = p.add_var(0.0, 10.0, -5.0, false);
-        p.add_constraint(&[(x, 1.0)], Sense::Le, 4.0);
-        p.add_constraint(&[(y, 2.0)], Sense::Le, 12.0);
-        p.add_constraint(&[(x, 1.0), (y, 2.0)], Sense::Le, 18.0);
-
-        let mut ws = dense_ws();
-        let first = solve_lp_in(&p, &p.lower, &p.upper, 10_000, &mut ws, true).unwrap();
-        assert_close(first.values[0], 4.0);
-
-        let tight_upper = [1.0, 10.0];
-        let warm = solve_lp_in(&p, &p.lower, &tight_upper, 10_000, &mut ws, true).unwrap();
-        let cold = solve_lp_in(&p, &p.lower, &tight_upper, 10_000, &mut dense_ws(), false).unwrap();
-        assert_close(warm.objective, cold.objective);
-        assert_eq!(ws.warm_starts(), 1);
-        assert_eq!(ws.cold_starts(), 1);
-    }
-
-    #[test]
-    fn warm_resolve_detects_infeasibility() {
-        // x + y >= 6 with both in [0, 4] is feasible; tightening both
-        // uppers to 2 makes it infeasible — the warm dual pass must prove
-        // it without a cold restart.
-        let mut p = Problem::new();
-        let x = p.add_var(0.0, 4.0, 1.0, false);
-        let y = p.add_var(0.0, 4.0, 1.0, false);
-        p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Ge, 6.0);
-
-        let mut ws = dense_ws();
-        solve_lp_in(&p, &p.lower, &p.upper, 10_000, &mut ws, true).unwrap();
-        let r = solve_lp_in(&p, &p.lower, &[2.0, 2.0], 10_000, &mut ws, true);
-        assert_eq!(r, Err(SolveError::Infeasible));
-        assert_eq!(ws.warm_starts(), 1, "infeasibility proven on the warm path");
-    }
-
-    #[test]
     fn warm_resolve_after_loosening_bounds() {
-        // Warm starts must also handle bounds that loosen relative to the
-        // retained basis (best-first search jumps between subtrees).
+        // A workspace reused under bounds that loosen relative to the last
+        // solve (best-first search jumps between subtrees) answers like a
+        // fresh one: the tableau reloads every buffer it reads.
         let mut p = Problem::new();
         let x = p.add_var(0.0, 2.0, -1.0, false);
         let y = p.add_var(0.0, 2.0, -1.0, false);

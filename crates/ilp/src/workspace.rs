@@ -9,28 +9,24 @@
 //! allocations.
 //!
 //! The workspace also retains the final basis of the last *successful*
-//! solve. When the next solve is over the same constraint matrix — a
-//! branch-and-bound child under different variable bounds, or the next
+//! sparse solve. When the next solve is over the same constraint matrix —
+//! a branch-and-bound child under different variable bounds, or the next
 //! probe of a rate search under a rescaled objective and new budget
 //! right-hand sides — the warm path re-enters from that basis and repairs
 //! primal feasibility with a bounded dual-simplex pass instead of
 //! rebuilding from scratch — the warm-started-child strategy production
-//! MILP solvers use.
+//! MILP solvers use. The reference tableau never re-enters: every
+//! [`SolverBackend::Dense`] solve is cold and drops the retained basis.
 //!
 //! "The same matrix" is decided (`can_warm`) from the [`Problem`]'s
-//! matrix stamp, recorded at every cold load: equal stamps mean the same
-//! variables and the same row terms and senses, whichever `Problem` value
-//! carries them, and nothing cheaper than a coefficient-by-coefficient
+//! matrix stamp, recorded at every sparse load: equal stamps mean the
+//! same variables and the same row terms and senses, whichever `Problem`
+//! value carries them, and nothing cheaper than a coefficient-by-coefficient
 //! compare could tell two same-shaped problems apart otherwise. Costs,
 //! bounds and right-hand sides are reread on every warm entry
 //! (`warm_load_sparse` keeps `b` raw), so they may differ freely: a
-//! changed `b` is just more work for the dual pass. The reference tableau
-//! alone is stricter: it carries `B⁻¹b`, and without the basis inverse
-//! (phase 2 stops eliminating through the artificial columns that held
-//! it) it cannot follow a changed `b` — [`SolverBackend::Dense`] also
-//! requires the right-hand sides it was loaded with.
+//! changed `b` is just more work for the dual pass.
 
-use crate::num::is_exact_zero;
 use crate::problem::{Problem, Sense};
 use crate::revised::SparseState;
 
@@ -39,14 +35,14 @@ use crate::revised::SparseState;
 /// Every production solve runs [`Sparse`](SolverBackend::Sparse), at
 /// every problem size; [`Dense`](SolverBackend::Dense) is the reference
 /// the differential suites compare it against and runs only when a
-/// caller names it. Both share the [`SimplexWorkspace`] bookkeeping
-/// (column layout, basis, statuses, warm-start retention) and produce the
-/// same answers — `tests/proptest_revised.rs` holds them to that — by
-/// different routes: the dense tableau runs a two-phase primal and
+/// caller names it. Both share the [`SimplexWorkspace`] buffers (column
+/// layout, basis, statuses) and produce the same answers —
+/// `tests/proptest_revised.rs` holds them to that — by different routes:
+/// the dense tableau solves every LP cold with a two-phase primal and
 /// streams `O(m·n)` floats per pivot; the sparse revised method starts
-/// dual-first wherever the problem admits it and pays `O(nnz)` — for a
-/// dual iteration, only what the pivot touches — against an LU-factored
-/// basis.
+/// dual-first wherever the problem admits it, re-enters warm from a
+/// retained basis, and pays `O(nnz)` — for a dual iteration, only what
+/// the pivot touches — against an LU-factored basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
     /// Sparse, dual-first revised simplex over an LU-factored basis
@@ -84,8 +80,6 @@ pub struct SimplexWorkspace {
     /// Row-major `m × n` tableau, kept equal to `B⁻¹·A`. Reference
     /// backend only: empty until a [`SolverBackend::Dense`] solve loads it.
     pub(crate) t: Vec<f64>,
-    /// Transformed right-hand side (`B⁻¹·b`-style invariant).
-    pub(crate) rhs: Vec<f64>,
     pub(crate) basis: Vec<usize>,
     pub(crate) status: Vec<VarStatus>,
     pub(crate) x: Vec<f64>,
@@ -93,9 +87,6 @@ pub struct SimplexWorkspace {
     pub(crate) upper: Vec<f64>,
     pub(crate) cost: Vec<f64>,
     pub(crate) obj_row: Vec<f64>,
-    /// `m`-sized scratch used when re-deriving basic values from the
-    /// tableau invariant.
-    pub(crate) work: Vec<f64>,
     pub(crate) iterations: u64,
     pub(crate) iteration_limit: u64,
     pub(crate) degenerate_run: u64,
@@ -113,9 +104,6 @@ pub struct SimplexWorkspace {
     pub(crate) sparse: Box<SparseState>,
     /// Which backend the caller asked for.
     backend: SolverBackend,
-    /// Backend that produced the currently loaded/retained state; a warm
-    /// start requires the requested backend to match it.
-    loaded_backend: SolverBackend,
     /// Test-only override: price with Bland's rule from the first
     /// iteration instead of after a degenerate run. The anti-cycling
     /// regression tests use it to pin the fallback path on both backends.
@@ -126,19 +114,12 @@ pub struct SimplexWorkspace {
     /// use it to land on the two-phase primal with a dirty workspace.
     pub(crate) dual_giveup_after: Option<u64>,
     /// True when the buffers hold a valid, phase-2-optimal (or at least
-    /// dual-feasible) basis for the problem shape recorded above.
+    /// dual-feasible) sparse basis for the problem shape recorded above.
+    /// Only a successful sparse solve sets it.
     warm_ready: bool,
-    /// [`Problem::matrix_stamp`] as of the last cold load, either
-    /// backend: the matrix the retained basis belongs to.
+    /// [`Problem::matrix_stamp`] as of the last sparse load: the matrix
+    /// the retained basis belongs to.
     pub(crate) loaded_stamp: u64,
-    /// Raw constraint right-hand sides as of the last cold *dense* `load`.
-    /// The transformed `rhs` bakes these in, so a caller mutating them in
-    /// place (`Problem::set_rhs`) silently invalidates the retained
-    /// tableau; `can_warm` compares to catch that. (Objective mutation is
-    /// safe on both backends: the warm loaders reread costs and the final
-    /// primal pass certifies optimality regardless of the entering
-    /// reduced costs.)
-    loaded_rhs: Vec<f64>,
     warm_starts: u64,
     cold_starts: u64,
     /// Dual / primal simplex iterations since the last `reset_counters`,
@@ -176,8 +157,9 @@ impl SimplexWorkspace {
         self.cold_starts
     }
 
-    /// Dual-simplex iterations (warm repairs, and the sparse backend's
-    /// dual-first cold starts) since the last [`reset_counters`],
+    /// Dual-simplex iterations (the sparse backend's warm repairs and
+    /// dual-first cold starts; the tableau runs none) since the last
+    /// [`reset_counters`],
     /// including those of attempts that were abandoned for a fresh start.
     ///
     /// [`reset_counters`]: SimplexWorkspace::reset_counters
@@ -208,8 +190,7 @@ impl SimplexWorkspace {
     /// file represent. `None` when the workspace retains no sparse basis
     /// (nothing solved yet, a failed solve, or the reference tableau).
     pub fn basis_residual(&mut self) -> Option<f64> {
-        (self.warm_ready && self.loaded_backend == SolverBackend::Sparse)
-            .then(|| self.sparse_residual_inf())
+        self.warm_ready.then(|| self.sparse_residual_inf())
     }
 
     /// Zero the warm/cold and iteration counters (each ILP solve reports
@@ -232,8 +213,8 @@ impl SimplexWorkspace {
 
     /// Select the simplex backend for subsequent solves (a new workspace
     /// runs [`SolverBackend::Sparse`]). Switching backends between solves
-    /// is safe: a retained basis from the other backend is simply not
-    /// warm-started from.
+    /// is safe: a tableau solve drops the retained sparse basis, so the
+    /// next sparse solve after it starts cold.
     pub fn set_backend(&mut self, backend: SolverBackend) {
         self.backend = backend;
     }
@@ -255,20 +236,10 @@ impl SimplexWorkspace {
         self.warm_ready = true;
     }
 
-    /// Can the retained basis serve `problem`: valid state, same
-    /// backend, same constraint matrix (by stamp — which covers the
-    /// shape) and, on the reference tableau only, the same right-hand
-    /// sides? See the module docs for why the backends differ.
+    /// Can the retained sparse basis serve `problem`: valid state and the
+    /// same constraint matrix (by stamp — which covers the shape)?
     pub(crate) fn can_warm(&self, problem: &Problem) -> bool {
-        self.warm_ready
-            && self.loaded_backend == self.backend
-            && self.loaded_stamp == problem.matrix_stamp
-            && (self.backend == SolverBackend::Sparse
-                || problem
-                    .constraints
-                    .iter()
-                    .zip(&self.loaded_rhs)
-                    .all(|(c, &r)| c.rhs == r))
+        self.warm_ready && self.loaded_stamp == problem.matrix_stamp
     }
 
     /// Cold build: the tableau for `problem` with per-solve bound overrides
@@ -297,7 +268,6 @@ impl SimplexWorkspace {
         self.first_artificial = first_artificial;
 
         refill(&mut self.t, m * n, 0.0);
-        refill(&mut self.rhs, m, 0.0);
         refill(&mut self.lower, n, 0.0);
         refill(&mut self.upper, n, f64::INFINITY);
         self.lower[..n_structural].copy_from_slice(lower);
@@ -327,7 +297,6 @@ impl SimplexWorkspace {
                 }
                 Sense::Eq => {}
             }
-            self.rhs[i] = c.rhs;
             // Residual with all nonbasic vars at their initial values
             // (slacks start at 0, structural at lower bound).
             let lhs: f64 = c.terms.iter().map(|&(v, a)| a * self.x[v.0]).sum();
@@ -342,7 +311,6 @@ impl SimplexWorkspace {
                     *v = -*v;
                 }
                 row[art] = 1.0;
-                self.rhs[i] = -self.rhs[i];
             }
             self.x[art] = residual.abs();
             self.status[art] = VarStatus::Basic;
@@ -350,92 +318,12 @@ impl SimplexWorkspace {
         }
         debug_assert_eq!(slack_col, first_artificial);
 
-        self.loaded_stamp = problem.matrix_stamp;
-        self.loaded_rhs.clear();
-        self.loaded_rhs
-            .extend(problem.constraints.iter().map(|c| c.rhs));
-
         refill(&mut self.cost, n, 0.0);
         refill(&mut self.obj_row, n, 0.0);
-        refill(&mut self.work, m, 0.0);
         self.iterations = 0;
         self.iteration_limit = iteration_limit;
         self.degenerate_run = 0;
         self.scan_limit = n;
-        self.loaded_backend = SolverBackend::Dense;
-    }
-
-    /// Record which backend produced the loaded state (the sparse loader
-    /// lives in `revised.rs` and calls this).
-    pub(crate) fn set_loaded_backend(&mut self, backend: SolverBackend) {
-        self.loaded_backend = backend;
-    }
-
-    /// Warm re-entry: keep the retained tableau/basis, apply the new bound
-    /// overrides, snap nonbasic variables onto their (possibly moved)
-    /// bounds, re-derive basic values from the tableau invariant, and
-    /// refresh phase-2 costs and reduced costs.
-    ///
-    /// Returns `false` when the retained statuses cannot express the new
-    /// bounds (a variable parked at an upper bound that is now infinite) —
-    /// the caller must fall back to a cold start.
-    pub(crate) fn warm_load(
-        &mut self,
-        problem: &Problem,
-        lower: &[f64],
-        upper: &[f64],
-        iteration_limit: u64,
-    ) -> bool {
-        self.lower[..self.n_structural].copy_from_slice(lower);
-        self.upper[..self.n_structural].copy_from_slice(upper);
-        for j in 0..self.n_structural {
-            match self.status[j] {
-                VarStatus::Basic => {}
-                VarStatus::AtLower => self.x[j] = self.lower[j],
-                VarStatus::AtUpper => {
-                    if !self.upper[j].is_finite() {
-                        return false;
-                    }
-                    self.x[j] = self.upper[j];
-                }
-            }
-        }
-
-        // Phase-2 costs (artificials stay locked at zero cost and bounds).
-        for j in 0..self.n {
-            self.cost[j] = if j < self.n_structural {
-                problem.objective[j]
-            } else {
-                0.0
-            };
-        }
-
-        self.iterations = 0;
-        self.iteration_limit = iteration_limit;
-        self.degenerate_run = 0;
-        self.scan_limit = self.first_artificial;
-        self.recompute_obj_row();
-        self.recompute_basic_x();
-        true
-    }
-
-    /// Re-derive every basic variable's value from the tableau invariant
-    /// `x_B = B⁻¹b − Σ_{j nonbasic} (B⁻¹A)_j · x_j`.
-    pub(crate) fn recompute_basic_x(&mut self) {
-        self.work.clear();
-        self.work.extend_from_slice(&self.rhs);
-        for j in 0..self.n {
-            if self.status[j] == VarStatus::Basic || is_exact_zero(self.x[j]) {
-                continue;
-            }
-            let xj = self.x[j];
-            for i in 0..self.m {
-                self.work[i] -= self.t[i * self.n + j] * xj;
-            }
-        }
-        for i in 0..self.m {
-            self.x[self.basis[i]] = self.work[i];
-        }
     }
 }
 

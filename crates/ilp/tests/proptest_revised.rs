@@ -7,7 +7,9 @@
 //! (optimal/infeasible/unbounded) and, when optimal, on the objective
 //! within tolerance — including when the sparse solve re-enters **warm**
 //! from a retained basis after a bound change, the exact access pattern
-//! branch-and-bound children produce.
+//! branch-and-bound children produce. The tableau solves every LP cold,
+//! so each comparison holds a warm sparse answer to one built from
+//! scratch.
 //!
 //! Three generators: Wishbone-shaped sparse instances (precedence chain
 //! rows `f_u − f_v ≥ 0` plus a knapsack budget row — ≈2 nonzeros per
@@ -282,8 +284,9 @@ proptest! {
         tighten in prop::collection::vec(prop::bool::ANY, 12),
     ) {
         // First solve retains a basis; the re-solve tightens a subset of
-        // upper bounds to 0 (exactly what branching on f_j = 0 does) and
-        // must re-enter warm on both backends with identical verdicts.
+        // upper bounds to 0 (exactly what branching on f_j = 0 does),
+        // re-enters warm on the sparse backend and cold on the tableau,
+        // and must reach the same verdict.
         let lower = p.lower_bounds().to_vec();
         let upper = p.upper_bounds().to_vec();
         let mut tight = upper.clone();
@@ -309,6 +312,26 @@ proptest! {
             ),
             (Err(a), Err(b)) => prop_assert_eq!(a, b, "warm statuses must match"),
             (a, b) => prop_assert!(false, "warm dense {a:?} vs warm sparse {b:?}"),
+        }
+
+        // Sparse, then the tableau, then sparse again, in one workspace:
+        // the tableau overwrote the basis the first solve retained, so
+        // the third solve must not re-enter from it.
+        let mut ws = SimplexWorkspace::new();
+        let mut objectives = Vec::new();
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense, SolverBackend::Sparse] {
+            ws.set_backend(backend);
+            let warm_before = ws.warm_starts();
+            let s = solve_lp_in(&p, &lower, &upper, 50_000, &mut ws, true);
+            prop_assert!(s.is_ok(), "{backend:?} must solve: {s:?}");
+            prop_assert_eq!(ws.warm_starts(), warm_before, "{:?} re-entered warm", backend);
+            objectives.push(s.unwrap().objective);
+        }
+        for o in &objectives[1..] {
+            prop_assert!(
+                (o - objectives[0]).abs() <= 1e-9 * (1.0 + o.abs()),
+                "interleaved backends disagree: {objectives:?}"
+            );
         }
     }
 

@@ -14,6 +14,15 @@
 //! request would become a count-0 delta. Every path answers
 //! `PartitionError::InvalidCount` before it reaches an assert.
 //!
+//! `Site::rate_factor`, `Site::alpha` and `LinkSpec::beta` are public
+//! fields as well, and each multiplies into objective coefficients (the
+//! rate factor into every budget row too): a NaN one would solve to a NaN
+//! objective, a negative one to a negative objective, an infinite rate
+//! factor to a rate search answering ×2.4e-7. Every path answers
+//! `PartitionError::InvalidRateFactor` for a rate factor that is not
+//! finite and positive, and `PartitionError::InvalidWeight` for a weight
+//! that is not finite and non-negative.
+//!
 //! `IlpOptions::rel_gap` is a public field too. Branch-and-bound prunes a
 //! node whose bound is within that gap of the incumbent, so a NaN gap
 //! prunes nothing and a negative one prunes nothing inside it: the search
@@ -347,6 +356,88 @@ fn a_nan_or_negative_gap_is_refused_by_the_fleet_and_caches_nothing() {
 
         let (responses, stats) = run_batch(2, vec![req, request(1, DeploymentConfig::default())]);
         assert_invalid_gap(responses[0].result.clone(), bad);
+        assert!(responses[1].result.is_ok());
+        assert_eq!(stats.errors, 1);
+    }
+}
+
+/// One TMote leaf under the server with its platform's budgets, and its
+/// rate factor, CPU weight and uplink weight set on the public fields,
+/// past `Site::at_rate`'s assert.
+fn weighted_star(rate_factor: f64, alpha: f64, beta: f64) -> Deployment {
+    let mote = Platform::tmote_sky();
+    let mut site = Site::new("mote", &mote);
+    site.rate_factor = rate_factor;
+    site.alpha = alpha;
+    Deployment::star([(
+        site,
+        LinkSpec {
+            beta,
+            ..LinkSpec::for_platform(&mote)
+        },
+    )])
+}
+
+/// Every hostile rate factor, CPU weight and uplink weight, each on an
+/// otherwise legal star, with the error that names the mote.
+fn hostile_stars() -> Vec<(Deployment, PartitionError)> {
+    let site = weighted_star(1.0, 0.0, 1.0).leaves()[0];
+    let mut cases = Vec::new();
+    for bad in [f64::NAN, 0.0, -0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+        let refused = PartitionError::InvalidRateFactor { site };
+        cases.push((weighted_star(bad, 0.0, 1.0), refused));
+    }
+    for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+        let refused = PartitionError::InvalidWeight { site };
+        cases.push((weighted_star(1.0, bad, 1.0), refused.clone()));
+        cases.push((weighted_star(1.0, 0.0, bad), refused));
+    }
+    cases
+}
+
+#[test]
+fn a_hostile_rate_factor_or_weight_is_refused_one_shot() {
+    let (g, prof) = eeg2();
+    for (dep, refused) in hostile_stars() {
+        assert_eq!(
+            one_shot(&g, &prof, &dep),
+            [(); 3].map(|_| Some(refused.clone())),
+            "{refused:?}"
+        );
+    }
+    // Zero weights and a small rate factor are legal.
+    let cfg = DeploymentConfig::default();
+    let free = partition_deployment(&g, &prof, &weighted_star(1e-3, 0.0, 0.0), &cfg)
+        .expect("zero weights price nothing");
+    assert_eq!(free.objective.to_bits(), 0.0f64.to_bits());
+}
+
+#[test]
+fn a_hostile_rate_factor_or_weight_is_refused_by_the_fleet_and_caches_nothing() {
+    let (g, prof) = eeg2();
+    let request = |id: u64, deployment: Deployment| FleetRequest {
+        id,
+        graph: Arc::clone(&g),
+        profile: Arc::clone(&prof),
+        deployment,
+        config: DeploymentConfig::default(),
+        rate: 1.0,
+    };
+    let good = request(9, weighted_star(1.0, 0.0, 1.0));
+    for (dep, refused) in hostile_stars() {
+        let mut cache = ShapeCache::new();
+        let mut ws = SimplexWorkspace::new();
+        let req = request(0, dep);
+        let (hit, got) = cache.serve(&req, key_of(&req), &mut ws, true);
+        assert!(!hit);
+        assert_eq!(got.err(), Some(refused.clone()));
+        assert!(cache.is_empty(), "nothing was prepared");
+        let (hit, next) = cache.serve(&good, key_of(&good), &mut ws, true);
+        assert!(!hit && next.is_ok(), "the next request is answered");
+
+        let good = request(1, weighted_star(1.0, 0.0, 1.0));
+        let (responses, stats) = run_batch(2, vec![req, good]);
+        assert_eq!(responses[0].result.clone().err(), Some(refused));
         assert!(responses[1].result.is_ok());
         assert_eq!(stats.errors, 1);
     }

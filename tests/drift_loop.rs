@@ -126,14 +126,9 @@ fn two_x_inflation_flags_exactly_the_inflated_operator() {
     assert!(report.edges.is_empty(), "no edge drift was injected");
 }
 
-/// Acceptance pin: on the 2-channel × 4-cap forest, a flagged 2× drift
-/// maps to `SetCpuBudget` deltas, the standing encoding absorbs them in
-/// place, and the warm re-solve completes — with `encodes() == 1` (the
-/// ILP was never re-encoded) and a second `solves()` tick.
-#[test]
-fn drift_triggers_warm_resolve_without_reencode() {
-    let (graph, prof, _mote) = eeg_fixture();
-    let mote = Platform::tmote_sky();
+/// The 2-channel × 4-cap forest: two phone gateways under the server,
+/// four motes under each, every budget finite but the server's.
+fn two_ward_forest(mote: &Platform) -> Deployment {
     let phone = Platform::iphone();
     let mut dep = Deployment::new(Site::server("server", &Platform::server()));
     let root = dep.root();
@@ -157,9 +152,19 @@ fn drift_triggers_warm_resolve_without_reencode() {
         beta: 1.0,
         net_budget: 4.0 * mote.radio.goodput_bytes_per_sec,
     };
-    dep.attach(gw_a, Site::new("ward-a", &mote).with_count(4), ward_uplink);
-    dep.attach(gw_b, Site::new("ward-b", &mote).with_count(4), ward_uplink);
+    dep.attach(gw_a, Site::new("ward-a", mote).with_count(4), ward_uplink);
+    dep.attach(gw_b, Site::new("ward-b", mote).with_count(4), ward_uplink);
+    dep
+}
 
+/// Acceptance pin: on the 2-channel × 4-cap forest, a flagged 2× drift
+/// maps to `SetCpuBudget` deltas, the standing encoding absorbs them in
+/// place, and the warm re-solve completes — with `encodes() == 1` (the
+/// ILP was never re-encoded) and a second `solves()` tick.
+#[test]
+fn drift_triggers_warm_resolve_without_reencode() {
+    let (graph, prof, mote) = eeg_fixture();
+    let dep = two_ward_forest(&mote);
     let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &DeploymentConfig::default())
         .expect("encoding succeeds");
     let base = prep.solve_at(0.25).expect("baseline solve succeeds");
@@ -198,4 +203,55 @@ fn drift_triggers_warm_resolve_without_reencode() {
     assert_eq!(prep.encodes(), 1, "drift re-solve must not re-encode");
     assert_eq!(prep.solves(), 2);
     assert!(resolved.objective >= base.objective - 1e-9);
+}
+
+/// A mote operator and a ward-uplink edge go silent: every live sample
+/// reads 0 s and 0 bytes, so the detector flags both at ratio 0. No
+/// budget can be divided by that; both keep their old budgets, the
+/// deltas apply without a panic, and the re-solve is the un-drifted
+/// answer.
+#[test]
+fn a_zero_ratio_drift_keeps_the_old_budgets() {
+    let (graph, prof, mote) = eeg_fixture();
+    let dep = two_ward_forest(&mote);
+    let cfg = DeploymentConfig::default();
+    let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("encoding succeeds");
+    let base = prep.solve_at(0.25).expect("baseline solve succeeds");
+    let op = base.leaves[0].site_ops[0]
+        .iter()
+        .copied()
+        .min()
+        .expect("the leaf hosts its sources");
+    let edge = *base.leaves[0].link_cut_edges[0]
+        .first()
+        .expect("the ward's uplink carries an edge");
+
+    let mut live = LiveProfile::new(0.5);
+    for _ in 0..8 {
+        live.observe(&TraceEvent::OperatorCost {
+            site: 3,
+            op,
+            cpu_s: 0.0,
+        });
+        live.observe(&TraceEvent::EdgeElement {
+            site: 3,
+            edge,
+            wire_bytes: 0,
+            delivered: true,
+        });
+    }
+    let report = DriftDetector::new(&prof, &mote, DriftConfig::default()).detect(&live);
+    let flagged: Vec<_> = report.operators.iter().map(|d| (d.op, d.ratio)).collect();
+    assert_eq!(flagged, [(op, 0.0)]);
+    let flagged: Vec<_> = report.edges.iter().map(|d| (d.edge, d.ratio)).collect();
+    assert_eq!(flagged, [(edge, 0.0)]);
+
+    let deltas = drift_to_deltas(&report, &dep, &base);
+    assert_eq!(deltas, vec![], "a zero ratio moves no budget");
+    prep.apply_delta(&deltas);
+    let resolved = prep.solve_at(0.25).expect("re-solve succeeds");
+    assert_eq!(resolved.objective.to_bits(), base.objective.to_bits());
+    for (a, b) in resolved.leaves.iter().zip(&base.leaves) {
+        assert_eq!(a.site_ops, b.site_ops);
+    }
 }

@@ -974,7 +974,13 @@ proptest! {
                             backend, i, rate, a.objective, b.objective
                         );
                         assert_budgets_hold(prep.deployment(), a)?;
-                        if morphed {
+                        if backend == SolverBackend::Dense {
+                            // The reference tableau solves every LP cold.
+                            prop_assert_eq!(
+                                a.ilp_stats.warm_starts, 0,
+                                "Dense step {}: a tableau LP re-entered warm", i
+                            );
+                        } else if morphed {
                             // The rewritten budget rows are a new matrix.
                             prop_assert!(
                                 a.ilp_stats.cold_starts >= 1,
@@ -983,7 +989,7 @@ proptest! {
                         } else if root_only == Some(rate) {
                             // Same matrix, same right-hand sides, and the
                             // last thing the workspace did was solve this
-                            // LP: either backend re-enters.
+                            // LP: the sparse backend re-enters.
                             prop_assert!(
                                 a.ilp_stats.warm_starts >= 1,
                                 "{:?} step {}: a repeated rate must re-enter warm", backend, i
