@@ -141,7 +141,6 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
         rel_gap,
         max_nodes,
         time_limit,
-        warm_lp,
         warm_solution,
         backend,
     } = ilp;
@@ -156,7 +155,6 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
     w.f(*rel_gap);
     w.u(*max_nodes);
     w.u(time_limit.map_or(u64::MAX, |d| d.as_nanos() as u64));
-    w.b(*warm_lp);
     w.u(*backend as u64);
     // A caller-supplied warm solution steers tie-breaking, so two
     // requests differing in it must not share a cache entry.
@@ -431,7 +429,7 @@ mod tests {
 
         // One field at a time, moved off its default.
         type Vary = fn(&mut DeploymentConfig);
-        let varied: [(&str, Vary); 8] = [
+        let varied: [(&str, Vary); 7] = [
             ("mode", |c| c.mode = Mode::Conservative),
             ("robustness", |c| {
                 c.robustness = RobustnessMode::SingleGatewayFailure
@@ -441,7 +439,6 @@ mod tests {
             ("time_limit", |c| {
                 c.ilp.time_limit = Some(Duration::from_secs(2))
             }),
-            ("warm_lp", |c| c.ilp.warm_lp = false),
             ("warm_solution", |c| c.ilp.warm_solution = Some(vec![1.0])),
             ("backend", |c| c.ilp.backend = SolverBackend::Dense),
         ];

@@ -295,7 +295,10 @@ impl Deployment {
         order
     }
 
-    /// Refuse a site the solver cannot price. A device count of zero
+    /// Refuse a deployment the solver cannot price. One with no site
+    /// under the root is [`PartitionError::NoLeaf`]: the root would be
+    /// its only leaf, and there is no source to partition. A device
+    /// count of zero
     /// ([`Site::count`] is a public field) is
     /// [`PartitionError::InvalidCount`] naming that site: there is no
     /// device to run its operators on. A NaN or `−∞` CPU budget at a
@@ -313,6 +316,9 @@ impl Deployment {
     /// NaN, infinite or negative one would solve to a NaN or negative
     /// objective.
     pub fn check_sites(&self) -> Result<(), PartitionError> {
+        if self.sites.len() < 2 {
+            return Err(PartitionError::NoLeaf);
+        }
         for id in self.site_ids() {
             let site = self.site(id);
             if site.count == 0 {
@@ -332,20 +338,6 @@ impl Deployment {
             }
         }
         Ok(())
-    }
-
-    fn validate(&self) {
-        assert!(
-            self.sites.len() >= 2,
-            "a deployment needs at least one leaf under the root"
-        );
-        assert!(
-            !self.leaves().contains(&self.root()),
-            "the root cannot be a leaf"
-        );
-        for s in &self.sites {
-            assert!(s.count >= 1, "site {:?} has no devices", s.name);
-        }
     }
 
     /// The per-site objective handed to the encoder, priced under
@@ -678,6 +670,9 @@ pub enum PartitionError {
         /// The site whose CPU or uplink weight is invalid.
         site: SiteId,
     },
+    /// The deployment has no site under its root, so the root would be
+    /// its only leaf ([`Deployment::check_sites`]).
+    NoLeaf,
     /// `site` has a device count of zero ([`Deployment::check_sites`]).
     /// A class out of service is a removed leaf
     /// ([`DeploymentDelta::RemoveLeaf`]), not an empty one.
@@ -737,6 +732,9 @@ impl std::fmt::Display for PartitionError {
                     f,
                     "site {site:?} has a CPU or uplink weight that is not finite and non-negative"
                 )
+            }
+            PartitionError::NoLeaf => {
+                write!(f, "the deployment has no leaf under its root")
             }
             PartitionError::InvalidCount { site } => {
                 write!(f, "site {site:?} has no devices")
@@ -982,7 +980,6 @@ impl<'a> PreparedDeployment<'a> {
         if rel_gap.is_nan() || rel_gap < 0.0 {
             return Err(PartitionError::InvalidGap { rel_gap });
         }
-        dep.validate();
         let encode_t = Instant::now();
         // One flat table for every leaf: pins and structure once, costs
         // re-priced per root path; only merged graphs are materialised.
@@ -1366,14 +1363,14 @@ impl<'a> PreparedDeployment<'a> {
             Err(e) => return Err(PartitionError::Solver(e)),
         };
         let objective = sol.objective + offset;
-        let certified_gap = sol.stats.best_bound.map(|bound| {
+        let certified_gap = stats.best_bound.map(|bound| {
             ((objective - (bound + offset)) / objective.abs().max(f64::EPSILON)).max(0.0)
         });
         self.last = Some(Placement {
             values: sol.values,
             rate,
             objective,
-            stats: sol.stats,
+            stats,
             certified_gap,
         });
         Ok(())
@@ -2417,9 +2414,14 @@ mod tests {
             let again = prep.solve_at_in(rate, &mut used).expect("feasible");
             assert_same(&fresh, &again, "after the same instance");
 
-            // The search ran on the backend the stats report.
-            assert_eq!(used.backend(), backend);
-            assert_eq!(again.ilp_stats.backend, backend);
+            // The search ran on the backend it was asked for, as its
+            // counters show: only the sparse method factorizes a basis
+            // or re-enters warm.
+            let s = &again.ilp_stats;
+            match backend {
+                SolverBackend::Dense => assert_eq!((s.refactorizations, s.warm_starts), (0, 0)),
+                SolverBackend::Sparse => assert!(s.refactorizations > 0, "{s:?}"),
+            }
         }
     }
 

@@ -131,26 +131,9 @@ pub struct FleetStats {
     /// Solve count per worker, index = worker id — the shard balance
     /// view.
     pub per_worker_solves: Vec<u64>,
-    /// Per-request worker-side latencies, seconds, sorted ascending.
-    latencies_s: Vec<f64>,
 }
 
 impl FleetStats {
-    /// Latency percentile in seconds (`p` in 0..=100), by
-    /// nearest-rank over the recorded per-request latencies. Zero when
-    /// nothing was recorded.
-    pub fn latency_percentile_s(&self, p: f64) -> f64 {
-        if self.latencies_s.is_empty() {
-            return 0.0;
-        }
-        let rank = ((p / 100.0) * (self.latencies_s.len() - 1) as f64).round() as usize;
-        self.latencies_s[rank.min(self.latencies_s.len() - 1)]
-    }
-
-    fn record_latency(&mut self, s: f64) {
-        self.latencies_s.push(s);
-    }
-
     /// The totals of one answered request: hit or miss, and whether it
     /// failed.
     fn of_request(
@@ -168,19 +151,14 @@ impl FleetStats {
     }
 
     /// Sum `other`'s counters into `self` — a request into its worker's
-    /// totals, a worker's into the fleet's. Latencies and the per-worker
-    /// view are the server's to fill.
+    /// totals, a worker's into the fleet's. The per-worker view is the
+    /// server's to fill.
     fn absorb(&mut self, other: &FleetStats) {
         self.requests += other.requests;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.distinct_shapes += other.distinct_shapes;
         self.errors += other.errors;
-    }
-
-    fn finalize(&mut self) {
-        self.latencies_s
-            .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     }
 }
 
@@ -259,8 +237,8 @@ impl ShapeCache {
 }
 
 /// One worker thread: serve its shard's requests until the server hangs
-/// up, then report this worker's totals (latencies are recorded on the
-/// server side, as responses are collected).
+/// up, then report this worker's totals. Each response carries its own
+/// latency.
 fn worker_loop(
     worker: usize,
     rx: mpsc::Receiver<(ShapeKey, FleetRequest)>,
@@ -340,7 +318,6 @@ pub struct FleetServer {
     rx: mpsc::Receiver<FleetResponse>,
     handles: Vec<JoinHandle<FleetStats>>,
     outstanding: u64,
-    stats: FleetStats,
 }
 
 impl FleetServer {
@@ -362,7 +339,6 @@ impl FleetServer {
             rx: resp_rx,
             handles,
             outstanding: 0,
-            stats: FleetStats::default(),
         }
     }
 
@@ -395,7 +371,6 @@ impl FleetServer {
             .recv()
             .expect("fleet workers hung up with requests outstanding");
         self.outstanding -= 1;
-        self.stats.record_latency(resp.latency_s);
         Some(resp)
     }
 
@@ -412,9 +387,9 @@ impl FleetServer {
     /// worker, and aggregate [`FleetStats`]. Call after
     /// [`drain`](Self::drain); any still-outstanding responses are
     /// discarded.
-    pub fn shutdown(mut self) -> FleetStats {
+    pub fn shutdown(self) -> FleetStats {
         drop(self.txs); // workers' recv() errors out: clean exit
-        let mut stats = std::mem::take(&mut self.stats);
+        let mut stats = FleetStats::default();
         for handle in self.handles {
             let worker = handle
                 .join()
@@ -422,7 +397,6 @@ impl FleetServer {
             stats.per_worker_solves.push(worker.requests);
             stats.absorb(&worker);
         }
-        stats.finalize();
         stats
     }
 

@@ -64,12 +64,6 @@ pub struct IlpOptions {
     pub max_nodes: u64,
     /// Wall-clock budget; same unproven-return behaviour as `max_nodes`.
     pub time_limit: Option<Duration>,
-    /// Re-enter child LPs from the workspace's retained basis (dual-simplex
-    /// warm start). Sparse backend only: the reference tableau solves every
-    /// LP cold whatever this says. Kept: `false`, a cold start at every
-    /// node, is the reference `proptest_warm.rs` and
-    /// `degenerate_regression.rs` diff against.
-    pub warm_lp: bool,
     /// A known integer-feasible assignment adopted as the initial
     /// incumbent/cutoff when it checks out feasible, so the tree is pruned
     /// from the first node. Besides an integral node LP, the only other
@@ -78,12 +72,14 @@ pub struct IlpOptions {
     /// which costs nothing to offer; a first probe asks for the
     /// multilevel cut on demand instead.
     pub warm_solution: Option<Vec<f64>>,
-    /// Which simplex backend solves the node LPs: the sparse revised
-    /// method (the default, at every problem size) or, when a caller
-    /// names [`SolverBackend::Dense`], the reference tableau, which solves
-    /// every node LP cold — which is how the differential tests and the
-    /// benchmark's answer check compare the two. Kept: `benchmark/` names
-    /// it.
+    /// Which simplex backend solves the node LPs, handed to every
+    /// [`solve_lp_in`] of the search — the one LP switch: the sparse
+    /// revised method (the default, at every problem size), which
+    /// re-enters each LP warm from the workspace's retained basis when it
+    /// can, or, when a caller names [`SolverBackend::Dense`], the
+    /// reference tableau, which solves every node LP cold — which is how
+    /// the differential tests and the benchmark's answer check compare
+    /// the two. Kept: `benchmark/` names it.
     pub backend: SolverBackend,
 }
 
@@ -93,7 +89,6 @@ impl Default for IlpOptions {
             rel_gap: 0.0,
             max_nodes: 1_000_000,
             time_limit: None,
-            warm_lp: true,
             warm_solution: None,
             backend: SolverBackend::Sparse,
         }
@@ -127,9 +122,6 @@ pub struct IlpStats {
     pub nodes: u64,
     /// Total simplex iterations across all nodes.
     pub simplex_iterations: u64,
-    /// Simplex iterations of each node's LP, in solve order (warm-started
-    /// children should sit far below the cold root).
-    pub node_iterations: Vec<u64>,
     /// Node LPs re-entered from the retained basis of the shared workspace
     /// (always 0 on the reference tableau).
     pub warm_starts: u64,
@@ -190,22 +182,18 @@ pub struct IlpStats {
     /// demand ([`solve_ilp_seeded_in`]) — checked out feasible and was
     /// adopted as an incumbent.
     pub seeded: bool,
-    /// The simplex backend that solved the node LPs
-    /// ([`IlpOptions::backend`], echoed).
-    pub backend: SolverBackend,
     /// Wall-clock breakdown of the solve by phase.
     pub phase_times: PhaseTimes,
 }
 
-/// An integer-feasible solution plus statistics.
+/// An integer-feasible solution. Its search statistics are the
+/// [`IlpStats`] that [`solve_ilp_in`] returns beside it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IlpSolution {
     /// Objective of the best integer-feasible assignment found.
     pub objective: f64,
     /// The assignment (integer variables are exact integers).
     pub values: Vec<f64>,
-    /// Search statistics.
-    pub stats: IlpStats,
 }
 
 struct Node {
@@ -244,19 +232,20 @@ impl PartialEq for Node {
 impl Eq for Node {}
 
 /// Solve `problem` to integer optimality (or within `opts` limits) using a
-/// throwaway workspace. Repeated solves of same-shaped problems should use
-/// [`solve_ilp_in`] with a caller-owned [`SimplexWorkspace`].
+/// throwaway workspace. Repeated solves of same-shaped problems, and a
+/// caller that wants the search statistics, should use [`solve_ilp_in`]
+/// with a caller-owned [`SimplexWorkspace`].
 pub fn solve_ilp(problem: &Problem, opts: &IlpOptions) -> Result<IlpSolution, SolveError> {
     let mut ws = SimplexWorkspace::new();
     solve_ilp_in(problem, opts, &mut ws).0
 }
 
 /// Solve `problem` inside a reusable workspace, returning the statistics
-/// alongside the result so failed runs (notably presolve-proven
-/// infeasibility, where `stats.nodes == 0`) are observable too. For a
-/// successful run the returned stats equal `solution.stats`.
+/// alongside the result — the search's one report — so failed runs
+/// (notably presolve-proven infeasibility, where `stats.nodes == 0`) are
+/// observable too.
 ///
-/// With [`IlpOptions::warm_lp`] the root LP is warm-started like any
+/// On [`SolverBackend::Sparse`] the root LP is warm-started like any
 /// other node when `ws` retains a basis for this problem's matrix (see
 /// [`solve_lp_in`]); call [`SimplexWorkspace::invalidate`] first for an
 /// answer that does not depend on what `ws` solved before.
@@ -285,12 +274,8 @@ pub fn solve_ilp_seeded_in(
 ) -> (Result<IlpSolution, SolveError>, IlpStats) {
     let start = Instant::now();
     ws.reset_counters();
-    ws.set_backend(opts.backend);
 
-    let mut stats = IlpStats {
-        backend: opts.backend,
-        ..IlpStats::default()
-    };
+    let mut stats = IlpStats::default();
     let mut root_lower = problem.lower.clone();
     let mut root_upper = problem.upper.clone();
     let presolve_start = Instant::now();
@@ -392,7 +377,7 @@ pub fn solve_ilp_seeded_in(
             &node.upper,
             iter_limit,
             ws,
-            opts.warm_lp,
+            opts.backend,
         );
         if let Some(t) = root_lp_t {
             stats.phase_times.root_lp_s = t.elapsed().as_secs_f64();
@@ -411,7 +396,6 @@ pub fn solve_ilp_seeded_in(
             }
         };
         stats.simplex_iterations += lp.iterations;
-        stats.node_iterations.push(lp.iterations);
 
         if incumbent.is_none() && pick_branch_var(problem, &lp.values).is_some() {
             if let Some(seed) = seed.take() {
@@ -539,7 +523,6 @@ pub fn solve_ilp_seeded_in(
             Ok(IlpSolution {
                 objective: obj,
                 values,
-                stats: stats.clone(),
             })
         }
         None => {
@@ -636,6 +619,12 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
+    /// Solve in a fresh workspace: the solution and the search's report.
+    fn solved(p: &Problem, opts: &IlpOptions) -> (IlpSolution, IlpStats) {
+        let (r, stats) = solve_ilp_in(p, opts, &mut SimplexWorkspace::new());
+        (r.unwrap(), stats)
+    }
+
     #[test]
     fn knapsack_small() {
         // max 10x0 + 13x1 + 4x2 + 8x3, weights 3,4,2,3 <= 7 (binary).
@@ -646,11 +635,11 @@ mod tests {
         let vars: Vec<_> = vals.iter().map(|&v| p.add_binary(-v)).collect();
         let row: Vec<_> = vars.iter().zip(wts).map(|(&v, w)| (v, w)).collect();
         p.add_constraint(&row, Sense::Le, 7.0);
-        let s = solve_ilp(&p, &IlpOptions::default()).unwrap();
+        let (s, stats) = solved(&p, &IlpOptions::default());
         assert_close(s.objective, -23.0);
         assert_close(s.values[0], 1.0);
         assert_close(s.values[1], 1.0);
-        assert!(s.stats.proved);
+        assert!(stats.proved);
     }
 
     #[test]
@@ -658,9 +647,9 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_binary(-1.0);
         p.add_constraint(&[(x, 1.0)], Sense::Le, 1.0);
-        let s = solve_ilp(&p, &IlpOptions::default()).unwrap();
+        let (s, stats) = solved(&p, &IlpOptions::default());
         assert_close(s.objective, -1.0);
-        assert_eq!(s.stats.nodes, 1);
+        assert_eq!(stats.nodes, 1);
     }
 
     #[test]
@@ -729,10 +718,10 @@ mod tests {
             max_nodes: 2,
             ..Default::default()
         };
-        match solve_ilp(&p, &opts) {
-            Ok(s) => assert!(!s.stats.proved),
-            Err(SolveError::IterationLimit) => {}
-            Err(e) => panic!("unexpected error {e:?}"),
+        match solve_ilp_in(&p, &opts, &mut SimplexWorkspace::new()) {
+            (Ok(_), stats) => assert!(!stats.proved),
+            (Err(SolveError::IterationLimit), _) => {}
+            (Err(e), _) => panic!("unexpected error {e:?}"),
         }
     }
 
@@ -1018,18 +1007,19 @@ mod tests {
             .collect();
         let row: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         p.add_constraint(&row, Sense::Le, 4.0);
-        let s = solve_ilp(&p, &IlpOptions::default()).unwrap();
-        for w in s.stats.incumbents.windows(2) {
+        let (_, stats) = solved(&p, &IlpOptions::default());
+        for w in stats.incumbents.windows(2) {
             assert!(w[1].1 < w[0].1, "objectives must strictly improve");
             assert!(w[1].0 >= w[0].0, "times must be nondecreasing");
         }
-        assert!(s.stats.time_to_best <= s.stats.total_time);
+        assert!(stats.time_to_best <= stats.total_time);
     }
 
     #[test]
     fn warm_starts_are_recorded_and_agree_with_cold() {
         // A knapsack that needs branching: the default (warm) search must
-        // report warm starts and match the all-cold search exactly.
+        // report warm starts and match the reference tableau's all-cold
+        // search exactly.
         let mut p = Problem::new();
         let vars: Vec<_> = (0..10)
             .map(|i| p.add_binary(-((i * 3 % 7) as f64 + 1.21)))
@@ -1040,25 +1030,19 @@ mod tests {
             .map(|(i, &v)| (v, (i % 4 + 1) as f64 + 0.5))
             .collect();
         p.add_constraint(&row, Sense::Le, 9.7);
-        let warm = solve_ilp(&p, &IlpOptions::default()).unwrap();
-        let cold = solve_ilp(
+        let (warm, warm_stats) = solved(&p, &IlpOptions::default());
+        let (cold, cold_stats) = solved(
             &p,
             &IlpOptions {
-                warm_lp: false,
+                backend: SolverBackend::Dense,
                 ..Default::default()
             },
-        )
-        .unwrap();
-        assert_close(warm.objective, cold.objective);
-        assert!(warm.stats.nodes > 1, "instance must branch");
-        assert!(warm.stats.warm_starts > 0, "children must re-enter warm");
-        assert_eq!(cold.stats.warm_starts, 0);
-        assert_eq!(cold.stats.cold_starts, cold.stats.nodes);
-        assert_eq!(
-            warm.stats.node_iterations.len() as u64,
-            warm.stats.nodes,
-            "one iteration count per solved node"
         );
+        assert_close(warm.objective, cold.objective);
+        assert!(warm_stats.nodes > 1, "instance must branch");
+        assert!(warm_stats.warm_starts > 0, "children must re-enter warm");
+        assert_eq!(cold_stats.warm_starts, 0);
+        assert_eq!(cold_stats.cold_starts, cold_stats.nodes);
     }
 
     #[test]
@@ -1075,11 +1059,11 @@ mod tests {
             warm_solution: Some(vec![1.0, 1.0, 0.0, 0.0]),
             ..Default::default()
         };
-        let s = solve_ilp(&p, &opts).unwrap();
+        let (s, stats) = solved(&p, &opts);
         assert_close(s.objective, -23.0);
-        assert!(s.stats.proved);
+        assert!(stats.proved);
         assert_eq!(
-            s.stats.incumbents.first().map(|&(_, o)| o),
+            stats.incumbents.first().map(|&(_, o)| o),
             Some(-23.0),
             "seed adopted as the first incumbent"
         );

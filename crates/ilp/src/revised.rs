@@ -1240,9 +1240,18 @@ impl SimplexWorkspace {
 
 #[cfg(test)]
 mod tests {
-    use crate::problem::{Problem, Sense, SolveError};
+    use crate::problem::{LpSolution, Problem, Sense, SolveError};
     use crate::simplex::{solve_lp_in, DualOutcome};
     use crate::workspace::{SimplexWorkspace, SolverBackend};
+
+    const SPARSE: SolverBackend = SolverBackend::Sparse;
+
+    /// The reference tableau's answer under `upper`, from a fresh
+    /// workspace.
+    fn dense_lp(p: &Problem, upper: &[f64], limit: u64) -> LpSolution {
+        let mut ws = SimplexWorkspace::new();
+        solve_lp_in(p, &p.lower, upper, limit, &mut ws, SolverBackend::Dense).unwrap()
+    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6 * (1.0 + b.abs()), "{a} != {b}");
@@ -1274,8 +1283,7 @@ mod tests {
         // enough to span several refactorization cycles.
         let p = long_chain(400);
         let mut ws = SimplexWorkspace::new();
-        ws.set_backend(SolverBackend::Sparse);
-        let s = solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut ws, false).unwrap();
+        let s = solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut ws, SPARSE).unwrap();
         assert!(
             s.iterations >= 100,
             "instance must exercise ≥100 pivots (several refactor cycles), got {}",
@@ -1288,7 +1296,7 @@ mod tests {
             s.iterations
         );
         // And the answer matches the dense oracle.
-        let dense = solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut dense_ws(), false).unwrap();
+        let dense = dense_lp(&p, &p.upper, 100_000);
         assert_close(s.objective, dense.objective);
     }
 
@@ -1322,7 +1330,7 @@ mod tests {
         // the slack is left a row it only reaches through fill (row 16).
         let p = vacuous_chain();
         let vacuous = 400;
-        let mut ws = sparse_ws();
+        let mut ws = SimplexWorkspace::new();
         assert!(ws.load_sparse(&p, &p.lower, &p.upper, 1_000_000, true));
         let n = ws.n_structural; // slack of row `i`: column `n + i`
         let mut basis = ws.basis.clone();
@@ -1341,7 +1349,7 @@ mod tests {
 
         // And on the basis the solver ends on: a fresh factorization's
         // `x_B` holds every row (the real budget row, rhs 140, included).
-        solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap();
+        solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, SPARSE).unwrap();
         assert!(ws.sparse.refactor(&ws.basis));
         ws.recompute_basic_x_sparse();
         assert!(
@@ -1361,11 +1369,11 @@ mod tests {
         // to turn an integral optimum fractional. Row-relative pivoting
         // keeps the row decoupled; the answer must be clean to 1e-9.
         let p = vacuous_chain();
-        let mut ws = sparse_ws();
-        let s = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap();
+        let mut ws = SimplexWorkspace::new();
+        let s = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, SPARSE).unwrap();
         assert!(ws.refactorizations() >= 3, "several `x_B` recomputations");
         assert!(p.is_feasible(&s.values, 1e-9), "sparse point infeasible");
-        let dense = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut dense_ws(), false).unwrap();
+        let dense = dense_lp(&p, &p.upper, 1_000_000);
         assert!(
             (s.objective - dense.objective).abs() < 1e-9 * (1.0 + dense.objective.abs()),
             "sparse {} vs dense {}",
@@ -1380,33 +1388,19 @@ mod tests {
         // the invariant must survive a chain of warm re-solves.
         let p = long_chain(150);
         let mut ws = SimplexWorkspace::new();
-        ws.set_backend(SolverBackend::Sparse);
-        solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut ws, true).unwrap();
+        solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut ws, SPARSE).unwrap();
         let mut upper = p.upper.clone();
         for step in 0..8 {
             // Tighten a different block of variables to 0 each round.
             for u in upper.iter_mut().skip(step * 12).take(8) {
                 *u = 0.0;
             }
-            let warm = solve_lp_in(&p, &p.lower, &upper, 100_000, &mut ws, true).unwrap();
+            let warm = solve_lp_in(&p, &p.lower, &upper, 100_000, &mut ws, SPARSE).unwrap();
             let drift = ws.sparse_residual_inf();
             assert!(drift < 1e-6, "round {step}: drift {drift}");
-            let dense = solve_lp_in(&p, &p.lower, &upper, 100_000, &mut dense_ws(), false).unwrap();
+            let dense = dense_lp(&p, &upper, 100_000);
             assert_close(warm.objective, dense.objective);
         }
-    }
-
-    fn sparse_ws() -> SimplexWorkspace {
-        let mut ws = SimplexWorkspace::new();
-        ws.set_backend(SolverBackend::Sparse);
-        ws
-    }
-
-    /// The reference tableau, named: a default workspace is sparse.
-    fn dense_ws() -> SimplexWorkspace {
-        let mut ws = SimplexWorkspace::new();
-        ws.set_backend(SolverBackend::Dense);
-        ws
     }
 
     #[test]
@@ -1415,7 +1409,7 @@ mod tests {
         let x = p.add_var(0.0, 1.0, -1.0, false);
         p.add_constraint(&[(x, 1.0)], Sense::Le, 1.0);
         let mut ws = SimplexWorkspace::new();
-        let s = solve_lp_in(&p, &p.lower, &p.upper, 1_000, &mut ws, false).unwrap();
+        let s = solve_lp_in(&p, &p.lower, &p.upper, 1_000, &mut ws, SPARSE).unwrap();
         assert_close(s.objective, -1.0);
         assert!(ws.refactorizations() > 0, "the sparse backend ran");
         assert!(ws.t.is_empty(), "the dense tableau was never loaded");
@@ -1430,16 +1424,16 @@ mod tests {
         // is hundreds of megabytes.
         let p = long_chain(1200);
         assert!(p.num_constraints() >= 1000);
-        let mut plain = sparse_ws();
-        let want = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut plain, false).unwrap();
+        let mut plain = SimplexWorkspace::new();
+        let want = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut plain, SPARSE).unwrap();
         assert!(
             plain.dual_iterations() > 50,
             "the reference must be a real dual solve"
         );
 
-        let mut ws = sparse_ws();
+        let mut ws = SimplexWorkspace::new();
         ws.dual_giveup_after = Some(50);
-        let got = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap();
+        let got = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, SPARSE).unwrap();
         assert_close(got.objective, want.objective);
         assert!(p.is_feasible(&got.values, 1e-6));
         assert_eq!(
@@ -1464,10 +1458,10 @@ mod tests {
         for u in upper.iter_mut().step_by(7) {
             *u = 0.0;
         }
-        let mut ref_ws = sparse_ws();
-        let want = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ref_ws, false).unwrap();
+        let mut ref_ws = SimplexWorkspace::new();
+        let want = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ref_ws, SPARSE).unwrap();
         ws.dual_giveup_after = Some(5);
-        let got = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ws, true).unwrap();
+        let got = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ws, SPARSE).unwrap();
         assert_close(got.objective, want.objective);
         assert!(ws.t.is_empty(), "the dense tableau was never loaded");
 
@@ -1476,16 +1470,16 @@ mod tests {
         // load, reload after the give-up, first eta-file refresh) it
         // reports `IterationLimit` with budget to spare, and that typed
         // error is the answer: no tableau is allocated to second-guess it.
-        let mut ws = sparse_ws();
+        let mut ws = SimplexWorkspace::new();
         ws.dual_giveup_after = Some(50);
         ws.sparse.singular_at = Some(3);
-        let err = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, false).unwrap_err();
+        let err = solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, &mut ws, SPARSE).unwrap_err();
         assert_eq!(err, SolveError::IterationLimit);
         assert!(ws.iterations < ws.iteration_limit, "budget to spare");
         assert_eq!(ws.refactorizations(), 3);
         assert!(ws.t.is_empty(), "the dense tableau was never loaded");
         // The failed solve retains nothing: the next one enters cold.
-        let got = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ws, true).unwrap();
+        let got = solve_lp_in(&p, &p.lower, &upper, 1_000_000, &mut ws, SPARSE).unwrap();
         assert_close(got.objective, want.objective);
         assert_eq!((ws.warm_starts(), ws.cold_starts()), (0, 2));
     }
@@ -1519,7 +1513,7 @@ mod tests {
             ("long_chain(400)", long_chain(400)),
             ("chain_ilp(972)", crate::instances::chain_ilp(972, 2.0)),
         ] {
-            let mut ws = sparse_ws();
+            let mut ws = SimplexWorkspace::new();
             assert!(
                 ws.load_sparse(&p, &p.lower, &p.upper, 1_000_000, true),
                 "{name}: the dual-first start applies"
@@ -1563,7 +1557,7 @@ mod tests {
         // must arrive with both dirty.
         let p = long_chain(300);
         let bits = |ws: &mut SimplexWorkspace| -> Vec<u64> {
-            solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, ws, false)
+            solve_lp_in(&p, &p.lower, &p.upper, 1_000_000, ws, SPARSE)
                 .unwrap()
                 .values
                 .iter()
@@ -1577,10 +1571,10 @@ mod tests {
                 .filter(|w| (*w - 1.0).abs() > 1e-3)
                 .count()
         };
-        let fresh = bits(&mut sparse_ws());
+        let fresh = bits(&mut SimplexWorkspace::new());
 
         // After a differently-shaped (larger, then smaller) LP.
-        let mut reused = sparse_ws();
+        let mut reused = SimplexWorkspace::new();
         for other in [long_chain(450), long_chain(70)] {
             solve_lp_in(
                 &other,
@@ -1588,7 +1582,7 @@ mod tests {
                 &other.upper,
                 1_000_000,
                 &mut reused,
-                false,
+                SPARSE,
             )
             .unwrap();
             assert!(non_unit_weights(&reused) > other.num_constraints() / 4);
@@ -1611,7 +1605,7 @@ mod tests {
                 &infeasible.upper,
                 1_000_000,
                 &mut reused,
-                false
+                SPARSE
             ),
             Err(SolveError::Infeasible)
         );
@@ -1621,7 +1615,7 @@ mod tests {
 
         // After a solve whose dual pass gave up half-way and fell back to
         // the primal (whose pivots rescale the weights they replace).
-        let mut gave_up = sparse_ws();
+        let mut gave_up = SimplexWorkspace::new();
         gave_up.dual_giveup_after = Some(40);
         let other = long_chain(450);
         solve_lp_in(
@@ -1630,7 +1624,7 @@ mod tests {
             &other.upper,
             1_000_000,
             &mut gave_up,
-            false,
+            SPARSE,
         )
         .unwrap();
         assert!(gave_up.primal_iterations() > 1);
@@ -1647,12 +1641,12 @@ mod tests {
         let p = long_chain(60);
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let mut plain_ws = SimplexWorkspace::new();
-            plain_ws.set_backend(backend);
-            let plain = solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut plain_ws, false).unwrap();
+            let plain =
+                solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut plain_ws, backend).unwrap();
             let mut bland_ws = SimplexWorkspace::new();
-            bland_ws.set_backend(backend);
             bland_ws.force_bland = true;
-            let bland = solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut bland_ws, false).unwrap();
+            let bland =
+                solve_lp_in(&p, &p.lower, &p.upper, 100_000, &mut bland_ws, backend).unwrap();
             assert_close(bland.objective, plain.objective);
         }
     }
@@ -1664,18 +1658,16 @@ mod tests {
             let x = p.add_var(0.0, 1.0, 1.0, false);
             p.add_constraint(&[(x, 1.0)], Sense::Ge, 2.0);
             let mut ws = SimplexWorkspace::new();
-            ws.set_backend(backend);
             ws.force_bland = true;
-            let r = solve_lp_in(&p, &p.lower, &p.upper, 10_000, &mut ws, false);
+            let r = solve_lp_in(&p, &p.lower, &p.upper, 10_000, &mut ws, backend);
             assert_eq!(r, Err(SolveError::Infeasible), "{backend:?}");
 
             let mut q = Problem::new();
             let y = q.add_var(0.0, f64::INFINITY, -1.0, false);
             q.add_constraint(&[(y, -1.0)], Sense::Le, 0.0);
             let mut ws = SimplexWorkspace::new();
-            ws.set_backend(backend);
             ws.force_bland = true;
-            let r = solve_lp_in(&q, &q.lower, &q.upper, 10_000, &mut ws, false);
+            let r = solve_lp_in(&q, &q.lower, &q.upper, 10_000, &mut ws, backend);
             assert_eq!(r, Err(SolveError::Unbounded), "{backend:?}");
         }
     }

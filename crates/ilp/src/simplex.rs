@@ -347,30 +347,31 @@ pub fn solve_lp(problem: &Problem) -> Result<LpSolution, SolveError> {
         &problem.upper,
         default_iteration_limit(problem),
         &mut ws,
-        false,
+        SolverBackend::Sparse,
     )
 }
 
-/// Solve the LP relaxation inside a reusable workspace.
+/// Solve the LP relaxation inside a reusable workspace, on `backend`.
 ///
-/// On the sparse backend, with `allow_warm`, and when `ws` retains a
-/// valid basis for this problem's constraint matrix — the last solve in
-/// `ws` was of `problem` or a clone of it, with no variable or row added
-/// or replaced since; bounds, costs and right-hand sides may differ — the
-/// solve re-enters warm (dual-simplex repair from the retained basis);
-/// any numerical doubt silently falls back to a cold start, so verdict
-/// and optimal value never depend on the entry path (which of several
-/// equally good vertices comes back can). The reference tableau
-/// ([`SolverBackend::Dense`]) always solves cold and drops any basis the
-/// workspace retained. The workspace's warm/cold counters record which
-/// path ran.
+/// [`SolverBackend::Sparse`] re-enters warm (dual-simplex repair from the
+/// retained basis) when `ws` retains a valid basis for this problem's
+/// constraint matrix — the last solve in `ws` was of `problem` or a clone
+/// of it, with no variable or row added or replaced since; bounds, costs
+/// and right-hand sides may differ — and starts cold otherwise; call
+/// [`SimplexWorkspace::invalidate`] first to force the cold start. Any
+/// numerical doubt on the warm path silently falls back to a cold start,
+/// so verdict and optimal value never depend on the entry path (which of
+/// several equally good vertices comes back can).
+/// [`SolverBackend::Dense`], the reference tableau, always solves cold
+/// and drops any basis the workspace retained. The workspace's warm/cold
+/// counters record which path ran.
 pub fn solve_lp_in(
     problem: &Problem,
     lower: &[f64],
     upper: &[f64],
     iteration_limit: u64,
     ws: &mut SimplexWorkspace,
-    allow_warm: bool,
+    backend: SolverBackend,
 ) -> Result<LpSolution, SolveError> {
     ws.sparse.refuted = None;
     for j in 0..problem.num_vars() {
@@ -378,7 +379,7 @@ pub fn solve_lp_in(
             return Err(SolveError::Infeasible);
         }
     }
-    if ws.backend() == SolverBackend::Dense {
+    if backend == SolverBackend::Dense {
         // The tableau overwrites the basis, statuses and values a sparse
         // re-entry would read, and leaves nothing to re-enter from.
         ws.invalidate();
@@ -387,7 +388,7 @@ pub fn solve_lp_in(
         return ws.solve_cold(problem);
     }
     let mut burned = 0;
-    if allow_warm && ws.can_warm(problem) {
+    if ws.can_warm(problem) {
         match ws.solve_warm_sparse(problem, lower, upper, iteration_limit) {
             WarmOutcome::Solved(s) => {
                 ws.note_warm();
@@ -434,15 +435,18 @@ mod tests {
 
     // This is the reference tableau's own unit suite, so every solve in
     // it names `Dense`; `solve_lp` shadows the backend-neutral entry point.
-    fn dense_ws() -> SimplexWorkspace {
-        let mut ws = SimplexWorkspace::new();
-        ws.set_backend(SolverBackend::Dense);
-        ws
-    }
+    const DENSE: SolverBackend = SolverBackend::Dense;
 
     fn solve_lp(p: &Problem) -> Result<LpSolution, SolveError> {
         let limit = default_iteration_limit(p);
-        solve_lp_in(p, &p.lower, &p.upper, limit, &mut dense_ws(), false)
+        solve_lp_in(
+            p,
+            &p.lower,
+            &p.upper,
+            limit,
+            &mut SimplexWorkspace::new(),
+            DENSE,
+        )
     }
 
     #[test]
@@ -564,7 +568,14 @@ mod tests {
     fn bound_overrides_make_problem_infeasible() {
         let mut p = Problem::new();
         let _x = p.add_var(0.0, 1.0, 1.0, false);
-        let r = solve_lp_in(&p, &[2.0], &[1.0], 1000, &mut dense_ws(), false);
+        let r = solve_lp_in(
+            &p,
+            &[2.0],
+            &[1.0],
+            1000,
+            &mut SimplexWorkspace::new(),
+            DENSE,
+        );
         assert_eq!(r, Err(SolveError::Infeasible));
     }
 
@@ -593,9 +604,9 @@ mod tests {
         let y = p.add_var(0.0, 2.0, -1.0, false);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Le, 10.0);
 
-        let mut ws = dense_ws();
-        solve_lp_in(&p, &p.lower, &[1.0, 1.0], 10_000, &mut ws, true).unwrap();
-        let loose = solve_lp_in(&p, &p.lower, &[2.0, 2.0], 10_000, &mut ws, true).unwrap();
+        let mut ws = SimplexWorkspace::new();
+        solve_lp_in(&p, &p.lower, &[1.0, 1.0], 10_000, &mut ws, DENSE).unwrap();
+        let loose = solve_lp_in(&p, &p.lower, &[2.0, 2.0], 10_000, &mut ws, DENSE).unwrap();
         assert_close(loose.objective, -4.0);
     }
 }

@@ -30,7 +30,10 @@
 use crate::problem::{Problem, Sense};
 use crate::revised::SparseState;
 
-/// Which simplex implementation executes a solve.
+/// Which simplex implementation executes a solve: an argument of every
+/// LP solve ([`solve_lp_in`](crate::solve_lp_in)), set for a whole search
+/// by [`IlpOptions::backend`](crate::IlpOptions); a workspace holds no
+/// choice of its own.
 ///
 /// Every production solve runs [`Sparse`](SolverBackend::Sparse), at
 /// every problem size; [`Dense`](SolverBackend::Dense) is the reference
@@ -50,9 +53,9 @@ pub enum SolverBackend {
     #[default]
     Sparse,
     /// Dense-tableau two-phase simplex (`simplex.rs`): the reference.
-    /// Nothing selects it but [`IlpOptions::backend`](crate::IlpOptions)
-    /// or [`SimplexWorkspace::set_backend`] naming it — the differential
-    /// test suites and the benchmark's answer check do.
+    /// Nothing selects it but [`IlpOptions::backend`](crate::IlpOptions),
+    /// or a [`solve_lp_in`](crate::solve_lp_in) call, naming it — the
+    /// differential test suites and the benchmark's answer check do.
     Dense,
 }
 
@@ -102,8 +105,6 @@ pub struct SimplexWorkspace {
     /// and every buffer in it stays empty while only the reference
     /// backend runs.
     pub(crate) sparse: Box<SparseState>,
-    /// Which backend the caller asked for.
-    backend: SolverBackend,
     /// Test-only override: price with Bland's rule from the first
     /// iteration instead of after a degenerate run. The anti-cycling
     /// regression tests use it to pin the fallback path on both backends.
@@ -209,19 +210,6 @@ impl SimplexWorkspace {
     /// the workspace solved before, ties between equal optima included.
     pub fn invalidate(&mut self) {
         self.warm_ready = false;
-    }
-
-    /// Select the simplex backend for subsequent solves (a new workspace
-    /// runs [`SolverBackend::Sparse`]). Switching backends between solves
-    /// is safe: a tableau solve drops the retained sparse basis, so the
-    /// next sparse solve after it starts cold.
-    pub fn set_backend(&mut self, backend: SolverBackend) {
-        self.backend = backend;
-    }
-
-    /// The backend the next solve runs.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
     }
 
     pub(crate) fn note_warm(&mut self) {

@@ -22,8 +22,11 @@
 
 use proptest::prelude::*;
 use wishbone_ilp::{
-    solve_lp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError, SolverBackend, VarId,
+    solve_ilp_in, solve_lp_in, IlpOptions, IlpSolution, IlpStats, Problem, Sense, SimplexWorkspace,
+    SolveError, SolverBackend, VarId,
 };
+
+const SPARSE: SolverBackend = SolverBackend::Sparse;
 
 /// Wishbone-shaped sparse LPs/ILPs: a precedence chain, a budget row,
 /// and reducing per-vertex objective coefficients.
@@ -168,17 +171,28 @@ fn backend_opts(backend: SolverBackend) -> IlpOptions {
 
 /// Solve the LP relaxation on a forced backend through a fresh workspace.
 fn lp_on(p: &Problem, backend: SolverBackend) -> Result<f64, wishbone_ilp::SolveError> {
-    let mut ws = SimplexWorkspace::new();
-    ws.set_backend(backend);
     solve_lp_in(
         p,
         p.lower_bounds(),
         p.upper_bounds(),
         50_000,
-        &mut ws,
-        false,
+        &mut SimplexWorkspace::new(),
+        backend,
     )
     .map(|s| s.objective)
+}
+
+/// Branch and bound on a forced backend through a fresh workspace: the
+/// answer and the search's report.
+fn ilp_on(p: &Problem, backend: SolverBackend) -> (Result<IlpSolution, SolveError>, IlpStats) {
+    solve_ilp_in(p, &backend_opts(backend), &mut SimplexWorkspace::new())
+}
+
+/// Did the reference tableau run the search? Read from the counters, not
+/// from the options: only the sparse method factorizes a basis,
+/// re-enters warm or leaves a refutation.
+fn ran_dense(stats: &IlpStats) -> bool {
+    stats.refactorizations == 0 && stats.warm_starts == 0 && stats.refutation.is_none()
 }
 
 proptest! {
@@ -216,8 +230,7 @@ proptest! {
     fn dual_first_start_agrees_with_the_dense_oracle(p in boxed_ineq_strategy()) {
         let dense = lp_on(&p, SolverBackend::Dense);
         let mut ws = SimplexWorkspace::new();
-        ws.set_backend(SolverBackend::Sparse);
-        let sparse = solve_lp_in(&p, p.lower_bounds(), p.upper_bounds(), 50_000, &mut ws, false);
+        let sparse = solve_lp_in(&p, p.lower_bounds(), p.upper_bounds(), 50_000, &mut ws, SPARSE);
         match (&dense, &sparse) {
             (Ok(d), Ok(s)) => {
                 prop_assert!(
@@ -244,8 +257,12 @@ proptest! {
 
     #[test]
     fn ilp_verdicts_agree(p in chain_strategy()) {
-        let dense = p.solve_ilp(&backend_opts(SolverBackend::Dense));
-        let sparse = p.solve_ilp(&backend_opts(SolverBackend::Sparse));
+        let (dense, d_stats) = ilp_on(&p, SolverBackend::Dense);
+        let (sparse, s_stats) = ilp_on(&p, SolverBackend::Sparse);
+        prop_assert!(ran_dense(&d_stats), "the tableau ran: {d_stats:?}");
+        if s_stats.nodes > 0 {
+            prop_assert!(s_stats.refactorizations > 0, "the sparse method ran: {s_stats:?}");
+        }
         match (&dense, &sparse) {
             (Ok(d), Ok(s)) => {
                 prop_assert!(
@@ -253,8 +270,6 @@ proptest! {
                     "dense {} vs sparse {}", d.objective, s.objective
                 );
                 prop_assert!(p.is_feasible(&s.values, 1e-6), "sparse point infeasible");
-                prop_assert_eq!(s.stats.backend, SolverBackend::Sparse);
-                prop_assert_eq!(d.stats.backend, SolverBackend::Dense);
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b, "verdicts must match"),
             _ => prop_assert!(false, "dense {dense:?} vs sparse {sparse:?} diverge"),
@@ -299,10 +314,9 @@ proptest! {
         let mut results = Vec::new();
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let mut ws = SimplexWorkspace::new();
-            ws.set_backend(backend);
-            let first = solve_lp_in(&p, &lower, &upper, 50_000, &mut ws, true);
+            let first = solve_lp_in(&p, &lower, &upper, 50_000, &mut ws, backend);
             prop_assert!(first.is_ok(), "{backend:?} root must solve: {first:?}");
-            let second = solve_lp_in(&p, &lower, &tight, 50_000, &mut ws, true);
+            let second = solve_lp_in(&p, &lower, &tight, 50_000, &mut ws, backend);
             results.push(second.map(|s| s.objective));
         }
         match (&results[0], &results[1]) {
@@ -320,9 +334,8 @@ proptest! {
         let mut ws = SimplexWorkspace::new();
         let mut objectives = Vec::new();
         for backend in [SolverBackend::Sparse, SolverBackend::Dense, SolverBackend::Sparse] {
-            ws.set_backend(backend);
             let warm_before = ws.warm_starts();
-            let s = solve_lp_in(&p, &lower, &upper, 50_000, &mut ws, true);
+            let s = solve_lp_in(&p, &lower, &upper, 50_000, &mut ws, backend);
             prop_assert!(s.is_ok(), "{backend:?} must solve: {s:?}");
             prop_assert_eq!(ws.warm_starts(), warm_before, "{:?} re-entered warm", backend);
             objectives.push(s.unwrap().objective);
@@ -351,8 +364,7 @@ proptest! {
         let lower = p.lower_bounds().to_vec();
         let upper = p.upper_bounds().to_vec();
         let mut ws = SimplexWorkspace::new();
-        ws.set_backend(SolverBackend::Sparse);
-        let _ = solve_lp_in(&p, &lower, &upper, 50_000, &mut ws, true);
+        let _ = solve_lp_in(&p, &lower, &upper, 50_000, &mut ws, SPARSE);
         for moves in &rounds {
             let (mut lo, mut up) = (lower.clone(), upper.clone());
             for (j, &mv) in moves.iter().enumerate().take(lo.len()) {
@@ -362,11 +374,9 @@ proptest! {
                     _ => {}
                 }
             }
-            let warm = solve_lp_in(&p, &lo, &up, 50_000, &mut ws, true).map(|s| s.objective);
-            let mut fresh_ws = SimplexWorkspace::new();
-            fresh_ws.set_backend(SolverBackend::Sparse);
-            let fresh =
-                solve_lp_in(&p, &lo, &up, 50_000, &mut fresh_ws, false).map(|s| s.objective);
+            let warm = solve_lp_in(&p, &lo, &up, 50_000, &mut ws, SPARSE).map(|s| s.objective);
+            let fresh = solve_lp_in(&p, &lo, &up, 50_000, &mut SimplexWorkspace::new(), SPARSE)
+                .map(|s| s.objective);
             match (&warm, &fresh) {
                 (Ok(w), Ok(f)) => prop_assert!(
                     (w - f).abs() < 1e-6 * (1.0 + f.abs()),
@@ -397,14 +407,13 @@ fn sparse_warm_start_is_exercised_and_counted() {
         .collect();
     p.add_constraint(&row, Sense::Le, 9.7);
 
-    let sparse = p.solve_ilp(&backend_opts(SolverBackend::Sparse)).unwrap();
+    let (sparse, stats) = ilp_on(&p, SolverBackend::Sparse);
     let dense = p.solve_ilp(&backend_opts(SolverBackend::Dense)).unwrap();
-    assert!((sparse.objective - dense.objective).abs() < 1e-6);
-    if sparse.stats.nodes > 1 {
+    assert!((sparse.unwrap().objective - dense.objective).abs() < 1e-6);
+    if stats.nodes > 1 {
         assert!(
-            sparse.stats.warm_starts > 0,
-            "sparse children must re-enter warm: {:?}",
-            sparse.stats
+            stats.warm_starts > 0,
+            "sparse children must re-enter warm: {stats:?}"
         );
     }
 }
@@ -426,14 +435,13 @@ fn gate_chain() -> (Problem, Vec<VarId>) {
 /// Cold-solve `p` on the sparse backend; `(objective, dual, primal)`.
 fn sparse_counts(p: &Problem) -> (Result<f64, SolveError>, u64, u64) {
     let mut ws = SimplexWorkspace::new();
-    ws.set_backend(SolverBackend::Sparse);
     let r = solve_lp_in(
         p,
         p.lower_bounds(),
         p.upper_bounds(),
         50_000,
         &mut ws,
-        false,
+        SPARSE,
     );
     (
         r.map(|s| s.objective),
@@ -492,19 +500,16 @@ fn dual_first_gate_reads_the_problem_it_is_handed() {
     // The gate reads the bounds of *this* solve, not the problem's own:
     // a branch-and-bound override that boxes the open column lets it in.
     let mut ws = SimplexWorkspace::new();
-    ws.set_backend(SolverBackend::Sparse);
     let mut upper = open.upper_bounds().to_vec();
     upper[z.0] = 3.0;
-    let boxed = solve_lp_in(&open, open.lower_bounds(), &upper, 50_000, &mut ws, false).unwrap();
-    let mut dense_ws = SimplexWorkspace::new();
-    dense_ws.set_backend(SolverBackend::Dense);
+    let boxed = solve_lp_in(&open, open.lower_bounds(), &upper, 50_000, &mut ws, SPARSE).unwrap();
     let want = solve_lp_in(
         &open,
         open.lower_bounds(),
         &upper,
         50_000,
-        &mut dense_ws,
-        false,
+        &mut SimplexWorkspace::new(),
+        SolverBackend::Dense,
     )
     .unwrap();
     assert!((boxed.objective - want.objective).abs() < 1e-6);
@@ -516,7 +521,6 @@ fn auto_threshold_routes_by_size() {
     // There is no threshold: the default is the sparse backend at every
     // size, and the reference tableau runs only when a caller names it.
     assert_eq!(IlpOptions::default().backend, SolverBackend::Sparse);
-    assert_eq!(SimplexWorkspace::new().backend(), SolverBackend::Sparse);
 
     let mut small = Problem::new();
     let x = small.add_var(0.0, 1.0, -1.0, false);
@@ -531,16 +535,15 @@ fn auto_threshold_routes_by_size() {
     big.add_constraint(&row, Sense::Le, 10.0);
 
     for p in [&small, &big] {
-        let default = p.solve_ilp(&IlpOptions::default()).unwrap();
-        assert_eq!(default.stats.backend, SolverBackend::Sparse);
+        let (default, stats) =
+            solve_ilp_in(p, &IlpOptions::default(), &mut SimplexWorkspace::new());
         assert!(
-            default.stats.refactorizations > 0,
+            stats.refactorizations > 0,
             "only the sparse backend factorizes a basis"
         );
-        let dense = p.solve_ilp(&backend_opts(SolverBackend::Dense)).unwrap();
-        assert_eq!(dense.stats.backend, SolverBackend::Dense);
-        assert_eq!(dense.stats.refactorizations, 0);
-        assert!((default.objective - dense.objective).abs() < 1e-6);
+        let (dense, dense_stats) = ilp_on(p, SolverBackend::Dense);
+        assert!(ran_dense(&dense_stats), "{dense_stats:?}");
+        assert!((default.unwrap().objective - dense.unwrap().objective).abs() < 1e-6);
     }
 }
 

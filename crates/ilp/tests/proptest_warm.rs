@@ -1,9 +1,10 @@
 //! Warm-start soundness: a branch-and-bound search whose node LPs re-enter
 //! warm from the shared workspace basis must be indistinguishable — same
-//! objective, same feasible/infeasible verdict — from one that cold-starts
-//! every node, on random bounded mixed-integer programs; and a sparse
-//! workspace re-enters warm exactly when it last solved the same
-//! constraint matrix, while the reference tableau never does.
+//! objective, same feasible/infeasible verdict — from the reference
+//! tableau's, which cold-starts every node, on random bounded
+//! mixed-integer programs; and a sparse workspace re-enters warm exactly
+//! when it last solved the same constraint matrix, while the reference
+//! tableau never does.
 //! Plus the presolve fast-fail contract: a pinned-vertex CPU sum over
 //! budget is rejected with zero branch-and-bound nodes.
 
@@ -64,7 +65,7 @@ proptest! {
     #[test]
     fn warm_and_cold_bb_agree(p in milp_strategy()) {
         let warm = p.solve_ilp(&IlpOptions::default());
-        let cold = p.solve_ilp(&IlpOptions { warm_lp: false, ..Default::default() });
+        let cold = p.solve_ilp(&IlpOptions { backend: SolverBackend::Dense, ..Default::default() });
         match (&warm, &cold) {
             (Ok(w), Ok(c)) => {
                 prop_assert!((w.objective - c.objective).abs() < 1e-6,
@@ -127,8 +128,12 @@ fn two_rows(rows: [[f64; 2]; 2]) -> Problem {
     p
 }
 
-fn lp_in(p: &Problem, ws: &mut SimplexWorkspace) -> Result<f64, SolveError> {
-    solve_lp_in(p, p.lower_bounds(), p.upper_bounds(), 10_000, ws, true).map(|s| s.objective)
+fn lp_in(
+    p: &Problem,
+    ws: &mut SimplexWorkspace,
+    backend: SolverBackend,
+) -> Result<f64, SolveError> {
+    solve_lp_in(p, p.lower_bounds(), p.upper_bounds(), 10_000, ws, backend).map(|s| s.objective)
 }
 
 #[test]
@@ -141,15 +146,14 @@ fn a_same_shaped_problem_never_inherits_another_matrix_basis() {
     let second = two_rows([[3.0, 1.0], [1.0, 3.0]]);
     for backend in BACKENDS {
         let mut ws = SimplexWorkspace::new();
-        ws.set_backend(backend);
-        assert_eq!(lp_in(&first, &mut ws), Ok(-4.0), "{backend:?}");
+        assert_eq!(lp_in(&first, &mut ws, backend), Ok(-4.0), "{backend:?}");
         let s = solve_lp_in(
             &second,
             second.lower_bounds(),
             second.upper_bounds(),
             10_000,
             &mut ws,
-            true,
+            backend,
         )
         .expect("feasible");
         assert!(
@@ -175,11 +179,10 @@ fn retargets_keep_the_basis_and_matrix_edits_drop_it() {
         let sparse = backend == SolverBackend::Sparse;
         let mut p = two_rows([[3.0, 1.0], [1.0, 3.0]]);
         let mut ws = SimplexWorkspace::new();
-        ws.set_backend(backend);
         // (what changed, expected objective, does the basis survive it)
         let mut step = |p: &Problem, what: &str, want: f64, warm: bool| {
             ws.reset_counters();
-            let got = lp_in(p, &mut ws).expect("feasible");
+            let got = lp_in(p, &mut ws, backend).expect("feasible");
             assert!((got - want).abs() < 1e-9, "{backend:?} {what}: {got}");
             assert_eq!(
                 (ws.warm_starts(), ws.cold_starts()),
@@ -213,7 +216,7 @@ fn retargets_keep_the_basis_and_matrix_edits_drop_it() {
             &[0.5, 4.0, 1.0],
             10_000,
             &mut ws,
-            true,
+            backend,
         )
         .expect("feasible");
         assert!(

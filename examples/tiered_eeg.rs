@@ -89,8 +89,8 @@ fn main() {
         .expect("no solver error")
         .expect("feasible at low rates");
     println!(
-        "\nmax sustainable rate x{:.3} ({} probes, {} solves, {} encode, {:?} backend)",
-        r.rate, r.evaluations, r.solves, r.encodes, r.partition.ilp_stats.backend
+        "\nmax sustainable rate x{:.3} ({} probes, {} solves, {} encode)",
+        r.rate, r.evaluations, r.solves, r.encodes
     );
     println!("solver: {}", report_stats(&r.partition.ilp_stats));
     let part = &r.partition.leaves[0];

@@ -104,19 +104,17 @@ pub mod prelude {
     };
 }
 
-/// One consistent solver-statistics line for the examples: which simplex
-/// backend ran, how many branch-and-bound nodes it took, the warm/cold
-/// node-LP split, the simplex work behind them (dual and primal
-/// iterations, LU factorizations), and where the wall clock went phase
-/// by phase. The one-time encode is not a solve phase: a prepared
+/// One consistent solver-statistics line for the examples: how many
+/// branch-and-bound nodes the search took, the warm/cold node-LP split,
+/// the simplex work behind them (dual and primal iterations, LU
+/// factorizations), and where the wall clock went phase by phase. The one-time encode is not a solve phase: a prepared
 /// instance reports it as `encode_seconds()`. `root LP` is the part of
 /// `nodes` spent in the first LP.
 pub fn report_stats(stats: &ilp::IlpStats) -> String {
     format!(
-        "{:?} backend, {} B&B nodes ({} warm / {} cold LPs; {} dual + {} primal iterations, \
+        "{} B&B nodes ({} warm / {} cold LPs; {} dual + {} primal iterations, \
          {} factorizations); phases: presolve {:.1}ms, warm-start {:.1}ms, \
          nodes {:.1}ms (root LP {:.1}ms)",
-        stats.backend,
         stats.nodes,
         stats.warm_starts,
         stats.cold_starts,

@@ -192,13 +192,14 @@ fn probe_cliff() {
             };
             let seeded_t = t.elapsed();
             let t = std::time::Instant::now();
-            let unseeded = match wishbone::ilp::solve_ilp(cold.problem(), &cfg.ilp) {
-                Ok(s) => format!(
+            let mut ws = wishbone::ilp::SimplexWorkspace::new();
+            let unseeded = match wishbone::ilp::solve_ilp_in(cold.problem(), &cfg.ilp, &mut ws) {
+                (Ok(_), stats) => format!(
                     "ok ({} nodes, first {:?})",
-                    s.stats.nodes,
-                    s.stats.incumbents.first().map(|i| i.0)
+                    stats.nodes,
+                    stats.incumbents.first().map(|i| i.0)
                 ),
-                Err(e) => format!("{e:?}"),
+                (Err(e), _) => format!("{e:?}"),
             };
             println!(
                 "  x{rate:.4}: unseeded {unseeded} in {:?}; seeded {seeded} in {seeded_t:?}",
@@ -523,7 +524,10 @@ fn cut_move_counts_are_pinned() {
 #[test]
 fn warm_reentries_keep_their_factorization_and_match_cold_solves() {
     use wishbone::ilp::simplex::default_iteration_limit;
-    use wishbone::ilp::{solve_lp_in, LpSolution, Problem, SimplexWorkspace, SolveError, VarId};
+    use wishbone::ilp::{
+        solve_lp_in, LpSolution, Problem, SimplexWorkspace, SolveError, SolverBackend, VarId,
+    };
+    const SPARSE: SolverBackend = SolverBackend::Sparse;
 
     let (graph, prof, dep) = tight_forest();
     let cfg = DeploymentConfig::default();
@@ -539,7 +543,7 @@ fn warm_reentries_keep_their_factorization_and_match_cold_solves() {
         p.upper_bounds(),
         default_iteration_limit(p),
         &mut ws,
-        false,
+        SPARSE,
     )
     .expect("the first root is feasible");
     let (mut entries, mut refactors) = (0u64, 0u64);
@@ -550,8 +554,8 @@ fn warm_reentries_keep_their_factorization_and_match_cold_solves() {
             (c, [ws.dual_iterations(), ws.primal_iterations()])
         };
         let (before, iters_before) = counts(&ws);
-        let got = solve_lp_in(p, lower, upper, limit, &mut ws, true);
-        let want = solve_lp_in(p, lower, upper, limit, &mut SimplexWorkspace::new(), false);
+        let got = solve_lp_in(p, lower, upper, limit, &mut ws, SPARSE);
+        let want = solve_lp_in(p, lower, upper, limit, &mut SimplexWorkspace::new(), SPARSE);
         entries += 1;
         let (after, iters_after) = counts(&ws);
         assert_eq!(after[0], before[0] + 1, "entry {entries} re-entered warm");

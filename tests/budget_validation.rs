@@ -14,6 +14,11 @@
 //! request would become a count-0 delta. Every path answers
 //! `PartitionError::InvalidCount` before it reaches an assert.
 //!
+//! `Deployment::new(root)` with nothing attached is a deployment too, and
+//! its root would be its only leaf: there is no source to partition.
+//! Every path answers `PartitionError::NoLeaf`, and a fleet worker that
+//! is handed one answers it and stays up for the requests behind it.
+//!
 //! `Site::rate_factor`, `Site::alpha` and `LinkSpec::beta` are public
 //! fields as well, and each multiplies into objective coefficients (the
 //! rate factor into every budget row too): a NaN one would solve to a NaN
@@ -280,6 +285,44 @@ fn a_zero_device_count_is_refused_on_a_fleet_hit() {
     assert_eq!(cache.len(), 1);
     assert_eq!(second.objective.to_bits(), first.objective.to_bits());
     assert_eq!(second.leaves[0].site_ops, first.leaves[0].site_ops);
+}
+
+/// The server alone: a root with no site attached under it.
+fn no_leaf() -> Deployment {
+    Deployment::new(Site::server("srv", &Platform::server()))
+}
+
+#[test]
+fn a_deployment_with_no_leaf_is_refused_one_shot() {
+    let (g, prof) = eeg2();
+    assert_eq!(
+        one_shot(&g, &prof, &no_leaf()),
+        [(); 3].map(|_| Some(PartitionError::NoLeaf))
+    );
+}
+
+#[test]
+fn a_deployment_with_no_leaf_is_refused_by_the_fleet() {
+    let app = eeg2();
+    let bad = FleetRequest {
+        deployment: no_leaf(),
+        ..count_request(&app, 0, 1)
+    };
+    let mut cache = ShapeCache::new();
+    let (hit, got) = cache.serve(&bad, key_of(&bad), &mut SimplexWorkspace::new(), true);
+    assert!(!hit);
+    assert_eq!(got.err(), Some(PartitionError::NoLeaf));
+    assert!(cache.is_empty(), "nothing was prepared");
+    // Through a two-worker service: the bad request gets its error, its
+    // neighbour its placement, and the batch returns.
+    let (responses, stats) = run_batch(2, vec![bad, count_request(&app, 1, 1)]);
+    assert_eq!(
+        responses[0].result.as_ref().err(),
+        Some(&PartitionError::NoLeaf)
+    );
+    assert!(responses[1].result.is_ok());
+    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.distinct_shapes, 1, "only the neighbour is cached");
 }
 
 /// The default config with `ilp.rel_gap` set to `rel_gap`.

@@ -10,7 +10,7 @@
 //! checked for structural invariants and wired through the deployment
 //! simulator.
 
-use wishbone::ilp::SolveError;
+use wishbone::ilp::{solve_ilp_in, SimplexWorkspace, SolveError};
 use wishbone::prelude::*;
 use wishbone_oracle::{build_partition_graph, encode, preprocess, Encoding, ObjectiveConfig};
 
@@ -39,7 +39,7 @@ fn parity_on(
                 node_platform.radio.goodput_bytes_per_sec,
             ),
         );
-        let binary = ep.problem.solve_ilp(&opts);
+        let (binary, b_stats) = solve_ilp_in(&ep.problem, &opts, &mut SimplexWorkspace::new());
 
         let cfg = DeploymentConfig {
             ilp: opts,
@@ -79,7 +79,17 @@ fn parity_on(
                     t.problem_size,
                     "the k=2 encoding must be the binary encoding, row for row"
                 );
-                assert_eq!(b.stats.backend, t.ilp_stats.backend);
+                // Both searches ran on `backend`, as their counters show:
+                // only the sparse method factorizes a basis or re-enters
+                // warm.
+                for s in [&b_stats, &t.ilp_stats] {
+                    match backend {
+                        SolverBackend::Dense => {
+                            assert_eq!((s.refactorizations, s.warm_starts), (0, 0), "{s:?}")
+                        }
+                        SolverBackend::Sparse => assert!(s.refactorizations > 0, "{s:?}"),
+                    }
+                }
             }
             (Err(SolveError::Infeasible), Err(PartitionError::Infeasible)) => {}
             (b, t) => panic!("rate {rate} {backend:?}: binary {b:?} vs chain {t:?}"),

@@ -35,7 +35,7 @@ use wishbone::core::{
 use wishbone::dataflow::{
     EdgeId, Graph, IdentityWork, Namespace, OperatorId, OperatorSpec, WorkFn,
 };
-use wishbone::ilp::{IlpOptions, Problem, SolverBackend, VarId};
+use wishbone::ilp::{IlpOptions, IlpStats, Problem, SolverBackend, VarId};
 use wishbone::prelude::{profile, GraphBuilder, Platform, SourceTrace, Value};
 use wishbone_oracle::{
     encode, encode_multitier, tiered_from_binary, Encoding, ObjectiveConfig, PEdge, PVertex,
@@ -1020,7 +1020,16 @@ proptest! {
                     assert_bit_identical(&a, &b)?;
                     prop_assert_eq!(a.ilp_stats.warm_starts, b.ilp_stats.warm_starts);
                     prop_assert_eq!(a.ilp_stats.cold_starts, b.ilp_stats.cold_starts);
-                    prop_assert_eq!(&a.ilp_stats.node_iterations, &b.ilp_stats.node_iterations);
+                    let work = |s: &IlpStats| {
+                        (
+                            s.nodes,
+                            s.simplex_iterations,
+                            s.dual_iterations,
+                            s.primal_iterations,
+                            s.refactorizations,
+                        )
+                    };
+                    prop_assert_eq!(work(&a.ilp_stats), work(&b.ilp_stats));
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => prop_assert!(

@@ -22,7 +22,9 @@
 
 use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
 use wishbone::ilp::instances::chain_ilp;
-use wishbone::ilp::{solve_lp_in, IlpOptions, Problem, SimplexWorkspace, SolverBackend};
+use wishbone::ilp::{
+    solve_ilp_in, solve_lp_in, IlpOptions, IlpStats, Problem, SimplexWorkspace, SolverBackend,
+};
 use wishbone::prelude::*;
 use wishbone_oracle::{
     build_partition_graph, encode, encode_multitier, preprocess, Encoding, ObjectiveConfig,
@@ -159,12 +161,33 @@ fn backend_opts(backend: SolverBackend) -> IlpOptions {
     }
 }
 
-/// `p` solves on each backend, says so, and both reach the same optimum.
+/// Branch and bound on `backend` in a fresh workspace: the optimum and
+/// the search's report.
+fn solve_on(p: &Problem, backend: SolverBackend) -> (f64, IlpStats) {
+    let (sol, stats) = solve_ilp_in(p, &backend_opts(backend), &mut SimplexWorkspace::new());
+    (sol.expect("solvable").objective, stats)
+}
+
+/// `backend` ran the search `stats` reports, as its counters show: only
+/// the sparse method factorizes a basis, re-enters warm or leaves a
+/// refutation, and a sparse search that solved an LP factorized one.
+fn assert_ran(backend: SolverBackend, stats: &IlpStats) {
+    match backend {
+        SolverBackend::Dense => {
+            assert_eq!((stats.refactorizations, stats.warm_starts), (0, 0));
+            assert_eq!(stats.refutation, None);
+        }
+        SolverBackend::Sparse => assert!(stats.refactorizations > 0, "{stats:?}"),
+    }
+}
+
+/// `p` solves on each backend, its counters show that backend ran, and
+/// both reach the same optimum.
 fn assert_backends_agree(name: &str, p: &Problem) {
     let [sparse, dense] = BOTH.map(|backend| {
-        let sol = p.solve_ilp(&backend_opts(backend)).expect("solvable");
-        assert_eq!(sol.stats.backend, backend);
-        sol.objective
+        let (objective, stats) = solve_on(p, backend);
+        assert_ran(backend, &stats);
+        objective
     });
     assert!(
         (sparse - dense).abs() < 1e-6 * (1.0 + sparse.abs()),
@@ -219,37 +242,23 @@ fn backends_agree_on_every_compared_instance() {
     }
 }
 
-/// On the 1-channel EEG ILP each backend's warm-started search (children
-/// warm from their parent's basis) equals its cold one, and the two
-/// backends agree.
+/// On the 1-channel EEG ILP the sparse search, warm at every child from
+/// its parent's basis, equals the reference tableau's, cold at every
+/// node.
 #[test]
 fn warm_equals_cold_and_the_backends_agree_on_1ch_eeg() {
     let p = eeg_ilp(1);
-    let [sparse, dense] = BOTH.map(|backend| {
-        let warm = p.solve_ilp(&backend_opts(backend)).expect("solvable");
-        let cold_opts = IlpOptions {
-            warm_lp: false,
-            ..backend_opts(backend)
-        };
-        let cold = p.solve_ilp(&cold_opts).expect("solvable");
+    let [(sparse, warm), (dense, cold)] = BOTH.map(|backend| solve_on(&p, backend));
+    assert_eq!(cold.warm_starts, 0, "the tableau solves every node cold");
+    if warm.nodes > 1 {
         assert!(
-            (warm.objective - cold.objective).abs() < 1e-6,
-            "[{backend:?}] warm {} vs cold {}",
-            warm.objective,
-            cold.objective
+            warm.warm_starts > 0,
+            "a branching sparse solve must warm-start its children"
         );
-        assert_eq!(cold.stats.warm_starts, 0);
-        if warm.stats.nodes > 1 {
-            assert!(
-                warm.stats.warm_starts > 0,
-                "[{backend:?}] a branching solve must warm-start its children"
-            );
-        }
-        warm.objective
-    });
+    }
     assert!(
         (sparse - dense).abs() < 1e-6,
-        "backends disagree on 1ch EEG: {sparse} vs {dense}"
+        "warm sparse {sparse} vs cold dense {dense} on 1ch EEG"
     );
 }
 
@@ -602,14 +611,13 @@ fn the_22ch_chain_root_lp_is_dual_first_in_1717_iterations() {
         .expect("the 22ch chain prepares");
     let p = prep.problem();
     let mut ws = SimplexWorkspace::new();
-    ws.set_backend(SolverBackend::Sparse);
     let lp = solve_lp_in(
         p,
         p.lower_bounds(),
         p.upper_bounds(),
         1_000_000,
         &mut ws,
-        false,
+        SolverBackend::Sparse,
     )
     .expect("the 22ch chain root LP solves");
     let (dual, primal) = (ws.dual_iterations(), ws.primal_iterations());

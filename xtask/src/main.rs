@@ -100,7 +100,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 14] = [
+const CONFINE: [Confine; 15] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -137,6 +137,16 @@ const CONFINE: [Confine; 14] = [
         why: "shipped code names `{}` — the dense tableau is the tests' reference and runs \
               only when a caller asks for it; production solves on the sparse backend at \
               every size",
+    },
+    Confine {
+        rule: "one-lp-switch",
+        // The solver and the shipped code that configures it: the backend
+        // is `IlpOptions::backend`, an argument of every LP solve.
+        scope: &["crates/ilp/src", CORE_SRC, "crates/fleet/src"],
+        needles: &[Text("set_backend("), Ident("warm_lp"), Ident("allow_warm")], homes: &[],
+        why: "`{}` — the LP backend is one switch, `IlpOptions::backend`, handed to every \
+              `solve_lp_in` as an argument: a workspace holds no backend, and a cold sparse LP \
+              is `SimplexWorkspace::invalidate` before the call",
     },
     Confine {
         rule: "oracle-dev-only",
@@ -292,7 +302,7 @@ const THE_BENCH_TARGETS: [&str; 1] = ["repro"];
 /// comes with its callers named in its doc and the count bumped.
 const CONFIG_SURFACE: [(&str, &str, usize); 2] = [
     (PER_SOLVE_PATH, "DeploymentConfig", 4),
-    ("crates/ilp/src/branch_bound.rs", "IlpOptions", 6),
+    ("crates/ilp/src/branch_bound.rs", "IlpOptions", 5),
 ];
 
 /// The caller's inputs no type of [`PER_SOLVE_PATH`] may hold: a
@@ -1108,7 +1118,6 @@ pub struct IlpOptions { // line 2
     pub rel_gap: f64,
     pub max_nodes: u64,
     pub time_limit: Option<Duration>,
-    pub warm_lp: bool,
     pub warm_solution: Option<Vec<f64>>,
     pub backend: SolverBackend,
 }
@@ -1670,6 +1679,40 @@ pub fn shape_key(graph: &Graph, profile: &GraphProfile) -> ShapeKey {
             assert_eq!(lines("address-identity", file, &parent), vec![2]);
         }
         assert_repo_clean("address-identity");
+    }
+
+    #[test]
+    fn one_lp_switch_fires_on_a_backend_setter_put_back() {
+        let workspace = "\
+impl SimplexWorkspace {
+    pub fn invalidate(&mut self) { self.warm_ready = false; }
+    pub fn set_backend(&mut self, backend: SolverBackend) { // line 3
+        self.backend = backend;
+    }
+}
+pub fn solve_lp_in(ws: &mut SimplexWorkspace, allow_warm: bool) {} // line 7
+fn search(ws: &mut SimplexWorkspace, opts: &IlpOptions) {
+    ws.set_backend(opts.backend); // line 9
+    let warm = opts.warm_lp; // line 10
+    // no set_backend( here, nor a \"warm_lp\" in a string
+}
+#[cfg(test)]
+mod tests {
+    fn reference(ws: &mut SimplexWorkspace) { ws.set_backend(SolverBackend::Dense); }
+}
+";
+        for file in [
+            "crates/ilp/src/workspace.rs",
+            "crates/core/src/topology.rs",
+            "crates/fleet/src/lib.rs",
+        ] {
+            assert_eq!(lines("one-lp-switch", file, workspace), vec![3, 7, 9, 10]);
+        }
+        assert_eq!(
+            lines("one-lp-switch", "crates/runtime/src/exec.rs", workspace),
+            Vec::<usize>::new()
+        );
+        assert_repo_clean("one-lp-switch");
     }
 
     #[test]
