@@ -271,7 +271,7 @@ fn fig5b((app, prof): &Profiled<SpeechApp>, claims: &mut Claims) {
             };
             let cut = app.graph.edge_ids().filter(crosses);
             let net: f64 = cut.map(|e| prof.edge_on_air_bandwidth(e, p)).sum();
-            let cpu_rate = p.cpu_budget_fraction / cpu.max(1e-12);
+            let cpu_rate = 1.0 / cpu.max(1e-12);
             cpu_rate.min(p.radio.goodput_bytes_per_sec / net.max(1e-12))
         };
         let rates: Vec<f64> = platforms.iter().map(max_rate).collect();
@@ -629,7 +629,7 @@ fn fig10((app, prof): &Profiled<SpeechApp>, claims: &mut Claims) {
     let meraki = Platform::meraki_mini();
     let mut uplink = LinkSpec::for_platform(&meraki);
     uplink.beta = 1.0 / uplink.net_budget;
-    let site = Site::new("meraki", &meraki).with_alpha(1.0 / meraki.cpu_budget_fraction);
+    let site = Site::new("meraki", &meraki).with_alpha(1.0);
     let dep = Deployment::star([(site, uplink)]);
     let part = partition_deployment(&app.graph, prof, &dep, &DeploymentConfig::default())
         .expect("meraki fits at full rate");

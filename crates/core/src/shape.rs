@@ -32,6 +32,7 @@
 //! nothing else, and may drop an entry whenever it likes.
 
 use wishbone_dataflow::{Fingerprint, Graph};
+use wishbone_net::PacketFormat;
 use wishbone_profile::{CycleCosts, GraphProfile, Platform, RadioModel};
 
 use crate::multitier::LinkSpec;
@@ -83,7 +84,6 @@ fn platform_words(w: &mut KeyWriter, p: &Platform) {
         interp_penalty,
         dvfs_derate,
         os_overhead,
-        cpu_budget_fraction,
         radio,
     } = p;
     let CycleCosts {
@@ -100,10 +100,12 @@ fn platform_words(w: &mut KeyWriter, p: &Platform) {
     } = cycle_costs;
     let RadioModel {
         goodput_bytes_per_sec,
+        format,
+    } = radio;
+    let PacketFormat {
         max_payload,
         per_packet_overhead,
-        baseline_loss,
-    } = radio;
+    } = format;
     for v in [
         clock_hz,
         int_alu,
@@ -119,14 +121,12 @@ fn platform_words(w: &mut KeyWriter, p: &Platform) {
         interp_penalty,
         dvfs_derate,
         os_overhead,
-        cpu_budget_fraction,
         goodput_bytes_per_sec,
     ] {
         w.f(*v);
     }
     w.u(*max_payload as u64);
     w.u(*per_packet_overhead as u64);
-    w.f(*baseline_loss);
 }
 
 fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
@@ -378,7 +378,7 @@ mod tests {
 
         // One field at a time, moved off the mote's value.
         type Vary = fn(&mut Platform);
-        let varied: [(&str, Vary); 19] = [
+        let varied: [(&str, Vary); 17] = [
             ("clock_hz", |p| p.clock_hz *= 2.0),
             ("int_alu", |p| p.cycle_costs.int_alu += 1.0),
             ("int_mul", |p| p.cycle_costs.int_mul += 1.0),
@@ -393,11 +393,11 @@ mod tests {
             ("interp_penalty", |p| p.interp_penalty += 1.0),
             ("dvfs_derate", |p| p.dvfs_derate /= 2.0),
             ("os_overhead", |p| p.os_overhead += 1.0),
-            ("cpu_budget_fraction", |p| p.cpu_budget_fraction /= 2.0),
             ("goodput", |p| p.radio.goodput_bytes_per_sec *= 2.0),
-            ("max_payload", |p| p.radio.max_payload += 1),
-            ("per_packet_overhead", |p| p.radio.per_packet_overhead += 1),
-            ("baseline_loss", |p| p.radio.baseline_loss += 0.1),
+            ("max_payload", |p| p.radio.format.max_payload += 1),
+            ("per_packet_overhead", |p| {
+                p.radio.format.per_packet_overhead += 1
+            }),
         ];
         for (field, vary) in varied {
             let mut platform = base.clone();

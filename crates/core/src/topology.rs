@@ -40,7 +40,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
-use wishbone_dataflow::{EdgeId, Graph, OperatorId};
+use wishbone_dataflow::{EdgeId, Graph, OperatorId, OP_CLASSES};
 use wishbone_ilp::{
     solve_ilp_seeded_in, IlpOptions, IlpStats, Refutation, SimplexWorkspace, SolveError, VarId,
 };
@@ -81,15 +81,16 @@ pub struct Site {
 }
 
 impl Site {
-    /// A budgeted site on `platform` (count 1, `α = 0`, the platform's
-    /// CPU budget, unit rate).
+    /// A budgeted site on `platform` (count 1, `α = 0`, CPU budget 1.0 —
+    /// the paper's "allow the CPU to be fully utilized but not
+    /// over-utilized" — and unit rate).
     pub fn new(name: impl Into<String>, platform: &Platform) -> Self {
         Site {
             name: name.into(),
             platform: platform.clone(),
             count: 1,
             alpha: 0.0,
-            cpu_budget: platform.cpu_budget_fraction,
+            cpu_budget: 1.0,
             rate_factor: 1.0,
         }
     }
@@ -314,7 +315,8 @@ impl Deployment {
     /// [`PartitionError::InvalidWeight`]: both multiply into every
     /// objective coefficient and (the rate factor) every budget row, so a
     /// NaN, infinite or negative one would solve to a NaN or negative
-    /// objective.
+    /// objective. A [`Site::platform`] that cannot price is
+    /// [`PartitionError::InvalidPlatform`].
     pub fn check_sites(&self) -> Result<(), PartitionError> {
         if self.sites.len() < 2 {
             return Err(PartitionError::NoLeaf);
@@ -335,6 +337,9 @@ impl Deployment {
             let beta = uplink.map_or(0.0, |l| l.beta);
             if !is_weight(site.alpha) || !is_weight(beta) {
                 return Err(PartitionError::InvalidWeight { site: id });
+            }
+            if !can_price(&site.platform) {
+                return Err(PartitionError::InvalidPlatform { site: id });
             }
         }
         Ok(())
@@ -670,6 +675,15 @@ pub enum PartitionError {
         /// The site whose CPU or uplink weight is invalid.
         site: SiteId,
     },
+    /// The platform of `site` cannot price ([`Deployment::check_sites`]):
+    /// its [`Platform::effective_hz`] is not finite and positive or a
+    /// cycle cost not finite and non-negative (either prices operators to
+    /// NaN or negative CPU), or its `radio.format.max_payload` is zero (no
+    /// edge can be framed).
+    InvalidPlatform {
+        /// The site whose platform is invalid.
+        site: SiteId,
+    },
     /// The deployment has no site under its root, so the root would be
     /// its only leaf ([`Deployment::check_sites`]).
     NoLeaf,
@@ -732,6 +746,9 @@ impl std::fmt::Display for PartitionError {
                     f,
                     "site {site:?} has a CPU or uplink weight that is not finite and non-negative"
                 )
+            }
+            PartitionError::InvalidPlatform { site } => {
+                write!(f, "site {site:?} has a platform that cannot price")
             }
             PartitionError::NoLeaf => {
                 write!(f, "the deployment has no leaf under its root")
@@ -1473,6 +1490,16 @@ fn is_weight(weight: f64) -> bool {
     weight.is_finite() && weight >= 0.0
 }
 
+/// A platform that prices every operator to a finite, non-negative CPU
+/// cost and frames every edge into at least one packet.
+fn can_price(platform: &Platform) -> bool {
+    let hz = platform.effective_hz();
+    let costs_ok = OP_CLASSES
+        .iter()
+        .all(|&c| is_weight(platform.cycle_costs.cost(c)));
+    hz.is_finite() && hz > 0.0 && costs_ok && platform.radio.format.max_payload > 0
+}
+
 pub(crate) fn check_rate(rate: f64) -> Result<(), PartitionError> {
     if rate.is_finite() && rate > 0.0 {
         Ok(())
@@ -2013,9 +2040,7 @@ mod tests {
                 net_budget: backhaul,
             };
             let gw = dep.attach(root, Site::new(gw, &phone), link);
-            let caps = Site::new(ward, &mote)
-                .with_count(4)
-                .with_cpu_budget(mote.cpu_budget_fraction);
+            let caps = Site::new(ward, &mote).with_count(4);
             let radio = LinkSpec {
                 beta: 1.0,
                 net_budget: 4.0 * mote.radio.goodput_bytes_per_sec,

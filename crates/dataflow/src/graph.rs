@@ -412,13 +412,6 @@ impl Graph {
             .collect()
     }
 
-    /// Ids of all sinks (kind `Sink`).
-    pub fn sinks(&self) -> Vec<OperatorId> {
-        self.operator_ids()
-            .filter(|&id| self.specs[id.0].kind == OperatorKind::Sink)
-            .collect()
-    }
-
     /// Run one operator's work function on an element; panics if absent.
     pub fn run_operator(
         &mut self,

@@ -33,5 +33,5 @@ pub use graph::{
     Edge, EdgeId, ExecCtx, Graph, GraphError, IdentityWork, Namespace, OperatorId, OperatorKind,
     OperatorSpec, WorkFn,
 };
-pub use meter::{Meter, OpClass, OpCounts, ScaledOpCounts, OP_CLASSES};
+pub use meter::{Meter, OpClass, OpCounts, OP_CLASSES};
 pub use value::Value;

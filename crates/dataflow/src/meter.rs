@@ -151,15 +151,6 @@ impl OpCounts {
     pub fn is_empty(&self) -> bool {
         self.total() == 0 && self.loop_iters == 0
     }
-
-    /// Scale every count by `k` (used to form per-element means).
-    pub fn scaled(&self, k: f64) -> ScaledOpCounts {
-        let mut s = ScaledOpCounts::default();
-        for (i, v) in self.counts.iter().enumerate() {
-            s.counts[i] = *v as f64 * k;
-        }
-        s
-    }
 }
 
 impl Add for OpCounts {
@@ -178,28 +169,6 @@ impl AddAssign for OpCounts {
         }
         self.loop_iters += rhs.loop_iters;
         self.loops_entered += rhs.loops_entered;
-    }
-}
-
-/// Fractional operation counts (per-element means).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ScaledOpCounts {
-    counts: [f64; OP_CLASSES.len()],
-}
-
-impl ScaledOpCounts {
-    /// Mean count for one class.
-    pub fn get(&self, c: OpClass) -> f64 {
-        self.counts[c.index()]
-    }
-
-    /// Weighted sum: `Σ count[c] * weight(c)`. This is how platform cost
-    /// models turn counts into cycles.
-    pub fn weighted_sum(&self, mut weight: impl FnMut(OpClass) -> f64) -> f64 {
-        OP_CLASSES
-            .iter()
-            .map(|&c| self.counts[c.index()] * weight(c))
-            .sum()
     }
 }
 
@@ -346,17 +315,6 @@ mod tests {
         assert_eq!(c.get(OpClass::Mem), 7);
         assert_eq!(c.get(OpClass::Sqrt), 1);
         assert_eq!(c.get_in_loops(OpClass::Sqrt), 1);
-    }
-
-    #[test]
-    fn scaled_weighted_sum() {
-        let mut a = OpCounts::new();
-        a.record(OpClass::FloatMul, 10);
-        a.record(OpClass::IntAlu, 100);
-        let s = a.scaled(0.5);
-        // FloatMul weight 8, IntAlu weight 1 => 0.5*(10*8 + 100*1) = 90
-        let cycles = s.weighted_sum(|c| if c == OpClass::FloatMul { 8.0 } else { 1.0 });
-        assert!((cycles - 90.0).abs() < 1e-9);
     }
 
     #[test]

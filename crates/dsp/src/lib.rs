@@ -39,6 +39,6 @@ pub use ops::{
     LogQuantOp, MagScaleOp, PreEmphOp, PreFiltOp,
 };
 pub use window::{
-    apply_window, apply_window_q15, dc_remove_and_pad, dc_remove_and_pad_i16, hamming_coeffs,
-    hamming_coeffs_q15, i16_dc_remove_and_pad, preemphasis, preemphasis_q15,
+    apply_window_q15, dc_remove_and_pad_i16, hamming_coeffs, hamming_coeffs_q15, preemphasis,
+    preemphasis_q15,
 };

@@ -11,16 +11,6 @@ pub fn hamming_coeffs(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Multiply `frame` by `window` element-wise (metered).
-pub fn apply_window(frame: &[f32], window: &[f32], meter: &mut Meter) -> Vec<f32> {
-    assert_eq!(frame.len(), window.len());
-    meter.loop_scope(frame.len() as u64, |meter| {
-        meter.fmul(frame.len() as u64);
-        meter.mem(2 * frame.len() as u64);
-        frame.iter().zip(window).map(|(x, w)| x * w).collect()
-    })
-}
-
 /// First-order pre-emphasis `y[i] = x[i] - α·x[i-1]`, carrying the last
 /// sample of the previous frame in `prev` (stateful across frames).
 pub fn preemphasis(frame: &[i16], alpha: f32, prev: &mut f32, meter: &mut Meter) -> Vec<f32> {
@@ -33,31 +23,6 @@ pub fn preemphasis(frame: &[i16], alpha: f32, prev: &mut f32, meter: &mut Meter)
             let x = f32::from(s);
             out.push(x - alpha * *prev);
             *prev = x;
-        }
-    });
-    out
-}
-
-/// Remove the frame mean and zero-pad to `pad_to` (the `prefilt` stage:
-/// conditions the frame for the power-of-two FFT).
-pub fn dc_remove_and_pad(frame: &[f32], pad_to: usize, meter: &mut Meter) -> Vec<f32> {
-    assert!(pad_to >= frame.len());
-    let mean = if frame.is_empty() {
-        0.0
-    } else {
-        meter.loop_scope(frame.len() as u64, |meter| {
-            meter.fadd(frame.len() as u64);
-            meter.mem(frame.len() as u64);
-            frame.iter().sum::<f32>() / frame.len() as f32
-        })
-    };
-    meter.fdiv(1);
-    let mut out = vec![0.0f32; pad_to];
-    meter.loop_scope(frame.len() as u64, |meter| {
-        meter.fadd(frame.len() as u64);
-        meter.mem(frame.len() as u64);
-        for (o, &x) in out.iter_mut().zip(frame) {
-            *o = x - mean;
         }
     });
     out
@@ -111,17 +76,6 @@ pub fn preemphasis_q15(
     out
 }
 
-/// Convert an i16 window to f32, remove the mean, and zero-pad to
-/// `pad_to` (float variant, kept for hosts with FPUs).
-pub fn i16_dc_remove_and_pad(frame: &[i16], pad_to: usize, meter: &mut Meter) -> Vec<f32> {
-    meter.loop_scope(frame.len() as u64, |meter| {
-        meter.int(frame.len() as u64);
-        meter.mem(frame.len() as u64);
-    });
-    let floats: Vec<f32> = frame.iter().map(|&x| f32::from(x)).collect();
-    dc_remove_and_pad(&floats, pad_to, meter)
-}
-
 /// Integer DC removal + zero-pad: subtract the integer mean and pad with
 /// zeros to `pad_to`. Keeps the `prefilt` stage in fixed point so the
 /// fixed-point FFT can follow.
@@ -164,14 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn window_application() {
-        let mut m = Meter::new();
-        let out = apply_window(&[2.0, 2.0], &[0.5, 0.25], &mut m);
-        assert_eq!(out, vec![1.0, 0.5]);
-        assert!(m.counts().total() > 0);
-    }
-
-    #[test]
     fn preemphasis_carries_state_across_frames() {
         let mut prev = 0.0;
         let mut m = Meter::new();
@@ -180,16 +126,6 @@ mod tests {
         // Next frame sees prev = 100.
         let out2 = preemphasis(&[100], 0.9, &mut prev, &mut m);
         assert_eq!(out2, vec![10.0]);
-    }
-
-    #[test]
-    fn dc_removal_zeroes_mean_and_pads() {
-        let mut m = Meter::new();
-        let out = dc_remove_and_pad(&[1.0, 2.0, 3.0], 8, &mut m);
-        assert_eq!(out.len(), 8);
-        let sum: f32 = out[..3].iter().sum();
-        assert!(sum.abs() < 1e-6);
-        assert!(out[3..].iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -225,15 +161,6 @@ mod tests {
         for (q, f) in yq.iter().zip(&yf) {
             assert!((f32::from(*q) - f).abs() < 4.0, "{q} vs {f}");
         }
-    }
-
-    #[test]
-    fn i16_conversion_pads_and_centers() {
-        let mut m = Meter::new();
-        let out = i16_dc_remove_and_pad(&[10, 20, 30], 8, &mut m);
-        assert_eq!(out.len(), 8);
-        let sum: f32 = out[..3].iter().sum();
-        assert!(sum.abs() < 1e-4);
     }
 
     #[test]

@@ -291,7 +291,7 @@ pub(crate) mod tests {
             &ObjectiveConfig {
                 alpha: 0.0,
                 beta: 1.0,
-                cpu_budget: platform.cpu_budget_fraction,
+                cpu_budget: 1.0,
                 net_budget: platform.radio.goodput_bytes_per_sec,
             },
         );

@@ -147,7 +147,7 @@ mod tests {
         let obj = ObjectiveConfig {
             alpha: 0.0,
             beta: 1.0,
-            cpu_budget: platform.cpu_budget_fraction,
+            cpu_budget: 1.0,
             net_budget: 1e9,
         };
         let ep = encode(&pg, Encoding::General, &obj);
@@ -180,6 +180,6 @@ mod tests {
         // *prediction* may fall at higher rates precisely because work
         // moves off the node.
         assert!(fast.leaves[0].site_ops[0].len() <= slow.leaves[0].site_ops[0].len());
-        assert!(fast.leaves[0].predicted_cpu[0] <= platform.cpu_budget_fraction + 1e-9);
+        assert!(fast.leaves[0].predicted_cpu[0] <= 1.0 + 1e-9);
     }
 }

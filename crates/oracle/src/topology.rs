@@ -26,11 +26,7 @@ mod tests {
         // The chain view of the one leaf's root path (what the private
         // `Deployment::leaf_objective` hands the per-leaf merge).
         let tobj = TierObjective::bandwidth_only(
-            vec![
-                chain[0].cpu_budget_fraction,
-                chain[1].cpu_budget_fraction,
-                f64::INFINITY,
-            ],
+            vec![1.0, 1.0, f64::INFINITY],
             chain[..2]
                 .iter()
                 .map(|p| p.radio.goodput_bytes_per_sec)

@@ -25,13 +25,15 @@
 //! ordered chain like `[tmote_sky, iphone, server]` prices every
 //! operator's CPU on each tier it could run on and every edge's on-air
 //! bandwidth with each hop's radio framing (`radio.goodput_bytes_per_sec`
-//! is the natural per-link budget, `max_payload`/`per_packet_overhead`
-//! the per-hop framing). A platform's row in the substitution table is
-//! therefore also its row in a tier chain: swapping the middle tier from
-//! `nokia_n80` to `iphone` re-prices tier-1 CPU and the link-1 budget
-//! without touching the profile.
+//! is the natural per-link budget, `radio.format` the per-hop framing —
+//! the same [`PacketFormat`] the simulated channel charges). A
+//! platform's row in the substitution table is therefore also its row in
+//! a tier chain: swapping the middle tier from `nokia_n80` to `iphone`
+//! re-prices tier-1 CPU and the link-1 budget without touching the
+//! profile.
 
-use wishbone_dataflow::{OpClass, OpCounts, ScaledOpCounts};
+use wishbone_dataflow::{OpClass, OpCounts, OP_CLASSES};
+use wishbone_net::PacketFormat;
 
 /// Cycles per abstract operation class.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,35 +110,19 @@ impl CycleCosts {
     }
 }
 
-/// Radio / uplink model used for the network budget and the deployment
-/// simulator.
+/// Radio / uplink model: the network budget the partitioner prices
+/// against, and the framing it prices — the [`PacketFormat`] the
+/// simulated channel of a matching class charges per packet. Loss is the
+/// channel's
+/// ([`ChannelParams::baseline_loss`](wishbone_net::ChannelParams::baseline_loss)),
+/// not the radio's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioModel {
     /// Sustainable application-level goodput at the collection-tree root,
     /// bytes/second (shared by all nodes: the bottleneck link, §7.3).
     pub goodput_bytes_per_sec: f64,
-    /// Maximum application payload per packet, bytes.
-    pub max_payload: usize,
-    /// Header + framing overhead per packet, bytes.
-    pub per_packet_overhead: usize,
-    /// Baseline packet loss rate on an uncongested link.
-    pub baseline_loss: f64,
-}
-
-impl RadioModel {
-    /// Number of packets needed for a `bytes`-byte element.
-    pub fn packets_for(&self, bytes: usize) -> usize {
-        if bytes == 0 {
-            1
-        } else {
-            bytes.div_ceil(self.max_payload)
-        }
-    }
-
-    /// On-air bytes (payload + headers) for a `bytes`-byte element.
-    pub fn on_air_bytes(&self, bytes: usize) -> usize {
-        bytes + self.packets_for(bytes) * self.per_packet_overhead
-    }
+    /// Packet framing (payload per packet, header bytes per packet).
+    pub format: PacketFormat,
 }
 
 /// A target platform: clock, cost table, slowdowns, radio.
@@ -156,9 +142,6 @@ pub struct Platform {
     /// the *runtime simulator*, never by the profiler's prediction — this
     /// is what creates the paper's 11.5% predicted vs 15% measured gap.
     pub os_overhead: f64,
-    /// Fraction of CPU the application may use (1.0 = paper's "allow the
-    /// CPU to be fully utilized but not over-utilized").
-    pub cpu_budget_fraction: f64,
     /// Radio model.
     pub radio: RadioModel,
 }
@@ -171,12 +154,11 @@ impl Platform {
 
     /// Predicted seconds of CPU for a bag of op counts.
     pub fn seconds_for(&self, counts: &OpCounts) -> f64 {
-        self.seconds_for_scaled(&counts.scaled(1.0))
-    }
-
-    /// Predicted seconds for fractional (per-element mean) counts.
-    pub fn seconds_for_scaled(&self, counts: &ScaledOpCounts) -> f64 {
-        counts.weighted_sum(|c| self.cycle_costs.cost(c)) / self.effective_hz()
+        let cycles: f64 = OP_CLASSES
+            .iter()
+            .map(|&c| counts.get(c) as f64 * self.cycle_costs.cost(c))
+            .sum();
+        cycles / self.effective_hz()
     }
 
     /// TMote Sky: 4 MHz-class MSP430, no FPU, hardware multiplier, CC2420
@@ -196,7 +178,6 @@ impl Platform {
             interp_penalty: 1.0,
             dvfs_derate: 1.0,
             os_overhead: 1.15,
-            cpu_budget_fraction: 1.0,
             radio: RadioModel {
                 // CC2420 is 250 kb/s PHY; achievable application goodput is
                 // far lower, and the partitioner budgets the network
@@ -204,9 +185,7 @@ impl Platform {
                 // below channel saturation. This is the balance that makes
                 // intermediate cuts optimal on motes (Fig 9).
                 goodput_bytes_per_sec: 3_000.0,
-                max_payload: 28,
-                per_packet_overhead: 17,
-                baseline_loss: 0.05,
+                format: PacketFormat::tinyos(),
             },
         }
     }
@@ -222,14 +201,11 @@ impl Platform {
             interp_penalty: 20.0,
             dvfs_derate: 1.0,
             os_overhead: 1.2,
-            cpu_budget_fraction: 1.0,
             radio: RadioModel {
                 // WiFi (or cellular) via TCP: orders of magnitude more
                 // bandwidth than the CC2420.
                 goodput_bytes_per_sec: 250_000.0,
-                max_payload: 1_400,
-                per_packet_overhead: 78,
-                baseline_loss: 0.01,
+                format: PacketFormat::wifi(),
             },
         }
     }
@@ -245,12 +221,9 @@ impl Platform {
             interp_penalty: 1.0,
             dvfs_derate: 1.0 / 3.0,
             os_overhead: 1.2,
-            cpu_budget_fraction: 1.0,
             radio: RadioModel {
                 goodput_bytes_per_sec: 400_000.0,
-                max_payload: 1_400,
-                per_packet_overhead: 78,
-                baseline_loss: 0.01,
+                format: PacketFormat::wifi(),
             },
         }
     }
@@ -265,12 +238,9 @@ impl Platform {
             dvfs_derate: 1.0,
             // §7.3: predicted 11.5% CPU, measured 15% — a ~1.3× OS factor.
             os_overhead: 1.3,
-            cpu_budget_fraction: 1.0,
             radio: RadioModel {
                 goodput_bytes_per_sec: 400_000.0,
-                max_payload: 1_400,
-                per_packet_overhead: 78,
-                baseline_loss: 0.01,
+                format: PacketFormat::wifi(),
             },
         }
     }
@@ -289,12 +259,9 @@ impl Platform {
             interp_penalty: 1.0,
             dvfs_derate: 1.0,
             os_overhead: 1.25,
-            cpu_budget_fraction: 1.0,
             radio: RadioModel {
                 goodput_bytes_per_sec: 300_000.0,
-                max_payload: 1_400,
-                per_packet_overhead: 78,
-                baseline_loss: 0.02,
+                format: PacketFormat::wifi(),
             },
         }
     }
@@ -308,12 +275,9 @@ impl Platform {
             interp_penalty: 1.0,
             dvfs_derate: 1.0,
             os_overhead: 1.2,
-            cpu_budget_fraction: 1.0,
             radio: RadioModel {
                 goodput_bytes_per_sec: 500_000.0,
-                max_payload: 1_400,
-                per_packet_overhead: 78,
-                baseline_loss: 0.01,
+                format: PacketFormat::wifi(),
             },
         }
     }
@@ -329,12 +293,9 @@ impl Platform {
             interp_penalty: 12.0,
             dvfs_derate: 1.0,
             os_overhead: 1.05,
-            cpu_budget_fraction: 1.0,
             radio: RadioModel {
                 goodput_bytes_per_sec: 10.0e6,
-                max_payload: 1_400,
-                per_packet_overhead: 78,
-                baseline_loss: 0.0,
+                format: PacketFormat::wifi(),
             },
         }
     }
@@ -350,12 +311,9 @@ impl Platform {
             interp_penalty: 1.0,
             dvfs_derate: 1.0,
             os_overhead: 1.0,
-            cpu_budget_fraction: 1.0,
             radio: RadioModel {
                 goodput_bytes_per_sec: 100.0e6,
-                max_payload: 1_400,
-                per_packet_overhead: 78,
-                baseline_loss: 0.0,
+                format: PacketFormat::wifi(),
             },
         }
     }
@@ -375,7 +333,6 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wishbone_dataflow::OpClass;
 
     fn float_heavy() -> OpCounts {
         let mut c = OpCounts::new();
@@ -447,12 +404,34 @@ mod tests {
 
     #[test]
     fn packetization_math() {
-        let r = Platform::tmote_sky().radio;
-        assert_eq!(r.packets_for(0), 1);
-        assert_eq!(r.packets_for(28), 1);
-        assert_eq!(r.packets_for(29), 2);
-        assert_eq!(r.on_air_bytes(28), 28 + 17);
-        assert_eq!(r.on_air_bytes(56), 56 + 34);
+        let f = Platform::tmote_sky().radio.format;
+        assert_eq!(f.packets_for(0), 1);
+        assert_eq!(f.packets_for(28), 1);
+        assert_eq!(f.packets_for(29), 2);
+        assert_eq!(f.on_air_bytes(28), 28 + 17);
+        assert_eq!(f.on_air_bytes(56), 56 + 34);
+    }
+
+    #[test]
+    fn each_radio_frames_like_the_channel_it_is_paired_with() {
+        use wishbone_net::ChannelParams;
+        assert_eq!(
+            Platform::tmote_sky().radio.format,
+            ChannelParams::mote().format
+        );
+        let wifi = [
+            Platform::nokia_n80(),
+            Platform::iphone(),
+            Platform::gumstix(),
+            Platform::meraki_mini(),
+            Platform::voxnet(),
+            Platform::scheme_server(),
+            Platform::server(),
+        ];
+        for p in wifi {
+            let channel = ChannelParams::wifi(p.radio.goodput_bytes_per_sec);
+            assert_eq!(p.radio.format, channel.format, "{}", p.name);
+        }
     }
 
     #[test]

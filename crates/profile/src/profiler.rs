@@ -146,8 +146,8 @@ impl GraphProfile {
         if e.elements == 0 {
             return 0.0;
         }
-        let mean_elem = e.bytes as f64 / e.elements as f64;
-        let on_air = platform.radio.on_air_bytes(mean_elem.round() as usize) as f64;
+        let mean_elem = (e.bytes as f64 / e.elements as f64).round() as usize;
+        let on_air = platform.radio.format.on_air_bytes(mean_elem) as f64;
         on_air * e.elements as f64 / self.duration_s
     }
 

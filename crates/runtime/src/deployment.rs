@@ -36,10 +36,11 @@ pub struct SimulationConfig {
     /// in communication — one of the overheads the paper notes its additive
     /// model omits, §7.3).
     pub per_packet_cpu_s: f64,
-    /// Source buffer depth in events (TinyOS `ReadStream` double
-    /// buffering = 2, §6.2.3). Arrivals beyond this while busy are missed.
-    pub source_buffer: usize,
 }
+
+/// Source buffer depth in events (TinyOS `ReadStream` double buffering,
+/// §6.2.3). Arrivals beyond this while busy are missed.
+const SOURCE_BUFFER: usize = 2;
 
 impl SimulationConfig {
     /// A mote-class deployment at the reference rate.
@@ -51,7 +52,6 @@ impl SimulationConfig {
             seed,
             task_model: TaskModel::tinyos(),
             per_packet_cpu_s: 0.8e-3,
-            source_buffer: 2,
         }
     }
 }
@@ -212,7 +212,7 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
             if t >= free_at {
                 queued.iter_mut().for_each(|q| *q = 0);
             }
-            if queued[fi] >= cfg.source_buffer {
+            if queued[fi] >= SOURCE_BUFFER {
                 continue; // missed input event
             }
             let feed = &feeds[fi];

@@ -140,7 +140,7 @@ fn binary_prepared_partitions_audit_clean() {
     let pg = build_partition_graph(&app.graph, &prof, &mote, Mode::Permissive, 1.0)
         .expect("pin analysis succeeds");
     let merged = preprocess(&pg).expect("merge succeeds").graph;
-    let obj = ObjectiveConfig::bandwidth_only(mote.cpu_budget_fraction, uplink.net_budget);
+    let obj = ObjectiveConfig::bandwidth_only(1.0, uplink.net_budget);
     let report = audit_binary(&encode(&merged, Encoding::General, &obj));
     assert!(
         !report.has_errors(),

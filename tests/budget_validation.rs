@@ -28,6 +28,14 @@
 //! finite and positive, and `PartitionError::InvalidWeight` for a weight
 //! that is not finite and non-negative.
 //!
+//! `Site::platform` is public data as well, and pricing reads it: every
+//! operator's CPU cost is its cycle count over `effective_hz()`, every
+//! cut edge's on-air bytes are framed by `radio.format`. A zero or NaN
+//! clock, or a NaN cycle cost, would price to a NaN objective, a
+//! negative DVFS derate to negative CPU costs, and a zero payload per
+//! packet would divide by zero in a fleet worker. Every path answers
+//! `PartitionError::InvalidPlatform`.
+//!
 //! `IlpOptions::rel_gap` is a public field too. Branch-and-bound prunes a
 //! node whose bound is within that gap of the incumbent, so a NaN gap
 //! prunes nothing and a negative one prunes nothing inside it: the search
@@ -483,5 +491,86 @@ fn a_hostile_rate_factor_or_weight_is_refused_by_the_fleet_and_caches_nothing() 
         assert_eq!(responses[0].result.clone().err(), Some(refused));
         assert!(responses[1].result.is_ok());
         assert_eq!(stats.errors, 1);
+    }
+}
+
+/// One TMote leaf under the server, the mote's platform changed by
+/// `vary`.
+fn platform_star(vary: fn(&mut Platform)) -> Deployment {
+    let mut mote = Platform::tmote_sky();
+    vary(&mut mote);
+    Deployment::star([(Site::new("mote", &mote), LinkSpec::for_platform(&mote))])
+}
+
+/// Every hostile platform field pricing reads, each on an otherwise
+/// legal star.
+fn hostile_platforms() -> Vec<(&'static str, Deployment)> {
+    type Vary = fn(&mut Platform);
+    let varied: [(&str, Vary); 8] = [
+        ("max_payload 0", |p| p.radio.format.max_payload = 0),
+        ("clock_hz 0", |p| p.clock_hz = 0.0),
+        ("clock_hz NaN", |p| p.clock_hz = f64::NAN),
+        ("interp_penalty 0", |p| p.interp_penalty = 0.0),
+        ("dvfs_derate -1", |p| p.dvfs_derate = -1.0),
+        ("int_alu NaN", |p| p.cycle_costs.int_alu = f64::NAN),
+        ("float_mul -1", |p| p.cycle_costs.float_mul = -1.0),
+        ("transcendental inf", |p| {
+            p.cycle_costs.transcendental = f64::INFINITY
+        }),
+    ];
+    varied
+        .into_iter()
+        .map(|(what, vary)| (what, platform_star(vary)))
+        .collect()
+}
+
+#[test]
+fn a_platform_that_cannot_price_is_refused_one_shot() {
+    let (g, prof) = eeg2();
+    for (what, dep) in hostile_platforms() {
+        let refused = Some(PartitionError::InvalidPlatform {
+            site: dep.leaves()[0],
+        });
+        assert_eq!(
+            one_shot(&g, &prof, &dep),
+            [(); 3].map(|_| refused.clone()),
+            "{what}"
+        );
+    }
+    // A zero cycle cost prices its class free, which is legal.
+    let free = platform_star(|p| p.cycle_costs.transcendental = 0.0);
+    partition_deployment(&g, &prof, &free, &DeploymentConfig::default())
+        .expect("a zero cycle cost prices");
+}
+
+#[test]
+fn a_platform_that_cannot_price_is_refused_by_the_fleet_and_caches_nothing() {
+    let (g, prof) = eeg2();
+    let request = |id: u64, deployment: Deployment| FleetRequest {
+        id,
+        graph: Arc::clone(&g),
+        profile: Arc::clone(&prof),
+        deployment,
+        config: DeploymentConfig::default(),
+        rate: 1.0,
+    };
+    for (what, dep) in hostile_platforms() {
+        let refused = PartitionError::InvalidPlatform {
+            site: dep.leaves()[0],
+        };
+        let req = request(0, dep);
+        let mut cache = ShapeCache::new();
+        let (hit, got) = cache.serve(&req, key_of(&req), &mut SimplexWorkspace::new(), true);
+        assert!(!hit);
+        assert_eq!(got.err(), Some(refused.clone()), "{what}");
+        assert!(cache.is_empty(), "nothing was prepared: {what}");
+        // Through a two-worker service: the bad request gets its error,
+        // its neighbour its placement, and the batch returns.
+        let good = request(1, platform_star(|_| {}));
+        let (responses, stats) = run_batch(2, vec![req, good]);
+        assert_eq!(responses[0].result.clone().err(), Some(refused), "{what}");
+        assert!(responses[1].result.is_ok(), "{what}");
+        assert_eq!(stats.errors, 1);
+        assert_eq!(stats.distinct_shapes, 1, "only the neighbour is cached");
     }
 }

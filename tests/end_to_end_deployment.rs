@@ -71,7 +71,7 @@ fn speech_two_site_star_is_the_binary_encoding() {
     let oracle = encode(
         &merged,
         Encoding::Restricted,
-        &ObjectiveConfig::bandwidth_only(mote.cpu_budget_fraction, uplink.net_budget),
+        &ObjectiveConfig::bandwidth_only(1.0, uplink.net_budget),
     );
 
     let dep = Deployment::star([(Site::new("mote", &mote), uplink)]);
@@ -97,11 +97,7 @@ fn eeg_three_tier_path_is_the_multitier_encoding() {
     // Oracle: the chain path, assembled by hand through the independent
     // multitier encoder.
     let obj = TierObjective::bandwidth_only(
-        vec![
-            chain[0].cpu_budget_fraction,
-            chain[1].cpu_budget_fraction,
-            f64::INFINITY,
-        ],
+        vec![1.0, 1.0, f64::INFINITY],
         chain[..2]
             .iter()
             .map(|p| p.radio.goodput_bytes_per_sec)

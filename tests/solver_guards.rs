@@ -91,9 +91,7 @@ fn forest_dep(count: usize, a: f64, b: f64) -> Deployment {
         net_budget: count as f64 * mote.radio.goodput_bytes_per_sec,
     };
     for (gw, name) in gateways.into_iter().zip(["ward-a", "ward-b"]) {
-        let ward = Site::new(name, &mote)
-            .with_count(count)
-            .with_cpu_budget(mote.cpu_budget_fraction);
+        let ward = Site::new(name, &mote).with_count(count);
         dep.attach(gw, ward, ward_uplink);
     }
     dep

@@ -36,6 +36,8 @@ const RUNTIME_SRC: &str = "crates/runtime/src";
 const PER_SOLVE_PATH: &str = "crates/core/src/topology.rs";
 /// The one §4.1 merge and the one pricing.
 const MULTITIER: &str = "crates/core/src/multitier.rs";
+/// The platform cost models.
+const PLATFORM: &str = "crates/profile/src/platform.rs";
 
 /// What a [`Confine`] row looks for in a line's code (string literals and
 /// `//` comments stripped).
@@ -297,12 +299,17 @@ const BENCH_MANIFEST: &str = "crates/bench/Cargo.toml";
 const BENCH_TARGETS: &str = "crates/bench/benches";
 const THE_BENCH_TARGETS: [&str; 1] = ["repro"];
 
-/// The option structs: file, name, counted `pub` fields. A behaviour is
-/// a field only when shipped callers need different values; one more
-/// comes with its callers named in its doc and the count bumped.
-const CONFIG_SURFACE: [(&str, &str, usize); 2] = [
+/// The option and model structs: file, name, counted `pub` fields. A
+/// behaviour is a field only when shipped callers need different values
+/// (a platform fact only when some platform differs in it and something
+/// reads it); one more comes with its callers named in its doc and the
+/// count bumped.
+const CONFIG_SURFACE: [(&str, &str, usize); 5] = [
     (PER_SOLVE_PATH, "DeploymentConfig", 4),
     ("crates/ilp/src/branch_bound.rs", "IlpOptions", 5),
+    (PLATFORM, "Platform", 7),
+    (PLATFORM, "RadioModel", 2),
+    ("crates/runtime/src/deployment.rs", "SimulationConfig", 6),
 ];
 
 /// The caller's inputs no type of [`PER_SOLVE_PATH`] may hold: a
@@ -416,14 +423,16 @@ fn lint_sources(sources: &[(PathBuf, String)]) -> Vec<Violation> {
     out
 }
 
-/// Every source some rule reads (the scopes of both tables, and
-/// [`LINTED_DIRS`], which hold [`CONFIG_SURFACE`]'s files), by
-/// repo-relative path, in path order.
+/// Every source some rule reads (the scopes of both tables,
+/// [`LINTED_DIRS`] and [`CONFIG_SURFACE`]'s files), by repo-relative
+/// path, in path order.
 fn repo_sources(root: &Path) -> Vec<(PathBuf, String)> {
     let scopes = CONFINE.iter().flat_map(|row| row.scope);
     let scopes = scopes.chain(CENSUS.iter().flat_map(|row| row.scope));
+    let surface = CONFIG_SURFACE.iter().map(|(file, _, _)| file);
     let files: BTreeSet<PathBuf> = scopes
         .chain(&LINTED_DIRS)
+        .chain(surface)
         .flat_map(|scope| rust_sources(&root.join(scope)))
         .collect();
     let read = |file: PathBuf| Some((file.strip_prefix(root).ok()?.into(), read_text(&file)?));
@@ -1146,6 +1155,46 @@ mod tests {
 ";
         assert_eq!(found("crates/fleet/src/lib.rs", fleet), vec![2]);
         assert_eq!(found("crates/core/src/shape.rs", fleet), vec![]);
+    }
+
+    #[test]
+    fn config_surface_fires_on_an_unread_platform_field_put_back() {
+        let found = |source: &str| lines("config-surface", PLATFORM, source);
+        let models = "\
+/// Radio.
+pub struct RadioModel { // line 2
+    pub goodput_bytes_per_sec: f64,
+    pub format: PacketFormat,
+}
+/// A target platform.
+pub struct Platform { // line 7
+    pub name: String,
+    pub clock_hz: f64,
+    pub cycle_costs: CycleCosts,
+    pub interp_penalty: f64,
+    pub dvfs_derate: f64,
+    pub os_overhead: f64,
+    pub radio: RadioModel,
+}
+";
+        assert_eq!(found(models), vec![]);
+        let budget = "    pub os_overhead: f64,\n    pub cpu_budget_fraction: f64,";
+        assert_eq!(
+            found(&models.replace("    pub os_overhead: f64,", budget)),
+            vec![7]
+        );
+        let loss = "    pub format: PacketFormat,\n    pub baseline_loss: f64,";
+        assert_eq!(
+            found(&models.replace("    pub format: PacketFormat,", loss)),
+            vec![2]
+        );
+        // Every counted file is read from the repo, so the committed
+        // structs are checked too.
+        let read = repo_sources(&repo_root());
+        for (file, _, _) in CONFIG_SURFACE {
+            assert!(read.iter().any(|(rel, _)| rel == Path::new(file)), "{file}");
+        }
+        assert_repo_clean("config-surface");
     }
 
     #[test]
