@@ -258,9 +258,9 @@ mod tests {
 
     #[test]
     fn each_level_halves_data() {
-        let mut app = build_eeg_channel();
+        let app = build_eeg_channel();
         let traces = app.traces(8, 2..5, 11);
-        let prof = profile(&mut app.graph, &traces).unwrap();
+        let prof = profile(&app.graph, &traces).unwrap();
         // Find the low-stage outputs by name and check the geometric decay.
         let g = &app.graph;
         let mut low_bw = Vec::new();
@@ -287,14 +287,14 @@ mod tests {
     fn detects_synthetic_seizure() {
         // End-to-end functional check: run the real operators over the
         // trace and confirm the declare output fires during the seizure.
-        let mut app = build_eeg_app(EegParams {
+        let app = build_eeg_app(EegParams {
             n_channels: 4,
             ..Default::default()
         });
         let traces = app.traces(12, 5..10, 21);
         // Execute via the profiler (it runs the actual work functions) and
         // inspect emissions of the declare operator.
-        let prof = profile(&mut app.graph, &traces).unwrap();
+        let prof = profile(&app.graph, &traces).unwrap();
         let declare_prof = prof.operator(app.declare);
         assert!(declare_prof.invocations >= 10, "declare ran per window");
         // Functional assertion via a fresh manual run of SVM inputs:
@@ -317,12 +317,12 @@ mod tests {
     #[test]
     fn trained_svm_beats_heuristic_on_hard_data() {
         // Train on features extracted by the real pipeline.
-        let mut app = build_eeg_app(EegParams {
+        let app = build_eeg_app(EegParams {
             n_channels: 2,
             ..Default::default()
         });
         let traces = app.traces(30, 10..20, 33);
-        let _ = profile(&mut app.graph, &traces).unwrap();
+        let _ = profile(&app.graph, &traces).unwrap();
         // The profiler consumed the graph state; collect features by
         // re-running a fresh app and tapping the combine operator.
         let app2 = build_eeg_app(EegParams {

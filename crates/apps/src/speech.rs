@@ -158,9 +158,9 @@ mod tests {
 
     #[test]
     fn profiles_with_paper_data_reductions() {
-        let mut app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app(SpeechParams::default());
         let trace = app.trace(80, 42);
-        let prof = profile(&mut app.graph, &[trace]).unwrap();
+        let prof = profile(&app.graph, &[trace]).unwrap();
 
         // Edge i connects stage i to stage i+1 (last edge feeds the sink).
         let bw: Vec<f64> = app
@@ -201,9 +201,9 @@ mod tests {
         // §6.2.2: "not only is the network capacity insufficient to forward
         // all the raw data back ... but the CPU resources are also
         // insufficient to extract the MFCCs in real time."
-        let mut app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app(SpeechParams::default());
         let trace = app.trace(40, 7);
-        let prof = profile(&mut app.graph, &[trace]).unwrap();
+        let prof = profile(&app.graph, &[trace]).unwrap();
         let mote = Platform::tmote_sky();
         let total_cpu: f64 = app
             .stages

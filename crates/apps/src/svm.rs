@@ -124,10 +124,6 @@ impl WorkFn for SvmOp {
         });
         cx.emit(Value::Bool(self.svm.decision(&x) > 0.0));
     }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(self.clone())
-    }
 }
 
 /// Stateful declaration operator: emits `Bool(true)` once `threshold`
@@ -152,10 +148,6 @@ impl WorkFn for DeclareOp {
         cx.meter().int(2);
         cx.meter().branch(1);
         cx.emit(Value::Bool(self.run >= self.threshold));
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(DeclareOp::new(self.threshold))
     }
 }
 

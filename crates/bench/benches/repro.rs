@@ -49,19 +49,19 @@ const N_POINTS: usize = 8;
 type Profiled<App> = (App, GraphProfile);
 
 fn profiled_speech() -> Profiled<SpeechApp> {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(120, 42);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     (app, prof)
 }
 
-fn profiled_eeg(mut app: EegApp, windows: usize, seizure: Range<usize>) -> Profiled<EegApp> {
+fn profiled_eeg(app: EegApp, windows: usize, seizure: Range<usize>) -> Profiled<EegApp> {
     let traces = app.traces(windows, seizure, 42);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
     (app, prof)
 }
 
-/// Simulate `cfg.n_nodes` `platform` nodes, each running `node_ops` (a
+/// Simulate `n_nodes` `platform` nodes, each running `node_ops` (a
 /// cut point's set or a placement's sorted list) under the server, fed
 /// `elems` at the 40 frames/s reference rate.
 fn simulate_cut<S>(
@@ -70,13 +70,14 @@ fn simulate_cut<S>(
     elems: &[Value],
     platform: &Platform,
     channel: ChannelParams,
+    n_nodes: usize,
     cfg: &SimulationConfig,
 ) -> TreeDeploymentReport
 where
     for<'s> &'s S: IntoIterator<Item = &'s OperatorId>,
 {
     let tiers = [platform.clone(), Platform::server()];
-    let topo = TreeTopology::chain(&tiers, &[channel], cfg.n_nodes);
+    let topo = TreeTopology::chain(&tiers, &[channel], n_nodes);
     let feeds = vec![SourceFeed {
         source: app.source,
         trace: elems.to_vec(),
@@ -543,7 +544,7 @@ fn fig9((app, _): &Profiled<SpeechApp>, claims: &mut Claims) {
     );
     let (mut input, mut msgs, mut good) = (Vec::new(), Vec::new(), Vec::new());
     for (i, (name, node_set)) in app.cutpoints().into_iter().enumerate() {
-        let sim = simulate_cut(app, &node_set, &elems, &mote, channel, &cfg);
+        let sim = simulate_cut(app, &node_set, &elems, &mote, channel, 1, &cfg);
         let leaf = &sim.leaves[0];
         input.push(leaf.input_processed_ratio());
         msgs.push(leaf.hop_delivery_ratio(0));
@@ -615,7 +616,8 @@ fn fig10((app, prof): &Profiled<SpeechApp>, claims: &mut Claims) {
     for (name, node_set) in app.cutpoints() {
         let run = |n_nodes: usize| {
             let cfg = SimulationConfig::motes(n_nodes, 29); // 30 simulated s
-            simulate_cut(app, &node_set, &elems, &mote, channel, &cfg).leaves[0].goodput_ratio()
+            simulate_cut(app, &node_set, &elems, &mote, channel, n_nodes, &cfg).leaves[0]
+                .goodput_ratio()
         };
         one.push(run(1));
         twenty.push(run(20));
@@ -707,7 +709,7 @@ fn validation((app, prof): &Profiled<SpeechApp>, claims: &mut Claims) {
             rate_multiplier: scale * r.rate,
             ..base.clone()
         };
-        simulate_cut(app, node_set, &elems, &mote, channel, &dcfg)
+        simulate_cut(app, node_set, &elems, &mote, channel, 1, &dcfg)
     };
     let (mut good, mut eased, mut input, mut busy) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
@@ -775,7 +777,7 @@ fn validation((app, prof): &Profiled<SpeechApp>, claims: &mut Claims) {
         ..SimulationConfig::motes(1, 3)
     };
     let wifi = ChannelParams::wifi(400_000.0);
-    let rep = simulate_cut(app, &gleaf.site_ops[0], &elems, &gumstix, wifi, &dcfg);
+    let rep = simulate_cut(app, &gleaf.site_ops[0], &elems, &gumstix, wifi, 1, &dcfg);
     let (predicted, measured) = (gleaf.predicted_cpu[0], rep.site_cpu_utilization[1]);
     let ratio = predicted / measured;
     claims.check(

@@ -57,7 +57,6 @@
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId};
 use wishbone_ilp::is_exact_zero;
-use wishbone_net::ChannelParams;
 use wishbone_profile::{GraphProfile, Platform};
 
 use crate::cost_graph::{pin_analysis, Mode, Pin, PinError};
@@ -678,17 +677,6 @@ impl LinkSpec {
             net_budget: platform.radio.goodput_bytes_per_sec,
         }
     }
-
-    /// Derive a link budget from a [`ChannelParams`] radio model: budget
-    /// the channel at `utilization` of its saturation capacity (the §7.3.1
-    /// network profile keeps the budget below the congestion cliff).
-    pub fn from_channel(params: &ChannelParams, utilization: f64) -> LinkSpec {
-        assert!(utilization > 0.0);
-        LinkSpec {
-            beta: 1.0,
-            net_budget: params.capacity_bytes_per_sec * utilization,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -734,7 +722,7 @@ mod tests {
     }
 
     fn profiled() -> (Graph, GraphProfile) {
-        let (mut g, src) = app();
+        let (g, src) = app();
         let t = SourceTrace {
             source: src,
             elements: (0..30)
@@ -742,7 +730,7 @@ mod tests {
                 .collect(),
             rate_hz: 20.0,
         };
-        let prof = run_profile(&mut g, &[t]).unwrap();
+        let prof = run_profile(&g, &[t]).unwrap();
         (g, prof)
     }
 
@@ -924,13 +912,5 @@ mod tests {
             edges,
             [(0, 1, 5.0, &[EdgeId(2)][..]), (1, 2, 1.0, &[EdgeId(6)][..])]
         );
-    }
-
-    #[test]
-    fn link_spec_from_channel_budgets_below_saturation() {
-        let ch = ChannelParams::mote();
-        let l = LinkSpec::from_channel(&ch, 0.5);
-        assert!((l.net_budget - 3_000.0).abs() < 1e-9);
-        assert_eq!(l.beta, 1.0);
     }
 }

@@ -166,7 +166,7 @@ mod tests {
     }
 
     fn profiled() -> (Graph, GraphProfile) {
-        let (mut g, src) = app();
+        let (g, src) = app();
         let t = SourceTrace {
             source: src,
             elements: (0..20)
@@ -174,7 +174,7 @@ mod tests {
                 .collect(),
             rate_hz: 40.0,
         };
-        let p = run_profile(&mut g, &[t]).unwrap();
+        let p = run_profile(&g, &[t]).unwrap();
         (g, p)
     }
 

@@ -289,7 +289,7 @@ mod tests {
         let mut b = GraphBuilder::new();
         let src = b.source("src");
         b.sink("out", src);
-        let mut g = b.finish().unwrap();
+        let g = b.finish().unwrap();
         let t = SourceTrace {
             source: src.0,
             elements: (0..4)
@@ -297,7 +297,7 @@ mod tests {
                 .collect(),
             rate_hz: 10.0,
         };
-        let prof = run_profile(&mut g, &[t]).unwrap();
+        let prof = run_profile(&g, &[t]).unwrap();
         (g, prof)
     }
 

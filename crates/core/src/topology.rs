@@ -1658,7 +1658,7 @@ mod tests {
     }
 
     fn profiled() -> (Graph, GraphProfile) {
-        let (mut g, src) = app();
+        let (g, src) = app();
         let t = SourceTrace {
             source: src,
             elements: (0..30)
@@ -1666,7 +1666,7 @@ mod tests {
                 .collect(),
             rate_hz: 20.0,
         };
-        let prof = run_profile(&mut g, &[t]).unwrap();
+        let prof = run_profile(&g, &[t]).unwrap();
         (g, prof)
     }
 
@@ -1740,7 +1740,7 @@ mod tests {
         );
         b.exit_namespace();
         b.sink("out", join);
-        let mut g = b.finish().unwrap();
+        let g = b.finish().unwrap();
         let t = SourceTrace {
             source: src.0,
             elements: (0..30)
@@ -1748,7 +1748,7 @@ mod tests {
                 .collect(),
             rate_hz: 20.0,
         };
-        let prof = run_profile(&mut g, &[t]).unwrap();
+        let prof = run_profile(&g, &[t]).unwrap();
         (g, prof)
     }
 
@@ -2052,12 +2052,12 @@ mod tests {
 
     /// The profiled EEG app of `channels` channels.
     fn eeg_app(channels: usize) -> (Graph, GraphProfile) {
-        let mut app = wishbone_apps::build_eeg_app(wishbone_apps::EegParams {
+        let app = wishbone_apps::build_eeg_app(wishbone_apps::EegParams {
             n_channels: channels,
             ..Default::default()
         });
         let traces = app.traces(4, 1..3, 7);
-        let prof = run_profile(&mut app.graph, &traces).unwrap();
+        let prof = run_profile(&app.graph, &traces).unwrap();
         (app.graph, prof)
     }
 

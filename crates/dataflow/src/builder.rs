@@ -20,7 +20,9 @@ pub struct StreamRef(pub OperatorId);
 /// Work-function adapter over a cloneable closure.
 ///
 /// Handy for tests and small structural operators; real DSP operators live
-/// in `wishbone-dsp` as named types.
+/// in `wishbone-dsp` as named types. State the closure captures by move is
+/// the operator's state: the graph keeps the closure as built, and each
+/// instance runs a clone of it.
 #[derive(Clone)]
 pub struct FnWork<F>(pub F);
 
@@ -30,10 +32,6 @@ where
 {
     fn process(&mut self, port: usize, input: &Value, cx: &mut ExecCtx) {
         (self.0)(port, input, cx)
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(FnWork(self.0.clone()))
     }
 }
 
@@ -65,10 +63,6 @@ impl WorkFn for ZipWork {
             cx.meter().mem(tuple.len() as u64);
             cx.emit(Value::Tuple(tuple));
         }
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(ZipWork::new(self.buffers.len()))
     }
 }
 
@@ -241,18 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn zip_clone_fresh_resets_buffers() {
-        let mut z = ZipWork::new(2);
-        let mut cx = ExecCtx::new();
-        z.process(0, &Value::I16(1), &mut cx);
-        let mut z2 = z.clone_fresh();
-        let mut cx2 = ExecCtx::new();
-        // Port 1 alone must not trigger an emit in the fresh copy.
-        z2.process(1, &Value::I16(2), &mut cx2);
-        assert_eq!(cx2.emitted_len(), 0);
-    }
-
-    #[test]
     fn fn_work_adapter() {
         let mut b = GraphBuilder::new();
         b.enter_node_namespace();
@@ -268,8 +250,13 @@ mod tests {
         );
         b.exit_namespace();
         b.sink("out", doubler);
-        let mut g = b.finish().unwrap();
-        let (out, counts) = g.run_operator(doubler.0, 0, &Value::F32(21.0));
+        let g = b.finish().unwrap();
+        let mut cx = ExecCtx::new();
+        g.instantiate_work()[doubler.0 .0]
+            .as_mut()
+            .unwrap()
+            .process(0, &Value::F32(21.0), &mut cx);
+        let (out, counts) = cx.finish();
         assert_eq!(out, vec![Value::F32(42.0)]);
         assert_eq!(counts.total(), 1);
     }

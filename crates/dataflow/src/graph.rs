@@ -193,19 +193,39 @@ impl Default for ExecCtx {
 /// like `zipN` have several). Implementations meter their computation via
 /// `cx.meter()` and produce outputs via `cx.emit(..)`.
 ///
+/// The work function a [`Graph`] holds is a *prototype* that nothing runs:
+/// whatever executes the graph — the profiler, each simulated site, one
+/// instance per node for the `Node{}` partition (§2.1: "stateful operators
+/// in the Node partition have an instance of their state for every node in
+/// the network") — runs clones from [`Graph::instantiate_work`]. So a
+/// clone starts from the initial state by construction, and an operator
+/// replicates by deriving `Clone` (see [`CloneWork`]).
+///
 /// `Send + Sync` so a [`Graph`] can be shared (`Arc<Graph>`) across the
 /// fleet-service worker threads; work functions take `&mut self`, so
 /// `Sync` costs implementors nothing beyond not holding `Rc`/`Cell` state.
-pub trait WorkFn: Send + Sync {
+pub trait WorkFn: CloneWork + Send + Sync {
     /// Process one input element.
     fn process(&mut self, port: usize, input: &Value, cx: &mut ExecCtx);
+}
 
-    /// Clone into a fresh boxed instance with *initial* state.
-    ///
-    /// Used to replicate node-partition operators once per physical node
-    /// (§2.1: "stateful operators in the Node partition have an instance of
-    /// their state for every node in the network").
-    fn clone_fresh(&self) -> Box<dyn WorkFn>;
+/// Boxed cloning for [`WorkFn`], implemented for every `WorkFn + Clone`
+/// type; it is what makes `Box<dyn WorkFn>` [`Clone`].
+pub trait CloneWork {
+    /// A boxed copy of `self`.
+    fn clone_box(&self) -> Box<dyn WorkFn>;
+}
+
+impl<T: WorkFn + Clone + 'static> CloneWork for T {
+    fn clone_box(&self) -> Box<dyn WorkFn> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn WorkFn> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
 }
 
 /// Identity work function used by sources (the profiler injects trace
@@ -217,10 +237,6 @@ impl WorkFn for IdentityWork {
     fn process(&mut self, _port: usize, input: &Value, cx: &mut ExecCtx) {
         cx.meter().mem(1);
         cx.emit(input.clone());
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(IdentityWork)
     }
 }
 
@@ -270,6 +286,9 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// The dataflow graph: operators, their work functions, and stream edges.
+///
+/// The graph only holds each work function as a prototype; to run one,
+/// take an instance set from [`instantiate_work`](Self::instantiate_work).
 pub struct Graph {
     specs: Vec<OperatorSpec>,
     work: Vec<Option<Box<dyn WorkFn>>>,
@@ -412,32 +431,11 @@ impl Graph {
             .collect()
     }
 
-    /// Run one operator's work function on an element; panics if absent.
-    pub fn run_operator(
-        &mut self,
-        id: OperatorId,
-        port: usize,
-        input: &Value,
-    ) -> (Vec<Value>, OpCounts) {
-        let mut cx = ExecCtx::new();
-        self.work[id.0]
-            .as_mut()
-            .unwrap_or_else(|| panic!("operator {id} has no work function"))
-            .process(port, input, &mut cx);
-        cx.finish()
-    }
-
-    /// Does the operator have a work function?
-    pub fn has_work(&self, id: OperatorId) -> bool {
-        self.work[id.0].is_some()
-    }
-
-    /// Fresh copies of every work function (per-node instantiation).
+    /// One runnable instance of every operator's work function (`None`
+    /// for a sink), indexed by operator: clones of the never-run
+    /// prototypes, so each starts from its initial state.
     pub fn instantiate_work(&self) -> Vec<Option<Box<dyn WorkFn>>> {
-        self.work
-            .iter()
-            .map(|w| w.as_ref().map(|w| w.clone_fresh()))
-            .collect()
+        self.work.clone()
     }
 
     /// Topological order (Kahn's algorithm). Errors with
@@ -621,14 +619,6 @@ mod tests {
         assert_eq!(g.ancestors(t), vec![s, a, b, t]);
         assert_eq!(g.descendants(a), vec![a, t]);
         assert_eq!(g.ancestors(b), vec![s, b]);
-    }
-
-    #[test]
-    fn run_operator_meters_and_emits() {
-        let (mut g, [s, ..]) = diamond();
-        let (out, counts) = g.run_operator(s, 0, &Value::I16(7));
-        assert_eq!(out, vec![Value::I16(7)]);
-        assert_eq!(counts.total(), 1);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl FirFilter {
         }
     }
 
-    /// Taps.
-    pub fn coeffs(&self) -> &[f32] {
-        &self.coeffs
-    }
-
     /// The delay line, oldest sample first.
     pub fn history(&self) -> &[f32] {
         &self.hist

@@ -50,13 +50,6 @@ impl WorkFn for PreEmphOp {
         let out = preemphasis_q15(frame, self.alpha_q15, &mut self.prev, cx.meter());
         cx.emit(Value::VecI16(out));
     }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(PreEmphOp {
-            alpha_q15: self.alpha_q15,
-            prev: 0,
-        })
-    }
 }
 
 /// Hamming window multiply in Q15 fixed point.
@@ -80,10 +73,6 @@ impl WorkFn for HammingOp {
         let out = apply_window_q15(frame, &self.window_q15, cx.meter());
         cx.emit(Value::VecI16(out));
     }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(self.clone())
-    }
 }
 
 /// `prefilt`: integer DC removal + zero-pad to the FFT size (stays in
@@ -106,10 +95,6 @@ impl WorkFn for PreFiltOp {
         let out = dc_remove_and_pad_i16(frame, self.pad_to, cx.meter());
         cx.emit(Value::VecI16(out));
     }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(self.clone())
-    }
 }
 
 /// FFT magnitude spectrum via the Q15 fixed-point FFT:
@@ -123,10 +108,6 @@ impl WorkFn for FftMagOp {
         let frame = expect_i16s("fft", input);
         let mags = real_fft_magnitude_q15(frame, cx.meter());
         cx.emit(Value::VecF32(mags));
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(FftMagOp)
     }
 }
 
@@ -151,10 +132,6 @@ impl WorkFn for FilterBankOp {
         let out = apply_filterbank(spectrum, &self.bank, cx.meter());
         cx.emit(Value::VecF32(out));
     }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(self.clone())
-    }
 }
 
 /// Log compression + i16 quantization (data-reducing `logs` stage).
@@ -175,10 +152,6 @@ impl WorkFn for LogQuantOp {
         let energies = expect_f32s("logs", input);
         let out = log_quantize(energies, self.scale, cx.meter());
         cx.emit(Value::VecI16(out));
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(self.clone())
     }
 }
 
@@ -208,10 +181,6 @@ impl WorkFn for CepstralOp {
         let out = dct_ii(&floats, self.n_out.min(floats.len()), cx.meter());
         cx.emit(Value::VecF32(out));
     }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(self.clone())
-    }
 }
 
 /// Even-sample extraction (`GetEven`): halves the data rate.
@@ -224,10 +193,6 @@ impl WorkFn for GetEvenOp {
         let out = take_even(w, cx.meter());
         cx.emit(Value::VecF32(out));
     }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(GetEvenOp)
-    }
 }
 
 /// Odd-sample extraction (`GetOdd`).
@@ -239,10 +204,6 @@ impl WorkFn for GetOddOp {
         let w = expect_f32s("get_odd", input);
         let out = take_odd(w, cx.meter());
         cx.emit(Value::VecF32(out));
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(GetOddOp)
     }
 }
 
@@ -266,10 +227,6 @@ impl WorkFn for FirWindowOp {
         let w = expect_f32s("fir", input);
         let out = self.filter.filter_window(w, cx.meter());
         cx.emit(Value::VecF32(out));
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(FirWindowOp::new(self.filter.coeffs()))
     }
 }
 
@@ -300,10 +257,6 @@ impl WorkFn for AddWindowsOp {
             None => self.pending[port].push_back(w.to_vec()),
         }
     }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(AddWindowsOp::default())
-    }
 }
 
 /// `MagWithScale`: window → scaled scalar energy (large data reduction).
@@ -324,10 +277,6 @@ impl WorkFn for MagScaleOp {
         let w = expect_f32s("mag", input);
         let energy = mag_with_scale(w, self.gain, cx.meter());
         cx.emit(Value::F32(energy));
-    }
-
-    fn clone_fresh(&self) -> Box<dyn WorkFn> {
-        Box::new(self.clone())
     }
 }
 
@@ -433,28 +382,6 @@ mod tests {
                 Value::VecF32(vec![55.0]),
             ]
         );
-    }
-
-    #[test]
-    fn fir_op_state_resets_on_clone_fresh() {
-        let mut f = FirWindowOp::new(&[1.0, 1.0]);
-        let _ = run(&mut f, 0, Value::VecF32(vec![5.0]));
-        let mut fresh = f.clone_fresh();
-        let out = run(fresh.as_mut(), 0, Value::VecF32(vec![0.0]));
-        assert_eq!(
-            out,
-            vec![Value::VecF32(vec![0.0])],
-            "history must be cleared"
-        );
-    }
-
-    #[test]
-    fn preemph_clone_fresh_resets_prev() {
-        let mut p = PreEmphOp::new(0.97);
-        let _ = run(&mut p, 0, Value::VecI16(vec![100]));
-        let mut fresh = p.clone_fresh();
-        let out = run(fresh.as_mut(), 0, Value::VecI16(vec![50]));
-        assert_eq!(out, vec![Value::VecI16(vec![50])], "prev resets to 0");
     }
 
     #[test]

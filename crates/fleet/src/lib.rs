@@ -276,9 +276,9 @@ fn worker_loop(
 /// # use wishbone_core::LinkSpec;
 /// # use wishbone_fleet::{FleetRequest, FleetServer};
 /// # use wishbone_profile::{profile, Platform, SourceTrace};
-/// let mut app = build_speech_app(SpeechParams::default());
+/// let app = build_speech_app(SpeechParams::default());
 /// let trace = app.trace(10, 1);
-/// let prof = profile(&mut app.graph, &[trace]).unwrap();
+/// let prof = profile(&app.graph, &[trace]).unwrap();
 /// let (graph, profile) = (Arc::new(app.graph), Arc::new(prof));
 ///
 /// // One shape at three different device counts: one encode, two
@@ -432,9 +432,9 @@ mod tests {
     /// The speech app, built and profiled afresh: a new allocation of
     /// one app every call.
     fn speech() -> (Arc<Graph>, Arc<GraphProfile>) {
-        let mut app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app(SpeechParams::default());
         let trace = app.trace(10, 1);
-        let prof = profile(&mut app.graph, &[trace]).unwrap();
+        let prof = profile(&app.graph, &[trace]).unwrap();
         (Arc::new(app.graph), Arc::new(prof))
     }
 

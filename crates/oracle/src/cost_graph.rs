@@ -108,11 +108,6 @@ impl PartitionGraph {
             .any(|e| !node_set.contains(&e.src) && node_set.contains(&e.dst))
     }
 
-    /// Vertex index holding a given operator.
-    pub fn vertex_of(&self, op: OperatorId) -> Option<usize> {
-        self.vertices.iter().position(|v| v.ops.contains(&op))
-    }
-
     /// Expand a vertex-index set into the underlying operator set.
     pub fn expand(&self, node_set: &HashSet<usize>) -> HashSet<OperatorId> {
         node_set

@@ -252,7 +252,7 @@ pub(crate) mod tests {
 
     /// The profiled three-stage app (shared with `crate::topology`'s test).
     pub(crate) fn profiled() -> (Graph, GraphProfile) {
-        let (mut g, src) = app();
+        let (g, src) = app();
         let t = SourceTrace {
             source: src,
             elements: (0..30)
@@ -260,7 +260,7 @@ pub(crate) mod tests {
                 .collect(),
             rate_hz: 20.0,
         };
-        let prof = run_profile(&mut g, &[t]).unwrap();
+        let prof = run_profile(&g, &[t]).unwrap();
         (g, prof)
     }
 

@@ -55,7 +55,7 @@ mod tests {
     }
 
     fn profiled() -> (Graph, OperatorId, Vec<OperatorId>, GraphProfile) {
-        let (mut g, src, ops) = reducing_app();
+        let (g, src, ops) = reducing_app();
         let trace = SourceTrace {
             source: src,
             elements: (0..40)
@@ -63,7 +63,7 @@ mod tests {
                 .collect(),
             rate_hz: 10.0,
         };
-        let p = run_profile(&mut g, &[trace]).unwrap();
+        let p = run_profile(&g, &[trace]).unwrap();
         (g, src, ops, p)
     }
 

@@ -4,14 +4,15 @@
 //! "The compiler executes each operator against programmer-supplied sample
 //! data ... After profiling, we are able to estimate the CPU and
 //! communication requirements of every operator on every platform" (§1).
-//! Profiling computes both mean and peak load (§4.2.1); Wishbone uses mean
-//! for the predictable-rate applications it targets.
+//! The profile records mean load only: Wishbone prices the mean for the
+//! predictable-rate applications it targets (§4.2.1).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use wishbone_dataflow::{
-    EdgeId, Fingerprint, Graph, OpCounts, OperatorId, OperatorKind, Value, OP_CLASSES,
+    EdgeId, ExecCtx, Fingerprint, Graph, OpCounts, OperatorId, OperatorKind, Value, WorkFn,
+    OP_CLASSES,
 };
 
 use crate::platform::Platform;
@@ -62,10 +63,6 @@ pub struct OperatorProfile {
     pub invocations: u64,
     /// Summed op counts over all invocations.
     pub total_counts: OpCounts,
-    /// Op counts of the single most expensive invocation (peak load).
-    pub peak_counts: OpCounts,
-    /// Elements emitted.
-    pub emitted: u64,
 }
 
 /// Profile of one edge.
@@ -75,8 +72,6 @@ pub struct EdgeProfile {
     pub elements: u64,
     /// Marshalled bytes that crossed the edge.
     pub bytes: u64,
-    /// Largest single element, bytes (peak).
-    pub peak_element_bytes: u64,
 }
 
 /// Complete profiling result at the reference data rate.
@@ -161,11 +156,6 @@ impl GraphProfile {
         }
     }
 
-    /// Peak (worst single invocation) CPU seconds on `platform`.
-    pub fn peak_seconds(&self, id: OperatorId, platform: &Platform) -> f64 {
-        platform.seconds_for(&self.per_op[id.0].peak_counts)
-    }
-
     /// Heat values (normalized total platform cycles) for DOT export.
     pub fn heat(&self, platform: &Platform) -> Vec<(OperatorId, f64)> {
         let secs: Vec<f64> = self
@@ -207,8 +197,11 @@ impl GraphProfile {
 /// Elements are injected source by source in timestamp order (element `i`
 /// of a source is at time `i / rate_hz`) and propagated depth-first to the
 /// sinks, mirroring the single-threaded traversal of the generated C code
-/// (§5.1).
-pub fn profile(graph: &mut Graph, traces: &[SourceTrace]) -> Result<GraphProfile, ProfileError> {
+/// (§5.1). The run uses its own instances from
+/// [`Graph::instantiate_work`], dropped on return, so the profile is a
+/// function of `(graph, traces)` alone and the graph's prototypes stay
+/// unrun.
+pub fn profile(graph: &Graph, traces: &[SourceTrace]) -> Result<GraphProfile, ProfileError> {
     graph
         .validate()
         .map_err(|e| ProfileError::InvalidGraph(e.to_string()))?;
@@ -245,8 +238,9 @@ pub fn profile(graph: &mut Graph, traces: &[SourceTrace]) -> Result<GraphProfile
         .map(|t| t.elements.len() as f64 / t.rate_hz)
         .fold(0.0f64, f64::max);
 
+    let mut work = graph.instantiate_work();
     for &(_, src, v) in &timeline {
-        run_cascade(graph, src, 0, v, &mut per_op, &mut per_edge);
+        run_cascade(graph, &mut work, src, 0, v, &mut per_op, &mut per_edge);
     }
 
     Ok(GraphProfile {
@@ -257,10 +251,11 @@ pub fn profile(graph: &mut Graph, traces: &[SourceTrace]) -> Result<GraphProfile
     })
 }
 
-/// Run one operator on one element and recursively deliver its emissions
-/// downstream (depth-first traversal).
+/// Run `op`'s instance in `work` on one element and recursively deliver
+/// its emissions downstream (depth-first traversal).
 fn run_cascade(
-    graph: &mut Graph,
+    graph: &Graph,
+    work: &mut [Option<Box<dyn WorkFn>>],
     op: OperatorId,
     port: usize,
     input: &Value,
@@ -271,26 +266,23 @@ fn run_cascade(
         per_op[op.0].invocations += 1;
         return;
     }
-    let (outputs, counts) = graph.run_operator(op, port, input);
-    {
-        let p = &mut per_op[op.0];
-        p.invocations += 1;
-        p.total_counts += counts;
-        if counts.total() > p.peak_counts.total() {
-            p.peak_counts = counts;
-        }
-        p.emitted += outputs.len() as u64;
-    }
-    let out_edges: Vec<EdgeId> = graph.out_edges(op).to_vec();
+    let mut cx = ExecCtx::new();
+    work[op.0]
+        .as_mut()
+        .unwrap_or_else(|| panic!("operator {op} has no work function"))
+        .process(port, input, &mut cx);
+    let (outputs, counts) = cx.finish();
+    let p = &mut per_op[op.0];
+    p.invocations += 1;
+    p.total_counts += counts;
     for v in &outputs {
         let bytes = v.wire_size() as u64;
-        for &eid in &out_edges {
+        for &eid in graph.out_edges(op) {
             let e = graph.edge(eid);
             let ep = &mut per_edge[eid.0];
             ep.elements += 1;
             ep.bytes += bytes;
-            ep.peak_element_bytes = ep.peak_element_bytes.max(bytes);
-            run_cascade(graph, e.dst, e.dst_port, v, per_op, per_edge);
+            run_cascade(graph, work, e.dst, e.dst_port, v, per_op, per_edge);
         }
     }
 }
@@ -335,12 +327,11 @@ mod tests {
 
     #[test]
     fn profiles_rates_and_reduction() {
-        let (mut g, src, halver, _sink) = halving_graph();
-        let p = profile(&mut g, &[trace(src, 100, 10.0)]).unwrap();
+        let (g, src, halver, _sink) = halving_graph();
+        let p = profile(&g, &[trace(src, 100, 10.0)]).unwrap();
         assert!((p.duration_s - 10.0).abs() < 1e-9);
         assert_eq!(p.operator(src).invocations, 100);
         assert_eq!(p.operator(halver).invocations, 100);
-        assert_eq!(p.operator(halver).emitted, 50);
 
         // Edge 0: src -> halver, 100 elements of 202 bytes at 10/s.
         let e0 = wishbone_dataflow::EdgeId(0);
@@ -354,8 +345,8 @@ mod tests {
 
     #[test]
     fn cpu_fraction_scales_with_platform() {
-        let (mut g, src, halver, _) = halving_graph();
-        let p = profile(&mut g, &[trace(src, 100, 10.0)]).unwrap();
+        let (g, src, halver, _) = halving_graph();
+        let p = profile(&g, &[trace(src, 100, 10.0)]).unwrap();
         let tmote = Platform::tmote_sky();
         let server = Platform::server();
         let f_mote = p.cpu_fraction(halver, &tmote);
@@ -366,39 +357,39 @@ mod tests {
 
     #[test]
     fn missing_trace_is_an_error() {
-        let (mut g, _src, _h, _) = halving_graph();
+        let (g, _src, _h, _) = halving_graph();
         assert!(matches!(
-            profile(&mut g, &[]),
+            profile(&g, &[]),
             Err(ProfileError::MissingTrace(_))
         ));
     }
 
     #[test]
     fn non_source_trace_rejected() {
-        let (mut g, _src, halver, _) = halving_graph();
+        let (g, _src, halver, _) = halving_graph();
         let bad = trace(halver, 2, 1.0);
         assert_eq!(
-            profile(&mut g, &[bad]).unwrap_err(),
+            profile(&g, &[bad]).unwrap_err(),
             ProfileError::NotASource(halver)
         );
     }
 
     #[test]
     fn empty_trace_rejected() {
-        let (mut g, src, _h, _) = halving_graph();
+        let (g, src, _h, _) = halving_graph();
         let t = SourceTrace {
             source: src,
             elements: vec![],
             rate_hz: 1.0,
         };
         assert_eq!(
-            profile(&mut g, &[t]).unwrap_err(),
+            profile(&g, &[t]).unwrap_err(),
             ProfileError::EmptyTrace(src)
         );
     }
 
     #[test]
-    fn peak_tracks_worst_invocation() {
+    fn total_counts_sum_every_invocation() {
         let mut b = GraphBuilder::new();
         b.enter_node_namespace();
         let src = b.source("src");
@@ -414,25 +405,25 @@ mod tests {
         );
         b.exit_namespace();
         b.sink("out", spiky);
-        let mut g = b.finish().unwrap();
+        let g = b.finish().unwrap();
         let t = SourceTrace {
             source: src.0,
             elements: (0..20).map(Value::I32).collect(),
             rate_hz: 1.0,
         };
-        let p = profile(&mut g, &[t]).unwrap();
+        let p = profile(&g, &[t]).unwrap();
         let prof = p.operator(spiky.0);
-        assert_eq!(prof.peak_counts.total(), 1000);
-        assert!(prof.total_counts.total() >= 2 * 1000);
-        // Peak seconds exceed the mean per-invocation seconds.
+        // Elements 0 and 10 cost 1000 each, the other 18 cost 1.
+        assert_eq!(prof.total_counts.total(), 2 * 1000 + 18);
         let tmote = Platform::tmote_sky();
-        assert!(p.peak_seconds(spiky.0, &tmote) > p.seconds_per_invocation(spiky.0, &tmote));
+        let mean = tmote.seconds_for(&prof.total_counts) / 20.0;
+        assert_eq!(p.seconds_per_invocation(spiky.0, &tmote), mean);
     }
 
     #[test]
     fn heat_is_normalized() {
-        let (mut g, src, _h, _) = halving_graph();
-        let p = profile(&mut g, &[trace(src, 10, 1.0)]).unwrap();
+        let (g, src, _h, _) = halving_graph();
+        let p = profile(&g, &[trace(src, 10, 1.0)]).unwrap();
         let heat = p.heat(&Platform::server());
         assert_eq!(heat.len(), 3);
         let max = heat.iter().map(|&(_, h)| h).fold(0.0f64, f64::max);

@@ -22,8 +22,6 @@ use crate::task::TaskModel;
 /// Configuration of one simulated deployment run.
 #[derive(Debug, Clone)]
 pub struct SimulationConfig {
-    /// Number of embedded nodes (the paper deploys 1 and 20).
-    pub n_nodes: usize,
     /// Simulated wall-clock duration, seconds.
     pub duration_s: f64,
     /// Source-rate multiplier relative to the trace's reference rate.
@@ -43,10 +41,12 @@ pub struct SimulationConfig {
 const SOURCE_BUFFER: usize = 2;
 
 impl SimulationConfig {
-    /// A mote-class deployment at the reference rate.
-    pub fn motes(n_nodes: usize, seed: u64) -> Self {
+    /// A mote-class deployment at the reference rate. How many nodes a
+    /// class has is its [`TreeTopology::counts`](crate::tree::TreeTopology::counts)
+    /// entry alone: `_n_nodes` is unused, and stays only because the
+    /// benchmark fixtures name this signature.
+    pub fn motes(_n_nodes: usize, seed: u64) -> Self {
         SimulationConfig {
-            n_nodes,
             duration_s: 30.0,
             rate_multiplier: 1.0,
             seed,
@@ -112,9 +112,9 @@ pub(crate) struct NodePass {
     pub(crate) death_outcomes: Vec<(u64, u64, f64)>,
 }
 
-/// Pass 1: nodes are independent except for the shared channel; simulate
-/// each node's arrival queue to find which events are processed and what
-/// traffic it offers to the first hop.
+/// Pass 1: the `n_nodes` nodes of a class are independent except for the
+/// shared channel; simulate each node's arrival queue to find which events
+/// are processed and what traffic it offers to the first hop.
 ///
 /// `deaths` lists `(node, after_events)` battery deaths — node `node`
 /// stops processing (and transmitting) once `after_events` source events
@@ -131,6 +131,7 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
     feeds: &[SourceFeed],
     node_platform: &Platform,
     channel: &ChannelParams,
+    n_nodes: usize,
     cfg: &SimulationConfig,
     deaths: &[(usize, u64)],
     site: usize,
@@ -144,7 +145,7 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
         assert!(!f.trace.is_empty(), "deployment needs non-empty traces");
         assert!(f.rate_hz > 0.0);
     }
-    assert!(cfg.n_nodes >= 1);
+    assert!(n_nodes >= 1);
 
     // Merged per-node arrival schedule: (time, feed index, element index).
     let mut schedule: Vec<(f64, usize, usize)> = Vec::new();
@@ -160,7 +161,7 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
     let mut exec = SiteExecutor::new(
         graph,
         node_ops,
-        cfg.n_nodes,
+        n_nodes,
         node_platform.clone(),
         Some(cfg.task_model),
     );
@@ -174,7 +175,7 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
         death_outcomes: vec![(0, 0, cfg.duration_s); deaths.len()],
     };
 
-    for node in 0..cfg.n_nodes {
+    for node in 0..n_nodes {
         // Battery death threshold for this node (events offered before
         // the node goes dark), if the failure plan names it.
         let my_deaths: Vec<usize> = deaths
@@ -283,19 +284,20 @@ mod tests {
         (0..n).map(|i| Value::VecI16(vec![i as i16; 100])).collect()
     }
 
-    /// One class of `cfg.n_nodes` TMotes under the server over the mote
+    /// One class of `n_nodes` TMotes under the server over the mote
     /// channel, `node_ops` on the motes — site 1 is the motes, site 0 the
     /// server.
     fn simulate_motes(
         g: &Graph,
         node_ops: &HashSet<OperatorId>,
+        n_nodes: usize,
         feeds: Vec<SourceFeed>,
         cfg: &SimulationConfig,
     ) -> TreeDeploymentReport {
         let topo = TreeTopology::chain(
             &[Platform::tmote_sky(), Platform::server()],
             &[ChannelParams::mote()],
-            cfg.n_nodes,
+            n_nodes,
         );
         let route = LeafRoute::chain(g, std::slice::from_ref(node_ops), feeds);
         simulate_deployment_tree(g, &topo, &[route], cfg)
@@ -317,7 +319,7 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 1)
         };
-        let r = simulate_motes(&g, &node_ops, feed(src, 100, 10.0), &cfg);
+        let r = simulate_motes(&g, &node_ops, 1, feed(src, 100, 10.0), &cfg);
         let leaf = &r.leaves[0];
         assert_eq!(leaf.events_offered, 100);
         assert_eq!(leaf.events_processed, 100);
@@ -343,7 +345,7 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 2)
         };
-        let r = simulate_motes(&g, &node_ops, feed(src, 100, 10.0), &cfg);
+        let r = simulate_motes(&g, &node_ops, 1, feed(src, 100, 10.0), &cfg);
         assert!(
             r.leaves[0].input_processed_ratio() < 0.5,
             "ratio {}",
@@ -362,7 +364,7 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 3)
         };
-        let r = simulate_motes(&g, &node_ops, feed(src, 100, 40.0), &cfg);
+        let r = simulate_motes(&g, &node_ops, 1, feed(src, 100, 40.0), &cfg);
         assert!(
             r.edge_offered_load_bytes_per_sec[1] > ChannelParams::mote().capacity_bytes_per_sec
         );
@@ -387,10 +389,11 @@ mod tests {
             simulate_motes(
                 &g,
                 &node_ops,
+                n_nodes,
                 feed(src, 100, 20.0),
                 &SimulationConfig {
                     duration_s: 10.0,
-                    ..SimulationConfig::motes(n_nodes, 4)
+                    ..SimulationConfig::motes(1, 4)
                 },
             )
         };
@@ -410,7 +413,7 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 5)
         };
-        let r = simulate_motes(&g, &node_ops, feed(src, 100, 10.0), &cfg);
+        let r = simulate_motes(&g, &node_ops, 1, feed(src, 100, 10.0), &cfg);
         assert_eq!(r.sink_arrivals, r.leaves[0].hop_elements_delivered[0]);
     }
 
@@ -458,7 +461,7 @@ mod tests {
             duration_s: 10.0,
             ..SimulationConfig::motes(1, 8)
         };
-        let r = simulate_motes(&g, &node_ops, feeds, &cfg);
+        let r = simulate_motes(&g, &node_ops, 1, feeds, &cfg);
         let leaf = &r.leaves[0];
         // 20/s + 5/s over 10s = 250 events offered.
         assert_eq!(leaf.events_offered, 250);
@@ -644,9 +647,9 @@ mod tests {
         let node_ops: HashSet<_> = [src, burn].into_iter().collect();
         let cfg = SimulationConfig {
             duration_s: 5.0,
-            ..SimulationConfig::motes(3, 9)
+            ..SimulationConfig::motes(1, 9)
         };
-        let run = || simulate_motes(&g, &node_ops, feed(src, 50, 20.0), &cfg);
+        let run = || simulate_motes(&g, &node_ops, 3, feed(src, 50, 20.0), &cfg);
         assert_eq!(run(), run());
     }
 }

@@ -430,8 +430,8 @@ impl TreeDeploymentReport {
 /// every hop and gateway CPU at every relay — the runtime counterpart of
 /// the partitioner's per-site rows.
 ///
-/// `cfg.n_nodes` is ignored (per-class counts come from `topo`); the
-/// rest of [`SimulationConfig`] applies to every site.
+/// Per-class node counts come from `topo`; [`SimulationConfig`] applies
+/// to every site.
 pub fn simulate_deployment_tree(
     graph: &Graph,
     topo: &TreeTopology,
@@ -555,11 +555,6 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
     let mut traffic: Vec<Vec<InFlight>> = Vec::with_capacity(routes.len());
     for route in routes {
         let leaf = route.path[0];
-        let count = topo.counts[leaf];
-        let leaf_cfg = SimulationConfig {
-            n_nodes: count,
-            ..cfg.clone()
-        };
         // Battery deaths hitting this class, with their plan indices.
         let mut death_idx: Vec<usize> = Vec::new();
         let deaths: Vec<(usize, u64)> = plan
@@ -584,7 +579,8 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
             &route.feeds,
             &topo.platforms[leaf],
             topo.uplink[leaf].as_ref().expect("leaf has an uplink"),
-            &leaf_cfg,
+            topo.counts[leaf],
+            cfg,
             &deaths,
             leaf,
             sink,
@@ -904,7 +900,7 @@ mod tests {
     }
 
     /// The reference the tree simulator is pinned against: the original
-    /// straight-line chain simulator. `cfg.n_nodes` motes run
+    /// straight-line chain simulator. `n_nodes` motes run
     /// `tier_ops[0]`, each later tier is a [`SiteExecutor`] hosting
     /// `tier_ops[t]`, the final one the server; `channels[h]` (seeded
     /// `cfg.seed + h`) carries hop `h`, one hop after the other.
@@ -914,6 +910,7 @@ mod tests {
         feeds: &[SourceFeed],
         platforms: &[Platform],
         channels: &[ChannelParams],
+        n_nodes: usize,
         cfg: &SimulationConfig,
     ) -> TieredReference {
         let k = tier_ops.len();
@@ -923,6 +920,7 @@ mod tests {
             feeds,
             &platforms[0],
             &channels[0],
+            n_nodes,
             cfg,
             &[],
             0,
@@ -932,9 +930,7 @@ mod tests {
         // `tiers[h]` receives hop `h`: relays for tiers 1..k−1, then the
         // server.
         let mut tiers: Vec<SiteExecutor> = (1..k)
-            .map(|t| {
-                SiteExecutor::new(graph, &tier_ops[t], cfg.n_nodes, platforms[t].clone(), None)
-            })
+            .map(|t| SiteExecutor::new(graph, &tier_ops[t], n_nodes, platforms[t].clone(), None))
             .collect();
 
         let mut report = TieredReference {
@@ -944,7 +940,7 @@ mod tests {
             hop_elements_delivered: vec![0; k - 1],
             hop_offered_load_bytes_per_sec: vec![0.0; k - 1],
             hop_packet_delivery_ratio: vec![1.0; k - 1],
-            node_cpu_utilization: (np.busy_total / (cfg.n_nodes as f64 * cfg.duration_s)).min(1.0),
+            node_cpu_utilization: (np.busy_total / (n_nodes as f64 * cfg.duration_s)).min(1.0),
             relay_cpu_utilization: vec![0.0; k - 2],
             relay_elements_dropped: vec![0; k - 2],
             sink_arrivals: 0,
@@ -1003,21 +999,30 @@ mod tests {
         report
     }
 
-    /// Run the reference and the tree simulator on the same chain and
-    /// hold the tree to the reference: counters exactly, ratios to 1e-12.
+    /// Run the reference and the tree simulator on the same chain of
+    /// `n_nodes` motes and hold the tree to the reference: counters
+    /// exactly, ratios to 1e-12.
     fn assert_tree_equals_reference(
         g: &Graph,
         below_root: &[HashSet<OperatorId>],
         feeds: Vec<SourceFeed>,
         platforms: &[Platform],
         channels: &[ChannelParams],
+        n_nodes: usize,
         cfg: &SimulationConfig,
     ) {
         let k = platforms.len();
         let route = LeafRoute::chain(g, below_root, feeds);
-        let tiered =
-            simulate_tiered_reference(g, &route.site_ops, &route.feeds, platforms, channels, cfg);
-        let topo = TreeTopology::chain(platforms, channels, cfg.n_nodes);
+        let tiered = simulate_tiered_reference(
+            g,
+            &route.site_ops,
+            &route.feeds,
+            platforms,
+            channels,
+            n_nodes,
+            cfg,
+        );
+        let topo = TreeTopology::chain(platforms, channels, n_nodes);
         let tree = simulate_deployment_tree(g, &topo, &[route], cfg);
         let leaf = &tree.leaves[0];
         assert_eq!(leaf.events_offered, tiered.events_offered);
@@ -1063,7 +1068,7 @@ mod tests {
         let (g, src, squeeze) = pipeline(200);
         let cfg = SimulationConfig {
             duration_s: 10.0,
-            ..SimulationConfig::motes(3, 11)
+            ..SimulationConfig::motes(1, 11)
         };
         assert_tree_equals_reference(
             &g,
@@ -1075,6 +1080,7 @@ mod tests {
                 Platform::server(),
             ],
             &[ChannelParams::mote(), ChannelParams::wifi(50_000.0)],
+            3,
             &cfg,
         );
     }
@@ -1085,7 +1091,7 @@ mod tests {
         let (g, src, squeeze) = pipeline(500);
         let cfg = SimulationConfig {
             duration_s: 10.0,
-            ..SimulationConfig::motes(2, 11)
+            ..SimulationConfig::motes(1, 11)
         };
         assert_tree_equals_reference(
             &g,
@@ -1093,6 +1099,7 @@ mod tests {
             feeds(src, 10.0),
             &[Platform::tmote_sky(), Platform::server()],
             &[ChannelParams::mote()],
+            2,
             &cfg,
         );
     }

@@ -23,12 +23,12 @@
 use wishbone::prelude::*;
 
 fn main() {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 4,
         ..Default::default()
     });
     let traces = app.traces(4, 1..3, 7);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
     let phone = Platform::iphone();

@@ -16,7 +16,7 @@ fn two_site(platform: &Platform) -> Deployment {
 }
 
 fn main() {
-    let mut app = build_eeg_app(EegParams::default());
+    let app = build_eeg_app(EegParams::default());
     println!(
         "EEG app: {} channels, {} operators, {} edges (paper: 1412 operators)",
         app.n_channels,
@@ -25,7 +25,7 @@ fn main() {
     );
 
     let traces = app.traces(8, 3..6, 5);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
 

@@ -17,7 +17,7 @@ use wishbone::prelude::*;
 
 fn main() {
     let caps_per_ward = 20;
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 11,
         ..Default::default()
     });
@@ -28,7 +28,7 @@ fn main() {
         app.graph.edge_count()
     );
     let traces = app.traces(8, 3..6, 5);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
     let relay = Platform::iphone();

@@ -11,9 +11,9 @@
 use wishbone::prelude::*;
 
 fn main() {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(120, 7);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
 
     // One leaf class per node type under the server. Each uplink row
     // aggregates its class's devices, so `n` nodes each allowed the

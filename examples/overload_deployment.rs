@@ -8,9 +8,9 @@
 use wishbone::prelude::*;
 
 fn main() {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(120, 3);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     let mote = Platform::tmote_sky();
 
     // 1. Network profiling (§7.3.1): max send rate for 90% reception.

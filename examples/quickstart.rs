@@ -9,7 +9,7 @@ use wishbone::prelude::*;
 
 fn main() {
     // 1. The application: a WaveScript-style dataflow graph.
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     println!(
         "speech pipeline: {} operators, {} edges",
         app.graph.operator_count(),
@@ -18,7 +18,7 @@ fn main() {
 
     // 2. Profile on representative sample data (40 frames = 1 s of audio).
     let trace = app.trace(40, 42);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
     println!("\nper-operator profile on {}:", mote.name);

@@ -15,9 +15,9 @@ fn two_site(platform: &Platform) -> Deployment {
 }
 
 fn main() {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(120, 7);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
 
     println!("platform survey: max sustainable rate (x 8 kHz) and optimal cut\n");
     println!(

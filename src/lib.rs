@@ -38,9 +38,9 @@
 //! use wishbone::prelude::*;
 //!
 //! // Build the paper's speech-detection pipeline and profile it.
-//! let mut app = build_speech_app(SpeechParams::default());
+//! let app = build_speech_app(SpeechParams::default());
 //! let trace = app.trace(40, 1);
-//! let prof = profile(&mut app.graph, &[trace]).unwrap();
+//! let prof = profile(&app.graph, &[trace]).unwrap();
 //!
 //! // Partition it for a TMote Sky at 1/8 of the full 8 kHz rate: the
 //! // paper's node/server split is a one-leaf star under the server.

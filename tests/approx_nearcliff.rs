@@ -36,12 +36,12 @@ use wishbone::prelude::*;
 
 /// The profiled EEG app of the bench forest.
 fn eeg_profiled(channels: usize) -> (wishbone::dataflow::Graph, GraphProfile) {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: channels,
         ..Default::default()
     });
     let traces = app.traces(4, 1..3, 7);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
     (app.graph, prof)
 }
 

@@ -21,9 +21,9 @@ fn fig6_multitier_audits_clean_on_both_backends() {
     } else {
         EegParams::default()
     };
-    let mut app = build_eeg_app(params);
+    let app = build_eeg_app(params);
     let traces = app.traces(8, 3..6, 5);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
     let chain = [
         Platform::tmote_sky(),
         Platform::iphone(),
@@ -57,12 +57,12 @@ fn fig6_multitier_audits_clean_on_both_backends() {
 /// montage so the debug-build profile stays fast).
 #[test]
 fn forest_deployment_audits_clean_on_both_backends() {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: if cfg!(debug_assertions) { 2 } else { 4 },
         ..Default::default()
     });
     let traces = app.traces(8, 3..6, 5);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
     let relay = Platform::iphone();
@@ -119,12 +119,12 @@ fn binary_prepared_partitions_audit_clean() {
     use wishbone_oracle::{
         audit_binary, build_partition_graph, encode, preprocess, Encoding, ObjectiveConfig,
     };
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 2,
         ..Default::default()
     });
     let traces = app.traces(8, 3..6, 5);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
     let mote = Platform::tmote_sky();
     let uplink = LinkSpec::for_platform(&mote);
 

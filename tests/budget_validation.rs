@@ -51,12 +51,12 @@ use wishbone::prelude::*;
 
 /// The 2-channel EEG app, profiled.
 fn eeg2() -> (Arc<Graph>, Arc<GraphProfile>) {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 2,
         ..EegParams::default()
     });
     let traces = app.traces(6, 2..4, 3);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     (Arc::new(app.graph), Arc::new(prof))
 }
 

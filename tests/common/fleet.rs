@@ -56,7 +56,7 @@ pub fn pipeline(
     }
     b.exit_namespace();
     b.sink("out", prev);
-    let mut g = b.finish().unwrap();
+    let g = b.finish().unwrap();
     let trace = SourceTrace {
         source: src.0,
         elements: (0..elements)
@@ -64,7 +64,7 @@ pub fn pipeline(
             .collect(),
         rate_hz: 25.0,
     };
-    let prof = profile(&mut g, &[trace]).expect("fixture graphs profile cleanly");
+    let prof = profile(&g, &[trace]).expect("fixture graphs profile cleanly");
     (Arc::new(g), Arc::new(prof))
 }
 

@@ -14,12 +14,11 @@ pub fn starved_forest() -> (
     Vec<LeafRoute>,
     SimulationConfig,
 ) {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 2,
         ..Default::default()
     });
     let traces = app.traces(8, 3..6, 5);
-    profile(&mut app.graph, &traces).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
     let relay = Platform::iphone();

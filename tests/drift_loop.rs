@@ -11,12 +11,12 @@ use wishbone::prelude::*;
 
 /// The profiled 2-channel EEG app plus the platform drift is judged on.
 fn eeg_fixture() -> (wishbone::dataflow::Graph, GraphProfile, Platform) {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 2,
         ..Default::default()
     });
     let traces = app.traces(8, 3..6, 5);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
     (app.graph, prof, Platform::tmote_sky())
 }
 

@@ -59,9 +59,9 @@ fn assert_problems_identical(a: &Problem, b: &Problem, what: &str) {
 
 #[test]
 fn speech_two_site_star_is_the_binary_encoding() {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(40, 42);
-    let prof = profile(&mut app.graph, &[trace]).unwrap();
+    let prof = profile(&app.graph, &[trace]).unwrap();
     let mote = Platform::tmote_sky();
     let uplink = LinkSpec::for_platform(&mote);
 
@@ -82,12 +82,12 @@ fn speech_two_site_star_is_the_binary_encoding() {
 
 #[test]
 fn eeg_three_tier_path_is_the_multitier_encoding() {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 2,
         ..Default::default()
     });
     let traces = app.traces(6, 2..4, 13);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     let chain = [
         Platform::tmote_sky(),
         Platform::iphone(),
@@ -140,12 +140,12 @@ fn eeg_three_tier_path_is_the_multitier_encoding() {
 /// subtree (the full-size version lives in `examples/forest_eeg.rs`).
 #[test]
 fn forest_goodput_collapses_only_on_the_saturated_subtree() {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 3,
         ..Default::default()
     });
     let traces = app.traces(6, 2..4, 29);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     let mote = Platform::tmote_sky();
     let phone = Platform::iphone();
 

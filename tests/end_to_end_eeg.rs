@@ -17,10 +17,10 @@ fn full_eeg_app_partitions_in_reasonable_time() {
     // the same order of magnitude. §1: "our implementation can partition
     // dataflow graphs containing over a thousand operators in a few
     // seconds".
-    let mut app = build_eeg_app(EegParams::default());
+    let app = build_eeg_app(EegParams::default());
     assert!(app.graph.operator_count() > 1000);
     let traces = app.traces(6, 2..4, 3);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
 
     let cfg = DeploymentConfig::default().at_rate(1.0);
     let start = std::time::Instant::now();
@@ -50,9 +50,9 @@ fn full_eeg_app_partitions_in_reasonable_time() {
 fn node_partition_shrinks_with_rate() {
     // Fig 5a: "As we increased the data rate, fewer operators can fit
     // within the CPU bounds on the node."
-    let mut app = build_eeg_channel();
+    let app = build_eeg_channel();
     let traces = app.traces(6, 2..4, 7);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     let dep = mote_star();
     let mut counts = Vec::new();
     for mult in [0.5, 2.0, 8.0, 32.0] {
@@ -75,9 +75,9 @@ fn node_partition_shrinks_with_rate() {
 
 #[test]
 fn conservative_mode_keeps_stateful_ops_on_the_node() {
-    let mut app = build_eeg_channel();
+    let app = build_eeg_channel();
     let traces = app.traces(6, 2..4, 11);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     let dep = mote_star();
 
     // Permissive at a high rate: the FIRs (stateful) may move server-side.
@@ -108,12 +108,12 @@ fn seizure_detected_through_partitioned_deployment() {
     // Functional check end-to-end *through the simulated deployment*: all
     // channels feed one node; features cross the cut; SVM + declare run
     // wherever the partitioner put them.
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 4,
         ..Default::default()
     });
     let traces = app.traces(16, 8..14, 13);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
 
     let cfg = DeploymentConfig::default().at_rate(1.0);
     let part = partition_deployment(&app.graph, &prof, &mote_star(), &cfg)
@@ -161,9 +161,9 @@ fn eeg_features_fit_even_where_raw_eeg_would_not() {
     // The whole point of in-network processing: 22 channels of raw EEG
     // (22 x 512 B / 2 s ≈ 5.6 KB/s + headers) saturate a mote radio, but
     // the 66-feature vector is tiny.
-    let mut app = build_eeg_app(EegParams::default());
+    let app = build_eeg_app(EegParams::default());
     let traces = app.traces(6, 2..4, 17);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     let mote = Platform::tmote_sky();
 
     let pg = build_partition_graph(&app.graph, &prof, &mote, Mode::Permissive, 1.0).unwrap();

@@ -8,9 +8,9 @@
 use wishbone::prelude::*;
 
 fn speech_profiled() -> (SpeechApp, GraphProfile) {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(120, 7);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     (app, prof)
 }
 
@@ -105,9 +105,9 @@ fn overload_deployment_recommendation_matches_simulation() {
     // (§7.3.1), binary-search the maximum sustainable rate with the
     // measured budget (§4.3), then validate the recommended cut against
     // a ground-truth deployment simulation of every cutpoint (Figs 9–10).
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(120, 3);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     let mote = Platform::tmote_sky();
 
     let channel = ChannelParams::mote();

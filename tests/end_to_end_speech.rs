@@ -43,9 +43,9 @@ where
 }
 
 fn profiled_app() -> (SpeechApp, GraphProfile) {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(120, 42);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     (app, prof)
 }
 

@@ -96,9 +96,9 @@ fn parity_on(
 
 #[test]
 fn speech_k2_parity_both_backends() {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(40, 42);
-    let prof = profile(&mut app.graph, &[trace]).unwrap();
+    let prof = profile(&app.graph, &[trace]).unwrap();
     let mote = Platform::tmote_sky();
     // 0.125 fits a prefix on the mote; 4.0 is hopeless (pinned source
     // alone overruns): both Ok and Err verdicts must agree.
@@ -109,9 +109,9 @@ fn speech_k2_parity_both_backends() {
 
 #[test]
 fn eeg_k2_parity_both_backends() {
-    let mut app = build_eeg_channel();
+    let app = build_eeg_channel();
     let traces = app.traces(6, 2..4, 9);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     for platform in [Platform::tmote_sky(), Platform::nokia_n80()] {
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             parity_on(&app.graph, &prof, &platform, &[0.25, 1.0], backend);
@@ -121,12 +121,12 @@ fn eeg_k2_parity_both_backends() {
 
 #[test]
 fn eeg_three_tier_structure_and_rate_dominance() {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 4,
         ..Default::default()
     });
     let traces = app.traces(6, 2..4, 13);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     let mote = Platform::tmote_sky();
     let chain = [mote.clone(), Platform::iphone(), Platform::server()];
 
@@ -185,9 +185,9 @@ fn eeg_three_tier_structure_and_rate_dominance() {
 
 #[test]
 fn tiered_deployment_simulates_goodput_across_both_hops() {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(40, 7);
-    let prof = profile(&mut app.graph, std::slice::from_ref(&trace)).unwrap();
+    let prof = profile(&app.graph, std::slice::from_ref(&trace)).unwrap();
     let chain = [
         Platform::tmote_sky(),
         Platform::gumstix(),
@@ -244,9 +244,9 @@ fn mixed_classes_still_compose_with_multitier_chains() {
     // single-class network they must agree with each other through the
     // k = 2 anchor. The class's four nodes share its uplink row, so four
     // nodes each allowed the radio's goodput budget four times that.
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(40, 21);
-    let prof = profile(&mut app.graph, &[trace]).unwrap();
+    let prof = profile(&app.graph, &[trace]).unwrap();
     let gumstix = Platform::gumstix();
     let uplink = LinkSpec::for_platform(&gumstix);
     let star = Deployment::star([(

@@ -15,9 +15,9 @@ fn two_site(platform: &Platform) -> Deployment {
 
 #[test]
 fn speech_app_partitions_on_tmote_sky() {
-    let mut app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app(SpeechParams::default());
     let trace = app.trace(60, 17);
-    let prof = profile(&mut app.graph, &[trace]).expect("profiling succeeds");
+    let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
     // Full 8 kHz exceeds a TMote (§7.2); an eighth of the rate fits.
@@ -39,9 +39,9 @@ fn speech_app_partitions_on_tmote_sky() {
 
 #[test]
 fn eeg_app_partitions_on_tmote_sky() {
-    let mut app = build_eeg_app(EegParams::default());
+    let app = build_eeg_app(EegParams::default());
     let traces = app.traces(4, 1..3, 23);
-    let prof = profile(&mut app.graph, &traces).expect("profiling succeeds");
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
 
     let mote = Platform::tmote_sky();
     let cfg = DeploymentConfig::default().at_rate(1.0);

@@ -47,7 +47,7 @@ fn pipeline_app(stages: usize) -> (wishbone::dataflow::Graph, GraphProfile) {
     }
     b.exit_namespace();
     b.sink("out", prev);
-    let mut graph = b.finish().expect("a pipeline is a DAG");
+    let graph = b.finish().expect("a pipeline is a DAG");
     let trace = SourceTrace {
         source: src.0,
         elements: (0..4).map(|i| Value::VecI16(vec![i as i16; 64])).collect(),
@@ -58,7 +58,7 @@ fn pipeline_app(stages: usize) -> (wishbone::dataflow::Graph, GraphProfile) {
     std::thread::Builder::new()
         .stack_size(256 << 20)
         .spawn(move || {
-            let prof = profile(&mut graph, &[trace]).expect("profiling succeeds");
+            let prof = profile(&graph, &[trace]).expect("profiling succeeds");
             (graph, prof)
         })
         .expect("spawn the profiling thread")

@@ -321,13 +321,13 @@ proptest! {
         weak_rate in 0.02f64..0.5,
         strong_budget in 0.05f64..1.0,
     ) {
-        let (mut g, src) = random_app(stages, &costs, &keeps);
+        let (g, src) = random_app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
             elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
             rate_hz: 20.0,
         };
-        let prof = match profile(&mut g, &[trace]) {
+        let prof = match profile(&g, &[trace]) {
             Ok(p) => p,
             Err(_) => return Ok(()), // degenerate trace: skip
         };
@@ -389,13 +389,13 @@ proptest! {
     ) {
         let (gw_budget_a, gw_budget_b) = gw_budgets;
         let (uplink_a, rate) = uplink_rate;
-        let (mut g, src) = random_app(stages, &costs, &keeps);
+        let (g, src) = random_app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
             elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
             rate_hz: 20.0,
         };
-        let prof = match profile(&mut g, &[trace]) {
+        let prof = match profile(&g, &[trace]) {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
@@ -441,7 +441,7 @@ proptest! {
 /// processing" contract, via the joint solve).
 #[test]
 fn star_server_side_union_matches_mixed() {
-    let (mut g, src) = random_app(3, &[500, 2000, 900, 100], &[2, 3, 2, 1]);
+    let (g, src) = random_app(3, &[500, 2000, 900, 100], &[2, 3, 2, 1]);
     let trace = SourceTrace {
         source: src,
         elements: (0..10)
@@ -449,7 +449,7 @@ fn star_server_side_union_matches_mixed() {
             .collect(),
         rate_hz: 20.0,
     };
-    let prof = profile(&mut g, &[trace]).unwrap();
+    let prof = profile(&g, &[trace]).unwrap();
     let mote = Platform::tmote_sky();
     let strong = Platform::gumstix();
     // Aggregate uplinks: each class's nodes share a channel budgeted at
@@ -506,13 +506,13 @@ proptest! {
         let (gw_budget_a, gw_budget_b, budget_scale) = gw_budgets;
         let (count_a, new_count_a) = counts;
         let (uplink_a, rate) = uplink_rate;
-        let (mut g, src) = random_app(stages, &costs, &keeps);
+        let (g, src) = random_app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
             elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
             rate_hz: 20.0,
         };
-        let prof = match profile(&mut g, &[trace]) {
+        let prof = match profile(&g, &[trace]) {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
@@ -585,13 +585,13 @@ proptest! {
     ) {
         let (gw_budget_a, gw_budget_b, budget_scale) = gw_budgets;
         let (uplink_a, uplink_scale, rate) = uplink_scale_rate;
-        let (mut g, src) = random_app(stages, &costs, &keeps);
+        let (g, src) = random_app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
             elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
             rate_hz: 20.0,
         };
-        let prof = match profile(&mut g, &[trace]) {
+        let prof = match profile(&g, &[trace]) {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
@@ -660,13 +660,13 @@ proptest! {
         let (cpu_a, net_a) = budgets_a;
         let (cpu_b, net_b) = budgets_b;
         let (count_a, count_b, rate) = counts_rate;
-        let (mut g, src) = random_app(stages, &costs, &keeps);
+        let (g, src) = random_app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
             elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
             rate_hz: 20.0,
         };
-        let prof = match profile(&mut g, &[trace]) {
+        let prof = match profile(&g, &[trace]) {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
@@ -790,7 +790,7 @@ fn built_app(
             .collect(),
         rate_hz: 20.0,
     };
-    let prof = profile(&mut g, &[trace]).ok()?;
+    let prof = profile(&g, &[trace]).ok()?;
     Some((g, prof))
 }
 
@@ -919,13 +919,13 @@ proptest! {
         let (gw_budget_a, gw_budget_b, budget_scale) = gw_budgets;
         let (uplink_a, count_a) = uplink_count;
         let (rate_exps, repeat_at, cliff_at) = walk;
-        let (mut g, src) = random_app(stages, &costs, &keeps);
+        let (g, src) = random_app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
             elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
             rate_hz: 20.0,
         };
-        let prof = match profile(&mut g, &[trace]) {
+        let prof = match profile(&g, &[trace]) {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
@@ -1098,13 +1098,13 @@ proptest! {
         let (gw_budget_a, gw_budget_b) = gw_budgets;
         let (uplink_a, count_a) = uplink_count;
         let app = if diamond { diamond_app } else { random_app };
-        let (mut g, src) = app(stages, &costs, &keeps);
+        let (g, src) = app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
             elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
             rate_hz: 20.0,
         };
-        let prof = match profile(&mut g, &[trace]) {
+        let prof = match profile(&g, &[trace]) {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
@@ -1237,7 +1237,7 @@ fn profiled_app(
     keeps: &[usize],
 ) -> Option<(wishbone::dataflow::Graph, wishbone::profile::GraphProfile)> {
     let app = if diamond { diamond_app } else { random_app };
-    let (mut g, src) = app(stages, costs, keeps);
+    let (g, src) = app(stages, costs, keeps);
     let trace = SourceTrace {
         source: src,
         elements: (0..10)
@@ -1245,7 +1245,7 @@ fn profiled_app(
             .collect(),
         rate_hz: 20.0,
     };
-    let prof = profile(&mut g, &[trace]).ok()?;
+    let prof = profile(&g, &[trace]).ok()?;
     Some((g, prof))
 }
 

@@ -54,13 +54,13 @@ proptest! {
         weak in class_strategy(),
         strong in class_strategy(),
     ) {
-        let (mut g, src) = random_app(stages, &costs, &keeps);
+        let (g, src) = random_app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
             elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
             rate_hz: 20.0,
         };
-        let prof = match profile(&mut g, &[trace]) {
+        let prof = match profile(&g, &[trace]) {
             Ok(p) => p,
             Err(_) => return Ok(()), // degenerate trace: skip
         };

@@ -21,12 +21,12 @@ fn class_cost(prof: &GraphProfile, ops: &[OperatorId], platform: &Platform, rate
 
 #[test]
 fn robust_partition_survives_every_single_gateway_failure() {
-    let mut app = build_eeg_app(EegParams {
+    let app = build_eeg_app(EegParams {
         n_channels: 3,
         ..Default::default()
     });
     let traces = app.traces(6, 2..4, 29);
-    let prof = profile(&mut app.graph, &traces).unwrap();
+    let prof = profile(&app.graph, &traces).unwrap();
     let leaf_platform = Platform::gumstix();
     let gw_platform = Platform::iphone();
 

@@ -102,7 +102,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 15] = [
+const CONFINE: [Confine; 16] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -227,6 +227,17 @@ const CONFINE: [Confine; 15] = [
               filters a whole window in the kernel's one pass, which is held bit for bit to the \
               per-sample loop",
     },
+    Confine {
+        rule: "one-prototype",
+        // The shipped crates that define, build, run or replicate work
+        // functions.
+        scope: &["crates/dataflow/src", "crates/dsp/src", "crates/apps/src", "crates/profile/src",
+                 RUNTIME_SRC, CORE_SRC, "crates/fleet/src", "src"],
+        needles: &[Ident("clone_fresh"), Call("run_operator")], homes: &[],
+        why: "`{}` — a graph's work functions are prototypes that nothing runs: run an \
+              instance set from `Graph::instantiate_work`, and replicate an operator by \
+              deriving `Clone`",
+    },
 ];
 
 #[rustfmt::skip]
@@ -309,7 +320,7 @@ const CONFIG_SURFACE: [(&str, &str, usize); 5] = [
     ("crates/ilp/src/branch_bound.rs", "IlpOptions", 5),
     (PLATFORM, "Platform", 7),
     (PLATFORM, "RadioModel", 2),
-    ("crates/runtime/src/deployment.rs", "SimulationConfig", 6),
+    ("crates/runtime/src/deployment.rs", "SimulationConfig", 5),
 ];
 
 /// The caller's inputs no type of [`PER_SOLVE_PATH`] may hold: a
@@ -1195,6 +1206,65 @@ pub struct Platform { // line 7
             assert!(read.iter().any(|(rel, _)| rel == Path::new(file)), "{file}");
         }
         assert_repo_clean("config-surface");
+    }
+
+    #[test]
+    fn config_surface_fires_on_a_simulator_node_count_put_back() {
+        let found =
+            |source: &str| lines("config-surface", "crates/runtime/src/deployment.rs", source);
+        let config = "\
+/// One simulated run.
+pub struct SimulationConfig { // line 2
+    pub duration_s: f64,
+    pub rate_multiplier: f64,
+    pub seed: u64,
+    pub task_model: TaskModel,
+    pub per_packet_cpu_s: f64,
+}
+";
+        assert_eq!(found(config), vec![]);
+        let count = "    pub n_nodes: usize,\n    pub duration_s: f64,";
+        assert_eq!(
+            found(&config.replace("    pub duration_s: f64,", count)),
+            vec![2]
+        );
+    }
+
+    #[test]
+    fn one_prototype_fires_on_a_replication_contract_put_back() {
+        let source = "\
+pub trait WorkFn: Send + Sync {
+    fn process(&mut self, port: usize, input: &Value, cx: &mut ExecCtx);
+    fn clone_fresh(&self) -> Box<dyn WorkFn>; // line 3
+}
+impl Graph {
+    pub fn run_operator(&mut self, id: OperatorId) -> Vec<Value> { todo!() }
+    pub fn instantiate_work(&self) -> Vec<Option<Box<dyn WorkFn>>> {
+        self.work.iter().map(|w| w.as_ref().map(|w| w.clone_fresh())).collect() // line 8
+    }
+}
+fn run_cascade(graph: &mut Graph, op: OperatorId) {
+    let outputs = graph.run_operator(op); // line 12
+    // no clone_fresh here, nor a \"run_operator(\" in a string
+    let clone_freshness = 0;
+}
+#[cfg(test)]
+mod tests {
+    fn fresh(w: &dyn WorkFn) { let _ = w.clone_fresh(); }
+}
+";
+        for file in [
+            "crates/dataflow/src/graph.rs",
+            "crates/dsp/src/ops.rs",
+            "crates/profile/src/profiler.rs",
+        ] {
+            assert_eq!(lines("one-prototype", file, source), vec![3, 8, 12]);
+        }
+        assert_eq!(
+            lines("one-prototype", "crates/ilp/src/revised.rs", source),
+            Vec::<usize>::new()
+        );
+        assert_repo_clean("one-prototype");
     }
 
     #[test]
