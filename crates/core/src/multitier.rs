@@ -30,7 +30,14 @@
 //! (`tests/proptest_multitier.rs`).
 //!
 //! **One pricing.** `ChainTable::price` is the only place in `core` that
-//! asks the profile for a price (`cpu_fraction`, `edge_on_air_bandwidth`).
+//! asks the profile for a price, and it asks twice per leaf: one batched
+//! call for every operator's CPU on every tier
+//! ([`GraphProfile::cpu_fractions`]) and one for every edge's on-air
+//! bandwidth on every link ([`GraphProfile::edge_on_air_bandwidths`]).
+//! Those build each platform's constants once, price a tier that repeats
+//! an earlier tier's cost row or packet format — the N80 relay below an
+//! N80 gateway — by copying, and return bit for bit what their one-item
+//! case, the per-item `cpu_fraction` / `edge_on_air_bandwidth`, returns.
 //! Everything downstream reads the merged graph it produces: the merge's
 //! dominance test, the encoder's budget rows and objective, the
 //! multilevel cut, and the per-solve decode of a placement into per-site
@@ -185,33 +192,25 @@ impl ChainTable {
 
     /// Weigh a [`from_graph`](Self::from_graph) table for the chain
     /// `platforms` (innermost first) at `rate_multiplier` times the
-    /// profile's reference rate, replacing any earlier pricing.
+    /// profile's reference rate, replacing any earlier pricing. Vertex `v`
+    /// of such a table is operator `v` and edge `e` dataflow edge `e`, so
+    /// the profile's two batched pricings fill `cpu` and `bw` as they are.
     pub(crate) fn price(
         &mut self,
         profile: &GraphProfile,
         platforms: &[&Platform],
         rate_multiplier: f64,
     ) {
+        assert_eq!(
+            (profile.operator_count(), profile.edge_count()),
+            (self.ops.len(), self.graph_edges.len()),
+            "price a table with the profile of its own graph"
+        );
         let k = platforms.len();
         self.tiers = k;
-        self.cpu.clear();
-        for &op in &self.ops {
-            self.cpu.extend(
-                platforms
-                    .iter()
-                    .map(|p| profile.cpu_fraction(op, p) * rate_multiplier),
-            );
-        }
-        self.bw.clear();
-        for &eid in &self.graph_edges {
-            // Link b is forwarded by tier b, so it wears tier b's packet
-            // framing.
-            self.bw.extend(
-                platforms[..k - 1]
-                    .iter()
-                    .map(|p| profile.edge_on_air_bandwidth(eid, p) * rate_multiplier),
-            );
-        }
+        profile.cpu_fractions(platforms, rate_multiplier, &mut self.cpu);
+        // Link b is forwarded by tier b, so it wears tier b's packet framing.
+        profile.edge_on_air_bandwidths(&platforms[..k - 1], rate_multiplier, &mut self.bw);
     }
 
     /// Flatten a public [`TieredGraph`].

@@ -435,7 +435,19 @@ impl Graph {
     /// for a sink), indexed by operator: clones of the never-run
     /// prototypes, so each starts from its initial state.
     pub fn instantiate_work(&self) -> Vec<Option<Box<dyn WorkFn>>> {
-        self.work.clone()
+        self.instantiate_work_where(|_| true)
+    }
+
+    /// [`instantiate_work`](Self::instantiate_work) for only the operators
+    /// `keep` accepts: every other slot is `None`, and no clone is made
+    /// for it.
+    pub fn instantiate_work_where(
+        &self,
+        mut keep: impl FnMut(OperatorId) -> bool,
+    ) -> Vec<Option<Box<dyn WorkFn>>> {
+        (self.work.iter().enumerate())
+            .map(|(i, w)| w.as_ref().filter(|_| keep(OperatorId(i))).cloned())
+            .collect()
     }
 
     /// Topological order (Kahn's algorithm). Errors with
@@ -496,36 +508,66 @@ impl Graph {
         self.topo_order().map(|_| ())
     }
 
-    /// All operators reachable downstream from `start` (inclusive).
+    /// All operators reachable downstream from `start` (inclusive), in
+    /// ascending order.
     pub fn descendants(&self, start: OperatorId) -> Vec<OperatorId> {
-        self.reach(start, false)
+        ids_of(&self.descendant_mask(&[start]))
     }
 
-    /// All operators reachable upstream from `start` (inclusive).
+    /// All operators reachable upstream from `start` (inclusive), in
+    /// ascending order.
     pub fn ancestors(&self, start: OperatorId) -> Vec<OperatorId> {
-        self.reach(start, true)
+        ids_of(&self.ancestor_mask(&[start]))
     }
 
-    fn reach(&self, start: OperatorId, upstream: bool) -> Vec<OperatorId> {
-        let mut seen = vec![false; self.specs.len()];
-        let mut stack = vec![start];
-        let mut out = Vec::new();
-        while let Some(v) = stack.pop() {
-            if seen[v.0] {
-                continue;
-            }
-            seen[v.0] = true;
-            out.push(v);
-            let next: Vec<OperatorId> = if upstream {
-                self.predecessors(v).collect()
-            } else {
-                self.successors(v).collect()
-            };
-            stack.extend(next);
-        }
-        out.sort_unstable();
-        out
+    /// Which operators are reachable downstream from any of `seeds` (the
+    /// seeds included), indexed by operator: one sweep, O(V + E) however
+    /// many seeds there are.
+    pub fn descendant_mask(&self, seeds: &[OperatorId]) -> Vec<bool> {
+        self.reach(seeds, false)
     }
+
+    /// Which operators are reachable upstream from any of `seeds` (the
+    /// seeds included), indexed by operator: one sweep, O(V + E) however
+    /// many seeds there are.
+    pub fn ancestor_mask(&self, seeds: &[OperatorId]) -> Vec<bool> {
+        self.reach(seeds, true)
+    }
+
+    /// Depth-first from every seed at once; an operator is marked when it
+    /// is pushed, so each is pushed and expanded at most once.
+    fn reach(&self, seeds: &[OperatorId], upstream: bool) -> Vec<bool> {
+        let mut seen = vec![false; self.specs.len()];
+        let mut stack = Vec::with_capacity(seeds.len());
+        let mut visit = |v: OperatorId, stack: &mut Vec<OperatorId>| {
+            if !std::mem::replace(&mut seen[v.0], true) {
+                stack.push(v);
+            }
+        };
+        for &s in seeds {
+            visit(s, &mut stack);
+        }
+        while let Some(v) = stack.pop() {
+            if upstream {
+                for &e in &self.in_edges[v.0] {
+                    visit(self.edges[e.0].src, &mut stack);
+                }
+            } else {
+                for &e in &self.out_edges[v.0] {
+                    visit(self.edges[e.0].dst, &mut stack);
+                }
+            }
+        }
+        seen
+    }
+}
+
+/// The operators a mask marks, in ascending order.
+fn ids_of(mask: &[bool]) -> Vec<OperatorId> {
+    (mask.iter().enumerate())
+        .filter(|&(_, &on)| on)
+        .map(|(i, _)| OperatorId(i))
+        .collect()
 }
 
 impl Default for Graph {
@@ -628,5 +670,15 @@ mod tests {
         assert_eq!(w.len(), 4);
         assert!(w[0].is_some());
         assert!(w[3].is_none());
+    }
+
+    #[test]
+    fn instantiate_work_where_clones_only_the_kept_operators() {
+        let (g, [s, a, _b, t]) = diamond();
+        let w = g.instantiate_work_where(|id| id == a || id == t);
+        let live: Vec<bool> = w.iter().map(Option::is_some).collect();
+        // The sink is kept but has no work function.
+        assert_eq!(live, [false, true, false, false]);
+        assert!(g.instantiate_work_where(|id| id == s)[s.0].is_some());
     }
 }

@@ -31,6 +31,14 @@
 //! a tier chain: swapping the middle tier from `nokia_n80` to `iphone`
 //! re-prices tier-1 CPU and the link-1 budget without touching the
 //! profile.
+//!
+//! A chain is priced in two batched passes
+//! (`GraphProfile::cpu_fractions`, `GraphProfile::edge_on_air_bandwidths`)
+//! with one formula: each platform's CPU constants become a `CostRow` once,
+//! and a tier whose row (or packet format) repeats an earlier tier's — the
+//! same N80 as relay and as gateway, or two platforms that differ only in
+//! name — is priced once and copied. [`Platform::seconds_for`] is the
+//! one-item case of the same row.
 
 use wishbone_dataflow::{OpClass, OpCounts, OP_CLASSES};
 use wishbone_net::PacketFormat;
@@ -110,6 +118,50 @@ impl CycleCosts {
     }
 }
 
+/// One platform's CPU pricing constants, computed once: the cycle cost of
+/// every op class in [`OP_CLASSES`] order and [`Platform::effective_hz`].
+///
+/// [`seconds`](Self::seconds) is the repo's one CPU pricing formula —
+/// cycles summed in class order, then one division by the rate — and
+/// [`Platform::seconds_for`] is a row priced once. A batched pricing
+/// (`GraphProfile::cpu_fractions`) builds each tier's row once and prices
+/// a row that [`same_as`](Self::same_as) an earlier tier's only once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CostRow {
+    cycles: [f64; OP_CLASSES.len()],
+    hz: f64,
+}
+
+impl CostRow {
+    /// The row of `platform`.
+    pub(crate) fn of(platform: &Platform) -> Self {
+        CostRow {
+            cycles: OP_CLASSES.map(|c| platform.cycle_costs.cost(c)),
+            hz: platform.effective_hz(),
+        }
+    }
+
+    /// Seconds of CPU for per-class counts from [`class_counts`].
+    pub(crate) fn seconds(&self, counts: &[f64; OP_CLASSES.len()]) -> f64 {
+        let cycles: f64 = counts.iter().zip(&self.cycles).map(|(n, c)| n * c).sum();
+        cycles / self.hz
+    }
+
+    /// Whether `other` holds the same constants, bit for bit — then it
+    /// prices every count to the same bits. Two platforms that differ only
+    /// in name, radio or OS overhead share a row.
+    pub(crate) fn same_as(&self, other: &CostRow) -> bool {
+        self.hz.to_bits() == other.hz.to_bits()
+            && (self.cycles.iter().zip(&other.cycles)).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+/// `counts` per class as `f64`, in [`OP_CLASSES`] order: what a
+/// [`CostRow`] prices.
+pub(crate) fn class_counts(counts: &OpCounts) -> [f64; OP_CLASSES.len()] {
+    OP_CLASSES.map(|c| counts.get(c) as f64)
+}
+
 /// Radio / uplink model: the network budget the partitioner prices
 /// against, and the framing it prices — the [`PacketFormat`] the
 /// simulated channel of a matching class charges per packet. Loss is the
@@ -152,13 +204,11 @@ impl Platform {
         self.clock_hz * self.dvfs_derate / self.interp_penalty
     }
 
-    /// Predicted seconds of CPU for a bag of op counts.
+    /// Predicted seconds of CPU for a bag of op counts: the platform's
+    /// cost row (cycle table and [`effective_hz`](Self::effective_hz)),
+    /// priced once — the one-item case of the batched CPU pricing.
     pub fn seconds_for(&self, counts: &OpCounts) -> f64 {
-        let cycles: f64 = OP_CLASSES
-            .iter()
-            .map(|&c| counts.get(c) as f64 * self.cycle_costs.cost(c))
-            .sum();
-        cycles / self.effective_hz()
+        CostRow::of(self).seconds(&class_counts(counts))
     }
 
     /// TMote Sky: 4 MHz-class MSP430, no FPU, hardware multiplier, CC2420

@@ -15,7 +15,9 @@ use wishbone_dataflow::{
     OP_CLASSES,
 };
 
-use crate::platform::Platform;
+use wishbone_net::PacketFormat;
+
+use crate::platform::{class_counts, CostRow, Platform};
 
 /// Sample input for one source operator.
 #[derive(Debug, Clone)]
@@ -85,6 +87,18 @@ pub struct GraphProfile {
     /// `per_op` and `per_edge` never change after [`profile`], so it is
     /// never reset.
     fingerprint: OnceLock<Fingerprint>,
+    /// [`price_inputs`](Self::price_inputs), computed on the first batched
+    /// pricing and never reset, for the same reason.
+    price_inputs: OnceLock<PriceInputs>,
+}
+
+/// What a price reads of the profile that no platform changes: each
+/// operator's per-class counts as `f64` ([`class_counts`]) and each
+/// edge's [`traffic`].
+#[derive(Debug, Clone)]
+struct PriceInputs {
+    counts: Vec<[f64; OP_CLASSES.len()]>,
+    traffic: Vec<Option<(usize, f64)>>,
 }
 
 impl GraphProfile {
@@ -123,9 +137,54 @@ impl GraphProfile {
 
     /// Mean CPU *fraction* (seconds of CPU per second of wall clock) an
     /// operator needs on `platform` at the reference rate. Scales linearly
-    /// with the data-rate multiplier (§4.3's monotonicity assumption).
+    /// with the data-rate multiplier (§4.3's monotonicity assumption). The
+    /// one-item case of [`cpu_fractions`](Self::cpu_fractions).
     pub fn cpu_fraction(&self, id: OperatorId, platform: &Platform) -> f64 {
-        platform.seconds_for(&self.per_op[id.0].total_counts) / self.duration_s
+        let counts = class_counts(&self.per_op[id.0].total_counts);
+        self.fraction(&CostRow::of(platform), &counts)
+    }
+
+    /// Every operator's [`cpu_fraction`](Self::cpu_fraction) on each of
+    /// `platforms`, times `rate`, written operator-major into `out`
+    /// (replacing its contents): operator `i` on `platforms[t]` is
+    /// `out[i·k + t]`, `k = platforms.len()`. Bit for bit
+    /// `cpu_fraction(i, platforms[t]) * rate`, at a fraction of the work:
+    /// each platform's cost row (cycle table and effective clock) is built
+    /// once per call, each operator's counts are converted to `f64` once
+    /// per profile, and a tier whose row equals an earlier tier's — a
+    /// repeated platform, or one that differs only in name or radio —
+    /// copies that tier's price.
+    pub fn cpu_fractions(&self, platforms: &[&Platform], rate: f64, out: &mut Vec<f64>) {
+        let rows: Vec<CostRow> = platforms.iter().map(|p| CostRow::of(p)).collect();
+        let first = first_equal(&rows, CostRow::same_as);
+        out.clear();
+        out.reserve(self.per_op.len() * rows.len());
+        for counts in &self.price_inputs().counts {
+            let at = out.len();
+            for (t, row) in rows.iter().enumerate() {
+                let price = match first[t] {
+                    s if s == t => self.fraction(row, counts) * rate,
+                    s => out[at + s],
+                };
+                out.push(price);
+            }
+        }
+    }
+
+    /// The profile's [`PriceInputs`], computed on first use.
+    fn price_inputs(&self) -> &PriceInputs {
+        self.price_inputs.get_or_init(|| PriceInputs {
+            counts: (self.per_op.iter())
+                .map(|p| class_counts(&p.total_counts))
+                .collect(),
+            traffic: self.per_edge.iter().map(traffic).collect(),
+        })
+    }
+
+    /// The one CPU fraction formula: seconds on `row`, then over the
+    /// trace's duration.
+    fn fraction(&self, row: &CostRow, counts: &[f64; OP_CLASSES.len()]) -> f64 {
+        row.seconds(counts) / self.duration_s
     }
 
     /// Mean application-payload bandwidth of an edge, bytes/second, at the
@@ -135,15 +194,48 @@ impl GraphProfile {
     }
 
     /// On-air bandwidth of an edge including packet framing for
-    /// `platform`'s radio, bytes/second.
+    /// `platform`'s radio, bytes/second. The one-item case of
+    /// [`edge_on_air_bandwidths`](Self::edge_on_air_bandwidths).
     pub fn edge_on_air_bandwidth(&self, id: EdgeId, platform: &Platform) -> f64 {
-        let e = &self.per_edge[id.0];
-        if e.elements == 0 {
-            return 0.0;
+        self.on_air(traffic(&self.per_edge[id.0]), &platform.radio.format)
+    }
+
+    /// Every edge's [`edge_on_air_bandwidth`](Self::edge_on_air_bandwidth)
+    /// with each of `platforms`' radio framing, times `rate`, written
+    /// edge-major into `out` (replacing its contents): edge `e` framed by
+    /// `platforms[b]` is `out[e·k + b]`, `k = platforms.len()`. Bit for bit
+    /// `edge_on_air_bandwidth(e, platforms[b]) * rate`: each edge's mean
+    /// element is rounded once per profile, and each distinct
+    /// [`PacketFormat`] is priced once per edge — a platform framing like
+    /// an earlier one copies its price.
+    ///
+    /// [`PacketFormat`]: wishbone_net::PacketFormat
+    pub fn edge_on_air_bandwidths(&self, platforms: &[&Platform], rate: f64, out: &mut Vec<f64>) {
+        let formats: Vec<PacketFormat> = platforms.iter().map(|p| p.radio.format).collect();
+        let first = first_equal(&formats, PacketFormat::eq);
+        out.clear();
+        out.reserve(self.per_edge.len() * formats.len());
+        for &traffic in &self.price_inputs().traffic {
+            let at = out.len();
+            for (b, format) in formats.iter().enumerate() {
+                let price = match first[b] {
+                    s if s == b => self.on_air(traffic, format) * rate,
+                    s => out[at + s],
+                };
+                out.push(price);
+            }
         }
-        let mean_elem = (e.bytes as f64 / e.elements as f64).round() as usize;
-        let on_air = platform.radio.format.on_air_bytes(mean_elem) as f64;
-        on_air * e.elements as f64 / self.duration_s
+    }
+
+    /// The one on-air bandwidth formula: `traffic`'s elements framed by
+    /// `format`, over the trace's duration.
+    fn on_air(&self, traffic: Option<(usize, f64)>, format: &PacketFormat) -> f64 {
+        match traffic {
+            None => 0.0,
+            Some((mean_elem, elements)) => {
+                format.on_air_bytes(mean_elem) as f64 * elements / self.duration_s
+            }
+        }
     }
 
     /// Per-operator CPU seconds per invocation on `platform`.
@@ -190,6 +282,23 @@ impl GraphProfile {
             e.bytes as f64 / e.elements as f64
         }
     }
+}
+
+/// What an edge's on-air price reads: its mean element size, rounded to
+/// whole bytes, and its element count — `None` if nothing crossed it.
+fn traffic(e: &EdgeProfile) -> Option<(usize, f64)> {
+    (e.elements != 0).then(|| {
+        let elements = e.elements as f64;
+        ((e.bytes as f64 / elements).round() as usize, elements)
+    })
+}
+
+/// For each item, the index of the first item `same` as it (its own index
+/// if none before it is): the item whose price it copies.
+fn first_equal<T>(items: &[T], same: impl Fn(&T, &T) -> bool) -> Vec<usize> {
+    (0..items.len())
+        .map(|i| (0..i).find(|&j| same(&items[j], &items[i])).unwrap_or(i))
+        .collect()
 }
 
 /// Execute `graph` over `traces` and collect a [`GraphProfile`].
@@ -248,6 +357,7 @@ pub fn profile(graph: &Graph, traces: &[SourceTrace]) -> Result<GraphProfile, Pr
         per_edge,
         duration_s,
         fingerprint: OnceLock::new(),
+        price_inputs: OnceLock::new(),
     })
 }
 

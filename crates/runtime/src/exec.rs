@@ -62,7 +62,9 @@ pub struct SiteExecutor {
 
 impl SiteExecutor {
     /// Build the site's state for `n_nodes` originating nodes; `site_ops`
-    /// is the operator set placed here, `platform` its cost model.
+    /// is the operator set placed here, `platform` its cost model. Only
+    /// hosted operators are instantiated: a node-namespace one once per
+    /// node, a server-namespace one once.
     pub fn new(
         graph: &Graph,
         site_ops: &HashSet<OperatorId>,
@@ -70,17 +72,23 @@ impl SiteExecutor {
         platform: Platform,
         task_model: Option<TaskModel>,
     ) -> Self {
+        let is_node_ns: Vec<bool> = graph
+            .operator_ids()
+            .map(|id| graph.spec(id).namespace == Namespace::Node)
+            .collect();
+        let hosted: Vec<bool> = graph
+            .operator_ids()
+            .map(|id| site_ops.contains(&id))
+            .collect();
+        let per_node = (0..n_nodes)
+            .map(|_| graph.instantiate_work_where(|id| hosted[id.0] && is_node_ns[id.0]))
+            .collect();
+        let shared = graph.instantiate_work_where(|id| hosted[id.0] && !is_node_ns[id.0]);
         SiteExecutor {
-            per_node: (0..n_nodes).map(|_| graph.instantiate_work()).collect(),
-            shared: graph.instantiate_work(),
-            is_node_ns: graph
-                .operator_ids()
-                .map(|id| graph.spec(id).namespace == Namespace::Node)
-                .collect(),
-            hosted: graph
-                .operator_ids()
-                .map(|id| site_ops.contains(&id))
-                .collect(),
+            per_node,
+            shared,
+            is_node_ns,
+            hosted,
             platform,
             task_model,
             buffers: Vec::new(),
@@ -302,6 +310,32 @@ mod tests {
                 .sink_arrivals
         };
         assert_eq!([arrivals(0), arrivals(0), arrivals(1)], [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_site_instantiates_only_the_operators_it_hosts() {
+        let (g, src, root_ops) = telltale_graph(Namespace::Node);
+        let [counter, tell, _sink] = root_ops[..] else {
+            panic!("telltale has three operators past its source")
+        };
+        let live = |slots: &[Option<Box<dyn WorkFn>>]| -> Vec<OperatorId> {
+            (slots.iter().enumerate())
+                .filter(|(_, w)| w.is_some())
+                .map(|(i, _)| OperatorId(i))
+                .collect()
+        };
+        let instances = |site: &SiteExecutor| {
+            let per_node: Vec<_> = site.per_node.iter().map(|w| live(w)).collect();
+            (per_node, live(&site.shared))
+        };
+        // The root: the node-namespace counter once per node, the
+        // server-namespace tell once, the sink (no work function) never.
+        let root = bare(&g, &root_ops, 3, Platform::server());
+        assert_eq!(instances(&root), (vec![vec![counter]; 3], vec![tell]));
+        let leaf = mote(&g, &[src], 2, TaskModel::tinyos());
+        assert_eq!(instances(&leaf), (vec![vec![src]; 2], vec![]));
+        let relay = bare(&g, &[], 4, Platform::gumstix());
+        assert_eq!(instances(&relay), (vec![vec![]; 4], vec![]));
     }
 
     #[test]

@@ -201,7 +201,8 @@ const CONFINE: [Confine; 16] = [
     },
     Confine {
         rule: "one-pricing", scope: &[CORE_SRC],
-        needles: &[Call("cpu_fraction"), Call("edge_on_air_bandwidth")],
+        needles: &[Call("cpu_fraction"), Call("edge_on_air_bandwidth"), Call("cpu_fractions"),
+                   Call("edge_on_air_bandwidths")],
         homes: &[Home::File(MULTITIER)],
         why: "`{}` outside `crates/core/src/multitier.rs` — the merged leaf graphs carry the \
               one pricing; read their costs",
@@ -1502,6 +1503,32 @@ struct Table { graph: Graph }
         assert_eq!(lines(MULTITIER, pricing), Vec::<usize>::new());
         assert_eq!(lines("crates/core/src/multilevel.rs", pricing), vec![2, 4]);
         assert_repo_clean("one-pricing");
+    }
+
+    #[test]
+    fn one_pricing_fires_on_a_batched_pricing_put_back_on_the_solve_path() {
+        let lines = |file: &str, source: &str| lines("one-pricing", file, source);
+        let batched = "\
+fn price(&mut self, profile: &GraphProfile, platforms: &[&Platform], rate: f64) {
+    profile.cpu_fractions(platforms, rate, &mut self.cpu);
+    profile.edge_on_air_bandwidths(&platforms[..k - 1], rate, &mut self.bw);
+}
+";
+        assert_eq!(lines(MULTITIER, batched), Vec::<usize>::new());
+        // The prepared instance re-pricing a leaf per solve.
+        let put_back = "\
+fn decode_last(&self, profile: &GraphProfile, platforms: &[&Platform], rate: f64) {
+    let mut cpu = Vec::new();
+    profile.cpu_fractions(platforms, rate, &mut cpu);
+    let mut bw = Vec::new();
+    profile.edge_on_air_bandwidths(platforms, rate, &mut bw);
+    profile.edge_on_air_bandwidths(platforms, rate, &mut bw); // audit:allow(one-pricing): demo
+}
+";
+        assert_eq!(lines(PER_SOLVE_PATH, put_back), vec![3, 5]);
+        // The definitions are not calls.
+        let defs = "pub fn cpu_fractions(&self) {}\npub fn edge_on_air_bandwidths(&self) {}\n";
+        assert_eq!(lines(PER_SOLVE_PATH, defs), Vec::<usize>::new());
     }
 
     #[test]
