@@ -20,7 +20,7 @@ use crate::svm::{DeclareOp, LinearSvm, SvmOp};
 
 /// Per-channel filter gains for the three feature levels (paper Fig 1's
 /// `filterGains`).
-pub const FILTER_GAINS: [f32; 3] = [1.0, 1.4, 2.0];
+const FILTER_GAINS: [f32; 3] = [1.0, 1.4, 2.0];
 
 /// EEG application parameters.
 #[derive(Debug, Clone)]
@@ -54,10 +54,6 @@ pub struct EegApp {
     pub graph: Graph,
     /// One source per channel.
     pub sources: Vec<OperatorId>,
-    /// The per-channel `zipN` feature operators.
-    pub channel_features: Vec<OperatorId>,
-    /// The cross-channel combiner.
-    pub combine: OperatorId,
     /// SVM classifier operator.
     pub svm: OperatorId,
     /// Declaration operator.
@@ -145,7 +141,6 @@ pub fn build_eeg_app(params: EegParams) -> EegApp {
     );
     let mut b = GraphBuilder::new();
     let mut sources = Vec::with_capacity(params.n_channels);
-    let mut channel_features = Vec::with_capacity(params.n_channels);
     let mut feature_streams = Vec::with_capacity(params.n_channels);
 
     b.enter_node_namespace();
@@ -187,7 +182,6 @@ pub fn build_eeg_app(params: EegParams) -> EegApp {
             levels_out.push(mag);
         }
         let zipped = b.zip(format!("ch{ch}/zipN"), &levels_out);
-        channel_features.push(zipped.0);
         feature_streams.push(zipped);
     }
 
@@ -210,8 +204,6 @@ pub fn build_eeg_app(params: EegParams) -> EegApp {
     EegApp {
         graph,
         sources,
-        channel_features,
-        combine: combine.0,
         svm: svm.0,
         declare: declare.0,
         sink,

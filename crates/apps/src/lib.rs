@@ -23,9 +23,5 @@ pub mod speech;
 pub mod svm;
 
 pub use eeg::{build_eeg_app, build_eeg_channel, heuristic_svm, EegApp, EegParams};
-pub use signal::{
-    eeg_trace, speech_trace, EEG_SAMPLE_RATE, EEG_WINDOW_LEN, EEG_WINDOW_RATE, SPEECH_FRAME_LEN,
-    SPEECH_FRAME_RATE, SPEECH_SAMPLE_RATE,
-};
 pub use speech::{build_speech_app, SpeechApp, SpeechParams};
-pub use svm::{flatten_features, DeclareOp, LinearSvm, SvmOp};
+pub use svm::{DeclareOp, LinearSvm, SvmOp};

@@ -18,18 +18,18 @@ use rand::{Rng, SeedableRng};
 use wishbone_dataflow::Value;
 
 /// Speech reference rates: 8 kHz audio, 200-sample frames → 40 frames/s.
-pub const SPEECH_SAMPLE_RATE: f64 = 8_000.0;
+pub(crate) const SPEECH_SAMPLE_RATE: f64 = 8_000.0;
 /// Samples per speech frame (400 bytes of raw 16-bit audio, as in Fig 7).
-pub const SPEECH_FRAME_LEN: usize = 200;
+pub(crate) const SPEECH_FRAME_LEN: usize = 200;
 /// Speech frames per second at the reference rate.
-pub const SPEECH_FRAME_RATE: f64 = SPEECH_SAMPLE_RATE / SPEECH_FRAME_LEN as f64;
+pub(crate) const SPEECH_FRAME_RATE: f64 = SPEECH_SAMPLE_RATE / SPEECH_FRAME_LEN as f64;
 
 /// EEG reference rates: 256 Hz per channel, 2-second windows (§6.1).
-pub const EEG_SAMPLE_RATE: f64 = 256.0;
+pub(crate) const EEG_SAMPLE_RATE: f64 = 256.0;
 /// Samples per EEG analysis window.
-pub const EEG_WINDOW_LEN: usize = 512;
+pub(crate) const EEG_WINDOW_LEN: usize = 512;
 /// EEG windows per second at the reference rate.
-pub const EEG_WINDOW_RATE: f64 = EEG_SAMPLE_RATE / EEG_WINDOW_LEN as f64;
+pub(crate) const EEG_WINDOW_RATE: f64 = EEG_SAMPLE_RATE / EEG_WINDOW_LEN as f64;
 
 /// Segment kinds inside the synthetic speech signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +43,7 @@ enum SpeechSegment {
 ///
 /// Deterministic per seed. Roughly 40% voiced / 20% unvoiced / 40%
 /// silence, in multi-frame runs, so detectors see realistic duty cycles.
-pub fn speech_trace(n_frames: usize, seed: u64) -> Vec<Value> {
+pub(crate) fn speech_trace(n_frames: usize, seed: u64) -> Vec<Value> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut frames = Vec::with_capacity(n_frames);
     let mut t = 0usize; // global sample clock
@@ -101,7 +101,7 @@ pub fn speech_trace(n_frames: usize, seed: u64) -> Vec<Value> {
 /// Windows whose index falls in `seizure` carry large 3–8 Hz oscillations;
 /// the rest carry background alpha rhythm plus noise. `channel` decorrelates
 /// phases across the 22 channels of a montage.
-pub fn eeg_trace(
+pub(crate) fn eeg_trace(
     n_windows: usize,
     seizure: std::ops::Range<usize>,
     channel: usize,

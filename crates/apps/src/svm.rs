@@ -26,19 +26,26 @@ impl LinearSvm {
     }
 
     /// Decision value `w·x + b` (positive = seizure class).
-    pub fn decision(&self, x: &[f32]) -> f32 {
+    pub(crate) fn decision(&self, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.weights.len(), "feature arity mismatch");
         self.weights.iter().zip(x).map(|(w, v)| w * v).sum::<f32>() + self.bias
     }
 
     /// Binary prediction.
-    pub fn predict(&self, x: &[f32]) -> bool {
+    #[cfg(test)]
+    fn predict(&self, x: &[f32]) -> bool {
         self.decision(x) > 0.0
     }
 
     /// Train with sub-gradient descent on the L2-regularized hinge loss
     /// (Pegasos-style). `labels` are `true` for seizure windows.
-    pub fn train(features: &[Vec<f32>], labels: &[bool], epochs: usize, lambda: f32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn train(
+        features: &[Vec<f32>],
+        labels: &[bool],
+        epochs: usize,
+        lambda: f32,
+    ) -> Self {
         assert_eq!(features.len(), labels.len());
         assert!(!features.is_empty());
         let dim = features[0].len();
@@ -69,7 +76,8 @@ impl LinearSvm {
     }
 
     /// Classification accuracy on a labelled set.
-    pub fn accuracy(&self, features: &[Vec<f32>], labels: &[bool]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn accuracy(&self, features: &[Vec<f32>], labels: &[bool]) -> f64 {
         let correct = features
             .iter()
             .zip(labels)
@@ -80,7 +88,7 @@ impl LinearSvm {
 }
 
 /// Flatten a (possibly nested) tuple of scalars into a feature vector.
-pub fn flatten_features(v: &Value, out: &mut Vec<f32>) {
+pub(crate) fn flatten_features(v: &Value, out: &mut Vec<f32>) {
     match v {
         Value::Tuple(vs) => {
             for inner in vs {

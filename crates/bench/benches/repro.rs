@@ -26,7 +26,7 @@ use wishbone_core::{
     Mode, PartitionError, Pin, PreparedDeployment, Site,
 };
 use wishbone_dataflow::{EdgeId, OperatorId, Value};
-use wishbone_ilp::IlpOptions;
+use wishbone_ilp::{solve_ilp, IlpOptions};
 use wishbone_net::{profile_network, ChannelParams};
 use wishbone_oracle::{
     build_partition_graph, encode, evaluate, exhaustive, greedy, local_search, Encoding,
@@ -91,7 +91,7 @@ where
 /// `pg` under `obj`.
 fn ilp_cut(pg: &PartitionGraph, obj: &ObjectiveConfig) -> HashSet<usize> {
     let ep = encode(pg, Encoding::Restricted, obj);
-    let sol = ep.problem.solve_ilp(&IlpOptions::default());
+    let sol = solve_ilp(&ep.problem, &IlpOptions::default());
     ep.decode(&sol.expect("solvable").values)
 }
 

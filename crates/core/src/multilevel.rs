@@ -951,7 +951,7 @@ mod tests {
     use crate::encodings::encode_deployment;
     use crate::multitier::{TEdge, TVertex, TieredGraph};
     use proptest::prelude::*;
-    use wishbone_ilp::IlpOptions;
+    use wishbone_ilp::{solve_ilp, IlpOptions};
 
     /// A k-tier chain of `n` vertices: Node-pinned source, Server-pinned
     /// sink, movable middle. Each vertex halves the stream's bandwidth
@@ -1050,7 +1050,7 @@ mod tests {
         );
         let cut = approx_cut(&leaves, &obj, 1.0).expect("feasible");
         let ep = encode_deployment(&leaves, &obj);
-        let exact = ep.problem.solve_ilp(&IlpOptions::default()).expect("exact");
+        let exact = solve_ilp(&ep.problem, &IlpOptions::default()).expect("exact");
         let exact_cost = exact.objective + ep.objective_offset;
         assert!(
             cut.objective >= exact_cost - 1e-9,

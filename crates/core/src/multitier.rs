@@ -108,20 +108,6 @@ pub struct TieredGraph {
     pub edges: Vec<TEdge>,
 }
 
-impl TieredGraph {
-    /// Expand a per-vertex tier assignment into per-operator tiers,
-    /// indexed by `OperatorId.0`.
-    pub fn op_tiers(&self, vertex_tiers: &[usize], n_ops: usize) -> Vec<usize> {
-        let mut tiers = vec![self.tiers - 1; n_ops];
-        for (v, vert) in self.vertices.iter().enumerate() {
-            for &op in &vert.ops {
-                tiers[op.0] = vertex_tiers[v];
-            }
-        }
-        tiers
-    }
-}
-
 /// Build the tiered partitioning graph for a chain of candidate platforms:
 /// per-tier CPU fractions and per-link on-air bandwidths, at
 /// `rate_multiplier` times the profile's reference rate — the unmerged

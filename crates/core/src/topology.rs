@@ -1478,8 +1478,6 @@ impl<'a> PreparedDeployment<'a> {
     }
 }
 
-/// A rate multiplier is a finite positive number, or there is no instance
-/// to solve.
 /// Whether `budget` is one: finite (a row) or `+∞` (no row).
 fn is_budget(budget: f64) -> bool {
     budget.is_finite() || budget == f64::INFINITY
@@ -1500,6 +1498,8 @@ fn can_price(platform: &Platform) -> bool {
     hz.is_finite() && hz > 0.0 && costs_ok && platform.radio.format.max_payload > 0
 }
 
+/// A rate multiplier is a finite positive number, or there is no instance
+/// to solve.
 pub(crate) fn check_rate(rate: f64) -> Result<(), PartitionError> {
     if rate.is_finite() && rate > 0.0 {
         Ok(())

@@ -228,7 +228,8 @@ mod tests {
         let mut z = ZipWork::new(2);
         let mut cx = ExecCtx::new();
         z.process(0, &Value::I16(1), &mut cx);
-        assert_eq!(cx.emitted_len(), 0);
+        assert_eq!(cx.finish().0, vec![]);
+        let mut cx = ExecCtx::new();
         z.process(1, &Value::I16(2), &mut cx);
         let (out, _) = cx.finish();
         assert_eq!(out, vec![Value::Tuple(vec![Value::I16(1), Value::I16(2)])]);

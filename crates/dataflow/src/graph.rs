@@ -170,11 +170,6 @@ impl ExecCtx {
         self.emitted.push(v);
     }
 
-    /// Number of elements emitted so far in this invocation.
-    pub fn emitted_len(&self) -> usize {
-        self.emitted.len()
-    }
-
     /// Consume the context, returning `(emitted elements, op counts)`.
     pub fn finish(self) -> (Vec<Value>, OpCounts) {
         (self.emitted, self.meter.counts())

@@ -74,18 +74,6 @@ impl OpClass {
             OpClass::Call => 9,
         }
     }
-
-    /// Is this a floating-point class (penalised on FPU-less platforms)?
-    pub fn is_float(self) -> bool {
-        matches!(
-            self,
-            OpClass::FloatAdd
-                | OpClass::FloatMul
-                | OpClass::FloatDiv
-                | OpClass::Sqrt
-                | OpClass::Transcendental
-        )
-    }
 }
 
 /// A bag of abstract-operation counts.
@@ -114,7 +102,7 @@ impl OpCounts {
     }
 
     /// Record `n` operations of class `c` attributed to loop bodies.
-    pub fn record_in_loop(&mut self, c: OpClass, n: u64) {
+    pub(crate) fn record_in_loop(&mut self, c: OpClass, n: u64) {
         self.counts[c.index()] += n;
         self.in_loops[c.index()] += n;
     }
@@ -218,11 +206,6 @@ impl Meter {
         self.op(OpClass::FloatMul, n);
     }
 
-    /// Convenience: float divides.
-    pub fn fdiv(&mut self, n: u64) {
-        self.op(OpClass::FloatDiv, n);
-    }
-
     /// Convenience: square roots.
     pub fn sqrt(&mut self, n: u64) {
         self.op(OpClass::Sqrt, n);
@@ -324,13 +307,5 @@ mod tests {
         let c = m.reset();
         assert_eq!(c.get(OpClass::IntAlu), 2);
         assert!(m.counts().is_empty());
-    }
-
-    #[test]
-    fn float_classification() {
-        assert!(OpClass::Sqrt.is_float());
-        assert!(OpClass::Transcendental.is_float());
-        assert!(!OpClass::IntMul.is_float());
-        assert!(!OpClass::Mem.is_float());
     }
 }

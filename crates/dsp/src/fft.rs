@@ -104,7 +104,7 @@ pub fn real_fft_magnitude(signal: &[f32], meter: &mut Meter) -> Vec<f32> {
 /// fixed-point FFT used on FPU-less microcontrollers — it keeps the mote's
 /// FFT in cheap integer multiplies, concentrating float cost in the
 /// cepstral stage (paper Fig 8).
-pub fn fft_q15_in_place(re: &mut [i32], im: &mut [i32], meter: &mut Meter) -> u32 {
+pub(crate) fn fft_q15_in_place(re: &mut [i32], im: &mut [i32], meter: &mut Meter) -> u32 {
     let n = re.len();
     assert_eq!(n, im.len(), "re/im length mismatch");
     assert!(n.is_power_of_two(), "FFT size must be a power of two");
@@ -190,7 +190,7 @@ pub fn fft_q15_in_place(re: &mut [i32], im: &mut [i32], meter: &mut Meter) -> u3
 
 /// Integer square root of a u64 (binary restoring method, metered by the
 /// caller as part of the magnitude loop).
-pub fn isqrt_u64(x: u64) -> u64 {
+pub(crate) fn isqrt_u64(x: u64) -> u64 {
     if x == 0 {
         return 0;
     }

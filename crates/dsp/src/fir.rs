@@ -119,7 +119,7 @@ impl FirFilter {
 
 /// Even-indexed samples of a window (half-rate polyphase branch): an odd
 /// window has one more of them than odd ones, and is metered for it.
-pub fn take_even(window: &[f32], meter: &mut Meter) -> Vec<f32> {
+pub(crate) fn take_even(window: &[f32], meter: &mut Meter) -> Vec<f32> {
     let copied = window.len().div_ceil(2) as u64;
     meter.loop_scope(copied, |meter| {
         meter.mem(copied);
@@ -128,7 +128,7 @@ pub fn take_even(window: &[f32], meter: &mut Meter) -> Vec<f32> {
 }
 
 /// Odd-indexed samples of a window.
-pub fn take_odd(window: &[f32], meter: &mut Meter) -> Vec<f32> {
+pub(crate) fn take_odd(window: &[f32], meter: &mut Meter) -> Vec<f32> {
     meter.loop_scope((window.len() / 2) as u64, |meter| {
         meter.mem(window.len() as u64 / 2);
         window.iter().skip(1).step_by(2).copied().collect()
@@ -137,7 +137,7 @@ pub fn take_odd(window: &[f32], meter: &mut Meter) -> Vec<f32> {
 
 /// Element-wise sum of two windows, truncated to the shorter length
 /// (`AddOddAndEven` in the paper's pseudocode).
-pub fn add_windows(a: &[f32], b: &[f32], meter: &mut Meter) -> Vec<f32> {
+pub(crate) fn add_windows(a: &[f32], b: &[f32], meter: &mut Meter) -> Vec<f32> {
     let n = a.len().min(b.len());
     meter.loop_scope(n as u64, |meter| {
         meter.fadd(n as u64);
@@ -157,7 +157,7 @@ pub const H_HIGH_EVEN: [f32; 4] = [-0.129_409_52, -0.482_962_9, 0.0, 0.0];
 pub const H_HIGH_ODD: [f32; 4] = [0.836_516_3, -0.224_143_86, 0.0, 0.0];
 
 /// Scaled signal energy: `gain · Σ x²` over a window (`MagWithScale`).
-pub fn mag_with_scale(window: &[f32], gain: f32, meter: &mut Meter) -> f32 {
+pub(crate) fn mag_with_scale(window: &[f32], gain: f32, meter: &mut Meter) -> f32 {
     meter.loop_scope(window.len() as u64, |meter| {
         meter.fmul(window.len() as u64 + 1);
         meter.fadd(window.len() as u64);

@@ -24,21 +24,10 @@ pub mod mel;
 pub mod ops;
 pub mod window;
 
-pub use fft::{
-    fft_in_place, fft_q15_in_place, isqrt_u64, real_fft_magnitude, real_fft_magnitude_q15,
-};
-pub use fir::{
-    add_windows, mag_with_scale, take_even, take_odd, FirFilter, H_HIGH_EVEN, H_HIGH_ODD,
-    H_LOW_EVEN, H_LOW_ODD,
-};
-pub use mel::{
-    apply_filterbank, dct_ii, hz_to_mel, log_quantize, mel_filterbank, mel_to_hz, MelFilter,
-};
+pub use fft::{fft_in_place, real_fft_magnitude, real_fft_magnitude_q15};
+pub use fir::{FirFilter, H_HIGH_EVEN, H_HIGH_ODD, H_LOW_EVEN, H_LOW_ODD};
+pub use mel::dct_ii;
 pub use ops::{
     AddWindowsOp, CepstralOp, FftMagOp, FilterBankOp, FirWindowOp, GetEvenOp, GetOddOp, HammingOp,
     LogQuantOp, MagScaleOp, PreEmphOp, PreFiltOp,
-};
-pub use window::{
-    apply_window_q15, dc_remove_and_pad_i16, hamming_coeffs, hamming_coeffs_q15, preemphasis,
-    preemphasis_q15,
 };

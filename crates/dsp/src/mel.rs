@@ -9,27 +9,31 @@
 use wishbone_dataflow::Meter;
 
 /// Hz → mel.
-pub fn hz_to_mel(hz: f32) -> f32 {
+pub(crate) fn hz_to_mel(hz: f32) -> f32 {
     2595.0 * (1.0 + hz / 700.0).log10()
 }
 
 /// mel → Hz.
-pub fn mel_to_hz(mel: f32) -> f32 {
+pub(crate) fn mel_to_hz(mel: f32) -> f32 {
     700.0 * (10f32.powf(mel / 2595.0) - 1.0)
 }
 
 /// A triangular mel filter stored sparsely as `(first_bin, weights)`.
 #[derive(Debug, Clone)]
-pub struct MelFilter {
+pub(crate) struct MelFilter {
     /// Index of the first FFT bin this filter touches.
-    pub first_bin: usize,
+    first_bin: usize,
     /// Triangle weights for consecutive bins starting at `first_bin`.
-    pub weights: Vec<f32>,
+    weights: Vec<f32>,
 }
 
 /// Build a bank of `num_filters` triangular filters over `num_bins`
 /// magnitude bins of a `sample_rate` signal.
-pub fn mel_filterbank(num_filters: usize, num_bins: usize, sample_rate: f32) -> Vec<MelFilter> {
+pub(crate) fn mel_filterbank(
+    num_filters: usize,
+    num_bins: usize,
+    sample_rate: f32,
+) -> Vec<MelFilter> {
     assert!(num_filters >= 1 && num_bins >= 4);
     let f_max = sample_rate / 2.0;
     let mel_max = hz_to_mel(f_max);
@@ -74,7 +78,11 @@ pub fn mel_filterbank(num_filters: usize, num_bins: usize, sample_rate: f32) -> 
 
 /// Apply the filterbank to a magnitude spectrum, producing one energy per
 /// filter (metered).
-pub fn apply_filterbank(spectrum: &[f32], bank: &[MelFilter], meter: &mut Meter) -> Vec<f32> {
+pub(crate) fn apply_filterbank(
+    spectrum: &[f32],
+    bank: &[MelFilter],
+    meter: &mut Meter,
+) -> Vec<f32> {
     let mut out = Vec::with_capacity(bank.len());
     for filt in bank {
         let energy = meter.loop_scope(filt.weights.len() as u64, |meter| {
@@ -96,7 +104,7 @@ pub fn apply_filterbank(spectrum: &[f32], bank: &[MelFilter], meter: &mut Meter)
 /// per bit). The paper's `logs` stage makes convolutional components
 /// additive; quantizing is what makes the stage data-*reducing* so it shows
 /// up as a viable cutpoint in Fig 5(b).
-pub fn log_quantize(energies: &[f32], scale: f32, meter: &mut Meter) -> Vec<i16> {
+pub(crate) fn log_quantize(energies: &[f32], scale: f32, meter: &mut Meter) -> Vec<i16> {
     meter.loop_scope(energies.len() as u64, |meter| {
         meter.transcendental(energies.len() as u64);
         meter.fmul(energies.len() as u64);

@@ -4,34 +4,17 @@
 use wishbone_dataflow::Meter;
 
 /// Hamming window coefficients of length `n`.
-pub fn hamming_coeffs(n: usize) -> Vec<f32> {
+pub(crate) fn hamming_coeffs(n: usize) -> Vec<f32> {
     assert!(n >= 2);
     (0..n)
         .map(|i| 0.54 - 0.46 * (2.0 * std::f32::consts::PI * i as f32 / (n as f32 - 1.0)).cos())
         .collect()
 }
 
-/// First-order pre-emphasis `y[i] = x[i] - α·x[i-1]`, carrying the last
-/// sample of the previous frame in `prev` (stateful across frames).
-pub fn preemphasis(frame: &[i16], alpha: f32, prev: &mut f32, meter: &mut Meter) -> Vec<f32> {
-    let mut out = Vec::with_capacity(frame.len());
-    meter.loop_scope(frame.len() as u64, |meter| {
-        meter.fmul(frame.len() as u64);
-        meter.fadd(frame.len() as u64);
-        meter.mem(2 * frame.len() as u64);
-        for &s in frame {
-            let x = f32::from(s);
-            out.push(x - alpha * *prev);
-            *prev = x;
-        }
-    });
-    out
-}
-
 /// Q15 fixed-point Hamming window coefficients (embedded front ends run
 /// windowing in integer math; floats only appear from the FFT onwards,
 /// which is what concentrates float cost in the back half — paper Fig 8).
-pub fn hamming_coeffs_q15(n: usize) -> Vec<i16> {
+pub(crate) fn hamming_coeffs_q15(n: usize) -> Vec<i16> {
     hamming_coeffs(n)
         .into_iter()
         .map(|w| (w * 32767.0).round().clamp(0.0, 32767.0) as i16)
@@ -40,7 +23,7 @@ pub fn hamming_coeffs_q15(n: usize) -> Vec<i16> {
 
 /// Fixed-point window multiply: `y = (x * w_q15) >> 15` (metered as
 /// integer multiplies).
-pub fn apply_window_q15(frame: &[i16], window_q15: &[i16], meter: &mut Meter) -> Vec<i16> {
+pub(crate) fn apply_window_q15(frame: &[i16], window_q15: &[i16], meter: &mut Meter) -> Vec<i16> {
     assert_eq!(frame.len(), window_q15.len());
     meter.loop_scope(frame.len() as u64, |meter| {
         meter.imul(frame.len() as u64);
@@ -56,7 +39,7 @@ pub fn apply_window_q15(frame: &[i16], window_q15: &[i16], meter: &mut Meter) ->
 
 /// Fixed-point pre-emphasis `y[i] = x[i] - (α_q15·x[i-1]) >> 15`, state in
 /// `prev` (metered as integer ops).
-pub fn preemphasis_q15(
+pub(crate) fn preemphasis_q15(
     frame: &[i16],
     alpha_q15: i16,
     prev: &mut i16,
@@ -79,7 +62,7 @@ pub fn preemphasis_q15(
 /// Integer DC removal + zero-pad: subtract the integer mean and pad with
 /// zeros to `pad_to`. Keeps the `prefilt` stage in fixed point so the
 /// fixed-point FFT can follow.
-pub fn dc_remove_and_pad_i16(frame: &[i16], pad_to: usize, meter: &mut Meter) -> Vec<i16> {
+pub(crate) fn dc_remove_and_pad_i16(frame: &[i16], pad_to: usize, meter: &mut Meter) -> Vec<i16> {
     assert!(pad_to >= frame.len());
     let mean: i32 = if frame.is_empty() {
         0
@@ -104,6 +87,24 @@ pub fn dc_remove_and_pad_i16(frame: &[i16], pad_to: usize, meter: &mut Meter) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// First-order pre-emphasis `y[i] = x[i] - α·x[i-1]` in float,
+    /// carrying the last sample of the previous frame in `prev`: the
+    /// reference [`preemphasis_q15`] is held to.
+    fn preemphasis(frame: &[i16], alpha: f32, prev: &mut f32, meter: &mut Meter) -> Vec<f32> {
+        let mut out = Vec::with_capacity(frame.len());
+        meter.loop_scope(frame.len() as u64, |meter| {
+            meter.fmul(frame.len() as u64);
+            meter.fadd(frame.len() as u64);
+            meter.mem(2 * frame.len() as u64);
+            for &s in frame {
+                let x = f32::from(s);
+                out.push(x - alpha * *prev);
+                *prev = x;
+            }
+        });
+        out
+    }
 
     #[test]
     fn hamming_endpoints_and_symmetry() {

@@ -399,11 +399,6 @@ impl FleetServer {
         }
         stats
     }
-
-    /// Requests submitted but not yet collected.
-    pub fn outstanding(&self) -> u64 {
-        self.outstanding
-    }
 }
 
 /// Convenience: spawn a server of `workers` threads, run one batch

@@ -44,7 +44,7 @@
 //!   LP — or an integral node LP; the search rounds and repairs nothing.
 //!
 //! ```
-//! use wishbone_ilp::{Problem, Sense, IlpOptions};
+//! use wishbone_ilp::{solve_ilp, IlpOptions, Problem, Sense};
 //!
 //! // A miniature Wishbone partition problem: two operators in a chain,
 //! // f=1 places an operator on the mote, f=0 on the server. The source
@@ -55,7 +55,7 @@
 //! let f1 = p.add_var(0.0, 1.0, -4.0, true); // d(net)/d(f1) = 2-6  = -4
 //! p.add_constraint(&[(f0, 1.0), (f1, -1.0)], Sense::Ge, 0.0); // single cut
 //! p.add_constraint(&[(f0, 3.0), (f1, 5.0)], Sense::Le, 4.0);  // CPU budget
-//! let sol = p.solve_ilp(&IlpOptions::default()).unwrap();
+//! let sol = solve_ilp(&p, &IlpOptions::default()).unwrap();
 //! // Budget 4 admits only op0 on the mote: net falls from 10 to 6 kb/s.
 //! assert_eq!(sol.values, vec![1.0, 0.0]);
 //! ```
@@ -79,20 +79,8 @@ pub use branch_bound::{
     solve_ilp, solve_ilp_in, solve_ilp_seeded_in, IlpOptions, IlpSolution, IlpStats, PhaseTimes,
 };
 pub use num::is_exact_zero;
-pub use presolve::{presolve, quick_infeasible, PresolveOutcome};
+pub use presolve::{presolve, PresolveOutcome};
 pub use problem::{Constraint, LpSolution, Problem, Sense, SolveError, VarId};
 pub use refutation::Refutation;
 pub use simplex::{solve_lp, solve_lp_in};
 pub use workspace::{SimplexWorkspace, SolverBackend};
-
-impl Problem {
-    /// Solve the LP relaxation.
-    pub fn solve_lp(&self) -> Result<LpSolution, SolveError> {
-        simplex::solve_lp(self)
-    }
-
-    /// Solve to integer optimality (or within `opts` limits).
-    pub fn solve_ilp(&self, opts: &IlpOptions) -> Result<IlpSolution, SolveError> {
-        branch_bound::solve_ilp(self, opts)
-    }
-}

@@ -307,7 +307,7 @@ pub fn presolve(problem: &Problem, lower: &mut [f64], upper: &mut [f64]) -> Pres
 /// its right-hand side under these bounds (or any bound pair cross)? Used
 /// per branch-and-bound node — `O(nnz)`, no allocation — so children made
 /// infeasible by a branching bound never reach the simplex.
-pub fn quick_infeasible(problem: &Problem, lower: &[f64], upper: &[f64]) -> bool {
+pub(crate) fn quick_infeasible(problem: &Problem, lower: &[f64], upper: &[f64]) -> bool {
     for j in 0..problem.num_vars() {
         if lower[j] > upper[j] {
             return true;

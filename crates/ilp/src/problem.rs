@@ -42,12 +42,12 @@ pub struct Constraint {
 /// A linear (or mixed-integer linear) minimization problem.
 ///
 /// ```
-/// use wishbone_ilp::{Problem, Sense};
+/// use wishbone_ilp::{solve_ilp, Problem, Sense};
 /// let mut p = Problem::new();
 /// let x = p.add_var(0.0, 1.0, -1.0, true); // binary, maximize x
 /// let y = p.add_var(0.0, 1.0, -1.0, true);
 /// p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Le, 1.0);
-/// let sol = p.solve_ilp(&Default::default()).unwrap();
+/// let sol = solve_ilp(&p, &Default::default()).unwrap();
 /// assert!((sol.objective - (-1.0)).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -200,11 +200,6 @@ impl Problem {
     /// Is `v` an integer variable?
     pub fn is_integer(&self, v: VarId) -> bool {
         self.integer[v.0]
-    }
-
-    /// Number of variables marked integer.
-    pub fn num_integer_vars(&self) -> usize {
-        self.integer.iter().filter(|&&b| b).count()
     }
 
     /// Objective value of a candidate assignment.

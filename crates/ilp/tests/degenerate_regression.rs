@@ -4,7 +4,9 @@
 //! fallback and the tie-breaking rules cannot silently regress when
 //! either implementation changes.
 
-use wishbone_ilp::{solve_lp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolverBackend};
+use wishbone_ilp::{
+    solve_ilp, solve_lp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolverBackend,
+};
 
 const BACKENDS: [SolverBackend; 2] = [SolverBackend::Dense, SolverBackend::Sparse];
 
@@ -166,12 +168,14 @@ fn degenerate_ilp_agrees_across_backends_and_warm_modes() {
     }
     let mut objs = Vec::new();
     for backend in BACKENDS {
-        let s = p
-            .solve_ilp(&IlpOptions {
+        let s = solve_ilp(
+            &p,
+            &IlpOptions {
                 backend,
                 ..Default::default()
-            })
-            .expect("solvable");
+            },
+        )
+        .expect("solvable");
         assert!(p.is_feasible(&s.values, 1e-6));
         objs.push(s.objective);
     }

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use wishbone_ilp::{
-    solve_ilp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError, SolverBackend, VarId,
+    solve_ilp, solve_ilp_in, solve_lp, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError,
+    SolverBackend, VarId,
 };
 
 /// Exhaustively enumerate all 0/1 assignments of an all-binary problem.
@@ -143,7 +144,7 @@ proptest! {
         for k in 1..=20 {
             let b = budget + (all - budget) * f64::from(k) / 16.0;
             relaxed.set_rhs(0, b);
-            let feasible = relaxed.solve_ilp(&dense).is_ok();
+            let feasible = solve_ilp(&relaxed, &dense).is_ok();
             prop_assert!(
                 !(feasible && refutation.refutes(at(b))),
                 "refutes budget {} (from {}), where the reference finds a point", b, budget
@@ -160,7 +161,7 @@ proptest! {
     #[test]
     fn bb_matches_brute_force(p in problem_strategy()) {
         let expected = brute_force(&p);
-        let got = p.solve_ilp(&IlpOptions::default());
+        let got = solve_ilp(&p, &IlpOptions::default());
         match (expected, got) {
             (None, Err(SolveError::Infeasible)) => {}
             (None, Ok(s)) => prop_assert!(false, "solver found {:?} but problem infeasible", s.values),
@@ -176,7 +177,7 @@ proptest! {
 
     #[test]
     fn lp_relaxation_lower_bounds_ilp(p in problem_strategy()) {
-        if let (Ok(lp), Ok(ilp)) = (p.solve_lp(), p.solve_ilp(&IlpOptions::default())) {
+        if let (Ok(lp), Ok(ilp)) = (solve_lp(&p), solve_ilp(&p, &IlpOptions::default())) {
             prop_assert!(lp.objective <= ilp.objective + 1e-6,
                 "LP bound {} above ILP optimum {}", lp.objective, ilp.objective);
         }
@@ -184,14 +185,14 @@ proptest! {
 
     #[test]
     fn lp_solution_is_feasible(p in problem_strategy()) {
-        if let Ok(lp) = p.solve_lp() {
+        if let Ok(lp) = solve_lp(&p) {
             prop_assert!(p.is_feasible(&lp.values, 1e-6));
         }
     }
 
     #[test]
     fn gap_termination_never_worse_than_gap(p in problem_strategy()) {
-        let exact = p.solve_ilp(&IlpOptions::default());
+        let exact = solve_ilp(&p, &IlpOptions::default());
         let (loose, stats) = solve_ilp_in(
             &p,
             &IlpOptions { rel_gap: 0.10, ..Default::default() },

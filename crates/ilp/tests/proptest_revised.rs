@@ -22,8 +22,8 @@
 
 use proptest::prelude::*;
 use wishbone_ilp::{
-    solve_ilp_in, solve_lp_in, IlpOptions, IlpSolution, IlpStats, Problem, Sense, SimplexWorkspace,
-    SolveError, SolverBackend, VarId,
+    solve_ilp, solve_ilp_in, solve_lp_in, IlpOptions, IlpSolution, IlpStats, Problem, Sense,
+    SimplexWorkspace, SolveError, SolverBackend, VarId,
 };
 
 const SPARSE: SolverBackend = SolverBackend::Sparse;
@@ -278,8 +278,8 @@ proptest! {
 
     #[test]
     fn ilp_verdicts_agree_on_free_form(p in milp_strategy()) {
-        let dense = p.solve_ilp(&backend_opts(SolverBackend::Dense));
-        let sparse = p.solve_ilp(&backend_opts(SolverBackend::Sparse));
+        let dense = solve_ilp(&p, &backend_opts(SolverBackend::Dense));
+        let sparse = solve_ilp(&p, &backend_opts(SolverBackend::Sparse));
         match (&dense, &sparse) {
             (Ok(d), Ok(s)) => {
                 prop_assert!(
@@ -408,7 +408,7 @@ fn sparse_warm_start_is_exercised_and_counted() {
     p.add_constraint(&row, Sense::Le, 9.7);
 
     let (sparse, stats) = ilp_on(&p, SolverBackend::Sparse);
-    let dense = p.solve_ilp(&backend_opts(SolverBackend::Dense)).unwrap();
+    let dense = solve_ilp(&p, &backend_opts(SolverBackend::Dense)).unwrap();
     assert!((sparse.unwrap().objective - dense.objective).abs() < 1e-6);
     if stats.nodes > 1 {
         assert!(

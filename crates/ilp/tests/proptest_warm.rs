@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use wishbone_ilp::{
-    solve_ilp_in, solve_lp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError,
+    solve_ilp, solve_ilp_in, solve_lp_in, IlpOptions, Problem, Sense, SimplexWorkspace, SolveError,
     SolverBackend, VarId,
 };
 
@@ -64,8 +64,8 @@ proptest! {
 
     #[test]
     fn warm_and_cold_bb_agree(p in milp_strategy()) {
-        let warm = p.solve_ilp(&IlpOptions::default());
-        let cold = p.solve_ilp(&IlpOptions { backend: SolverBackend::Dense, ..Default::default() });
+        let warm = solve_ilp(&p, &IlpOptions::default());
+        let cold = solve_ilp(&p, &IlpOptions { backend: SolverBackend::Dense, ..Default::default() });
         match (&warm, &cold) {
             (Ok(w), Ok(c)) => {
                 prop_assert!((w.objective - c.objective).abs() < 1e-6,

@@ -3,13 +3,13 @@
 //! and numerically awkward coefficient ranges.
 
 use wishbone_ilp::instances::chain_ilp;
-use wishbone_ilp::{IlpOptions, Problem, Sense, SolveError};
+use wishbone_ilp::{solve_ilp, solve_lp, IlpOptions, Problem, Sense, SolveError};
 
 #[test]
 fn chain_of_500_solves_quickly_and_correctly() {
     let p = chain_ilp(500, 1.5);
     let start = std::time::Instant::now();
-    let sol = p.solve_ilp(&IlpOptions::default()).expect("solvable");
+    let sol = solve_ilp(&p, &IlpOptions::default()).expect("solvable");
     assert!(
         start.elapsed().as_secs_f64() < 30.0,
         "took {:?}",
@@ -25,7 +25,7 @@ fn chain_of_500_solves_quickly_and_correctly() {
 #[test]
 fn tight_budget_forces_short_prefix() {
     let p = chain_ilp(100, 0.02);
-    let sol = p.solve_ilp(&IlpOptions::default()).expect("solvable");
+    let sol = solve_ilp(&p, &IlpOptions::default()).expect("solvable");
     let on_node = sol.values.iter().filter(|&&v| v > 0.5).count();
     assert!(
         on_node <= 5,
@@ -45,7 +45,7 @@ fn duplicated_and_redundant_constraints_are_harmless() {
     // Identical equality pair (redundant but consistent).
     p.add_constraint(&[(x, 1.0), (y, -1.0)], Sense::Eq, 2.0);
     p.add_constraint(&[(x, 1.0), (y, -1.0)], Sense::Eq, 2.0);
-    let sol = p.solve_lp().expect("solvable");
+    let sol = solve_lp(&p).expect("solvable");
     assert!(
         (sol.objective - (-6.0)).abs() < 1e-6,
         "x=4,y=2: {}",
@@ -63,7 +63,7 @@ fn wide_coefficient_ranges_stay_stable() {
         .collect();
     let cpu_row: Vec<_> = vars.iter().map(|&v| (v, 1e-4)).collect();
     p.add_constraint(&cpu_row, Sense::Le, 30.0 * 1e-4);
-    let sol = p.solve_ilp(&IlpOptions::default()).expect("solvable");
+    let sol = solve_ilp(&p, &IlpOptions::default()).expect("solvable");
     assert!(p.is_feasible(&sol.values, 1e-5));
     let picked = sol.values.iter().filter(|&&v| v > 0.5).count();
     assert_eq!(picked, 30, "budget admits exactly 30 items");
@@ -75,7 +75,7 @@ fn zero_coefficient_objective_is_a_feasibility_check() {
     let x = p.add_var(0.0, 1.0, 0.0, true);
     let y = p.add_var(0.0, 1.0, 0.0, true);
     p.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Ge, 1.0);
-    let sol = p.solve_ilp(&IlpOptions::default()).expect("feasible");
+    let sol = solve_ilp(&p, &IlpOptions::default()).expect("feasible");
     assert!(sol.values[0] + sol.values[1] >= 1.0 - 1e-9);
     assert!(sol.objective.abs() < 1e-12);
 }
@@ -89,7 +89,7 @@ fn equality_chain_propagates() {
         p.add_constraint(&[(w[0], 1.0), (w[1], -1.0)], Sense::Eq, 0.0);
     }
     p.add_constraint(&[(vars[0], 1.0)], Sense::Ge, 0.7);
-    let sol = p.solve_lp().expect("solvable");
+    let sol = solve_lp(&p).expect("solvable");
     assert!((sol.objective - 7.0).abs() < 1e-6);
     for v in &sol.values {
         assert!((v - 0.7).abs() < 1e-6);
@@ -106,7 +106,7 @@ fn infeasible_large_chain_detected() {
     let mut q = chain_ilp(200, 0.0001);
     q.add_constraint(&[(wishbone_ilp::VarId(199), 1.0)], Sense::Ge, 1.0);
     assert_eq!(
-        q.solve_ilp(&IlpOptions::default()),
+        solve_ilp(&q, &IlpOptions::default()),
         Err(SolveError::Infeasible)
     );
 }
@@ -119,7 +119,7 @@ fn time_limit_is_respected() {
         ..Default::default()
     };
     let start = std::time::Instant::now();
-    let _ = p.solve_ilp(&opts); // may succeed (fast) or stop early
+    let _ = solve_ilp(&p, &opts); // may succeed (fast) or stop early
     assert!(
         start.elapsed().as_secs_f64() < 10.0,
         "time limit must bound the run, took {:?}",

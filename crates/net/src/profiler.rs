@@ -22,8 +22,6 @@ pub struct NetworkProfile {
     pub max_aggregate_payload_rate: f64,
     /// Per-node share of that rate, bytes/second.
     pub max_per_node_payload_rate: f64,
-    /// Per-node message rate at the probe payload size, messages/second.
-    pub max_per_node_msg_rate: f64,
     /// Reception ratio actually measured at the returned rate.
     pub measured_reception: f64,
 }
@@ -71,7 +69,6 @@ pub fn profile_network(
         n_nodes,
         max_aggregate_payload_rate: aggregate_payload,
         max_per_node_payload_rate: aggregate_payload / n_nodes as f64,
-        max_per_node_msg_rate: agg_msgs / n_nodes as f64,
         measured_reception: measured,
     }
 }

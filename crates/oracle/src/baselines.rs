@@ -218,7 +218,7 @@ mod tests {
     use crate::cost_graph::{PEdge, PVertex};
     use crate::encodings::{encode, Encoding};
     use wishbone_dataflow::OperatorId;
-    use wishbone_ilp::IlpOptions;
+    use wishbone_ilp::{solve_ilp, IlpOptions};
 
     fn chain(bws: &[f64], cpus: &[f64]) -> PartitionGraph {
         let n = cpus.len();
@@ -266,7 +266,7 @@ mod tests {
             let obj = ObjectiveConfig::bandwidth_only(budget, 1e9);
             let gset = greedy(&pg, &obj);
             let ep = encode(&pg, Encoding::Restricted, &obj);
-            let ilp = ep.problem.solve_ilp(&IlpOptions::default()).unwrap();
+            let ilp = solve_ilp(&ep.problem, &IlpOptions::default()).unwrap();
             let iset = ep.decode(&ilp.values);
             assert_eq!(
                 evaluate(&pg, &gset, &obj).objective,
@@ -286,7 +286,7 @@ mod tests {
         let gset = greedy(&pg, &obj);
         let g = evaluate(&pg, &gset, &obj);
         let ep = encode(&pg, Encoding::Restricted, &obj);
-        let ilp = ep.problem.solve_ilp(&IlpOptions::default()).unwrap();
+        let ilp = solve_ilp(&ep.problem, &IlpOptions::default()).unwrap();
         let iset = ep.decode(&ilp.values);
         let i = evaluate(&pg, &iset, &obj);
         assert!((i.net - 2.0).abs() < 1e-9, "ILP reaches the global optimum");
@@ -304,7 +304,7 @@ mod tests {
         let obj = ObjectiveConfig::bandwidth_only(1.0, 1e9);
         let (eset, em) = exhaustive(&pg, &obj, 20).unwrap();
         let ep = encode(&pg, Encoding::Restricted, &obj);
-        let ilp = ep.problem.solve_ilp(&IlpOptions::default()).unwrap();
+        let ilp = solve_ilp(&ep.problem, &IlpOptions::default()).unwrap();
         let iset = ep.decode(&ilp.values);
         let im = evaluate(&pg, &iset, &obj);
         assert!((em.objective - im.objective).abs() < 1e-9);

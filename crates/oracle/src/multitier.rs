@@ -215,7 +215,7 @@ pub(crate) mod tests {
         LinkSpec, Mode, PartitionError, Site, TEdge, TVertex,
     };
     use wishbone_dataflow::{EdgeId, ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
-    use wishbone_ilp::{IlpOptions, SolveError, SolverBackend};
+    use wishbone_ilp::{solve_ilp, IlpOptions, SolveError, SolverBackend};
     use wishbone_profile::{profile as run_profile, GraphProfile, Platform, SourceTrace};
 
     /// src -> heavy 4x reducer -> light 2x reducer -> sink.
@@ -299,7 +299,7 @@ pub(crate) mod tests {
             backend,
             ..IlpOptions::default()
         };
-        let sol = ep.problem.solve_ilp(&opts).map_err(|e| match e {
+        let sol = solve_ilp(&ep.problem, &opts).map_err(|e| match e {
             SolveError::Infeasible => PartitionError::Infeasible,
             e => PartitionError::Solver(e),
         })?;
@@ -411,8 +411,7 @@ pub(crate) mod tests {
 
     fn solve_tiers(tg: &TieredGraph, obj: &TierObjective) -> Option<(Vec<usize>, f64)> {
         let ep = encode_multitier(tg, obj);
-        ep.problem
-            .solve_ilp(&IlpOptions::default())
+        solve_ilp(&ep.problem, &IlpOptions::default())
             .ok()
             .map(|s| (ep.decode(&s.values), s.objective + ep.objective_offset))
     }

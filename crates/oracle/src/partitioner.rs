@@ -16,7 +16,7 @@ mod tests {
         partition_deployment, Deployment, DeploymentConfig, LinkSpec, Mode, PartitionError, Site,
     };
     use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
-    use wishbone_ilp::IlpOptions;
+    use wishbone_ilp::{solve_ilp, IlpOptions};
     use wishbone_profile::{profile as run_profile, GraphProfile, Platform, SourceTrace};
 
     /// A 4-stage reducing pipeline with controllable per-stage cost:
@@ -151,7 +151,7 @@ mod tests {
             net_budget: 1e9,
         };
         let ep = encode(&pg, Encoding::General, &obj);
-        let sol = ep.problem.solve_ilp(&IlpOptions::default()).unwrap();
+        let sol = solve_ilp(&ep.problem, &IlpOptions::default()).unwrap();
         let node_ops = pg.expand(&ep.decode(&sol.values));
         let net: f64 = g
             .edge_ids()

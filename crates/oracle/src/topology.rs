@@ -11,7 +11,7 @@ mod tests {
         build_tiered_graph, preprocess_tiered, Deployment, DeploymentConfig, Mode, PartitionError,
         PreparedDeployment, TierObjective,
     };
-    use wishbone_ilp::{IlpOptions, SolveError, VarId};
+    use wishbone_ilp::{solve_ilp, IlpOptions, SolveError, VarId};
     use wishbone_profile::Platform;
 
     #[test]
@@ -69,10 +69,16 @@ mod tests {
 
         for rate in [0.1, 0.5, 2.0] {
             let (merged, ep) = oracle_at(rate);
-            let m = ep.problem.solve_ilp(&IlpOptions::default());
+            let m = solve_ilp(&ep.problem, &IlpOptions::default());
             match (prep.solve_at(rate), m) {
                 (Ok(d), Ok(m)) => {
-                    let tiers = merged.op_tiers(&ep.decode(&m.values), g.operator_count());
+                    // Per-operator tiers from the merged vertices' tiers.
+                    let mut tiers = vec![merged.tiers - 1; g.operator_count()];
+                    for (vert, t) in merged.vertices.iter().zip(ep.decode(&m.values)) {
+                        for &op in &vert.ops {
+                            tiers[op.0] = t;
+                        }
+                    }
                     for id in g.operator_ids() {
                         assert_eq!(
                             d.leaves[0].position_of(id),

@@ -86,7 +86,7 @@ impl CycleCosts {
     }
 
     /// Hardware-FPU profile (single-cycle-ish floats).
-    pub fn hard_float() -> Self {
+    pub(crate) fn hard_float() -> Self {
         CycleCosts {
             int_alu: 1.0,
             int_mul: 3.0,
@@ -105,7 +105,7 @@ impl CycleCosts {
     /// calls costing tens to hundreds of cycles; transcendentals (ln, cos)
     /// become multi-term series evaluations costing thousands — this is
     /// what makes the cepstral stage "particularly slow" on motes (Fig 8).
-    pub fn soft_float(penalty: f64) -> Self {
+    pub(crate) fn soft_float(penalty: f64) -> Self {
         let base = Self::hard_float();
         CycleCosts {
             float_add: 25.0 * penalty,

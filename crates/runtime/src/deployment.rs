@@ -219,8 +219,13 @@ pub(crate) fn run_node_pass_failing<S: TraceSink>(
             let feed = &feeds[fi];
             let elem = &feed.trace[k % feed.trace.len()];
             let cascade = exec.process_event(graph, node, feed.source, elem, sink.enabled());
-            for &(op, cpu_s) in &cascade.op_costs {
-                sink.record(TraceEvent::OperatorCost { site, op, cpu_s });
+            for &(op, cpu_s, profile_s) in &cascade.op_costs {
+                sink.record(TraceEvent::OperatorCost {
+                    site,
+                    op,
+                    cpu_s,
+                    profile_s,
+                });
             }
             let tx_cpu = cascade
                 .forwards

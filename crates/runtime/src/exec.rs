@@ -28,10 +28,11 @@ pub struct Cascade {
     /// `(cut edge, element)` — a leaf's radio traffic, a gateway's
     /// hosted-operator output and its unmodified pass-through traffic.
     pub forwards: Vec<(EdgeId, Value)>,
-    /// Per-operator CPU charge of this cascade, `(operator, seconds)` in
-    /// execution order — the telemetry source for per-operator cost
+    /// Per-operator CPU of this cascade, `(operator, charged seconds,
+    /// profile-priced seconds)` in execution order — the telemetry source
+    /// for [`TraceEvent::OperatorCost`](wishbone_trace::TraceEvent)
     /// samples. Collected only when the caller asks for it.
-    pub op_costs: Vec<(OperatorId, f64)>,
+    pub op_costs: Vec<(OperatorId, f64, f64)>,
     /// Elements that reached a hosted sink.
     pub sink_arrivals: u64,
 }
@@ -98,7 +99,7 @@ impl SiteExecutor {
     /// Process one arrival at `source` on node `node`, running the
     /// depth-first cascade through the operators hosted here. `costs`
     /// asks for [`Cascade::op_costs`].
-    pub fn process_event(
+    pub(crate) fn process_event(
         &mut self,
         graph: &Graph,
         node: usize,
@@ -161,14 +162,15 @@ impl SiteExecutor {
             .process(port, input, &mut cx);
         let (mut outputs, counts) = cx.finish();
 
-        let busy = self.platform.seconds_for(&counts) * self.platform.os_overhead;
+        let priced = self.platform.seconds_for(&counts);
+        let busy = priced * self.platform.os_overhead;
         let charged = match self.task_model {
             Some(tm) => tm.total_time(busy, counts.loop_fraction()),
             None => busy,
         };
         cascade.cpu_seconds += charged;
         if costs {
-            cascade.op_costs.push((op, charged));
+            cascade.op_costs.push((op, charged, priced));
         }
         for v in &outputs {
             for &eid in graph.out_edges(op) {
@@ -421,10 +423,16 @@ mod tests {
         assert!(quiet.op_costs.is_empty());
         // One sample per operator run, in execution order, summing to the
         // cascade's charge — which asking does not change.
-        let ops: Vec<OperatorId> = traced.op_costs.iter().map(|&(op, _)| op).collect();
+        let ops: Vec<OperatorId> = traced.op_costs.iter().map(|&(op, _, _)| op).collect();
         assert_eq!(ops, vec![src, counter]);
-        let sum: f64 = traced.op_costs.iter().map(|&(_, s)| s).sum();
+        let sum: f64 = traced.op_costs.iter().map(|&(_, s, _)| s).sum();
         assert!((sum - traced.cpu_seconds).abs() < 1e-15);
         assert!((quiet.cpu_seconds - traced.cpu_seconds).abs() < 1e-15);
+        // The profile price is the bare platform cost, below the charge
+        // that adds OS and task overheads to it.
+        assert!(traced
+            .op_costs
+            .iter()
+            .all(|&(_, charged, priced)| 0.0 < priced && priced < charged));
     }
 }

@@ -42,7 +42,7 @@ impl TaskModel {
     /// Only the loop-resident share of the work (`loop_fraction`) can be
     /// subdivided — straight-line code cannot be split, exactly as in the
     /// paper where splitting happens at loop boundaries.
-    pub fn tasks_for(&self, busy_s: f64, loop_fraction: f64) -> u32 {
+    pub(crate) fn tasks_for(&self, busy_s: f64, loop_fraction: f64) -> u32 {
         if busy_s <= self.max_task_s || !self.max_task_s.is_finite() {
             return 1;
         }
@@ -63,19 +63,6 @@ impl TaskModel {
     pub fn total_time(&self, busy_s: f64, loop_fraction: f64) -> f64 {
         let tasks = self.tasks_for(busy_s, loop_fraction);
         busy_s + f64::from(tasks) * self.task_overhead_s
-    }
-
-    /// Longest single unbroken task produced by an invocation — this is
-    /// what starves the radio and the source when splitting is impossible.
-    pub fn longest_task(&self, busy_s: f64, loop_fraction: f64) -> f64 {
-        let tasks = self.tasks_for(busy_s, loop_fraction);
-        if tasks == 1 {
-            busy_s
-        } else {
-            let divisible = busy_s * loop_fraction.clamp(0.0, 1.0);
-            let indivisible = busy_s - divisible;
-            (divisible / f64::from(tasks) + indivisible).min(busy_s)
-        }
     }
 }
 
@@ -104,14 +91,6 @@ mod tests {
     fn straight_line_code_cannot_split() {
         let m = TaskModel::tinyos();
         assert_eq!(m.tasks_for(0.050, 0.0), 1);
-        assert!((m.longest_task(0.050, 0.0) - 0.050).abs() < 1e-12);
-    }
-
-    #[test]
-    fn splitting_bounds_longest_task() {
-        let m = TaskModel::tinyos();
-        let longest = m.longest_task(0.100, 1.0);
-        assert!(longest <= 2.0 * m.max_task_s, "longest slice {longest}");
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl TreeTopology {
     /// shared edge before that edge's channel is simulated. For a path
     /// this is hop order, innermost first (channel `h` is seeded
     /// `cfg.seed + h`).
-    pub fn edge_order(&self) -> Vec<usize> {
+    fn edge_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.len())
             .filter(|&s| self.parent[s].is_some())
             .collect();
@@ -642,11 +642,13 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
         if crossing.is_empty() {
             continue;
         }
+        // Folded from +0.0: an empty `f64` sum is -0.0, and an uplink
+        // that carried nothing reports no traffic, not negative zero.
         let offered = crossing
             .iter()
             .flat_map(|&(r, _)| traffic[r].iter())
             .map(|f| params.format.on_air_bytes(f.value.wire_size()) as f64)
-            .sum::<f64>()
+            .fold(0.0, |sum, bytes| sum + bytes)
             / cfg.duration_s;
         report.edge_offered_load_bytes_per_sec[child] = offered;
         let mut ch = Channel::new(params, cfg.seed.wrapping_add(ordinal as u64));
@@ -763,11 +765,12 @@ pub fn simulate_deployment_tree_traced<S: TraceSink>(
                         "data may not flow back into the network (single-crossing restriction)"
                     );
                 } else {
-                    for &(op, cpu_s) in &cascade.op_costs {
+                    for &(op, cpu_s, profile_s) in &cascade.op_costs {
                         sink.record(TraceEvent::OperatorCost {
                             site: parent,
                             op,
                             cpu_s,
+                            profile_s,
                         });
                     }
                     let next_hop = topo.uplink[parent].expect("gateway has an uplink");
@@ -951,7 +954,7 @@ mod tests {
             let offered = traffic
                 .iter()
                 .map(|f| channels[h].format.on_air_bytes(f.value.wire_size()) as f64)
-                .sum::<f64>()
+                .fold(0.0, |sum, bytes| sum + bytes)
                 / cfg.duration_s;
             report.hop_offered_load_bytes_per_sec[h] = offered;
             let mut ch = Channel::new(channels[h], cfg.seed.wrapping_add(h as u64));
@@ -1083,6 +1086,44 @@ mod tests {
             3,
             &cfg,
         );
+    }
+
+    /// A gateway whose hosted operator emits nothing offers its uplink no
+    /// traffic: the report reads `+0.0` B/s there, not the `-0.0` an
+    /// empty `f64` sum gives.
+    #[test]
+    fn an_uplink_that_carried_nothing_reports_positive_zero() {
+        let mut b = GraphBuilder::new();
+        b.enter_node_namespace();
+        let src = b.source("src");
+        let swallow = b.transform(
+            "swallow",
+            Box::new(FnWork(|_p: usize, _v: &Value, cx: &mut ExecCtx| {
+                cx.meter().int(1);
+            })),
+            src,
+        );
+        b.exit_namespace();
+        b.sink("out", swallow);
+        let g = b.finish().unwrap();
+        let topo = TreeTopology::chain(
+            &[
+                Platform::tmote_sky(),
+                Platform::gumstix(),
+                Platform::server(),
+            ],
+            &[ChannelParams::mote(), ChannelParams::wifi(50_000.0)],
+            1,
+        );
+        let route = LeafRoute::chain(&g, &[vec![src.0], vec![swallow.0]], feeds(src.0, 10.0));
+        let cfg = SimulationConfig {
+            duration_s: 2.0,
+            ..SimulationConfig::motes(1, 11)
+        };
+        let r = simulate_deployment_tree(&g, &topo, &[route], &cfg);
+        let gw = 1;
+        assert!(r.leaves[0].hop_elements_delivered[0] > 0, "the gateway ran");
+        assert_eq!(r.edge_offered_load_bytes_per_sec[gw].to_bits(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! attribution ([`AttributionReport`]) that names the site/link/operator
 //! responsible for lost goodput.
 //!
-//! The off path is [`NullSink::NULL`]: `enabled()` is `false`, every
+//! The off path is the unit value [`NullSink`]: `enabled()` is `false`, every
 //! `record` is a no-op, and instrumented code gates event construction on
 //! `enabled()` so a traced run with the null sink is byte-identical to —
 //! and within measurement noise of — an untraced run.

@@ -1,12 +1,13 @@
 //! Online profile accumulation and drift detection.
 //!
-//! A [`LiveProfile`] folds a stream of [`TraceEvent`]s into per-operator
-//! CPU and per-edge size/selectivity estimates (EWMA + count). A
+//! A [`LiveProfile`] folds a stream of [`TraceEvent`]s into per-site,
+//! per-operator CPU and per-edge element-size estimates (EWMA + count). A
 //! [`DriftDetector`] snapshots the expectations implied by the
 //! [`GraphProfile`](wishbone_profile::GraphProfile) a standing cut was
-//! solved against and flags operators/edges whose live estimate leaves a
-//! configurable relative band — the signal that the cut should be
-//! re-solved (warm, via the in-place rescale path).
+//! solved against, each site's on that site's platform, and flags
+//! operators/edges whose live estimate leaves a configurable relative
+//! band — the signal that the cut should be re-solved (warm, via the
+//! in-place rescale path).
 
 use std::fmt;
 
@@ -15,39 +16,24 @@ use wishbone_profile::{GraphProfile, Platform};
 
 use crate::sink::{TraceEvent, TraceSink};
 
-/// Streaming estimate of one operator's per-invocation CPU cost.
+/// Streaming estimate of one operator's per-invocation CPU cost at one
+/// site.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OperatorEstimate {
     /// Number of cost samples folded in.
     pub samples: u64,
-    /// EWMA of the charged CPU time per invocation, seconds.
+    /// EWMA of the per-invocation profile price on the site's platform
+    /// ([`TraceEvent::OperatorCost`]'s `profile_s`), seconds.
     pub ewma_cpu_s: f64,
-    /// Sum of all charged CPU time, seconds.
-    pub total_cpu_s: f64,
 }
 
-/// Streaming estimate of one edge's element size and delivery behavior.
+/// Streaming estimate of one edge's element size.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EdgeEstimate {
     /// Elements offered to the edge.
     pub samples: u64,
     /// EWMA of the marshalled element size, bytes.
     pub ewma_bytes: f64,
-    /// Sum of marshalled bytes offered.
-    pub total_bytes: u64,
-    /// Elements that survived the channel.
-    pub delivered: u64,
-}
-
-impl EdgeEstimate {
-    /// Observed delivery ratio (1 when nothing was offered).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.samples == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.samples as f64
-        }
-    }
 }
 
 /// An online profile accumulated from a live event stream.
@@ -57,14 +43,16 @@ impl EdgeEstimate {
 /// [`fold`](Self::fold) for replaying a buffered
 /// [`MemorySink`](crate::MemorySink).
 ///
-/// Estimates are keyed by dataflow id and are platform-relative: the CPU
-/// samples are whatever the emitting site's cost model charged. When
-/// sites run different platforms, keep one `LiveProfile` per site (or
-/// per platform class) so the EWMAs stay comparable to one expectation.
+/// Operator estimates are keyed by `(site, operator)`: a CPU sample is
+/// the invocation's profile price on the platform of the site that ran
+/// it, so one operator hosted on two tiers keeps two estimates, each
+/// comparable to its own site's expectation. Edge estimates are keyed by
+/// edge alone (a marshalled size does not depend on the platform).
 #[derive(Debug, Clone)]
 pub struct LiveProfile {
     alpha: f64,
-    ops: Vec<OperatorEstimate>,
+    /// `ops[site][op]`.
+    ops: Vec<Vec<OperatorEstimate>>,
     edges: Vec<EdgeEstimate>,
 }
 
@@ -81,34 +69,34 @@ impl LiveProfile {
         }
     }
 
-    /// The EWMA weight this profile was built with.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Fold one event in. Only [`TraceEvent::OperatorCost`] and
     /// [`TraceEvent::EdgeElement`] carry samples; other events are
     /// ignored.
     pub fn observe(&mut self, event: &TraceEvent) {
         match event {
-            TraceEvent::OperatorCost { op, cpu_s, .. } => {
-                if self.ops.len() <= op.0 {
-                    self.ops.resize(op.0 + 1, OperatorEstimate::default());
+            TraceEvent::OperatorCost {
+                site,
+                op,
+                profile_s,
+                ..
+            } => {
+                if self.ops.len() <= *site {
+                    self.ops.resize(site + 1, Vec::new());
                 }
-                let e = &mut self.ops[op.0];
+                let site_ops = &mut self.ops[*site];
+                if site_ops.len() <= op.0 {
+                    site_ops.resize(op.0 + 1, OperatorEstimate::default());
+                }
+                let e = &mut site_ops[op.0];
                 e.ewma_cpu_s = if e.samples == 0 {
-                    *cpu_s
+                    *profile_s
                 } else {
-                    self.alpha * cpu_s + (1.0 - self.alpha) * e.ewma_cpu_s
+                    self.alpha * profile_s + (1.0 - self.alpha) * e.ewma_cpu_s
                 };
                 e.samples += 1;
-                e.total_cpu_s += cpu_s;
             }
             TraceEvent::EdgeElement {
-                edge,
-                wire_bytes,
-                delivered,
-                ..
+                edge, wire_bytes, ..
             } => {
                 if self.edges.len() <= edge.0 {
                     self.edges.resize(edge.0 + 1, EdgeEstimate::default());
@@ -121,8 +109,6 @@ impl LiveProfile {
                     self.alpha * bytes + (1.0 - self.alpha) * e.ewma_bytes
                 };
                 e.samples += 1;
-                e.total_bytes += *wire_bytes as u64;
-                e.delivered += u64::from(*delivered);
             }
             _ => {}
         }
@@ -136,9 +122,12 @@ impl LiveProfile {
         }
     }
 
-    /// The estimate for one operator, if any sample arrived.
-    pub fn operator(&self, op: OperatorId) -> Option<&OperatorEstimate> {
-        self.ops.get(op.0).filter(|e| e.samples > 0)
+    /// The estimate for one operator at one site, if any sample arrived.
+    pub fn operator(&self, site: usize, op: OperatorId) -> Option<&OperatorEstimate> {
+        self.ops
+            .get(site)
+            .and_then(|ops| ops.get(op.0))
+            .filter(|e| e.samples > 0)
     }
 
     /// The estimate for one edge, if any element was offered.
@@ -174,12 +163,15 @@ impl Default for DriftConfig {
     }
 }
 
-/// One operator whose live CPU estimate left the band.
+/// One operator whose live CPU estimate at one site left the band.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorDrift {
+    /// The site the estimate was sampled at.
+    pub site: usize,
     /// The operator.
     pub op: OperatorId,
-    /// Per-invocation cost the cut was priced on, seconds.
+    /// Per-invocation cost the cut was priced on, on the site's
+    /// platform, seconds.
     pub expected_s: f64,
     /// Live EWMA estimate, seconds.
     pub observed_s: f64,
@@ -229,8 +221,8 @@ impl fmt::Display for DriftReport {
             first = false;
             write!(
                 f,
-                "op {} drifted {:.2}x ({:.3e}s -> {:.3e}s per invocation)",
-                od.op.0, od.ratio, od.expected_s, od.observed_s
+                "op {} at site {} drifted {:.2}x ({:.3e}s -> {:.3e}s per invocation)",
+                od.op.0, od.site, od.ratio, od.expected_s, od.observed_s
             )?;
         }
         for ed in &self.edges {
@@ -251,21 +243,30 @@ impl fmt::Display for DriftReport {
 /// Compares a [`LiveProfile`] against the expectations of the
 /// [`GraphProfile`] a standing cut was solved against.
 ///
-/// The expectations are snapshotted at construction: per-operator
-/// seconds-per-invocation on `platform` and per-edge mean element bytes.
+/// The expectations are snapshotted at construction: per site, each
+/// operator's seconds-per-invocation on that site's platform, and per
+/// edge the mean element bytes.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     cfg: DriftConfig,
-    expected_op_s: Vec<f64>,
+    /// `expected_op_s[site][op]`.
+    expected_op_s: Vec<Vec<f64>>,
     expected_edge_bytes: Vec<f64>,
 }
 
 impl DriftDetector {
-    /// Snapshot expectations from `profile` as priced on `platform`.
-    pub fn new(profile: &GraphProfile, platform: &Platform, cfg: DriftConfig) -> Self {
+    /// Snapshot expectations from `profile`; `platforms[s]` is the
+    /// platform of site `s`, numbered as the [`TraceEvent`]s number
+    /// them (a simulated `TreeTopology`'s `platforms`).
+    pub fn new(profile: &GraphProfile, platforms: &[Platform], cfg: DriftConfig) -> Self {
         assert!(cfg.rel_band > 0.0, "drift band must be positive");
-        let expected_op_s = (0..profile.operator_count())
-            .map(|i| profile.seconds_per_invocation(OperatorId(i), platform))
+        let expected_op_s = platforms
+            .iter()
+            .map(|platform| {
+                (0..profile.operator_count())
+                    .map(|i| profile.seconds_per_invocation(OperatorId(i), platform))
+                    .collect()
+            })
             .collect();
         let expected_edge_bytes = (0..profile.edge_count())
             .map(|i| profile.mean_element_bytes(EdgeId(i)))
@@ -277,37 +278,43 @@ impl DriftDetector {
         }
     }
 
-    /// The configured band.
-    pub fn config(&self) -> &DriftConfig {
-        &self.cfg
-    }
-
     /// Compare `live` against the snapshotted expectations. Estimates
     /// with fewer than [`DriftConfig::min_samples`] samples, and
     /// operators/edges the profile priced at zero (never invoked on the
     /// profiling trace), are skipped.
+    ///
+    /// Panics if `live` holds a cost sample from a site the detector has
+    /// no platform for.
     pub fn detect(&self, live: &LiveProfile) -> DriftReport {
+        assert!(
+            live.ops.len() <= self.expected_op_s.len(),
+            "a cost sample from site {} has no platform",
+            live.ops.len() - 1
+        );
         let hi = 1.0 + self.cfg.rel_band;
         let lo = 1.0 / hi;
         let mut report = DriftReport::default();
-        for (i, &expected) in self.expected_op_s.iter().enumerate() {
-            if expected <= 0.0 {
-                continue;
-            }
-            let Some(est) = live.operator(OperatorId(i)) else {
-                continue;
-            };
-            if est.samples < self.cfg.min_samples {
-                continue;
-            }
-            let ratio = est.ewma_cpu_s / expected;
-            if ratio > hi || ratio < lo {
-                report.operators.push(OperatorDrift {
-                    op: OperatorId(i),
-                    expected_s: expected,
-                    observed_s: est.ewma_cpu_s,
-                    ratio,
-                });
+        for (site, expected_s) in self.expected_op_s.iter().enumerate() {
+            for (i, &expected) in expected_s.iter().enumerate() {
+                if expected <= 0.0 {
+                    continue;
+                }
+                let Some(est) = live.operator(site, OperatorId(i)) else {
+                    continue;
+                };
+                if est.samples < self.cfg.min_samples {
+                    continue;
+                }
+                let ratio = est.ewma_cpu_s / expected;
+                if ratio > hi || ratio < lo {
+                    report.operators.push(OperatorDrift {
+                        site,
+                        op: OperatorId(i),
+                        expected_s: expected,
+                        observed_s: est.ewma_cpu_s,
+                        ratio,
+                    });
+                }
             }
         }
         for (i, &expected) in self.expected_edge_bytes.iter().enumerate() {

@@ -11,16 +11,20 @@ use wishbone_dataflow::{EdgeId, OperatorId};
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// One work-function invocation finished at a site: the CPU-seconds
-    /// the platform's cost model charged for it (task-model and OS
-    /// overheads included — this is what the site's busy clock advanced
-    /// by, not the raw cycle count).
+    /// the site charged for it, and what the profile prices it at.
     OperatorCost {
         /// Site the operator ran on.
         site: usize,
         /// The operator.
         op: OperatorId,
-        /// Charged CPU time, seconds.
+        /// Charged CPU time, seconds: task-model and OS overheads
+        /// included — what the site's busy clock advanced by.
         cpu_s: f64,
+        /// The invocation's op counts priced on the site's platform
+        /// (`Platform::seconds_for`), before any overhead, seconds — the
+        /// quantity a profile's seconds per invocation averages, so the
+        /// sample a [`LiveProfile`](crate::LiveProfile) folds.
+        profile_s: f64,
     },
     /// One element offered to the uplink out of `site` towards its
     /// parent, and whether it survived the channel (contention losses and
@@ -97,13 +101,6 @@ pub trait TraceSink {
 /// erases entirely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSink;
-
-impl NullSink {
-    /// The canonical off-path value (the `TraceSink` "NULL" sink). A
-    /// bare trait path can't name an associated const without a concrete
-    /// `Self`, so the constant lives on the unit struct.
-    pub const NULL: NullSink = NullSink;
-}
 
 impl TraceSink for NullSink {
     fn enabled(&self) -> bool {

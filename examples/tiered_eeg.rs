@@ -160,7 +160,7 @@ fn main() {
     // means the cut's CPU rows are optimistic; far cooler means the
     // deployment's live data exercises a cheaper path than the profiling
     // trace did (the paper's representative-trace assumption, §1).
-    let detector = DriftDetector::new(&prof, &telos, DriftConfig::default());
+    let detector = DriftDetector::new(&prof, &topo.platforms, DriftConfig::default());
     let drift = detector.detect(&live);
     if drift.is_clean() {
         println!("drift: clean (all online estimates inside the ±50% band)");

@@ -41,10 +41,12 @@ proptest! {
         for op in 0..prof.operator_count() {
             let expected = prof.seconds_per_invocation(OperatorId(op), &mote);
             for _ in 0..12 {
+                let sample = expected * draw();
                 live.observe(&TraceEvent::OperatorCost {
-                    site: 3,
+                    site: 0,
                     op: OperatorId(op),
-                    cpu_s: expected * draw(),
+                    cpu_s: sample,
+                    profile_s: sample,
                 });
             }
         }
@@ -52,14 +54,14 @@ proptest! {
             let expected = prof.mean_element_bytes(EdgeId(edge));
             for _ in 0..12 {
                 live.observe(&TraceEvent::EdgeElement {
-                    site: 3,
+                    site: 0,
                     edge: EdgeId(edge),
                     wire_bytes: (expected * draw()).round() as usize,
                     delivered: true,
                 });
             }
         }
-        let detector = DriftDetector::new(&prof, &mote, DriftConfig::default());
+        let detector = DriftDetector::new(&prof, std::slice::from_ref(&mote), DriftConfig::default());
         let report = detector.detect(&live);
         prop_assert!(report.is_clean(), "false positive: {report}");
     }
@@ -87,9 +89,10 @@ fn two_x_inflation_flags_exactly_the_inflated_operator() {
         let expected = prof.seconds_per_invocation(OperatorId(op), &mote);
         for _ in 0..8 {
             live.observe(&TraceEvent::OperatorCost {
-                site: 3,
+                site: 0,
                 op: OperatorId(op),
                 cpu_s: expected,
+                profile_s: expected,
             });
         }
     }
@@ -97,14 +100,14 @@ fn two_x_inflation_flags_exactly_the_inflated_operator() {
         let expected = prof.mean_element_bytes(EdgeId(edge));
         for _ in 0..8 {
             live.observe(&TraceEvent::EdgeElement {
-                site: 3,
+                site: 0,
                 edge: EdgeId(edge),
                 wire_bytes: expected.round() as usize,
                 delivered: true,
             });
         }
     }
-    let detector = DriftDetector::new(&prof, &mote, DriftConfig::default());
+    let detector = DriftDetector::new(&prof, std::slice::from_ref(&mote), DriftConfig::default());
     assert!(detector.detect(&live).is_clean(), "clean prefix flags");
 
     // Mid-stream inflation: the victim starts costing 2×. With
@@ -113,9 +116,10 @@ fn two_x_inflation_flags_exactly_the_inflated_operator() {
     let expected = prof.seconds_per_invocation(victim, &mote);
     for _ in 0..4 {
         live.observe(&TraceEvent::OperatorCost {
-            site: 3,
+            site: 0,
             op: victim,
             cpu_s: 2.0 * expected,
+            profile_s: 2.0 * expected,
         });
     }
     let report = detector.detect(&live);
@@ -182,6 +186,7 @@ fn drift_triggers_warm_resolve_without_reencode() {
     let expected = prof.seconds_per_invocation(victim, &mote);
     let report = DriftReport {
         operators: vec![OperatorDrift {
+            site: base.leaves[0].path[0].0,
             op: victim,
             expected_s: expected,
             observed_s: 2.0 * expected,
@@ -229,18 +234,20 @@ fn a_zero_ratio_drift_keeps_the_old_budgets() {
     let mut live = LiveProfile::new(0.5);
     for _ in 0..8 {
         live.observe(&TraceEvent::OperatorCost {
-            site: 3,
+            site: 0,
             op,
             cpu_s: 0.0,
+            profile_s: 0.0,
         });
         live.observe(&TraceEvent::EdgeElement {
-            site: 3,
+            site: 0,
             edge,
             wire_bytes: 0,
             delivered: true,
         });
     }
-    let report = DriftDetector::new(&prof, &mote, DriftConfig::default()).detect(&live);
+    let report = DriftDetector::new(&prof, std::slice::from_ref(&mote), DriftConfig::default())
+        .detect(&live);
     let flagged: Vec<_> = report.operators.iter().map(|d| (d.op, d.ratio)).collect();
     assert_eq!(flagged, [(op, 0.0)]);
     let flagged: Vec<_> = report.edges.iter().map(|d| (d.edge, d.ratio)).collect();
@@ -254,4 +261,90 @@ fn a_zero_ratio_drift_keeps_the_old_budgets() {
     for (a, b) in resolved.leaves.iter().zip(&base.leaves) {
         assert_eq!(a.site_ops, b.site_ops);
     }
+}
+
+/// A traced replay of the very trace the profile was taken on has not
+/// drifted. On a 3-tier chain `[tmote_sky, iphone, server]` the motes run
+/// each channel's source, float conversion and first filter stage, the
+/// phone the rest of the program, so operators run on two platforms; the
+/// detector must price each site's samples on that site's platform, and
+/// compare them with what the profile prices — not with the charged
+/// seconds, which add OS and task overheads.
+#[test]
+fn a_replay_of_the_profiled_trace_on_a_tiered_chain_is_clean() {
+    let app = build_eeg_app(EegParams {
+        n_channels: 2,
+        ..Default::default()
+    });
+    let traces = app.traces(8, 3..6, 5);
+    let prof = profile(&app.graph, &traces).expect("profiling succeeds");
+    let chain = [
+        Platform::tmote_sky(),
+        Platform::iphone(),
+        Platform::server(),
+    ];
+    let topo = TreeTopology::chain(
+        &chain,
+        &[ChannelParams::mote(), ChannelParams::wifi(400_000.0)],
+        1,
+    );
+    let on_mote = |name: &str| {
+        name.ends_with("/source") || name.ends_with("/toFloat") || name.contains("/low1/")
+    };
+    let graph = &app.graph;
+    let (mote_ops, phone_ops): (Vec<OperatorId>, Vec<OperatorId>) = graph
+        .operator_ids()
+        .filter(|&id| graph.spec(id).namespace == Namespace::Node)
+        .partition(|&id| on_mote(&graph.spec(id).name));
+    let feeds = app
+        .sources
+        .iter()
+        .zip(&traces)
+        .map(|(&source, t)| SourceFeed {
+            source,
+            trace: t.elements.clone(),
+            rate_hz: t.rate_hz,
+        })
+        .collect();
+    let routes = vec![LeafRoute::chain(graph, &[mote_ops, phone_ops], feeds)];
+    // Eight passes over the 8-window trace, at a rate the mote keeps up
+    // with, give the least-invoked operator the default `min_samples`.
+    let rate = 0.25;
+    let cfg = SimulationConfig {
+        duration_s: 64.0 / (traces[0].rate_hz * rate),
+        rate_multiplier: rate,
+        ..SimulationConfig::motes(1, 7)
+    };
+    let mut live = LiveProfile::new(0.2);
+    let sim = simulate_deployment_tree_traced(
+        graph,
+        &topo,
+        &routes,
+        &cfg,
+        &FailurePlan::default(),
+        &mut live,
+    );
+    let leaf = &sim.leaves[0];
+    assert_eq!(
+        leaf.events_processed, leaf.events_offered,
+        "the mote keeps up"
+    );
+    let min_samples = DriftConfig::default().min_samples;
+    for (position, ops) in routes[0].site_ops[..2].iter().enumerate() {
+        let site = routes[0].path[position];
+        for &op in ops {
+            let samples = live.operator(site, op).map_or(0, |e| e.samples);
+            assert!(
+                samples >= min_samples,
+                "{} at site {site}: {samples} samples",
+                graph.spec(op).name
+            );
+        }
+    }
+
+    let report = DriftDetector::new(&prof, &topo.platforms, DriftConfig::default()).detect(&live);
+    assert!(
+        report.is_clean(),
+        "an undrifted replay flags drift:\n{report}"
+    );
 }

@@ -17,7 +17,7 @@
 //!    about *where* goodput collapses when one gateway saturates.
 
 use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
-use wishbone::ilp::{Problem, VarId};
+use wishbone::ilp::{solve_ilp, Problem, VarId};
 use wishbone::prelude::*;
 use wishbone_oracle::{
     build_partition_graph, encode, encode_multitier, preprocess, Encoding, ObjectiveConfig,
@@ -119,7 +119,7 @@ fn eeg_three_tier_path_is_the_multitier_encoding() {
             backend,
             ..Default::default()
         };
-        let oracle_sol = oracle.problem.solve_ilp(&opts).expect("feasible");
+        let oracle_sol = solve_ilp(&oracle.problem, &opts).expect("feasible");
         let mut cfg = DeploymentConfig::default();
         cfg.ilp.backend = backend;
         let part = partition_deployment(&app.graph, &prof, &dep, &cfg).expect("feasible");

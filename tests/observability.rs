@@ -1,6 +1,6 @@
 //! End-to-end coverage of the `wishbone-trace` observability layer:
 //!
-//! * the **off path** — a traced run with [`NullSink::NULL`] is
+//! * the **off path** — a traced run with [`NullSink`] is
 //!   byte-identical to the untraced entry point (the zero-overhead
 //!   anchor; `perf_ratios.rs` asserts the timing side of the same
 //!   claim);
@@ -24,10 +24,10 @@ use forest::starved_forest;
 fn null_sink_traced_run_is_byte_identical() {
     let (graph, topo, routes, cfg) = starved_forest();
     let bare = simulate_deployment_tree(&graph, &topo, &routes, &cfg);
-    // `NullSink::NULL` is the canonical off path: `enabled()` is a
-    // constant false, so the traced entry point must reproduce the
-    // untraced run byte for byte.
-    let mut off = NullSink::NULL;
+    // `NullSink` is the canonical off path: `enabled()` is a constant
+    // false, so the traced entry point must reproduce the untraced run
+    // byte for byte.
+    let mut off = NullSink;
     let traced = simulate_deployment_tree_traced(
         &graph,
         &topo,
@@ -88,9 +88,10 @@ fn memory_sink_captures_the_full_event_stream() {
     // The live profile folds the stream into per-operator estimates.
     let mut live = LiveProfile::new(0.2);
     live.fold(&sink.events);
+    let leaf = routes[0].path[0];
     let sampled = routes[0].site_ops[0]
         .iter()
-        .filter(|&&op| live.operator(op).is_some())
+        .filter(|&&op| live.operator(leaf, op).is_some())
         .count();
     assert!(sampled > 0, "leaf operators collected cost samples");
 }

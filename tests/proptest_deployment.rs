@@ -35,7 +35,7 @@ use wishbone::core::{
 use wishbone::dataflow::{
     EdgeId, Graph, IdentityWork, Namespace, OperatorId, OperatorSpec, WorkFn,
 };
-use wishbone::ilp::{IlpOptions, IlpStats, Problem, SolverBackend, VarId};
+use wishbone::ilp::{solve_ilp, IlpOptions, IlpStats, Problem, SolverBackend, VarId};
 use wishbone::prelude::{profile, GraphBuilder, Platform, SourceTrace, Value};
 use wishbone_oracle::{
     encode, encode_multitier, tiered_from_binary, Encoding, ObjectiveConfig, PEdge, PVertex,
@@ -296,7 +296,7 @@ proptest! {
         // variable maps on both backends.
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let opts = IlpOptions { backend, ..Default::default() };
-            match (oracle.problem.solve_ilp(&opts), ep.problem.solve_ilp(&opts)) {
+            match (solve_ilp(&oracle.problem, &opts), solve_ilp(&ep.problem, &opts)) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(oracle.decode(&a.values), ep.decode(&b.values)[0].clone());
                 }

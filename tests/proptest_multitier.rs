@@ -13,7 +13,7 @@ use wishbone::core::{
     TieredPreprocessResult,
 };
 use wishbone::dataflow::{EdgeId, OperatorId};
-use wishbone::ilp::{IlpOptions, SolverBackend};
+use wishbone::ilp::{solve_ilp, IlpOptions, SolverBackend};
 use wishbone_oracle::{
     encode, encode_multitier, preprocess_tiered_reference, tiered_from_binary, Encoding,
     ObjectiveConfig, PEdge, PVertex, PartitionGraph,
@@ -308,8 +308,8 @@ proptest! {
         prop_assert_eq!(bep.problem.num_vars(), tep.problem.num_vars());
         prop_assert_eq!(bep.problem.num_constraints(), tep.problem.num_constraints());
 
-        let b = bep.problem.solve_ilp(&opts(backend));
-        let t = tep.problem.solve_ilp(&opts(backend));
+        let b = solve_ilp(&bep.problem, &opts(backend));
+        let t = solve_ilp(&tep.problem, &opts(backend));
         match (b, t) {
             (Ok(b), Ok(t)) => {
                 prop_assert!((b.objective - t.objective).abs()
@@ -335,9 +335,7 @@ proptest! {
     #[test]
     fn free_middle_tier_preserves_the_optimum(pg in pg_strategy(), budget in 0.1f64..1.0) {
         let obj = ObjectiveConfig::bandwidth_only(budget, 1e9);
-        let binary = encode(&pg, Encoding::Restricted, &obj)
-            .problem
-            .solve_ilp(&IlpOptions::default())
+        let binary = solve_ilp(&encode(&pg, Encoding::Restricted, &obj).problem, &IlpOptions::default())
             .ok()
             .map(|s| s.objective);
 
@@ -357,9 +355,7 @@ proptest! {
             beta: vec![1.0, 0.0],
             net_budget: vec![1e9, f64::INFINITY],
         };
-        let k3 = encode_multitier(&tg, &tobj)
-            .problem
-            .solve_ilp(&IlpOptions::default())
+        let k3 = solve_ilp(&encode_multitier(&tg, &tobj).problem, &IlpOptions::default())
             .ok()
             .map(|s| s.objective);
         match (binary, k3) {
@@ -385,7 +381,7 @@ proptest! {
             vec![1e9, 1e9],
         );
         let ep = encode_multitier(&tg, &tobj);
-        if let Ok(sol) = ep.problem.solve_ilp(&IlpOptions::default()) {
+        if let Ok(sol) = solve_ilp(&ep.problem, &IlpOptions::default()) {
             let tiers = ep.decode(&sol.values);
             for e in &tg.edges {
                 prop_assert!(tiers[e.src] <= tiers[e.dst],
@@ -412,9 +408,7 @@ proptest! {
                 vec![budget, relay_budget, f64::INFINITY],
                 vec![1e9, 1e9],
             );
-            encode_multitier(&tg, &tobj)
-                .problem
-                .solve_ilp(&IlpOptions::default())
+            solve_ilp(&encode_multitier(&tg, &tobj).problem, &IlpOptions::default())
                 .ok()
                 .map(|s| s.objective)
         };

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 
 use wishbone::core::Pin;
 use wishbone::dataflow::OperatorId;
-use wishbone::ilp::IlpOptions;
+use wishbone::ilp::{solve_ilp, IlpOptions};
 use wishbone_oracle::{
     all_server, encode, evaluate, exhaustive, greedy, preprocess, Encoding, ObjectiveConfig, PEdge,
     PVertex, PartitionGraph,
@@ -58,8 +58,7 @@ fn pg_strategy() -> impl Strategy<Value = PartitionGraph> {
 
 fn solve_ilp_set(pg: &PartitionGraph, obj: &ObjectiveConfig) -> Option<HashSet<usize>> {
     let ep = encode(pg, Encoding::Restricted, obj);
-    ep.problem
-        .solve_ilp(&IlpOptions::default())
+    solve_ilp(&ep.problem, &IlpOptions::default())
         .ok()
         .map(|s| ep.decode(&s.values))
 }
@@ -148,7 +147,7 @@ proptest! {
         let obj = ObjectiveConfig::bandwidth_only(budget, 1e9);
         let r = solve_ilp_set(&pg, &obj).map(|s| evaluate(&pg, &s, &obj).objective);
         let ep = encode(&pg, Encoding::General, &obj);
-        let g = ep.problem.solve_ilp(&IlpOptions::default()).ok().map(|s| {
+        let g = solve_ilp(&ep.problem, &IlpOptions::default()).ok().map(|s| {
             evaluate(&pg, &ep.decode(&s.values), &obj).objective
         });
         // On a source->sink oriented DAG the general encoding can only

@@ -568,6 +568,7 @@ fn a_drift_resolve_absorbs_in_place() {
             .expect("the leaf hosts its sources");
         let report = DriftReport {
             operators: vec![OperatorDrift {
+                site: base.leaves[0].path[0].0,
                 op: victim,
                 expected_s: 1.0,
                 observed_s: 2.0,

@@ -242,7 +242,7 @@ const CONFINE: [Confine; 16] = [
 ];
 
 #[rustfmt::skip]
-const CENSUS: [Census; 5] = [
+const CENSUS: [Census; 6] = [
     Census {
         rule: "entry-points", scope: &[CORE_SRC, RUNTIME_SRC],
         decl: Decl::PubFn, names: &["partition*", "max_sustainable_rate*", "simulate_*"],
@@ -278,6 +278,13 @@ const CENSUS: [Census; 5] = [
         expect: Expect::Exactly(1),
         why: "a second `fn {}` — the §4.1 merge has one body",
     },
+    Census {
+        rule: "one-solve-spelling", scope: &["crates/ilp/src"],
+        decl: Decl::PubFn, names: &["solve_ilp", "solve_lp"],
+        expect: Expect::Exactly(1),
+        why: "a second `pub fn {}` — a solve has one spelling, the free function \
+              `wishbone_ilp::{}`",
+    },
 ];
 
 /// Directories held to `float-eq` and `pub-docs` (the solver, the
@@ -294,7 +301,7 @@ const ORACLE_ANCHORS: [(&str, &str); 7] = [
     ("SolverBackend::Dense", "the dense tableau is the differential oracle for the sparse backend"),
     ("approx_certificate_holds_near_the_cliff_on_both_backends",
      "a root-capped placement's certificate is pinned against the exact ILP and the root LP"),
-    ("NullSink::NULL",
+    ("null_sink_traced_run_is_byte_identical",
      "the trace off path must stay pinned by the zero-overhead byte-identical test"),
     ("fleet_batch_matches_serial_one_shot",
      "fleet cache hits must stay bit-identical to serial one-shot solves"),
@@ -1726,10 +1733,12 @@ mod tests {
         let mut v = Vec::new();
         check_oracle_anchors(&corpus, &mut v);
         assert!(v.is_empty(), "{}", v[0]);
-        check_oracle_anchors(&corpus.replace("NullSink::NULL", "NullSink::OFF"), &mut v);
+        let renamed = corpus.replace("null_sink_traced_run", "null_sink_run");
+        check_oracle_anchors(&renamed, &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].rule, v[0].line), ("oracle-anchors", 0));
-        assert!(v[0].message.contains("`NullSink::NULL`"), "{}", v[0]);
+        let needle = "`null_sink_traced_run_is_byte_identical`";
+        assert!(v[0].message.contains(needle), "{}", v[0]);
         // The committed tests name every anchor.
         let mut v = Vec::new();
         check_oracle_anchors(&test_corpus(&repo_root()), &mut v);
