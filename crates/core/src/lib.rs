@@ -69,6 +69,6 @@ pub use rate_search::UnprovenRate;
 pub use shape::{deltas_between, shape_key, ShapeKey};
 pub use topology::{
     max_sustainable_rate_deployment, partition_deployment, Deployment, DeploymentConfig,
-    DeploymentDelta, DeploymentPartition, DeploymentRateResult, LeafPartition, PartitionError,
-    PreparedDeployment, RobustnessMode, Site, SiteId,
+    DeploymentDelta, DeploymentPartition, DeploymentRateResult, LeafGraphs, LeafPartition,
+    PartitionError, PreparedDeployment, RobustnessMode, Site, SiteId,
 };

@@ -15,10 +15,16 @@
 //! on-air bandwidths, and CSR lists of the operators and dataflow edges
 //! behind them — a handful of `Vec`s, nothing allocated per operator.
 //! [`PreparedDeployment`](crate::topology::PreparedDeployment) fills it
-//! straight from the dataflow graph (pins once, costs once per leaf) and
-//! materialises only the *merged* [`TieredGraph`]; the public
-//! [`build_tiered_graph`] and [`preprocess_tiered`] are adapters onto the
-//! same table and the same merge. The merge runs in O(V + E): the
+//! straight from the dataflow graph (pins once, costs once per leaf key)
+//! and materialises only the *merged* [`TieredGraph`], which a
+//! [`LeafGraphs`](crate::topology::LeafGraphs) memo shares by content:
+//! a leaf whose program, platform chain, rate factor and charging tiers
+//! were merged before — another ward of the same forest, or another fleet
+//! request that differs only in weights and budgets — is neither priced
+//! nor merged again, and a call builds the table only on its first miss.
+//! The public [`build_tiered_graph`] and [`preprocess_tiered`] are
+//! adapters onto the same table and the same merge. The merge runs in
+//! O(V + E): the
 //! sole-successor pass makes one `union` per mergeable vertex, classes are
 //! numbered through a `Vec` indexed by union-find root, and cross-class
 //! edges are grouped by a stable two-pass counting sort on
@@ -277,7 +283,7 @@ impl ChainTable {
 
         // Tiers that may charge `v` for being moved onto them.
         let charging_tiers: Vec<usize> = (1..k)
-            .filter(|&t| !is_exact_zero(obj.alpha[t]) || obj.cpu_budget[t].is_finite())
+            .filter(|&t| charges(obj.alpha[t], obj.cpu_budget[t]))
             .collect();
 
         let mut dsu = Dsu::new(n);
@@ -531,6 +537,14 @@ impl Quotient {
         }
         (start, cross.iter().map(|&e| self.of[dst[e]]).collect())
     }
+}
+
+/// Whether a tier with CPU weight `alpha` and CPU budget `cpu_budget` may
+/// charge a vertex moved onto it — the one thing the merge reads of a
+/// tier's objective (`α ≠ 0` or a finite budget), so a leaf's memo key
+/// (`shape::leaf_key`) holds this bit per tier and not the two values.
+pub(crate) fn charges(alpha: f64, cpu_budget: f64) -> bool {
+    !is_exact_zero(alpha) || cpu_budget.is_finite()
 }
 
 /// Combine two pin states; `Err` names `witness` on node/server conflict.

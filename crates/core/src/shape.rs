@@ -36,7 +36,7 @@ use wishbone_net::PacketFormat;
 use wishbone_profile::{CycleCosts, GraphProfile, Platform, RadioModel};
 
 use crate::multitier::LinkSpec;
-use crate::topology::{Deployment, DeploymentConfig, DeploymentDelta, Site};
+use crate::topology::{Deployment, DeploymentConfig, DeploymentDelta, Site, SiteId};
 
 /// An exact structural fingerprint of a deployment request, excluding
 /// leaf counts, finite budget values, and the solve rate. Equal keys ⇒
@@ -129,6 +129,13 @@ fn platform_words(w: &mut KeyWriter, p: &Platform) {
     w.u(*per_packet_overhead as u64);
 }
 
+fn mode_word(w: &mut KeyWriter, mode: &crate::cost_graph::Mode) {
+    w.u(match mode {
+        crate::cost_graph::Mode::Conservative => 0,
+        crate::cost_graph::Mode::Permissive => 1,
+    });
+}
+
 fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
     let DeploymentConfig {
         mode,
@@ -144,10 +151,7 @@ fn config_words(w: &mut KeyWriter, cfg: &DeploymentConfig) {
         warm_solution,
         backend,
     } = ilp;
-    w.u(match mode {
-        crate::cost_graph::Mode::Conservative => 0,
-        crate::cost_graph::Mode::Permissive => 1,
-    });
+    mode_word(w, mode);
     w.u(match robustness {
         crate::topology::RobustnessMode::Nominal => 0,
         crate::topology::RobustnessMode::SingleGatewayFailure => 1,
@@ -221,6 +225,83 @@ pub fn shape_key(
         }
     }
     ShapeKey {
+        graph: graph.fingerprint().clone(),
+        profile: profile.fingerprint().clone(),
+        words: w.words,
+    }
+}
+
+/// The content key of one leaf's priced, merged chain graph: everything
+/// the table build, the pricing and the §4.1 merge read, and nothing
+/// else. Equal keys ⇒ bit-identical merged graphs, so a memo keyed by it
+/// (`topology::LeafGraphs`) prices and merges each key once — across the
+/// leaves of one deployment (the forest's two wards share one) and, in
+/// the fleet, across requests that differ only in what the merge does not
+/// read: uplink weights and budgets, CPU budget values, counts,
+/// robustness and solver options.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct LeafKey {
+    graph: Fingerprint,
+    profile: Fingerprint,
+    words: Vec<u64>,
+}
+
+/// The [`LeafKey`] of the leaf whose root path is `path` (leaf first,
+/// root last) in `dep`, under `cfg`. It holds the graph's and the
+/// profile's fingerprints, `profile.duration_s`, the pin `Mode`, every
+/// path site's platform, the leaf's `rate_factor`, and per tier `t ≥ 1`
+/// whether that tier may charge a merged vertex
+/// (`multitier::charges`: `α_t ≠ 0` or a finite budget).
+/// The same exhaustive destructuring as [`shape_key`]: a field added to
+/// `Site`, `LinkSpec` or `DeploymentConfig` is a compile error here until
+/// it is keyed or named as unread.
+pub(crate) fn leaf_key(
+    graph: &Graph,
+    profile: &GraphProfile,
+    dep: &Deployment,
+    path: &[SiteId],
+    cfg: &DeploymentConfig,
+) -> LeafKey {
+    let DeploymentConfig {
+        // The pin analysis reads it.
+        mode,
+        // Per-solve, and the objective's: none of the three read them.
+        rate_multiplier: _,
+        robustness: _,
+        ilp: _,
+    } = cfg;
+    let mut w = KeyWriter {
+        words: Vec::with_capacity(3 + 18 * path.len()),
+    };
+    w.f(profile.duration_s);
+    mode_word(&mut w, mode);
+    w.u(path.len() as u64);
+    for (tier, &id) in path.iter().enumerate() {
+        let Site {
+            name: _,
+            platform,
+            // Counts and budget values scale rows of the encoding, never a
+            // leaf graph's costs.
+            count: _,
+            alpha,
+            cpu_budget,
+            rate_factor,
+        } = dep.site(id);
+        platform_words(&mut w, platform);
+        if tier == 0 {
+            // The pricing's rate; the merge never charges the leaf's tier.
+            w.f(*rate_factor);
+        } else {
+            w.b(crate::multitier::charges(*alpha, *cpu_budget));
+        }
+        // The uplink's weight and budget are the encoder's, not the merge's.
+        if let Some(LinkSpec {
+            beta: _,
+            net_budget: _,
+        }) = dep.uplink(id)
+        {}
+    }
+    LeafKey {
         graph: graph.fingerprint().clone(),
         profile: profile.fingerprint().clone(),
         words: w.words,
@@ -413,6 +494,211 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(key(&base), key(&renamed), "the name is a label, not shape");
+    }
+
+    /// The sites and uplinks of a mote → gateway → server chain.
+    #[derive(Clone)]
+    struct Chain {
+        leaf: Site,
+        gw: Site,
+        srv: Site,
+        leaf_up: LinkSpec,
+        gw_up: LinkSpec,
+    }
+
+    impl Chain {
+        /// Motes under a budgeted N80 gateway.
+        fn new() -> Self {
+            let mote = Platform::tmote_sky();
+            Chain {
+                leaf: Site::new("motes", &mote).with_count(3),
+                gw: Site::new("gw", &Platform::nokia_n80()).with_cpu_budget(0.5),
+                srv: Site::server("srv", &Platform::server()),
+                leaf_up: LinkSpec::for_platform(&mote),
+                gw_up: LinkSpec {
+                    beta: 1.0,
+                    net_budget: 4000.0,
+                },
+            }
+        }
+
+        /// The deployment, and its leaf's root path.
+        fn build(&self) -> (Deployment, Vec<SiteId>) {
+            let mut dep = Deployment::new(self.srv.clone());
+            let gw = dep.attach(dep.root(), self.gw.clone(), self.gw_up);
+            let leaf = dep.attach(gw, self.leaf.clone(), self.leaf_up);
+            let path = dep.path(leaf);
+            (dep, path)
+        }
+    }
+
+    /// What the pricing and the §4.1 merge read splits the leaf-graph
+    /// memo; what they do not read shares it.
+    #[test]
+    fn a_leaf_key_holds_what_price_and_merge_read_and_nothing_else() {
+        use crate::cost_graph::Mode;
+        use crate::topology::RobustnessMode;
+        use std::time::Duration;
+        use wishbone_ilp::SolverBackend;
+
+        let (g, p) = profiled();
+        let cfg = DeploymentConfig::default();
+        let key_of = |chain: &Chain, cfg: &DeploymentConfig| {
+            let (dep, path) = chain.build();
+            leaf_key(&g, &p, &dep, &path, cfg)
+        };
+        let base = Chain::new();
+        let base_key = key_of(&base, &cfg);
+        type Vary = fn(&mut Chain);
+
+        // Every platform field the pricing reads, on the leaf and on the
+        // tiers above it; the leaf's rate factor; each tier's charging
+        // bit, flipped by its weight or by its budget's finiteness.
+        let split: [(&str, Vary); 19] = [
+            ("clock_hz", |c| c.leaf.platform.clock_hz *= 2.0),
+            ("int_alu", |c| c.leaf.platform.cycle_costs.int_alu += 1.0),
+            ("int_mul", |c| c.leaf.platform.cycle_costs.int_mul += 1.0),
+            ("float_add", |c| c.gw.platform.cycle_costs.float_add += 1.0),
+            ("float_mul", |c| c.gw.platform.cycle_costs.float_mul += 1.0),
+            ("float_div", |c| {
+                c.leaf.platform.cycle_costs.float_div += 1.0
+            }),
+            ("sqrt", |c| c.srv.platform.cycle_costs.sqrt += 1.0),
+            ("transcendental", |c| {
+                c.leaf.platform.cycle_costs.transcendental += 1.0
+            }),
+            ("mem", |c| c.gw.platform.cycle_costs.mem += 1.0),
+            ("branch", |c| c.leaf.platform.cycle_costs.branch += 1.0),
+            ("call", |c| c.gw.platform.cycle_costs.call += 1.0),
+            ("interp_penalty", |c| c.gw.platform.interp_penalty += 1.0),
+            ("dvfs_derate", |c| c.leaf.platform.dvfs_derate /= 2.0),
+            ("max_payload", |c| {
+                c.leaf.platform.radio.format.max_payload += 1
+            }),
+            ("per_packet_overhead", |c| {
+                c.gw.platform.radio.format.per_packet_overhead += 1
+            }),
+            ("rate_factor", |c| c.leaf.rate_factor = 0.5),
+            ("gateway budget finite -> inf", |c| {
+                c.gw.cpu_budget = f64::INFINITY
+            }),
+            ("server alpha 0 -> 0.25", |c| c.srv.alpha = 0.25),
+            ("server budget inf -> finite", |c| c.srv.cpu_budget = 2.0),
+        ];
+        for (what, vary) in split {
+            let mut chain = base.clone();
+            vary(&mut chain);
+            assert_ne!(
+                base_key,
+                key_of(&chain, &cfg),
+                "`{what}` alone must split the memo"
+            );
+        }
+        // A weight flips the bit only where the budget does not set it.
+        let mut free = base.clone();
+        free.gw.cpu_budget = f64::INFINITY;
+        let mut weighted = free.clone();
+        weighted.gw.alpha = 1.0;
+        assert_ne!(
+            key_of(&free, &cfg),
+            key_of(&weighted, &cfg),
+            "gateway alpha 0 -> 1"
+        );
+        let conservative = DeploymentConfig {
+            mode: Mode::Conservative,
+            ..cfg.clone()
+        };
+        assert_ne!(base_key, key_of(&base, &conservative), "the pin mode");
+        let (dep, path) = base.build();
+        let mut slower = p.clone();
+        slower.duration_s *= 2.0;
+        assert_ne!(
+            base_key,
+            leaf_key(&g, &slower, &dep, &path, &cfg),
+            "duration"
+        );
+        let (_, wider) = profiled_at(9);
+        assert_ne!(
+            base_key,
+            leaf_key(&g, &wider, &dep, &path, &cfg),
+            "profile content"
+        );
+        let longer = {
+            let mut b = GraphBuilder::new();
+            let src = b.source("src");
+            let mid = b.transform("mid", Box::new(wishbone_dataflow::IdentityWork), src);
+            b.sink("out", mid);
+            b.finish().unwrap()
+        };
+        assert_ne!(
+            base_key,
+            leaf_key(&longer, &p, &dep, &path, &cfg),
+            "graph content"
+        );
+
+        // Uplink weights and budgets, CPU budget values, counts, the
+        // leaf's own weight and budget (the merge never charges tier 0),
+        // an interior rate factor, names: none of them reach a leaf graph.
+        let shared: [(&str, Vary); 10] = [
+            ("uplink beta", |c| c.gw_up.beta = 3.0),
+            ("uplink budget value", |c| c.leaf_up.net_budget = 17.0),
+            ("uplink budget finiteness", |c| {
+                c.gw_up.net_budget = f64::INFINITY
+            }),
+            ("gateway budget value", |c| c.gw.cpu_budget = 0.75),
+            ("leaf count", |c| c.leaf.count = 9),
+            ("interior count", |c| c.gw.count = 4),
+            ("leaf alpha", |c| c.leaf.alpha = 5.0),
+            ("leaf budget finiteness", |c| {
+                c.leaf.cpu_budget = f64::INFINITY
+            }),
+            ("interior rate factor", |c| c.gw.rate_factor = 3.0),
+            ("names", |c| {
+                c.leaf.name = "other".into();
+                c.gw.platform.name = "relabelled".into();
+            }),
+        ];
+        for (what, vary) in shared {
+            let mut chain = base.clone();
+            vary(&mut chain);
+            assert_eq!(
+                base_key,
+                key_of(&chain, &cfg),
+                "`{what}` must share the memo"
+            );
+        }
+        // A charging tier's weight value: non-zero to another non-zero.
+        let (mut one, mut two) = (base.clone(), base.clone());
+        (one.gw.alpha, two.gw.alpha) = (1.0, 2.0);
+        assert_eq!(
+            key_of(&one, &cfg),
+            key_of(&two, &cfg),
+            "a non-zero alpha's value"
+        );
+
+        type VaryCfg = fn(&mut DeploymentConfig);
+        let options: [(&str, VaryCfg); 7] = [
+            ("robustness", |c| {
+                c.robustness = RobustnessMode::SingleGatewayFailure
+            }),
+            ("rel_gap", |c| c.ilp.rel_gap = 0.01),
+            ("max_nodes", |c| c.ilp.max_nodes = 20),
+            ("time_limit", |c| {
+                c.ilp.time_limit = Some(Duration::from_secs(2))
+            }),
+            ("warm_solution", |c| c.ilp.warm_solution = Some(vec![1.0])),
+            ("backend", |c| c.ilp.backend = SolverBackend::Dense),
+            ("rate_multiplier", |c| c.rate_multiplier = 4.0),
+        ];
+        for (what, vary) in options {
+            let mut other = cfg.clone();
+            vary(&mut other);
+            assert_eq!(
+                base_key,
+                key_of(&base, &other),
+                "`{what}` must share the memo"
+            );
+        }
     }
 
     #[test]

@@ -36,6 +36,8 @@
 //! probe from the last proved placement while that still fits, and from
 //! the last root LP refutation while that still refutes.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,7 +53,8 @@ use crate::encodings::{
     encode_deployment, DeploymentObjective, EncodedDeployment, LeafChain, TierObjective,
 };
 use crate::multilevel::CutHierarchy;
-use crate::multitier::{ChainTable, LinkSpec};
+use crate::multitier::{ChainTable, LinkSpec, TieredGraph};
+use crate::shape::{leaf_key, LeafKey};
 
 /// Index of a [`Site`] within its [`Deployment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -789,12 +792,73 @@ pub fn partition_deployment(
 /// Per-leaf prepared state: the merged chain graph and its path. The
 /// graph's costs are priced along the path at the leaf's `rate_factor`,
 /// so they are the budget rows' coefficients per unit of global rate.
+/// The graph is shared with every leaf, of this instance or another
+/// prepared from the same [`LeafGraphs`], whose leaf key is equal.
 struct PreparedLeaf {
     leaf: SiteId,
     path: Vec<SiteId>,
     /// `path` as the site indices a [`LeafChain`] carries.
     path_indices: Vec<usize>,
-    graph: crate::multitier::TieredGraph,
+    graph: Arc<TieredGraph>,
+}
+
+/// Priced, merged leaf graphs shared by content: a memo from a leaf's
+/// key to its merged chain graph, which
+/// [`PreparedDeployment::new_in`] reads and fills.
+///
+/// A leaf's graph is a pure function of the program (graph and profile
+/// content, `profile.duration_s`, the pin `Mode`), the platforms on its
+/// root path, its `rate_factor`, and which tiers above it may charge CPU
+/// (`α ≠ 0` or a finite budget). The key holds exactly those; uplink
+/// weights and budgets, CPU budget values, counts, robustness and solver
+/// options stay out, because neither the pricing nor the §4.1 merge reads
+/// them. So a hit is bit for bit the graph a fresh price and merge would
+/// build. Like a shape key, a leaf key names content, not addresses: an
+/// entry keeps no graph or profile alive, and the memo may be dropped
+/// whenever its owner likes (the fleet's `ShapeCache` keeps one for its
+/// life, beside its prepared instances).
+#[derive(Default)]
+pub struct LeafGraphs {
+    merged: HashMap<LeafKey, Arc<TieredGraph>>,
+}
+
+impl LeafGraphs {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Distinct leaf keys merged so far.
+    pub fn len(&self) -> usize {
+        self.merged.len()
+    }
+
+    /// Whether nothing has been merged yet.
+    pub fn is_empty(&self) -> bool {
+        self.merged.is_empty()
+    }
+}
+
+/// A memo miss: price the leaf whose root path is `path` and merge it.
+/// `table` is the call's unpriced chain table, built from `graph` on its
+/// first miss and re-priced for every later one — the only place the
+/// prepare path builds a table or runs the merge (`xtask lint`'s
+/// `one-merge` rule).
+fn merge_leaf(
+    table: &mut Option<ChainTable>,
+    graph: &Graph,
+    profile: &GraphProfile,
+    dep: &Deployment,
+    path: &[SiteId],
+    mode: Mode,
+) -> Result<TieredGraph, PinError> {
+    let table = match table {
+        Some(table) => table,
+        None => table.insert(ChainTable::from_graph(graph, mode)?),
+    };
+    let platforms: Vec<&Platform> = path.iter().map(|&s| &dep.site(s).platform).collect();
+    table.price(profile, &platforms, dep.site(path[0]).rate_factor);
+    Ok(table.merge(&dep.leaf_objective(path[0]))?.graph)
 }
 
 /// Every leaf's device count in `dep`, a removed leaf's as `0`.
@@ -886,8 +950,10 @@ fn seed_values(
 /// rates. The paper's evaluation asks thousands of questions of the
 /// *same* application (2100 lp_solve runs for Fig 6; a binary search per
 /// platform for §4.3), and only the input-rate multiplier — a uniform
-/// scale on every profiled cost — changes between them. So graph build,
-/// per-leaf merge, and encoding happen once; every probe rescales the
+/// scale on every profiled cost — changes between them. So pricing,
+/// per-leaf merge, and encoding happen once (and the first two not even
+/// that for a leaf whose key a [`LeafGraphs`] memo already holds: see
+/// [`new_in`](Self::new_in)); every probe rescales the
 /// prepared ILP in place (objective × rate, budget right-hand sides ÷
 /// rate) on one reused [`SimplexWorkspace`]. The multilevel heuristic's
 /// coarsening of the merged leaf graphs ([`crate::multilevel`], phase 1)
@@ -904,13 +970,14 @@ fn seed_values(
 /// The instance keeps nothing of its caller's: the graph and profile are
 /// read while it prepares and never again. What it keeps is the deployment
 /// (plus applied deltas), the configuration, each leaf's path and merged
-/// graph, the encoding and, once built, the hierarchy. The merged graphs
-/// are the only priced view of the program: the budget rows are written
-/// from their costs, and every solve decodes its per-site operators, cut
-/// edges and predicted loads from them too, so a prediction is a budget
-/// row's own left-hand side (up to summation order) rather than a second
-/// pricing that has to agree with it. The lifetime parameter is a marker
-/// only.
+/// graph (shared, read-only, with every leaf of equal key prepared from
+/// the same memo), the encoding and, once built, the hierarchy. The
+/// merged graphs are the only priced view of the program: the budget rows
+/// are written from their costs, and every solve decodes its per-site
+/// operators, cut edges and predicted loads from them too, so a
+/// prediction is a budget row's own left-hand side (up to summation
+/// order) rather than a second pricing that has to agree with it. The
+/// lifetime parameter is a marker only.
 ///
 /// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
 /// the last placement, which seeds branch-and-bound as its first
@@ -961,8 +1028,8 @@ pub struct PreparedDeployment<'a> {
     /// The last root LP refutation a search kept
     /// ([`IlpStats::refutation`]).
     refutation: Option<Refutation>,
-    /// Wall-clock cost of the one-time build (pricing, §4.1 merge,
-    /// encoding).
+    /// Wall-clock cost of the one-time build: encoding, plus pricing and
+    /// the §4.1 merge for each leaf the memo did not hold.
     encode_s: f64,
 }
 
@@ -980,10 +1047,13 @@ struct Placement {
 }
 
 impl<'a> PreparedDeployment<'a> {
-    /// Price every leaf's chain graph, merge and encode — once. The
-    /// multilevel hierarchy is not built here but on a search's first
-    /// demand for a seed. `graph` and `profile` are read here and not kept.
-    /// `cfg.rate_multiplier` is ignored here; pass the rate to
+    /// Price every leaf's chain graph, merge and encode — once.
+    /// [`new_in`](Self::new_in) with a fresh [`LeafGraphs`], so leaves of
+    /// this deployment with equal keys (the forest's two wards) still
+    /// share one price and merge. The multilevel hierarchy is not built
+    /// here but on a search's first demand for a seed. `graph` and
+    /// `profile` are read here and not kept. `cfg.rate_multiplier` is
+    /// ignored here; pass the rate to
     /// [`solve_at`](PreparedDeployment::solve_at). A NaN or negative
     /// `cfg.ilp.rel_gap` is [`PartitionError::InvalidGap`].
     pub fn new(
@@ -992,32 +1062,53 @@ impl<'a> PreparedDeployment<'a> {
         dep: &Deployment,
         cfg: &DeploymentConfig,
     ) -> Result<Self, PartitionError> {
+        Self::new_in(graph, profile, dep, cfg, &mut LeafGraphs::new())
+    }
+
+    /// [`new`](Self::new), taking each leaf's merged graph from `memo`
+    /// when a leaf with an equal key was merged before and adding the
+    /// ones it merges. Only a leaf with a new key is priced and merged,
+    /// and the graph's chain table is built only if some leaf is; the
+    /// encoding is always this call's own. The instance is bit for bit
+    /// the one a cold [`new`](Self::new) prepares, whatever `memo` holds
+    /// (see [`LeafGraphs`]).
+    pub fn new_in(
+        graph: &Graph,
+        profile: &GraphProfile,
+        dep: &Deployment,
+        cfg: &DeploymentConfig,
+        memo: &mut LeafGraphs,
+    ) -> Result<Self, PartitionError> {
         dep.check_sites()?;
         let rel_gap = cfg.ilp.rel_gap;
         if rel_gap.is_nan() || rel_gap < 0.0 {
             return Err(PartitionError::InvalidGap { rel_gap });
         }
         let encode_t = Instant::now();
-        // One flat table for every leaf: pins and structure once, costs
-        // re-priced per root path; only merged graphs are materialised.
-        let mut table = ChainTable::from_graph(graph, cfg.mode)?;
+        // One flat table for the call's misses: pins and structure once,
+        // costs re-priced per root path; only merged graphs are
+        // materialised.
+        let mut table = None;
         let mut leaves = Vec::new();
-        let mut vertices_before = 0;
         let mut vertices_after = 0;
         for leaf in dep.leaves() {
             let path = dep.path(leaf);
-            let platforms: Vec<&Platform> = path.iter().map(|&s| &dep.site(s).platform).collect();
-            table.price(profile, &platforms, dep.site(leaf).rate_factor);
-            let merged = table.merge(&dep.leaf_objective(leaf))?;
-            vertices_before += merged.vertices_before;
-            vertices_after += merged.vertices_after;
+            let merged = match memo.merged.entry(leaf_key(graph, profile, dep, &path, cfg)) {
+                Entry::Occupied(hit) => Arc::clone(hit.get()),
+                Entry::Vacant(miss) => {
+                    let merged = merge_leaf(&mut table, graph, profile, dep, &path, cfg.mode)?;
+                    Arc::clone(miss.insert(Arc::new(merged)))
+                }
+            };
+            vertices_after += merged.vertices.len();
             leaves.push(PreparedLeaf {
                 leaf,
                 path_indices: path.iter().map(|s| s.0).collect(),
                 path,
-                graph: merged.graph,
+                graph: merged,
             });
         }
+        let vertices_before = leaves.len() * graph.operator_count();
 
         let removed = vec![false; leaves.len()];
         let obj = dep.objective_with(cfg.robustness);
@@ -1164,8 +1255,11 @@ impl<'a> PreparedDeployment<'a> {
         self.workspace.invalidate();
     }
 
-    /// Wall-clock cost of the one-time build (pricing, merge, encoding),
-    /// seconds. Paid once per instance; no solve reports it. The multilevel
+    /// Wall-clock cost of the one-time build, seconds: the encoding, plus
+    /// pricing and merge for each leaf whose key the [`LeafGraphs`] memo
+    /// of [`new_in`](Self::new_in) did not hold (every leaf under
+    /// [`new`](Self::new), up to leaves of equal key). Paid once per
+    /// instance; no solve reports it. The multilevel
     /// hierarchy, built on a search's first demand for a seed, is in that
     /// search's `warm_start_s` instead.
     pub fn encode_seconds(&self) -> f64 {

@@ -37,6 +37,17 @@
 //! re-encoding — `encodes()` stays at one per shape, not one per
 //! request.
 //!
+//! A miss encodes, but it prices and merges only what no earlier miss
+//! has: the cache also owns one [`LeafGraphs`] memo, keyed like a shape
+//! by content, from each leaf's program, platform chain, rate factor and
+//! charging tiers to its priced, merged chain graph
+//! ([`PreparedDeployment::new_in`]). Requests that differ only in what
+//! the §4.1 merge does not read — uplink weights and budgets, CPU weight
+//! and budget values, counts, robustness, solver options — are distinct
+//! shapes that share their leaf graphs, so such a miss only encodes,
+//! solves and inserts. The memo, like the entries, holds content and no
+//! request's inputs, and neither map is bounded yet.
+//!
 //! Determinism: every response is **bit-identical** to a serial one-shot
 //! [`partition_deployment`](wishbone_core::partition_deployment) call,
 //! and there is no mode in which it is not (pinned by
@@ -68,7 +79,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use wishbone_core::topology::{
-    Deployment, DeploymentConfig, DeploymentPartition, PreparedDeployment,
+    Deployment, DeploymentConfig, DeploymentPartition, LeafGraphs, PreparedDeployment,
 };
 use wishbone_core::{deltas_between, shape_key, PartitionError, ShapeKey};
 use wishbone_dataflow::Graph;
@@ -121,7 +132,8 @@ pub struct FleetStats {
     pub requests: u64,
     /// Requests served by a cached prepared instance.
     pub cache_hits: u64,
-    /// Requests that had to prepare (build + merge + encode).
+    /// Requests that had to prepare: encode, plus price and merge for
+    /// each leaf whose key the worker's [`LeafGraphs`] did not hold.
     pub cache_misses: u64,
     /// Distinct shapes seen, summed over workers (shapes never span
     /// workers, so this is a true fleet-wide count).
@@ -168,10 +180,14 @@ impl FleetStats {
 /// entry is ever contended, so there are no locks anywhere in the
 /// service. An entry is its prepared instance and nothing else: the key
 /// holds content, not addresses, so dropping an entry is a plain map
-/// removal.
+/// removal. Beside the entries the cache keeps the merged leaf graphs its
+/// misses prepared from (see the crate docs), shared by the entries that
+/// use them.
 #[derive(Default)]
 pub struct ShapeCache {
     entries: HashMap<ShapeKey, PreparedDeployment<'static>>,
+    /// The merged leaf graphs every miss prepares from.
+    leaves: LeafGraphs,
 }
 
 impl ShapeCache {
@@ -190,6 +206,12 @@ impl ShapeCache {
         self.entries.is_empty()
     }
 
+    /// The priced, merged leaf graphs the cache's misses have prepared
+    /// from, shared by content across its entries.
+    pub fn leaf_graphs(&self) -> &LeafGraphs {
+        &self.leaves
+    }
+
     /// Serve one request out of the cache, preparing on miss. Returns
     /// `(hit, solve result)`; a request whose counts, budgets, rate
     /// factors or weights
@@ -198,7 +220,9 @@ impl ShapeCache {
     ///
     /// On a hit the cached encoding is morphed to the request's counts
     /// and budgets via [`deltas_between`] + `apply_delta` — index-stable
-    /// row surgery, no re-encode. `deterministic` resets warm-start
+    /// row surgery, no re-encode. On a miss the request is prepared with
+    /// [`PreparedDeployment::new_in`] over the cache's leaf graphs, then
+    /// solved and inserted. `deterministic` resets warm-start
     /// state first so the solve is bit-identical to a serial one-shot
     /// (see the crate docs). The service always passes `true`; the
     /// parameter stays because `benchmark/` calls `serve` with it.
@@ -225,7 +249,14 @@ impl ShapeCache {
             }
             return (true, prep.solve_at_in(req.rate, ws));
         }
-        match PreparedDeployment::new(&req.graph, &req.profile, &req.deployment, &req.config) {
+        let prepared = PreparedDeployment::new_in(
+            &req.graph,
+            &req.profile,
+            &req.deployment,
+            &req.config,
+            &mut self.leaves,
+        );
+        match prepared {
             Ok(mut prep) => {
                 let result = prep.solve_at_in(req.rate, ws);
                 self.entries.insert(key, prep);

@@ -1,7 +1,8 @@
 //! # wishbone-profile
 //!
 //! Profiling substrate for Wishbone: per-platform cost models
-//! ([`Platform`], [`CycleCosts`], [`RadioModel`]) and the graph profiler
+//! ([`Platform`], [`CycleCosts`], [`RadioModel`], and a platform's CPU
+//! pricing constants as one [`CostRow`]) and the graph profiler
 //! ([`profile`]) that executes a dataflow graph on sample traces and
 //! reports per-operator CPU and per-edge bandwidth at a reference data
 //! rate.
@@ -18,7 +19,7 @@
 pub mod platform;
 pub mod profiler;
 
-pub use platform::{CycleCosts, Platform, RadioModel};
+pub use platform::{CostRow, CycleCosts, Platform, RadioModel};
 pub use profiler::{
     profile, EdgeProfile, GraphProfile, OperatorProfile, ProfileError, SourceTrace,
 };

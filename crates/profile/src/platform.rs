@@ -38,7 +38,7 @@
 //! and a tier whose row (or packet format) repeats an earlier tier's — the
 //! same N80 as relay and as gateway, or two platforms that differ only in
 //! name — is priced once and copied. [`Platform::seconds_for`] is the
-//! one-item case of the same row.
+//! one-item case of the same row, [`CostRow::seconds_for`].
 
 use wishbone_dataflow::{OpClass, OpCounts, OP_CLASSES};
 use wishbone_net::PacketFormat;
@@ -121,24 +121,33 @@ impl CycleCosts {
 /// One platform's CPU pricing constants, computed once: the cycle cost of
 /// every op class in [`OP_CLASSES`] order and [`Platform::effective_hz`].
 ///
-/// [`seconds`](Self::seconds) is the repo's one CPU pricing formula —
-/// cycles summed in class order, then one division by the rate — and
-/// [`Platform::seconds_for`] is a row priced once. A batched pricing
+/// `seconds` is the repo's one CPU pricing formula — cycles summed in
+/// class order, then one division by the rate — and
+/// [`seconds_for`](Self::seconds_for) prices one bag of counts with it.
+/// [`Platform::seconds_for`] is a row built and priced once; a holder that
+/// prices many bags on one platform (a simulated site's executor) builds
+/// the row once and keeps it. A batched pricing
 /// (`GraphProfile::cpu_fractions`) builds each tier's row once and prices
-/// a row that [`same_as`](Self::same_as) an earlier tier's only once.
+/// a row that equals an earlier tier's, bit for bit, only once.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CostRow {
+pub struct CostRow {
     cycles: [f64; OP_CLASSES.len()],
     hz: f64,
 }
 
 impl CostRow {
     /// The row of `platform`.
-    pub(crate) fn of(platform: &Platform) -> Self {
+    pub fn of(platform: &Platform) -> Self {
         CostRow {
             cycles: OP_CLASSES.map(|c| platform.cycle_costs.cost(c)),
             hz: platform.effective_hz(),
         }
+    }
+
+    /// Predicted seconds of CPU for a bag of op counts on this row's
+    /// platform — bit for bit [`Platform::seconds_for`].
+    pub fn seconds_for(&self, counts: &OpCounts) -> f64 {
+        self.seconds(&class_counts(counts))
     }
 
     /// Seconds of CPU for per-class counts from [`class_counts`].
@@ -208,7 +217,7 @@ impl Platform {
     /// cost row (cycle table and [`effective_hz`](Self::effective_hz)),
     /// priced once — the one-item case of the batched CPU pricing.
     pub fn seconds_for(&self, counts: &OpCounts) -> f64 {
-        CostRow::of(self).seconds(&class_counts(counts))
+        CostRow::of(self).seconds_for(counts)
     }
 
     /// TMote Sky: 4 MHz-class MSP430, no FPU, hardware multiplier, CC2420

@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use wishbone_dataflow::{
     EdgeId, ExecCtx, Graph, Namespace, OperatorId, OperatorKind, Value, WorkFn,
 };
-use wishbone_profile::Platform;
+use wishbone_profile::{CostRow, Platform};
 
 use crate::task::TaskModel;
 
@@ -52,7 +52,10 @@ pub struct SiteExecutor {
     shared: Vec<Option<Box<dyn WorkFn>>>,
     is_node_ns: Vec<bool>,
     hosted: Vec<bool>,
-    platform: Platform,
+    /// The site platform's CPU pricing constants, built once.
+    cost: CostRow,
+    /// The platform's measured-vs-predicted CPU factor.
+    os_overhead: f64,
     /// Task-granularity model of the site's OS, where it has one (the
     /// motes); `None` charges the bare platform cost.
     task_model: Option<TaskModel>,
@@ -90,7 +93,8 @@ impl SiteExecutor {
             shared,
             is_node_ns,
             hosted,
-            platform,
+            cost: CostRow::of(&platform),
+            os_overhead: platform.os_overhead,
             task_model,
             buffers: Vec::new(),
         }
@@ -162,8 +166,8 @@ impl SiteExecutor {
             .process(port, input, &mut cx);
         let (mut outputs, counts) = cx.finish();
 
-        let priced = self.platform.seconds_for(&counts);
-        let busy = priced * self.platform.os_overhead;
+        let priced = self.cost.seconds_for(&counts);
+        let busy = priced * self.os_overhead;
         let charged = match self.task_model {
             Some(tm) => tm.total_time(busy, counts.loop_fraction()),
             None => busy,

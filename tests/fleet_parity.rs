@@ -16,11 +16,12 @@
 use std::sync::Arc;
 
 use wishbone::core::{
-    partition_deployment, Deployment, DeploymentConfig, DeploymentPartition, LinkSpec,
-    PartitionError, Site,
+    partition_deployment, shape_key, Deployment, DeploymentConfig, DeploymentPartition, LeafGraphs,
+    LinkSpec, PartitionError, PreparedDeployment, Site,
 };
 use wishbone::dataflow::Graph;
-use wishbone::prelude::{run_batch, FleetRequest, FleetServer, GraphProfile, Platform};
+use wishbone::ilp::SimplexWorkspace;
+use wishbone::prelude::{run_batch, FleetRequest, FleetServer, GraphProfile, Platform, ShapeCache};
 
 #[path = "common/fleet.rs"]
 mod fleet;
@@ -301,4 +302,92 @@ fn the_fleet_load_costs_8_encodes_and_a_few_pivots_per_request() {
         nodes_per_req <= 1.84,
         "the fleet's search trees grew: {nodes_per_req:.2} B&B nodes / request"
     );
+}
+
+/// A miss prices and merges only for a new leaf key. Every request here
+/// is its own shape (its own uplink β) over 2 apps × 2 depths, so each one
+/// misses the shape cache and encodes; but β is the encoder's, not the
+/// merge's, so the cache's misses merge four leaf graphs in all — and
+/// every response is still bit-identical to a serial one-shot solve.
+#[test]
+fn a_shape_per_request_merges_once_per_leaf_key() {
+    let apps = [profiled(0), profiled(1)];
+    let cfg = DeploymentConfig::default();
+    let mut rng = Lcg(0x1eaf_0045);
+    let requests: Vec<FleetRequest> = (0..48)
+        .map(|id| {
+            let (graph, prof) = &apps[id % 2];
+            let deep = id % 4 >= 2;
+            let beta = 1.0 + id as f64 / 16.0;
+            let count = 1 + rng.pick(4);
+            let gw_budget = [0.05, 0.1, 0.2, 0.4][rng.pick(4)];
+            FleetRequest {
+                id: id as u64,
+                graph: Arc::clone(graph),
+                profile: Arc::clone(prof),
+                deployment: mk_dep(deep, beta, count, gw_budget),
+                config: cfg.clone(),
+                rate: [0.05, 0.1, 0.2, 0.35][rng.pick(4)],
+            }
+        })
+        .collect();
+
+    let mut cache = ShapeCache::new();
+    let mut ws = SimplexWorkspace::new();
+    let mut solved = 0;
+    for req in &requests {
+        let key = shape_key(&req.graph, &req.profile, &req.deployment, &req.config);
+        let (hit, fleet) = cache.serve(req, key, &mut ws, true);
+        assert!(!hit, "request {}: every request is its own shape", req.id);
+        let serial = partition_deployment(
+            &req.graph,
+            &req.profile,
+            &req.deployment,
+            &req.config.clone().at_rate(req.rate),
+        );
+        assert_partitions_bit_identical(&format!("request {}", req.id), &fleet, &serial);
+        solved += usize::from(fleet.is_ok());
+    }
+    assert!(solved >= 40, "{solved} of 48 placed: too few to compare");
+    assert_eq!(cache.len(), requests.len(), "one entry per request");
+    assert_eq!(
+        cache.leaf_graphs().len(),
+        4,
+        "one merged leaf graph per app and depth"
+    );
+}
+
+/// Two wards on one platform chain are one leaf key: preparing the
+/// forest merges once, and the instance is the one `new` prepares.
+#[test]
+fn two_wards_on_one_platform_chain_merge_once() {
+    let (graph, prof) = profiled(1);
+    let phone = Platform::nokia_n80();
+    let mote = Platform::tmote_sky();
+    let mut forest = Deployment::new(Site::server("server", &Platform::server()));
+    let root = forest.root();
+    for (ward, (backhaul, count)) in [("a", (2_000.0, 3)), ("b", (9_000.0, 5))] {
+        let gw = forest.attach(
+            root,
+            Site::new(format!("gw-{ward}"), &phone),
+            LinkSpec {
+                beta: 1.0,
+                net_budget: backhaul,
+            },
+        );
+        forest.attach(
+            gw,
+            Site::new(format!("ward-{ward}"), &mote).with_count(count),
+            LinkSpec::for_platform(&mote),
+        );
+    }
+    let cfg = DeploymentConfig::default();
+    let mut memo = LeafGraphs::new();
+    let mut shared = PreparedDeployment::new_in(&graph, &prof, &forest, &cfg, &mut memo)
+        .expect("the forest pins cleanly");
+    assert_eq!(memo.len(), 1, "the two wards share one price and merge");
+    let mut cold = PreparedDeployment::new(&graph, &prof, &forest, &cfg).expect("pins");
+    let cold = cold.solve_at(0.2);
+    assert!(cold.is_ok(), "{cold:?}");
+    assert_partitions_bit_identical("forest", &shared.solve_at(0.2), &cold);
 }

@@ -102,7 +102,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 16] = [
+const CONFINE: [Confine; 17] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -198,6 +198,13 @@ const CONFINE: [Confine; 16] = [
         needles: &[Call("build_tiered_graph"), Call("preprocess_tiered")], homes: &[],
         why: "`{}` on the prepare path builds the unmerged graph — fill the flat `ChainTable` \
               and merge it",
+    },
+    Confine {
+        rule: "one-merge", scope: &[PER_SOLVE_PATH],
+        needles: &[Text("ChainTable::from_graph("), Text(".merge(")],
+        homes: &[Home::Fn(PER_SOLVE_PATH, "merge_leaf")],
+        why: "`{}` outside `merge_leaf` — the prepare path prices and merges a leaf only on a \
+              `LeafGraphs` miss; look its key up first",
     },
     Confine {
         rule: "one-pricing", scope: &[CORE_SRC],
@@ -1409,9 +1416,12 @@ mod tests {
 }
 ";
         let prepare = "\
-fn build(graph: &Graph) -> Result<Self, PartitionError> {
-    let mut table = ChainTable::from_graph(&graph, cfg.mode)?;
-    let merged = table.merge(&dep.leaf_objective(leaf))?;
+fn new_in(graph: &Graph, memo: &mut LeafGraphs) -> Result<Self, PartitionError> {
+    let graph = memo.merged.get(&key).map_or_else(|| merge_leaf(&mut table, graph), Ok)?;
+}
+fn merge_leaf(table: &mut Option<ChainTable>, graph: &Graph) -> Result<TieredGraph, PinError> {
+    let table = table.insert(ChainTable::from_graph(graph, mode)?);
+    Ok(table.merge(&dep.leaf_objective(path[0]))?.graph)
 }
 #[cfg(test)]
 mod tests {
@@ -1421,15 +1431,31 @@ mod tests {
         let (home, topology) = (MULTITIER, PER_SOLVE_PATH);
         assert_eq!(found(&[(home, kept), (topology, prepare)]), vec![]);
 
-        // The parent's prepare path: the unmerged graph, then the adapter.
+        // The unmerged graph, then the adapter, on the memo miss.
         let unmerged = prepare.replace(
-            "    let merged = table.merge(&dep.leaf_objective(leaf))?;",
-            "    let tg0 = build_tiered_graph(&graph, &profile, &platforms)?; // line 3\n    \
-             let merged = preprocess_tiered(&tg0, &dep.leaf_objective(leaf))?;",
+            "    Ok(table.merge(&dep.leaf_objective(path[0]))?.graph)",
+            "    let tg0 = build_tiered_graph(&graph, &profile, &platforms)?; // line 6\n    \
+             Ok(preprocess_tiered(&tg0, &dep.leaf_objective(path[0]))?.graph)",
         );
         assert_eq!(
             found(&[(home, kept), (topology, &unmerged)]),
-            vec![(topology.to_string(), 3), (topology.to_string(), 4)]
+            vec![(topology.to_string(), 6), (topology.to_string(), 7)]
+        );
+        // An unmemoized prepare path: the table built and merged in `new`
+        // itself, beside (or instead of) the memo lookup.
+        let unmemoized = prepare.replace(
+            "    let graph = memo.merged.get(&key).map_or_else(|| merge_leaf(&mut table, graph), Ok)?;",
+            "    let mut table = ChainTable::from_graph(graph, cfg.mode)?; // line 2\n    \
+             let graph = table.merge(&dep.leaf_objective(leaf))?.graph;",
+        );
+        assert_eq!(
+            found(&[(home, kept), (topology, &unmemoized)]),
+            vec![(topology.to_string(), 2), (topology.to_string(), 3)]
+        );
+        let in_new = unmemoized.replace("fn new_in(", "pub fn new(");
+        assert_eq!(
+            found(&[(home, kept), (topology, &in_new)]),
+            vec![(topology.to_string(), 2), (topology.to_string(), 3)]
         );
         // A second body beside the one: its own definition, and the
         // helpers called from outside `ChainTable::merge`.
@@ -1787,7 +1813,6 @@ mod tests {
                     );
                     fired += 1;
                 }
-                assert!(fired > 0, "{context}: no scope entry outside the homes");
                 for home in row.homes {
                     let (file, host) = match *home {
                         Home::File(file) => (file, "probe"),
@@ -1805,8 +1830,10 @@ mod tests {
                             [2],
                             "{context}"
                         );
+                        fired += 1;
                     }
                 }
+                assert!(fired > 0, "{context}: nowhere outside the homes");
                 let allowed =
                     outside("probe").replace(";\n", &format!("; // audit:allow({})\n", row.rule));
                 assert_eq!(confine_lines(row, &file_in(row.scope[0]), &allowed), []);
