@@ -165,9 +165,12 @@ pub struct EncodedDeployment {
 impl EncodedDeployment {
     /// Recompute every count-, weight-, and budget-dependent coefficient
     /// of this encoding in place — [`encode_deployment`]'s own arithmetic
-    /// (`Coefficients`), written through [`Problem::replace_constraint`]
+    /// (`Coefficients`), written through [`Problem::rewrite_constraint`]
     /// and [`Problem::set_objective_coeff`] so variable and row indices
     /// stay stable and a branch-and-bound incumbent warm start survives.
+    /// Each budget row's terms are rewritten into that row's own storage,
+    /// so once every row has held its longest form a rescale allocates
+    /// only its per-leaf bandwidth tables.
     ///
     /// `leaves` must have the structure this encoding was built from
     /// (same chain graphs, same paths); device counts and `obj` entries
@@ -197,15 +200,15 @@ impl EncodedDeployment {
         // classes removed) keeps one zero-weight term so it stays a
         // well-formed, trivially slack row. Rescale-only: the encoder
         // omits an empty row instead.
-        let or_placeholder = |mut terms: Vec<(VarId, f64)>, s: usize| {
+        let y_vars = &self.y_vars;
+        let or_placeholder = |terms: &mut Vec<(VarId, f64)>, s: usize| {
             if terms.is_empty() {
                 let (l, t) = co
                     .crossing(s)
                     .next()
                     .expect("an encoded row has a crossing leaf");
-                terms.push((self.y_vars[l][t.min(leaves[l].path.len() - 2)][0], 0.0));
+                terms.push((y_vars[l][t.min(leaves[l].path.len() - 2)][0], 0.0));
             }
-            terms
         };
         for s in 0..obj.alpha.len() {
             if let Some(CpuRow { row, .. }) = self.cpu_rows[s] {
@@ -214,10 +217,13 @@ impl EncodedDeployment {
                     budget.is_finite(),
                     "site {s}: cannot drop a CPU row in place"
                 );
-                let (terms, shift) = co.cpu_row(&self.y_vars, s);
-                let terms = or_placeholder(terms, s);
+                let mut shift = 0.0;
                 self.problem
-                    .replace_constraint(row, &terms, Sense::Le, budget - shift);
+                    .rewrite_constraint(row, Sense::Le, budget, |terms| {
+                        shift = co.cpu_row(y_vars, s, terms);
+                        or_placeholder(terms, s);
+                    });
+                self.problem.set_rhs(row, budget - shift);
                 self.cpu_rows[s] = Some(CpuRow { row, shift });
             }
             if let Some(row) = self.net_rows[s] {
@@ -226,9 +232,11 @@ impl EncodedDeployment {
                     budget.is_finite(),
                     "site {s}: cannot drop an uplink row in place"
                 );
-                let terms = or_placeholder(co.net_row(&self.y_vars, s), s);
                 self.problem
-                    .replace_constraint(row, &terms, Sense::Le, budget);
+                    .rewrite_constraint(row, Sense::Le, budget, |terms| {
+                        co.net_row(y_vars, s, terms);
+                        or_placeholder(terms, s);
+                    });
             }
         }
         self.objective_offset = co.root_cpu_offset();
@@ -239,20 +247,27 @@ impl EncodedDeployment {
 
     /// Decode a solver assignment into per-leaf vertex path positions.
     pub fn decode(&self, values: &[f64]) -> Vec<Vec<usize>> {
-        self.y_vars
-            .iter()
-            .map(|leaf| {
-                let n = leaf.first().map_or(0, Vec::len);
-                let k = leaf.len() + 1;
-                (0..n)
-                    .map(|v| {
-                        leaf.iter()
-                            .position(|b| values[b[v].0] > 0.5)
-                            .unwrap_or(k - 1)
-                    })
-                    .collect()
+        (0..self.y_vars.len())
+            .map(|l| {
+                let mut tiers = Vec::new();
+                self.decode_leaf_into(l, values, &mut tiers);
+                tiers
             })
             .collect()
+    }
+
+    /// Leaf `l`'s vertex path positions under `values`, pushed onto
+    /// `tiers` — [`decode`](Self::decode) of one leaf, into a caller's
+    /// buffer.
+    pub(crate) fn decode_leaf_into(&self, l: usize, values: &[f64], tiers: &mut Vec<usize>) {
+        let leaf = &self.y_vars[l];
+        let n = leaf.first().map_or(0, Vec::len);
+        let k = leaf.len() + 1;
+        tiers.extend((0..n).map(|v| {
+            leaf.iter()
+                .position(|b| values[b[v].0] > 0.5)
+                .unwrap_or(k - 1)
+        }));
     }
 }
 
@@ -263,11 +278,29 @@ impl EncodedDeployment {
 struct Coefficients<'a, 'g> {
     leaves: &'a [LeafChain<'g>],
     obj: &'a DeploymentObjective,
-    /// `net[l][b][v]`: net bandwidth vertex `v` of leaf `l` adds to hop
-    /// `b` when it sits at or below it (leaf-local, unscaled — counts are
-    /// applied at the point of use so a count of 1 reproduces the chain
-    /// encoding bit for bit).
-    net: Vec<Vec<Vec<f64>>>,
+    /// [`leaf_net`] of every leaf.
+    net: Vec<Vec<f64>>,
+}
+
+/// `net[b·n + v]` (`n` vertices): the net bandwidth vertex `v` of `leaf`
+/// adds to hop `b` when it sits at or below it (leaf-local, unscaled —
+/// counts are applied at the point of use so a count of 1 reproduces the
+/// chain encoding bit for bit).
+fn leaf_net(leaf: &LeafChain<'_>) -> Vec<f64> {
+    let (k, n) = (leaf.path.len(), leaf.graph.vertices.len());
+    assert_eq!(
+        leaf.graph.tiers, k,
+        "a leaf's chain graph spans its whole path"
+    );
+    assert!(k >= 2, "a leaf path needs at least two sites");
+    let mut nc = vec![0.0f64; (k - 1) * n];
+    for e in &leaf.graph.edges {
+        for (b, &r) in e.bandwidth.iter().enumerate() {
+            nc[b * n + e.src] += r;
+            nc[b * n + e.dst] -= r;
+        }
+    }
+    nc
 }
 
 impl<'a, 'g> Coefficients<'a, 'g> {
@@ -277,27 +310,14 @@ impl<'a, 'g> Coefficients<'a, 'g> {
         assert_eq!(obj.count.len(), n_sites);
         assert_eq!(obj.beta.len(), n_sites);
         assert_eq!(obj.net_budget.len(), n_sites);
-        let net = leaves.iter().map(|leaf| {
-            let (k, n) = (leaf.path.len(), leaf.graph.vertices.len());
-            assert_eq!(
-                leaf.graph.tiers, k,
-                "a leaf's chain graph spans its whole path"
-            );
-            assert!(k >= 2, "a leaf path needs at least two sites");
-            let mut nc = vec![vec![0.0f64; n]; k - 1];
-            for e in &leaf.graph.edges {
-                for (b, &r) in e.bandwidth.iter().enumerate() {
-                    nc[b][e.src] += r;
-                    nc[b][e.dst] -= r;
-                }
-            }
-            nc
-        });
-        Coefficients {
-            leaves,
-            obj,
-            net: net.collect(),
-        }
+        let net = leaves.iter().map(leaf_net).collect();
+        Coefficients { leaves, obj, net }
+    }
+
+    /// Leaf `l`'s per-vertex net bandwidth on hop `b` ([`leaf_net`]).
+    fn hop_net(&self, l: usize, b: usize) -> &[f64] {
+        let n = self.leaves[l].graph.vertices.len();
+        &self.net[l][b * n..(b + 1) * n]
     }
 
     /// Leaf classes routed through site `s`: `(leaf, position of s on
@@ -318,7 +338,7 @@ impl<'a, 'g> Coefficients<'a, 'g> {
         let (sb, sb1) = (leaf.path[b], leaf.path[b + 1]);
         let cpu = &leaf.graph.vertices[v].cpu_cost;
         let mut c = obj.alpha[sb] * (leaf.count / obj.count[sb] * cpu[b])
-            + obj.beta[sb] * (leaf.count * self.net[l][b][v]);
+            + obj.beta[sb] * (leaf.count * self.hop_net(l, b)[v]);
         if !is_exact_zero(obj.alpha[sb1]) {
             c -= obj.alpha[sb1] * (leaf.count / obj.count[sb1] * cpu[b + 1]);
         }
@@ -326,10 +346,10 @@ impl<'a, 'g> Coefficients<'a, 'g> {
     }
 
     /// Site `s`'s CPU row `Σ_u c_u^t (y_u^t − y_u^{t−1})` over every leaf
-    /// class crossing it, and the constant the root position's
-    /// `y^{k−1} = 1` contributes ([`CpuRow::shift`]).
-    fn cpu_row(&self, y_vars: &[Vec<Vec<VarId>>], s: usize) -> (Vec<(VarId, f64)>, f64) {
-        let (mut terms, mut shift) = (Vec::new(), 0.0f64);
+    /// class crossing it, pushed onto `terms`, and the constant the root
+    /// position's `y^{k−1} = 1` contributes ([`CpuRow::shift`]).
+    fn cpu_row(&self, y_vars: &[Vec<Vec<VarId>>], s: usize, terms: &mut Vec<(VarId, f64)>) -> f64 {
+        let mut shift = 0.0f64;
         for (l, t) in self.crossing(s) {
             let leaf = &self.leaves[l];
             let k = leaf.path.len();
@@ -349,24 +369,22 @@ impl<'a, 'g> Coefficients<'a, 'g> {
                 }
             }
         }
-        (terms, shift)
+        shift
     }
 
-    /// Non-root site `s`'s uplink row: the aggregate on-air load of every
-    /// leaf class whose path crosses that tree edge.
-    fn net_row(&self, y_vars: &[Vec<Vec<VarId>>], s: usize) -> Vec<(VarId, f64)> {
-        let mut terms = Vec::new();
+    /// Non-root site `s`'s uplink row, pushed onto `terms`: the aggregate
+    /// on-air load of every leaf class whose path crosses that tree edge.
+    fn net_row(&self, y_vars: &[Vec<Vec<VarId>>], s: usize, terms: &mut Vec<(VarId, f64)>) {
         for (l, b) in self.crossing(s) {
             let leaf = &self.leaves[l];
             debug_assert!(b < leaf.path.len() - 1, "non-root site at root position");
-            for (&y, &nc) in y_vars[l][b].iter().zip(&self.net[l][b]) {
+            for (&y, &nc) in y_vars[l][b].iter().zip(self.hop_net(l, b)) {
                 let c = leaf.count * nc;
                 if !is_exact_zero(c) {
                     terms.push((y, c));
                 }
             }
         }
-        terms
     }
 
     /// Root CPU cost is `Σ c·(1 − y)`: its constant is invisible to the
@@ -445,11 +463,13 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
 
     // CPU budget per site, coupling every leaf class that crosses it.
     let mut cpu_rows: Vec<Option<CpuRow>> = vec![None; n_sites];
+    let mut terms = Vec::new();
     for &s in &obj.row_order {
         if !obj.cpu_budget[s].is_finite() {
             continue;
         }
-        let (terms, shift) = co.cpu_row(&y_vars, s);
+        terms.clear();
+        let shift = co.cpu_row(&y_vars, s, &mut terms);
         if !terms.is_empty() {
             let row = p.num_constraints();
             cpu_rows[s] = Some(CpuRow { row, shift });
@@ -464,7 +484,8 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
         if s == root || !obj.net_budget[s].is_finite() {
             continue;
         }
-        let terms = co.net_row(&y_vars, s);
+        terms.clear();
+        co.net_row(&y_vars, s, &mut terms);
         if !terms.is_empty() {
             net_rows[s] = Some(p.num_constraints());
             p.add_constraint(&terms, Sense::Le, obj.net_budget[s]);

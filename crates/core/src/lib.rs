@@ -26,7 +26,8 @@
 //!    uplink (§4.2.1's restricted formulation at two sites);
 //! 5. [`topology::PreparedDeployment`] — steps 1–4 happen once; every rate
 //!    probe rescales the ILP in place and solves it by branch-and-bound
-//!    seeded with the last placement or, after a fractional root LP, the
+//!    seeded with the last placement or, once a search is stuck (a few
+//!    node LPs with no incumbent, or its budget spent), the
 //!    [`multilevel`] heuristic's cut, and
 //!    [`topology::max_sustainable_rate_deployment`] searches rates per
 //!    §4.3 on top of it, solving only the probes that neither the last

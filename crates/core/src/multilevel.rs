@@ -45,9 +45,10 @@
 //! assignment auditor.
 //!
 //! The heuristic has one caller ([`crate::topology`]): it seeds exact
-//! branch-and-bound's incumbent when the search asks for one — after a
-//! fractional root LP, with no placement to start from — restoring
-//! sub-second discovery on near-cliff forests. Capped at its root node
+//! branch-and-bound's incumbent when the search asks for one — once it is
+//! stuck, a few node LPs with no incumbent or its budget spent, with no
+//! placement to start from — restoring fast discovery on near-cliff
+//! forests. Capped at its root node
 //! (`ilp.max_nodes = 1`), that search is the bounded-time answer — an
 //! integral root LP, or else this cut — certified against the root LP
 //! bound ([`DeploymentPartition::certified_gap`](crate::topology::DeploymentPartition::certified_gap)).

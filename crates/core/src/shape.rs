@@ -203,7 +203,7 @@ pub fn shape_key(
             cpu_budget,
             rate_factor,
         } = dep.site(id);
-        let is_leaf = dep.children(id).is_empty();
+        let is_leaf = dep.is_leaf(id);
         w.u(dep.parent(id).map_or(u64::MAX, |p| p.0 as u64));
         w.b(is_leaf);
         platform_words(&mut w, platform);
@@ -321,7 +321,7 @@ pub fn deltas_between(from: &Deployment, to: &Deployment) -> Vec<DeploymentDelta
     for id in to.site_ids() {
         let a = from.site(id);
         let b = to.site(id);
-        let is_leaf = to.children(id).is_empty();
+        let is_leaf = to.is_leaf(id);
         if is_leaf && a.count != b.count {
             deltas.push(DeploymentDelta::SetLeafCount {
                 leaf: id,

@@ -50,7 +50,7 @@ use wishbone_profile::{GraphProfile, Platform};
 
 use crate::cost_graph::{Mode, PinError};
 use crate::encodings::{
-    encode_deployment, DeploymentObjective, EncodedDeployment, LeafChain, TierObjective,
+    encode_deployment, CpuRow, DeploymentObjective, EncodedDeployment, LeafChain, TierObjective,
 };
 use crate::multilevel::CutHierarchy;
 use crate::multitier::{ChainTable, LinkSpec, TieredGraph};
@@ -137,7 +137,9 @@ impl Site {
     /// (scheduling, packet handling — everything the additive profile
     /// model omits). This is the "automated approach to determining these
     /// scaling factors" the paper's §7.3 calls for after observing 11.5%
-    /// predicted vs 15% measured CPU.
+    /// predicted vs 15% measured CPU. An overhead that is not finite and
+    /// positive is no factor: a site carrying one is
+    /// [`PartitionError::InvalidPlatform`], not an unlimited budget.
     pub fn with_measured_overheads(mut self) -> Self {
         self.cpu_budget /= self.platform.os_overhead;
         self
@@ -255,6 +257,11 @@ impl Deployment {
             .collect()
     }
 
+    /// Whether `id` has no children.
+    pub(crate) fn is_leaf(&self, id: SiteId) -> bool {
+        !self.parent.contains(&Some(id))
+    }
+
     /// Leaf sites (no children), in insertion order. Each leaf runs one
     /// instance of the program.
     pub fn leaves(&self) -> Vec<SiteId> {
@@ -361,26 +368,41 @@ impl Deployment {
     /// graph and one encoding structure.
     fn objective_with(&self, robustness: RobustnessMode) -> DeploymentObjective {
         let mut obj = DeploymentObjective {
-            alpha: self.sites.iter().map(|s| s.alpha).collect(),
-            cpu_budget: self.sites.iter().map(|s| s.cpu_budget).collect(),
-            count: self.sites.iter().map(|s| s.count as f64).collect(),
-            beta: self
-                .uplink
-                .iter()
-                .map(|u| u.map_or(0.0, |l| l.beta))
-                .collect(),
-            net_budget: self
-                .uplink
-                .iter()
-                .map(|u| u.map_or(f64::INFINITY, |l| l.net_budget))
-                .collect(),
+            alpha: Vec::new(),
+            cpu_budget: Vec::new(),
+            count: Vec::new(),
+            beta: Vec::new(),
+            net_budget: Vec::new(),
             row_order: self.site_order().iter().map(|s| s.0).collect(),
         };
+        self.reprice_objective(&mut obj, robustness);
+        obj
+    }
+
+    /// Rewrite `obj`'s weights, budgets and counts from this deployment
+    /// in place, as [`objective_with`](Self::objective_with) prices them.
+    /// Its row order is the tree's, which no delta moves, so it is kept.
+    fn reprice_objective(&self, obj: &mut DeploymentObjective, robustness: RobustnessMode) {
+        let (sites, uplinks) = (&self.sites, &self.uplink);
+        obj.alpha.clear();
+        obj.alpha.extend(sites.iter().map(|s| s.alpha));
+        obj.cpu_budget.clear();
+        obj.cpu_budget.extend(sites.iter().map(|s| s.cpu_budget));
+        obj.count.clear();
+        obj.count.extend(sites.iter().map(|s| s.count as f64));
+        obj.beta.clear();
+        obj.beta
+            .extend(uplinks.iter().map(|u| u.map_or(0.0, |l| l.beta)));
+        obj.net_budget.clear();
+        obj.net_budget.extend(
+            uplinks
+                .iter()
+                .map(|u| u.map_or(f64::INFINITY, |l| l.net_budget)),
+        );
         if robustness == RobustnessMode::SingleGatewayFailure {
             let root = self.root();
-            let leaves = self.leaves();
             for (i, s) in self.sites.iter().enumerate() {
-                let interior = SiteId(i) != root && !leaves.contains(&SiteId(i));
+                let interior = SiteId(i) != root && !self.is_leaf(SiteId(i));
                 if interior && s.count >= 2 {
                     let c = s.count as f64;
                     obj.count[i] = c - 1.0;
@@ -388,7 +410,6 @@ impl Deployment {
                 }
             }
         }
-        obj
     }
 
     /// The chain view of one leaf's root path, as a [`TierObjective`]
@@ -681,8 +702,10 @@ pub enum PartitionError {
     /// The platform of `site` cannot price ([`Deployment::check_sites`]):
     /// its [`Platform::effective_hz`] is not finite and positive or a
     /// cycle cost not finite and non-negative (either prices operators to
-    /// NaN or negative CPU), or its `radio.format.max_payload` is zero (no
-    /// edge can be framed).
+    /// NaN or negative CPU), its `os_overhead` is not finite and positive
+    /// (a zero one turns every budget [`Site::with_measured_overheads`]
+    /// derates into `+∞`, no limit at all), or its
+    /// `radio.format.max_payload` is zero (no edge can be framed).
     InvalidPlatform {
         /// The site whose platform is invalid.
         site: SiteId,
@@ -959,8 +982,10 @@ fn seed_values(
 /// coarsening of the merged leaf graphs ([`crate::multilevel`], phase 1)
 /// is built at most once too, on first demand: the first time a search
 /// asks for a seed, which it does only with no placement to start from
-/// and a fractional root LP (an instance whose roots are all integral
-/// never builds it). It reads pins, per-tier CPU costs and per-link
+/// and once it is stuck — three node LPs with no incumbent, or its budget
+/// spent with none (an instance whose searches all reach an integral node
+/// LP sooner, every fleet shape's, never builds it). It reads pins,
+/// per-tier CPU costs and per-link
 /// bandwidths, never a count, a budget or the rate, so once built it is
 /// kept for the life of the instance, no delta or probe can stale it, and
 /// — unlike the two things below — keeping it, or building it after some
@@ -999,6 +1024,14 @@ fn seed_values(
 /// [`apply_delta`](Self::apply_delta) drops the refutation (it belongs to
 /// the rows it combines) and rewrites budget rows, which makes the next
 /// root LP a cold start by itself.
+///
+/// A solve's fixed cost, which is what a fleet cache hit pays, is kept
+/// to the search's own pivots: [`apply_delta`](Self::apply_delta)
+/// rewrites the objective and every budget row into their existing
+/// storage, a retarget writes coefficients and right-hand sides in place,
+/// a cold root LP factors its slack basis directly, and the decode's
+/// per-vertex scratch is the instance's. What a response owns is
+/// allocated for it; little else is.
 pub struct PreparedDeployment<'a> {
     _marker: PhantomData<&'a ()>,
     dep: Deployment,
@@ -1031,6 +1064,9 @@ pub struct PreparedDeployment<'a> {
     /// Wall-clock cost of the one-time build: encoding, plus pricing and
     /// the §4.1 merge for each leaf the memo did not hold.
     encode_s: f64,
+    /// Decode scratch, reused by every solve: a leaf's vertex path
+    /// positions, then its per-position operator counts.
+    decode_scratch: Vec<usize>,
 }
 
 /// The placement of the last branch-and-bound run, as the instance keeps
@@ -1135,6 +1171,7 @@ impl<'a> PreparedDeployment<'a> {
             last: None,
             refutation: None,
             encode_s: encode_t.elapsed().as_secs_f64(),
+            decode_scratch: Vec::new(),
         })
     }
 
@@ -1212,12 +1249,14 @@ impl<'a> PreparedDeployment<'a> {
             }
         }
         self.refutation = None;
-        self.obj = self.dep.objective_with(self.cfg.robustness);
+        self.dep
+            .reprice_objective(&mut self.obj, self.cfg.robustness);
         let chains = leaf_chains(&self.leaves, &self.removed, &self.dep);
         self.ep.rescale_in_place(&chains, &self.obj);
-        self.base_objective = (0..self.ep.problem.num_vars())
-            .map(|j| self.ep.problem.objective_coeff(VarId(j)))
-            .collect();
+        let problem = &self.ep.problem;
+        self.base_objective.clear();
+        self.base_objective
+            .extend((0..problem.num_vars()).map(|j| problem.objective_coeff(VarId(j))));
     }
 
     /// How many times the ILP has been encoded (always 1).
@@ -1308,24 +1347,23 @@ impl<'a> PreparedDeployment<'a> {
     /// objective × rate, budget right-hand sides ÷ rate (with each CPU
     /// row's folded root constant re-applied).
     fn retarget(&mut self, rate: f64) {
+        let EncodedDeployment {
+            problem,
+            cpu_rows,
+            net_rows,
+            ..
+        } = &mut self.ep;
         for (j, &base) in self.base_objective.iter().enumerate() {
-            self.ep.problem.set_objective_coeff(VarId(j), base * rate);
+            problem.set_objective_coeff(VarId(j), base * rate);
         }
-        let rows: Vec<(usize, f64)> = self.budget_rhs(rate).collect();
-        for (row, rhs) in rows {
-            self.ep.problem.set_rhs(row, rhs);
+        for (row, rhs) in budget_rhs(cpu_rows, net_rows, &self.obj, rate) {
+            problem.set_rhs(row, rhs);
         }
     }
 
-    /// Every budget row with its right-hand side at `rate`: `C/r − shift`
-    /// for a CPU row, `B/r` for an uplink row. Their terms do not depend on
-    /// the rate.
+    /// [`budget_rhs`] of this instance at `rate`.
     fn budget_rhs(&self, rate: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let cpu = (self.ep.cpu_rows.iter().zip(&self.obj.cpu_budget))
-            .filter_map(move |(row, &c)| row.map(|cr| (cr.row, c / rate - cr.shift)));
-        let net = (self.ep.net_rows.iter().zip(&self.obj.net_budget))
-            .filter_map(move |(row, &b)| row.map(|r| (r, b / rate)));
-        cpu.chain(net)
+        budget_rhs(&self.ep.cpu_rows, &self.ep.net_rows, &self.obj, rate)
     }
 
     /// Does `values` hold every budget row at `rate`? Exactly, with no
@@ -1491,26 +1529,32 @@ impl<'a> PreparedDeployment<'a> {
     /// view: per-leaf placements, per-hop cut edges, and aggregate
     /// per-site loads — all read off the merged leaf graphs, whose costs
     /// are the budget rows' coefficients.
-    fn decode_last(&self) -> DeploymentPartition {
+    fn decode_last(&mut self) -> DeploymentPartition {
         let last = self.last.as_ref().expect("a search kept a placement");
         let (values, rate) = (&last.values, last.rate);
-        let decoded = self.ep.decode(values);
         let mut leaves = Vec::with_capacity(self.leaves.len());
-        for (prep, tier) in self.leaves.iter().zip(&decoded) {
+        for (l, prep) in self.leaves.iter().enumerate() {
             let (k, graph) = (prep.path.len(), &prep.graph);
+            // Each vertex's path position, then each position's operator
+            // count, in the instance's scratch: the response owns neither.
+            let scratch = &mut self.decode_scratch;
+            scratch.clear();
+            self.ep.decode_leaf_into(l, values, scratch);
+            let n = scratch.len();
+            scratch.resize(n + k, 0);
+            let (tier, tier_count) = scratch.split_at_mut(n);
             // Sums run in vertex and edge order, so identical solves report
             // identical bits (the fleet parity suite compares these vectors
             // bit for bit with serial solves); each position's operator list
             // is filled in vertex order and then sorted, so it is canonical.
-            let mut tier_count = vec![0usize; k];
             let mut predicted_cpu = vec![0.0f64; k];
-            for (vert, &t) in graph.vertices.iter().zip(tier) {
+            for (vert, &t) in graph.vertices.iter().zip(&*tier) {
                 tier_count[t] += vert.ops.len();
                 predicted_cpu[t] += vert.cpu_cost[t];
             }
             let mut site_ops: Vec<Vec<OperatorId>> =
                 tier_count.iter().map(|&c| Vec::with_capacity(c)).collect();
-            for (vert, &t) in graph.vertices.iter().zip(tier) {
+            for (vert, &t) in graph.vertices.iter().zip(&*tier) {
                 site_ops[t].extend_from_slice(&vert.ops);
             }
             for ops in &mut site_ops {
@@ -1572,6 +1616,22 @@ impl<'a> PreparedDeployment<'a> {
     }
 }
 
+/// Every budget row with its right-hand side at `rate`: `C/r − shift` for
+/// a CPU row, `B/r` for an uplink row. Their terms do not depend on the
+/// rate.
+fn budget_rhs<'e>(
+    cpu_rows: &'e [Option<CpuRow>],
+    net_rows: &'e [Option<usize>],
+    obj: &'e DeploymentObjective,
+    rate: f64,
+) -> impl Iterator<Item = (usize, f64)> + 'e {
+    let cpu = (cpu_rows.iter().zip(&obj.cpu_budget))
+        .filter_map(move |(row, &c)| row.map(|cr| (cr.row, c / rate - cr.shift)));
+    let net = (net_rows.iter().zip(&obj.net_budget))
+        .filter_map(move |(row, &b)| row.map(|r| (r, b / rate)));
+    cpu.chain(net)
+}
+
 /// Whether `budget` is one: finite (a row) or `+∞` (no row).
 fn is_budget(budget: f64) -> bool {
     budget.is_finite() || budget == f64::INFINITY
@@ -1583,13 +1643,20 @@ fn is_weight(weight: f64) -> bool {
 }
 
 /// A platform that prices every operator to a finite, non-negative CPU
-/// cost and frames every edge into at least one packet.
+/// cost, derates a budget by a finite positive OS overhead, and frames
+/// every edge into at least one packet.
 fn can_price(platform: &Platform) -> bool {
     let hz = platform.effective_hz();
     let costs_ok = OP_CLASSES
         .iter()
         .all(|&c| is_weight(platform.cycle_costs.cost(c)));
-    hz.is_finite() && hz > 0.0 && costs_ok && platform.radio.format.max_payload > 0
+    let overhead = platform.os_overhead;
+    hz.is_finite()
+        && hz > 0.0
+        && costs_ok
+        && overhead.is_finite()
+        && overhead > 0.0
+        && platform.radio.format.max_payload > 0
 }
 
 /// A rate multiplier is a finite positive number, or there is no instance
@@ -1955,6 +2022,34 @@ mod tests {
         // give the gateway to one class and push the other's work to the
         // server. Solving each class alone cannot express this — per-class
         // solves would both claim the gateway.
+        let (g, prof, dep, rate) = shared_gateway();
+        let heavy = OperatorId(1);
+        let gw = SiteId(1);
+        let part =
+            partition_deployment(&g, &prof, &dep, &DeploymentConfig::default().at_rate(rate))
+                .expect("feasible: the server catches whatever the gateway cannot");
+        let hosted: Vec<bool> = part
+            .leaves
+            .iter()
+            .map(|l| l.site_ops[1].contains(&heavy))
+            .collect();
+        assert_eq!(
+            hosted.iter().filter(|&&h| h).count(),
+            1,
+            "exactly one class fits its heavy stage on the shared gateway: {hosted:?}"
+        );
+        let budget = dep.site(gw).cpu_budget;
+        assert!(
+            part.site_cpu[gw.0] <= budget + 1e-9,
+            "gateway cpu {} over shared budget {budget}",
+            part.site_cpu[gw.0]
+        );
+    }
+
+    /// Two mote classes behind one gateway (site 1) whose CPU budget fits
+    /// the pipeline of one class, at the rate returned; each mote affords
+    /// only its pinned source.
+    fn shared_gateway() -> (Graph, GraphProfile, Deployment, f64) {
         let (g, prof) = profiled();
         let phone = Platform::iphone();
         let mote = Platform::tmote_sky();
@@ -1987,25 +2082,8 @@ mod tests {
                 },
             );
         }
-        let part =
-            partition_deployment(&g, &prof, &dep, &DeploymentConfig::default().at_rate(rate))
-                .expect("feasible: the server catches whatever the gateway cannot");
-        let hosted: Vec<bool> = part
-            .leaves
-            .iter()
-            .map(|l| l.site_ops[1].contains(&heavy))
-            .collect();
-        assert_eq!(
-            hosted.iter().filter(|&&h| h).count(),
-            1,
-            "exactly one class fits its heavy stage on the shared gateway: {hosted:?}"
-        );
-        let budget = dep.site(gw).cpu_budget;
-        assert!(
-            part.site_cpu[gw.0] <= budget + 1e-9,
-            "gateway cpu {} over shared budget {budget}",
-            part.site_cpu[gw.0]
-        );
+        assert_eq!(gw, SiteId(1));
+        (g, prof, dep, rate)
     }
 
     #[test]
@@ -2183,14 +2261,29 @@ mod tests {
     }
 
     /// The multilevel hierarchy is built on a search's first demand for a
-    /// seed and then kept. On the starved 8-channel ward a root-capped
-    /// search's root LP is integral at ×3.3 and fractional at ×3.5: the
-    /// first never asks for a seed, so nothing is built; the second builds
+    /// seed — once it is stuck — and then kept. On the shared gateway the
+    /// root LP is fractional but the second node LP is integral: that
+    /// search is not stuck, asks for nothing and builds nothing. On the
+    /// starved 8-channel ward a root-capped search's root LP is integral
+    /// at ×3.3 and fractional at ×3.5: the first never asks for a seed;
+    /// the second is stopped by its budget with no incumbent, so it builds
     /// the hierarchy and adopts its cut. Nothing after that builds
     /// another, which the test sees by swapping the kept hierarchy for one
     /// that admits no cut — any rebuild would overwrite it.
     #[test]
-    fn the_hierarchy_is_built_once_on_the_first_fractional_root() {
+    fn the_hierarchy_is_built_once_by_the_first_stuck_search() {
+        let (g, prof, dep, rate) = shared_gateway();
+        let cfg = DeploymentConfig::default();
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("pins ok");
+        let part = prep.solve_at(rate).expect("feasible");
+        let (_, first_node, _) = part.ilp_stats.incumbents[0];
+        assert!(part.ilp_stats.nodes > 1 && !part.ilp_stats.seeded);
+        assert_eq!(first_node, 2, "a fractional root, then an integral node LP");
+        assert!(
+            prep.hierarchy.is_none(),
+            "a search that is not stuck builds nothing"
+        );
+
         let (g, prof, dep) = wards(8, 800.0, 1_500.0, 0.25);
         let mut cfg = DeploymentConfig::default();
         cfg.ilp.max_nodes = 1;

@@ -58,6 +58,15 @@
 //! [`solve_at_in`](PreparedDeployment::solve_at_in) invalidates it on
 //! entry, so every root LP starts cold.
 //!
+//! A hit's cost is that cold solve and little else. The delta rewrites the
+//! cached encoding's rows in their own storage; the cold root LP factors
+//! its slack basis directly; the arena lends the search its node bound
+//! vectors; and no fleet search asks for the multilevel seed, which a
+//! search does only once it is stuck (three node LPs with no incumbent),
+//! so no cached instance ever builds its coarsening (pinned by
+//! `tests/fleet_parity.rs`'s
+//! `no_fleet_search_is_stuck_so_none_asks_for_the_seed`).
+//!
 //! ## Worker sizing
 //!
 //! Shapes are the parallelism unit: with S distinct shapes, more than S

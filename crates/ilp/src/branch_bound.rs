@@ -31,10 +31,19 @@
 //! seed, adopted when it checks out feasible, and a node LP whose optimum
 //! is integral. A seed is either eager — [`IlpOptions::warm_solution`],
 //! adopted before the first node — or asked for on demand
-//! ([`solve_ilp_seeded_in`]): only after a fractional root LP, or when
-//! the budget runs out, and only while no incumbent is held. There is no
-//! rounding or repair heuristic inside the search, so a run that is given
-//! no seed holds no integer point until its plunge reaches one.
+//! ([`solve_ilp_seeded_in`]) only once the search is stuck: it has solved
+//! a fixed small number of node LPs (three) and holds no incumbent, or
+//! its budget ran out before it held one. A search whose plunge reaches
+//! an integral node LP by then never asks, which is every fleet-sized
+//! search: computing a seed costs more than the node it would save.
+//! There is no rounding or repair heuristic inside the search, so a run
+//! that is given no seed holds no integer point until its plunge reaches
+//! one.
+//!
+//! A search's fixed cost is kept to its pivots: the root bound vectors
+//! and every child's are taken from spares the [`SimplexWorkspace`]
+//! keeps between searches, and a cold root LP factors its diagonal slack
+//! basis directly (see `lu.rs`).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -48,6 +57,15 @@ use crate::workspace::{SimplexWorkspace, SolverBackend};
 
 /// Tolerance for deciding a relaxation value is integral.
 const INT_TOL: f64 = 1e-6;
+
+/// Node LPs a search solves with no incumbent before it asks for the
+/// on-demand seed of [`solve_ilp_seeded_in`]: a search still holding none
+/// after this many is stuck. Chosen by count: across the test suite, the
+/// paper's figures and the benchmark's smoke run, a fleet-sized search
+/// (15–24 rows) that is never seeded finds its first integral node LP at
+/// node 2 or 3, so none of them asks, while the starved 8-channel ward,
+/// whose unseeded search finds none in 20 nodes, is seeded at node 3.
+const SEED_AFTER_NODES: u64 = 3;
 
 /// Options controlling the branch-and-bound search; each field says who
 /// sets it (`xtask lint`'s `config-surface` rule counts them). Presolve
@@ -67,10 +85,11 @@ pub struct IlpOptions {
     /// A known integer-feasible assignment adopted as the initial
     /// incumbent/cutoff when it checks out feasible, so the tree is pruned
     /// from the first node. Besides an integral node LP, the only other
-    /// incumbent is a seed asked for on demand ([`solve_ilp_seeded_in`]).
-    /// Kept: a rate search hands each probe the previous one's placement,
-    /// which costs nothing to offer; a first probe asks for the
-    /// multilevel cut on demand instead.
+    /// incumbent is a seed asked for on demand ([`solve_ilp_seeded_in`]),
+    /// and only by a search that is stuck. Kept: a rate search hands each
+    /// probe the previous one's placement, which costs nothing to offer; a
+    /// first probe leaves the multilevel cut to be asked for on demand
+    /// instead, which a search that is not stuck never does.
     pub warm_solution: Option<Vec<f64>>,
     /// Which simplex backend solves the node LPs, handed to every
     /// [`solve_lp_in`] of the search — the one LP switch: the sparse
@@ -104,8 +123,9 @@ pub struct PhaseTimes {
     pub presolve_s: f64,
     /// Taking a seed: computing it (an on-demand seed's closure, the
     /// multilevel cut in a prepared instance), checking it and adopting
-    /// it, wherever it is taken. A seed asked for after the root LP is
+    /// it, wherever it is taken. A seed asked for after a node LP is
     /// taken inside the node loop, so that part is in `nodes_s` too.
+    /// Exactly zero when no seed was offered or asked for.
     pub warm_start_s: f64,
     /// The node loop: every LP solve, branching, and heap bookkeeping.
     pub nodes_s: f64,
@@ -140,9 +160,10 @@ pub struct IlpStats {
     /// LU factorizations of the sparse backend's basis across all nodes
     /// (loads and warm re-entries included); zero on the dense backend.
     pub refactorizations: u64,
-    /// Elapsed time at which each improving incumbent was found, with its
-    /// objective value.
-    pub incumbents: Vec<(Duration, f64)>,
+    /// Every improving incumbent, in the order found: the elapsed time,
+    /// the number of node LPs solved by then (0 for an eager seed; the
+    /// node's own index for an integral node LP), and its objective value.
+    pub incumbents: Vec<(Duration, u64, f64)>,
     /// Elapsed time when the search first held an incumbent within
     /// floating-point noise (1e-6 relative) of the final best — the
     /// "discover" curve of Fig 6. Later epsilon-scale refinements between
@@ -257,14 +278,17 @@ pub fn solve_ilp_in(
     solve_ilp_seeded_in(problem, opts, ws, || None)
 }
 
-/// [`solve_ilp_in`] with a seed the search asks for only when it needs
-/// one. `seed` is called at most once, and only while no incumbent is
-/// held: after a fractional root LP, before branching, or — if the search
-/// stops on its node or time budget before that — at the stop, so a
-/// search cut short before its root still returns the seed. A search
-/// whose root LP is integral or infeasible never calls it. What it
-/// returns is checked and adopted exactly like
-/// [`IlpOptions::warm_solution`], which, when set, is still adopted
+/// [`solve_ilp_in`] with a seed the search asks for only when it is
+/// stuck. `seed` is called at most once, and only while no incumbent is
+/// held: at the first fractional node LP from the third one on, before
+/// it branches, or — if the search stops on its node
+/// or time budget before that — at the stop, so a search cut short
+/// before its root still returns the seed. At a stop, an adopted seed
+/// that prunes every open node closes the tree: the search is proved. A
+/// search that reaches an integral node LP within its first three nodes
+/// (an integral root included), or that runs out of nodes to explore
+/// first, never calls it. What it returns is checked and adopted exactly
+/// like [`IlpOptions::warm_solution`], which, when set, is still adopted
 /// before the first node.
 pub fn solve_ilp_seeded_in(
     problem: &Problem,
@@ -276,8 +300,10 @@ pub fn solve_ilp_seeded_in(
     ws.reset_counters();
 
     let mut stats = IlpStats::default();
-    let mut root_lower = problem.lower.clone();
-    let mut root_upper = problem.upper.clone();
+    // Node bounds come from the workspace's spares and go back to them.
+    let mut spare = std::mem::take(&mut ws.spare_bounds);
+    let mut root_lower = take_bounds(&mut spare, &problem.lower);
+    let mut root_upper = take_bounds(&mut spare, &problem.upper);
     let presolve_start = Instant::now();
     let outcome = presolve(problem, &mut root_lower, &mut root_upper);
     stats.phase_times.presolve_s = presolve_start.elapsed().as_secs_f64();
@@ -285,6 +311,8 @@ pub fn solve_ilp_seeded_in(
     let mut root_checked = match outcome {
         PresolveOutcome::Feasible { settled, .. } => settled,
         PresolveOutcome::Infeasible => {
+            spare.extend([root_lower, root_upper]);
+            ws.spare_bounds = spare;
             stats.proved = true;
             stats.total_time = start.elapsed();
             return (Err(SolveError::Infeasible), stats);
@@ -293,7 +321,10 @@ pub fn solve_ilp_seeded_in(
 
     let iter_limit = default_iteration_limit(problem);
 
-    let mut incumbent = adopt_seed(problem, || opts.warm_solution.clone(), start, &mut stats);
+    let mut incumbent = opts
+        .warm_solution
+        .as_ref()
+        .and_then(|eager| adopt_seed(problem, || Some(eager.clone()), start, &mut stats));
     let mut seed = Some(seed);
 
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
@@ -340,6 +371,7 @@ pub fn solve_ilp_seeded_in(
                 if let Some((inc_obj, _)) = &incumbent {
                     if n.parent_bound >= inc_obj - gap_slack(*inc_obj, opts.rel_gap) {
                         note_gap_pruned(&mut gap_pruned, n.parent_bound, *inc_obj);
+                        give_bounds(&mut spare, n);
                         continue;
                     }
                 }
@@ -366,6 +398,7 @@ pub fn solve_ilp_seeded_in(
         // Activity fast-fail: hopeless children never reach the simplex.
         let checked = std::mem::take(&mut root_checked);
         if !checked && quick_infeasible(problem, &node.lower, &node.upper) {
+            give_bounds(&mut spare, node);
             continue;
         }
 
@@ -388,6 +421,7 @@ pub fn solve_ilp_seeded_in(
                 if stats.nodes == 1 {
                     stats.refutation = ws.refutation(problem);
                 }
+                give_bounds(&mut spare, node);
                 continue;
             }
             Err(e) => {
@@ -397,7 +431,10 @@ pub fn solve_ilp_seeded_in(
         };
         stats.simplex_iterations += lp.iterations;
 
-        if incumbent.is_none() && pick_branch_var(problem, &lp.values).is_some() {
+        if incumbent.is_none()
+            && stats.nodes >= SEED_AFTER_NODES
+            && pick_branch_var(problem, &lp.values).is_some()
+        {
             if let Some(seed) = seed.take() {
                 incumbent = adopt_seed(problem, seed, start, &mut stats);
             }
@@ -405,14 +442,16 @@ pub fn solve_ilp_seeded_in(
         if let Some((inc_obj, _)) = &incumbent {
             if lp.objective >= inc_obj - gap_slack(*inc_obj, opts.rel_gap) {
                 note_gap_pruned(&mut gap_pruned, lp.objective, *inc_obj);
+                give_bounds(&mut spare, node);
                 continue; // bound prune
             }
         }
 
         match pick_branch_var(problem, &lp.values) {
             None => {
+                give_bounds(&mut spare, node);
                 // Integer feasible: round off the residual fuzz.
-                let mut vals = lp.values.clone();
+                let mut vals = lp.values;
                 for (j, v) in vals.iter_mut().enumerate() {
                     if problem.integer[j] {
                         *v = v.round();
@@ -423,7 +462,7 @@ pub fn solve_ilp_seeded_in(
                     .as_ref()
                     .is_none_or(|(best, _)| obj < best - 1e-12);
                 if improves {
-                    stats.incumbents.push((start.elapsed(), obj));
+                    stats.incumbents.push((start.elapsed(), stats.nodes, obj));
                     incumbent = Some((obj, vals));
                     // A better incumbent retires every open node above
                     // the new cutoff; dropping them eagerly keeps the
@@ -445,8 +484,8 @@ pub fn solve_ilp_seeded_in(
                 let ceil = x.ceil();
                 // Down child: x_j <= floor; Up child: x_j >= ceil.
                 let mut down = Node {
-                    lower: node.lower.clone(),
-                    upper: node.upper.clone(),
+                    lower: take_bounds(&mut spare, &node.lower),
+                    upper: take_bounds(&mut spare, &node.upper),
                     parent_bound: lp.objective,
                     depth: node.depth + 1,
                 };
@@ -476,6 +515,23 @@ pub fn solve_ilp_seeded_in(
         if let Some(seed) = seed.take() {
             incumbent = adopt_seed(problem, seed, start, &mut stats);
         }
+        // The open nodes were branched with no cutoff: a seed that
+        // prunes every one of them has closed the tree after all.
+        if let Some((inc_obj, _)) = &incumbent {
+            let cutoff = inc_obj - gap_slack(*inc_obj, opts.rel_gap);
+            heap.retain(|n| {
+                let open = n.parent_bound < cutoff;
+                if !open {
+                    note_gap_pruned(&mut gap_pruned, n.parent_bound, *inc_obj);
+                }
+                open
+            });
+            if plunge.as_ref().is_some_and(|n| n.parent_bound >= cutoff) {
+                let n = plunge.take().expect("checked above");
+                note_gap_pruned(&mut gap_pruned, n.parent_bound, *inc_obj);
+            }
+            hit_limit = !heap.is_empty() || plunge.is_some();
+        }
     }
     stats.warm_starts = ws.warm_starts();
     stats.cold_starts = ws.cold_starts();
@@ -484,10 +540,6 @@ pub fn solve_ilp_seeded_in(
     stats.refactorizations = ws.refactorizations();
     stats.total_time = start.elapsed();
     stats.timed_out = hit_limit;
-
-    if let Some(e) = fatal {
-        return (Err(e), stats);
-    }
 
     // The heap top is the residual lower bound over the open tree
     // (best-first keeps it the minimum); an interrupted plunge child is
@@ -502,6 +554,14 @@ pub fn solve_ilp_seeded_in(
                 .map(|n| n.parent_bound)
                 .unwrap_or(f64::INFINITY),
         );
+    for n in heap.into_iter().chain(plunge) {
+        give_bounds(&mut spare, n);
+    }
+    ws.spare_bounds = spare;
+
+    if let Some(e) = fatal {
+        return (Err(e), stats);
+    }
 
     let result = match incumbent {
         Some((obj, values)) => {
@@ -510,8 +570,8 @@ pub fn solve_ilp_seeded_in(
             stats.time_to_best = stats
                 .incumbents
                 .iter()
-                .find(|&&(_, o)| o <= obj + discover_tol)
-                .map(|&(t, _)| t)
+                .find(|&&(_, _, o)| o <= obj + discover_tol)
+                .map(|&(t, _, _)| t)
                 .unwrap_or_default();
             stats.final_gap = if open_bound < obj {
                 (obj - open_bound) / obj.abs().max(1.0)
@@ -564,13 +624,35 @@ fn adopt_seed(
             }
             problem.is_feasible(&vals, 1e-6).then(|| {
                 let obj = problem.objective_value(&vals);
-                stats.incumbents.push((start.elapsed(), obj));
+                stats.incumbents.push((start.elapsed(), stats.nodes, obj));
                 stats.seeded = true;
                 (obj, vals)
             })
         });
     stats.phase_times.warm_start_s += t.elapsed().as_secs_f64();
     adopted
+}
+
+/// Spare bound vectors a workspace keeps between searches: enough for a
+/// small search's whole tree, and a bound on what a large one leaves
+/// behind.
+const SPARE_BOUNDS: usize = 8;
+
+/// A copy of `bounds` in a spare vector, or a new one when none is left.
+fn take_bounds(spare: &mut Vec<Vec<f64>>, bounds: &[f64]) -> Vec<f64> {
+    let mut v = spare.pop().unwrap_or_default();
+    v.clear();
+    v.extend_from_slice(bounds);
+    v
+}
+
+/// Keep a finished node's bound vectors as spares, up to [`SPARE_BOUNDS`].
+fn give_bounds(spare: &mut Vec<Vec<f64>>, node: Node) {
+    for v in [node.lower, node.upper] {
+        if spare.len() < SPARE_BOUNDS {
+            spare.push(v);
+        }
+    }
 }
 
 /// Absolute part of the pruning slack: a node bounded within it of the
@@ -908,8 +990,46 @@ mod tests {
     }
 
     #[test]
-    fn an_on_demand_seed_is_asked_for_only_by_a_fractional_root_or_a_stop() {
-        // The knapsack of the test above: a fractional root LP.
+    fn an_on_demand_seed_is_asked_for_only_by_a_stuck_search_or_a_stop() {
+        // A knapsack whose unseeded search meets its first integral node
+        // LP at node 8: stuck, it asks once, after node
+        // `SEED_AFTER_NODES`, and the seed is the incumbent from there.
+        let mut stuck = Problem::new();
+        let items: Vec<_> = [5.0, 4.0, 3.0, 7.0, 2.0]
+            .iter()
+            .map(|&c| (stuck.add_binary(-c), c + 0.5))
+            .collect();
+        stuck.add_constraint(&items, Sense::Le, 7.3);
+        let mut ws = SimplexWorkspace::new();
+        let (unseeded, plain) = solve_ilp_in(&stuck, &IlpOptions::default(), &mut ws);
+        assert_eq!(
+            plain.incumbents[0].1, 8,
+            "the unseeded search's first incumbent"
+        );
+        let mut asked = 0;
+        let seed = || {
+            asked += 1;
+            Some(vec![0.0; 5])
+        };
+        let (result, stats) = solve_ilp_seeded_in(&stuck, &IlpOptions::default(), &mut ws, seed);
+        assert_eq!(asked, 1, "a stuck search asks once");
+        assert!(stats.seeded && stats.proved);
+        assert_eq!(stats.incumbents[0].1, SEED_AFTER_NODES);
+        assert_close(result.unwrap().objective, unseeded.unwrap().objective);
+
+        // A fractional root whose plunge lands on an integral node LP at
+        // once is not stuck: min −x − y, x + y ≤ 1.5 over binaries.
+        let mut quick = Problem::new();
+        let (x, y) = (quick.add_binary(-1.0), quick.add_binary(-1.0));
+        quick.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Le, 1.5);
+        let never = || -> Option<Vec<f64>> { panic!("no seed is needed") };
+        let (result, stats) = solve_ilp_seeded_in(&quick, &IlpOptions::default(), &mut ws, never);
+        assert_close(result.unwrap().objective, -1.0);
+        assert!(stats.nodes > 1 && !stats.seeded);
+        assert_eq!(stats.incumbents[0].1, 2, "the root was fractional");
+
+        // Stopped by its budget before it is stuck, a search asks at the
+        // stop: the knapsack of the test above, one node.
         let mut p = Problem::new();
         let x = p.add_binary(-5.0);
         let y = p.add_binary(-4.0);
@@ -919,14 +1039,13 @@ mod tests {
             max_nodes: 1,
             ..Default::default()
         };
-        let mut ws = SimplexWorkspace::new();
         let mut asked = 0;
         let seed = || {
             asked += 1;
             Some(vec![0.0, 0.0, 1.0])
         };
         let (result, stats) = solve_ilp_seeded_in(&p, &one_node, &mut ws, seed);
-        assert_eq!(asked, 1, "a fractional root asks once");
+        assert_eq!(asked, 1, "a stop with no incumbent asks once");
         assert_close(result.expect("the seed is an incumbent").objective, -3.0);
         assert!(stats.seeded && !stats.proved);
         assert_eq!(stats.nodes, 1);
@@ -972,6 +1091,37 @@ mod tests {
     }
 
     #[test]
+    fn a_seed_taken_at_a_stop_that_prunes_every_open_node_closes_the_tree() {
+        // min x + y + z, 2x + 2y + 2z ≥ 3 over binaries: the root LP is
+        // 1.5 and fractional. Stopped after it, the search takes the seed
+        // (1, 1, 0), objective 2; within a 50 % gap it prunes both open
+        // children, bound 1.5, so the search is finished, not cut short.
+        let mut p = Problem::new();
+        let v: Vec<_> = (0..3).map(|_| p.add_binary(1.0)).collect();
+        p.add_constraint(&[(v[0], 2.0), (v[1], 2.0), (v[2], 2.0)], Sense::Ge, 3.0);
+        let opts = IlpOptions {
+            max_nodes: 1,
+            rel_gap: 0.5,
+            ..Default::default()
+        };
+        let seed = || Some(vec![1.0, 1.0, 0.0]);
+        let mut ws = SimplexWorkspace::new();
+        let (result, stats) = solve_ilp_seeded_in(&p, &opts, &mut ws, seed);
+        assert_close(result.expect("the seed").objective, 2.0);
+        assert!(stats.seeded && stats.proved && !stats.timed_out);
+        assert_close(stats.best_bound.expect("the pruned children's bound"), 1.5);
+        // Within no gap it prunes nothing: the search was cut short.
+        let exact = IlpOptions {
+            rel_gap: 0.0,
+            ..opts
+        };
+        let (result, stats) = solve_ilp_seeded_in(&p, &exact, &mut ws, seed);
+        assert_close(result.expect("the seed").objective, 2.0);
+        assert!(stats.seeded && !stats.proved && stats.timed_out);
+        assert_close(stats.best_bound.expect("the open children's bound"), 1.5);
+    }
+
+    #[test]
     fn adopted_warm_solution_is_flagged_seeded() {
         let mut p = Problem::new();
         let vals = [10.0, 13.0, 4.0, 8.0];
@@ -989,7 +1139,7 @@ mod tests {
         assert!(stats.seeded, "feasible warm solution must seed the search");
         assert_close(s.objective, -23.0);
         // The seed is the first recorded incumbent.
-        assert_close(stats.incumbents[0].1, -12.0);
+        assert_close(stats.incumbents[0].2, -12.0);
         // An infeasible seed is ignored, not adopted.
         let bad = IlpOptions {
             warm_solution: Some(vec![1.0, 1.0, 1.0, 1.0]),
@@ -1009,8 +1159,9 @@ mod tests {
         p.add_constraint(&row, Sense::Le, 4.0);
         let (_, stats) = solved(&p, &IlpOptions::default());
         for w in stats.incumbents.windows(2) {
-            assert!(w[1].1 < w[0].1, "objectives must strictly improve");
+            assert!(w[1].2 < w[0].2, "objectives must strictly improve");
             assert!(w[1].0 >= w[0].0, "times must be nondecreasing");
+            assert!(w[1].1 >= w[0].1, "node indices must be nondecreasing");
         }
         assert!(stats.time_to_best <= stats.total_time);
     }
@@ -1063,7 +1214,7 @@ mod tests {
         assert_close(s.objective, -23.0);
         assert!(stats.proved);
         assert_eq!(
-            stats.incumbents.first().map(|&(_, o)| o),
+            stats.incumbents.first().map(|&(_, _, o)| o),
             Some(-23.0),
             "seed adopted as the first incumbent"
         );

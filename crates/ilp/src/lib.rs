@@ -40,8 +40,13 @@
 //!   fractional variable, so the reported optimality gap tightens
 //!   monotonically and limit-hit returns carry a meaningful bound. An
 //!   incumbent is the caller's seed — [`IlpOptions::warm_solution`], or
-//!   one [`solve_ilp_seeded_in`] asks for only after a fractional root
-//!   LP — or an integral node LP; the search rounds and repairs nothing.
+//!   one [`solve_ilp_seeded_in`] asks for only once the search is stuck
+//!   (a few node LPs with no incumbent, or its budget spent) — or an
+//!   integral node LP; the search rounds and repairs nothing. Every cold
+//!   LP starts from a diagonal ±1 slack basis, which is factored
+//!   directly in `O(m)`, and a search in a reused workspace takes its
+//!   node bound vectors from the workspace, so a small search's fixed
+//!   cost is its pivots.
 //!
 //! ```
 //! use wishbone_ilp::{solve_ilp, IlpOptions, Problem, Sense};

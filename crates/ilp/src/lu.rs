@@ -700,6 +700,102 @@ impl LuFactors {
         true
     }
 
+    /// Factor the diagonal ±1 basis every cold load starts from: basis
+    /// position `k` holds a unit column — a slack or an artificial —
+    /// whose one entry, ±1, sits in row `k`. `O(m)`, with no peel and no
+    /// elimination: the factors are exactly the ones
+    /// [`factorize`](LuFactors::factorize) builds on such a basis (its
+    /// peel pops the singletons last position first, so step `s` pivots
+    /// position and row `m − 1 − s` on the column's own entry, with empty
+    /// `L` and `U`), so every solve after it is bit for bit the same.
+    /// Debug builds check that on every call, FTRAN and BTRAN of each unit
+    /// vector against a `factorize` of the same basis.
+    pub(crate) fn factorize_diagonal(&mut self, matrix: &CscMatrix, basis: &[usize]) {
+        let m = matrix.rows();
+        debug_assert_eq!(basis.len(), m);
+        self.etas.reset(m);
+        self.m = m;
+        self.rowwise_ready = false;
+        self.bits.clear();
+        self.bits.resize(m.div_ceil(64), 0);
+        self.cwork.clear();
+        self.cwork.resize(m, 0.0);
+        self.clive.clear();
+        self.work.clear();
+        self.work.resize(m, 0.0);
+        self.zwork.clear();
+        self.zwork.resize(m, 0.0);
+        self.l_ptr.clear();
+        self.l_ptr.resize(m + 1, 0);
+        self.l_rows.clear();
+        self.l_vals.clear();
+        self.u_ptr.clear();
+        self.u_ptr.resize(m + 1, 0);
+        self.u_steps.clear();
+        self.u_vals.clear();
+        self.prow.clear();
+        self.pcol.clear();
+        self.pivot_hint.clear();
+        self.u_diag.clear();
+        for k in (0..m).rev() {
+            let (rows, vals) = matrix.col(basis[k]);
+            debug_assert!(
+                rows == [k] && vals[0].abs() == 1.0, // audit:allow(float-eq): ±1 exactly
+                "basis position {k} is not a unit column in row {k}"
+            );
+            self.prow.push(k);
+            self.pcol.push(k);
+            self.pivot_hint.push(k as u32);
+            self.u_diag.push(vals[0]);
+        }
+        // Row `i` is pivoted at step `m − 1 − i`.
+        self.ppos.clear();
+        self.ppos.extend((0..m).rev());
+        #[cfg(debug_assertions)]
+        self.assert_same_solves_as_factorize(matrix, basis);
+    }
+
+    /// Debug builds: FTRAN of every unit column and BTRAN of every unit
+    /// row through these factors equal, bit for bit, the same solves
+    /// through a [`factorize`](LuFactors::factorize) of `basis`.
+    #[cfg(debug_assertions)]
+    fn assert_same_solves_as_factorize(&mut self, matrix: &CscMatrix, basis: &[usize]) {
+        let m = self.m;
+        let mut reference = LuFactors::default();
+        assert!(reference.factorize(matrix, basis), "a ±1 diagonal basis");
+        let mut w = vec![0.0; m];
+        let mut stamp = vec![0u64; m];
+        let (mut out, mut nnz) = (vec![0.0; m], Vec::new());
+        let (mut y, mut y_nnz) = (vec![0.0; m], Vec::new());
+        let mut solves = |lu: &mut LuFactors, i: usize| {
+            nnz.clear();
+            w[i] = 1.0;
+            lu.ftran_sparse(
+                &mut w,
+                std::iter::once(i),
+                &mut out,
+                &mut stamp,
+                i as u64 + 1,
+                &mut nnz,
+            );
+            let ftran: Vec<(usize, u64)> = nnz.iter().map(|&k| (k, out[k].to_bits())).collect();
+            y_nnz.clear();
+            lu.btran_unit(i, &mut y, &mut y_nnz);
+            let btran: Vec<(u32, u64)> = y_nnz
+                .iter()
+                .map(|&r| (r, std::mem::take(&mut y[r as usize]).to_bits()))
+                .collect();
+            (ftran, btran)
+        };
+        for i in 0..m {
+            let (ours, theirs) = (solves(self, i), solves(&mut reference, i));
+            assert_eq!(
+                ours, theirs,
+                "unit vector {i}: the diagonal factor solves differently"
+            );
+        }
+    }
+
     /// Compute the factor-order column permutation `pcol` by peeling
     /// column singletons: any basis column with exactly one entry in a
     /// still-unpivoted *sparse* row pivots there (`pivot_hint`), and every

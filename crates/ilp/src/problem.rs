@@ -153,19 +153,35 @@ impl Problem {
         sense: Sense,
         rhs: f64,
     ) {
+        self.rewrite_constraint(row, sense, rhs, |row_terms| {
+            row_terms.extend_from_slice(terms)
+        });
+    }
+
+    /// [`replace_constraint`](Problem::replace_constraint) into the row's
+    /// own storage: `fill` receives the row's terms emptied, with their
+    /// capacity kept, and pushes the new ones. A caller that rewrites the
+    /// same rows again and again (a cached encoding morphed to each
+    /// request's counts and budgets) allocates nothing once every row has
+    /// held its longest form. The matrix stamp renews as it does there.
+    pub fn rewrite_constraint(
+        &mut self,
+        row: usize,
+        sense: Sense,
+        rhs: f64,
+        fill: impl FnOnce(&mut Vec<(VarId, f64)>),
+    ) {
         assert!(row < self.constraints.len(), "no constraint at row {row}");
-        for &(v, _) in terms {
-            assert!(
-                v.0 < self.objective.len(),
-                "constraint references unknown variable"
-            );
-        }
         self.renew_matrix_stamp();
-        self.constraints[row] = Constraint {
-            terms: terms.to_vec(),
-            sense,
-            rhs,
-        };
+        let n = self.objective.len();
+        let c = &mut self.constraints[row];
+        c.terms.clear();
+        fill(&mut c.terms);
+        for &(v, _) in &c.terms {
+            assert!(v.0 < n, "constraint references unknown variable");
+        }
+        c.sense = sense;
+        c.rhs = rhs;
     }
 
     /// Lower bounds of all variables (indexed by `VarId`). Useful with

@@ -548,8 +548,10 @@ impl SimplexWorkspace {
         }
 
         self.sparse.resize(m, first_artificial);
-        let ok = self.sparse.refactor(&self.basis);
-        debug_assert!(ok, "the starting basis is diagonal");
+        self.sparse.refactorizations += 1;
+        self.sparse
+            .lu
+            .factorize_diagonal(&self.sparse.matrix, &self.basis);
         dual_first
     }
 

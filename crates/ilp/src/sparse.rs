@@ -32,6 +32,8 @@ pub(crate) struct CscMatrix {
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     values: Vec<f64>,
+    /// Fill cursors of [`load`](CscMatrix::load), kept for the next one.
+    cursor: Vec<usize>,
 }
 
 impl CscMatrix {
@@ -107,7 +109,9 @@ impl CscMatrix {
         self.row_idx.resize(nnz_structural, 0);
         self.values.clear();
         self.values.resize(nnz_structural, 0.0);
-        let mut cursor: Vec<usize> = self.col_ptr[..n_structural].to_vec();
+        let cursor = &mut self.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&self.col_ptr[..n_structural]);
         for (i, c) in problem.constraints.iter().enumerate() {
             for &(v, a) in &c.terms {
                 let pos = cursor[v.0];

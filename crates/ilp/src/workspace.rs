@@ -127,6 +127,11 @@ pub struct SimplexWorkspace {
     /// abandoned attempts included.
     pub(crate) dual_iterations: u64,
     pub(crate) primal_iterations: u64,
+    /// Spare bound vectors of branch-and-bound nodes: a search takes each
+    /// node's bounds from here and gives them back once the node is done,
+    /// so a search in a reused workspace copies its bounds without
+    /// allocating. They hold nothing a solve reads.
+    pub(crate) spare_bounds: Vec<Vec<f64>>,
 }
 
 /// Reset a buffer to `len` copies of `val` without shrinking capacity (and

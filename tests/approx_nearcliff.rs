@@ -7,16 +7,17 @@
 //! no incumbent, which `max_sustainable_rate_deployment` then misread
 //! as "infeasible".
 //!
-//! The seed is asked for only after a fractional root LP, so the anchors
-//! that need it run on the starved 8-channel ward, whose root LP stays
-//! fractional just under its cliff; on the 4-channel tight forest the
-//! root LP is integral and the seed is never asked for.
+//! The seed is asked for only once a search is stuck — a few node LPs
+//! with no incumbent, or its budget spent — so the anchors that need it
+//! run on the starved 8-channel ward, whose LPs stay fractional just
+//! under its cliff; on the 4-channel tight forest the root LP is integral
+//! and the seed is never asked for.
 //!
 //! The anchors:
 //!
-//! * on the 8-channel ward, a node-capped search holds a placement in
-//!   well under a second — the heuristic's cut, adopted right after the
-//!   fractional root — where the unseeded search would find none;
+//! * on the 8-channel ward, a node-capped search holds a placement by its
+//!   third node LP — the heuristic's cut, adopted once the search is
+//!   stuck — where the unseeded search would find none in 20;
 //! * a root-capped search (`ilp.max_nodes = 1`, the bounded-time mode)
 //!   returns an integer-feasible placement whose certified optimality
 //!   gap (vs the root LP bound) is ≤ 2.5%, and whose *actual* gap vs the
@@ -240,10 +241,15 @@ fn probe_unproven_band() {
     }
 }
 
+/// The node by which a stuck search holds the seed: branch-and-bound
+/// asks for it once this many node LPs have come back with no incumbent
+/// (`SEED_AFTER_NODES` in `wishbone-ilp`'s `branch_bound.rs`).
+const SEED_DUE_AT_NODE: u64 = 3;
+
 /// On the starved 8-channel ward a 20-node search returns a placement,
-/// and its first incumbent comes in well under a second: the multilevel
-/// cut, asked for once the root LP comes back fractional. The same
-/// problem searched unseeded finds no placement in 20 nodes.
+/// and its first incumbent is the multilevel cut, adopted at the node the
+/// seed is due — a count, the same on every host. The same problem
+/// searched unseeded finds no placement in 20 nodes.
 #[test]
 fn seeded_search_finds_an_incumbent_fast_near_the_cliff() {
     let (graph, prof) = eeg_profiled(8);
@@ -256,16 +262,16 @@ fn seeded_search_finds_an_incumbent_fast_near_the_cliff() {
         .expect("the seed is a placement");
     assert!(
         part.ilp_stats.seeded,
-        "the multilevel cut must be adopted after the fractional root"
+        "the multilevel cut must be adopted once the search is stuck"
     );
-    let (first_at, _) = *part
+    let (_, first_node, _) = *part
         .ilp_stats
         .incumbents
         .first()
         .expect("a solved instance records its incumbents");
     assert!(
-        first_at < Duration::from_secs(1),
-        "first incumbent took {first_at:?}; the near-cliff starvation is back"
+        first_node <= SEED_DUE_AT_NODE && SEED_DUE_AT_NODE < cfg.ilp.max_nodes,
+        "first incumbent after {first_node} node LPs; the near-cliff starvation is back"
     );
     assert_eq!(
         wishbone::ilp::solve_ilp(prep.problem(), &cfg.ilp).err(),
@@ -356,8 +362,8 @@ fn starved_probe_past_the_cliff_reports_unproven_not_infeasible() {
         prep.solve_at(rate)
     };
 
-    // Under the cliff the multilevel seed is the incumbent from
-    // millisecond one: 50 nodes is plenty to return a placement (the
+    // Under the cliff the multilevel seed is the incumbent from the
+    // node it is due: 50 nodes is plenty to return a placement (the
     // proof phase is cut short — `timed_out` stays honest about that).
     let part = solve(STARVED_RATE, 50).expect("seeded solve succeeds");
     assert!(part.ilp_stats.seeded, "incumbent came from the seed");

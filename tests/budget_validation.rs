@@ -33,8 +33,9 @@
 //! cut edge's on-air bytes are framed by `radio.format`. A zero or NaN
 //! clock, or a NaN cycle cost, would price to a NaN objective, a
 //! negative DVFS derate to negative CPU costs, and a zero payload per
-//! packet would divide by zero in a fleet worker. Every path answers
-//! `PartitionError::InvalidPlatform`.
+//! packet would divide by zero in a fleet worker; a zero OS overhead
+//! turns a CPU budget that `Site::with_measured_overheads` derates into
+//! `+∞`. Every path answers `PartitionError::InvalidPlatform`.
 //!
 //! `IlpOptions::rel_gap` is a public field too. Branch-and-bound prunes a
 //! node whose bound is within that gap of the incumbent, so a NaN gap
@@ -573,4 +574,60 @@ fn a_platform_that_cannot_price_is_refused_by_the_fleet_and_caches_nothing() {
         assert_eq!(stats.errors, 1);
         assert_eq!(stats.distinct_shapes, 1, "only the neighbour is cached");
     }
+}
+
+/// A star whose mote's platform carries OS overhead `overhead`, its CPU
+/// budget derated by it as §7.3 prescribes.
+fn derated_star(overhead: f64) -> Deployment {
+    let mut mote = Platform::tmote_sky();
+    mote.os_overhead = overhead;
+    let site = Site::new("mote", &mote).with_measured_overheads();
+    Deployment::star([(site, LinkSpec::for_platform(&mote))])
+}
+
+/// `Site::with_measured_overheads` divides the CPU budget by the
+/// platform's OS overhead, so a zero overhead turned the mote's 1.0
+/// budget into `+∞` — no limit, solved as such — a negative one into a
+/// negative budget and an infinite one into a zero budget. An overhead
+/// that is not finite and positive is a platform that cannot price, on
+/// every path. (A NaN one derates to a NaN budget, which the budget check
+/// before it refuses.)
+#[test]
+fn a_zero_os_overhead_is_refused_not_read_as_no_budget() {
+    let (g, prof) = eeg2();
+    let cfg = DeploymentConfig::default();
+    let nan = derated_star(f64::NAN);
+    assert_eq!(
+        partition_deployment(&g, &prof, &nan, &cfg).err(),
+        Some(PartitionError::InvalidBudget {
+            site: nan.leaves()[0]
+        })
+    );
+    for overhead in [0.0, -1.0, f64::INFINITY] {
+        let dep = derated_star(overhead);
+        let refused = PartitionError::InvalidPlatform {
+            site: dep.leaves()[0],
+        };
+        assert_eq!(
+            partition_deployment(&g, &prof, &dep, &cfg).err(),
+            Some(refused.clone()),
+            "os_overhead {overhead}"
+        );
+        let req = FleetRequest {
+            id: 0,
+            graph: Arc::clone(&g),
+            profile: Arc::clone(&prof),
+            deployment: dep,
+            config: cfg.clone(),
+            rate: 1.0,
+        };
+        let mut cache = ShapeCache::new();
+        let (hit, got) = cache.serve(&req, key_of(&req), &mut SimplexWorkspace::new(), true);
+        assert!(!hit && cache.is_empty(), "os_overhead {overhead}");
+        assert_eq!(got.err(), Some(refused), "os_overhead {overhead}");
+    }
+    // A measured overhead derates the budget and partitions.
+    let part = partition_deployment(&g, &prof, &derated_star(1.15), &cfg)
+        .expect("a measured overhead prices");
+    assert!(part.site_cpu[part.leaves[0].leaf.0] <= 1.0 / 1.15 + 1e-9);
 }

@@ -23,13 +23,17 @@ fn full_eeg_app_partitions_in_reasonable_time() {
     let prof = profile(&app.graph, &traces).unwrap();
 
     let cfg = DeploymentConfig::default().at_rate(1.0);
-    let start = std::time::Instant::now();
     let part = partition_deployment(&app.graph, &prof, &mote_star(), &cfg)
         .expect("feasible at reference rate");
-    let elapsed = start.elapsed();
+    // "Reasonable time" as a count, the same on every host: the root LP
+    // is the whole search, in no more simplex iterations than when this
+    // bound was recorded (419).
+    let stats = &part.ilp_stats;
     assert!(
-        elapsed.as_secs_f64() < 60.0,
-        "kilooperator graph should partition in seconds, took {elapsed:?}"
+        stats.nodes == 1 && stats.simplex_iterations <= 419,
+        "kilooperator graph took {} nodes and {} simplex iterations",
+        stats.nodes,
+        stats.simplex_iterations
     );
     // Preprocessing must shrink the ILP substantially (§4.1). With the
     // sound single-out-edge merge rule the reduction is ~35% on this graph

@@ -49,8 +49,11 @@ enum Needle {
     Ident(&'static str),
     /// A call `name(` — not the `fn name(` that defines it.
     Call(&'static str),
+    /// The identifier inside the arguments of an assertion macro
+    /// (`assert!`, `assert_eq!`, `debug_assert!`, …), on any of its lines.
+    InAssert(&'static str),
 }
-use Needle::{Call, Ident, Text};
+use Needle::{Call, Ident, InAssert, Text};
 
 /// Where a [`Confine`] row's needles may appear.
 enum Home {
@@ -102,7 +105,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 17] = [
+const CONFINE: [Confine; 18] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -245,6 +248,18 @@ const CONFINE: [Confine; 17] = [
         why: "`{}` — a graph's work functions are prototypes that nothing runs: run an \
               instance set from `Graph::instantiate_work`, and replicate an operator by \
               deriving `Clone`",
+    },
+    Confine {
+        rule: "counts-not-seconds",
+        // Every test directory; the homes time a time feature or hold the
+        // wall-clock ratios that are calibrated on optimized builds.
+        scope: &["tests", "crates/dataflow/tests", "crates/dsp/tests", "crates/ilp/tests",
+                 "crates/net/tests", "crates/profile/tests"],
+        needles: &[InAssert("elapsed"), InAssert("Duration")],
+        homes: &[Home::File("tests/perf_ratios.rs"),
+                 Home::Fn("crates/ilp/tests/stress_ilp.rs", "time_limit_is_respected")],
+        why: "`{}` in an assertion — a test bounds a count (nodes, iterations, pivots), which \
+              repeats on any host, not seconds, which a loaded host stretches",
     },
 ];
 
@@ -505,6 +520,9 @@ struct CodeLine<'a> {
     code: String,
     /// The `fn` the line is in: the last one declared at or above it.
     in_fn: String,
+    /// Whether some of the line's code is an argument of an assertion
+    /// macro ([`InAssert`]).
+    in_assert: bool,
 }
 
 /// The non-test prefix of a source file: by repo convention the
@@ -512,6 +530,8 @@ struct CodeLine<'a> {
 /// the first `#[cfg(test)]` on is test code.
 fn code_lines(text: &str) -> Vec<CodeLine<'_>> {
     let mut in_fn = String::new();
+    // Open parentheses of the assertion macro call being read (0: none).
+    let mut assert_depth = 0usize;
     text.lines()
         .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
         .enumerate()
@@ -521,14 +541,53 @@ fn code_lines(text: &str) -> Vec<CodeLine<'_>> {
                 in_fn = ident_prefix(name).to_string();
             }
             let in_fn = in_fn.clone();
+            let in_assert = track_assert(&code, &mut assert_depth);
             CodeLine {
                 no: i + 1,
                 raw,
                 code,
                 in_fn,
+                in_assert,
             }
         })
         .collect()
+}
+
+/// Advance `depth`, the open parentheses of an assertion macro's call,
+/// over one line of `code`; whether any of the line is inside one. An
+/// assertion macro is an identifier containing `assert` followed by `!(`.
+fn track_assert(code: &str, depth: &mut usize) -> bool {
+    let mut inside = *depth > 0;
+    let mut rest = code;
+    while !rest.is_empty() {
+        if *depth == 0 {
+            let Some(at) = rest.find("assert") else {
+                break;
+            };
+            // What follows the identifier the match is in.
+            let after = &rest[at..];
+            let after = &after[ident_prefix(after).len()..];
+            match after.strip_prefix("!(") {
+                Some(args) => {
+                    inside = true;
+                    *depth = 1;
+                    rest = args;
+                }
+                None => rest = after,
+            }
+            continue;
+        }
+        let Some(at) = rest.find(['(', ')']) else {
+            break;
+        };
+        if rest[at..].starts_with('(') {
+            *depth += 1;
+        } else {
+            *depth -= 1;
+        }
+        rest = &rest[at + 1..];
+    }
+    inside
 }
 
 fn allowed(line: &str, rule: &str) -> bool {
@@ -605,18 +664,20 @@ fn calls(code: &str, name: &str) -> bool {
 }
 
 impl Needle {
-    fn found_in(self, code: &str) -> bool {
+    fn found_in(self, line: &CodeLine) -> bool {
+        let code = line.code.as_str();
         match self {
             Text(text) => code.contains(text),
             Ident(ident) => mentions_ident(code, ident),
             Call(name) => calls(code, name),
+            InAssert(ident) => line.in_assert && mentions_ident(code, ident),
         }
     }
 
     /// How a message names the needle.
     fn shown(self) -> String {
         match self {
-            Text(text) | Ident(text) => text.to_string(),
+            Text(text) | Ident(text) | InAssert(text) => text.to_string(),
             Call(name) => format!("{name}("),
         }
     }
@@ -663,7 +724,7 @@ fn confine(row: &Confine, rel: &Path, lines: &[CodeLine], out: &mut Vec<Violatio
         if allowed(line.raw, row.rule) || row.homes.iter().any(|h| h.holds(rel, &line.in_fn)) {
             continue;
         }
-        for needle in row.needles.iter().filter(|n| n.found_in(&line.code)) {
+        for needle in row.needles.iter().filter(|n| n.found_in(line)) {
             let message = row.why.replace("{}", &needle.shown());
             out.push(Violation::new(rel, line.no, row.rule, message));
         }
@@ -1793,6 +1854,7 @@ mod tests {
                 let code = match *needle {
                     Text(text) | Ident(text) => format!("    let _ = {text};"),
                     Call(name) => format!("    let _ = {name}(x);"),
+                    InAssert(ident) => format!("    assert!(x < {ident});"),
                 };
                 let context = format!("{} `{}` in", row.rule, needle.shown());
                 let outside = |host: &str| format!("fn {host}() {{\n{code}\n}}\n");
@@ -1839,6 +1901,49 @@ mod tests {
                 assert_eq!(confine_lines(row, &file_in(row.scope[0]), &allowed), []);
             }
         }
+    }
+
+    #[test]
+    fn counts_not_seconds_fires_on_a_wall_clock_assert_put_back() {
+        // The stress chain's bound as it was, a time feature's bound, and
+        // timings only printed: only the first is flagged, on both of its
+        // assertion lines that read the clock.
+        let stress = "\
+fn chain_of_500_solves_quickly_and_correctly() {
+    let start = std::time::Instant::now();
+    let sol = solve_ilp(&p, &IlpOptions::default()).expect(\"solvable\");
+    assert!(
+        start.elapsed().as_secs_f64() < 30.0,
+        \"took {:?}\",
+        start.elapsed()
+    );
+    assert!(p.is_feasible(&sol.values, 1e-6));
+}
+fn time_limit_is_respected() {
+    let opts = IlpOptions { time_limit: Some(Duration::from_millis(50)), ..Default::default() };
+    assert!(start.elapsed().as_secs_f64() < 10.0, \"took {:?}\", start.elapsed());
+}
+fn probe() {
+    let took = start.elapsed();
+    println!(\"{:?} {:?}\", took, Duration::from_secs(1));
+}
+";
+        let file = "crates/ilp/tests/stress_ilp.rs";
+        assert_eq!(lines("counts-not-seconds", file, stress), vec![5, 7]);
+        // The near-cliff pin as it was: a one-line `Duration` bound.
+        let nearcliff = "\
+fn seeded_search_finds_an_incumbent_fast_near_the_cliff() {
+    assert!(first_at < Duration::from_secs(1), \"took {first_at:?}\");
+    assert!(first_node <= SEED_DUE_AT_NODE);
+}
+";
+        let file = "tests/approx_nearcliff.rs";
+        assert_eq!(lines("counts-not-seconds", file, nearcliff), vec![2]);
+        assert_eq!(
+            lines("counts-not-seconds", "tests/perf_ratios.rs", nearcliff),
+            Vec::<usize>::new()
+        );
+        assert_repo_clean("counts-not-seconds");
     }
 
     #[test]
