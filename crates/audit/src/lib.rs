@@ -34,7 +34,7 @@ mod report;
 
 pub use report::{AuditCode, AuditReport, Diagnostic, Severity};
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use wishbone_ilp::{Problem, Sense};
 
 /// A row's nonzero coefficients may span at most this ratio before the
@@ -57,7 +57,10 @@ pub const CONSERVATION_TOL: f64 = 1e-6;
 ///
 /// `columns[b][v]` is the variable index of the indicator "vertex `v`
 /// sits at path position ≤ `b`". Every row of the grid must have the
-/// same length.
+/// same length. Only the last boundary's cells may share a column — one
+/// indicator for a class of vertices that the encoding holds equal
+/// there — and a shared column must appear in exactly its members'
+/// monotonicity rows.
 #[derive(Debug, Clone)]
 pub struct IndicatorBlock {
     /// Boundary-major indicator grid.
@@ -131,8 +134,8 @@ pub fn audit_model(problem: &Problem, spec: &ModelSpec) -> AuditReport {
         .copied()
         .collect();
     generic_checks(problem, &budget_rows, &mut report);
-    if let Some(cells) = validate_spec(problem, spec, &mut report) {
-        structural_checks(problem, spec, &cells, &mut report);
+    if let Some(columns) = validate_spec(problem, spec, &mut report) {
+        structural_checks(problem, spec, &columns, &mut report);
     }
     check_pinned_rows(problem, spec, &mut report);
     report
@@ -314,25 +317,33 @@ fn check_pinned_rows(problem: &Problem, spec: &ModelSpec, report: &mut AuditRepo
 /// vertex)`.
 type Cell = (usize, usize, usize);
 
+/// The spec's indicator columns, as [`validate_spec`] found them.
+struct Columns {
+    /// The cell each column was first registered at.
+    cells: HashMap<usize, Cell>,
+    /// `(column, vertex)` for each later cell of a shared last-boundary
+    /// column: the vertices whose monotonicity rows it may appear in,
+    /// beside its first cell's.
+    shared: HashSet<(usize, usize)>,
+}
+
 /// Duplicate-row fingerprint: sorted `(column, coefficient bits)` terms,
 /// a sense tag, and the rhs bits.
 type RowKey = (Vec<(usize, u64)>, u8, u64);
 
 /// Check the spec itself is consistent with the problem; on success
-/// return the column → cell map. A broken spec is an encoder wiring
+/// return its [`Columns`]. A broken spec is an encoder wiring
 /// bug ([`AuditCode::InvalidSpec`], `Error`) and structural checks are
 /// skipped to avoid cascading nonsense.
-fn validate_spec(
-    problem: &Problem,
-    spec: &ModelSpec,
-    report: &mut AuditReport,
-) -> Option<HashMap<usize, Cell>> {
+fn validate_spec(problem: &Problem, spec: &ModelSpec, report: &mut AuditReport) -> Option<Columns> {
     let n = problem.num_vars();
     let m = problem.num_constraints();
     let mut ok = true;
     let mut cells: HashMap<usize, Cell> = HashMap::new();
+    let mut shared: HashSet<(usize, usize)> = HashSet::new();
     for (bi, block) in spec.blocks.iter().enumerate() {
         let width = block.columns.first().map_or(0, Vec::len);
+        let last = block.columns.len().saturating_sub(1);
         for (b, row) in block.columns.iter().enumerate() {
             if row.len() != width {
                 report.push(
@@ -357,7 +368,11 @@ fn validate_spec(
                         format!("block {bi} boundary {b} vertex {v}: column out of range"),
                     );
                     ok = false;
-                } else if let Some(prev) = cells.insert(col, (bi, b, v)) {
+                } else if let Some(&prev) = cells.get(&col) {
+                    if (prev.0, prev.1, b) == (bi, last, last) {
+                        shared.insert((col, v));
+                        continue;
+                    }
                     report.push(
                         AuditCode::InvalidSpec,
                         Severity::Error,
@@ -369,6 +384,8 @@ fn validate_spec(
                         ),
                     );
                     ok = false;
+                } else {
+                    cells.insert(col, (bi, b, v));
                 }
             }
         }
@@ -397,7 +414,7 @@ fn validate_spec(
             }
         }
     }
-    ok.then_some(cells)
+    ok.then_some(Columns { cells, shared })
 }
 
 fn generic_checks(problem: &Problem, budget_rows: &[usize], report: &mut AuditReport) {
@@ -579,10 +596,11 @@ fn generic_checks(problem: &Problem, budget_rows: &[usize], report: &mut AuditRe
 fn structural_checks(
     problem: &Problem,
     spec: &ModelSpec,
-    cells: &HashMap<usize, Cell>,
+    columns: &Columns,
     report: &mut AuditReport,
 ) {
     use wishbone_ilp::VarId;
+    let cells = &columns.cells;
     let n = problem.num_vars();
     let m = problem.num_constraints();
 
@@ -640,7 +658,7 @@ fn structural_checks(
             check_budget_row(problem, row, cells, true, spec, report);
             continue;
         }
-        classify_structural_row(problem, row, cells, spec, &mut mono_seen, report);
+        classify_structural_row(problem, row, columns, spec, &mut mono_seen, report);
     }
 
     // Every (boundary, vertex) pair of every multi-boundary block needs
@@ -745,12 +763,12 @@ fn check_budget_row(
 fn classify_structural_row(
     problem: &Problem,
     row: usize,
-    cells: &HashMap<usize, Cell>,
+    columns: &Columns,
     spec: &ModelSpec,
     mono_seen: &mut HashMap<(usize, usize, usize), usize>,
     report: &mut AuditReport,
 ) {
-    let c = problem.constraint(row);
+    let (c, cells) = (problem.constraint(row), &columns.cells);
     let unknown = |report: &mut AuditReport, why: &str| {
         report.push(
             AuditCode::UnknownRow,
@@ -790,7 +808,7 @@ fn classify_structural_row(
             };
             if pb != nb {
                 unknown(report, "it couples two different leaf-class blocks");
-            } else if pbound == nbound + 1 && pv == nv {
+            } else if pbound == nbound + 1 && (pv == nv || columns.shared.contains(&(pos, nv))) {
                 mono_seen.insert((pb, nbound, nv), row);
             } else if pbound == nbound {
                 // Precedence along an edge at this boundary; edges are
@@ -961,6 +979,64 @@ mod tests {
                 .any(|d| d.code == AuditCode::MissingMonotonicityRow),
             "{report}"
         );
+    }
+
+    /// `good_model` with vertices 1 and 2 sharing one top column: their
+    /// two monotonicity rows, one precedence row at the top boundary.
+    fn shared_top_model() -> (Problem, ModelSpec) {
+        let mut p = Problem::new();
+        let low: Vec<_> = (0..3).map(|_| p.add_binary(0.5)).collect();
+        let top = [p.add_binary(0.5), p.add_binary(0.5)];
+        let high = [top[0], top[1], top[1]];
+        for (hi, lo) in high.iter().zip(&low) {
+            p.add_constraint(&[(*hi, 1.0), (*lo, -1.0)], Sense::Ge, 0.0);
+        }
+        for e in 0..2 {
+            p.add_constraint(&[(low[e], 1.0), (low[e + 1], -1.0)], Sense::Ge, 0.0);
+        }
+        p.add_constraint(&[(top[0], 1.0), (top[1], -1.0)], Sense::Ge, 0.0);
+        let spec = ModelSpec {
+            blocks: vec![IndicatorBlock {
+                columns: vec![
+                    low.iter().map(|v| v.0).collect(),
+                    high.iter().map(|v| v.0).collect(),
+                ],
+            }],
+            conserved_net: true,
+            ..ModelSpec::default()
+        };
+        (p, spec)
+    }
+
+    #[test]
+    fn a_shared_top_column_sits_in_exactly_its_members_monotonicity_rows() {
+        let (p, spec) = shared_top_model();
+        let report = audit_model(&p, &spec);
+        assert!(!report.has_errors(), "{report}");
+
+        // A member without its row.
+        let mut missing = p.clone();
+        let top1 = wishbone_ilp::VarId(spec.blocks[0].columns[1][2]);
+        missing.replace_constraint(2, &[(top1, 1.0)], Sense::Ge, 0.0);
+        let report = audit_model(&missing, &spec);
+        assert!(
+            report.has_code(AuditCode::MissingMonotonicityRow),
+            "{report}"
+        );
+
+        // A non-member's row: vertex 0's lower indicator under the class
+        // column of vertices 1 and 2.
+        let mut stray = p.clone();
+        let low0 = wishbone_ilp::VarId(spec.blocks[0].columns[0][0]);
+        stray.replace_constraint(0, &[(top1, 1.0), (low0, -1.0)], Sense::Ge, 0.0);
+        let report = audit_model(&stray, &spec);
+        assert!(report.has_code(AuditCode::UnknownRow), "{report}");
+
+        // Only the last boundary may share.
+        let mut low_shared = spec.clone();
+        low_shared.blocks[0].columns[0][2] = low_shared.blocks[0].columns[0][1];
+        let report = audit_model(&p, &low_shared);
+        assert!(report.has_code(AuditCode::InvalidSpec), "{report}");
     }
 
     #[test]

@@ -139,6 +139,14 @@ pub struct DeploymentObjective {
 ///   each summing every leaf class routed through the site, weighted by
 ///   device counts.
 ///
+/// A leaf whose merged graph has top classes
+/// ([`TopClasses`](crate::multitier::TopClasses), the per-boundary §4.1
+/// merge) gets one top indicator `y^{k−2}` per class rather than per
+/// vertex: its objective, CPU and uplink coefficients are its members'
+/// summed (a class's term sits where its first member's would), and its
+/// precedence rows run once per pair of classes the merge grouped.
+/// Monotonicity rows stay per vertex.
+///
 /// With a single leaf the encoding degenerates — row for row, bit for
 /// bit — into the chain oracle `wishbone_oracle::encode_multitier` (and
 /// thus, for a 2-site star, into the paper's binary restricted encoding,
@@ -149,7 +157,9 @@ pub struct EncodedDeployment {
     /// The integer program.
     pub problem: Problem,
     /// `y_vars[l][b][v]`: indicator "leaf `l`'s vertex `v` sits at path
-    /// position ≤ `b`".
+    /// position ≤ `b`". Where leaf `l`'s graph has top classes,
+    /// `y_vars[l][k−2]` aliases one variable per class: every member's
+    /// entry names its class's variable.
     pub y_vars: Vec<Vec<Vec<VarId>>>,
     /// CPU-budget row per site (`None` when infinite or empty), with the
     /// folded root-row constant for in-place rate re-targeting.
@@ -188,10 +198,10 @@ impl EncodedDeployment {
             assert!(leaf.count >= 0.0);
         }
 
-        for (l, y_l) in self.y_vars.iter().enumerate() {
+        for (l, (leaf, y_l)) in leaves.iter().zip(&self.y_vars).enumerate() {
             for (b, y_b) in y_l.iter().enumerate() {
-                for (v, &y) in y_b.iter().enumerate() {
-                    self.problem.set_objective_coeff(y, co.y_cost(l, b, v));
+                for (v, u) in leaf.graph.units(b) {
+                    self.problem.set_objective_coeff(y_b[v], co.y_cost(l, b, u));
                 }
             }
         }
@@ -275,32 +285,63 @@ impl EncodedDeployment {
 /// stated once: [`encode_deployment`] `add_var`s / `add_constraint`s what
 /// [`EncodedDeployment::rescale_in_place`] `set_objective_coeff`s /
 /// `replace_constraint`s, so the two agree bit for bit by construction.
+///
+/// Each boundary's indicators stand for *units*
+/// ([`TieredGraph::units`](crate::multitier::TieredGraph)): a vertex, or
+/// at a shared top boundary a class of the graph's
+/// [`TopClasses`](crate::multitier::TopClasses), whose CPU costs and net
+/// bandwidth are its members' summed.
 struct Coefficients<'a, 'g> {
     leaves: &'a [LeafChain<'g>],
     obj: &'a DeploymentObjective,
-    /// [`leaf_net`] of every leaf.
-    net: Vec<Vec<f64>>,
+    /// [`LeafTables`] of every leaf.
+    tables: Vec<LeafTables>,
 }
 
-/// `net[b·n + v]` (`n` vertices): the net bandwidth vertex `v` of `leaf`
-/// adds to hop `b` when it sits at or below it (leaf-local, unscaled —
-/// counts are applied at the point of use so a count of 1 reproduces the
-/// chain encoding bit for bit).
-fn leaf_net(leaf: &LeafChain<'_>) -> Vec<f64> {
-    let (k, n) = (leaf.path.len(), leaf.graph.vertices.len());
-    assert_eq!(
-        leaf.graph.tiers, k,
-        "a leaf's chain graph spans its whole path"
-    );
-    assert!(k >= 2, "a leaf path needs at least two sites");
-    let mut nc = vec![0.0f64; (k - 1) * n];
-    for e in &leaf.graph.edges {
-        for (b, &r) in e.bandwidth.iter().enumerate() {
-            nc[b * n + e.src] += r;
-            nc[b * n + e.dst] -= r;
+/// One leaf's unit costs that the graph does not hold as they are.
+struct LeafTables {
+    /// `net[b·n + u]` (`n` vertices): the net bandwidth unit `u` of
+    /// boundary `b` adds to hop `b` when it sits at or below it
+    /// (leaf-local, unscaled — counts are applied at the point of use so a
+    /// count of 1 reproduces the chain encoding bit for bit).
+    net: Vec<f64>,
+    /// `top_cpu[c·k + t]`: top class `c`'s CPU cost on tier `t`, its
+    /// members' summed in vertex order (empty unless the top boundary is
+    /// shared).
+    top_cpu: Vec<f64>,
+}
+
+impl LeafTables {
+    fn new(leaf: &LeafChain<'_>) -> LeafTables {
+        let (g, k, n) = (leaf.graph, leaf.path.len(), leaf.graph.vertices.len());
+        assert_eq!(g.tiers, k, "a leaf's chain graph spans its whole path");
+        assert!(k >= 2, "a leaf path needs at least two sites");
+        let top = k - 2;
+        let mut net = vec![0.0f64; top * n + g.unit_count(top)];
+        for e in &g.edges {
+            for (b, &r) in e.bandwidth.iter().enumerate() {
+                let (s, d) = match g.shares(b) {
+                    true => (g.top.of[e.src], g.top.of[e.dst]),
+                    false => (e.src, e.dst),
+                };
+                // An edge inside a top class crosses no top boundary.
+                if !g.shares(b) || s != d {
+                    net[b * n + s] += r;
+                    net[b * n + d] -= r;
+                }
+            }
         }
+        let mut top_cpu = Vec::new();
+        if g.shares(top) {
+            top_cpu = vec![0.0f64; g.unit_count(top) * k];
+            for (vert, &c) in g.vertices.iter().zip(&g.top.of) {
+                for (acc, &x) in top_cpu[c * k..(c + 1) * k].iter_mut().zip(&vert.cpu_cost) {
+                    *acc += x;
+                }
+            }
+        }
+        LeafTables { net, top_cpu }
     }
-    nc
 }
 
 impl<'a, 'g> Coefficients<'a, 'g> {
@@ -310,14 +351,29 @@ impl<'a, 'g> Coefficients<'a, 'g> {
         assert_eq!(obj.count.len(), n_sites);
         assert_eq!(obj.beta.len(), n_sites);
         assert_eq!(obj.net_budget.len(), n_sites);
-        let net = leaves.iter().map(leaf_net).collect();
-        Coefficients { leaves, obj, net }
+        let tables = leaves.iter().map(LeafTables::new).collect();
+        Coefficients {
+            leaves,
+            obj,
+            tables,
+        }
     }
 
-    /// Leaf `l`'s per-vertex net bandwidth on hop `b` ([`leaf_net`]).
+    /// Leaf `l`'s per-unit net bandwidth on hop `b` ([`LeafTables::net`]).
     fn hop_net(&self, l: usize, b: usize) -> &[f64] {
-        let n = self.leaves[l].graph.vertices.len();
-        &self.net[l][b * n..(b + 1) * n]
+        let g = self.leaves[l].graph;
+        let n = g.vertices.len();
+        &self.tables[l].net[b * n..b * n + g.unit_count(b)]
+    }
+
+    /// Unit `u` of leaf `l`'s boundary `b`: its CPU cost on every tier.
+    fn unit_cpu(&self, l: usize, b: usize, u: usize) -> &[f64] {
+        let g = self.leaves[l].graph;
+        if g.shares(b) {
+            &self.tables[l].top_cpu[u * g.tiers..(u + 1) * g.tiers]
+        } else {
+            &g.vertices[u].cpu_cost
+        }
     }
 
     /// Leaf classes routed through site `s`: `(leaf, position of s on
@@ -330,15 +386,15 @@ impl<'a, 'g> Coefficients<'a, 'g> {
             .filter_map(move |(l, leaf)| Some((l, at(leaf)?)))
     }
 
-    /// Objective coefficient of `y_u^b` (vertex `v` of leaf `l`): site(b)'s
-    /// CPU gains `u`, site(b+1)'s loses it, and the uplink of site(b)
-    /// carries `u`'s net coefficient.
-    fn y_cost(&self, l: usize, b: usize, v: usize) -> f64 {
+    /// Objective coefficient of `y_u^b` (unit `u` of leaf `l`'s boundary
+    /// `b`): site(b)'s CPU gains `u`, site(b+1)'s loses it, and the uplink
+    /// of site(b) carries `u`'s net coefficient.
+    fn y_cost(&self, l: usize, b: usize, u: usize) -> f64 {
         let (leaf, obj) = (&self.leaves[l], self.obj);
         let (sb, sb1) = (leaf.path[b], leaf.path[b + 1]);
-        let cpu = &leaf.graph.vertices[v].cpu_cost;
+        let cpu = self.unit_cpu(l, b, u);
         let mut c = obj.alpha[sb] * (leaf.count / obj.count[sb] * cpu[b])
-            + obj.beta[sb] * (leaf.count * self.hop_net(l, b)[v]);
+            + obj.beta[sb] * (leaf.count * self.hop_net(l, b)[u]);
         if !is_exact_zero(obj.alpha[sb1]) {
             c -= obj.alpha[sb1] * (leaf.count / obj.count[sb1] * cpu[b + 1]);
         }
@@ -354,6 +410,10 @@ impl<'a, 'g> Coefficients<'a, 'g> {
             let leaf = &self.leaves[l];
             let k = leaf.path.len();
             let scale = leaf.count / self.obj.count[s];
+            if t + 1 >= k - 1 && leaf.graph.shares(k - 2) {
+                shift += self.shared_cpu_row(l, t, scale, &y_vars[l], terms);
+                continue;
+            }
             for (v, vert) in leaf.graph.vertices.iter().enumerate() {
                 let c = scale * vert.cpu_cost[t];
                 if is_exact_zero(c) {
@@ -372,16 +432,59 @@ impl<'a, 'g> Coefficients<'a, 'g> {
         shift
     }
 
+    /// [`cpu_row`](Self::cpu_row)'s terms of leaf `l` at path position
+    /// `t ≥ k − 2`, whose row touches its shared top boundary: a top
+    /// class's term sits where its first member's would, with the class's
+    /// summed cost.
+    fn shared_cpu_row(
+        &self,
+        l: usize,
+        t: usize,
+        scale: f64,
+        y: &[Vec<VarId>],
+        terms: &mut Vec<(VarId, f64)>,
+    ) -> f64 {
+        let g = self.leaves[l].graph;
+        let (k, top_cpu) = (g.tiers, &self.tables[l].top_cpu);
+        let (mut shift, mut opened) = (0.0f64, 0);
+        for (v, (vert, &class)) in g.vertices.iter().zip(&g.top.of).enumerate() {
+            let c = scale * vert.cpu_cost[t];
+            // The class's cost at its first member, nothing at the others.
+            let mut class_c = 0.0;
+            if class == opened {
+                class_c = scale * top_cpu[class * k + t];
+                opened += 1;
+            }
+            if t == k - 2 {
+                if !is_exact_zero(class_c) {
+                    terms.push((y[t][v], class_c));
+                }
+                if !is_exact_zero(c) {
+                    terms.push((y[t - 1][v], -c));
+                }
+            } else {
+                if !is_exact_zero(c) {
+                    shift += c;
+                }
+                if !is_exact_zero(class_c) {
+                    terms.push((y[t - 1][v], -class_c));
+                }
+            }
+        }
+        shift
+    }
+
     /// Non-root site `s`'s uplink row, pushed onto `terms`: the aggregate
     /// on-air load of every leaf class whose path crosses that tree edge.
     fn net_row(&self, y_vars: &[Vec<Vec<VarId>>], s: usize, terms: &mut Vec<(VarId, f64)>) {
         for (l, b) in self.crossing(s) {
             let leaf = &self.leaves[l];
             debug_assert!(b < leaf.path.len() - 1, "non-root site at root position");
-            for (&y, &nc) in y_vars[l][b].iter().zip(self.hop_net(l, b)) {
-                let c = leaf.count * nc;
+            let net = self.hop_net(l, b);
+            for (v, u) in leaf.graph.units(b) {
+                let c = leaf.count * net[u];
                 if !is_exact_zero(c) {
-                    terms.push((y, c));
+                    terms.push((y_vars[l][b][v], c));
                 }
             }
         }
@@ -427,26 +530,34 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
 
     let mut p = Problem::new();
 
-    // Variables: leaf-major, boundary-major, vertex within — so a single
-    // leaf reproduces the chain oracle's VarIds exactly.
+    // Variables: leaf-major, boundary-major, unit within — so a single
+    // leaf reproduces the chain oracle's VarIds exactly. A shared top
+    // boundary's vertices alias their class's one variable.
     let mut y_vars: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(leaves.len());
     for (l, leaf) in leaves.iter().enumerate() {
+        let g = leaf.graph;
         let y_l = (0..leaf.path.len() - 1).map(|b| {
-            let y_b = leaf.graph.vertices.iter().enumerate().map(|(v, vert)| {
-                let (lo, hi) = match vert.pin {
+            let units = (0..g.unit_count(b)).map(|u| {
+                let (lo, hi) = match g.unit_pin(b, u) {
                     Pin::Movable => (0.0, 1.0),
                     Pin::Node => (1.0, 1.0),
                     Pin::Server => (0.0, 0.0),
                 };
-                p.add_var(lo, hi, co.y_cost(l, b, v), true)
+                p.add_var(lo, hi, co.y_cost(l, b, u), true)
             });
-            y_b.collect()
+            let units: Vec<VarId> = units.collect();
+            if g.shares(b) {
+                g.top.of.iter().map(|&c| units[c]).collect()
+            } else {
+                units
+            }
         });
         y_vars.push(y_l.collect());
     }
 
-    // Per-leaf structural rows: monotonicity y^{b+1} ≥ y^b, then edge
-    // precedence y_u^b ≥ y_v^b per boundary.
+    // Per-leaf structural rows: monotonicity y^{b+1} ≥ y^b per vertex,
+    // then edge precedence y_u^b ≥ y_v^b per boundary (at a shared top
+    // boundary, once per pair of classes).
     for (l, leaf) in leaves.iter().enumerate() {
         let k = leaf.path.len();
         for b in 0..k.saturating_sub(2) {
@@ -454,8 +565,8 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
                 p.add_constraint(&[(y_next, 1.0), (y_cur, -1.0)], Sense::Ge, 0.0);
             }
         }
-        for y_b in &y_vars[l] {
-            for e in &leaf.graph.edges {
+        for (b, y_b) in y_vars[l].iter().enumerate() {
+            for e in leaf.graph.precedence_edges(b) {
                 p.add_constraint(&[(y_b[e.src], 1.0), (y_b[e.dst], -1.0)], Sense::Ge, 0.0);
             }
         }

@@ -64,7 +64,7 @@ pub use encodings::{
 pub use multilevel::{approx_cut, ApproxCut};
 pub use multitier::{
     build_tiered_graph, preprocess_tiered, LinkSpec, TEdge, TVertex, TieredGraph,
-    TieredPreprocessResult,
+    TieredPreprocessResult, TopClasses,
 };
 pub use rate_search::UnprovenRate;
 pub use shape::{deltas_between, shape_key, ShapeKey};

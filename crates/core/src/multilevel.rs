@@ -985,6 +985,7 @@ mod tests {
             tiers: k,
             vertices,
             edges,
+            top: Default::default(),
         }
     }
 
@@ -1259,6 +1260,7 @@ mod tests {
                 tiers: k,
                 vertices,
                 edges,
+                top: Default::default(),
             }
         })
     }

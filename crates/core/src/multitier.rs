@@ -9,6 +9,19 @@
 //! jointly optimizing all `k − 1` cut frontiers in one ILP. This module
 //! weighs that chain's graph and runs the chain-sound §4.1 merge on it.
 //!
+//! **The merge is per boundary.** The paper's dominance argument moves a
+//! data-expanding vertex onto its consumer's side of a cut. On a chain,
+//! whether that move is free depends on the tier it lands on, so the merge
+//! reasons about each boundary's indicator on its own terms (see
+//! [`preprocess_tiered`]): a vertex every later tier is free for merges
+//! with its consumer outright — one vertex, one indicator per boundary —
+//! and one whose *root* alone is free for it shares only its consumer's
+//! top indicator `y^{k−2}` ([`TopClasses`]). So a budgeted gateway does
+//! not switch the reduction off: on the 22-channel EEG chain (mote →
+//! budgeted phone → server) nothing merges outright, but the top boundary
+//! keeps 729 indicators for 1,126 vertices, and the ILP is 1,855 × 3,467
+//! where per-vertex indicators would make it 2,252 × 3,864.
+//!
 //! **One merge, two ways in.** The merge reads one private flat table,
 //! `ChainTable`: per vertex a pin, `k` CPU costs and its sole successor
 //! (when it has exactly one out-edge), per edge its endpoints and `k − 1`
@@ -30,10 +43,13 @@
 //! edges are grouped by a stable two-pass counting sort on
 //! `(src class, dst class)` — which is also the quotient's adjacency for
 //! the cycle check — so every sum runs in vertex or edge order and the
-//! output is a pure function of the input, bit for bit. The dev-only
+//! output is a pure function of the input, bit for bit. The top classes
+//! are one more union-find over the merged vertices and one more counting
+//! sort of their edges. The dev-only
 //! `wishbone_oracle::preprocess_tiered_reference` keeps the hashed,
-//! quadratic original as the differential reference
-//! (`tests/proptest_multitier.rs`).
+//! quadratic original as the differential reference, and finds the top
+//! classes its own way (`tests/proptest_multitier.rs`,
+//! `tests/proptest_top_merge.rs`).
 //!
 //! **One pricing.** `ChainTable::price` is the only place in `core` that
 //! asks the profile for a price, and it asks twice per leaf: one batched
@@ -112,6 +128,86 @@ pub struct TieredGraph {
     pub vertices: Vec<TVertex>,
     /// Edges.
     pub edges: Vec<TEdge>,
+    /// The classes of vertices that share the top boundary's indicator
+    /// `y^{k−2}` (the per-boundary §4.1 merge, see [`preprocess_tiered`]);
+    /// empty — every vertex its own class — unless a merge built it.
+    pub top: TopClasses,
+}
+
+/// The top boundary's classes of a merged [`TieredGraph`]: vertices whose
+/// top indicators `y^{k−2}` some optimum holds equal, so the encoding
+/// gives each class one variable. Built only by the merge, `ChainTable::merge`
+/// (`xtask lint`'s `one-merge` rule); the encoder reads it.
+///
+/// Empty wherever it would be the identity: for `k = 2`, and wherever
+/// the per-boundary rule merges nothing the every-tier rule did not
+/// already merge (every middle tier free for every candidate).
+#[derive(Debug, Clone, Default)]
+pub struct TopClasses {
+    /// Class of each vertex, classes numbered by their first vertex (so a
+    /// vertex opens a new class exactly when its class number is the
+    /// count of classes opened before it).
+    pub of: Vec<usize>,
+    /// Each class's pin, its members' pins combined.
+    pub pin: Vec<Pin>,
+    /// The edges that need a top precedence row: of the edges joining two
+    /// classes, the lowest-index one (into [`TieredGraph::edges`]) per
+    /// `(src class, dst class)` pair, ordered by that pair.
+    pub edges: Vec<usize>,
+}
+
+impl TieredGraph {
+    /// Whether boundary `b`'s indicators are one per top class rather
+    /// than one per vertex.
+    pub(crate) fn shares(&self, b: usize) -> bool {
+        b + 2 == self.tiers && !self.top.of.is_empty()
+    }
+
+    /// The vertices that own an indicator of boundary `b`, in vertex
+    /// order, each with the unit it stands for: every vertex itself, or
+    /// at a shared top boundary the first member of each class with the
+    /// class.
+    pub(crate) fn units(&self, b: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let shared = self.shares(b).then_some(&self.top.of);
+        let mut opened = 0;
+        (0..self.vertices.len()).filter_map(move |v| match shared {
+            None => Some((v, v)),
+            Some(of) if of[v] == opened => {
+                opened += 1;
+                Some((v, of[v]))
+            }
+            Some(_) => None,
+        })
+    }
+
+    /// Number of units of boundary `b` (see [`units`](Self::units)).
+    pub(crate) fn unit_count(&self, b: usize) -> usize {
+        if self.shares(b) {
+            self.top.pin.len()
+        } else {
+            self.vertices.len()
+        }
+    }
+
+    /// Unit `u`'s pin at boundary `b`.
+    pub(crate) fn unit_pin(&self, b: usize, u: usize) -> Pin {
+        if self.shares(b) {
+            self.top.pin[u]
+        } else {
+            self.vertices[u].pin
+        }
+    }
+
+    /// The edges whose precedence rows boundary `b` needs: every edge,
+    /// or at a shared top boundary one per pair of classes.
+    pub(crate) fn precedence_edges(&self, b: usize) -> impl Iterator<Item = &TEdge> + '_ {
+        let (all, shared) = if self.shares(b) {
+            (&[][..], &self.top.edges[..])
+        } else {
+            (&self.edges[..], &[][..])
+        };
+        all.iter().chain(shared.iter().map(|&e| &self.edges[e]))
+    }
 }
 
 /// Build the tiered partitioning graph for a chain of candidate platforms:
@@ -260,6 +356,7 @@ impl ChainTable {
                     graph_edges: self.graph_edges_of(e).to_vec(),
                 })
                 .collect(),
+            top: TopClasses::default(),
         }
     }
 
@@ -285,8 +382,13 @@ impl ChainTable {
         let charging_tiers: Vec<usize> = (1..k)
             .filter(|&t| charges(obj.alpha[t], obj.cpu_budget[t]))
             .collect();
+        let root_charges = charges(obj.alpha[k - 1], obj.cpu_budget[k - 1]);
 
+        // Vertices that merge at every boundary are unioned here; those
+        // that may share only the top boundary's indicator (k ≥ 3, the
+        // root free for them but a middle tier not) are kept for later.
         let mut dsu = Dsu::new(n);
+        let mut top_only: Vec<usize> = Vec::new();
         for (v, &succ) in self.succ.iter().enumerate() {
             let Some(succ) = succ else { continue };
             if self.pin[v] != Pin::Movable {
@@ -300,11 +402,14 @@ impl ChainTable {
                 .iter()
                 .zip(ins)
                 .all(|(&out, &inp)| out + 1e-12 >= inp && out > 0.0);
-            let free_on_every_charging_tier = charging_tiers
-                .iter()
-                .all(|&t| is_exact_zero(self.cpu_of(v)[t]));
-            if safe_on_every_link && free_on_every_charging_tier {
+            if !safe_on_every_link {
+                continue;
+            }
+            let cpu = self.cpu_of(v);
+            if charging_tiers.iter().all(|&t| is_exact_zero(cpu[t])) {
                 dsu.union(v, succ);
+            } else if k >= 3 && (!root_charges || is_exact_zero(cpu[k - 1])) {
+                top_only.push(v);
             }
         }
 
@@ -388,11 +493,17 @@ impl ChainTable {
             }
             agg.graph_edges.extend_from_slice(self.graph_edges_of(e));
         }
+        let top_joins = top_only.iter().map(|&v| {
+            let succ = self.succ[v].expect("only a vertex with one successor merges");
+            (classes.of[v], classes.of[succ])
+        });
+        let top = top_classes(&vertices, &edges, top_joins)?;
         Ok(TieredPreprocessResult {
             graph: TieredGraph {
                 tiers: k,
                 vertices,
                 edges,
+                top,
             },
             vertices_before: n,
             vertices_after: c,
@@ -430,6 +541,51 @@ impl ChainTable {
             .collect();
         counting_sort(&counting_sort(&cross, c, dst_class), c, src_class)
     }
+}
+
+/// The top boundary's classes of the merged graph `vertices` / `edges`:
+/// its vertices joined along `joins` (merged vertex pairs), numbered by
+/// first vertex, with their combined pins (a conflict names the first
+/// conflicting member of the lowest class) and one representative edge
+/// per pair of classes — the same union-find and stable counting sort as
+/// the merge itself. Empty when no join joins two vertices.
+fn top_classes(
+    vertices: &[TVertex],
+    edges: &[TEdge],
+    joins: impl Iterator<Item = (usize, usize)>,
+) -> Result<TopClasses, PinError> {
+    let mut dsu = Dsu::new(vertices.len());
+    let mut joined = false;
+    for (a, b) in joins {
+        joined |= dsu.union(a, b);
+    }
+    if !joined {
+        return Ok(TopClasses::default());
+    }
+    let classes = Quotient::of(&mut dsu);
+    let t = classes.first.len();
+    let mut pins = vec![Ok(Pin::Movable); t];
+    for (vert, &tc) in vertices.iter().zip(&classes.of) {
+        if let Ok(pin) = pins[tc] {
+            let witness = vert.ops.first().copied().unwrap_or(OperatorId(0));
+            pins[tc] = combine_pins(pin, vert.pin, witness);
+        }
+    }
+    let pin = pins.into_iter().collect::<Result<Vec<Pin>, PinError>>()?;
+    let (src_class, dst_class) = (
+        |e: usize| classes.of[edges[e].src],
+        |e: usize| classes.of[edges[e].dst],
+    );
+    let cross: Vec<usize> = (0..edges.len())
+        .filter(|&e| src_class(e) != dst_class(e))
+        .collect();
+    let mut sorted = counting_sort(&counting_sort(&cross, t, dst_class), t, src_class);
+    sorted.dedup_by_key(|&mut e| (src_class(e), dst_class(e)));
+    Ok(TopClasses {
+        of: classes.of,
+        pin,
+        edges: sorted,
+    })
 }
 
 /// Each vertex's one out-edge target, `None` unless its out-degree is
@@ -488,11 +644,13 @@ impl Dsu {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    /// Join the classes of `a` and `b`; whether they were apart.
+    fn union(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;
         }
+        ra != rb
     }
 }
 
@@ -567,28 +725,45 @@ pub struct TieredPreprocessResult {
     pub vertices_after: usize,
 }
 
-/// The §4.1 merge generalized to a chain. A movable single-output vertex
-/// `v` merges with its downstream consumer only when *both* halves of the
-/// dominance argument survive the generalization:
+/// The §4.1 merge generalized to a chain, one boundary at a time. A
+/// movable vertex `v` with one out-edge, to `w`, is a candidate when it is
+/// data-expanding or data-neutral under **every** link's on-air measure
+/// (different hops frame packets differently, so an operator can reduce
+/// on-air bytes on one radio and expand them on another; moving a cut
+/// above `v` must help on every boundary it could sit on). Then:
 ///
-/// * **bandwidth**: `v` is data-expanding or data-neutral under **every**
-///   link's on-air measure (different hops frame packets differently, so
-///   an operator can reduce on-air bytes on one radio and expand them on
-///   another; moving a cut above `v` must help on every boundary it could
-///   sit on);
-/// * **CPU**: gluing `v` to its consumer may force `v` onto any later
-///   tier, which is free only where that tier cannot charge for it — for
-///   every tier `t ≥ 1`, either `v` costs nothing there
-///   (`cpu_cost[t] == 0`) or tier `t` is unconstrained (`α_t = 0` and an
-///   infinite budget). The binary §4.1 argument silently relies on this:
-///   its downstream side is the server with "infinite computational
-///   power". A budgeted gateway breaks it — merging could overload the
-///   middle tier and flip a feasible instance to infeasible.
+/// * **every boundary** — `v` merges with `w` into one vertex when every
+///   tier `t ≥ 1` is free for it: either `v` costs nothing there
+///   (`cpu_cost[t] == 0`) or tier `t` cannot charge (`α_t = 0` and an
+///   infinite budget). Gluing `v` to `w` may force `v` onto any later
+///   tier; the binary §4.1 argument silently relies on that being free,
+///   since its downstream side is the server with "infinite computational
+///   power", and a budgeted gateway breaks it (merging could overload the
+///   middle tier and flip a feasible instance to infeasible).
+/// * **the top boundary** (`k ≥ 3`) — otherwise `v` still shares `w`'s top
+///   indicator, `y_v^{k−2} = y_w^{k−2}`, when the *root* cannot charge it
+///   (`cpu_cost[k−1] == 0`, or `α_{k−1} = 0` and an infinite budget); the
+///   lower boundaries keep one indicator per vertex. The merged graph
+///   carries the classes as [`TieredGraph::top`].
 ///
-/// For `k = 2` with a free final tier this is exactly the paper's binary
-/// merge. An adapter: `tg` is flattened into the one `ChainTable` the
-/// prepare path fills directly, and merged by the one merge, in
-/// O(V + E).
+/// Why the top boundary is sound (a sketch; `tests/proptest_top_merge.rs`
+/// holds it to the unmerged optimum): take an optimal placement with `w`
+/// on the root and `v` below it. Moving `v` to the root charges only the
+/// root, which is free for `v`; frees `v`'s CPU on its old tier; and
+/// raises no link's load, since what `v` emits on each link is at least
+/// what it receives there. Such a move can enable another one upstream,
+/// so repeat them — each only raises a vertex to the root, so this ends,
+/// and no move raises the objective or breaks a budget. The placement it
+/// ends at satisfies every such implication, `tier(w) = k−1 ⇒ tier(v) =
+/// k−1`, and with precedence that is the equality of the two top
+/// indicators. The every-boundary merge is the same argument with `w`
+/// on any tier, and the two kinds of move mix freely.
+///
+/// For `k = 2` both rules are the paper's binary merge and the top
+/// classes stay empty, as they do wherever every middle tier is free. An
+/// adapter: `tg` (whose own `top` it ignores) is flattened into the one
+/// `ChainTable` the prepare path fills directly, and merged by the one
+/// merge, in O(V + E).
 pub fn preprocess_tiered(
     tg: &TieredGraph,
     obj: &TierObjective,
@@ -886,6 +1061,7 @@ mod tests {
                 edge(5, 2, 4, 5.0),
                 edge(6, 2, 5, 1.0),
             ],
+            top: TopClasses::default(),
         };
         let obj = TierObjective::bandwidth_only(vec![1.0, f64::INFINITY], vec![1e12]);
         let merged = preprocess_tiered(&tg, &obj).expect("no pins to conflict");

@@ -247,16 +247,6 @@ impl Deployment {
         (0..self.sites.len()).map(SiteId)
     }
 
-    /// Children of `id`, in insertion order.
-    pub fn children(&self, id: SiteId) -> Vec<SiteId> {
-        self.parent
-            .iter()
-            .enumerate()
-            .filter(|&(_, p)| *p == Some(id))
-            .map(|(i, _)| SiteId(i))
-            .collect()
-    }
-
     /// Whether `id` has no children.
     pub(crate) fn is_leaf(&self, id: SiteId) -> bool {
         !self.parent.contains(&Some(id))
@@ -918,16 +908,27 @@ fn leaf_chains<'l>(
         .collect()
 }
 
-/// Expand a per-leaf tier assignment into `ep`'s full indicator vector
-/// (`y[l][b][v] = 1 ⇔ tier ≤ b`).
-fn y_values(ep: &EncodedDeployment, tiers: &[Vec<usize>]) -> Vec<f64> {
+/// Expand a per-leaf tier assignment of `chains` into `ep`'s full
+/// indicator vector (`y[l][b][v] = 1 ⇔ tier ≤ b`). A top class with a
+/// member at the root moves every member there first — the dominance move
+/// that makes the encoding's shared top indicator sound (see
+/// [`preprocess_tiered`](crate::multitier::preprocess_tiered)), so a
+/// budget-feasible placement stays feasible.
+fn y_values(ep: &EncodedDeployment, chains: &[LeafChain<'_>], tiers: &[Vec<usize>]) -> Vec<f64> {
     let mut values = vec![0.0f64; ep.problem.num_vars()];
-    for (l, leaf) in ep.y_vars.iter().enumerate() {
-        for (b, row) in leaf.iter().enumerate() {
-            for (v, &var) in row.iter().enumerate() {
-                if tiers[l][v] <= b {
-                    values[var.0] = 1.0;
-                }
+    for ((leaf, chain), tiers) in ep.y_vars.iter().zip(chains).zip(tiers) {
+        let (g, root) = (chain.graph, chain.graph.tiers - 1);
+        let mut class_at_root = vec![false; g.top.pin.len()];
+        for (&c, &t) in g.top.of.iter().zip(tiers) {
+            class_at_root[c] |= t == root;
+        }
+        for (v, &t) in tiers.iter().enumerate() {
+            let t = match g.top.of.get(v) {
+                Some(&c) if class_at_root[c] => root,
+                _ => t,
+            };
+            for row in &leaf[t..] {
+                values[row[v].0] = 1.0;
             }
         }
     }
@@ -952,7 +953,7 @@ fn seed_values(
     let hierarchy = hierarchy.get_or_insert_with(|| CutHierarchy::build(chains));
     let counts: Vec<f64> = chains.iter().map(|c| c.count).collect();
     let cut = hierarchy.as_ref()?.cut(&counts, obj, rate)?;
-    let values = y_values(ep, &cut.tiers);
+    let values = y_values(ep, chains, &cut.tiers);
     if !ep.problem.is_feasible(&values, 1e-6) {
         debug_assert!(
             false,
@@ -1986,7 +1987,7 @@ mod tests {
         assert_eq!(dep.leaves(), vec![SiteId(3), SiteId(4)]);
         assert_eq!(dep.path(SiteId(3)), vec![SiteId(3), SiteId(1), SiteId(0)]);
         assert_eq!(dep.depth(SiteId(3)), 2);
-        assert_eq!(dep.children(dep.root()), vec![SiteId(1), SiteId(2)]);
+        assert_eq!(dep.parent(SiteId(2)), Some(dep.root()));
         // Row order: deepest first, index ascending.
         assert_eq!(
             dep.site_order(),
@@ -2371,7 +2372,7 @@ mod tests {
                     prep.retarget(rate);
                     let chains = leaf_chains(&prep.leaves, &prep.removed, &prep.dep);
                     let fresh = crate::multilevel::approx_cut(&chains, &prep.obj, rate)
-                        .map(|cut| bits(y_values(&prep.ep, &cut.tiers)));
+                        .map(|cut| bits(y_values(&prep.ep, &chains, &cut.tiers)));
                     let kept = seed_values(&mut prep.hierarchy, &chains, &prep.obj, &prep.ep, rate)
                         .map(bits);
                     proptest::prop_assert!(
@@ -2383,6 +2384,65 @@ mod tests {
             }
             proptest::prop_assert_eq!(prep.encodes(), 1);
         }
+    }
+
+    /// A seed whose top class is split — a member below the root, its
+    /// consumer on it — moves the class to the root before it becomes an
+    /// indicator vector. Read as it stands, the shared top indicator would
+    /// say "at or below the gateway" for the consumer too, which the
+    /// gateway's budget cannot hold.
+    #[test]
+    fn a_seed_moves_a_split_top_class_to_the_root() {
+        use crate::cost_graph::Pin;
+        use crate::multitier::{TEdge, TVertex};
+        let vertex = |v: usize, cpu_cost: Vec<f64>, pin: Pin| TVertex {
+            ops: vec![OperatorId(v)],
+            cpu_cost,
+            pin,
+        };
+        let edge = |src: usize, dst: usize, bw: f64| TEdge {
+            src,
+            dst,
+            bandwidth: vec![bw; 2],
+            graph_edges: vec![EdgeId(src)],
+        };
+        // src → v (expands 10 → 20, costs the gateway) → w (too heavy for
+        // the gateway) → sink.
+        let tg = TieredGraph {
+            tiers: 3,
+            vertices: vec![
+                vertex(0, vec![0.1, 0.1, 0.0], Pin::Node),
+                vertex(1, vec![0.1, 0.3, 0.0], Pin::Movable),
+                vertex(2, vec![0.9, 0.9, 0.0], Pin::Movable),
+                vertex(3, vec![0.0, 0.0, 0.0], Pin::Server),
+            ],
+            edges: vec![edge(0, 1, 10.0), edge(1, 2, 20.0), edge(2, 3, 5.0)],
+            top: Default::default(),
+        };
+        let budgets = vec![1.0, 0.5, f64::INFINITY];
+        let tier_obj = TierObjective::bandwidth_only(budgets, vec![f64::INFINITY; 2]);
+        let merged = preprocess_tiered(&tg, &tier_obj)
+            .expect("no pins conflict")
+            .graph;
+        assert_eq!(merged.top.of, [0, 1, 1, 2], "v shares w's top indicator");
+        let chains = [LeafChain {
+            graph: &merged,
+            path: vec![2, 1, 0],
+            count: 1.0,
+        }];
+        let obj = DeploymentObjective {
+            alpha: vec![0.0; 3],
+            cpu_budget: vec![f64::INFINITY, 0.5, 1.0],
+            count: vec![1.0; 3],
+            beta: vec![0.0, 1.0, 1.0],
+            net_budget: vec![f64::INFINITY; 3],
+            row_order: vec![2, 1, 0],
+        };
+        let ep = encode_deployment(&chains, &obj);
+        // v on the gateway, w and the sink on the root: within budgets.
+        let values = y_values(&ep, &chains, &[vec![0, 1, 2, 2]]);
+        assert!(ep.problem.is_feasible(&values, 1e-9));
+        assert_eq!(ep.decode(&values), [vec![0, 2, 2, 2]]);
     }
 
     /// A probe is answered `Infeasible` without a solve only by a

@@ -60,8 +60,9 @@ use crate::sparse::CscMatrix;
 /// etas that can act on their vector, so a long file of short etas costs
 /// what its reachable part costs. Under dual steepest edge the etas stay
 /// short (≈6 nonzeros on the 22-channel chain), and a 128-eta cap ended
-/// every cycle there — 14 factorizations in its root LP's 1,717 pivots,
-/// against the load's one under this budget alone. The drift pins
+/// every cycle there — 14 factorizations in the 1,717 pivots of its root
+/// LP as encoded before the per-boundary §4.1 merge, against the load's
+/// one under this budget alone (still one in today's 1,299). The drift pins
 /// (`lu_drift_stays_bounded_over_100_plus_pivots`,
 /// `drift_bounded_through_warm_resolves_too`) hold without a cap.
 pub(crate) const ETA_NNZ_FACTOR: usize = 4;

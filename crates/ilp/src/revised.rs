@@ -13,7 +13,7 @@
 //! ([`ETA_NNZ_FACTOR`](crate::lu::ETA_NNZ_FACTOR) nonzeros per row). The
 //! sparse FTRANs and BTRANs apply only the etas that can act on their
 //! vector, so the file's length costs nothing by itself: the 22-channel
-//! chain's root LP factorizes once in 1,717 pivots. That budget is the
+//! chain's root LP factorizes once in 1,299 pivots. That budget is the
 //! only refactorization rule: a warm re-entry keeps the LU and eta file
 //! it finds (they are its basis's) and only recomputes `x_B`, so a
 //! branch-and-bound child or a rate retarget costs no factorization of

@@ -2,6 +2,8 @@
 //! gateway → server), kept as the row-for-row oracle of
 //! [`wishbone_core::encode_deployment`] on path deployments.
 
+use std::collections::BTreeSet;
+
 use wishbone_core::encodings::CpuRow;
 use wishbone_core::{Pin, TierObjective, TieredGraph};
 use wishbone_ilp::{is_exact_zero, Problem, Sense, VarId};
@@ -27,6 +29,12 @@ use wishbone_ilp::{is_exact_zero, Problem, Sense, VarId};
 ///
 /// For `k = 2` the encoding degenerates, row for row and coefficient for
 /// coefficient, into the restricted binary encoding (`y^0 = f`).
+///
+/// A graph whose [`TopClasses`](wishbone_core::TopClasses) are not empty
+/// gets one top indicator `y^{k−2}` per class instead of per vertex: its
+/// CPU costs and top-link net bandwidth are its members' summed, its
+/// precedence rows run once per pair of classes, and `y_vars[k−2][v]`
+/// names vertex `v`'s class variable.
 #[derive(Debug)]
 pub struct EncodedMultiTier {
     /// The integer program.
@@ -89,26 +97,70 @@ pub fn encode_multitier(tg: &TieredGraph, obj: &TierObjective) -> EncodedMultiTi
         }
     }
 
+    // The top boundary's classes, when the merge made any: each class's
+    // CPU costs and top-link net coefficient, summed over its members in
+    // vertex order and over the edges between classes in edge order, and
+    // which vertex is each class's first member.
+    let top = k - 2;
+    let shared = !tg.top.of.is_empty();
+    let class_of = &tg.top.of;
+    let classes = tg.top.pin.len();
+    let mut class_cpu = vec![vec![0.0f64; k]; classes];
+    let mut class_net = vec![0.0f64; classes];
+    let mut first_member = vec![false; n];
+    if shared {
+        let mut seen = vec![false; classes];
+        for (v, vert) in tg.vertices.iter().enumerate() {
+            let c = class_of[v];
+            first_member[v] = !seen[c];
+            seen[c] = true;
+            for (acc, &x) in class_cpu[c].iter_mut().zip(&vert.cpu_cost) {
+                *acc += x;
+            }
+        }
+        for e in &tg.edges {
+            let (cs, cd) = (class_of[e.src], class_of[e.dst]);
+            if cs != cd {
+                class_net[cs] += e.bandwidth[top];
+                class_net[cd] -= e.bandwidth[top];
+            }
+        }
+    }
+    let bounds = |pin: Pin| match pin {
+        Pin::Movable => (0.0, 1.0),
+        Pin::Node => (1.0, 1.0),   // tier 0: every y is 1
+        Pin::Server => (0.0, 0.0), // tier k−1: every y is 0
+    };
+
     // Variables, boundary-major (boundary 0 first, so k = 2 reproduces the
     // binary encoding's VarIds exactly). Objective coefficient of y_u^b:
     // α_b·c_u^b − α_{b+1}·c_u^{b+1} + β_b·net_coeff_b (tier b's CPU gains
     // y^b, tier b+1's loses it).
+    let cost = |b: usize, cpu: &[f64], net: f64| {
+        let mut c = obj.alpha[b] * cpu[b] + obj.beta[b] * net;
+        if !is_exact_zero(obj.alpha[b + 1]) {
+            c -= obj.alpha[b + 1] * cpu[b + 1];
+        }
+        c
+    };
+    let mut class_vars: Vec<VarId> = Vec::new();
     let y_vars: Vec<Vec<VarId>> = (0..k - 1)
         .map(|b| {
+            if shared && b == top {
+                class_vars = (0..classes)
+                    .map(|c| {
+                        let (lo, hi) = bounds(tg.top.pin[c]);
+                        p.add_var(lo, hi, cost(b, &class_cpu[c], class_net[c]), true)
+                    })
+                    .collect();
+                return class_of.iter().map(|&c| class_vars[c]).collect();
+            }
             tg.vertices
                 .iter()
                 .enumerate()
                 .map(|(v, vert)| {
-                    let (lo, hi) = match vert.pin {
-                        Pin::Movable => (0.0, 1.0),
-                        Pin::Node => (1.0, 1.0),   // tier 0: every y is 1
-                        Pin::Server => (0.0, 0.0), // tier k−1: every y is 0
-                    };
-                    let mut c = obj.alpha[b] * vert.cpu_cost[b] + obj.beta[b] * net_coeff[b][v];
-                    if !is_exact_zero(obj.alpha[b + 1]) {
-                        c -= obj.alpha[b + 1] * vert.cpu_cost[b + 1];
-                    }
-                    p.add_var(lo, hi, c, true)
+                    let (lo, hi) = bounds(vert.pin);
+                    p.add_var(lo, hi, cost(b, &vert.cpu_cost, net_coeff[b][v]), true)
                 })
                 .collect()
         })
@@ -121,14 +173,32 @@ pub fn encode_multitier(tg: &TieredGraph, obj: &TierObjective) -> EncodedMultiTi
         }
     }
 
-    // Precedence per edge per boundary: y_u^b − y_v^b ≥ 0.
-    for y_b in &y_vars {
+    // Precedence per edge per boundary: y_u^b − y_v^b ≥ 0; at a shared top
+    // boundary once per ordered pair of distinct classes, in pair order.
+    for (b, y_b) in y_vars.iter().enumerate() {
+        if shared && b == top {
+            let pairs: BTreeSet<(usize, usize)> = tg
+                .edges
+                .iter()
+                .map(|e| (class_of[e.src], class_of[e.dst]))
+                .filter(|(cs, cd)| cs != cd)
+                .collect();
+            for (cs, cd) in pairs {
+                p.add_constraint(
+                    &[(class_vars[cs], 1.0), (class_vars[cd], -1.0)],
+                    Sense::Ge,
+                    0.0,
+                );
+            }
+            continue;
+        }
         for e in &tg.edges {
             p.add_constraint(&[(y_b[e.src], 1.0), (y_b[e.dst], -1.0)], Sense::Ge, 0.0);
         }
     }
 
-    // CPU budget per tier.
+    // CPU budget per tier. A class's term sits where its first member's
+    // would.
     let mut cpu_rows: Vec<Option<CpuRow>> = vec![None; k];
     for (t, row_slot) in cpu_rows.iter_mut().enumerate() {
         if !obj.cpu_budget[t].is_finite() {
@@ -138,16 +208,23 @@ pub fn encode_multitier(tg: &TieredGraph, obj: &TierObjective) -> EncodedMultiTi
         let mut shift = 0.0f64;
         for (v, vert) in tg.vertices.iter().enumerate() {
             let c = vert.cpu_cost[t];
-            if is_exact_zero(c) {
-                continue;
-            }
+            let mut push = |b: usize, sign: f64| {
+                if shared && b == top {
+                    let cc = class_cpu[class_of[v]][t];
+                    if first_member[v] && !is_exact_zero(cc) {
+                        terms.push((y_vars[b][v], sign * cc));
+                    }
+                } else if !is_exact_zero(c) {
+                    terms.push((y_vars[b][v], sign * c));
+                }
+            };
             if t < k - 1 {
-                terms.push((y_vars[t][v], c));
+                push(t, 1.0);
             }
             if t > 0 {
-                terms.push((y_vars[t - 1][v], -c));
+                push(t - 1, -1.0);
             }
-            if t == k - 1 {
+            if t == k - 1 && !is_exact_zero(c) {
                 shift += c; // Σ c·(1 − y): constant folded into the rhs
             }
         }
@@ -167,12 +244,19 @@ pub fn encode_multitier(tg: &TieredGraph, obj: &TierObjective) -> EncodedMultiTi
         if !obj.net_budget[b].is_finite() {
             continue;
         }
-        let terms: Vec<(VarId, f64)> = net_coeff[b]
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| !is_exact_zero(c))
-            .map(|(v, &c)| (y_vars[b][v], c))
-            .collect();
+        let terms: Vec<(VarId, f64)> = if shared && b == top {
+            (0..classes)
+                .filter(|&c| !is_exact_zero(class_net[c]))
+                .map(|c| (class_vars[c], class_net[c]))
+                .collect()
+        } else {
+            net_coeff[b]
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| !is_exact_zero(c))
+                .map(|(v, &c)| (y_vars[b][v], c))
+                .collect()
+        };
         if terms.is_empty() {
             continue;
         }
@@ -375,6 +459,7 @@ pub(crate) mod tests {
     fn synthetic_3tier() -> TieredGraph {
         TieredGraph {
             tiers: 3,
+            top: Default::default(),
             vertices: vec![
                 TVertex {
                     ops: vec![OperatorId(0)],
@@ -500,6 +585,7 @@ pub(crate) mod tests {
         // and w on the gateway (objective 110).
         let tg = TieredGraph {
             tiers: 3,
+            top: Default::default(),
             vertices: vec![
                 TVertex {
                     ops: vec![OperatorId(0)],

@@ -18,10 +18,10 @@
 //! [`wishbone_core::preprocess_tiered`], which `tests/proptest_multitier.rs`
 //! pins to it bit for bit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use wishbone_core::{
-    Pin, PinError, TEdge, TVertex, TierObjective, TieredGraph, TieredPreprocessResult,
+    Pin, PinError, TEdge, TVertex, TierObjective, TieredGraph, TieredPreprocessResult, TopClasses,
 };
 use wishbone_dataflow::OperatorId;
 use wishbone_ilp::is_exact_zero;
@@ -52,6 +52,7 @@ pub fn tiered_from_binary(pg: &PartitionGraph) -> TieredGraph {
                 graph_edges: e.graph_edges.clone(),
             })
             .collect(),
+        top: TopClasses::default(),
     }
 }
 
@@ -115,7 +116,9 @@ pub fn preprocess(pg: &PartitionGraph) -> Result<PreprocessResult, PinError> {
 /// [`wishbone_core::preprocess_tiered`], computed the way `wishbone-core`
 /// did before its flat rewrite — a scan of every edge per mergeable
 /// vertex, hashed class lookups, a hashed edge aggregation sorted
-/// afterwards. O(V·E); what it returns is the specification.
+/// afterwards — and the per-boundary rule's top classes by label
+/// propagation over the merged classes.
+/// O(V·E); what it returns is the specification.
 pub fn preprocess_tiered_reference(
     tg: &TieredGraph,
     obj: &TierObjective,
@@ -140,6 +143,12 @@ pub fn preprocess_tiered_reference(
         .filter(|&t| !is_exact_zero(obj.alpha[t]) || obj.cpu_budget[t].is_finite())
         .collect();
 
+    // The top boundary alone (k ≥ 3) asks only that the root cannot
+    // charge the vertex.
+    let root = tg.tiers - 1;
+    let root_free = is_exact_zero(obj.alpha[root]) && obj.cpu_budget[root].is_infinite();
+    let mut top_joins: Vec<(usize, usize)> = Vec::new();
+
     let mut out_deg = vec![0usize; n];
     for e in &tg.edges {
         out_deg[e.src] += 1;
@@ -153,9 +162,12 @@ pub fn preprocess_tiered_reference(
         let free_on_every_charging_tier = charging_tiers
             .iter()
             .all(|&t| is_exact_zero(vert.cpu_cost[t]));
-        if safe_on_every_link && free_on_every_charging_tier {
-            for e in tg.edges.iter().filter(|e| e.src == v) {
+        let root_cannot_charge = root_free || is_exact_zero(vert.cpu_cost[root]);
+        for e in tg.edges.iter().filter(|e| e.src == v) {
+            if safe_on_every_link && free_on_every_charging_tier {
                 dsu.union(v, e.dst);
+            } else if safe_on_every_link && root_cannot_charge && tg.tiers >= 3 {
+                top_joins.push((v, e.dst));
             }
         }
     }
@@ -226,14 +238,82 @@ pub fn preprocess_tiered_reference(
     }
     let mut edges: Vec<TEdge> = agg.into_values().collect();
     edges.sort_by_key(|e| (e.src, e.dst));
+    let joins: Vec<(usize, usize)> = top_joins
+        .iter()
+        .map(|&(v, w)| (class_of[&dsu.find(v)], class_of[&dsu.find(w)]))
+        .collect();
+    let top = top_classes_reference(&vertices, &edges, &joins)?;
     Ok(TieredPreprocessResult {
         graph: TieredGraph {
             tiers: tg.tiers,
             vertices,
             edges,
+            top,
         },
         vertices_before: n,
         vertices_after: m,
+    })
+}
+
+/// The top boundary's classes of a merged graph, the merged vertices
+/// `joins` pairs up: labels propagated to a fixed point (each vertex
+/// takes the least label of any vertex it is joined to), classes
+/// numbered by their first vertex, pins combined member by member (the
+/// lowest class's first conflict wins), and per distinct pair of classes
+/// the lowest-index edge joining them, in pair order. Empty when every
+/// class is one vertex.
+fn top_classes_reference(
+    vertices: &[TVertex],
+    edges: &[TEdge],
+    joins: &[(usize, usize)],
+) -> Result<TopClasses, PinError> {
+    let mut label: Vec<usize> = (0..vertices.len()).collect();
+    loop {
+        let mut changed = false;
+        for &(a, b) in joins {
+            let (la, lb) = (label[a], label[b]);
+            if la != lb {
+                let least = la.min(lb);
+                for l in label.iter_mut().filter(|l| **l == la || **l == lb) {
+                    *l = least;
+                }
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    let mut number: HashMap<usize, usize> = HashMap::new();
+    let of: Vec<usize> = label
+        .iter()
+        .map(|l| {
+            let next = number.len();
+            *number.entry(*l).or_insert(next)
+        })
+        .collect();
+    if number.len() == vertices.len() {
+        return Ok(TopClasses::default());
+    }
+    let mut pin = Vec::with_capacity(number.len());
+    for class in 0..number.len() {
+        let mut p = Pin::Movable;
+        for (vert, _) in vertices.iter().zip(&of).filter(|&(_, &c)| c == class) {
+            let witness = vert.ops.first().copied().unwrap_or(OperatorId(0));
+            p = combine_pins(p, vert.pin, witness)?;
+        }
+        pin.push(p);
+    }
+    let mut pairs: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    for (i, e) in edges.iter().enumerate() {
+        if of[e.src] != of[e.dst] {
+            pairs.entry((of[e.src], of[e.dst])).or_insert(i);
+        }
+    }
+    Ok(TopClasses {
+        of,
+        pin,
+        edges: pairs.into_values().collect(),
     })
 }
 

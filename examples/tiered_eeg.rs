@@ -42,11 +42,10 @@ fn main() {
         PreparedDeployment::new(&app.graph, &prof, &dep, &cfg).expect("pin analysis succeeds");
     let (vars, cons) = prep.problem_size();
     println!(
-        "3-tier ILP: {} vars x {} constraints (merged {} -> {} vertices), backend {:?}",
+        "3-tier ILP: {} vars x {} constraints over {} operators, backend {:?}",
         vars,
         cons,
         app.graph.operator_count(),
-        vars / 2,
         cfg.ilp.backend
     );
     if std::env::args().any(|a| a == "--audit") {

@@ -370,13 +370,15 @@ fn starved_probe_past_the_cliff_reports_unproven_not_infeasible() {
 
     // Hard against it the heuristic has no cut to offer, and 20 nodes is
     // enough for a root-LP infeasibility proof (one solve, zero nodes),
-    // nowhere near the search's first integral node LP — pre-PR-8 this
-    // outcome was indistinguishable from `Infeasible`.
+    // nowhere near the search's first integral node LP — before `Unproven`
+    // this outcome was indistinguishable from `Infeasible`. The bound is
+    // the root LP's with the per-boundary §4.1 merge's shared top
+    // indicators, equalities that tighten the relaxation.
     match solve(UNSEEDABLE_RATE, 20) {
         Err(PartitionError::Unproven { best_bound }) => {
             let bound = best_bound.expect("an unproven verdict carries the root LP bound");
             assert!(
-                (bound - 12_281.69).abs() < 0.01,
+                (bound - 13_725.16).abs() < 0.01,
                 "open-tree bound moved: {bound}"
             );
         }

@@ -195,6 +195,7 @@ fn merge_case_strategy() -> impl Strategy<Value = (TieredGraph, TierObjective)> 
                     tiers: k,
                     vertices,
                     edges,
+                    top: Default::default(),
                 },
                 obj,
             )
@@ -207,12 +208,17 @@ type VertexBits = (Vec<OperatorId>, Vec<u64>, Pin);
 /// One merged edge with its bandwidths as bits.
 type EdgeBits = (usize, usize, Vec<u64>, Vec<EdgeId>);
 
+/// A merged graph's top classes: the class map, the class pins and the
+/// representative edges.
+type TopBits = (Vec<usize>, Vec<Pin>, Vec<usize>);
 /// A merge result with every float as its bits, so `==` is bit equality.
-fn merge_bits(
-    r: Result<TieredPreprocessResult, PinError>,
-) -> Result<(usize, usize, Vec<VertexBits>, Vec<EdgeBits>), PinError> {
+type MergeBits = (usize, usize, Vec<VertexBits>, Vec<EdgeBits>, TopBits);
+
+/// A merge result with every float as its bits, so `==` is bit equality.
+fn merge_bits(r: Result<TieredPreprocessResult, PinError>) -> Result<MergeBits, PinError> {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     r.map(|r| {
+        let top = &r.graph.top;
         (
             r.vertices_before,
             r.vertices_after,
@@ -226,6 +232,7 @@ fn merge_bits(
                 .iter()
                 .map(|e| (e.src, e.dst, bits(&e.bandwidth), e.graph_edges.clone()))
                 .collect(),
+            (top.of.clone(), top.pin.clone(), top.edges.clone()),
         )
     })
 }
@@ -272,7 +279,8 @@ proptest! {
 
     /// The linear-time merge is the reference merge: same classes, same
     /// operator lists, same CPU and bandwidth bits, same edge order, same
-    /// counts — or the same pin conflict, naming the same operator.
+    /// counts, same top classes — or the same pin conflict, naming the
+    /// same operator.
     #[test]
     fn merge_matches_the_reference_bit_for_bit((tg, obj) in merge_case_strategy()) {
         prop_assert_eq!(

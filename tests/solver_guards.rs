@@ -4,7 +4,7 @@
 //! not noise:
 //!
 //! * the 22-channel chain's root LP starts dual-first and takes exactly
-//!   1,717 iterations and at most 2 factorizations;
+//!   1,299 iterations and at most 2 factorizations;
 //! * the two-ward forest's rate search lands on ×3.15625 in 28 probes on
 //!   one encode, with 2 branch-and-bound runs on the sparse backend and 6
 //!   on the dense tableau; replayed with every probe solved, ≥ 80 % of
@@ -594,16 +594,17 @@ fn a_drift_resolve_absorbs_in_place() {
     }
 }
 
-/// The 22-channel EEG app on the mote → phone → server chain: its root
-/// LP must take the dual-first start (the two-phase primal needs ~4,450
-/// pivots) and exactly 1,717 iterations — 1,964 means the leaving row is
-/// no longer priced by dual steepest edge, any other count that the
-/// leaving heap no longer picks what a full scan picks or a hypersparse
-/// eta pass moved a pivot. Steepest-edge rows keep the etas sparse, so
-/// the 1,716 dual pivots stay inside the eta file's nonzero budget and
-/// the load's factorization is the only one.
+/// The 22-channel EEG app on the mote → phone → server chain, encoded as
+/// 1,855 × 3,467 (the per-boundary §4.1 merge shares 729 top indicators
+/// among 1,126 vertices): its root LP must take the dual-first start and
+/// exactly 1,299 iterations (1,298 dual + 1 primal) — any other count
+/// means the leaving row is no longer priced by dual steepest edge, the
+/// leaving heap no longer picks what a full scan picks, a hypersparse eta
+/// pass moved a pivot, or the encoding changed. Steepest-edge rows keep
+/// the etas sparse, so the dual pivots stay inside the eta file's nonzero
+/// budget and the load's factorization is the only one.
 #[test]
-fn the_22ch_chain_root_lp_is_dual_first_in_1717_iterations() {
+fn the_22ch_chain_root_lp_is_dual_first_in_1299_iterations() {
     let (graph, prof) = eeg_app(22);
     let chain = Deployment::chain(&three_tiers());
     let prep = PreparedDeployment::new(&graph, &prof, &chain, &DeploymentConfig::default())
@@ -629,7 +630,12 @@ fn the_22ch_chain_root_lp_is_dual_first_in_1717_iterations() {
     );
     assert!(dual > 0, "the 22ch chain root LP must start dual-first");
     assert_eq!(
-        lp.iterations, 1717,
+        (p.num_vars(), p.num_constraints()),
+        (1855, 3467),
+        "the 22ch chain's encoding size"
+    );
+    assert_eq!(
+        lp.iterations, 1299,
         "the 22ch chain root LP took {} iterations ({dual} dual + {primal} primal)",
         lp.iterations
     );

@@ -36,6 +36,8 @@ const RUNTIME_SRC: &str = "crates/runtime/src";
 const PER_SOLVE_PATH: &str = "crates/core/src/topology.rs";
 /// The one §4.1 merge and the one pricing.
 const MULTITIER: &str = "crates/core/src/multitier.rs";
+/// The one encoder.
+const ENCODER: &str = "crates/core/src/encodings.rs";
 /// The platform cost models.
 const PLATFORM: &str = "crates/profile/src/platform.rs";
 
@@ -105,7 +107,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 18] = [
+const CONFINE: [Confine; 20] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -192,9 +194,23 @@ const CONFINE: [Confine; 18] = [
     },
     Confine {
         rule: "one-merge", scope: &[CORE_SRC],
-        needles: &[Call("cross_edges"), Call("cyclic_sccs")],
+        needles: &[Call("cross_edges"), Call("cyclic_sccs"), Call("top_classes")],
         homes: &[Home::Fn(MULTITIER, "merge")],
         why: "`{}` outside `ChainTable::merge` — a second merge body growing beside the one",
+    },
+    Confine {
+        rule: "one-merge", scope: &[CORE_SRC],
+        needles: &[Ident("TopClasses")],
+        homes: &[Home::File(MULTITIER), Home::File("crates/core/src/lib.rs")],
+        why: "`{}` outside `crates/core/src/multitier.rs` — the top boundary's classes are built \
+              by `ChainTable::merge` alone; read a merged graph's `top`, never derive it",
+    },
+    Confine {
+        rule: "one-merge", scope: &[ENCODER],
+        needles: &[Ident("HashMap"), Ident("HashSet"), Ident("BTreeMap"), Ident("BTreeSet")],
+        homes: &[],
+        why: "`{}` in the encoder — the merge groups the top classes and their precedence \
+              edges (`TopClasses`); the encoder hashes nothing",
     },
     Confine {
         rule: "one-merge", scope: &[PER_SOLVE_PATH],
@@ -1535,6 +1551,37 @@ fn merge(tg: &TieredGraph) -> TieredPreprocessResult { // line 1
         );
         // No body at all.
         assert_eq!(found(&[(topology, prepare)]), vec![(home.to_string(), 0)]);
+        assert_repo_clean("one-merge");
+    }
+
+    #[test]
+    fn one_merge_fires_on_a_top_class_derivation_put_back_in_the_encoder() {
+        let found = |source: &str| -> Vec<usize> {
+            let v = found("one-merge", &[(ENCODER, source)]).into_iter();
+            v.filter(|(file, _)| file == ENCODER)
+                .map(|(_, line)| line)
+                .collect()
+        };
+        let reads = "\
+/// One variable per class of the merge's `TopClasses` — in a doc comment, fine.
+pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) -> EncodedDeployment {
+    let units = g.units(b).map(|(_, u)| p.add_var(lo, hi, co.y_cost(l, b, u), true));
+    let y_b = g.top.of.iter().map(|&c| units[c]).collect();
+    for e in leaf.graph.precedence_edges(b) {}
+}
+";
+        assert_eq!(found(reads), Vec::<usize>::new());
+        // The encoder grouping the top boundary itself, by hashing, and
+        // building the classes the merge should have.
+        let derives = "\
+use std::collections::HashMap; // line 1
+pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) -> EncodedDeployment {
+    let mut pairs: HashMap<(usize, usize), usize> = HashMap::new(); // line 3
+    let top = TopClasses { of, pin, edges: pairs.into_values().collect() }; // line 4
+    let joined = top_classes(&g.vertices, &g.edges, joins); // line 5
+}
+";
+        assert_eq!(found(derives), vec![1, 3, 4, 5]);
         assert_repo_clean("one-merge");
     }
 
