@@ -682,7 +682,7 @@ fn validation((app, prof): &Profiled<SpeechApp>, claims: &mut Claims) {
     let elems = app.trace_elements(240, 5);
 
     // ---- 1. Rate search vs empirical ground truth -----------------------
-    let netprof = profile_network(channel, 1, 28, 0.90, 99);
+    let netprof = profile_network(channel, 28, 0.90, 99);
     // Budget = network profile; CPU derated by the measured OS-overhead
     // factor (the paper's §7.3 proposal).
     let site = Site::new("mote", &mote).with_measured_overheads();

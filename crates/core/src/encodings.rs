@@ -250,9 +250,6 @@ impl EncodedDeployment {
             }
         }
         self.objective_offset = co.root_cpu_offset();
-
-        #[cfg(debug_assertions)]
-        crate::audit::audit_deployment(self).assert_no_errors("rescale_in_place");
     }
 
     /// Decode a solver assignment into per-leaf vertex path positions.
@@ -284,7 +281,7 @@ impl EncodedDeployment {
 /// The count-, weight- and budget-dependent arithmetic of the encoding,
 /// stated once: [`encode_deployment`] `add_var`s / `add_constraint`s what
 /// [`EncodedDeployment::rescale_in_place`] `set_objective_coeff`s /
-/// `replace_constraint`s, so the two agree bit for bit by construction.
+/// `rewrite_constraint`s, so the two agree bit for bit by construction.
 ///
 /// Each boundary's indicators stand for *units*
 /// ([`TieredGraph::units`](crate::multitier::TieredGraph)): a vertex, or
@@ -603,14 +600,11 @@ pub fn encode_deployment(leaves: &[LeafChain<'_>], obj: &DeploymentObjective) ->
         }
     }
 
-    let ep = EncodedDeployment {
+    EncodedDeployment {
         problem: p,
         y_vars,
         cpu_rows,
         net_rows,
         objective_offset: co.root_cpu_offset(),
-    };
-    #[cfg(debug_assertions)]
-    crate::audit::audit_deployment(&ep).assert_no_errors("encode_deployment");
-    ep
+    }
 }

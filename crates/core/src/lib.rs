@@ -32,20 +32,17 @@
 //!    [`topology::max_sustainable_rate_deployment`] searches rates per
 //!    §4.3 on top of it, solving only the probes that neither the last
 //!    proved placement still fits nor the last root LP refutation still
-//!    refutes;
-//! 6. [`audit`] — a static-analysis bridge: the encoder's output is
-//!    checked against its implied [`wishbone_audit::ModelSpec`] under
-//!    `debug_assertions`, so the whole test suite doubles as an audit
-//!    corpus.
+//!    refutes.
 //!
 //! The binary graph model, merge, encoders and baseline comparators this
 //! path replaced live on as differential oracles in the dev-only
-//! `wishbone-oracle` crate; nothing here depends on it.
+//! `wishbone-oracle` crate; nothing here depends on it. The workspace's
+//! parity suites hold [`encodings::encode_deployment`] to them bit for
+//! bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod cost_graph;
 pub mod drift;
 pub mod encodings;
@@ -55,7 +52,6 @@ pub mod rate_search;
 pub mod shape;
 pub mod topology;
 
-pub use audit::{audit_deployment, deployment_spec};
 pub use cost_graph::{pin_analysis, Mode, Pin, PinError};
 pub use drift::drift_to_deltas;
 pub use encodings::{

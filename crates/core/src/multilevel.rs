@@ -39,10 +39,9 @@
 //! budgets, and per-uplink bandwidth budgets intact — so the emitted
 //! placement is integer-feasible for
 //! [`encode_deployment`](crate::encodings::encode_deployment) *by
-//! construction*. Callers double-check that contract against the encoded
-//! problem ([`Problem::is_feasible`](wishbone_ilp::Problem::is_feasible))
-//! and, under `debug_assertions`, against the `wishbone-audit`
-//! assignment auditor.
+//! construction*. The caller double-checks that contract against the
+//! encoded problem
+//! ([`Problem::is_feasible`](wishbone_ilp::Problem::is_feasible)).
 //!
 //! The heuristic has one caller ([`crate::topology`]): it seeds exact
 //! branch-and-bound's incumbent when the search asks for one — once it is

@@ -961,12 +961,6 @@ fn seed_values(
         );
         return None;
     }
-    #[cfg(debug_assertions)]
-    {
-        let spec = crate::audit::deployment_spec(ep);
-        let report = wishbone_audit::audit_assignment(&ep.problem, &spec, &values);
-        report.assert_no_errors("multilevel cut assignment");
-    }
     Some(values)
 }
 
@@ -1327,21 +1321,12 @@ impl<'a> PreparedDeployment<'a> {
         &self.ep.problem
     }
 
-    /// The full encoding with its variable and row maps — read-only,
-    /// for audits that pin the current budget rows (e.g. via
-    /// [`crate::audit::deployment_spec`]) before deltas or a
-    /// differently-priced re-encode could drift them.
+    /// The full encoding with its variable and row maps, read-only: for
+    /// a caller that maps a placement onto the indicator columns or adds
+    /// [`EncodedDeployment::objective_offset`](crate::encodings::EncodedDeployment::objective_offset)
+    /// to a solver objective.
     pub fn encoded(&self) -> &crate::encodings::EncodedDeployment {
         &self.ep
-    }
-
-    /// Statically audit the encoded ILP — structure, conditioning, and
-    /// infeasibility pre-certificates — without a simplex iteration.
-    /// Reflects the problem as currently rescaled (rate re-targeting
-    /// rewrites objective and budget right-hand sides in place, which
-    /// never changes the structure the auditor checks).
-    pub fn audit(&self) -> wishbone_audit::AuditReport {
-        crate::audit::audit_deployment(&self.ep)
     }
 
     /// Rescale the prepared ILP in place for a probe at `rate`:

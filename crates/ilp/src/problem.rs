@@ -140,30 +140,14 @@ impl Problem {
     }
 
     /// Overwrite constraint `row` in place, keeping every other row's
-    /// index stable. Removing a row instead would shift all later
-    /// indices and stale any recorded budget-row positions, so in-place
-    /// replacement is how the audit mutation tests seed a corrupted
-    /// model (and how a caller would neutralize a row: replace it with
-    /// a vacuous one). The row's terms may change, so the next solve of
-    /// this problem in any workspace starts cold.
-    pub fn replace_constraint(
-        &mut self,
-        row: usize,
-        terms: &[(VarId, f64)],
-        sense: Sense,
-        rhs: f64,
-    ) {
-        self.rewrite_constraint(row, sense, rhs, |row_terms| {
-            row_terms.extend_from_slice(terms)
-        });
-    }
-
-    /// [`replace_constraint`](Problem::replace_constraint) into the row's
-    /// own storage: `fill` receives the row's terms emptied, with their
-    /// capacity kept, and pushes the new ones. A caller that rewrites the
-    /// same rows again and again (a cached encoding morphed to each
-    /// request's counts and budgets) allocates nothing once every row has
-    /// held its longest form. The matrix stamp renews as it does there.
+    /// index stable (removing a row would shift all later indices and
+    /// stale any recorded budget-row positions). `fill` receives the
+    /// row's terms emptied, with their capacity kept, and pushes the new
+    /// ones. A caller that rewrites the same rows again and again (a
+    /// cached encoding morphed to each request's counts and budgets)
+    /// allocates nothing once every row has held its longest form. The
+    /// row's terms may change, so the matrix stamp renews and the next
+    /// solve of this problem in any workspace starts cold.
     pub fn rewrite_constraint(
         &mut self,
         row: usize,
@@ -338,13 +322,13 @@ mod tests {
         assert_eq!(c.matrix_stamp, stamp);
         c.set_rhs(0, 1.0);
         assert_eq!(c.matrix_stamp, stamp);
-        c.replace_constraint(0, &[(x, 3.0), (y, 1.0)], Sense::Le, 4.0);
+        c.rewrite_constraint(0, Sense::Le, 4.0, |t| t.extend([(x, 3.0), (y, 1.0)]));
         assert_ne!(c.matrix_stamp, stamp);
         assert_eq!(p.matrix_stamp, stamp, "the original is untouched");
 
         // … and every matrix mutator renews it.
         let mut seen = vec![stamp, c.matrix_stamp];
-        p.replace_constraint(0, &[(x, 1.0), (y, 1.0)], Sense::Le, 2.0);
+        p.rewrite_constraint(0, Sense::Le, 2.0, |t| t.extend([(x, 1.0), (y, 1.0)]));
         seen.push(p.matrix_stamp);
         p.add_constraint(&[(x, 1.0)], Sense::Ge, 0.0);
         seen.push(p.matrix_stamp);

@@ -199,8 +199,8 @@ fn retargets_keep_the_basis_and_matrix_edits_drop_it() {
         step(&p, "set_rhs", -3.0, true);
         p.set_rhs(0, 4.0);
         step(&p, "set_rhs back", -2.0, true);
-        p.replace_constraint(1, &[(x, 1.0), (y, 1.0)], Sense::Le, 4.0);
-        step(&p, "replace_constraint", -4.0, false);
+        p.rewrite_constraint(1, Sense::Le, 4.0, |t| t.extend([(x, 1.0), (y, 1.0)]));
+        step(&p, "rewrite_constraint", -4.0, false);
         p.add_constraint(&[(y, 1.0)], Sense::Le, 1.0);
         step(&p, "add_constraint", -2.0, false);
         let z = p.add_var(0.0, 1.0, -1.0, false);

@@ -6,40 +6,34 @@
 //! target reception rate (e.g. 90%), and returns a maximum send rate (in
 //! msgs/sec and bytes/sec) that the network can maintain" (§7.3.1).
 //!
-//! Changing the network size changes the available per-node bandwidth, so
-//! the profile is a function of `n_nodes` — re-profiling on deployment
-//! changes is exactly what the paper prescribes.
+//! The sweep drives the channel at aggregate rates, so the profile is the
+//! channel's: a deployment of `n` identical senders shares its
+//! `max_aggregate_payload_rate` `n` ways, and re-profiling when the
+//! deployment's environment changes is exactly what the paper prescribes.
 
 use crate::channel::{Channel, ChannelParams};
 
 /// Result of a network profiling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkProfile {
-    /// Number of nodes sending.
-    pub n_nodes: usize,
     /// Maximum aggregate application payload rate meeting the target,
     /// bytes/second.
     pub max_aggregate_payload_rate: f64,
-    /// Per-node share of that rate, bytes/second.
-    pub max_per_node_payload_rate: f64,
     /// Reception ratio actually measured at the returned rate.
     pub measured_reception: f64,
 }
 
-/// Profile a channel shared by `n_nodes` identical senders: find the
-/// highest identical per-node send rate whose measured packet reception
-/// stays at or above `target_reception`.
+/// Profile a shared channel: find the highest aggregate send rate whose
+/// measured packet reception stays at or above `target_reception`.
 ///
 /// Mirrors the paper's tool: a rate sweep with measurement at each step,
 /// not an analytic inversion — so it works for any channel model.
 pub fn profile_network(
     params: ChannelParams,
-    n_nodes: usize,
     probe_payload_bytes: usize,
     target_reception: f64,
     seed: u64,
 ) -> NetworkProfile {
-    assert!(n_nodes >= 1);
     assert!((0.0..1.0).contains(&target_reception));
 
     let on_air_per_msg = params.format.on_air_bytes(probe_payload_bytes) as f64;
@@ -64,11 +58,8 @@ pub fn profile_network(
     }
 
     let (agg_msgs, measured) = best.unwrap_or((0.0, 0.0));
-    let aggregate_payload = agg_msgs * payload_per_msg;
     NetworkProfile {
-        n_nodes,
-        max_aggregate_payload_rate: aggregate_payload,
-        max_per_node_payload_rate: aggregate_payload / n_nodes as f64,
+        max_aggregate_payload_rate: agg_msgs * payload_per_msg,
         measured_reception: measured,
     }
 }
@@ -98,7 +89,7 @@ mod tests {
     #[test]
     fn profile_lands_near_capacity() {
         let params = ChannelParams::mote();
-        let prof = profile_network(params, 1, 28, 0.90, 99);
+        let prof = profile_network(params, 28, 0.90, 99);
         let on_air_ratio = params.format.on_air_bytes(28) as f64 / 28.0;
         let found_on_air = prof.max_aggregate_payload_rate * on_air_ratio;
         // The flat-then-collapse model means the target is met right up to
@@ -112,33 +103,18 @@ mod tests {
     }
 
     #[test]
-    fn per_node_share_divides_by_network_size() {
-        let params = ChannelParams::mote();
-        let one = profile_network(params, 1, 28, 0.90, 7);
-        let twenty = profile_network(params, 20, 28, 0.90, 7);
-        // Same bottleneck: aggregate nearly unchanged, per-node ~1/20.
-        let agg_ratio = twenty.max_aggregate_payload_rate / one.max_aggregate_payload_rate;
-        assert!(
-            (0.7..1.3).contains(&agg_ratio),
-            "aggregate ratio {agg_ratio}"
-        );
-        let per_node_ratio = twenty.max_per_node_payload_rate / one.max_per_node_payload_rate;
-        assert!(per_node_ratio < 0.1, "per-node ratio {per_node_ratio}");
-    }
-
-    #[test]
     fn stricter_target_means_lower_rate() {
         let params = ChannelParams::wifi(100_000.0);
-        let loose = profile_network(params, 1, 1000, 0.50, 3);
-        let strict = profile_network(params, 1, 1000, 0.98, 3);
+        let loose = profile_network(params, 1000, 0.50, 3);
+        let strict = profile_network(params, 1000, 0.98, 3);
         assert!(strict.max_aggregate_payload_rate <= loose.max_aggregate_payload_rate);
     }
 
     #[test]
     fn deterministic() {
         let params = ChannelParams::mote();
-        let a = profile_network(params, 5, 28, 0.9, 11);
-        let b = profile_network(params, 5, 28, 0.9, 11);
+        let a = profile_network(params, 28, 0.9, 11);
+        let b = profile_network(params, 28, 0.9, 11);
         assert_eq!(a, b);
     }
 }

@@ -162,16 +162,13 @@ fn encode_restricted(pg: &PartitionGraph, obj: &ObjectiveConfig) -> EncodedProbl
         p.add_constraint(&net_row, Sense::Le, obj.net_budget);
     }
 
-    let ep = EncodedProblem {
+    EncodedProblem {
         problem: p,
         f_vars,
         encoding: Encoding::Restricted,
         cpu_row: cpu_row_idx,
         net_row: net_row_idx,
-    };
-    #[cfg(debug_assertions)]
-    crate::audit::audit_binary(&ep).assert_no_errors("encode_restricted");
-    ep
+    }
 }
 
 fn encode_general(pg: &PartitionGraph, obj: &ObjectiveConfig) -> EncodedProblem {
@@ -228,16 +225,13 @@ fn encode_general(pg: &PartitionGraph, obj: &ObjectiveConfig) -> EncodedProblem 
         p.add_constraint(&net_row, Sense::Le, obj.net_budget);
     }
 
-    let ep = EncodedProblem {
+    EncodedProblem {
         problem: p,
         f_vars,
         encoding: Encoding::General,
         cpu_row: cpu_row_idx,
         net_row: net_row_idx,
-    };
-    #[cfg(debug_assertions)]
-    crate::audit::audit_binary(&ep).assert_no_errors("encode_general");
-    ep
+    }
 }
 
 #[cfg(test)]

@@ -23,9 +23,7 @@
 //! * [`multitier`] — the standalone k-tier chain encoder
 //!   ([`encode_multitier`]);
 //! * [`baselines`] — all-node / all-server / greedy / local-search /
-//!   exhaustive comparators over the binary graph;
-//! * [`audit`] — the [`wishbone_audit::ModelSpec`] bridges of the two
-//!   oracle encoders.
+//!   exhaustive comparators over the binary graph.
 //!
 //! The crate calls only `wishbone-core`'s public API (`pin_analysis`,
 //! `TierObjective`, `TieredGraph`) and shares no merge or encoder logic
@@ -35,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod baselines;
 pub mod cost_graph;
 pub mod encodings;
@@ -46,7 +43,6 @@ pub mod preprocess;
 #[cfg(test)]
 mod topology;
 
-pub use audit::{audit_binary, audit_multitier, binary_spec, multitier_spec};
 pub use baselines::{
     all_node, all_server, evaluate, exhaustive, greedy, local_search, pipeline_cutpoints,
     CutMetrics,

@@ -274,17 +274,14 @@ pub fn encode_multitier(tg: &TieredGraph, obj: &TierObjective) -> EncodedMultiTi
         0.0
     };
 
-    let ep = EncodedMultiTier {
+    EncodedMultiTier {
         problem: p,
         y_vars,
         tiers: k,
         cpu_rows,
         net_rows,
         objective_offset,
-    };
-    #[cfg(debug_assertions)]
-    crate::audit::audit_multitier(&ep).assert_no_errors("encode_multitier");
-    ep
+    }
 }
 
 #[cfg(test)]

@@ -75,13 +75,6 @@ fn main() {
         .expect("pin analysis succeeds");
     let mut prep_n80 = PreparedDeployment::new(&app.graph, &prof, &two_site(&n80), &cfg)
         .expect("pin analysis succeeds");
-    if std::env::args().any(|a| a == "--audit") {
-        for (prep, name) in [(&prep_mote, "TMoteSky"), (&prep_n80, "NokiaN80")] {
-            let report = prep.audit();
-            println!("audit[{name}]: {}", report.summary());
-            assert!(!report.has_errors(), "static audit found errors:\n{report}");
-        }
-    }
     let mut sweep_stats: Vec<(String, u64, u64)> = Vec::new();
     let mut capped: Vec<String> = Vec::new();
     for mult in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {

@@ -87,11 +87,6 @@ fn main() {
         "forest ILP: {} vars x {} constraints across 2 leaf classes, backend {:?}",
         vars, cons, cfg.ilp.backend
     );
-    if std::env::args().any(|a| a == "--audit") {
-        let report = prep.audit();
-        println!("audit: {}", report.summary());
-        assert!(!report.has_errors(), "static audit found errors:\n{report}");
-    }
     drop(prep);
 
     // §4.3 on the whole forest: the starved backhaul caps the deployment.

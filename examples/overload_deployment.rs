@@ -15,7 +15,7 @@ fn main() {
 
     // 1. Network profiling (§7.3.1): max send rate for 90% reception.
     let channel = ChannelParams::mote();
-    let netprof = profile_network(channel, 1, 28, 0.90, 99);
+    let netprof = profile_network(channel, 28, 0.90, 99);
     println!(
         "network profile: {:.0} B/s aggregate payload at >=90% reception",
         netprof.max_aggregate_payload_rate

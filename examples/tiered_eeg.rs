@@ -48,11 +48,6 @@ fn main() {
         app.graph.operator_count(),
         cfg.ilp.backend
     );
-    if std::env::args().any(|a| a == "--audit") {
-        let report = prep.audit();
-        println!("audit: {}", report.summary());
-        assert!(!report.has_errors(), "static audit found errors:\n{report}");
-    }
 
     println!(
         "\n{:>6} {:>6} {:>6} {:>7} {:>12} {:>12} {:>9}",

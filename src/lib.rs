@@ -23,7 +23,6 @@
 //! | [`runtime`] | `wishbone-runtime` | TinyOS-style executors, the tree deployment simulator |
 //! | [`core`] | `wishbone-core` | the partitioner itself: one `Deployment` path |
 //! | [`apps`] | `wishbone-apps` | speech-MFCC and EEG applications |
-//! | [`audit`] | `wishbone-audit` | static analyzer for encoded ILPs |
 //! | [`trace`] | `wishbone-trace` | streaming telemetry, drift detection, loss attribution |
 //! | [`fleet`] | `wishbone-fleet` | sharded, shape-cached fleet partitioning service |
 //!
@@ -57,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub use wishbone_apps as apps;
-pub use wishbone_audit as audit;
 pub use wishbone_core as core;
 pub use wishbone_dataflow as dataflow;
 pub use wishbone_dsp as dsp;
@@ -75,7 +73,6 @@ pub mod prelude {
         build_eeg_app, build_eeg_channel, build_speech_app, heuristic_svm, EegApp, EegParams,
         LinearSvm, SpeechApp, SpeechParams,
     };
-    pub use wishbone_audit::{AuditCode, AuditReport, Diagnostic, Severity};
     pub use wishbone_core::{deltas_between, shape_key, ShapeKey};
     pub use wishbone_core::{
         drift_to_deltas, max_sustainable_rate_deployment, partition_deployment, pin_analysis,

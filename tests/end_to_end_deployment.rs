@@ -17,45 +17,15 @@
 //!    about *where* goodput collapses when one gateway saturates.
 
 use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
-use wishbone::ilp::{solve_ilp, Problem, VarId};
+use wishbone::ilp::solve_ilp;
 use wishbone::prelude::*;
 use wishbone_oracle::{
     build_partition_graph, encode, encode_multitier, preprocess, Encoding, ObjectiveConfig,
 };
 
-fn assert_problems_identical(a: &Problem, b: &Problem, what: &str) {
-    assert_eq!(a.num_vars(), b.num_vars(), "{what}: variable count");
-    assert_eq!(a.num_constraints(), b.num_constraints(), "{what}: rows");
-    for j in 0..a.num_vars() {
-        let v = VarId(j);
-        assert_eq!(
-            a.objective_coeff(v).to_bits(),
-            b.objective_coeff(v).to_bits(),
-            "{what}: objective bits of var {j}"
-        );
-        assert_eq!(a.lower_bounds()[j].to_bits(), b.lower_bounds()[j].to_bits());
-        assert_eq!(a.upper_bounds()[j].to_bits(), b.upper_bounds()[j].to_bits());
-        assert_eq!(a.is_integer(v), b.is_integer(v));
-    }
-    for i in 0..a.num_constraints() {
-        let (ca, cb) = (a.constraint(i), b.constraint(i));
-        assert_eq!(ca.sense, cb.sense, "{what}: sense of row {i}");
-        assert_eq!(
-            ca.rhs.to_bits(),
-            cb.rhs.to_bits(),
-            "{what}: rhs bits of row {i}"
-        );
-        assert_eq!(ca.terms.len(), cb.terms.len(), "{what}: terms of row {i}");
-        for (ta, tb) in ca.terms.iter().zip(&cb.terms) {
-            assert_eq!(ta.0, tb.0, "{what}: term variable in row {i}");
-            assert_eq!(
-                ta.1.to_bits(),
-                tb.1.to_bits(),
-                "{what}: term bits in row {i}"
-            );
-        }
-    }
-}
+#[path = "common/identity.rs"]
+mod identity;
+use identity::problems_identical;
 
 #[test]
 fn speech_two_site_star_is_the_binary_encoding() {
@@ -77,7 +47,8 @@ fn speech_two_site_star_is_the_binary_encoding() {
     let dep = Deployment::star([(Site::new("mote", &mote), uplink)]);
     let prep =
         PreparedDeployment::new(&app.graph, &prof, &dep, &DeploymentConfig::default()).unwrap();
-    assert_problems_identical(&oracle.problem, prep.problem(), "speech 2-site");
+    problems_identical(&oracle.problem, prep.problem())
+        .unwrap_or_else(|e| panic!("speech 2-site: {e}"));
 }
 
 #[test]
@@ -110,7 +81,8 @@ fn eeg_three_tier_path_is_the_multitier_encoding() {
     let dep = Deployment::chain(&chain);
     let prep =
         PreparedDeployment::new(&app.graph, &prof, &dep, &DeploymentConfig::default()).unwrap();
-    assert_problems_identical(&oracle.problem, prep.problem(), "eeg k=3 path");
+    problems_identical(&oracle.problem, prep.problem())
+        .unwrap_or_else(|e| panic!("eeg k=3 path: {e}"));
 
     // And through the solver, on both backends, the deployment facade
     // must reproduce the oracle's optimum.

@@ -111,7 +111,7 @@ fn overload_deployment_recommendation_matches_simulation() {
     let mote = Platform::tmote_sky();
 
     let channel = ChannelParams::mote();
-    let netprof = profile_network(channel, 1, 28, 0.90, 99);
+    let netprof = profile_network(channel, 28, 0.90, 99);
     assert!(
         netprof.max_aggregate_payload_rate > 0.0,
         "network profile must find a usable rate"
@@ -200,7 +200,7 @@ fn overload_pipeline_is_backend_invariant() {
     let (app, prof) = speech_profiled();
     let mote = Platform::tmote_sky();
     let channel = ChannelParams::mote();
-    let netprof = profile_network(channel, 1, 28, 0.90, 99);
+    let netprof = profile_network(channel, 28, 0.90, 99);
     let mut results = Vec::new();
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
         let dep = Deployment::star([(

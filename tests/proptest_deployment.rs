@@ -29,18 +29,22 @@ use std::collections::HashSet;
 use wishbone::core::{
     deltas_between, encode_deployment, max_sustainable_rate_deployment, partition_deployment,
     shape_key, Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective,
-    DeploymentPartition, LeafChain, LinkSpec, PartitionError, Pin, PreparedDeployment, Site,
-    SiteId, TierObjective, TieredGraph,
+    DeploymentPartition, LeafChain, LinkSpec, PartitionError, Pin, PreparedDeployment,
+    RobustnessMode, Site, SiteId, TierObjective, TieredGraph,
 };
 use wishbone::dataflow::{
     EdgeId, Graph, IdentityWork, Namespace, OperatorId, OperatorSpec, WorkFn,
 };
-use wishbone::ilp::{solve_ilp, IlpOptions, IlpStats, Problem, SolverBackend, VarId};
+use wishbone::ilp::{solve_ilp, IlpOptions, IlpStats, SolverBackend};
 use wishbone::prelude::{profile, GraphBuilder, Platform, SourceTrace, Value};
 use wishbone_oracle::{
     encode, encode_multitier, tiered_from_binary, Encoding, ObjectiveConfig, PEdge, PVertex,
     PartitionGraph,
 };
+
+#[path = "common/identity.rs"]
+mod identity;
+use identity::problems_identical;
 
 /// Random layered DAG: vertex 0 pinned Node, last pinned Server, edges
 /// only forward (guaranteeing acyclicity and source/sink reachability).
@@ -81,36 +85,6 @@ fn pg_strategy() -> impl Strategy<Value = PartitionGraph> {
             PartitionGraph { vertices, edges }
         })
     })
-}
-
-/// Bit-level problem identity: same variables (bounds, integrality,
-/// objective bits), same rows (terms in order, sense, rhs bits).
-fn assert_problems_identical(a: &Problem, b: &Problem) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.num_vars(), b.num_vars(), "variable count");
-    prop_assert_eq!(a.num_constraints(), b.num_constraints(), "row count");
-    for j in 0..a.num_vars() {
-        let v = VarId(j);
-        prop_assert_eq!(
-            a.objective_coeff(v).to_bits(),
-            b.objective_coeff(v).to_bits(),
-            "objective bits of var {}",
-            j
-        );
-        prop_assert_eq!(a.lower_bounds()[j].to_bits(), b.lower_bounds()[j].to_bits());
-        prop_assert_eq!(a.upper_bounds()[j].to_bits(), b.upper_bounds()[j].to_bits());
-        prop_assert_eq!(a.is_integer(v), b.is_integer(v));
-    }
-    for i in 0..a.num_constraints() {
-        let (ca, cb) = (a.constraint(i), b.constraint(i));
-        prop_assert_eq!(ca.sense, cb.sense, "sense of row {}", i);
-        prop_assert_eq!(ca.rhs.to_bits(), cb.rhs.to_bits(), "rhs bits of row {}", i);
-        prop_assert_eq!(ca.terms.len(), cb.terms.len(), "terms of row {}", i);
-        for (ta, tb) in ca.terms.iter().zip(&cb.terms) {
-            prop_assert_eq!(ta.0, tb.0, "term variable in row {}", i);
-            prop_assert_eq!(ta.1.to_bits(), tb.1.to_bits(), "term bits in row {}", i);
-        }
-    }
-    Ok(())
 }
 
 /// Lift a binary graph into a 3-tier one (gateway at 1/8 cost, both hops
@@ -254,7 +228,7 @@ proptest! {
                 row_order: vec![1, 0],
             },
         );
-        assert_problems_identical(&binary.problem, &ep.problem)?;
+        problems_identical(&binary.problem, &ep.problem).map_err(TestCaseError::fail)?;
     }
 
     /// (a) k = 3 path ≡ `encode_multitier`, bit for bit — and the
@@ -291,7 +265,7 @@ proptest! {
                 row_order: vec![2, 1, 0],
             },
         );
-        assert_problems_identical(&oracle.problem, &ep.problem)?;
+        problems_identical(&oracle.problem, &ep.problem).map_err(TestCaseError::fail)?;
         // Bit-identical problems must decode identically through both
         // variable maps on both backends.
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
@@ -640,14 +614,16 @@ proptest! {
         }
     }
 
-    /// PR-10: `ShapeKey` equality implies delta-reachability. Two
-    /// deployments differing arbitrarily in leaf counts and finite
-    /// CPU/uplink budget values must (a) produce equal keys, and
-    /// (b) morphing the first's prepared encoding with
-    /// `deltas_between` must leave a problem **bit-identical** to a
-    /// cold prepare of the second at the same rate — the exact
-    /// contract the fleet's `ShapeCache` banks on. Flipping a budget's
-    /// finiteness (a row appearing or vanishing) must change the key.
+    /// `ShapeKey` equality implies delta-reachability. Two deployments
+    /// differing arbitrarily in leaf counts and finite CPU/uplink budget
+    /// values must (a) produce equal keys, and (b) morphing the first's
+    /// prepared encoding with `deltas_between` must leave a problem
+    /// **bit-identical** to a cold prepare of the second at the same
+    /// rate — the exact contract the fleet's `ShapeCache` banks on —
+    /// under either robustness mode and 1–3 gateway devices (a delta
+    /// must reprice a robust gateway's `count − 1` rows as such, not at
+    /// full count). Flipping a budget's finiteness (a row appearing or
+    /// vanishing) must change the key.
     #[test]
     fn shape_key_equality_implies_delta_reachable(
         stages in 2usize..5,
@@ -655,11 +631,11 @@ proptest! {
         keeps in prop::collection::vec(1usize..5, 4),
         budgets_a in ((0.01f64..0.5), (50.0f64..5000.0)),
         budgets_b in ((0.01f64..0.5), (50.0f64..5000.0)),
-        counts_rate in (1usize..5, 1usize..5, 0.05f64..0.5),
+        counts_rate_robustness in (1usize..5, 1usize..5, 0.05f64..0.5, prop::bool::ANY, 1usize..4),
     ) {
         let (cpu_a, net_a) = budgets_a;
         let (cpu_b, net_b) = budgets_b;
-        let (count_a, count_b, rate) = counts_rate;
+        let (count_a, count_b, rate, robust, gateways) = counts_rate_robustness;
         let (g, src) = random_app(stages, &costs, &keeps);
         let trace = SourceTrace {
             source: src,
@@ -670,8 +646,12 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
-        let mk_dep = gateway_chain;
-        let cfg = DeploymentConfig::default();
+        let mk_dep = |count, cpu, net| gateway_chain(gateways, count, cpu, net);
+        let cfg = DeploymentConfig::default().with_robustness(if robust {
+            RobustnessMode::SingleGatewayFailure
+        } else {
+            RobustnessMode::Nominal
+        });
         let dep_a = mk_dep(count_a, cpu_a, net_a);
         let dep_b = mk_dep(count_b, cpu_b, net_b);
 
@@ -701,7 +681,7 @@ proptest! {
         // comparison below is the property under test).
         let warm_result = morphed.solve_at(rate);
         let cold_result = cold.solve_at(rate);
-        assert_problems_identical(morphed.problem(), cold.problem())?;
+        problems_identical(morphed.problem(), cold.problem()).map_err(TestCaseError::fail)?;
         prop_assert_eq!(
             warm_result.is_ok(), cold_result.is_ok(),
             "bit-identical problems must agree on feasibility"
@@ -716,14 +696,17 @@ proptest! {
     }
 }
 
-/// Motes under a budgeted gateway under the server. Sites: 0 = server,
-/// 1 = gateway (`cpu`, uplink `net`), 2 = motes (`count` devices).
-fn gateway_chain(count: usize, cpu: f64, net: f64) -> Deployment {
+/// Motes under a budgeted gateway site under the server. Sites: 0 =
+/// server, 1 = gateway (`gateways` devices, `cpu`, uplink `net`), 2 =
+/// motes (`count` devices).
+fn gateway_chain(gateways: usize, count: usize, cpu: f64, net: f64) -> Deployment {
     let mut dep = Deployment::new(Site::server("server", &Platform::server()));
     let root = dep.root();
     let gw = dep.attach(
         root,
-        Site::new("gw", &Platform::iphone()).with_cpu_budget(cpu),
+        Site::new("gw", &Platform::iphone())
+            .with_cpu_budget(cpu)
+            .with_count(gateways),
         LinkSpec {
             beta: 1.0,
             net_budget: net,
@@ -820,7 +803,7 @@ proptest! {
             return Ok(());
         };
         let cfg = DeploymentConfig::default();
-        let (dep_a, dep_b) = (gateway_chain(count_a, cpu_a, net_a), gateway_chain(count_b, cpu_b, net_b));
+        let (dep_a, dep_b) = (gateway_chain(1, count_a, cpu_a, net_a), gateway_chain(1, count_b, cpu_b, net_b));
         let key = |app: &(Graph, wishbone::profile::GraphProfile)| shape_key(&app.0, &app.1, &dep_a, &cfg);
         prop_assert_eq!(key(&first), key(&second), "two builds of one app");
 
@@ -842,7 +825,7 @@ proptest! {
         let mut cold = PreparedDeployment::new(&second.0, &second.1, &dep_b, &cfg)
             .expect("the first build prepared");
         let (warm_result, cold_result) = (morphed.solve_at(rate), cold.solve_at(rate));
-        assert_problems_identical(morphed.problem(), cold.problem())?;
+        problems_identical(morphed.problem(), cold.problem()).map_err(TestCaseError::fail)?;
         match (warm_result, cold_result) {
             (Ok(a), Ok(b)) => assert_bit_identical(&a, &b)?,
             (a, b) => prop_assert_eq!(a.err(), b.err()),

@@ -17,12 +17,14 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use wishbone::core::{LeafGraphs, PreparedDeployment};
-use wishbone::ilp::VarId;
 use wishbone::prelude::*;
 
 #[path = "common/fleet.rs"]
 #[allow(dead_code)] // the load generators are `fleet_parity.rs`'s
 mod fleet;
+#[path = "common/identity.rs"]
+mod identity;
+use identity::problems_identical;
 
 type App = (Arc<Graph>, Arc<GraphProfile>);
 
@@ -155,36 +157,6 @@ fn forest_dep(d: &mut Draws, charging: &[u8]) -> Deployment {
     dep
 }
 
-/// Same variables (bounds, integrality, objective bits), same rows
-/// (terms in order, sense, rhs bits).
-fn assert_problems_identical(a: &Problem, b: &Problem) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.num_vars(), b.num_vars(), "variable count");
-    prop_assert_eq!(a.num_constraints(), b.num_constraints(), "row count");
-    for j in 0..a.num_vars() {
-        let v = VarId(j);
-        prop_assert_eq!(
-            a.objective_coeff(v).to_bits(),
-            b.objective_coeff(v).to_bits(),
-            "objective bits of var {}",
-            j
-        );
-        prop_assert_eq!(a.lower_bounds()[j].to_bits(), b.lower_bounds()[j].to_bits());
-        prop_assert_eq!(a.upper_bounds()[j].to_bits(), b.upper_bounds()[j].to_bits());
-        prop_assert_eq!(a.is_integer(v), b.is_integer(v));
-    }
-    for i in 0..a.num_constraints() {
-        let (ca, cb) = (a.constraint(i), b.constraint(i));
-        prop_assert_eq!(ca.sense, cb.sense, "sense of row {}", i);
-        prop_assert_eq!(ca.rhs.to_bits(), cb.rhs.to_bits(), "rhs bits of row {}", i);
-        prop_assert_eq!(ca.terms.len(), cb.terms.len(), "terms of row {}", i);
-        for (ta, tb) in ca.terms.iter().zip(&cb.terms) {
-            prop_assert_eq!(ta.0, tb.0, "term variable in row {}", i);
-            prop_assert_eq!(ta.1.to_bits(), tb.1.to_bits(), "term bits in row {}", i);
-        }
-    }
-    Ok(())
-}
-
 /// Everything a caller can read off a placement, floats by bit pattern.
 fn assert_partitions_identical(
     a: &DeploymentPartition,
@@ -254,7 +226,7 @@ proptest! {
         prop_assert_eq!(memo.len(), merged, "every leaf must come from the memo");
         let mut cold = PreparedDeployment::new(&graph, &prof, &dep, &cfg)
             .expect("the apps pin cleanly");
-        assert_problems_identical(hot.problem(), cold.problem())?;
+        problems_identical(hot.problem(), cold.problem()).map_err(TestCaseError::fail)?;
 
         let rate = rate_exp.exp2();
         match (hot.solve_at(rate), cold.solve_at(rate)) {
@@ -262,6 +234,6 @@ proptest! {
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "verdicts differ: {:?} vs {:?}", a.is_ok(), b.is_ok()),
         }
-        assert_problems_identical(hot.problem(), cold.problem())?;
+        problems_identical(hot.problem(), cold.problem()).map_err(TestCaseError::fail)?;
     }
 }

@@ -11,6 +11,8 @@
 //!   graph rather than read off the encoding;
 //! * the merge equals the oracle's reference bit for bit, top classes
 //!   included;
+//! * on a chain, `encode_deployment` of the merged graph is bit for bit
+//!   the oracle's independent chain encoder (`encode_multitier`);
 //! * a fleet batch over such deployments equals serial one-shot solves
 //!   bit for bit.
 
@@ -25,12 +27,15 @@ use wishbone::core::{
 use wishbone::dataflow::{EdgeId, OperatorId};
 use wishbone::ilp::{solve_ilp, IlpOptions};
 use wishbone::prelude::*;
-use wishbone_oracle::preprocess_tiered_reference;
+use wishbone_oracle::{encode_multitier, preprocess_tiered_reference};
 
 #[path = "common/fleet.rs"]
 #[allow(dead_code)] // the load generators are `fleet_parity.rs`'s
 mod fleet;
 use fleet::Lcg;
+#[path = "common/identity.rs"]
+mod identity;
+use identity::problems_identical;
 
 /// Uniform draws in `[0, 1)`, consumed in order.
 struct Draws(std::vec::IntoIter<f64>);
@@ -316,9 +321,32 @@ fn assert_budgets_hold(
     Ok(())
 }
 
-/// One case: merge each leaf, hold the merge to the reference, and hold
-/// the three encodings' optima to each other and their placements to the
-/// budgets.
+/// A chain case's merged graph, encoded by `encode_deployment`, is bit
+/// for bit `encode_multitier`'s problem. The oracle knows no device
+/// counts, so both sides encode one device per site.
+fn assert_chain_is_the_multitier_encoding(
+    case: &Case,
+    merged: &TieredGraph,
+) -> Result<(), TestCaseError> {
+    let leaf = &case.leaves[0];
+    let obj = DeploymentObjective {
+        count: vec![1.0; case.obj.count.len()],
+        ..case.obj.clone()
+    };
+    let chain = [LeafChain {
+        graph: merged,
+        path: leaf.path.clone(),
+        count: 1.0,
+    }];
+    let ep = encode_deployment(&chain, &obj);
+    let oracle = encode_multitier(merged, &leaf.tier_obj);
+    problems_identical(&oracle.problem, &ep.problem)
+        .map_err(|e| TestCaseError::fail(format!("k = {}: {e}", leaf.path.len())))
+}
+
+/// One case: merge each leaf, hold the merge to the reference (and a
+/// chain's encoding to the oracle's), and hold the three encodings'
+/// optima to each other and their placements to the budgets.
 fn check_case(case: &Case) -> Result<(), TestCaseError> {
     let mut merged = Vec::new();
     for leaf in &case.leaves {
@@ -330,6 +358,9 @@ fn check_case(case: &Case) -> Result<(), TestCaseError> {
         prop_assert_eq!(top(&shipped.graph), top(&reference.graph));
         prop_assert_eq!(shipped.vertices_after, reference.vertices_after);
         merged.push(shipped.graph);
+    }
+    if let [chain] = &merged[..] {
+        assert_chain_is_the_multitier_encoding(case, chain)?;
     }
     let cleared: Vec<TieredGraph> = merged
         .iter()
