@@ -311,8 +311,11 @@ fn fig5b((app, prof): &Profiled<SpeechApp>, claims: &mut Claims) {
 /// vs the time to *prove* it optimal, on the full 22-channel EEG
 /// application, across a linear sweep of data rates (§7.1) that shares one
 /// `PreparedDeployment` — built, merged and encoded once, rescaled per
-/// rate. Stdout carries each point's deterministic outcome; the CDF of
-/// seconds goes to stderr.
+/// rate. A point the instance answers without a search — the placement
+/// proved at a lower rate still fits, so it is optimal here too — is
+/// marked `kept`, with no node count, and has no discover or prove time
+/// to put in the CDF. Stdout carries each point's deterministic outcome;
+/// the CDF of seconds goes to stderr.
 fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
     claims.section = "§7.1 Fig 6";
     // Proving optimality exactly can take minutes on the budget-binding,
@@ -340,26 +343,31 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
         &["rate x", "node ops", "B&B nodes", "final gap", "outcome"],
     );
     let (mut discover, mut prove) = (Vec::new(), Vec::new());
-    let (mut infeasible, mut proved, mut worst_gap) = (0usize, 0usize, 0.0f64);
+    let (mut infeasible, mut proved, mut kept, mut worst_gap) = (0usize, 0usize, 0usize, 0.0f64);
     let mut sizes = ((0, 0), (0, 0));
     for rate in linear_rates(0.25, 48.0, N_POINTS) {
+        let solves = prep.solves();
         let cells = match prep.solve_at(rate) {
             Ok(p) => {
                 let stats = &p.ilp_stats;
-                proved += usize::from(stats.proved);
+                let searched = prep.solves() > solves;
+                // A kept answer carries its proving search's stats: that
+                // search's relative gap still bounds it (the objective only
+                // scaled), but its nodes and seconds were spent elsewhere.
                 worst_gap = worst_gap.max(stats.final_gap);
-                discover.push(stats.time_to_best.as_secs_f64());
-                prove.push(stats.total_time.as_secs_f64());
                 sizes = (p.merge_stats, p.problem_size);
-                let outcome = if stats.proved { "proved" } else { "limit hit" };
+                let (nodes, outcome) = if searched {
+                    proved += usize::from(stats.proved);
+                    discover.push(stats.time_to_best.as_secs_f64());
+                    prove.push(stats.total_time.as_secs_f64());
+                    let outcome = if stats.proved { "proved" } else { "limit hit" };
+                    (stats.nodes.to_string(), outcome)
+                } else {
+                    kept += 1;
+                    ("-".into(), "kept")
+                };
                 let ops = p.leaves[0].site_ops[0].len();
-                let gap = pct(stats.final_gap);
-                [
-                    ops.to_string(),
-                    stats.nodes.to_string(),
-                    gap,
-                    outcome.into(),
-                ]
+                [ops.to_string(), nodes, pct(stats.final_gap), outcome.into()]
             }
             Err(PartitionError::Infeasible) => {
                 infeasible += 1;
@@ -377,11 +385,12 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
         app.graph.edge_count()
     );
 
-    let feasible = discover.len();
+    let searched = discover.len();
+    let feasible = searched + kept;
     let ordered = discover.iter().zip(&prove).all(|(d, p)| *d <= *p + 1e-9);
     let grid = [5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0];
     let (mut d95, mut slowest) = (0.0, 0.0);
-    if feasible > 0 {
+    if searched > 0 {
         let (d, p) = (cdf(&mut discover, &grid), cdf(&mut prove, &grid));
         eprintln!("Figure 6 CDF (seconds): percentile, discover, prove");
         for (d, p) in d.iter().zip(&p) {
@@ -397,15 +406,16 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
          utilized but not over-utilized\", with \"an approximate lower bound to establish a \
          termination condition\"",
         format!(
-            "{feasible} feasible (needs ≥ 3) / {infeasible} infeasible / {proved} proved of \
-             {N_POINTS} rate points; worst final gap {gap} ≤ rel_gap {bound}"
+            "{feasible} feasible (needs ≥ 3) / {infeasible} infeasible of {N_POINTS} rate \
+             points, {proved} proved by a search and {kept} kept from a lower rate's proof; \
+             worst final gap {gap} ≤ rel_gap {bound}"
         ),
-        feasible >= 3 && proved == feasible && worst_gap <= rel_gap + 1e-9,
+        feasible >= 3 && proved + kept == feasible && worst_gap <= rel_gap + 1e-9,
     );
     claims.check(
         "fig6/discovery-never-after-proof",
         "the discover curve lies left of the prove curve",
-        format!("time-to-best ≤ total time at all {feasible} feasible points: {ordered}"),
+        format!("time-to-best ≤ total time at all {searched} searched points: {ordered}"),
         ordered,
     );
     let (fast, bounded) = (d95 < 30.0, slowest < 720.0);

@@ -949,8 +949,11 @@ mod tests {
         ]);
         let cfg = DeploymentConfig::default();
         let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
+        let mut searched = Vec::new();
         for rate in [0.05, 0.2, 1.0, 4.0] {
+            let solves = prep.solves();
             let a = prep.solve_at(rate);
+            searched.push(prep.solves() > solves);
             let b = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(rate));
             match (a, b) {
                 (Ok(a), Ok(b)) => {
@@ -967,7 +970,12 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        assert_eq!(prep.solves(), 4);
+        // One search fewer than rates: the 0.05 placement, proved there,
+        // still fits every budget at 0.2 and is kept (repriced, not
+        // re-proved); the last placement is over a budget at 1.0 and at 4.0,
+        // which search.
+        assert_eq!(searched, [true, false, true, true]);
+        assert_eq!(prep.solves(), 3);
     }
 
     #[test]

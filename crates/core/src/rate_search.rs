@@ -15,7 +15,12 @@
 //! higher rate it still fits. And since every budget right-hand side only
 //! shrinks as the rate grows, a combination of rows that refutes the root
 //! LP at one rate refutes every rate at which it still clears them. No
-//! branch-and-bound run is needed to say either.
+//! branch-and-bound run is needed to say either. The prepared instance
+//! settles every rate it is asked this way, the search's probes and
+//! `PreparedDeployment::solve_at` alike, through one settle-or-search
+//! step: a sweep over ascending rates runs branch-and-bound only where the
+//! last proved placement stops fitting. Only the fleet's
+//! `solve_at_in` always searches.
 
 use crate::topology::{check_rate, PartitionError};
 
@@ -255,8 +260,11 @@ mod tests {
         let dep = two_site(&Platform::tmote_sky());
         let cfg = DeploymentConfig::default();
         let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
+        let mut searched = Vec::new();
         for rate in [0.02, 0.05, 0.25, 1.0] {
+            let solves = prep.solves();
             let a = prep.solve_at(rate);
+            searched.push(prep.solves() > solves);
             let b = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(rate));
             match (a, b) {
                 (Ok(a), Ok(b)) => {
@@ -276,7 +284,12 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        assert_eq!(prep.solves(), 4);
+        // Two searches for four rates: the 0.02 placement, proved there,
+        // still fits every budget at 0.05 and 0.25 and is kept at both
+        // (repriced, not re-proved), and is over a budget at 1.0, which
+        // searches.
+        assert_eq!(searched, [true, false, false, true]);
+        assert_eq!(prep.solves(), 2);
     }
 
     #[test]

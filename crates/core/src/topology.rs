@@ -1000,25 +1000,35 @@ fn seed_values(
 /// lifetime parameter is a marker only.
 ///
 /// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
-/// the last placement, which seeds branch-and-bound as its first
-/// incumbent (and answers [`max_sustainable_rate_deployment`]'s probes
-/// while it still fits), and — in the instance's own workspace only — the
-/// last simplex basis. A retarget scales the objective uniformly and moves a
-/// handful of budget right-hand sides, so that basis is still dual
-/// feasible and the next root LP costs a few dual pivots instead of a
-/// solve from the slack basis, whatever the instance's size (the
-/// reference tableau, when `cfg.ilp.backend` names it, keeps no basis:
-/// it solves every LP cold).
-/// Verdicts and optimal values never depend on this; which of several
-/// equally cheap placements comes back can. A third thing serves
-/// [`max_sustainable_rate_deployment`]'s probes alone: the last root LP
-/// [`Refutation`], which answers a probe `Infeasible` while it still
-/// refutes the probe's budget right-hand sides. It is a checked proof, so
+/// the last placement and — in the instance's own workspace only — the
+/// last simplex basis. The placement seeds branch-and-bound as its first
+/// incumbent, and while the search that found it stands as a proof it is
+/// also an answer: every [`solve_at`](Self::solve_at) and every probe of
+/// [`max_sustainable_rate_deployment`] goes through one settle-or-search
+/// step, which returns the kept placement, repriced, with no presolve and
+/// no LP, at any rate no lower than the one it was proved at where it
+/// still fits every budget row. The objective scales uniformly with the
+/// rate while every budget only tightens, so it is optimal there too
+/// (within the same relative gap), and the answer carries the proving
+/// search's [`IlpStats`] and certified gap. The basis serves the
+/// searches: a retarget scales the objective uniformly and moves a
+/// handful of budget right-hand sides, so it is still dual feasible and
+/// the next root LP costs a few dual pivots instead of a solve from the
+/// slack basis, whatever the instance's size (the reference tableau, when
+/// `cfg.ilp.backend` names it, keeps no basis: it solves every LP cold).
+/// Verdicts and optimal values never depend on either; which of several
+/// equally cheap placements comes back can. A third thing answers the
+/// same step on the other side of the cliff: the last root LP
+/// [`Refutation`], which settles a rate `Infeasible` while it still
+/// refutes that rate's budget right-hand sides. It is a checked proof, so
 /// it changes no verdict either.
-/// [`reset_warm_start`](Self::reset_warm_start) drops all three, and
-/// [`apply_delta`](Self::apply_delta) drops the refutation (it belongs to
-/// the rows it combines) and rewrites budget rows, which makes the next
-/// root LP a cold start by itself.
+/// [`reset_warm_start`](Self::reset_warm_start) drops all three.
+/// [`apply_delta`](Self::apply_delta) drops the refutation and keeps the
+/// placement as a seed only (both proofs belong to the rows they were
+/// made on), and it rewrites budget rows, which makes the next root LP a
+/// cold start by itself. [`solve_at_in`](Self::solve_at_in) never settles:
+/// it always searches, so a fleet answer does not depend on which rates
+/// the instance answered before.
 ///
 /// A solve's fixed cost, which is what a fleet cache hit pays, is kept
 /// to the search's own pivots: [`apply_delta`](Self::apply_delta)
@@ -1069,8 +1079,12 @@ pub struct PreparedDeployment<'a> {
 struct Placement {
     /// The encoding-level assignment (the next solve's seed).
     values: Vec<f64>,
-    /// The rate it was solved at.
+    /// The rate it is priced at: its search's, or the last kept answer's.
     rate: f64,
+    /// The rate its search proved it optimal at, while that proof holds:
+    /// `None` for an unproved placement and after a delta, which rewrites
+    /// the rows the proof was made on.
+    proved_at: Option<f64>,
     /// Its objective at `rate`, offset included.
     objective: f64,
     stats: IlpStats,
@@ -1187,7 +1201,8 @@ impl<'a> PreparedDeployment<'a> {
     /// topology, rewrite every count- and budget-dependent coefficient
     /// of the prepared ILP through index-stable row surgery
     /// (`EncodedDeployment::rescale_in_place`), and keep the previous
-    /// incumbent as a warm start. No graph rebuild, no §4.1 merge, no
+    /// incumbent as a warm start — a seed only: it is no longer a proved
+    /// answer at any rate. No graph rebuild, no §4.1 merge, no
     /// re-encode — `encodes()` stays 1. The next
     /// [`solve_at`](Self::solve_at) is equivalent to a cold
     /// [`new`](Self::new) on the edited deployment (pinned by proptest)
@@ -1244,6 +1259,9 @@ impl<'a> PreparedDeployment<'a> {
             }
         }
         self.refutation = None;
+        if let Some(last) = &mut self.last {
+            last.proved_at = None;
+        }
         self.dep
             .reprice_objective(&mut self.obj, self.cfg.robustness);
         let chains = leaf_chains(&self.leaves, &self.removed, &self.dep);
@@ -1274,9 +1292,9 @@ impl<'a> PreparedDeployment<'a> {
     }
 
     /// Drop warm-start state carried over from previous solves: the last
-    /// incumbent, the last refutation, and the basis retained in the
+    /// placement, the last refutation, and the basis retained in the
     /// instance's own workspace.
-    /// The next [`solve_at`](Self::solve_at) then runs exactly like the
+    /// The next [`solve_at`](Self::solve_at) then searches exactly like the
     /// first solve of a freshly prepared instance — branch-and-bound
     /// keeps a seeded incumbent on objective ties, and a warm root LP can
     /// land on a different optimal vertex, so either could steer
@@ -1301,8 +1319,10 @@ impl<'a> PreparedDeployment<'a> {
     }
 
     /// How many branch-and-bound runs this instance has made: one per
-    /// [`solve_at`](Self::solve_at) / [`solve_at_in`](Self::solve_at_in)
-    /// at a valid rate.
+    /// [`solve_at_in`](Self::solve_at_in) at a valid rate, and one per
+    /// [`solve_at`](Self::solve_at) that searched. A `solve_at` answered by
+    /// the kept placement or the kept refutation (see the type-level docs)
+    /// does not tick it.
     pub fn solves(&self) -> u32 {
         self.solves
     }
@@ -1362,19 +1382,25 @@ impl<'a> PreparedDeployment<'a> {
         })
     }
 
-    /// Solve the prepared instance at `rate` (a global multiplier on the
-    /// profile's reference input rate, composed with each leaf's
-    /// `rate_factor`), in the instance's own workspace. From the second
-    /// call on the root LP re-enters from the basis the previous call
-    /// left there (see the type-level docs for what that does and does
-    /// not change about the answer).
+    /// The placement at `rate` (a global multiplier on the profile's
+    /// reference input rate, composed with each leaf's `rate_factor`),
+    /// through the settle-or-search step: the kept placement when it was
+    /// proved at a rate no higher than this one and still fits here, else
+    /// `Infeasible` when the kept refutation still refutes this rate, else
+    /// one branch-and-bound run in the instance's own workspace, whose root
+    /// LP re-enters from the basis the previous run left there (see the
+    /// type-level docs for what that does and does not change about the
+    /// answer). A kept answer carries the proving search's `ilp_stats` and
+    /// `certified_gap`, and does not tick [`solves`](Self::solves).
     pub fn solve_at(&mut self, rate: f64) -> Result<DeploymentPartition, PartitionError> {
-        self.solve_in(rate, None)
+        self.settle_or_search(rate)?;
+        Ok(self.decode_last())
     }
 
     /// [`solve_at`](Self::solve_at) inside a caller-owned workspace
-    /// arena. The arena is pure scratch memory: it is invalidated on
-    /// entry, so the root LP always starts cold and results are
+    /// arena, always by a search: it never answers from the kept placement
+    /// or refutation. The arena is pure scratch memory: it is invalidated
+    /// on entry, so the root LP always starts cold and results are
     /// bit-identical whichever arena is passed, whatever it solved last —
     /// this very instance included. Only the instance's own workspace
     /// ever carries a basis from one solve to the next. A fleet worker
@@ -1386,46 +1412,42 @@ impl<'a> PreparedDeployment<'a> {
         ws: &mut SimplexWorkspace,
     ) -> Result<DeploymentPartition, PartitionError> {
         ws.invalidate();
-        self.solve_in(rate, Some(ws))
-    }
-
-    /// Retarget to `rate` and solve in `arena` — the instance's own
-    /// workspace when `None` — as it stands: warm at the root when it
-    /// retains a basis of this instance's current matrix.
-    fn solve_in(
-        &mut self,
-        rate: f64,
-        arena: Option<&mut SimplexWorkspace>,
-    ) -> Result<DeploymentPartition, PartitionError> {
-        self.search(rate, arena)?;
+        self.search(rate, Some(ws))?;
         Ok(self.decode_last())
     }
 
-    /// One probe of the §4.3 search at `rate`, answered without a solve
-    /// when the last placement settles it: it was proved at a rate no
-    /// higher than this one and still fits every budget row here. Budgets
-    /// only tighten as the rate grows while the objective scales
-    /// uniformly, so that placement is then optimal here too (within the
-    /// same relative gap) and a branch-and-bound run would only re-prove
-    /// it. Failing that, `Infeasible` without a solve when the last
-    /// refutation still refutes this rate's budgets. Otherwise one
-    /// [`search`](Self::search).
-    fn probe(&mut self, rate: f64) -> Result<(), PartitionError> {
+    /// The one step behind [`solve_at`](Self::solve_at) and every probe of
+    /// [`max_sustainable_rate_deployment`]: settle `rate` from what the
+    /// instance keeps when that settles it, else search. In order:
+    /// - the last placement, repriced at `rate` with no presolve and no LP,
+    ///   when a search proved it at a rate no higher than this one and it
+    ///   still fits every budget row here. Budgets only tighten as the
+    ///   rate grows while the objective scales uniformly, so it is optimal
+    ///   here too (within the same relative gap), and a branch-and-bound
+    ///   run would only re-prove it;
+    /// - `Infeasible`, when the last refutation still refutes this rate's
+    ///   budgets;
+    /// - otherwise one [`search`](Self::search) in the instance's own
+    ///   workspace.
+    fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
         check_rate(rate)?;
-        match &self.last {
-            Some(last)
-                if last.stats.proved && last.rate <= rate && self.fits(&last.values, rate) =>
-            {
-                Ok(())
-            }
-            _ if self.refuted_at(rate) => Err(PartitionError::Infeasible),
-            _ => self.search(rate, None),
+        let kept = self.last.as_ref().is_some_and(|last| {
+            last.proved_at.is_some_and(|proved| proved <= rate) && self.fits(&last.values, rate)
+        });
+        if kept {
+            self.reprice_last(rate);
+            Ok(())
+        } else if self.refuted_at(rate) {
+            self.retarget(rate);
+            Err(PartitionError::Infeasible)
+        } else {
+            self.search(rate, None)
         }
     }
 
     /// Does the last refutation still refute the problem at `rate`? Only
     /// the budget rows' right-hand sides move with the rate, and each only
-    /// shrinks as it grows, so one refuted probe refutes every higher one
+    /// shrinks as it grows, so one refuted rate refutes every higher one
     /// and any lower one whose budgets it still clears.
     fn refuted_at(&self, rate: f64) -> bool {
         let Some(refutation) = &self.refutation else {
@@ -1439,23 +1461,23 @@ impl<'a> PreparedDeployment<'a> {
     }
 
     /// Carry the last placement to `rate` without a solve, where it is
-    /// known optimal (a proved placement that still fits a higher rate
-    /// is, see [`probe`](Self::probe)): retarget, and price its objective
-    /// as a solve seeded with it would.
+    /// known optimal (see [`settle_or_search`](Self::settle_or_search)):
+    /// retarget, and price its objective as a solve seeded with it would.
     fn reprice_last(&mut self, rate: f64) {
         self.retarget(rate);
         let offset = self.ep.objective_offset * rate;
         let last = self
             .last
             .as_mut()
-            .expect("a feasible probe kept a placement");
+            .expect("a feasible answer kept a placement");
         last.objective = self.ep.problem.objective_value(&last.values) + offset;
         last.rate = rate;
     }
 
-    /// Retarget to `rate` and run branch-and-bound in `arena` (see
-    /// [`solve_in`](Self::solve_in)), keeping its placement as the
-    /// instance's last.
+    /// Retarget to `rate` and run branch-and-bound in `arena` — the
+    /// instance's own workspace when `None`, warm at the root when it
+    /// retains a basis of this instance's current matrix — keeping its
+    /// placement as the instance's last and its root refutation, if any.
     fn search(
         &mut self,
         rate: f64,
@@ -1504,6 +1526,7 @@ impl<'a> PreparedDeployment<'a> {
         self.last = Some(Placement {
             values: sol.values,
             rate,
+            proved_at: stats.proved.then_some(rate),
             objective,
             stats,
             certified_gap,
@@ -1667,9 +1690,10 @@ pub struct DeploymentRateResult {
     pub partition: DeploymentPartition,
     /// Probes of the §4.3 schedule.
     pub evaluations: u32,
-    /// Branch-and-bound runs: the probes that neither the last proved
-    /// placement nor the last root LP refutation answered. No run is
-    /// added at `rate` itself.
+    /// Branch-and-bound runs: the probes the settle-or-search step (the
+    /// one every [`PreparedDeployment::solve_at`] takes too) searched,
+    /// because neither the last proved placement nor the last root LP
+    /// refutation answered them. No run is added at `rate` itself.
     pub solves: u32,
     /// The probed rates a root LP [`Refutation`] answered `Infeasible`
     /// with no branch-and-bound run, in probe order (always empty on the
@@ -1687,12 +1711,13 @@ pub struct DeploymentRateResult {
 /// Binary-search the maximum sustainable global rate multiplier of a
 /// deployment in `(0, hi_limit]` to relative precision `tol` — §4.3's
 /// floor / doubling / bisection schedule (`search_max_rate`) on one
-/// prepared instance: one encode, and each probe answered by the last
-/// proved placement, when it still fits the probe's budgets (it is then
-/// optimal there too), else by the last root LP refutation, when it still
-/// refutes them, or else solved by branch-and-bound with its root LP
-/// re-entering from the last solve's basis. The placement that made the
-/// found rate feasible is decoded there, not solved again.
+/// prepared instance: one encode, and each probe settled by the step
+/// [`PreparedDeployment::solve_at`] takes — answered by the last proved
+/// placement, when it still fits the probe's budgets (it is then optimal
+/// there too), else by the last root LP refutation, when it still refutes
+/// them, or else solved by branch-and-bound with its root LP re-entering
+/// from the last solve's basis. The placement that made the found rate
+/// feasible is decoded there, not solved again.
 ///
 /// `hi_limit` must be a finite positive rate
 /// ([`PartitionError::InvalidRate`]) and `tol` a finite positive relative
@@ -1714,7 +1739,7 @@ pub fn max_sustainable_rate_deployment(
     let found = crate::rate_search::search_max_rate(
         |rate| {
             let solves = prep.solves();
-            let verdict = prep.probe(rate);
+            let verdict = prep.settle_or_search(rate);
             if prep.solves() == solves && verdict == Err(PartitionError::Infeasible) {
                 refuted.push(rate);
             }
@@ -2138,11 +2163,11 @@ mod tests {
         let mut prep = PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default())
             .expect("pins ok");
         let r0 = 0.05;
-        prep.probe(r0).expect("feasible");
+        prep.settle_or_search(r0).expect("feasible");
         assert_eq!(prep.solves(), 1);
         // Lower rates loosen every budget, but the placement need not stay
         // optimal there: solve.
-        prep.probe(r0 / 2.0).expect("feasible");
+        prep.settle_or_search(r0 / 2.0).expect("feasible");
         assert_eq!(
             prep.solves(),
             2,
@@ -2161,10 +2186,10 @@ mod tests {
             }
         }
         assert!(ceiling.is_finite() && ceiling > r0, "ceiling {ceiling}");
-        prep.probe(ceiling * (1.0 - 1e-9))
+        prep.settle_or_search(ceiling * (1.0 - 1e-9))
             .expect("the placement fits");
         assert_eq!(prep.solves(), 2, "a fitting proved placement answers");
-        let _ = prep.probe(ceiling * (1.0 + 1e-9));
+        let _ = prep.settle_or_search(ceiling * (1.0 + 1e-9));
         assert_eq!(
             prep.solves(),
             3,
@@ -2176,11 +2201,11 @@ mod tests {
         let mut cfg = DeploymentConfig::default();
         cfg.ilp.time_limit = Some(std::time::Duration::ZERO);
         let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("pins ok");
-        prep.probe(r0).expect("the seed is feasible");
+        prep.settle_or_search(r0).expect("the seed is feasible");
         let last = prep.last.as_ref().expect("kept");
         assert!(!last.stats.proved);
         assert!(prep.fits(&last.values, 1.01 * r0));
-        prep.probe(1.01 * r0).expect("feasible");
+        prep.settle_or_search(1.01 * r0).expect("feasible");
         assert_eq!(prep.solves(), 2, "an unproven placement must not answer");
     }
 
@@ -2439,9 +2464,9 @@ mod tests {
         let (g, prof, dep) = eeg_forest();
         let mut prep = PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default())
             .expect("pins ok");
-        prep.probe(0.05).expect("feasible");
+        prep.settle_or_search(0.05).expect("feasible");
         let past = 4.0;
-        assert_eq!(prep.probe(past), Err(PartitionError::Infeasible));
+        assert_eq!(prep.settle_or_search(past), Err(PartitionError::Infeasible));
         assert_eq!(prep.solves(), 2);
         let refutation = prep
             .refutation
@@ -2473,11 +2498,11 @@ mod tests {
         );
 
         assert_eq!(
-            prep.probe(threshold * (1.0 + 1e-9)),
+            prep.settle_or_search(threshold * (1.0 + 1e-9)),
             Err(PartitionError::Infeasible)
         );
         assert_eq!(prep.solves(), 2, "a refutation that still refutes answers");
-        let _ = prep.probe(threshold * (1.0 - 1e-9));
+        let _ = prep.settle_or_search(threshold * (1.0 - 1e-9));
         assert_eq!(
             prep.solves(),
             3,
@@ -2492,7 +2517,7 @@ mod tests {
             net_budget: 500.0,
         }]);
         assert!(prep.refutation.is_none(), "apply_delta must drop it");
-        assert_eq!(prep.probe(past), Err(PartitionError::Infeasible));
+        assert_eq!(prep.settle_or_search(past), Err(PartitionError::Infeasible));
         assert!(prep.refutation.is_some());
         prep.reset_warm_start();
         assert!(prep.refutation.is_none(), "reset_warm_start must drop it");
@@ -2504,8 +2529,11 @@ mod tests {
         let dep = forest(1e5, 1e6);
         let cfg = DeploymentConfig::default();
         let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
+        let mut searched = Vec::new();
         for rate in [0.05, 0.2, 1.0, 4.0] {
+            let solves = prep.solves();
             let a = prep.solve_at(rate);
+            searched.push(prep.solves() > solves);
             let b = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(rate));
             match (a, b) {
                 (Ok(a), Ok(b)) => {
@@ -2524,7 +2552,12 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        assert_eq!(prep.solves(), 4);
+        // One search fewer than rates: the 0.05 placement, proved there,
+        // still fits every budget at 0.2 and is kept (repriced, not
+        // re-proved); the last placement is over a budget at 1.0 and at 4.0,
+        // which search.
+        assert_eq!(searched, [true, false, true, true]);
+        assert_eq!(prep.solves(), 3);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * a search asks for the multilevel cut only when its root LP comes
 //!   back fractional and it has no placement to start from. On this
 //!   forest every root LP is integral, so the x1 row, the exact search's
-//!   first, is not seeded (`IlpStats::seeded`); each later row is, by the
-//!   previous row's placement;
+//!   first, is not seeded (`IlpStats::seeded`). Its placement still fits
+//!   at every later rate, so `solve_at` keeps it there without a search,
+//!   and those rows carry the x1 search's statistics;
 //! * the same search capped at its root node (`ilp.max_nodes = 1`) is the
 //!   bounded-time answer: an integral root LP, or else the cut, with
 //!   `DeploymentPartition::certified_gap` measured from the root LP

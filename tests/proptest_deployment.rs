@@ -17,15 +17,19 @@
 //! And the prepared-instance contract: the n-th `solve_at` of one
 //! instance — its root LP re-entering from the previous solve's basis —
 //! agrees with a freshly prepared instance solved once at that rate,
-//! across rate sequences, `apply_delta` and `reset_warm_start`; and the
-//! §4.3 search, which answers most probes from the last proved placement,
-//! agrees with the same schedule solving every probe. And the
+//! across rate sequences, `apply_delta` and `reset_warm_start`; every
+//! answer the settle-or-search step gives without a search — the kept
+//! placement, or `Infeasible` from the kept refutation — is a fresh
+//! instance's, and never one proved before a delta; and the §4.3 search
+//! agrees with the same schedule run through `solve_at`. And the
 //! decode, which reads only the merged leaf graphs, reports what pricing
 //! the placement afresh from the profile gives.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::rc::Rc;
 
+use wishbone::apps::{build_eeg_app, EegParams};
 use wishbone::core::{
     deltas_between, encode_deployment, max_sustainable_rate_deployment, partition_deployment,
     shape_key, Deployment, DeploymentConfig, DeploymentDelta, DeploymentObjective,
@@ -889,7 +893,10 @@ proptest! {
     /// Warm ≡ cold across retargets. One prepared instance walks a rate
     /// sequence — a repeated rate and a rate far past the cliff spliced
     /// in, a delta batch applied half-way — and after every step answers
-    /// like an instance prepared from scratch for that one question.
+    /// like an instance prepared from scratch for that one question. A
+    /// repeated rate is the kept placement, bit for bit, with no new
+    /// search; every step that does search re-enters warm on the sparse
+    /// backend once a search has left a basis of the current matrix.
     #[test]
     fn nth_solve_at_agrees_with_a_freshly_prepared_instance(
         stages in 2usize..5,
@@ -933,8 +940,11 @@ proptest! {
                     .expect("same graph prepared once already")
                     .solve_at(rate)
             };
-            // The previous step, when it was answered by its root LP alone.
-            let mut root_only: Option<f64> = None;
+            // The previous step's answer, when it was feasible; whether a
+            // feasible search has left a basis of the current matrix; and
+            // whether one has proved a placement on the current rows.
+            let mut previous: Option<DeploymentPartition> = None;
+            let (mut basis_held, mut proved_on_these_rows) = (false, false);
             let mut past_the_cliff = 0;
             for (i, &rate) in rates.iter().enumerate() {
                 let morphed = i == delta_at;
@@ -946,9 +956,13 @@ proptest! {
                         },
                         DeploymentDelta::SetLeafCount { leaf: SiteId(3), count: count_a + 1 },
                     ]);
+                    (basis_held, proved_on_these_rows) = (false, false);
                 }
+                let solves = prep.solves();
                 let got = prep.solve_at(rate);
+                let searched = prep.solves() > solves;
                 let want = fresh_at(&prep, rate);
+                let repeated = i > 0 && rates[i - 1] == rate && !morphed;
                 match (&got, &want) {
                     (Ok(a), Ok(b)) => {
                         prop_assert!(
@@ -957,7 +971,26 @@ proptest! {
                             backend, i, rate, a.objective, b.objective
                         );
                         assert_budgets_hold(prep.deployment(), a)?;
-                        if backend == SolverBackend::Dense {
+                        if repeated {
+                            // The step before proved this placement at this
+                            // very rate, and it fits here: it is the answer.
+                            let before = previous.as_ref().expect("the same rate was feasible");
+                            prop_assert!(
+                                !searched,
+                                "{:?} step {}: a repeated rate searched again", backend, i
+                            );
+                            assert_bit_identical(a, before)?;
+                            prop_assert_eq!(a.ilp_stats.nodes, before.ilp_stats.nodes);
+                        } else if !searched {
+                            // Kept from a lower rate: a proof made on these
+                            // very rows, so never one from before the delta.
+                            prop_assert!(
+                                proved_on_these_rows,
+                                "{:?} step {}: a pre-delta placement answered as proved",
+                                backend, i
+                            );
+                            prop_assert!(a.ilp_stats.proved);
+                        } else if backend == SolverBackend::Dense {
                             // The reference tableau solves every LP cold.
                             prop_assert_eq!(
                                 a.ilp_stats.warm_starts, 0,
@@ -969,20 +1002,21 @@ proptest! {
                                 a.ilp_stats.cold_starts >= 1,
                                 "{:?}: the root LP after apply_delta must start cold", backend
                             );
-                        } else if root_only == Some(rate) {
-                            // Same matrix, same right-hand sides, and the
-                            // last thing the workspace did was solve this
-                            // LP: the sparse backend re-enters.
+                        } else if basis_held {
+                            // Same matrix, new right-hand sides: the sparse
+                            // backend re-enters from the basis a search left.
                             prop_assert!(
                                 a.ilp_stats.warm_starts >= 1,
-                                "{:?} step {}: a repeated rate must re-enter warm", backend, i
+                                "{:?} step {}: a search after a search must re-enter warm",
+                                backend, i
                             );
                         }
-                        root_only = (a.ilp_stats.nodes == 1).then_some(rate);
+                        proved_on_these_rows |= searched;
+                        previous = Some(a.clone());
                     }
                     (Err(PartitionError::Infeasible), Err(PartitionError::Infeasible)) => {
                         past_the_cliff += 1;
-                        root_only = None;
+                        previous = None;
                     }
                     _ => prop_assert!(
                         false,
@@ -990,6 +1024,7 @@ proptest! {
                         backend, i, rate, got.map(|p| p.objective), want.map(|p| p.objective)
                     ),
                 }
+                basis_held |= searched && got.is_ok();
             }
             prop_assert!(past_the_cliff >= 1, "the walk must cross the cliff");
             prop_assert_eq!(prep.encodes(), 1);
@@ -1020,6 +1055,170 @@ proptest! {
                     "{:?}: after reset, {:?} vs fresh {:?}", backend, a.is_ok(), b.is_ok()
                 ),
             }
+        }
+    }
+}
+
+/// A mixed rate walk in units of `cliff`: ascending runs of `len` rates
+/// `cliff · 2^(from + j·step)`, the rate at `repeat_at` asked again right
+/// after it, and two rates past the cliff — one just past it, one far
+/// past — spliced in at `cliff_at`.
+fn rate_walk(
+    cliff: f64,
+    runs: &[(f64, usize, f64)],
+    repeat_at: usize,
+    cliff_at: usize,
+) -> Vec<f64> {
+    let mut rates: Vec<f64> = runs
+        .iter()
+        .flat_map(|&(from, len, step)| (0..len).map(move |j| (from + j as f64 * step).exp2()))
+        .map(|x| cliff * x)
+        .collect();
+    let repeat_at = repeat_at % rates.len();
+    rates.insert(repeat_at + 1, rates[repeat_at]);
+    let cliff_at = cliff_at % rates.len();
+    rates.splice(cliff_at..cliff_at, [cliff * 1.25, cliff * 1e3]);
+    rates
+}
+
+thread_local! {
+    /// The one-channel EEG app, profiled once per test thread.
+    static EEG_ONE_CHANNEL: Rc<(Graph, wishbone::profile::GraphProfile)> = {
+        let app = build_eeg_app(EegParams { n_channels: 1, ..Default::default() });
+        let prof = profile(&app.graph, &app.traces(4, 1..3, 7)).expect("the EEG app profiles");
+        Rc::new((app.graph, prof))
+    };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The settle-or-search step answers like a search. One prepared
+    /// forest or chain walks ascending runs, a repeat and two rates past
+    /// its cliff, with a delta batch half-way that raises or lowers a
+    /// gateway's CPU and uplink budgets and changes a leaf count. Against
+    /// a freshly prepared instance at every step: a kept answer (no search
+    /// ticked, feasible) and a refuted one (no search ticked, `Infeasible`)
+    /// have its verdict and objective; a kept answer holds its budgets and
+    /// carries the proving search's statistics and certified gap; and no
+    /// answer after the delta is a placement proved before it.
+    #[test]
+    fn a_kept_or_refuted_answer_is_the_fresh_instances(
+        shape in (prop::bool::ANY, prop::bool::ANY),
+        stages in 2usize..5,
+        costs in prop::collection::vec(100u64..4000, 4),
+        keeps in prop::collection::vec(1usize..5, 4),
+        gw_cpu in 0.01f64..0.5,
+        uplink in 50.0f64..5000.0,
+        count in 1usize..4,
+        runs in prop::collection::vec((-3.0f64..0.5, 1usize..6, 0.02f64..0.5), 1..4),
+        splice in (0usize..16, 0usize..16),
+        delta_scales in (0.5f64..2.0, 0.5f64..2.0),
+        new_count in 1usize..5,
+    ) {
+        let ((chain, eeg), (repeat_at, cliff_at)) = (shape, splice);
+        let (cpu_scale, net_scale) = delta_scales;
+        // A random pipeline, or the one-channel EEG app, whose starved
+        // backhauls the root LP refutes where presolve does not.
+        let app = if eeg {
+            EEG_ONE_CHANNEL.with(Rc::clone)
+        } else {
+            let (g, src) = random_app(stages, &costs, &keeps);
+            let trace = SourceTrace {
+                source: src,
+                elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
+                rate_hz: 20.0,
+            };
+            match profile(&g, &[trace]) {
+                Ok(p) => Rc::new((g, p)),
+                Err(_) => return Ok(()),
+            }
+        };
+        let (g, prof) = (&app.0, &app.1);
+        // The gateway whose budgets the delta moves, and the leaf whose
+        // count it changes.
+        let (dep, gw, leaf) = if chain {
+            (gateway_chain(1, count, gw_cpu, uplink), SiteId(1), SiteId(2))
+        } else {
+            (two_ward_tree(gw_cpu, 0.5, uplink, count), SiteId(1), SiteId(3))
+        };
+        // The walk straddles the deployment's own cliff.
+        let cliff = match max_sustainable_rate_deployment(
+            g, prof, &dep, &DeploymentConfig::default(), 1e4, 0.01,
+        ) {
+            Ok(Some(found)) => found.rate,
+            _ => return Ok(()),
+        };
+        let rates = rate_walk(cliff, &runs, repeat_at, cliff_at);
+        let delta_at = rates.len() / 2;
+        let delta = [
+            DeploymentDelta::SetCpuBudget { site: gw, cpu_budget: gw_cpu * cpu_scale },
+            DeploymentDelta::SetNetBudget { site: gw, net_budget: uplink * net_scale },
+            DeploymentDelta::SetLeafCount { leaf, count: new_count },
+        ];
+
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            let mut cfg = DeploymentConfig::default();
+            cfg.ilp.backend = backend;
+            let mut prep = match PreparedDeployment::new(g, prof, &dep, &cfg) {
+                Ok(p) => p,
+                Err(_) => return Ok(()),
+            };
+            // The last feasible search's answer, and the delta batches
+            // applied before it.
+            let mut proof: Option<(DeploymentPartition, usize)> = None;
+            let mut deltas_applied = 0;
+            for (i, &rate) in rates.iter().enumerate() {
+                if i == delta_at {
+                    prep.apply_delta(&delta);
+                    deltas_applied += 1;
+                }
+                let solves = prep.solves();
+                let got = prep.solve_at(rate);
+                let searched = prep.solves() > solves;
+                let want = PreparedDeployment::new(g, prof, prep.deployment(), &cfg)
+                    .expect("same graph prepared once already")
+                    .solve_at(rate);
+                match (&got, &want) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert!(
+                            (a.objective - b.objective).abs() <= 1e-9 * b.objective.abs(),
+                            "{:?} step {} x{} (searched: {}): {} vs fresh {}",
+                            backend, i, rate, searched, a.objective, b.objective
+                        );
+                        if searched {
+                            proof = Some((a.clone(), deltas_applied));
+                            continue;
+                        }
+                        assert_budgets_hold(prep.deployment(), a)?;
+                        let (proved, made_after) =
+                            proof.as_ref().expect("a kept answer follows a feasible search");
+                        prop_assert_eq!(
+                            *made_after, deltas_applied,
+                            "{:?} step {} x{}: a placement proved before the delta kept as proved",
+                            backend, i, rate
+                        );
+                        prop_assert!(a.ilp_stats.proved);
+                        prop_assert_eq!(a.ilp_stats.nodes, proved.ilp_stats.nodes);
+                        prop_assert_eq!(
+                            a.ilp_stats.simplex_iterations,
+                            proved.ilp_stats.simplex_iterations
+                        );
+                        prop_assert_eq!(
+                            a.certified_gap.map(f64::to_bits),
+                            proved.certified_gap.map(f64::to_bits)
+                        );
+                    }
+                    (Err(PartitionError::Infeasible), Err(PartitionError::Infeasible)) => {}
+                    _ => prop_assert!(
+                        false,
+                        "{:?} step {} x{} (searched: {}): {:?} vs fresh {:?}",
+                        backend, i, rate, searched,
+                        got.map(|p| p.objective), want.map(|p| p.objective)
+                    ),
+                }
+            }
+            prop_assert_eq!(prep.encodes(), 1);
         }
     }
 }
@@ -1064,7 +1263,7 @@ proptest! {
 
     /// The §4.3 search answers a probe from the last proved placement
     /// while it still fits; that may change the work and nothing else.
-    /// Against the same schedule with every probe solved, on both
+    /// Against the same schedule with every probe a `solve_at`, on both
     /// backends: the same rate, bit for bit, in the same number of probes
     /// — and the returned placement a proved optimum there (a cold
     /// solve's objective to 1e-9, certified gap 0) within every budget.

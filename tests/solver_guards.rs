@@ -482,31 +482,31 @@ fn forest_rate_search(backend: SolverBackend, solves: u32) -> DeploymentRateResu
     found
 }
 
-/// The sparse search, then the same schedule replayed with every probe
-/// solved on one prepared instance: a retarget follows the previous
-/// probe's basis, so all but the first root LP (and any right after a
-/// cold-refuted infeasible probe) enter warm, the whole schedule costs a
-/// few hundred pivots (~15 500 from the slack basis every time), and a
-/// warm re-entry keeps the LU it finds, so only the eta file's nonzero
-/// budget refactorizes.
+/// The sparse search, then the same schedule replayed through `solve_at`
+/// on one prepared instance. `solve_at` settles each rate by the step the
+/// library's probes take, so the replay searches exactly the probes the
+/// search did — the floor and ×4 — and the floor's placement answers every
+/// other feasible one. Counting only the probes that search, warm
+/// re-entry across retargets shows on the schedule's feasible rates walked
+/// downward on a fresh instance, where no proof covers the next, lower,
+/// rate, so every one searches: a retarget follows the previous search's
+/// basis, so all but the first root LP enter warm, the walk costs a few
+/// hundred pivots (~15 500 from the slack basis every time), and a warm
+/// re-entry keeps the LU it finds, so only the eta file's nonzero budget
+/// refactorizes.
 #[test]
 fn the_forest_rate_search_and_its_replay_sparse() {
     let found = forest_rate_search(SolverBackend::Sparse, 2);
     let (graph, prof, dep) = tight_forest();
     let cfg = with_backend(SolverBackend::Sparse);
     let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
-    let (mut probes, mut feasible, mut warm_roots) = (0u32, 0u32, 0u32);
-    let (mut iterations, mut factorizations) = (0u64, 0u64);
+    let (mut probes, mut feasible_rates) = (0u32, Vec::new());
     let replayed = rate_schedule(
         |rate| {
             probes += 1;
             match prep.solve_at(rate) {
-                Ok(part) => {
-                    feasible += 1;
-                    // No LP of the probe started cold, its root included.
-                    warm_roots += u32::from(part.ilp_stats.cold_starts == 0);
-                    iterations += part.ilp_stats.simplex_iterations;
-                    factorizations += part.ilp_stats.refactorizations;
+                Ok(_) => {
+                    feasible_rates.push(rate);
                     true
                 }
                 Err(PartitionError::Infeasible) => false,
@@ -516,27 +516,48 @@ fn the_forest_rate_search_and_its_replay_sparse() {
         64.0,
         0.005,
     );
-    println!(
-        "forest rate search: {probes} probes, {warm_roots} of {feasible} feasible ones warm at \
-         the root, {iterations} iterations, {factorizations} factorizations"
-    );
     assert_eq!(prep.encodes(), 1, "one encode");
     assert_eq!(
-        (replayed, probes),
-        (found.rate, found.evaluations),
-        "the replay must be the library's search"
+        (replayed, probes, prep.solves()),
+        (found.rate, found.evaluations, found.solves),
+        "the replay must be the library's search, its searches included"
+    );
+
+    let mut down = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+    let (mut searched, mut warm_roots) = (0u32, 0u32);
+    let (mut iterations, mut factorizations) = (0u64, 0u64);
+    for &rate in feasible_rates.iter().rev() {
+        let solves = down.solves();
+        let part = down.solve_at(rate).expect("feasible on the way up");
+        if down.solves() > solves {
+            searched += 1;
+            // No LP of the search started cold, its root included.
+            warm_roots += u32::from(part.ilp_stats.cold_starts == 0);
+            iterations += part.ilp_stats.simplex_iterations;
+            factorizations += part.ilp_stats.refactorizations;
+        }
+    }
+    println!(
+        "forest rate search, feasible probes walked down: {searched} of {} searched, \
+         {warm_roots} warm at the root, {iterations} iterations, {factorizations} factorizations",
+        feasible_rates.len()
+    );
+    assert_eq!(
+        searched as usize,
+        feasible_rates.len(),
+        "no proof covers a lower rate"
     );
     assert!(
-        warm_roots * 5 >= feasible * 4,
-        "only {warm_roots} of {feasible} feasible probes entered warm"
+        warm_roots * 5 >= searched * 4,
+        "only {warm_roots} of {searched} searched probes entered warm"
     );
     assert!(
         iterations <= 1000,
-        "the forest rate search took {iterations} simplex iterations, budget 1000"
+        "the forest's feasible probes took {iterations} simplex iterations, budget 1000"
     );
     assert!(
         factorizations <= 2,
-        "the forest rate search took {factorizations} factorizations, budget 2"
+        "the forest's feasible probes took {factorizations} factorizations, budget 2"
     );
 }
 

@@ -107,7 +107,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 20] = [
+const CONFINE: [Confine; 21] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -232,6 +232,14 @@ const CONFINE: [Confine; 20] = [
         homes: &[Home::File(MULTITIER)],
         why: "`{}` outside `crates/core/src/multitier.rs` — the merged leaf graphs carry the \
               one pricing; read their costs",
+    },
+    Confine {
+        rule: "one-probe-path", scope: &[CORE_SRC],
+        needles: &[Text(".fits("), Text(".refuted_at(")],
+        homes: &[Home::Fn(PER_SOLVE_PATH, "settle_or_search")],
+        why: "`{}` outside `PreparedDeployment::settle_or_search` — a kept placement or a kept \
+              refutation answers a rate only through the one settle-or-search step that \
+              `solve_at` and the rate search share, and `solve_at_in` never takes it",
     },
     Confine {
         rule: "address-identity", scope: &[CORE_SRC, "crates/fleet/src"],
@@ -2047,6 +2055,41 @@ mod tests {
             Vec::<usize>::new()
         );
         assert_repo_clean("one-lp-switch");
+    }
+
+    #[test]
+    fn one_probe_path_fires_on_a_second_copy_of_the_check() {
+        let source = "\
+impl PreparedDeployment {
+    fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
+        let kept = self.last.as_ref().is_some_and(|l| self.fits(&l.values, rate));
+        if self.refuted_at(rate) {}
+    }
+    fn probe(&mut self, rate: f64) -> Result<(), PartitionError> {
+        match &self.last {
+            Some(last) if self.fits(&last.values, rate) => Ok(()), // line 8
+            _ if self.refuted_at(rate) => Err(PartitionError::Infeasible), // line 9
+            // a self.fits( in a comment, and \".refuted_at(\" in a string
+            _ => self.search(rate, None),
+        }
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn reference(prep: &PreparedDeployment) -> bool { prep.fits(&[], 1.0) }
+}
+";
+        let file = "crates/core/src/topology.rs";
+        assert_eq!(lines("one-probe-path", file, source), vec![8, 9]);
+        assert_eq!(
+            lines("one-probe-path", "crates/core/src/rate_search.rs", source),
+            vec![3, 4, 8, 9]
+        );
+        assert_eq!(
+            lines("one-probe-path", "crates/fleet/src/lib.rs", source),
+            Vec::<usize>::new()
+        );
+        assert_repo_clean("one-probe-path");
     }
 
     #[test]
