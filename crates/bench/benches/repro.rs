@@ -344,6 +344,7 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
     );
     let (mut discover, mut prove) = (Vec::new(), Vec::new());
     let (mut infeasible, mut proved, mut kept, mut worst_gap) = (0usize, 0usize, 0usize, 0.0f64);
+    let mut closures = 0usize;
     let mut sizes = ((0, 0), (0, 0));
     for rate in linear_rates(0.25, 48.0, N_POINTS) {
         let solves = prep.solves();
@@ -356,7 +357,13 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
                 // scaled), but its nodes and seconds were spent elsewhere.
                 worst_gap = worst_gap.max(stats.final_gap);
                 sizes = (p.merge_stats, p.problem_size);
-                let (nodes, outcome) = if searched {
+                let (nodes, outcome) = if searched && stats.nodes == 0 {
+                    // The closure answered: proved by one min-cut, no
+                    // branch-and-bound to discover or prove anything.
+                    proved += usize::from(stats.proved);
+                    closures += 1;
+                    ("0".into(), "closure")
+                } else if searched {
                     proved += usize::from(stats.proved);
                     discover.push(stats.time_to_best.as_secs_f64());
                     prove.push(stats.total_time.as_secs_f64());
@@ -386,7 +393,7 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
     );
 
     let searched = discover.len();
-    let feasible = searched + kept;
+    let feasible = searched + closures + kept;
     let ordered = discover.iter().zip(&prove).all(|(d, p)| *d <= *p + 1e-9);
     let grid = [5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0];
     let (mut d95, mut slowest) = (0.0, 0.0);
@@ -407,15 +414,15 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
          termination condition\"",
         format!(
             "{feasible} feasible (needs ≥ 3) / {infeasible} infeasible of {N_POINTS} rate \
-             points, {proved} proved by a search and {kept} kept from a lower rate's proof; \
-             worst final gap {gap} ≤ rel_gap {bound}"
+             points, {proved} proved by a search ({closures} of them by the closure) and {kept} \
+             kept from a lower rate's proof; worst final gap {gap} ≤ rel_gap {bound}"
         ),
         feasible >= 3 && proved + kept == feasible && worst_gap <= rel_gap + 1e-9,
     );
     claims.check(
         "fig6/discovery-never-after-proof",
         "the discover curve lies left of the prove curve",
-        format!("time-to-best ≤ total time at all {searched} searched points: {ordered}"),
+        format!("time-to-best ≤ total time at all {searched} branch-and-bound points: {ordered}"),
         ordered,
     );
     let (fast, bounded) = (d95 < 30.0, slowest < 720.0);

@@ -145,7 +145,7 @@ mod tests {
         PartitionError, PreparedDeployment, Site,
     };
     use wishbone_dataflow::{ExecCtx, FnWork, Graph, GraphBuilder, OperatorId, Value};
-    use wishbone_ilp::SolverBackend;
+    use wishbone_ilp::{solve_ilp_in, SimplexWorkspace, SolverBackend};
     use wishbone_profile::{profile as run_profile, GraphProfile, Platform, SourceTrace};
 
     /// src -> crunch(compute-heavy 10x reducer) -> sink.
@@ -297,7 +297,8 @@ mod tests {
         // The §4.3 search must land on the same rate whichever simplex
         // backend runs the probes, and its counters must show that backend
         // ran: only the sparse method factorizes a basis, re-enters warm
-        // or refutes a probe.
+        // or refutes a probe. The closure answers the found rate here, so
+        // its problem is searched again directly, on the same backend.
         let (g, prof) = profiled();
         let dep = two_site(&Platform::tmote_sky());
         let mut rates = Vec::new();
@@ -307,7 +308,18 @@ mod tests {
             let r = max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, 0.01)
                 .unwrap()
                 .expect("feasible at low rates");
-            let stats = &r.partition.ilp_stats;
+            let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).unwrap();
+            prep.solve_at(r.rate).expect("the found rate is feasible");
+            let mut ws = SimplexWorkspace::new();
+            let (sol, stats) = solve_ilp_in(prep.problem(), &cfg.ilp, &mut ws);
+            let offset = prep.encoded().objective_offset * r.rate;
+            let searched = sol.expect("the found rate's problem solves").objective + offset;
+            let found = r.partition.objective;
+            assert!(
+                (searched - found).abs() <= 1e-9 * found.abs(),
+                "{searched} vs {found}"
+            );
+            let stats = &stats;
             assert!(stats.nodes > 0, "the proving solve ran an LP");
             match backend {
                 SolverBackend::Dense => {

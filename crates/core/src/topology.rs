@@ -44,7 +44,8 @@ use std::time::Instant;
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId, OP_CLASSES};
 use wishbone_ilp::{
-    solve_ilp_seeded_in, IlpOptions, IlpStats, Refutation, SimplexWorkspace, SolveError, VarId,
+    solve_closure_in, solve_ilp_seeded_in, IlpOptions, IlpStats, Refutation, SimplexWorkspace,
+    SolveError, VarId,
 };
 use wishbone_profile::{GraphProfile, Platform};
 
@@ -999,6 +1000,15 @@ fn seed_values(
 /// order) rather than a second pricing that has to agree with it. The
 /// lifetime parameter is a marker only.
 ///
+/// Every search first tries the encoding's closure relaxation: the
+/// encoding less its budget rows is a max-weight closure problem, which
+/// one min-cut ([`solve_closure_in`]) solves exactly. The closure is a
+/// function of the objective alone — the rate scales it uniformly and
+/// moves only budget rows — so the instance keeps it, for its last few
+/// objectives; where it fits every budget row at the searched rate it is
+/// the answer, proved with no presolve and no LP. Only otherwise does
+/// branch-and-bound run.
+///
 /// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
 /// the last placement and — in the instance's own workspace only — the
 /// last simplex basis. The placement seeds branch-and-bound as its first
@@ -1028,7 +1038,8 @@ fn seed_values(
 /// made on), and it rewrites budget rows, which makes the next root LP a
 /// cold start by itself. [`solve_at_in`](Self::solve_at_in) never settles:
 /// it always searches, so a fleet answer does not depend on which rates
-/// the instance answered before.
+/// the instance answered before. (A kept closure is no history: it is
+/// what the same min-cut computes afresh.)
 ///
 /// A solve's fixed cost, which is what a fleet cache hit pays, is kept
 /// to the search's own pivots: [`apply_delta`](Self::apply_delta)
@@ -1059,9 +1070,21 @@ pub struct PreparedDeployment<'a> {
     vertices_after: usize,
     ep: EncodedDeployment,
     base_objective: Vec<f64>,
-    workspace: SimplexWorkspace,
+    /// The instance's own workspace, made by the first search that runs
+    /// in it: an instance only ever solved in a caller's arena (every
+    /// fleet shape's) holds none.
+    workspace: Option<Box<SimplexWorkspace>>,
     encodes: u32,
     solves: u32,
+    /// The encoding's closure relaxation — every row but the budget rows,
+    /// solved by one min-cut under `base_objective` — for the last
+    /// [`CLOSURES_KEPT`] objectives searched, the current one last. The
+    /// rate scales the objective uniformly and moves only budget rows, and
+    /// a delta rewrites only budget rows and the objective, so a closure
+    /// is a function of `base_objective` alone: a search computes one only
+    /// for an objective it has not kept (a fleet shape's instance sees a
+    /// handful, one per leaf count its requests carry).
+    closures: Vec<Closure>,
     last: Option<Placement>,
     /// The last root LP refutation a search kept
     /// ([`IlpStats::refutation`]).
@@ -1072,6 +1095,21 @@ pub struct PreparedDeployment<'a> {
     /// Decode scratch, reused by every solve: a leaf's vertex path
     /// positions, then its per-position operator counts.
     decode_scratch: Vec<usize>,
+}
+
+/// How many closures a [`PreparedDeployment`] keeps, one per objective.
+const CLOSURES_KEPT: usize = 4;
+
+/// One objective's closure optimum, as a [`PreparedDeployment`] keeps it.
+#[derive(Default)]
+struct Closure {
+    /// The `base_objective` it was computed for.
+    cost: Vec<f64>,
+    /// The optimum the min-cut certified, when `answers`.
+    values: Vec<f64>,
+    /// Whether there is one and the rows the min-cut dropped are exactly
+    /// the budget rows, so `fits` checks all of them.
+    answers: bool,
 }
 
 /// The placement of the last branch-and-bound run, as the instance keeps
@@ -1174,9 +1212,10 @@ impl<'a> PreparedDeployment<'a> {
             vertices_after,
             ep,
             base_objective,
-            workspace: SimplexWorkspace::new(),
+            workspace: None,
             encodes: 1,
             solves: 0,
+            closures: Vec::new(),
             last: None,
             refutation: None,
             encode_s: encode_t.elapsed().as_secs_f64(),
@@ -1304,7 +1343,9 @@ impl<'a> PreparedDeployment<'a> {
     pub fn reset_warm_start(&mut self) {
         self.last = None;
         self.refutation = None;
-        self.workspace.invalidate();
+        if let Some(ws) = &mut self.workspace {
+            ws.invalidate();
+        }
     }
 
     /// Wall-clock cost of the one-time build, seconds: the encoding, plus
@@ -1318,7 +1359,8 @@ impl<'a> PreparedDeployment<'a> {
         self.encode_s
     }
 
-    /// How many branch-and-bound runs this instance has made: one per
+    /// How many searches this instance has made — each answered by the
+    /// closure or by one branch-and-bound run: one per
     /// [`solve_at_in`](Self::solve_at_in) at a valid rate, and one per
     /// [`solve_at`](Self::solve_at) that searched. A `solve_at` answered by
     /// the kept placement or the kept refutation (see the type-level docs)
@@ -1387,20 +1429,23 @@ impl<'a> PreparedDeployment<'a> {
     /// through the settle-or-search step: the kept placement when it was
     /// proved at a rate no higher than this one and still fits here, else
     /// `Infeasible` when the kept refutation still refutes this rate, else
-    /// one branch-and-bound run in the instance's own workspace, whose root
-    /// LP re-enters from the basis the previous run left there (see the
-    /// type-level docs for what that does and does not change about the
-    /// answer). A kept answer carries the proving search's `ilp_stats` and
-    /// `certified_gap`, and does not tick [`solves`](Self::solves).
+    /// one search: the closure optimum where it fits every budget row,
+    /// else one branch-and-bound run in the instance's own workspace,
+    /// whose root LP re-enters from the basis the previous run left there
+    /// (see the type-level docs for what that does and does not change
+    /// about the answer). A kept answer carries the proving search's
+    /// `ilp_stats` and `certified_gap`, and does not tick
+    /// [`solves`](Self::solves).
     pub fn solve_at(&mut self, rate: f64) -> Result<DeploymentPartition, PartitionError> {
         self.settle_or_search(rate)?;
         Ok(self.decode_last())
     }
 
     /// [`solve_at`](Self::solve_at) inside a caller-owned workspace
-    /// arena, always by a search: it never answers from the kept placement
-    /// or refutation. The arena is pure scratch memory: it is invalidated
-    /// on entry, so the root LP always starts cold and results are
+    /// arena, always by a search (the closure step included, whose
+    /// min-cut runs in the arena too): it never answers from the kept
+    /// placement or refutation. The arena is pure scratch memory: it is
+    /// invalidated on entry, so the root LP always starts cold and results are
     /// bit-identical whichever arena is passed, whatever it solved last —
     /// this very instance included. Only the instance's own workspace
     /// ever carries a basis from one solve to the next. A fleet worker
@@ -1428,7 +1473,8 @@ impl<'a> PreparedDeployment<'a> {
     /// - `Infeasible`, when the last refutation still refutes this rate's
     ///   budgets;
     /// - otherwise one [`search`](Self::search) in the instance's own
-    ///   workspace.
+    ///   workspace: the closure optimum where it fits, else
+    ///   branch-and-bound.
     fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
         check_rate(rate)?;
         let kept = self.last.as_ref().is_some_and(|last| {
@@ -1474,18 +1520,27 @@ impl<'a> PreparedDeployment<'a> {
         last.rate = rate;
     }
 
-    /// Retarget to `rate` and run branch-and-bound in `arena` — the
-    /// instance's own workspace when `None`, warm at the root when it
-    /// retains a basis of this instance's current matrix — keeping its
-    /// placement as the instance's last and its root refutation, if any.
+    /// Retarget to `rate` and search in `arena` — the instance's own
+    /// workspace when `None` — keeping the placement as the instance's
+    /// last. The closure of the current objective answers where it fits
+    /// every budget row (`fits`, exactly); otherwise branch-and-bound
+    /// runs, warm at the root when the workspace retains a basis of this
+    /// instance's current matrix, and its root refutation, if any, is
+    /// kept too.
     fn search(
         &mut self,
         rate: f64,
-        arena: Option<&mut SimplexWorkspace>,
+        mut arena: Option<&mut SimplexWorkspace>,
     ) -> Result<(), PartitionError> {
         check_rate(rate)?;
         self.solves += 1;
         self.retarget(rate);
+        self.refresh_closure(arena.as_deref_mut());
+        let closure = self.closures.last().expect("just refreshed");
+        if closure.answers && self.fits(&closure.values, rate) {
+            self.keep_closure(rate);
+            return Ok(());
+        }
 
         let mut opts = self.cfg.ilp.clone();
         if opts.warm_solution.is_none() {
@@ -1501,7 +1556,7 @@ impl<'a> PreparedDeployment<'a> {
             let chains = unseeded.then(|| leaf_chains(leaves, removed, dep))?;
             seed_values(hierarchy, &chains, obj, ep, rate)
         };
-        let ws = arena.unwrap_or(&mut self.workspace);
+        let ws = arena.unwrap_or_else(|| self.workspace.get_or_insert_with(Box::default));
         let (result, mut stats) = solve_ilp_seeded_in(&ep.problem, &opts, ws, seed);
         if let Some(refutation) = stats.refutation.take() {
             self.refutation = Some(refutation);
@@ -1532,6 +1587,67 @@ impl<'a> PreparedDeployment<'a> {
             certified_gap,
         });
         Ok(())
+    }
+
+    /// Make the closure of the current objective the last of `closures`:
+    /// the kept one, or one min-cut in `arena` (the instance's own
+    /// workspace when `None`) into the least recently used slot.
+    fn refresh_closure(&mut self, arena: Option<&mut SimplexWorkspace>) {
+        let current = &self.base_objective;
+        let same = |c: &Closure| {
+            c.cost
+                .iter()
+                .zip(current)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        let at = match self.closures.iter().position(same) {
+            Some(at) => at,
+            None => {
+                let budget_rows = self.budget_rhs(1.0).count();
+                let at = if self.closures.len() < CLOSURES_KEPT {
+                    // One slot at a time: most instances see one objective.
+                    self.closures.reserve_exact(1);
+                    self.closures.push(Closure::default());
+                    self.closures.len() - 1
+                } else {
+                    0
+                };
+                let c = &mut self.closures[at];
+                c.cost.clone_from(&self.base_objective);
+                let ws = arena.unwrap_or_else(|| self.workspace.get_or_insert_with(Box::default));
+                let cut = solve_closure_in(&self.ep.problem, &c.cost, ws, &mut c.values);
+                // It answers only where `fits` checks every row it
+                // dropped: the budget rows.
+                c.answers = cut.is_some_and(|cut| cut.side_rows == budget_rows);
+                at
+            }
+        };
+        self.closures[at..].rotate_left(1);
+    }
+
+    /// Keep the closure optimum as the answer at `rate`, where it fits
+    /// every budget row: optimal for a relaxation and feasible, so
+    /// optimal, and proved with no presolve, node or pivot. Its
+    /// [`IlpStats`] say only that (`proved`, `best_bound` its objective,
+    /// every count and time zero).
+    fn keep_closure(&mut self, rate: f64) {
+        let closure = self.closures.last().expect("refreshed by the search");
+        let mut values = self.last.take().map(|l| l.values).unwrap_or_default();
+        values.clear();
+        values.extend_from_slice(&closure.values);
+        let bound = self.ep.problem.objective_value(&values);
+        self.last = Some(Placement {
+            rate,
+            proved_at: Some(rate),
+            objective: bound + self.ep.objective_offset * rate,
+            stats: IlpStats {
+                proved: true,
+                best_bound: Some(bound),
+                ..IlpStats::default()
+            },
+            certified_gap: Some(0.0),
+            values,
+        });
     }
 
     /// Decode the last placement into the public [`DeploymentPartition`]
@@ -1690,10 +1806,11 @@ pub struct DeploymentRateResult {
     pub partition: DeploymentPartition,
     /// Probes of the §4.3 schedule.
     pub evaluations: u32,
-    /// Branch-and-bound runs: the probes the settle-or-search step (the
-    /// one every [`PreparedDeployment::solve_at`] takes too) searched,
-    /// because neither the last proved placement nor the last root LP
-    /// refutation answered them. No run is added at `rate` itself.
+    /// Searches: the probes the settle-or-search step (the one every
+    /// [`PreparedDeployment::solve_at`] takes too) searched, because
+    /// neither the last proved placement nor the last root LP refutation
+    /// answered them — each answered by the closure or by one
+    /// branch-and-bound run. No search is added at `rate` itself.
     pub solves: u32,
     /// The probed rates a root LP [`Refutation`] answered `Infeasible`
     /// with no branch-and-bound run, in probe order (always empty on the
@@ -1715,9 +1832,10 @@ pub struct DeploymentRateResult {
 /// [`PreparedDeployment::solve_at`] takes — answered by the last proved
 /// placement, when it still fits the probe's budgets (it is then optimal
 /// there too), else by the last root LP refutation, when it still refutes
-/// them, or else solved by branch-and-bound with its root LP re-entering
-/// from the last solve's basis. The placement that made the found rate
-/// feasible is decoded there, not solved again.
+/// them, or else searched: the closure optimum where it fits, else
+/// branch-and-bound with its root LP re-entering from the last solve's
+/// basis. The placement that made the found rate feasible is decoded
+/// there, not solved again.
 ///
 /// `hi_limit` must be a finite positive rate
 /// ([`PartitionError::InvalidRate`]) and `tol` a finite positive relative
@@ -2197,15 +2315,22 @@ mod tests {
         );
 
         // An unproven placement answers nothing: a search stopped before
-        // its first node returns the multilevel seed, unproved.
+        // its first node returns the multilevel seed, unproved. (On the
+        // shared gateway, whose CPU row the closure overruns, so the
+        // search runs branch-and-bound.)
+        let (g, prof, dep, r0) = shared_gateway();
         let mut cfg = DeploymentConfig::default();
         cfg.ilp.time_limit = Some(std::time::Duration::ZERO);
         let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("pins ok");
         prep.settle_or_search(r0).expect("the seed is feasible");
+        let closure = prep.closures.last().expect("computed");
+        assert!(closure.answers, "a certified closure, over a budget here");
         let last = prep.last.as_ref().expect("kept");
         assert!(!last.stats.proved);
-        assert!(prep.fits(&last.values, 1.01 * r0));
-        prep.settle_or_search(1.01 * r0).expect("feasible");
+        // The motes' budgets are 1.0001 × their pinned sources.
+        let above = 1.00005 * r0;
+        assert!(prep.fits(&last.values, above));
+        prep.settle_or_search(above).expect("feasible");
         assert_eq!(prep.solves(), 2, "an unproven placement must not answer");
     }
 
@@ -2650,8 +2775,24 @@ mod tests {
 
     #[test]
     fn solve_at_in_runs_in_the_callers_arena_on_the_configured_backend() {
+        // The forest at ×0.2 is a closure answer, the shared gateway at
+        // its rate (whose CPU row the closure overruns) a search: the
+        // arena lends the min-cut's scratch to the one, the simplex's to
+        // the other.
         let (g, prof) = profiled();
-        let rate = 0.2;
+        let (_, _, gateway, gateway_rate) = shared_gateway();
+        // `other` is a second feasible rate (the gateway's motes are
+        // budgeted 1.0001 × their pinned sources).
+        let cases = [
+            (forest(1e5, 1e6), 0.2, 0.3),
+            (gateway, gateway_rate, 1.00005 * gateway_rate),
+        ];
+        for (dep, rate, other) in cases {
+            arena_is_scratch(&g, &prof, &dep, rate, other);
+        }
+    }
+
+    fn arena_is_scratch(g: &Graph, prof: &GraphProfile, dep: &Deployment, rate: f64, other: f64) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let assert_same = |a: &DeploymentPartition, b: &DeploymentPartition, what: &str| {
             for (la, lb) in a.leaves.iter().zip(&b.leaves) {
@@ -2678,17 +2819,24 @@ mod tests {
         // from a retained basis; the dense one solves every LP cold.
         for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
             cfg.ilp.backend = backend;
-            let prepare = || PreparedDeployment::new(&g, &prof, &forest(1e5, 1e6), &cfg).unwrap();
+            let prepare = || PreparedDeployment::new(g, prof, dep, &cfg).unwrap();
             let fresh = prepare()
                 .solve_at_in(rate, &mut SimplexWorkspace::new())
                 .expect("feasible");
-            assert_eq!(fresh.ilp_stats.warm_starts, 0, "a fresh arena has no basis");
+            // A fresh arena is a fresh workspace: its root starts cold.
+            let own = prepare().solve_at(rate).expect("feasible");
+            assert_same(&own, &fresh, "a fresh arena");
+            let f = &fresh.ilp_stats;
+            assert!(
+                f.nodes == 0 || f.cold_starts >= 1,
+                "a fresh arena has no basis"
+            );
 
             // An arena that last solved a different shape must not leak
             // into the placement or the certificate.
             let mut used = SimplexWorkspace::new();
             let chain = Deployment::chain(&[Platform::tmote_sky(), Platform::server()]);
-            PreparedDeployment::new(&g, &prof, &chain, &DeploymentConfig::default())
+            PreparedDeployment::new(g, prof, &chain, &DeploymentConfig::default())
                 .unwrap()
                 .solve_at_in(0.05, &mut used)
                 .expect("chain feasible");
@@ -2699,16 +2847,21 @@ mod tests {
             // Nor one that last solved this very instance, whose basis
             // `solve_lp_in` would happily re-enter from: only the
             // instance's own workspace carries a basis over.
-            prep.solve_at_in(1.5 * rate, &mut used).expect("feasible");
+            prep.solve_at_in(other, &mut used).expect("feasible");
             prep.reset_warm_start();
             let again = prep.solve_at_in(rate, &mut used).expect("feasible");
             assert_same(&fresh, &again, "after the same instance");
 
-            // The search ran on the backend it was asked for, as its
-            // counters show: only the sparse method factorizes a basis
-            // or re-enters warm.
+            // A closure answer ran no simplex; a search ran on the
+            // backend it was asked for, as its counters show: only the
+            // sparse method factorizes a basis or re-enters warm.
             let s = &again.ilp_stats;
             match backend {
+                _ if (prep.closures.last())
+                    .is_some_and(|c| c.answers && prep.fits(&c.values, rate)) =>
+                {
+                    assert_eq!((s.nodes, s.simplex_iterations), (0, 0), "{s:?}")
+                }
                 SolverBackend::Dense => assert_eq!((s.refactorizations, s.warm_starts), (0, 0)),
                 SolverBackend::Sparse => assert!(s.refactorizations > 0, "{s:?}"),
             }

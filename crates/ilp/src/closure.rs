@@ -1,0 +1,351 @@
+//! The closure relaxation: a problem's difference rows alone, solved
+//! exactly by one minimum cut.
+//!
+//! A row `y_a − y_b ≥ 0` over `[0, 1]` variables says "`b` chosen ⇒ `a`
+//! chosen". A problem made of such rows and nothing else is a
+//! minimum-weight closure problem (Picard 1976): its LP is integral and
+//! one s–t minimum cut solves it. Wishbone's partition encoding is such
+//! rows plus at most two budget rows per site, so the closure is the
+//! encoding with its budget rows dropped — a relaxation, and, whenever
+//! its optimum happens to hold the dropped rows, the ILP's optimum.
+//!
+//! The network: a variable with cost `c < 0` hangs off the source with
+//! capacity `−c`, one with `c > 0` feeds the sink with capacity `c`, a
+//! variable pinned to `1` (`0`) is joined to the source (sink) by an
+//! infinite arc, and every difference row is an infinite arc `b → a`.
+//! The terminal arcs are kept as per-variable capacities, not arcs.
+//! The source side of a cut is the set of variables at `1`, and its
+//! capacity is the closure's cost less `Σ_{c<0} c`. [`solve_closure_in`]
+//! runs Dinic's algorithm and returns the **source-minimal** minimum cut
+//! — the vertices the residual network still reaches from the source —
+//! so among equally cheap closures the answer is the one with the fewest
+//! variables at `1`, whatever order the arcs were found in.
+
+use crate::num::is_exact_zero;
+use crate::problem::{Constraint, Problem, Sense};
+use crate::workspace::SimplexWorkspace;
+
+/// What [`solve_closure_in`] proved besides the assignment it wrote.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClosureCut {
+    /// `Σ cost·y` of the closure: the optimum of the problem's LP with
+    /// every side row dropped.
+    pub objective: f64,
+    /// Rows that are not difference rows and so were dropped: the caller
+    /// must check them against the assignment itself.
+    pub side_rows: usize,
+}
+
+/// One arc of the max-flow network.
+#[derive(Debug, Clone, Copy, Default)]
+struct Edge {
+    head: u32,
+    /// Index of the reverse arc.
+    rev: u32,
+    /// Residual capacity.
+    cap: f64,
+}
+
+/// The max-flow network's buffers, kept in a [`SimplexWorkspace`] so a
+/// reused workspace computes a closure without allocating. The source
+/// and sink are implicit: each variable's arc from the source is its
+/// `supply`, its arc to the sink its `demand` (residual capacities both),
+/// and only the difference rows are arcs.
+#[derive(Debug, Default)]
+pub(crate) struct ClosureScratch {
+    supply: Vec<f64>,
+    demand: Vec<f64>,
+    /// The difference rows' `(a, b)` pairs, in row order.
+    pairs: Vec<(u32, u32)>,
+    /// Arcs of node `u` are `arcs[start[u]..start[u + 1]]`.
+    start: Vec<u32>,
+    arcs: Vec<Edge>,
+    /// BFS level from the source's arcs; `u32::MAX` is unreached.
+    level: Vec<u32>,
+    /// Dinic's current-arc pointer per node (the fill pointer while the
+    /// network is built).
+    cursor: Vec<u32>,
+    queue: Vec<u32>,
+    /// Arcs of the augmenting path under construction.
+    path: Vec<u32>,
+}
+
+/// Is row `c` a difference row `y_a − y_b ≥ 0`? Returns `(a, b)`.
+fn difference_row(c: &Constraint) -> Option<(usize, usize)> {
+    // The encoder writes these coefficients as exact literals.
+    let unit = |a: f64, b: f64| a == 1.0 && b == -1.0; // audit:allow(float-eq): exact ±1 literals
+    match c.terms[..] {
+        [(a, pa), (b, pb)] if c.sense == Sense::Ge && is_exact_zero(c.rhs) && unit(pa, pb) => {
+            Some((a.0, b.0))
+        }
+        _ => None,
+    }
+}
+
+/// Solve the closure relaxation of `problem` under objective `cost` (one
+/// entry per variable; a caller passes the problem's own costs, or ones
+/// it rescales uniformly) and write its source-minimal optimum into
+/// `values` as `0.0` / `1.0`.
+///
+/// `None` — with `values` unspecified — when the closure does not apply
+/// or is not certified: a variable bounded other than `[0, 1]`, `[1, 1]`
+/// or `[0, 0]`, a non-finite cost, pins that no closure can honour (an
+/// infinite path from source to sink), or a maximum flow and the capacity
+/// of the cut it leaves that differ by more than `1e-9` relative. That
+/// pair is the answer's certificate: a flow bounds every cut from below,
+/// so a cut whose capacity meets it is minimum.
+///
+/// The workspace lends only scratch buffers: no simplex state is read or
+/// changed, so a retained basis stays warm.
+pub fn solve_closure_in(
+    problem: &Problem,
+    cost: &[f64],
+    ws: &mut SimplexWorkspace,
+    values: &mut Vec<f64>,
+) -> Option<ClosureCut> {
+    let n = problem.num_vars();
+    assert_eq!(cost.len(), n, "one cost per variable");
+    let w = &mut ws.closure;
+
+    // The terminal arcs: a pin is an infinite one.
+    let (mut total, inf) = (0.0f64, f64::INFINITY);
+    w.supply.clear();
+    w.demand.clear();
+    for ((&lo, &up), &c) in problem.lower.iter().zip(&problem.upper).zip(cost) {
+        let (pinned_in, pinned_out) = (lo == 1.0, is_exact_zero(up)); // audit:allow(float-eq): exact 0 / 1 bounds
+        let binary = (is_exact_zero(lo) || pinned_in) && (pinned_out || up == 1.0); // audit:allow(float-eq): exact 0 / 1 bounds
+        if !binary || !c.is_finite() {
+            return None;
+        }
+        total += c.abs();
+        w.supply.push(if pinned_in { inf } else { (-c).max(0.0) });
+        w.demand.push(if pinned_out { inf } else { c.max(0.0) });
+    }
+
+    // The difference arcs `b → a`, CSR by tail: collect the rows' pairs
+    // and count each node's arcs (a reverse arc lives at its forward
+    // arc's head), then place every pair.
+    crate::workspace::refill(&mut w.start, n + 1, 0);
+    w.pairs.clear();
+    for (a, b) in problem.constraints.iter().filter_map(difference_row) {
+        w.start[b + 1] += 1;
+        w.start[a + 1] += 1;
+        w.pairs.push((a as u32, b as u32));
+    }
+    for u in 0..n {
+        w.start[u + 1] += w.start[u];
+    }
+    crate::workspace::refill(&mut w.arcs, w.start[n] as usize, Edge::default());
+    w.cursor.clear();
+    w.cursor.extend_from_slice(&w.start[..n]);
+    for &(a, b) in &w.pairs {
+        let (fwd, bwd) = (w.cursor[b as usize], w.cursor[a as usize]);
+        w.cursor[b as usize] += 1;
+        w.cursor[a as usize] += 1;
+        w.arcs[fwd as usize] = Edge {
+            head: a,
+            rev: bwd,
+            cap: inf,
+        };
+        w.arcs[bwd as usize] = Edge {
+            head: b,
+            rev: fwd,
+            cap: 0.0,
+        };
+    }
+    let side_rows = problem.constraints.len() - w.pairs.len();
+
+    // Residuals at or below this are spent: roundoff left by subtracting
+    // one path's flow from several capacities must not keep one alive.
+    let eps = total * 1e-14;
+    let mut flow = 0.0f64;
+    while let Some(sink_level) = reach_levels(w, eps) {
+        w.cursor.clear();
+        w.cursor.extend_from_slice(&w.start[..n]);
+        flow += blocking_flow(w, sink_level, eps);
+        if flow.is_infinite() {
+            return None;
+        }
+    }
+
+    // The last BFS found the residual network's reach: the source-minimal
+    // minimum cut. An infinite arc never crosses it (its residual stays
+    // infinite, so its head is reached too), so its capacity is that of
+    // the terminal arcs it cuts: the source's to each cost `c < 0` left
+    // out, the sink's from each `c > 0` taken.
+    values.clear();
+    let (mut cut, mut objective) = (0.0f64, 0.0f64);
+    for (v, &c) in cost.iter().enumerate() {
+        let taken = w.level[v] != u32::MAX;
+        values.push(if taken { 1.0 } else { 0.0 });
+        if taken {
+            objective += c;
+        }
+        if taken == (c > 0.0) {
+            cut += c.abs();
+        }
+    }
+    let certified = (cut - flow).abs() <= 1e-9 * cut.abs().max(flow.abs());
+    certified.then_some(ClosureCut {
+        objective,
+        side_rows,
+    })
+}
+
+/// BFS levels over residuals above `eps`, from every node the source
+/// still feeds (level 0). The sink's level — one past the nearest node
+/// that still feeds it, where the search stops: the level graph below it
+/// is complete — or `None` when it is out of reach, and `level` marks the
+/// residual network's whole reach.
+fn reach_levels(w: &mut ClosureScratch, eps: f64) -> Option<u32> {
+    let n = w.supply.len();
+    crate::workspace::refill(&mut w.level, n, u32::MAX);
+    w.queue.clear();
+    for v in 0..n {
+        if w.supply[v] > eps {
+            w.level[v] = 0;
+            w.queue.push(v as u32);
+        }
+    }
+    let mut next = 0;
+    while let Some(&u) = w.queue.get(next) {
+        next += 1;
+        let u = u as usize;
+        if w.demand[u] > eps {
+            return Some(w.level[u] + 1);
+        }
+        for a in &w.arcs[w.start[u] as usize..w.start[u + 1] as usize] {
+            let v = a.head as usize;
+            if a.cap > eps && w.level[v] == u32::MAX {
+                w.level[v] = w.level[u] + 1;
+                w.queue.push(v as u32);
+            }
+        }
+    }
+    None
+}
+
+/// A blocking flow of the level graph below `sink_level`, found depth
+/// first from each fed node in turn with the current-arc pointers: the
+/// flow pushed, infinite when an infinite path joins source and sink.
+/// After each augmenting path the search resumes from the tail of that
+/// path's first spent arc; a dead end leaves the level graph.
+fn blocking_flow(w: &mut ClosureScratch, sink_level: u32, eps: f64) -> f64 {
+    let mut pushed = 0.0;
+    for src in 0..w.supply.len() {
+        if w.level[src] != 0 {
+            continue;
+        }
+        w.path.clear();
+        while w.supply[src] > eps {
+            let u = w
+                .path
+                .last()
+                .map_or(src, |&a| w.arcs[a as usize].head as usize);
+            if w.demand[u] > eps {
+                let along = w.path.iter().map(|&a| w.arcs[a as usize].cap);
+                let bottleneck = along.fold(w.supply[src].min(w.demand[u]), f64::min);
+                if bottleneck.is_infinite() {
+                    return bottleneck;
+                }
+                w.supply[src] -= bottleneck;
+                w.demand[u] -= bottleneck;
+                for &a in &w.path {
+                    let arc = &mut w.arcs[a as usize];
+                    arc.cap -= bottleneck;
+                    let rev = arc.rev as usize;
+                    w.arcs[rev].cap += bottleneck;
+                }
+                pushed += bottleneck;
+                let first_spent = w.path.iter().position(|&a| w.arcs[a as usize].cap <= eps);
+                if let Some(at) = first_spent {
+                    w.path.truncate(at);
+                }
+                continue;
+            }
+            let (end, next) = (w.start[u + 1], w.level[u] + 1);
+            while w.cursor[u] < end {
+                let a = w.arcs[w.cursor[u] as usize];
+                let v = a.head as usize;
+                if a.cap > eps && w.level[v] == next && next < sink_level {
+                    break;
+                }
+                w.cursor[u] += 1;
+            }
+            if w.cursor[u] < end {
+                w.path.push(w.cursor[u]);
+            } else {
+                // Dead end: drop `u` from the level graph and step back.
+                w.level[u] = u32::MAX;
+                let Some(a) = w.path.pop() else { break };
+                let tail = w.arcs[w.arcs[a as usize].rev as usize].head as usize;
+                w.cursor[tail] += 1;
+            }
+        }
+    }
+    pushed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::VarId;
+
+    fn costs(p: &Problem) -> Vec<f64> {
+        (0..p.num_vars())
+            .map(|j| p.objective_coeff(VarId(j)))
+            .collect()
+    }
+
+    /// A three-operator chain `a ⇐ b ⇐ c` (`c` chosen needs `b`, `b`
+    /// needs `a`) with one side row: the closure drops the side row, and
+    /// among the two optimal closures takes the smaller.
+    #[test]
+    fn a_chain_closes_to_its_cheapest_and_smallest_prefix() {
+        let mut p = Problem::new();
+        let a = p.add_binary(2.0);
+        let b = p.add_binary(-2.0);
+        let c = p.add_binary(-1.0);
+        p.add_constraint(&[(a, 1.0), (b, -1.0)], Sense::Ge, 0.0);
+        p.add_constraint(&[(b, 1.0), (c, -1.0)], Sense::Ge, 0.0);
+        p.add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], Sense::Le, 1.0);
+        let (mut ws, mut values) = (SimplexWorkspace::new(), Vec::new());
+        let cut = solve_closure_in(&p, &costs(&p), &mut ws, &mut values).expect("applies");
+        assert_eq!(values, [1.0, 1.0, 1.0]);
+        assert_eq!(cut.objective, -1.0);
+        assert_eq!(cut.side_rows, 1);
+
+        // At `c`'s cost 0, ∅, {a, b} and {a, b, c} tie: the
+        // source-minimal cut chooses nothing.
+        p.set_objective_coeff(c, 0.0);
+        let cut = solve_closure_in(&p, &costs(&p), &mut ws, &mut values).expect("applies");
+        assert_eq!(
+            (values.as_slice(), cut.objective),
+            (&[0.0, 0.0, 0.0][..], 0.0)
+        );
+    }
+
+    /// Pins are infinite terminal arcs; pins no closure honours, and
+    /// bounds other than binary ones, are no answer.
+    #[test]
+    fn pins_bind_and_conflicting_pins_or_wide_bounds_refuse() {
+        let mut p = Problem::new();
+        let a = p.add_var(0.0, 0.0, -5.0, true);
+        let b = p.add_var(1.0, 1.0, 3.0, true);
+        let c = p.add_binary(1.0);
+        p.add_constraint(&[(c, 1.0), (b, -1.0)], Sense::Ge, 0.0);
+        let (mut ws, mut values) = (SimplexWorkspace::new(), Vec::new());
+        let cut = solve_closure_in(&p, &costs(&p), &mut ws, &mut values).expect("applies");
+        assert_eq!(
+            (values.as_slice(), cut.objective),
+            (&[0.0, 1.0, 1.0][..], 4.0)
+        );
+
+        p.add_constraint(&[(a, 1.0), (c, -1.0)], Sense::Ge, 0.0);
+        assert_eq!(solve_closure_in(&p, &costs(&p), &mut ws, &mut values), None);
+
+        let mut q = Problem::new();
+        let _ = q.add_var(0.0, 2.0, -1.0, true);
+        assert_eq!(solve_closure_in(&q, &costs(&q), &mut ws, &mut values), None);
+    }
+}

@@ -30,6 +30,12 @@
 //!   (`simplex.rs`) is the reference of the differential test suite: it
 //!   runs only when a caller names [`SolverBackend::Dense`], and then
 //!   solves every LP cold;
+//! * [`solve_closure_in`] — the closure relaxation: a problem's difference
+//!   rows `y_a − y_b ≥ 0` over binary variables, every other row dropped,
+//!   is a max-weight closure problem that one min-cut (Dinic, on scratch
+//!   kept in the workspace) solves exactly. It returns the source-minimal
+//!   cut and certifies it by its flow; a caller whose dropped rows hold
+//!   under it has the ILP's optimum with no LP at all;
 //! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes
 //!   implied-integral variables) before a single simplex iteration runs;
 //! * a root LP that the sparse dual simplex refutes leaves a checked
@@ -69,6 +75,7 @@
 #![warn(missing_docs)]
 
 pub mod branch_bound;
+mod closure;
 pub mod instances;
 mod lu;
 pub mod num;
@@ -83,6 +90,7 @@ pub mod workspace;
 pub use branch_bound::{
     solve_ilp, solve_ilp_in, solve_ilp_seeded_in, IlpOptions, IlpSolution, IlpStats, PhaseTimes,
 };
+pub use closure::{solve_closure_in, ClosureCut};
 pub use num::is_exact_zero;
 pub use presolve::{presolve, PresolveOutcome};
 pub use problem::{Constraint, LpSolution, Problem, Sense, SolveError, VarId};

@@ -27,6 +27,7 @@
 //! (`warm_load_sparse` keeps `b` raw), so they may differ freely: a
 //! changed `b` is just more work for the dual pass.
 
+use crate::closure::ClosureScratch;
 use crate::problem::{Problem, Sense};
 use crate::revised::SparseState;
 
@@ -132,6 +133,10 @@ pub struct SimplexWorkspace {
     /// so a search in a reused workspace copies its bounds without
     /// allocating. They hold nothing a solve reads.
     pub(crate) spare_bounds: Vec<Vec<f64>>,
+    /// The closure relaxation's max-flow network
+    /// ([`solve_closure_in`](crate::solve_closure_in)); nothing a simplex
+    /// solve reads.
+    pub(crate) closure: ClosureScratch,
 }
 
 /// Reset a buffer to `len` copies of `val` without shrinking capacity (and

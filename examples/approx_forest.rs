@@ -3,21 +3,21 @@
 //! The instance is the calibrated tight forest from
 //! `tests/approx_nearcliff.rs`: two 4-mote wards of 4-channel EEG caps
 //! behind asymmetric gateways (gw-a's backhaul starved to 500 B/s),
-//! driven at rates approaching its feasibility cliff (x3.1614). This is
+//! driven at rates approaching its feasibility cliff (x3.16456). This is
 //! the regime where exact branch-and-bound used to *starve* — hundreds
 //! of nodes before the first integer point — and where the multilevel
-//! heuristic is branch-and-bound's seed on demand:
+//! heuristic is branch-and-bound's seed on demand. Here, though, every
+//! row is answered before branch-and-bound runs:
 //!
-//! * a search asks for the multilevel cut only when its root LP comes
-//!   back fractional and it has no placement to start from. On this
-//!   forest every root LP is integral, so the x1 row, the exact search's
-//!   first, is not seeded (`IlpStats::seeded`). Its placement still fits
-//!   at every later rate, so `solve_at` keeps it there without a search,
-//!   and those rows carry the x1 search's statistics;
-//! * the same search capped at its root node (`ilp.max_nodes = 1`) is the
-//!   bounded-time answer: an integral root LP, or else the cut, with
+//! * the closure — the encoding less its budget rows, one min-cut —
+//!   places the forest within every budget up to its ceiling x3.164557,
+//!   where gw-a's uplink binds. So it is the optimum at each rate below,
+//!   proved with no LP (0 nodes, no seed, certified gap 0), for the
+//!   exact search and the root-capped one (`ilp.max_nodes = 1`) alike;
+//! * the root-capped search is the bounded-time answer where the closure
+//!   does not fit: an integral root LP, or else the multilevel cut, with
 //!   `DeploymentPartition::certified_gap` measured from the root LP
-//!   bound.
+//!   bound (`tests/approx_nearcliff.rs`'s starved 8-channel ward).
 //!
 //! Run with: `cargo run --release --example approx_forest`
 

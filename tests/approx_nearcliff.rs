@@ -102,7 +102,8 @@ fn tight_forest() -> (wishbone::dataflow::Graph, GraphProfile, Deployment) {
 }
 
 /// Rate multiplier just under the tight forest's feasibility cliff
-/// (calibrated by `probe_cliff` below: the cliff sits at x3.1614).
+/// (calibrated by `probe_cliff` below: the cliff sits at x3.16456; the
+/// closure ceiling is x3.164557, where gw-a's uplink binds).
 const NEAR_CLIFF_RATE: f64 = 3.15;
 
 /// Near-cliff rate for the harder 8-channel ward (cliff at x3.6102,

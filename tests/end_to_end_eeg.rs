@@ -2,6 +2,7 @@
 //! stress case (§7.1) plus functional seizure detection through the
 //! deployment simulator.
 
+use wishbone::ilp::{solve_ilp_in, SimplexWorkspace};
 use wishbone::prelude::*;
 use wishbone_oracle::{all_node, all_server, build_partition_graph, evaluate, ObjectiveConfig};
 
@@ -23,12 +24,23 @@ fn full_eeg_app_partitions_in_reasonable_time() {
     let prof = profile(&app.graph, &traces).unwrap();
 
     let cfg = DeploymentConfig::default().at_rate(1.0);
-    let part = partition_deployment(&app.graph, &prof, &mote_star(), &cfg)
-        .expect("feasible at reference rate");
-    // "Reasonable time" as a count, the same on every host: the root LP
-    // is the whole search, in no more simplex iterations than when this
-    // bound was recorded (419).
+    let mut prep = PreparedDeployment::new(&app.graph, &prof, &mote_star(), &cfg).unwrap();
+    let part = prep.solve_at(1.0).expect("feasible at reference rate");
+    // "Reasonable time" as a count, the same on every host: the closure
+    // fits the mote's budgets, so no LP runs at all; and searched, the
+    // root LP is the whole search, in no more simplex iterations than
+    // when this bound was recorded (419).
     let stats = &part.ilp_stats;
+    assert!(
+        stats.proved && stats.nodes == 0 && stats.simplex_iterations == 0,
+        "kilooperator graph took {} nodes and {} simplex iterations",
+        stats.nodes,
+        stats.simplex_iterations
+    );
+    let (searched, stats) = solve_ilp_in(prep.problem(), &cfg.ilp, &mut SimplexWorkspace::new());
+    let searched = searched.expect("the root LP solves").objective;
+    let offset = prep.encoded().objective_offset;
+    assert!((searched + offset - part.objective).abs() <= 1e-9 * part.objective.abs());
     assert!(
         stats.nodes == 1 && stats.simplex_iterations <= 419,
         "kilooperator graph took {} nodes and {} simplex iterations",

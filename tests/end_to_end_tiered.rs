@@ -78,8 +78,18 @@ fn parity_on(
                 );
                 // Both searches ran on `backend`, as their counters show:
                 // only the sparse method factorizes a basis or re-enters
-                // warm.
-                for s in [&b_stats, &t.ilp_stats] {
+                // warm. A chain answer the closure gave ran no simplex.
+                let closure = t.ilp_stats.nodes == 0;
+                if closure {
+                    let s = &t.ilp_stats;
+                    assert!(s.proved && s.simplex_iterations == 0, "{s:?}");
+                }
+                let searched = if closure {
+                    &[&b_stats][..]
+                } else {
+                    &[&b_stats, &t.ilp_stats]
+                };
+                for s in searched {
                     match backend {
                         SolverBackend::Dense => {
                             assert_eq!((s.refactorizations, s.warm_starts), (0, 0), "{s:?}")

@@ -401,7 +401,8 @@ fn two_wards_on_one_platform_chain_merge_once() {
 /// seed closure, the one place a prepared instance builds its
 /// `CutHierarchy` (`warm_start_s`, which times that closure, is zero);
 /// and every search ran exactly the nodes of its problem searched with no
-/// seed at all.
+/// seed at all — or, where the closure answered, none, at that search's
+/// optimum.
 #[test]
 fn no_fleet_search_is_stuck_so_none_asks_for_the_seed() {
     let apps = [profiled(0), profiled(1)];
@@ -443,12 +444,29 @@ fn no_fleet_search_is_stuck_so_none_asks_for_the_seed() {
                     .expect("the request prepares");
             prep.solve_at(req.rate)
                 .expect("a serial solve places it too");
-            let (_, unseeded) = wishbone::ilp::solve_ilp_in(
+            let (searched, unseeded) = wishbone::ilp::solve_ilp_in(
                 prep.problem(),
                 &req.config.ilp,
                 &mut SimplexWorkspace::new(),
             );
-            assert_eq!(stats.nodes, unseeded.nodes, "{ctx}: node count");
+            if stats.nodes == 0 {
+                // The closure answered: no search, so nothing to seed,
+                // and the unseeded search's optimum.
+                let searched = searched.expect("the unseeded search places it").objective;
+                let offset = prep.encoded().objective_offset * req.rate;
+                let want = searched + offset;
+                assert!(
+                    stats.proved && stats.simplex_iterations == 0,
+                    "{ctx}: {stats:?}"
+                );
+                assert!(
+                    (part.objective - want).abs() <= 1e-9 * want.abs(),
+                    "{ctx}: closure {} vs searched {want}",
+                    part.objective
+                );
+            } else {
+                assert_eq!(stats.nodes, unseeded.nodes, "{ctx}: node count");
+            }
         }
         assert!(placed * 2 > batch.len(), "most of the batch places");
     }

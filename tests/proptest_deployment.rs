@@ -39,7 +39,9 @@ use wishbone::core::{
 use wishbone::dataflow::{
     EdgeId, Graph, IdentityWork, Namespace, OperatorId, OperatorSpec, WorkFn,
 };
-use wishbone::ilp::{solve_ilp, IlpOptions, IlpStats, SolverBackend};
+use wishbone::ilp::{
+    solve_ilp, solve_ilp_in, IlpOptions, IlpStats, SimplexWorkspace, SolveError, SolverBackend,
+};
 use wishbone::prelude::{profile, GraphBuilder, Platform, SourceTrace, Value};
 use wishbone_oracle::{
     encode, encode_multitier, tiered_from_binary, Encoding, ObjectiveConfig, PEdge, PVertex,
@@ -895,8 +897,13 @@ proptest! {
     /// in, a delta batch applied half-way — and after every step answers
     /// like an instance prepared from scratch for that one question. A
     /// repeated rate is the kept placement, bit for bit, with no new
-    /// search; every step that does search re-enters warm on the sparse
-    /// backend once a search has left a basis of the current matrix.
+    /// search; a closure answer is proved with no LP; every step whose
+    /// search runs branch-and-bound re-enters warm on the sparse backend
+    /// once a search has left a basis of the current matrix. Every
+    /// searched step's problem is also searched directly, in one
+    /// workspace kept for the walk, so the simplex runs — and re-enters
+    /// warm — at every step the closure answers too, with the same
+    /// verdict and objective.
     #[test]
     fn nth_solve_at_agrees_with_a_freshly_prepared_instance(
         stages in 2usize..5,
@@ -945,6 +952,7 @@ proptest! {
             // whether one has proved a placement on the current rows.
             let mut previous: Option<DeploymentPartition> = None;
             let (mut basis_held, mut proved_on_these_rows) = (false, false);
+            let (mut shadow_ws, mut shadow_held) = (SimplexWorkspace::new(), false);
             let mut past_the_cliff = 0;
             for (i, &rate) in rates.iter().enumerate() {
                 let morphed = i == delta_at;
@@ -956,12 +964,42 @@ proptest! {
                         },
                         DeploymentDelta::SetLeafCount { leaf: SiteId(3), count: count_a + 1 },
                     ]);
-                    (basis_held, proved_on_these_rows) = (false, false);
+                    (basis_held, proved_on_these_rows, shadow_held) = (false, false, false);
                 }
                 let solves = prep.solves();
                 let got = prep.solve_at(rate);
                 let searched = prep.solves() > solves;
+                let closure = searched && got.as_ref().is_ok_and(|p| p.ilp_stats.nodes == 0);
                 let want = fresh_at(&prep, rate);
+                if searched {
+                    let (shadow, s) = solve_ilp_in(prep.problem(), &cfg.ilp, &mut shadow_ws);
+                    let offset = prep.encoded().objective_offset * rate;
+                    match (&got, &shadow) {
+                        (Ok(a), Ok(sol)) => prop_assert!(
+                            (a.objective - (sol.objective + offset)).abs()
+                                <= 1e-9 * a.objective.abs(),
+                            "{:?} step {}: {} vs searched directly {}",
+                            backend, i, a.objective, sol.objective + offset
+                        ),
+                        (Err(PartitionError::Infeasible), Err(SolveError::Infeasible)) => {}
+                        _ => prop_assert!(
+                            false, "{:?} step {}: {:?} vs searched directly {:?}",
+                            backend, i, got.as_ref().map(|p| p.objective), shadow
+                        ),
+                    }
+                    // The old rules, on the direct search: the tableau
+                    // never re-enters, a rewritten budget row is a new
+                    // matrix, and a feasible search leaves a basis.
+                    let feasible = shadow.is_ok();
+                    if feasible && backend == SolverBackend::Dense {
+                        prop_assert_eq!(s.warm_starts, 0, "Dense step {}: warm tableau LP", i);
+                    } else if feasible && morphed {
+                        prop_assert!(s.cold_starts >= 1, "step {}: warm after apply_delta", i);
+                    } else if feasible && shadow_held {
+                        prop_assert!(s.warm_starts >= 1, "step {}: a search after a search", i);
+                    }
+                    shadow_held |= feasible;
+                }
                 let repeated = i > 0 && rates[i - 1] == rate && !morphed;
                 match (&got, &want) {
                     (Ok(a), Ok(b)) => {
@@ -990,6 +1028,11 @@ proptest! {
                                 backend, i
                             );
                             prop_assert!(a.ilp_stats.proved);
+                        } else if closure {
+                            // The closure answered: proved, with no LP.
+                            let s = &a.ilp_stats;
+                            prop_assert!(s.proved && s.simplex_iterations == 0, "{:?}", s);
+                            prop_assert_eq!(a.certified_gap, Some(0.0));
                         } else if backend == SolverBackend::Dense {
                             // The reference tableau solves every LP cold.
                             prop_assert_eq!(
@@ -1024,7 +1067,7 @@ proptest! {
                         backend, i, rate, got.map(|p| p.objective), want.map(|p| p.objective)
                     ),
                 }
-                basis_held |= searched && got.is_ok();
+                basis_held |= searched && !closure && got.is_ok();
             }
             prop_assert!(past_the_cliff >= 1, "the walk must cross the cliff");
             prop_assert_eq!(prep.encodes(), 1);
@@ -1263,10 +1306,13 @@ proptest! {
 
     /// The §4.3 search answers a probe from the last proved placement
     /// while it still fits; that may change the work and nothing else.
-    /// Against the same schedule with every probe a `solve_at`, on both
-    /// backends: the same rate, bit for bit, in the same number of probes
-    /// — and the returned placement a proved optimum there (a cold
-    /// solve's objective to 1e-9, certified gap 0) within every budget.
+    /// Against the same schedule with every probe a `solve_at` whose
+    /// problem is then searched directly (so the simplex runs at every
+    /// probe, the closure's included), on both backends: the same rate,
+    /// bit for bit, in the same number of probes — and the returned
+    /// placement a proved optimum there (a cold solve's objective to
+    /// 1e-9, certified gap 0) within every budget. (These apps' cliffs
+    /// are never a root LP refutation's; the test below is one.)
     #[test]
     fn the_rate_search_answers_like_a_solve_at_every_probe(
         stages in 2usize..5,
@@ -1291,65 +1337,117 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let dep = two_ward_tree(gw_budget_a, gw_budget_b, uplink_a, count_a);
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let mut cfg = DeploymentConfig::default();
-            cfg.ilp.backend = backend;
-            let got = match max_sustainable_rate_deployment(&g, &prof, &dep, &cfg, 64.0, tol) {
-                Ok(got) => got,
-                Err(PartitionError::Pin(_)) => return Ok(()),
-                Err(e) => return Err(TestCaseError::fail(format!("solver error: {e}"))),
-            };
+        rate_search_matches_every_probe(&g, &prof, &dep, tol)?;
+    }
+}
 
-            let mut every =
-                PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("prepared once already");
-            let mut infeasible = Vec::new();
-            let (rate, probes) = rate_schedule(
-                |rate| match every.solve_at(rate) {
-                    Ok(_) => true,
-                    Err(PartitionError::Infeasible) => {
+/// The §4.3 search against the same schedule with every probe a
+/// `solve_at` whose problem is then searched directly, on both backends
+/// (see the property above). Returns how many refuted probes it checked.
+fn rate_search_matches_every_probe(
+    g: &Graph,
+    prof: &wishbone::profile::GraphProfile,
+    dep: &Deployment,
+    tol: f64,
+) -> Result<usize, TestCaseError> {
+    let mut refuted_checks = 0;
+    for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+        let mut cfg = DeploymentConfig::default();
+        cfg.ilp.backend = backend;
+        let got = match max_sustainable_rate_deployment(g, prof, dep, &cfg, 64.0, tol) {
+            Ok(got) => got,
+            Err(PartitionError::Pin(_)) => return Ok(refuted_checks),
+            Err(e) => return Err(TestCaseError::fail(format!("solver error: {e}"))),
+        };
+
+        let mut every = PreparedDeployment::new(g, prof, dep, &cfg).expect("prepared once already");
+        let mut ws = SimplexWorkspace::new();
+        let mut infeasible = Vec::new();
+        let (rate, probes) = rate_schedule(
+            |rate| {
+                let answer = every.solve_at(rate);
+                let (searched, _) = solve_ilp_in(every.problem(), &cfg.ilp, &mut ws);
+                match (answer, searched) {
+                    (Ok(p), Ok(sol)) => {
+                        let sol = sol.objective + every.encoded().objective_offset * rate;
+                        assert!(
+                            (p.objective - sol).abs() <= 1e-9 * sol.abs(),
+                            "x{rate}: {} vs searched directly {sol}",
+                            p.objective
+                        );
+                        true
+                    }
+                    (Err(PartitionError::Infeasible), Err(SolveError::Infeasible)) => {
                         infeasible.push(rate.to_bits());
                         false
                     }
-                    Err(e) => panic!("solver error at x{rate}: {e}"),
-                },
-                64.0,
-                tol,
-            );
-            let Some(got) = got else {
-                prop_assert_eq!(rate, None, "{:?}: the floor probe's verdict flipped", backend);
-                continue;
-            };
+                    (a, b) => panic!(
+                        "x{rate}: {:?} vs searched directly {b:?}",
+                        a.map(|p| p.objective)
+                    ),
+                }
+            },
+            64.0,
+            tol,
+        );
+        let Some(got) = got else {
             prop_assert_eq!(
-                (Some(got.rate.to_bits()), got.evaluations),
-                (rate.map(f64::to_bits), probes),
-                "{:?}", backend
+                rate,
+                None,
+                "{:?}: the floor probe's verdict flipped",
+                backend
             );
-            prop_assert!(got.unproven.is_none());
-            prop_assert!(got.solves <= got.evaluations + 1);
-            // Every probe a refutation answered is one the every-probe
-            // schedule solved to `Infeasible`; the tableau refutes none.
-            for refuted in &got.refuted {
-                prop_assert!(
-                    infeasible.contains(&refuted.to_bits()),
-                    "{:?}: x{} refuted, but the every-probe schedule did not find it infeasible",
-                    backend, refuted
-                );
-            }
-            if backend == SolverBackend::Dense {
-                prop_assert!(got.refuted.is_empty());
-            }
-            let cold = partition_deployment(&g, &prof, &dep, &cfg.clone().at_rate(got.rate))
-                .expect("the found rate is feasible");
-            let p = &got.partition;
+            continue;
+        };
+        prop_assert_eq!(
+            (Some(got.rate.to_bits()), got.evaluations),
+            (rate.map(f64::to_bits), probes),
+            "{:?}",
+            backend
+        );
+        prop_assert!(got.unproven.is_none());
+        prop_assert!(got.solves <= got.evaluations + 1);
+        // Every probe a refutation answered is one the every-probe
+        // schedule solved to `Infeasible`; the tableau refutes none.
+        refuted_checks += got.refuted.len();
+        for refuted in &got.refuted {
             prop_assert!(
-                (p.objective - cold.objective).abs() <= 1e-9 * cold.objective.abs(),
-                "{:?} x{}: searched {} vs cold {}", backend, got.rate, p.objective, cold.objective
+                infeasible.contains(&refuted.to_bits()),
+                "{:?}: x{} refuted, but the every-probe schedule did not find it infeasible",
+                backend,
+                refuted
             );
-            prop_assert!(p.ilp_stats.proved);
-            prop_assert_eq!(p.certified_gap, Some(0.0));
-            assert_budgets_hold(&dep, p)?;
         }
+        if backend == SolverBackend::Dense {
+            prop_assert!(got.refuted.is_empty());
+        }
+        let cold = partition_deployment(g, prof, dep, &cfg.clone().at_rate(got.rate))
+            .expect("the found rate is feasible");
+        let p = &got.partition;
+        prop_assert!(
+            (p.objective - cold.objective).abs() <= 1e-9 * cold.objective.abs(),
+            "{:?} x{}: searched {} vs cold {}",
+            backend,
+            got.rate,
+            p.objective,
+            cold.objective
+        );
+        prop_assert!(p.ilp_stats.proved);
+        prop_assert_eq!(p.certified_gap, Some(0.0));
+        assert_budgets_hold(dep, p)?;
     }
+    Ok(refuted_checks)
+}
+
+/// The one-channel EEG app behind a 50 B/s backhaul: the sparse root LP
+/// refutes its cliff, so the rate search answers probes from the kept
+/// refutation, and the property's refuted-probe check runs.
+#[test]
+fn the_rate_search_refutes_the_starved_eeg_backhaul_like_every_probe() {
+    let app = EEG_ONE_CHANNEL.with(Rc::clone);
+    let dep = two_ward_tree(0.5, 0.5, 50.0, 1);
+    let checked = rate_search_matches_every_probe(&app.0, &app.1, &dep, 0.01).expect("agrees");
+    assert!(checked >= 1, "no probe was refuted");
 }
 
 /// `a` and `b` agree to 1e-12 relative (both sums of non-negative terms).

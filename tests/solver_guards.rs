@@ -376,16 +376,18 @@ fn a_delta_equals_a_cold_rebuild() {
     }
 }
 
-/// Just under the tight forest's feasibility cliff (×3.1614).
+/// Just under the tight forest's feasibility cliff (×3.16456; the closure
+/// ceiling is ×3.164557, where gw-a's uplink binds).
 const NEAR_CLIFF_RATE: f64 = 3.15;
 
 /// Just under the starved 8-channel ward's cliff (×3.6102).
 const STARVED_RATE: f64 = 3.5;
 
 /// Near a cliff a root-capped search (`max_nodes = 1`) holds a certified
-/// gap that bounds the exact optimum. On the tight forest the root LP is
-/// integral: the capped search returns it, certified within 2.5 %, and no
-/// better than a 2.5 %-gap search. On the starved 8-channel ward the root
+/// gap that bounds the exact optimum. On the tight forest the closure
+/// still fits just under the cliff: the capped solve returns it, certified
+/// within 2.5 %, and no better than a 2.5 %-gap solve. On the starved
+/// 8-channel ward, past its closure ceiling (×3.394191), the root
 /// LP is fractional: the capped search returns the multilevel seed, and
 /// its certificate's bound — the root LP's — is no higher than the best
 /// bound of a 50-node sparse search, itself a lower bound on the exact
@@ -461,12 +463,13 @@ fn the_near_cliff_solve_is_seeded_and_certified_dense() {
 
 /// The forest rate search (the benchmark of record's
 /// `forest_eeg4_rate_search` instance): the same rate and probe count on
-/// either backend. The floor's placement still fits at ×3.15625, so it
-/// answers the 22 feasible probes after the floor, and the found rate is
-/// decoded, not solved again. Past the cliff the backends part: the
-/// sparse one refutes the ×4 probe's root LP with a row that still
-/// refutes the 4 probes after it, so it runs branch-and-bound twice; the
-/// reference tableau reports no refutation and solves all 5.
+/// either backend. The closure answers the floor, and its placement
+/// still fits at ×3.15625, so it answers the 22 feasible probes after the
+/// floor, and the found rate is decoded, not solved again. Past the cliff
+/// the backends part: the sparse one refutes the ×4 probe's root LP with a
+/// row that still refutes the 4 probes after it, so it searches twice
+/// (the floor's closure, ×4's branch-and-bound); the reference tableau
+/// reports no refutation and searches all 5.
 fn forest_rate_search(backend: SolverBackend, solves: u32) -> DeploymentRateResult {
     let (graph, prof, dep) = tight_forest();
     let found =
@@ -486,14 +489,16 @@ fn forest_rate_search(backend: SolverBackend, solves: u32) -> DeploymentRateResu
 /// on one prepared instance. `solve_at` settles each rate by the step the
 /// library's probes take, so the replay searches exactly the probes the
 /// search did — the floor and ×4 — and the floor's placement answers every
-/// other feasible one. Counting only the probes that search, warm
-/// re-entry across retargets shows on the schedule's feasible rates walked
-/// downward on a fresh instance, where no proof covers the next, lower,
-/// rate, so every one searches: a retarget follows the previous search's
-/// basis, so all but the first root LP enter warm, the walk costs a few
-/// hundred pivots (~15 500 from the slack basis every time), and a warm
-/// re-entry keeps the LU it finds, so only the eta file's nonzero budget
-/// refactorizes.
+/// other feasible one. Warm re-entry across retargets shows on the
+/// schedule's feasible rates walked downward on a fresh instance, where no
+/// proof covers the next, lower, rate, so every one searches — and the
+/// closure answers every one. So each probe's retargeted problem is also
+/// searched directly, in one workspace kept for the walk and seeded with
+/// the last placement, as the instance's own search would be: a retarget
+/// follows the previous search's basis, so all but the first root LP enter
+/// warm, the walk costs a few hundred pivots (~15 500 from the slack basis
+/// every time), and a warm re-entry keeps the LU it finds, so only the eta
+/// file's nonzero budget refactorizes.
 #[test]
 fn the_forest_rate_search_and_its_replay_sparse() {
     let found = forest_rate_search(SolverBackend::Sparse, 2);
@@ -524,22 +529,30 @@ fn the_forest_rate_search_and_its_replay_sparse() {
     );
 
     let mut down = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
-    let (mut searched, mut warm_roots) = (0u32, 0u32);
+    let (mut ws, mut opts) = (SimplexWorkspace::new(), cfg.ilp.clone());
+    let (mut searched, mut closures, mut warm_roots) = (0u32, 0u32, 0u32);
     let (mut iterations, mut factorizations) = (0u64, 0u64);
     for &rate in feasible_rates.iter().rev() {
         let solves = down.solves();
         let part = down.solve_at(rate).expect("feasible on the way up");
         if down.solves() > solves {
             searched += 1;
+            closures += u32::from(part.ilp_stats.nodes == 0);
+            let (sol, stats) = solve_ilp_in(down.problem(), &opts, &mut ws);
+            let sol = sol.expect("feasible on the way up");
+            let direct = sol.objective + down.encoded().objective_offset * rate;
+            assert!((direct - part.objective).abs() <= 1e-9 * part.objective.abs());
+            opts.warm_solution = Some(sol.values);
             // No LP of the search started cold, its root included.
-            warm_roots += u32::from(part.ilp_stats.cold_starts == 0);
-            iterations += part.ilp_stats.simplex_iterations;
-            factorizations += part.ilp_stats.refactorizations;
+            warm_roots += u32::from(stats.cold_starts == 0);
+            iterations += stats.simplex_iterations;
+            factorizations += stats.refactorizations;
         }
     }
     println!(
         "forest rate search, feasible probes walked down: {searched} of {} searched, \
-         {warm_roots} warm at the root, {iterations} iterations, {factorizations} factorizations",
+         {closures} closure answers; searched directly, {warm_roots} warm at the root, \
+         {iterations} iterations, {factorizations} factorizations",
         feasible_rates.len()
     );
     assert_eq!(

@@ -107,7 +107,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 21] = [
+const CONFINE: [Confine; 22] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -235,11 +235,21 @@ const CONFINE: [Confine; 21] = [
     },
     Confine {
         rule: "one-probe-path", scope: &[CORE_SRC],
-        needles: &[Text(".fits("), Text(".refuted_at(")],
+        needles: &[Text(".refuted_at(")],
         homes: &[Home::Fn(PER_SOLVE_PATH, "settle_or_search")],
-        why: "`{}` outside `PreparedDeployment::settle_or_search` — a kept placement or a kept \
-              refutation answers a rate only through the one settle-or-search step that \
-              `solve_at` and the rate search share, and `solve_at_in` never takes it",
+        why: "`{}` outside `PreparedDeployment::settle_or_search` — a kept refutation answers a \
+              rate only through the one settle-or-search step that `solve_at` and the rate \
+              search share, and `solve_at_in` never takes it",
+    },
+    Confine {
+        rule: "one-probe-path", scope: &[CORE_SRC],
+        needles: &[Text(".fits(")],
+        homes: &[Home::Fn(PER_SOLVE_PATH, "settle_or_search"),
+                 Home::Fn(PER_SOLVE_PATH, "search")],
+        why: "`{}` outside `PreparedDeployment::settle_or_search` and `search` — a placement \
+              answers without a search only as the kept one (the settle-or-search step) or as \
+              the closure optimum (the one check at the top of `search`, which `solve_at_in` \
+              shares)",
     },
     Confine {
         rule: "address-identity", scope: &[CORE_SRC, "crates/fleet/src"],
@@ -2057,6 +2067,10 @@ mod tests {
         assert_repo_clean("one-lp-switch");
     }
 
+    /// `.fits(` is at home in `settle_or_search` and in `search`'s one
+    /// closure check, so a third copy (`probe`, line 8) fires; a
+    /// `.refuted_at(` fires anywhere but `settle_or_search`, `search`
+    /// included (line 16).
     #[test]
     fn one_probe_path_fires_on_a_second_copy_of_the_check() {
         let source = "\
@@ -2073,6 +2087,10 @@ impl PreparedDeployment {
             _ => self.search(rate, None),
         }
     }
+    fn search(&mut self, rate: f64, arena: Option<&mut SimplexWorkspace>) -> Result<(), E> {
+        if self.fits(&self.closures[0].values, rate) {}
+        if self.refuted_at(rate) {} // line 16
+    }
 }
 #[cfg(test)]
 mod tests {
@@ -2080,10 +2098,10 @@ mod tests {
 }
 ";
         let file = "crates/core/src/topology.rs";
-        assert_eq!(lines("one-probe-path", file, source), vec![8, 9]);
+        assert_eq!(lines("one-probe-path", file, source), vec![8, 9, 16]);
         assert_eq!(
             lines("one-probe-path", "crates/core/src/rate_search.rs", source),
-            vec![3, 4, 8, 9]
+            vec![3, 4, 8, 9, 15, 16]
         );
         assert_eq!(
             lines("one-probe-path", "crates/fleet/src/lib.rs", source),
