@@ -32,7 +32,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use wishbone::ilp::SolverBackend;
+use wishbone::ilp::{
+    solve_ilp_in, IlpSolution, IlpStats, SimplexWorkspace, SolveError, SolverBackend,
+};
 use wishbone::prelude::*;
 
 /// The profiled EEG app of the bench forest.
@@ -281,19 +283,64 @@ fn seeded_search_finds_an_incumbent_fast_near_the_cliff() {
     );
 }
 
+/// Branch-and-bound on `prep`'s problem as its last solve retargeted it
+/// to `rate`, under `ilp` (its backend and node cap), in a fresh
+/// workspace: the search a fitting closure answers in its place. The
+/// placement's objective and certified gap, offset included as
+/// `PreparedDeployment` reports them, and the search's report.
+fn search_directly(
+    prep: &PreparedDeployment,
+    ilp: &IlpOptions,
+    rate: f64,
+) -> (Result<(IlpSolution, Option<f64>), SolveError>, IlpStats) {
+    let p = prep.problem();
+    let (sol, stats) = solve_ilp_in(p, ilp, &mut SimplexWorkspace::new());
+    let offset = prep.encoded().objective_offset * rate;
+    let sol = sol.map(|mut s| {
+        s.objective += offset;
+        let gap = stats
+            .best_bound
+            .map(|b| ((s.objective - (b + offset)) / s.objective.abs().max(f64::EPSILON)).max(0.0));
+        (s, gap)
+    });
+    (sol, stats)
+}
+
+/// On the tight forest just under its cliff the closure still fits, so
+/// `partition_deployment` answers with it on either backend; the exact and
+/// root-capped searches are therefore run on the prepared problem itself,
+/// on each backend, and held to the closure's optimum too.
 #[test]
 fn approx_certificate_holds_near_the_cliff_on_both_backends() {
     let (graph, prof, dep) = tight_forest();
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
         let mut cfg = DeploymentConfig::default().at_rate(NEAR_CLIFF_RATE);
         cfg.ilp.backend = backend;
-        let exact =
-            partition_deployment(&graph, &prof, &dep, &cfg).expect("feasible just under the cliff");
-        let approx = partition_deployment(&graph, &prof, &dep, &root_capped(&cfg))
-            .expect("the seed is a placement");
-        let gap = approx
-            .certified_gap
-            .expect("every placement carries a certificate");
+        let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+        let closure = prep
+            .solve_at(NEAR_CLIFF_RATE)
+            .expect("feasible just under the cliff");
+        let (exact, exact_stats) = search_directly(&prep, &cfg.ilp, NEAR_CLIFF_RATE);
+        let (exact, _) = exact.expect("feasible just under the cliff");
+        let (approx, stats) = search_directly(&prep, &root_capped(&cfg).ilp, NEAR_CLIFF_RATE);
+        let (approx, gap) = approx.expect("an integral root is a placement");
+        assert!(
+            exact_stats.nodes >= 1 && stats.nodes == 1,
+            "[{backend:?}] branch-and-bound ran: {} and {} nodes",
+            exact_stats.nodes,
+            stats.nodes
+        );
+        assert!(
+            !stats.seeded,
+            "[{backend:?}] the tight forest's root LP is integral"
+        );
+        assert!(
+            (closure.objective - exact.objective).abs() <= 1e-9 * exact.objective.abs(),
+            "[{backend:?}] closure {} vs branch-and-bound {}",
+            closure.objective,
+            exact.objective
+        );
+        let gap = gap.expect("every placement carries a certificate");
         assert!(
             gap <= 0.025,
             "[{backend:?}] certified gap {gap} exceeds the 2.5% acceptance bar"
@@ -312,18 +359,12 @@ fn approx_certificate_holds_near_the_cliff_on_both_backends() {
             approx.objective,
             exact.objective
         );
-        // Feasibility of the emitted placement, at the budget-row level.
-        for s in dep.site_ids() {
-            if let Some(l) = dep.uplink(s) {
-                if l.net_budget.is_finite() {
-                    assert!(
-                        approx.link_net[s.0] <= l.net_budget + 1e-6,
-                        "[{backend:?}] site {} over uplink budget",
-                        dep.site(s).name
-                    );
-                }
-            }
-        }
+        // Feasibility of the emitted placement, at the row level: the
+        // budget rows included.
+        assert!(
+            prep.problem().is_feasible(&approx.values, 1e-6),
+            "[{backend:?}] the root-capped placement breaks a row"
+        );
     }
 
     // There the root LP is integral and proves itself. On the starved
@@ -533,9 +574,7 @@ fn cut_move_counts_are_pinned() {
 #[test]
 fn warm_reentries_keep_their_factorization_and_match_cold_solves() {
     use wishbone::ilp::simplex::default_iteration_limit;
-    use wishbone::ilp::{
-        solve_lp_in, LpSolution, Problem, SimplexWorkspace, SolveError, SolverBackend, VarId,
-    };
+    use wishbone::ilp::{solve_lp_in, LpSolution, Problem, VarId};
     const SPARSE: SolverBackend = SolverBackend::Sparse;
 
     let (graph, prof, dep) = tight_forest();
@@ -661,6 +700,51 @@ proptest! {
             cfg.ilp.backend = backend;
             let exact = partition_deployment(&graph, &prof, &dep, &cfg);
             let approx = partition_deployment(&graph, &prof, &dep, &root_capped(&cfg));
+            // Under the closure's ceiling the closure answers both solves
+            // above on either backend, so the prepared problem is also
+            // searched directly: exactly, and root-capped with no seed,
+            // against its own certificate.
+            let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+            let _ = prep.solve_at(rate);
+            let (direct, stats) = search_directly(&prep, &cfg.ilp, rate);
+            let (capped, capped_stats) = search_directly(&prep, &root_capped(&cfg).ilp, rate);
+            match (&exact, &direct) {
+                (Ok(e), Ok((d, _))) => {
+                    prop_assert!(stats.nodes >= 1, "{:?}: no node searched", backend);
+                    prop_assert!(
+                        (e.objective - d.objective).abs() <= 1e-9 * (1.0 + d.objective.abs()),
+                        "{:?}: solve {} vs searched directly {}", backend, e.objective, d.objective
+                    );
+                }
+                (Err(PartitionError::Infeasible), Err(SolveError::Infeasible)) => {}
+                (e, d) => prop_assert!(
+                    false,
+                    "{:?}: solve {:?} vs searched directly {:?}",
+                    backend, e.as_ref().map(|p| p.objective), d.as_ref().map(|(s, _)| s.objective)
+                ),
+            }
+            match (&direct, capped) {
+                (Ok((d, _)), Ok((a, gap))) => {
+                    prop_assert_eq!(capped_stats.nodes, 1, "{:?}: the root ran", backend);
+                    let gap = gap.expect("certificate present");
+                    let true_gap =
+                        (a.objective - d.objective) / a.objective.abs().max(f64::EPSILON);
+                    prop_assert!(
+                        true_gap <= gap + 1e-9,
+                        "{:?}: direct root-capped true gap {} exceeds certificate {}",
+                        backend, true_gap, gap
+                    );
+                    prop_assert!(prep.problem().is_feasible(&a.values, 1e-6));
+                }
+                // A fractional root with no seed holds no placement.
+                (Ok(_), Err(SolveError::IterationLimit)) => {}
+                (Err(_), Err(_)) => {}
+                (d, a) => prop_assert!(
+                    false,
+                    "{:?}: exact {:?} vs root-capped {:?} disagree on feasibility",
+                    backend, d.as_ref().map(|(s, _)| s.objective), a.map(|(s, _)| s.objective)
+                ),
+            }
             match (exact, approx) {
                 (Ok(e), Ok(a)) => {
                     let gap = a.certified_gap.expect("certificate present");

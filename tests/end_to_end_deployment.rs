@@ -17,7 +17,7 @@
 //!    about *where* goodput collapses when one gateway saturates.
 
 use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
-use wishbone::ilp::solve_ilp;
+use wishbone::ilp::{solve_ilp_in, SimplexWorkspace};
 use wishbone::prelude::*;
 use wishbone_oracle::{
     build_partition_graph, encode, encode_multitier, preprocess, Encoding, ObjectiveConfig,
@@ -85,13 +85,21 @@ fn eeg_three_tier_path_is_the_multitier_encoding() {
         .unwrap_or_else(|e| panic!("eeg k=3 path: {e}"));
 
     // And through the solver, on both backends, the deployment facade
-    // must reproduce the oracle's optimum.
+    // must reproduce the oracle's optimum. The facade's answer is the
+    // closure where it fits; the oracle's is always branch-and-bound on
+    // the backend, which keeps both simplex methods in the comparison.
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
         let opts = IlpOptions {
             backend,
             ..Default::default()
         };
-        let oracle_sol = solve_ilp(&oracle.problem, &opts).expect("feasible");
+        let (oracle_sol, stats) =
+            solve_ilp_in(&oracle.problem, &opts, &mut SimplexWorkspace::new());
+        let oracle_sol = oracle_sol.expect("feasible");
+        assert!(
+            stats.nodes >= 1,
+            "{backend:?}: the oracle's search ran no node"
+        );
         let mut cfg = DeploymentConfig::default();
         cfg.ilp.backend = backend;
         let part = partition_deployment(&app.graph, &prof, &dep, &cfg).expect("feasible");

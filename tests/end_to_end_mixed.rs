@@ -215,6 +215,23 @@ fn overload_pipeline_is_backend_invariant() {
         let r = max_sustainable_rate_deployment(&app.graph, &prof, &dep, &cfg, 8.0, 0.01)
             .expect("solver ok")
             .expect("feasible");
+        // The closure may answer every feasible probe; the found rate's
+        // problem, searched directly, keeps the backend in the pipeline.
+        let mut prep = PreparedDeployment::new(&app.graph, &prof, &dep, &cfg).expect("pins ok");
+        let kept = prep.solve_at(r.rate).expect("feasible at the found rate");
+        let (searched, stats) = wishbone::ilp::solve_ilp_in(
+            prep.problem(),
+            &cfg.ilp,
+            &mut wishbone::ilp::SimplexWorkspace::new(),
+        );
+        let searched =
+            searched.expect("feasible").objective + prep.encoded().objective_offset * r.rate;
+        assert!(stats.nodes >= 1, "{backend:?}: no node searched");
+        assert!(
+            (searched - kept.objective).abs() <= 1e-9 * kept.objective.abs(),
+            "{backend:?}: searched {searched} vs answered {}",
+            kept.objective
+        );
         results.push((r.rate, r.partition.leaves[0].site_ops[0].clone()));
     }
     let (dense_rate, dense_cut) = &results[0];

@@ -10,6 +10,9 @@
 //! checked for structural invariants and wired through the deployment
 //! simulator.
 
+#[path = "common/closure.rs"]
+mod closure;
+use closure::closure_of;
 use wishbone::ilp::{solve_ilp_in, SimplexWorkspace, SolveError};
 use wishbone::prelude::*;
 use wishbone_oracle::{build_partition_graph, encode, preprocess, Encoding, ObjectiveConfig};
@@ -43,6 +46,12 @@ fn parity_on(
             ..DeploymentConfig::default().at_rate(rate)
         };
         let tiered = partition_deployment(graph, prof, &dep, &cfg);
+        // Whether the closure gave the chain answer: its optimum holds
+        // every row at this rate.
+        let mut fresh = PreparedDeployment::new(graph, prof, &dep, &cfg).expect("pins ok");
+        let closure_values = closure_of(&fresh);
+        let _ = fresh.solve_at(rate);
+        let closure = closure_values.is_some_and(|v| fresh.problem().is_feasible(&v, 0.0));
         match (binary, tiered) {
             (Ok(b), Ok(t)) => {
                 let mut node_ops: Vec<OperatorId> =
@@ -79,10 +88,12 @@ fn parity_on(
                 // Both searches ran on `backend`, as their counters show:
                 // only the sparse method factorizes a basis or re-enters
                 // warm. A chain answer the closure gave ran no simplex.
-                let closure = t.ilp_stats.nodes == 0;
                 if closure {
                     let s = &t.ilp_stats;
-                    assert!(s.proved && s.simplex_iterations == 0, "{s:?}");
+                    assert!(
+                        s.proved && (s.nodes, s.simplex_iterations) == (0, 0),
+                        "{s:?}"
+                    );
                 }
                 let searched = if closure {
                     &[&b_stats][..]

@@ -23,6 +23,9 @@ use wishbone::dataflow::Graph;
 use wishbone::ilp::SimplexWorkspace;
 use wishbone::prelude::{run_batch, FleetRequest, FleetServer, GraphProfile, Platform, ShapeCache};
 
+#[path = "common/closure.rs"]
+mod closure;
+use closure::closure_of;
 #[path = "common/fleet.rs"]
 mod fleet;
 use fleet::Lcg;
@@ -401,8 +404,9 @@ fn two_wards_on_one_platform_chain_merge_once() {
 /// seed closure, the one place a prepared instance builds its
 /// `CutHierarchy` (`warm_start_s`, which times that closure, is zero);
 /// and every search ran exactly the nodes of its problem searched with no
-/// seed at all — or, where the closure answered, none, at that search's
-/// optimum.
+/// seed at all — except where the closure, recomputed here from the fresh
+/// instance's objective, holds every row: there the response is that
+/// closure, with no node searched.
 #[test]
 fn no_fleet_search_is_stuck_so_none_asks_for_the_seed() {
     let apps = [profiled(0), profiled(1)];
@@ -442,30 +446,32 @@ fn no_fleet_search_is_stuck_so_none_asks_for_the_seed() {
             let mut prep =
                 PreparedDeployment::new(&req.graph, &req.profile, &req.deployment, &req.config)
                     .expect("the request prepares");
+            let closure = closure_of(&prep);
             prep.solve_at(req.rate)
                 .expect("a serial solve places it too");
-            let (searched, unseeded) = wishbone::ilp::solve_ilp_in(
+            let (_, unseeded) = wishbone::ilp::solve_ilp_in(
                 prep.problem(),
                 &req.config.ilp,
                 &mut SimplexWorkspace::new(),
             );
-            if stats.nodes == 0 {
-                // The closure answered: no search, so nothing to seed,
-                // and the unseeded search's optimum.
-                let searched = searched.expect("the unseeded search places it").objective;
-                let offset = prep.encoded().objective_offset * req.rate;
-                let want = searched + offset;
-                assert!(
-                    stats.proved && stats.simplex_iterations == 0,
-                    "{ctx}: {stats:?}"
-                );
-                assert!(
-                    (part.objective - want).abs() <= 1e-9 * want.abs(),
-                    "{ctx}: closure {} vs searched {want}",
-                    part.objective
-                );
-            } else {
-                assert_eq!(stats.nodes, unseeded.nodes, "{ctx}: node count");
+            match closure.filter(|values| prep.problem().is_feasible(values, 0.0)) {
+                // The closure fits: it is the answer, with no search to
+                // seed, and the very placement.
+                Some(values) => {
+                    let offset = prep.encoded().objective_offset * req.rate;
+                    let want = prep.problem().objective_value(&values) + offset;
+                    assert!(
+                        stats.proved && (stats.nodes, stats.simplex_iterations) == (0, 0),
+                        "{ctx}: {stats:?}"
+                    );
+                    assert_eq!(
+                        part.objective.to_bits(),
+                        want.to_bits(),
+                        "{ctx}: {} vs the closure's {want}",
+                        part.objective
+                    );
+                }
+                None => assert_eq!(stats.nodes, unseeded.nodes, "{ctx}: node count"),
             }
         }
         assert!(placed * 2 > batch.len(), "most of the batch places");

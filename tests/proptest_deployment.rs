@@ -48,6 +48,9 @@ use wishbone_oracle::{
     PartitionGraph,
 };
 
+#[path = "common/closure.rs"]
+mod closure;
+use closure::closure_of;
 #[path = "common/identity.rs"]
 mod identity;
 use identity::problems_identical;
@@ -385,8 +388,21 @@ proptest! {
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let mut cfg = DeploymentConfig::default().at_rate(rate);
             cfg.ilp.backend = backend;
+            // The closure answers where it fits, on either backend; the
+            // prepared problem searched directly keeps both in the
+            // comparison.
+            let mut prep = PreparedDeployment::new(&g, &prof, &dep, &cfg).expect("pins ok");
+            let _ = prep.solve_at(rate);
+            let (direct, stats) = solve_ilp_in(prep.problem(), &cfg.ilp, &mut SimplexWorkspace::new());
+            let direct = direct.map(|s| s.objective + prep.encoded().objective_offset * rate);
             match partition_deployment(&g, &prof, &dep, &cfg) {
                 Ok(part) => {
+                    let searched = direct.expect("feasible when searched directly");
+                    prop_assert!(stats.nodes >= 1, "{:?}: no node searched", backend);
+                    prop_assert!(
+                        (searched - part.objective).abs() <= 1e-9 * (1.0 + part.objective.abs()),
+                        "{:?}: searched directly {} vs {}", backend, searched, part.objective
+                    );
                     assert_budgets_hold(&dep, &part)?;
                     // Structure: positions are monotone along every edge
                     // of every leaf's program instance.
@@ -402,7 +418,10 @@ proptest! {
                     }
                     objectives.push(Some(part.objective));
                 }
-                Err(_) => objectives.push(None),
+                Err(_) => {
+                    prop_assert!(direct.is_err(), "{:?}: feasible when searched directly", backend);
+                    objectives.push(None);
+                }
             }
         }
         match (objectives[0], objectives[1]) {
@@ -942,10 +961,15 @@ proptest! {
                 Ok(p) => p,
                 Err(_) => return Ok(()),
             };
+            // A fresh instance's answer at `rate`, and whether the closure
+            // gave it: its closure optimum holds every row there.
             let fresh_at = |prep: &PreparedDeployment<'_>, rate: f64| {
-                PreparedDeployment::new(&g, &prof, prep.deployment(), &cfg)
-                    .expect("same graph prepared once already")
-                    .solve_at(rate)
+                let mut fresh = PreparedDeployment::new(&g, &prof, prep.deployment(), &cfg)
+                    .expect("same graph prepared once already");
+                let closure = closure_of(&fresh);
+                let answer = fresh.solve_at(rate);
+                let fits = closure.is_some_and(|v| fresh.problem().is_feasible(&v, 0.0));
+                (answer, fits)
             };
             // The previous step's answer, when it was feasible; whether a
             // feasible search has left a basis of the current matrix; and
@@ -969,8 +993,8 @@ proptest! {
                 let solves = prep.solves();
                 let got = prep.solve_at(rate);
                 let searched = prep.solves() > solves;
-                let closure = searched && got.as_ref().is_ok_and(|p| p.ilp_stats.nodes == 0);
-                let want = fresh_at(&prep, rate);
+                let (want, fits) = fresh_at(&prep, rate);
+                let closure = searched && fits;
                 if searched {
                     let (shadow, s) = solve_ilp_in(prep.problem(), &cfg.ilp, &mut shadow_ws);
                     let offset = prep.encoded().objective_offset * rate;
@@ -1076,7 +1100,7 @@ proptest! {
             // indistinguishable from a fresh one — ties included.
             let rate = rates[repeat_at + usize::from(cliff_at <= repeat_at)];
             prep.reset_warm_start();
-            match (prep.solve_at(rate), fresh_at(&prep, rate)) {
+            match (prep.solve_at(rate), fresh_at(&prep, rate).0) {
                 (Ok(a), Ok(b)) => {
                     assert_bit_identical(&a, &b)?;
                     prop_assert_eq!(a.ilp_stats.warm_starts, b.ilp_stats.warm_starts);

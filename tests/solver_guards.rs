@@ -20,6 +20,9 @@
 //! unoptimized build minutes, so those two tests run only in release
 //! (`cargo test --release --test solver_guards`).
 
+#[path = "common/closure.rs"]
+mod closure;
+use closure::closure_of;
 use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
 use wishbone::ilp::instances::chain_ilp;
 use wishbone::ilp::{
@@ -385,35 +388,50 @@ const STARVED_RATE: f64 = 3.5;
 
 /// Near a cliff a root-capped search (`max_nodes = 1`) holds a certified
 /// gap that bounds the exact optimum. On the tight forest the closure
-/// still fits just under the cliff: the capped solve returns it, certified
-/// within 2.5 %, and no better than a 2.5 %-gap solve. On the starved
-/// 8-channel ward, past its closure ceiling (×3.394191), the root
-/// LP is fractional: the capped search returns the multilevel seed, and
-/// its certificate's bound — the root LP's — is no higher than the best
-/// bound of a 50-node sparse search, itself a lower bound on the exact
-/// optimum.
+/// still fits just under the cliff, so `solve_at` answers with it on
+/// either backend; the 2.5 %-gap and root-capped searches run on its
+/// retargeted problem directly, on `backend`: the first lands within 2.5 %
+/// of the closure and never below it, and the capped one is certified
+/// within 2.5 % and no better than the first.
+/// On the starved 8-channel ward, past its closure ceiling (×3.394191),
+/// the root LP is fractional: the capped search returns the multilevel
+/// seed, and its certificate's bound — the root LP's — is no higher than
+/// the best bound of a 50-node sparse search, itself a lower bound on the
+/// exact optimum.
 fn near_cliff(backend: SolverBackend) {
     let (graph, prof, dep) = tight_forest();
-    let mut cfg = with_backend(backend);
-    cfg.ilp.rel_gap = 0.025;
-    let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
-    let seeded = prep.solve_at(NEAR_CLIFF_RATE).expect("near-cliff feasible");
-    let mut cfg = with_backend(backend);
-    cfg.ilp.max_nodes = 1;
-    let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
-    let capped = prep.solve_at(NEAR_CLIFF_RATE).expect("near-cliff feasible");
-    let gap = capped
-        .certified_gap
-        .expect("every placement carries a certificate");
+    let mut prep =
+        PreparedDeployment::new(&graph, &prof, &dep, &with_backend(backend)).expect("pins ok");
+    let closure = prep.solve_at(NEAR_CLIFF_RATE).expect("near-cliff feasible");
+    let offset = prep.encoded().objective_offset * NEAR_CLIFF_RATE;
+    let search = |rel_gap: f64, max_nodes: u64| {
+        let opts = IlpOptions {
+            rel_gap,
+            max_nodes,
+            ..backend_opts(backend)
+        };
+        let (sol, stats) = solve_ilp_in(prep.problem(), &opts, &mut SimplexWorkspace::new());
+        let objective = sol.expect("near-cliff feasible").objective + offset;
+        assert!(stats.nodes >= 1, "[{backend:?}] {stats:?}");
+        assert_ran(backend, &stats);
+        let bound = stats.best_bound.expect("a finished search has a bound") + offset;
+        (objective, ((objective - bound) / objective.abs()).max(0.0))
+    };
+    let (seeded, _) = search(0.025, IlpOptions::default().max_nodes);
+    let (capped, gap) = search(0.0, 1);
+    assert!(
+        (seeded - closure.objective).abs() <= 0.025 * closure.objective.abs()
+            && seeded >= closure.objective - 1e-9 * closure.objective.abs(),
+        "[{backend:?}] a 2.5 %-gap search {seeded} vs the closure {}",
+        closure.objective
+    );
     assert!(
         gap <= 0.025,
         "[{backend:?}] near-cliff certified gap blew up: {gap}"
     );
     assert!(
-        capped.objective >= seeded.objective - 1e-9 * (1.0 + seeded.objective.abs()),
-        "[{backend:?}] a root-capped search beat the exact optimum: {} vs {}",
-        capped.objective,
-        seeded.objective
+        capped >= seeded - 1e-9 * (1.0 + seeded.abs()),
+        "[{backend:?}] a root-capped search beat the exact optimum: {capped} vs {seeded}"
     );
 
     let (graph, prof, dep) = starved_ward();
@@ -529,6 +547,7 @@ fn the_forest_rate_search_and_its_replay_sparse() {
     );
 
     let mut down = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+    let closure = closure_of(&down).expect("a certified closure");
     let (mut ws, mut opts) = (SimplexWorkspace::new(), cfg.ilp.clone());
     let (mut searched, mut closures, mut warm_roots) = (0u32, 0u32, 0u32);
     let (mut iterations, mut factorizations) = (0u64, 0u64);
@@ -537,7 +556,7 @@ fn the_forest_rate_search_and_its_replay_sparse() {
         let part = down.solve_at(rate).expect("feasible on the way up");
         if down.solves() > solves {
             searched += 1;
-            closures += u32::from(part.ilp_stats.nodes == 0);
+            closures += u32::from(down.problem().is_feasible(&closure, 0.0));
             let (sol, stats) = solve_ilp_in(down.problem(), &opts, &mut ws);
             let sol = sol.expect("feasible on the way up");
             let direct = sol.objective + down.encoded().objective_offset * rate;
