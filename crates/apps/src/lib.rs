@@ -23,5 +23,5 @@ pub mod speech;
 pub mod svm;
 
 pub use eeg::{build_eeg_app, build_eeg_channel, heuristic_svm, EegApp, EegParams};
-pub use speech::{build_speech_app, SpeechApp, SpeechParams};
+pub use speech::{build_speech_app, SpeechApp};
 pub use svm::{DeclareOp, LinearSvm, SvmOp};

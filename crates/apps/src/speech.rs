@@ -14,32 +14,14 @@ use wishbone_profile::SourceTrace;
 
 use crate::signal::{speech_trace, SPEECH_FRAME_LEN, SPEECH_FRAME_RATE, SPEECH_SAMPLE_RATE};
 
-/// MFCC pipeline parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SpeechParams {
-    /// Samples per frame.
-    pub frame_len: usize,
-    /// FFT size (frame is zero-padded to this).
-    pub fft_size: usize,
-    /// Mel filters.
-    pub n_filters: usize,
-    /// Cepstral coefficients kept.
-    pub n_cepstra: usize,
-    /// Log quantization scale (log-units per i16 step).
-    pub log_scale: f32,
-}
-
-impl Default for SpeechParams {
-    fn default() -> Self {
-        SpeechParams {
-            frame_len: SPEECH_FRAME_LEN,
-            fft_size: 256,
-            n_filters: 32,
-            n_cepstra: 13,
-            log_scale: 256.0,
-        }
-    }
-}
+/// FFT size (each frame is zero-padded to this).
+const FFT_SIZE: usize = 256;
+/// Mel filters.
+const N_FILTERS: usize = 32;
+/// Cepstral coefficients kept.
+const N_CEPSTRA: usize = 13;
+/// Log quantization scale (log-units per i16 step).
+const LOG_SCALE: f32 = 256.0;
 
 /// The built speech application.
 pub struct SpeechApp {
@@ -84,7 +66,7 @@ impl SpeechApp {
 }
 
 /// Build the speech-detection pipeline.
-pub fn build_speech_app(params: SpeechParams) -> SpeechApp {
+pub fn build_speech_app() -> SpeechApp {
     let mut b = GraphBuilder::new();
     b.enter_node_namespace();
     let source = b.source("source");
@@ -92,32 +74,24 @@ pub fn build_speech_app(params: SpeechParams) -> SpeechApp {
     let preemph = b.stateful_transform("preemph", Box::new(PreEmphOp::new(0.97)), source);
     let hamming = b.transform(
         "hamming",
-        Box::new(HammingOp::new(params.frame_len)),
+        Box::new(HammingOp::new(SPEECH_FRAME_LEN)),
         preemph,
     );
-    let prefilt = b.transform(
-        "prefilt",
-        Box::new(PreFiltOp::new(params.fft_size)),
-        hamming,
-    );
+    let prefilt = b.transform("prefilt", Box::new(PreFiltOp::new(FFT_SIZE)), hamming);
     let fft = b.transform("FFT", Box::new(FftMagOp), prefilt);
     let filtbank = b.transform(
         "filtBank",
         Box::new(FilterBankOp::new(
-            params.n_filters,
-            params.fft_size / 2,
+            N_FILTERS,
+            FFT_SIZE / 2,
             SPEECH_SAMPLE_RATE as f32,
         )),
         fft,
     );
-    let logs = b.transform(
-        "logs",
-        Box::new(LogQuantOp::new(params.log_scale)),
-        filtbank,
-    );
+    let logs = b.transform("logs", Box::new(LogQuantOp::new(LOG_SCALE)), filtbank);
     let cepstrals = b.transform(
         "cepstrals",
-        Box::new(CepstralOp::new(params.n_cepstra, 1.0 / params.log_scale)),
+        Box::new(CepstralOp::new(N_CEPSTRA, 1.0 / LOG_SCALE)),
         logs,
     );
     b.exit_namespace();
@@ -148,7 +122,7 @@ mod tests {
 
     #[test]
     fn pipeline_structure() {
-        let app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app();
         assert_eq!(app.graph.operator_count(), 9); // 8 stages + sink
         assert_eq!(app.graph.edge_count(), 8);
         assert_eq!(app.cutpoints().len(), 8);
@@ -158,7 +132,7 @@ mod tests {
 
     #[test]
     fn profiles_with_paper_data_reductions() {
-        let app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app();
         let trace = app.trace(80, 42);
         let prof = profile(&app.graph, &[trace]).unwrap();
 
@@ -201,7 +175,7 @@ mod tests {
         // §6.2.2: "not only is the network capacity insufficient to forward
         // all the raw data back ... but the CPU resources are also
         // insufficient to extract the MFCCs in real time."
-        let app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app();
         let trace = app.trace(40, 7);
         let prof = profile(&app.graph, &[trace]).unwrap();
         let mote = Platform::tmote_sky();
@@ -223,7 +197,7 @@ mod tests {
 
     #[test]
     fn deterministic_traces() {
-        let app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app();
         assert_eq!(app.trace_elements(3, 5), app.trace_elements(3, 5));
     }
 }

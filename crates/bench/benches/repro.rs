@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::process::ExitCode;
 
 use wishbone_apps::{
-    build_eeg_app, build_eeg_channel, build_speech_app, EegApp, EegParams, SpeechApp, SpeechParams,
+    build_eeg_app, build_eeg_channel, build_speech_app, EegApp, EegParams, SpeechApp,
 };
 use wishbone_bench::{cdf, f, geometric_rates, header, linear_rates, pct, row, Claims};
 use wishbone_core::{
@@ -49,7 +49,7 @@ const N_POINTS: usize = 8;
 type Profiled<App> = (App, GraphProfile);
 
 fn profiled_speech() -> Profiled<SpeechApp> {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(120, 42);
     let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     (app, prof)
@@ -311,11 +311,10 @@ fn fig5b((app, prof): &Profiled<SpeechApp>, claims: &mut Claims) {
 /// vs the time to *prove* it optimal, on the full 22-channel EEG
 /// application, across a linear sweep of data rates (§7.1) that shares one
 /// `PreparedDeployment` — built, merged and encoded once, rescaled per
-/// rate. A point the instance answers without a search — the placement
-/// proved at a lower rate still fits, so it is optimal here too — is
-/// marked `kept`, with no node count, and has no discover or prove time
-/// to put in the CDF. Stdout carries each point's deterministic outcome;
-/// the CDF of seconds goes to stderr.
+/// rate. A point the closure answers is proved by one min-cut, with no
+/// node count and no discover or prove time to put in the CDF. Stdout
+/// carries each point's deterministic outcome; the CDF of seconds goes to
+/// stderr.
 fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
     claims.section = "§7.1 Fig 6";
     // Proving optimality exactly can take minutes on the budget-binding,
@@ -354,24 +353,19 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
         &["rate x", "node ops", "B&B nodes", "final gap", "outcome"],
     );
     let (mut discover, mut prove) = (Vec::new(), Vec::new());
-    let (mut infeasible, mut proved, mut kept, mut worst_gap) = (0usize, 0usize, 0usize, 0.0f64);
+    let (mut infeasible, mut proved, mut worst_gap) = (0usize, 0usize, 0.0f64);
     let mut closures = 0usize;
     let mut sizes = ((0, 0), (0, 0));
     for rate in linear_rates(0.25, 48.0, N_POINTS) {
-        let solves = prep.solves();
         let cells = match prep.solve_at(rate) {
             Ok(p) => {
                 let stats = &p.ilp_stats;
-                let searched = prep.solves() > solves;
-                // A kept answer carries its proving search's stats: that
-                // search's relative gap still bounds it (the objective only
-                // scaled), but its nodes and seconds were spent elsewhere.
                 worst_gap = worst_gap.max(stats.final_gap);
                 sizes = (p.merge_stats, p.problem_size);
                 let closure_fits = closure
                     .as_ref()
                     .is_some_and(|v| prep.problem().is_feasible(v, 0.0));
-                let (nodes, outcome) = if searched && closure_fits {
+                let (nodes, outcome) = if closure_fits {
                     // The closure answered: proved by one min-cut, no
                     // branch-and-bound to discover or prove anything.
                     assert!(
@@ -381,15 +375,12 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
                     proved += 1;
                     closures += 1;
                     ("0".into(), "closure")
-                } else if searched {
+                } else {
                     proved += usize::from(stats.proved);
                     discover.push(stats.time_to_best.as_secs_f64());
                     prove.push(stats.total_time.as_secs_f64());
                     let outcome = if stats.proved { "proved" } else { "limit hit" };
                     (stats.nodes.to_string(), outcome)
-                } else {
-                    kept += 1;
-                    ("-".into(), "kept")
                 };
                 let ops = p.leaves[0].site_ops[0].len();
                 [ops.to_string(), nodes, pct(stats.final_gap), outcome.into()]
@@ -411,7 +402,7 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
     );
 
     let searched = discover.len();
-    let feasible = searched + closures + kept;
+    let feasible = searched + closures;
     let ordered = discover.iter().zip(&prove).all(|(d, p)| *d <= *p + 1e-9);
     let grid = [5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0];
     let (mut d95, mut slowest) = (0.0, 0.0);
@@ -432,10 +423,10 @@ fn fig6((app, prof): &Profiled<EegApp>, claims: &mut Claims) {
          termination condition\"",
         format!(
             "{feasible} feasible (needs ≥ 3) / {infeasible} infeasible of {N_POINTS} rate \
-             points, {proved} proved by a search ({closures} of them by the closure) and {kept} \
-             kept from a lower rate's proof; worst final gap {gap} ≤ rel_gap {bound}"
+             points, {proved} proved by a search ({closures} of them by the closure); worst \
+             final gap {gap} ≤ rel_gap {bound}"
         ),
-        feasible >= 3 && proved + kept == feasible && worst_gap <= rel_gap + 1e-9,
+        feasible >= 3 && proved == feasible && worst_gap <= rel_gap + 1e-9,
     );
     claims.check(
         "fig6/discovery-never-after-proof",

@@ -25,14 +25,14 @@
 //!    per leaf class, coupled by one CPU row per site and one row per
 //!    uplink (§4.2.1's restricted formulation at two sites);
 //! 5. [`topology::PreparedDeployment`] — steps 1–4 happen once; every rate
-//!    probe rescales the ILP in place and solves it by branch-and-bound
-//!    seeded with the last placement or, once a search is stuck (a few
-//!    node LPs with no incumbent, or its budget spent), the
-//!    [`multilevel`] heuristic's cut, and
+//!    probe rescales the ILP in place and takes the closure relaxation's
+//!    optimum where it fits every budget, else solves it by
+//!    branch-and-bound seeded with the last placement or, once a search
+//!    is stuck (a few node LPs with no incumbent, or its budget spent),
+//!    the [`multilevel`] heuristic's cut, and
 //!    [`topology::max_sustainable_rate_deployment`] searches rates per
-//!    §4.3 on top of it, solving only the probes that neither the last
-//!    proved placement still fits nor the last root LP refutation still
-//!    refutes.
+//!    §4.3 on top of it, searching every probe that the last root LP
+//!    refutation does not still refute.
 //!
 //! The binary graph model, merge, encoders and baseline comparators this
 //! path replaced live on as differential oracles in the dev-only

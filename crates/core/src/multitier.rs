@@ -970,12 +970,10 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        // One search fewer than rates: the 0.05 placement, proved there,
-        // still fits every budget at 0.2 and is kept (repriced, not
-        // re-proved); the last placement is over a budget at 1.0 and at 4.0,
-        // which search.
-        assert_eq!(searched, [true, false, true, true]);
-        assert_eq!(prep.solves(), 3);
+        // Every rate searches: only a kept refutation answers without a
+        // search, and none answers here.
+        assert_eq!(searched, [true; 4]);
+        assert_eq!(prep.solves(), 4);
     }
 
     #[test]

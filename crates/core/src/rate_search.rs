@@ -9,18 +9,17 @@
 //! receiving less, which the §7.3.1 network profile guarantees by keeping
 //! the budget below saturation.
 //!
-//! The same monotonicity makes most probes free, on both sides of the
-//! cliff. The objective scales uniformly with the rate while the budgets
-//! only tighten, so a placement optimal at one rate is optimal at every
-//! higher rate it still fits. And since every budget right-hand side only
-//! shrinks as the rate grows, a combination of rows that refutes the root
-//! LP at one rate refutes every rate at which it still clears them. No
-//! branch-and-bound run is needed to say either. The prepared instance
-//! settles every rate it is asked this way, the search's probes and
-//! `PreparedDeployment::solve_at` alike, through one settle-or-search
-//! step: a sweep over ascending rates runs branch-and-bound only where the
-//! last proved placement stops fitting. Only the fleet's
-//! `solve_at_in` always searches.
+//! The same monotonicity makes the probes past the cliff free. Every
+//! budget right-hand side only shrinks as the rate grows, so a
+//! combination of rows that refutes the root LP at one rate refutes every
+//! rate at which it still clears them, with no branch-and-bound run. The
+//! prepared instance settles every rate it is asked this way, the
+//! search's probes and `PreparedDeployment::solve_at` alike, through one
+//! settle-or-search step, and searches every other rate. Below the cliff
+//! a search's first step answers most probes by itself: the closure
+//! relaxation's optimum, one min-cut per objective and kept across rates,
+//! is the answer at every rate where it fits every budget row. Only the
+//! fleet's `solve_at_in` never takes the kept refutation.
 
 use crate::topology::{check_rate, PartitionError};
 
@@ -58,8 +57,7 @@ pub(crate) struct FoundRate {
 /// budget — the range above the result is *unproven*, not infeasible.
 ///
 /// Every probe after the first lies above the highest feasible one so
-/// far, which is what lets a prober answer it from that probe's placement
-/// while it still fits.
+/// far, so the last feasible probe is the returned rate's.
 ///
 /// `Ok(None)` means proven infeasible even at the vanishing floor rate;
 /// a floor probe that was itself unproven — the search learned nothing —
@@ -284,12 +282,10 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        // Two searches for four rates: the 0.02 placement, proved there,
-        // still fits every budget at 0.05 and 0.25 and is kept at both
-        // (repriced, not re-proved), and is over a budget at 1.0, which
-        // searches.
-        assert_eq!(searched, [true, false, false, true]);
-        assert_eq!(prep.solves(), 2);
+        // Every rate searches: only a kept refutation answers without a
+        // search, and none answers here.
+        assert_eq!(searched, [true; 4]);
+        assert_eq!(prep.solves(), 4);
     }
 
     #[test]

@@ -1009,37 +1009,31 @@ fn seed_values(
 /// the answer, proved with no presolve and no LP. Only otherwise does
 /// branch-and-bound run.
 ///
-/// Two things are kept from one [`solve_at`](Self::solve_at) to the next:
-/// the last placement and — in the instance's own workspace only — the
-/// last simplex basis. The placement seeds branch-and-bound as its first
-/// incumbent, and while the search that found it stands as a proof it is
-/// also an answer: every [`solve_at`](Self::solve_at) and every probe of
-/// [`max_sustainable_rate_deployment`] goes through one settle-or-search
-/// step, which returns the kept placement, repriced, with no presolve and
-/// no LP, at any rate no lower than the one it was proved at where it
-/// still fits every budget row. The objective scales uniformly with the
-/// rate while every budget only tightens, so it is optimal there too
-/// (within the same relative gap), and the answer carries the proving
-/// search's [`IlpStats`] and certified gap. The basis serves the
-/// searches: a retarget scales the objective uniformly and moves a
+/// Two things are kept from one [`solve_at`](Self::solve_at) to the next
+/// to speed the next search: the last placement and — in the instance's
+/// own workspace only — the last simplex basis. The placement seeds
+/// branch-and-bound as its first incumbent. The basis lets its root LP
+/// re-enter: a retarget scales the objective uniformly and moves a
 /// handful of budget right-hand sides, so it is still dual feasible and
 /// the next root LP costs a few dual pivots instead of a solve from the
 /// slack basis, whatever the instance's size (the reference tableau, when
 /// `cfg.ilp.backend` names it, keeps no basis: it solves every LP cold).
 /// Verdicts and optimal values never depend on either; which of several
-/// equally cheap placements comes back can. A third thing answers the
-/// same step on the other side of the cliff: the last root LP
-/// [`Refutation`], which settles a rate `Infeasible` while it still
-/// refutes that rate's budget right-hand sides. It is a checked proof, so
-/// it changes no verdict either.
+/// equally cheap placements comes back can. A third thing answers a rate
+/// with no search, past the cliff: the last root LP [`Refutation`], which
+/// settles a rate `Infeasible` while it still refutes that rate's budget
+/// right-hand sides. It is a checked proof, so it changes no verdict
+/// either. Every [`solve_at`](Self::solve_at) and every probe of
+/// [`max_sustainable_rate_deployment`] goes through one settle-or-search
+/// step: the kept refutation where it refutes, else a search.
 /// [`reset_warm_start`](Self::reset_warm_start) drops all three.
-/// [`apply_delta`](Self::apply_delta) drops the refutation and keeps the
-/// placement as a seed only (both proofs belong to the rows they were
-/// made on), and it rewrites budget rows, which makes the next root LP a
-/// cold start by itself. [`solve_at_in`](Self::solve_at_in) never settles:
-/// it always searches, so a fleet answer does not depend on which rates
-/// the instance answered before. (A kept closure is no history: it is
-/// what the same min-cut computes afresh.)
+/// [`apply_delta`](Self::apply_delta) drops the refutation, a proof about
+/// the rows it was made on, and it rewrites budget rows, which makes the
+/// next root LP a cold start by itself.
+/// [`solve_at_in`](Self::solve_at_in) never settles: it always searches,
+/// so a fleet answer does not depend on which rates the instance answered
+/// before. (A kept closure is no history: it is what the same min-cut
+/// computes afresh.)
 ///
 /// A solve's fixed cost, which is what a fleet cache hit pays, is kept
 /// to the search's own pivots: [`apply_delta`](Self::apply_delta)
@@ -1126,12 +1120,8 @@ struct Closure {
 struct Placement {
     /// The encoding-level assignment (the next solve's seed).
     values: Vec<f64>,
-    /// The rate it is priced at: its search's, or the last kept answer's.
+    /// The rate its search ran at.
     rate: f64,
-    /// The rate its search proved it optimal at, while that proof holds:
-    /// `None` for an unproved placement and after a delta, which rewrites
-    /// the rows the proof was made on.
-    proved_at: Option<f64>,
     /// Its objective at `rate`, offset included.
     objective: f64,
     stats: IlpStats,
@@ -1249,8 +1239,7 @@ impl<'a> PreparedDeployment<'a> {
     /// topology, rewrite every count- and budget-dependent coefficient
     /// of the prepared ILP through index-stable row surgery
     /// (`EncodedDeployment::rescale_in_place`), and keep the previous
-    /// incumbent as a warm start — a seed only: it is no longer a proved
-    /// answer at any rate. No graph rebuild, no §4.1 merge, no
+    /// incumbent as a warm start. No graph rebuild, no §4.1 merge, no
     /// re-encode — `encodes()` stays 1. The next
     /// [`solve_at`](Self::solve_at) is equivalent to a cold
     /// [`new`](Self::new) on the edited deployment (pinned by proptest)
@@ -1307,9 +1296,6 @@ impl<'a> PreparedDeployment<'a> {
             }
         }
         self.refutation = None;
-        if let Some(last) = &mut self.last {
-            last.proved_at = None;
-        }
         self.dep
             .reprice_objective(&mut self.obj, self.cfg.robustness);
         let chains = leaf_chains(&self.leaves, &self.removed, &self.dep);
@@ -1371,9 +1357,8 @@ impl<'a> PreparedDeployment<'a> {
     /// How many searches this instance has made — each answered by the
     /// closure or by one branch-and-bound run: one per
     /// [`solve_at_in`](Self::solve_at_in) at a valid rate, and one per
-    /// [`solve_at`](Self::solve_at) that searched. A `solve_at` answered by
-    /// the kept placement or the kept refutation (see the type-level docs)
-    /// does not tick it.
+    /// [`solve_at`](Self::solve_at) that the kept refutation did not answer
+    /// (see the type-level docs).
     pub fn solves(&self) -> u32 {
         self.solves
     }
@@ -1435,16 +1420,12 @@ impl<'a> PreparedDeployment<'a> {
 
     /// The placement at `rate` (a global multiplier on the profile's
     /// reference input rate, composed with each leaf's `rate_factor`),
-    /// through the settle-or-search step: the kept placement when it was
-    /// proved at a rate no higher than this one and still fits here, else
-    /// `Infeasible` when the kept refutation still refutes this rate, else
-    /// one search: the closure optimum where it fits every budget row,
-    /// else one branch-and-bound run in the instance's own workspace,
-    /// whose root LP re-enters from the basis the previous run left there
-    /// (see the type-level docs for what that does and does not change
-    /// about the answer). A kept answer carries the proving search's
-    /// `ilp_stats` and `certified_gap`, and does not tick
-    /// [`solves`](Self::solves).
+    /// through the settle-or-search step: `Infeasible` when the kept
+    /// refutation still refutes this rate, else one search: the closure
+    /// optimum where it fits every budget row, else one branch-and-bound
+    /// run in the instance's own workspace, whose root LP re-enters from
+    /// the basis the previous run left there (see the type-level docs for
+    /// what that does and does not change about the answer).
     pub fn solve_at(&mut self, rate: f64) -> Result<DeploymentPartition, PartitionError> {
         self.settle_or_search(rate)?;
         Ok(self.decode_last())
@@ -1453,8 +1434,8 @@ impl<'a> PreparedDeployment<'a> {
     /// [`solve_at`](Self::solve_at) inside a caller-owned workspace
     /// arena, always by a search (the closure step included, whose
     /// min-cut runs in the arena too): it never answers from the kept
-    /// placement or refutation. The arena is pure scratch memory: it is
-    /// invalidated on entry, so the root LP always starts cold and results are
+    /// refutation. The arena is pure scratch memory: it is invalidated on
+    /// entry, so the root LP always starts cold and results are
     /// bit-identical whichever arena is passed, whatever it solved last —
     /// this very instance included. Only the instance's own workspace
     /// ever carries a basis from one solve to the next. A fleet worker
@@ -1471,28 +1452,13 @@ impl<'a> PreparedDeployment<'a> {
     }
 
     /// The one step behind [`solve_at`](Self::solve_at) and every probe of
-    /// [`max_sustainable_rate_deployment`]: settle `rate` from what the
-    /// instance keeps when that settles it, else search. In order:
-    /// - the last placement, repriced at `rate` with no presolve and no LP,
-    ///   when a search proved it at a rate no higher than this one and it
-    ///   still fits every budget row here. Budgets only tighten as the
-    ///   rate grows while the objective scales uniformly, so it is optimal
-    ///   here too (within the same relative gap), and a branch-and-bound
-    ///   run would only re-prove it;
-    /// - `Infeasible`, when the last refutation still refutes this rate's
-    ///   budgets;
-    /// - otherwise one [`search`](Self::search) in the instance's own
-    ///   workspace: the closure optimum where it fits, else
-    ///   branch-and-bound.
+    /// [`max_sustainable_rate_deployment`]: `Infeasible` when the last
+    /// refutation still refutes this rate's budgets, else one
+    /// [`search`](Self::search) in the instance's own workspace: the
+    /// closure optimum where it fits, else branch-and-bound.
     fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
         check_rate(rate)?;
-        let kept = self.last.as_ref().is_some_and(|last| {
-            last.proved_at.is_some_and(|proved| proved <= rate) && self.fits(&last.values, rate)
-        });
-        if kept {
-            self.reprice_last(rate);
-            Ok(())
-        } else if self.refuted_at(rate) {
+        if self.refuted_at(rate) {
             self.retarget(rate);
             Err(PartitionError::Infeasible)
         } else {
@@ -1513,20 +1479,6 @@ impl<'a> PreparedDeployment<'a> {
             Some(&(_, rhs)) => rhs,
             None => self.ep.problem.constraint(row).rhs,
         })
-    }
-
-    /// Carry the last placement to `rate` without a solve, where it is
-    /// known optimal (see [`settle_or_search`](Self::settle_or_search)):
-    /// retarget, and price its objective as a solve seeded with it would.
-    fn reprice_last(&mut self, rate: f64) {
-        self.retarget(rate);
-        let offset = self.ep.objective_offset * rate;
-        let last = self
-            .last
-            .as_mut()
-            .expect("a feasible answer kept a placement");
-        last.objective = self.ep.problem.objective_value(&last.values) + offset;
-        last.rate = rate;
     }
 
     /// Retarget to `rate` and search in `arena` — the instance's own
@@ -1590,7 +1542,6 @@ impl<'a> PreparedDeployment<'a> {
         self.last = Some(Placement {
             values: sol.values,
             rate,
-            proved_at: stats.proved.then_some(rate),
             objective,
             stats,
             certified_gap,
@@ -1647,7 +1598,6 @@ impl<'a> PreparedDeployment<'a> {
         let bound = self.ep.problem.objective_value(&values);
         self.last = Some(Placement {
             rate,
-            proved_at: Some(rate),
             objective: bound + self.ep.objective_offset * rate,
             stats: IlpStats {
                 proved: true,
@@ -1808,22 +1758,14 @@ pub(crate) fn check_rate(rate: f64) -> Result<(), PartitionError> {
 pub struct DeploymentRateResult {
     /// Highest feasible global rate multiplier found.
     pub rate: f64,
-    /// The optimal placement at that rate, decoded there. Its `ilp_stats`
-    /// and `certified_gap` are those of the solve that proved it, which
-    /// may have run at a lower rate: a proved placement that still fits a
-    /// higher rate is optimal there too, so it is not solved again.
+    /// The optimal placement at that rate: the found rate's own probe,
+    /// with that search's `ilp_stats` and `certified_gap`.
     pub partition: DeploymentPartition,
     /// Probes of the §4.3 schedule.
     pub evaluations: u32,
-    /// Searches: the probes the settle-or-search step (the one every
-    /// [`PreparedDeployment::solve_at`] takes too) searched, because
-    /// neither the last proved placement nor the last root LP refutation
-    /// answered them — each answered by the closure or by one
-    /// branch-and-bound run. No search is added at `rate` itself.
-    pub solves: u32,
     /// The probed rates a root LP [`Refutation`] answered `Infeasible`
-    /// with no branch-and-bound run, in probe order (always empty on the
-    /// reference tableau, which reports none).
+    /// with no search, in probe order (always empty on the reference
+    /// tableau, which reports none). Every other probe was searched.
     pub refuted: Vec<f64>,
     /// Encodings performed — always 1 (probes rescale in place).
     pub encodes: u32,
@@ -1838,13 +1780,11 @@ pub struct DeploymentRateResult {
 /// deployment in `(0, hi_limit]` to relative precision `tol` — §4.3's
 /// floor / doubling / bisection schedule (`search_max_rate`) on one
 /// prepared instance: one encode, and each probe settled by the step
-/// [`PreparedDeployment::solve_at`] takes — answered by the last proved
-/// placement, when it still fits the probe's budgets (it is then optimal
-/// there too), else by the last root LP refutation, when it still refutes
-/// them, or else searched: the closure optimum where it fits, else
+/// [`PreparedDeployment::solve_at`] takes — answered `Infeasible` by the
+/// last root LP refutation, when it still refutes the probe's budgets, or
+/// else searched: the closure optimum where it fits, else
 /// branch-and-bound with its root LP re-entering from the last solve's
-/// basis. The placement that made the found rate feasible is decoded
-/// there, not solved again.
+/// basis. The found rate's own placement is decoded, not solved again.
 ///
 /// `hi_limit` must be a finite positive rate
 /// ([`PartitionError::InvalidRate`]) and `tol` a finite positive relative
@@ -1878,15 +1818,13 @@ pub fn max_sustainable_rate_deployment(
     let Some(found) = found else {
         return Ok(None);
     };
-    // The found rate's probe was either solved, or answered by a
-    // placement proved at a lower rate that is optimal at the found rate
-    // too: price it there instead of proving it again.
-    prep.reprice_last(found.rate);
+    // Every probe after the floor lies above the highest feasible one so
+    // far, so the last placement kept is the found rate's own.
+    debug_assert_eq!(prep.last.as_ref().map(|last| last.rate), Some(found.rate));
     Ok(Some(DeploymentRateResult {
         rate: found.rate,
         partition: prep.decode_last(),
         evaluations: found.evaluations,
-        solves: prep.solves(),
         encodes: prep.encodes(),
         unproven: found.unproven,
         refuted,
@@ -2280,11 +2218,12 @@ mod tests {
         assert_eq!(weak.encodes, 1);
     }
 
-    /// A probe is answered without a solve only by a placement proved at
-    /// a rate no higher than the probe's that still fits its budgets —
-    /// up to the last representable margin on both sides of its ceiling.
+    /// A probe the kept refutation does not answer searches, wherever the
+    /// last placement stands: below the rate it was found at, up to the
+    /// last representable margin on both sides of its ceiling, and when
+    /// its search was stopped before proving it.
     #[test]
-    fn a_probe_reuses_only_a_proved_placement_below_its_ceiling() {
+    fn a_probe_not_refuted_searches_even_where_the_last_placement_fits() {
         let (g, prof) = profiled();
         let dep = forest(1e5, 1e6);
         let mut prep = PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default())
@@ -2292,14 +2231,8 @@ mod tests {
         let r0 = 0.05;
         prep.settle_or_search(r0).expect("feasible");
         assert_eq!(prep.solves(), 1);
-        // Lower rates loosen every budget, but the placement need not stay
-        // optimal there: solve.
         prep.settle_or_search(r0 / 2.0).expect("feasible");
-        assert_eq!(
-            prep.solves(),
-            2,
-            "a probe below the proof's rate must solve"
-        );
+        assert_eq!(prep.solves(), 2, "a probe below the last one searches");
 
         // The placement's ceiling: the rate at which its tightest budget
         // row is exactly consumed (loads are linear in the rate).
@@ -2313,20 +2246,18 @@ mod tests {
             }
         }
         assert!(ceiling.is_finite() && ceiling > r0, "ceiling {ceiling}");
-        prep.settle_or_search(ceiling * (1.0 - 1e-9))
-            .expect("the placement fits");
-        assert_eq!(prep.solves(), 2, "a fitting proved placement answers");
+        let below = ceiling * (1.0 - 1e-9);
+        let values = prep.last.as_ref().map(|l| l.values.clone()).expect("kept");
+        assert!(prep.fits(&values, below));
+        prep.settle_or_search(below).expect("the placement fits");
+        assert_eq!(prep.solves(), 3, "a fitting placement searches");
         let _ = prep.settle_or_search(ceiling * (1.0 + 1e-9));
-        assert_eq!(
-            prep.solves(),
-            3,
-            "a placement over a budget row must not answer"
-        );
+        assert_eq!(prep.solves(), 4, "a placement over a budget row searches");
 
-        // An unproven placement answers nothing: a search stopped before
-        // its first node returns the multilevel seed, unproved. (On the
-        // shared gateway, whose CPU row the closure overruns, so the
-        // search runs branch-and-bound.)
+        // An unproven placement searches too: a search stopped before its
+        // first node returns the multilevel seed, unproved. (On the shared
+        // gateway, whose CPU row the closure overruns, so the search runs
+        // branch-and-bound.)
         let (g, prof, dep, r0) = shared_gateway();
         let mut cfg = DeploymentConfig::default();
         cfg.ilp.time_limit = Some(std::time::Duration::ZERO);
@@ -2340,7 +2271,7 @@ mod tests {
         let above = 1.00005 * r0;
         assert!(prep.fits(&last.values, above));
         prep.settle_or_search(above).expect("feasible");
-        assert_eq!(prep.solves(), 2, "an unproven placement must not answer");
+        assert_eq!(prep.solves(), 2, "an unproven placement searches");
     }
 
     /// The benchmark of record's two-ward 4-channel EEG forest: four caps
@@ -2365,6 +2296,28 @@ mod tests {
             dep.attach(gw, caps, radio);
         }
         (graph, prof, dep)
+    }
+
+    /// The benchmark's approximate sweep on its forest: eight rates, all
+    /// below the closure ceiling (×3.164557, where gw-a's uplink binds).
+    /// Each is searched, and one min-cut answers all eight: each answer
+    /// proved at gap 0 with no node, and all the same placement.
+    #[test]
+    fn one_min_cut_answers_the_sweep_below_the_closure_ceiling() {
+        let (g, prof, dep) = eeg_forest();
+        let mut prep = PreparedDeployment::new(&g, &prof, &dep, &DeploymentConfig::default())
+            .expect("pins ok");
+        let mut placements = Vec::new();
+        for rate in [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.15] {
+            let p = prep.solve_at(rate).expect("below the cliff");
+            let stats = &p.ilp_stats;
+            assert!(stats.proved && stats.nodes == 0, "x{rate}: {stats:?}");
+            assert_eq!(p.certified_gap, Some(0.0), "x{rate}");
+            placements.push(prep.last.as_ref().expect("kept").values.clone());
+        }
+        assert_eq!(prep.closures.len(), 1, "one objective, one min-cut");
+        assert!(placements.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(prep.solves(), 8);
     }
 
     /// The profiled EEG app of `channels` channels.
@@ -2686,12 +2639,10 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        // One search fewer than rates: the 0.05 placement, proved there,
-        // still fits every budget at 0.2 and is kept (repriced, not
-        // re-proved); the last placement is over a budget at 1.0 and at 4.0,
-        // which search.
-        assert_eq!(searched, [true, false, true, true]);
-        assert_eq!(prep.solves(), 3);
+        // Every rate searches: only a kept refutation answers without a
+        // search, and none answers here.
+        assert_eq!(searched, [true; 4]);
+        assert_eq!(prep.solves(), 4);
     }
 
     #[test]

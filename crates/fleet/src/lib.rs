@@ -311,12 +311,12 @@ fn worker_loop(
 ///
 /// ```
 /// # use std::sync::Arc;
-/// # use wishbone_apps::{build_speech_app, SpeechParams};
+/// # use wishbone_apps::build_speech_app;
 /// # use wishbone_core::topology::{Deployment, DeploymentConfig, Site};
 /// # use wishbone_core::LinkSpec;
 /// # use wishbone_fleet::{FleetRequest, FleetServer};
 /// # use wishbone_profile::{profile, Platform, SourceTrace};
-/// let app = build_speech_app(SpeechParams::default());
+/// let app = build_speech_app();
 /// let trace = app.trace(10, 1);
 /// let prof = profile(&app.graph, &[trace]).unwrap();
 /// let (graph, profile) = (Arc::new(app.graph), Arc::new(prof));
@@ -459,7 +459,7 @@ pub fn run_batch(workers: usize, requests: Vec<FleetRequest>) -> (Vec<FleetRespo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wishbone_apps::{build_speech_app, SpeechParams};
+    use wishbone_apps::build_speech_app;
     use wishbone_core::topology::Site;
     use wishbone_core::LinkSpec;
     use wishbone_profile::{profile, Platform};
@@ -467,7 +467,7 @@ mod tests {
     /// The speech app, built and profiled afresh: a new allocation of
     /// one app every call.
     fn speech() -> (Arc<Graph>, Arc<GraphProfile>) {
-        let app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app();
         let trace = app.trace(10, 1);
         let prof = profile(&app.graph, &[trace]).unwrap();
         (Arc::new(app.graph), Arc::new(prof))

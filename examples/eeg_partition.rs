@@ -79,18 +79,13 @@ fn main() {
     let mut capped: Vec<String> = Vec::new();
     for mult in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
         let mut count = |prep: &mut PreparedDeployment, name: &str| -> String {
-            let solves = prep.solves();
             match prep.solve_at(mult) {
                 Ok(part) => {
-                    // A placement kept from a lower rate carries its proving
-                    // search's statistics: count each search once.
-                    if prep.solves() > solves {
-                        sweep_stats.push((
-                            format!("{name} x{mult}"),
-                            part.ilp_stats.warm_starts,
-                            part.ilp_stats.cold_starts,
-                        ));
-                    }
+                    sweep_stats.push((
+                        format!("{name} x{mult}"),
+                        part.ilp_stats.warm_starts,
+                        part.ilp_stats.cold_starts,
+                    ));
                     let ops = part.leaves[0].site_ops[0].len();
                     if part.ilp_stats.timed_out {
                         capped.push(format!(
@@ -121,8 +116,7 @@ fn main() {
     let warm: u64 = sweep_stats.iter().map(|s| s.1).sum();
     let cold: u64 = sweep_stats.iter().map(|s| s.2).sum();
     println!(
-        "\nsweep node LPs: {warm} warm-started, {cold} cold across the {} feasible probes that \
-         searched",
+        "\nsweep node LPs: {warm} warm-started, {cold} cold across the {} feasible probes",
         sweep_stats.len()
     );
 }

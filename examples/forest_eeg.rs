@@ -94,8 +94,11 @@ fn main() {
         .expect("no solver error")
         .expect("feasible at low rates");
     println!(
-        "\nmax sustainable rate x{:.3} ({} probes, {} solves, {} encode)",
-        r.rate, r.evaluations, r.solves, r.encodes
+        "\nmax sustainable rate x{:.3} ({} probes, {} refuted, {} encode)",
+        r.rate,
+        r.evaluations,
+        r.refuted.len(),
+        r.encodes
     );
     println!("solver: {}", report_stats(&r.partition.ilp_stats));
     for (leaf, gw, name) in [(cap_a, gw_a, "ward-a"), (cap_b, gw_b, "ward-b")] {

@@ -11,7 +11,7 @@
 use wishbone::prelude::*;
 
 fn main() {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(120, 7);
     let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
 

@@ -8,7 +8,7 @@
 use wishbone::prelude::*;
 
 fn main() {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(120, 3);
     let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     let mote = Platform::tmote_sky();

@@ -9,7 +9,7 @@ use wishbone::prelude::*;
 
 fn main() {
     // 1. The application: a WaveScript-style dataflow graph.
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     println!(
         "speech pipeline: {} operators, {} edges",
         app.graph.operator_count(),

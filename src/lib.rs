@@ -37,7 +37,7 @@
 //! use wishbone::prelude::*;
 //!
 //! // Build the paper's speech-detection pipeline and profile it.
-//! let app = build_speech_app(SpeechParams::default());
+//! let app = build_speech_app();
 //! let trace = app.trace(40, 1);
 //! let prof = profile(&app.graph, &[trace]).unwrap();
 //!
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::{report_deployment_stats, report_stats};
     pub use wishbone_apps::{
         build_eeg_app, build_eeg_channel, build_speech_app, heuristic_svm, EegApp, EegParams,
-        LinearSvm, SpeechApp, SpeechParams,
+        LinearSvm, SpeechApp,
     };
     pub use wishbone_core::{deltas_between, shape_key, ShapeKey};
     pub use wishbone_core::{

@@ -29,7 +29,7 @@ use identity::problems_identical;
 
 #[test]
 fn speech_two_site_star_is_the_binary_encoding() {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(40, 42);
     let prof = profile(&app.graph, &[trace]).unwrap();
     let mote = Platform::tmote_sky();

@@ -8,7 +8,7 @@
 use wishbone::prelude::*;
 
 fn speech_profiled() -> (SpeechApp, GraphProfile) {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(120, 7);
     let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     (app, prof)
@@ -105,7 +105,7 @@ fn overload_deployment_recommendation_matches_simulation() {
     // (§7.3.1), binary-search the maximum sustainable rate with the
     // measured budget (§4.3), then validate the recommended cut against
     // a ground-truth deployment simulation of every cutpoint (Figs 9–10).
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(120, 3);
     let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     let mote = Platform::tmote_sky();
@@ -218,7 +218,7 @@ fn overload_pipeline_is_backend_invariant() {
         // The closure may answer every feasible probe; the found rate's
         // problem, searched directly, keeps the backend in the pipeline.
         let mut prep = PreparedDeployment::new(&app.graph, &prof, &dep, &cfg).expect("pins ok");
-        let kept = prep.solve_at(r.rate).expect("feasible at the found rate");
+        let answered = prep.solve_at(r.rate).expect("feasible at the found rate");
         let (searched, stats) = wishbone::ilp::solve_ilp_in(
             prep.problem(),
             &cfg.ilp,
@@ -228,9 +228,9 @@ fn overload_pipeline_is_backend_invariant() {
             searched.expect("feasible").objective + prep.encoded().objective_offset * r.rate;
         assert!(stats.nodes >= 1, "{backend:?}: no node searched");
         assert!(
-            (searched - kept.objective).abs() <= 1e-9 * kept.objective.abs(),
+            (searched - answered.objective).abs() <= 1e-9 * answered.objective.abs(),
             "{backend:?}: searched {searched} vs answered {}",
-            kept.objective
+            answered.objective
         );
         results.push((r.rate, r.partition.leaves[0].site_ops[0].clone()));
     }

@@ -43,7 +43,7 @@ where
 }
 
 fn profiled_app() -> (SpeechApp, GraphProfile) {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(120, 42);
     let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
     (app, prof)

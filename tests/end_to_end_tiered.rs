@@ -117,7 +117,7 @@ fn parity_on(
 
 #[test]
 fn speech_k2_parity_both_backends() {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(40, 42);
     let prof = profile(&app.graph, &[trace]).unwrap();
     let mote = Platform::tmote_sky();
@@ -206,7 +206,7 @@ fn eeg_three_tier_structure_and_rate_dominance() {
 
 #[test]
 fn tiered_deployment_simulates_goodput_across_both_hops() {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(40, 7);
     let prof = profile(&app.graph, std::slice::from_ref(&trace)).unwrap();
     let chain = [
@@ -265,7 +265,7 @@ fn mixed_classes_still_compose_with_multitier_chains() {
     // single-class network they must agree with each other through the
     // k = 2 anchor. The class's four nodes share its uplink row, so four
     // nodes each allowed the radio's goodput budget four times that.
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(40, 21);
     let prof = profile(&app.graph, &[trace]).unwrap();
     let gumstix = Platform::gumstix();

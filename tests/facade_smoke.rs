@@ -15,7 +15,7 @@ fn two_site(platform: &Platform) -> Deployment {
 
 #[test]
 fn speech_app_partitions_on_tmote_sky() {
-    let app = build_speech_app(SpeechParams::default());
+    let app = build_speech_app();
     let trace = app.trace(60, 17);
     let prof = profile(&app.graph, &[trace]).expect("profiling succeeds");
 

@@ -101,7 +101,7 @@ fn assert_profiling_leaves_no_state(build: impl Fn() -> (Graph, Vec<SourceTrace>
 #[test]
 fn a_speech_graph_profiled_three_times_simulates_like_a_fresh_one() {
     assert_profiling_leaves_no_state(|| {
-        let app = build_speech_app(SpeechParams::default());
+        let app = build_speech_app();
         let traces = vec![app.trace(40, 1)];
         (app.graph, traces)
     });

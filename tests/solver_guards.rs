@@ -6,8 +6,9 @@
 //! * the 22-channel chain's root LP starts dual-first and takes exactly
 //!   1,299 iterations and at most 2 factorizations;
 //! * the two-ward forest's rate search lands on ×3.15625 in 28 probes on
-//!   one encode, with 2 branch-and-bound runs on the sparse backend and 6
-//!   on the dense tableau; replayed with every probe solved, ≥ 80 % of
+//!   one encode, 23 of them closure answers, with 1 branch-and-bound run
+//!   on the sparse backend, whose refutation answers 4 probes, and 5 on
+//!   the dense tableau; replayed with every probe solved, ≥ 80 % of
 //!   its feasible root LPs enter warm, in ≤ 1,000 iterations and ≤ 2
 //!   factorizations all told;
 //! * both backends reach the same optimum on every instance that
@@ -481,58 +482,54 @@ fn the_near_cliff_solve_is_seeded_and_certified_dense() {
 
 /// The forest rate search (the benchmark of record's
 /// `forest_eeg4_rate_search` instance): the same rate and probe count on
-/// either backend. The closure answers the floor, and its placement
-/// still fits at ×3.15625, so it answers the 22 feasible probes after the
-/// floor, and the found rate is decoded, not solved again. Past the cliff
-/// the backends part: the sparse one refutes the ×4 probe's root LP with a
-/// row that still refutes the 4 probes after it, so it searches twice
-/// (the floor's closure, ×4's branch-and-bound); the reference tableau
-/// reports no refutation and searches all 5.
-fn forest_rate_search(backend: SolverBackend, solves: u32) -> DeploymentRateResult {
+/// either backend, and the same schedule replayed through `solve_at` on
+/// one prepared instance, which settles each rate by the step the
+/// library's probes take. The closure answers the floor and the 22
+/// feasible probes after it, each a search, and the found rate is
+/// decoded, not solved again. Past the cliff the backends part: the
+/// sparse one refutes the ×4 probe's root LP with a row that still
+/// refutes the 4 probes after it, so it runs branch-and-bound once; the
+/// reference tableau reports no refutation and runs it at all 5. Returns
+/// the feasible probes in schedule order.
+fn forest_rate_search(backend: SolverBackend, refuted: usize, branch_and_bound: u32) -> Vec<f64> {
     let (graph, prof, dep) = tight_forest();
-    let found =
-        max_sustainable_rate_deployment(&graph, &prof, &dep, &with_backend(backend), 64.0, 0.005)
-            .expect("no solver error")
-            .expect("feasible");
+    let cfg = with_backend(backend);
+    let found = max_sustainable_rate_deployment(&graph, &prof, &dep, &cfg, 64.0, 0.005)
+        .expect("no solver error")
+        .expect("feasible");
     assert_eq!(found.encodes, 1, "[{backend:?}] one encode");
     assert_eq!(
-        (found.rate, found.evaluations, found.solves),
-        (3.15625, 28, solves),
-        "[{backend:?}] the forest's sustainable rate, probe count and solves"
+        (found.rate, found.evaluations, found.refuted.len()),
+        (3.15625, 28, refuted),
+        "[{backend:?}] the forest's sustainable rate, probe count and refuted probes"
     );
-    found
-}
 
-/// The sparse search, then the same schedule replayed through `solve_at`
-/// on one prepared instance. `solve_at` settles each rate by the step the
-/// library's probes take, so the replay searches exactly the probes the
-/// search did — the floor and ×4 — and the floor's placement answers every
-/// other feasible one. Warm re-entry across retargets shows on the
-/// schedule's feasible rates walked downward on a fresh instance, where no
-/// proof covers the next, lower, rate, so every one searches — and the
-/// closure answers every one. So each probe's retargeted problem is also
-/// searched directly, in one workspace kept for the walk and seeded with
-/// the last placement, as the instance's own search would be: a retarget
-/// follows the previous search's basis, so all but the first root LP enter
-/// warm, the walk costs a few hundred pivots (~15 500 from the slack basis
-/// every time), and a warm re-entry keeps the LU it finds, so only the eta
-/// file's nonzero budget refactorizes.
-#[test]
-fn the_forest_rate_search_and_its_replay_sparse() {
-    let found = forest_rate_search(SolverBackend::Sparse, 2);
-    let (graph, prof, dep) = tight_forest();
-    let cfg = with_backend(SolverBackend::Sparse);
     let mut prep = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
+    let closure = closure_of(&prep).expect("a certified closure");
     let (mut probes, mut feasible_rates) = (0u32, Vec::new());
+    let (mut closures, mut searched_past) = (0u32, 0u32);
     let replayed = rate_schedule(
         |rate| {
             probes += 1;
-            match prep.solve_at(rate) {
-                Ok(_) => {
+            let solves = prep.solves();
+            let answer = prep.solve_at(rate);
+            let searched = prep.solves() > solves;
+            match answer {
+                Ok(p) => {
+                    // A closure answer: the recomputed closure holds every
+                    // row, and the search proved it with no node at gap 0.
+                    assert!(prep.problem().is_feasible(&closure, 0.0), "x{rate}");
+                    let stats = &p.ilp_stats;
+                    assert!(stats.proved && stats.nodes == 0, "x{rate}: {stats:?}");
+                    assert_eq!(p.certified_gap, Some(0.0), "x{rate}");
+                    closures += u32::from(searched);
                     feasible_rates.push(rate);
                     true
                 }
-                Err(PartitionError::Infeasible) => false,
+                Err(PartitionError::Infeasible) => {
+                    searched_past += u32::from(searched);
+                    false
+                }
                 Err(e) => panic!("solver error: {e}"),
             }
         },
@@ -541,43 +538,60 @@ fn the_forest_rate_search_and_its_replay_sparse() {
     );
     assert_eq!(prep.encodes(), 1, "one encode");
     assert_eq!(
-        (replayed, probes, prep.solves()),
-        (found.rate, found.evaluations, found.solves),
-        "the replay must be the library's search, its searches included"
+        (replayed, probes, closures, searched_past),
+        (found.rate, found.evaluations, 23, branch_and_bound),
+        "[{backend:?}] the replay must be the library's search: rate, probes, closure \
+         answers and branch-and-bound runs"
     );
+    assert_eq!(
+        prep.solves(),
+        probes - refuted as u32,
+        "every probe not refuted searches"
+    );
+    feasible_rates
+}
 
+/// The sparse search and its replay. Warm re-entry across retargets shows
+/// on the schedule's feasible rates walked downward on a fresh instance,
+/// where every one searches — and the closure answers every one. So each
+/// probe's retargeted problem is also searched directly, in one workspace
+/// kept for the walk and seeded with the last placement, as the
+/// instance's own search would be: a retarget follows the previous
+/// search's basis, so all but the first root LP enter warm, the walk
+/// costs a few hundred pivots (~15 500 from the slack basis every time),
+/// and a warm re-entry keeps the LU it finds, so only the eta file's
+/// nonzero budget refactorizes.
+#[test]
+fn the_forest_rate_search_and_its_replay_sparse() {
+    let feasible_rates = forest_rate_search(SolverBackend::Sparse, 4, 1);
+    let (graph, prof, dep) = tight_forest();
+    let cfg = with_backend(SolverBackend::Sparse);
     let mut down = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
-    let closure = closure_of(&down).expect("a certified closure");
     let (mut ws, mut opts) = (SimplexWorkspace::new(), cfg.ilp.clone());
-    let (mut searched, mut closures, mut warm_roots) = (0u32, 0u32, 0u32);
-    let (mut iterations, mut factorizations) = (0u64, 0u64);
+    let (mut warm_roots, mut iterations, mut factorizations) = (0u32, 0u64, 0u64);
     for &rate in feasible_rates.iter().rev() {
-        let solves = down.solves();
         let part = down.solve_at(rate).expect("feasible on the way up");
-        if down.solves() > solves {
-            searched += 1;
-            closures += u32::from(down.problem().is_feasible(&closure, 0.0));
-            let (sol, stats) = solve_ilp_in(down.problem(), &opts, &mut ws);
-            let sol = sol.expect("feasible on the way up");
-            let direct = sol.objective + down.encoded().objective_offset * rate;
-            assert!((direct - part.objective).abs() <= 1e-9 * part.objective.abs());
-            opts.warm_solution = Some(sol.values);
-            // No LP of the search started cold, its root included.
-            warm_roots += u32::from(stats.cold_starts == 0);
-            iterations += stats.simplex_iterations;
-            factorizations += stats.refactorizations;
-        }
+        let (sol, stats) = solve_ilp_in(down.problem(), &opts, &mut ws);
+        let sol = sol.expect("feasible on the way up");
+        let direct = sol.objective + down.encoded().objective_offset * rate;
+        assert!((direct - part.objective).abs() <= 1e-9 * part.objective.abs());
+        opts.warm_solution = Some(sol.values);
+        // No LP of the search started cold, its root included.
+        warm_roots += u32::from(stats.cold_starts == 0);
+        iterations += stats.simplex_iterations;
+        factorizations += stats.refactorizations;
     }
+    let searched = down.solves();
     println!(
-        "forest rate search, feasible probes walked down: {searched} of {} searched, \
-         {closures} closure answers; searched directly, {warm_roots} warm at the root, \
-         {iterations} iterations, {factorizations} factorizations",
+        "forest rate search, feasible probes walked down: {searched} of {} searched; searched \
+         directly, {warm_roots} warm at the root, {iterations} iterations, {factorizations} \
+         factorizations",
         feasible_rates.len()
     );
     assert_eq!(
         searched as usize,
         feasible_rates.len(),
-        "no proof covers a lower rate"
+        "every probe searches"
     );
     assert!(
         warm_roots * 5 >= searched * 4,
@@ -596,7 +610,7 @@ fn the_forest_rate_search_and_its_replay_sparse() {
 #[cfg_attr(debug_assertions, ignore = "the dense tableau takes 60 s unoptimized")]
 #[test]
 fn the_forest_rate_search_dense() {
-    forest_rate_search(SolverBackend::Dense, 6);
+    forest_rate_search(SolverBackend::Dense, 0, 5);
 }
 
 /// A flagged 2× operator inflation on the 2×4 forest maps to budget

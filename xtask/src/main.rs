@@ -244,12 +244,10 @@ const CONFINE: [Confine; 22] = [
     Confine {
         rule: "one-probe-path", scope: &[CORE_SRC],
         needles: &[Text(".fits(")],
-        homes: &[Home::Fn(PER_SOLVE_PATH, "settle_or_search"),
-                 Home::Fn(PER_SOLVE_PATH, "search")],
-        why: "`{}` outside `PreparedDeployment::settle_or_search` and `search` — a placement \
-              answers without a search only as the kept one (the settle-or-search step) or as \
-              the closure optimum (the one check at the top of `search`, which `solve_at_in` \
-              shares)",
+        homes: &[Home::Fn(PER_SOLVE_PATH, "search")],
+        why: "`{}` outside `PreparedDeployment::search` — a placement answers without \
+              branch-and-bound only as the closure optimum (the one check at the top of \
+              `search`, which `solve_at` and `solve_at_in` share)",
     },
     Confine {
         rule: "address-identity", scope: &[CORE_SRC, "crates/fleet/src"],
@@ -2067,8 +2065,8 @@ mod tests {
         assert_repo_clean("one-lp-switch");
     }
 
-    /// `.fits(` is at home in `settle_or_search` and in `search`'s one
-    /// closure check, so a third copy (`probe`, line 8) fires; a
+    /// `.fits(` is at home only in `search`'s one closure check, so a copy
+    /// in `settle_or_search` (line 3) or `probe` (line 8) fires; a
     /// `.refuted_at(` fires anywhere but `settle_or_search`, `search`
     /// included (line 16).
     #[test]
@@ -2076,7 +2074,7 @@ mod tests {
         let source = "\
 impl PreparedDeployment {
     fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
-        let kept = self.last.as_ref().is_some_and(|l| self.fits(&l.values, rate));
+        let kept = self.last.as_ref().is_some_and(|l| self.fits(&l.values, rate)); // line 3
         if self.refuted_at(rate) {}
     }
     fn probe(&mut self, rate: f64) -> Result<(), PartitionError> {
@@ -2098,7 +2096,7 @@ mod tests {
 }
 ";
         let file = "crates/core/src/topology.rs";
-        assert_eq!(lines("one-probe-path", file, source), vec![8, 9, 16]);
+        assert_eq!(lines("one-probe-path", file, source), vec![3, 8, 9, 16]);
         assert_eq!(
             lines("one-probe-path", "crates/core/src/rate_search.rs", source),
             vec![3, 4, 8, 9, 15, 16]
