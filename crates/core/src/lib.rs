@@ -31,8 +31,10 @@
 //!    is stuck (a few node LPs with no incumbent, or its budget spent),
 //!    the [`multilevel`] heuristic's cut, and
 //!    [`topology::max_sustainable_rate_deployment`] searches rates per
-//!    §4.3 on top of it, searching every probe that the last root LP
-//!    refutation does not still refute.
+//!    §4.3 on top of it, searching every probe that no refutation
+//!    answers: neither the kept one (a budget row's floor over the
+//!    closure, or a root LP's) nor a fresh floor of a row the closure
+//!    breaks.
 //!
 //! The binary graph model, merge, encoders and baseline comparators this
 //! path replaced live on as differential oracles in the dev-only

@@ -970,10 +970,11 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        // Every rate searches: only a kept refutation answers without a
-        // search, and none answers here.
-        assert_eq!(searched, [true; 4]);
-        assert_eq!(prep.solves(), 4);
+        // Every feasible rate searches. The infeasible ×4 is past the
+        // closure ceiling, and the floor of a budget row the closure breaks
+        // refutes it with no search.
+        assert_eq!(searched, [true, true, true, false]);
+        assert_eq!(prep.solves(), 3);
     }
 
     #[test]

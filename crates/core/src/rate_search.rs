@@ -11,15 +11,19 @@
 //!
 //! The same monotonicity makes the probes past the cliff free. Every
 //! budget right-hand side only shrinks as the rate grows, so a
-//! combination of rows that refutes the root LP at one rate refutes every
+//! combination of rows that refutes the problem at one rate refutes every
 //! rate at which it still clears them, with no branch-and-bound run. The
 //! prepared instance settles every rate it is asked this way, the
 //! search's probes and `PreparedDeployment::solve_at` alike, through one
 //! settle-or-search step, and searches every other rate. Below the cliff
 //! a search's first step answers most probes by itself: the closure
 //! relaxation's optimum, one min-cut per objective and kept across rates,
-//! is the answer at every rate where it fits every budget row. Only the
-//! fleet's `solve_at_in` never takes the kept refutation.
+//! is the answer at every rate where it fits every budget row. Just past
+//! the cliff, the first refutation is often one more min-cut: a budget
+//! row the closure breaks whose floor over the closure is above its
+//! budget. Otherwise it is the root LP's, when branch-and-bound's sparse
+//! dual simplex refutes it. Only the fleet's `solve_at_in` never takes
+//! the kept refutation and never tries a floor.
 
 use crate::topology::{check_rate, PartitionError};
 
@@ -282,10 +286,11 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        // Every rate searches: only a kept refutation answers without a
-        // search, and none answers here.
-        assert_eq!(searched, [true; 4]);
-        assert_eq!(prep.solves(), 4);
+        // Every feasible rate searches. The infeasible ×1 is past the
+        // closure ceiling, and the floor of a budget row the closure breaks
+        // refutes it with no search.
+        assert_eq!(searched, [true, true, true, false]);
+        assert_eq!(prep.solves(), 3);
     }
 
     #[test]
@@ -293,11 +298,13 @@ mod tests {
         // The §4.3 search must land on the same rate whichever simplex
         // backend runs the probes, and its counters must show that backend
         // ran: only the sparse method factorizes a basis, re-enters warm
-        // or refutes a probe. The closure answers the found rate here, so
+        // or refutes a root LP. The closure answers the found rate here, so
         // its problem is searched again directly, on the same backend.
+        // A floor over the closure refutes on either backend, so every
+        // probe the tableau's search refutes, the sparse one's does too.
         let (g, prof) = profiled();
         let dep = two_site(&Platform::tmote_sky());
-        let mut rates = Vec::new();
+        let (mut rates, mut refuted) = (Vec::new(), Vec::new());
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let mut cfg = DeploymentConfig::default();
             cfg.ilp.backend = backend;
@@ -321,12 +328,19 @@ mod tests {
                 SolverBackend::Dense => {
                     assert_eq!((stats.refactorizations, stats.warm_starts), (0, 0));
                     assert_eq!(stats.refutation, None);
-                    assert!(r.refuted.is_empty(), "the tableau refutes nothing");
                 }
                 SolverBackend::Sparse => assert!(stats.refactorizations > 0, "{stats:?}"),
             }
             rates.push(r.rate);
+            refuted.push(r.refuted);
         }
+        assert!(!refuted[0].is_empty(), "a floor refutes past the cliff");
+        assert!(
+            refuted[0].iter().all(|rate| refuted[1].contains(rate)),
+            "dense {:?} vs sparse {:?}",
+            refuted[0],
+            refuted[1]
+        );
         assert!(
             (rates[0] - rates[1]).abs() <= 0.02 * rates[0],
             "dense rate {} vs sparse rate {}",

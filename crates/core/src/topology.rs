@@ -33,8 +33,9 @@
 //! multilevel cut, on demand), and decodes its answer
 //! from the same merged leaf graphs the budget rows were written from;
 //! [`max_sustainable_rate_deployment`] runs §4.3 on top of it, answering a
-//! probe from the last proved placement while that still fits, and from
-//! the last root LP refutation while that still refutes.
+//! probe from the closure relaxation's optimum while that fits, and
+//! `Infeasible` from the kept refutation while that still refutes — a
+//! budget row's floor over the closure, or a root LP's Farkas row.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -44,8 +45,8 @@ use std::time::Instant;
 
 use wishbone_dataflow::{EdgeId, Graph, OperatorId, OP_CLASSES};
 use wishbone_ilp::{
-    solve_closure_in, solve_ilp_seeded_in, IlpOptions, IlpStats, Refutation, SimplexWorkspace,
-    SolveError, VarId,
+    row_floor_in, solve_closure_in, solve_ilp_seeded_in, IlpOptions, IlpStats, Refutation,
+    SimplexWorkspace, SolveError, VarId,
 };
 use wishbone_profile::{GraphProfile, Platform};
 
@@ -1020,20 +1021,26 @@ fn seed_values(
 /// `cfg.ilp.backend` names it, keeps no basis: it solves every LP cold).
 /// Verdicts and optimal values never depend on either; which of several
 /// equally cheap placements comes back can. A third thing answers a rate
-/// with no search, past the cliff: the last root LP [`Refutation`], which
-/// settles a rate `Infeasible` while it still refutes that rate's budget
+/// with no search, past the cliff: the kept [`Refutation`], which settles
+/// a rate `Infeasible` while it still refutes that rate's budget
 /// right-hand sides. It is a checked proof, so it changes no verdict
 /// either. Every [`solve_at`](Self::solve_at) and every probe of
 /// [`max_sustainable_rate_deployment`] goes through one settle-or-search
-/// step: the kept refutation where it refutes, else a search.
-/// [`reset_warm_start`](Self::reset_warm_start) drops all three.
+/// step: the kept refutation where it refutes; else the closure where it
+/// fits; else, for each budget row the closure optimum breaks, that row's
+/// floor over the closure ([`row_floor_in`], one more min-cut), which
+/// refutes the rate with no search where it is above the row's budget
+/// and is then kept; else branch-and-bound, whose root LP refutation, if
+/// any, is kept. [`reset_warm_start`](Self::reset_warm_start) drops all
+/// three.
 /// [`apply_delta`](Self::apply_delta) drops the refutation, a proof about
 /// the rows it was made on, and it rewrites budget rows, which makes the
 /// next root LP a cold start by itself.
-/// [`solve_at_in`](Self::solve_at_in) never settles: it always searches,
-/// so a fleet answer does not depend on which rates the instance answered
-/// before. (A kept closure is no history: it is what the same min-cut
-/// computes afresh.)
+/// [`solve_at_in`](Self::solve_at_in) never settles and tries no floor:
+/// it always searches, so a fleet answer does not depend on which rates
+/// the instance answered before, and a fleet solve never pays for a
+/// floor that would not refute. (A kept closure is no history: it is
+/// what the same min-cut computes afresh.)
 ///
 /// A solve's fixed cost, which is what a fleet cache hit pays, is kept
 /// to the search's own pivots: [`apply_delta`](Self::apply_delta)
@@ -1080,7 +1087,8 @@ pub struct PreparedDeployment<'a> {
     /// handful, one per leaf count its requests carry).
     closures: Vec<Closure>,
     last: Option<Placement>,
-    /// The last root LP refutation a search kept
+    /// The last refutation the settle-or-search step made: a budget row's
+    /// floor over the closure ([`row_floor_in`]), or a root LP's
     /// ([`IlpStats::refutation`]).
     refutation: Option<Refutation>,
     /// Wall-clock cost of the one-time build: encoding, plus pricing and
@@ -1357,8 +1365,8 @@ impl<'a> PreparedDeployment<'a> {
     /// How many searches this instance has made — each answered by the
     /// closure or by one branch-and-bound run: one per
     /// [`solve_at_in`](Self::solve_at_in) at a valid rate, and one per
-    /// [`solve_at`](Self::solve_at) that the kept refutation did not answer
-    /// (see the type-level docs).
+    /// [`solve_at`](Self::solve_at) that no refutation answered, kept or
+    /// a floor's (see the type-level docs).
     pub fn solves(&self) -> u32 {
         self.solves
     }
@@ -1412,20 +1420,21 @@ impl<'a> PreparedDeployment<'a> {
     /// solver tolerance: a placement that is over a budget by any margin
     /// is left to branch-and-bound.
     fn fits(&self, values: &[f64], rate: f64) -> bool {
-        self.budget_rhs(rate).all(|(row, rhs)| {
-            let terms = &self.ep.problem.constraint(row).terms;
-            terms.iter().map(|&(v, a)| a * values[v.0]).sum::<f64>() <= rhs
-        })
+        overruns(&self.ep.problem, values, self.budget_rhs(rate))
+            .next()
+            .is_none()
     }
 
     /// The placement at `rate` (a global multiplier on the profile's
     /// reference input rate, composed with each leaf's `rate_factor`),
     /// through the settle-or-search step: `Infeasible` when the kept
-    /// refutation still refutes this rate, else one search: the closure
-    /// optimum where it fits every budget row, else one branch-and-bound
-    /// run in the instance's own workspace, whose root LP re-enters from
-    /// the basis the previous run left there (see the type-level docs for
-    /// what that does and does not change about the answer).
+    /// refutation still refutes this rate; else the closure optimum where
+    /// it fits every budget row; else `Infeasible` where the floor of a
+    /// budget row the closure breaks is above that row's budget; else one
+    /// branch-and-bound run in the instance's own workspace, whose root LP
+    /// re-enters from the basis the previous run left there (see the
+    /// type-level docs for what that does and does not change about the
+    /// answer).
     pub fn solve_at(&mut self, rate: f64) -> Result<DeploymentPartition, PartitionError> {
         self.settle_or_search(rate)?;
         Ok(self.decode_last())
@@ -1434,10 +1443,10 @@ impl<'a> PreparedDeployment<'a> {
     /// [`solve_at`](Self::solve_at) inside a caller-owned workspace
     /// arena, always by a search (the closure step included, whose
     /// min-cut runs in the arena too): it never answers from the kept
-    /// refutation. The arena is pure scratch memory: it is invalidated on
-    /// entry, so the root LP always starts cold and results are
-    /// bit-identical whichever arena is passed, whatever it solved last —
-    /// this very instance included. Only the instance's own workspace
+    /// refutation and never tries a floor. The arena is pure scratch
+    /// memory: it is invalidated on entry, so the root LP always starts
+    /// cold and results are bit-identical whichever arena is passed,
+    /// whatever it solved last — this very instance included. Only the instance's own workspace
     /// ever carries a basis from one solve to the next. A fleet worker
     /// keeps **one** long-lived arena and solves every cached shape's
     /// instance in it, instead of every cache entry growing its own.
@@ -1452,18 +1461,44 @@ impl<'a> PreparedDeployment<'a> {
     }
 
     /// The one step behind [`solve_at`](Self::solve_at) and every probe of
-    /// [`max_sustainable_rate_deployment`]: `Infeasible` when the last
-    /// refutation still refutes this rate's budgets, else one
-    /// [`search`](Self::search) in the instance's own workspace: the
-    /// closure optimum where it fits, else branch-and-bound.
+    /// [`max_sustainable_rate_deployment`], in the instance's own
+    /// workspace: `Infeasible` when the last refutation still refutes this
+    /// rate's budgets; else the closure optimum where it fits; else
+    /// `Infeasible`, with no search, where a budget row the closure
+    /// optimum breaks has a floor over the closure above its budget (that
+    /// floor is then the kept refutation); else branch-and-bound. Only
+    /// here is a floor tried: at most two min-cuts per site, on a probe
+    /// the closure did not answer.
     fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
         check_rate(rate)?;
         if self.refuted_at(rate) {
             self.retarget(rate);
-            Err(PartitionError::Infeasible)
-        } else {
-            self.search(rate, None)
+            return Err(PartitionError::Infeasible);
         }
+        if self.closure_answers(rate, None) {
+            return Ok(());
+        }
+        // Past the closure ceiling: a row the closure optimum breaks may
+        // be broken by every placement. Its floor over the closure says
+        // so, with a certificate kept as the refutation.
+        let closure = self.closures.last().expect("refreshed by the closure step");
+        if closure.answers {
+            let ws = self.workspace.get_or_insert_with(Box::default);
+            for row in overruns(
+                &self.ep.problem,
+                &closure.values,
+                budget_rhs(&self.ep.cpu_rows, &self.ep.net_rows, &self.obj, rate),
+            ) {
+                let Some(floor) = row_floor_in(&self.ep.problem, row, ws) else {
+                    continue;
+                };
+                if floor.refutes(|i| self.ep.problem.constraint(i).rhs) {
+                    self.refutation = Some(floor);
+                    return Err(PartitionError::Infeasible);
+                }
+            }
+        }
+        self.branch_and_bound(rate, None)
     }
 
     /// Does the last refutation still refute the problem at `rate`? Only
@@ -1483,26 +1518,46 @@ impl<'a> PreparedDeployment<'a> {
 
     /// Retarget to `rate` and search in `arena` — the instance's own
     /// workspace when `None` — keeping the placement as the instance's
-    /// last. The closure of the current objective answers where it fits
-    /// every budget row (`fits`, exactly); otherwise branch-and-bound
-    /// runs, warm at the root when the workspace retains a basis of this
-    /// instance's current matrix, and its root refutation, if any, is
-    /// kept too.
+    /// last: the closure where it answers, else branch-and-bound.
     fn search(
         &mut self,
         rate: f64,
         mut arena: Option<&mut SimplexWorkspace>,
     ) -> Result<(), PartitionError> {
         check_rate(rate)?;
-        self.solves += 1;
-        self.retarget(rate);
-        self.refresh_closure(arena.as_deref_mut());
-        let closure = self.closures.last().expect("just refreshed");
-        if closure.answers && self.fits(&closure.values, rate) {
-            self.keep_closure(rate);
+        if self.closure_answers(rate, arena.as_deref_mut()) {
             return Ok(());
         }
+        self.branch_and_bound(rate, arena)
+    }
 
+    /// Retarget to `rate` and make the current objective's closure the
+    /// last of `closures` (a min-cut in `arena`, the instance's own
+    /// workspace when `None`, if it is not kept); where its optimum fits
+    /// every budget row (`fits`, exactly), keep it as the answer, one
+    /// search.
+    fn closure_answers(&mut self, rate: f64, arena: Option<&mut SimplexWorkspace>) -> bool {
+        self.retarget(rate);
+        self.refresh_closure(arena);
+        let closure = self.closures.last().expect("just refreshed");
+        let answers = closure.answers && self.fits(&closure.values, rate);
+        if answers {
+            self.solves += 1;
+            self.keep_closure(rate);
+        }
+        answers
+    }
+
+    /// One branch-and-bound run on the retargeted problem in `arena` (the
+    /// instance's own workspace when `None`), one search: warm at the root
+    /// when the workspace retains a basis of this instance's current
+    /// matrix, and its root refutation, if any, is kept.
+    fn branch_and_bound(
+        &mut self,
+        rate: f64,
+        arena: Option<&mut SimplexWorkspace>,
+    ) -> Result<(), PartitionError> {
+        self.solves += 1;
         let mut opts = self.cfg.ilp.clone();
         if opts.warm_solution.is_none() {
             opts.warm_solution = self.last.as_ref().map(|last| last.values.clone());
@@ -1716,6 +1771,24 @@ fn budget_rhs<'e>(
     cpu.chain(net)
 }
 
+/// The rows of `budgets` (row, right-hand side) that `values` breaks:
+/// exactly, with no solver tolerance.
+fn overruns<'p>(
+    problem: &'p wishbone_ilp::Problem,
+    values: &'p [f64],
+    budgets: impl Iterator<Item = (usize, f64)> + 'p,
+) -> impl Iterator<Item = usize> + 'p {
+    budgets.filter_map(move |(row, rhs)| {
+        let terms = &problem.constraint(row).terms;
+        let activity: f64 = terms.iter().map(|&(v, a)| a * values[v.0]).sum();
+        if activity <= rhs {
+            None
+        } else {
+            Some(row)
+        }
+    })
+}
+
 /// Whether `budget` is one: finite (a row) or `+∞` (no row).
 fn is_budget(budget: f64) -> bool {
     budget.is_finite() || budget == f64::INFINITY
@@ -1763,9 +1836,10 @@ pub struct DeploymentRateResult {
     pub partition: DeploymentPartition,
     /// Probes of the §4.3 schedule.
     pub evaluations: u32,
-    /// The probed rates a root LP [`Refutation`] answered `Infeasible`
-    /// with no search, in probe order (always empty on the reference
-    /// tableau, which reports none). Every other probe was searched.
+    /// The probed rates a [`Refutation`] answered `Infeasible` with no
+    /// search, in probe order: a budget row's floor over the closure, on
+    /// either backend, or a root LP's, which only the sparse backend
+    /// reports. Every other probe was searched.
     pub refuted: Vec<f64>,
     /// Encodings performed — always 1 (probes rescale in place).
     pub encodes: u32,
@@ -1781,8 +1855,9 @@ pub struct DeploymentRateResult {
 /// floor / doubling / bisection schedule (`search_max_rate`) on one
 /// prepared instance: one encode, and each probe settled by the step
 /// [`PreparedDeployment::solve_at`] takes — answered `Infeasible` by the
-/// last root LP refutation, when it still refutes the probe's budgets, or
-/// else searched: the closure optimum where it fits, else
+/// kept refutation, when it still refutes the probe's budgets; else the
+/// closure optimum where it fits; else `Infeasible` by a budget row's
+/// floor over the closure, where one is above its budget; else
 /// branch-and-bound with its root LP re-entering from the last solve's
 /// basis. The found rate's own placement is decoded, not solved again.
 ///
@@ -2545,7 +2620,9 @@ mod tests {
     /// A probe is answered `Infeasible` without a solve only by a
     /// refutation that still refutes its budgets — up to the last
     /// representable margin on both sides of its threshold — and a delta
-    /// or a reset drops the refutation.
+    /// or a reset drops the refutation. On the forest past its cliff the
+    /// refutation is a budget row's floor over the closure: that row at
+    /// weight 1, and difference rows.
     #[test]
     fn a_probe_is_refuted_only_past_the_refutations_threshold() {
         let (g, prof, dep) = eeg_forest();
@@ -2554,11 +2631,18 @@ mod tests {
         prep.settle_or_search(0.05).expect("feasible");
         let past = 4.0;
         assert_eq!(prep.settle_or_search(past), Err(PartitionError::Infeasible));
-        assert_eq!(prep.solves(), 2);
-        let refutation = prep
-            .refutation
-            .clone()
-            .expect("the sparse dual refuted the root");
+        assert_eq!(prep.solves(), 1, "a floor refutes with no search");
+        let refutation = prep.refutation.clone().expect("a floor refuted ×4");
+        let budget_rows: Vec<usize> = prep.budget_rhs(1.0).map(|(row, _)| row).collect();
+        let (side, difference): (Vec<&(usize, f64)>, Vec<_>) =
+            (refutation.rows().iter()).partition(|(row, _)| budget_rows.contains(row));
+        assert_eq!(side.len(), 1, "one budget row: {side:?}");
+        assert_eq!(side[0].1, 1.0);
+        assert_eq!(prep.ep.net_rows[1], Some(side[0].0), "gw-a's uplink");
+        assert!(difference.iter().all(|&&(row, w)| {
+            let c = prep.ep.problem.constraint(row);
+            w < 0.0 && c.terms.len() == 2 && c.rhs == 0.0
+        }));
 
         // Σ w·b(r) = a + c/r, since only the budget rows move (`C/r − shift`,
         // `B/r`); it refutes while below the box minimum less 1e-6·Σ|w|.
@@ -2588,11 +2672,11 @@ mod tests {
             prep.settle_or_search(threshold * (1.0 + 1e-9)),
             Err(PartitionError::Infeasible)
         );
-        assert_eq!(prep.solves(), 2, "a refutation that still refutes answers");
+        assert_eq!(prep.solves(), 1, "a refutation that still refutes answers");
         let _ = prep.settle_or_search(threshold * (1.0 - 1e-9));
         assert_eq!(
             prep.solves(),
-            3,
+            2,
             "a refutation short of its margin must not"
         );
 
@@ -2639,10 +2723,12 @@ mod tests {
             }
         }
         assert_eq!(prep.encodes(), 1);
-        // Every rate searches: only a kept refutation answers without a
-        // search, and none answers here.
-        assert_eq!(searched, [true; 4]);
-        assert_eq!(prep.solves(), 4);
+        // Every feasible rate searches. The infeasible ×4 is past the
+        // closure ceiling, and the floor of a budget row the closure breaks
+        // refutes it with no search.
+        assert_eq!(searched, [true, true, true, false]);
+        assert_eq!(prep.solves(), 3);
+        assert!(prep.refutation.is_some(), "kept for the next probe");
     }
 
     #[test]

@@ -197,7 +197,9 @@ pub struct IlpStats {
     /// so a caller that moves nothing but right-hand sides — a rate
     /// search — can answer later problems with it. `None` on every other
     /// search: a feasible one, one that presolve or a node below the root
-    /// refuted, and any on the reference tableau.
+    /// refuted, and any on the reference tableau. (A caller can also
+    /// build one with no search at all, from a side row's floor over the
+    /// closure relaxation: [`row_floor_in`](crate::row_floor_in).)
     pub refutation: Option<Refutation>,
     /// True if a seed — [`IlpOptions::warm_solution`] or one asked for on
     /// demand ([`solve_ilp_seeded_in`]) — checked out feasible and was

@@ -20,9 +20,18 @@
 //! — the vertices the residual network still reaches from the source —
 //! so among equally cheap closures the answer is the one with the fewest
 //! variables at `1`, whatever order the arcs were found in.
+//!
+//! The same min-cut bounds a dropped row. With that row's own
+//! coefficients as the costs, the closure optimum is the least value its
+//! left-hand side takes over the closure polytope: its *floor*.
+//! [`row_floor_in`] returns the floor as a [`Refutation`] — the row plus
+//! every difference row weighted by the max flow it carries, which is
+//! the min-cut's LP dual — so where the floor is above the row's
+//! right-hand side, that certificate proves that no placement holds it.
 
 use crate::num::is_exact_zero;
 use crate::problem::{Constraint, Problem, Sense};
+use crate::refutation::Refutation;
 use crate::workspace::SimplexWorkspace;
 
 /// What [`solve_closure_in`] proved besides the assignment it wrote.
@@ -68,6 +77,9 @@ pub(crate) struct ClosureScratch {
     queue: Vec<u32>,
     /// Arcs of the augmenting path under construction.
     path: Vec<u32>,
+    /// [`row_floor_in`]'s costs and closure, dense per variable.
+    row_cost: Vec<f64>,
+    row_values: Vec<f64>,
 }
 
 /// Is row `c` a difference row `y_a − y_b ≥ 0`? Returns `(a, b)`.
@@ -190,6 +202,64 @@ pub fn solve_closure_in(
         objective,
         side_rows,
     })
+}
+
+/// The floor of `≤` row `row` over the closure polytope (the problem's
+/// difference rows and variable bounds, every other row dropped): the
+/// least value of the row's left-hand side there, as the [`Refutation`]
+/// that proves it. The combination is the row (multiplier `1`) plus each
+/// difference row `y_a − y_b ≥ 0` at minus the max flow on its arc
+/// `b → a`, read off the residual network of one min-cut with the row's
+/// coefficients as the costs. That flow is the cut's LP dual, so the
+/// certificate's [`box_min`](Refutation::box_min), which [`Refutation`]
+/// recomputes with its own arithmetic, is the floor; and the polytope is
+/// integral, so no placement's left-hand side is below it. The
+/// certificate refutes a right-hand side `b` ([`Refutation::refutes`])
+/// when the floor clears `b` by the row tolerance per unit of multiplier.
+/// It reads no right-hand side but the row's own and the difference rows'
+/// zeros, so the other side rows' right-hand sides do not matter.
+///
+/// `None` where [`solve_closure_in`] gives no answer, and when `row` is
+/// not a `≤` row (every budget row is one). The workspace lends scratch
+/// buffers only, as there.
+pub fn row_floor_in(
+    problem: &Problem,
+    row: usize,
+    ws: &mut SimplexWorkspace,
+) -> Option<Refutation> {
+    let side = problem.constraint(row);
+    if side.sense != Sense::Le {
+        return None;
+    }
+    let n = problem.num_vars();
+    let (mut cost, mut values) = (
+        std::mem::take(&mut ws.closure.row_cost),
+        std::mem::take(&mut ws.closure.row_values),
+    );
+    crate::workspace::refill(&mut cost, n, 0.0);
+    for &(v, a) in &side.terms {
+        cost[v.0] += a;
+    }
+    let cut = solve_closure_in(problem, &cost, ws, &mut values);
+    let w = &mut ws.closure;
+    (w.row_cost, w.row_values) = (cost, values);
+    cut?;
+
+    // Replay the network's arc placement: pair `(a, b)`'s reverse arc sits
+    // at `a`'s fill pointer, and its residual is the flow on `b → a`.
+    w.cursor.clear();
+    w.cursor.extend_from_slice(&w.start[..n]);
+    let multipliers = problem.constraints.iter().enumerate().filter_map(|(i, c)| {
+        if i == row {
+            return Some((i, 1.0));
+        }
+        let (a, b) = difference_row(c)?;
+        w.cursor[b] += 1;
+        let reverse = w.cursor[a] as usize;
+        w.cursor[a] += 1;
+        Some((i, -w.arcs[reverse].cap))
+    });
+    Some(Refutation::combine(problem, multipliers, 1.0))
 }
 
 /// BFS levels over residuals above `eps`, from every node the source
@@ -323,6 +393,39 @@ mod tests {
             (values.as_slice(), cut.objective),
             (&[0.0, 0.0, 0.0][..], 0.0)
         );
+    }
+
+    /// A pinned source `x0` ⇐ `x1` ⇐ `x2` and a side row
+    /// `3·x0 + 5·x1 − 4·x2 ≤ b`: its floor over the closure is 3 (at
+    /// `(1, 0, 0)`), where the box alone reaches −1 (at `(1, 0, 1)`). The
+    /// certificate is the row plus the flow 4 on `x1 − x2 ≥ 0`, its box
+    /// minimum is the min-cut's objective, and it refutes `b` exactly when
+    /// the floor clears `b` by the margin, `1e-6` per unit of multiplier.
+    #[test]
+    fn a_side_rows_floor_is_its_min_cut_with_the_flow_as_multipliers() {
+        let mut p = Problem::new();
+        let x0 = p.add_var(1.0, 1.0, 0.0, true);
+        let x1 = p.add_binary(0.0);
+        let x2 = p.add_binary(0.0);
+        p.add_constraint(&[(x0, 1.0), (x1, -1.0)], Sense::Ge, 0.0);
+        p.add_constraint(&[(x1, 1.0), (x2, -1.0)], Sense::Ge, 0.0);
+        p.add_constraint(&[(x0, 3.0), (x1, 5.0), (x2, -4.0)], Sense::Le, 2.0);
+        let (mut ws, mut values) = (SimplexWorkspace::new(), Vec::new());
+        let cut = solve_closure_in(&p, &[3.0, 5.0, -4.0], &mut ws, &mut values).expect("applies");
+        assert_eq!(
+            (cut.objective, values.as_slice()),
+            (3.0, &[1.0, 0.0, 0.0][..])
+        );
+
+        let floor = row_floor_in(&p, 2, &mut ws).expect("a certified cut");
+        assert!((floor.box_min() - cut.objective).abs() <= 1e-9);
+        assert_eq!(floor.rows(), &[(1, -4.0), (2, 1.0)]);
+        // Σ|w| = 5: the floor refutes `b` below 3 − 5e-6.
+        let at = |b: f64| floor.refutes(|i| if i == 2 { b } else { 0.0 });
+        assert!(at(2.0) && at(3.0 - 1e-5));
+        assert!(!at(3.0 - 1e-6) && !at(3.0));
+        // A difference row (a `≥` row) has no floor to give.
+        assert_eq!(row_floor_in(&p, 0, &mut ws), None);
     }
 
     /// Pins are infinite terminal arcs; pins no closure honours, and

@@ -35,11 +35,15 @@
 //!   is a max-weight closure problem that one min-cut (Dinic, on scratch
 //!   kept in the workspace) solves exactly. It returns the source-minimal
 //!   cut and certifies it by its flow; a caller whose dropped rows hold
-//!   under it has the ILP's optimum with no LP at all;
+//!   under it has the ILP's optimum with no LP at all. [`row_floor_in`]
+//!   runs the same min-cut under one dropped row's coefficients: that
+//!   row's floor over the closure, with the flow on each difference row
+//!   as its multiplier in a [`Refutation`], which proves the problem
+//!   infeasible wherever the floor is above the row's right-hand side;
 //! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes
 //!   implied-integral variables) before a single simplex iteration runs;
 //! * a root LP that the sparse dual simplex refutes leaves a checked
-//!   [`Refutation`] in [`IlpStats::refutation`]: a row combination that
+//!   [`Refutation`] in [`IlpStats::refutation`] too: a row combination that
 //!   keeps refuting every right-hand side it still clears, so a caller
 //!   that only moves right-hand sides needs no further solve to say so;
 //! * best-first node selection with a depth-first plunge on the most
@@ -90,7 +94,7 @@ pub mod workspace;
 pub use branch_bound::{
     solve_ilp, solve_ilp_in, solve_ilp_seeded_in, IlpOptions, IlpSolution, IlpStats, PhaseTimes,
 };
-pub use closure::{solve_closure_in, ClosureCut};
+pub use closure::{row_floor_in, solve_closure_in, ClosureCut};
 pub use num::is_exact_zero;
 pub use presolve::{presolve, PresolveOutcome};
 pub use problem::{Constraint, LpSolution, Problem, Sense, SolveError, VarId};

@@ -9,10 +9,17 @@
 //! right-hand sides — a rate search, whose budgets only tighten as the
 //! rate grows — reads a verdict off it without a solve.
 //!
+//! Two sources build one: the dual simplex's row above, and a side row's
+//! floor over the closure relaxation ([`row_floor_in`](crate::row_floor_in)),
+//! which is the row itself plus each difference row weighted by the max
+//! flow it carries in the min-cut that minimises the row's left-hand side.
+//! That combination's box minimum is the floor, so where the floor is
+//! above the row's right-hand side, every placement breaks the row.
+//!
 //! The certificate is checked, not trusted: [`Refutation::refutes`] is
 //! plain arithmetic over the problem's own rows and bounds, so a
-//! multiplier vector the dual simplex got slightly wrong can only fail to
-//! refute, never refute a feasible problem.
+//! multiplier vector the dual simplex or a max flow got slightly wrong can
+//! only fail to refute, never refute a feasible problem.
 
 use crate::num::is_exact_zero;
 use crate::problem::{Problem, Sense};
@@ -55,6 +62,19 @@ impl Refutation {
         rho: impl Iterator<Item = (usize, f64)>,
         sign: f64,
     ) -> Option<Refutation> {
+        let refutation = Refutation::combine(problem, rho, sign);
+        refutation
+            .refutes(|i| problem.constraint(i).rhs)
+            .then_some(refutation)
+    }
+
+    /// The combination [`from_row`](Self::from_row) builds, whether or not
+    /// it refutes anything.
+    pub(crate) fn combine(
+        problem: &Problem,
+        rho: impl Iterator<Item = (usize, f64)>,
+        sign: f64,
+    ) -> Refutation {
         let mut rows = Vec::new();
         let mut combined = vec![0.0f64; problem.num_vars()];
         for (i, r) in rho {
@@ -86,14 +106,11 @@ impl Refutation {
             })
             .sum();
         let weight = rows.iter().map(|&(_, w)| w.abs()).sum();
-        let refutation = Refutation {
+        Refutation {
             rows,
             box_min,
             weight,
-        };
-        refutation
-            .refutes(|i| problem.constraint(i).rhs)
-            .then_some(refutation)
+        }
     }
 
     /// Does the combination refute the same matrix and bounds under the

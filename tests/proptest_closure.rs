@@ -9,17 +9,25 @@
 //!   of the full problem (1e-9);
 //! * the closure placement fits at its ceiling `min C / (a·y + shift)`
 //!   over the budget rows, and `max_sustainable_rate_deployment` never
-//!   returns below `ceiling / (1 + tol)`.
+//!   returns below `ceiling / (1 + tol)`;
+//! * each budget row's floor certificate (`row_floor_in`) has the
+//!   min-cut's objective under the row's own coefficients as its box
+//!   minimum (1e-9), as the dense LP does, and refutes exactly when that
+//!   floor clears the row's right-hand side by the margin.
+//!
+//! * at rates straddling the closure ceiling, every floor that refutes
+//!   the retargeted problem is confirmed `Infeasible` by `solve_ilp_in`
+//!   on that problem, on either backend, and by `solve_at` itself.
 
 use proptest::prelude::*;
 
 use wishbone::core::{
-    max_sustainable_rate_deployment, Deployment, DeploymentConfig, LinkSpec, PreparedDeployment,
-    Site,
+    max_sustainable_rate_deployment, Deployment, DeploymentConfig, LinkSpec, PartitionError,
+    PreparedDeployment, Site,
 };
 use wishbone::ilp::{
-    solve_closure_in, solve_ilp, solve_lp_in, IlpOptions, Problem, SimplexWorkspace, SolveError,
-    SolverBackend, VarId,
+    row_floor_in, solve_closure_in, solve_ilp, solve_ilp_in, solve_lp_in, IlpOptions, Problem,
+    SimplexWorkspace, SolveError, SolverBackend, VarId,
 };
 use wishbone::prelude::Platform;
 
@@ -119,13 +127,13 @@ fn check_case(
     b: &Budgets,
     count: usize,
     tol: f64,
-) -> Result<(), TestCaseError> {
+) -> Result<usize, TestCaseError> {
     let (stages, cost, keep) = app;
     let (graph, prof) = fleet::pipeline(stages, |s| (cost[s], keep[s]), 10, 128);
     let dep = deployment(shape, b, count);
     let cfg = DeploymentConfig::default();
-    let Ok(prep) = PreparedDeployment::new(&graph, &prof, &dep, &cfg) else {
-        return Ok(());
+    let Ok(mut prep) = PreparedDeployment::new(&graph, &prof, &dep, &cfg) else {
+        return Ok(0);
     };
     // A fresh instance's problem is at unit rate: costs × 1, each CPU
     // row's right-hand side `C − shift`, each uplink row's `B`.
@@ -155,7 +163,7 @@ fn check_case(
             prop_assert_eq!(cut.side_rows, budget_rows.len());
             cut
         }
-        (None, Err(SolveError::Infeasible)) => return Ok(()),
+        (None, Err(SolveError::Infeasible)) => return Ok(0),
         (cut, lp) => {
             return Err(TestCaseError::fail(format!(
                 "closure {cut:?} vs dense LP {lp:?}"
@@ -173,6 +181,53 @@ fn check_case(
                 v,
                 cut.objective,
                 without_v
+            );
+        }
+    }
+
+    // Each budget row's floor: its certificate's box minimum is the
+    // min-cut under the row's coefficients, and the dense LP's; it refutes
+    // exactly when the floor clears the right-hand side by the margin
+    // (outside a 1e-9 band around it, where the two sums may round apart).
+    for &row in &budget_rows {
+        let c = p.constraint(row);
+        let mut row_cost = vec![0.0; p.num_vars()];
+        for &(v, a) in &c.terms {
+            row_cost[v.0] += a;
+        }
+        let (mut floor_ws, mut floor_y) = (SimplexWorkspace::new(), Vec::new());
+        let floor_cut = solve_closure_in(p, &row_cost, &mut floor_ws, &mut floor_y)
+            .expect("the closure applied under the objective");
+        let floor = row_floor_in(p, row, &mut ws).expect("the closure applied");
+        prop_assert!(
+            close(floor.box_min(), floor_cut.objective),
+            "row {}: certificate {} vs min-cut {}",
+            row,
+            floor.box_min(),
+            floor_cut.objective
+        );
+        let mut row_lp = relaxed.clone();
+        for (j, &a) in row_cost.iter().enumerate() {
+            row_lp.set_objective_coeff(VarId(j), a);
+        }
+        let lp = dense_lp(&row_lp, lower, upper).expect("the closure polytope is not empty");
+        prop_assert!(
+            close(lp, floor_cut.objective),
+            "row {}: dense LP {} vs min-cut {}",
+            row,
+            lp,
+            floor_cut.objective
+        );
+        let weight: f64 = floor.rows().iter().map(|&(_, w)| w.abs()).sum();
+        let clearance = floor_cut.objective - c.rhs - 1e-6 * weight;
+        if clearance.abs() > 1e-9 * (1.0 + c.rhs.abs()) {
+            prop_assert_eq!(
+                floor.refutes(|i| p.constraint(i).rhs),
+                clearance > 0.0,
+                "row {}: floor {} against {}",
+                row,
+                floor_cut.objective,
+                c.rhs
             );
         }
     }
@@ -238,7 +293,69 @@ fn check_case(
             tol
         );
     }
-    Ok(())
+    floors_are_sound(&mut prep, &rows, ceiling)
+}
+
+/// Every floor of the budget `rows` that refutes `prep`'s problem at a
+/// rate straddling the closure ceiling — ×0.5, ×(1 ∓ 1e-9), ×1.01, ×2 and
+/// ×16 of it — is confirmed `Infeasible` by `solve_ilp_in` on the
+/// retargeted problem, on the sparse backend and on the dense tableau
+/// (or, on the tableau, by a placement that breaks a row by more than the
+/// search's 1e-6 row tolerance), and `solve_at` answers that rate
+/// `Infeasible` too. Returns how many refuting floors it confirmed.
+fn floors_are_sound(
+    prep: &mut PreparedDeployment,
+    rows: &[(usize, f64)],
+    ceiling: f64,
+) -> Result<usize, TestCaseError> {
+    if !ceiling.is_finite() {
+        return Ok(0);
+    }
+    let ws = &mut SimplexWorkspace::new();
+    let dense = IlpOptions {
+        backend: SolverBackend::Dense,
+        ..IlpOptions::default()
+    };
+    let mut confirmed = 0;
+    for scale in [0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.01, 2.0, 16.0] {
+        let rate = ceiling * scale;
+        let answer = prep.solve_at(rate);
+        let p = prep.problem();
+        let refuting = (rows.iter())
+            .filter_map(|&(row, _)| row_floor_in(p, row, ws))
+            .filter(|floor| floor.refutes(|i| p.constraint(i).rhs))
+            .count();
+        if refuting == 0 {
+            continue;
+        }
+        let (sparse, _) = solve_ilp_in(p, &IlpOptions::default(), &mut SimplexWorkspace::new());
+        let (direct, _) = solve_ilp_in(p, &dense, &mut SimplexWorkspace::new());
+        prop_assert_eq!(
+            sparse.err(),
+            Some(SolveError::Infeasible),
+            "x{} ({} of the closure ceiling): {} floors refute",
+            rate,
+            scale,
+            refuting
+        );
+        // At 1 + 1e-9 of the ceiling the tableau has returned a placement
+        // over a budget by ~1e-9 of it, which is more than the 1e-6 a
+        // refutation clears: such a placement must fail that tolerance.
+        match direct {
+            Err(e) => prop_assert_eq!(e, SolveError::Infeasible, "x{}", rate),
+            Ok(sol) => prop_assert!(
+                !p.is_feasible(&sol.values, 1e-6),
+                "x{} ({} of the closure ceiling): the tableau's placement holds every row \
+                 within 1e-6, and {} floors refute",
+                rate,
+                scale,
+                refuting
+            ),
+        }
+        prop_assert_eq!(answer.err(), Some(PartitionError::Infeasible), "x{}", rate);
+        confirmed += refuting;
+    }
+    Ok(confirmed)
 }
 
 fn budget(d: f64, lo: f64, hi: f64) -> f64 {
@@ -277,4 +394,25 @@ proptest! {
         };
         check_case(shape, (stages, &cost, &keep), &b, count, tol)?;
     }
+}
+
+/// The two-ward tree with ward-a's backhaul starved: past the closure
+/// ceiling a floor refutes, so the property's soundness check runs.
+#[test]
+fn a_starved_backhaul_has_a_refuting_floor_the_tableau_confirms() {
+    let b = Budgets {
+        alpha: vec![1.0; 5],
+        cpu: vec![f64::INFINITY; 5],
+        beta: vec![1.0; 5],
+        net: vec![
+            f64::INFINITY,
+            200.0,
+            f64::INFINITY,
+            f64::INFINITY,
+            f64::INFINITY,
+        ],
+    };
+    let app: (usize, &[u64], &[usize]) = (4, &[800, 1500, 300, 2000], &[2, 1, 3, 2]);
+    let confirmed = check_case(3, app, &b, 2, 0.01).expect("sound");
+    assert!(confirmed >= 1, "no floor refuted");
 }

@@ -1332,7 +1332,7 @@ fn rate_search_matches_every_probe(
     dep: &Deployment,
     tol: f64,
 ) -> Result<usize, TestCaseError> {
-    let mut refuted_checks = 0;
+    let (mut refuted_checks, mut dense_refuted) = (0, Vec::new());
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
         let mut cfg = DeploymentConfig::default();
         cfg.ilp.backend = backend;
@@ -1390,7 +1390,9 @@ fn rate_search_matches_every_probe(
         prop_assert!(got.unproven.is_none());
         // The every-probe schedule takes the same step, so it searches
         // every probe but the refuted ones; each of those it solved to
-        // `Infeasible`, and the tableau refutes none.
+        // `Infeasible`. A floor over the closure refutes on either
+        // backend, a root LP only on the sparse one, so every probe the
+        // tableau's search refutes, the sparse one's refutes too.
         prop_assert_eq!(every.solves() as usize + got.refuted.len(), probes as usize);
         refuted_checks += got.refuted.len();
         for refuted in &got.refuted {
@@ -1402,7 +1404,14 @@ fn rate_search_matches_every_probe(
             );
         }
         if backend == SolverBackend::Dense {
-            prop_assert!(got.refuted.is_empty());
+            dense_refuted.clone_from(&got.refuted);
+        } else {
+            prop_assert!(
+                dense_refuted.iter().all(|r| got.refuted.contains(r)),
+                "dense refuted {:?}, sparse {:?}",
+                dense_refuted,
+                got.refuted
+            );
         }
         let cold = partition_deployment(g, prof, dep, &cfg.clone().at_rate(got.rate))
             .expect("the found rate is feasible");

@@ -486,12 +486,14 @@ fn the_near_cliff_solve_is_seeded_and_certified_dense() {
 /// one prepared instance, which settles each rate by the step the
 /// library's probes take. The closure answers the floor and the 22
 /// feasible probes after it, each a search, and the found rate is
-/// decoded, not solved again. Past the cliff the backends part: the
-/// sparse one refutes the ×4 probe's root LP with a row that still
-/// refutes the 4 probes after it, so it runs branch-and-bound once; the
-/// reference tableau reports no refutation and runs it at all 5. Returns
-/// the feasible probes in schedule order.
-fn forest_rate_search(backend: SolverBackend, refuted: usize, branch_and_bound: u32) -> Vec<f64> {
+/// decoded, not solved again. Past the cliff no probe searches, on
+/// either backend: at ×4 the closure breaks gw-a's uplink, whose floor
+/// over the closure (one min-cut) is above its budget, and that floor's
+/// certificate still refutes the 4 probes after it. So the search runs
+/// branch-and-bound nowhere, and no LP at all. Returns the feasible
+/// probes in schedule order.
+fn forest_rate_search(backend: SolverBackend) -> Vec<f64> {
+    let (refuted, branch_and_bound) = (5, 0);
     let (graph, prof, dep) = tight_forest();
     let cfg = with_backend(backend);
     let found = max_sustainable_rate_deployment(&graph, &prof, &dep, &cfg, 64.0, 0.005)
@@ -563,7 +565,7 @@ fn forest_rate_search(backend: SolverBackend, refuted: usize, branch_and_bound: 
 /// nonzero budget refactorizes.
 #[test]
 fn the_forest_rate_search_and_its_replay_sparse() {
-    let feasible_rates = forest_rate_search(SolverBackend::Sparse, 4, 1);
+    let feasible_rates = forest_rate_search(SolverBackend::Sparse);
     let (graph, prof, dep) = tight_forest();
     let cfg = with_backend(SolverBackend::Sparse);
     let mut down = PreparedDeployment::new(&graph, &prof, &dep, &cfg).expect("pins ok");
@@ -607,10 +609,10 @@ fn the_forest_rate_search_and_its_replay_sparse() {
     );
 }
 
-#[cfg_attr(debug_assertions, ignore = "the dense tableau takes 60 s unoptimized")]
+/// No LP runs on either backend, so this twin runs in debug builds too.
 #[test]
 fn the_forest_rate_search_dense() {
-    forest_rate_search(SolverBackend::Dense, 0, 5);
+    forest_rate_search(SolverBackend::Dense);
 }
 
 /// A flagged 2× operator inflation on the 2×4 forest maps to budget

@@ -107,7 +107,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 22] = [
+const CONFINE: [Confine; 23] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -244,10 +244,19 @@ const CONFINE: [Confine; 22] = [
     Confine {
         rule: "one-probe-path", scope: &[CORE_SRC],
         needles: &[Text(".fits(")],
-        homes: &[Home::Fn(PER_SOLVE_PATH, "search")],
-        why: "`{}` outside `PreparedDeployment::search` — a placement answers without \
-              branch-and-bound only as the closure optimum (the one check at the top of \
-              `search`, which `solve_at` and `solve_at_in` share)",
+        homes: &[Home::Fn(PER_SOLVE_PATH, "closure_answers")],
+        why: "`{}` outside `PreparedDeployment::closure_answers` — a placement answers without \
+              branch-and-bound only as the closure optimum (the one check that `search` and \
+              `settle_or_search` both take first, so `solve_at` and `solve_at_in` share it)",
+    },
+    Confine {
+        rule: "one-probe-path", scope: &[CORE_SRC, "crates/fleet/src"],
+        needles: &[Call("row_floor_in")],
+        homes: &[Home::Fn(PER_SOLVE_PATH, "settle_or_search")],
+        why: "`{}` outside `PreparedDeployment::settle_or_search` — a budget row's floor \
+              refutes a rate past the closure ceiling only on the settle-or-search step that \
+              `solve_at` and the rate search share; `search`, and so `solve_at_in` and every \
+              fleet solve, never pays for a floor",
     },
     Confine {
         rule: "address-identity", scope: &[CORE_SRC, "crates/fleet/src"],
@@ -2065,10 +2074,12 @@ mod tests {
         assert_repo_clean("one-lp-switch");
     }
 
-    /// `.fits(` is at home only in `search`'s one closure check, so a copy
-    /// in `settle_or_search` (line 3) or `probe` (line 8) fires; a
-    /// `.refuted_at(` fires anywhere but `settle_or_search`, `search`
-    /// included (line 16).
+    /// `.fits(` is at home only in the one closure check,
+    /// `closure_answers`, so a copy in `settle_or_search` (line 3) or
+    /// `probe` (line 9) fires; a `.refuted_at(` fires anywhere but
+    /// `settle_or_search`, `closure_answers` included (line 17); so does
+    /// a `row_floor_in(` (line 18), and in the fleet it fires everywhere
+    /// (lines 5 and 18).
     #[test]
     fn one_probe_path_fires_on_a_second_copy_of_the_check() {
         let source = "\
@@ -2076,18 +2087,20 @@ impl PreparedDeployment {
     fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
         let kept = self.last.as_ref().is_some_and(|l| self.fits(&l.values, rate)); // line 3
         if self.refuted_at(rate) {}
+        let floor = row_floor_in(&self.ep.problem, row, ws);
     }
     fn probe(&mut self, rate: f64) -> Result<(), PartitionError> {
         match &self.last {
-            Some(last) if self.fits(&last.values, rate) => Ok(()), // line 8
-            _ if self.refuted_at(rate) => Err(PartitionError::Infeasible), // line 9
+            Some(last) if self.fits(&last.values, rate) => Ok(()), // line 9
+            _ if self.refuted_at(rate) => Err(PartitionError::Infeasible), // line 10
             // a self.fits( in a comment, and \".refuted_at(\" in a string
             _ => self.search(rate, None),
         }
     }
-    fn search(&mut self, rate: f64, arena: Option<&mut SimplexWorkspace>) -> Result<(), E> {
+    fn closure_answers(&mut self, rate: f64, arena: Option<&mut SimplexWorkspace>) -> bool {
         if self.fits(&self.closures[0].values, rate) {}
-        if self.refuted_at(rate) {} // line 16
+        if self.refuted_at(rate) {} // line 17
+        let floor = row_floor_in(&self.ep.problem, row, ws); // line 18
     }
 }
 #[cfg(test)]
@@ -2096,14 +2109,17 @@ mod tests {
 }
 ";
         let file = "crates/core/src/topology.rs";
-        assert_eq!(lines("one-probe-path", file, source), vec![3, 8, 9, 16]);
+        assert_eq!(
+            lines("one-probe-path", file, source),
+            vec![3, 9, 10, 17, 18]
+        );
         assert_eq!(
             lines("one-probe-path", "crates/core/src/rate_search.rs", source),
-            vec![3, 4, 8, 9, 15, 16]
+            vec![3, 4, 5, 9, 10, 16, 17, 18]
         );
         assert_eq!(
             lines("one-probe-path", "crates/fleet/src/lib.rs", source),
-            Vec::<usize>::new()
+            vec![5, 18]
         );
         assert_repo_clean("one-probe-path");
     }
