@@ -1034,7 +1034,9 @@ fn seed_values(
 /// any, is kept. [`reset_warm_start`](Self::reset_warm_start) drops all
 /// three.
 /// [`apply_delta`](Self::apply_delta) drops the refutation, a proof about
-/// the rows it was made on, and it rewrites budget rows, which makes the
+/// the rows it was made on, and each kept closure's budget-row
+/// activities, which it rewrites (the closures stay: a delta that leaves
+/// the objective as it was leaves its closure too); the rewrite makes the
 /// next root LP a cold start by itself.
 /// [`solve_at_in`](Self::solve_at_in) never settles and tries no floor:
 /// it always searches, so a fleet answer does not depend on which rates
@@ -1084,7 +1086,8 @@ pub struct PreparedDeployment<'a> {
     /// a delta rewrites only budget rows and the objective, so a closure
     /// is a function of `base_objective` alone: a search computes one only
     /// for an objective it has not kept (a fleet shape's instance sees a
-    /// handful, one per leaf count its requests carry).
+    /// handful, one per leaf count its requests carry). Each closure also
+    /// keeps its budget rows' activities, which every rate reads.
     closures: Vec<Closure>,
     last: Option<Placement>,
     /// The last refutation the settle-or-search step made: a budget row's
@@ -1118,9 +1121,33 @@ struct Closure {
     cost: Vec<f64>,
     /// The optimum the min-cut certified, when `answers`.
     values: Vec<f64>,
+    /// Each budget row's left-hand side at `values`, in [`budget_rhs`]
+    /// order ([`activity`]), when `answers`: a rate moves only the
+    /// right-hand sides, so every probe reads these. Empty until computed,
+    /// and again after a delta rewrites the rows.
+    activity: Vec<f64>,
     /// Whether there is one and the rows the min-cut dropped are exactly
-    /// the budget rows, so `fits` checks all of them.
+    /// the budget rows, so `answers_at` checks all of them.
     answers: bool,
+}
+
+impl Closure {
+    /// The rows of `budgets` (row, right-hand side, in [`budget_rhs`]
+    /// order) that the optimum breaks: exactly, with no solver tolerance.
+    fn overruns<'c>(
+        &'c self,
+        budgets: impl Iterator<Item = (usize, f64)> + 'c,
+    ) -> impl Iterator<Item = usize> + 'c {
+        budgets
+            .zip(&self.activity)
+            .filter_map(|((row, rhs), &a)| if a <= rhs { None } else { Some(row) })
+    }
+
+    /// Is the optimum the answer under `budgets`: certified, and over no
+    /// budget by any margin?
+    fn answers_at(&self, budgets: impl Iterator<Item = (usize, f64)>) -> bool {
+        self.answers && self.overruns(budgets).next().is_none()
+    }
 }
 
 /// The placement of the last branch-and-bound run, as the instance keeps
@@ -1304,6 +1331,11 @@ impl<'a> PreparedDeployment<'a> {
             }
         }
         self.refutation = None;
+        // The rows' terms move; a closure, a function of the objective
+        // alone, does not.
+        for closure in &mut self.closures {
+            closure.activity.clear();
+        }
         self.dep
             .reprice_objective(&mut self.obj, self.cfg.robustness);
         let chains = leaf_chains(&self.leaves, &self.removed, &self.dep);
@@ -1417,12 +1449,11 @@ impl<'a> PreparedDeployment<'a> {
     }
 
     /// Does `values` hold every budget row at `rate`? Exactly, with no
-    /// solver tolerance: a placement that is over a budget by any margin
-    /// is left to branch-and-bound.
+    /// solver tolerance, as [`Closure::answers_at`] checks the closure.
+    #[cfg(test)]
     fn fits(&self, values: &[f64], rate: f64) -> bool {
-        overruns(&self.ep.problem, values, self.budget_rhs(rate))
-            .next()
-            .is_none()
+        self.budget_rhs(rate)
+            .all(|(row, rhs)| activity(&self.ep.problem, row, values) <= rhs)
     }
 
     /// The placement at `rate` (a global multiplier on the profile's
@@ -1472,7 +1503,6 @@ impl<'a> PreparedDeployment<'a> {
     fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
         check_rate(rate)?;
         if self.refuted_at(rate) {
-            self.retarget(rate);
             return Err(PartitionError::Infeasible);
         }
         if self.closure_answers(rate, None) {
@@ -1484,11 +1514,8 @@ impl<'a> PreparedDeployment<'a> {
         let closure = self.closures.last().expect("refreshed by the closure step");
         if closure.answers {
             let ws = self.workspace.get_or_insert_with(Box::default);
-            for row in overruns(
-                &self.ep.problem,
-                &closure.values,
-                budget_rhs(&self.ep.cpu_rows, &self.ep.net_rows, &self.obj, rate),
-            ) {
+            let budgets = budget_rhs(&self.ep.cpu_rows, &self.ep.net_rows, &self.obj, rate);
+            for row in closure.overruns(budgets) {
                 let Some(floor) = row_floor_in(&self.ep.problem, row, ws) else {
                     continue;
                 };
@@ -1501,19 +1528,17 @@ impl<'a> PreparedDeployment<'a> {
         self.branch_and_bound(rate, None)
     }
 
-    /// Does the last refutation still refute the problem at `rate`? Only
-    /// the budget rows' right-hand sides move with the rate, and each only
-    /// shrinks as it grows, so one refuted rate refutes every higher one
-    /// and any lower one whose budgets it still clears.
-    fn refuted_at(&self, rate: f64) -> bool {
+    /// Retarget to `rate`: does the last refutation still refute the
+    /// problem there? Only the budget rows' right-hand sides move with
+    /// the rate, and each only shrinks as it grows, so one refuted rate
+    /// refutes every higher one and any lower one whose budgets it still
+    /// clears. The retargeted problem holds every right-hand side.
+    fn refuted_at(&mut self, rate: f64) -> bool {
+        self.retarget(rate);
         let Some(refutation) = &self.refutation else {
             return false;
         };
-        let budgets: Vec<(usize, f64)> = self.budget_rhs(rate).collect();
-        refutation.refutes(|row| match budgets.iter().find(|&&(r, _)| r == row) {
-            Some(&(_, rhs)) => rhs,
-            None => self.ep.problem.constraint(row).rhs,
-        })
+        refutation.refutes(|row| self.ep.problem.constraint(row).rhs)
     }
 
     /// Retarget to `rate` and search in `arena` — the instance's own
@@ -1525,22 +1550,22 @@ impl<'a> PreparedDeployment<'a> {
         mut arena: Option<&mut SimplexWorkspace>,
     ) -> Result<(), PartitionError> {
         check_rate(rate)?;
+        self.retarget(rate);
         if self.closure_answers(rate, arena.as_deref_mut()) {
             return Ok(());
         }
         self.branch_and_bound(rate, arena)
     }
 
-    /// Retarget to `rate` and make the current objective's closure the
-    /// last of `closures` (a min-cut in `arena`, the instance's own
-    /// workspace when `None`, if it is not kept); where its optimum fits
-    /// every budget row (`fits`, exactly), keep it as the answer, one
-    /// search.
+    /// On the problem retargeted to `rate`, make the current objective's
+    /// closure the last of `closures` (a min-cut in `arena`, the
+    /// instance's own workspace when `None`, if it is not kept); where its
+    /// optimum fits every budget row (`answers_at`, exactly), keep it as
+    /// the answer, one search.
     fn closure_answers(&mut self, rate: f64, arena: Option<&mut SimplexWorkspace>) -> bool {
-        self.retarget(rate);
         self.refresh_closure(arena);
         let closure = self.closures.last().expect("just refreshed");
-        let answers = closure.answers && self.fits(&closure.values, rate);
+        let answers = closure.answers_at(self.budget_rhs(rate));
         if answers {
             self.solves += 1;
             self.keep_closure(rate);
@@ -1606,7 +1631,8 @@ impl<'a> PreparedDeployment<'a> {
 
     /// Make the closure of the current objective the last of `closures`:
     /// the kept one, or one min-cut in `arena` (the instance's own
-    /// workspace when `None`) into the least recently used slot.
+    /// workspace when `None`) into the least recently used slot; and give
+    /// it its budget rows' activities if it has none.
     fn refresh_closure(&mut self, arena: Option<&mut SimplexWorkspace>) {
         let current = &self.base_objective;
         let same = |c: &Closure| {
@@ -1631,12 +1657,19 @@ impl<'a> PreparedDeployment<'a> {
                 c.cost.clone_from(&self.base_objective);
                 let ws = arena.unwrap_or_else(|| self.workspace.get_or_insert_with(Box::default));
                 let cut = solve_closure_in(&self.ep.problem, &c.cost, ws, &mut c.values);
-                // It answers only where `fits` checks every row it
+                // It answers only where `answers_at` checks every row it
                 // dropped: the budget rows.
                 c.answers = cut.is_some_and(|cut| cut.side_rows == budget_rows);
+                c.activity.clear();
                 at
             }
         };
+        let (c, problem) = (&mut self.closures[at], &self.ep.problem);
+        if c.answers && c.activity.is_empty() {
+            let rows = budget_rhs(&self.ep.cpu_rows, &self.ep.net_rows, &self.obj, 1.0);
+            c.activity
+                .extend(rows.map(|(row, _)| activity(problem, row, &c.values)));
+        }
         self.closures[at..].rotate_left(1);
     }
 
@@ -1771,22 +1804,11 @@ fn budget_rhs<'e>(
     cpu.chain(net)
 }
 
-/// The rows of `budgets` (row, right-hand side) that `values` breaks:
-/// exactly, with no solver tolerance.
-fn overruns<'p>(
-    problem: &'p wishbone_ilp::Problem,
-    values: &'p [f64],
-    budgets: impl Iterator<Item = (usize, f64)> + 'p,
-) -> impl Iterator<Item = usize> + 'p {
-    budgets.filter_map(move |(row, rhs)| {
-        let terms = &problem.constraint(row).terms;
-        let activity: f64 = terms.iter().map(|&(v, a)| a * values[v.0]).sum();
-        if activity <= rhs {
-            None
-        } else {
-            Some(row)
-        }
-    })
+/// Row `row`'s left-hand side at `values`, summed in the row's term
+/// order.
+fn activity(problem: &wishbone_ilp::Problem, row: usize, values: &[f64]) -> f64 {
+    let terms = &problem.constraint(row).terms;
+    terms.iter().map(|&(v, a)| a * values[v.0]).sum()
 }
 
 /// Whether `budget` is one: finite (a row) or `+∞` (no row).
@@ -2904,7 +2926,7 @@ mod tests {
             let s = &again.ilp_stats;
             match backend {
                 _ if (prep.closures.last())
-                    .is_some_and(|c| c.answers && prep.fits(&c.values, rate)) =>
+                    .is_some_and(|c| c.answers_at(prep.budget_rhs(rate))) =>
                 {
                     assert_eq!((s.nodes, s.simplex_iterations), (0, 0), "{s:?}")
                 }

@@ -32,9 +32,10 @@
 //!   solves every LP cold;
 //! * [`solve_closure_in`] — the closure relaxation: a problem's difference
 //!   rows `y_a − y_b ≥ 0` over binary variables, every other row dropped,
-//!   is a max-weight closure problem that one min-cut (Dinic, on scratch
-//!   kept in the workspace) solves exactly. It returns the source-minimal
-//!   cut and certifies it by its flow; a caller whose dropped rows hold
+//!   is a max-weight closure problem that one min-cut (a forward pass
+//!   along the infinite difference arcs, then Dinic's phases on what it
+//!   left, on scratch kept in the workspace) solves exactly. It returns
+//!   the source-minimal cut and certifies it by its flow; a caller whose dropped rows hold
 //!   under it has the ILP's optimum with no LP at all. [`row_floor_in`]
 //!   runs the same min-cut under one dropped row's coefficients: that
 //!   row's floor over the closure, with the flow on each difference row

@@ -41,6 +41,7 @@ use wishbone::dataflow::{
 };
 use wishbone::ilp::{
     solve_ilp, solve_ilp_in, IlpOptions, IlpStats, SimplexWorkspace, SolveError, SolverBackend,
+    VarId,
 };
 use wishbone::prelude::{profile, GraphBuilder, Platform, SourceTrace, Value};
 use wishbone_oracle::{
@@ -1245,6 +1246,114 @@ proptest! {
                 }
             }
             prop_assert_eq!(prep.encodes(), 1);
+        }
+    }
+}
+
+/// `two_ward_tree` with ward a unweighted: motes-a's radio and gw-a's
+/// uplink carry a zero `beta` (every CPU `alpha` is zero already), so
+/// ward a's count moves budget rows and no objective coefficient.
+fn unweighted_ward_tree(gw_cpu: f64, uplink_a: f64, count_a: usize) -> Deployment {
+    let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());
+    let link = |beta: f64, net_budget: f64| LinkSpec { beta, net_budget };
+    let mut dep = Deployment::new(Site::server("server", &Platform::server()));
+    let root = dep.root();
+    let gw_a = dep.attach(
+        root,
+        Site::new("gw-a", &phone).with_cpu_budget(gw_cpu),
+        link(0.0, uplink_a),
+    );
+    let gw_b = dep.attach(root, Site::new("gw-b", &phone), link(1.0, 1e9));
+    let motes_a = Site::new("motes-a", &mote).with_count(count_a);
+    dep.attach(gw_a, motes_a, link(0.0, 1e9));
+    dep.attach(gw_b, Site::new("motes-b", &mote), link(1.0, 1e9));
+    dep
+}
+
+/// The closure ceiling of a fresh instance: the highest rate at which
+/// the closure optimum `y` of its unit-rate problem holds every budget
+/// row, the least `(b + shift) / (a·y + shift)` over rows `a·y ≤ b`;
+/// `None` without a certified closure or a budget it loads.
+fn closure_ceiling(prep: &PreparedDeployment) -> Option<f64> {
+    let y = closure_of(prep)?;
+    let (p, ep) = (prep.problem(), prep.encoded());
+    let cpu = ep.cpu_rows.iter().flatten().map(|r| (r.row, r.shift));
+    let rows = cpu.chain(ep.net_rows.iter().flatten().map(|&r| (r, 0.0)));
+    let ceiling = rows
+        .filter_map(|(row, shift)| {
+            let c = p.constraint(row);
+            let load: f64 = c.terms.iter().map(|&(v, a)| a * y[v.0]).sum::<f64>() + shift;
+            (load > 0.0).then(|| (c.rhs + shift) / load)
+        })
+        .fold(f64::INFINITY, f64::min);
+    ceiling.is_finite().then_some(ceiling)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A delta the objective does not see leaves a kept closure valid but
+    /// not its budget rows' activities. Ward a is unweighted, so raising
+    /// its count leaves every objective coefficient as it was, bit for
+    /// bit, and the instance finds the closure it kept for them; but the
+    /// delta scales gw-a's CPU and uplink rows by 2–4×. Asked again at
+    /// the rate where that closure answered before the delta (0.6–1× its
+    /// ceiling), the instance answers like a freshly prepared one (verdict
+    /// and objective), and every budget holds.
+    #[test]
+    fn a_delta_the_objective_does_not_see_rereads_the_budget_rows(
+        stages in 2usize..5,
+        costs in prop::collection::vec(100u64..4000, 4),
+        keeps in prop::collection::vec(1usize..5, 4),
+        gw_cpu in 0.01f64..0.5,
+        uplink in 50.0f64..5000.0,
+        counts in (1usize..3, 2usize..5),
+        scale in 0.6f64..1.0,
+    ) {
+        let (g, src) = random_app(stages, &costs, &keeps);
+        let trace = SourceTrace {
+            source: src,
+            elements: (0..10).map(|i| Value::VecI16(vec![i as i16; 128])).collect(),
+            rate_hz: 20.0,
+        };
+        let Ok(prof) = profile(&g, &[trace]) else { return Ok(()) };
+        let (before, factor) = counts;
+        let dep = unweighted_ward_tree(gw_cpu, uplink, before);
+        let cfg = DeploymentConfig::default();
+        let Ok(mut prep) = PreparedDeployment::new(&g, &prof, &dep, &cfg) else { return Ok(()) };
+        let Some(ceiling) = closure_ceiling(&prep) else { return Ok(()) };
+        let rate = ceiling * scale;
+        let objective_bits = |p: &PreparedDeployment| -> Vec<u64> {
+            let p = p.problem();
+            (0..p.num_vars()).map(|j| p.objective_coeff(VarId(j)).to_bits()).collect()
+        };
+        let unit_objective = objective_bits(&prep);
+        let kept = prep.solve_at(rate).expect("the closure answers below its ceiling");
+        assert_budgets_hold(&dep, &kept)?;
+
+        let after = before * factor;
+        prep.apply_delta(&[DeploymentDelta::SetLeafCount { leaf: SiteId(3), count: after }]);
+        let mut fresh = PreparedDeployment::new(&g, &prof, prep.deployment(), &cfg)
+            .expect("same graph prepared once already");
+        prop_assert_eq!(
+            &unit_objective,
+            &objective_bits(&fresh),
+            "ward a's count must not move the objective"
+        );
+        match (prep.solve_at(rate), fresh.solve_at(rate)) {
+            (Ok(a), Ok(b)) => {
+                prop_assert!(
+                    (a.objective - b.objective).abs() <= 1e-9 * b.objective.abs(),
+                    "x{}: {} vs fresh {}", rate, a.objective, b.objective
+                );
+                assert_budgets_hold(prep.deployment(), &a)?;
+            }
+            (Err(PartitionError::Infeasible), Err(PartitionError::Infeasible)) => {}
+            (a, b) => prop_assert!(
+                false,
+                "x{} after {} → {} motes: {:?} vs fresh {:?}",
+                rate, before, after, a.map(|p| p.objective), b.map(|p| p.objective)
+            ),
         }
     }
 }

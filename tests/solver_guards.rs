@@ -11,6 +11,9 @@
 //!   the dense tableau; replayed with every probe solved, ≥ 80 % of
 //!   its feasible root LPs enter warm, in ≤ 1,000 iterations and ≤ 2
 //!   factorizations all told;
+//! * the closure min-cut of the 22-channel chain and of the tight forest
+//!   needs at most one Dinic phase after its forward pass (six without
+//!   it);
 //! * both backends reach the same optimum on every instance that
 //!   compares them, warm equals cold, a delta equals a cold rebuild, and
 //!   the prepared rate search, the near-cliff certificate (and, on the
@@ -27,7 +30,8 @@ use closure::closure_of;
 use wishbone::core::{build_tiered_graph, preprocess_tiered, TierObjective};
 use wishbone::ilp::instances::chain_ilp;
 use wishbone::ilp::{
-    solve_ilp_in, solve_lp_in, IlpOptions, IlpStats, Problem, SimplexWorkspace, SolverBackend,
+    solve_closure_in, solve_ilp_in, solve_lp_in, IlpOptions, IlpStats, Problem, SimplexWorkspace,
+    SolverBackend, VarId,
 };
 use wishbone::prelude::*;
 use wishbone_oracle::{
@@ -713,4 +717,44 @@ fn the_22ch_chain_root_lp_is_dual_first_in_1299_iterations() {
         "the 22ch chain root LP took {} factorizations, budget 2",
         ws.refactorizations()
     );
+}
+
+/// The closure min-cut's forward pass pushes along the infinite
+/// difference arcs before Dinic builds a level graph, and leaves at most
+/// one phase to finish the 22-channel chain's closure and the tight
+/// forest's (six each without the pass; sink levels 1, 2, 3, 4, 5, 8 on
+/// the forest). A count, so it runs in debug builds too.
+#[test]
+fn the_closure_forward_pass_leaves_at_most_one_phase() {
+    let (graph, prof) = eeg_app(22);
+    let chain = Deployment::chain(&three_tiers());
+    let (forest_graph, forest_prof, forest) = tight_forest();
+    let cfg = DeploymentConfig::default();
+    for (name, prep) in [
+        (
+            "22ch chain",
+            PreparedDeployment::new(&graph, &prof, &chain, &cfg),
+        ),
+        (
+            "tight forest",
+            PreparedDeployment::new(&forest_graph, &forest_prof, &forest, &cfg),
+        ),
+    ] {
+        let prep = prep.expect("pins ok");
+        let p = prep.problem();
+        let cost: Vec<f64> = (0..p.num_vars())
+            .map(|j| p.objective_coeff(VarId(j)))
+            .collect();
+        let (mut ws, mut values) = (SimplexWorkspace::new(), Vec::new());
+        let cut = solve_closure_in(p, &cost, &mut ws, &mut values).expect("a certified closure");
+        println!(
+            "{name} closure: {} phases after the forward pass",
+            cut.phases
+        );
+        assert!(
+            cut.phases <= 1,
+            "the {name}'s closure took {} phases after the forward pass, budget 1",
+            cut.phases
+        );
+    }
 }

@@ -243,7 +243,7 @@ const CONFINE: [Confine; 23] = [
     },
     Confine {
         rule: "one-probe-path", scope: &[CORE_SRC],
-        needles: &[Text(".fits(")],
+        needles: &[Text(".answers_at(")],
         homes: &[Home::Fn(PER_SOLVE_PATH, "closure_answers")],
         why: "`{}` outside `PreparedDeployment::closure_answers` — a placement answers without \
               branch-and-bound only as the closure optimum (the one check that `search` and \
@@ -2074,7 +2074,7 @@ mod tests {
         assert_repo_clean("one-lp-switch");
     }
 
-    /// `.fits(` is at home only in the one closure check,
+    /// `.answers_at(` is at home only in the one closure check,
     /// `closure_answers`, so a copy in `settle_or_search` (line 3) or
     /// `probe` (line 9) fires; a `.refuted_at(` fires anywhere but
     /// `settle_or_search`, `closure_answers` included (line 17); so does
@@ -2085,27 +2085,27 @@ mod tests {
         let source = "\
 impl PreparedDeployment {
     fn settle_or_search(&mut self, rate: f64) -> Result<(), PartitionError> {
-        let kept = self.last.as_ref().is_some_and(|l| self.fits(&l.values, rate)); // line 3
+        let kept = self.closures.last().is_some_and(|c| c.answers_at(self.budget_rhs(rate))); // line 3
         if self.refuted_at(rate) {}
         let floor = row_floor_in(&self.ep.problem, row, ws);
     }
     fn probe(&mut self, rate: f64) -> Result<(), PartitionError> {
-        match &self.last {
-            Some(last) if self.fits(&last.values, rate) => Ok(()), // line 9
+        match self.closures.last() {
+            Some(c) if c.answers_at(self.budget_rhs(rate)) => Ok(()), // line 9
             _ if self.refuted_at(rate) => Err(PartitionError::Infeasible), // line 10
-            // a self.fits( in a comment, and \".refuted_at(\" in a string
+            // a c.answers_at( in a comment, and \".refuted_at(\" in a string
             _ => self.search(rate, None),
         }
     }
     fn closure_answers(&mut self, rate: f64, arena: Option<&mut SimplexWorkspace>) -> bool {
-        if self.fits(&self.closures[0].values, rate) {}
+        if self.closures[0].answers_at(self.budget_rhs(rate)) {}
         if self.refuted_at(rate) {} // line 17
         let floor = row_floor_in(&self.ep.problem, row, ws); // line 18
     }
 }
 #[cfg(test)]
 mod tests {
-    fn reference(prep: &PreparedDeployment) -> bool { prep.fits(&[], 1.0) }
+    fn reference(c: &Closure) -> bool { c.answers_at(std::iter::empty()) }
 }
 ";
         let file = "crates/core/src/topology.rs";
