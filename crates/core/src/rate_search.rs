@@ -19,11 +19,12 @@
 //! a search's first step answers most probes by itself: the closure
 //! relaxation's optimum, one min-cut per objective and kept across rates,
 //! is the answer at every rate where it fits every budget row. Just past
-//! the cliff, the first refutation is often one more min-cut: a budget
-//! row the closure breaks whose floor over the closure is above its
-//! budget. Otherwise it is the root LP's, when branch-and-bound's sparse
-//! dual simplex refutes it. Only the fleet's `solve_at_in` never takes
-//! the kept refutation and never tries a floor.
+//! the cliff, a refutation is one more min-cut: a budget row the closure
+//! breaks whose floor over the closure is above its budget. That floor
+//! is the only refutation there is, so which probes are refuted does not
+//! depend on the simplex backend; a probe no floor refutes is searched.
+//! Only the fleet's `solve_at_in` never takes the kept refutation and
+//! never tries a floor.
 
 use crate::topology::{check_rate, PartitionError};
 
@@ -297,11 +298,11 @@ mod tests {
     fn backends_agree_on_the_rate_search() {
         // The §4.3 search must land on the same rate whichever simplex
         // backend runs the probes, and its counters must show that backend
-        // ran: only the sparse method factorizes a basis, re-enters warm
-        // or refutes a root LP. The closure answers the found rate here, so
-        // its problem is searched again directly, on the same backend.
-        // A floor over the closure refutes on either backend, so every
-        // probe the tableau's search refutes, the sparse one's does too.
+        // ran: only the sparse method factorizes a basis or re-enters
+        // warm. The closure answers the found rate here, so its problem is
+        // searched again directly, on the same backend. A floor over the
+        // closure is min-cuts alone, so both searches refute the same
+        // probes.
         let (g, prof) = profiled();
         let dep = two_site(&Platform::tmote_sky());
         let (mut rates, mut refuted) = (Vec::new(), Vec::new());
@@ -327,7 +328,6 @@ mod tests {
             match backend {
                 SolverBackend::Dense => {
                     assert_eq!((stats.refactorizations, stats.warm_starts), (0, 0));
-                    assert_eq!(stats.refutation, None);
                 }
                 SolverBackend::Sparse => assert!(stats.refactorizations > 0, "{stats:?}"),
             }
@@ -335,12 +335,7 @@ mod tests {
             refuted.push(r.refuted);
         }
         assert!(!refuted[0].is_empty(), "a floor refutes past the cliff");
-        assert!(
-            refuted[0].iter().all(|rate| refuted[1].contains(rate)),
-            "dense {:?} vs sparse {:?}",
-            refuted[0],
-            refuted[1]
-        );
+        assert_eq!(refuted[0], refuted[1], "dense vs sparse");
         assert!(
             (rates[0] - rates[1]).abs() <= 0.02 * rates[0],
             "dense rate {} vs sparse rate {}",

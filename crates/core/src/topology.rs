@@ -35,7 +35,7 @@
 //! [`max_sustainable_rate_deployment`] runs §4.3 on top of it, answering a
 //! probe from the closure relaxation's optimum while that fits, and
 //! `Infeasible` from the kept refutation while that still refutes — a
-//! budget row's floor over the closure, or a root LP's Farkas row.
+//! budget row's floor over the closure.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -1030,9 +1030,10 @@ fn seed_values(
 /// fits; else, for each budget row the closure optimum breaks, that row's
 /// floor over the closure ([`row_floor_in`], one more min-cut), which
 /// refutes the rate with no search where it is above the row's budget
-/// and is then kept; else branch-and-bound, whose root LP refutation, if
-/// any, is kept. [`reset_warm_start`](Self::reset_warm_start) drops all
-/// three.
+/// and is then kept; else branch-and-bound. A floor is the only
+/// refutation kept, and this step the only one that makes it, so every
+/// rate it refutes is one it refutes on either simplex backend.
+/// [`reset_warm_start`](Self::reset_warm_start) drops all three.
 /// [`apply_delta`](Self::apply_delta) drops the refutation, a proof about
 /// the rows it was made on, and each kept closure's budget-row
 /// activities, which it rewrites (the closures stay: a delta that leaves
@@ -1091,8 +1092,7 @@ pub struct PreparedDeployment<'a> {
     closures: Vec<Closure>,
     last: Option<Placement>,
     /// The last refutation the settle-or-search step made: a budget row's
-    /// floor over the closure ([`row_floor_in`]), or a root LP's
-    /// ([`IlpStats::refutation`]).
+    /// floor over the closure ([`row_floor_in`]).
     refutation: Option<Refutation>,
     /// Wall-clock cost of the one-time build: encoding, plus pricing and
     /// the §4.1 merge for each leaf the memo did not hold.
@@ -1576,7 +1576,7 @@ impl<'a> PreparedDeployment<'a> {
     /// One branch-and-bound run on the retargeted problem in `arena` (the
     /// instance's own workspace when `None`), one search: warm at the root
     /// when the workspace retains a basis of this instance's current
-    /// matrix, and its root refutation, if any, is kept.
+    /// matrix.
     fn branch_and_bound(
         &mut self,
         rate: f64,
@@ -1598,10 +1598,7 @@ impl<'a> PreparedDeployment<'a> {
             seed_values(hierarchy, &chains, obj, ep, rate)
         };
         let ws = arena.unwrap_or_else(|| self.workspace.get_or_insert_with(Box::default));
-        let (result, mut stats) = solve_ilp_seeded_in(&ep.problem, &opts, ws, seed);
-        if let Some(refutation) = stats.refutation.take() {
-            self.refutation = Some(refutation);
-        }
+        let (result, stats) = solve_ilp_seeded_in(&ep.problem, &opts, ws, seed);
         let offset = self.ep.objective_offset * rate;
         let sol = match result {
             Ok(s) => s,
@@ -1859,9 +1856,9 @@ pub struct DeploymentRateResult {
     /// Probes of the §4.3 schedule.
     pub evaluations: u32,
     /// The probed rates a [`Refutation`] answered `Infeasible` with no
-    /// search, in probe order: a budget row's floor over the closure, on
-    /// either backend, or a root LP's, which only the sparse backend
-    /// reports. Every other probe was searched.
+    /// search, in probe order: a budget row's floor over the closure, made
+    /// by min-cuts alone, so the list is the same on either simplex
+    /// backend. Every other probe was searched.
     pub refuted: Vec<f64>,
     /// Encodings performed — always 1 (probes rescale in place).
     pub encodes: u32,
@@ -2373,7 +2370,8 @@ mod tests {
 
     /// The benchmark of record's two-ward 4-channel EEG forest: four caps
     /// per ward on their own CPU budget, ward-a's backhaul starved to
-    /// 500 B/s. Its cliff is one the root LP refutes, not presolve.
+    /// 500 B/s. Presolve does not refute past its cliff; a budget row's
+    /// floor over the closure does.
     fn eeg_forest() -> (Graph, GraphProfile, Deployment) {
         let (graph, prof) = eeg_app(4);
         let (mote, phone) = (Platform::tmote_sky(), Platform::iphone());

@@ -28,17 +28,18 @@
 //!   and a limit-hit return carries a meaningful [`IlpStats::final_gap`].
 //!
 //! An incumbent comes from one of two places and no other: a caller's
-//! seed, adopted when it checks out feasible, and a node LP whose optimum
-//! is integral. A seed is either eager — [`IlpOptions::warm_solution`],
-//! adopted before the first node — or asked for on demand
-//! ([`solve_ilp_seeded_in`]) only once the search is stuck: it has solved
-//! a fixed small number of node LPs (three) and holds no incumbent, or
-//! its budget ran out before it held one. A search whose plunge reaches
-//! an integral node LP by then never asks, which is every fleet-sized
-//! search: computing a seed costs more than the node it would save.
-//! There is no rounding or repair heuristic inside the search, so a run
-//! that is given no seed holds no integer point until its plunge reaches
-//! one.
+//! seed and a node LP whose optimum is integral, each adopted only if,
+//! its integer entries rounded, it holds every row (a node whose rounding
+//! breaks one branches again). A seed is either eager —
+//! [`IlpOptions::warm_solution`], adopted before the first node — or
+//! asked for on demand ([`solve_ilp_seeded_in`]) only once the search is
+//! stuck: it has solved a fixed small number of node LPs (three) and
+//! holds no incumbent, or its budget ran out before it held one. A
+//! search whose plunge reaches an integral node LP by then never asks,
+//! which is every fleet-sized search: computing a seed costs more than
+//! the node it would save. There is no rounding or repair heuristic
+//! inside the search, so a run that is given no seed holds no integer
+//! point until its plunge reaches one.
 //!
 //! A search's fixed cost is kept to its pivots: the root bound vectors
 //! and every child's are taken from spares the [`SimplexWorkspace`]
@@ -51,12 +52,15 @@ use std::time::{Duration, Instant};
 
 use crate::presolve::{presolve, quick_infeasible, PresolveOutcome};
 use crate::problem::{Problem, SolveError};
-use crate::refutation::Refutation;
 use crate::simplex::{default_iteration_limit, solve_lp_in};
 use crate::workspace::{SimplexWorkspace, SolverBackend};
 
 /// Tolerance for deciding a relaxation value is integral.
 const INT_TOL: f64 = 1e-6;
+
+/// Row tolerance of the one rule that adopts an incumbent, a seed or an
+/// integral node LP's point, once its integer entries are rounded.
+const ROW_TOL: f64 = 1e-6;
 
 /// Node LPs a search solves with no incumbent before it asks for the
 /// on-demand seed of [`solve_ilp_seeded_in`]: a search still holding none
@@ -189,18 +193,6 @@ pub struct IlpStats {
     /// bounded the tree, or when infeasibility was proved outright. For a
     /// run proved with `rel_gap == 0` this equals the incumbent objective.
     pub best_bound: Option<f64>,
-    /// When the sparse dual simplex refuted the root LP: its refutation,
-    /// a combination of the problem's rows that no point of the
-    /// problem's own (un-presolved) variable box satisfies, kept only
-    /// when it clears that box by the search's row tolerance. It refutes
-    /// every right-hand side it still clears ([`Refutation::refutes`]),
-    /// so a caller that moves nothing but right-hand sides — a rate
-    /// search — can answer later problems with it. `None` on every other
-    /// search: a feasible one, one that presolve or a node below the root
-    /// refuted, and any on the reference tableau. (A caller can also
-    /// build one with no search at all, from a side row's floor over the
-    /// closure relaxation: [`row_floor_in`](crate::row_floor_in).)
-    pub refutation: Option<Refutation>,
     /// True if a seed — [`IlpOptions::warm_solution`] or one asked for on
     /// demand ([`solve_ilp_seeded_in`]) — checked out feasible and was
     /// adopted as an incumbent.
@@ -420,9 +412,6 @@ pub fn solve_ilp_seeded_in(
         let lp = match lp {
             Ok(lp) => lp,
             Err(SolveError::Infeasible) => {
-                if stats.nodes == 1 {
-                    stats.refutation = ws.refutation(problem);
-                }
                 give_bounds(&mut spare, node);
                 continue;
             }
@@ -449,39 +438,46 @@ pub fn solve_ilp_seeded_in(
             }
         }
 
-        match pick_branch_var(problem, &lp.values) {
+        // An integral point is rounded and, like a seed, kept only if it
+        // holds every row; else the node branches on the variable the
+        // rounding moved furthest, or is dropped if none can be split.
+        // Even an unmoved point is checked: an LP point can break a row
+        // of ~1e3 by more than 1e-6 within its own 1e-9 tolerances.
+        let branch = match pick_branch_var(problem, &lp.values) {
+            Some(j) => Some((j, lp.values[j])),
             None => {
-                give_bounds(&mut spare, node);
-                // Integer feasible: round off the residual fuzz.
                 let mut vals = lp.values;
-                for (j, v) in vals.iter_mut().enumerate() {
-                    if problem.integer[j] {
-                        *v = v.round();
+                let furthest = round_integers(problem, &mut vals, &node.lower, &node.upper);
+                if problem.is_feasible(&vals, ROW_TOL) {
+                    let obj = problem.objective_value(&vals);
+                    let improves = incumbent
+                        .as_ref()
+                        .is_none_or(|(best, _)| obj < best - 1e-12);
+                    if improves {
+                        stats.incumbents.push((start.elapsed(), stats.nodes, obj));
+                        incumbent = Some((obj, vals));
+                        // A better incumbent retires every open node above
+                        // the new cutoff; dropping them eagerly keeps the
+                        // best-first heap's memory proportional to the
+                        // nodes that can still matter.
+                        let cutoff = obj - gap_slack(obj, opts.rel_gap);
+                        heap.retain(|n| {
+                            let open = n.parent_bound < cutoff;
+                            if !open {
+                                note_gap_pruned(&mut gap_pruned, n.parent_bound, obj);
+                            }
+                            open
+                        });
                     }
-                }
-                let obj = problem.objective_value(&vals);
-                let improves = incumbent
-                    .as_ref()
-                    .is_none_or(|(best, _)| obj < best - 1e-12);
-                if improves {
-                    stats.incumbents.push((start.elapsed(), stats.nodes, obj));
-                    incumbent = Some((obj, vals));
-                    // A better incumbent retires every open node above
-                    // the new cutoff; dropping them eagerly keeps the
-                    // best-first heap's memory proportional to the nodes
-                    // that can still matter.
-                    let cutoff = obj - gap_slack(obj, opts.rel_gap);
-                    heap.retain(|n| {
-                        let open = n.parent_bound < cutoff;
-                        if !open {
-                            note_gap_pruned(&mut gap_pruned, n.parent_bound, obj);
-                        }
-                        open
-                    });
+                    None
+                } else {
+                    furthest
                 }
             }
-            Some(j) => {
-                let x = lp.values[j];
+        };
+        match branch {
+            None => give_bounds(&mut spare, node),
+            Some((j, x)) => {
                 let floor = x.floor();
                 let ceil = x.ceil();
                 // Down child: x_j <= floor; Up child: x_j >= ceil.
@@ -619,12 +615,8 @@ fn adopt_seed(
     let adopted = seed()
         .filter(|vals| vals.len() == problem.num_vars())
         .and_then(|mut vals| {
-            for (j, v) in vals.iter_mut().enumerate() {
-                if problem.integer[j] {
-                    *v = v.round();
-                }
-            }
-            problem.is_feasible(&vals, 1e-6).then(|| {
+            round_integers(problem, &mut vals, &problem.lower, &problem.upper);
+            problem.is_feasible(&vals, ROW_TOL).then(|| {
                 let obj = problem.objective_value(&vals);
                 stats.incumbents.push((start.elapsed(), stats.nodes, obj));
                 stats.seeded = true;
@@ -672,6 +664,32 @@ fn note_gap_pruned(gap_pruned: &mut f64, bound: f64, incumbent: f64) {
     if bound < incumbent - PRUNE_TOL {
         *gap_pruned = gap_pruned.min(bound);
     }
+}
+
+/// Round `x`'s integer entries in place. Returns the one that moved
+/// furthest, with its value before rounding, among those a branch can
+/// split: `[lower, upper]` holds both integers around it (so never a
+/// fixed one).
+fn round_integers(
+    problem: &Problem,
+    x: &mut [f64],
+    lower: &[f64],
+    upper: &[f64],
+) -> Option<(usize, f64)> {
+    let mut furthest: Option<(usize, f64, f64)> = None; // (j, x_j, moved)
+    for (j, v) in x.iter_mut().enumerate() {
+        if !problem.integer[j] {
+            continue;
+        }
+        let (value, rounded) = (*v, v.round());
+        let moved = (value - rounded).abs();
+        let splits = lower[j] <= value.floor() && value.ceil() <= upper[j];
+        if moved > 0.0 && splits && furthest.is_none_or(|(_, _, m)| moved > m) {
+            furthest = Some((j, value, moved));
+        }
+        *v = rounded;
+    }
+    furthest.map(|(j, value, _)| (j, value))
 }
 
 /// The integer variable whose relaxation value sits closest to a half
@@ -852,13 +870,6 @@ mod tests {
             assert_eq!(stats.nodes, 1, "the root LP, not presolve, refutes it");
             assert!(stats.proved);
             assert!(!stats.timed_out);
-            // The dual simplex's row refutes the cap 1.4 and, being a
-            // proof, no cap from 1.5 on (x = y = z = ½ fits there).
-            let refutation = stats.refutation.expect("the sparse dual refuted the root");
-            let cap = |b: f64| move |row: usize| if row == 3 { b } else { 1.0 };
-            assert!(refutation.refutes(cap(1.4)));
-            assert!(refutation.refutes(cap(1.0)));
-            assert!(!refutation.refutes(cap(1.5)));
         }
         let dense = IlpOptions {
             backend: SolverBackend::Dense,
@@ -866,7 +877,31 @@ mod tests {
         };
         let (result, stats) = solve_ilp_in(&p, &dense, &mut ws);
         assert_eq!(result, Err(SolveError::Infeasible));
-        assert_eq!(stats.refutation, None, "the reference tableau reports none");
+        assert_eq!(
+            stats.nodes, 1,
+            "the reference tableau refutes the root LP too"
+        );
+    }
+
+    #[test]
+    fn a_node_point_whose_rounding_breaks_a_row_is_no_incumbent() {
+        // min −10y s.t. 1700y ≤ 1699.9999983: presolve keeps y ≤ 1, the
+        // LP sits at y = 1 − 1e-9, within INT_TOL of 1, but y = 1 breaks
+        // the row by 1.7e-6, more than the 1e-6 a seed is held to.
+        let mut p = Problem::new();
+        let y = p.add_binary(-10.0);
+        p.add_constraint(&[(y, 1700.0)], Sense::Le, 1_699.999_998_3);
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            let opts = IlpOptions {
+                backend,
+                ..Default::default()
+            };
+            let (s, stats) = solved(&p, &opts);
+            assert_eq!(s.values, [0.0], "{backend:?}");
+            assert_eq!(s.objective, 0.0, "{backend:?}");
+            assert!(p.is_feasible(&s.values, 1e-6));
+            assert!(stats.proved, "{backend:?}");
+        }
     }
 
     /// Two implication chains `a_{i+1} ≥ a_i + 1`, `b_{i+1} ≥ b_i + 1`

@@ -279,7 +279,7 @@ pub fn row_floor_in(
         w.cursor[a] += 1;
         Some((i, -w.arcs[reverse].cap))
     });
-    Some(Refutation::combine(problem, multipliers, 1.0))
+    Some(Refutation::combine(problem, multipliers))
 }
 
 /// The forward pass's node marks in `level`: a node is unvisited until a

@@ -40,24 +40,24 @@
 //!   runs the same min-cut under one dropped row's coefficients: that
 //!   row's floor over the closure, with the flow on each difference row
 //!   as its multiplier in a [`Refutation`], which proves the problem
-//!   infeasible wherever the floor is above the row's right-hand side;
-//! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes
-//!   implied-integral variables) before a single simplex iteration runs;
-//! * a root LP that the sparse dual simplex refutes leaves a checked
-//!   [`Refutation`] in [`IlpStats::refutation`] too: a row combination that
+//!   infeasible wherever the floor is above the row's right-hand side.
+//!   It is the crate's one refutation: a checked row combination that
 //!   keeps refuting every right-hand side it still clears, so a caller
 //!   that only moves right-hand sides needs no further solve to say so;
+//! * [`presolve`](mod@presolve) — bound propagation that proves infeasibility (or fixes
+//!   implied-integral variables) before a single simplex iteration runs;
 //! * best-first node selection with a depth-first plunge on the most
 //!   fractional variable, so the reported optimality gap tightens
 //!   monotonically and limit-hit returns carry a meaningful bound. An
 //!   incumbent is the caller's seed — [`IlpOptions::warm_solution`], or
 //!   one [`solve_ilp_seeded_in`] asks for only once the search is stuck
 //!   (a few node LPs with no incumbent, or its budget spent) — or an
-//!   integral node LP; the search rounds and repairs nothing. Every cold
-//!   LP starts from a diagonal ±1 slack basis, which is factored
-//!   directly in `O(m)`, and a search in a reused workspace takes its
-//!   node bound vectors from the workspace, so a small search's fixed
-//!   cost is its pivots.
+//!   integral node LP. Either is adopted by one rule: its integer entries
+//!   rounded, it must hold every row to within 1e-6; the search repairs
+//!   nothing. Every cold LP starts from a diagonal ±1 slack basis, which
+//!   is factored directly in `O(m)`, and a search in a reused workspace
+//!   takes its node bound vectors from the workspace, so a small
+//!   search's fixed cost is its pivots.
 //!
 //! ```
 //! use wishbone_ilp::{solve_ilp, IlpOptions, Problem, Sense};

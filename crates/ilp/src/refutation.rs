@@ -1,31 +1,32 @@
 //! Infeasibility proofs that outlive a right-hand side.
 //!
-//! When the sparse dual simplex refutes an LP, the row it could not
-//! repair is a Farkas certificate: `ρ = B⁻ᵀe_r` combines the constraints
-//! into one inequality that no point of the variables' box satisfies.
-//! Only that inequality's right-hand side reads `b`, so the same
-//! combination refutes every right-hand side under which it stays below
-//! the box minimum of its left-hand side. A caller that moves nothing but
-//! right-hand sides — a rate search, whose budgets only tighten as the
-//! rate grows — reads a verdict off it without a solve.
+//! A nonnegative combination of a problem's rows whose left-hand side
+//! stays above its right-hand side over the whole variable box proves
+//! the problem infeasible. Only the combined right-hand side reads `b`,
+//! so the same combination refutes every right-hand side under which it
+//! stays below the box minimum of its left-hand side. A caller that
+//! moves nothing but right-hand sides — a rate search, whose budgets
+//! only tighten as the rate grows — reads a verdict off it without a
+//! solve.
 //!
-//! Two sources build one: the dual simplex's row above, and a side row's
-//! floor over the closure relaxation ([`row_floor_in`](crate::row_floor_in)),
-//! which is the row itself plus each difference row weighted by the max
-//! flow it carries in the min-cut that minimises the row's left-hand side.
-//! That combination's box minimum is the floor, so where the floor is
-//! above the row's right-hand side, every placement breaks the row.
+//! One source builds one: a side row's floor over the closure relaxation
+//! ([`row_floor_in`](crate::row_floor_in)), which is the row itself plus
+//! each difference row weighted by the max flow it carries in the
+//! min-cut that minimises the row's left-hand side. That combination's
+//! box minimum is the floor, so where the floor is above the row's
+//! right-hand side, every placement breaks the row.
 //!
 //! The certificate is checked, not trusted: [`Refutation::refutes`] is
 //! plain arithmetic over the problem's own rows and bounds, so a
-//! multiplier vector the dual simplex or a max flow got slightly wrong can
-//! only fail to refute, never refute a feasible problem.
+//! multiplier vector a max flow got slightly wrong can only fail to
+//! refute, never refute a feasible problem.
 
 use crate::num::is_exact_zero;
 use crate::problem::{Problem, Sense};
 
 /// The loosest row tolerance under which the search accepts a point (a
-/// seed is adopted when `Problem::is_feasible(_, 1e-6)`). A refutation
+/// seed or a rounded node point is adopted when
+/// `Problem::is_feasible(_, 1e-6)`). A refutation
 /// must clear the box minimum by this much per unit of multiplier, so no
 /// point it refutes could pass that check either.
 const MARGIN: f64 = 1e-6;
@@ -50,39 +51,25 @@ pub struct Refutation {
 }
 
 impl Refutation {
-    /// The combination `sign · ρ` of `problem`'s rows, `ρ` given sparse
-    /// as `(row, ρᵢ)`, when it refutes `problem` as it stands. A
+    /// The combination `Σ ρᵢ·(row i)` of `problem`'s rows, `ρ` given
+    /// sparse as `(row, ρᵢ)`, whether or not it refutes anything. A
     /// multiplier of the wrong sign for its row's sense (roundoff) is
     /// dropped: any nonnegative combination is valid, so this only costs
     /// strength. The box is the problem's own, never a presolved or
     /// branched one, so the proof holds for every point the caller could
     /// hand the search.
-    pub(crate) fn from_row(
-        problem: &Problem,
-        rho: impl Iterator<Item = (usize, f64)>,
-        sign: f64,
-    ) -> Option<Refutation> {
-        let refutation = Refutation::combine(problem, rho, sign);
-        refutation
-            .refutes(|i| problem.constraint(i).rhs)
-            .then_some(refutation)
-    }
-
-    /// The combination [`from_row`](Self::from_row) builds, whether or not
-    /// it refutes anything.
     pub(crate) fn combine(
         problem: &Problem,
         rho: impl Iterator<Item = (usize, f64)>,
-        sign: f64,
     ) -> Refutation {
         let mut rows = Vec::new();
         let mut combined = vec![0.0f64; problem.num_vars()];
         for (i, r) in rho {
             let row = problem.constraint(i);
             let w = match row.sense {
-                Sense::Le => (sign * r).max(0.0),
-                Sense::Ge => (sign * r).min(0.0),
-                Sense::Eq => sign * r,
+                Sense::Le => r.max(0.0),
+                Sense::Ge => r.min(0.0),
+                Sense::Eq => r,
             };
             if is_exact_zero(w) {
                 continue;
@@ -151,8 +138,7 @@ mod tests {
     #[test]
     fn a_row_combination_refutes_exactly_the_right_hand_sides_it_clears() {
         let p = contradiction();
-        let r = Refutation::from_row(&p, [(0, 1.0), (1, -1.0)].into_iter(), 1.0)
-            .expect("0 ≤ −1 refutes");
+        let r = Refutation::combine(&p, [(0, 1.0), (1, -1.0)].into_iter());
         assert_eq!(r.rows(), &[(0, 1.0), (1, -1.0)]);
         assert!(r.box_min().abs() < 1e-15);
         // Σ w·b = b₀ − b₁ must stay below −2e-6 (the margin over Σ|w| = 2).
@@ -168,14 +154,15 @@ mod tests {
         let p = contradiction();
         // `−1` on the `≤` row is not a valid multiplier: dropped, the `≥`
         // row alone (`−x − y ≤ −2`) is refuted by nothing in the box.
-        assert_eq!(
-            Refutation::from_row(&p, [(0, -1.0), (1, -1.0)].into_iter(), 1.0),
-            None
-        );
+        let r = Refutation::combine(&p, [(0, -1.0), (1, -1.0)].into_iter());
+        assert_eq!(r.rows(), &[(1, -1.0)]);
+        assert!(!r.refutes(|i| p.constraint(i).rhs));
         // `−x ≤ −1` has no minimum over `x ∈ [0, ∞)`.
         let mut q = Problem::new();
         let x = q.add_var(0.0, f64::INFINITY, 0.0, false);
         q.add_constraint(&[(x, 1.0)], Sense::Ge, 1.0);
-        assert_eq!(Refutation::from_row(&q, [(0, 1.0)].into_iter(), -1.0), None);
+        let r = Refutation::combine(&q, [(0, -1.0)].into_iter());
+        assert_eq!(r.box_min(), f64::NEG_INFINITY);
+        assert!(!r.refutes(|i| q.constraint(i).rhs));
     }
 }

@@ -110,7 +110,6 @@ use std::collections::BinaryHeap;
 use crate::lu::LuFactors;
 use crate::num::is_exact_zero;
 use crate::problem::{LpSolution, Problem, Sense, SolveError};
-use crate::refutation::Refutation;
 use crate::simplex::{DualOutcome, WarmOutcome, DEGENERATE_LIMIT, DUAL_FEAS_TOL, EPS, PIVOT_TOL};
 use crate::sparse::{CscMatrix, CsrMatrix};
 use crate::workspace::{refill, SimplexWorkspace, VarStatus};
@@ -200,11 +199,6 @@ pub(crate) struct SparseState {
     /// leave the basis (and hence the duals) untouched, so flip-heavy
     /// stretches price without a single BTRAN.
     duals_fresh: bool,
-    /// Set when a dual pass proves the LP infeasible: whether the basic
-    /// variable of the row it could not repair sat above its upper bound
-    /// (`true`) or below its lower. `rho` still holds that row, which
-    /// [`SimplexWorkspace::refutation`] reads; every LP solve clears it.
-    pub(crate) refuted: Option<bool>,
 }
 
 impl SparseState {
@@ -1138,7 +1132,6 @@ impl SimplexWorkspace {
                 return if dubious {
                     DualOutcome::GiveUp
                 } else {
-                    self.sparse.refuted = Some(above);
                     DualOutcome::Infeasible
                 };
             };
@@ -1194,26 +1187,6 @@ impl SimplexWorkspace {
                 }
             }
         }
-    }
-
-    /// The refutation the last LP solve ended on, when the sparse dual
-    /// simplex proved it infeasible (see [`Refutation`]), checked against
-    /// `problem` — the problem that solve was handed, over its own
-    /// bounds. The basic variable of the row it could not repair is
-    /// `x_r = ρᵀb − Σ α_j x_j`, every nonbasic column already at the
-    /// bound that moves `x_r` towards feasibility and the slack columns
-    /// (`α_j = ±ρᵢ`) among them: above its upper bound, `ρᵀAx ≥ ρᵀb`
-    /// holds at every feasible point and `−ρ` is the `≤` combination;
-    /// below its lower bound, `ρ` is.
-    pub(crate) fn refutation(&self, problem: &Problem) -> Option<Refutation> {
-        let sign = if self.sparse.refuted? { -1.0 } else { 1.0 };
-        let rho = &self.sparse.rho;
-        let row = self
-            .sparse
-            .rho_nnz
-            .iter()
-            .map(|&i| (i as usize, rho[i as usize]));
-        Refutation::from_row(problem, row, sign)
     }
 
     /// `‖A·x − b‖∞` over the full column space — the factorization-drift

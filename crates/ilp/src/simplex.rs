@@ -373,7 +373,6 @@ pub fn solve_lp_in(
     ws: &mut SimplexWorkspace,
     backend: SolverBackend,
 ) -> Result<LpSolution, SolveError> {
-    ws.sparse.refuted = None;
     for j in 0..problem.num_vars() {
         if lower[j] > upper[j] {
             return Err(SolveError::Infeasible);

@@ -1,7 +1,7 @@
 //! Property tests: the branch-and-bound solver must agree with exhaustive
-//! enumeration on random small binary programs, LP relaxations must
-//! lower-bound the integer optimum, and a root refutation must hold
-//! exactly where the reference solver finds no point.
+//! enumeration on random small binary programs and budgeted covers, on
+//! either simplex backend, and LP relaxations must lower-bound the
+//! integer optimum.
 
 use proptest::prelude::*;
 use wishbone_ilp::{
@@ -65,12 +65,11 @@ fn problem_strategy() -> impl Strategy<Value = Problem> {
 }
 
 /// Strategy: a budgeted cover over binaries — items worth at least a
-/// demand (a `≥` row) within a weight budget (row 0, a `≤` row: the
-/// budget row whose right-hand side moves) — plus `x_j ≥ x_{j+1}` rows
-/// between random neighbours, like the partitioner's cut rows. Half the
-/// problems get one more item, a heavy one worth more per unit weight
-/// than any other: presolve fixes it out at a tight budget, and only a
-/// looser one admits it.
+/// demand (a `≥` row) within a weight budget (a `≤` row) — plus
+/// `x_j ≥ x_{j+1}` rows between random neighbours, like the partitioner's
+/// cut rows. Half the problems get one more item, a heavy one worth more
+/// per unit weight than any other, which presolve fixes out at a tight
+/// budget.
 fn budgeted_cover() -> impl Strategy<Value = Problem> {
     (3usize..10)
         .prop_flat_map(|n| {
@@ -114,64 +113,25 @@ fn budgeted_cover() -> impl Strategy<Value = Problem> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1024))]
-
-    /// Whenever branch-and-bound reports a root refutation, it is a
-    /// proof: the reference tableau also says `Infeasible` (and reports
-    /// none itself), a tighter budget is still refuted, and no budget
-    /// relaxed step by step to where the reference finds a point is.
-    #[test]
-    fn a_root_refutation_refutes_only_what_the_reference_cannot_solve(p in budgeted_cover()) {
-        let (result, stats) = solve_ilp_in(&p, &IlpOptions::default(), &mut SimplexWorkspace::new());
-        let Some(refutation) = stats.refutation else {
-            return Ok(());
-        };
-        prop_assert_eq!(result.map(|s| s.objective), Err(SolveError::Infeasible));
-        let dense = IlpOptions { backend: SolverBackend::Dense, ..Default::default() };
-        let (reference, dense_stats) = solve_ilp_in(&p, &dense, &mut SimplexWorkspace::new());
-        prop_assert_eq!(reference.map(|s| s.objective), Err(SolveError::Infeasible));
-        prop_assert!(dense_stats.refutation.is_none());
-
-        let budget = p.constraint(0).rhs;
-        let q = &p;
-        let at = |b: f64| move |row: usize| if row == 0 { b } else { q.constraint(row).rhs };
-        for cut in [0.25, 1.0, 4.0] {
-            prop_assert!(refutation.refutes(at(budget - cut)), "budget {} - {}", budget, cut);
-        }
-        let all: f64 = p.constraint(0).terms.iter().map(|&(_, a)| a).sum();
-        let mut relaxed = p.clone();
-        let mut solved = false;
-        for k in 1..=20 {
-            let b = budget + (all - budget) * f64::from(k) / 16.0;
-            relaxed.set_rhs(0, b);
-            let feasible = solve_ilp(&relaxed, &dense).is_ok();
-            prop_assert!(
-                !(feasible && refutation.refutes(at(b))),
-                "refutes budget {} (from {}), where the reference finds a point", b, budget
-            );
-            solved |= feasible;
-        }
-        prop_assert!(solved, "every item fits the loosest budget");
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn bb_matches_brute_force(p in problem_strategy()) {
+    fn bb_matches_brute_force(p in prop_oneof![problem_strategy(), budgeted_cover()]) {
         let expected = brute_force(&p);
-        let got = solve_ilp(&p, &IlpOptions::default());
-        match (expected, got) {
-            (None, Err(SolveError::Infeasible)) => {}
-            (None, Ok(s)) => prop_assert!(false, "solver found {:?} but problem infeasible", s.values),
-            (Some(e), Ok(s)) => {
-                prop_assert!(p.is_feasible(&s.values, 1e-6), "returned infeasible point");
-                prop_assert!((s.objective - e).abs() < 1e-6,
-                    "objective {} != brute-force {}", s.objective, e);
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            let opts = IlpOptions { backend, ..Default::default() };
+            let (got, _) = solve_ilp_in(&p, &opts, &mut SimplexWorkspace::new());
+            match (expected, got) {
+                (None, Err(SolveError::Infeasible)) => {}
+                (None, Ok(s)) => prop_assert!(false, "{:?} found {:?} but problem infeasible", backend, s.values),
+                (Some(e), Ok(s)) => {
+                    prop_assert!(p.is_feasible(&s.values, 1e-6), "{:?} returned infeasible point", backend);
+                    prop_assert!((s.objective - e).abs() < 1e-6,
+                        "{:?} objective {} != brute-force {}", backend, s.objective, e);
+                }
+                (Some(e), Err(err)) => prop_assert!(false, "{:?} error {err} but optimum {e} exists", backend),
+                (None, Err(err)) => prop_assert!(false, "{:?}: expected Infeasible, got {err}", backend),
             }
-            (Some(e), Err(err)) => prop_assert!(false, "solver error {err} but optimum {e} exists"),
-            (None, Err(err)) => prop_assert!(false, "expected Infeasible, got {err}"),
         }
     }
 

@@ -189,10 +189,10 @@ fn ilp_on(p: &Problem, backend: SolverBackend) -> (Result<IlpSolution, SolveErro
 }
 
 /// Did the reference tableau run the search? Read from the counters, not
-/// from the options: only the sparse method factorizes a basis,
-/// re-enters warm or leaves a refutation.
+/// from the options: only the sparse method factorizes a basis or
+/// re-enters warm.
 fn ran_dense(stats: &IlpStats) -> bool {
-    stats.refactorizations == 0 && stats.warm_starts == 0 && stats.refutation.is_none()
+    stats.refactorizations == 0 && stats.warm_starts == 0
 }
 
 proptest! {

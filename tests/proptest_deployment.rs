@@ -1172,7 +1172,8 @@ proptest! {
         let ((chain, eeg), (repeat_at, cliff_at)) = (shape, splice);
         let (cpu_scale, net_scale) = delta_scales;
         // A random pipeline, or the one-channel EEG app, whose starved
-        // backhauls the root LP refutes where presolve does not.
+        // backhauls a floor over the closure refutes where presolve does
+        // not.
         let app = if eeg {
             EEG_ONE_CHANNEL.with(Rc::clone)
         } else {
@@ -1402,8 +1403,9 @@ proptest! {
     /// probe, the closure's included), on both backends: the same rate,
     /// bit for bit, in the same number of probes — and the returned
     /// placement a proved optimum there (a cold solve's objective to
-    /// 1e-9, certified gap 0) within every budget. (These apps' cliffs
-    /// are never a root LP refutation's; the test below is one.)
+    /// 1e-9, certified gap 0) within every budget, and the same probes
+    /// refuted on both backends. (The test below is one whose cliff a
+    /// floor is sure to refute.)
     #[test]
     fn the_rate_search_answers_like_a_solve_at_every_probe(
         stages in 2usize..5,
@@ -1499,9 +1501,9 @@ fn rate_search_matches_every_probe(
         prop_assert!(got.unproven.is_none());
         // The every-probe schedule takes the same step, so it searches
         // every probe but the refuted ones; each of those it solved to
-        // `Infeasible`. A floor over the closure refutes on either
-        // backend, a root LP only on the sparse one, so every probe the
-        // tableau's search refutes, the sparse one's refutes too.
+        // `Infeasible`. A floor over the closure is the only refutation,
+        // and min-cuts alone make it, so both backends refute the same
+        // probes.
         prop_assert_eq!(every.solves() as usize + got.refuted.len(), probes as usize);
         refuted_checks += got.refuted.len();
         for refuted in &got.refuted {
@@ -1515,12 +1517,7 @@ fn rate_search_matches_every_probe(
         if backend == SolverBackend::Dense {
             dense_refuted.clone_from(&got.refuted);
         } else {
-            prop_assert!(
-                dense_refuted.iter().all(|r| got.refuted.contains(r)),
-                "dense refuted {:?}, sparse {:?}",
-                dense_refuted,
-                got.refuted
-            );
+            prop_assert_eq!(&dense_refuted, &got.refuted, "dense vs sparse refuted");
         }
         let cold = partition_deployment(g, prof, dep, &cfg.clone().at_rate(got.rate))
             .expect("the found rate is feasible");
@@ -1540,9 +1537,9 @@ fn rate_search_matches_every_probe(
     Ok(refuted_checks)
 }
 
-/// The one-channel EEG app behind a 50 B/s backhaul: the sparse root LP
-/// refutes its cliff, so the rate search answers probes from the kept
-/// refutation, and the property's refuted-probe check runs.
+/// The one-channel EEG app behind a 50 B/s backhaul: a budget row's floor
+/// over the closure refutes its cliff, so the rate search answers probes
+/// from the kept refutation, and the property's refuted-probe check runs.
 #[test]
 fn the_rate_search_refutes_the_starved_eeg_backhaul_like_every_probe() {
     let app = EEG_ONE_CHANNEL.with(Rc::clone);

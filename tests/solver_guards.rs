@@ -6,11 +6,10 @@
 //! * the 22-channel chain's root LP starts dual-first and takes exactly
 //!   1,299 iterations and at most 2 factorizations;
 //! * the two-ward forest's rate search lands on ×3.15625 in 28 probes on
-//!   one encode, 23 of them closure answers, with 1 branch-and-bound run
-//!   on the sparse backend, whose refutation answers 4 probes, and 5 on
-//!   the dense tableau; replayed with every probe solved, ≥ 80 % of
-//!   its feasible root LPs enter warm, in ≤ 1,000 iterations and ≤ 2
-//!   factorizations all told;
+//!   one encode, 23 of them closure answers and 5 refuted by a floor over
+//!   the closure, with no branch-and-bound run, on either backend;
+//!   replayed with every probe solved, ≥ 80 % of its feasible root LPs
+//!   enter warm, in ≤ 1,000 iterations and ≤ 2 factorizations all told;
 //! * the closure min-cut of the 22-channel chain and of the tight forest
 //!   needs at most one Dinic phase after its forward pass (six without
 //!   it);
@@ -175,13 +174,12 @@ fn solve_on(p: &Problem, backend: SolverBackend) -> (f64, IlpStats) {
 }
 
 /// `backend` ran the search `stats` reports, as its counters show: only
-/// the sparse method factorizes a basis, re-enters warm or leaves a
-/// refutation, and a sparse search that solved an LP factorized one.
+/// the sparse method factorizes a basis or re-enters warm, and a sparse
+/// search that solved an LP factorized one.
 fn assert_ran(backend: SolverBackend, stats: &IlpStats) {
     match backend {
         SolverBackend::Dense => {
             assert_eq!((stats.refactorizations, stats.warm_starts), (0, 0));
-            assert_eq!(stats.refutation, None);
         }
         SolverBackend::Sparse => assert!(stats.refactorizations > 0, "{stats:?}"),
     }

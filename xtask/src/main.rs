@@ -18,8 +18,10 @@
 //!
 //! Every rule but `oracle-anchors` (which reads the tests) and the two
 //! manifest readers skips test modules: by repo convention
-//! `#[cfg(test)] mod tests` is the tail of each file, so scanning stops
-//! at the first `#[cfg(test)]` line. A site may opt out of a rule with a
+//! `#[cfg(test)] mod tests { … }` is the tail of each file, so scanning
+//! stops at the `#[cfg(test)]` that opens an inline module. One on a
+//! single item (a helper method, a field) stops nothing: the code after
+//! it is scanned. A site may opt out of a rule with a
 //! trailing `// audit:allow(<rule>): <reason>` comment.
 //!
 //! Exit status is nonzero iff any violation is found, which is what
@@ -107,7 +109,7 @@ struct Census {
 }
 
 #[rustfmt::skip]
-const CONFINE: [Confine; 23] = [
+const CONFINE: [Confine; 24] = [
     Confine {
         rule: "no-unwrap",
         // The simplex / branch-and-bound inner loops, and the fleet service,
@@ -257,6 +259,14 @@ const CONFINE: [Confine; 23] = [
               refutes a rate past the closure ceiling only on the settle-or-search step that \
               `solve_at` and the rate search share; `search`, and so `solve_at_in` and every \
               fleet solve, never pays for a floor",
+    },
+    Confine {
+        rule: "one-refutation-source", scope: &["crates/ilp/src"],
+        needles: &[Text("Refutation::combine("), Text("Self::combine(")],
+        homes: &[Home::Fn("crates/ilp/src/closure.rs", "row_floor_in")],
+        why: "`{}` outside `row_floor_in` — a budget row's floor over the closure is the one \
+              refutation, made by min-cuts alone, so both simplex backends refute the same \
+              rates; a second source would make the refuted probes depend on the backend",
     },
     Confine {
         rule: "address-identity", scope: &[CORE_SRC, "crates/fleet/src"],
@@ -567,14 +577,19 @@ struct CodeLine<'a> {
 }
 
 /// The non-test prefix of a source file: by repo convention the
-/// `#[cfg(test)] mod tests` block is the file tail, so everything from
-/// the first `#[cfg(test)]` on is test code.
+/// `#[cfg(test)] mod tests { … }` block is the file tail, so everything
+/// from the `#[cfg(test)]` that opens an inline module on is test code.
 fn code_lines(text: &str) -> Vec<CodeLine<'_>> {
     let mut in_fn = String::new();
     // Open parentheses of the assertion macro call being read (0: none).
     let mut assert_depth = 0usize;
-    text.lines()
-        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+    let lines: Vec<&str> = text.lines().collect();
+    let tail = lines
+        .windows(2)
+        .position(|w| w[0].trim_start().starts_with("#[cfg(test)]") && opens_inline_mod(w[1]))
+        .unwrap_or(lines.len());
+    lines[..tail]
+        .iter()
         .enumerate()
         .map(|(i, raw)| {
             let code = strip_strings_and_comments(raw);
@@ -592,6 +607,12 @@ fn code_lines(text: &str) -> Vec<CodeLine<'_>> {
             }
         })
         .collect()
+}
+
+/// Does `line` open an inline module, `mod name {`?
+fn opens_inline_mod(line: &str) -> bool {
+    let line = line.trim();
+    line.starts_with("mod ") && line.ends_with('{')
 }
 
 /// Advance `depth`, the open parentheses of an assertion macro's call,
@@ -1917,6 +1938,29 @@ mod tests {
         let mut v = Vec::new();
         confine(row, Path::new(file), &code_lines(source), &mut v);
         v.iter().map(|x| x.line).collect()
+    }
+
+    #[test]
+    fn only_an_inline_test_module_ends_the_scan() {
+        // A test-only helper and a test-only field leave the code after
+        // them scanned; the test module, and only it, is the tail.
+        let source = "\
+struct S {
+    #[cfg(test)]
+    probe: u8,
+    kept: u8,
+}
+#[cfg(test)]
+fn fits() {}
+fn settle() {} // line 8
+#[cfg(test)]
+mod tests {
+    fn probe() {}
+}
+";
+        let lines = code_lines(source);
+        assert_eq!(lines.len(), 8);
+        assert_eq!(lines[7].in_fn, "settle");
     }
 
     #[test]
